@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check fmt build test vet lint vuln fuzz-smoke race allocs bench benchgate benchgate-all bench-wire benchgate-wire wire-race obs-race nmux-race bench-nmux benchgate-nmux steer-race bench-steer benchgate-steer delta-race bench-delta benchgate-delta
+.PHONY: check fmt build test vet lint vuln fuzz-smoke race allocs bench
 
-check: fmt vet lint build race allocs
+check: fmt lint build race allocs
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -25,8 +25,7 @@ vet:
 # discipline on atomic.Pointer views (snapshot), and constant-name
 # telemetry registration (metriclabel). See DESIGN.md "Enforced
 # invariants" for the rules and the //duet:allow escape hatch.
-lint:
-	$(GO) vet ./...
+lint: vet
 	$(GO) run ./cmd/duetvet ./...
 
 # Non-blocking in CI: scans for known-vulnerable dependency versions when
@@ -59,11 +58,15 @@ fuzz-smoke:
 		$(GO) test -run XXX -fuzz "^$$t$$" -fuzztime 5s ./internal/delta || exit 1; \
 	done
 
+# bench/ is its own module (the root ./... never sees it), so both suites
+# run its tests explicitly.
 test:
 	$(GO) test ./...
+	cd bench && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...
+	cd bench && $(GO) test -race ./...
 
 # Zero-allocation gates for every instrumented hot path: mux packet
 # processing, host-agent decap/DSR, and the obs scrape tick running
@@ -74,94 +77,8 @@ allocs:
 	$(GO) test -run 'ZeroAlloc' ./internal/telemetry ./internal/hmux ./internal/smux ./internal/nmux ./internal/steer ./internal/hostagent ./internal/obs
 	$(GO) test -run XXX -bench BenchmarkTelemetryHotPath -benchtime 100x -benchmem ./internal/telemetry
 
-# Dataplane throughput reference (compare against the seed baseline before
-# merging instrumentation changes; parallel scaling baseline is recorded in
-# BENCH_deliver.json).
+# The repository's one benchmark: four workloads, end-to-end metrics gated
+# against BENCHMARK.json's bounds (see bench/README.md; add `--trace 1` for
+# the per-layer ledger).
 bench:
-	$(GO) test -run XXX -bench 'BenchmarkDataplaneChain|BenchmarkDeliverParallel' -benchmem .
-
-# Compare BenchmarkDeliverParallel against the recorded baseline with a ±15%
-# tolerance. CI runs this as a non-blocking step: it fails loudly on
-# regression without failing the build (the 1-CPU CI box is noisy).
-benchgate:
-	$(GO) test -run XXX -bench BenchmarkDeliverParallel -benchtime 2s . | $(GO) run ./cmd/benchgate
-
-# Every recorded baseline through cmd/benchgate in one pass. Runs all four
-# gates even when an early one regresses, then fails if any did — this is
-# the one target CI's non-blocking bench step invokes.
-benchgate-all:
-	@fail=0; \
-	for t in benchgate benchgate-wire benchgate-nmux benchgate-steer benchgate-delta; do \
-		$(MAKE) --no-print-directory $$t || fail=1; \
-	done; \
-	exit $$fail
-
-# Real-socket wire throughput: frames SYNs over loopback UDP into a
-# dataplane socket and measures delivered packets per second end to end
-# (baseline recorded in BENCH_wire.json; acceptance floor 100k pkts/s).
-bench-wire:
-	$(GO) test -run XXX -bench BenchmarkWireDeliver -benchtime 2s ./internal/wire
-
-benchgate-wire:
-	$(GO) test -run XXX -bench BenchmarkWireDeliver -benchtime 2s ./internal/wire | $(GO) run ./cmd/benchgate -baseline BENCH_wire.json
-
-# The multi-process integration test under the race detector: builds duetd,
-# spawns controller + smux + host agent as separate processes, floods real
-# UDP traffic, kills and restarts the SMux, and drives a wire-drops alert.
-wire-race:
-	$(GO) test -race -v -run TestWireClusterEndToEnd ./cmd/duetd
-
-# The cluster-observability plane under the race detector: the obs package
-# (scrape pipeline, rules engine, journey stitcher, fleet aggregator with
-# its pollers) plus the multi-process integration test that stitches
-# cross-process journeys and drives a fleet alert.
-obs-race:
-	$(GO) test -race ./internal/obs ./internal/telemetry
-	$(GO) test -race -v -run TestClusterObservability ./cmd/duetd
-
-# The NIC match-table tier under the race detector: the nmux package itself,
-# the three-tier core/controller/placement paths, and the testbed churn
-# scenarios (concurrent reprogramming while packets are in flight).
-nmux-race:
-	$(GO) test -race ./internal/nmux ./internal/assign ./internal/core ./internal/controller ./internal/testbed ./internal/wire
-
-# Three-tier throughput reference (baseline recorded in BENCH_nmux.json;
-# should track BENCH_deliver.json within noise — the NMux hot path is the
-# same shape as the SMux one).
-bench-nmux:
-	$(GO) test -run XXX -bench BenchmarkDeliverParallelNMux -benchmem .
-
-benchgate-nmux:
-	$(GO) test -run XXX -bench BenchmarkDeliverParallelNMux -benchtime 2s . | $(GO) run ./cmd/benchgate -baseline BENCH_nmux.json
-
-# The shared steer lookup layer under the race detector: the steer package
-# itself, the SMux modes (stateful/stateless/hybrid overlay), and the
-# churn-flood scenarios that bump table epochs while packets are in flight.
-steer-race:
-	$(GO) test -race ./internal/steer ./internal/smux ./internal/nmux ./internal/core ./internal/testbed
-
-# Per-mode deliver cost under continuous DIP churn (baseline recorded in
-# BENCH_steer.json; stateless and hybrid should be no slower than stateful).
-bench-steer:
-	$(GO) test -run XXX -bench BenchmarkSteerChurn -benchmem .
-
-benchgate-steer:
-	$(GO) test -run XXX -bench BenchmarkSteerChurn -benchtime 2s . | $(GO) run ./cmd/benchgate -baseline BENCH_steer.json
-
-# Control-plane replication under the race detector: the delta codec/log,
-# the incremental assignment engine, the controller, and the wire HA paths
-# (election, delta push, snapshot recovery), plus the multi-process
-# kill-the-leader soak.
-delta-race:
-	$(GO) test -race ./internal/delta ./internal/assign ./internal/controller ./internal/wire
-	$(GO) test -race -v -run TestWireControllerFailoverSoak ./cmd/duetd
-
-# Incremental-assignment cost per epoch: dirtypct=1 is the steady-state
-# delta recompute (1% of VIPs churned), dirtypct=100 the from-scratch
-# recovery path. The acceptance bar is >=10x between them (baseline in
-# BENCH_delta.json, unit ns/vip).
-bench-delta:
-	$(GO) test -run XXX -bench BenchmarkComputeDelta -benchtime 2s ./internal/assign
-
-benchgate-delta:
-	$(GO) test -run XXX -bench BenchmarkComputeDelta -benchtime 2s ./internal/assign | $(GO) run ./cmd/benchgate -baseline BENCH_delta.json
+	bash bench/run.sh --workload all

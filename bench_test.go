@@ -504,8 +504,8 @@ func BenchmarkDataplaneChainWithScraper(b *testing.B) {
 // cluster flooded through core.DeliverBatch at 1, 4, and 8 workers. Every
 // lookup table on this path is an epoch-published immutable snapshot, so the
 // only shared-write state a packet touches is its SMux connection-table shard;
-// scaling to 4 workers should be near-linear. Compare against the recorded
-// baseline in BENCH_deliver.json.
+// scaling to 4 workers should be near-linear. The recorded gate for this path
+// is ops_per_s on bench/'s hw-steady workload.
 func BenchmarkDeliverParallel(b *testing.B) {
 	f, err := testbed.NewFlood(testbed.FloodConfig{NumVIPs: 16})
 	if err != nil {
@@ -532,8 +532,8 @@ func BenchmarkDeliverParallel(b *testing.B) {
 // match-table tier enabled: half the VIPs on HMuxes, a quarter on the NMuxes,
 // the rest on the SMux backstop. The NMux hot path is the same shape as the
 // SMux one (epoch-snapshot wildcard lookup + sharded flow table), so per-packet
-// cost should stay within noise of the two-tier run. Compare against the
-// recorded baseline in BENCH_nmux.json.
+// cost should stay within noise of the two-tier run. The recorded gate for
+// this path is ops_per_s on bench/'s sw-churn workload.
 func BenchmarkDeliverParallelNMux(b *testing.B) {
 	f, err := testbed.NewFlood(testbed.FloodConfig{
 		NumVIPs:       16,
@@ -571,8 +571,8 @@ func BenchmarkDeliverParallelNMux(b *testing.B) {
 // pair) and then floods 8192 packets through core.DeliverBatch. All VIPs
 // stay on the software tier so every packet exercises the mode's resolution
 // path: conn-table pinning (mode=0), pure table lookup (mode=1), or lookup
-// plus overlay consultation during the drain window (mode=2). Compare
-// against the recorded baseline in BENCH_steer.json.
+// plus overlay consultation during the drain window (mode=2). The recorded
+// gate is bench/'s sw-churn workload (smux.stateful_ns/stateless_ns/hybrid_ns).
 func BenchmarkSteerChurn(b *testing.B) {
 	for _, mode := range steer.Modes() {
 		b.Run(fmt.Sprintf("mode=%d", int(mode)), func(b *testing.B) {

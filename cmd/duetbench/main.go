@@ -1,7 +1,8 @@
 // Command duetbench runs capacity/cost sweeps that go beyond the paper's
 // figures: how the Duet-vs-Ananta trade-off moves with SMux capacity, switch
 // table sizes, link headroom, and the sticky threshold δ — the ablation
-// studies DESIGN.md calls out, in table form.
+// studies DESIGN.md calls out, in table form. These are model sweeps; the
+// repository's measured throughput lives in bench/ (bash bench/run.sh).
 //
 // Usage:
 //
@@ -9,7 +10,6 @@
 //	duetbench -sweep tables    # tunneling-table size sweep
 //	duetbench -sweep headroom  # link headroom sweep
 //	duetbench -sweep delta     # sticky threshold sweep
-//	duetbench -sweep deliver   # concurrent Deliver scaling (workers sweep)
 //	duetbench -sweep all
 package main
 
@@ -24,7 +24,6 @@ import (
 	"duet/internal/metrics"
 	"duet/internal/netsim"
 	"duet/internal/provision"
-	"duet/internal/testbed"
 	"duet/internal/topology"
 	"duet/internal/workload"
 )
@@ -41,11 +40,10 @@ func main() {
 		"tables":   sweepTables,
 		"headroom": sweepHeadroom,
 		"delta":    sweepDelta,
-		"deliver":  sweepDeliver,
 	}
-	order := []string{"smux", "tables", "headroom", "delta", "deliver"}
+	order := []string{"smux", "tables", "headroom", "delta"}
 	if *sweep == "" {
-		fmt.Fprintln(os.Stderr, "usage: duetbench -sweep smux|tables|headroom|delta|deliver|all")
+		fmt.Fprintln(os.Stderr, "usage: duetbench -sweep smux|tables|headroom|delta|all")
 		os.Exit(2)
 	}
 	run := []string{*sweep}
@@ -182,46 +180,6 @@ func sweepDelta(seed int64, vips int, rate float64) {
 	fmt.Printf("(offered load %s over %d epochs)\n", metrics.FmtRate(rate), w.NumEpochs())
 	fmt.Println("small δ chases noise (more shuffling for no coverage gain); large δ")
 	fmt.Println("tolerates drift until placements age. 0.05 sits at the knee.")
-}
-
-// sweepDeliver measures the byte-accurate concurrent read path: the
-// testbed's flood harness pushes real packets through core.DeliverBatch at
-// increasing worker counts. Per-worker latency CDFs are goroutine-confined
-// and joined through immutable CDFSnapshot merges (metrics.CDF itself is
-// not concurrency-safe).
-func sweepDeliver(seed int64, vips int, rate float64) {
-	fmt.Println("== concurrent Deliver sweep: snapshot read-path scaling ==")
-	_ = seed
-	_ = rate
-	nv := vips
-	if nv > 64 {
-		nv = 64 // the Figure-10 testbed fabric, not the production one
-	}
-	f, err := testbed.NewFlood(testbed.FloodConfig{NumVIPs: nv})
-	must(err)
-	const numPkts = 200_000
-	pkts := f.Packets(numPkts)
-	f.Run(pkts, 1) // warm connection tables and caches
-
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "workers\tthroughput\tspeedup\tp50\tp99\n")
-	var base float64
-	for _, workers := range []int{1, 2, 4, 8} {
-		st := f.RunTimed(pkts, workers)
-		if st.Failed > 0 {
-			must(fmt.Errorf("deliver sweep: %d failures at %d workers", st.Failed, workers))
-		}
-		if base == 0 {
-			base = st.PPS
-		}
-		fmt.Fprintf(tw, "%d\t%.2fMpps\t%.2fx\t%s\t%s\n",
-			workers, st.PPS/1e6, st.PPS/base,
-			metrics.FmtDuration(st.Latency.Quantile(0.5)),
-			metrics.FmtDuration(st.Latency.Quantile(0.99)))
-	}
-	tw.Flush()
-	fmt.Println("the read path shares no locks — scaling is bounded by memory bandwidth")
-	fmt.Println("and the SMux connection-table shards, not by the control plane.")
 }
 
 func must(err error) {

@@ -200,7 +200,7 @@ func fig19(f *simFlags) {
 	normal := maxUtil()
 	// Single-goroutine accumulation, per metrics.CDF's non-concurrent
 	// contract; parallel drivers must confine a CDF per worker and join
-	// through metrics.MergeSnapshots (see testbed.Flood.RunTimed).
+	// through metrics.MergeSnapshots.
 	var swFail, contFail metrics.CDF
 	for trial := 0; trial < f.trials; trial++ {
 		net.ClearFailures()

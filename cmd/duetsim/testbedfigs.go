@@ -4,8 +4,7 @@ package main
 // figures serially, which is exactly the single-goroutine use the CDF
 // contract requires (its read methods lazily re-sort). Anything that fans
 // work across goroutines must confine one CDF per worker and aggregate with
-// metrics.MergeSnapshots, as testbed.Flood.RunTimed and the duetbench
-// deliver sweep do.
+// metrics.MergeSnapshots, as the obs fleet aggregator does.
 
 import (
 	"fmt"

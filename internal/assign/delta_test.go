@@ -225,8 +225,8 @@ func benchWorld(b *testing.B, numVIPs int) (*netsim.Network, *workload.Workload)
 // VIP scale: dirtypct=1 is the incremental path with 1% of VIPs churned
 // (the steady-state epoch), dirtypct=100 is the full from-scratch Compute
 // (the recovery path and the pre-delta baseline). The acceptance bar is
-// ≥10x between them; the recorded baseline lives in BENCH_delta.json and
-// `make benchgate-delta` gates it.
+// ≥10x between them; bench/'s ctl-churn workload records both points as
+// assign.delta_ns_per_vip and assign.compute_ns_per_vip at 2,000 VIPs.
 func BenchmarkComputeDelta(b *testing.B) {
 	net, w := benchWorld(b, 30000)
 	opts := DefaultOptions()

@@ -375,20 +375,45 @@ func SnapshotOf(s *State) *Delta {
 
 // Apply mutates s by the delta. Every op's old values are preconditions;
 // any mismatch (wrong epoch, unknown VIP, diverged weight...) aborts with
-// an error describing the first violation, leaving s possibly partially
-// updated — callers that need atomicity apply to a Clone and swap.
+// an error describing the first violation and leaves s as it was: a failed
+// snapshot keeps the previous population, and a failed diff undoes the ops
+// it had already applied. A receiver's retry therefore meets the same state
+// the rejected delta did.
 func (d *Delta) Apply(s *State) error {
+	prev := *s
 	if d.Snapshot {
-		s.Reset()
+		s.Reset() // a fresh map, so prev keeps the old population intact
 	} else if s.Epoch != d.FromEpoch {
 		return fmt.Errorf("delta: apply from epoch %d onto state at epoch %d", d.FromEpoch, s.Epoch)
 	}
 	for i := range d.Ops {
 		if err := applyOp(s, &d.Ops[i]); err != nil {
-			return fmt.Errorf("delta: op %d (%s %s): %w", i, d.Ops[i].Kind, d.Ops[i].VIP, err)
+			err = fmt.Errorf("delta: op %d (%s %s): %w", i, d.Ops[i].Kind, d.Ops[i].VIP, err)
+			if d.Snapshot {
+				*s = prev
+			} else if uerr := d.undo(s, i); uerr != nil {
+				return fmt.Errorf("%w; undoing the %d applied ops failed, state is inconsistent: %v", err, i, uerr)
+			}
+			return err
 		}
 	}
 	s.Epoch = d.ToEpoch
+	return nil
+}
+
+// undo reverts the applied prefix d.Ops[:n]. Every op carries its old
+// values, so the prefix inverts exactly and the success path never has to
+// copy the state to stay atomic.
+func (d *Delta) undo(s *State, n int) error {
+	inv, err := (&Delta{Ops: d.Ops[:n]}).Invert()
+	if err != nil {
+		return err
+	}
+	for i := range inv.Ops {
+		if err := applyOp(s, &inv.Ops[i]); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 

@@ -240,6 +240,45 @@ func TestApplyRejectsDivergence(t *testing.T) {
 	}
 }
 
+// TestApplyIsAllOrNothing cuts random diffs at every op boundary, follows
+// the applied prefix with an op whose precondition cannot hold, and checks
+// that the failed Apply — diff or snapshot — leaves the state as it found it.
+func TestApplyIsAllOrNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	poison := Op{Kind: OpMode, VIP: vip(0x0B000001)} // outside randState's address range
+	for iter := 0; iter < 100; iter++ {
+		a := randState(rng, 1+rng.Intn(10))
+		b := a.Clone()
+		for n := rng.Intn(8); n >= 0; n-- {
+			mutate(rng, b)
+		}
+		d := Diff(a, b)
+		for k := 0; k <= len(d.Ops); k++ {
+			bad := &Delta{FromEpoch: d.FromEpoch, ToEpoch: d.ToEpoch}
+			bad.Ops = append(append(bad.Ops, d.Ops[:k]...), poison)
+			got := a.Clone()
+			if err := bad.Apply(got); err == nil {
+				t.Fatalf("iter %d cut %d: poisoned delta applied", iter, k)
+			}
+			if !got.Equal(a) {
+				t.Fatalf("iter %d cut %d: failed Apply left %d of %d ops behind", iter, k, k, len(bad.Ops))
+			}
+			if err := d.Apply(got); err != nil || !got.Equal(b) {
+				t.Fatalf("iter %d cut %d: the correct delta no longer applies after the rejection: %v", iter, k, err)
+			}
+		}
+		snap := SnapshotOf(b)
+		snap.Ops = append(snap.Ops, poison)
+		got := a.Clone()
+		if err := snap.Apply(got); err == nil {
+			t.Fatalf("iter %d: poisoned snapshot applied", iter)
+		}
+		if !got.Equal(a) {
+			t.Fatalf("iter %d: failed snapshot replaced the previous state", iter)
+		}
+	}
+}
+
 func TestSnapshotApply(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	s := randState(rng, 8)

@@ -4,19 +4,16 @@ package testbed
 // The flood harness complements it with a byte-accurate concurrent driver:
 // a real core.Cluster wired on the same small FatTree as the paper's
 // hardware testbed (§7, Figure 10), flooded through the parallel
-// DeliverBatch read path. The testbed tests and cmd/duetbench's deliver
-// sweep use it to measure how the snapshot-published datapath scales with
-// worker count.
+// DeliverBatch read path. The testbed tests, the figures and bench/ build
+// their in-process clusters with it.
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"duet/internal/bgp"
 	"duet/internal/clock"
 	"duet/internal/core"
-	"duet/internal/metrics"
 	"duet/internal/obs"
 	"duet/internal/packet"
 	"duet/internal/service"
@@ -189,9 +186,6 @@ type FloodStats struct {
 	Failed    int
 	Elapsed   time.Duration
 	PPS       float64
-	// Latency is the merged per-packet latency distribution in seconds
-	// (populated by RunTimed; Run leaves it empty).
-	Latency metrics.CDFSnapshot
 }
 
 // Run floods the cluster through core.DeliverBatch and reports aggregate
@@ -208,60 +202,6 @@ func (f *Flood) Run(pkts [][]byte, workers int) FloodStats {
 			st.Delivered++
 		}
 	}
-	if elapsed > 0 {
-		st.PPS = float64(len(pkts)) / elapsed.Seconds()
-	}
-	return st
-}
-
-// RunTimed floods the cluster with per-packet latency measurement: the
-// packet list is split across workers, each worker confines its own
-// metrics.CDF (the type is not concurrency-safe), and the per-worker
-// distributions are joined through immutable CDFSnapshot merges.
-func (f *Flood) RunTimed(pkts [][]byte, workers int) FloodStats {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(pkts) {
-		workers = len(pkts)
-	}
-	type workerOut struct {
-		delivered, failed int
-		snap              metrics.CDFSnapshot
-	}
-	outs := make([]workerOut, workers)
-	var wg sync.WaitGroup
-	wall := clock.Wall()
-	for w := 0; w < workers; w++ {
-		lo := w * len(pkts) / workers
-		hi := (w + 1) * len(pkts) / workers
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			var lat metrics.CDF // goroutine-confined, per its contract
-			for _, p := range pkts[lo:hi] {
-				t0 := wall()
-				_, err := f.Cluster.Deliver(p)
-				lat.Add(wall() - t0)
-				if err != nil {
-					outs[w].failed++
-				} else {
-					outs[w].delivered++
-				}
-			}
-			outs[w].snap = lat.Snapshot()
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	elapsed := time.Duration(wall() * float64(time.Second))
-	st := FloodStats{Elapsed: elapsed}
-	snaps := make([]metrics.CDFSnapshot, workers)
-	for w, o := range outs {
-		st.Delivered += o.delivered
-		st.Failed += o.failed
-		snaps[w] = o.snap
-	}
-	st.Latency = metrics.MergeSnapshots(snaps...)
 	if elapsed > 0 {
 		st.PPS = float64(len(pkts)) / elapsed.Seconds()
 	}

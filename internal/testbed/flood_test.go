@@ -23,25 +23,3 @@ func TestFloodDeliversEverything(t *testing.T) {
 		}
 	}
 }
-
-// TestFloodRunTimed checks the per-worker CDF aggregation: the merged
-// latency snapshot must hold exactly one sample per packet and a sane
-// distribution (positive quantiles, min ≤ p50 ≤ max).
-func TestFloodRunTimed(t *testing.T) {
-	f, err := NewFlood(FloodConfig{NumVIPs: 4, DIPsPerVIP: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkts := f.Packets(2000)
-	st := f.RunTimed(pkts, 4)
-	if st.Failed != 0 {
-		t.Fatalf("%d deliveries failed", st.Failed)
-	}
-	if st.Latency.N() != len(pkts) {
-		t.Fatalf("merged CDF has %d samples, want %d", st.Latency.N(), len(pkts))
-	}
-	lo, mid, hi := st.Latency.Quantile(0), st.Latency.Quantile(0.5), st.Latency.Quantile(1)
-	if !(lo > 0 && lo <= mid && mid <= hi) {
-		t.Fatalf("degenerate latency distribution: min=%v p50=%v max=%v", lo, mid, hi)
-	}
-}

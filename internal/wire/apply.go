@@ -41,7 +41,9 @@ func (n *Node) handleLeaderHeartbeat(env, ack *Envelope) error {
 // reconciles the touched VIPs through the role-specific reconcile func. The
 // ack always carries the applied epoch: a gap rejection tells the leader
 // exactly where this node stands, so it ships the missing range instead of
-// the full config.
+// the full config. delta.Apply is all-or-nothing, so a rejected push leaves
+// the mirror, the epoch and the tables where they were and the leader's next
+// push meets the state it expects.
 func (n *Node) handleDeltaPush(env, ack *Envelope, reconcile func(addrs []packet.Addr) error) error {
 	n.cfgMu.Lock()
 	defer n.cfgMu.Unlock()

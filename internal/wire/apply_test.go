@@ -1,0 +1,172 @@
+package wire
+
+// Tests for the receiver side of delta replication, driven by hand over a
+// node's control socket (no controller in the spec, so nothing else pushes).
+
+import (
+	"errors"
+	"strings"
+	"testing"
+
+	"duet/internal/delta"
+	"duet/internal/packet"
+)
+
+// dataplaneSpec is one node of each dataplane role and no controller.
+func dataplaneSpec(t testing.TB) *ClusterSpec {
+	return &ClusterSpec{
+		Nodes: []NodeSpec{
+			{Name: "smux-1", Role: RoleSMux, Self: "20.0.0.1", Data: freeUDP(t), Control: freeTCP(t)},
+			{Name: "host-1", Role: RoleHostAgent, Self: "100.0.0.1", Data: freeUDP(t), Control: freeTCP(t)},
+			{Name: "sw-1", Role: RoleSwitch, Self: "1.0.0.1", Data: freeUDP(t), Control: freeTCP(t)},
+		},
+		ScrapeMillis: 25,
+	}
+}
+
+// configAt projects a VIP population into the replicated state at epoch,
+// the way the leading controller bootstraps from its spec.
+func configAt(t testing.TB, epoch uint64, vips ...VIPSpec) *delta.State {
+	t.Helper()
+	st, err := specState(&ClusterSpec{VIPs: vips}, epoch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// oneVIPState is epoch 1 of the hand-driven config: 10.0.0.1 → 100.0.0.1.
+func oneVIPState(t testing.TB) *delta.State {
+	return configAt(t, 1, VIPSpec{Addr: "10.0.0.1", Backends: []BackendSpec{{Addr: "100.0.0.1"}}})
+}
+
+func pushDelta(c *ControlClient, d *delta.Delta) (*Envelope, error) {
+	return c.CallE(&Envelope{Type: MsgDeltaPush, Name: "test", Term: 1, Epoch: d.ToEpoch, Delta: d.Encode()})
+}
+
+func mirror(n *Node) *delta.State {
+	n.cfgMu.Lock()
+	defer n.cfgMu.Unlock()
+	return n.cfg.Clone()
+}
+
+// TestRejectedDeltaDoesNotHalfApply pushes a delta whose first op is fine and
+// whose second diverges from the mirror. The rejection must leave the mirror
+// at its pre-state — otherwise the leader's corrected delta, which repeats
+// the first op, fails on "VIP already present" forever.
+func TestRejectedDeltaDoesNotHalfApply(t *testing.T) {
+	spec := dataplaneSpec(t)
+	sm, err := StartNode(spec, "smux-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sm.Close()
+	c := DialControl(sm.ControlAddr(), sm.Reg)
+	defer c.Close()
+
+	st1 := oneVIPState(t)
+	if _, err := pushDelta(c, delta.Diff(delta.NewState(), st1)); err != nil {
+		t.Fatalf("bootstrap push: %v", err)
+	}
+
+	st2 := configAt(t, 2,
+		VIPSpec{Addr: "10.0.0.1", Backends: []BackendSpec{{Addr: "100.0.0.1", Weight: 3}}},
+		VIPSpec{Addr: "10.0.0.2", Backends: []BackendSpec{{Addr: "100.0.0.1"}}})
+	vip2 := packet.MustParseAddr("10.0.0.2")
+	good := delta.Diff(st1, st2) // dip-weight on vip1, then vip-add of vip2
+	if len(good.Ops) != 2 {
+		t.Fatalf("want a two-op delta, got %d ops", len(good.Ops))
+	}
+	bad := &delta.Delta{FromEpoch: 1, ToEpoch: 2, Ops: []delta.Op{good.Ops[1], good.Ops[0]}}
+	bad.Ops[1].OldWeight = 7 // the mirror holds weight 1
+
+	pre := mirror(sm)
+	rejected := counter(sm, "wire.delta.rejected")
+	ack, err := pushDelta(c, bad)
+	var rej *RejectedError
+	if !errors.As(err, &rej) {
+		t.Fatalf("diverged delta: want RejectedError, got %v", err)
+	}
+	if ack.Epoch != 1 || gauge(sm, "wire.delta.epoch") != 1 {
+		t.Fatalf("applied epoch moved: ack %d, gauge %d", ack.Epoch, gauge(sm, "wire.delta.epoch"))
+	}
+	if got := counter(sm, "wire.delta.rejected"); got != rejected+1 {
+		t.Fatalf("wire.delta.rejected = %d, want %d", got, rejected+1)
+	}
+	if !mirror(sm).Equal(pre) {
+		t.Fatal("rejected delta left its first op in the mirror")
+	}
+	if sm.smux.HasVIP(vip2) {
+		t.Fatal("rejected delta programmed the SMux")
+	}
+
+	if ack, err = pushDelta(c, good); err != nil {
+		t.Fatalf("the correct delta no longer applies after the rejection: %v", err)
+	}
+	if ack.Epoch != 2 || !sm.smux.HasVIP(vip2) || !mirror(sm).Equal(st2) {
+		t.Fatalf("correct delta applied to epoch %d, vip2 programmed %v", ack.Epoch, sm.smux.HasVIP(vip2))
+	}
+}
+
+// TestDataplaneRolesRejectOtherMessages: hello, leader-heartbeat and
+// delta-push are the whole vocabulary of a dataplane node. Anything else —
+// controller-bound messages and the retired per-VIP numbers alike — is a
+// rejection that names the type and touches nothing.
+func TestDataplaneRolesRejectOtherMessages(t *testing.T) {
+	spec := dataplaneSpec(t)
+	roles := []struct {
+		node   string
+		tables func(n *Node) int
+	}{
+		{"smux-1", func(n *Node) int { return n.smux.NumVIPs() }},
+		{"host-1", func(n *Node) int { return len(n.agent.LocalDIPs(packet.MustParseAddr("10.0.0.1"))) }},
+		{"sw-1", func(n *Node) int { return len(n.sw.Mux().VIPs()) }},
+	}
+	gauges := []string{"wire.vips", "wire.dips", "wire.delta.epoch"}
+	for _, role := range roles {
+		t.Run(role.node, func(t *testing.T) {
+			n, err := StartNode(spec, role.node)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer n.Close()
+			c := DialControl(n.ControlAddr(), n.Reg)
+			defer c.Close()
+			if _, err := pushDelta(c, delta.Diff(delta.NewState(), oneVIPState(t))); err != nil {
+				t.Fatalf("bootstrap push: %v", err)
+			}
+			if role.tables(n) != 1 {
+				t.Fatalf("bootstrap push programmed %d table entries, want 1", role.tables(n))
+			}
+			pre := mirror(n)
+			before := make(map[string]int64)
+			for _, g := range gauges {
+				before[g] = gauge(n, g)
+			}
+			applied := counter(n, "wire.delta.applied")
+
+			for _, typ := range []MsgType{
+				MsgHealthReport, MsgAnnounceVIP, MsgWithdrawVIP, MsgSnapshotRequest,
+				2, 3, 4, 8, 10, 11, // the retired add-vip … nmux-remove
+			} {
+				err := c.Call(&Envelope{Type: typ, Addr: "10.0.0.1"})
+				var rej *RejectedError
+				if !errors.As(err, &rej) {
+					t.Fatalf("%s: want RejectedError, got %v", typ, err)
+				}
+				if rej.Type != typ || !strings.Contains(rej.Reason, typ.String()) {
+					t.Fatalf("%s: rejection does not name the type: %v", typ, err)
+				}
+			}
+
+			if role.tables(n) != 1 || !mirror(n).Equal(pre) || counter(n, "wire.delta.applied") != applied {
+				t.Fatal("a rejected message changed the node's tables or mirror")
+			}
+			for _, g := range gauges {
+				if got := gauge(n, g); got != before[g] {
+					t.Fatalf("gauge %s moved %d → %d on rejected messages", g, before[g], got)
+				}
+			}
+		})
+	}
+}

@@ -16,8 +16,8 @@ import (
 // counts the delivery. The metric of record is ns/pkt over *delivered*
 // packets (UDP may drop under overload; drops must not flatter the number).
 //
-// Run via `make bench-wire`; cmd/benchgate compares the result against
-// BENCH_wire.json.
+// The recorded gate for this path is bench/'s wire-fleet workload
+// (ops_per_s, cpu_us_per_op, wire.send_ns, wire.recv_ns).
 func BenchmarkWireDeliver(b *testing.B) {
 	for _, senders := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("senders=%d", senders), func(b *testing.B) {

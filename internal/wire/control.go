@@ -20,57 +20,44 @@ import (
 // encoding; the length prefix gives clean framing and an obvious place to
 // reject garbage. Every request is acknowledged (MsgAck or an enriched
 // MsgDeltaAck, echoing Seq), and requests are idempotent by construction —
-// re-adding a VIP or re-registering a DIP that exists is success, and a
-// delta push carries its from-epoch precondition — so the client can
-// blindly retry across reconnects without a dedupe layer. Configuration
-// flows as epoch deltas (MsgDeltaPush, internal/delta); the full-state
-// snapshot push is the recovery path for a peer behind the leader's
-// compaction horizon.
+// a heartbeat or health report repeats harmlessly, and a delta push carries
+// its from-epoch precondition — so the client can blindly retry across
+// reconnects without a dedupe layer. Configuration reaches a node only as
+// epoch deltas (MsgDeltaPush, internal/delta); the full-state snapshot push
+// is the recovery path for a peer behind the leader's compaction horizon.
 
 // MsgType enumerates control messages.
 type MsgType uint8
 
+// The values travel on the wire and are never reused: 2–4, 8, 10 and 11 were
+// the imperative per-VIP messages that delta replication retired.
 const (
 	// MsgHello introduces a peer after connect (role + name, informational).
-	MsgHello MsgType = iota + 1
-	// MsgAddVIP programs a VIP (full backend set) on a mux node.
-	MsgAddVIP
-	// MsgRemoveVIP withdraws a VIP from a mux node.
-	MsgRemoveVIP
-	// MsgRegisterDIP registers vip→dip on a host-agent node.
-	MsgRegisterDIP
+	MsgHello MsgType = 1
 	// MsgHealthReport carries a host agent's DIP health to the controller.
-	MsgHealthReport
+	MsgHealthReport MsgType = 5
 	// MsgAnnounceVIP/MsgWithdrawVIP are routing-side effects forwarded to
 	// the controller (the BGP speaker of the process world).
-	MsgAnnounceVIP
-	MsgWithdrawVIP
-	// MsgProgramOp submits a switch-table operation to a switch agent.
-	MsgProgramOp
+	MsgAnnounceVIP MsgType = 6
+	MsgWithdrawVIP MsgType = 7
 	// MsgAck acknowledges any request, echoing its Seq.
-	MsgAck
-	// MsgNMuxAdd programs a VIP into the NIC match table fronting an SMux
-	// node (only meaningful for smux nodes with nmux_table > 0).
-	MsgNMuxAdd
-	// MsgNMuxRemove withdraws a VIP from the NIC match table; the SMux
-	// backstop keeps serving it.
-	MsgNMuxRemove
+	MsgAck MsgType = 9
 	// MsgDeltaPush ships one encoded epoch delta (internal/delta) from the
 	// leading controller to a peer. Delta carries the bytes, Epoch the
 	// delta's target epoch, Term the leader's term. The ack (MsgDeltaAck)
 	// returns the peer's applied epoch, so a gap rejection tells the leader
 	// exactly where to resume.
-	MsgDeltaPush
+	MsgDeltaPush MsgType = 12
 	// MsgDeltaAck is the enriched ack to a delta-protocol request: Epoch is
 	// the peer's applied (or log-head) epoch, Term its highest seen term.
-	MsgDeltaAck
+	MsgDeltaAck MsgType = 13
 	// MsgSnapshotRequest asks a controller for its full config as a snapshot
 	// delta; the ack carries it in Delta (recovery + operator inspection).
-	MsgSnapshotRequest
+	MsgSnapshotRequest MsgType = 14
 	// MsgLeaderHeartbeat renews the leader's lease on a peer and doubles as
 	// an epoch probe: the ack's Epoch tells the leader how far behind the
 	// peer is without shipping anything.
-	MsgLeaderHeartbeat
+	MsgLeaderHeartbeat MsgType = 15
 )
 
 // String names the message type.
@@ -78,26 +65,14 @@ func (t MsgType) String() string {
 	switch t {
 	case MsgHello:
 		return "hello"
-	case MsgAddVIP:
-		return "add-vip"
-	case MsgRemoveVIP:
-		return "remove-vip"
-	case MsgRegisterDIP:
-		return "register-dip"
 	case MsgHealthReport:
 		return "health-report"
 	case MsgAnnounceVIP:
 		return "announce-vip"
 	case MsgWithdrawVIP:
 		return "withdraw-vip"
-	case MsgProgramOp:
-		return "program-op"
 	case MsgAck:
 		return "ack"
-	case MsgNMuxAdd:
-		return "nmux-add"
-	case MsgNMuxRemove:
-		return "nmux-remove"
 	case MsgDeltaPush:
 		return "delta-push"
 	case MsgDeltaAck:
@@ -110,42 +85,10 @@ func (t MsgType) String() string {
 	return fmt.Sprintf("msg(%d)", uint8(t))
 }
 
-// BackendMsg is one backend in a control message (addresses travel as
-// dotted quads for debuggability).
-type BackendMsg struct {
-	Addr   string `json:"addr"`
-	Weight uint32 `json:"weight,omitempty"`
-}
-
-// VIPMsg is a VIP's full configuration.
-type VIPMsg struct {
-	Addr     string       `json:"addr"`
-	Backends []BackendMsg `json:"backends"`
-	// Mode is the VIP's SMux consistency mode ("stateful", "stateless" or
-	// "hybrid"; empty means stateful — see internal/steer).
-	Mode string `json:"mode,omitempty"`
-	// Version fingerprints the configuration this message carries. A
-	// receiver that already applied this version treats the message as a
-	// no-op, so the anti-entropy re-push (every resync interval, forever)
-	// does not bump the mux's steer-table epoch — an epoch bump opens a
-	// hybrid drain window and must mean the config actually changed.
-	// 0 disables the gate (the message is always applied).
-	Version uint64 `json:"version,omitempty"`
-}
-
 // HealthMsg is one host agent's view of its local DIPs.
 type HealthMsg struct {
 	Host string          `json:"host"`
 	DIPs map[string]bool `json:"dips"` // dip → healthy
-}
-
-// ProgramMsg is a switch-table operation (mirrors switchagent.Op).
-type ProgramMsg struct {
-	Kind     string       `json:"kind"` // add-vip, remove-vip, add-tip, remove-tip, remove-dip
-	VIP      *VIPMsg      `json:"vip,omitempty"`
-	Addr     string       `json:"addr,omitempty"`
-	DIP      string       `json:"dip,omitempty"`
-	Backends []BackendMsg `json:"backends,omitempty"`
 }
 
 // Envelope is one control message. Exactly one payload field matching Type
@@ -154,14 +97,11 @@ type Envelope struct {
 	Type MsgType `json:"type"`
 	Seq  uint64  `json:"seq"`
 
-	Role    string      `json:"role,omitempty"` // MsgHello
-	Name    string      `json:"name,omitempty"` // MsgHello
-	VIP     *VIPMsg     `json:"vip,omitempty"`  // MsgAddVIP, MsgRegisterDIP (with DIP)
-	Addr    string      `json:"addr,omitempty"` // MsgRemoveVIP/Announce/Withdraw
-	DIP     string      `json:"dip,omitempty"`  // MsgRegisterDIP
-	Health  *HealthMsg  `json:"health,omitempty"`
-	Program *ProgramMsg `json:"program,omitempty"`
-	Err     string      `json:"err,omitempty"` // MsgAck: empty = success
+	Role   string     `json:"role,omitempty"` // MsgHello
+	Name   string     `json:"name,omitempty"` // MsgHello, and the leader's name on delta-protocol messages
+	Addr   string     `json:"addr,omitempty"` // MsgAnnounceVIP/MsgWithdrawVIP: the prefix
+	Health *HealthMsg `json:"health,omitempty"`
+	Err    string     `json:"err,omitempty"` // MsgAck: empty = success
 
 	// Delta-protocol fields (MsgDeltaPush / MsgDeltaAck / MsgSnapshotRequest
 	// / MsgLeaderHeartbeat). Epoch is the config epoch the message is about;

@@ -17,9 +17,7 @@ import (
 	"duet/internal/nmux"
 	"duet/internal/obs"
 	"duet/internal/packet"
-	"duet/internal/service"
 	"duet/internal/smux"
-	"duet/internal/steer"
 	"duet/internal/switchagent"
 	"duet/internal/telemetry"
 )
@@ -66,18 +64,17 @@ type Node struct {
 	swMu  sync.Mutex // switchagent.Agent is single-writer by design
 	sw    *switchagent.Agent
 
-	vips       *telemetry.Gauge
-	dips       *telemetry.Gauge
-	traceHops  telemetry.CounterShard
-	delivered  telemetry.CounterShard
-	resyncs    telemetry.CounterShard
-	reports    telemetry.CounterShard
-	suppressed telemetry.CounterShard
-	routes     *telemetry.Gauge
+	vips      *telemetry.Gauge
+	dips      *telemetry.Gauge
+	traceHops telemetry.CounterShard
+	delivered telemetry.CounterShard
+	resyncs   telemetry.CounterShard
+	reports   telemetry.CounterShard
+	routes    *telemetry.Gauge
 
-	// versMu guards vipVers: VIP address → last applied config fingerprint
-	// (VIPMsg.Version on legacy pushes, vipStateVersion on delta
-	// reconciles), the receiver side of the re-push suppression gate.
+	// versMu guards vipVers: VIP address → fingerprint (vipStateVersion) of
+	// the config last programmed, the gate that keeps a snapshot recovery
+	// push from reprogramming VIPs it does not change.
 	versMu  sync.Mutex
 	vipVers map[packet.Addr]uint64
 
@@ -273,6 +270,24 @@ func (n *Node) traceHop(tier telemetry.TraceTier, pkt []byte, trace uint64) {
 	n.Rec.RecordAt(n.unix(), telemetry.KindTraceHop, n.self32, uint32(tier), dst, trace)
 }
 
+// dataplaneControl is the control handler of the smux, hostagent and switch
+// roles: configuration reaches a dataplane node only as epoch deltas, and
+// the roles differ only in how they reconcile the touched VIPs into their
+// tables.
+func (n *Node) dataplaneControl(reconcile func(addrs []packet.Addr) error) ControlHandler {
+	return func(env, ack *Envelope) error {
+		switch env.Type {
+		case MsgHello:
+			return nil
+		case MsgLeaderHeartbeat:
+			return n.handleLeaderHeartbeat(env, ack)
+		case MsgDeltaPush:
+			return n.handleDeltaPush(env, ack, reconcile)
+		}
+		return fmt.Errorf("%s: unsupported control message %s", n.Me.Role, env.Type)
+	}
+}
+
 // --- smux role ---------------------------------------------------------
 
 func (n *Node) startSMux() error {
@@ -284,7 +299,6 @@ func (n *Node) startSMux() error {
 	n.smux = smux.New(smux.DefaultConfig(self))
 	n.smux.SetTelemetry(n.Reg, n.Rec, uint32(self))
 	n.vips = n.Reg.Gauge("wire.vips")
-	n.suppressed = n.Reg.Counter("wire.vip.suppressed").Shard()
 	capacity := n.Reg.Gauge("smux.capacity_pps")
 	conns := n.Reg.Gauge("smux.conns_total")
 	// Same gauge names core.Collect publishes, so the overlay-occupancy and
@@ -364,110 +378,12 @@ func (n *Node) startSMux() error {
 		n.forward(res.Encap, res.Packet, trace)
 		return res.Packet
 	})
-	ctl, err := ListenControl(n.Me.Control, n.Reg, n.smuxControl)
+	ctl, err := ListenControl(n.Me.Control, n.Reg, n.dataplaneControl(n.reconcileSMux))
 	if err != nil {
 		return err
 	}
 	n.ctl = ctl
 	return nil
-}
-
-func (n *Node) smuxControl(env, ack *Envelope) error {
-	switch env.Type {
-	case MsgHello:
-		return nil
-	case MsgLeaderHeartbeat:
-		return n.handleLeaderHeartbeat(env, ack)
-	case MsgDeltaPush:
-		return n.handleDeltaPush(env, ack, n.reconcileSMux)
-	case MsgAddVIP:
-		v, err := vipFromMsg(env.VIP)
-		if err != nil {
-			return err
-		}
-		mode, err := steer.ParseMode(env.VIP.Mode)
-		if err != nil {
-			return err
-		}
-		// Anti-entropy suppression: a re-push whose fingerprint matches what
-		// we already applied is a no-op. Skipping it keeps the steer epoch
-		// stable (every applied update bumps the epoch, and in hybrid mode an
-		// epoch bump opens a drain window).
-		if env.VIP.Version != 0 && n.smux.HasVIP(v.Addr) {
-			n.versMu.Lock()
-			same := n.vipVers[v.Addr] == env.VIP.Version
-			n.versMu.Unlock()
-			if same {
-				n.suppressed.Inc()
-				return nil
-			}
-		}
-		if n.smux.HasVIP(v.Addr) {
-			err = n.smux.UpdateVIP(v)
-		} else {
-			err = n.smux.AddVIP(v)
-		}
-		if err == nil {
-			err = n.smux.SetVIPMode(v.Addr, mode)
-		}
-		if err == nil {
-			n.versMu.Lock()
-			n.vipVers[v.Addr] = env.VIP.Version
-			n.versMu.Unlock()
-		}
-		n.vips.Set(int64(n.smux.NumVIPs()))
-		return err
-	case MsgRemoveVIP:
-		addr, err := packet.ParseAddr(env.Addr)
-		if err != nil {
-			return err
-		}
-		err = n.smux.RemoveVIP(addr)
-		n.vips.Set(int64(n.smux.NumVIPs()))
-		if err == nil {
-			n.versMu.Lock()
-			delete(n.vipVers, addr)
-			n.versMu.Unlock()
-		}
-		if err == nil && n.nmux != nil && n.nmux.HasVIP(addr) {
-			err = n.nmux.RemoveVIP(addr) // a VIP leaving the node leaves both tables
-		}
-		return err
-	case MsgNMuxAdd:
-		if n.nmux == nil {
-			return fmt.Errorf("smux: node has no NIC table (nmux_table not set)")
-		}
-		v, err := vipFromMsg(env.VIP)
-		if err != nil {
-			return err
-		}
-		// The NIC table resolves DIPs through the SMux's steer table, and the
-		// SMux owns its writes — make sure the backstop is programmed first so
-		// the NIC tier never sees a steer miss for its own VIP.
-		if !n.smux.HasVIP(v.Addr) {
-			if err := n.smux.AddVIP(v); err != nil {
-				return err
-			}
-			n.vips.Set(int64(n.smux.NumVIPs()))
-		}
-		if n.nmux.HasVIP(v.Addr) {
-			return n.nmux.UpdateVIP(v) // idempotent re-push from anti-entropy
-		}
-		return n.nmux.AddVIP(v)
-	case MsgNMuxRemove:
-		if n.nmux == nil {
-			return nil // nothing to withdraw; success for idempotent retries
-		}
-		addr, err := packet.ParseAddr(env.Addr)
-		if err != nil {
-			return err
-		}
-		if err := n.nmux.RemoveVIP(addr); err != nil && !errors.Is(err, nmux.ErrVIPNotFound) {
-			return err
-		}
-		return nil
-	}
-	return fmt.Errorf("smux: unsupported control message %s", env.Type)
 }
 
 // --- hostagent role ----------------------------------------------------
@@ -494,40 +410,13 @@ func (n *Node) startHostAgent() error {
 		n.traceHop(telemetry.TraceTierHost, payload, trace)
 		return d.Packet
 	})
-	ctl, err := ListenControl(n.Me.Control, n.Reg, n.hostControl)
+	ctl, err := ListenControl(n.Me.Control, n.Reg, n.dataplaneControl(n.reconcileHost))
 	if err != nil {
 		return err
 	}
 	n.ctl = ctl
 	n.startHealthLoop()
 	return nil
-}
-
-func (n *Node) hostControl(env, ack *Envelope) error {
-	switch env.Type {
-	case MsgHello:
-		return nil
-	case MsgLeaderHeartbeat:
-		return n.handleLeaderHeartbeat(env, ack)
-	case MsgDeltaPush:
-		return n.handleDeltaPush(env, ack, n.reconcileHost)
-	case MsgRegisterDIP:
-		vip, err := packet.ParseAddr(env.Addr)
-		if err != nil {
-			return err
-		}
-		dip, err := packet.ParseAddr(env.DIP)
-		if err != nil {
-			return err
-		}
-		// RegisterDIP is idempotent for an existing vip→dip pair.
-		if err := n.agent.RegisterDIP(vip, dip); err != nil {
-			return err
-		}
-		n.dips.Set(int64(len(n.agent.LocalDIPs(vip))))
-		return nil
-	}
-	return fmt.Errorf("hostagent: unsupported control message %s", env.Type)
 }
 
 // startHealthLoop periodically reports local DIP health to every
@@ -662,7 +551,7 @@ func (n *Node) startSwitchAgent() error {
 		n.forward(res.Encap, res.Packet, trace)
 		return res.Packet
 	})
-	ctl, err := ListenControl(n.Me.Control, n.Reg, n.switchControl)
+	ctl, err := ListenControl(n.Me.Control, n.Reg, n.dataplaneControl(n.reconcileSwitch))
 	if err != nil {
 		return err
 	}
@@ -704,99 +593,6 @@ func (n *Node) startAnnounceLoop() {
 			}
 		}
 	}()
-}
-
-func (n *Node) switchControl(env, ack *Envelope) error {
-	switch env.Type {
-	case MsgHello:
-		return nil
-	case MsgLeaderHeartbeat:
-		return n.handleLeaderHeartbeat(env, ack)
-	case MsgDeltaPush:
-		return n.handleDeltaPush(env, ack, n.reconcileSwitch)
-	}
-	if env.Type != MsgProgramOp {
-		return fmt.Errorf("switchagent: unsupported control message %s", env.Type)
-	}
-	op, err := opFromMsg(env.Program)
-	if err != nil {
-		return err
-	}
-	n.swMu.Lock()
-	defer n.swMu.Unlock()
-	// Re-pushes from anti-entropy are expected; an already-programmed VIP
-	// is success, not an error.
-	if op.Kind == switchagent.OpAddVIP && n.sw.Mux().HasVIP(op.VIP.Addr) {
-		return nil
-	}
-	if op.Kind == switchagent.OpAddTIP && n.sw.Mux().HasTIP(op.Addr) {
-		return nil
-	}
-	res := n.sw.Submit(op, n.now())
-	n.vips.Set(int64(len(n.sw.Mux().VIPs())))
-	return res.Err
-}
-
-// opFromMsg converts a control-message program op to the switchagent type.
-func opFromMsg(m *ProgramMsg) (switchagent.Op, error) {
-	if m == nil {
-		return switchagent.Op{}, fmt.Errorf("wire: missing program payload")
-	}
-	parse := func(s string) (packet.Addr, error) {
-		if s == "" {
-			return 0, fmt.Errorf("wire: program op %s missing address", m.Kind)
-		}
-		return packet.ParseAddr(s)
-	}
-	switch m.Kind {
-	case "add-vip":
-		v, err := vipFromMsg(m.VIP)
-		if err != nil {
-			return switchagent.Op{}, err
-		}
-		return switchagent.Op{Kind: switchagent.OpAddVIP, VIP: v}, nil
-	case "remove-vip":
-		a, err := parse(m.Addr)
-		if err != nil {
-			return switchagent.Op{}, err
-		}
-		return switchagent.Op{Kind: switchagent.OpRemoveVIP, Addr: a}, nil
-	case "remove-dip":
-		a, err := parse(m.Addr)
-		if err != nil {
-			return switchagent.Op{}, err
-		}
-		d, err := parse(m.DIP)
-		if err != nil {
-			return switchagent.Op{}, err
-		}
-		return switchagent.Op{Kind: switchagent.OpRemoveDIP, Addr: a, DIP: d}, nil
-	case "add-tip":
-		a, err := parse(m.Addr)
-		if err != nil {
-			return switchagent.Op{}, err
-		}
-		op := switchagent.Op{Kind: switchagent.OpAddTIP, Addr: a}
-		for _, b := range m.Backends {
-			ba, err := packet.ParseAddr(b.Addr)
-			if err != nil {
-				return switchagent.Op{}, err
-			}
-			w := b.Weight
-			if w == 0 {
-				w = 1
-			}
-			op.Backends = append(op.Backends, service.Backend{Addr: ba, Weight: w})
-		}
-		return op, nil
-	case "remove-tip":
-		a, err := parse(m.Addr)
-		if err != nil {
-			return switchagent.Op{}, err
-		}
-		return switchagent.Op{Kind: switchagent.OpRemoveTIP, Addr: a}, nil
-	}
-	return switchagent.Op{}, fmt.Errorf("wire: unknown program op %q", m.Kind)
 }
 
 // --- controller role ---------------------------------------------------

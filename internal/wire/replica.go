@@ -95,11 +95,10 @@ func churnMutate(s *delta.State, seed int64, frac float64) {
 	s.Epoch = next
 }
 
-// vipStateVersion fingerprints a replicated VIP's full configuration, the
-// delta-protocol counterpart of VIPSpec.Version: a snapshot recovery push
-// re-applies every VIP, and receivers skip ones whose fingerprint matches
-// what they already programmed (an UpdateVIP with identical content would
-// still bump the steer epoch).
+// vipStateVersion fingerprints a replicated VIP's full configuration: a
+// snapshot recovery push re-applies every VIP, and receivers skip ones whose
+// fingerprint matches what they already programmed (an UpdateVIP with
+// identical content would still bump the steer epoch).
 func vipStateVersion(v *delta.VIPState) uint64 {
 	h := fnv.New64a()
 	var num [8]byte

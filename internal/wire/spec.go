@@ -1,14 +1,11 @@
 package wire
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"os"
 
 	"duet/internal/packet"
-	"duet/internal/service"
 	"duet/internal/steer"
 )
 
@@ -81,27 +78,6 @@ type VIPSpec struct {
 	// placement, and it is deliberately excluded from Version() — flipping
 	// it changes where the controller pushes, not what a receiver holds.
 	SMuxOnly bool `json:"smux_only,omitempty"`
-}
-
-// Version fingerprints the VIP's full configuration (address, backends,
-// mode, NIC flag) for the control plane's anti-entropy suppression: equal
-// fingerprints mean an idempotent re-push the receiver may skip.
-func (v *VIPSpec) Version() uint64 {
-	h := fnv.New64a()
-	var num [4]byte
-	_, _ = h.Write([]byte(v.Addr))
-	_, _ = h.Write([]byte{0})
-	for _, b := range v.Backends {
-		_, _ = h.Write([]byte(b.Addr))
-		binary.BigEndian.PutUint32(num[:], b.Weight)
-		_, _ = h.Write(num[:])
-		_, _ = h.Write([]byte{0})
-	}
-	_, _ = h.Write([]byte(v.Mode))
-	if v.Nic {
-		_, _ = h.Write([]byte{1})
-	}
-	return h.Sum64()
 }
 
 // ClusterSpec is the static JSON description of a multi-process duetd
@@ -306,60 +282,6 @@ func (s *ClusterSpec) HostMap() map[packet.Addr]string {
 		if a, err := n.SelfAddr(); err == nil {
 			m[a] = n.Data
 		}
-	}
-	return m
-}
-
-// ServiceVIPs converts the spec's VIP population to service types.
-func (s *ClusterSpec) ServiceVIPs() ([]*service.VIP, error) {
-	out := make([]*service.VIP, 0, len(s.VIPs))
-	for _, v := range s.VIPs {
-		sv, err := vipFromMsg(&VIPMsg{Addr: v.Addr, Backends: backendMsgs(v.Backends)})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, sv)
-	}
-	return out, nil
-}
-
-func backendMsgs(bs []BackendSpec) []BackendMsg {
-	out := make([]BackendMsg, len(bs))
-	for i, b := range bs {
-		out[i] = BackendMsg{Addr: b.Addr, Weight: b.Weight}
-	}
-	return out
-}
-
-// vipFromMsg converts a control-message VIP to the service type.
-func vipFromMsg(m *VIPMsg) (*service.VIP, error) {
-	if m == nil {
-		return nil, fmt.Errorf("wire: missing vip payload")
-	}
-	addr, err := packet.ParseAddr(m.Addr)
-	if err != nil {
-		return nil, err
-	}
-	v := &service.VIP{Addr: addr}
-	for _, b := range m.Backends {
-		ba, err := packet.ParseAddr(b.Addr)
-		if err != nil {
-			return nil, err
-		}
-		w := b.Weight
-		if w == 0 {
-			w = 1
-		}
-		v.Backends = append(v.Backends, service.Backend{Addr: ba, Weight: w})
-	}
-	return v, v.Validate()
-}
-
-// msgFromVIP converts a service VIP to its control-message form.
-func msgFromVIP(v *service.VIP) *VIPMsg {
-	m := &VIPMsg{Addr: v.Addr.String()}
-	for _, b := range v.Backends {
-		m.Backends = append(m.Backends, BackendMsg{Addr: b.Addr.String(), Weight: b.Weight})
 	}
 	return m
 }
