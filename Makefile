@@ -24,9 +24,12 @@ vet:
 # zero-alloc/lock-free //duet:hotpath closures (hotpath), copy-on-write
 # discipline on atomic.Pointer views (snapshot), and constant-name
 # telemetry registration (metriclabel). See DESIGN.md "Enforced
-# invariants" for the rules and the //duet:allow escape hatch.
+# invariants" for the rules and the //duet:allow escape hatch. The
+# cross-vet keeps internal/wire's portable dataplane file (the only one a
+# Linux build never compiles) from rotting.
 lint: vet
 	$(GO) run ./cmd/duetvet ./...
+	GOOS=darwin $(GO) vet ./internal/wire/
 
 # Non-blocking in CI: scans for known-vulnerable dependency versions when
 # the govulncheck tool is available; skipped otherwise (offline builds).
@@ -69,12 +72,13 @@ race:
 	cd bench && $(GO) test -race ./...
 
 # Zero-allocation gates for every instrumented hot path: mux packet
-# processing, host-agent decap/DSR, and the obs scrape tick running
-# concurrently with the dataplane. Each test asserts allocs/op == 0 via
+# processing, host-agent decap/DSR, the wire dataplane's burst (receive,
+# handler, flush), and the obs scrape tick running concurrently with the
+# dataplane. Each test asserts allocs/op == 0 via
 # testing.AllocsPerRun; the benchmark reports the same numbers with
 # -benchmem for inspection.
 allocs:
-	$(GO) test -run 'ZeroAlloc' ./internal/telemetry ./internal/hmux ./internal/smux ./internal/nmux ./internal/steer ./internal/hostagent ./internal/obs
+	$(GO) test -run 'ZeroAlloc' ./internal/telemetry ./internal/hmux ./internal/smux ./internal/nmux ./internal/steer ./internal/hostagent ./internal/wire ./internal/obs
 	$(GO) test -run XXX -bench BenchmarkTelemetryHotPath -benchtime 100x -benchmem ./internal/telemetry
 
 # The repository's one benchmark: four workloads, end-to-end metrics gated

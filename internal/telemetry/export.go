@@ -158,7 +158,7 @@ const (
 	DropShortRead   // datagram shorter than its declared frame length
 	DropBadFrame    // frame magic/version mismatch
 	DropConnRefused // send failed with ECONNREFUSED (peer socket gone)
-	DropBacklogFull // receive backlog full; frame discarded
+	DropBacklogFull // socket receive queue overflowed; the kernel discarded the datagram
 	DropNoWireRoute // encap destination has no wire endpoint in the cluster spec
 )
 

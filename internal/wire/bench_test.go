@@ -15,6 +15,10 @@ import (
 // forwards each one over UDP to a host-agent node, which decapsulates and
 // counts the delivery. The metric of record is ns/pkt over *delivered*
 // packets (UDP may drop under overload; drops must not flatter the number).
+// Both nodes serve in bursts (recvmmsg, run to completion, one segmented
+// sendmmsg per next hop), so what this measures is the per-packet cost left
+// once syscall entry is amortised — and the sender goroutines' own
+// write-per-datagram, which is not.
 //
 // The recorded gate for this path is bench/'s wire-fleet workload
 // (ops_per_s, cpu_us_per_op, wire.send_ns, wire.recv_ns).
@@ -79,7 +83,7 @@ func benchWireDeliver(b *testing.B, senders int) {
 						break
 					}
 					// Flow control: keep the in-flight window under the
-					// dataplane backlog so overrun drops stay rare — on a
+					// socket receive buffers so overrun drops stay rare — on a
 					// loaded machine a dropped send is pure wasted work.
 					// The wait is bounded: dropped datagrams never arrive,
 					// and sending more is the retransmission.

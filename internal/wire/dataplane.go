@@ -14,24 +14,30 @@ import (
 
 // DataplaneConfig sizes one UDP dataplane endpoint.
 type DataplaneConfig struct {
-	// Workers is the number of recv loops and of batch workers (default
-	// GOMAXPROCS). Multiple goroutines blocked in ReadFromUDP on the same
-	// socket let the kernel fan received datagrams across CPUs.
+	// Workers is the number of burst workers (default GOMAXPROCS). They are
+	// identical and take turns on the one socket (the runtime admits one
+	// reader of an fd at a time anyway). A worker keeps its turn while its
+	// bursts come up short — the socket was drained, nothing is left for a
+	// peer, and waking one costs more than the frames do — and passes it on
+	// when a burst fills: more is queued, so a peer receives and handles it
+	// while this worker is still handling and sending. Below saturation one
+	// worker does all the work and the rest sleep; at saturation they
+	// overlap.
 	Workers int
-	// Batch is how many queued frames one worker wakeup drains before
-	// going back to sleep (default 32). The standard library's UDPConn has
-	// no recvmmsg/sendmmsg, so batching here amortizes scheduling and
-	// cache misses rather than syscalls; the syscall-per-datagram floor is
-	// what BenchmarkWireDeliver measures.
+	// Batch is the burst size: the most datagrams one receive call takes
+	// off the socket, and so the most frames one flush sends (default 32).
+	// A burst is whatever is queued when a worker gets its turn — it is
+	// never waited for, so a lone frame is a burst of one through the same
+	// path. A burst that fills is what passes the turn to the next worker.
+	// On Linux a burst costs one recvmmsg plus one sendmmsg per next hop;
+	// elsewhere the same loop runs one syscall per datagram.
 	Batch int
-	// Backlog bounds frames queued between the recv loops and the workers
-	// (default 1024). A full backlog drops the frame (DropBacklogFull) —
-	// the wire analog of a NIC ring overflow.
-	Backlog int
 	// MTU is the largest datagram accepted or sent (default 2048).
 	MTU int
 	// ReadBuffer is the socket receive buffer hint in bytes (default 4MiB;
-	// 0 keeps the kernel default, negative skips SetReadBuffer).
+	// 0 keeps the kernel default, negative skips SetReadBuffer). It is the
+	// only queue between the wire and the handlers: what overflows it is
+	// counted under wire.drops.backlog_full.
 	ReadBuffer int
 	// Registry/Recorder receive the wire.* counters and KindDrop events
 	// (nil disables instrumentation; all hot-path handles are nil-safe).
@@ -56,9 +62,6 @@ func (cfg *DataplaneConfig) setDefaults() {
 	if cfg.Batch <= 0 {
 		cfg.Batch = 32
 	}
-	if cfg.Backlog <= 0 {
-		cfg.Backlog = 1024
-	}
 	if cfg.MTU <= 0 {
 		cfg.MTU = 2048
 	}
@@ -76,7 +79,7 @@ type dataplaneTelemetry struct {
 	dropShort         telemetry.CounterShard
 	dropBadFrame      telemetry.CounterShard
 	dropConnRefused   telemetry.CounterShard
-	dropBacklog       telemetry.CounterShard
+	dropRxFull        telemetry.CounterShard
 	dropNoRoute       telemetry.CounterShard
 	dropTotal         telemetry.CounterShard
 	traceOrigins      telemetry.CounterShard
@@ -94,7 +97,7 @@ func newDataplaneTelemetry(reg *telemetry.Registry, rec *telemetry.Recorder, nod
 		dropShort:       reg.Counter("wire.drops.short_read").Shard(),
 		dropBadFrame:    reg.Counter("wire.drops.bad_frame").Shard(),
 		dropConnRefused: reg.Counter("wire.drops.conn_refused").Shard(),
-		dropBacklog:     reg.Counter("wire.drops.backlog_full").Shard(),
+		dropRxFull:      reg.Counter("wire.drops.backlog_full").Shard(),
 		dropNoRoute:     reg.Counter("wire.drops.no_route").Shard(),
 		dropTotal:       reg.Counter("wire.drops.total").Shard(),
 		traceOrigins:    reg.Counter("wire.trace.origins").Shard(),
@@ -104,14 +107,16 @@ func newDataplaneTelemetry(reg *telemetry.Registry, rec *telemetry.Recorder, nod
 	}
 }
 
-func (t *dataplaneTelemetry) drop(shard telemetry.CounterShard, reason telemetry.DropReason) {
-	shard.Inc()
-	t.dropTotal.Inc()
+// drop counts n datagrams lost for one reason and records one event for the
+// occurrence.
+func (t *dataplaneTelemetry) drop(shard telemetry.CounterShard, reason telemetry.DropReason, n uint64) {
+	shard.Add(n)
+	t.dropTotal.Add(n)
 	t.rec.Record(telemetry.KindDrop, t.node, 0, 0, uint64(reason))
 }
 
 // Handler processes one received frame payload (a raw IPv4 packet). The
-// payload aliases a pooled receive buffer and is valid only for the
+// payload aliases the worker's receive buffer and is valid only for the
 // duration of the call. scratch is a per-worker reusable buffer the handler
 // may append into (typically as the out parameter of Process/Receive); it
 // returns the buffer to reuse on the next call, so steady-state handling
@@ -121,17 +126,24 @@ func (t *dataplaneTelemetry) drop(shard telemetry.CounterShard, reason telemetry
 // packet pass it to SendTraced so the journey continues downstream.
 type Handler func(payload, scratch []byte, trace uint64) []byte
 
-// Dataplane is one UDP dataplane endpoint: a listening socket with batched
-// receive machinery and a connected-socket send cache. Safe for concurrent
-// Send callers; Serve may be called at most once.
+// frameFunc is the form the node roles serve: a Handler that is also handed
+// its worker's tx batch, so what it forwards is queued on the burst and
+// leaves in the burst's flush rather than in a syscall of its own.
+type frameFunc func(tx *txBatch, payload, scratch []byte, trace uint64) []byte
+
+// Dataplane is one UDP dataplane endpoint: a listening socket served in
+// bursts and a connected-socket send cache. Safe for concurrent Send
+// callers; Serve may be called at most once.
 type Dataplane struct {
 	cfg  DataplaneConfig
 	conn *net.UDPConn
-	q    chan []byte
-	pool sync.Pool
+	rc   syscall.RawConn // conn's descriptor, for the burst receive
 
 	sendMu sync.RWMutex
-	sends  map[string]*net.UDPConn
+	sends  map[string]*endpoint
+	// sendPool holds batches of one for Send/SendTraced, whose callers own
+	// no worker batch.
+	sendPool sync.Pool
 
 	tel dataplaneTelemetry
 
@@ -143,10 +155,30 @@ type Dataplane struct {
 	traceCtr  atomic.Uint64
 	traceIDs  atomic.Uint64
 
+	// turn is held by the worker whose turn it is on the socket (see
+	// worker.run); the others sleep on it.
+	turn sync.Mutex
+
+	// rxDrops is the kernel's cumulative receive-queue drop count as last
+	// folded into the drop counters (see rxOverflow).
+	rxDrops atomic.Uint32
+
 	closed  atomic.Bool
-	recvWG  sync.WaitGroup
 	workWG  sync.WaitGroup
 	serving atomic.Bool
+}
+
+// endpoint is one next hop: a connected UDP socket, which skips the
+// per-send route lookup and — unlike sendto on an unconnected socket —
+// surfaces ICMP port unreachable as ECONNREFUSED on a later send, which is
+// how a dead peer becomes visible to the drop taxonomy.
+type endpoint struct {
+	conn *net.UDPConn
+	rc   syscall.RawConn
+	// noSegment latches when the kernel refuses a segmented run toward this
+	// hop (or the platform has no segmentation): every frame is then its
+	// own message.
+	noSegment atomic.Bool
 }
 
 // ListenDataplane binds a UDP dataplane endpoint on addr (host:port; port 0
@@ -161,16 +193,23 @@ func ListenDataplane(addr string, cfg DataplaneConfig) (*Dataplane, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wire: listen %s: %w", addr, err)
 	}
+	rc, err := conn.SyscallConn()
+	if err != nil {
+		_ = conn.Close()
+		return nil, fmt.Errorf("wire: listen %s: %w", addr, err)
+	}
 	if cfg.ReadBuffer > 0 {
 		_ = conn.SetReadBuffer(cfg.ReadBuffer) // best effort; kernel may clamp
 	}
+	countRxOverflow(rc)
 	d := &Dataplane{
 		cfg:   cfg,
 		conn:  conn,
-		q:     make(chan []byte, cfg.Backlog),
-		sends: make(map[string]*net.UDPConn),
+		rc:    rc,
+		sends: make(map[string]*endpoint),
 		tel:   newDataplaneTelemetry(cfg.Registry, cfg.Recorder, cfg.Node),
 	}
+	d.sendPool.New = func() any { return newTxBatch(d, 1) }
 	if cfg.TraceEvery > 0 {
 		p := uint64(1)
 		for p < uint64(cfg.TraceEvery) {
@@ -179,94 +218,105 @@ func ListenDataplane(addr string, cfg DataplaneConfig) (*Dataplane, error) {
 		d.traceMask = p - 1
 		d.traceCtr.Store(p - 1) // the first packet in is eligible
 	}
-	d.pool.New = func() any {
-		b := make([]byte, cfg.MTU)
-		return &b
-	}
 	return d, nil
 }
 
 // Addr returns the bound UDP address.
 func (d *Dataplane) Addr() *net.UDPAddr { return d.conn.LocalAddr().(*net.UDPAddr) }
 
-func (d *Dataplane) getBuf() []byte  { return *d.pool.Get().(*[]byte) }
-func (d *Dataplane) putBuf(b []byte) { b = b[:cap(b)]; d.pool.Put(&b) }
-
-// Serve starts the recv loops and batch workers and returns immediately.
-// h runs on the worker goroutines, possibly concurrently with itself.
+// Serve starts the burst workers and returns immediately. h runs on the
+// worker goroutines, possibly concurrently with itself.
 func (d *Dataplane) Serve(h Handler) {
+	d.serve(func(_ *txBatch, payload, scratch []byte, trace uint64) []byte {
+		return h(payload, scratch, trace)
+	})
+}
+
+func (d *Dataplane) serve(h frameFunc) {
 	if !d.serving.CompareAndSwap(false, true) {
 		panic("wire: Dataplane.Serve called twice")
 	}
 	for i := 0; i < d.cfg.Workers; i++ {
-		d.recvWG.Add(1)
-		go d.recvLoop()
+		w := newWorker(d, h)
 		d.workWG.Add(1)
-		go d.workLoop(h)
+		go func() {
+			defer d.workWG.Done()
+			w.run()
+		}()
 	}
-	// When every recv loop has exited (socket closed), release the workers.
-	go func() {
-		d.recvWG.Wait()
-		close(d.q)
-	}()
 }
 
-// recvLoop reads datagrams into pooled buffers and enqueues them for the
-// batch workers, dropping (and counting) on overflow.
-func (d *Dataplane) recvLoop() {
-	defer d.recvWG.Done()
+// worker owns everything one burst touches — receive buffers, handler
+// scratch, tx batch — so a burst runs to completion on one goroutine with
+// no hand-off, lock or allocation.
+type worker struct {
+	d       *Dataplane
+	h       frameFunc
+	rx      rxBurst
+	tx      *txBatch
+	scratch []byte
+}
+
+func newWorker(d *Dataplane, h frameFunc) *worker {
+	w := &worker{d: d, h: h, tx: newTxBatch(d, d.cfg.Batch), scratch: make([]byte, 0, d.cfg.MTU)}
+	w.rx.init(d)
+	return w
+}
+
+// run is the burst loop: with the turn on the socket in hand, wait for
+// datagrams, take up to Batch of them in one receive, and handle them. A
+// short burst drained the socket, so the worker keeps the turn: a peer woken
+// now would receive nothing and go back to sleep, and the wake-up — a thread
+// to find, maybe to start — costs more than a few frames do and makes a lone
+// frame's latency depend on where the scheduler found it. A full burst means
+// more is queued: the turn is released around the handling and a peer takes
+// the next burst meanwhile. It returns when the socket closes.
+//
+//duet:hotpath
+func (w *worker) run() {
+	d := w.d
+	d.turn.Lock() //duet:allow hotpath taken per turn on the socket, not per frame; this is where the workers without the turn sleep
+	defer d.turn.Unlock()
 	for {
-		buf := d.getBuf()
-		n, _, err := d.conn.ReadFromUDP(buf)
+		n, err := w.rx.recv()
 		if err != nil {
-			d.putBuf(buf)
-			if d.closed.Load() {
-				return
-			}
-			if errors.Is(err, net.ErrClosed) {
-				return
-			}
-			continue // transient (e.g. ICMP-induced) read error
+			return
 		}
-		d.tel.rxFrames.Inc()
-		d.tel.rxBytes.Add(uint64(n))
-		select {
-		case d.q <- buf[:n]:
-		default:
-			d.tel.drop(d.tel.dropBacklog, telemetry.DropBacklogFull)
-			d.putBuf(buf)
+		if w.rx.full() {
+			d.turn.Unlock()
+			w.handle(n)
+			d.turn.Lock() //duet:allow hotpath as above, once per full burst
+		} else {
+			w.handle(n)
 		}
 	}
 }
 
-// workLoop drains the backlog in batches of up to cfg.Batch frames per
-// wakeup, validating the wire header and invoking the handler.
-func (d *Dataplane) workLoop(h Handler) {
-	defer d.workWG.Done()
-	scratch := make([]byte, 0, d.cfg.MTU)
-	for frame := range d.q {
-		scratch = d.handleFrame(frame, scratch, h)
-		for i := 1; i < d.cfg.Batch; i++ {
-			select {
-			case frame, ok := <-d.q:
-				if !ok {
-					return
-				}
-				scratch = d.handleFrame(frame, scratch, h)
-			default:
-				i = d.cfg.Batch // batch drained; sleep again
-			}
-		}
+// handle runs the n frames of the last receive through the handler and
+// flushes what the handler forwarded.
+//
+//duet:hotpath
+func (w *worker) handle(n int) {
+	w.d.tel.rxFrames.Add(uint64(n))
+	for i := 0; i < n; i++ {
+		w.handleFrame(w.rx.frame(i))
 	}
+	_ = w.tx.flush() // send failures are counted by the flush
 }
 
-func (d *Dataplane) handleFrame(frame, scratch []byte, h Handler) []byte {
+// handleFrame validates the wire header, resolves the frame's trace ID and
+// invokes the handler.
+//
+//duet:hotpath
+func (w *worker) handleFrame(frame []byte) {
+	d := w.d
+	d.tel.rxBytes.Add(uint64(len(frame)))
 	payload, trace, err := DecodeFrameTrace(frame)
 	switch {
 	case errors.Is(err, ErrBadFrame):
-		d.tel.drop(d.tel.dropBadFrame, telemetry.DropBadFrame)
+		d.tel.drop(d.tel.dropBadFrame, telemetry.DropBadFrame, 1)
 	case err != nil:
-		d.tel.drop(d.tel.dropShort, telemetry.DropShortRead)
+		d.tel.drop(d.tel.dropShort, telemetry.DropShortRead, 1)
 	default:
 		switch {
 		case trace != 0:
@@ -275,10 +325,8 @@ func (d *Dataplane) handleFrame(frame, scratch []byte, h Handler) []byte {
 			trace = d.newTraceID()
 			d.tel.traceOrigins.Inc()
 		}
-		scratch = h(payload, scratch, trace)
+		w.scratch = w.h(w.tx, payload, w.scratch, trace)
 	}
-	d.putBuf(frame)
-	return scratch
 }
 
 // newTraceID mints a fleet-unique trace ID: the endpoint's node address in
@@ -292,17 +340,14 @@ func (d *Dataplane) newTraceID() uint64 {
 	return id
 }
 
-// sendConn returns a connected UDP socket toward ep (host:port), creating
-// and caching it on first use. Connected sockets skip the per-send route
-// lookup and — unlike sendto on an unconnected socket — surface ICMP port
-// unreachable as ECONNREFUSED on a later Write, which is how a dead peer
-// becomes visible to the drop taxonomy.
-func (d *Dataplane) sendConn(ep string) (*net.UDPConn, error) {
+// endpoint returns the connected socket toward ep (host:port), creating and
+// caching it on first use.
+func (d *Dataplane) endpoint(ep string) (*endpoint, error) {
 	d.sendMu.RLock()
-	c, ok := d.sends[ep]
+	e, ok := d.sends[ep]
 	d.sendMu.RUnlock()
 	if ok {
-		return c, nil
+		return e, nil
 	}
 	ua, err := net.ResolveUDPAddr("udp", ep)
 	if err != nil {
@@ -310,15 +355,182 @@ func (d *Dataplane) sendConn(ep string) (*net.UDPConn, error) {
 	}
 	d.sendMu.Lock()
 	defer d.sendMu.Unlock()
-	if c, ok := d.sends[ep]; ok {
-		return c, nil
+	if e, ok := d.sends[ep]; ok {
+		return e, nil
 	}
-	c, err = net.DialUDP("udp", nil, ua)
+	c, err := net.DialUDP("udp", nil, ua)
 	if err != nil {
 		return nil, fmt.Errorf("wire: dial %s: %w", ep, err)
 	}
-	d.sends[ep] = c
-	return c, nil
+	rc, err := c.SyscallConn()
+	if err != nil {
+		_ = c.Close()
+		return nil, fmt.Errorf("wire: dial %s: %w", ep, err)
+	}
+	e = &endpoint{conn: c, rc: rc}
+	e.noSegment.Store(!segmentOffload)
+	d.sends[ep] = e
+	return e, nil
+}
+
+// A run is one message of a flush: n consecutive frames of size bytes each
+// to one next hop, which the kernel splits back into n datagrams. A run of
+// one is a plain datagram.
+type run struct{ n, size int }
+
+const (
+	// maxRunFrames is the kernel's cap on segments per message
+	// (UDP_MAX_SEGMENTS in the kernels this targets).
+	maxRunFrames = 64
+	// maxRunBytes is the largest UDP payload, which bounds a run's total.
+	maxRunBytes = 65507
+)
+
+// planRuns appends to dst the messages that carry frames, in order: each
+// run of consecutive equal-length frames is one message when segment is
+// set, within the kernel's caps; otherwise every frame is its own message.
+//
+//duet:hotpath
+func planRuns(dst []run, frames [][]byte, segment bool) []run {
+	for i := 0; i < len(frames); {
+		r := run{n: 1, size: len(frames[i])}
+		for segment && i+r.n < len(frames) && len(frames[i+r.n]) == r.size &&
+			r.n < maxRunFrames && (r.n+1)*r.size <= maxRunBytes {
+			r.n++
+		}
+		dst = append(dst, r)
+		i += r.n
+	}
+	return dst
+}
+
+// txBatch is what a burst forwards, grouped by next hop in arrival order.
+// It belongs to one goroutine: a worker's lives as long as the worker, and
+// Send/SendTraced borrow a batch of one from the pool.
+type txBatch struct {
+	d     *Dataplane
+	hops  map[string]*txHop // every next hop this batch has sent to, by endpoint
+	live  []*txHop          // the hops with frames queued, in first-use order
+	arena []byte            // the queued frames' bytes, back to back
+	n     int               // frames queued, at most max
+	max   int
+	runs  []run
+	out   txSender
+}
+
+// txHop is one next hop's queue within a batch.
+type txHop struct {
+	ep     *endpoint
+	frames [][]byte // slices of the arena
+}
+
+func newTxBatch(d *Dataplane, max int) *txBatch {
+	tx := &txBatch{
+		d:     d,
+		hops:  make(map[string]*txHop),
+		arena: make([]byte, 0, max*d.cfg.MTU),
+		max:   max,
+		runs:  make([]run, 0, max),
+	}
+	tx.out.init(max)
+	return tx
+}
+
+var errPayloadTooLong = errors.New("wire: payload exceeds the dataplane MTU")
+
+// queue frames payload toward ep; the frame leaves at the next flush (a
+// full batch flushes itself first). The payload is copied, so the caller's
+// buffer is free on return.
+//
+//duet:hotpath
+func (tx *txBatch) queue(ep string, payload []byte, trace uint64) error {
+	size := FrameHeaderLen + len(payload)
+	if trace != 0 {
+		size += TraceExtLen
+	}
+	if size > tx.d.cfg.MTU {
+		return errPayloadTooLong
+	}
+	h := tx.hops[ep]
+	if h == nil {
+		var err error
+		if h, err = tx.addHop(ep); err != nil {
+			return err
+		}
+	}
+	if tx.n == tx.max {
+		_ = tx.flush()
+	}
+	off := len(tx.arena)
+	tx.arena = AppendTracedFrame(tx.arena, payload, trace)
+	if len(h.frames) == 0 {
+		tx.live = append(tx.live, h)
+	}
+	h.frames = append(h.frames, tx.arena[off:len(tx.arena):len(tx.arena)])
+	tx.n++
+	return nil
+}
+
+// addHop resolves a next hop the batch has not sent to before.
+//
+//duet:allow hotpath first frame to a next hop: resolve, dial, cache
+func (tx *txBatch) addHop(ep string) (*txHop, error) {
+	e, err := tx.d.endpoint(ep)
+	if err != nil {
+		return nil, err
+	}
+	h := &txHop{ep: e}
+	tx.hops[ep] = h
+	return h, nil
+}
+
+// flush sends everything queued — per next hop, one send call carrying the
+// hop's frames as runs — counts what left and what was refused, and
+// empties the batch. It returns the first send error. No error loses more
+// than the message it names: a refused segmentation latches the hop to
+// runs of one and resends, ECONNREFUSED (the ICMP answer to an earlier
+// send, i.e. a dead peer) drops the one message it was raised on, and a
+// send that stopped part-way resumes after the messages that left.
+//
+//duet:hotpath
+func (tx *txBatch) flush() error {
+	var first error
+	var sentFrames, sentBytes int
+	tel := &tx.d.tel
+	for _, h := range tx.live {
+		frames := h.frames
+		for len(frames) > 0 {
+			tx.runs = planRuns(tx.runs[:0], frames, !h.ep.noSegment.Load())
+			sent, err := tx.out.send(h.ep, frames, tx.runs)
+			for _, r := range tx.runs[:sent] {
+				sentFrames += r.n
+				sentBytes += r.n * r.size
+				frames = frames[r.n:]
+			}
+			if err == nil {
+				continue
+			}
+			bad := tx.runs[sent]
+			if bad.n > 1 && (errors.Is(err, syscall.EINVAL) || errors.Is(err, syscall.EIO)) {
+				h.ep.noSegment.Store(true)
+				continue
+			}
+			if errors.Is(err, syscall.ECONNREFUSED) {
+				tel.drop(tel.dropConnRefused, telemetry.DropConnRefused, uint64(bad.n))
+			}
+			frames = frames[bad.n:]
+			if first == nil {
+				first = err
+			}
+		}
+		h.frames = h.frames[:0]
+	}
+	tel.txFrames.Add(uint64(sentFrames))
+	tel.txBytes.Add(uint64(sentBytes))
+	tx.live = tx.live[:0]
+	tx.arena = tx.arena[:0]
+	tx.n = 0
+	return first
 }
 
 // Send frames payload and writes it toward ep as one datagram. A send that
@@ -333,51 +545,32 @@ func (d *Dataplane) Send(ep string, payload []byte) error {
 // trace extension (0 sends a plain frame — the handler's trace value can be
 // forwarded unconditionally).
 func (d *Dataplane) SendTraced(ep string, payload []byte, trace uint64) error {
-	hdr := FrameHeaderLen
-	if trace != 0 {
-		hdr += TraceExtLen
+	tx := d.sendPool.Get().(*txBatch)
+	err := tx.queue(ep, payload, trace)
+	if err == nil {
+		err = tx.flush()
 	}
-	if len(payload) > d.cfg.MTU-hdr {
-		return fmt.Errorf("wire: payload %d exceeds MTU %d", len(payload), d.cfg.MTU)
-	}
-	c, err := d.sendConn(ep)
-	if err != nil {
-		return err
-	}
-	bufp := d.pool.Get().(*[]byte)
-	frame := AppendTracedFrame((*bufp)[:0], payload, trace)
-	_, err = c.Write(frame)
-	d.pool.Put(bufp)
-	if err != nil {
-		if errors.Is(err, syscall.ECONNREFUSED) {
-			d.tel.drop(d.tel.dropConnRefused, telemetry.DropConnRefused)
-		}
-		return err
-	}
-	d.tel.txFrames.Inc()
-	d.tel.txBytes.Add(uint64(len(frame)))
-	return nil
+	d.sendPool.Put(tx)
+	return err
 }
 
 // DropNoRoute counts a frame the node could not forward because the encap
 // destination has no wire endpoint in the cluster spec.
 func (d *Dataplane) DropNoRoute() {
-	d.tel.drop(d.tel.dropNoRoute, telemetry.DropNoWireRoute)
+	d.tel.drop(d.tel.dropNoRoute, telemetry.DropNoWireRoute, 1)
 }
 
-// Close shuts the socket down and waits for the recv loops and workers to
-// drain. Safe to call once.
+// Close shuts the socket down, which ends every worker's receive, and waits
+// for the bursts in progress to finish. Safe to call once.
 func (d *Dataplane) Close() {
 	if !d.closed.CompareAndSwap(false, true) {
 		return
 	}
 	_ = d.conn.Close()
-	if d.serving.Load() {
-		d.workWG.Wait() // recvWG exit closes q, which releases the workers
-	}
+	d.workWG.Wait()
 	d.sendMu.Lock()
 	defer d.sendMu.Unlock()
-	for _, c := range d.sends {
-		_ = c.Close()
+	for _, e := range d.sends {
+		_ = e.conn.Close()
 	}
 }

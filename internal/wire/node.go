@@ -127,6 +127,14 @@ func StartNode(spec *ClusterSpec, name string) (*Node, error) {
 		vipVers:    make(map[packet.Addr]uint64),
 		cfg:        delta.NewState(),
 	}
+	// Per-packet pipeline events are sampled at the trace-origination rate:
+	// unsampled, a node at line rate overwrites the ring its control-plane
+	// events and trace hops share within milliseconds.
+	sample := spec.traceEvery()
+	if sample == 0 {
+		sample = DefaultTraceEvery
+	}
+	n.Rec.SetSampleEvery(sample)
 	n.deltaApplied = n.Reg.Counter("wire.delta.applied").Shard()
 	n.deltaRejected = n.Reg.Counter("wire.delta.rejected").Shard()
 	n.deltaEpochG = n.Reg.Gauge("wire.delta.epoch")
@@ -240,16 +248,19 @@ func (n *Node) listenData(traceEvery int) error {
 	return nil
 }
 
-// forward sends an encapsulated packet toward the wire endpoint serving its
-// outer destination, carrying the packet's trace ID (0 for the unsampled
-// majority) so the journey continues on the next process.
-func (n *Node) forward(encap packet.Addr, pkt []byte, trace uint64) {
+// forward queues an encapsulated packet on the burst's tx batch toward the
+// wire endpoint serving its outer destination, carrying the packet's trace
+// ID (0 for the unsampled majority) so the journey continues on the next
+// process. The frame leaves when the burst is flushed.
+//
+//duet:hotpath
+func (n *Node) forward(tx *txBatch, encap packet.Addr, pkt []byte, trace uint64) {
 	ep, ok := n.hosts[encap]
 	if !ok {
 		n.dp.DropNoRoute()
 		return
 	}
-	_ = n.dp.SendTraced(ep, pkt, trace) // send failures are counted by the dataplane
+	_ = tx.queue(ep, pkt, trace) // an unreachable next hop is counted when the batch is flushed
 }
 
 // traceHop records one cross-process trace hop for a sampled packet: the
@@ -347,7 +358,7 @@ func (n *Node) startSMux() error {
 	if err := n.listenData(n.Spec.traceEvery()); err != nil {
 		return err
 	}
-	n.dp.Serve(func(payload, scratch []byte, trace uint64) []byte {
+	n.dp.serve(func(tx *txBatch, payload, scratch []byte, trace uint64) []byte {
 		// A frame encapsulated toward this mux's own address is the switch
 		// tier's HMux-miss fallback (SMuxOnly placement): unwrap it and run
 		// the inner packet through the normal pipeline. The proto/length
@@ -362,7 +373,7 @@ func (n *Node) startSMux() error {
 			res, err := n.nmux.Process(payload, scratch[:0])
 			if err == nil {
 				n.traceHop(telemetry.TraceTierNMux, payload, trace)
-				n.forward(res.Encap, res.Packet, trace)
+				n.forward(tx, res.Encap, res.Packet, trace)
 				return res.Packet
 			}
 			if !errors.Is(err, nmux.ErrNotOurVIP) {
@@ -375,7 +386,7 @@ func (n *Node) startSMux() error {
 			return scratch // the mux counted the drop
 		}
 		n.traceHop(telemetry.TraceTierSMux, payload, trace)
-		n.forward(res.Encap, res.Packet, trace)
+		n.forward(tx, res.Encap, res.Packet, trace)
 		return res.Packet
 	})
 	ctl, err := ListenControl(n.Me.Control, n.Reg, n.dataplaneControl(n.reconcileSMux))
@@ -401,7 +412,7 @@ func (n *Node) startHostAgent() error {
 	if err := n.listenData(0); err != nil {
 		return err
 	}
-	n.dp.Serve(func(payload, scratch []byte, trace uint64) []byte {
+	n.dp.serve(func(tx *txBatch, payload, scratch []byte, trace uint64) []byte {
 		d, err := n.agent.Receive(payload, scratch[:0])
 		if err != nil {
 			return scratch // the agent counted the drop
@@ -521,7 +532,7 @@ func (n *Node) startSwitchAgent() error {
 	if err := n.listenData(n.Spec.traceEvery()); err != nil {
 		return err
 	}
-	n.dp.Serve(func(payload, scratch []byte, trace uint64) []byte {
+	n.dp.serve(func(tx *txBatch, payload, scratch []byte, trace uint64) []byte {
 		// Destinations outside the switch tables are not drops — they are
 		// the paper's "VIP assigned to SMuxes" placement, reached through
 		// the software tier. The table check runs before Process so the
@@ -538,7 +549,7 @@ func (n *Node) startSwitchAgent() error {
 						return scratch
 					}
 					n.traceHop(telemetry.TraceTierHMux, payload, trace)
-					n.forward(sm, out, trace)
+					n.forward(tx, sm, out, trace)
 					return out
 				}
 			}
@@ -548,7 +559,7 @@ func (n *Node) startSwitchAgent() error {
 			return scratch
 		}
 		n.traceHop(telemetry.TraceTierHMux, payload, trace)
-		n.forward(res.Encap, res.Packet, trace)
+		n.forward(tx, res.Encap, res.Packet, trace)
 		return res.Packet
 	})
 	ctl, err := ListenControl(n.Me.Control, n.Reg, n.dataplaneControl(n.reconcileSwitch))

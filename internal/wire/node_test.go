@@ -1,0 +1,76 @@
+package wire
+
+import (
+	"net"
+	"testing"
+
+	"duet/internal/delta"
+	"duet/internal/packet"
+	"duet/internal/telemetry"
+)
+
+// TestNodeRecorderSamplesPackets: a wire node must sample its per-packet
+// pipeline events. Recording every packet overwrites the 4,096-slot ring —
+// which control-plane events and trace hops share — within milliseconds at
+// line rate, so the first journey's hop would be long gone after 10,000
+// packets.
+func TestNodeRecorderSamplesPackets(t *testing.T) {
+	spec := dataplaneSpec(t)
+	// The switch's next hop is a socket nobody reads: sends succeed and
+	// nothing is refused, so no drop events enter the ring.
+	host, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer host.Close()
+	spec.Nodes[1].Data = host.LocalAddr().String()
+	sw, err := StartNode(spec, "sw-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sw.Close()
+	c := DialControl(sw.ControlAddr(), sw.Reg)
+	defer c.Close()
+	if _, err := pushDelta(c, delta.Diff(delta.NewState(), oneVIPState(t))); err != nil {
+		t.Fatalf("bootstrap push: %v", err)
+	}
+
+	client, err := net.Dial("udp", sw.DataAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	const packets = 10000
+	forwarded := sw.Reg.Counter("wire.tx.frames")
+	for i := 0; i < packets; i++ {
+		syn := packet.BuildTCP(packet.FiveTuple{
+			Src: packet.AddrFrom4(30, 0, byte(i>>8), byte(i)), Dst: packet.MustParseAddr("10.0.0.1"),
+			SrcPort: 40000, DstPort: 80, Proto: packet.ProtoTCP,
+		}, packet.TCPSyn, nil)
+		if _, err := client.Write(AppendFrame(nil, syn)); err != nil {
+			t.Fatal(err)
+		}
+		if i%256 == 255 { // stay inside the receive buffer: every packet must go through
+			waitFor(t, "the switch to keep up", func() bool { return forwarded.Value()+256 > uint64(i) })
+		}
+	}
+	waitFor(t, "every packet forwarded", func() bool { return forwarded.Value() == packets })
+
+	firstTrace := uint64(sw.self32)<<32 | 1
+	var packetIn int
+	var firstHop bool
+	for _, e := range sw.Rec.Snapshot() {
+		switch {
+		case e.Kind == telemetry.KindPacketIn:
+			packetIn++
+		case e.Kind == telemetry.KindTraceHop && e.Aux == firstTrace:
+			firstHop = true
+		}
+	}
+	if packetIn == 0 || packetIn > packets/DefaultTraceEvery+1 {
+		t.Errorf("recorder holds %d packet-in events for %d packets, want 1..%d", packetIn, packets, packets/DefaultTraceEvery+1)
+	}
+	if !firstHop {
+		t.Error("the first traced packet's hop was overwritten by per-packet events")
+	}
+}

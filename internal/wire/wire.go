@@ -5,11 +5,13 @@
 //
 //   - The dataplane carries internal/packet frames (raw IPv4, possibly
 //     IP-in-IP) over UDP datagrams, one frame per datagram, behind a small
-//     wire header (frame.go below). Receive is a pool of per-CPU recv loops
-//     feeding batch workers through a bounded backlog; buffers come from a
-//     pool, and the frame payload handed to the handler is valid only for
-//     the duration of the call — the same discipline as the Process hot
-//     paths, so the zero-alloc encap/decap machinery is reused unchanged.
+//     wire header (frame.go below). The unit of work is the burst
+//     (dataplane.go): a worker takes up to Batch datagrams off the socket
+//     in one recvmmsg, runs each through the role handler to completion,
+//     and sends what the handlers forwarded as one sendmmsg per next hop.
+//     The frame payload handed to the handler is valid only for the
+//     duration of the call — the same discipline as the Process hot paths,
+//     so the zero-alloc encap/decap machinery is reused unchanged.
 //
 //   - The control plane is a length-prefixed TCP protocol (control.go):
 //     VIP programming, DIP registration, switch-table ops, health reports,
