@@ -674,7 +674,7 @@ func BenchmarkAblationReplication(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if d.Hops[0].Kind == "hmux" {
+			if d.Hops()[0].Kind == "hmux" {
 				hw++
 			}
 		}
@@ -691,7 +691,7 @@ func BenchmarkAblationReplication(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if d.Hops[0].Kind == "hmux" {
+			if d.Hops()[0].Kind == "hmux" {
 				hw++
 			}
 		}

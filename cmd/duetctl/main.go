@@ -461,7 +461,7 @@ func (c *console) probe(args []string) {
 		counts[d.DIP.String()]++
 		if path == "" {
 			var hops []string
-			for _, h := range d.Hops {
+			for _, h := range d.Hops() {
 				hops = append(hops, h.Kind+"("+h.Node+")")
 			}
 			path = strings.Join(hops, " → ")

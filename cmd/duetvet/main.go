@@ -11,13 +11,18 @@
 // With no packages it checks ./... . Exit status is 1 when any finding
 // is reported, so `make lint` and CI fail on a new violation. Findings
 // are suppressed line by line with `//duet:allow <rule> <reason>`; see
-// DESIGN.md "Enforced invariants".
+// DESIGN.md "Enforced invariants". The suppressions are counted: the
+// run ends with the number of //duet:allow directives per rule and in
+// total (test files excluded), and with -max-allow N it fails when the
+// total exceeds N — the ratchet `make lint` holds the tree to.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
+	"strings"
 
 	"duet/internal/analysis"
 	"duet/internal/analysis/driver"
@@ -25,8 +30,9 @@ import (
 
 func main() {
 	list := flag.Bool("list", false, "list the analyzers and exit")
+	maxAllow := flag.Int("max-allow", -1, "fail when the tree holds more than this many //duet:allow directives (negative: no limit)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: duetvet [-list] [packages]\n\nAnalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: duetvet [-list] [-max-allow n] [packages]\n\nAnalyzers:\n")
 		for _, a := range analysis.Suite() {
 			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
 		}
@@ -40,7 +46,7 @@ func main() {
 		return
 	}
 
-	diags, err := driver.Vet(".", driver.Patterns(flag.Args()), analysis.Suite())
+	diags, allows, err := driver.Vet(".", driver.Patterns(flag.Args()), analysis.Suite())
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "duetvet: %v\n", err)
 		os.Exit(2)
@@ -48,8 +54,22 @@ func main() {
 	for _, d := range diags {
 		fmt.Println(d)
 	}
-	if len(diags) > 0 {
+	total, perRule := 0, make([]string, 0, len(allows))
+	for rule, n := range allows {
+		total += n
+		perRule = append(perRule, fmt.Sprintf("%s %d", rule, n))
+	}
+	sort.Strings(perRule)
+	fmt.Fprintf(os.Stderr, "duetvet: %d //duet:allow directive(s): %s\n", total, strings.Join(perRule, ", "))
+	failed := len(diags) > 0
+	if failed {
 		fmt.Fprintf(os.Stderr, "duetvet: %d finding(s)\n", len(diags))
+	}
+	if *maxAllow >= 0 && total > *maxAllow {
+		fmt.Fprintf(os.Stderr, "duetvet: that is over the budget of %d: the count may only fall — remove a suppression, do not raise the number\n", *maxAllow)
+		failed = true
+	}
+	if failed {
 		os.Exit(1)
 	}
 }

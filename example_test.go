@@ -42,7 +42,7 @@ func ExampleCluster_Deliver() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("phase 1:", d1.Hops[0].Kind, "->", d1.DIP)
+	fmt.Println("phase 1:", d1.Hops()[0].Kind, "->", d1.DIP)
 
 	if err := cluster.AssignToHMux(vip, cluster.Topo.TorID(0, 0)); err != nil {
 		panic(err)
@@ -51,7 +51,7 @@ func ExampleCluster_Deliver() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("phase 2:", d2.Hops[0].Kind, "->", d2.DIP)
+	fmt.Println("phase 2:", d2.Hops()[0].Kind, "->", d2.DIP)
 	fmt.Println("same DIP across migration:", d1.DIP == d2.DIP)
 
 	// Output:

@@ -63,7 +63,7 @@ func main() {
 		if d.DIP != before[i] {
 			remapped++
 		}
-		if d.Hops[0].Kind == "smux" {
+		if d.Hops()[0].Kind == "smux" {
 			viaSMux++
 		}
 	}

@@ -68,7 +68,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nflow %v\n  hops:", tuple)
-	for _, h := range d.Hops {
+	for _, h := range d.Hops() {
 		fmt.Printf(" %s(%s)", h.Kind, h.Node)
 	}
 	fmt.Printf("\n  delivered to DIP %s on host %s\n", d.DIP, d.Host)

@@ -55,6 +55,12 @@ func TestAllowIndex(t *testing.T) {
 		t.Error("allow leaked across lines")
 	}
 
+	// Well-formed directives are counted per rule: the number duetvet
+	// prints and `make lint` ratchets. Malformed ones are findings instead.
+	if len(idx.sites) != 2 || idx.sites["noclock"] != 1 || idx.sites["hotpath"] != 1 {
+		t.Errorf("sites = %v, want one noclock and one hotpath", idx.sites)
+	}
+
 	// Missing reason and missing rule are malformed, each reported once.
 	if len(idx.malformed) != 2 {
 		t.Fatalf("got %d malformed diagnostics, want 2: %v", len(idx.malformed), idx.malformed)

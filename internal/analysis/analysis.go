@@ -153,7 +153,10 @@ func (s *FactStore) has(analyzer, obj, fact string) bool {
 
 // RunPackage runs each analyzer over one type-checked package,
 // appending findings to diags. The caller presents packages in
-// dependency order and reuses facts across calls.
+// dependency order and reuses facts across calls. It returns how many
+// well-formed //duet:allow directives the package's files carry, per
+// rule: the escape hatch is itself a number duetvet reports and `make
+// lint` only lets fall.
 func RunPackage(
 	analyzers []*Analyzer,
 	fset *token.FileSet,
@@ -163,7 +166,7 @@ func RunPackage(
 	modulePkgs func(string) bool,
 	facts *FactStore,
 	diags *[]Diagnostic,
-) error {
+) (map[string]int, error) {
 	allow := buildAllowIndex(fset, files)
 	for _, d := range allow.malformed {
 		*diags = append(*diags, d)
@@ -181,15 +184,17 @@ func RunPackage(
 			diags:      diags,
 		}
 		if err := a.Run(pass); err != nil {
-			return fmt.Errorf("%s: %s: %w", pkg.Path(), a.Name, err)
+			return nil, fmt.Errorf("%s: %s: %w", pkg.Path(), a.Name, err)
 		}
 	}
-	return nil
+	return allow.sites, nil
 }
 
-// allowIndex maps file → line → set of rule names suppressed there.
+// allowIndex maps file → line → set of rule names suppressed there, and
+// counts the directives per rule.
 type allowIndex struct {
 	byFile    map[string]map[int][]string
+	sites     map[string]int
 	malformed []Diagnostic
 }
 
@@ -198,7 +203,7 @@ type allowIndex struct {
 // trailing form (`code() //duet:allow rule reason`) and the standalone
 // form (comment above the code) work.
 func buildAllowIndex(fset *token.FileSet, files []*ast.File) *allowIndex {
-	idx := &allowIndex{byFile: make(map[string]map[int][]string)}
+	idx := &allowIndex{byFile: make(map[string]map[int][]string), sites: make(map[string]int)}
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -231,6 +236,7 @@ func buildAllowIndex(fset *token.FileSet, files []*ast.File) *allowIndex {
 				}
 				lines[pos.Line] = append(lines[pos.Line], fields[0])
 				lines[pos.Line+1] = append(lines[pos.Line+1], fields[0])
+				idx.sites[fields[0]]++
 			}
 		}
 	}

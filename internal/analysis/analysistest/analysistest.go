@@ -96,7 +96,7 @@ func Run(t *testing.T, dir string, analyzers []*analysis.Analyzer, pkgs ...strin
 			t.Fatalf("fixture %s: typecheck: %v", p, err)
 		}
 		imp.fixtures[p] = pkg
-		if err := analysis.RunPackage(analyzers, fset, files, pkg, info, inFixtures, facts, &diags); err != nil {
+		if _, err := analysis.RunPackage(analyzers, fset, files, pkg, info, inFixtures, facts, &diags); err != nil {
 			t.Fatalf("fixture %s: %v", p, err)
 		}
 	}

@@ -37,14 +37,16 @@ type listPackage struct {
 }
 
 // Vet runs the analyzers over the packages matched by patterns
-// (resolved in dir) and returns the sorted findings. Packages are
+// (resolved in dir) and returns the sorted findings, with the number of
+// //duet:allow directives per rule in the files it checked (`go list`
+// names no test files, so tests are not counted). Packages are
 // type-checked from source in dependency order — the order `go list
 // -deps` emits them — so cross-package facts flow from callees to
 // callers.
-func Vet(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]analysis.Diagnostic, error) {
+func Vet(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]analysis.Diagnostic, map[string]int, error) {
 	pkgs, err := goList(dir, append([]string{"-deps"}, patterns...))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	exports := make(map[string]string)
@@ -60,7 +62,7 @@ func Vet(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]analy
 		module[p.ImportPath] = true
 		if !p.DepOnly {
 			if p.Error != nil {
-				return nil, fmt.Errorf("%s: %s", p.ImportPath, p.Error.Err)
+				return nil, nil, fmt.Errorf("%s: %s", p.ImportPath, p.Error.Err)
 			}
 			targets = append(targets, p)
 		}
@@ -71,24 +73,29 @@ func Vet(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]analy
 	facts := analysis.NewFactStore()
 	inModule := func(path string) bool { return module[path] }
 	var diags []analysis.Diagnostic
+	allows := make(map[string]int)
 
 	for _, p := range targets {
 		files, err := parseDir(fset, p.Dir, p.GoFiles)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", p.ImportPath, err)
+			return nil, nil, fmt.Errorf("%s: %w", p.ImportPath, err)
 		}
 		info := NewInfo()
 		conf := types.Config{Importer: imp}
 		pkg, err := conf.Check(p.ImportPath, fset, files, info)
 		if err != nil {
-			return nil, fmt.Errorf("%s: typecheck: %w", p.ImportPath, err)
+			return nil, nil, fmt.Errorf("%s: typecheck: %w", p.ImportPath, err)
 		}
-		if err := analysis.RunPackage(analyzers, fset, files, pkg, info, inModule, facts, &diags); err != nil {
-			return nil, err
+		sites, err := analysis.RunPackage(analyzers, fset, files, pkg, info, inModule, facts, &diags)
+		if err != nil {
+			return nil, nil, err
+		}
+		for rule, n := range sites {
+			allows[rule] += n
 		}
 	}
 	analysis.SortDiagnostics(diags)
-	return diags, nil
+	return diags, allows, nil
 }
 
 // goList runs `go list -export -json <args>` in dir and decodes the

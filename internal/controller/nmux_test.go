@@ -85,7 +85,7 @@ func TestRunEpochPlacesThreeTiers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d.Hops[0].Kind == "nmux" {
+		if d.Hops()[0].Kind == "nmux" {
 			sawNMuxHop = true
 		}
 		break
@@ -162,8 +162,8 @@ func TestAddDIPReprogramsNMuxInPlace(t *testing.T) {
 	if after.DIP != before.DIP {
 		t.Fatalf("pinned flow remapped by AddDIP: %s → %s", before.DIP, after.DIP)
 	}
-	if after.Hops[0].Kind != "nmux" {
-		t.Fatalf("hops = %+v, want nmux first", after.Hops)
+	if after.Hops()[0].Kind != "nmux" {
+		t.Fatalf("hops = %+v, want nmux first", after.Hops())
 	}
 
 	// RemoveDIP of the original target terminates the pinned flow but keeps

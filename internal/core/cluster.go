@@ -161,9 +161,9 @@ type Cluster struct {
 
 	dtel     deliverTelemetry
 	ctel     collectGauges
-	hopTick  atomic.Uint64  // rotates the per-hop timing sample gate
 	traceSeq atomic.Uint64  // numbers sampled in-process packet journeys
 	hopClock func() float64 // seconds source for sampled hop histograms
+	scratch  sync.Pool      // *scratch, borrowed per Deliver / per batch worker
 }
 
 // deliverTelemetry is Deliver's pre-resolved instrument block. The per-hop
@@ -188,14 +188,9 @@ type deliverTelemetry struct {
 	mode [3]telemetry.CounterShard
 }
 
-// hopSampleMask times 1 in 16 packets. Reading the clock twice per hop costs
-// more than the entire lookup on hosts without a vDSO fast path, so hop
-// attribution is sampled; the histograms converge on the same distribution
-// while the un-timed packets pay only one atomic add.
-const hopSampleMask = 15
-
-// sampleHop decides whether this packet's hops are timed.
-func (c *Cluster) sampleHop() bool { return c.hopTick.Add(1)&hopSampleMask == 0 }
+// defaultSampleEvery is the sampling rate core.New sets on the cluster's
+// recorder; Telemetry() hands the recorder out for callers that want another.
+const defaultSampleEvery = 16
 
 // newTrace mints a trace ID for a sampled in-process journey. IDs are
 // always odd, so they can never collide with the wire transport's
@@ -204,18 +199,6 @@ func (c *Cluster) sampleHop() bool { return c.hopTick.Add(1)&hopSampleMask == 0 
 //
 //duet:hotpath
 func (c *Cluster) newTrace() uint64 { return c.traceSeq.Add(1)<<1 | 1 }
-
-// traceHop records one tier's handling of a sampled packet, keyed by the
-// journey's trace ID — the same KindTraceHop events the wire nodes emit, so
-// obs.StitchJourneys reconstructs in-process journeys identically.
-//
-//duet:hotpath
-func (c *Cluster) traceHop(tier telemetry.TraceTier, node uint32, dst packet.Addr, trace uint64) {
-	if trace == 0 {
-		return
-	}
-	c.rec.Record(telemetry.KindTraceHop, node, uint32(tier), uint32(dst), trace)
-}
 
 // collectGauges is the point-in-time state Collect republishes every scrape.
 type collectGauges struct {
@@ -275,6 +258,13 @@ func New(cfg Config) (*Cluster, error) {
 	if c.hopClock == nil {
 		c.hopClock = clock.Wall()
 	}
+	c.scratch.New = func() any { return new(scratch) }
+	// One packet in 16 is sampled (see deliver). Reading the clock twice per
+	// hop costs more than the whole lookup on hosts without a vDSO fast path,
+	// and unsampled, a cluster at rate overwrites the ring its control-plane
+	// events share within milliseconds; the histograms converge on the same
+	// distribution either way.
+	c.rec.SetSampleEvery(defaultSampleEvery)
 	// Trace events carry the cluster's logical route clock; callers running
 	// real time (or the testbed's virtual time) can re-clock via Telemetry().
 	c.rec.SetClock(c.Now)
@@ -791,13 +781,55 @@ type Hop struct {
 	Node string // description of the entity
 }
 
+// maxHops is the longest datapath: HMux, TIP switch, host agent.
+const maxHops = 3
+
+// hopList is a packet's path as the forwarding path records it: one
+// {tier, node} pair per step, so recording a hop stores two words. node is
+// the SwitchID on the switch tiers and the entity's address elsewhere — the
+// identity the step's trace-hop event carries. Two parallel arrays rather
+// than an array of pairs: 16 bytes instead of 24 in every BatchResult.
+type hopList struct {
+	node [maxHops]uint32
+	tier [maxHops]telemetry.TraceTier
+	n    uint8
+}
+
 // Delivery is the end-to-end result of Deliver.
 type Delivery struct {
 	VIP    packet.Addr
 	DIP    packet.Addr
 	Host   packet.Addr
 	Packet []byte // the packet as the server receives it
-	Hops   []Hop
+
+	topo *topology.Topology // names the switches in hops
+	hops hopList
+}
+
+// Hops renders the steps the packet took, in order. Forwarding keeps only
+// hopList; the names are built here, for the callers that want to read them.
+func (d Delivery) Hops() []Hop {
+	hops := make([]Hop, d.hops.n)
+	for i := range hops {
+		tier, node := d.hops.tier[i], d.hops.node[i]
+		h := Hop{Kind: tier.String(), Node: packet.Addr(node).String()}
+		switch tier {
+		case telemetry.TraceTierHMux, telemetry.TraceTierTIP:
+			h.Node = d.topo.Switch(topology.SwitchID(node)).Name
+		case telemetry.TraceTierHost:
+			h.Kind = "agent"
+		}
+		hops[i] = h
+	}
+	return hops
+}
+
+// scratch is the memory one forwarding goroutine owns while it delivers: the
+// mux tier encapsulates into encap, a TIP switch re-encapsulates encap into
+// tip. Deliver borrows one from the cluster's pool per call, a DeliverBatch
+// worker for the length of the batch; no Delivery ever points into it.
+type scratch struct {
+	encap, tip []byte
 }
 
 // Deliver pushes a VIP-addressed packet through the full datapath and
@@ -808,167 +840,185 @@ type Delivery struct {
 //
 //duet:hotpath
 func (c *Cluster) Deliver(data []byte) (Delivery, error) {
-	d, err := c.deliver(c.snap.Load(), data)
+	sc := c.scratch.Get().(*scratch)
+	var d Delivery
+	err := c.deliver(c.snap.Load(), data, sc, nil, &d)
+	c.scratch.Put(sc)
 	c.dtel.packets.Inc()
 	if err != nil {
 		c.dtel.errors.Inc()
-	}
-	return d, err
-}
-
-func (c *Cluster) deliver(snap *clusterSnap, data []byte) (Delivery, error) {
-	tuple, err := packet.ExtractFiveTuple(data)
-	if err != nil {
 		return Delivery{}, err
 	}
-	hash := ecmp.Hash(tuple)
-	now := c.Now()
-	nh, _, ok := snap.routes.Snapshot().Pick(tuple.Dst, now, hash)
-	if !ok {
-		return Delivery{}, ErrNoRoute
+	return d, nil
+}
+
+// deliver resolves one packet against snap: route pick, mux tier, TIP hop if
+// any, host agent. Intermediate packets live in sc; the packet the server
+// receives is appended to out (nil: its own allocation) and the result is
+// written in place into the zero Delivery d, which holds garbage on error.
+//
+// One sampling decision is taken per packet, the recorder's own (1 in 16
+// unless SetSampleEvery moved it), and handed to every stage: a sampled
+// packet has its hops timed, is traced as a journey and leaves every pipeline
+// event of every tier it crossed; an unsampled one costs that one atomic add.
+func (c *Cluster) deliver(snap *clusterSnap, data []byte, sc *scratch, out []byte, d *Delivery) error {
+	tuple, err := packet.ExtractFiveTuple(data)
+	if err != nil {
+		return err
 	}
+	hash := ecmp.Hash(tuple)
+	nh, _, ok := snap.routes.Snapshot().Pick(tuple.Dst, c.Now(), hash)
+	if !ok {
+		return ErrNoRoute
+	}
+	sampled := c.rec.Sample()
+	var trace uint64
+	if sampled {
+		trace = c.newTrace()
+	}
+	d.topo = snap.topo
 
 	var (
 		encapped []byte
-		hops     []Hop
 		t0       float64
 	)
-	timed := c.sampleHop()
-	// Timed packets double as traced packets: the same sample gate that
-	// prices the per-hop histograms prices the journey events, and the hop
-	// timeline is most useful with latency attribution alongside it.
-	var trace uint64
-	if timed {
-		trace = c.newTrace()
-	}
+	hostIdx := -1 // host mux pair serving the packet, if no switch does
 	if nh >= smuxNodeBase {
-		var hop Hop
-		encapped, hop, err = c.hostTier(snap, int(nh-smuxNodeBase), data, timed, tuple.Dst, trace)
-		if err != nil {
-			return Delivery{}, err
-		}
-		hops = append(hops, hop)
+		hostIdx = int(nh - smuxNodeBase)
 	} else {
 		sw := topology.SwitchID(nh)
 		if !snap.switchUp[sw] {
-			return Delivery{}, ErrSwitchDown
+			return ErrSwitchDown
 		}
-		hm := snap.hmuxes[sw]
-		if timed {
+		if sampled {
 			t0 = c.hopClock()
 		}
-		res, err := hm.Process(data, nil)
-		if timed {
+		res, err := snap.hmuxes[sw].ProcessSampled(data, sc.encap[:0], sampled)
+		if sampled {
 			c.dtel.hopHMux.Observe(c.hopClock() - t0)
 		}
 		switch {
 		case errors.Is(err, hmux.ErrNotOurVIP):
 			// FIB miss during migration: fall through to the host tiers.
-			var hop Hop
-			encapped, hop, err = c.hostTier(snap, int(hash%uint64(len(snap.smuxes))), data, timed, tuple.Dst, trace)
-			if err != nil {
-				return Delivery{}, err
-			}
-			hops = append(hops, hop)
+			hostIdx = int(hash % uint64(len(snap.smuxes)))
 		case err != nil:
-			return Delivery{}, err
+			return err
 		default:
-			encapped = res.Packet
+			encapped, sc.encap = res.Packet, res.Packet
 			c.dtel.tierHMux.Inc()
-			c.traceHop(telemetry.TraceTierHMux, uint32(sw), tuple.Dst, trace)
-			hops = append(hops, Hop{Kind: "hmux", Node: snap.topo.Switch(sw).Name})
+			c.hop(d, telemetry.TraceTierHMux, uint32(sw), tuple.Dst, trace)
 			// TIP indirection: the outer destination may be a TIP hosted on
 			// another switch (§5.2, Figure 7).
 			if tipSwitch, ok := snap.tipHome[res.Encap]; ok {
 				if !snap.switchUp[tipSwitch] {
-					return Delivery{}, ErrSwitchDown
+					return ErrSwitchDown
 				}
-				if timed {
+				if sampled {
 					t0 = c.hopClock()
 				}
-				res2, err := snap.hmuxes[tipSwitch].Process(encapped, nil)
-				if timed {
+				res, err := snap.hmuxes[tipSwitch].ProcessSampled(encapped, sc.tip[:0], sampled)
+				if sampled {
 					c.dtel.hopTIP.Observe(c.hopClock() - t0)
 				}
 				if err != nil {
-					return Delivery{}, err
+					return err
 				}
-				encapped = res2.Packet
-				c.traceHop(telemetry.TraceTierTIP, uint32(tipSwitch), tuple.Dst, trace)
-				hops = append(hops, Hop{Kind: "tip", Node: snap.topo.Switch(tipSwitch).Name})
+				encapped, sc.tip = res.Packet, res.Packet
+				c.hop(d, telemetry.TraceTierTIP, uint32(tipSwitch), tuple.Dst, trace)
 			}
 		}
+	}
+	if hostIdx >= 0 {
+		var tier telemetry.TraceTier
+		var node packet.Addr
+		encapped, tier, node, err = c.hostTier(snap, hostIdx, data, sc, sampled)
+		if err != nil {
+			return err
+		}
+		c.hop(d, tier, uint32(node), tuple.Dst, trace)
 	}
 
 	// Host agent receive.
 	var outer packet.IPv4
 	if err := outer.DecodeFromBytes(encapped); err != nil {
-		return Delivery{}, err
+		return err
 	}
 	agent, ok := snap.agents[outer.Dst]
 	if !ok {
 		//duet:allow hotpath error construction on the no-agent reject path only
-		return Delivery{}, fmt.Errorf("%w: %s", ErrNoHostAgent, outer.Dst)
+		return fmt.Errorf("%w: %s", ErrNoHostAgent, outer.Dst)
 	}
-	if timed {
+	if sampled {
 		t0 = c.hopClock()
 	}
-	d, err := agent.Receive(encapped, nil)
-	if timed {
+	rx, err := agent.ReceiveSampled(encapped, out, sampled)
+	if sampled {
 		c.dtel.hopAgent.Observe(c.hopClock() - t0)
 	}
 	if err != nil {
-		return Delivery{}, err
+		return err
 	}
-	c.traceHop(telemetry.TraceTierHost, uint32(outer.Dst), outer.Dst, trace)
-	//duet:allow hotpath hop labels are part of the simulated Delivery result, not the wire path
-	hops = append(hops, Hop{Kind: "agent", Node: outer.Dst.String()})
-	return Delivery{VIP: d.VIP, DIP: d.DIP, Host: outer.Dst, Packet: d.Packet, Hops: hops}, nil
+	c.hop(d, telemetry.TraceTierHost, uint32(outer.Dst), outer.Dst, trace)
+	d.VIP, d.DIP, d.Host, d.Packet = rx.VIP, rx.DIP, outer.Dst, rx.Packet
+	return nil
+}
+
+// hop records one tier's handling of a packet: always in the Delivery's hop
+// list, and for a sampled packet as a trace-hop event keyed by the journey's
+// trace ID — the same KindTraceHop events the wire nodes emit, so
+// obs.StitchJourneys reconstructs in-process journeys identically.
+//
+//duet:hotpath
+func (c *Cluster) hop(d *Delivery, tier telemetry.TraceTier, node uint32, dst packet.Addr, trace uint64) {
+	d.hops.tier[d.hops.n], d.hops.node[d.hops.n] = tier, node
+	d.hops.n++
+	if trace != 0 {
+		c.rec.Record(telemetry.KindTraceHop, node, uint32(tier), uint32(dst), trace)
+	}
 }
 
 // hostTier processes a packet on the host mux pair at index idx: the NIC
 // match table first (when the tier is enabled), falling through to the SMux
 // on a table miss. Because the pair shares one self address and the ECMP
 // hash, the encap bytes are identical whichever tier serves the flow — the
-// fall-through is invisible to the backend.
-func (c *Cluster) hostTier(snap *clusterSnap, idx int, data []byte, timed bool, dst packet.Addr, trace uint64) ([]byte, Hop, error) {
+// fall-through is invisible to the backend. It returns the encapsulated
+// packet (in sc.encap) with the tier and address of the mux that served it.
+func (c *Cluster) hostTier(snap *clusterSnap, idx int, data []byte, sc *scratch, sampled bool) ([]byte, telemetry.TraceTier, packet.Addr, error) {
 	var t0 float64
 	if len(snap.nmuxes) > 0 {
 		nm := snap.nmuxes[idx]
-		if timed {
+		if sampled {
 			t0 = c.hopClock()
 		}
-		res, err := nm.Process(data, nil)
-		if timed {
+		res, err := nm.ProcessSampled(data, sc.encap[:0], sampled)
+		if sampled {
 			c.dtel.hopNMux.Observe(c.hopClock() - t0)
 		}
 		switch {
 		case err == nil:
+			sc.encap = res.Packet
 			c.dtel.tierNMux.Inc()
-			c.traceHop(telemetry.TraceTierNMux, uint32(nm.Self()), dst, trace)
-			//duet:allow hotpath hop labels are part of the simulated Delivery result, not the wire path
-			return res.Packet, Hop{Kind: "nmux", Node: nm.Self().String()}, nil
+			return res.Packet, telemetry.TraceTierNMux, nm.Self(), nil
 		case !errors.Is(err, nmux.ErrNotOurVIP):
-			return nil, Hop{}, err
+			return nil, 0, 0, err
 		}
 		c.dtel.tierNMuxMiss.Inc()
 	}
 	sm := snap.smuxes[idx]
-	if timed {
+	if sampled {
 		t0 = c.hopClock()
 	}
-	res, err := sm.Process(data, nil)
-	if timed {
+	res, err := sm.ProcessSampled(data, sc.encap[:0], sampled)
+	if sampled {
 		c.dtel.hopSMux.Observe(c.hopClock() - t0)
 	}
 	if err != nil {
-		return nil, Hop{}, err
+		return nil, 0, 0, err
 	}
+	sc.encap = res.Packet
 	c.dtel.tierSMux.Inc()
 	c.dtel.mode[res.Mode].Inc()
-	c.traceHop(telemetry.TraceTierSMux, uint32(sm.Self()), dst, trace)
-	//duet:allow hotpath hop labels are part of the simulated Delivery result, not the wire path
-	return res.Packet, Hop{Kind: "smux", Node: sm.Self().String()}, nil
+	return res.Packet, telemetry.TraceTierSMux, sm.Self(), nil
 }
 
 // Collect republishes point-in-time gauges derived from cluster state: HMux
@@ -1048,39 +1098,79 @@ type BatchResult struct {
 	Err      error
 }
 
-// DeliverBatch pushes a batch of packets through the datapath on a pool of
-// worker goroutines and returns per-packet results in input order. workers
-// ≤ 1 runs inline. Each packet loads the current snapshot independently, so
-// a batch racing control-plane churn can observe several generations — but
-// every individual packet sees exactly one.
+// batchRun is how many consecutive packets a DeliverBatch worker claims at a
+// time. A run costs one atomic add, one arena allocation and one counter
+// flush, and keeps neighbouring workers' result writes a run apart instead of
+// a cache line apart; at 256 all of that is under a nanosecond per packet,
+// while a 16,384-packet batch is still 64 runs to spread over the workers.
+// Not a knob: nothing a caller knows picks a better value.
+const batchRun = 256
+
+// DeliverBatch pushes a batch of packets through the datapath on workers
+// goroutines (the caller's included; ≤ 1 runs inline) and returns per-packet
+// results in input order. Workers claim contiguous runs of batchRun packets.
+// Each packet loads the current snapshot independently, so a batch racing
+// control-plane churn can observe several generations — but every individual
+// packet sees exactly one.
+//
+// Ownership: a worker owns its scratch for the length of the batch and each
+// run it claims while it delivers it; the delivered packets of a run share
+// one arena, which from then on belongs to the results — it is never pooled
+// or reused, so callers keep Delivery.Packet as long as they keep the slice.
 func (c *Cluster) DeliverBatch(pkts [][]byte, workers int) []BatchResult {
 	results := make([]BatchResult, len(pkts))
-	if workers <= 1 || len(pkts) <= 1 {
-		for i, p := range pkts {
-			results[i].Delivery, results[i].Err = c.Deliver(p)
-		}
-		return results
-	}
-	if workers > len(pkts) {
-		workers = len(pkts)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(pkts) {
-					return
-				}
-				results[i].Delivery, results[i].Err = c.Deliver(pkts[i])
+	workers = max(1, min(workers, (len(pkts)+batchRun-1)/batchRun))
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
+	work := func() {
+		defer wg.Done()
+		sc := c.scratch.Get().(*scratch)
+		defer c.scratch.Put(sc)
+		for {
+			lo := int(next.Add(1)-1) * batchRun
+			if lo >= len(pkts) {
+				return
 			}
-		}()
+			hi := min(lo+batchRun, len(pkts))
+			c.deliverRun(sc, pkts[lo:hi], results[lo:hi])
+		}
 	}
+	wg.Add(workers)
+	for w := 1; w < workers; w++ {
+		go work()
+	}
+	work()
 	wg.Wait()
 	return results
+}
+
+// deliverRun delivers one run into results (same length as pkts). The arena
+// is exactly Σ len(pkts[i]) bytes: what the host agent decapsulates from a
+// mux's encapsulation is as long as the client's packet, TIP hop included.
+// Each packet gets its own len(p)-capped window of it, so one that came out
+// longer would reallocate rather than run into its neighbour.
+func (c *Cluster) deliverRun(sc *scratch, pkts [][]byte, results []BatchResult) {
+	size := 0
+	for _, p := range pkts {
+		size += len(p)
+	}
+	arena := make([]byte, size)
+	var errs uint64
+	off := 0
+	for i, p := range pkts {
+		end := off + len(p)
+		if err := c.deliver(c.snap.Load(), p, sc, arena[off:off:end], &results[i].Delivery); err != nil {
+			results[i] = BatchResult{Err: err}
+			errs++
+		}
+		off = end
+	}
+	c.dtel.packets.Add(uint64(len(pkts)))
+	if errs > 0 {
+		c.dtel.errors.Add(errs)
+	}
 }
 
 // InstallTIP programs a TIP partition on a switch and records it for

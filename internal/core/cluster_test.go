@@ -56,8 +56,8 @@ func TestDeliverViaSMux(t *testing.T) {
 		if d.VIP != v.Addr {
 			t.Fatalf("delivery VIP %s", d.VIP)
 		}
-		if len(d.Hops) != 2 || d.Hops[0].Kind != "smux" || d.Hops[1].Kind != "agent" {
-			t.Fatalf("hops = %+v", d.Hops)
+		if hops := d.Hops(); len(hops) != 2 || hops[0].Kind != "smux" || hops[1].Kind != "agent" {
+			t.Fatalf("hops = %+v", hops)
 		}
 		counts[d.DIP]++
 		// The packet the server receives is addressed to the DIP.
@@ -94,8 +94,8 @@ func TestDeliverViaHMux(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Hops[0].Kind != "hmux" {
-		t.Fatalf("first hop = %+v, want hmux (LPM /32 preference)", d.Hops[0])
+	if d.Hops()[0].Kind != "hmux" {
+		t.Fatalf("first hop = %+v, want hmux (LPM /32 preference)", d.Hops()[0])
 	}
 }
 
@@ -146,8 +146,8 @@ func TestWithdrawFallsBackToSMux(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Hops[0].Kind != "smux" {
-		t.Fatalf("hops after withdraw = %+v", d.Hops)
+	if d.Hops()[0].Kind != "smux" {
+		t.Fatalf("hops after withdraw = %+v", d.Hops())
 	}
 	if err := c.WithdrawFromHMux(v.Addr); err != ErrVIPUnknown {
 		t.Fatalf("double withdraw: %v", err)
@@ -175,8 +175,8 @@ func TestFailSwitchFailsOver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Hops[0].Kind != "smux" {
-		t.Fatalf("failover hops = %+v", d.Hops)
+	if d.Hops()[0].Kind != "smux" {
+		t.Fatalf("failover hops = %+v", d.Hops())
 	}
 	// Recovery: switch comes back empty; VIP stays on SMux until the
 	// controller reassigns.
@@ -185,8 +185,8 @@ func TestFailSwitchFailsOver(t *testing.T) {
 		t.Fatal("switch did not recover")
 	}
 	d, err = c.Deliver(clientPkt(v.Addr, 2))
-	if err != nil || d.Hops[0].Kind != "smux" {
-		t.Fatalf("post-recovery delivery: %+v %v", d.Hops, err)
+	if err != nil || d.Hops()[0].Kind != "smux" {
+		t.Fatalf("post-recovery delivery: %+v %v", d.Hops(), err)
 	}
 	// Double fail/recover are no-ops.
 	c.RecoverSwitch(sw)
@@ -300,8 +300,8 @@ func TestTIPIndirectionEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(d.Hops) != 3 || d.Hops[1].Kind != "tip" {
-			t.Fatalf("hops = %+v, want hmux→tip→agent", d.Hops)
+		if hops := d.Hops(); len(hops) != 3 || hops[1].Kind != "tip" {
+			t.Fatalf("hops = %+v, want hmux→tip→agent", hops)
 		}
 		seen[d.DIP] = true
 	}
@@ -557,14 +557,15 @@ func TestDeliveryHopOrdering(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", tc.vip, err)
 			}
-			if len(d.Hops) != len(tc.want) {
-				t.Fatalf("%s: %d hops %+v, want %v", tc.vip, len(d.Hops), d.Hops, tc.want)
+			hops := d.Hops()
+			if len(hops) != len(tc.want) {
+				t.Fatalf("%s: %d hops %+v, want %v", tc.vip, len(hops), hops, tc.want)
 			}
 			for j, kind := range tc.want {
-				if d.Hops[j].Kind != kind {
-					t.Fatalf("%s: hop %d = %q, want %q (hops %+v)", tc.vip, j, d.Hops[j].Kind, kind, d.Hops)
+				if hops[j].Kind != kind {
+					t.Fatalf("%s: hop %d = %q, want %q (hops %+v)", tc.vip, j, hops[j].Kind, kind, hops)
 				}
-				if d.Hops[j].Node == "" {
+				if hops[j].Node == "" {
 					t.Fatalf("%s: hop %d has no node name", tc.vip, j)
 				}
 			}

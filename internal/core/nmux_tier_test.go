@@ -45,8 +45,8 @@ func TestDeliverViaNMux(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(d.Hops) != 2 || d.Hops[0].Kind != "nmux" || d.Hops[1].Kind != "agent" {
-			t.Fatalf("hops = %+v, want nmux → agent", d.Hops)
+		if hops := d.Hops(); len(hops) != 2 || hops[0].Kind != "nmux" || hops[1].Kind != "agent" {
+			t.Fatalf("hops = %+v, want nmux → agent", hops)
 		}
 	}
 	if got := reg.Counter("core.deliver.tier.nmux").Value(); got != 500 {
@@ -71,8 +71,8 @@ func TestDeliverNMuxMissFallsToSMux(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d.Hops[0].Kind != "smux" {
-			t.Fatalf("hops = %+v, want smux first", d.Hops)
+		if d.Hops()[0].Kind != "smux" {
+			t.Fatalf("hops = %+v, want smux first", d.Hops())
 		}
 	}
 	if got := reg.Counter("core.deliver.tier.nmux_miss").Value(); got != 200 {
@@ -118,8 +118,8 @@ func TestNMuxEncapIdenticalToSMux(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d.Hops[0].Kind != "smux" {
-			t.Fatalf("post-withdraw hops = %+v", d.Hops)
+		if d.Hops()[0].Kind != "smux" {
+			t.Fatalf("post-withdraw hops = %+v", d.Hops())
 		}
 		if d.DIP != before[i].dip || d.Host != before[i].host || string(d.Packet) != before[i].pkt {
 			t.Fatalf("flow %d changed across tier withdrawal: %s → %s", i, before[i].dip, d.DIP)

@@ -27,10 +27,11 @@ func TestReplicatedVIPSplitsAcrossSwitches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d.Hops[0].Kind != "hmux" {
-			t.Fatalf("replicated VIP served by %v", d.Hops[0])
+		first := d.Hops()[0]
+		if first.Kind != "hmux" {
+			t.Fatalf("replicated VIP served by %v", first)
 		}
-		seen[d.Hops[0].Node]++
+		seen[first.Node]++
 	}
 	if len(seen) != 2 {
 		t.Fatalf("traffic used %d replicas, want 2: %v", len(seen), seen)
@@ -70,8 +71,8 @@ func TestReplicaFailureNoSMuxNoRemap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d.Hops[0].Kind != "hmux" || d.Hops[0].Node != surviving {
-			t.Fatalf("flow %d not absorbed by surviving replica: %+v", i, d.Hops[0])
+		if first := d.Hops()[0]; first.Kind != "hmux" || first.Node != surviving {
+			t.Fatalf("flow %d not absorbed by surviving replica: %+v", i, first)
 		}
 		if d.DIP != before[i] {
 			t.Fatalf("flow %d remapped %s→%s on replica failure", i, before[i], d.DIP)
@@ -145,8 +146,8 @@ func TestWithdrawReplicasFallsBackToSMux(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Hops[0].Kind != "smux" {
-		t.Fatalf("after withdraw: %+v", d.Hops)
+	if d.Hops()[0].Kind != "smux" {
+		t.Fatalf("after withdraw: %+v", d.Hops())
 	}
 	// Switch tables released.
 	for _, sw := range reps {

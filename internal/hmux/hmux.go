@@ -519,15 +519,16 @@ func (m *Mux) HasTIP(addr packet.Addr) bool {
 type Result struct {
 	// Encap is the chosen encapsulation destination (DIP, HIP or TIP).
 	Encap packet.Addr
-	// Packet is the resulting wire bytes (appended to the out buffer).
+	// Packet is the resulting wire bytes: the tail Process appended to out.
 	Packet []byte
 	// ViaTIP reports that the pipeline performed TIP decap + re-encap.
 	ViaTIP bool
 }
 
 // Process runs one packet through the HMux pipeline. out is an optional
-// reuse buffer (pass nil or buf[:0]); the encapsulated packet is appended to
-// it. Packets whose destination matches no programmed VIP or TIP return
+// reuse buffer: the encapsulated packet is appended to it, the bytes already
+// in it are left untouched, and Result.Packet is exactly this packet's bytes.
+// Packets whose destination matches no programmed VIP or TIP return
 // ErrNotOurVIP — the caller (the fabric) forwards them normally.
 //
 // This is the dataplane path: it performs no allocation beyond growing the
@@ -536,8 +537,26 @@ type Result struct {
 //
 //duet:hotpath
 func (m *Mux) Process(data []byte, out []byte) (Result, error) {
+	return m.process(data, out, false, true)
+}
+
+// ProcessSampled is Process for a caller that has already taken the packet's
+// sampling decision (core.Cluster takes one per packet and hands it to every
+// stage, so a sampled packet leaves a complete trace).
+//
+//duet:hotpath
+func (m *Mux) ProcessSampled(data, out []byte, sampled bool) (Result, error) {
+	return m.process(data, out, sampled, false)
+}
+
+// process is the one implementation behind both entry points (each inlines to
+// a direct call of it); ask leaves the sampling decision to the mux's own
+// recorder.
+func (m *Mux) process(data, out []byte, sampled, ask bool) (Result, error) {
 	m.tel.packets.Inc()
-	sampled := m.tel.rec.Sample()
+	if ask {
+		sampled = m.tel.rec.Sample()
+	}
 	if sampled {
 		m.tel.rec.Record(telemetry.KindPacketIn, m.tel.node, 0, 0, uint64(len(data)))
 	}
@@ -569,7 +588,7 @@ func (m *Mux) Process(data []byte, out []byte) (Result, error) {
 		if sampled {
 			m.tel.rec.Record(telemetry.KindTIPHop, m.tel.node, uint32(tip), uint32(encap), 0)
 		}
-		return Result{Encap: encap, Packet: pkt, ViaTIP: true}, nil
+		return Result{Encap: encap, Packet: pkt[len(out):], ViaTIP: true}, nil
 	}
 
 	e, ok := t.vips[ip.Dst]
@@ -605,7 +624,7 @@ func (m *Mux) Process(data []byte, out []byte) (Result, error) {
 	if sampled {
 		m.tel.rec.Record(telemetry.KindEncap, m.tel.node, uint32(tuple.Dst), uint32(encap), 0)
 	}
-	return Result{Encap: encap, Packet: pkt}, nil
+	return Result{Encap: encap, Packet: pkt[len(out):]}, nil
 }
 
 // selectEncap picks the encap destination for a tuple via the entry's ECMP

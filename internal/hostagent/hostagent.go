@@ -216,10 +216,27 @@ type Delivery struct {
 // 5-tuple hash when several VM DIPs share the host — Figure 6), rewrites the
 // inner destination to the DIP, and meters the traffic.
 //
-// The rewritten packet is appended to out. Safe for concurrent callers.
+// The rewritten packet is appended to out: the bytes already in it are left
+// untouched and Delivery.Packet is exactly this packet's bytes. Safe for
+// concurrent callers.
 //
 //duet:hotpath
 func (a *Agent) Receive(data, out []byte) (Delivery, error) {
+	return a.receive(data, out, false, true)
+}
+
+// ReceiveSampled is Receive for a caller that has already taken the packet's
+// sampling decision (see hmux.ProcessSampled).
+//
+//duet:hotpath
+func (a *Agent) ReceiveSampled(data, out []byte, sampled bool) (Delivery, error) {
+	return a.receive(data, out, sampled, false)
+}
+
+// receive is the one implementation behind both entry points; ask leaves the
+// sampling decision to the agent's own recorder, taken as it always was: for
+// a packet that was delivered.
+func (a *Agent) receive(data, out []byte, sampled, ask bool) (Delivery, error) {
 	inner, _, err := packet.Decapsulate(data)
 	if err != nil {
 		a.tel.dropDecapError.Inc()
@@ -245,8 +262,8 @@ func (a *Agent) Receive(data, out []byte) (Delivery, error) {
 		dip = dips[ecmp.Hash(tuple)%uint64(len(dips))]
 	}
 
-	out = append(out, inner...)
-	if err := packet.RewriteDst(out, dip); err != nil {
+	pkt := append(out, inner...)[len(out):]
+	if err := packet.RewriteDst(pkt, dip); err != nil {
 		return Delivery{}, err
 	}
 
@@ -258,10 +275,13 @@ func (a *Agent) Receive(data, out []byte) (Delivery, error) {
 	m.bytes.Add(uint64(len(inner)))
 	a.tel.received.Inc()
 	a.tel.bytes.Add(uint64(len(inner)))
-	if a.tel.rec.Sample() {
+	if ask {
+		sampled = a.tel.rec.Sample()
+	}
+	if sampled {
 		a.tel.rec.Record(telemetry.KindDecap, a.tel.node, uint32(vip), uint32(dip), uint64(len(inner)))
 	}
-	return Delivery{VIP: vip, DIP: dip, Packet: out}, nil
+	return Delivery{VIP: vip, DIP: dip, Packet: pkt}, nil
 }
 
 // ensureMeter publishes a meter for a VIP that has none (possible only if
@@ -286,7 +306,9 @@ func (a *Agent) ensureMeter(vip packet.Addr) *meter {
 
 // SendDSR implements direct server return: an outgoing response whose source
 // is a local DIP leaves with the VIP as its source address, bypassing the
-// load balancer entirely (paper §2.1). Safe for concurrent callers.
+// load balancer entirely (paper §2.1). The rewritten packet is appended to
+// out under Receive's contract: prefix untouched, exactly this packet's bytes
+// returned. Safe for concurrent callers.
 func (a *Agent) SendDSR(data, out []byte) ([]byte, error) {
 	var ip packet.IPv4
 	if err := ip.DecodeFromBytes(data); err != nil {
@@ -299,8 +321,8 @@ func (a *Agent) SendDSR(data, out []byte) ([]byte, error) {
 		return nil, ErrUnknownDIP
 	}
 	dip := ip.Src
-	out = append(out, data...)
-	if err := packet.RewriteSrc(out, vip); err != nil {
+	pkt := append(out, data...)[len(out):]
+	if err := packet.RewriteSrc(pkt, vip); err != nil {
 		a.tel.dsrErrors.Inc()
 		return nil, err
 	}
@@ -308,7 +330,7 @@ func (a *Agent) SendDSR(data, out []byte) ([]byte, error) {
 	if a.tel.rec.Sample() {
 		a.tel.rec.Record(telemetry.KindDSR, a.tel.node, uint32(vip), uint32(dip), 0)
 	}
-	return out, nil
+	return pkt, nil
 }
 
 // MeterSnapshot returns a copy of the per-VIP traffic counters and

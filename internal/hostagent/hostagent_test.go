@@ -1,6 +1,7 @@
 package hostagent
 
 import (
+	"bytes"
 	"testing"
 
 	"duet/internal/ecmp"
@@ -153,6 +154,16 @@ func TestSendDSR(t *testing.T) {
 	}
 	if ip.Src != vip {
 		t.Fatalf("DSR src = %s, want VIP %s", ip.Src, vip)
+	}
+	// Behind a non-empty out the response is appended: the earlier packet is
+	// untouched and exactly this one comes back (Receive's contract).
+	buf := append(make([]byte, 0, 256), resp...)
+	again, err := a.SendDSR(resp, buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, out) || !bytes.Equal(buf, resp) {
+		t.Fatalf("appended DSR = %x behind prefix %x, want %x behind the untouched %x", again, buf, out, resp)
 	}
 	// Unknown source DIP rejected.
 	bad := packet.BuildTCP(packet.FiveTuple{Src: packet.MustParseAddr("9.9.9.9"), Dst: 1, Proto: packet.ProtoTCP}, 0, nil)

@@ -444,11 +444,29 @@ type Result struct {
 // wildcard region (miss → ErrNotOurVIP, fall through to the SMux), pick the
 // DIP (exact-match flow entry first, then the shared steer table, pinning
 // the flow if the table has room), encapsulate. The output is appended to
-// out. Safe for concurrent callers; the hot path allocates nothing
-// (flow-map growth aside) and never takes the writer lock.
+// out: the bytes already in it are left untouched and Result.Packet is
+// exactly this packet's bytes. Safe for concurrent callers; the hot path
+// allocates nothing (flow-map growth aside) and never takes the writer lock.
+//
+// The sampling decision is taken only on a hit, so a miss that falls through
+// to the SMux on the same recorder costs the packet one decision, not two.
 //
 //duet:hotpath
 func (m *Mux) Process(data []byte, out []byte) (Result, error) {
+	return m.process(data, out, false, true)
+}
+
+// ProcessSampled is Process for a caller that has already taken the packet's
+// sampling decision (see hmux.ProcessSampled).
+//
+//duet:hotpath
+func (m *Mux) ProcessSampled(data, out []byte, sampled bool) (Result, error) {
+	return m.process(data, out, sampled, false)
+}
+
+// process is the one implementation behind both entry points; ask leaves the
+// sampling decision to the mux's own recorder, taken once the packet has hit.
+func (m *Mux) process(data, out []byte, sampled, ask bool) (Result, error) {
 	m.tel.packets.Inc()
 	var ip packet.IPv4 // stack scratch; Process must stay concurrency-safe
 	if err := ip.DecodeFromBytes(data); err != nil {
@@ -470,7 +488,9 @@ func (m *Mux) Process(data []byte, out []byte) (Result, error) {
 		return Result{}, m.drop(telemetry.DropMalformed, ip.Dst, err)
 	}
 	m.tel.hits.Inc()
-	sampled := m.tel.rec.Sample()
+	if ask {
+		sampled = m.tel.rec.Sample()
+	}
 	if sampled {
 		m.tel.rec.Record(telemetry.KindVIPLookup, m.tel.node, uint32(tuple.Dst), 0, 0)
 	}
@@ -525,7 +545,7 @@ func (m *Mux) Process(data []byte, out []byte) (Result, error) {
 	if sampled {
 		m.tel.rec.Record(telemetry.KindEncap, m.tel.node, uint32(tuple.Dst), uint32(dip), 0)
 	}
-	return Result{Encap: dip, Packet: pkt, Pinned: pinned}, nil
+	return Result{Encap: dip, Packet: pkt[len(out):], Pinned: pinned}, nil
 }
 
 // Lookup returns the DIP Process would pick for a tuple without mutating

@@ -117,16 +117,19 @@ type histState struct {
 	total uint64   // sum(delta)
 }
 
+// newHistState sizes every per-tick buffer up front (a histogram's bucket
+// count never changes), so the first update allocates as little as the rest.
+func newHistState(h *telemetry.Histogram) *histState {
+	hs := &histState{h: h}
+	h.SnapshotInto(&hs.snap)
+	hs.prev = make([]uint64, len(hs.snap.Counts))
+	hs.delta = make([]uint64, len(hs.snap.Counts))
+	return hs
+}
+
 // update snapshots the histogram and computes the window distribution.
 func (hs *histState) update() {
 	hs.h.SnapshotInto(&hs.snap)
-	n := len(hs.snap.Counts)
-	if cap(hs.prev) < n {
-		hs.prev = make([]uint64, n)
-		hs.delta = make([]uint64, n)
-	}
-	hs.prev = hs.prev[:n]
-	hs.delta = hs.delta[:n]
 	hs.total = 0
 	for i, c := range hs.snap.Counts {
 		hs.delta[i] = c - hs.prev[i]
@@ -246,9 +249,7 @@ func (p *Pipeline) Tick() {
 	for _, f := range p.collectors {
 		f()
 	}
-	if v := p.cfg.Registry.Version(); v != p.regVersion {
-		p.rebuildLocked(v)
-	}
+	p.syncSeriesLocked()
 	var dt float64
 	if p.ticks > 0 {
 		dt = now - p.lastTime
@@ -266,10 +267,18 @@ func (p *Pipeline) Tick() {
 
 // Start runs Tick on a real ticker until the returned stop function is
 // called. Tests and the testbed call Tick directly on virtual time instead.
+//
+// The series list is built here, before the first tick is due: a ring per
+// series is the pipeline's one large allocation (megabytes over a fleet), and
+// a node should pay it while it starts, not one interval into whatever it is
+// serving by then. Metrics registered later are picked up by the next Tick.
 func (p *Pipeline) Start(interval time.Duration) (stop func()) {
 	if interval <= 0 {
 		interval = time.Second
 	}
+	p.mu.Lock()
+	p.syncSeriesLocked()
+	p.mu.Unlock()
 	done := make(chan struct{})
 	var once sync.Once
 	t := time.NewTicker(interval) //duet:allow noclock real scrape cadence; virtual-time callers drive Tick directly
@@ -287,10 +296,15 @@ func (p *Pipeline) Start(interval time.Duration) (stop func()) {
 	return func() { once.Do(func() { close(done) }) }
 }
 
-// rebuildLocked refreshes the cached series list from the registry. Existing
-// series keep their rings; new metrics get fresh ones. Rules re-resolve their
-// series on the next evaluation.
-func (p *Pipeline) rebuildLocked(v uint64) {
+// syncSeriesLocked refreshes the cached series list if the registry has
+// gained metrics since the last look. Existing series keep their rings; new
+// metrics get fresh ones. Rules re-resolve their series on the next
+// evaluation.
+func (p *Pipeline) syncSeriesLocked() {
+	v := p.cfg.Registry.Version()
+	if v == p.regVersion {
+		return
+	}
 	for _, c := range p.cfg.Registry.Counters() {
 		if _, ok := p.byName[c.Name()]; ok {
 			continue
@@ -307,7 +321,7 @@ func (p *Pipeline) rebuildLocked(v uint64) {
 		if _, ok := p.byName[h.Name()+".count"]; ok {
 			continue
 		}
-		hs := &histState{h: h}
+		hs := newHistState(h)
 		p.hists = append(p.hists, hs)
 		p.addLocked(&series{name: h.Name() + ".count", kind: "counter", hist: hs, q: -1})
 		p.addLocked(&series{name: h.Name() + ".p50", kind: "quantile", hist: hs, q: 0.5})

@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"duet/internal/telemetry"
 )
@@ -199,5 +201,53 @@ func TestDumpShape(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("series x missing from dump")
+	}
+}
+
+// mallocsDuring counts the heap allocations f makes. testing.AllocsPerRun
+// cannot see a first call: it warms up with one of its own.
+func mallocsDuring(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestStartBuildsTheSeriesList: a started pipeline has paid for its rings and
+// histogram buffers before its first tick, so no tick — the first included —
+// allocates. Built lazily, the rings land one scrape interval into whatever
+// the node is serving by then.
+func TestStartBuildsTheSeriesList(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	for _, name := range []string{"a", "b", "c", "d"} {
+		reg.Counter("ctr." + name).Add(1)
+		reg.Gauge("gauge." + name).Set(1)
+	}
+	reg.Histogram("hist", []float64{1, 2, 4}).Observe(3)
+	clk := &fakeClock{}
+	p := clk.pipeline(reg, nil, 256)
+	// MemStats are process-wide. On one P, a yield runs Start's goroutine up
+	// to its select (whose first park allocates) before anything is counted.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	stop := p.Start(time.Hour) // the ticker never fires; the test ticks
+	defer stop()
+	runtime.Gosched()
+
+	for tick := 1; tick <= 2; tick++ {
+		clk.advance(1)
+		if n := mallocsDuring(p.Tick); n != 0 {
+			t.Errorf("tick %d after Start made %d allocations, want 0", tick, n)
+		}
+	}
+	if pts, ok := p.Series("hist.count"); !ok || len(pts) != 2 || pts[0].Value != 1 {
+		t.Errorf("hist.count after two ticks = %+v (found %v), want two points of value 1", pts, ok)
+	}
+
+	// A metric registered after Start is picked up by the next tick.
+	reg.Counter("late").Add(5)
+	p.Tick()
+	if pts, ok := p.Series("late"); !ok || len(pts) != 1 || pts[0].Value != 5 {
+		t.Errorf("late series = %+v (found %v), want one point of value 5", pts, ok)
 	}
 }

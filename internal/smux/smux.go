@@ -514,14 +514,32 @@ type Result struct {
 
 // Process load-balances one packet: decode, look up the VIP in the steer
 // table, resolve the DIP per the VIP's mode, encapsulate. The encapsulated
-// packet is appended to out. Safe for concurrent callers: resolution is one
-// atomic table load, and per-flow pinning locks only the flow's hash shard.
+// packet is appended to out: the bytes already in it are left untouched and
+// Result.Packet is exactly this packet's bytes. Safe for concurrent callers:
+// resolution is one atomic table load, and per-flow pinning locks only the
+// flow's hash shard.
 //
 //duet:hotpath
 func (m *Mux) Process(data []byte, out []byte) (Result, error) {
+	return m.process(data, out, false, true)
+}
+
+// ProcessSampled is Process for a caller that has already taken the packet's
+// sampling decision (see hmux.ProcessSampled).
+//
+//duet:hotpath
+func (m *Mux) ProcessSampled(data, out []byte, sampled bool) (Result, error) {
+	return m.process(data, out, sampled, false)
+}
+
+// process is the one implementation behind both entry points; ask leaves the
+// sampling decision to the mux's own recorder.
+func (m *Mux) process(data, out []byte, sampled, ask bool) (Result, error) {
 	m.processed.Add(1)
 	m.tel.packets.Inc()
-	sampled := m.tel.rec.Sample()
+	if ask {
+		sampled = m.tel.rec.Sample()
+	}
 	if sampled {
 		m.tel.rec.Record(telemetry.KindPacketIn, m.tel.node, 0, 0, uint64(len(data)))
 	}
@@ -676,7 +694,7 @@ func (m *Mux) Process(data []byte, out []byte) (Result, error) {
 		m.tel.fastPathOffers.Inc()
 		m.tel.rec.Record(telemetry.KindFastPath, m.tel.node, uint32(tuple.Dst), uint32(dip), 0)
 	}
-	return Result{Encap: dip, Packet: pkt, Mode: mode, Pinned: pinned, FastPath: offer}, nil
+	return Result{Encap: dip, Packet: pkt[len(out):], Mode: mode, Pinned: pinned, FastPath: offer}, nil
 }
 
 // evictShard trims stale FIFO entries whose connections have already been

@@ -36,8 +36,8 @@ func TestFloodNMuxServesTier(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantNMux := i == 4 || i == 5
-		if got := d.Hops[0].Kind == "nmux"; got != wantNMux {
-			t.Fatalf("VIP %d first hop %s, want nmux=%v", i, d.Hops[0].Kind, wantNMux)
+		if got := d.Hops()[0].Kind == "nmux"; got != wantNMux {
+			t.Fatalf("VIP %d first hop %s, want nmux=%v", i, d.Hops()[0].Kind, wantNMux)
 		}
 	}
 }
@@ -129,8 +129,8 @@ func TestFloodNMuxChurn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d.Hops[0].Kind != "nmux" {
-			t.Fatalf("flow %d first hop %s, want nmux", i, d.Hops[0].Kind)
+		if d.Hops()[0].Kind != "nmux" {
+			t.Fatalf("flow %d first hop %s, want nmux", i, d.Hops()[0].Kind)
 		}
 		before[i] = obs{d.DIP, d.Host, string(d.Packet)}
 	}
@@ -151,7 +151,7 @@ func TestFloodNMuxChurn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d.Hops[0].Kind != "nmux" {
+		if d.Hops()[0].Kind != "nmux" {
 			t.Fatalf("flow %d left the NIC tier after reprogram", i)
 		}
 		if d.DIP != before[i].dip || d.Host != before[i].host || string(d.Packet) != before[i].pkt {
@@ -179,8 +179,8 @@ func TestFloodNMuxChurn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d.Hops[0].Kind != "smux" {
-			t.Fatalf("flow %d first hop %s after withdraw, want smux", i, d.Hops[0].Kind)
+		if d.Hops()[0].Kind != "smux" {
+			t.Fatalf("flow %d first hop %s after withdraw, want smux", i, d.Hops()[0].Kind)
 		}
 		if d.DIP != before[i].dip || d.Host != before[i].host || string(d.Packet) != before[i].pkt {
 			t.Fatalf("flow %d: SMux encap differs from NIC-tier encap", i)

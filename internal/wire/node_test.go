@@ -2,9 +2,12 @@ package wire
 
 import (
 	"net"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"duet/internal/delta"
+	"duet/internal/obs"
 	"duet/internal/packet"
 	"duet/internal/telemetry"
 )
@@ -72,5 +75,44 @@ func TestNodeRecorderSamplesPackets(t *testing.T) {
 	}
 	if !firstHop {
 		t.Error("the first traced packet's hop was overwritten by per-packet events")
+	}
+}
+
+// TestNodePaysForItsRingsAtStart: StartNode returns with the obs series list
+// built — one 256-point ring per series, the node's largest allocation — so
+// the first scrape tick, one interval into whatever the node is serving by
+// then, allocates less than a single ring, and the second nothing.
+func TestNodePaysForItsRingsAtStart(t *testing.T) {
+	spec := dataplaneSpec(t)
+	spec.ScrapeMillis = 3600 * 1000 // the node's own ticker never fires; the test ticks
+	// MemStats are process-wide. On one P, yielding runs the node's
+	// goroutines up to their first park (which allocates) before anything is
+	// counted.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	n, err := StartNode(spec, "host-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	for i := 0; i < 10; i++ {
+		runtime.Gosched()
+	}
+
+	tick := func() (mallocs, bytes uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		n.Obs.Tick()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+	}
+	const ring = 256 * uint64(unsafe.Sizeof(obs.Point{}))
+	if mallocs, bytes := tick(); bytes >= ring {
+		t.Errorf("first tick allocated %d B in %d objects, want less than one %d B ring", bytes, mallocs, ring)
+	}
+	if mallocs, bytes := tick(); mallocs != 0 {
+		t.Errorf("second tick allocated %d B in %d objects, want none", bytes, mallocs)
+	}
+	if pts, ok := n.Obs.Series("hostagent.received"); !ok || len(pts) != 2 {
+		t.Errorf("hostagent.received has %d points after two ticks (found %v), want 2", len(pts), ok)
 	}
 }
