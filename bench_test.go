@@ -73,12 +73,12 @@ func BenchmarkFig01SMuxLatency(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	var med200, med400 float64
 	for i := 0; i < b.N; i++ {
-		var c200, c400 metrics.CDF
+		var c200, c400 []float64
 		for j := 0; j < 5000; j++ {
-			c200.Add(m.SampleLatency(rng, 200e3))
-			c400.Add(m.SampleLatency(rng, 400e3))
+			c200 = append(c200, m.SampleLatency(rng, 200e3))
+			c400 = append(c400, m.SampleLatency(rng, 400e3))
 		}
-		med200, med400 = c200.Quantile(0.5), c400.Quantile(0.5)
+		med200, med400 = metrics.Quantile(c200, 0.5), metrics.Quantile(c400, 0.5)
 	}
 	b.ReportMetric(med200*1e6, "µs-at-200k")
 	b.ReportMetric(med400*1e6, "µs-at-400k")
@@ -96,12 +96,12 @@ func BenchmarkFig11HMuxCapacity(b *testing.B) {
 			mustB(b, tb.AddVIPToSMuxes(v))
 			tb.SetVIPLoad(v.Addr, 120_000) // 1.2M pps aggregate
 		}
-		var sm metrics.CDF
+		var sm []float64
 		k := uint32(0)
 		for t := 0.0; t < 3; t += 0.003 {
 			tb.RunUntil(t)
 			if r := tb.Ping(probe.Addr, benchTuple(k, probe.Addr)); !r.Lost {
-				sm.Add(r.RTT)
+				sm = append(sm, r.RTT)
 			}
 			k++
 		}
@@ -111,15 +111,15 @@ func BenchmarkFig11HMuxCapacity(b *testing.B) {
 		}
 		tb.MigrateToHMux(probe.Addr, sw, tb.Now())
 		tb.RunUntil(5)
-		var hm metrics.CDF
+		var hm []float64
 		for t := 5.0; t < 8; t += 0.003 {
 			tb.RunUntil(t)
 			if r := tb.Ping(probe.Addr, benchTuple(k, probe.Addr)); !r.Lost {
-				hm.Add(r.RTT)
+				hm = append(hm, r.RTT)
 			}
 			k++
 		}
-		smuxMed, hmuxMed = sm.Quantile(0.5), hm.Quantile(0.5)
+		smuxMed, hmuxMed = metrics.Quantile(sm, 0.5), metrics.Quantile(hm, 0.5)
 	}
 	b.ReportMetric(smuxMed*1e3, "ms-smux-1.2Mpps")
 	b.ReportMetric(hmuxMed*1e3, "ms-hmux-1.2Mpps")

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"duet/internal/obs"
-	"duet/internal/wire"
 )
 
 // runWatch polls a duetctl serve endpoint and renders a compact live view:
@@ -148,12 +147,11 @@ const fetchAttempts = 4
 
 func fetch(url string) (int, string, error) {
 	client := http.Client{Timeout: 5 * time.Second}
-	bo := wire.Backoff{Min: 100 * time.Millisecond, Max: 2 * time.Second}
 	var lastErr error
 	for attempt := 0; attempt < fetchAttempts; attempt++ {
 		if attempt > 0 {
 			//duet:allow noclock interactive CLI retry against a live process
-			time.Sleep(bo.Next()) // exponential + jitter: restarts aren't hammered
+			time.Sleep(100 * time.Millisecond << attempt)
 		}
 		code, body, err := fetchOnce(&client, url)
 		if err == nil {

@@ -1,13 +1,17 @@
 // Command duetsim regenerates every table and figure of the Duet paper's
-// evaluation (SIGCOMM 2014) from this repository's implementation.
+// evaluation (SIGCOMM 2014) from this repository's implementation, and runs
+// the model sweeps that go beyond it.
 //
 // Usage:
 //
 //	duetsim -fig 16            # one figure
-//	duetsim -fig all           # everything (several minutes)
+//	duetsim -fig all           # everything (about 12 minutes)
 //	duetsim -fig 20a -epochs 6 # shorter trace
+//	duetsim -fig sweep-delta   # one model sweep
 //
-// Figures: 1a 1b 11 12 13 14 15 16 17 18 19 20a 20b 20c obs nmux
+// Figures: 1a 1b 11 12 13 14 15 16 17 18 19 20a 20b 20c obs nmux, and the
+// model sweeps beyond the paper: sweep-smux sweep-tables sweep-headroom
+// sweep-delta
 //
 // The large-scale simulations run on a fabric whose bisection bandwidth is
 // 0.4× the paper's production DC (16 containers × 40 ToRs vs 40 × 40), so
@@ -21,6 +25,8 @@ import (
 	"fmt"
 	"os"
 	"strings"
+
+	"duet/internal/topology"
 )
 
 type simFlags struct {
@@ -32,6 +38,10 @@ type simFlags struct {
 	trials  int
 	delta   float64
 	verbose bool
+
+	// fabric, when set, replaces the fabric -full selects. No flag sets it:
+	// the smoke test runs every figure on a few dozen switches.
+	fabric *topology.Config
 }
 
 var figures = map[string]struct {
@@ -54,13 +64,19 @@ var figures = map[string]struct {
 	"20c":  {fig20c, "number of SMuxes: No-migration/Sticky/Non-sticky/Ananta"},
 	"obs":  {figObs, "observability plane: watchdogs through failover + overload"},
 	"nmux": {figNMux, "three-tier placement: SMux share vs NIC match-table capacity"},
+
+	"sweep-smux":     {sweepSMux, "SMux capacity sweep: when does software-only become competitive?"},
+	"sweep-tables":   {sweepTables, "switch memory sweep: how much tunneling table does Duet need?"},
+	"sweep-headroom": {sweepHeadroom, "link headroom sweep: the §4 safety margin vs HMux coverage"},
+	"sweep-delta":    {sweepDelta, "sticky threshold δ sweep (paper uses 0.05)"},
 }
 
-var figOrder = []string{"1a", "1b", "11", "12", "13", "14", "15", "16", "17", "18", "19", "20a", "20b", "20c", "obs", "nmux"}
+var figOrder = []string{"1a", "1b", "11", "12", "13", "14", "15", "16", "17", "18", "19", "20a", "20b", "20c", "obs", "nmux",
+	"sweep-smux", "sweep-tables", "sweep-headroom", "sweep-delta"}
 
 func main() {
 	f := &simFlags{}
-	fig := flag.String("fig", "", "figure to regenerate (1a 1b 11 12 13 14 15 16 17 18 19 20a 20b 20c obs nmux, or 'all')")
+	fig := flag.String("fig", "", "figure to regenerate ("+strings.Join(figOrder, " ")+", or 'all')")
 	flag.Int64Var(&f.seed, "seed", 1, "random seed (all experiments are deterministic per seed)")
 	flag.IntVar(&f.vips, "vips", 2000, "number of VIPs in the simulated workload")
 	flag.IntVar(&f.epochs, "epochs", 18, "trace epochs for figure 20 (paper: 18 = 3 hours)")
@@ -74,24 +90,36 @@ func main() {
 	if *fig == "" {
 		fmt.Fprintln(os.Stderr, "usage: duetsim -fig <id>|all")
 		for _, id := range figOrder {
-			fmt.Fprintf(os.Stderr, "  %-4s %s\n", id, figures[id].desc)
+			fmt.Fprintf(os.Stderr, "  %-14s %s\n", id, figures[id].desc)
 		}
 		os.Exit(2)
 	}
-	ids := []string{*fig}
-	if strings.EqualFold(*fig, "all") {
-		ids = figOrder
-	}
-	for _, id := range ids {
-		fg, ok := figures[id]
-		if !ok {
+	for _, id := range figIDs(*fig) {
+		if !runFigure(id, f) {
 			fmt.Fprintf(os.Stderr, "unknown figure %q\n", id)
 			os.Exit(2)
 		}
-		fmt.Printf("──────────────────────────────────────────────────────────\n")
-		fmt.Printf("Figure %s — %s\n", id, fg.desc)
-		fmt.Printf("──────────────────────────────────────────────────────────\n")
-		fg.run(f)
-		fmt.Println()
 	}
+}
+
+// figIDs expands the -fig argument: one id, or every figure in order.
+func figIDs(fig string) []string {
+	if strings.EqualFold(fig, "all") {
+		return figOrder
+	}
+	return []string{fig}
+}
+
+// runFigure prints one figure under its banner; false if id is not registered.
+func runFigure(id string, f *simFlags) bool {
+	fg, ok := figures[id]
+	if !ok {
+		return false
+	}
+	fmt.Printf("──────────────────────────────────────────────────────────\n")
+	fmt.Printf("Figure %s — %s\n", id, fg.desc)
+	fmt.Printf("──────────────────────────────────────────────────────────\n")
+	fg.run(f)
+	fmt.Println()
+	return true
 }

@@ -16,6 +16,9 @@ import (
 // simTopo returns the large-scale simulation fabric: 0.4× the paper's
 // bisection by default, or the full production fabric with -full.
 func simTopo(f *simFlags) *topology.Topology {
+	if f.fabric != nil {
+		return topology.MustNew(*f.fabric)
+	}
 	if f.full {
 		return topology.MustNew(topology.ProductionConfig())
 	}
@@ -198,31 +201,28 @@ func fig19(f *simFlags) {
 	}
 
 	normal := maxUtil()
-	// Single-goroutine accumulation, per metrics.CDF's non-concurrent
-	// contract; parallel drivers must confine a CDF per worker and join
-	// through metrics.MergeSnapshots.
-	var swFail, contFail metrics.CDF
+	var swFail, contFail []float64
 	for trial := 0; trial < f.trials; trial++ {
 		net.ClearFailures()
 		for k := 0; k < 3; k++ {
 			net.FailSwitch(topology.SwitchID(rng.Intn(topo.NumSwitches())))
 		}
-		swFail.Add(maxUtil())
+		swFail = append(swFail, maxUtil())
 
 		net.ClearFailures()
 		net.FailContainer(rng.Intn(topo.Cfg.Containers))
-		contFail.Add(maxUtil())
+		contFail = append(contFail, maxUtil())
 	}
 	net.ClearFailures()
 
 	tw := tabw()
 	fmt.Fprintf(tw, "scenario\tmax link utilization (mean)\tworst trial\n")
 	fmt.Fprintf(tw, "Normal\t%.3f\t%.3f\n", normal, normal)
-	fmt.Fprintf(tw, "3 random switch failures\t%.3f\t%.3f\n", swFail.Mean(), swFail.Quantile(1))
-	fmt.Fprintf(tw, "Container failure\t%.3f\t%.3f\n", contFail.Mean(), contFail.Quantile(1))
+	fmt.Fprintf(tw, "3 random switch failures\t%.3f\t%.3f\n", metrics.Mean(swFail), metrics.Quantile(swFail, 1))
+	fmt.Fprintf(tw, "Container failure\t%.3f\t%.3f\n", metrics.Mean(contFail), metrics.Quantile(contFail, 1))
 	tw.Flush()
 	fmt.Printf("utilization increase vs normal: switches +%.1f%%, container %+.1f%%\n",
-		100*(swFail.Mean()-normal), 100*(contFail.Mean()-normal))
+		100*(metrics.Mean(swFail)-normal), 100*(metrics.Mean(contFail)-normal))
 	fmt.Println("paper: failures raise utilization by no more than ~16%, absorbed by")
 	fmt.Println("       the 20% headroom reserved at assignment time; container failure")
 	fmt.Println("       is often milder than 3 switches (its traffic disappears) (Fig 19).")

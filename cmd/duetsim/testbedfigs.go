@@ -1,11 +1,5 @@
 package main
 
-// Every metrics.CDF in this command is goroutine-confined: duetsim renders
-// figures serially, which is exactly the single-goroutine use the CDF
-// contract requires (its read methods lazily re-sort). Anything that fans
-// work across goroutines must confine one CDF per worker and aggregate with
-// metrics.MergeSnapshots, as the obs fleet aggregator does.
-
 import (
 	"fmt"
 	"math/rand"
@@ -36,15 +30,15 @@ func fig1a(f *simFlags) {
 	w := tabw()
 	fmt.Fprintf(w, "load\tp10\tp50\tp90\tp99\n")
 	for _, l := range loads {
-		var c metrics.CDF
-		for i := 0; i < 20000; i++ {
-			c.Add(m.SampleRTT(rng, l.pps))
+		rtts := make([]float64, 20000)
+		for i := range rtts {
+			rtts[i] = m.SampleRTT(rng, l.pps)
 		}
 		fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%s\n", l.name,
-			metrics.FmtDuration(c.Quantile(0.10)),
-			metrics.FmtDuration(c.Quantile(0.50)),
-			metrics.FmtDuration(c.Quantile(0.90)),
-			metrics.FmtDuration(c.Quantile(0.99)))
+			metrics.FmtDuration(metrics.Quantile(rtts, 0.10)),
+			metrics.FmtDuration(metrics.Quantile(rtts, 0.50)),
+			metrics.FmtDuration(metrics.Quantile(rtts, 0.90)),
+			metrics.FmtDuration(metrics.Quantile(rtts, 0.99)))
 	}
 	w.Flush()
 	fmt.Println("paper: no-load median adds 196µs over the 381µs base RTT; p90 ≈ 1ms;")
@@ -120,10 +114,9 @@ func fig11(f *simFlags) {
 	w := tabw()
 	fmt.Fprintf(w, "phase\twindow\tmedian RTT\tp99 RTT\n")
 	report := func(name string, from, to float64) {
-		var c metrics.CDF
-		c.AddAll(series.Window(from, to))
+		rtts := series.Window(from, to)
 		fmt.Fprintf(w, "%s\t%g-%gs\t%s\t%s\n", name, from, to,
-			metrics.FmtDuration(c.Quantile(0.5)), metrics.FmtDuration(c.Quantile(0.99)))
+			metrics.FmtDuration(metrics.Quantile(rtts, 0.5)), metrics.FmtDuration(metrics.Quantile(rtts, 0.99)))
 	}
 	report("SMux 600k pps", 0, 100)
 	report("SMux 1.2M pps", 100, 200)
@@ -241,33 +234,36 @@ func fig13(f *simFlags) {
 // fig14 prints the migration delay breakdown across repeated migrations.
 func fig14(f *simFlags) {
 	tb := testbed.New(f.seed)
-	var addD, addV, addB, delD, delV, delB metrics.CDF
+	var addD, addV, addB, delD, delV, delB []float64
 	for i := 0; i < 50; i++ {
 		v := tbVIP(i % 200)
 		must(tb.AddVIPToSMuxes(v))
 		at := tb.Now() + 0.1
 		mtA := tb.MigrateToHMux(v.Addr, tb.Topo.TorID(0, 0), at)
-		addD.Add(mtA.DIPsDelay)
-		addV.Add(mtA.VIPDelay)
-		addB.Add(mtA.BGPDelay)
+		addD = append(addD, mtA.DIPsDelay)
+		addV = append(addV, mtA.VIPDelay)
+		addB = append(addB, mtA.BGPDelay)
 		tb.RunUntil(at + 1)
 		mtD := tb.MigrateToSMux(v.Addr, tb.Topo.TorID(0, 0), tb.Now()+0.1)
-		delD.Add(mtD.DIPsDelay)
-		delV.Add(mtD.VIPDelay)
-		delB.Add(mtD.BGPDelay)
+		delD = append(delD, mtD.DIPsDelay)
+		delV = append(delV, mtD.VIPDelay)
+		delB = append(delB, mtD.BGPDelay)
 		tb.RunUntil(tb.Now() + 1)
+	}
+	med := func(samples []float64) float64 {
+		return metrics.Quantile(samples, 0.5)
 	}
 	w := tabw()
 	fmt.Fprintf(w, "operation\tAdd (median)\tDelete (median)\n")
 	fmt.Fprintf(w, "DIP table programming\t%s\t%s\n",
-		metrics.FmtDuration(addD.Quantile(0.5)), metrics.FmtDuration(delD.Quantile(0.5)))
+		metrics.FmtDuration(med(addD)), metrics.FmtDuration(med(delD)))
 	fmt.Fprintf(w, "VIP FIB operation\t%s\t%s\n",
-		metrics.FmtDuration(addV.Quantile(0.5)), metrics.FmtDuration(delV.Quantile(0.5)))
+		metrics.FmtDuration(med(addV)), metrics.FmtDuration(med(delV)))
 	fmt.Fprintf(w, "BGP announce/withdraw\t%s\t%s\n",
-		metrics.FmtDuration(addB.Quantile(0.5)), metrics.FmtDuration(delB.Quantile(0.5)))
+		metrics.FmtDuration(med(addB)), metrics.FmtDuration(med(delB)))
 	fmt.Fprintf(w, "total\t%s\t%s\n",
-		metrics.FmtDuration(addD.Quantile(0.5)+addV.Quantile(0.5)+addB.Quantile(0.5)),
-		metrics.FmtDuration(delD.Quantile(0.5)+delV.Quantile(0.5)+delB.Quantile(0.5)))
+		metrics.FmtDuration(med(addD)+med(addV)+med(addB)),
+		metrics.FmtDuration(med(delD)+med(delV)+med(delB)))
 	w.Flush()
 	fmt.Println("paper: 80-90% of the ~450ms migration delay is the VIP FIB")
 	fmt.Println("       add/remove; DIP updates and BGP are small (Fig 14).")

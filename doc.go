@@ -37,5 +37,7 @@
 //	delivery, _ := cluster.Deliver(somePacketBytes)
 //
 // See examples/ for runnable programs and cmd/duetsim for the harness that
-// regenerates every table and figure of the paper's evaluation.
+// regenerates every table and figure of the paper's evaluation (-fig 1a …
+// 20c) and the model sweeps beyond it (-fig sweep-smux, sweep-tables,
+// sweep-headroom, sweep-delta).
 package duet

@@ -101,11 +101,6 @@ func (p *Pass) HasObjectFact(obj types.Object, fact string) bool {
 	return p.facts.has(p.Analyzer.Name, ObjectKey(obj), fact)
 }
 
-// HasFactFrom reports whether another analyzer exported fact for obj.
-func (p *Pass) HasFactFrom(analyzer string, obj types.Object, fact string) bool {
-	return p.facts.has(analyzer, ObjectKey(obj), fact)
-}
-
 // ObjectKey names an object stably across source and export-data views
 // of the same package: "path.Name" for package-level objects,
 // "path.(Recv).Name" for methods.

@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // ClockPackage is the one package allowed to read the ambient wall
@@ -67,12 +66,4 @@ func runNoClock(pass *Pass) error {
 		})
 	}
 	return nil
-}
-
-// isTestFile reports whether the file's name ends in _test.go. The
-// driver normally excludes test files, but analysistest fixtures and
-// future callers may include them; noclock-style rules don't apply
-// there.
-func isTestFile(filename string) bool {
-	return strings.HasSuffix(filename, "_test.go")
 }

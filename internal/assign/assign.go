@@ -288,13 +288,22 @@ func (p *nmuxPool) admit(v *workload.VIP) bool {
 	return true
 }
 
-// assigner carries the mutable state of one placement round.
+// assigner carries the mutable state of one placement round: the committed
+// fabric state the candidates are scored against, and the result being built.
 type assigner struct {
 	net  *netsim.Network
 	work *workload.Workload
 	ep   int
 	opts Options
 	rng  *rand.Rand
+
+	res  *Assignment
+	st   *deltaState // res's incremental cache, filled as VIPs commit
+	pool nmuxPool
+	// terminated is the §4.1 rule: once one VIP fits no switch, switch
+	// placement stops for the round (unless Options.ContinueOnFail).
+	terminated  bool
+	randomOrder []int // fixed first-fit order of the Random strategy, drawn once
 
 	loads   netsim.Loads
 	memUsed []int
@@ -328,6 +337,40 @@ func newAssigner(net *netsim.Network, work *workload.Workload, epoch int, opts O
 		a.effCap[d] = opts.LinkHeadroom * net.Capacity(netsim.DirLink(d))
 	}
 	return a
+}
+
+// newRound validates the round's inputs and builds its assigner with an
+// empty result — every VIP on the SMux backstop, modes set by policy — plus
+// the order VIPs are placed in. opts must already carry its defaults.
+func newRound(net *netsim.Network, work *workload.Workload, epoch int, opts Options) (*assigner, []int, error) {
+	if epoch < 0 || epoch >= work.NumEpochs() {
+		return nil, nil, fmt.Errorf("assign: epoch %d out of range", epoch)
+	}
+	if opts.Priority != nil && len(opts.Priority) != len(work.VIPs) {
+		return nil, nil, fmt.Errorf("assign: Priority covers %d VIPs, workload has %d", len(opts.Priority), len(work.VIPs))
+	}
+	a := newAssigner(net, work, epoch, opts)
+	a.st = newDeltaState(net, work, epoch)
+	a.pool = newNMuxPool(opts)
+	a.res = &Assignment{
+		SwitchOf: make([]int32, len(work.VIPs)),
+		TierOf:   make([]Tier, len(work.VIPs)), // zero value = TierSMux
+		ModeOf:   make([]steer.Mode, len(work.VIPs)),
+		MemUsed:  a.memUsed,
+	}
+	for i := range a.res.SwitchOf {
+		a.res.SwitchOf[i] = Unassigned
+	}
+	applyModePolicy(a.res, work, epoch, opts)
+	return a, vipOrderPrio(work, epoch, opts.Priority), nil
+}
+
+// finish seals the round's result.
+func (a *assigner) finish() *Assignment {
+	a.res.Loads = a.loads
+	a.res.MRU = a.runMax
+	a.res.delta = a.st
+	return a.res
 }
 
 // rackFrac is one entry of a VIP's per-rack DIP weight vector. The vector is
@@ -522,12 +565,18 @@ func (a *assigner) vecFeasible(vec []netsim.LinkFrac) bool {
 // incremental cache; see delta.go).
 func (a *assigner) commit(v *workload.VIP, rate float64, s topology.SwitchID) []netsim.LinkFrac {
 	vec, _ := a.contribution(v, rate, s)
+	a.commitVec(vec, s, v.NumDIPs())
+	return vec
+}
+
+// commitVec is commit for a contribution vector already in hand: it adds
+// the vector to the link loads and nd DIP entries to switch s's memory.
+func (a *assigner) commitVec(vec []netsim.LinkFrac, s topology.SwitchID, nd int) {
 	a.apply(vec)
-	a.memUsed[s] += v.NumDIPs()
+	a.memUsed[s] += nd
 	if u := float64(a.memUsed[s]) / float64(a.opts.MemCapacity); u > a.runMax {
 		a.runMax = u
 	}
-	return vec
 }
 
 // candidates returns the reduced candidate set of §4.2: the least-loaded ToR
@@ -627,138 +676,122 @@ func ComputeSticky(net *netsim.Network, work *workload.Workload, epoch int, prev
 
 func computeInternal(net *netsim.Network, work *workload.Workload, epoch int, opts Options, prev []int32) (*Assignment, error) {
 	opts = opts.withDefaults()
-	if epoch < 0 || epoch >= work.NumEpochs() {
-		return nil, fmt.Errorf("assign: epoch %d out of range", epoch)
-	}
 	if prev != nil && len(prev) != len(work.VIPs) {
 		return nil, fmt.Errorf("assign: previous assignment covers %d VIPs, workload has %d", len(prev), len(work.VIPs))
 	}
-	a := newAssigner(net, work, epoch, opts)
-	res := &Assignment{
-		SwitchOf: make([]int32, len(work.VIPs)),
-		TierOf:   make([]Tier, len(work.VIPs)), // zero value = TierSMux
-		ModeOf:   make([]steer.Mode, len(work.VIPs)),
-		MemUsed:  a.memUsed,
+	a, order, err := newRound(net, work, epoch, opts)
+	if err != nil {
+		return nil, err
 	}
-	for i := range res.SwitchOf {
-		res.SwitchOf[i] = Unassigned
-	}
-	applyModePolicy(res, work, epoch, opts)
-	st := newDeltaState(net, work, epoch)
-	res.Rescanned = len(work.VIPs)
-	// The NIC tier absorbs VIPs the switch tier rejects — including after
-	// the §4.1 termination, which only stops *switch* placement.
-	pool := newNMuxPool(opts)
-	placeNMux := func(vi int, v *workload.VIP, rate float64) {
-		if !pool.admit(v) {
-			return
-		}
-		res.TierOf[vi] = TierNMux
-		res.NumNMux++
-		res.NMuxRate += rate
-		res.NMuxEntriesUsed = pool.used
-	}
-
-	var prio []float64
-	if opts.Priority != nil {
-		if len(opts.Priority) != len(work.VIPs) {
-			return nil, fmt.Errorf("assign: Priority covers %d VIPs, workload has %d", len(opts.Priority), len(work.VIPs))
-		}
-		prio = opts.Priority
-	}
-	order := vipOrderPrio(work, epoch, prio)
-	terminated := false
-	var randomOrder []int // fixed first-fit order for the Random strategy
+	a.res.Rescanned = len(work.VIPs)
 	for _, vi := range order {
-		v := &work.VIPs[vi]
-		rate := work.Rates[epoch][vi]
-		res.TotalRate += rate
-		if terminated {
-			placeNMux(vi, v, rate)
-			continue
+		a.res.TotalRate += work.Rates[epoch][vi]
+		sticky := Unassigned
+		if prev != nil {
+			sticky = prev[vi]
 		}
-		if v.NumDIPs() > opts.MemCapacity {
-			// Needs TIP indirection on a switch; the NIC table may still
-			// hold it whole (does not terminate the round).
-			placeNMux(vi, v, rate)
-			continue
-		}
-		if res.NumAssigned >= opts.MaxHMuxVIPs {
-			placeNMux(vi, v, rate)
-			continue
-		}
-		a.dipRacks = dipRackWeights(v)
+		a.place(vi, sticky)
+	}
+	return a.finish(), nil
+}
 
-		cands := a.candidates()
-		var bestSwitch topology.SwitchID = -1
-		bestMRU := math.Inf(1)
-		switch opts.Strategy {
-		case Random:
-			// First-feasible over a fixed random order (FFD flavour,
-			// Figure 18's baseline): VIPs pile onto the earliest switches
-			// in the permutation, oblivious to resource utilization.
-			if randomOrder == nil {
-				randomOrder = a.rng.Perm(a.net.Topo.NumSwitches())
-			}
-			for _, si := range randomOrder {
-				s := topology.SwitchID(si)
-				if mru, feasible := a.evaluate(v, rate, s); feasible {
-					bestSwitch, bestMRU = s, mru
-					break
-				}
-			}
-		default:
-			ties := 0
-			for _, s := range cands {
-				mru, feasible := a.evaluate(v, rate, s)
-				if !feasible {
-					continue
-				}
-				switch {
-				case mru < bestMRU-1e-12:
-					bestSwitch, bestMRU = s, mru
-					ties = 1
-				case mru <= bestMRU+1e-12:
-					// Break ties at random (reservoir sampling).
-					ties++
-					if a.rng.Intn(ties) == 0 {
-						bestSwitch = s
-					}
-				}
-			}
-		}
+// place runs one VIP through the switch tier's greedy placement (§4.1) and,
+// when no switch takes it, offers it to the NIC tier. sticky is the VIP's
+// previous switch under the Sticky rule of §4.2, or Unassigned.
+func (a *assigner) place(vi int, sticky int32) {
+	v := &a.work.VIPs[vi]
+	rate := a.work.Rates[a.ep][vi]
+	// The NIC tier absorbs VIPs the switch tier rejects — including after
+	// the §4.1 termination, which only stops *switch* placement, and VIPs
+	// with more DIPs than a tunneling table (those need TIP indirection on a
+	// switch; the NIC table may still hold them whole).
+	if a.terminated || v.NumDIPs() > a.opts.MemCapacity || a.res.NumAssigned >= a.opts.MaxHMuxVIPs {
+		a.placeNMux(vi, v, rate)
+		return
+	}
+	a.dipRacks = dipRackWeights(v)
+	best, bestMRU := a.scan(v, rate)
 
-		// Sticky: prefer the previous placement unless the improvement
-		// exceeds Delta.
-		if prev != nil && prev[vi] != Unassigned {
-			sc := topology.SwitchID(prev[vi])
-			scMRU, scFeasible := a.evaluate(v, rate, sc)
-			if scFeasible && (bestSwitch < 0 || scMRU-bestMRU <= opts.Delta) {
-				bestSwitch, bestMRU = sc, scMRU
-			}
+	// Sticky: prefer the previous placement unless the improvement
+	// exceeds Delta.
+	if sticky != Unassigned {
+		sc := topology.SwitchID(sticky)
+		scMRU, scFeasible := a.evaluate(v, rate, sc)
+		if scFeasible && (best < 0 || scMRU-bestMRU <= a.opts.Delta) {
+			best = sc
 		}
-
-		if bestSwitch < 0 {
-			// Paper §4.1: if no assignment can accommodate the VIP, the
-			// switch round terminates; the rest go to the NIC tier if it
-			// has room, else the SMuxes.
-			if !opts.ContinueOnFail {
-				terminated = true
-			}
-			placeNMux(vi, v, rate)
-			continue
-		}
-		st.contrib[vi] = a.commit(v, rate, bestSwitch)
-		res.SwitchOf[vi] = int32(bestSwitch)
-		res.TierOf[vi] = TierHMux
-		res.NumAssigned++
-		res.AssignedRate += rate
 	}
 
-	res.Loads = a.loads
-	res.MRU = a.runMax
-	res.delta = st
-	return res, nil
+	if best < 0 {
+		if !a.opts.ContinueOnFail {
+			a.terminated = true
+		}
+		a.placeNMux(vi, v, rate)
+		return
+	}
+	a.placeHMux(vi, a.commit(v, rate, best), best, rate)
+}
+
+// scan returns the feasible switch for v under the round's strategy and its
+// score, or -1 when none fits.
+func (a *assigner) scan(v *workload.VIP, rate float64) (best topology.SwitchID, bestMRU float64) {
+	best, bestMRU = -1, math.Inf(1)
+	if a.opts.Strategy == Random {
+		// First-feasible over a fixed random order (FFD flavour, Figure
+		// 18's baseline): VIPs pile onto the earliest switches in the
+		// permutation, oblivious to resource utilization.
+		if a.randomOrder == nil {
+			a.randomOrder = a.rng.Perm(a.net.Topo.NumSwitches())
+		}
+		for _, si := range a.randomOrder {
+			s := topology.SwitchID(si)
+			if mru, feasible := a.evaluate(v, rate, s); feasible {
+				return s, mru
+			}
+		}
+		return best, bestMRU
+	}
+	ties := 0
+	for _, s := range a.candidates() {
+		mru, feasible := a.evaluate(v, rate, s)
+		if !feasible {
+			continue
+		}
+		switch {
+		case mru < bestMRU-1e-12:
+			best, bestMRU = s, mru
+			ties = 1
+		case mru <= bestMRU+1e-12:
+			// Break ties at random (reservoir sampling).
+			ties++
+			if a.rng.Intn(ties) == 0 {
+				best = s
+			}
+		}
+	}
+	return best, bestMRU
+}
+
+// placeHMux records VIP vi on switch s; vec is its applied contribution.
+func (a *assigner) placeHMux(vi int, vec []netsim.LinkFrac, s topology.SwitchID, rate float64) {
+	a.st.contrib[vi] = vec
+	a.res.SwitchOf[vi] = int32(s)
+	a.res.TierOf[vi] = TierHMux
+	a.res.NumAssigned++
+	a.res.AssignedRate += rate
+}
+
+// placeNMux records VIP vi on the NIC tier if the entry budget admits it;
+// otherwise it stays on the SMux backstop. It reports whether it was admitted.
+func (a *assigner) placeNMux(vi int, v *workload.VIP, rate float64) bool {
+	if !a.pool.admit(v) {
+		return false
+	}
+	a.res.TierOf[vi] = TierNMux
+	a.res.NumNMux++
+	a.res.NMuxRate += rate
+	a.res.NMuxEntriesUsed = a.pool.used
+	return true
 }
 
 // applyModePolicy marks hot VIPs for the churn-tolerant SMux consistency

@@ -40,7 +40,6 @@ import (
 	"math"
 
 	"duet/internal/netsim"
-	"duet/internal/steer"
 	"duet/internal/topology"
 	"duet/internal/workload"
 )
@@ -123,17 +122,18 @@ func ComputeDelta(net *netsim.Network, work *workload.Workload, epoch int, prev 
 
 func computeStable(net *netsim.Network, work *workload.Workload, epoch int, base *Assignment, opts Options, useCache bool) (*Assignment, error) {
 	opts = opts.withDefaults()
-	if epoch < 0 || epoch >= work.NumEpochs() {
-		return nil, fmt.Errorf("assign: epoch %d out of range", epoch)
-	}
 	if base == nil {
 		return computeInternal(net, work, epoch, opts, nil)
 	}
 	if len(base.SwitchOf) != len(work.VIPs) || len(base.TierOf) != len(work.VIPs) {
 		return nil, fmt.Errorf("assign: base assignment covers %d VIPs, workload has %d", len(base.SwitchOf), len(work.VIPs))
 	}
+	a, order, err := newRound(net, work, epoch, opts)
+	if err != nil {
+		return nil, err
+	}
+	res, st := a.res, a.st
 
-	st := newDeltaState(net, work, epoch)
 	cache := base.delta
 	// The dirty predicate must not depend on useCache: ComputeFrom and
 	// ComputeDelta have to agree on WHICH VIPs get re-placed, or their
@@ -144,38 +144,6 @@ func computeStable(net *netsim.Network, work *workload.Workload, epoch int, base
 		return dirtyAll || cache.rates[vi] != st.rates[vi] || cache.sigs[vi] != st.sigs[vi]
 	}
 	cacheOK := useCache && !dirtyAll
-
-	a := newAssigner(net, work, epoch, opts)
-	res := &Assignment{
-		SwitchOf: make([]int32, len(work.VIPs)),
-		TierOf:   make([]Tier, len(work.VIPs)), // zero value = TierSMux
-		ModeOf:   make([]steer.Mode, len(work.VIPs)),
-		MemUsed:  a.memUsed,
-	}
-	for i := range res.SwitchOf {
-		res.SwitchOf[i] = Unassigned
-	}
-	applyModePolicy(res, work, epoch, opts)
-
-	pool := newNMuxPool(opts)
-	placeNMux := func(vi int, v *workload.VIP, rate float64) {
-		if !pool.admit(v) {
-			return
-		}
-		res.TierOf[vi] = TierNMux
-		res.NumNMux++
-		res.NMuxRate += rate
-		res.NMuxEntriesUsed = pool.used
-	}
-
-	var prio []float64
-	if opts.Priority != nil {
-		if len(opts.Priority) != len(work.VIPs) {
-			return nil, fmt.Errorf("assign: Priority covers %d VIPs, workload has %d", len(opts.Priority), len(work.VIPs))
-		}
-		prio = opts.Priority
-	}
-	order := vipOrderPrio(work, epoch, prio)
 
 	// Pass 1 — keep feasible homes, heaviest first.
 	pending := make([]int, 0, 64)
@@ -201,16 +169,8 @@ func computeStable(net *netsim.Network, work *workload.Workload, epoch int, base
 					res.Rescanned++
 				}
 				if ok && a.vecFeasible(vec) {
-					a.apply(vec)
-					a.memUsed[s] += nd
-					if u := float64(a.memUsed[s]) / float64(opts.MemCapacity); u > a.runMax {
-						a.runMax = u
-					}
-					st.contrib[vi] = vec
-					res.SwitchOf[vi] = int32(s)
-					res.TierOf[vi] = TierHMux
-					res.NumAssigned++
-					res.AssignedRate += rate
+					a.commitVec(vec, s, nd)
+					a.placeHMux(vi, vec, s, rate)
 					continue
 				}
 			}
@@ -218,14 +178,9 @@ func computeStable(net *netsim.Network, work *workload.Workload, epoch int, base
 		case TierNMux:
 			// Re-admission reprices the (possibly changed) wildcard cost
 			// against the (possibly shrunk) budget.
-			if pool.admit(v) {
-				res.TierOf[vi] = TierNMux
-				res.NumNMux++
-				res.NMuxRate += rate
-				res.NMuxEntriesUsed = pool.used
-				continue
+			if !a.placeNMux(vi, v, rate) {
+				pending = append(pending, vi)
 			}
-			pending = append(pending, vi)
 		default: // TierSMux
 			// A changed backstop VIP gets a fresh shot at the hardware
 			// tiers; clean ones stay put (§4.2 stickiness across tiers —
@@ -238,67 +193,9 @@ func computeStable(net *netsim.Network, work *workload.Workload, epoch int, base
 
 	// Pass 2 — ordinary greedy placement (§4.1 semantics, including the
 	// termination rule) over the evicted/changed leftovers only.
-	terminated := false
-	var randomOrder []int
 	for _, vi := range pending {
-		v := &work.VIPs[vi]
-		rate := st.rates[vi]
 		res.Rescanned++
-		if terminated || v.NumDIPs() > opts.MemCapacity || res.NumAssigned >= opts.MaxHMuxVIPs {
-			placeNMux(vi, v, rate)
-			continue
-		}
-		a.dipRacks = dipRackWeights(v)
-		cands := a.candidates()
-		var bestSwitch topology.SwitchID = -1
-		bestMRU := math.Inf(1)
-		switch opts.Strategy {
-		case Random:
-			if randomOrder == nil {
-				randomOrder = a.rng.Perm(a.net.Topo.NumSwitches())
-			}
-			for _, si := range randomOrder {
-				s := topology.SwitchID(si)
-				if mru, feasible := a.evaluate(v, rate, s); feasible {
-					bestSwitch, bestMRU = s, mru
-					break
-				}
-			}
-		default:
-			ties := 0
-			for _, s := range cands {
-				mru, feasible := a.evaluate(v, rate, s)
-				if !feasible {
-					continue
-				}
-				switch {
-				case mru < bestMRU-1e-12:
-					bestSwitch, bestMRU = s, mru
-					ties = 1
-				case mru <= bestMRU+1e-12:
-					ties++
-					if a.rng.Intn(ties) == 0 {
-						bestSwitch = s
-					}
-				}
-			}
-		}
-		if bestSwitch < 0 {
-			if !opts.ContinueOnFail {
-				terminated = true
-			}
-			placeNMux(vi, v, rate)
-			continue
-		}
-		st.contrib[vi] = a.commit(v, rate, bestSwitch)
-		res.SwitchOf[vi] = int32(bestSwitch)
-		res.TierOf[vi] = TierHMux
-		res.NumAssigned++
-		res.AssignedRate += rate
+		a.place(vi, Unassigned)
 	}
-
-	res.Loads = a.loads
-	res.MRU = a.runMax
-	res.delta = st
-	return res, nil
+	return a.finish(), nil
 }

@@ -52,16 +52,7 @@ func revalidateTiers(net *netsim.Network, work *workload.Workload, epoch int, pl
 	for i := range res.SwitchOf {
 		res.SwitchOf[i] = Unassigned
 	}
-	pool := newNMuxPool(opts)
-	placeNMux := func(vi int, v *workload.VIP, rate float64) {
-		if !pool.admit(v) {
-			return
-		}
-		res.TierOf[vi] = TierNMux
-		res.NumNMux++
-		res.NMuxRate += rate
-		res.NMuxEntriesUsed = pool.used
-	}
+	a.res, a.pool = res, newNMuxPool(opts)
 	for _, vi := range vipOrder(work, epoch) {
 		v := &work.VIPs[vi]
 		rate := work.Rates[epoch][vi]
@@ -71,7 +62,7 @@ func revalidateTiers(net *netsim.Network, work *workload.Workload, epoch int, pl
 			// Not on a switch before; NIC residents re-apply for their
 			// (possibly shrunk) budget, SMux VIPs stay put.
 			if tiers != nil && tiers[vi] == TierNMux {
-				placeNMux(vi, v, rate)
+				a.placeNMux(vi, v, rate)
 			}
 			continue
 		}
@@ -79,7 +70,7 @@ func revalidateTiers(net *netsim.Network, work *workload.Workload, epoch int, pl
 		if _, feasible := a.evaluate(v, rate, topology.SwitchID(s)); !feasible {
 			// Evicted from the switch tier; fall downward.
 			if tiers != nil {
-				placeNMux(vi, v, rate)
+				a.placeNMux(vi, v, rate)
 			}
 			continue
 		}

@@ -179,6 +179,37 @@ func TestAddDIPBouncesThroughSMux(t *testing.T) {
 	}
 }
 
+// TestRemoveDIPLeavesCallersVIPAlone: the cluster edits its own record of a
+// VIP in place, so AddVIP must not share the caller's backend arrays — a
+// removal used to shift the caller's slice to {B,C,C}.
+func TestRemoveDIPLeavesCallersVIPAlone(t *testing.T) {
+	c, _, ct := world(t, 4, 5e10, 7)
+	dip := func(i byte) service.Backend {
+		return service.Backend{Addr: packet.AddrFrom4(100, 9, 0, i), Weight: 1}
+	}
+	v := &service.VIP{
+		Addr:     packet.MustParseAddr("10.9.9.9"),
+		Backends: []service.Backend{dip(1), dip(2), dip(3)},
+		Ports:    []service.PortRule{{Port: 443, Backends: []service.Backend{dip(1), dip(2)}}},
+	}
+	if err := c.AddVIP(v); err != nil {
+		t.Fatal(err)
+	}
+	if err := ct.RemoveDIP(v.Addr, dip(1).Addr); err != nil {
+		t.Fatal(err)
+	}
+	if !service.Equal(v.Backends, []service.Backend{dip(1), dip(2), dip(3)}) {
+		t.Fatalf("caller's Backends rewritten to %v", v.Backends)
+	}
+	stored, _ := c.VIP(v.Addr)
+	if !service.Equal(stored.Backends, []service.Backend{dip(2), dip(3)}) {
+		t.Fatalf("cluster's Backends = %v, want the two survivors", stored.Backends)
+	}
+	if &stored.Ports[0].Backends[0] == &v.Ports[0].Backends[0] {
+		t.Fatal("port rule backends still shared with the caller")
+	}
+}
+
 func TestRemoveDIPInPlace(t *testing.T) {
 	c, w, ct := world(t, 40, 5e10, 5)
 	if _, err := ct.RunEpoch(w, 0); err != nil {

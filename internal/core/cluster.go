@@ -84,12 +84,6 @@ type Config struct {
 	// added to the SMux fleet (zero value: steer.ModeStateful, the
 	// classic conn-table path). Per-VIP overrides go through SetVIPMode.
 	SMuxMode steer.Mode
-	// HopClock is the seconds clock stamping the sampled per-hop latency
-	// histograms (nil: a monotonic wall clock). Distinct from the logical
-	// route clock (Now/AdvanceTime): hop attribution measures real
-	// processing time, but tests inject a virtual source so failover
-	// traces stay deterministic end to end.
-	HopClock func() float64
 }
 
 // DefaultConfig returns a cluster matching the scaled-down default fabric
@@ -161,9 +155,11 @@ type Cluster struct {
 
 	dtel     deliverTelemetry
 	ctel     collectGauges
-	traceSeq atomic.Uint64  // numbers sampled in-process packet journeys
-	hopClock func() float64 // seconds source for sampled hop histograms
-	scratch  sync.Pool      // *scratch, borrowed per Deliver / per batch worker
+	traceSeq atomic.Uint64 // numbers sampled in-process packet journeys
+	// hopClock stamps the sampled per-hop latency histograms with real
+	// processing time (a monotonic wall clock), not the logical route clock.
+	hopClock func() float64
+	scratch  sync.Pool // *scratch, borrowed per Deliver / per batch worker
 }
 
 // deliverTelemetry is Deliver's pre-resolved instrument block. The per-hop
@@ -253,10 +249,7 @@ func New(cfg Config) (*Cluster, error) {
 		switchUp: make([]bool, topo.NumSwitches()),
 		reg:      telemetry.NewRegistry(),
 		rec:      telemetry.NewRecorder(telemetry.DefaultRecorderSize),
-	}
-	c.hopClock = cfg.HopClock
-	if c.hopClock == nil {
-		c.hopClock = clock.Wall()
+		hopClock: clock.Wall(),
 	}
 	c.scratch.New = func() any { return new(scratch) }
 	// One packet in 16 is sampled (see deliver). Reading the clock twice per
@@ -441,7 +434,15 @@ func (c *Cluster) AddVIP(v *service.VIP) error {
 			return err
 		}
 	}
+	// The cluster's record is edited in place later (controller.AddDIP,
+	// RemoveDIP), so it owns its backend arrays instead of sharing the
+	// caller's.
 	cp := *v
+	cp.Backends = append([]service.Backend(nil), v.Backends...)
+	cp.Ports = append([]service.PortRule(nil), v.Ports...)
+	for i := range cp.Ports {
+		cp.Ports[i].Backends = append([]service.Backend(nil), cp.Ports[i].Backends...)
+	}
 	c.vips[v.Addr] = &cp
 	c.tick()
 	c.publishLocked()

@@ -130,9 +130,6 @@ func (t *agentTables) clone() *agentTables {
 	return cp
 }
 
-// HostAddr returns the host's (native) address.
-func (a *Agent) HostAddr() packet.Addr { return a.hostAddr }
-
 // LocalDIPs returns the local DIPs registered for a VIP.
 func (a *Agent) LocalDIPs(vip packet.Addr) []packet.Addr {
 	return a.tab.Load().locals[vip]

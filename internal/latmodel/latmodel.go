@@ -15,7 +15,6 @@ package latmodel
 import (
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // Paper-calibrated constants.
@@ -149,20 +148,3 @@ func (h HMuxModel) SampleRTT(rng *rand.Rand, offeredBps float64) float64 {
 // Cost returns the dollar cost of n SMuxes. HMuxes are free: they are the
 // switches the datacenter already owns (§3.3.2 "Low cost").
 func Cost(nSMux int) float64 { return float64(nSMux) * SMuxCostUSD }
-
-// Percentile returns the p-quantile (0..1) of a sample set. It sorts a copy.
-func Percentile(samples []float64, p float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), samples...)
-	sort.Float64s(s)
-	idx := int(p * float64(len(s)-1))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(s) {
-		idx = len(s) - 1
-	}
-	return s[idx]
-}

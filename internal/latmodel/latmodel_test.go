@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"duet/internal/metrics"
 )
 
 func TestSMuxNoLoadCalibration(t *testing.T) {
@@ -13,8 +15,8 @@ func TestSMuxNoLoadCalibration(t *testing.T) {
 	for i := range samples {
 		samples[i] = m.SampleLatency(rng, 0)
 	}
-	med := Percentile(samples, 0.5)
-	p90 := Percentile(samples, 0.9)
+	med := metrics.Quantile(samples, 0.5)
+	p90 := metrics.Quantile(samples, 0.9)
 	if math.Abs(med-SMuxBaseMedian)/SMuxBaseMedian > 0.05 {
 		t.Fatalf("no-load median = %.0fµs, want ~196µs", med*1e6)
 	}
@@ -106,20 +108,6 @@ func TestCost(t *testing.T) {
 	}
 	if Cost(0) != 0 {
 		t.Fatal("zero SMuxes should be free")
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	s := []float64{5, 1, 4, 2, 3}
-	if Percentile(s, 0) != 1 || Percentile(s, 1) != 5 || Percentile(s, 0.5) != 3 {
-		t.Fatalf("percentiles: %v %v %v", Percentile(s, 0), Percentile(s, 0.5), Percentile(s, 1))
-	}
-	if Percentile(nil, 0.5) != 0 {
-		t.Fatal("empty percentile should be 0")
-	}
-	// Input must not be mutated.
-	if s[0] != 5 {
-		t.Fatal("Percentile mutated its input")
 	}
 }
 

@@ -1,7 +1,9 @@
-// Package metrics provides the small statistics toolkit the experiment
-// harnesses use to report results in the same form as the paper's figures:
-// CDFs (Figures 1a, 15), summary percentiles, and time series (Figures 11,
-// 12, 13, 20).
+// Package metrics is the figure toolkit cmd/duetsim reports with: a quantile
+// and a mean over raw samples (Figures 1a, 11, 14, 19), time-series windows
+// and bins (Figure 11), a terminal sparkline and unit formatters. Bucketed
+// observations — everything a running node measures — are read with
+// telemetry.BucketQuantile instead, and nothing cmd/duetd links imports this
+// package (`make lint` fences it).
 package metrics
 
 import (
@@ -11,198 +13,35 @@ import (
 	"strings"
 )
 
-// CDF is an empirical distribution over float64 samples.
-//
-// CDF is NOT safe for concurrent use: the read-side methods (Quantile,
-// Fraction, Points, Summarize) lazily re-sort the sample buffer via ensure,
-// so even "read-only" calls mutate internal state. A CDF must be confined to
-// one goroutine, or callers must take a Snapshot and share that instead —
-// Snapshot returns an immutable copy that is safe to read from anywhere.
-type CDF struct {
-	sorted []float64
-	dirty  bool
-	data   []float64
-}
-
-// Add appends a sample.
-func (c *CDF) Add(v float64) {
-	c.data = append(c.data, v)
-	c.dirty = true
-}
-
-// AddAll appends many samples.
-func (c *CDF) AddAll(vs []float64) {
-	c.data = append(c.data, vs...)
-	c.dirty = true
-}
-
-// N returns the sample count.
-func (c *CDF) N() int { return len(c.data) }
-
-func (c *CDF) ensure() {
-	if c.dirty || c.sorted == nil {
-		c.sorted = append(c.sorted[:0], c.data...)
-		sort.Float64s(c.sorted)
-		c.dirty = false
-	}
-}
-
-// Quantile returns the p-quantile (p in [0,1]).
-func (c *CDF) Quantile(p float64) float64 {
-	if len(c.data) == 0 {
+// Quantile returns the p-quantile (p in [0,1]) of samples: the element at
+// the rank nearest p·(n−1) in sorted order, NaN when there are none. It
+// sorts a copy, so samples may be in any order and is left untouched.
+func Quantile(samples []float64, p float64) float64 {
+	if len(samples) == 0 {
 		return math.NaN()
 	}
-	c.ensure()
-	idx := int(math.Round(p * float64(len(c.sorted)-1)))
+	sorted := append([]float64(nil), samples...)
+	sort.Float64s(sorted)
+	idx := int(math.Round(p * float64(len(sorted)-1)))
 	if idx < 0 {
 		idx = 0
 	}
-	if idx >= len(c.sorted) {
-		idx = len(c.sorted) - 1
+	if idx >= len(sorted) {
+		idx = len(sorted) - 1
 	}
-	return c.sorted[idx]
+	return sorted[idx]
 }
 
-// Mean returns the sample mean.
-func (c *CDF) Mean() float64 {
-	if len(c.data) == 0 {
+// Mean returns the sample mean, NaN when there are no samples.
+func Mean(samples []float64) float64 {
+	if len(samples) == 0 {
 		return math.NaN()
 	}
 	var sum float64
-	for _, v := range c.data {
+	for _, v := range samples {
 		sum += v
 	}
-	return sum / float64(len(c.data))
-}
-
-// Fraction returns P(X ≤ x).
-func (c *CDF) Fraction(x float64) float64 {
-	if len(c.data) == 0 {
-		return math.NaN()
-	}
-	c.ensure()
-	i := sort.SearchFloat64s(c.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(c.sorted))
-}
-
-// CDFSnapshot is an immutable sorted copy of a CDF taken at one instant.
-// Unlike CDF, its methods never mutate state, so a snapshot may be read
-// concurrently and outlives later Adds to the source CDF.
-type CDFSnapshot struct {
-	sorted []float64
-	sum    float64
-}
-
-// Snapshot copies and sorts the current samples. The receiver is read but
-// not mutated, so concurrent Snapshot calls on a quiescent CDF are safe;
-// taking a snapshot concurrently with Add is not (confine writes as usual).
-func (c *CDF) Snapshot() CDFSnapshot {
-	s := CDFSnapshot{sorted: append([]float64(nil), c.data...)}
-	sort.Float64s(s.sorted)
-	for _, v := range s.sorted {
-		s.sum += v
-	}
-	return s
-}
-
-// N returns the sample count.
-func (s CDFSnapshot) N() int { return len(s.sorted) }
-
-// Quantile returns the p-quantile (p in [0,1]).
-func (s CDFSnapshot) Quantile(p float64) float64 {
-	if len(s.sorted) == 0 {
-		return math.NaN()
-	}
-	idx := int(math.Round(p * float64(len(s.sorted)-1)))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(s.sorted) {
-		idx = len(s.sorted) - 1
-	}
-	return s.sorted[idx]
-}
-
-// Mean returns the sample mean.
-func (s CDFSnapshot) Mean() float64 {
-	if len(s.sorted) == 0 {
-		return math.NaN()
-	}
-	return s.sum / float64(len(s.sorted))
-}
-
-// Fraction returns P(X ≤ x).
-func (s CDFSnapshot) Fraction(x float64) float64 {
-	if len(s.sorted) == 0 {
-		return math.NaN()
-	}
-	i := sort.SearchFloat64s(s.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(s.sorted))
-}
-
-// MergeSnapshots combines several snapshots into one distribution. Merging
-// immutable snapshots is the supported way to aggregate per-worker samples
-// from a parallel driver: each worker confines its own CDF to its goroutine,
-// snapshots it at the join point, and the merged result is again immutable
-// and safe to read from anywhere.
-func MergeSnapshots(snaps ...CDFSnapshot) CDFSnapshot {
-	total := 0
-	for _, s := range snaps {
-		total += len(s.sorted)
-	}
-	if total == 0 {
-		return CDFSnapshot{}
-	}
-	out := CDFSnapshot{sorted: make([]float64, 0, total)}
-	for _, s := range snaps {
-		out.sorted = append(out.sorted, s.sorted...)
-		out.sum += s.sum
-	}
-	sort.Float64s(out.sorted)
-	return out
-}
-
-// Point is one (value, cumulative-probability) pair of a rendered CDF.
-type Point struct {
-	X float64
-	P float64
-}
-
-// Points renders n evenly spaced CDF points (by probability), suitable for
-// plotting a figure's curve.
-func (c *CDF) Points(n int) []Point {
-	if len(c.data) == 0 || n <= 0 {
-		return nil
-	}
-	c.ensure()
-	out := make([]Point, n)
-	for i := 0; i < n; i++ {
-		p := float64(i+1) / float64(n)
-		out[i] = Point{X: c.Quantile(p), P: p}
-	}
-	return out
-}
-
-// Summary is the standard five-number report used in tables.
-type Summary struct {
-	N                  int
-	Mean               float64
-	P50, P90, P99, Max float64
-}
-
-// Summarize computes a Summary.
-func (c *CDF) Summarize() Summary {
-	if len(c.data) == 0 {
-		return Summary{}
-	}
-	return Summary{
-		N:    len(c.data),
-		Mean: c.Mean(),
-		P50:  c.Quantile(0.5),
-		P90:  c.Quantile(0.9),
-		P99:  c.Quantile(0.99),
-		Max:  c.Quantile(1.0),
-	}
+	return sum / float64(len(samples))
 }
 
 // TimeSeries is an append-only (t, value) sequence.
@@ -216,9 +55,6 @@ func (ts *TimeSeries) Add(t, v float64) {
 	ts.T = append(ts.T, t)
 	ts.V = append(ts.V, v)
 }
-
-// Len returns the point count.
-func (ts *TimeSeries) Len() int { return len(ts.T) }
 
 // Window returns the values with t in [from, to).
 func (ts *TimeSeries) Window(from, to float64) []float64 {

@@ -11,10 +11,10 @@ package obs
 //   - stitched cross-process packet journeys (journey.go) — one sampled
 //     packet's ordered HMux→{NMux|SMux}→host timeline with inter-hop wire
 //     latency;
-//   - merged latency CDFs: per-poll histogram bucket deltas from every
-//     node, reconstructed into approximate samples and combined with
-//     metrics.MergeSnapshots, so a fleet-wide p99 exists even though no
-//     single process observed the whole fleet.
+//   - merged latency distributions: every node's per-poll histogram bucket
+//     deltas summed per histogram name and read with the one bucket
+//     estimator (telemetry.BucketQuantile), so a fleet-wide p99 exists even
+//     though no single process observed the whole fleet.
 //
 // The §6 operations story needs exactly this view: "which tier served the
 // traffic", "is any node down", "is one NIC table full while its peers sit
@@ -25,13 +25,13 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"duet/internal/metrics"
 	"duet/internal/telemetry"
 )
 
@@ -49,7 +49,8 @@ type NodeStatus struct {
 	Err string `json:"error,omitempty"`
 }
 
-// CDFSummary is one merged fleet histogram in the /cluster/cdf payload.
+// CDFSummary is one merged fleet histogram in the /cluster/cdf payload: the
+// observations every node made since the previous poll.
 type CDFSummary struct {
 	Name string  `json:"name"`
 	N    int     `json:"n"`
@@ -71,11 +72,6 @@ type AggregatorConfig struct {
 	// MaxJourneys bounds the retained stitched journeys (default 128,
 	// newest kept).
 	MaxJourneys int
-	// MaxCDFSamplesPerPoll bounds the approximate samples reconstructed
-	// from one node's histogram deltas in one poll (default 2048) — the
-	// merged CDFs are estimates, and the cap keeps a traffic burst from
-	// turning the poller into the fleet's biggest allocator.
-	MaxCDFSamplesPerPoll int
 }
 
 // Aggregator polls a fleet and maintains the merged cluster view. PollOnce
@@ -99,9 +95,9 @@ type Aggregator struct {
 	statuses []NodeStatus
 	journeys []Journey
 	merged   []CDFSummary
-	// prevBuckets: target name → histogram name → cumulative bucket counts
-	// at the previous poll, the state behind per-poll bucket deltas.
-	prevBuckets map[string]map[string][]float64
+	// prevHists: target name → histogram name → the histogram as exposed
+	// at the previous poll, the state behind per-poll deltas.
+	prevHists map[string]map[string]*nodeHist
 }
 
 // NewAggregator builds the aggregator and registers its cluster gauges in
@@ -115,9 +111,6 @@ func NewAggregator(cfg AggregatorConfig) *Aggregator {
 	}
 	if cfg.MaxJourneys <= 0 {
 		cfg.MaxJourneys = 128
-	}
-	if cfg.MaxCDFSamplesPerPoll <= 0 {
-		cfg.MaxCDFSamplesPerPoll = 2048
 	}
 	reg := cfg.Pipeline.Registry()
 	a := &Aggregator{
@@ -138,7 +131,7 @@ func NewAggregator(cfg AggregatorConfig) *Aggregator {
 		journeysUp:     reg.Gauge("cluster.journeys"),
 		polls:          reg.Counter("cluster.polls").Shard(),
 		pollErrs:       reg.Counter("cluster.poll.errors").Shard(),
-		prevBuckets:    make(map[string]map[string][]float64),
+		prevHists:      make(map[string]map[string]*nodeHist),
 	}
 	a.nodesTotal.Set(int64(len(cfg.Targets)))
 	return a
@@ -209,12 +202,12 @@ func (a *Aggregator) PollOnce() {
 	var nmuxFracs, overlayFracs []float64
 	var drainsMax float64
 	var events []telemetry.Event
-	cdfs := map[string]*metrics.CDF{}
+	fleet := map[string]*fleetHist{}
 	for _, np := range polls {
 		a.statuses = append(a.statuses, np.status)
 		if !np.status.Up {
 			a.pollErrs.Inc()
-			delete(a.prevBuckets, np.status.Name) // restart resets its counters
+			delete(a.prevHists, np.status.Name) // restart resets its counters
 			continue
 		}
 		up++
@@ -239,7 +232,7 @@ func (a *Aggregator) PollOnce() {
 			drainsMax = d
 		}
 		events = append(events, np.events...)
-		a.mergeHistograms(np, cdfs)
+		a.mergeHistograms(np, fleet)
 	}
 	a.nodesUp.Set(up)
 	a.fleetRx.Set(int64(sums["duet_wire_rx_frames"]))
@@ -265,99 +258,108 @@ func (a *Aggregator) PollOnce() {
 	a.journeysUp.Set(int64(len(js)))
 
 	a.merged = a.merged[:0]
-	for name, c := range cdfs {
-		if c.N() == 0 {
+	for name, f := range fleet {
+		if f.total == 0 {
 			continue
 		}
 		a.merged = append(a.merged, CDFSummary{
-			Name: name, N: c.N(), Mean: c.Mean(),
-			P50: c.Quantile(0.5), P99: c.Quantile(0.99),
+			Name: name, N: int(f.total), Mean: f.sum / float64(f.total),
+			P50: telemetry.BucketQuantile(f.bounds, f.counts, f.total, 0.5),
+			P99: telemetry.BucketQuantile(f.bounds, f.counts, f.total, 0.99),
 		})
 	}
 	sort.Slice(a.merged, func(i, j int) bool { return a.merged[i].Name < a.merged[j].Name })
 }
 
-// mergeHistograms reconstructs approximate samples from one node's
-// histogram bucket deltas since the previous poll (bucket midpoint × delta
-// count — the standard coarse inversion) and adds them to the per-name
-// fleet CDFs. Caller holds a.mu.
-func (a *Aggregator) mergeHistograms(np nodePoll, cdfs map[string]*metrics.CDF) {
-	prev := a.prevBuckets[np.status.Name]
-	if prev == nil {
-		prev = make(map[string][]float64)
-		a.prevBuckets[np.status.Name] = prev
-	}
-	// Gather per-histogram cumulative bucket counts in exposition order
-	// (the renderer emits buckets sorted by bound, +Inf last).
-	type hist struct {
-		bounds []float64
-		counts []float64
-	}
-	hists := map[string]*hist{}
-	for _, s := range np.samples {
-		base, ok := strings.CutSuffix(s.name, "_bucket")
-		if !ok || np.types[base] != "histogram" {
-			continue
-		}
+// nodeHist is one node's histogram as its /metrics exposed it: finite upper
+// bounds, cumulative bucket counts (one more than bounds — the +Inf bucket,
+// which is also the observation count) and the sum of observed values.
+type nodeHist struct {
+	bounds []float64
+	cum    []float64
+	sum    float64
+}
+
+// fleetHist is one histogram name's window across the fleet: per-bucket
+// counts, their total and the value sum, over what each node observed since
+// the previous poll.
+type fleetHist struct {
+	bounds []float64
+	counts []uint64
+	total  uint64
+	sum    float64
+}
+
+// parseHistograms gathers a poll's histograms by exposition name. The
+// renderer emits buckets sorted by bound with +Inf last, so appending in
+// sample order keeps bounds and counts aligned.
+func parseHistograms(np nodePoll) map[string]*nodeHist {
+	hists := map[string]*nodeHist{}
+	get := func(base string) *nodeHist {
 		h := hists[base]
 		if h == nil {
-			h = &hist{}
+			h = &nodeHist{}
 			hists[base] = h
 		}
-		le := s.labels["le"]
-		var bound float64
-		if le == "+Inf" {
-			bound = -1 // sentinel; samples land on the last finite bound
-		} else if b, err := strconv.ParseFloat(le, 64); err == nil {
-			bound = b
-		} else {
+		return h
+	}
+	for _, s := range np.samples {
+		if base, ok := strings.CutSuffix(s.name, "_bucket"); ok && np.types[base] == "histogram" {
+			h := get(base)
+			if le := s.labels["le"]; le != "+Inf" {
+				b, err := strconv.ParseFloat(le, 64)
+				if err != nil {
+					continue
+				}
+				h.bounds = append(h.bounds, b)
+			}
+			h.cum = append(h.cum, s.value)
+		} else if base, ok := strings.CutSuffix(s.name, "_sum"); ok && np.types[base] == "histogram" {
+			get(base).sum = s.value
+		}
+	}
+	return hists
+}
+
+// mergeHistograms adds one node's histogram deltas since the previous poll
+// to the per-name fleet windows. The first node to report a name fixes its
+// bounds; a node whose bounds differ is left out of that name rather than
+// mis-added. Caller holds a.mu.
+func (a *Aggregator) mergeHistograms(np nodePoll, fleet map[string]*fleetHist) {
+	prev := a.prevHists[np.status.Name]
+	if prev == nil {
+		prev = make(map[string]*nodeHist)
+		a.prevHists[np.status.Name] = prev
+	}
+	for name, h := range parseHistograms(np) {
+		n := len(h.cum)
+		if n != len(h.bounds)+1 {
+			continue // no +Inf bucket: not the renderer's triple
+		}
+		old := prev[name]
+		prev[name] = h
+		// First sight, or the count went backwards (a restart between two
+		// successful polls): the window is everything the node has seen.
+		if old == nil || !slices.Equal(old.bounds, h.bounds) || h.cum[n-1] < old.cum[n-1] {
+			old = &nodeHist{cum: make([]float64, n)}
+		}
+		f := fleet[name]
+		if f == nil {
+			f = &fleetHist{bounds: h.bounds, counts: make([]uint64, n)}
+			fleet[name] = f
+		} else if !slices.Equal(f.bounds, h.bounds) {
 			continue
 		}
-		h.bounds = append(h.bounds, bound)
-		h.counts = append(h.counts, s.value)
-	}
-	budget := a.cfg.MaxCDFSamplesPerPoll
-	for name, h := range hists {
-		old := prev[name]
-		deltas := make([]float64, len(h.counts))
-		cum := 0.0
-		for i, c := range h.counts {
-			bucket := c - cum // de-cumulate this poll
-			cum = c
-			deltas[i] = bucket
-		}
-		oldCum := 0.0
-		for i := range deltas {
-			if i < len(old) {
-				deltas[i] -= old[i] - oldCum
-				oldCum = old[i]
+		var below, oldBelow float64
+		for i := range h.cum {
+			d := (h.cum[i] - below) - (old.cum[i] - oldBelow) // de-cumulate both polls
+			below, oldBelow = h.cum[i], old.cum[i]
+			if d > 0 {
+				f.counts[i] += uint64(d)
+				f.total += uint64(d)
 			}
 		}
-		prev[name] = append(old[:0], h.counts...)
-		c := cdfs[name]
-		if c == nil {
-			c = &metrics.CDF{}
-			cdfs[name] = c
-		}
-		lo := 0.0
-		for i, d := range deltas {
-			hi := h.bounds[i]
-			if hi < 0 { // +Inf bucket: pin to the last finite bound
-				hi = lo
-			}
-			mid := (lo + hi) / 2
-			lo = h.bounds[i]
-			n := int(d)
-			if n > budget {
-				n = budget // over budget: the tail is dropped, prev still advances
-			}
-			for k := 0; k < n; k++ {
-				c.Add(mid)
-			}
-			if n > 0 {
-				budget -= n
-			}
-		}
+		f.sum += h.sum - old.sum
 	}
 }
 

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"math"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -123,7 +124,7 @@ func TestAggregatorDownTarget(t *testing.T) {
 
 	agg, p, reg, clk := newObsNode(t, up.target("up", "smux"), deadTarget)
 	p.AddRules(ClusterRules(DefaultSLO())...)
-	agg.prevBuckets["dead"] = map[string][]float64{"duet_x": {1}}
+	agg.prevHists["dead"] = map[string]*nodeHist{"duet_x": {cum: []float64{1}}}
 
 	agg.PollOnce()
 	if got := reg.Gauge("cluster.nodes.up").Value(); got != 1 {
@@ -132,7 +133,7 @@ func TestAggregatorDownTarget(t *testing.T) {
 	if reg.Counter("cluster.poll.errors").Value() == 0 {
 		t.Fatal("poll errors not counted for the dead target")
 	}
-	if agg.prevBuckets["dead"] != nil {
+	if agg.prevHists["dead"] != nil {
 		t.Fatal("down target's histogram state not discarded")
 	}
 	var down NodeStatus
@@ -194,9 +195,9 @@ func TestAggregatorFleetAvailabilityRule(t *testing.T) {
 	}
 }
 
-// TestAggregatorCDFMerge checks the histogram merge: per-poll bucket deltas
-// become midpoint samples, a quiet poll yields no samples, and the per-poll
-// sample budget caps reconstruction without corrupting the delta state.
+// TestAggregatorCDFMerge checks the histogram merge across polls: a window
+// is exactly the observations since the previous poll (N is their count,
+// not the cumulative total), and a quiet poll yields no entry.
 func TestAggregatorCDFMerge(t *testing.T) {
 	n := newFakeNode(t)
 	h := n.reg.Histogram("wire.rtt", []float64{0.001, 0.01})
@@ -225,40 +226,101 @@ func TestAggregatorCDFMerge(t *testing.T) {
 
 	// New samples appear as exactly the delta, not the cumulative total.
 	for i := 0; i < 4; i++ {
-		h.Observe(0.05) // lands in the +Inf bucket, pinned to the last bound
+		h.Observe(0.05) // lands in the +Inf bucket
 	}
 	agg.PollOnce()
 	merged = agg.MergedCDFs()
 	if len(merged) != 1 || merged[0].N != 4 {
 		t.Fatalf("delta poll merged = %+v, want N=4", merged)
 	}
-	if merged[0].Mean != 0.01 {
-		t.Fatalf("+Inf samples pinned to %g, want the last finite bound 0.01", merged[0].Mean)
+	if merged[0].P99 != 0.01 {
+		t.Fatalf("+Inf bucket p99 = %g, want the last finite bound 0.01", merged[0].P99)
+	}
+	if math.Abs(merged[0].Mean-0.05) > 1e-12 {
+		t.Fatalf("mean = %g, want the observed 0.05 (from _sum/_count, not a bucket edge)", merged[0].Mean)
 	}
 }
 
-func TestAggregatorCDFSampleBudget(t *testing.T) {
-	n := newFakeNode(t)
-	h := n.reg.Histogram("wire.rtt", []float64{0.001})
-	for i := 0; i < 100; i++ {
-		h.Observe(0.0005)
+// TestOneBucketEstimator feeds the same observations to the three places a
+// bucketed quantile is read — a histogram snapshot, the scrape pipeline's
+// windowed series, and a fleet poll over two nodes holding unequal shares —
+// and requires identical answers: all three call telemetry.BucketQuantile
+// on the same counts. The merged count and mean are the sums.
+func TestOneBucketEstimator(t *testing.T) {
+	bounds := []float64{0.25, 0.5, 1, 2, 4}
+	ramp := make([]float64, 64)
+	for i := range ramp {
+		ramp[i] = float64(i+1) / 16 // 1/16 .. 4: every sum is exact in binary
 	}
-	reg := telemetry.NewRegistry()
-	clk := &fakeClock{}
-	p := New(Config{Registry: reg, Recorder: telemetry.NewRecorder(64), Windows: 4, Now: clk.now})
-	agg := NewAggregator(AggregatorConfig{
-		Targets: []Target{n.target("n1", "smux")}, Pipeline: p, MaxCDFSamplesPerPoll: 7,
-	})
-	t.Cleanup(agg.client.CloseIdleConnections)
+	cases := []struct {
+		name  string
+		obs   []float64
+		split int // observations [0,split) go to node a, the rest to node b
+	}{
+		{"ramp 5|59", ramp, 5},
+		{"ramp 40|24", ramp, 40},
+		{"one bucket 1|3", []float64{0.75, 0.75, 0.875, 1}, 1},
+		{"overflow 2|1", []float64{0.125, 8, 16}, 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// One histogram sees everything, behind one pipeline tick.
+			reg := telemetry.NewRegistry()
+			h := reg.Histogram("lat", bounds)
+			p := New(Config{Registry: reg, Recorder: telemetry.NewRecorder(64), Windows: 4, Now: (&fakeClock{}).now})
+			// Two nodes split the same observations.
+			a, b := newFakeNode(t), newFakeNode(t)
+			ha, hb := a.reg.Histogram("lat", bounds), b.reg.Histogram("lat", bounds)
+			var sum float64
+			for i, v := range tc.obs {
+				h.Observe(v)
+				sum += v
+				if i < tc.split {
+					ha.Observe(v)
+				} else {
+					hb.Observe(v)
+				}
+			}
+			p.Tick()
+			agg, _, _, _ := newObsNode(t, a.target("a", "smux"), b.target("b", "smux"))
+			agg.PollOnce()
+			merged := agg.MergedCDFs()
+			if len(merged) != 1 || merged[0].Name != "duet_lat" {
+				t.Fatalf("merged = %+v, want one duet_lat entry", merged)
+			}
+			m := merged[0]
 
-	agg.PollOnce()
-	if merged := agg.MergedCDFs(); len(merged) != 1 || merged[0].N != 7 {
-		t.Fatalf("merged = %+v, want the 7-sample budget honored", merged)
+			snap := h.Snapshot()
+			for _, q := range []struct {
+				series string
+				p, got float64
+			}{{"lat.p50", 0.5, m.P50}, {"lat.p99", 0.99, m.P99}} {
+				want := snap.Quantile(q.p)
+				if pts, _ := p.Series(q.series); len(pts) != 1 || pts[0].Value != want {
+					t.Errorf("pipeline %s = %+v, histogram says %v", q.series, pts, want)
+				}
+				if q.got != want {
+					t.Errorf("fleet %s = %v, histogram says %v", q.series, q.got, want)
+				}
+			}
+			if m.N != len(tc.obs) {
+				t.Errorf("merged N = %d, want %d", m.N, len(tc.obs))
+			}
+			if want := sum / float64(len(tc.obs)); m.Mean != want {
+				t.Errorf("merged mean = %v, want %v", m.Mean, want)
+			}
+		})
 	}
-	// The budget must not corrupt the delta state: a quiet poll stays quiet.
+
+	// A node whose bounds for the name differ from the first node's is left
+	// out of that name, not added bucket-by-index.
+	a, b := newFakeNode(t), newFakeNode(t)
+	a.reg.Histogram("lat", bounds).Observe(0.125)
+	b.reg.Histogram("lat", []float64{10, 20, 30, 40, 50}).Observe(45)
+	agg, _, _, _ := newObsNode(t, a.target("a", "smux"), b.target("b", "smux"))
 	agg.PollOnce()
-	if merged := agg.MergedCDFs(); len(merged) != 0 {
-		t.Fatalf("post-budget quiet poll merged = %+v, want none", merged)
+	if merged := agg.MergedCDFs(); len(merged) != 1 || merged[0].N != 1 || merged[0].Mean != 0.125 {
+		t.Fatalf("mismatched bounds merged = %+v, want node a's single observation", merged)
 	}
 }
 

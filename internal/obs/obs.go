@@ -87,7 +87,7 @@ func (s *series) observe(now, dt float64) {
 	case s.gg != nil:
 		v = float64(s.gg.Value())
 	case s.q >= 0:
-		v = s.hist.quantile(s.q)
+		v = telemetry.BucketQuantile(s.hist.snap.Bounds, s.hist.delta, s.hist.total, s.q)
 	default:
 		v = float64(s.hist.snap.Count)
 	}
@@ -136,42 +136,6 @@ func (hs *histState) update() {
 		hs.total += hs.delta[i]
 		hs.prev[i] = c
 	}
-}
-
-// quantile estimates the p-quantile of the current window's distribution by
-// linear interpolation within the winning bucket (same estimator as
-// telemetry.HistogramSnapshot.Quantile, over the delta counts).
-func (hs *histState) quantile(p float64) float64 {
-	if hs.total == 0 {
-		return 0
-	}
-	target := p * float64(hs.total)
-	var cum float64
-	bounds := hs.snap.Bounds
-	for i, c := range hs.delta {
-		prev := cum
-		cum += float64(c)
-		if cum < target || c == 0 {
-			continue
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = bounds[i-1]
-		}
-		if i >= len(bounds) { // +Inf bucket
-			return lo
-		}
-		hi := bounds[i]
-		frac := (target - prev) / float64(c)
-		if frac < 0 {
-			frac = 0
-		}
-		return lo + (hi-lo)*frac
-	}
-	if len(bounds) > 0 {
-		return bounds[len(bounds)-1]
-	}
-	return 0
 }
 
 // Pipeline is the scrape pipeline plus watchdog state. Tick (or the Start

@@ -47,7 +47,7 @@ const DefaultCapacityPPS = 300_000
 // uncorrelated with the low bits the 256-slot group tables consume.
 const connShards = 16
 
-// Defaults for the connection-lifetime knobs (clock seconds).
+// Connection-lifetime constants (clock seconds) and the overlay bound.
 const (
 	// DefaultConnIdle evicts a stateful entry this long after its last
 	// packet. Matches typical LB idle timeouts (minutes, not hours).
@@ -95,28 +95,13 @@ type Config struct {
 	// slightly under MaxConnections when flows hash unevenly.
 	MaxConnections int
 
-	// MaxOverlay bounds the hybrid overlay; 0 means DefaultMaxOverlay.
-	MaxOverlay int
-
-	// Steer, when non-nil, is the shared lookup table this SMux resolves
-	// and mutates — the same instance its paired NIC mux reads. Nil creates
-	// a private table.
-	Steer *steer.Table
-
-	// DefaultMode is the steering mode for VIPs added without one. Only
-	// consulted when Steer is nil (a shared table carries its own default).
+	// DefaultMode is the steering mode for VIPs added without one.
 	DefaultMode steer.Mode
 
 	// DisableConnTracking forces stateless resolution for every packet
 	// regardless of per-VIP mode; no conn-table or overlay writes. Used by
 	// ablation experiments.
 	DisableConnTracking bool
-
-	// ConnIdleSec, FinLingerSec and OverlayTTLSec override the entry
-	// lifetime defaults above; 0 keeps the default.
-	ConnIdleSec   float64
-	FinLingerSec  float64
-	OverlayTTLSec float64
 
 	// Clock supplies the seconds timeline for idle eviction and epoch
 	// drains. Nil means a monotonic wall clock; tests inject virtual time.
@@ -164,14 +149,9 @@ type Mux struct {
 
 	steer *steer.Table
 
-	shards        [connShards]connShard
-	overlays      [connShards]overlayShard
-	perShardMax   int
-	perOverlayMax int
-
-	connIdle   float64
-	finLinger  float64
-	overlayTTL float64
+	shards      [connShards]connShard
+	overlays    [connShards]overlayShard
+	perShardMax int
 
 	clock   func() float64
 	nowBits atomic.Uint64 // coarse clock (float64 bits), refreshed by Tick
@@ -263,46 +243,26 @@ func New(cfg Config) *Mux {
 	if cfg.MaxConnections <= 0 {
 		cfg.MaxConnections = 1 << 20
 	}
-	if cfg.MaxOverlay <= 0 {
-		cfg.MaxOverlay = DefaultMaxOverlay
-	}
 	m := &Mux{cfg: cfg}
 	m.perShardMax = cfg.MaxConnections / connShards
 	if m.perShardMax < 1 {
 		m.perShardMax = 1
 	}
-	m.perOverlayMax = cfg.MaxOverlay / connShards
-	if m.perOverlayMax < 1 {
-		m.perOverlayMax = 1
-	}
-	m.connIdle = defaultIf(cfg.ConnIdleSec, DefaultConnIdle)
-	m.finLinger = defaultIf(cfg.FinLingerSec, DefaultFinLinger)
-	m.overlayTTL = defaultIf(cfg.OverlayTTLSec, DefaultOverlayTTL)
 	m.clock = cfg.Clock
 	if m.clock == nil {
 		m.clock = clock.Wall()
 	}
 	m.nowBits.Store(math.Float64bits(m.clock()))
-	m.steer = cfg.Steer
-	if m.steer == nil {
-		mode := cfg.DefaultMode
-		if cfg.DisableConnTracking {
-			mode = steer.ModeStateless
-		}
-		m.steer = steer.NewTable(steer.Config{DefaultMode: mode, Clock: m.clock})
+	mode := cfg.DefaultMode
+	if cfg.DisableConnTracking {
+		mode = steer.ModeStateless
 	}
+	m.steer = steer.NewTable(steer.Config{DefaultMode: mode, Clock: m.clock})
 	for i := range m.shards {
 		m.shards[i].conns = make(map[packet.FiveTuple]connEntry)
 		m.overlays[i].pins = make(map[packet.FiveTuple]overlayPin)
 	}
 	return m
-}
-
-func defaultIf(v, def float64) float64 {
-	if v <= 0 {
-		return def
-	}
-	return v
 }
 
 // shardFor returns the connection shard index for a flow hash. The top bits
@@ -369,7 +329,7 @@ type ConnStats struct {
 
 // ConnStats returns the current per-flow state occupancy.
 func (m *Mux) ConnStats() ConnStats {
-	st := ConnStats{OverlayCap: m.cfg.MaxOverlay}
+	st := ConnStats{OverlayCap: DefaultMaxOverlay}
 	for i := range m.shards {
 		s := &m.shards[i]
 		s.mu.Lock()
@@ -581,12 +541,12 @@ func (m *Mux) process(data, out []byte, sampled, ask bool) (Result, error) {
 			if isTCP && flags&(packet.TCPFin|packet.TCPRst) != 0 {
 				// Closing flow: shorten the deadline so the slot frees soon
 				// instead of holding table memory for the full idle window.
-				c.expireAt = now + m.finLinger
+				c.expireAt = now + DefaultFinLinger
 				s.conns[tuple] = c
-			} else if c.expireAt < now+m.connIdle/2 {
+			} else if c.expireAt < now+DefaultConnIdle/2 {
 				// Refresh lazily (at most once per half idle window) to keep
 				// the hit path free of per-packet map writes.
-				c.expireAt = now + m.connIdle
+				c.expireAt = now + DefaultConnIdle
 				s.conns[tuple] = c
 			}
 			s.mu.Unlock()
@@ -597,9 +557,9 @@ func (m *Mux) process(data, out []byte, sampled, ask bool) (Result, error) {
 				return Result{}, m.drop(telemetry.DropNoBackend, tuple.Dst, err)
 			}
 			if len(s.conns) < m.perShardMax {
-				ttl := m.connIdle
+				ttl := DefaultConnIdle
 				if isTCP && flags&(packet.TCPFin|packet.TCPRst) != 0 {
-					ttl = m.finLinger
+					ttl = DefaultFinLinger
 				}
 				s.conns[tuple] = connEntry{dip: dip, expireAt: now + ttl}
 				s.order = append(s.order, tuple)
@@ -622,10 +582,10 @@ func (m *Mux) process(data, out []byte, sampled, ask bool) (Result, error) {
 		if p, ok := os.pins[tuple]; ok {
 			dip, pinned = p.dip, true
 			if isTCP && flags&(packet.TCPFin|packet.TCPRst) != 0 {
-				p.expireAt = now + m.finLinger
+				p.expireAt = now + DefaultFinLinger
 				os.pins[tuple] = p
-			} else if p.expireAt < now+m.overlayTTL/2 {
-				p.expireAt = now + m.overlayTTL
+			} else if p.expireAt < now+DefaultOverlayTTL/2 {
+				p.expireAt = now + DefaultOverlayTTL
 				os.pins[tuple] = p
 			}
 			os.mu.Unlock()
@@ -649,8 +609,8 @@ func (m *Mux) process(data, out []byte, sampled, ask bool) (Result, error) {
 						pinDip = dip
 					}
 					os.mu.Lock()
-					if _, dup := os.pins[tuple]; !dup && len(os.pins) < m.perOverlayMax {
-						os.pins[tuple] = overlayPin{dip: pinDip, expireAt: now + m.overlayTTL}
+					if _, dup := os.pins[tuple]; !dup && len(os.pins) < DefaultMaxOverlay/connShards {
+						os.pins[tuple] = overlayPin{dip: pinDip, expireAt: now + DefaultOverlayTTL}
 						os.mu.Unlock()
 						m.tel.overlayPins.Inc()
 						m.tel.overlay.Add(1)

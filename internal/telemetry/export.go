@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"strings"
 )
 
@@ -189,17 +188,4 @@ func (d DropReason) String() string {
 		return "no-wire-route"
 	}
 	return "unknown"
-}
-
-// Quantiles is a convenience for exporters: it renders a histogram line
-// with the given quantile points (e.g. for a top view).
-func (s HistogramSnapshot) Quantiles(ps ...float64) string {
-	var b strings.Builder
-	for i, p := range ps {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "p%g=%.6g", math.Round(p*100), s.Quantile(p))
-	}
-	return b.String()
 }

@@ -266,15 +266,25 @@ func (h *Histogram) SnapshotInto(s *HistogramSnapshot) {
 	s.Count = h.count.Load()
 }
 
-// Quantile estimates the p-quantile (p in [0,1]) by linear interpolation
-// within the winning bucket; the +Inf bucket reports its lower edge.
+// Quantile estimates the p-quantile of everything the histogram has seen.
 func (s HistogramSnapshot) Quantile(p float64) float64 {
-	if s.Count == 0 {
+	return BucketQuantile(s.Bounds, s.Counts, s.Count, p)
+}
+
+// BucketQuantile is the repository's one quantile estimator over bucketed
+// observations: the p-quantile (p in [0,1]) of total observations spread
+// over counts (len(bounds)+1 buckets, the last one +Inf), by linear
+// interpolation within the winning bucket. The +Inf bucket reports its
+// lower edge, the last finite bound. It does not allocate, so the scrape
+// tick calls it on window deltas and the fleet aggregator on counts merged
+// across nodes.
+func BucketQuantile(bounds []float64, counts []uint64, total uint64, p float64) float64 {
+	if total == 0 {
 		return 0
 	}
-	target := p * float64(s.Count)
+	target := p * float64(total)
 	var cum float64
-	for i, c := range s.Counts {
+	for i, c := range counts {
 		prev := cum
 		cum += float64(c)
 		if cum < target || c == 0 {
@@ -282,20 +292,20 @@ func (s HistogramSnapshot) Quantile(p float64) float64 {
 		}
 		lo := 0.0
 		if i > 0 {
-			lo = s.Bounds[i-1]
+			lo = bounds[i-1]
 		}
-		if i >= len(s.Bounds) { // +Inf bucket
+		if i >= len(bounds) { // +Inf bucket
 			return lo
 		}
-		hi := s.Bounds[i]
+		hi := bounds[i]
 		frac := (target - prev) / float64(c)
 		if frac < 0 {
 			frac = 0
 		}
 		return lo + (hi-lo)*frac
 	}
-	if len(s.Bounds) > 0 {
-		return s.Bounds[len(s.Bounds)-1]
+	if len(bounds) > 0 {
+		return bounds[len(bounds)-1]
 	}
 	return 0
 }

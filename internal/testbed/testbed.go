@@ -209,9 +209,6 @@ func (tb *Testbed) SetVIPLoad(vip packet.Addr, pps float64) {
 	tb.vipLoad[vip] = pps
 }
 
-// SetPacketBytes sets the background traffic's packet size.
-func (tb *Testbed) SetPacketBytes(b float64) { tb.pktBytes = b }
-
 // FailSwitch kills a switch at time at: its dataplane stops instantly;
 // neighbors detect the failure and withdraw its routes, converged
 // LatFailDetect+LatBGP later (§5.1, §7.2: <40 ms total).

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"duet/internal/latmodel"
+	"duet/internal/metrics"
 	"duet/internal/packet"
 	"duet/internal/service"
 	"duet/internal/telemetry"
@@ -133,7 +134,7 @@ func TestFigure11HMuxCapacity(t *testing.T) {
 				lat = append(lat, r.RTT)
 			}
 		}
-		return latmodel.Percentile(lat, 0.5)
+		return metrics.Quantile(lat, 0.5)
 	}
 	m1, m2, m3 := med(p1), med(p2), med(p3)
 	t.Logf("median RTT: 600k=%.2fms 1.2M=%.2fms HMux=%.3fms", m1*1e3, m2*1e3, m3*1e3)

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -285,10 +284,9 @@ func (s *ControlServer) Close() {
 	})
 }
 
-// ControlClient is a retrying client for one peer's control server. Calls
-// serialize on an internal lock (control traffic is low-rate); the
-// connection is (re)dialed lazily, and CallRetry keeps retrying through
-// peer restarts with exponential backoff + jitter.
+// ControlClient is a client for one peer's control server. Calls serialize
+// on an internal lock (control traffic is low-rate); the connection is
+// (re)dialed lazily, so the call after a peer restart reconnects.
 type ControlClient struct {
 	addr    string
 	timeout time.Duration
@@ -383,32 +381,6 @@ func (c *ControlClient) dropConnLocked() {
 		_ = c.conn.Close()
 		c.conn = nil
 		c.r = nil
-	}
-}
-
-// CallRetry calls until success or until stop is closed, sleeping the
-// backoff schedule between transport failures. Handler rejections (the peer
-// answered, but said no) are returned immediately — retrying a rejection
-// would loop forever on a semantic error.
-func (c *ControlClient) CallRetry(env *Envelope, bo *Backoff, stop <-chan struct{}) error {
-	if bo == nil {
-		bo = &Backoff{}
-	}
-	for {
-		err := c.Call(env)
-		if err == nil {
-			bo.Reset()
-			return nil
-		}
-		var rej *RejectedError
-		if errors.As(err, &rej) {
-			return err
-		}
-		select {
-		case <-stop:
-			return err
-		case <-time.After(bo.Next()): //duet:allow noclock real reconnect backoff on the wire
-		}
 	}
 }
 

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"errors"
-	"math/rand"
 	"net"
 	"testing"
 	"time"
@@ -120,40 +119,6 @@ func TestDecodeFrameTraceErrors(t *testing.T) {
 	}
 }
 
-// --- backoff -----------------------------------------------------------
-
-func TestBackoffGrowsAndCaps(t *testing.T) {
-	b := &Backoff{Min: 10 * time.Millisecond, Max: 80 * time.Millisecond, Factor: 2, Rand: rand.New(rand.NewSource(1))}
-	// Jitter defaults to 0.2, so each delay lands in [0.8d, 1.2d].
-	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond, 80 * time.Millisecond, 80 * time.Millisecond}
-	for i, w := range want {
-		d := b.Next()
-		lo := time.Duration(float64(w) * 0.8)
-		hi := time.Duration(float64(w) * 1.2)
-		if d < lo || d > hi {
-			t.Fatalf("attempt %d: delay %v outside [%v, %v]", i, d, lo, hi)
-		}
-	}
-	if b.Attempts() != len(want) {
-		t.Fatalf("attempts %d, want %d", b.Attempts(), len(want))
-	}
-	b.Reset()
-	if b.Attempts() != 0 {
-		t.Fatalf("Reset did not rewind")
-	}
-	if d := b.Next(); d > 12*time.Millisecond {
-		t.Fatalf("post-Reset delay %v did not rewind to Min", d)
-	}
-}
-
-func TestBackoffZeroValueUsable(t *testing.T) {
-	var b Backoff
-	d := b.Next()
-	if d < 40*time.Millisecond || d > 60*time.Millisecond {
-		t.Fatalf("zero-value first delay %v outside default window", d)
-	}
-}
-
 // --- control channel ---------------------------------------------------
 
 func TestControlCallAndReject(t *testing.T) {
@@ -197,7 +162,7 @@ func (errUnsupported) Error() string { return "nope" }
 
 // TestControlClientSurvivesRestart is the control-plane half of the Fig-12
 // story: the server dies mid-conversation, restarts on the same port, and
-// CallRetry rides through on the backoff schedule.
+// the next Call redials.
 func TestControlClientSurvivesRestart(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	srv, err := ListenControl("127.0.0.1:0", reg, func(_, _ *Envelope) error { return nil })
@@ -224,37 +189,11 @@ func TestControlClientSurvivesRestart(t *testing.T) {
 		t.Fatalf("restart on %s: %v", addr, err)
 	}
 	defer srv2.Close()
-	bo := &Backoff{Min: 5 * time.Millisecond, Max: 50 * time.Millisecond}
-	stop := make(chan struct{})
-	if err := c.CallRetry(&Envelope{Type: MsgHello}, bo, stop); err != nil {
-		t.Fatalf("CallRetry after restart: %v", err)
+	if err := c.Call(&Envelope{Type: MsgHello}); err != nil {
+		t.Fatalf("Call after restart: %v", err)
 	}
 	if reg.Counter("wire.control.reconnects").Value() < 2 {
 		t.Fatalf("reconnects = %d, want >= 2", reg.Counter("wire.control.reconnects").Value())
-	}
-}
-
-func TestCallRetryReturnsRejectionImmediately(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	srv, err := ListenControl("127.0.0.1:0", reg, func(_, _ *Envelope) error { return errUnsupported{} })
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	c := DialControl(srv.Addr(), reg)
-	defer c.Close()
-	done := make(chan error, 1)
-	go func() {
-		done <- c.CallRetry(&Envelope{Type: MsgHello}, &Backoff{Min: time.Hour}, nil)
-	}()
-	select {
-	case err := <-done:
-		var rej *RejectedError
-		if !errors.As(err, &rej) {
-			t.Fatalf("want RejectedError, got %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("CallRetry retried a semantic rejection")
 	}
 }
 
