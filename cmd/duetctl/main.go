@@ -61,8 +61,20 @@ import (
 
 type console struct {
 	cluster *duet.Cluster
+	ctl     *duet.Controller // see controller
 	out     *bufio.Writer
 	obs     *obs.Pipeline // set once by the REPL serve command
+}
+
+// controller returns the console's one controller, reporting into the
+// cluster's registry and recorder so `top` shows what it did.
+func (c *console) controller() *duet.Controller {
+	if c.ctl == nil {
+		c.ctl = duet.NewController(c.cluster, duet.DefaultAssignOptions())
+		reg, rec := c.cluster.Telemetry()
+		c.ctl.SetTelemetry(reg, rec, c.cluster.Now)
+	}
+	return c.ctl
 }
 
 func main() {
@@ -344,7 +356,7 @@ func (c *console) dip(args []string) {
 	if !ok {
 		return
 	}
-	ctl := duet.NewController(c.cluster, duet.DefaultAssignOptions())
+	ctl := c.controller()
 	switch args[0] {
 	case "add":
 		if err := ctl.AddDIP(vip, duet.Backend{Addr: dip, Weight: 1}); err != nil {
@@ -373,7 +385,7 @@ func (c *console) failRecover(args []string, fail bool) {
 		return
 	}
 	if fail {
-		c.cluster.FailSwitch(sw)
+		c.controller().HandleSwitchFailure(sw)
 		fmt.Fprintf(c.out, "switch %s DOWN; its VIPs fell back to the SMuxes\n", args[0])
 	} else {
 		c.cluster.RecoverSwitch(sw)

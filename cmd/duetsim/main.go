@@ -8,10 +8,13 @@
 //	duetsim -fig all           # everything (about 12 minutes)
 //	duetsim -fig 20a -epochs 6 # shorter trace
 //	duetsim -fig sweep-delta   # one model sweep
+//	duetsim -fig ablation-sharedhash
 //
-// Figures: 1a 1b 11 12 13 14 15 16 17 18 19 20a 20b 20c obs nmux, and the
+// Figures: 1a 1b 11 12 13 14 15 16 17 18 19 20a 20b 20c obs nmux, the
 // model sweeps beyond the paper: sweep-smux sweep-tables sweep-headroom
-// sweep-delta
+// sweep-delta, and the ablations of DESIGN.md's design choices:
+// ablation-sharedhash ablation-candidates ablation-replication
+// ablation-binpacking
 //
 // The large-scale simulations run on a fabric whose bisection bandwidth is
 // 0.4× the paper's production DC (16 containers × 40 ToRs vs 40 × 40), so
@@ -69,10 +72,16 @@ var figures = map[string]struct {
 	"sweep-tables":   {sweepTables, "switch memory sweep: how much tunneling table does Duet need?"},
 	"sweep-headroom": {sweepHeadroom, "link headroom sweep: the §4 safety margin vs HMux coverage"},
 	"sweep-delta":    {sweepDelta, "sticky threshold δ sweep (paper uses 0.05)"},
+
+	"ablation-sharedhash":  {ablationSharedHash, "no shared hash: flows remapped when an HMux fails over to the SMuxes"},
+	"ablation-candidates":  {ablationCandidates, "no §4.2 candidate reduction: the greedy scan over every switch"},
+	"ablation-replication": {ablationReplication, "§9 HMux replication instead of the SMux backstop"},
+	"ablation-binpacking":  {ablationBinPacking, "§9 best-fit packing instead of greedy min-MRU"},
 }
 
 var figOrder = []string{"1a", "1b", "11", "12", "13", "14", "15", "16", "17", "18", "19", "20a", "20b", "20c", "obs", "nmux",
-	"sweep-smux", "sweep-tables", "sweep-headroom", "sweep-delta"}
+	"sweep-smux", "sweep-tables", "sweep-headroom", "sweep-delta",
+	"ablation-sharedhash", "ablation-candidates", "ablation-replication", "ablation-binpacking"}
 
 func main() {
 	f := &simFlags{}
@@ -90,7 +99,7 @@ func main() {
 	if *fig == "" {
 		fmt.Fprintln(os.Stderr, "usage: duetsim -fig <id>|all")
 		for _, id := range figOrder {
-			fmt.Fprintf(os.Stderr, "  %-14s %s\n", id, figures[id].desc)
+			fmt.Fprintf(os.Stderr, "  %-20s %s\n", id, figures[id].desc)
 		}
 		os.Exit(2)
 	}

@@ -27,11 +27,7 @@ func figObs(f *simFlags) {
 		failed := 0
 		for i := 0; i < n; i++ {
 			seq := seed + uint32(i)
-			pkt := packet.BuildTCP(packet.FiveTuple{
-				Src:     packet.AddrFrom4(30, byte(seq>>16), byte(seq>>8), byte(seq)),
-				Dst:     vip,
-				SrcPort: uint16(1024 + seq%50000), DstPort: 80, Proto: packet.ProtoTCP,
-			}, packet.TCPSyn, nil)
+			pkt := packet.BuildTCP(tcpFlow(seq, vip), packet.TCPSyn, nil)
 			if _, err := fl.Cluster.Deliver(pkt); err != nil {
 				failed++
 			}

@@ -2,13 +2,17 @@
 // over the tree: the mechanical enforcement of the dataplane invariants
 // — injectable clocks (noclock), zero-alloc/lock-free hot paths
 // (hotpath), immutable epoch snapshots (snapshot), and constant-name
-// telemetry registration (metriclabel).
+// telemetry registration (metriclabel) — and of the one rule about the
+// module as a whole: every exported func or method under internal/ has a
+// caller that is not a test (reach).
 //
 // Usage:
 //
 //	duetvet [-list] [packages]
 //
-// With no packages it checks ./... . Exit status is 1 when any finding
+// With no packages it checks ./... . Run it from the module root: reach
+// reads the whole module and bench/ whatever packages are named, and
+// reports on the named ones. Exit status is 1 when any finding
 // is reported, so `make lint` and CI fail on a new violation. Findings
 // are suppressed line by line with `//duet:allow <rule> <reason>`; see
 // DESIGN.md "Enforced invariants". The suppressions are counted: the
@@ -46,7 +50,7 @@ func main() {
 		return
 	}
 
-	diags, allows, err := driver.Vet(".", driver.Patterns(flag.Args()), analysis.Suite())
+	diags, allows, err := driver.Vet(".", driver.Patterns(flag.Args()), analysis.Suite(), "bench")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "duetvet: %v\n", err)
 		os.Exit(2)

@@ -18,7 +18,6 @@
 //	internal/assign     the greedy MRU VIP placement + Sticky migration (§4)
 //	internal/controller the Duet controller (§6)
 //	internal/switchagent per-switch programming agent (Figure 9)
-//	internal/healthd    flap-damped DIP health probing
 //	internal/core       the assembled cluster with a byte-accurate datapath
 //	internal/workload   Figure 15-calibrated trace generation
 //	internal/latmodel   Figure 1-calibrated latency/CPU/cost models

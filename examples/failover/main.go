@@ -1,8 +1,10 @@
 // Failover: reproduces the paper's §5.1/§7.2 story end to end. A VIP lives
-// on a hardware mux; the switch dies; traffic falls through to the SMux
-// backstop with every established connection still mapped to its original
-// DIP (shared hash); the controller then re-places the VIP on a healthy
-// switch.
+// on a hardware mux; the switch dies and the controller reacts; traffic falls
+// through to the SMux backstop with every established connection still
+// mapped to its original DIP (shared hash); the VIP is then re-placed on a
+// healthy switch. In the last act a DIP fails: its host agent reports it
+// unhealthy, the controller's health sweep removes it, and only the
+// connections it was serving move.
 package main
 
 import (
@@ -31,6 +33,10 @@ func main() {
 		log.Fatal(err)
 	}
 
+	ctl := duet.NewController(cluster, duet.DefaultAssignOptions())
+	reg, rec := cluster.Telemetry()
+	ctl.SetTelemetry(reg, rec, cluster.Now)
+
 	sw := cluster.Topo.AggID(0, 0)
 	if err := cluster.AssignToHMux(vip, sw); err != nil {
 		log.Fatal(err)
@@ -48,10 +54,12 @@ func main() {
 	}
 	fmt.Printf("established %d connections through the HMux\n", len(before))
 
-	// The switch dies. The fabric withdraws its routes; LPM falls back to
-	// the SMux aggregate — no operator action needed.
-	cluster.FailSwitch(sw)
-	fmt.Printf("\n!! switch %s failed\n", cluster.Topo.Switch(sw).Name)
+	// The switch dies. The controller's §5.1 reaction: the fabric withdraws
+	// the switch's routes, LPM falls back to the SMux aggregate, and the
+	// switch's VIPs count as SMux-hosted until they are placed again.
+	ctl.HandleSwitchFailure(sw)
+	fmt.Printf("\n!! switch %s failed (controller.switch_failures_handled = %d)\n",
+		cluster.Topo.Switch(sw).Name, reg.Counter("controller.switch_failures_handled").Value())
 
 	remapped := 0
 	viaSMux := 0
@@ -93,6 +101,47 @@ func main() {
 		}
 	}
 	fmt.Printf("after re-placement: %d remapped connections (want 0)\n", remapped)
+	if remapped != 0 {
+		log.Fatal("BUG: re-placement moved established connections")
+	}
+
+	// A DIP fails (§5.1 "DIP failure", §6): its host agent reports it
+	// unhealthy and the controller's sweep removes it from the VIP in place.
+	// Resilient hashing moves the dead DIP's connections and no others.
+	dead := duet.MustParseAddr("100.0.0.2")
+	agent, ok := cluster.Agent(dead)
+	if !ok {
+		log.Fatalf("no host agent for %s", dead)
+	}
+	if err := agent.SetHealth(dead, false); err != nil {
+		log.Fatal(err)
+	}
+	removed, err := ctl.HealthSweep()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\n!! DIP %s reported unhealthy; health sweep removed %d DIP(s)\n", dead, len(removed))
+
+	reresolved, moved := 0, 0
+	for i := 0; i < 2000; i++ {
+		d, err := cluster.Deliver(flowPacket(vip, i))
+		if err != nil {
+			log.Fatal(err)
+		}
+		switch {
+		case d.DIP == dead:
+			log.Fatalf("connection %d still delivered to the dead DIP", i)
+		case before[i] == dead:
+			reresolved++
+		case d.DIP != before[i]:
+			moved++
+		}
+	}
+	fmt.Printf("after DIP removal: %d connections of the dead DIP re-resolved, %d others moved (want 0)\n",
+		reresolved, moved)
+	if len(removed) != 1 || reresolved == 0 || moved != 0 {
+		log.Fatal("BUG: DIP failure should move exactly the dead DIP's connections")
+	}
 }
 
 func flowPacket(vip duet.Addr, i int) []byte {

@@ -1,9 +1,12 @@
 // SNAT: reproduces §5.2's stateless outbound-connection trick. Switches
 // cannot keep per-connection NAT state, so the host agent picks the source
 // port for an outbound connection such that the hash of the *inbound
-// response* 5-tuple lands on its own DIP's ECMP entry. The example allocates
-// ports on one host, then builds the actual response packets and pushes them
-// through a real HMux to prove every one is tunneled straight back.
+// response* 5-tuple lands on its own DIP's ECMP entry. The controller owns
+// the VIP's port space and grants the agent a block of it; the example
+// allocates ports from that block, then builds the actual response packets
+// and pushes them through the cluster's HMux to prove every one is tunneled
+// straight back, and finally closes the connections and shows the ports
+// return to the block.
 package main
 
 import (
@@ -11,64 +14,96 @@ import (
 	"log"
 
 	"duet"
-	"duet/internal/hmux"
 	"duet/internal/hostagent"
 	"duet/internal/packet"
-	"duet/internal/service"
 )
 
 func main() {
+	cluster, err := duet.NewCluster(duet.DefaultClusterConfig())
+	if err != nil {
+		log.Fatal(err)
+	}
 	vip := duet.MustParseAddr("10.0.0.1")
-	backends := []service.Backend{
+	backends := []duet.Backend{
 		{Addr: duet.MustParseAddr("100.0.0.1"), Weight: 1},
 		{Addr: duet.MustParseAddr("100.0.0.2"), Weight: 1},
 		{Addr: duet.MustParseAddr("100.0.0.3"), Weight: 1},
 		{Addr: duet.MustParseAddr("100.0.0.4"), Weight: 1},
 	}
-
-	// The switch the VIP is assigned to.
-	hm := hmux.New(hmux.DefaultConfig(duet.MustParseAddr("172.16.0.1")))
-	if err := hm.AddVIP(&service.VIP{Addr: vip, Backends: backends}); err != nil {
+	if err := cluster.AddVIP(&duet.VIP{Addr: vip, Backends: backends}); err != nil {
 		log.Fatal(err)
 	}
+	// The switch the VIP is assigned to.
+	if err := cluster.AssignToHMux(vip, cluster.Topo.AggID(0, 0)); err != nil {
+		log.Fatal(err)
+	}
+	ctl := duet.NewController(cluster, duet.DefaultAssignOptions())
 
-	// Our server is DIP #3. The controller hands its host agent a port
-	// range; the agent shares the HMux's hash function.
+	// Our server is DIP #3. Its host agent shares the HMux's hash function
+	// and asks the controller for a block of the VIP's port space; no other
+	// DIP of the VIP is ever granted the same ports.
 	self := backends[2].Addr
 	snat := hostagent.NewSNAT(vip, self, backends)
-	snat.AssignRange(40000, 48000)
+	reg, rec := cluster.Telemetry()
+	snat.SetTelemetry(reg, rec, uint32(self))
+	lo, hi, err := ctl.AllocateSNATRange(vip, self)
+	if err != nil {
+		log.Fatal(err)
+	}
+	snat.AssignRange(lo, hi)
 
 	remote := duet.MustParseAddr("8.8.8.8")
-	fmt.Printf("DIP %s opening outbound connections to %s via VIP %s\n\n", self, remote, vip)
-	fmt.Println("remote-port  chosen-src-port  response-tunneled-to  ok")
+	fmt.Printf("DIP %s opening outbound connections to %s via VIP %s, ports %d-%d granted by the controller\n\n",
+		self, remote, vip, lo, hi)
+	fmt.Println("remote-port  chosen-src-port  response-delivered-to  ok")
 
+	const conns = 12
+	var ports [conns]uint16
 	good := 0
-	for i := 0; i < 12; i++ {
+	for i := 0; i < conns; i++ {
 		remotePort := uint16(443 + i)
 		port, err := snat.AllocatePort(remote, remotePort, packet.ProtoTCP)
 		if err != nil {
 			log.Fatal(err)
 		}
-		// Build the response packet exactly as it would arrive from the
-		// Internet at the HMux: remote:remotePort → vip:port.
-		resp := duet.BuildTCP(duet.FiveTuple{
-			Src: remote, Dst: vip,
-			SrcPort: remotePort, DstPort: port, Proto: packet.ProtoTCP,
-		}, duet.TCPAck|duet.TCPSyn, nil)
-		res, err := hm.Process(resp, nil)
+		ports[i] = port
+		// The connection leaves as vip:port → remote:remotePort (DSR puts the
+		// VIP in the source); build the response exactly as it would arrive
+		// from the Internet at the HMux, the same tuple reversed.
+		out := duet.FiveTuple{
+			Src: vip, Dst: remote,
+			SrcPort: port, DstPort: remotePort, Proto: packet.ProtoTCP,
+		}
+		resp := duet.BuildTCP(out.Reverse(), duet.TCPAck|duet.TCPSyn, nil)
+		d, err := cluster.Deliver(resp)
 		if err != nil {
 			log.Fatal(err)
 		}
-		ok := res.Encap == self
+		ok := d.DIP == self && d.Hops()[0].Kind == "hmux"
 		if ok {
 			good++
 		}
-		fmt.Printf("%11d  %15d  %20s  %v\n", remotePort, port, res.Encap, ok)
+		fmt.Printf("%11d  %15d  %21s  %v\n", remotePort, port, d.DIP, ok)
 	}
-	fmt.Printf("\n%d/12 responses returned to the right DIP with ZERO state on the switch\n", good)
+	fmt.Printf("\n%d/%d responses returned to the right DIP with ZERO state on the switch\n", good, conns)
 	fmt.Printf("(the agent probed %.1f candidate ports per allocation — ~#DIPs, as expected)\n",
-		float64(snat.Probed())/12)
-	if good != 12 {
+		float64(snat.Probed())/conns)
+	if good != conns {
 		log.Fatal("BUG: hash-consistent SNAT failed")
+	}
+
+	// The connections close: their ports go back to the block, and the next
+	// connection to the first remote port is given the first port again.
+	for _, port := range ports {
+		snat.ReleasePort(port)
+	}
+	again, err := snat.AllocatePort(remote, 443, packet.ProtoTCP)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("connections closed: %d ports released, %d in use after reopening the first (port %d again)\n",
+		conns, snat.Used(), again)
+	if snat.Used() != 1 || again != ports[0] {
+		log.Fatal("BUG: released ports were not returned to the block")
 	}
 }

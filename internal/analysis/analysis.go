@@ -1,7 +1,7 @@
 // Package analysis is a self-contained, stdlib-only miniature of
 // golang.org/x/tools/go/analysis: just enough framework to write
 // repo-specific vet rules (see noclock.go, hotpath.go, snapshot.go,
-// metriclabel.go) and run them over type-checked packages.
+// metriclabel.go, reach.go) and run them over type-checked packages.
 //
 // The x/tools module is deliberately not a dependency — the repo builds
 // offline with the bare toolchain — so the few pieces duetvet needs
@@ -40,6 +40,10 @@ type Analyzer struct {
 	// Run analyzes one package. Packages are presented in dependency
 	// order, so facts exported by a dependency are visible here.
 	Run func(*Pass) error
+	// Finish, when set, runs once after Run has been given every package:
+	// the hook for a rule about the module as a whole (reach). It reports
+	// through the Passes its Run kept, so //duet:allow applies as usual.
+	Finish func()
 }
 
 // A Pass is one (analyzer, package) unit of work.
@@ -264,9 +268,20 @@ func SortDiagnostics(diags []Diagnostic) {
 	})
 }
 
-// Suite returns every duetvet analyzer.
+// Finish runs the analyzers' Finish hooks. The caller invokes it once,
+// after the last RunPackage and before it reads the findings.
+func Finish(analyzers []*Analyzer) {
+	for _, a := range analyzers {
+		if a.Finish != nil {
+			a.Finish()
+		}
+	}
+}
+
+// Suite returns every duetvet analyzer. Reach keeps state between
+// packages, so each call builds a fresh one: a Suite serves one run.
 func Suite() []*Analyzer {
-	return []*Analyzer{NoClock, HotPath, Snapshot, MetricLabel}
+	return []*Analyzer{NoClock, HotPath, Snapshot, MetricLabel, NewReach()}
 }
 
 // calleeOf resolves the *types.Func statically called by a call

@@ -33,8 +33,10 @@ import (
 // Run type-checks the named fixture packages (dependencies first — the
 // same contract the real driver gets from `go list -deps`), runs the
 // analyzers over each with a shared fact store, and compares the
-// diagnostics against the fixtures' want comments.
-func Run(t *testing.T, dir string, analyzers []*analysis.Analyzer, pkgs ...string) {
+// diagnostics against the fixtures' want comments. It returns the number
+// of well-formed //duet:allow directives per rule, as RunPackage counts
+// them.
+func Run(t *testing.T, dir string, analyzers []*analysis.Analyzer, pkgs ...string) map[string]int {
 	t.Helper()
 
 	fset := token.NewFileSet()
@@ -78,14 +80,12 @@ func Run(t *testing.T, dir string, analyzers []*analysis.Analyzer, pkgs ...strin
 		}
 		exports = m
 	}
-	imp := &fixtureImporter{
-		fixtures: make(map[string]*types.Package),
-		std:      driver.ExportImporter(fset, exports),
-	}
+	imp := driver.NewImporter(fset, exports)
 
 	facts := analysis.NewFactStore()
 	inFixtures := func(path string) bool { return fixtureSet[path] }
 	var diags []analysis.Diagnostic
+	allows := make(map[string]int)
 
 	for _, p := range pkgs {
 		files := parsed[p]
@@ -95,11 +95,16 @@ func Run(t *testing.T, dir string, analyzers []*analysis.Analyzer, pkgs ...strin
 		if err != nil {
 			t.Fatalf("fixture %s: typecheck: %v", p, err)
 		}
-		imp.fixtures[p] = pkg
-		if _, err := analysis.RunPackage(analyzers, fset, files, pkg, info, inFixtures, facts, &diags); err != nil {
+		imp.Checked[p] = pkg
+		sites, err := analysis.RunPackage(analyzers, fset, files, pkg, info, inFixtures, facts, &diags)
+		if err != nil {
 			t.Fatalf("fixture %s: %v", p, err)
 		}
+		for rule, n := range sites {
+			allows[rule] += n
+		}
 	}
+	analysis.Finish(analyzers)
 	analysis.SortDiagnostics(diags)
 
 	wants := parseWants(t, fset, parsed)
@@ -109,6 +114,7 @@ func Run(t *testing.T, dir string, analyzers []*analysis.Analyzer, pkgs ...strin
 		}
 	}
 	wants.reportUnmatched(t)
+	return allows
 }
 
 func parseFixture(fset *token.FileSet, dir, pkg string) ([]*ast.File, error) {
@@ -125,18 +131,6 @@ func parseFixture(fset *token.FileSet, dir, pkg string) ([]*ast.File, error) {
 	}
 	sort.Strings(paths)
 	return driver.ParseFiles(fset, paths)
-}
-
-type fixtureImporter struct {
-	fixtures map[string]*types.Package
-	std      types.Importer
-}
-
-func (i *fixtureImporter) Import(path string) (*types.Package, error) {
-	if p, ok := i.fixtures[path]; ok {
-		return p, nil
-	}
-	return i.std.Import(path)
 }
 
 // A want is one expected diagnostic: a pattern at a file:line.

@@ -36,22 +36,83 @@ type listPackage struct {
 	Error      *struct{ Err string }
 }
 
-// Vet runs the analyzers over the packages matched by patterns
-// (resolved in dir) and returns the sorted findings, with the number of
-// //duet:allow directives per rule in the files it checked (`go list`
-// names no test files, so tests are not counted). Packages are
-// type-checked from source in dependency order — the order `go list
-// -deps` emits them — so cross-package facts flow from callees to
-// callers.
-func Vet(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]analysis.Diagnostic, map[string]int, error) {
-	pkgs, err := goList(dir, append([]string{"-deps"}, patterns...))
+// Vet runs the analyzers and returns the sorted findings in the packages
+// matched by patterns (resolved in dir), with the number of //duet:allow
+// directives per rule in those packages' files (`go list` names no test
+// files, so tests are not counted).
+//
+// It always loads the whole module at dir, and after it the module in each
+// referrers directory (bench/: its own module, but a caller of internal/),
+// because a whole-module rule has to see every reference; findings and
+// directive counts of packages outside patterns are dropped. Packages are
+// type-checked from source in dependency order — the order `go list -deps`
+// emits them — and import each other as checked, so cross-package facts
+// flow from callees to callers and a type is one object wherever it is
+// seen.
+func Vet(dir string, patterns []string, analyzers []*analysis.Analyzer, referrers ...string) ([]analysis.Diagnostic, map[string]int, error) {
+	selected, err := goList(dir, patterns)
 	if err != nil {
 		return nil, nil, err
 	}
+	report := make(map[string]bool, len(selected))
+	for _, p := range selected {
+		report[p.ImportPath] = true
+	}
 
-	exports := make(map[string]string)
+	fset := token.NewFileSet()
+	facts := analysis.NewFactStore()
 	module := make(map[string]bool)
-	var targets []*listPackage
+	inModule := func(path string) bool { return module[path] }
+	var diags, dropped []analysis.Diagnostic
+	allows := make(map[string]int)
+
+	for _, moduleDir := range append([]string{dir}, referrers...) {
+		targets, exports, err := listModule(moduleDir, module)
+		if err != nil {
+			return nil, nil, err
+		}
+		imp := NewImporter(fset, exports)
+		for _, p := range targets {
+			files, err := parseDir(fset, p.Dir, p.GoFiles)
+			if err != nil {
+				return nil, nil, fmt.Errorf("%s: %w", p.ImportPath, err)
+			}
+			info := NewInfo()
+			conf := types.Config{Importer: imp}
+			pkg, err := conf.Check(p.ImportPath, fset, files, info)
+			if err != nil {
+				return nil, nil, fmt.Errorf("%s: typecheck: %w", p.ImportPath, err)
+			}
+			imp.Checked[p.ImportPath] = pkg
+			out := &dropped
+			if report[p.ImportPath] {
+				out = &diags
+			}
+			sites, err := analysis.RunPackage(analyzers, fset, files, pkg, info, inModule, facts, out)
+			if err != nil {
+				return nil, nil, err
+			}
+			if report[p.ImportPath] {
+				for rule, n := range sites {
+					allows[rule] += n
+				}
+			}
+		}
+	}
+	analysis.Finish(analyzers)
+	analysis.SortDiagnostics(diags)
+	return diags, allows, nil
+}
+
+// listModule lists the module at dir with its dependencies: the packages to
+// type-check from source, in dependency order, and the export data of
+// everything they import. It marks every non-standard package in module.
+func listModule(dir string, module map[string]bool) (targets []*listPackage, exports map[string]string, err error) {
+	pkgs, err := goList(dir, []string{"-deps", "./..."})
+	if err != nil {
+		return nil, nil, err
+	}
+	exports = make(map[string]string)
 	for _, p := range pkgs {
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
@@ -67,35 +128,7 @@ func Vet(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]analy
 			targets = append(targets, p)
 		}
 	}
-
-	fset := token.NewFileSet()
-	imp := ExportImporter(fset, exports)
-	facts := analysis.NewFactStore()
-	inModule := func(path string) bool { return module[path] }
-	var diags []analysis.Diagnostic
-	allows := make(map[string]int)
-
-	for _, p := range targets {
-		files, err := parseDir(fset, p.Dir, p.GoFiles)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%s: %w", p.ImportPath, err)
-		}
-		info := NewInfo()
-		conf := types.Config{Importer: imp}
-		pkg, err := conf.Check(p.ImportPath, fset, files, info)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%s: typecheck: %w", p.ImportPath, err)
-		}
-		sites, err := analysis.RunPackage(analyzers, fset, files, pkg, info, inModule, facts, &diags)
-		if err != nil {
-			return nil, nil, err
-		}
-		for rule, n := range sites {
-			allows[rule] += n
-		}
-	}
-	analysis.SortDiagnostics(diags)
-	return diags, allows, nil
+	return targets, exports, nil
 }
 
 // goList runs `go list -export -json <args>` in dir and decodes the
@@ -141,16 +174,33 @@ func StdExports(pkgs ...string) (map[string]string, error) {
 	return exports, nil
 }
 
-// ExportImporter returns a types.Importer that resolves import paths
-// through compiler export data files.
-func ExportImporter(fset *token.FileSet, exports map[string]string) types.Importer {
-	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		f, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(f)
-	})
+// An Importer resolves an import path to the package the caller has
+// already type-checked from source under that path (Checked, filled in
+// dependency order), and otherwise through compiler export data.
+type Importer struct {
+	Checked map[string]*types.Package
+	exports types.Importer
+}
+
+// NewImporter returns an Importer over the given export data files.
+func NewImporter(fset *token.FileSet, exports map[string]string) *Importer {
+	return &Importer{
+		Checked: make(map[string]*types.Package),
+		exports: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+			f, ok := exports[path]
+			if !ok {
+				return nil, fmt.Errorf("no export data for %q", path)
+			}
+			return os.Open(f)
+		}),
+	}
+}
+
+func (i *Importer) Import(path string) (*types.Package, error) {
+	if p, ok := i.Checked[path]; ok {
+		return p, nil
+	}
+	return i.exports.Import(path)
 }
 
 // NewInfo returns a types.Info populated with every map the analyzers

@@ -25,10 +25,19 @@ func TestMetricLabelAnalyzer(t *testing.T) {
 	analysistest.Run(t, "testdata", []*analysis.Analyzer{analysis.MetricLabel}, "telemetry", "metriclabel")
 }
 
+// TestReachAnalyzer: user comes second, so the interface lib.T satisfies is
+// declared after lib was analyzed — the rule needs its post-pass.
+func TestReachAnalyzer(t *testing.T) {
+	allows := analysistest.Run(t, "testdata", []*analysis.Analyzer{analysis.NewReach()}, "reach/internal/lib", "reach/user")
+	if allows["reach"] != 1 {
+		t.Errorf("counted %d //duet:allow reach directives, want 1", allows["reach"])
+	}
+}
+
 func TestSuite(t *testing.T) {
 	suite := analysis.Suite()
-	if len(suite) != 4 {
-		t.Fatalf("Suite() has %d analyzers, want 4", len(suite))
+	if len(suite) != 5 {
+		t.Fatalf("Suite() has %d analyzers, want 5", len(suite))
 	}
 	seen := map[string]bool{}
 	for _, a := range suite {

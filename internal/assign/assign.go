@@ -95,8 +95,8 @@ type Options struct {
 	ContinueOnFail bool
 
 	// FullScan disables the container-symmetry candidate reduction of §4.2
-	// and evaluates every live switch for every VIP. Used by the ablation
-	// bench to measure what the reduction buys.
+	// and evaluates every live switch for every VIP: `duetsim -fig
+	// ablation-candidates` measures what the reduction buys.
 	FullScan bool
 
 	// NMuxTableSize enables the NIC match-table tier: each host NIC holds

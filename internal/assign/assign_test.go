@@ -217,7 +217,7 @@ func TestAssignmentAvoidsFailedSwitches(t *testing.T) {
 		if !net.SwitchUp(topology.SwitchID(s)) {
 			t.Fatalf("VIP %d assigned to failed switch %d", vi, s)
 		}
-		if net.Topo.ContainerOf(topology.SwitchID(s)) == 0 {
+		if net.Topo.Switch(topology.SwitchID(s)).Container == 0 {
 			t.Fatalf("VIP %d assigned inside failed container", vi)
 		}
 	}
@@ -249,7 +249,7 @@ func TestSMuxRacksStriping(t *testing.T) {
 	// container hosts exactly 2.
 	perC := make(map[int]int)
 	for _, r := range racks {
-		perC[topo.ContainerOf(topo.Rack(r))]++
+		perC[topo.Switch(topo.Rack(r)).Container]++
 	}
 	for c, n := range perC {
 		if n != 2 {
@@ -321,6 +321,8 @@ func TestFullLoadsFailoverToSMux(t *testing.T) {
 	t.Logf("max util normal=%.3f failed=%.3f", normalMax, failedMax)
 }
 
+// TestShuffledRateAndMovedVIPs keeps its name from when the moved set had
+// its own accessor; the shuffled rate is the sum over exactly that set.
 func TestShuffledRateAndMovedVIPs(t *testing.T) {
 	prev := &Assignment{SwitchOf: []int32{1, 2, Unassigned, 4}}
 	next := &Assignment{SwitchOf: []int32{1, 3, 5, Unassigned}}
@@ -328,11 +330,7 @@ func TestShuffledRateAndMovedVIPs(t *testing.T) {
 	if got := ShuffledRate(prev, next, rates); got != 90 {
 		t.Fatalf("ShuffledRate = %v, want 90", got)
 	}
-	moved := MovedVIPs(prev, next)
-	if len(moved) != 3 || moved[0] != 1 || moved[1] != 2 || moved[2] != 3 {
-		t.Fatalf("MovedVIPs = %v", moved)
-	}
-	if ShuffledRate(nil, next, rates) != 0 || MovedVIPs(prev, nil) != nil {
+	if ShuffledRate(nil, next, rates) != 0 || ShuffledRate(prev, nil, rates) != 0 {
 		t.Fatal("nil handling wrong")
 	}
 }

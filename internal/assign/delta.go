@@ -3,13 +3,13 @@
 // every 10-minute traffic epoch (§5), but between consecutive epochs only a
 // small fraction of VIPs change rate or DIP set — recomputing the greedy
 // placement from scratch is O(VIPs × candidates) of wasted work. ComputeDelta
-// re-prices only the VIPs whose inputs changed; ComputeFrom is the same
+// re-prices only the VIPs whose inputs changed; computeFrom is the same
 // algorithm with every per-VIP computation redone from scratch, and the two
 // are equal by construction (property-tested in delta_test.go):
 //
 //   - Both run the identical two-pass "stable" placement below over the
 //     identical dirty set; the ONLY difference is that ComputeDelta reuses
-//     cached contribution vectors for clean VIPs while ComputeFrom rebuilds
+//     cached contribution vectors for clean VIPs while computeFrom rebuilds
 //     them from the unit-flow caches.
 //   - A contribution vector is a deterministic function of (rate, DIP rack
 //     vector, network failure epoch) — see assigner.contribution — so the
@@ -95,27 +95,26 @@ func vipSig(v *workload.VIP) uint64 {
 	return h
 }
 
-// ComputeFrom runs the stable placement from scratch: every VIP's flow
+// computeFrom runs the stable placement from scratch: every VIP's flow
 // vectors are rebuilt, but previous feasible homes are kept (pass 1) and
 // only changed/evicted VIPs are greedily re-placed (pass 2). It is the
-// recovery-path twin of ComputeDelta — same decisions, no reliance on the
-// cache — and works even when base carries no incremental state (e.g. an
-// assignment replayed from a snapshot). A nil base degenerates to Compute.
-func ComputeFrom(net *netsim.Network, work *workload.Workload, epoch int, base *Assignment, opts Options) (*Assignment, error) {
+// reference ComputeDelta is property-tested against — same decisions, no
+// reliance on the cache. A nil base degenerates to Compute.
+func computeFrom(net *netsim.Network, work *workload.Workload, epoch int, base *Assignment, opts Options) (*Assignment, error) {
 	return computeStable(net, work, epoch, base, opts, false)
 }
 
 // ComputeDelta is the incremental per-epoch recompute: starting from prev it
 // re-places only the VIPs whose load, DIP set, or feasibility changed,
 // reusing prev's cached contribution vectors for everything else. The result
-// equals ComputeFrom(prev) bit for bit (see the package comment for why, and
+// equals computeFrom(prev) bit for bit (see the package comment for why, and
 // delta_test.go for the property test), at O(changed VIPs) candidate-scan
 // cost instead of O(VIPs).
 //
 // prev must come from a compute path over the same workload and the same
 // netsim.Network; if it carries no usable cache (nil, Revalidate output, or
 // the network failure epoch moved) every VIP is treated as changed and the
-// call costs the same as ComputeFrom.
+// call costs the same as computeFrom.
 func ComputeDelta(net *netsim.Network, work *workload.Workload, epoch int, prev *Assignment, opts Options) (*Assignment, error) {
 	return computeStable(net, work, epoch, prev, opts, true)
 }
@@ -135,7 +134,7 @@ func computeStable(net *netsim.Network, work *workload.Workload, epoch int, base
 	res, st := a.res, a.st
 
 	cache := base.delta
-	// The dirty predicate must not depend on useCache: ComputeFrom and
+	// The dirty predicate must not depend on useCache: computeFrom and
 	// ComputeDelta have to agree on WHICH VIPs get re-placed, or their
 	// pass-2 sets (and rng draws) would diverge. useCache only decides
 	// whether a clean VIP's contribution vector is reused or rebuilt.

@@ -105,7 +105,7 @@ func TestComputeDeltaEqualsComputeFrom(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			slow, err := ComputeFrom(net, w, e, prev, opts)
+			slow, err := computeFrom(net, w, e, prev, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,10 +114,10 @@ func TestComputeDeltaEqualsComputeFrom(t *testing.T) {
 				if fast.Rescanned >= len(w.VIPs)/2 {
 					t.Fatalf("epoch %d: rescanned %d of %d VIPs under 2%% churn", e, fast.Rescanned, len(w.VIPs))
 				}
-				// ComputeFrom rebuilds every placed VIP's vectors (only
+				// computeFrom rebuilds every placed VIP's vectors (only
 				// clean backstop/NIC keeps skip the re-price).
 				if slow.Rescanned < slow.NumAssigned {
-					t.Fatalf("epoch %d: ComputeFrom rescanned %d < %d placed", e, slow.Rescanned, slow.NumAssigned)
+					t.Fatalf("epoch %d: computeFrom rescanned %d < %d placed", e, slow.Rescanned, slow.NumAssigned)
 				}
 			}
 			prev = fast
@@ -173,7 +173,7 @@ func TestComputeDeltaStable(t *testing.T) {
 
 // TestComputeFromWithoutCache: an assignment stripped of its incremental
 // state (a follower replaying placements from a snapshot) still works as a
-// ComputeFrom base — everything is treated as changed, homes are kept.
+// computeFrom base — everything is treated as changed, homes are kept.
 func TestComputeFromWithoutCache(t *testing.T) {
 	net, w := smallWorld(t, 200, 2e11, 9)
 	copy(w.Rates[1], w.Rates[0])
@@ -184,7 +184,7 @@ func TestComputeFromWithoutCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	bare := &Assignment{SwitchOf: prev.SwitchOf, TierOf: prev.TierOf} // no delta cache
-	next, err := ComputeFrom(net, w, 1, bare, opts)
+	next, err := computeFrom(net, w, 1, bare, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,17 +94,3 @@ func ShuffledRate(prev, next *Assignment, rates []float64) float64 {
 	}
 	return sum
 }
-
-// MovedVIPs returns the indices of VIPs whose placement changed.
-func MovedVIPs(prev, next *Assignment) []int {
-	if prev == nil || next == nil {
-		return nil
-	}
-	var out []int
-	for vi := range next.SwitchOf {
-		if prev.SwitchOf[vi] != next.SwitchOf[vi] {
-			out = append(out, vi)
-		}
-	}
-	return out
-}

@@ -17,16 +17,16 @@ func Revalidate(net *netsim.Network, work *workload.Workload, epoch int, placeme
 	return revalidateTiers(net, work, epoch, placement, nil, opts)
 }
 
-// RevalidateAssignment is the three-tier variant of Revalidate: it re-admits
+// revalidateAssignment is the three-tier variant of Revalidate: it re-admits
 // a full prior Assignment (both its HMux homes and its NIC-tier residents)
 // under possibly changed capacities. A tier that lost capacity mid-epoch —
 // a shrunk MemCapacity or NMuxTableSize — evicts its overflow downward in
 // decreasing-rate order: HMux VIPs that no longer fit fall to the NIC tier
 // if it has room, NIC VIPs that no longer fit fall to the SMuxes, and no
 // re-admission violates link headroom or the NIC headroom budget.
-func RevalidateAssignment(net *netsim.Network, work *workload.Workload, epoch int, prev *Assignment, opts Options) (*Assignment, error) {
+func revalidateAssignment(net *netsim.Network, work *workload.Workload, epoch int, prev *Assignment, opts Options) (*Assignment, error) {
 	if prev == nil {
-		return nil, fmt.Errorf("assign: RevalidateAssignment needs a previous assignment")
+		return nil, fmt.Errorf("assign: revalidateAssignment needs a previous assignment")
 	}
 	return revalidateTiers(net, work, epoch, prev.SwitchOf, prev.TierOf, opts)
 }

@@ -132,7 +132,7 @@ func TestRevalidateAssignmentNMuxShrink(t *testing.T) {
 	// evict the overflow to the SMuxes without violating the new budget.
 	shrunk := opts
 	shrunk.NMuxTableSize = 512
-	re, err := RevalidateAssignment(net, w, 0, prev, shrunk)
+	re, err := revalidateAssignment(net, w, 0, prev, shrunk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestRevalidateAssignmentHMuxShrinkFallsToNMux(t *testing.T) {
 	// SMuxes, and the surviving placement must respect the new capacity.
 	shrunk := opts
 	shrunk.MemCapacity = 40
-	re, err := RevalidateAssignment(net, w, 0, prev, shrunk)
+	re, err := revalidateAssignment(net, w, 0, prev, shrunk)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,11 +12,10 @@
 //
 // Concurrency: the table is a persistent binary trie. Mutators (Announce,
 // Withdraw, WithdrawAll) serialize on an internal lock and path-copy only the
-// nodes they touch, then publish the new root through an atomic pointer with
-// a bumped epoch. Readers (Lookup, Pick, Routes) load the root once and walk
-// an immutable structure, so any number of dataplane goroutines can resolve
-// routes concurrently with control-plane churn and never observe a torn or
-// partially applied update.
+// nodes they touch, then publish the new root through an atomic pointer.
+// Readers (Lookup, Pick) load the root once and walk an immutable structure,
+// so any number of dataplane goroutines can resolve routes concurrently with
+// control-plane churn and never observe a torn or partially applied update.
 package bgp
 
 import (
@@ -89,9 +88,8 @@ func (n *trieNode) hasActive(now float64) bool {
 // converged view of the whole fabric. Reads are lock-free; writes serialize
 // on an internal mutex and publish copy-on-write snapshots.
 type Table struct {
-	mu    sync.Mutex // serializes mutators
-	root  atomic.Pointer[trieNode]
-	epoch atomic.Uint64 // bumped on every published mutation
+	mu   sync.Mutex // serializes mutators
+	root atomic.Pointer[trieNode]
 
 	telAnnounces telemetry.CounterShard
 	telWithdraws telemetry.CounterShard
@@ -115,28 +113,20 @@ func (t *Table) SetTelemetry(reg *telemetry.Registry, rec *telemetry.Recorder) {
 	t.telRec = rec
 }
 
-// Epoch returns the number of published mutations. Two equal epochs from the
-// same table bracket an unchanged routing view.
-func (t *Table) Epoch() uint64 { return t.epoch.Load() }
-
 // Snapshot is an immutable view of the table at one instant. It is a small
 // value (copying it does not copy the trie) and all its methods are safe for
 // concurrent use; later mutations of the source table are never visible
 // through it.
 type Snapshot struct {
-	root  *trieNode
-	epoch uint64
+	root *trieNode
 }
 
 // Snapshot captures the current routing view.
 //
 //duet:hotpath
 func (t *Table) Snapshot() Snapshot {
-	return Snapshot{root: t.root.Load(), epoch: t.epoch.Load()}
+	return Snapshot{root: t.root.Load()}
 }
-
-// Epoch returns the table epoch the snapshot was taken at.
-func (s Snapshot) Epoch() uint64 { return s.epoch }
 
 // mutate path-copies the root→prefix chain, applies fn to the (cloned)
 // terminal node, and publishes the new root. Must be called with t.mu held.
@@ -163,7 +153,6 @@ func (t *Table) mutate(p packet.Prefix, create bool, fn func(n *trieNode) bool) 
 		return false
 	}
 	t.root.Store(newRoot)
-	t.epoch.Add(1)
 	return true
 }
 
@@ -332,66 +321,5 @@ func (t *Table) WithdrawAll(nh NodeID, effectiveAt float64) {
 	newRoot := walk(old, 0, 0)
 	if newRoot != old {
 		t.root.Store(newRoot)
-		t.epoch.Add(1)
 	}
-}
-
-// Routes returns all (prefix, nexthop) pairs active at time now, mainly for
-// diagnostics and tests. Output is sorted by prefix then nexthop.
-func (t *Table) Routes(now float64) []Route {
-	return t.Snapshot().Routes(now)
-}
-
-// Routes lists the snapshot's active routes (see Table.Routes).
-func (s Snapshot) Routes(now float64) []Route {
-	var out []Route
-	var walk func(n *trieNode, addr uint32, bits int)
-	walk = func(n *trieNode, addr uint32, bits int) {
-		if n == nil {
-			return
-		}
-		for _, e := range n.routes {
-			if e.active(now) {
-				out = append(out, Route{
-					Prefix:  packet.PrefixFrom(packet.Addr(addr), bits),
-					NextHop: e.nh,
-				})
-			}
-		}
-		if bits < 32 {
-			walk(n.children[0], addr, bits+1)
-			walk(n.children[1], addr|1<<(31-bits), bits+1)
-		}
-	}
-	walk(s.root, 0, 0)
-	// The trie walk visits prefixes in address order and each node's routes
-	// are sorted by NodeID, but shorter prefixes of the same address come
-	// first; match the documented (addr, bits, nh) order explicitly.
-	sortRoutes(out)
-	return out
-}
-
-func sortRoutes(out []Route) {
-	// Insertion sort: route dumps are small and nearly sorted already.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && routeLess(out[j], out[j-1]); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-}
-
-func routeLess(a, b Route) bool {
-	if a.Prefix.Addr != b.Prefix.Addr {
-		return a.Prefix.Addr < b.Prefix.Addr
-	}
-	if a.Prefix.Bits != b.Prefix.Bits {
-		return a.Prefix.Bits < b.Prefix.Bits
-	}
-	return a.NextHop < b.NextHop
-}
-
-// Route is one active (prefix, nexthop) pair.
-type Route struct {
-	Prefix  packet.Prefix
-	NextHop NodeID
 }

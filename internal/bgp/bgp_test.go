@@ -164,25 +164,6 @@ func TestIntermediatePrefixLengths(t *testing.T) {
 	}
 }
 
-func TestRoutesSnapshot(t *testing.T) {
-	tb := NewTable()
-	tb.Announce(vipAgg, smux1, 0)
-	tb.Announce(vipHost, hmux1, 0)
-	tb.Announce(vipHost, hmux2, 5.0) // not yet visible at t=1
-
-	rs := tb.Routes(1.0)
-	if len(rs) != 2 {
-		t.Fatalf("routes = %v", rs)
-	}
-	if rs[0].Prefix.Bits != 16 || rs[1].Prefix.Bits != 32 {
-		t.Fatalf("route ordering wrong: %v", rs)
-	}
-	rs = tb.Routes(6.0)
-	if len(rs) != 3 {
-		t.Fatalf("routes at t=6: %v", rs)
-	}
-}
-
 func TestWithdrawAllOnlyTouchesTarget(t *testing.T) {
 	tb := NewTable()
 	tb.Announce(vipHost, hmux1, 0)

@@ -56,7 +56,7 @@ func (r *refTable) lookup(addr packet.Addr, now float64) ([]NodeID, bool) {
 	bestBits := -1
 	var nhs []NodeID
 	for _, rt := range r.routes {
-		if !(now >= rt.visibleAt && now < rt.withdrawnAt) || !rt.p.Contains(addr) {
+		if !(now >= rt.visibleAt && now < rt.withdrawnAt) || addr&packet.Mask(rt.p.Bits) != rt.p.Addr {
 			continue
 		}
 		if rt.p.Bits > bestBits {

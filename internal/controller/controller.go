@@ -11,7 +11,6 @@ import (
 
 	"duet/internal/assign"
 	"duet/internal/core"
-	"duet/internal/healthd"
 	"duet/internal/packet"
 	"duet/internal/service"
 	"duet/internal/telemetry"
@@ -27,11 +26,6 @@ type Controller struct {
 	prev    *assign.Assignment
 	indexOf map[packet.Addr]int // VIP addr → workload index
 	snat    *SNATRanges         // §5.2 SNAT port-range allocator
-
-	// health integration (health.go)
-	prober   *healthd.Prober
-	vipOfDIP map[packet.Addr]packet.Addr
-	benched  map[packet.Addr]service.Backend
 
 	tel ctlTelemetry
 }
@@ -366,6 +360,7 @@ func (ct *Controller) HealthSweep() ([][2]packet.Addr, error) {
 				return removed, err
 			}
 			ct.tel.healthRemovals.Inc()
+			ct.record(telemetry.KindHealthTransition, 0, uint32(b.Addr), 0, 0)
 			removed = append(removed, [2]packet.Addr{vipAddr, b.Addr})
 		}
 	}

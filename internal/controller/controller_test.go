@@ -1,12 +1,12 @@
 package controller
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
 	"duet/internal/assign"
 	"duet/internal/core"
-	"duet/internal/healthd"
 	"duet/internal/packet"
 	"duet/internal/service"
 	"duet/internal/steer"
@@ -198,11 +198,11 @@ func TestRemoveDIPLeavesCallersVIPAlone(t *testing.T) {
 	if err := ct.RemoveDIP(v.Addr, dip(1).Addr); err != nil {
 		t.Fatal(err)
 	}
-	if !service.Equal(v.Backends, []service.Backend{dip(1), dip(2), dip(3)}) {
+	if !slices.Equal(v.Backends, []service.Backend{dip(1), dip(2), dip(3)}) {
 		t.Fatalf("caller's Backends rewritten to %v", v.Backends)
 	}
 	stored, _ := c.VIP(v.Addr)
-	if !service.Equal(stored.Backends, []service.Backend{dip(2), dip(3)}) {
+	if !slices.Equal(stored.Backends, []service.Backend{dip(2), dip(3)}) {
 		t.Fatalf("cluster's Backends = %v, want the two survivors", stored.Backends)
 	}
 	if &stored.Ports[0].Backends[0] == &v.Ports[0].Backends[0] {
@@ -337,100 +337,6 @@ func TestAddDIPUnknownVIP(t *testing.T) {
 	}
 }
 
-// TestHealthProberIntegration drives the full §5.1 DIP-failure loop with
-// flap damping: probe failures bench the DIP; recovery restores it through
-// the SMux-bounce DIP-addition path.
-func TestHealthProberIntegration(t *testing.T) {
-	c, w, ct := world(t, 20, 2e10, 40)
-	if _, err := ct.RunEpoch(w, 0); err != nil {
-		t.Fatal(err)
-	}
-	var vip packet.Addr
-	for _, a := range c.VIPs() {
-		v, _ := c.VIP(a)
-		if len(v.Backends) >= 3 {
-			vip = a
-			break
-		}
-	}
-	if vip.IsZero() {
-		t.Skip("no VIP with ≥3 backends")
-	}
-	v, _ := c.VIP(vip)
-	sick := v.Backends[0].Addr
-	nBefore := len(v.Backends)
-
-	healthState := map[packet.Addr]bool{}
-	probe := func(d packet.Addr) bool {
-		up, ok := healthState[d]
-		return !ok || up
-	}
-	p := ct.AttachHealthProber(healthd.Config{Interval: 1, DownAfter: 3, UpAfter: 2}, probe, 0)
-
-	// One bad probe: damped, nothing happens.
-	healthState[sick] = false
-	p.Tick(0)
-	if got, _ := c.VIP(vip); len(got.Backends) != nBefore {
-		t.Fatal("single failure benched the DIP")
-	}
-	// Two more: benched.
-	p.Tick(1)
-	p.Tick(2)
-	if got, _ := c.VIP(vip); len(got.Backends) != nBefore-1 {
-		t.Fatalf("DIP not benched after damping: %d backends", len(got.Backends))
-	}
-	if len(ct.BenchedDIPs()) != 1 || ct.BenchedDIPs()[0] != sick {
-		t.Fatalf("benched = %v", ct.BenchedDIPs())
-	}
-	// All traffic avoids the benched DIP.
-	for i := uint32(0); i < 200; i++ {
-		d, err := c.Deliver(clientPkt(vip, i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d.DIP == sick {
-			t.Fatal("benched DIP still receiving traffic")
-		}
-	}
-	// Recovery: two good probes restore it (via the SMux-bounce add path).
-	healthState[sick] = true
-	p.Tick(3)
-	p.Tick(4)
-	if got, _ := c.VIP(vip); len(got.Backends) != nBefore {
-		t.Fatalf("DIP not restored: %d backends", len(got.Backends))
-	}
-	if len(ct.BenchedDIPs()) != 0 {
-		t.Fatal("bench list not cleared")
-	}
-	// §5.2: restoration bounces the VIP off its HMux.
-	if _, onHMux := c.HomeOf(vip); onHMux {
-		t.Fatal("VIP still on HMux right after DIP restoration")
-	}
-}
-
-func TestHealthProberDefaultProbeUsesAgents(t *testing.T) {
-	c, w, ct := world(t, 10, 1e10, 41)
-	if _, err := ct.RunEpoch(w, 0); err != nil {
-		t.Fatal(err)
-	}
-	vip := w.VIPs[0].Addr
-	v, _ := c.VIP(vip)
-	if len(v.Backends) < 2 {
-		t.Skip("need multiple backends")
-	}
-	sick := v.Backends[0].Addr
-	p := ct.AttachHealthProber(healthd.Config{Interval: 1, DownAfter: 2, UpAfter: 1}, nil, 0)
-	agent, _ := c.Agent(sick)
-	if err := agent.SetHealth(sick, false); err != nil {
-		t.Fatal(err)
-	}
-	p.Tick(0)
-	p.Tick(1)
-	if len(ct.BenchedDIPs()) != 1 {
-		t.Fatalf("agent-driven probe did not bench: %v", ct.BenchedDIPs())
-	}
-}
-
 func TestRunEpochAppliesModes(t *testing.T) {
 	c, w, ct := world(t, 40, 5e10, 9)
 	rates := append([]float64(nil), w.Rates[0]...)
@@ -467,30 +373,20 @@ func TestRunEpochAppliesModes(t *testing.T) {
 }
 
 // TestRunEpochDeltaMatchesFromScratch drives the incremental engine through
-// a churn sequence and pins its contract: each epoch's placement equals a
-// from-scratch stable recompute over the same base, the cluster stays
-// deliverable, and steady-state epochs touch only a fraction of the fleet.
+// a churn sequence: the cluster stays deliverable and steady-state epochs
+// touch only a fraction of the fleet. That each epoch's placement equals a
+// from-scratch stable recompute over the same base is the engine's own
+// property test (assign.TestComputeDeltaEqualsComputeFrom): the reference
+// is not exported.
 func TestRunEpochDeltaMatchesFromScratch(t *testing.T) {
 	c, w, ct := world(t, 60, 5e10, 7)
 	if _, err := ct.RunEpoch(w, 0); err != nil {
 		t.Fatal(err)
 	}
 	for epoch := 1; epoch < w.NumEpochs(); epoch++ {
-		prev := ct.Previous()
-		want, err := assign.ComputeFrom(c.Net, w, epoch, prev, ct.Opts)
-		if err != nil {
-			t.Fatal(err)
-		}
 		rep, err := ct.RunEpochDelta(w, epoch)
 		if err != nil {
 			t.Fatal(err)
-		}
-		got := ct.Previous()
-		for i := range w.VIPs {
-			if got.SwitchOf[i] != want.SwitchOf[i] || got.TierOf[i] != want.TierOf[i] {
-				t.Fatalf("epoch %d VIP %d: delta placed tier %v switch %d, from-scratch %v %d",
-					epoch, i, got.TierOf[i], got.SwitchOf[i], want.TierOf[i], want.SwitchOf[i])
-			}
 		}
 		if rep.Moved > len(w.VIPs)/2 {
 			t.Fatalf("epoch %d: %d of %d VIPs moved under the incremental engine", epoch, rep.Moved, len(w.VIPs))

@@ -57,28 +57,14 @@ func (s *SNATRanges) Allocate(vip, dip packet.Addr) (lo, hi uint16, err error) {
 	return lo, hi, nil
 }
 
-// BlocksOf returns the blocks currently assigned to a DIP under a VIP.
-func (s *SNATRanges) BlocksOf(vip, dip packet.Addr) [][2]uint16 {
-	sp, ok := s.spaces[vip]
-	if !ok {
-		return nil
-	}
-	return append([][2]uint16(nil), sp.blocks[dip]...)
-}
-
 // Release returns all of a DIP's blocks (e.g. when the DIP is removed). The
-// port space is not compacted — blocks are not reissued until the VIP's
-// space is reset — mirroring the conservative behaviour needed to avoid
-// collisions with in-flight connections.
+// port space is not compacted — released blocks are not reissued —
+// mirroring the conservative behaviour needed to avoid collisions with
+// in-flight connections.
 func (s *SNATRanges) Release(vip, dip packet.Addr) {
 	if sp, ok := s.spaces[vip]; ok {
 		delete(sp.blocks, dip)
 	}
-}
-
-// ResetVIP forgets a VIP's entire port space (on VIP removal).
-func (s *SNATRanges) ResetVIP(vip packet.Addr) {
-	delete(s.spaces, vip)
 }
 
 // AllocateSNATRange is the controller entry point used by host agents: it

@@ -30,8 +30,8 @@ func TestSNATRangesDisjoint(t *testing.T) {
 				seen[uint16(p)] = dip
 			}
 		}
-		if got := s.BlocksOf(vip, dip); len(got) != 2 {
-			t.Fatalf("BlocksOf = %v", got)
+		if got := s.spaces[vip].blocks[dip]; len(got) != 2 {
+			t.Fatalf("blocks on record = %v", got)
 		}
 	}
 }
@@ -53,11 +53,6 @@ func TestSNATRangesExhaustion(t *testing.T) {
 	if _, _, err := s.Allocate(packet.MustParseAddr("10.0.0.2"), dip); err != nil {
 		t.Fatal(err)
 	}
-	// Reset reopens the space.
-	s.ResetVIP(vip)
-	if _, _, err := s.Allocate(vip, dip); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestSNATReleaseForgetsBlocks(t *testing.T) {
@@ -68,7 +63,7 @@ func TestSNATReleaseForgetsBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Release(vip, dip)
-	if got := s.BlocksOf(vip, dip); got != nil {
+	if got := s.spaces[vip].blocks[dip]; got != nil {
 		t.Fatalf("blocks after release: %v", got)
 	}
 	// Release of unknown VIP/DIP is a no-op.
@@ -129,7 +124,7 @@ func TestControllerSNATEndToEnd(t *testing.T) {
 	}
 	// With k DIPs only ~1/k of ports in a block match this DIP, so refills
 	// must have happened for 600 allocations from 1024-port blocks.
-	if len(v.Backends) >= 3 && ct.snat.BlocksOf(vip, self) == nil {
+	if len(v.Backends) >= 3 && ct.snat.spaces[vip].blocks[self] == nil {
 		t.Fatal("no blocks recorded")
 	}
 }
@@ -163,7 +158,7 @@ func TestRemoveDIPReleasesSNAT(t *testing.T) {
 	if err := ct.RemoveDIP(vip, dip); err != nil {
 		t.Fatal(err)
 	}
-	if got := ct.snat.BlocksOf(vip, dip); got != nil {
+	if got := ct.snat.spaces[vip].blocks[dip]; got != nil {
 		t.Fatalf("blocks survived DIP removal: %v", got)
 	}
 }

@@ -236,5 +236,5 @@ func TestChaosConcurrent(t *testing.T) {
 	if r, d := rejected.Load(), delivered.Load(); r > d {
 		t.Fatalf("more rejections (%d) than deliveries (%d); churn swamped the datapath", r, d)
 	}
-	t.Logf("delivered=%d rejected=%d epoch=%d", delivered.Load(), rejected.Load(), c.Epoch())
+	t.Logf("delivered=%d rejected=%d epoch=%d", delivered.Load(), rejected.Load(), c.snap.Load().epoch)
 }

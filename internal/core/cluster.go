@@ -367,10 +367,6 @@ func (c *Cluster) publishLocked() {
 	c.snap.Store(s)
 }
 
-// Epoch returns the current snapshot generation; every successful
-// control-plane mutation bumps it.
-func (c *Cluster) Epoch() uint64 { return c.snap.Load().epoch }
-
 // Telemetry exposes the cluster's always-on metric registry and flight
 // recorder (duetctl's `top` view reads these).
 func (c *Cluster) Telemetry() (*telemetry.Registry, *telemetry.Recorder) {
@@ -1176,6 +1172,8 @@ func (c *Cluster) deliverRun(sc *scratch, pkts [][]byte, results []BatchResult) 
 
 // InstallTIP programs a TIP partition on a switch and records it for
 // datapath resolution.
+//
+//duet:allow reach §5.2 large fan-out: the forwarding half is live (hmux+tip rows of the Deliver matrix); the controller-side partitioner that calls this lands with the collapse
 func (c *Cluster) InstallTIP(tip packet.Addr, sw topology.SwitchID, backends []service.Backend) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -1197,6 +1195,8 @@ func (c *Cluster) InstallTIP(tip packet.Addr, sw topology.SwitchID, backends []s
 
 // RegisterTIPBackends attaches the TIP partition's DIPs to a VIP on the host
 // agents (so Receive accepts the inner packets).
+//
+//duet:allow reach second half of InstallTIP: same caller, same item
 func (c *Cluster) RegisterTIPBackends(vip packet.Addr, backends []service.Backend) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()

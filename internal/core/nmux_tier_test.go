@@ -204,7 +204,7 @@ func TestRemoveVIPPurgesNMux(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, nm := range c.NMuxes {
-		if nm.HasVIP(v.Addr) || nm.Flows() != 0 {
+		if nm.HasVIP(v.Addr) || nm.Stats().Flows != 0 {
 			t.Fatal("RemoveVIP left NIC state behind")
 		}
 	}

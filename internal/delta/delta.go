@@ -176,20 +176,6 @@ func (s *State) Addrs() []packet.Addr {
 	return out
 }
 
-// Equal reports deep equality including the epoch.
-func (s *State) Equal(o *State) bool {
-	if s.Epoch != o.Epoch || len(s.VIPs) != len(o.VIPs) {
-		return false
-	}
-	for a, v := range s.VIPs {
-		ov, ok := o.VIPs[a]
-		if !ok || !v.Equal(ov) {
-			return false
-		}
-	}
-	return true
-}
-
 // OpKind discriminates delta operations.
 type OpKind uint8
 
@@ -535,6 +521,3 @@ func (d *Delta) Invert() (*Delta, error) {
 	}
 	return inv, nil
 }
-
-// Empty reports whether the delta changes nothing (an epoch heartbeat).
-func (d *Delta) Empty() bool { return len(d.Ops) == 0 }

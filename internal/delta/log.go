@@ -122,21 +122,3 @@ func (l *Log) Snapshot() *Delta {
 	defer l.mu.Unlock()
 	return SnapshotOf(l.head)
 }
-
-// Lag returns how many epochs `from` is behind the head (0 when current or
-// ahead).
-func (l *Log) Lag(from uint64) uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if from >= l.head.Epoch {
-		return 0
-	}
-	return l.head.Epoch - from
-}
-
-// TailLen returns the number of retained deltas (telemetry).
-func (l *Log) TailLen() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.tail)
-}

@@ -64,16 +64,6 @@ func (g *Group) Clone() *Group {
 	return cp
 }
 
-// Members returns a copy of the member IDs in insertion order.
-func (g *Group) Members() []uint32 {
-	out := make([]uint32, len(g.members))
-	copy(out, g.members)
-	return out
-}
-
-// Add appends a member with weight 1 and rebuilds the slot table.
-func (g *Group) Add(member uint32) { g.AddWeighted(member, 1) }
-
 // AddWeighted appends a member with the given WCMP weight (paper §5.2
 // "Heterogeneity among servers") and rebuilds the slot table.
 func (g *Group) AddWeighted(member uint32, weight uint32) {
@@ -193,16 +183,4 @@ func (g *Group) Select(hash uint64) (uint32, error) {
 //duet:hotpath
 func (g *Group) SelectTuple(t packet.FiveTuple) (uint32, error) {
 	return g.Select(Hash(t))
-}
-
-// SlotOwners returns, for testing and diagnostics, how many slots each
-// member currently owns, keyed by member ID.
-func (g *Group) SlotOwners() map[uint32]int {
-	out := make(map[uint32]int, len(g.members))
-	for _, s := range g.slots {
-		if s >= 0 {
-			out[g.members[s]]++
-		}
-	}
-	return out
 }

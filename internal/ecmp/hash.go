@@ -59,14 +59,3 @@ func fmix64(h uint64) uint64 {
 	h ^= h >> 33
 	return h
 }
-
-// HashSym computes a direction-symmetric flow hash: both directions of a
-// connection map to the same value. Used for metering and flow grouping,
-// never for DIP selection (DIP selection must see the client→VIP direction).
-func HashSym(t packet.FiveTuple) uint64 {
-	a, b := Hash(t), Hash(t.Reverse())
-	if a < b {
-		return a ^ b<<1
-	}
-	return b ^ a<<1
-}

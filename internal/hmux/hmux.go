@@ -102,9 +102,8 @@ type vipEntry struct {
 
 // tables is one immutable generation of the switch's lookup state.
 type tables struct {
-	epoch uint64
-	vips  map[packet.Addr]*vipEntry // host table: exact /32 match
-	tips  map[packet.Addr]*vipEntry // TIP partitions hosted on this switch
+	vips map[packet.Addr]*vipEntry // host table: exact /32 match
+	tips map[packet.Addr]*vipEntry // TIP partitions hosted on this switch
 }
 
 // Mux is one hardware mux. Process and Lookup are safe for any number of
@@ -213,7 +212,7 @@ func (m *Mux) publish(vips, tips map[packet.Addr]*vipEntry) {
 	if tips == nil {
 		tips = cur.tips
 	}
-	m.tab.Store(&tables{epoch: cur.epoch + 1, vips: vips, tips: tips})
+	m.tab.Store(&tables{vips: vips, tips: tips})
 }
 
 // cloneVIPs copies the current VIP map for mutation. Must hold m.mu.
@@ -235,13 +234,6 @@ func (m *Mux) cloneTIPs() map[packet.Addr]*vipEntry {
 	}
 	return cp
 }
-
-// Self returns the mux's own address.
-func (m *Mux) Self() packet.Addr { return m.cfg.SelfAddr }
-
-// Epoch returns the current table generation, bumped on every successful
-// programming operation.
-func (m *Mux) Epoch() uint64 { return m.tab.Load().epoch }
 
 // Stats reports table occupancy.
 type Stats struct {
@@ -266,21 +258,6 @@ func (m *Mux) Stats() Stats {
 		ACLUsed: m.aclUsed, ACLCap: m.cfg.ACLTableSize,
 		VIPs: len(t.vips), TIPs: len(t.tips),
 	}
-}
-
-// Fits reports whether a backend set could currently be programmed: one host
-// entry, len(backends) ECMP entries and the new unique encap addresses must
-// all fit (paper §3.1: supported DIPs = min of free ECMP and tunnel entries).
-func (m *Mux) Fits(v *service.VIP) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	t := m.tab.Load()
-	entries, newTunnels, groups, acls := m.cost(v)
-	return len(t.vips)+len(t.tips)+1 <= m.cfg.HostTableSize &&
-		m.ecmpUsed+entries <= m.cfg.ECMPTableSize &&
-		m.groupsUsed+groups <= m.cfg.ECMPGroupTableSize &&
-		m.aclUsed+acls <= m.cfg.ACLTableSize &&
-		len(m.tunnelRefs)+newTunnels <= m.cfg.TunnelTableSize
 }
 
 func (m *Mux) cost(v *service.VIP) (ecmpEntries, newTunnels, groups, acls int) {

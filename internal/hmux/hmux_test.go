@@ -186,15 +186,12 @@ func TestFits(t *testing.T) {
 	cfg := Config{SelfAddr: selfAddr, HostTableSize: 10, ECMPTableSize: 4, TunnelTableSize: 10}
 	m := New(cfg)
 	small := &service.VIP{Addr: vipAddr, Backends: backends("1.0.0.1", "1.0.0.2")}
-	if !m.Fits(small) {
-		t.Fatal("small VIP should fit")
-	}
 	if err := m.AddVIP(small); err != nil {
-		t.Fatal(err)
+		t.Fatalf("small VIP should fit: %v", err)
 	}
 	next := &service.VIP{Addr: packet.MustParseAddr("10.0.0.9"), Backends: backends("1.0.0.3", "1.0.0.4", "1.0.0.5")}
-	if m.Fits(next) {
-		t.Fatal("3 more ECMP entries should not fit in 4-2")
+	if err := m.AddVIP(next); err != ErrECMPTableFull {
+		t.Fatalf("3 more ECMP entries should not fit in 4-2: %v", err)
 	}
 }
 
@@ -531,9 +528,6 @@ func TestDefaultsApplied(t *testing.T) {
 	s := m.Stats()
 	if s.HostCap != DefaultHostTableSize || s.ECMPCap != DefaultECMPTableSize || s.TunnelCap != DefaultTunnelTableSize {
 		t.Fatalf("defaults not applied: %+v", s)
-	}
-	if m.Self() != selfAddr {
-		t.Fatal("Self() wrong")
 	}
 }
 

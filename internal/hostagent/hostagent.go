@@ -1,15 +1,14 @@
 // Package hostagent implements the host agent (HA) that runs on every
 // server (paper §2.1, §5.2, §6). The HA terminates the load balancer's
 // encapsulation on the receive path, implements direct server return (DSR)
-// on the send path, meters per-VIP traffic for the controller, monitors DIP
-// health, and allocates SNAT ports that are consistent with the HMux hash so
-// outbound connections work without per-connection state on the switch.
+// on the send path, records DIP health for the controller, and allocates
+// SNAT ports that are consistent with the HMux hash so outbound connections
+// work without per-connection state on the switch.
 //
 // Concurrency: the registration tables (VIP→local DIPs, DIP→VIP, health)
 // are immutable generations published through an atomic pointer — mutators
 // (RegisterDIP, UnregisterDIP, SetHealth) rebuild them copy-on-write under a
-// writer lock. Per-VIP meters are atomic counters embedded in the published
-// generation, so Receive on concurrent goroutines meters without locking.
+// writer lock, so Receive on concurrent goroutines takes no lock.
 package hostagent
 
 import (
@@ -29,30 +28,15 @@ var (
 	ErrUnknownDIP     = errors.New("hostagent: DIP not registered on this host")
 )
 
-// Meter is a point-in-time copy of one VIP's traffic counters, reported to
-// the Duet controller's datacenter-monitoring module.
-type Meter struct {
-	Packets uint64
-	Bytes   uint64
-}
-
-// meter is the live, concurrently-updated form of Meter.
-type meter struct {
-	packets atomic.Uint64
-	bytes   atomic.Uint64
-}
-
 // agentTables is one immutable generation of the agent's lookup state. The
-// maps are never mutated after publication; the meters they point at are
-// updated atomically in place (the pointer set is immutable, the counters
-// are not — that is what makes Receive lock-free).
+// maps are never mutated after publication — that is what makes Receive
+// lock-free.
 type agentTables struct {
 	// locals maps VIP → local DIPs for that VIP on this host. In the
 	// non-virtualized case each VIP has exactly one local DIP.
 	locals map[packet.Addr][]packet.Addr
 	vipOf  map[packet.Addr]packet.Addr // DIP → VIP, for DSR
 	health map[packet.Addr]bool        // DIP → healthy
-	meters map[packet.Addr]*meter      // per-VIP traffic metering
 }
 
 // Agent is the host agent of one server (or one hypervisor host in
@@ -101,19 +85,16 @@ func New(hostAddr packet.Addr) *Agent {
 		locals: make(map[packet.Addr][]packet.Addr),
 		vipOf:  make(map[packet.Addr]packet.Addr),
 		health: make(map[packet.Addr]bool),
-		meters: make(map[packet.Addr]*meter),
 	})
 	return a
 }
 
-// clone deep-copies the map structure of a generation for mutation (the
-// meter values themselves are shared — they are safe to update in place).
+// clone deep-copies a generation for mutation.
 func (t *agentTables) clone() *agentTables {
 	cp := &agentTables{
 		locals: make(map[packet.Addr][]packet.Addr, len(t.locals)),
 		vipOf:  make(map[packet.Addr]packet.Addr, len(t.vipOf)),
 		health: make(map[packet.Addr]bool, len(t.health)),
-		meters: make(map[packet.Addr]*meter, len(t.meters)),
 	}
 	for k, v := range t.locals {
 		cp.locals[k] = append([]packet.Addr(nil), v...)
@@ -123,9 +104,6 @@ func (t *agentTables) clone() *agentTables {
 	}
 	for k, v := range t.health {
 		cp.health[k] = v
-	}
-	for k, v := range t.meters {
-		cp.meters[k] = v
 	}
 	return cp
 }
@@ -150,9 +128,6 @@ func (a *Agent) RegisterDIP(vip, dip packet.Addr) error {
 		cp.vipOf[dip] = vip
 	}
 	cp.health[dip] = true
-	if cp.meters[vip] == nil {
-		cp.meters[vip] = &meter{}
-	}
 	a.tab.Store(cp)
 	return nil
 }
@@ -210,8 +185,8 @@ type Delivery struct {
 
 // Receive processes one encapsulated packet arriving from a mux: it
 // decapsulates the IP-in-IP header, selects the local DIP (by the shared
-// 5-tuple hash when several VM DIPs share the host — Figure 6), rewrites the
-// inner destination to the DIP, and meters the traffic.
+// 5-tuple hash when several VM DIPs share the host — Figure 6) and rewrites
+// the inner destination to the DIP.
 //
 // The rewritten packet is appended to out: the bytes already in it are left
 // untouched and Delivery.Packet is exactly this packet's bytes. Safe for
@@ -264,12 +239,6 @@ func (a *Agent) receive(data, out []byte, sampled, ask bool) (Delivery, error) {
 		return Delivery{}, err
 	}
 
-	m := t.meters[vip]
-	if m == nil {
-		m = a.ensureMeter(vip)
-	}
-	m.packets.Add(1)
-	m.bytes.Add(uint64(len(inner)))
 	a.tel.received.Inc()
 	a.tel.bytes.Add(uint64(len(inner)))
 	if ask {
@@ -279,26 +248,6 @@ func (a *Agent) receive(data, out []byte, sampled, ask bool) (Delivery, error) {
 		a.tel.rec.Record(telemetry.KindDecap, a.tel.node, uint32(vip), uint32(dip), uint64(len(inner)))
 	}
 	return Delivery{VIP: vip, DIP: dip, Packet: pkt}, nil
-}
-
-// ensureMeter publishes a meter for a VIP that has none (possible only if
-// the VIP was registered by an older agent generation without one). Slow
-// path; RegisterDIP pre-creates meters so steady-state Receive never lands
-// here.
-//
-//duet:allow hotpath once-per-VIP repair path; RegisterDIP pre-creates meters
-func (a *Agent) ensureMeter(vip packet.Addr) *meter {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	t := a.tab.Load()
-	if m := t.meters[vip]; m != nil {
-		return m
-	}
-	cp := t.clone()
-	m := &meter{}
-	cp.meters[vip] = m
-	a.tab.Store(cp)
-	return m
 }
 
 // SendDSR implements direct server return: an outgoing response whose source
@@ -328,27 +277,4 @@ func (a *Agent) SendDSR(data, out []byte) ([]byte, error) {
 		a.tel.rec.Record(telemetry.KindDSR, a.tel.node, uint32(vip), uint32(dip), 0)
 	}
 	return pkt, nil
-}
-
-// MeterSnapshot returns a copy of the per-VIP traffic counters and
-// optionally resets them (the agent reports deltas each monitoring period).
-// VIPs with no traffic since the last reset are omitted. With reset, the
-// read-and-zero is atomic per counter, so packets metered concurrently are
-// counted exactly once across consecutive snapshots.
-func (a *Agent) MeterSnapshot(reset bool) map[packet.Addr]Meter {
-	t := a.tab.Load()
-	out := make(map[packet.Addr]Meter, len(t.meters))
-	for vip, m := range t.meters {
-		var snap Meter
-		if reset {
-			snap = Meter{Packets: m.packets.Swap(0), Bytes: m.bytes.Swap(0)}
-		} else {
-			snap = Meter{Packets: m.packets.Load(), Bytes: m.bytes.Load()}
-		}
-		if snap.Packets == 0 && snap.Bytes == 0 {
-			continue
-		}
-		out[vip] = snap
-	}
-	return out
 }

@@ -191,27 +191,6 @@ func TestHealth(t *testing.T) {
 	}
 }
 
-func TestMetering(t *testing.T) {
-	a := New(host)
-	if err := a.RegisterDIP(vip, dip); err != nil {
-		t.Fatal(err)
-	}
-	for i := uint32(0); i < 5; i++ {
-		if _, err := a.Receive(encapTo(t, dip, clientTuple(i)), nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap := a.MeterSnapshot(true)
-	if snap[vip].Packets != 5 || snap[vip].Bytes == 0 {
-		t.Fatalf("meter %+v", snap[vip])
-	}
-	// Reset semantics.
-	snap = a.MeterSnapshot(false)
-	if len(snap) != 0 {
-		t.Fatal("meters not reset")
-	}
-}
-
 // TestSNATHashConsistency is the §5.2 SNAT property: the allocated port makes
 // the inbound response hash to our own DIP on a real HMux.
 func TestSNATHashConsistency(t *testing.T) {

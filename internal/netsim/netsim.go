@@ -8,7 +8,6 @@ package netsim
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 
 	"duet/internal/topology"
@@ -43,7 +42,6 @@ type Network struct {
 	Topo *topology.Topology
 
 	downSwitch []bool
-	downLink   []bool
 	epoch      uint64 // bumped on every failure-state change
 
 	distCache map[topology.SwitchID][]int32
@@ -60,7 +58,6 @@ func New(topo *topology.Topology) *Network {
 	return &Network{
 		Topo:       topo,
 		downSwitch: make([]bool, topo.NumSwitches()),
-		downLink:   make([]bool, topo.NumLinks()),
 		distCache:  make(map[topology.SwitchID][]int32),
 		flowCache:  make(map[flowKey][]LinkFrac),
 		inetCache:  make(map[topology.SwitchID][]LinkFrac),
@@ -102,22 +99,6 @@ func (n *Network) RecoverSwitch(s topology.SwitchID) {
 	}
 }
 
-// FailLink marks a link down.
-func (n *Network) FailLink(l topology.LinkID) {
-	if !n.downLink[l] {
-		n.downLink[l] = true
-		n.invalidate()
-	}
-}
-
-// RecoverLink marks a link up again.
-func (n *Network) RecoverLink(l topology.LinkID) {
-	if n.downLink[l] {
-		n.downLink[l] = false
-		n.invalidate()
-	}
-}
-
 // FailContainer fails every switch in container c (paper §8.5's container
 // failure scenario).
 func (n *Network) FailContainer(c int) {
@@ -127,13 +108,10 @@ func (n *Network) FailContainer(c int) {
 	n.invalidate()
 }
 
-// ClearFailures restores every switch and link.
+// ClearFailures restores every switch.
 func (n *Network) ClearFailures() {
 	for i := range n.downSwitch {
 		n.downSwitch[i] = false
-	}
-	for i := range n.downLink {
-		n.downLink[i] = false
 	}
 	n.invalidate()
 }
@@ -144,9 +122,6 @@ func (n *Network) SwitchUp(s topology.SwitchID) bool { return !n.downSwitch[s] }
 // linkUsable reports whether a link can carry traffic between two live
 // switches.
 func (n *Network) linkUsable(id topology.LinkID) bool {
-	if n.downLink[id] {
-		return false
-	}
 	l := n.Topo.Link(id)
 	return !n.downSwitch[l.A] && !n.downSwitch[l.B]
 }
@@ -258,18 +233,6 @@ type Loads []float64
 // NewLoads allocates a zeroed load map for the network.
 func (n *Network) NewLoads() Loads { return make(Loads, n.NumDirLinks()) }
 
-// AddFlow adds rate bps of src→dst traffic to the load map.
-func (n *Network) AddFlow(l Loads, src, dst topology.SwitchID, rate float64) error {
-	vec, err := n.UnitFlow(src, dst)
-	if err != nil {
-		return err
-	}
-	for _, lf := range vec {
-		l[lf.Dir] += rate * lf.Frac
-	}
-	return nil
-}
-
 // MaxUtilization returns the highest per-direction link utilization in the
 // load map and the directed link where it occurs. An empty network returns 0.
 func (n *Network) MaxUtilization(l Loads) (float64, DirLink) {
@@ -284,21 +247,6 @@ func (n *Network) MaxUtilization(l Loads) (float64, DirLink) {
 		}
 	}
 	return best, bestDir
-}
-
-// Utilization returns the utilization of one directed link.
-func (n *Network) Utilization(l Loads, d DirLink) float64 {
-	return l[d] / n.Capacity(d)
-}
-
-// String renders a directed link for diagnostics.
-func (n *Network) DirString(d DirLink) string {
-	link := n.Topo.Link(d.LinkOf())
-	a, b := n.Topo.Switch(link.A).Name, n.Topo.Switch(link.B).Name
-	if d%2 == 0 {
-		return fmt.Sprintf("%s→%s", a, b)
-	}
-	return fmt.Sprintf("%s→%s", b, a)
 }
 
 // InternetFlow returns the sparse load vector of one unit of Internet

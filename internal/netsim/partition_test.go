@@ -108,10 +108,10 @@ func TestBlackholeDuringTIPHop(t *testing.T) {
 	}
 }
 
-// TestHealOrdering breaks a switch and a link whose failures overlap, then
-// heals them in both orders: every intermediate state must route correctly
-// for what is up, and the fully healed fabric must reproduce the
-// pre-failure vector exactly.
+// TestHealOrdering breaks two Aggs of the source's container, then heals
+// them in both orders: every intermediate state must route correctly for
+// what is up, and the fully healed fabric must reproduce the pre-failure
+// vector exactly.
 func TestHealOrdering(t *testing.T) {
 	n := defaultNet(t)
 	src := n.Topo.TorID(0, 0)
@@ -120,104 +120,54 @@ func TestHealOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	agg := n.Topo.AggID(0, 0)
-	// A link from a *different* Agg in the same container, so the two
-	// failures remove independent capacity on the src side.
-	var link topology.LinkID = -1
-	for _, nb := range n.Topo.Neighbors[src] {
-		if nb.Peer != agg {
-			link = nb.Link
-			break
+	aggs := [2]topology.SwitchID{n.Topo.AggID(0, 0), n.Topo.AggID(0, 1)}
+	avoids := func(vec []LinkFrac, down ...topology.SwitchID) bool {
+		for _, lf := range vec {
+			l := n.Topo.Link(lf.Dir.LinkOf())
+			for _, s := range down {
+				if l.A == s || l.B == s {
+					return false
+				}
+			}
 		}
-	}
-	if link < 0 {
-		t.Fatal("no second uplink found")
+		return true
 	}
 
-	for _, order := range []string{"switch-first", "link-first"} {
-		n.FailSwitch(agg)
-		n.FailLink(link)
+	for first := range aggs {
+		n.FailSwitch(aggs[0])
+		n.FailSwitch(aggs[1])
 
 		// Both down: the flow still conserves over the remaining uplinks.
 		vec, err := n.UnitFlow(src, dst)
 		if err != nil {
-			t.Fatalf("[%s] flow with both failures: %v", order, err)
+			t.Fatalf("[heal %d first] flow with both failures: %v", first, err)
 		}
 		if got := intoDst(n, vec, dst); math.Abs(got-1) > 1e-9 {
-			t.Fatalf("[%s] conservation with both failures: %v", order, got)
+			t.Fatalf("[heal %d first] conservation with both failures: %v", first, got)
 		}
-		for _, lf := range vec {
-			if lf.Dir.LinkOf() == link {
-				t.Fatalf("[%s] flow crossed the failed link", order)
-			}
-			l := n.Topo.Link(lf.Dir.LinkOf())
-			if l.A == agg || l.B == agg {
-				t.Fatalf("[%s] flow touched the failed switch", order)
-			}
+		if !avoids(vec, aggs[0], aggs[1]) {
+			t.Fatalf("[heal %d first] flow touched a failed switch", first)
 		}
 
-		// Heal in this order; the partial state must still avoid whatever
-		// remains down.
-		if order == "switch-first" {
-			n.RecoverSwitch(agg)
-			mid, err := n.UnitFlow(src, dst)
-			if err != nil {
-				t.Fatalf("[%s] flow after partial heal: %v", order, err)
-			}
-			for _, lf := range mid {
-				if lf.Dir.LinkOf() == link {
-					t.Fatalf("[%s] partial heal used the still-failed link", order)
-				}
-			}
-			n.RecoverLink(link)
-		} else {
-			n.RecoverLink(link)
-			mid, err := n.UnitFlow(src, dst)
-			if err != nil {
-				t.Fatalf("[%s] flow after partial heal: %v", order, err)
-			}
-			for _, lf := range mid {
-				l := n.Topo.Link(lf.Dir.LinkOf())
-				if l.A == agg || l.B == agg {
-					t.Fatalf("[%s] partial heal used the still-failed switch", order)
-				}
-			}
-			n.RecoverSwitch(agg)
+		// Heal one; the partial state must still avoid the one that remains
+		// down.
+		n.RecoverSwitch(aggs[first])
+		mid, err := n.UnitFlow(src, dst)
+		if err != nil {
+			t.Fatalf("[heal %d first] flow after partial heal: %v", first, err)
 		}
+		if !avoids(mid, aggs[1-first]) {
+			t.Fatalf("[heal %d first] partial heal used the still-failed switch", first)
+		}
+		n.RecoverSwitch(aggs[1-first])
 
 		healed, err := n.UnitFlow(src, dst)
 		if err != nil {
-			t.Fatalf("[%s] flow after full heal: %v", order, err)
+			t.Fatalf("[heal %d first] flow after full heal: %v", first, err)
 		}
 		if !vecEqual(baseline, healed) {
-			t.Fatalf("[%s] fully healed vector differs from baseline", order)
+			t.Fatalf("[heal %d first] fully healed vector differs from baseline", first)
 		}
-	}
-}
-
-// TestRecoverLinkIdempotent checks RecoverLink's epoch discipline: healing
-// an already-up link must not invalidate caches (epoch unchanged), exactly
-// like FailSwitch/RecoverSwitch.
-func TestRecoverLinkIdempotent(t *testing.T) {
-	n := defaultNet(t)
-	e0 := n.Epoch()
-	n.RecoverLink(0)
-	if n.Epoch() != e0 {
-		t.Fatal("recovering an up link bumped the epoch")
-	}
-	n.FailLink(0)
-	e1 := n.Epoch()
-	if e1 == e0 {
-		t.Fatal("FailLink did not bump the epoch")
-	}
-	n.RecoverLink(0)
-	if n.Epoch() == e1 {
-		t.Fatal("RecoverLink did not bump the epoch")
-	}
-	n.RecoverLink(0)
-	if n.Epoch() != e1+1 {
-		t.Fatal("double RecoverLink bumped the epoch twice")
 	}
 }
 

@@ -93,8 +93,7 @@ type vipInfo struct {
 
 // vipTable is one immutable generation of the programmed wildcard entries.
 type vipTable struct {
-	epoch uint64
-	vips  map[packet.Addr]*vipInfo
+	vips map[packet.Addr]*vipInfo
 }
 
 // flowShard is one lock-striped slice of the exact-match flow region.
@@ -212,18 +211,6 @@ func New(cfg Config) *Mux {
 //duet:hotpath
 func (m *Mux) Self() packet.Addr { return m.cfg.SelfAddr }
 
-// TableSize returns the configured match-table capacity.
-func (m *Mux) TableSize() int { return m.cfg.TableSize }
-
-// Steer returns the lookup table this mux resolves through.
-func (m *Mux) Steer() *steer.Table { return m.steer }
-
-// Epoch returns the wildcard-table generation, bumped on every mutation.
-func (m *Mux) Epoch() uint64 { return m.tab.Load().epoch }
-
-// Flows returns the current exact-match flow population.
-func (m *Mux) Flows() int { return int(m.flowCount.Load()) }
-
 // NumVIPs returns the programmed VIP count.
 func (m *Mux) NumVIPs() int { return len(m.tab.Load().vips) }
 
@@ -241,13 +228,6 @@ func Cost(v *service.VIP) int {
 		c += 1 + len(pr.Backends)
 	}
 	return c
-}
-
-// Fits reports whether v's wildcard entries fit the remaining table space.
-func (m *Mux) Fits(v *service.VIP) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.wildcardUsed+Cost(v) <= m.cfg.TableSize
 }
 
 // Stats is a point-in-time occupancy snapshot.
@@ -283,8 +263,7 @@ func (m *Mux) shardFor(h uint64) *flowShard {
 // publish installs a new wildcard-table generation and republishes the flow
 // budget. Must hold m.mu.
 func (m *Mux) publish(vips map[packet.Addr]*vipInfo) {
-	cur := m.tab.Load()
-	m.tab.Store(&vipTable{epoch: cur.epoch + 1, vips: vips})
+	m.tab.Store(&vipTable{vips: vips})
 	m.flowBudget.Store(int64(m.cfg.TableSize - m.wildcardUsed))
 }
 

@@ -59,7 +59,7 @@ func TestProcessHitMissAndPinning(t *testing.T) {
 	if !res2.Pinned || res2.Encap != first {
 		t.Fatalf("second packet: pinned=%v encap=%s, want pinned to %s", res2.Pinned, res2.Encap, first)
 	}
-	if got := m.Flows(); got != 1 {
+	if got := m.Stats().Flows; got != 1 {
 		t.Fatalf("Flows() = %d, want 1", got)
 	}
 
@@ -116,11 +116,11 @@ func TestWildcardAdmission(t *testing.T) {
 	if st.Wildcard != 10 || st.Cap != 12 || st.VIPs != 2 {
 		t.Fatalf("Stats = %+v, want wildcard 10 cap 12 vips 2", st)
 	}
-	if m.Fits(testVIP(4, 4)) {
-		t.Fatal("Fits should reject a 5-entry VIP with 2 entries free")
+	if err := m.AddVIP(testVIP(4, 1)); err != nil {
+		t.Fatalf("a 2-entry VIP with 2 entries free: %v", err)
 	}
-	if !m.Fits(testVIP(4, 1)) {
-		t.Fatal("Fits should accept a 2-entry VIP with 2 entries free")
+	if err := m.RemoveVIP(testVIP(4, 1).Addr); err != nil {
+		t.Fatal(err)
 	}
 
 	// UpdateVIP re-checks the budget for the new cost.
@@ -158,7 +158,7 @@ func TestFlowBudgetRejection(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := m.Flows(); got != 5 {
+	if got := m.Stats().Flows; got != 5 {
 		t.Fatalf("Flows() = %d, want 5 (budget = 8 - 3)", got)
 	}
 	if st := m.Stats(); st.Used != 8 {
@@ -239,11 +239,11 @@ func TestRemoveBackendDropsPinnedFlows(t *testing.T) {
 	if pinnedToVictim == 0 {
 		t.Fatal("no flows landed on the victim DIP; widen the flow sweep")
 	}
-	total := m.Flows()
+	total := m.Stats().Flows
 	if err := m.RemoveBackend(v.Addr, victim); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Flows(); got != total-pinnedToVictim {
+	if got := m.Stats().Flows; got != total-pinnedToVictim {
 		t.Fatalf("Flows() = %d after RemoveBackend, want %d", got, total-pinnedToVictim)
 	}
 	// Surviving flows stay pinned; no packet maps to the dead DIP anymore.
@@ -275,7 +275,7 @@ func TestRemoveVIPDropsFlowsAndMisses(t *testing.T) {
 	if err := m.RemoveVIP(v.Addr); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Flows(); got != 0 {
+	if got := m.Stats().Flows; got != 0 {
 		t.Fatalf("Flows() = %d after RemoveVIP, want 0", got)
 	}
 	if _, err := m.Process(pkt, nil); !errors.Is(err, ErrNotOurVIP) {

@@ -50,21 +50,21 @@ func newObsNode(t *testing.T, targets ...Target) (*Aggregator, *Pipeline, *telem
 func TestAggregatorPollOnceMergesFleet(t *testing.T) {
 	a1, a2 := newFakeNode(t), newFakeNode(t)
 
-	a1.reg.Counter("wire.rx.frames").Add(100)
-	a1.reg.Counter("wire.delivered").Add(90)
-	a1.reg.Counter("wire.drops.bad_frame").Add(4)
-	a1.reg.Counter("wire.drops.total").Add(4) // rollup: must not double count
-	a1.reg.Counter("hmux.encapped").Add(60)
-	a1.reg.Counter("smux.encapped").Add(30)
+	a1.reg.Counter("wire.rx.frames").Shard().Add(100)
+	a1.reg.Counter("wire.delivered").Shard().Add(90)
+	a1.reg.Counter("wire.drops.bad_frame").Shard().Add(4)
+	a1.reg.Counter("wire.drops.total").Shard().Add(4) // rollup: must not double count
+	a1.reg.Counter("hmux.encapped").Shard().Add(60)
+	a1.reg.Counter("smux.encapped").Shard().Add(30)
 	a1.reg.Gauge("nmux.tables.used_max").Set(10)
 	a1.reg.Gauge("nmux.tables.cap").Set(100)
 
-	a2.reg.Counter("wire.rx.frames").Add(50)
-	a2.reg.Counter("wire.delivered").Add(45)
-	a2.reg.Counter("wire.drops.short_read").Add(6)
-	a2.reg.Counter("wire.drops.total").Add(6)
-	a2.reg.Counter("nmux.encapped").Add(10)
-	a2.reg.Counter("smux.encapped").Add(20)
+	a2.reg.Counter("wire.rx.frames").Shard().Add(50)
+	a2.reg.Counter("wire.delivered").Shard().Add(45)
+	a2.reg.Counter("wire.drops.short_read").Shard().Add(6)
+	a2.reg.Counter("wire.drops.total").Shard().Add(6)
+	a2.reg.Counter("nmux.encapped").Shard().Add(10)
+	a2.reg.Counter("smux.encapped").Shard().Add(20)
 	a2.reg.Gauge("nmux.tables.used_max").Set(50)
 	a2.reg.Gauge("nmux.tables.cap").Set(100)
 	a2.reg.Gauge("steer.drains_active").Set(2)
@@ -171,8 +171,8 @@ func TestAggregatorDownTarget(t *testing.T) {
 // even though each individual counter lives on a different node.
 func TestAggregatorFleetAvailabilityRule(t *testing.T) {
 	n := newFakeNode(t)
-	rx := n.reg.Counter("wire.rx.frames")
-	drops := n.reg.Counter("wire.drops.bad_frame")
+	rx := n.reg.Counter("wire.rx.frames").Shard()
+	drops := n.reg.Counter("wire.drops.bad_frame").Shard()
 
 	agg, p, _, clk := newObsNode(t, n.target("n1", "smux"))
 	p.AddRules(ClusterRules(DefaultSLO())...)
@@ -328,7 +328,7 @@ func TestOneBucketEstimator(t *testing.T) {
 // paths fall through to the wrapped per-node handler.
 func TestAggregatorHandler(t *testing.T) {
 	n := newFakeNode(t)
-	n.reg.Counter("wire.rx.frames").Add(3)
+	n.reg.Counter("wire.rx.frames").Shard().Add(3)
 
 	agg, p, _, _ := newObsNode(t, n.target("n1", "smux"))
 	agg.PollOnce()

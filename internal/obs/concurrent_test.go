@@ -64,7 +64,7 @@ func TestDataplaneZeroAllocWithScraper(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("Process with concurrent scraper: %v allocs/op, want 0", allocs)
 	}
-	if p.Ticks() < 3 {
-		t.Fatalf("scraper ran %d ticks, expected it to be live", p.Ticks())
+	if ticks := p.Dump(1).Ticks; ticks < 3 {
+		t.Fatalf("scraper ran %d ticks, expected it to be live", ticks)
 	}
 }

@@ -40,7 +40,7 @@ func get(t *testing.T, url string) (int, string) {
 
 func TestHTTPMetrics(t *testing.T) {
 	srv, p, reg, _ := newTestServer(t)
-	reg.Counter("hmux.packets").Add(9)
+	reg.Counter("hmux.packets").Shard().Add(9)
 	p.Tick()
 	code, body := get(t, srv.URL+"/metrics")
 	if code != http.StatusOK {
@@ -56,7 +56,7 @@ func TestHTTPMetrics(t *testing.T) {
 
 func TestHTTPTimeseries(t *testing.T) {
 	srv, p, reg, clk := newTestServer(t)
-	c := reg.Counter("x")
+	c := reg.Counter("x").Shard()
 	for i := 0; i < 3; i++ {
 		c.Inc()
 		p.Tick()
@@ -91,7 +91,7 @@ func TestHTTPTimeseries(t *testing.T) {
 // histogram series, and malformed values are rejected with 400.
 func TestHTTPTimeseriesWindowAndQuantile(t *testing.T) {
 	srv, p, reg, clk := newTestServer(t)
-	c := reg.Counter("x")
+	c := reg.Counter("x").Shard()
 	h := reg.Histogram("lat", []float64{0.001, 0.01})
 	for i := 0; i < 5; i++ {
 		c.Inc()

@@ -303,24 +303,6 @@ func (p *Pipeline) addLocked(s *series) {
 	p.byName[s.name] = s
 }
 
-// Ticks returns the number of completed scrapes.
-func (p *Pipeline) Ticks() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.ticks
-}
-
-// Series returns a chronological copy of one series' retained points.
-func (p *Pipeline) Series(name string) ([]Point, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	s, ok := p.byName[name]
-	if !ok {
-		return nil, false
-	}
-	return s.points(0), true
-}
-
 // points copies the newest lastN points (0 = all retained), oldest first.
 // Caller holds p.mu.
 func (s *series) points(lastN int) []Point {

@@ -27,12 +27,12 @@ func TestScrapeDeltasAndRates(t *testing.T) {
 	clk := &fakeClock{}
 	p := clk.pipeline(reg, nil, 8)
 
-	ctr.Add(100)
+	ctr.Shard().Add(100)
 	g.Set(7)
 	p.Tick() // warm-up: delta/rate are zero on the first observation
 
 	clk.advance(2)
-	ctr.Add(300)
+	ctr.Shard().Add(300)
 	g.Set(9)
 	p.Tick()
 
@@ -60,7 +60,7 @@ func TestScrapeRingWraps(t *testing.T) {
 	clk := &fakeClock{}
 	p := clk.pipeline(reg, nil, 4)
 	for i := 0; i < 10; i++ {
-		ctr.Inc()
+		ctr.Shard().Inc()
 		p.Tick()
 		clk.advance(1)
 	}
@@ -116,13 +116,13 @@ func TestScrapeRebuildOnNewMetrics(t *testing.T) {
 	a := reg.Counter("a")
 	clk := &fakeClock{}
 	p := clk.pipeline(reg, nil, 8)
-	a.Inc()
+	a.Shard().Inc()
 	p.Tick()
 	clk.advance(1)
 
 	b := reg.Counter("b")
-	b.Add(5)
-	a.Inc()
+	b.Shard().Add(5)
+	a.Shard().Inc()
 	p.Tick()
 
 	apts, _ := p.Series("a")
@@ -151,13 +151,13 @@ func TestScrapeZeroAlloc(t *testing.T) {
 	p.AddRules(Rule{Name: "occ-high", Num: "occ", NumSrc: Value, Op: Above, Threshold: 1e18})
 
 	for i := 0; i < 3; i++ { // warm-up: series list + histogram buffers
-		ctr.Inc()
+		ctr.Shard().Inc()
 		h.Observe(0.004)
 		p.Tick()
 		clk.advance(1)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		ctr.Inc()
+		ctr.Shard().Inc()
 		h.Observe(0.004)
 		clk.advance(1)
 		p.Tick()
@@ -174,7 +174,7 @@ func TestDumpShape(t *testing.T) {
 	clk := &fakeClock{}
 	p := clk.pipeline(reg, nil, 8)
 	for i := 0; i < 5; i++ {
-		ctr.Inc()
+		ctr.Shard().Inc()
 		p.Tick()
 		clk.advance(1)
 	}
@@ -221,7 +221,7 @@ func mallocsDuring(f func()) uint64 {
 func TestStartBuildsTheSeriesList(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	for _, name := range []string{"a", "b", "c", "d"} {
-		reg.Counter("ctr." + name).Add(1)
+		reg.Counter("ctr." + name).Shard().Add(1)
 		reg.Gauge("gauge." + name).Set(1)
 	}
 	reg.Histogram("hist", []float64{1, 2, 4}).Observe(3)
@@ -245,9 +245,20 @@ func TestStartBuildsTheSeriesList(t *testing.T) {
 	}
 
 	// A metric registered after Start is picked up by the next tick.
-	reg.Counter("late").Add(5)
+	reg.Counter("late").Shard().Add(5)
 	p.Tick()
 	if pts, ok := p.Series("late"); !ok || len(pts) != 1 || pts[0].Value != 5 {
 		t.Errorf("late series = %+v (found %v), want one point of value 5", pts, ok)
 	}
+}
+
+// Series returns a chronological copy of one series' retained points.
+func (p *Pipeline) Series(name string) ([]Point, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	s, ok := p.byName[name]
+	if !ok {
+		return nil, false
+	}
+	return s.points(0), true
 }

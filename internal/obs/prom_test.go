@@ -12,7 +12,7 @@ import (
 // checking names, types, values, and the cumulative histogram encoding.
 func TestPrometheusRoundTrip(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	reg.Counter("hmux.packets").Add(123456)
+	reg.Counter("hmux.packets").Shard().Add(123456)
 	reg.Gauge("smux.conns_total").Set(42)
 	h := reg.Histogram("core.deliver.hop.smux.seconds", []float64{0.001, 0.01, 0.1})
 	h.Observe(0.0005)

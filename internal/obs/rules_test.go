@@ -22,19 +22,19 @@ func TestRuleRatioFireAndResolve(t *testing.T) {
 		Op: Above, Threshold: 0.01,
 	})
 
-	pkts.Add(1000)
+	pkts.Shard().Add(1000)
 	p.Tick() // warm-up: rates are zero
 	clk.advance(1)
 
-	pkts.Add(1000)
-	errs.Add(500) // 50% errors this window
+	pkts.Shard().Add(1000)
+	errs.Shard().Add(500) // 50% errors this window
 	p.Tick()
 	if p.Healthy() {
 		t.Fatal("pipeline healthy with 50% error rate")
 	}
 	clk.advance(1)
 
-	pkts.Add(1000) // clean window
+	pkts.Shard().Add(1000) // clean window
 	p.Tick()
 	if !p.Healthy() {
 		t.Fatal("pipeline unhealthy after errors stopped")
@@ -109,7 +109,7 @@ func TestRuleMissingSeriesSkipped(t *testing.T) {
 	)
 	num := reg.Counter("num")
 	den := reg.Gauge("den") // stays 0: denominator-zero skip
-	num.Add(10)
+	num.Shard().Add(10)
 	p.Tick()
 	clk.advance(1)
 	if !p.Healthy() {

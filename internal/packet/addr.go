@@ -127,11 +127,6 @@ func Mask(bits int) Addr {
 	return Addr(^uint32(0) << (32 - bits))
 }
 
-// Contains reports whether addr falls inside the prefix.
-func (p Prefix) Contains(addr Addr) bool {
-	return addr&Mask(p.Bits) == p.Addr
-}
-
 // String renders the prefix in CIDR notation.
 func (p Prefix) String() string {
 	return fmt.Sprintf("%s/%d", p.Addr, p.Bits)

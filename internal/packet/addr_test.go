@@ -149,3 +149,8 @@ func TestPrefixNesting(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Contains reports whether addr falls inside the prefix.
+func (p Prefix) Contains(addr Addr) bool {
+	return addr&Mask(p.Bits) == p.Addr
+}

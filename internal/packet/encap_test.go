@@ -35,7 +35,7 @@ func TestEncapDecapRoundTrip(t *testing.T) {
 	}
 
 	// The inner 5-tuple must be recoverable through the tunnel.
-	it, err := InnerFiveTuple(encap)
+	it, err := ExtractFiveTuple(got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,9 +88,6 @@ func TestDecapsulateNotIPIP(t *testing.T) {
 	plain := BuildUDP(FiveTuple{Src: 1, Dst: 2, Proto: ProtoUDP}, nil)
 	if _, _, err := Decapsulate(plain); err == nil {
 		t.Fatal("expected error decapsulating a non-tunneled packet")
-	}
-	if _, err := InnerFiveTuple(plain); err == nil {
-		t.Fatal("expected error extracting inner tuple of a non-tunneled packet")
 	}
 }
 
@@ -159,22 +156,22 @@ func TestUDPRoundTrip(t *testing.T) {
 	}
 	copy(buf[UDPHeaderLen:], "abc")
 	var got UDP
-	if err := got.DecodeFromBytes(buf); err != nil {
+	if err := got.decodeFromBytes(buf); err != nil {
 		t.Fatal(err)
 	}
-	if got.SrcPort != 10 || got.DstPort != 20 || string(got.Payload()) != "abc" {
-		t.Fatalf("round trip mismatch: %+v payload %q", got, got.Payload())
+	if got.SrcPort != 10 || got.DstPort != 20 || string(got.payload) != "abc" {
+		t.Fatalf("round trip mismatch: %+v payload %q", got, got.payload)
 	}
 }
 
 func TestUDPDecodeErrors(t *testing.T) {
 	var u UDP
-	if err := u.DecodeFromBytes(make([]byte, 4)); err != ErrTruncated {
+	if err := u.decodeFromBytes(make([]byte, 4)); err != ErrTruncated {
 		t.Error("short UDP should be ErrTruncated")
 	}
 	buf := make([]byte, UDPHeaderLen)
 	UDP{Length: 100}.serializeForTest(buf)
-	if err := u.DecodeFromBytes(buf); err != ErrTruncated {
+	if err := u.decodeFromBytes(buf); err != ErrTruncated {
 		t.Error("UDP length beyond buffer should be ErrTruncated")
 	}
 }
@@ -192,27 +189,27 @@ func TestTCPRoundTrip(t *testing.T) {
 	}
 	copy(buf[TCPHeaderLen:], "hi")
 	var got TCP
-	if err := got.DecodeFromBytes(buf); err != nil {
+	if err := got.decodeFromBytes(buf); err != nil {
 		t.Fatal(err)
 	}
 	if got.SrcPort != 443 || got.DstPort != 55000 || got.Seq != 7 || got.Ack != 9 ||
-		got.Flags != TCPSyn|TCPAck || got.Window != 1024 || string(got.Payload()) != "hi" {
+		got.Flags != TCPSyn|TCPAck || got.Window != 1024 || string(got.payload) != "hi" {
 		t.Fatalf("round trip mismatch: %+v", got)
 	}
 }
 
 func TestTCPDecodeErrors(t *testing.T) {
 	var tcp TCP
-	if err := tcp.DecodeFromBytes(make([]byte, 10)); err != ErrTruncated {
+	if err := tcp.decodeFromBytes(make([]byte, 10)); err != ErrTruncated {
 		t.Error("short TCP should be ErrTruncated")
 	}
 	buf := make([]byte, TCPHeaderLen)
 	buf[12] = 3 << 4 // DataOff < 5
-	if err := tcp.DecodeFromBytes(buf); err != ErrBadIHL {
+	if err := tcp.decodeFromBytes(buf); err != ErrBadIHL {
 		t.Error("bad data offset should be ErrBadIHL")
 	}
 	buf[12] = 15 << 4 // options beyond buffer
-	if err := tcp.DecodeFromBytes(buf); err != ErrTruncated {
+	if err := tcp.decodeFromBytes(buf); err != ErrTruncated {
 		t.Error("data offset beyond buffer should be ErrTruncated")
 	}
 }

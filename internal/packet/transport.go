@@ -36,11 +36,10 @@ type UDP struct {
 	payload []byte
 }
 
-// Payload returns the UDP payload from the most recent decode.
-func (u *UDP) Payload() []byte { return u.payload }
-
-// DecodeFromBytes parses a UDP header.
-func (u *UDP) DecodeFromBytes(data []byte) error {
+// decodeFromBytes parses a UDP header. Forwarding reads the ports in place
+// (ExtractFiveTuple); this is the reference the round-trip and fuzz tests hold
+// SerializeTo against.
+func (u *UDP) decodeFromBytes(data []byte) error {
 	if len(data) < UDPHeaderLen {
 		return ErrTruncated
 	}
@@ -93,11 +92,8 @@ type TCP struct {
 	payload []byte
 }
 
-// Payload returns the TCP payload from the most recent decode.
-func (t *TCP) Payload() []byte { return t.payload }
-
-// DecodeFromBytes parses a TCP header.
-func (t *TCP) DecodeFromBytes(data []byte) error {
+// decodeFromBytes parses a TCP header: the tests' reference, as for UDP.
+func (t *TCP) decodeFromBytes(data []byte) error {
 	if len(data) < TCPHeaderLen {
 		return ErrTruncated
 	}
@@ -175,18 +171,4 @@ func (h *IPv4) TCPFlags() (flags uint8, ok bool) {
 		return 0, false
 	}
 	return h.payload[13] & 0x3f, true
-}
-
-// InnerFiveTuple extracts the 5-tuple of the packet encapsulated inside an
-// IP-in-IP packet. Host agents use it to pick the VM DIP in virtualized
-// clusters (paper §5.2, Figure 6).
-func InnerFiveTuple(data []byte) (FiveTuple, error) {
-	var outer IPv4
-	if err := outer.DecodeFromBytes(data); err != nil {
-		return FiveTuple{}, err
-	}
-	if outer.Protocol != ProtoIPIP {
-		return FiveTuple{}, fmt.Errorf("packet: not IP-in-IP (proto %d)", outer.Protocol)
-	}
-	return ExtractFiveTuple(outer.Payload())
 }

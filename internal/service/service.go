@@ -51,37 +51,3 @@ func (v *VIP) Validate() error {
 	}
 	return nil
 }
-
-// Addrs returns the default backend addresses in order.
-func Addrs(backends []Backend) []packet.Addr {
-	out := make([]packet.Addr, len(backends))
-	for i, b := range backends {
-		out[i] = b.Addr
-	}
-	return out
-}
-
-// Equal reports whether two backend sets are identical (same order,
-// addresses and weights).
-func Equal(a, b []Backend) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// UniqueAddrs returns the number of distinct backend addresses — the number
-// of tunneling-table entries a backend set costs on a switch (entries are
-// deduplicated per encap address).
-func UniqueAddrs(backends []Backend) int {
-	seen := make(map[packet.Addr]struct{}, len(backends))
-	for _, b := range backends {
-		seen[b.Addr] = struct{}{}
-	}
-	return len(seen)
-}

@@ -41,40 +41,3 @@ func TestValidate(t *testing.T) {
 		t.Fatalf("ports-only VIP rejected: %v", err)
 	}
 }
-
-func TestAddrs(t *testing.T) {
-	bs := []Backend{bk("1.1.1.1", 1), bk("2.2.2.2", 3)}
-	got := Addrs(bs)
-	if len(got) != 2 || got[0] != bs[0].Addr || got[1] != bs[1].Addr {
-		t.Fatalf("Addrs = %v", got)
-	}
-}
-
-func TestEqual(t *testing.T) {
-	a := []Backend{bk("1.1.1.1", 1), bk("2.2.2.2", 1)}
-	b := []Backend{bk("1.1.1.1", 1), bk("2.2.2.2", 1)}
-	if !Equal(a, b) {
-		t.Fatal("identical sets reported unequal")
-	}
-	if Equal(a, b[:1]) {
-		t.Fatal("different lengths reported equal")
-	}
-	c := []Backend{bk("1.1.1.1", 2), bk("2.2.2.2", 1)}
-	if Equal(a, c) {
-		t.Fatal("different weights reported equal")
-	}
-	d := []Backend{bk("2.2.2.2", 1), bk("1.1.1.1", 1)}
-	if Equal(a, d) {
-		t.Fatal("different order reported equal (order matters for hashing)")
-	}
-}
-
-func TestUniqueAddrs(t *testing.T) {
-	bs := []Backend{bk("1.1.1.1", 1), bk("1.1.1.1", 1), bk("2.2.2.2", 1)}
-	if UniqueAddrs(bs) != 2 {
-		t.Fatalf("UniqueAddrs = %d, want 2", UniqueAddrs(bs))
-	}
-	if UniqueAddrs(nil) != 0 {
-		t.Fatal("UniqueAddrs(nil) != 0")
-	}
-}

@@ -45,8 +45,8 @@ func TestIdleEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if m.Connections() != 100 {
-		t.Fatalf("connections = %d", m.Connections())
+	if m.ConnStats().Entries != 100 {
+		t.Fatalf("connections = %d", m.ConnStats().Entries)
 	}
 	// Half the flows keep talking past the idle window; half go silent.
 	*now += DefaultConnIdle - 1
@@ -58,12 +58,12 @@ func TestIdleEviction(t *testing.T) {
 	}
 	*now += 2 // past the silent flows' deadline, within the refreshed ones'
 	m.Tick()
-	if got := m.Connections(); got != 50 {
+	if got := m.ConnStats().Entries; got != 50 {
 		t.Fatalf("connections after idle sweep = %d, want 50", got)
 	}
 	*now += DefaultConnIdle + 1
 	m.Tick()
-	if got := m.Connections(); got != 0 {
+	if got := m.ConnStats().Entries; got != 0 {
 		t.Fatalf("connections after full idle = %d, want 0", got)
 	}
 }
@@ -88,7 +88,7 @@ func TestFinRstLinger(t *testing.T) {
 	}
 	*now += DefaultFinLinger + 1
 	m.Tick()
-	if got := m.Connections(); got != 1 {
+	if got := m.ConnStats().Entries; got != 1 {
 		t.Fatalf("connections after FIN linger = %d, want 1", got)
 	}
 	if got := reg.Counter("smux.conn.idle_evictions").Value(); got != 1 {
@@ -104,7 +104,7 @@ func TestFinRstLinger(t *testing.T) {
 	}
 	*now += DefaultFinLinger + 1
 	m.Tick()
-	if got := m.Connections(); got != 1 {
+	if got := m.ConnStats().Entries; got != 1 {
 		t.Fatalf("RST flow survived linger: connections = %d", got)
 	}
 }
@@ -129,7 +129,7 @@ func TestStatelessMode(t *testing.T) {
 			t.Fatalf("flow %d: steer %s vs process %s (%v)", i, want, res.Encap, err)
 		}
 	}
-	if m.Connections() != 0 || m.OverlayEntries() != 0 {
+	if m.ConnStats().Entries != 0 || m.OverlayEntries() != 0 {
 		t.Fatal("stateless mode recorded per-flow state")
 	}
 }
@@ -316,8 +316,8 @@ func TestSetVIPMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Mode != steer.ModeStateless || m.Connections() != 0 {
-		t.Fatalf("mode switch not effective: %+v, conns=%d", res, m.Connections())
+	if res.Mode != steer.ModeStateless || m.ConnStats().Entries != 0 {
+		t.Fatalf("mode switch not effective: %+v, conns=%d", res, m.ConnStats().Entries)
 	}
 }
 

@@ -156,12 +156,6 @@ type Mux struct {
 	clock   func() float64
 	nowBits atomic.Uint64 // coarse clock (float64 bits), refreshed by Tick
 
-	processed atomic.Uint64 // packets processed (for CPU accounting)
-
-	// fast path state (§2.1, see fastpath.go)
-	fastPathOn atomic.Bool
-	fastPath   atomic.Pointer[fastPathState]
-
 	tel muxTelemetry
 }
 
@@ -175,7 +169,6 @@ type muxTelemetry struct {
 	overlayPins, overlayHits   telemetry.CounterShard
 	overlayRejected            telemetry.CounterShard
 	overlayExpired             telemetry.CounterShard
-	fastPathOffers             telemetry.CounterShard
 
 	dropMalformed, dropUnknownVIP telemetry.CounterShard
 	dropNoBackend, dropEncapError telemetry.CounterShard
@@ -207,7 +200,6 @@ func (m *Mux) SetTelemetry(reg *telemetry.Registry, rec *telemetry.Recorder, nod
 		overlayHits:       reg.Counter("smux.overlay.hits").Shard(),
 		overlayRejected:   reg.Counter("smux.overlay.rejected_full").Shard(),
 		overlayExpired:    reg.Counter("smux.overlay.expired").Shard(),
-		fastPathOffers:    reg.Counter("smux.fastpath.offers").Shard(),
 		dropMalformed:     reg.Counter("smux.drops.malformed").Shard(),
 		dropUnknownVIP:    reg.Counter("smux.drops.unknown_vip").Shard(),
 		dropNoBackend:     reg.Counter("smux.drops.no_backend").Shard(),
@@ -282,27 +274,12 @@ func (m *Mux) Self() packet.Addr { return m.cfg.SelfAddr }
 // CapacityPPS returns the configured CPU saturation point.
 func (m *Mux) CapacityPPS() float64 { return m.cfg.CapacityPPS }
 
-// Processed returns the number of packets processed since creation.
-func (m *Mux) Processed() uint64 { return m.processed.Load() }
-
 // Steer returns the lookup table this mux resolves through — the instance
 // to share with a paired NIC mux.
 func (m *Mux) Steer() *steer.Table { return m.steer }
 
 // Epoch returns the steer-table generation, bumped on every mutation.
 func (m *Mux) Epoch() uint64 { return m.steer.Epoch() }
-
-// Connections returns the current connection-table size across all shards.
-func (m *Mux) Connections() int {
-	total := 0
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		total += len(s.conns)
-		s.mu.Unlock()
-	}
-	return total
-}
 
 // OverlayEntries returns the current hybrid-overlay population.
 func (m *Mux) OverlayEntries() int {
@@ -467,9 +444,6 @@ type Result struct {
 	// Pinned reports the DIP came from per-flow state (connection table or
 	// hybrid overlay) rather than a fresh table lookup.
 	Pinned bool
-	// FastPath, when non-nil, is an offer for the source's host agent to
-	// bypass the mux for the rest of this flow (Ananta's fast path, §2.1).
-	FastPath *FastPathOffer
 }
 
 // Process load-balances one packet: decode, look up the VIP in the steer
@@ -495,7 +469,6 @@ func (m *Mux) ProcessSampled(data, out []byte, sampled bool) (Result, error) {
 // process is the one implementation behind both entry points; ask leaves the
 // sampling decision to the mux's own recorder.
 func (m *Mux) process(data, out []byte, sampled, ask bool) (Result, error) {
-	m.processed.Add(1)
 	m.tel.packets.Inc()
 	if ask {
 		sampled = m.tel.rec.Sample()
@@ -649,12 +622,7 @@ func (m *Mux) process(data, out []byte, sampled, ask bool) (Result, error) {
 	if sampled {
 		m.tel.rec.Record(telemetry.KindEncap, m.tel.node, uint32(tuple.Dst), uint32(dip), 0)
 	}
-	offer := m.fastPathOffer(tuple, dip)
-	if offer != nil {
-		m.tel.fastPathOffers.Inc()
-		m.tel.rec.Record(telemetry.KindFastPath, m.tel.node, uint32(tuple.Dst), uint32(dip), 0)
-	}
-	return Result{Encap: dip, Packet: pkt[len(out):], Mode: mode, Pinned: pinned, FastPath: offer}, nil
+	return Result{Encap: dip, Packet: pkt[len(out):], Mode: mode, Pinned: pinned}, nil
 }
 
 // evictShard trims stale FIFO entries whose connections have already been

@@ -61,9 +61,6 @@ func TestAddVIPAndProcess(t *testing.T) {
 			t.Fatalf("DIP %s got %.3f", b.Addr, frac)
 		}
 	}
-	if m.Processed() != 4000 {
-		t.Fatalf("processed = %d", m.Processed())
-	}
 }
 
 func TestProcessUnknownVIP(t *testing.T) {
@@ -97,13 +94,13 @@ func TestRemoveVIPDropsConnections(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if m.Connections() != 10 {
-		t.Fatalf("connections = %d", m.Connections())
+	if m.ConnStats().Entries != 10 {
+		t.Fatalf("connections = %d", m.ConnStats().Entries)
 	}
 	if err := m.RemoveVIP(vipAddr); err != nil {
 		t.Fatal(err)
 	}
-	if m.Connections() != 0 {
+	if m.ConnStats().Entries != 0 {
 		t.Fatal("connections not dropped with VIP")
 	}
 	if err := m.RemoveVIP(vipAddr); err != ErrVIPNotFound {
@@ -188,8 +185,8 @@ func TestRemoveBackendTerminatesPinnedConns(t *testing.T) {
 	if err := m.RemoveBackend(vipAddr, victim); err != nil {
 		t.Fatal(err)
 	}
-	if m.Connections() != 1000-pinnedToVictim {
-		t.Fatalf("connections = %d, want %d", m.Connections(), 1000-pinnedToVictim)
+	if m.ConnStats().Entries != 1000-pinnedToVictim {
+		t.Fatalf("connections = %d, want %d", m.ConnStats().Entries, 1000-pinnedToVictim)
 	}
 	// Re-processing a victim flow gets a surviving DIP.
 	res, err := m.Process(vipPacket(0, 80), nil)
@@ -280,8 +277,8 @@ func TestConnTableBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if m.Connections() > 200 {
-		t.Fatalf("connection table unbounded: %d", m.Connections())
+	if m.ConnStats().Entries > 200 {
+		t.Fatalf("connection table unbounded: %d", m.ConnStats().Entries)
 	}
 }
 
@@ -295,7 +292,7 @@ func TestDisableConnTracking(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if m.Connections() != 0 {
+	if m.ConnStats().Entries != 0 {
 		t.Fatal("connection state recorded despite DisableConnTracking")
 	}
 }
@@ -319,7 +316,7 @@ func TestLookupDoesNotMutate(t *testing.T) {
 	if _, err := m.Lookup(tuple); err != nil {
 		t.Fatal(err)
 	}
-	if m.Connections() != 0 {
+	if m.ConnStats().Entries != 0 {
 		t.Fatal("Lookup created connection state")
 	}
 	if _, err := m.Lookup(packet.FiveTuple{Dst: packet.MustParseAddr("9.9.9.9")}); err != ErrVIPNotFound {
@@ -341,157 +338,6 @@ func BenchmarkProcess(b *testing.B) {
 		if _, err := m.Process(pkt, buf[:0]); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestFastPathOffers(t *testing.T) {
-	m := New(DefaultConfig(selfAddr))
-	if err := m.AddVIP(&service.VIP{Addr: vipAddr, Backends: backends("100.0.0.1", "100.0.0.2")}); err != nil {
-		t.Fatal(err)
-	}
-	// Off by default.
-	res, err := m.Process(vipPacket(1, 80), nil)
-	if err != nil || res.FastPath != nil {
-		t.Fatalf("fast path offered while disabled: %+v, %v", res.FastPath, err)
-	}
-	// Only intra-DC sources (20.0.0.0/8 in this test) get offers.
-	intra := func(src packet.Addr) bool {
-		o0, _, _, _ := src.Octets()
-		return o0 == 20
-	}
-	m.EnableFastPath(intra)
-	res, err = m.Process(vipPacket(2, 80), nil) // sources are 20.x
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FastPath == nil {
-		t.Fatal("no offer for intra-DC source")
-	}
-	if res.FastPath.DIP != res.Encap {
-		t.Fatal("offer DIP disagrees with encap DIP")
-	}
-	// Offered exactly once per flow.
-	res, err = m.Process(vipPacket(2, 80), nil)
-	if err != nil || res.FastPath != nil {
-		t.Fatalf("second offer for the same flow: %+v, %v", res.FastPath, err)
-	}
-	// External sources never get offers.
-	ext := packet.BuildTCP(packet.FiveTuple{
-		Src: packet.MustParseAddr("8.8.8.8"), Dst: vipAddr,
-		SrcPort: 9999, DstPort: 80, Proto: packet.ProtoTCP,
-	}, packet.TCPSyn, nil)
-	res, err = m.Process(ext, nil)
-	if err != nil || res.FastPath != nil {
-		t.Fatalf("offer for Internet source: %+v, %v", res.FastPath, err)
-	}
-	// Disable stops offers for fresh flows.
-	m.DisableFastPath()
-	res, err = m.Process(vipPacket(3, 80), nil)
-	if err != nil || res.FastPath != nil {
-		t.Fatal("offer after disable")
-	}
-}
-
-func TestFastPathNilPredicateOffersAll(t *testing.T) {
-	m := New(DefaultConfig(selfAddr))
-	if err := m.AddVIP(&service.VIP{Addr: vipAddr, Backends: backends("100.0.0.1")}); err != nil {
-		t.Fatal(err)
-	}
-	m.EnableFastPath(nil)
-	res, err := m.Process(vipPacket(1, 80), nil)
-	if err != nil || res.FastPath == nil {
-		t.Fatalf("nil predicate should offer for everyone: %v", err)
-	}
-}
-
-// Satellite test (observability PR): an offer whose VIP is subsequently
-// removed. The mux must refuse further packets for the flow rather than
-// serving stale pinned state, and the once-per-flow offer ledger survives
-// VIP churn — the flow is not re-offered after the VIP returns.
-func TestFastPathOfferAfterVIPRemoval(t *testing.T) {
-	m := New(DefaultConfig(selfAddr))
-	vip := &service.VIP{Addr: vipAddr, Backends: backends("100.0.0.1", "100.0.0.2")}
-	if err := m.AddVIP(vip); err != nil {
-		t.Fatal(err)
-	}
-	m.EnableFastPath(nil)
-	pkt := vipPacket(1, 80)
-	res, err := m.Process(pkt, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FastPath == nil {
-		t.Fatal("no offer for fresh flow")
-	}
-	if err := m.RemoveVIP(vipAddr); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Process(pkt, nil); err != ErrVIPNotFound {
-		t.Fatalf("Process after VIP removal: err = %v, want ErrVIPNotFound", err)
-	}
-	// VIP comes back (e.g. re-announced after an operator action).
-	if err := m.AddVIP(&service.VIP{Addr: vipAddr, Backends: backends("100.0.0.1", "100.0.0.2")}); err != nil {
-		t.Fatal(err)
-	}
-	res, err = m.Process(pkt, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Pinned {
-		t.Fatal("pinned connection must have been dropped with the VIP")
-	}
-	if res.FastPath != nil {
-		t.Fatal("flow re-offered after VIP churn; offers are once per flow")
-	}
-}
-
-// Satellite test (observability PR): fast-path behaviour across a DIP health
-// flap. When the offered DIP is removed, the pinned connection is terminated
-// and subsequent packets rehash to a survivor — but the mux never re-offers
-// the flow, so a host agent that accepted the original offer keeps bypassing
-// the mux toward the dead DIP. This is exactly the Ananta fast-path
-// trade-off (§2.1) that Duet's design sidesteps.
-func TestFastPathAfterDIPHealthFlap(t *testing.T) {
-	m := New(DefaultConfig(selfAddr))
-	if err := m.AddVIP(&service.VIP{Addr: vipAddr, Backends: backends("100.0.0.1", "100.0.0.2")}); err != nil {
-		t.Fatal(err)
-	}
-	m.EnableFastPath(nil)
-	pkt := vipPacket(5, 80)
-	first, err := m.Process(pkt, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.FastPath == nil {
-		t.Fatal("no offer for fresh flow")
-	}
-	// Health flap: the DIP the flow was offered goes down.
-	if err := m.RemoveBackend(vipAddr, first.Encap); err != nil {
-		t.Fatal(err)
-	}
-	second, err := m.Process(pkt, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.Pinned {
-		t.Fatal("connection pinned to a failed DIP must be terminated")
-	}
-	if second.Encap == first.Encap {
-		t.Fatalf("rehash picked the failed DIP %v", first.Encap)
-	}
-	if second.FastPath != nil {
-		t.Fatal("flow re-offered after DIP flap; the stale offer is the host agent's problem")
-	}
-	// Once the DIP recovers, fresh flows are offered again.
-	if err := m.UpdateVIP(&service.VIP{Addr: vipAddr, Backends: backends("100.0.0.1", "100.0.0.2")}); err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := m.Process(vipPacket(6, 80), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fresh.FastPath == nil {
-		t.Fatal("no offer for a fresh flow after DIP recovery")
 	}
 }
 

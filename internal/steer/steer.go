@@ -30,7 +30,6 @@ package steer
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -137,10 +136,6 @@ type Entry struct {
 //duet:hotpath
 func (e *Entry) Mode() Mode { return e.mode }
 
-// Backends returns the VIP's backend list (removed DIPs appear zeroed, same
-// as the mux bookkeeping this replaces). Callers must not mutate it.
-func (e *Entry) Backends() []service.Backend { return e.backends }
-
 // DIP resolves the tuple against the entry: port sub-entry first, then the
 // slot array at hash % slots. Zero allocations.
 //
@@ -219,20 +214,6 @@ func NewTable(cfg Config) *Table {
 	return t
 }
 
-// SetClock replaces the drain clock. Call during setup, not concurrently
-// with mutation.
-func (t *Table) SetClock(clock func() float64) {
-	if clock == nil {
-		clock = func() float64 { return 0 }
-	}
-	t.mu.Lock()
-	t.clock = clock
-	t.mu.Unlock()
-}
-
-// DefaultMode returns the mode assigned to VIPs added without one.
-func (t *Table) DefaultMode() Mode { return t.defaultMode }
-
 // Epoch returns the table generation, bumped on every mutation.
 func (t *Table) Epoch() uint64 { return t.gen.Load().epoch }
 
@@ -243,17 +224,6 @@ func (t *Table) NumVIPs() int { return len(t.gen.Load().vips) }
 func (t *Table) HasVIP(addr packet.Addr) bool {
 	_, ok := t.gen.Load().vips[addr]
 	return ok
-}
-
-// VIPs returns the table's VIP addresses in sorted order.
-func (t *Table) VIPs() []packet.Addr {
-	g := t.gen.Load()
-	out := make([]packet.Addr, 0, len(g.vips))
-	for a := range g.vips {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // ModeOf returns the VIP's mode.
@@ -273,9 +243,6 @@ type View struct{ g *generation }
 //
 //duet:hotpath
 func (t *Table) View() View { return View{g: t.gen.Load()} }
-
-// Epoch returns the viewed generation's epoch.
-func (v View) Epoch() uint64 { return v.g.epoch }
 
 // Find returns the VIP's entry in the viewed generation.
 //

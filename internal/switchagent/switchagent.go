@@ -7,9 +7,9 @@
 // The agent models what §7.3 measures: table programming takes real time
 // (the FIB VIP operation dominates, Figure 14), operations on one switch
 // apply strictly in order, and a request is acknowledged only after the
-// tables AND the route announcement have been issued. Operations are
-// journaled so a restarted agent can replay its state onto a blank switch —
-// the recovery path after the switch reboots (§5.1).
+// tables AND the route announcement have been issued. The agent keeps no
+// history: a blank switch node is brought back by delta replication, which
+// owns the desired state.
 package switchagent
 
 import (
@@ -80,17 +80,6 @@ type Timing struct {
 	BGP          float64
 }
 
-// DefaultTiming returns the §7.3 measurements.
-func DefaultTiming() Timing {
-	return Timing{
-		AddVIPFIB:    0.400,
-		RemoveVIPFIB: 0.350,
-		AddDIPs:      0.060,
-		RemoveDIPs:   0.050,
-		BGP:          0.035,
-	}
-}
-
 // Instant returns zero-latency timing (for control-plane unit tests).
 func Instant() Timing { return Timing{} }
 
@@ -111,10 +100,6 @@ type Agent struct {
 
 	// busyUntil serializes table programming on the switch ASIC.
 	busyUntil float64
-
-	journal []Op // successfully applied ops, for replay
-
-	acks []Ack // completed operations, drained by Acks()
 
 	tel agentTelemetry
 }
@@ -144,16 +129,6 @@ func (a *Agent) SetTelemetry(reg *telemetry.Registry, rec *telemetry.Recorder, n
 	}
 }
 
-// BacklogSeconds reports how far the ASIC's programming queue extends past
-// now — the controller-to-switch convergence lag the obs watchdog bounds
-// (Figure 14: queued FIB operations stack up at ~0.4s apiece).
-func (a *Agent) BacklogSeconds(now float64) float64 {
-	if a.busyUntil <= now {
-		return 0
-	}
-	return a.busyUntil - now
-}
-
 // ErrNoMux is returned when the agent has no switch attached.
 var ErrNoMux = errors.New("switchagent: no switch attached")
 
@@ -166,9 +141,9 @@ func New(mux *hmux.Mux, announcer Announcer, timing Timing) *Agent {
 // Mux exposes the attached switch (tests and the datapath need it).
 func (a *Agent) Mux() *hmux.Mux { return a.mux }
 
-// Submit applies one operation at virtual time now. It returns the ack,
-// which is also appended to the drainable ack log. Operations serialize:
-// if the ASIC is still busy from a previous op, this one queues behind it.
+// Submit applies one operation at virtual time now and returns its ack.
+// Operations serialize: if the ASIC is still busy from a previous op, this
+// one queues behind it.
 func (a *Agent) Submit(op Op, now float64) Ack {
 	if a.mux == nil {
 		return a.fail(op, now, ErrNoMux)
@@ -243,9 +218,6 @@ func (a *Agent) Submit(op Op, now float64) Ack {
 		route(doneAt)
 		routedAt = doneAt + a.timing.BGP
 	}
-	a.journal = append(a.journal, op)
-	ack := Ack{Op: op, DoneAt: doneAt, RoutedAt: routedAt}
-	a.acks = append(a.acks, ack)
 	a.tel.ops.Inc()
 	a.tel.progSecs.Observe(doneAt - now) // includes queueing behind a busy ASIC
 	a.tel.backlog.Set(int64((doneAt - now) * 1000))
@@ -256,44 +228,10 @@ func (a *Agent) Submit(op Op, now float64) Ack {
 		addr = op.VIP.Addr
 	}
 	a.tel.rec.RecordAt(doneAt, telemetry.KindTableProgram, a.tel.node, uint32(addr), uint32(op.Kind), 0)
-	return ack
+	return Ack{Op: op, DoneAt: doneAt, RoutedAt: routedAt}
 }
 
 func (a *Agent) fail(op Op, now float64, err error) Ack {
-	ack := Ack{Op: op, DoneAt: now, RoutedAt: now, Err: err}
-	a.acks = append(a.acks, ack)
 	a.tel.opErrors.Inc()
-	return ack
-}
-
-// Acks drains the completed-operation log.
-func (a *Agent) Acks() []Ack {
-	out := a.acks
-	a.acks = nil
-	return out
-}
-
-// JournalLen reports the number of applied operations.
-func (a *Agent) JournalLen() int { return len(a.journal) }
-
-// Replay re-applies the journal onto a fresh switch — the §5.1 recovery path
-// after a switch reboot wipes its tables. Route announcements are re-issued
-// with the given base time. Replay stops at the first error.
-func (a *Agent) Replay(fresh *hmux.Mux, now float64) error {
-	old := a.journal
-	a.mux = fresh
-	a.journal = nil
-	a.busyUntil = now
-	for _, op := range old {
-		if ack := a.Submit(op, now); ack.Err != nil {
-			// Errors for state that later ops already removed are expected
-			// during replay (e.g. add then remove): the journal is a log,
-			// not a snapshot. Only structural errors abort.
-			if errors.Is(ack.Err, hmux.ErrVIPNotFound) {
-				continue
-			}
-			return fmt.Errorf("switchagent: replay %v: %w", op.Kind, ack.Err)
-		}
-	}
-	return nil
+	return Ack{Op: op, DoneAt: now, RoutedAt: now, Err: err}
 }

@@ -15,12 +15,6 @@ func BenchmarkTelemetryHotPath(b *testing.B) {
 	rec := NewRecorder(4096)
 	rec.SetSampleEvery(64)
 
-	b.Run("counter-inc", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			c.Inc()
-		}
-	})
 	b.Run("shard-inc", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -64,11 +58,9 @@ func BenchmarkTelemetryHotPath(b *testing.B) {
 	})
 	b.Run("disabled-nil", func(b *testing.B) {
 		b.ReportAllocs()
-		var nc *Counter
 		ns := CounterShard{}
 		var nr *Recorder
 		for i := 0; i < b.N; i++ {
-			nc.Inc()
 			ns.Inc()
 			if nr.Sample() {
 				nr.Record(KindEncap, 0, 0, 0, 0)

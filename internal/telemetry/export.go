@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -38,43 +37,6 @@ func (r *Registry) WriteText(w io.Writer) error {
 	return nil
 }
 
-// jsonMetric is one metric in the JSON export.
-type jsonMetric struct {
-	Name   string    `json:"name"`
-	Type   string    `json:"type"`
-	Value  uint64    `json:"value,omitempty"`
-	Gauge  int64     `json:"gauge,omitempty"`
-	Count  uint64    `json:"count,omitempty"`
-	Sum    float64   `json:"sum,omitempty"`
-	Bounds []float64 `json:"bounds,omitempty"`
-	Counts []uint64  `json:"counts,omitempty"`
-}
-
-// WriteJSON renders the registry as a JSON array of metrics, sorted by type
-// then name.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	if r == nil {
-		_, err := io.WriteString(w, "[]\n")
-		return err
-	}
-	var out []jsonMetric
-	for _, c := range r.counters() {
-		out = append(out, jsonMetric{Name: c.Name(), Type: "counter", Value: c.Value()})
-	}
-	for _, g := range r.gaugeList() {
-		out = append(out, jsonMetric{Name: g.Name(), Type: "gauge", Gauge: g.Value()})
-	}
-	for _, h := range r.histList() {
-		s := h.Snapshot()
-		out = append(out, jsonMetric{
-			Name: h.Name(), Type: "histogram",
-			Count: s.Count, Sum: s.Sum, Bounds: s.Bounds, Counts: s.Counts,
-		})
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(out)
-}
-
 // fmtAddr renders a host-byte-order IPv4 address (the dataplane's
 // packet.Addr representation) as a dotted quad. Kept local so the telemetry
 // package has no dependencies beyond the standard library.
@@ -97,7 +59,7 @@ func (e Event) String() string {
 			how = "pinned"
 		}
 		fmt.Fprintf(&b, " vip=%s dip=%s %s", fmtAddr(e.A), fmtAddr(e.B), how)
-	case KindEncap, KindTIPHop, KindFastPath, KindDecap, KindSNATExhausted:
+	case KindEncap, KindTIPHop, KindDecap, KindSNATExhausted:
 		fmt.Fprintf(&b, " vip=%s dst=%s", fmtAddr(e.A), fmtAddr(e.B))
 	case KindDrop:
 		fmt.Fprintf(&b, " dst=%s reason=%s", fmtAddr(e.A), DropReason(e.Aux))

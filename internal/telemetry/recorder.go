@@ -20,7 +20,6 @@ const (
 	KindEncap                     // packet encapsulated and out; A = VIP, B = encap dst
 	KindDrop                      // packet dropped; A = dst, Aux = DropReason
 	KindTIPHop                    // TIP decap + re-encap stage; A = TIP, B = encap dst
-	KindFastPath                  // fast-path offer emitted; A = VIP, B = DIP
 	KindDecap                     // host agent decapsulated; A = VIP, B = DIP
 	KindDSR                       // direct server return rewrite; A = VIP
 
@@ -31,7 +30,6 @@ const (
 	KindMigrationStep    // controller migration step; A = VIP, Aux = step code
 	KindHealthTransition // A = DIP, Aux = 1 healthy / 0 unhealthy
 	KindSwitchFail       // Node = switch
-	KindSMuxFail         // Node = smux
 	KindControllerReact  // controller observed an event and acted; Aux = code
 	KindSNATExhausted    // A = VIP, B = DIP
 	KindSLOAlert         // obs watchdog transition; A = rule index, Aux = 1 firing / 0 resolved
@@ -53,8 +51,6 @@ func (k Kind) String() string {
 		return "drop"
 	case KindTIPHop:
 		return "tip-hop"
-	case KindFastPath:
-		return "fastpath-offer"
 	case KindDecap:
 		return "decap"
 	case KindDSR:
@@ -71,8 +67,6 @@ func (k Kind) String() string {
 		return "health-transition"
 	case KindSwitchFail:
 		return "switch-fail"
-	case KindSMuxFail:
-		return "smux-fail"
 	case KindControllerReact:
 		return "controller-react"
 	case KindSNATExhausted:

@@ -55,22 +55,6 @@ func (c *Counter) Name() string {
 	return c.name
 }
 
-// Inc adds one. Safe for concurrent use; allocation-free.
-func (c *Counter) Inc() {
-	if c == nil {
-		return
-	}
-	c.shards[0].v.Add(1)
-}
-
-// Add adds n.
-func (c *Counter) Add(n uint64) {
-	if c == nil {
-		return
-	}
-	c.shards[0].v.Add(n)
-}
-
 // Value sums all shards.
 func (c *Counter) Value() uint64 {
 	if c == nil {

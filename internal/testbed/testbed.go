@@ -82,7 +82,6 @@ type Testbed struct {
 	SMuxes []*smux.Mux
 
 	switchUp []bool
-	smuxUp   []bool
 
 	smModel latmodel.SMuxModel
 	hmModel latmodel.HMuxModel
@@ -138,17 +137,9 @@ func New(seed int64) *Testbed {
 		sm := smux.New(smux.DefaultConfig(packet.AddrFrom4(192, 168, 0, byte(i+1))))
 		sm.SetTelemetry(tb.reg, tb.rec, uint32(smuxNodeBase)+uint32(i))
 		tb.SMuxes = append(tb.SMuxes, sm)
-		tb.smuxUp = append(tb.smuxUp, true)
 		tb.Routes.Announce(tb.aggregate, smuxNodeBase+bgp.NodeID(i), 0)
 	}
 	return tb
-}
-
-// Telemetry exposes the testbed's metric registry and flight recorder. The
-// recorder runs on the virtual clock, so two runs with the same seed and
-// scenario produce identical traces.
-func (tb *Testbed) Telemetry() (*telemetry.Registry, *telemetry.Recorder) {
-	return tb.reg, tb.rec
 }
 
 // Now returns the virtual clock.
@@ -220,18 +211,6 @@ func (tb *Testbed) FailSwitch(sw topology.SwitchID, at float64) {
 		// The controller reacts once the withdrawal has converged and the
 		// routing change is visible to it (§5.1).
 		tb.rec.RecordAt(tb.now+LatFailDetect+LatBGP, telemetry.KindControllerReact, uint32(sw), 0, 0, 0)
-	})
-}
-
-// FailSMux kills one SMux at time at (§5.1 "SMux failure"): its dataplane
-// stops instantly; switches detect the failure via BGP and ECMP shifts its
-// share of the aggregate onto the surviving SMuxes after the usual
-// convergence delay. HMux-hosted VIPs are unaffected.
-func (tb *Testbed) FailSMux(idx int, at float64) {
-	tb.Schedule(at, func() {
-		tb.smuxUp[idx] = false
-		tb.rec.RecordAt(tb.now, telemetry.KindSMuxFail, uint32(smuxNodeBase)+uint32(idx), 0, 0, 0)
-		tb.Routes.Withdraw(tb.aggregate, smuxNodeBase+bgp.NodeID(idx), tb.now+LatFailDetect+LatBGP)
 	})
 }
 
@@ -338,7 +317,7 @@ func (tb *Testbed) Ping(vip packet.Addr, tuple packet.FiveTuple) PingResult {
 	nh := nhs[int(ecmp.Hash(tuple)%uint64(len(nhs)))]
 
 	if nh >= smuxNodeBase {
-		return tb.pingViaSMux(int(nh - smuxNodeBase))
+		return tb.pingViaSMux()
 	}
 
 	sw := topology.SwitchID(nh)
@@ -348,37 +327,19 @@ func (tb *Testbed) Ping(vip packet.Addr, tuple packet.FiveTuple) PingResult {
 		return PingResult{Lost: true}
 	}
 	if tb.HMuxes[sw].HasVIP(vip) {
-		rtt := latmodel.BaseRTT + tb.hmModel.SampleLatency(tb.rng, tb.hmuxOfferedBps(sw))
+		rtt := tb.hmModel.SampleRTT(tb.rng, tb.hmuxOfferedBps(sw))
 		return PingResult{RTT: rtt}
 	}
 	// FIB miss (VIP being migrated): the packet follows the aggregate to an
-	// SMux — one extra in-fabric hop, then software processing. Only live
-	// SMuxes participate (the switch's own aggregate route set).
-	var live []int
-	for i, up := range tb.smuxUp {
-		if up {
-			live = append(live, i)
-		}
-	}
-	if len(live) == 0 {
-		return PingResult{Lost: true}
-	}
-	idx := live[int(ecmp.Hash(tuple)%uint64(len(live)))]
-	res := tb.pingViaSMux(idx)
-	if !res.Lost {
-		res.RTT += 20e-6 // extra fabric hop to reach the SMux
-	}
+	// SMux — one extra in-fabric hop, then software processing.
+	res := tb.pingViaSMux()
+	res.RTT += 20e-6 // extra fabric hop to reach the SMux
 	return res
 }
 
-func (tb *Testbed) pingViaSMux(idx int) PingResult {
-	if idx >= len(tb.SMuxes) || !tb.smuxUp[idx] {
-		// Dead SMux still attracting its ECMP share: blackhole until the
-		// aggregate withdrawal converges.
-		return PingResult{Lost: true}
-	}
+func (tb *Testbed) pingViaSMux() PingResult {
 	pps := tb.smuxBackgroundPPS()
-	rtt := latmodel.BaseRTT + tb.smModel.SampleLatency(tb.rng, pps)
+	rtt := tb.smModel.SampleRTT(tb.rng, pps)
 	return PingResult{RTT: rtt, ViaSMux: true}
 }
 
@@ -386,15 +347,6 @@ func (tb *Testbed) pingViaSMux(idx int) PingResult {
 // whose traffic lands on the SMux layer (explicitly routed there, or falling
 // through a FIB miss) contributes its pps, split across the SMuxes.
 func (tb *Testbed) smuxBackgroundPPS() float64 {
-	live := 0
-	for _, up := range tb.smuxUp {
-		if up {
-			live++
-		}
-	}
-	if live == 0 {
-		return 0
-	}
 	var total float64
 	for vip, pps := range tb.vipLoad {
 		if pps == 0 {
@@ -416,23 +368,5 @@ func (tb *Testbed) smuxBackgroundPPS() float64 {
 			total += pps
 		}
 	}
-	return total / float64(live)
-}
-
-// VIPOnHMux reports whether the VIP's converged route currently points at a
-// live HMux holding its FIB entry.
-func (tb *Testbed) VIPOnHMux(vip packet.Addr) bool {
-	nhs, _, ok := tb.Routes.Lookup(vip, tb.now)
-	if !ok {
-		return false
-	}
-	for _, nh := range nhs {
-		if nh < smuxNodeBase {
-			sw := topology.SwitchID(nh)
-			if tb.switchUp[sw] && tb.HMuxes[sw].HasVIP(vip) {
-				return true
-			}
-		}
-	}
-	return false
+	return total / float64(len(tb.SMuxes))
 }

@@ -252,25 +252,8 @@ func (t *Topology) NumLinks() int { return len(t.Links) }
 // NumRacks returns the number of racks (== ToR switches).
 func (t *Topology) NumRacks() int { return t.Cfg.Containers * t.Cfg.ToRsPerContainer }
 
-// NumServers returns the total server count.
-func (t *Topology) NumServers() int { return t.NumRacks() * t.Cfg.ServersPerToR }
-
 // Rack converts a rack index (0..NumRacks-1) to its ToR switch ID.
 func (t *Topology) Rack(r int) SwitchID { return t.torBase + SwitchID(r) }
-
-// RackOf returns the rack index of a ToR switch, or -1 for non-ToR switches.
-func (t *Topology) RackOf(s SwitchID) int {
-	if t.Switches[s].Kind != ToR {
-		return -1
-	}
-	return int(s - t.torBase)
-}
-
-// RackOfServer returns the rack index hosting server idx (0..NumServers-1).
-func (t *Topology) RackOfServer(idx int) int { return idx / t.Cfg.ServersPerToR }
-
-// ContainerOf returns the container of a switch, or -1 for Core switches.
-func (t *Topology) ContainerOf(s SwitchID) int { return t.Switches[s].Container }
 
 // ContainerSwitches returns all switch IDs inside container c (ToRs + Aggs).
 func (t *Topology) ContainerSwitches(c int) []SwitchID {

@@ -21,9 +21,6 @@ func TestNewCounts(t *testing.T) {
 	if top.NumRacks() != cfg.Containers*cfg.ToRsPerContainer {
 		t.Fatalf("racks = %d", top.NumRacks())
 	}
-	if top.NumServers() != top.NumRacks()*cfg.ServersPerToR {
-		t.Fatalf("servers = %d", top.NumServers())
-	}
 }
 
 func TestTestbedMirrorsPaperFigure10(t *testing.T) {
@@ -58,9 +55,8 @@ func TestIDsRoundTrip(t *testing.T) {
 			if sw.Kind != ToR || sw.Container != c || sw.Index != i {
 				t.Fatalf("TorID(%d,%d) → %+v", c, i, sw)
 			}
-			r := top.RackOf(id)
-			if top.Rack(r) != id {
-				t.Fatalf("rack round trip failed for %v", id)
+			if r := c*cfg.ToRsPerContainer + i; top.Rack(r) != id {
+				t.Fatalf("rack %d is %v, want %v", r, top.Rack(r), id)
 			}
 		}
 		for j := 0; j < cfg.AggsPerContainer; j++ {
@@ -75,16 +71,6 @@ func TestIDsRoundTrip(t *testing.T) {
 		if sw.Kind != Core || sw.Container != -1 || sw.Index != i {
 			t.Fatalf("CoreID(%d) → %+v", i, sw)
 		}
-	}
-}
-
-func TestRackOfNonToR(t *testing.T) {
-	top := MustNew(TestbedConfig())
-	if top.RackOf(top.AggID(0, 0)) != -1 {
-		t.Error("RackOf(Agg) should be -1")
-	}
-	if top.RackOf(top.CoreID(0)) != -1 {
-		t.Error("RackOf(Core) should be -1")
 	}
 }
 
@@ -208,17 +194,9 @@ func TestContainerSwitches(t *testing.T) {
 		t.Fatalf("container 1 has %d switches, want 4", len(sws))
 	}
 	for _, s := range sws {
-		if top.ContainerOf(s) != 1 {
+		if top.Switch(s).Container != 1 {
 			t.Fatalf("switch %v reported outside container 1", s)
 		}
-	}
-}
-
-func TestRackOfServer(t *testing.T) {
-	top := MustNew(DefaultConfig())
-	per := top.Cfg.ServersPerToR
-	if top.RackOfServer(0) != 0 || top.RackOfServer(per-1) != 0 || top.RackOfServer(per) != 1 {
-		t.Fatal("RackOfServer boundaries wrong")
 	}
 }
 

@@ -50,6 +50,11 @@ func mirror(n *Node) *delta.State {
 	return n.cfg.Clone()
 }
 
+// sameState: same epoch and nothing to change between the two.
+func sameState(a, b *delta.State) bool {
+	return a.Epoch == b.Epoch && len(delta.Diff(a, b).Ops) == 0
+}
+
 // TestRejectedDeltaDoesNotHalfApply pushes a delta whose first op is fine and
 // whose second diverges from the mirror. The rejection must leave the mirror
 // at its pre-state — otherwise the leader's corrected delta, which repeats
@@ -93,7 +98,7 @@ func TestRejectedDeltaDoesNotHalfApply(t *testing.T) {
 	if got := counter(sm, "wire.delta.rejected"); got != rejected+1 {
 		t.Fatalf("wire.delta.rejected = %d, want %d", got, rejected+1)
 	}
-	if !mirror(sm).Equal(pre) {
+	if !sameState(mirror(sm), pre) {
 		t.Fatal("rejected delta left its first op in the mirror")
 	}
 	if sm.smux.HasVIP(vip2) {
@@ -103,7 +108,7 @@ func TestRejectedDeltaDoesNotHalfApply(t *testing.T) {
 	if ack, err = pushDelta(c, good); err != nil {
 		t.Fatalf("the correct delta no longer applies after the rejection: %v", err)
 	}
-	if ack.Epoch != 2 || !sm.smux.HasVIP(vip2) || !mirror(sm).Equal(st2) {
+	if ack.Epoch != 2 || !sm.smux.HasVIP(vip2) || !sameState(mirror(sm), st2) {
 		t.Fatalf("correct delta applied to epoch %d, vip2 programmed %v", ack.Epoch, sm.smux.HasVIP(vip2))
 	}
 }
@@ -159,7 +164,7 @@ func TestDataplaneRolesRejectOtherMessages(t *testing.T) {
 				}
 			}
 
-			if role.tables(n) != 1 || !mirror(n).Equal(pre) || counter(n, "wire.delta.applied") != applied {
+			if role.tables(n) != 1 || !sameState(mirror(n), pre) || counter(n, "wire.delta.applied") != applied {
 				t.Fatal("a rejected message changed the node's tables or mirror")
 			}
 			for _, g := range gauges {

@@ -95,9 +95,8 @@ type Node struct {
 
 	announceQ chan Envelope // switchagent → controller routing side effects
 
-	ctlMu      sync.Mutex
-	routeSet   map[string]bool
-	lastHealth map[string]*HealthMsg
+	ctlMu    sync.Mutex
+	routeSet map[string]bool
 }
 
 // now is the node's monotonic clock in seconds, used for switch-agent
@@ -114,18 +113,17 @@ func StartNode(spec *ClusterSpec, name string) (*Node, error) {
 		return nil, fmt.Errorf("wire: node %q not in spec", name)
 	}
 	n := &Node{
-		Spec:       spec,
-		Me:         me,
-		Reg:        telemetry.NewRegistry(),
-		Rec:        telemetry.NewRecorder(telemetry.DefaultRecorderSize),
-		wall:       clock.Wall(),
-		unix:       clock.Unix(),
-		hosts:      spec.HostMap(),
-		stop:       make(chan struct{}),
-		routeSet:   make(map[string]bool),
-		lastHealth: make(map[string]*HealthMsg),
-		vipVers:    make(map[packet.Addr]uint64),
-		cfg:        delta.NewState(),
+		Spec:     spec,
+		Me:       me,
+		Reg:      telemetry.NewRegistry(),
+		Rec:      telemetry.NewRecorder(telemetry.DefaultRecorderSize),
+		wall:     clock.Wall(),
+		unix:     clock.Unix(),
+		hosts:    spec.HostMap(),
+		stop:     make(chan struct{}),
+		routeSet: make(map[string]bool),
+		vipVers:  make(map[packet.Addr]uint64),
+		cfg:      delta.NewState(),
 	}
 	// Per-packet pipeline events are sampled at the trace-origination rate:
 	// unsampled, a node at line rate overwrites the ring its control-plane
@@ -201,9 +199,6 @@ func (n *Node) HTTPAddr() string {
 	}
 	return n.httpLn.Addr().String()
 }
-
-// Delivered returns the host-agent node's end-to-end delivery count.
-func (n *Node) Delivered() uint64 { return n.Reg.Counter("wire.delivered").Value() }
 
 func (n *Node) startHTTP() error {
 	if n.Me.HTTP == "" {
@@ -635,11 +630,6 @@ func (n *Node) controllerControl(env, ack *Envelope) error {
 		return n.rep.handleSnapshotRequest(ack)
 	case MsgHealthReport:
 		n.reports.Inc()
-		if env.Health != nil {
-			n.ctlMu.Lock()
-			n.lastHealth[env.Health.Host] = env.Health
-			n.ctlMu.Unlock()
-		}
 		return nil
 	case MsgAnnounceVIP, MsgWithdrawVIP:
 		n.ctlMu.Lock()
@@ -653,18 +643,6 @@ func (n *Node) controllerControl(env, ack *Envelope) error {
 		return nil
 	}
 	return fmt.Errorf("controller: unsupported control message %s", env.Type)
-}
-
-// HealthSnapshot returns the latest health report per host (tests and the
-// obs collector read it).
-func (n *Node) HealthSnapshot() map[string]*HealthMsg {
-	n.ctlMu.Lock()
-	defer n.ctlMu.Unlock()
-	out := make(map[string]*HealthMsg, len(n.lastHealth))
-	for k, v := range n.lastHealth {
-		out[k] = v
-	}
-	return out
 }
 
 // Peer programming lives in ha.go: the leading controller's replicator

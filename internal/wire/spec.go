@@ -245,16 +245,6 @@ func (s *ClusterSpec) Node(name string) (*NodeSpec, bool) {
 	return nil, false
 }
 
-// Controller returns the (first) controller node, if any.
-func (s *ClusterSpec) Controller() (*NodeSpec, bool) {
-	for i := range s.Nodes {
-		if s.Nodes[i].Role == RoleController {
-			return &s.Nodes[i], true
-		}
-	}
-	return nil, false
-}
-
 // Controllers returns every controller node in spec order. The order is the
 // election priority: the first controller leads at bootstrap, and on leader
 // death standbys take over lowest-index-first.
