@@ -72,7 +72,7 @@ func (c *console) controller() *duet.Controller {
 	if c.ctl == nil {
 		c.ctl = duet.NewController(c.cluster, duet.DefaultAssignOptions())
 		reg, rec := c.cluster.Telemetry()
-		c.ctl.SetTelemetry(reg, rec, c.cluster.Now)
+		c.ctl.SetTelemetry(reg, rec)
 	}
 	return c.ctl
 }

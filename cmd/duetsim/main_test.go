@@ -63,3 +63,24 @@ func TestEveryFigureRuns(t *testing.T) {
 		t.Error("runFigure accepted an unregistered id")
 	}
 }
+
+// TestTestbedFiguresGolden holds Figures 11–14 at -seed 1 to what the binary
+// printed before the testbed drove a core.Cluster (testdata/*.golden, written
+// by that binary): every probe is now a real packet through Cluster.Deliver
+// and every migration leg the cluster's own mutators, and not one byte of the
+// figures may move for it. A deliberate change to a figure regenerates its
+// file with `go run ./cmd/duetsim -fig N -seed 1`.
+func TestTestbedFiguresGolden(t *testing.T) {
+	for _, id := range []string{"11", "12", "13", "14"} {
+		t.Run(id, func(t *testing.T) {
+			want, err := os.ReadFile("testdata/fig" + id + ".seed1.golden")
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := captureStdout(t, func() { runFigure(id, &simFlags{seed: 1}) })
+			if got != string(want) {
+				t.Errorf("figure %s differs from its golden file:\n--- got\n%s--- want\n%s", id, got, want)
+			}
+		})
+	}
+}

@@ -89,7 +89,7 @@ func fig11(f *simFlags) {
 		i := uint32(0)
 		for t := from; t < to; t += 0.003 {
 			tb.RunUntil(t)
-			res := tb.Ping(probe.Addr, tbProbe(i, probe.Addr))
+			res := tb.Ping(tbProbe(i, probe.Addr))
 			if !res.Lost {
 				series.Add(t, res.RTT)
 			}
@@ -104,7 +104,7 @@ func fig11(f *simFlags) {
 		tb.SetVIPLoad(loaded[i].Addr, 120_000) // 1.2M total → 400K per SMux
 	}
 	ping(100, 200)
-	sw := tb.Topo.TorID(0, 0)
+	sw := tb.Cluster.Topo.TorID(0, 0)
 	for _, v := range append(loaded, probe) {
 		tb.MigrateToHMux(v.Addr, sw, tb.Now())
 	}
@@ -133,8 +133,8 @@ func fig12(f *simFlags) {
 	tb := testbed.New(f.seed)
 	vipS, vipH, vipF := tbVIP(0), tbVIP(1), tbVIP(2)
 	must(tb.AddVIPToSMuxes(vipS))
-	must(tb.AssignVIPToHMux(vipH, tb.Topo.TorID(0, 1)))
-	failSW := tb.Topo.AggID(1, 0)
+	must(tb.AssignVIPToHMux(vipH, tb.Cluster.Topo.TorID(0, 1)))
+	failSW := tb.Cluster.Topo.AggID(1, 0)
 	must(tb.AssignVIPToHMux(vipF, failSW))
 	tb.RunUntil(0.1)
 	const tFail = 0.2
@@ -151,7 +151,7 @@ func fig12(f *simFlags) {
 	for t := 0.1; t < 0.5; t += 0.003 {
 		tb.RunUntil(t)
 		for _, p := range probes {
-			res := tb.Ping(p.vip, tbProbe(i, p.vip))
+			res := tb.Ping(tbProbe(i, p.vip))
 			i++
 			if res.Lost {
 				lo := lost[p.name]
@@ -190,7 +190,7 @@ func fig12(f *simFlags) {
 func fig13(f *simFlags) {
 	tb := testbed.New(f.seed)
 	v1, v2, v3 := tbVIP(1), tbVIP(2), tbVIP(3)
-	swA, swB := tb.Topo.TorID(0, 0), tb.Topo.TorID(1, 1)
+	swA, swB := tb.Cluster.Topo.TorID(0, 0), tb.Cluster.Topo.TorID(1, 1)
 	must(tb.AssignVIPToHMux(v1, swA))
 	must(tb.AddVIPToSMuxes(v2))
 	must(tb.AssignVIPToHMux(v3, swA))
@@ -209,7 +209,7 @@ func fig13(f *simFlags) {
 	for t := 0.1; t < 1.8; t += 0.003 {
 		tb.RunUntil(t)
 		for k, vip := range []packet.Addr{v1.Addr, v2.Addr, v3.Addr} {
-			res := tb.Ping(vip, tbProbe(i, vip))
+			res := tb.Ping(tbProbe(i, vip))
 			i++
 			total++
 			if res.Lost {
@@ -239,12 +239,12 @@ func fig14(f *simFlags) {
 		v := tbVIP(i % 200)
 		must(tb.AddVIPToSMuxes(v))
 		at := tb.Now() + 0.1
-		mtA := tb.MigrateToHMux(v.Addr, tb.Topo.TorID(0, 0), at)
+		mtA := tb.MigrateToHMux(v.Addr, tb.Cluster.Topo.TorID(0, 0), at)
 		addD = append(addD, mtA.DIPsDelay)
 		addV = append(addV, mtA.VIPDelay)
 		addB = append(addB, mtA.BGPDelay)
 		tb.RunUntil(at + 1)
-		mtD := tb.MigrateToSMux(v.Addr, tb.Topo.TorID(0, 0), tb.Now()+0.1)
+		mtD := tb.MigrateToSMux(v.Addr, tb.Cluster.Topo.TorID(0, 0), tb.Now()+0.1)
 		delD = append(delD, mtD.DIPsDelay)
 		delV = append(delV, mtD.VIPDelay)
 		delB = append(delB, mtD.BGPDelay)

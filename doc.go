@@ -17,12 +17,12 @@
 //	internal/netsim     flow-level simulator (ECMP splitting, link loads)
 //	internal/assign     the greedy MRU VIP placement + Sticky migration (§4)
 //	internal/controller the Duet controller (§6)
-//	internal/switchagent per-switch programming agent (Figure 9)
+//	internal/switchagent per-switch programming agent of a duetd switch node (Figure 9)
 //	internal/core       the assembled cluster with a byte-accurate datapath
 //	internal/workload   Figure 15-calibrated trace generation
 //	internal/latmodel   Figure 1-calibrated latency/CPU/cost models
 //	internal/provision  SMux fleet sizing (Figures 16, 17, 20c)
-//	internal/testbed    discrete-event testbed (Figures 11–14)
+//	internal/testbed    virtual-time driver of one cluster: the §7 testbed (Figures 11–14)
 //
 // Quick start:
 //

@@ -35,7 +35,7 @@ func main() {
 
 	ctl := duet.NewController(cluster, duet.DefaultAssignOptions())
 	reg, rec := cluster.Telemetry()
-	ctl.SetTelemetry(reg, rec, cluster.Now)
+	ctl.SetTelemetry(reg, rec)
 
 	sw := cluster.Topo.AggID(0, 0)
 	if err := cluster.AssignToHMux(vip, sw); err != nil {

@@ -1,7 +1,7 @@
 // Quickstart: build a small Duet cluster, configure a VIP with three DIPs,
 // push real packets through the datapath, and watch the VIP move from the
 // SMux backstop onto a hardware mux — the hybrid design of the paper in
-// ~60 lines of API use.
+// ~60 lines of API use — and a virtualized host fan flows out to its VMs.
 package main
 
 import (
@@ -72,6 +72,25 @@ func main() {
 		fmt.Printf(" %s(%s)", h.Kind, h.Node)
 	}
 	fmt.Printf("\n  delivered to DIP %s on host %s\n", d.DIP, d.Host)
+
+	// A virtualized host (Figure 6): the VIP's one backend is the host's own
+	// address, and the host agent fans the flows out to the VMs behind it.
+	hip, vvip := duet.MustParseAddr("20.0.1.1"), duet.MustParseAddr("10.0.0.2")
+	vms := []duet.Addr{duet.MustParseAddr("100.1.0.1"), duet.MustParseAddr("100.1.0.2")}
+	if err := cluster.RegisterHost(hip, vvip, vms); err != nil {
+		log.Fatal(err)
+	}
+	if err := cluster.AddVIP(&duet.VIP{Addr: vvip, Backends: []duet.Backend{{Addr: hip, Weight: 2}}}); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\n== phase 3: VIP %s on one host (%s) running two VMs ==\n", vvip, hip)
+	counts = sendFlows(cluster, vvip, 9000, 0)
+	for dip, n := range counts {
+		fmt.Printf("  VM DIP %-9s %5d flows (%.1f%%)\n", dip, n, 100*float64(n)/9000)
+	}
+	if len(counts) != len(vms) {
+		log.Fatalf("the host agent spread the flows over %d VM DIPs, want %d", len(counts), len(vms))
+	}
 }
 
 // sendFlows pushes n distinct TCP flows at the VIP and counts DIP choices.

@@ -7,13 +7,15 @@
 // through to the SMux aggregate.
 //
 // The table is time-aware: announcements and withdrawals carry an effective
-// time, and Lookup answers "what did the fabric believe at time t", which is
-// what the discrete-event testbed needs to reproduce Figures 12–14.
+// time, and Pick answers "what did the fabric believe at time t". No caller
+// passes a future time any more — internal/testbed schedules the mutation
+// itself when a propagation delay has passed, and core.Cluster reads the
+// converged view — but bench/ pins both signatures.
 //
 // Concurrency: the table is a persistent binary trie. Mutators (Announce,
 // Withdraw, WithdrawAll) serialize on an internal lock and path-copy only the
 // nodes they touch, then publish the new root through an atomic pointer.
-// Readers (Lookup, Pick) load the root once and walk an immutable structure,
+// Readers (Pick) load the root once and walk an immutable structure,
 // so any number of dataplane goroutines can resolve routes concurrently with
 // control-plane churn and never observe a torn or partially applied update.
 package bgp
@@ -211,30 +213,10 @@ func (t *Table) Withdraw(p packet.Prefix, nh NodeID, effectiveAt float64) {
 	})
 }
 
-// Lookup returns the next hops of the longest prefix matching addr with at
-// least one active route at time now, sorted for determinism. ok is false if
-// nothing matches.
-func (t *Table) Lookup(addr packet.Addr, now float64) (nhs []NodeID, matched packet.Prefix, ok bool) {
-	return t.Snapshot().Lookup(addr, now)
-}
-
-// Lookup resolves addr against the snapshot (see Table.Lookup).
-func (s Snapshot) Lookup(addr packet.Addr, now float64) (nhs []NodeID, matched packet.Prefix, ok bool) {
-	bestNode, bestBits := s.match(addr, now)
-	if bestNode == nil {
-		return nil, packet.Prefix{}, false
-	}
-	for _, e := range bestNode.routes {
-		if e.active(now) {
-			nhs = append(nhs, e.nh)
-		}
-	}
-	return nhs, packet.PrefixFrom(addr, bestBits), true
-}
-
-// Pick resolves addr like Lookup but returns the (hash mod n)-th of the n
-// active next hops directly — the ECMP decision — without allocating. This is
-// the dataplane entry point.
+// Pick resolves addr against the snapshot: of the n next hops of the longest
+// prefix matching addr with at least one route active at time now, it returns
+// the (hash mod n)-th — the ECMP decision — without allocating. ok is false if
+// nothing matches. This is the dataplane entry point.
 //
 //duet:hotpath
 func (s Snapshot) Pick(addr packet.Addr, now float64, hash uint64) (nh NodeID, matched packet.Prefix, ok bool) {

@@ -12,6 +12,26 @@ var (
 	vipAgg  = packet.MustParsePrefix("10.0.0.0/16")
 )
 
+// Lookup lists the next hops Pick chooses among for addr at time now, in the
+// order Pick numbers them, by asking for one residue after another until the
+// first hop comes round again. The table itself only ever picks one.
+func (s Snapshot) Lookup(addr packet.Addr, now float64) (nhs []NodeID, matched packet.Prefix, ok bool) {
+	for h := uint64(0); ; h++ {
+		nh, m, found := s.Pick(addr, now, h)
+		if !found {
+			return nil, packet.Prefix{}, false
+		}
+		if h > 0 && nh == nhs[0] {
+			return nhs, matched, true
+		}
+		nhs, matched = append(nhs, nh), m
+	}
+}
+
+func (t *Table) Lookup(addr packet.Addr, now float64) ([]NodeID, packet.Prefix, bool) {
+	return t.Snapshot().Lookup(addr, now)
+}
+
 const (
 	hmux1 NodeID = 1
 	hmux2 NodeID = 2

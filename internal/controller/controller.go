@@ -38,14 +38,12 @@ type ctlTelemetry struct {
 	switchFailuresHandled telemetry.CounterShard
 	modeChanges           telemetry.CounterShard
 	rec                   *telemetry.Recorder
-	clock                 func() float64
 }
 
 // SetTelemetry attaches the controller to a metric registry and flight
-// recorder. now, when non-nil, supplies the control-plane timestamp for
-// trace events (e.g. the testbed's virtual clock); otherwise the recorder's
-// own clock is used.
-func (ct *Controller) SetTelemetry(reg *telemetry.Registry, rec *telemetry.Recorder, now func() float64) {
+// recorder; trace events carry the recorder's clock (the testbed's virtual
+// time when it injected one).
+func (ct *Controller) SetTelemetry(reg *telemetry.Registry, rec *telemetry.Recorder) {
 	ct.tel = ctlTelemetry{
 		epochs:                reg.Counter("controller.epochs").Shard(),
 		moves:                 reg.Counter("controller.moves").Shard(),
@@ -55,17 +53,7 @@ func (ct *Controller) SetTelemetry(reg *telemetry.Registry, rec *telemetry.Recor
 		switchFailuresHandled: reg.Counter("controller.switch_failures_handled").Shard(),
 		modeChanges:           reg.Counter("controller.mode_changes").Shard(),
 		rec:                   rec,
-		clock:                 now,
 	}
-}
-
-// record emits a control-plane trace event, preferring the injected clock.
-func (ct *Controller) record(kind telemetry.Kind, node, a, b uint32, aux uint64) {
-	if ct.tel.clock != nil {
-		ct.tel.rec.RecordAt(ct.tel.clock(), kind, node, a, b, aux)
-		return
-	}
-	ct.tel.rec.Record(kind, node, a, b, aux)
 }
 
 // New creates a controller over a cluster.
@@ -215,7 +203,7 @@ func (ct *Controller) applyEpoch(w *workload.Workload, epoch int, next *assign.A
 		}
 		if fromTier != assign.TierSMux {
 			// Migration step 1: traffic falls back to the SMux stepping stone.
-			ct.record(telemetry.KindMigrationStep, uint32(epoch), uint32(addr), uint32(from), 1)
+			ct.tel.rec.Record(telemetry.KindMigrationStep, uint32(epoch), uint32(addr), uint32(from), 1)
 		}
 		if toTier != assign.TierSMux {
 			moves = append(moves, move{addr: addr, tier: toTier, to: to})
@@ -239,7 +227,7 @@ func (ct *Controller) applyEpoch(w *workload.Workload, epoch int, next *assign.A
 			continue
 		}
 		// Migration step 2: the VIP's new home is announced/programmed.
-		ct.record(telemetry.KindMigrationStep, uint32(epoch), uint32(m.addr), uint32(m.to), 2)
+		ct.tel.rec.Record(telemetry.KindMigrationStep, uint32(epoch), uint32(m.addr), uint32(m.to), 2)
 	}
 	// Apply the engine's consistency-mode decisions to the SMux tier. Mode
 	// flips never move a flow's DIP (the lookup tables are untouched), so
@@ -264,80 +252,52 @@ func (ct *Controller) applyEpoch(w *workload.Workload, epoch int, next *assign.A
 
 // AddDIP grows a VIP's backend set (§5.2 "DIP addition"): if the VIP lives
 // on an HMux it is first withdrawn so the SMuxes' connection state masks the
-// hash change; the next epoch migrates it back.
+// hash change; the next epoch migrates it back. The cluster then reprograms
+// every tier that holds the VIP in one locked step.
 func (ct *Controller) AddDIP(vip packet.Addr, b service.Backend) error {
-	v, ok := ct.Cluster.VIP(vip)
-	if !ok {
-		return core.ErrVIPUnknown
-	}
 	if _, onHMux := ct.Cluster.HomeOf(vip); onHMux {
 		if err := ct.Cluster.WithdrawFromHMux(vip); err != nil {
 			return err
 		}
-		if i, ok := ct.indexOf[vip]; ok && ct.prev != nil {
-			ct.prev.SwitchOf[i] = assign.Unassigned
-			if ct.prev.TierOf != nil {
-				ct.prev.TierOf[i] = assign.TierSMux
-			}
-		}
-	}
-	v.Backends = append(v.Backends, b)
-	for _, sm := range ct.Cluster.SMuxes {
-		if err := sm.UpdateVIP(v); err != nil {
-			return err
-		}
+		ct.orphan(vip)
 	}
 	// A NIC-hosted VIP updates in place: the NIC's exact-match entries pin
 	// existing connections just like the SMux connection table, so no
 	// bounce through the stepping stone is needed. If the grown backend set
-	// no longer fits the table, ReprogramNMux withdraws the VIP from the
-	// tier (the SMuxes keep serving it) — not an error here.
-	if err := ct.Cluster.ReprogramNMux(v); err != nil {
-		if i, ok := ct.indexOf[vip]; ok && ct.prev != nil && ct.prev.TierOf != nil {
-			ct.prev.TierOf[i] = assign.TierSMux
-		}
+	// no longer fits the table, AddBackend withdraws the VIP from the tier
+	// (the SMuxes keep serving it) — not an error here.
+	onNIC := ct.Cluster.NMuxHosted(vip)
+	if err := ct.Cluster.AddBackend(vip, b); err != nil {
+		return err
 	}
-	if _, ok := ct.Cluster.Agent(b.Addr); !ok {
-		if err := ct.Cluster.RegisterHost(b.Addr, vip, []packet.Addr{b.Addr}); err != nil {
-			return err
-		}
+	if onNIC && !ct.Cluster.NMuxHosted(vip) {
+		ct.orphan(vip)
 	}
 	ct.tel.dipAdds.Inc()
 	return nil
 }
 
+// orphan marks a VIP SMux-served in the previous assignment, so the next
+// epoch re-places it.
+func (ct *Controller) orphan(vip packet.Addr) {
+	if i, ok := ct.indexOf[vip]; ok && ct.prev != nil {
+		ct.orphanIndex(i)
+	}
+}
+
+func (ct *Controller) orphanIndex(i int) {
+	ct.prev.SwitchOf[i] = assign.Unassigned // already so for a NIC-tier VIP
+	if ct.prev.TierOf != nil {
+		ct.prev.TierOf[i] = assign.TierSMux
+	}
+}
+
 // RemoveDIP shrinks a VIP's backend set in place (§5.2 "DIP removal" /
-// §5.1 "DIP failure"): resilient hashing on both mux types keeps surviving
+// §5.1 "DIP failure"): resilient hashing on every mux type keeps surviving
 // connections intact; connections to the removed DIP are terminated.
 func (ct *Controller) RemoveDIP(vip, dip packet.Addr) error {
-	v, ok := ct.Cluster.VIP(vip)
-	if !ok {
-		return core.ErrVIPUnknown
-	}
-	if sw, onHMux := ct.Cluster.HomeOf(vip); onHMux {
-		if err := ct.Cluster.HMuxes[sw].RemoveBackend(vip, dip); err != nil {
-			return err
-		}
-	}
-	if ct.Cluster.NMuxHosted(vip) {
-		// Resilient removal on every NIC; flows pinned to the dead DIP are
-		// terminated, the rest keep their entries.
-		for _, nm := range ct.Cluster.NMuxes {
-			if err := nm.RemoveBackend(vip, dip); err != nil {
-				return err
-			}
-		}
-	}
-	for _, sm := range ct.Cluster.SMuxes {
-		if err := sm.RemoveBackend(vip, dip); err != nil {
-			return err
-		}
-	}
-	for i, b := range v.Backends {
-		if b.Addr == dip {
-			v.Backends = append(v.Backends[:i], v.Backends[i+1:]...)
-			break
-		}
+	if err := ct.Cluster.RemoveBackend(vip, dip); err != nil {
+		return err
 	}
 	ct.ReleaseSNATRanges(vip, dip)
 	ct.tel.dipRemoves.Inc()
@@ -351,7 +311,7 @@ func (ct *Controller) HealthSweep() ([][2]packet.Addr, error) {
 	var removed [][2]packet.Addr
 	for _, vipAddr := range ct.Cluster.VIPs() {
 		v, _ := ct.Cluster.VIP(vipAddr)
-		for _, b := range append([]service.Backend(nil), v.Backends...) {
+		for _, b := range v.Backends { // a snapshot: RemoveDIP below replaces the record
 			agent, ok := ct.Cluster.Agent(b.Addr)
 			if !ok || agent.Healthy(b.Addr) {
 				continue
@@ -360,7 +320,7 @@ func (ct *Controller) HealthSweep() ([][2]packet.Addr, error) {
 				return removed, err
 			}
 			ct.tel.healthRemovals.Inc()
-			ct.record(telemetry.KindHealthTransition, 0, uint32(b.Addr), 0, 0)
+			ct.tel.rec.Record(telemetry.KindHealthTransition, 0, uint32(b.Addr), 0, 0)
 			removed = append(removed, [2]packet.Addr{vipAddr, b.Addr})
 		}
 	}
@@ -368,8 +328,9 @@ func (ct *Controller) HealthSweep() ([][2]packet.Addr, error) {
 }
 
 // HandleSwitchFailure reacts to an HMux failure (§5.1): the fabric withdraws
-// its routes (done inside Cluster.FailSwitch) and the controller marks its
-// VIPs SMux-hosted so the next epoch re-places them.
+// its routes (Cluster.FailSwitch, which also stops the switch unless
+// StopSwitch already did) and the controller marks its VIPs SMux-hosted so
+// the next epoch re-places them.
 func (ct *Controller) HandleSwitchFailure(sw topology.SwitchID) {
 	ct.Cluster.FailSwitch(sw)
 	ct.tel.switchFailuresHandled.Inc()
@@ -377,13 +338,10 @@ func (ct *Controller) HandleSwitchFailure(sw topology.SwitchID) {
 	if ct.prev != nil {
 		for i, s := range ct.prev.SwitchOf {
 			if s == int32(sw) {
-				ct.prev.SwitchOf[i] = assign.Unassigned
-				if ct.prev.TierOf != nil {
-					ct.prev.TierOf[i] = assign.TierSMux
-				}
+				ct.orphanIndex(i)
 				orphaned++
 			}
 		}
 	}
-	ct.record(telemetry.KindControllerReact, uint32(sw), 0, 0, orphaned)
+	ct.tel.rec.Record(telemetry.KindControllerReact, uint32(sw), 0, 0, orphaned)
 }

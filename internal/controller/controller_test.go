@@ -1,8 +1,10 @@
 package controller
 
 import (
+	"errors"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"duet/internal/assign"
@@ -232,7 +234,10 @@ func TestRemoveDIPInPlace(t *testing.T) {
 	if err := ct.RemoveDIP(vip, victim); err != nil {
 		t.Fatal(err)
 	}
-	if len(v.Backends) != nBefore-1 {
+	if len(v.Backends) != nBefore {
+		t.Fatal("the record handed out before the removal was edited in place")
+	}
+	if v, _ = c.VIP(vip); len(v.Backends) != nBefore-1 {
 		t.Fatal("backend list not shrunk")
 	}
 	// VIP stays on its HMux (in-place resilient removal).
@@ -395,6 +400,83 @@ func TestRunEpochDeltaMatchesFromScratch(t *testing.T) {
 			if _, err := c.Deliver(clientPkt(w.VIPs[i].Addr, uint32(i))); err != nil {
 				t.Fatalf("epoch %d: VIP %s undeliverable: %v", epoch, w.VIPs[i].Addr, err)
 			}
+		}
+	}
+}
+
+// TestDIPChurnBesideMigration grows one VIP's backend set a hundred times
+// while another goroutine bounces the same VIP on and off a switch. The
+// backend-set edit and the mux reprogramming happen in core under the writer
+// lock; when the controller edited the cluster's record itself, AssignToHMux
+// read the backend array AddDIP was appending to (run under -race).
+func TestDIPChurnBesideMigration(t *testing.T) {
+	c, err := core.New(core.Config{
+		Topology:  topology.TestbedConfig(),
+		NumSMuxes: 3,
+		Aggregate: packet.MustParsePrefix("10.0.0.0/8"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vip := packet.MustParseAddr("10.0.0.1")
+	dip := func(i int) service.Backend {
+		return service.Backend{Addr: packet.AddrFrom4(100, 0, byte(i>>8), byte(i)), Weight: 1}
+	}
+	if err := c.AddVIP(&service.VIP{Addr: vip, Backends: []service.Backend{dip(1), dip(2)}}); err != nil {
+		t.Fatal(err)
+	}
+	ct := New(c, assign.DefaultOptions())
+	sw := c.Topo.AggID(0, 0)
+	const rounds = 100
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			if err := c.AssignToHMux(vip, sw); err != nil {
+				t.Errorf("assign %d: %v", i, err)
+				return
+			}
+			// AddDIP withdraws an HMux-served VIP itself; losing that race is
+			// the one error this side may see.
+			if err := c.WithdrawFromHMux(vip); err != nil && !errors.Is(err, core.ErrVIPUnknown) {
+				t.Errorf("withdraw %d: %v", i, err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < rounds; i++ {
+		// The cluster refuses to grow a VIP that is on a switch, so an
+		// assignment that lands between AddDIP's withdrawal and its edit sends
+		// the controller round again.
+		for tries := 0; ; tries++ {
+			err := ct.AddDIP(vip, dip(3+i))
+			if err == nil {
+				break
+			}
+			if tries == 1000 {
+				t.Fatalf("AddDIP %d: %v", i, err)
+			}
+		}
+	}
+	wg.Wait()
+
+	v, _ := c.VIP(vip)
+	if len(v.Backends) != 2+rounds {
+		t.Fatalf("VIP has %d backends after %d additions to 2", len(v.Backends), rounds)
+	}
+	valid := make(map[packet.Addr]bool, len(v.Backends))
+	for _, b := range v.Backends {
+		valid[b.Addr] = true
+	}
+	for i := uint32(0); i < 300; i++ {
+		d, err := c.Deliver(clientPkt(vip, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !valid[d.DIP] {
+			t.Fatalf("flow %d delivered to %s, not a backend", i, d.DIP)
 		}
 	}
 }

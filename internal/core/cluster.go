@@ -57,6 +57,13 @@ var (
 // SwitchID directly).
 const smuxNodeBase bgp.NodeID = 1 << 20
 
+// converged is the time deliver resolves routes at: after every change the
+// table has seen. Route changes are stamped with the recorder's clock for the
+// trace they leave, but the cluster holds no clock of its own — a mutator's
+// change is in force once it returns, and a caller that models propagation
+// delay (internal/testbed) calls the mutator when the delay has passed.
+const converged = math.MaxFloat64
+
 // nmuxNodeBase offsets NMux IDs in telemetry trace events. NMuxes never
 // appear in the routing table — they front the SMux on the same server — but
 // their trace records need identities distinct from both switch and SMux
@@ -96,6 +103,14 @@ func DefaultConfig() Config {
 	}
 }
 
+// hmuxPlace is a VIP's place in hardware: the switch, and whether it serves
+// the VIP — tables programmed and /32 announced — or is between the halves of
+// a migration leg (ProgramHMux, DeprogramHMux) and has only one of the two.
+type hmuxPlace struct {
+	sw      topology.SwitchID
+	serving bool
+}
+
 // clusterSnap is one immutable generation of the lookup state Deliver
 // needs. Everything in it is either deep-copied at publication (switchUp,
 // tipHome, the map and slice headers) or an internally concurrency-safe
@@ -103,7 +118,6 @@ func DefaultConfig() Config {
 // generations).
 type clusterSnap struct {
 	epoch    uint64
-	now      float64
 	routes   *bgp.Table
 	hmuxes   []*hmux.Mux
 	smuxes   []*smux.Mux
@@ -136,13 +150,12 @@ type Cluster struct {
 	// network simulator is single-writer by design).
 	mu sync.Mutex
 
-	snap    atomic.Pointer[clusterSnap]
-	nowBits atomic.Uint64 // logical route clock as float64 bits
+	snap atomic.Pointer[clusterSnap]
 
 	agents map[packet.Addr]*hostagent.Agent // host addr → agent
 
 	vips     map[packet.Addr]*service.VIP
-	hmuxHome map[packet.Addr]topology.SwitchID   // VIP → switch, if assigned
+	hmuxAt   map[packet.Addr]hmuxPlace           // VIP → its switch, if assigned
 	nmuxVIPs map[packet.Addr]bool                // VIPs programmed on the NIC tier
 	replicas map[packet.Addr][]topology.SwitchID // §9 replicated VIPs
 	tipHome  map[packet.Addr]topology.SwitchID   // TIP → hosting switch
@@ -242,7 +255,7 @@ func New(cfg Config) (*Cluster, error) {
 		HMuxes:   make([]*hmux.Mux, topo.NumSwitches()),
 		agents:   make(map[packet.Addr]*hostagent.Agent),
 		vips:     make(map[packet.Addr]*service.VIP),
-		hmuxHome: make(map[packet.Addr]topology.SwitchID),
+		hmuxAt:   make(map[packet.Addr]hmuxPlace),
 		nmuxVIPs: make(map[packet.Addr]bool),
 		replicas: make(map[packet.Addr][]topology.SwitchID),
 		tipHome:  make(map[packet.Addr]topology.SwitchID),
@@ -258,9 +271,6 @@ func New(cfg Config) (*Cluster, error) {
 	// events share within milliseconds; the histograms converge on the same
 	// distribution either way.
 	c.rec.SetSampleEvery(defaultSampleEvery)
-	// Trace events carry the cluster's logical route clock; callers running
-	// real time (or the testbed's virtual time) can re-clock via Telemetry().
-	c.rec.SetClock(c.Now)
 	c.Routes.SetTelemetry(c.reg, c.rec)
 	c.dtel = deliverTelemetry{
 		packets:  c.reg.Counter("core.deliver.packets").Shard(),
@@ -348,7 +358,6 @@ func (c *Cluster) publishLocked() {
 	}
 	s := &clusterSnap{
 		epoch:    epoch,
-		now:      c.nowLocked(),
 		routes:   c.Routes,
 		hmuxes:   append([]*hmux.Mux(nil), c.HMuxes...),
 		smuxes:   append([]*smux.Mux(nil), c.SMuxes...),
@@ -385,19 +394,6 @@ func switchAddr(s int) packet.Addr {
 	return packet.AddrFrom4(172, 16, byte(s>>8), byte(s))
 }
 
-func (c *Cluster) nowLocked() float64 {
-	return math.Float64frombits(c.nowBits.Load())
-}
-
-func (c *Cluster) tick() float64 {
-	next := c.nowLocked() + 1
-	c.nowBits.Store(math.Float64bits(next))
-	return next
-}
-
-// Now returns the logical route clock.
-func (c *Cluster) Now() float64 { return math.Float64frombits(c.nowBits.Load()) }
-
 // AddVIP configures a new VIP: per §5.2 it lands on the SMuxes first; the
 // controller may later migrate it to an HMux.
 func (c *Cluster) AddVIP(v *service.VIP) error {
@@ -409,18 +405,10 @@ func (c *Cluster) AddVIP(v *service.VIP) error {
 	if _, ok := c.vips[v.Addr]; ok {
 		return ErrVIPExists
 	}
-	// Every backend gets a host agent (one host per DIP unless the caller
-	// registered a virtualized host explicitly via RegisterHost). Agents are
-	// wired before the SMuxes accept traffic for the VIP so a concurrent
-	// Deliver never finds a mapped DIP without a host behind it.
+	// Agents are wired before the SMuxes accept traffic for the VIP so a
+	// concurrent Deliver never finds a mapped DIP without a host behind it.
 	for _, b := range allBackends(v) {
-		if _, ok := c.agents[b.Addr]; !ok {
-			a := c.newAgent(b.Addr)
-			if err := a.RegisterDIP(v.Addr, b.Addr); err != nil {
-				return err
-			}
-			c.agents[b.Addr] = a
-		} else if err := c.agents[b.Addr].RegisterDIP(v.Addr, b.Addr); err != nil {
+		if err := c.hostBackendLocked(v.Addr, b.Addr); err != nil {
 			return err
 		}
 	}
@@ -430,9 +418,8 @@ func (c *Cluster) AddVIP(v *service.VIP) error {
 			return err
 		}
 	}
-	// The cluster's record is edited in place later (controller.AddDIP,
-	// RemoveDIP), so it owns its backend arrays instead of sharing the
-	// caller's.
+	// The cluster's record outlives the call and is handed out by VIP, so it
+	// owns its backend arrays instead of sharing the caller's.
 	cp := *v
 	cp.Backends = append([]service.Backend(nil), v.Backends...)
 	cp.Ports = append([]service.PortRule(nil), v.Ports...)
@@ -440,8 +427,24 @@ func (c *Cluster) AddVIP(v *service.VIP) error {
 		cp.Ports[i].Backends = append([]service.Backend(nil), cp.Ports[i].Backends...)
 	}
 	c.vips[v.Addr] = &cp
-	c.tick()
 	c.publishLocked()
+	return nil
+}
+
+// hostBackendLocked puts a host agent behind a backend address: one host per
+// DIP, serving its own address — unless RegisterHost attached VM DIPs for the
+// VIP there (Figure 6), in which case the address is the host's alone.
+func (c *Cluster) hostBackendLocked(vip, addr packet.Addr) error {
+	a, ok := c.agents[addr]
+	if !ok {
+		a = c.newAgent(addr)
+	} else if len(a.LocalDIPs(vip)) > 0 {
+		return nil
+	}
+	if err := a.RegisterDIP(vip, addr); err != nil {
+		return err
+	}
+	c.agents[addr] = a
 	return nil
 }
 
@@ -480,10 +483,10 @@ func (c *Cluster) RemoveVIP(addr packet.Addr) error {
 	if _, ok := c.vips[addr]; !ok {
 		return ErrVIPUnknown
 	}
-	if sw, ok := c.hmuxHome[addr]; ok {
-		_ = c.HMuxes[sw].RemoveVIP(addr)
-		c.Routes.Withdraw(packet.HostPrefix(addr), bgp.NodeID(sw), c.tick())
-		delete(c.hmuxHome, addr)
+	if p, ok := c.hmuxAt[addr]; ok {
+		_ = c.HMuxes[p.sw].RemoveVIP(addr)
+		c.Routes.Withdraw(packet.HostPrefix(addr), bgp.NodeID(p.sw), c.rec.Now())
+		delete(c.hmuxAt, addr)
 	}
 	if _, ok := c.replicas[addr]; ok {
 		c.withdrawReplicasLocked(addr)
@@ -498,7 +501,6 @@ func (c *Cluster) RemoveVIP(addr packet.Addr) error {
 		_ = sm.RemoveVIP(addr)
 	}
 	delete(c.vips, addr)
-	c.tick()
 	c.publishLocked()
 	return nil
 }
@@ -522,19 +524,33 @@ func (c *Cluster) VIPs() []packet.Addr {
 	return out
 }
 
-// HomeOf returns the switch hosting a VIP's HMux entry, or false if the VIP
-// is served by the SMuxes.
+// HomeOf returns the switch serving a VIP in hardware, or false if the VIP is
+// served by the SMuxes — which it is between the halves of a migration leg.
 func (c *Cluster) HomeOf(addr packet.Addr) (topology.SwitchID, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	sw, ok := c.hmuxHome[addr]
-	return sw, ok
+	p := c.hmuxAt[addr]
+	return p.sw, p.serving
 }
 
 // AssignToHMux programs a VIP onto a switch and announces its /32 route —
 // the raw operation underneath the controller's migration (make-after-
-// withdraw happens in the controller).
+// withdraw happens in the controller). It completes a ProgramHMux on the same
+// switch.
 func (c *Cluster) AssignToHMux(addr packet.Addr, sw topology.SwitchID) error {
+	return c.assignToHMux(addr, sw, true)
+}
+
+// ProgramHMux is AssignToHMux's first half: the switch's tables hold the VIP
+// but the fabric has not heard of it, so its traffic still follows the SMux
+// aggregate and HomeOf reports no home. A caller that models route
+// propagation (internal/testbed) puts the BGP delay between this and the
+// AssignToHMux that completes it.
+func (c *Cluster) ProgramHMux(addr packet.Addr, sw topology.SwitchID) error {
+	return c.assignToHMux(addr, sw, false)
+}
+
+func (c *Cluster) assignToHMux(addr packet.Addr, sw topology.SwitchID, announce bool) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	v, ok := c.vips[addr]
@@ -547,11 +563,10 @@ func (c *Cluster) AssignToHMux(addr packet.Addr, sw topology.SwitchID) error {
 	if !c.switchUp[sw] {
 		return ErrSwitchDown
 	}
-	if cur, ok := c.hmuxHome[addr]; ok {
-		if cur == sw {
-			return nil
-		}
-		return fmt.Errorf("core: VIP %s already on switch %d; withdraw first", addr, cur)
+	if p, ok := c.hmuxAt[addr]; ok && p.sw != sw {
+		return fmt.Errorf("core: VIP %s already on switch %d; withdraw first", addr, p.sw)
+	} else if p.serving {
+		return nil
 	}
 	if c.replicas[addr] != nil {
 		return fmt.Errorf("core: VIP %s is replicated; withdraw replicas first", addr)
@@ -559,31 +574,52 @@ func (c *Cluster) AssignToHMux(addr packet.Addr, sw topology.SwitchID) error {
 	if c.nmuxVIPs[addr] {
 		return fmt.Errorf("core: VIP %s is on the NIC tier; withdraw first", addr)
 	}
-	if err := c.HMuxes[sw].AddVIP(v); err != nil {
-		return err
+	if !c.HMuxes[sw].HasVIP(addr) {
+		if err := c.HMuxes[sw].AddVIP(v); err != nil {
+			return err
+		}
 	}
-	c.hmuxHome[addr] = sw
-	c.Routes.Announce(packet.HostPrefix(addr), bgp.NodeID(sw), c.tick())
+	c.hmuxAt[addr] = hmuxPlace{sw, announce}
+	if announce {
+		c.Routes.Announce(packet.HostPrefix(addr), bgp.NodeID(sw), c.rec.Now())
+	}
 	c.publishLocked()
 	return nil
 }
 
 // WithdrawFromHMux removes a VIP from its switch; traffic falls back to the
-// SMuxes (the stepping-stone state of §4.2).
+// SMuxes (the stepping-stone state of §4.2). It completes a DeprogramHMux, and
+// cancels a ProgramHMux.
 func (c *Cluster) WithdrawFromHMux(addr packet.Addr) error {
+	return c.withdrawFromHMux(addr, true)
+}
+
+// DeprogramHMux is WithdrawFromHMux's first half: the VIP leaves the switch's
+// tables — HomeOf reports no home from here on — while the fabric still
+// routes its /32 there, so until WithdrawFromHMux completes the move a packet
+// misses the FIB and follows the aggregate to an SMux (Delivery.FIBMiss).
+func (c *Cluster) DeprogramHMux(addr packet.Addr) error {
+	return c.withdrawFromHMux(addr, false)
+}
+
+func (c *Cluster) withdrawFromHMux(addr packet.Addr, converge bool) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	sw, ok := c.hmuxHome[addr]
+	p, ok := c.hmuxAt[addr]
 	if !ok {
 		return ErrVIPUnknown
 	}
-	if c.switchUp[sw] {
-		if err := c.HMuxes[sw].RemoveVIP(addr); err != nil {
+	if c.switchUp[p.sw] && c.HMuxes[p.sw].HasVIP(addr) {
+		if err := c.HMuxes[p.sw].RemoveVIP(addr); err != nil {
 			return err
 		}
 	}
-	c.Routes.Withdraw(packet.HostPrefix(addr), bgp.NodeID(sw), c.tick())
-	delete(c.hmuxHome, addr)
+	if converge {
+		delete(c.hmuxAt, addr)
+		c.Routes.Withdraw(packet.HostPrefix(addr), bgp.NodeID(p.sw), c.rec.Now())
+	} else {
+		c.hmuxAt[addr] = hmuxPlace{sw: p.sw}
+	}
 	c.publishLocked()
 	return nil
 }
@@ -607,7 +643,7 @@ func (c *Cluster) AssignToNMux(addr packet.Addr) error {
 	if len(c.NMuxes) == 0 {
 		return ErrNMuxDisabled
 	}
-	if _, onSwitch := c.hmuxHome[addr]; onSwitch {
+	if _, onSwitch := c.hmuxAt[addr]; onSwitch {
 		return fmt.Errorf("core: VIP %s is on an HMux; withdraw first", addr)
 	}
 	if c.nmuxVIPs[addr] {
@@ -622,7 +658,6 @@ func (c *Cluster) AssignToNMux(addr packet.Addr) error {
 		}
 	}
 	c.nmuxVIPs[addr] = true
-	c.tick()
 	c.publishLocked()
 	return nil
 }
@@ -640,7 +675,6 @@ func (c *Cluster) WithdrawFromNMux(addr packet.Addr) error {
 		_ = nm.RemoveVIP(addr)
 	}
 	delete(c.nmuxVIPs, addr)
-	c.tick()
 	c.publishLocked()
 	return nil
 }
@@ -652,31 +686,97 @@ func (c *Cluster) NMuxHosted(addr packet.Addr) bool {
 	return c.nmuxVIPs[addr]
 }
 
-// ReprogramNMux pushes a VIP's current backend set to every NIC in place
-// (pinned flows keep their DIPs across the update). No-op for VIPs not on
-// the NIC tier. If any table cannot hold the new cost, the VIP is withdrawn
-// from the whole tier instead — the SMuxes keep serving it — and the
-// programming error is returned.
-func (c *Cluster) ReprogramNMux(v *service.VIP) error {
+// AddBackend grows a VIP's backend set on every tier that serves it (§5.2
+// "DIP addition"), under the writer lock: the host agent is wired first, then
+// the SMuxes and — in place, pinned flows keep their DIPs — the NIC tier. A
+// VIP on an HMux is refused: the controller withdraws it first so the SMuxes'
+// connection state masks the hash change. If the grown set no longer fits a
+// NIC table the VIP is withdrawn from that whole tier, which is not an error:
+// the SMuxes keep serving it and NMuxHosted reports the change.
+func (c *Cluster) AddBackend(vip packet.Addr, b service.Backend) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.nmuxVIPs[v.Addr] {
-		return nil
+	old, ok := c.vips[vip]
+	if !ok {
+		return ErrVIPUnknown
 	}
-	for _, nm := range c.NMuxes {
-		if err := nm.UpdateVIP(v); err != nil {
-			for _, all := range c.NMuxes {
-				_ = all.RemoveVIP(v.Addr)
-			}
-			delete(c.nmuxVIPs, v.Addr)
-			c.tick()
-			c.publishLocked()
+	if p, onHMux := c.hmuxAt[vip]; onHMux {
+		return fmt.Errorf("core: VIP %s is on switch %d; withdraw first", vip, p.sw)
+	}
+	hosts := len(c.agents)
+	if err := c.hostBackendLocked(vip, b.Addr); err != nil {
+		return err
+	}
+	if len(c.agents) != hosts {
+		c.publishLocked() // expose the new agent before any mux maps a flow to it
+	}
+	v := c.editBackends(old, append(append([]service.Backend(nil), old.Backends...), b))
+	for _, sm := range c.SMuxes {
+		if err := sm.UpdateVIP(v); err != nil {
 			return err
 		}
 	}
-	c.tick()
-	c.publishLocked()
+	if c.nmuxVIPs[vip] {
+		for _, nm := range c.NMuxes {
+			if err := nm.UpdateVIP(v); err != nil {
+				for _, all := range c.NMuxes {
+					_ = all.RemoveVIP(vip)
+				}
+				delete(c.nmuxVIPs, vip)
+				break
+			}
+		}
+	}
 	return nil
+}
+
+// RemoveBackend shrinks a VIP's backend set in place on every tier that
+// serves it (§5.2 "DIP removal" / §5.1 "DIP failure"), under the writer
+// lock: resilient hashing on all three mux types keeps surviving connections
+// intact; connections to the removed DIP are terminated.
+func (c *Cluster) RemoveBackend(vip, dip packet.Addr) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	old, ok := c.vips[vip]
+	if !ok {
+		return ErrVIPUnknown
+	}
+	if p, onHMux := c.hmuxAt[vip]; onHMux && c.HMuxes[p.sw].HasVIP(vip) {
+		if err := c.HMuxes[p.sw].RemoveBackend(vip, dip); err != nil {
+			return err
+		}
+	}
+	if c.nmuxVIPs[vip] {
+		for _, nm := range c.NMuxes {
+			if err := nm.RemoveBackend(vip, dip); err != nil {
+				return err
+			}
+		}
+	}
+	for _, sm := range c.SMuxes {
+		if err := sm.RemoveBackend(vip, dip); err != nil {
+			return err
+		}
+	}
+	kept := old.Backends
+	for i, b := range old.Backends {
+		if b.Addr == dip {
+			kept = append(append([]service.Backend(nil), old.Backends[:i]...), old.Backends[i+1:]...)
+			break
+		}
+	}
+	c.editBackends(old, kept)
+	return nil
+}
+
+// editBackends replaces a VIP's record with a copy holding the new default
+// backend set. Records are never edited in place: the one VIP handed out
+// before stays a consistent snapshot for whoever still reads it.
+func (c *Cluster) editBackends(old *service.VIP, backends []service.Backend) *service.VIP {
+	v := *old
+	v.Backends = backends
+	c.vips[v.Addr] = &v
+	return &v
 }
 
 // SetVIPMode switches a VIP's per-connection consistency mode on the whole
@@ -695,7 +795,6 @@ func (c *Cluster) SetVIPMode(addr packet.Addr, mode steer.Mode) error {
 			return err
 		}
 	}
-	c.tick()
 	c.publishLocked()
 	return nil
 }
@@ -709,26 +808,43 @@ func (c *Cluster) VIPMode(addr packet.Addr) (steer.Mode, bool) {
 	return snap.smuxes[0].ModeOf(addr)
 }
 
-// FailSwitch kills a switch: dataplane stops and all its routes are
-// withdrawn (the cluster facade converges instantly; timed convergence is
-// the testbed's domain).
-func (c *Cluster) FailSwitch(sw topology.SwitchID) {
+// StopSwitch is FailSwitch's first half: the switch's dataplane stops while
+// the fabric still routes to it, so every VIP homed there blackholes (Deliver
+// returns ErrSwitchDown) — Figure 12's outage window — until FailSwitch
+// completes the failure.
+func (c *Cluster) StopSwitch(sw topology.SwitchID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.stopSwitchLocked(sw)
+	c.publishLocked()
+}
+
+func (c *Cluster) stopSwitchLocked(sw topology.SwitchID) {
 	if !c.switchUp[sw] {
 		return
 	}
 	c.switchUp[sw] = false
 	c.Net.FailSwitch(sw)
 	c.rec.Record(telemetry.KindSwitchFail, uint32(sw), 0, 0, 0)
-	c.Routes.WithdrawAll(bgp.NodeID(sw), c.tick())
+}
+
+// FailSwitch kills a switch: the dataplane stops (unless StopSwitch already
+// stopped it) and the fabric, having detected the failure, withdraws all its
+// routes. The cluster applies both at once; a caller that models detection
+// and convergence delay (internal/testbed) calls StopSwitch first and this
+// when the delay has passed.
+func (c *Cluster) FailSwitch(sw topology.SwitchID) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.stopSwitchLocked(sw)
+	c.Routes.WithdrawAll(bgp.NodeID(sw), c.rec.Now())
 	// VIPs homed there are now SMux-served; forget the stale home. TIP homes
 	// are kept: the partition is still programmed, just unreachable until
 	// recovery (Deliver reports ErrSwitchDown, as the real fabric would
 	// blackhole until the controller re-installs the partition).
-	for vip, home := range c.hmuxHome {
-		if home == sw {
-			delete(c.hmuxHome, vip)
+	for vip, p := range c.hmuxAt {
+		if p.sw == sw {
+			delete(c.hmuxAt, vip)
 		}
 	}
 	c.dropReplicaOn(sw)
@@ -757,7 +873,6 @@ func (c *Cluster) RecoverSwitch(sw topology.SwitchID) {
 			delete(c.tipHome, tip)
 		}
 	}
-	c.tick()
 	c.publishLocked()
 }
 
@@ -794,14 +909,28 @@ type hopList struct {
 
 // Delivery is the end-to-end result of Deliver.
 type Delivery struct {
-	VIP    packet.Addr
-	DIP    packet.Addr
-	Host   packet.Addr
-	Packet []byte // the packet as the server receives it
+	VIP     packet.Addr
+	DIP     packet.Addr
+	Host    packet.Addr
+	fibMiss bool   // in the padding before Packet: BatchResult stays 80 bytes
+	Packet  []byte // the packet as the server receives it
 
 	topo *topology.Topology // names the switches in hops
 	hops hopList
 }
+
+// HMux reports the switch that served the packet in hardware. False means a
+// host mux (NIC table or SMux) did: the fabric routed the packet to one, or
+// to a switch whose FIB missed (FIBMiss).
+func (d Delivery) HMux() (topology.SwitchID, bool) {
+	return topology.SwitchID(d.hops.node[0]), d.hops.tier[0] == telemetry.TraceTierHMux
+}
+
+// FIBMiss reports that the fabric routed the packet to a switch whose tables
+// did not hold the VIP — the window between DeprogramHMux and the route
+// withdrawal that completes it — so it followed the aggregate one hop further
+// to a host mux.
+func (d Delivery) FIBMiss() bool { return d.fibMiss }
 
 // Hops renders the steps the packet took, in order. Forwarding keeps only
 // hopList; the names are built here, for the callers that want to read them.
@@ -864,7 +993,7 @@ func (c *Cluster) deliver(snap *clusterSnap, data []byte, sc *scratch, out []byt
 		return err
 	}
 	hash := ecmp.Hash(tuple)
-	nh, _, ok := snap.routes.Snapshot().Pick(tuple.Dst, c.Now(), hash)
+	nh, _, ok := snap.routes.Snapshot().Pick(tuple.Dst, converged, hash)
 	if !ok {
 		return ErrNoRoute
 	}
@@ -898,6 +1027,7 @@ func (c *Cluster) deliver(snap *clusterSnap, data []byte, sc *scratch, out []byt
 		case errors.Is(err, hmux.ErrNotOurVIP):
 			// FIB miss during migration: fall through to the host tiers.
 			hostIdx = int(hash % uint64(len(snap.smuxes)))
+			d.fibMiss = true
 		case err != nil:
 			return err
 		default:

@@ -344,9 +344,11 @@ func hopHMux(c *Cluster) *telemetry.Histogram { return c.dtel.hopHMux }
 func hopNMux(c *Cluster) *telemetry.Histogram { return c.dtel.hopNMux }
 func hopSMux(c *Cluster) *telemetry.Histogram { return c.dtel.hopSMux }
 
-// TestAppendContract holds the four forwarding entry points to one contract
-// for a non-empty out buffer: the bytes already in it are untouched, and the
-// packet returned is exactly this packet's bytes, appended in place.
+// TestAppendContract holds the four forwarding entry points — the Sampled
+// forms both orchestrations (core.Cluster, wire.Node) enter the muxes through;
+// Process and Receive are their unsampled one-liners — to one contract for a
+// non-empty out buffer: the bytes already in it are untouched, and the packet
+// returned is exactly this packet's bytes, appended in place.
 func TestAppendContract(t *testing.T) {
 	vip, dip := packet.MustParseAddr("10.0.0.1"), packet.MustParseAddr("100.0.0.1")
 	self := packet.MustParseAddr("172.16.0.1")
@@ -370,19 +372,19 @@ func TestAppendContract(t *testing.T) {
 		run      func(in, out []byte) ([]byte, error)
 	}{
 		{"hmux.Process", client, encapped, func(in, out []byte) ([]byte, error) {
-			res, err := hm.Process(in, out)
+			res, err := hm.ProcessSampled(in, out, true)
 			return res.Packet, err
 		}},
 		{"nmux.Process", client, encapped, func(in, out []byte) ([]byte, error) {
-			res, err := nm.Process(in, out)
+			res, err := nm.ProcessSampled(in, out, true)
 			return res.Packet, err
 		}},
 		{"smux.Process", client, encapped, func(in, out []byte) ([]byte, error) {
-			res, err := sm.Process(in, out)
+			res, err := sm.ProcessSampled(in, out, true)
 			return res.Packet, err
 		}},
 		{"hostagent.Receive", encapped, rewritten(t, client, dip), func(in, out []byte) ([]byte, error) {
-			d, err := agent.Receive(in, out)
+			d, err := agent.ReceiveSampled(in, out, true)
 			return d.Packet, err
 		}},
 	}

@@ -30,7 +30,7 @@ func (c *Cluster) AssignReplicated(addr packet.Addr, switches []topology.SwitchI
 	if len(switches) == 0 {
 		return fmt.Errorf("core: no replica switches given")
 	}
-	if _, ok := c.hmuxHome[addr]; ok {
+	if _, ok := c.hmuxAt[addr]; ok {
 		return fmt.Errorf("core: VIP %s already on an HMux; withdraw first", addr)
 	}
 	if c.replicas[addr] != nil {
@@ -60,7 +60,7 @@ func (c *Cluster) AssignReplicated(addr packet.Addr, switches []topology.SwitchI
 		}
 		done = append(done, sw)
 	}
-	at := c.tick()
+	at := c.rec.Now()
 	for _, sw := range switches {
 		c.Routes.Announce(packet.HostPrefix(addr), bgp.NodeID(sw), at)
 	}
@@ -95,7 +95,7 @@ func (c *Cluster) withdrawReplicasLocked(addr packet.Addr) error {
 	if !ok {
 		return ErrVIPUnknown
 	}
-	at := c.tick()
+	at := c.rec.Now()
 	for _, sw := range reps {
 		if c.switchUp[sw] {
 			_ = c.HMuxes[sw].RemoveVIP(addr)

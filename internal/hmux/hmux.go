@@ -16,9 +16,9 @@
 // Concurrency mirrors the hardware split the paper exploits: the ASIC
 // forwards at line rate while the switch agent reprograms tables underneath
 // it. Here the lookup tables live in an immutable struct published through an
-// atomic pointer; table programming (AddVIP, RemoveVIP, RemoveBackend,
-// AddTIP, RemoveTIP) serializes on a writer lock, rebuilds the affected
-// entries copy-on-write and republishes. Process/Lookup load the pointer once
+// atomic pointer; table programming (AddVIP, RemoveVIP, RemoveBackend, AddTIP)
+// serializes on a writer lock, rebuilds the affected entries copy-on-write
+// and republishes. Process/Lookup load the pointer once
 // per packet, so concurrent dataplane goroutines always see a complete,
 // consistent table generation — never a half-programmed VIP.
 package hmux
@@ -471,21 +471,6 @@ func (m *Mux) AddTIP(tip packet.Addr, backends []service.Backend) error {
 	return nil
 }
 
-// RemoveTIP withdraws a TIP partition.
-func (m *Mux) RemoveTIP(tip packet.Addr) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	e, ok := m.tab.Load().tips[tip]
-	if !ok {
-		return ErrVIPNotFound
-	}
-	m.releaseEntry(e)
-	tips := m.cloneTIPs()
-	delete(tips, tip)
-	m.publish(nil, tips)
-	return nil
-}
-
 // HasTIP reports whether the TIP partition is programmed here.
 func (m *Mux) HasTIP(addr packet.Addr) bool {
 	_, ok := m.tab.Load().tips[addr]
@@ -512,28 +497,22 @@ type Result struct {
 // caller's buffer, and it is safe for any number of concurrent callers (each
 // call resolves against one atomically loaded table generation).
 //
+// Process is the unsampled form: the packet leaves counters but no pipeline
+// events. A caller that samples takes one decision per packet and calls
+// ProcessSampled.
+//
 //duet:hotpath
 func (m *Mux) Process(data []byte, out []byte) (Result, error) {
-	return m.process(data, out, false, true)
+	return m.ProcessSampled(data, out, false)
 }
 
-// ProcessSampled is Process for a caller that has already taken the packet's
-// sampling decision (core.Cluster takes one per packet and hands it to every
-// stage, so a sampled packet leaves a complete trace).
+// ProcessSampled is Process for a caller that has taken the packet's sampling
+// decision: core.Cluster and wire.Node each take one per packet and hand it
+// to every stage, so a sampled packet leaves a complete trace.
 //
 //duet:hotpath
 func (m *Mux) ProcessSampled(data, out []byte, sampled bool) (Result, error) {
-	return m.process(data, out, sampled, false)
-}
-
-// process is the one implementation behind both entry points (each inlines to
-// a direct call of it); ask leaves the sampling decision to the mux's own
-// recorder.
-func (m *Mux) process(data, out []byte, sampled, ask bool) (Result, error) {
 	m.tel.packets.Inc()
-	if ask {
-		sampled = m.tel.rec.Sample()
-	}
 	if sampled {
 		m.tel.rec.Record(telemetry.KindPacketIn, m.tel.node, 0, 0, uint64(len(data)))
 	}

@@ -404,15 +404,6 @@ func TestTIPErrors(t *testing.T) {
 	if err := m.AddVIP(&service.VIP{Addr: tip, Backends: backends("1.1.1.1")}); err != ErrVIPExists {
 		t.Fatalf("VIP over TIP: got %v", err)
 	}
-	if err := m.RemoveTIP(tip); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.RemoveTIP(tip); err != ErrVIPNotFound {
-		t.Fatalf("double TIP removal: got %v", err)
-	}
-	if m.Stats().TunnelUsed != 0 {
-		t.Fatal("TIP resources leaked")
-	}
 }
 
 func TestLookupMatchesProcess(t *testing.T) {
@@ -684,12 +675,6 @@ func TestGroupAccountingWithTIPs(t *testing.T) {
 	if m.Stats().GroupsUsed != 1 {
 		t.Fatalf("TIP should consume one group: %+v", m.Stats())
 	}
-	if err := m.RemoveTIP(packet.MustParseAddr("20.0.0.1")); err != nil {
-		t.Fatal(err)
-	}
-	if m.Stats().GroupsUsed != 0 {
-		t.Fatal("group leaked")
-	}
 }
 
 // TestDropReasons verifies Process classifies every error path under a
@@ -758,14 +743,13 @@ func TestDropReasons(t *testing.T) {
 func TestProcessTelemetryCounters(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	rec := telemetry.NewRecorder(256)
-	rec.SetSampleEvery(1)
 	m := newMux(t)
 	m.SetTelemetry(reg, rec, 3)
 	if err := m.AddVIP(&service.VIP{Addr: vipAddr, Backends: backends("100.0.0.1", "100.0.0.2")}); err != nil {
 		t.Fatal(err)
 	}
 	for i := uint32(0); i < 10; i++ {
-		if _, err := m.Process(vipPacket(i, 80), nil); err != nil {
+		if _, err := m.ProcessSampled(vipPacket(i, 80), nil, true); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -809,7 +793,7 @@ func TestProcessZeroAllocWithTelemetry(t *testing.T) {
 	pkt := vipPacket(1, 80)
 	buf := make([]byte, 0, 2048)
 	allocs := testing.AllocsPerRun(500, func() {
-		if _, err := m.Process(pkt, buf[:0]); err != nil {
+		if _, err := m.ProcessSampled(pkt, buf[:0], rec.Sample()); err != nil {
 			t.Fatal(err)
 		}
 	})

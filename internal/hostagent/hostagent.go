@@ -192,23 +192,18 @@ type Delivery struct {
 // untouched and Delivery.Packet is exactly this packet's bytes. Safe for
 // concurrent callers.
 //
+// Receive is the unsampled form (see hmux.Process).
+//
 //duet:hotpath
 func (a *Agent) Receive(data, out []byte) (Delivery, error) {
-	return a.receive(data, out, false, true)
+	return a.ReceiveSampled(data, out, false)
 }
 
-// ReceiveSampled is Receive for a caller that has already taken the packet's
-// sampling decision (see hmux.ProcessSampled).
+// ReceiveSampled is Receive for a caller that has taken the packet's sampling
+// decision (see hmux.ProcessSampled).
 //
 //duet:hotpath
 func (a *Agent) ReceiveSampled(data, out []byte, sampled bool) (Delivery, error) {
-	return a.receive(data, out, sampled, false)
-}
-
-// receive is the one implementation behind both entry points; ask leaves the
-// sampling decision to the agent's own recorder, taken as it always was: for
-// a packet that was delivered.
-func (a *Agent) receive(data, out []byte, sampled, ask bool) (Delivery, error) {
 	inner, _, err := packet.Decapsulate(data)
 	if err != nil {
 		a.tel.dropDecapError.Inc()
@@ -241,9 +236,6 @@ func (a *Agent) receive(data, out []byte, sampled, ask bool) (Delivery, error) {
 
 	a.tel.received.Inc()
 	a.tel.bytes.Add(uint64(len(inner)))
-	if ask {
-		sampled = a.tel.rec.Sample()
-	}
 	if sampled {
 		a.tel.rec.Record(telemetry.KindDecap, a.tel.node, uint32(vip), uint32(dip), uint64(len(inner)))
 	}

@@ -427,25 +427,19 @@ type Result struct {
 // exactly this packet's bytes. Safe for concurrent callers; the hot path
 // allocates nothing (flow-map growth aside) and never takes the writer lock.
 //
-// The sampling decision is taken only on a hit, so a miss that falls through
-// to the SMux on the same recorder costs the packet one decision, not two.
+// Process is the unsampled form (see hmux.Process).
 //
 //duet:hotpath
 func (m *Mux) Process(data []byte, out []byte) (Result, error) {
-	return m.process(data, out, false, true)
+	return m.ProcessSampled(data, out, false)
 }
 
-// ProcessSampled is Process for a caller that has already taken the packet's
-// sampling decision (see hmux.ProcessSampled).
+// ProcessSampled is Process for a caller that has taken the packet's sampling
+// decision (see hmux.ProcessSampled). Only a hit leaves pipeline events: a
+// sampled miss falls through to the SMux, which records the packet's trace.
 //
 //duet:hotpath
 func (m *Mux) ProcessSampled(data, out []byte, sampled bool) (Result, error) {
-	return m.process(data, out, sampled, false)
-}
-
-// process is the one implementation behind both entry points; ask leaves the
-// sampling decision to the mux's own recorder, taken once the packet has hit.
-func (m *Mux) process(data, out []byte, sampled, ask bool) (Result, error) {
 	m.tel.packets.Inc()
 	var ip packet.IPv4 // stack scratch; Process must stay concurrency-safe
 	if err := ip.DecodeFromBytes(data); err != nil {
@@ -467,9 +461,6 @@ func (m *Mux) process(data, out []byte, sampled, ask bool) (Result, error) {
 		return Result{}, m.drop(telemetry.DropMalformed, ip.Dst, err)
 	}
 	m.tel.hits.Inc()
-	if ask {
-		sampled = m.tel.rec.Sample()
-	}
 	if sampled {
 		m.tel.rec.Record(telemetry.KindVIPLookup, m.tel.node, uint32(tuple.Dst), 0, 0)
 	}

@@ -11,8 +11,8 @@ package obs
 // The default rules encode the conditions Duet's evaluation measures:
 // delivery availability through failure and migration (Figure 12), SMux
 // capacity headroom and latency inflation against the latmodel envelope
-// (Figure 1, §2.2), HMux table occupancy against the 16K/4K/512 switch
-// limits (§4.1), and switch-agent programming backlog (Figure 14).
+// (Figure 1, §2.2), and HMux table occupancy against the 16K/4K/512 switch
+// limits (§4.1).
 
 import (
 	"duet/internal/latmodel"
@@ -250,10 +250,6 @@ type SLOConfig struct {
 	// OccupancyFrac is the tolerated fraction of any HMux table (host/ECMP/
 	// tunnel) in use against the §4.1 switch limits.
 	OccupancyFrac float64
-	// BacklogMaxMS bounds the switch-agent programming backlog. Figure 14
-	// measures rule insertion at hundreds of ms; a persistent backlog beyond
-	// a second means the controller is outrunning the switches.
-	BacklogMaxMS float64
 	// WireDropsPerSec bounds the wire transport's aggregate drop rate
 	// (short reads, bad frames, refused sends, backlog overflow, missing
 	// routes). Sustained wire drops mean a peer is down, misconfigured, or
@@ -303,7 +299,6 @@ func DefaultSLO() SLOConfig {
 		HeadroomFrac:        0.8,
 		SMuxP99Seconds:      latmodel.SMuxBaseP90,
 		OccupancyFrac:       0.9,
-		BacklogMaxMS:        1000,
 		WireDropsPerSec:     50,
 		OverlayFrac:         0.9,
 		EpochDrainScrapes:   30,
@@ -534,16 +529,6 @@ func DefaultRules(cfg SLOConfig) []Rule {
 			Op:        Above,
 			Threshold: 0,
 			For:       cfg.EpochDrainScrapes,
-		},
-		{
-			Name:      "switch-programming-backlog",
-			Desc:      "switch-agent programming backlog (Fig 14 insertion latency) persisting",
-			Num:       "switchagent.backlog_ms",
-			NumSrc:    Value,
-			Combine:   One,
-			Op:        Above,
-			Threshold: cfg.BacklogMaxMS,
-			For:       2,
 		},
 	}
 }

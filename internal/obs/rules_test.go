@@ -231,37 +231,3 @@ func TestEpochDrainRule(t *testing.T) {
 		t.Fatalf("alerts = %+v, want steer-epoch-drain firing", alerts)
 	}
 }
-
-// TestConvergenceBacklogRule exercises the default switch-programming
-// watchdog against a synthesized backlog gauge: it needs two consecutive
-// breaching scrapes (For=2), matching a backlog that persists rather than a
-// single queued Figure-14 FIB operation.
-func TestConvergenceBacklogRule(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	backlog := reg.Gauge("switchagent.backlog_ms")
-	clk := &fakeClock{}
-	p := clk.pipeline(reg, nil, 8)
-	p.AddRules(DefaultRules(DefaultSLO())...)
-
-	backlog.Set(2500)
-	p.Tick()
-	clk.advance(1)
-	if !p.Healthy() {
-		t.Fatal("one breaching scrape must not fire a For=2 rule")
-	}
-	backlog.Set(3000)
-	p.Tick()
-	clk.advance(1)
-	if p.Healthy() {
-		t.Fatal("two consecutive breaching scrapes must fire")
-	}
-	alerts := p.Alerts()
-	if len(alerts) != 1 || alerts[0].Rule != "switch-programming-backlog" {
-		t.Fatalf("alerts = %+v, want switch-programming-backlog firing", alerts)
-	}
-	backlog.Set(0)
-	p.Tick()
-	if !p.Healthy() {
-		t.Fatal("drained backlog must resolve")
-	}
-}

@@ -453,26 +453,19 @@ type Result struct {
 // resolution is one atomic table load, and per-flow pinning locks only the
 // flow's hash shard.
 //
+// Process is the unsampled form (see hmux.Process).
+//
 //duet:hotpath
 func (m *Mux) Process(data []byte, out []byte) (Result, error) {
-	return m.process(data, out, false, true)
+	return m.ProcessSampled(data, out, false)
 }
 
-// ProcessSampled is Process for a caller that has already taken the packet's
-// sampling decision (see hmux.ProcessSampled).
+// ProcessSampled is Process for a caller that has taken the packet's sampling
+// decision (see hmux.ProcessSampled).
 //
 //duet:hotpath
 func (m *Mux) ProcessSampled(data, out []byte, sampled bool) (Result, error) {
-	return m.process(data, out, sampled, false)
-}
-
-// process is the one implementation behind both entry points; ask leaves the
-// sampling decision to the mux's own recorder.
-func (m *Mux) process(data, out []byte, sampled, ask bool) (Result, error) {
 	m.tel.packets.Inc()
-	if ask {
-		sampled = m.tel.rec.Sample()
-	}
 	if sampled {
 		m.tel.rec.Record(telemetry.KindPacketIn, m.tel.node, 0, 0, uint64(len(data)))
 	}

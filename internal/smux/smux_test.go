@@ -345,17 +345,16 @@ func BenchmarkProcess(b *testing.B) {
 func TestProcessTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	rec := telemetry.NewRecorder(64)
-	rec.SetSampleEvery(1)
 	m := New(DefaultConfig(selfAddr))
 	m.SetTelemetry(reg, rec, 9)
 	if err := m.AddVIP(&service.VIP{Addr: vipAddr, Backends: backends("100.0.0.1")}); err != nil {
 		t.Fatal(err)
 	}
 	pkt := vipPacket(1, 80)
-	if _, err := m.Process(pkt, nil); err != nil {
+	if _, err := m.ProcessSampled(pkt, nil, true); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Process(pkt, nil); err != nil { // pinned now
+	if _, err := m.ProcessSampled(pkt, nil, true); err != nil { // pinned now
 		t.Fatal(err)
 	}
 	if _, err := m.Process([]byte{1, 2}, nil); err == nil {
@@ -417,7 +416,7 @@ func TestProcessZeroAllocWithTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(500, func() {
-		if _, err := m.Process(pkt, buf[:0]); err != nil {
+		if _, err := m.ProcessSampled(pkt, buf[:0], rec.Sample()); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -1,7 +1,6 @@
 package switchagent
 
 import (
-	"math"
 	"runtime"
 	"testing"
 
@@ -13,15 +12,6 @@ import (
 
 var vip = packet.MustParseAddr("10.0.0.1")
 
-// fig14 is the §7.3 table-programming calibration (Figure 14).
-var fig14 = Timing{
-	AddVIPFIB:    0.400,
-	RemoveVIPFIB: 0.350,
-	AddDIPs:      0.060,
-	RemoveDIPs:   0.050,
-	BGP:          0.035,
-}
-
 func backends(addrs ...string) []service.Backend {
 	out := make([]service.Backend, len(addrs))
 	for i, a := range addrs {
@@ -32,76 +22,50 @@ func backends(addrs ...string) []service.Backend {
 
 // recorder captures routing side effects.
 type recorder struct {
-	announced []event
-	withdrawn []event
+	announced []packet.Prefix
+	withdrawn []packet.Prefix
 }
 
-type event struct {
-	p  packet.Prefix
-	at float64
-}
+func (r *recorder) Announce(p packet.Prefix) { r.announced = append(r.announced, p) }
+func (r *recorder) Withdraw(p packet.Prefix) { r.withdrawn = append(r.withdrawn, p) }
 
-func (r *recorder) Announce(p packet.Prefix, at float64) {
-	r.announced = append(r.announced, event{p, at})
-}
-func (r *recorder) Withdraw(p packet.Prefix, at float64) {
-	r.withdrawn = append(r.withdrawn, event{p, at})
-}
-
-func newAgent(t *testing.T, timing Timing) (*Agent, *recorder) {
+func newAgent(t *testing.T) (*Agent, *recorder) {
 	t.Helper()
 	rec := &recorder{}
 	mux := hmux.New(hmux.DefaultConfig(packet.MustParseAddr("172.16.0.1")))
-	return New(mux, rec, timing), rec
+	return New(mux, rec), rec
 }
 
 func TestAddVIPProgramsAndAnnounces(t *testing.T) {
-	a, rec := newAgent(t, fig14)
-	ack := a.Submit(Op{Kind: OpAddVIP, VIP: &service.VIP{Addr: vip, Backends: backends("100.0.0.1")}}, 1.0)
-	if ack.Err != nil {
-		t.Fatal(ack.Err)
-	}
-	// Figure 14: done after DIPs + FIB; routed BGP later.
-	wantDone := 1.0 + 0.060 + 0.400
-	if math.Abs(ack.DoneAt-wantDone) > 1e-9 {
-		t.Fatalf("DoneAt = %v, want %v", ack.DoneAt, wantDone)
-	}
-	if math.Abs(ack.RoutedAt-(wantDone+0.035)) > 1e-9 {
-		t.Fatalf("RoutedAt = %v", ack.RoutedAt)
+	a, rec := newAgent(t)
+	reg, trace := telemetry.NewRegistry(), telemetry.NewRecorder(16)
+	a.SetTelemetry(reg, trace, 7)
+	if err := a.Submit(Op{Kind: OpAddVIP, VIP: &service.VIP{Addr: vip, Backends: backends("100.0.0.1")}}); err != nil {
+		t.Fatal(err)
 	}
 	if !a.Mux().HasVIP(vip) {
 		t.Fatal("tables not programmed")
 	}
-	if len(rec.announced) != 1 || rec.announced[0].p != packet.HostPrefix(vip) {
+	if len(rec.announced) != 1 || rec.announced[0] != packet.HostPrefix(vip) {
 		t.Fatalf("announcements: %+v", rec.announced)
 	}
-	if math.Abs(rec.announced[0].at-ack.RoutedAt) > 1e-9 {
-		t.Fatal("announcement visibility != RoutedAt")
+	if got := reg.Counter("switchagent.ops").Value(); got != 1 {
+		t.Fatalf("switchagent.ops = %d, want 1", got)
 	}
-}
-
-func TestOpsSerializeOnASIC(t *testing.T) {
-	a, _ := newAgent(t, fig14)
-	ack1 := a.Submit(Op{Kind: OpAddVIP, VIP: &service.VIP{Addr: vip, Backends: backends("100.0.0.1")}}, 0)
-	// Second op submitted while the first is still programming: it queues.
-	vip2 := packet.MustParseAddr("10.0.0.2")
-	ack2 := a.Submit(Op{Kind: OpAddVIP, VIP: &service.VIP{Addr: vip2, Backends: backends("100.0.0.2")}}, 0.001)
-	if ack2.DoneAt <= ack1.DoneAt {
-		t.Fatalf("ops did not serialize: %v then %v", ack1.DoneAt, ack2.DoneAt)
-	}
-	if math.Abs(ack2.DoneAt-(ack1.DoneAt+0.460)) > 1e-9 {
-		t.Fatalf("queued op timing wrong: %v", ack2.DoneAt)
+	evs := trace.Snapshot()
+	if len(evs) != 1 || evs[0].Kind != telemetry.KindTableProgram || evs[0].Node != 7 ||
+		evs[0].A != uint32(vip) || evs[0].B != uint32(OpAddVIP) {
+		t.Fatalf("trace = %+v, want one table-program event for the VIP", evs)
 	}
 }
 
 func TestRemoveVIPWithdraws(t *testing.T) {
-	a, rec := newAgent(t, fig14)
-	if ack := a.Submit(Op{Kind: OpAddVIP, VIP: &service.VIP{Addr: vip, Backends: backends("100.0.0.1")}}, 0); ack.Err != nil {
-		t.Fatal(ack.Err)
+	a, rec := newAgent(t)
+	if err := a.Submit(Op{Kind: OpAddVIP, VIP: &service.VIP{Addr: vip, Backends: backends("100.0.0.1")}}); err != nil {
+		t.Fatal(err)
 	}
-	ack := a.Submit(Op{Kind: OpRemoveVIP, Addr: vip}, 2.0)
-	if ack.Err != nil {
-		t.Fatal(ack.Err)
+	if err := a.Submit(Op{Kind: OpRemoveVIP, Addr: vip}); err != nil {
+		t.Fatal(err)
 	}
 	if a.Mux().HasVIP(vip) {
 		t.Fatal("VIP still in tables")
@@ -111,62 +75,29 @@ func TestRemoveVIPWithdraws(t *testing.T) {
 	}
 }
 
-func TestRemoveDIPNoRouteChurn(t *testing.T) {
-	a, rec := newAgent(t, fig14)
-	if ack := a.Submit(Op{Kind: OpAddVIP, VIP: &service.VIP{Addr: vip, Backends: backends("100.0.0.1", "100.0.0.2")}}, 0); ack.Err != nil {
-		t.Fatal(ack.Err)
-	}
-	before := len(rec.announced) + len(rec.withdrawn)
-	ack := a.Submit(Op{Kind: OpRemoveDIP, Addr: vip, DIP: packet.MustParseAddr("100.0.0.1")}, 2.0)
-	if ack.Err != nil {
-		t.Fatal(ack.Err)
-	}
-	if len(rec.announced)+len(rec.withdrawn) != before {
-		t.Fatal("DIP removal churned routes; it must be table-only")
-	}
-	if ack.RoutedAt != ack.DoneAt {
-		t.Fatal("table-only op should have RoutedAt == DoneAt")
-	}
-}
-
-func TestTIPLifecycle(t *testing.T) {
-	a, rec := newAgent(t, fig14)
-	tip := packet.MustParseAddr("20.0.0.1")
-	if ack := a.Submit(Op{Kind: OpAddTIP, Addr: tip, Backends: backends("100.0.0.1")}, 0); ack.Err != nil {
-		t.Fatal(ack.Err)
-	}
-	if !a.Mux().HasTIP(tip) {
-		t.Fatal("TIP not programmed")
-	}
-	if len(rec.announced) != 1 {
-		t.Fatal("TIP must be announced (it is a routable IP, §5.2)")
-	}
-	if ack := a.Submit(Op{Kind: OpRemoveTIP, Addr: tip}, 1); ack.Err != nil {
-		t.Fatal(ack.Err)
-	}
-	if a.Mux().HasTIP(tip) || len(rec.withdrawn) != 1 {
-		t.Fatal("TIP removal incomplete")
-	}
-}
-
 func TestErrorsAcked(t *testing.T) {
-	a, _ := newAgent(t, Instant())
-	ack := a.Submit(Op{Kind: OpRemoveVIP, Addr: vip}, 0)
-	if ack.Err == nil {
+	a, rec := newAgent(t)
+	reg := telemetry.NewRegistry()
+	a.SetTelemetry(reg, nil, 1)
+	if err := a.Submit(Op{Kind: OpRemoveVIP, Addr: vip}); err == nil {
 		t.Fatal("removing unknown VIP should fail")
 	}
-	ack = a.Submit(Op{Kind: OpKind(99)}, 0)
-	if ack.Err == nil {
+	if err := a.Submit(Op{Kind: OpKind(99)}); err == nil {
 		t.Fatal("unknown op should fail")
 	}
-	nilAgent := New(nil, nil, Instant())
-	if ack := nilAgent.Submit(Op{Kind: OpAddVIP}, 0); ack.Err != ErrNoMux {
-		t.Fatalf("got %v", ack.Err)
+	if len(rec.withdrawn) != 0 {
+		t.Fatalf("a failed removal withdrew %+v", rec.withdrawn)
+	}
+	if got := reg.Counter("switchagent.op_errors").Value(); got != 2 {
+		t.Fatalf("switchagent.op_errors = %d, want 2", got)
+	}
+	if err := New(nil, nil).Submit(Op{Kind: OpAddVIP}); err != ErrNoMux {
+		t.Fatalf("got %v", err)
 	}
 }
 
 func TestOpKindString(t *testing.T) {
-	kinds := []OpKind{OpAddVIP, OpRemoveVIP, OpRemoveDIP, OpAddTIP, OpRemoveTIP, OpKind(42)}
+	kinds := []OpKind{OpAddVIP, OpRemoveVIP, OpKind(42)}
 	for _, k := range kinds {
 		if k.String() == "" {
 			t.Fatalf("empty name for %d", k)
@@ -176,42 +107,12 @@ func TestOpKindString(t *testing.T) {
 
 func TestNilAnnouncerTableOnly(t *testing.T) {
 	mux := hmux.New(hmux.DefaultConfig(packet.MustParseAddr("172.16.0.1")))
-	a := New(mux, nil, Instant())
-	ack := a.Submit(Op{Kind: OpAddVIP, VIP: &service.VIP{Addr: vip, Backends: backends("100.0.0.1")}}, 0)
-	if ack.Err != nil {
-		t.Fatal(ack.Err)
+	a := New(mux, nil)
+	if err := a.Submit(Op{Kind: OpAddVIP, VIP: &service.VIP{Addr: vip, Backends: backends("100.0.0.1")}}); err != nil {
+		t.Fatal(err)
 	}
 	if !mux.HasVIP(vip) {
 		t.Fatal("tables not programmed without announcer")
-	}
-}
-
-// TestBacklogTracking checks the convergence-lag signal the obs watchdog
-// consumes: queued FIB operations (0.4s apiece, §7.3) extend the backlog the
-// switchagent.backlog_ms gauge reports.
-func TestBacklogTracking(t *testing.T) {
-	a, _ := newAgent(t, fig14)
-	reg := telemetry.NewRegistry()
-	a.SetTelemetry(reg, nil, 1)
-
-	// Three AddVIP ops submitted at t=0 serialize on the ASIC: each costs
-	// 0.46s (0.4 VIP FIB + 0.06 DIP install), so the queue extends to
-	// 1.38s while "now" is still 0.
-	for i := 0; i < 3; i++ {
-		v := packet.AddrFrom4(10, 0, 0, byte(i+1))
-		if ack := a.Submit(Op{Kind: OpAddVIP, VIP: &service.VIP{Addr: v, Backends: backends("100.0.0.1")}}, 0); ack.Err != nil {
-			t.Fatal(ack.Err)
-		}
-	}
-	if got := reg.Gauge("switchagent.backlog_ms").Value(); got != 1380 {
-		t.Fatalf("switchagent.backlog_ms = %d, want 1380", got)
-	}
-	// An op submitted after the queue drained waits for nothing.
-	if ack := a.Submit(Op{Kind: OpRemoveDIP, Addr: packet.AddrFrom4(10, 0, 0, 1), DIP: packet.MustParseAddr("100.0.0.1")}, 2.0); ack.Err != nil {
-		t.Fatal(ack.Err)
-	}
-	if got := reg.Gauge("switchagent.backlog_ms").Value(); got < 49 || got > 50 {
-		t.Fatalf("switchagent.backlog_ms after the queue drained = %d, want the op's own 50", got)
 	}
 }
 
@@ -220,17 +121,17 @@ func TestBacklogTracking(t *testing.T) {
 // applied op (it kept a journal and an ack log: about 300 B per bounce) grows
 // without bound at the controller's churn rate.
 func TestSubmitRetainsNothing(t *testing.T) {
-	a := New(hmux.New(hmux.DefaultConfig(packet.MustParseAddr("172.16.0.1"))), nil, Instant())
+	a := New(hmux.New(hmux.DefaultConfig(packet.MustParseAddr("172.16.0.1"))), nil)
 	v := &service.VIP{Addr: vip, Backends: backends(
 		"100.0.0.1", "100.0.0.2", "100.0.0.3", "100.0.0.4",
 		"100.0.0.5", "100.0.0.6", "100.0.0.7", "100.0.0.8")}
 	bounce := func(n int) {
 		for i := 0; i < n; i++ {
-			if ack := a.Submit(Op{Kind: OpAddVIP, VIP: v}, float64(i)); ack.Err != nil {
-				t.Fatal(ack.Err)
+			if err := a.Submit(Op{Kind: OpAddVIP, VIP: v}); err != nil {
+				t.Fatal(err)
 			}
-			if ack := a.Submit(Op{Kind: OpRemoveVIP, Addr: vip}, float64(i)); ack.Err != nil {
-				t.Fatal(ack.Err)
+			if err := a.Submit(Op{Kind: OpRemoveVIP, Addr: vip}); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}

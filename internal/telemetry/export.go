@@ -10,7 +10,7 @@ import (
 //
 //	counter   hmux.packets                    123456
 //	gauge     smux.connections                1024
-//	histogram switchagent.program.seconds     count=12 sum=5.4 p50=0.41 p99=0.46
+//	histogram core.deliver.hop.smux.seconds   count=12 sum=5.4e-05 p50=4.1e-06 p99=4.6e-06
 //
 // The output is stable across runs with the same metric values.
 func (r *Registry) WriteText(w io.Writer) error {

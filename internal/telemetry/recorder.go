@@ -216,14 +216,22 @@ func (r *Recorder) Sample() bool {
 	return r.sampleCtr.Add(1)&r.sampleMask.Load() == 0
 }
 
+// Now reads the recorder's clock: wall seconds since creation unless
+// SetClock injected another. A component that stamps its own state changes
+// (core.Cluster's route updates) reads it here, so they carry the time its
+// trace events do.
+func (r *Recorder) Now() float64 {
+	if r == nil {
+		return 0
+	}
+	return (*r.clock.Load())()
+}
+
 // Record appends an event stamped with the recorder's clock.
 //
 //duet:hotpath
 func (r *Recorder) Record(kind Kind, node, a, b uint32, aux uint64) {
-	if r == nil {
-		return
-	}
-	r.RecordAt((*r.clock.Load())(), kind, node, a, b, aux)
+	r.RecordAt(r.Now(), kind, node, a, b, aux)
 }
 
 // RecordAt appends an event with an explicit timestamp — the control-plane

@@ -38,7 +38,7 @@ func TestDeltaDrivenMigrationTouchesOnlyChangedVIPs(t *testing.T) {
 	const n = 6
 	// Epoch 1: VIPs 0-2 on HMuxes, 3-5 on the SMux backstop.
 	placement := map[int]topology.SwitchID{
-		0: tb.Topo.TorID(0, 0), 1: tb.Topo.TorID(0, 1), 2: tb.Topo.TorID(0, 2),
+		0: tb.Cluster.Topo.TorID(0, 0), 1: tb.Cluster.Topo.TorID(0, 1), 2: tb.Cluster.Topo.TorID(0, 2),
 	}
 	for i := 0; i < n; i++ {
 		v := &service.VIP{Addr: vipN(i), Backends: backendsFor(i)}
@@ -56,7 +56,7 @@ func TestDeltaDrivenMigrationTouchesOnlyChangedVIPs(t *testing.T) {
 	// promoted from the SMuxes to an HMux. Everything else is untouched.
 	prev := deltaStateFor(tb, 1, placement, n)
 	nextPlacement := map[int]topology.SwitchID{
-		0: tb.Topo.TorID(1, 0), 1: placement[1], 2: placement[2], 3: tb.Topo.TorID(1, 1),
+		0: tb.Cluster.Topo.TorID(1, 0), 1: placement[1], 2: placement[2], 3: tb.Cluster.Topo.TorID(1, 1),
 	}
 	next := deltaStateFor(tb, 2, nextPlacement, n)
 	d := delta.Diff(prev, next)
@@ -97,10 +97,10 @@ func TestDeltaDrivenMigrationTouchesOnlyChangedVIPs(t *testing.T) {
 		}
 	}
 	tb.RunUntil(5.0)
-	if !tb.HMuxes[nextPlacement[0]].HasVIP(vipN(0)) {
+	if sw, ok := tb.Cluster.HomeOf(vipN(0)); !ok || sw != nextPlacement[0] {
 		t.Fatal("moved VIP not on its new switch")
 	}
-	if !tb.HMuxes[nextPlacement[3]].HasVIP(vipN(3)) {
+	if sw, ok := tb.Cluster.HomeOf(vipN(3)); !ok || sw != nextPlacement[3] {
 		t.Fatal("promoted VIP not on its switch")
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"time"
 
-	"duet/internal/bgp"
 	"duet/internal/clock"
 	"duet/internal/core"
 	"duet/internal/obs"
@@ -150,34 +149,25 @@ func (f *Flood) Observe(windows int, now func() float64) *obs.Pipeline {
 }
 
 // InjectBlackhole models the Figure 12 failover outage for an HMux-served
-// VIP: its home switch dies, but the fabric still carries the /32 toward the
-// dead switch until routing converges, so deliveries blackhole. The stale
-// route is re-announced after the facade's instant withdrawal; Heal
-// withdraws it (convergence) and traffic falls back to the SMux aggregate.
+// VIP: its home switch stops (core.StopSwitch), but the fabric still carries
+// the /32 toward the dead switch until routing converges, so deliveries
+// blackhole until Heal.
 func (f *Flood) InjectBlackhole(vip packet.Addr) error {
-	c := f.Cluster
-	sw, ok := c.HomeOf(vip)
+	sw, ok := f.Cluster.HomeOf(vip)
 	if !ok {
 		return fmt.Errorf("flood: VIP %s is not HMux-served", vip)
 	}
-	c.FailSwitch(sw)
-	c.Routes.Announce(packet.HostPrefix(vip), bgp.NodeID(sw), c.Now())
+	f.Cluster.StopSwitch(sw)
 	return nil
 }
 
-// Heal completes the failover: the stale /32 toward the dead switch is
-// withdrawn, so the VIP's traffic reaches the SMux backstop again.
-func (f *Flood) Heal(vip packet.Addr) error {
-	c := f.Cluster
-	nh, matched, ok := c.Routes.Snapshot().Pick(vip, c.Now(), 0)
-	if !ok {
-		return fmt.Errorf("flood: VIP %s has no route", vip)
+// Heal completes the failover (core.FailSwitch): the dead switch's routes are
+// withdrawn, so the VIP's traffic reaches the SMux backstop again. A VIP that
+// is not blackholed has nothing stale to withdraw.
+func (f *Flood) Heal(vip packet.Addr) {
+	if sw, ok := f.Cluster.HomeOf(vip); ok && !f.Cluster.SwitchUp(sw) {
+		f.Cluster.FailSwitch(sw)
 	}
-	if matched.Bits != 32 {
-		return nil // already on the aggregate; nothing stale to withdraw
-	}
-	c.Routes.Withdraw(matched, nh, c.Now())
-	return nil
 }
 
 // FloodStats summarizes one flood run.

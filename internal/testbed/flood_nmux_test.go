@@ -110,9 +110,9 @@ func TestWatchdogNMuxOccupancy(t *testing.T) {
 }
 
 // TestFloodNMuxChurn is the reprogram-churn scenario: connections that
-// straddle a NIC-table reprogram must not misroute. Pinned flows keep their
-// DIP across a backend reorder, and after the tier is withdrawn entirely the
-// SMux path produces byte-identical encapsulation for the same flows.
+// straddle a NIC-table reprogram must not misroute. With the tier withdrawn
+// the SMux path produces byte-identical encapsulation for the same flows, and
+// back on the tier pinned flows keep their DIP when the backend set grows.
 func TestFloodNMuxChurn(t *testing.T) {
 	f := nmuxFlood(t, 256)
 	c := f.Cluster
@@ -134,58 +134,43 @@ func TestFloodNMuxChurn(t *testing.T) {
 		}
 		before[i] = obs{d.DIP, d.Host, string(d.Packet)}
 	}
-
-	// Reprogram the NIC tier with the backend list reversed: new flows would
-	// hash differently, but established (pinned) flows must be unaffected.
-	rev := &service.VIP{Addr: vip}
-	for j := 3; j >= 0; j-- {
-		rev.Backends = append(rev.Backends, service.Backend{
-			Addr: packet.AddrFrom4(100, 4, byte(j), 1), Weight: 1,
-		})
-	}
-	if err := c.ReprogramNMux(rev); err != nil {
-		t.Fatal(err)
-	}
-	for i, pkt := range pkts {
-		d, err := c.Deliver(pkt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d.Hops()[0].Kind != "nmux" {
-			t.Fatalf("flow %d left the NIC tier after reprogram", i)
-		}
-		if d.DIP != before[i].dip || d.Host != before[i].host || string(d.Packet) != before[i].pkt {
-			t.Fatalf("flow %d misrouted across reprogram: %s → %s", i, before[i].dip, d.DIP)
+	// same delivers every flow again and requires the named tier to serve it
+	// exactly as the first pass did.
+	same := func(tier, when string) {
+		t.Helper()
+		for i, pkt := range pkts {
+			d, err := c.Deliver(pkt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d.Hops()[0].Kind != tier {
+				t.Fatalf("flow %d first hop %s %s, want %s", i, d.Hops()[0].Kind, when, tier)
+			}
+			if d.DIP != before[i].dip || d.Host != before[i].host || string(d.Packet) != before[i].pkt {
+				t.Fatalf("flow %d misrouted %s: %s → %s", i, when, before[i].dip, d.DIP)
+			}
 		}
 	}
 
-	// Restore the original order, then withdraw the tier: the SMux backstop
-	// (shared ECMP hash, same outer source) must reproduce every delivery
-	// byte for byte.
-	orig := &service.VIP{Addr: vip}
-	for j := 0; j < 4; j++ {
-		orig.Backends = append(orig.Backends, service.Backend{
-			Addr: packet.AddrFrom4(100, 4, byte(j), 1), Weight: 1,
-		})
-	}
-	if err := c.ReprogramNMux(orig); err != nil {
-		t.Fatal(err)
-	}
+	// Withdraw the tier: the SMux backstop (shared ECMP hash, same outer
+	// source) must reproduce every delivery byte for byte. Then bring it back,
+	// which pins the flows again.
 	if err := c.WithdrawFromNMux(vip); err != nil {
 		t.Fatal(err)
 	}
-	for i, pkt := range pkts {
-		d, err := c.Deliver(pkt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d.Hops()[0].Kind != "smux" {
-			t.Fatalf("flow %d first hop %s after withdraw, want smux", i, d.Hops()[0].Kind)
-		}
-		if d.DIP != before[i].dip || d.Host != before[i].host || string(d.Packet) != before[i].pkt {
-			t.Fatalf("flow %d: SMux encap differs from NIC-tier encap", i)
-		}
+	same("smux", "after withdraw")
+	if err := c.AssignToNMux(vip); err != nil {
+		t.Fatal(err)
 	}
+	same("nmux", "after reassign")
+
+	// Grow the backend set (the NIC tier is reprogrammed in place): new flows
+	// would hash differently, but established (pinned) flows must be
+	// unaffected.
+	if err := c.AddBackend(vip, service.Backend{Addr: packet.AddrFrom4(100, 4, 4, 1), Weight: 1}); err != nil {
+		t.Fatal(err)
+	}
+	same("nmux", "across reprogram")
 }
 
 // TestFloodNMuxConcurrentChurn hammers deliveries while another goroutine
@@ -194,7 +179,8 @@ func TestFloodNMuxConcurrentChurn(t *testing.T) {
 	f := nmuxFlood(t, 256)
 	c := f.Cluster
 	vip := f.VIPs[4]
-	valid := map[packet.Addr]bool{}
+	extra := service.Backend{Addr: packet.AddrFrom4(100, 4, 4, 1), Weight: 1}
+	valid := map[packet.Addr]bool{extra.Addr: true}
 	for j := 0; j < 4; j++ {
 		valid[packet.AddrFrom4(100, 4, byte(j), 1)] = true
 	}
@@ -211,17 +197,13 @@ func TestFloodNMuxConcurrentChurn(t *testing.T) {
 				return
 			default:
 			}
-			v := &service.VIP{Addr: vip}
-			for j := 0; j < 4; j++ {
-				k := j
-				if flip {
-					k = 3 - j
-				}
-				v.Backends = append(v.Backends, service.Backend{
-					Addr: packet.AddrFrom4(100, 4, byte(k), 1), Weight: 1,
-				})
+			var err error
+			if flip {
+				err = c.RemoveBackend(vip, extra.Addr)
+			} else {
+				err = c.AddBackend(vip, extra)
 			}
-			if err := c.ReprogramNMux(v); err != nil {
+			if err != nil {
 				t.Errorf("reprogram: %v", err)
 				return
 			}

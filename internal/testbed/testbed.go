@@ -1,8 +1,12 @@
 // Package testbed is a deterministic discrete-event reproduction of the
-// paper's hardware testbed (§7, Figure 10): a small FatTree whose switches
-// run real HMux table state, three SMuxes running the real SMux dataplane, a
-// BGP control plane with convergence delays, and pingers that probe VIPs
-// every 3 ms exactly as the paper's experiments do.
+// paper's hardware testbed (§7, Figure 10): one core.Cluster on the small
+// FatTree — real HMux tables on every switch, three real SMuxes, host agents,
+// the routing table and the controller — driven on a virtual clock. What is
+// the testbed's own is what §7 measures around the muxes: the event queue
+// that puts table-programming and route-propagation delays between the
+// cluster's mutators, the background load, and the latency model a probe's
+// RTT is drawn from. A probe is a real packet through Cluster.Deliver, every
+// 3 ms exactly as the paper's pingers do.
 //
 // It regenerates the shapes of:
 //
@@ -21,13 +25,13 @@ import (
 	"fmt"
 	"math/rand"
 
+	"duet/internal/assign"
 	"duet/internal/bgp"
-	"duet/internal/ecmp"
-	"duet/internal/hmux"
+	"duet/internal/controller"
+	"duet/internal/core"
 	"duet/internal/latmodel"
 	"duet/internal/packet"
 	"duet/internal/service"
-	"duet/internal/smux"
 	"duet/internal/telemetry"
 	"duet/internal/topology"
 )
@@ -43,9 +47,6 @@ const (
 	LatBGP          = bgp.DefaultConvergence // route propagation
 	LatFailDetect   = 0.003                  // neighbor failure detection
 )
-
-// SMux node IDs start here in the BGP table; switches use their SwitchID.
-const smuxNodeBase bgp.NodeID = 10000
 
 // event is one scheduled control-plane action.
 type event struct {
@@ -73,72 +74,53 @@ func (q *eventQueue) Pop() interface{} {
 	return e
 }
 
-// Testbed is the simulated cluster.
+// Testbed drives one cluster on virtual time.
 type Testbed struct {
-	Topo   *topology.Topology
-	Routes *bgp.Table
+	Cluster *core.Cluster
 
-	HMuxes []*hmux.Mux // indexed by SwitchID
-	SMuxes []*smux.Mux
-
-	switchUp []bool
+	ctl *controller.Controller
+	rec *telemetry.Recorder // the cluster's flight recorder, on the virtual clock
 
 	smModel latmodel.SMuxModel
 	hmModel latmodel.HMuxModel
 
 	// vipLoad is the background offered load per VIP in packets/sec.
 	vipLoad map[packet.Addr]float64
-	// vipBackends remembers each VIP's configured backend set.
-	vipBackends map[packet.Addr][]service.Backend
 	// pktBytes is the background traffic's packet size.
 	pktBytes float64
-
-	aggregate packet.Prefix
 
 	now    float64
 	seq    int
 	events eventQueue
 	rng    *rand.Rand
-
-	reg *telemetry.Registry
-	rec *telemetry.Recorder
 }
 
-// New builds the paper's testbed: the Figure 10 topology with an HMux on
-// every switch and three SMuxes announcing the VIP aggregate.
+// New builds the paper's testbed: a cluster on the Figure 10 topology with
+// three SMuxes announcing the VIP aggregate (§7: ToRs 1–3 each connect a
+// server acting as SMux), and a controller over it.
 func New(seed int64) *Testbed {
-	topo := topology.MustNew(topology.TestbedConfig())
+	c, err := core.New(core.Config{
+		Topology:  topology.TestbedConfig(),
+		NumSMuxes: 3,
+		Aggregate: packet.MustParsePrefix("10.0.0.0/16"),
+	})
+	must(err) // a constant config: only a bug fails it
 	tb := &Testbed{
-		Topo:        topo,
-		Routes:      bgp.NewTable(),
-		HMuxes:      make([]*hmux.Mux, topo.NumSwitches()),
-		switchUp:    make([]bool, topo.NumSwitches()),
-		smModel:     latmodel.DefaultSMuxModel(),
-		hmModel:     latmodel.DefaultHMuxModel(),
-		vipLoad:     make(map[packet.Addr]float64),
-		vipBackends: make(map[packet.Addr][]service.Backend),
-		pktBytes:    500,
-		aggregate:   packet.MustParsePrefix("10.0.0.0/16"),
-		rng:         rand.New(rand.NewSource(seed)),
-		reg:         telemetry.NewRegistry(),
-		rec:         telemetry.NewRecorder(telemetry.DefaultRecorderSize),
+		Cluster:  c,
+		ctl:      controller.New(c, assign.DefaultOptions()),
+		smModel:  latmodel.DefaultSMuxModel(),
+		hmModel:  latmodel.DefaultHMuxModel(),
+		vipLoad:  make(map[packet.Addr]float64),
+		pktBytes: 500,
+		rng:      rand.New(rand.NewSource(seed)),
 	}
-	// Trace events are stamped with the testbed's virtual clock, making
-	// flight-recorder traces fully deterministic for a given seed.
-	tb.rec.SetClock(func() float64 { return tb.now })
-	tb.Routes.SetTelemetry(tb.reg, tb.rec)
-	for s := range tb.HMuxes {
-		tb.HMuxes[s] = hmux.New(hmux.DefaultConfig(packet.AddrFrom4(172, 16, 0, byte(s+1))))
-		tb.HMuxes[s].SetTelemetry(tb.reg, tb.rec, uint32(s))
-		tb.switchUp[s] = true
-	}
-	// Paper §7: ToRs 1–3 each connect a server acting as SMux.
-	for i := 0; i < 3; i++ {
-		sm := smux.New(smux.DefaultConfig(packet.AddrFrom4(192, 168, 0, byte(i+1))))
-		sm.SetTelemetry(tb.reg, tb.rec, uint32(smuxNodeBase)+uint32(i))
-		tb.SMuxes = append(tb.SMuxes, sm)
-		tb.Routes.Announce(tb.aggregate, smuxNodeBase+bgp.NodeID(i), 0)
-	}
+	// Trace events — the cluster's, the controller's, the route table's — are
+	// stamped with the testbed's virtual clock, making flight-recorder traces
+	// fully deterministic for a given seed.
+	reg, rec := c.Telemetry()
+	rec.SetClock(func() float64 { return tb.now })
+	tb.rec = rec
+	tb.ctl.SetTelemetry(reg, rec)
 	return tb
 }
 
@@ -166,19 +148,14 @@ func (tb *Testbed) RunUntil(t float64) {
 	}
 }
 
-// AddVIPToSMuxes configures a VIP on every SMux (SMuxes always hold the full
-// map; they are the backstop for every VIP).
+// AddVIPToSMuxes configures a VIP on the cluster, where it lands on every
+// SMux (SMuxes always hold the full map; they are the backstop for every
+// VIP). A VIP already configured is left as it is.
 func (tb *Testbed) AddVIPToSMuxes(v *service.VIP) error {
-	for _, sm := range tb.SMuxes {
-		if sm.HasVIP(v.Addr) {
-			continue
-		}
-		if err := sm.AddVIP(v); err != nil {
-			return err
-		}
+	if _, ok := tb.Cluster.VIP(v.Addr); ok {
+		return nil
 	}
-	tb.vipBackends[v.Addr] = v.Backends
-	return nil
+	return tb.Cluster.AddVIP(v)
 }
 
 // AssignVIPToHMux programs a VIP onto a switch immediately (no modeled FIB
@@ -187,11 +164,7 @@ func (tb *Testbed) AssignVIPToHMux(v *service.VIP, sw topology.SwitchID) error {
 	if err := tb.AddVIPToSMuxes(v); err != nil {
 		return err
 	}
-	if err := tb.HMuxes[sw].AddVIP(v); err != nil {
-		return err
-	}
-	tb.Routes.Announce(packet.HostPrefix(v.Addr), bgp.NodeID(sw), tb.now)
-	return nil
+	return tb.Cluster.AssignToHMux(v.Addr, sw)
 }
 
 // SetVIPLoad sets a VIP's background offered load in packets/sec. The load
@@ -201,16 +174,13 @@ func (tb *Testbed) SetVIPLoad(vip packet.Addr, pps float64) {
 }
 
 // FailSwitch kills a switch at time at: its dataplane stops instantly;
-// neighbors detect the failure and withdraw its routes, converged
-// LatFailDetect+LatBGP later (§5.1, §7.2: <40 ms total).
+// neighbors detect the failure and withdraw its routes LatFailDetect+LatBGP
+// later (§5.1, §7.2: <40 ms total), which is when the routing change reaches
+// the controller and it reacts.
 func (tb *Testbed) FailSwitch(sw topology.SwitchID, at float64) {
 	tb.Schedule(at, func() {
-		tb.switchUp[sw] = false
-		tb.rec.RecordAt(tb.now, telemetry.KindSwitchFail, uint32(sw), 0, 0, 0)
-		tb.Routes.WithdrawAll(bgp.NodeID(sw), tb.now+LatFailDetect+LatBGP)
-		// The controller reacts once the withdrawal has converged and the
-		// routing change is visible to it (§5.1).
-		tb.rec.RecordAt(tb.now+LatFailDetect+LatBGP, telemetry.KindControllerReact, uint32(sw), 0, 0, 0)
+		tb.Cluster.StopSwitch(sw)
+		tb.Schedule(tb.now+LatFailDetect+LatBGP, func() { tb.ctl.HandleSwitchFailure(sw) })
 	})
 }
 
@@ -229,11 +199,20 @@ func (tb *Testbed) jitter(d float64) float64 {
 	return d * (0.9 + 0.2*tb.rng.Float64())
 }
 
-// MigrateToSMux starts moving a VIP off its HMux at time at (the first half
-// of the stepping-stone migration, §4.2). Returns the timing breakdown.
-// The VIP stays reachable throughout: after the FIB removal and before BGP
-// convergence, packets arriving at the switch miss the host table and follow
-// the SMux aggregate.
+// must stops a scenario that asked the cluster for a move it cannot make.
+func must(err error) {
+	if err != nil {
+		panic(fmt.Sprintf("testbed: %v", err))
+	}
+}
+
+// MigrateToSMux starts moving a VIP off its HMux on switch sw at time at (the
+// first half of the stepping-stone migration, §4.2). Returns the timing
+// breakdown. The leg is two events calling the cluster's own mutators: the
+// FIB removal once the switch agent has done it, the route withdrawal once it
+// has propagated. The VIP stays reachable throughout: between the two,
+// packets arriving at the switch miss the host table and follow the SMux
+// aggregate.
 func (tb *Testbed) MigrateToSMux(vip packet.Addr, sw topology.SwitchID, at float64) MigrationTiming {
 	mt := MigrationTiming{
 		DIPsDelay: tb.jitter(LatRemoveDIPs),
@@ -241,21 +220,17 @@ func (tb *Testbed) MigrateToSMux(vip packet.Addr, sw topology.SwitchID, at float
 		BGPDelay:  tb.jitter(LatBGP),
 	}
 	tb.rec.RecordAt(at, telemetry.KindMigrationStep, uint32(sw), uint32(vip), 0, 1)
-	fibDone := at + mt.DIPsDelay + mt.VIPDelay
-	tb.Schedule(fibDone, func() {
-		if tb.HMuxes[sw].HasVIP(vip) {
-			if err := tb.HMuxes[sw].RemoveVIP(vip); err != nil {
-				panic(fmt.Sprintf("testbed: remove VIP: %v", err))
-			}
-		}
-		tb.rec.RecordAt(tb.now, telemetry.KindTableProgram, uint32(sw), uint32(vip), uint32(1), 0)
-		tb.Routes.Withdraw(packet.HostPrefix(vip), bgp.NodeID(sw), tb.now+mt.BGPDelay)
+	tb.Schedule(at+mt.DIPsDelay+mt.VIPDelay, func() {
+		must(tb.Cluster.DeprogramHMux(vip))
+		tb.rec.RecordAt(tb.now, telemetry.KindTableProgram, uint32(sw), uint32(vip), 1, 0) // B: remove-vip
+		tb.Schedule(tb.now+mt.BGPDelay, func() { must(tb.Cluster.WithdrawFromHMux(vip)) })
 	})
 	return mt
 }
 
 // MigrateToHMux starts moving a VIP onto a switch at time at (the second
-// half of the stepping-stone migration). Returns the timing breakdown.
+// half of the stepping-stone migration): tables first, and the /32 — with it
+// the traffic — BGPDelay later. Returns the timing breakdown.
 func (tb *Testbed) MigrateToHMux(vip packet.Addr, sw topology.SwitchID, at float64) MigrationTiming {
 	mt := MigrationTiming{
 		DIPsDelay: tb.jitter(LatAddDIPs),
@@ -263,39 +238,38 @@ func (tb *Testbed) MigrateToHMux(vip packet.Addr, sw topology.SwitchID, at float
 		BGPDelay:  tb.jitter(LatBGP),
 	}
 	tb.rec.RecordAt(at, telemetry.KindMigrationStep, uint32(sw), uint32(vip), 0, 2)
-	fibDone := at + mt.DIPsDelay + mt.VIPDelay
-	tb.Schedule(fibDone, func() {
-		backends, ok := tb.vipBackends[vip]
-		if !ok {
-			panic("testbed: migrating unknown VIP")
-		}
-		if !tb.HMuxes[sw].HasVIP(vip) {
-			if err := tb.HMuxes[sw].AddVIP(&service.VIP{Addr: vip, Backends: backends}); err != nil {
-				panic(fmt.Sprintf("testbed: add VIP: %v", err))
-			}
-		}
-		tb.rec.RecordAt(tb.now, telemetry.KindTableProgram, uint32(sw), uint32(vip), uint32(0), 0)
-		tb.Routes.Announce(packet.HostPrefix(vip), bgp.NodeID(sw), tb.now+mt.BGPDelay)
+	tb.Schedule(at+mt.DIPsDelay+mt.VIPDelay, func() {
+		must(tb.Cluster.ProgramHMux(vip, sw))
+		tb.rec.RecordAt(tb.now, telemetry.KindTableProgram, uint32(sw), uint32(vip), 0, 0) // B: add-vip
+		tb.Schedule(tb.now+mt.BGPDelay, func() { must(tb.Cluster.AssignToHMux(vip, sw)) })
 	})
 	return mt
 }
 
 // hmuxOfferedBps returns the background bit rate crossing a given switch's
-// mux function.
+// mux function: the load of every VIP homed there.
 func (tb *Testbed) hmuxOfferedBps(sw topology.SwitchID) float64 {
 	var total float64
 	for vip, pps := range tb.vipLoad {
-		nhs, _, ok := tb.Routes.Lookup(vip, tb.now)
-		if !ok {
-			continue
-		}
-		for _, nh := range nhs {
-			if nh == bgp.NodeID(sw) {
-				total += pps / float64(len(nhs))
-			}
+		if home, ok := tb.Cluster.HomeOf(vip); ok && home == sw {
+			total += pps
 		}
 	}
 	return total * tb.pktBytes * 8
+}
+
+// smuxBackgroundPPS computes each SMux's current background load: every VIP
+// with no home switch — never assigned, or between the halves of a migration
+// leg — contributes its pps, split across the SMuxes. A VIP whose home has
+// stopped is blackholed and loads nothing.
+func (tb *Testbed) smuxBackgroundPPS() float64 {
+	var total float64
+	for vip, pps := range tb.vipLoad {
+		if _, ok := tb.Cluster.HomeOf(vip); !ok {
+			total += pps
+		}
+	}
+	return total / float64(len(tb.Cluster.SMuxes))
 }
 
 // PingResult is one probe outcome.
@@ -306,67 +280,22 @@ type PingResult struct {
 	ViaSMux bool
 }
 
-// Ping probes a VIP at the current virtual time with the given flow tuple,
-// resolving routing, mux state and load exactly as the fabric would.
-func (tb *Testbed) Ping(vip packet.Addr, tuple packet.FiveTuple) PingResult {
-	nhs, _, ok := tb.Routes.Lookup(vip, tb.now)
-	if !ok || len(nhs) == 0 {
+// Ping probes the tuple's destination VIP at the current virtual time: a UDP
+// packet through Cluster.Deliver, and an RTT drawn from the latency model of
+// the mux that served it at the background load that mux carries.
+func (tb *Testbed) Ping(tuple packet.FiveTuple) PingResult {
+	d, err := tb.Cluster.Deliver(packet.BuildUDP(tuple, nil))
+	if err != nil {
+		// No route, or a dead switch still attracting the VIP's /32: the
+		// blackhole of Figure 12's ~38 ms outage window.
 		return PingResult{Lost: true}
 	}
-	// ECMP among equal next hops by flow hash.
-	nh := nhs[int(ecmp.Hash(tuple)%uint64(len(nhs)))]
-
-	if nh >= smuxNodeBase {
-		return tb.pingViaSMux()
+	if sw, ok := d.HMux(); ok {
+		return PingResult{RTT: tb.hmModel.SampleRTT(tb.rng, tb.hmuxOfferedBps(sw))}
 	}
-
-	sw := topology.SwitchID(nh)
-	if !tb.switchUp[sw] {
-		// Dead switch still attracting routes: blackhole (Figure 12's
-		// ~38 ms outage window).
-		return PingResult{Lost: true}
+	res := PingResult{RTT: tb.smModel.SampleRTT(tb.rng, tb.smuxBackgroundPPS()), ViaSMux: true}
+	if d.FIBMiss() {
+		res.RTT += 20e-6 // the extra fabric hop from the switch to the SMux
 	}
-	if tb.HMuxes[sw].HasVIP(vip) {
-		rtt := tb.hmModel.SampleRTT(tb.rng, tb.hmuxOfferedBps(sw))
-		return PingResult{RTT: rtt}
-	}
-	// FIB miss (VIP being migrated): the packet follows the aggregate to an
-	// SMux — one extra in-fabric hop, then software processing.
-	res := tb.pingViaSMux()
-	res.RTT += 20e-6 // extra fabric hop to reach the SMux
 	return res
-}
-
-func (tb *Testbed) pingViaSMux() PingResult {
-	pps := tb.smuxBackgroundPPS()
-	rtt := tb.smModel.SampleRTT(tb.rng, pps)
-	return PingResult{RTT: rtt, ViaSMux: true}
-}
-
-// smuxBackgroundPPS computes each SMux's current background load: every VIP
-// whose traffic lands on the SMux layer (explicitly routed there, or falling
-// through a FIB miss) contributes its pps, split across the SMuxes.
-func (tb *Testbed) smuxBackgroundPPS() float64 {
-	var total float64
-	for vip, pps := range tb.vipLoad {
-		if pps == 0 {
-			continue
-		}
-		nhs, _, ok := tb.Routes.Lookup(vip, tb.now)
-		if !ok || len(nhs) == 0 {
-			continue // blackholed
-		}
-		// A VIP's load is on the SMuxes if its preferred next hop is an
-		// SMux, or a live switch without the FIB entry (migration window).
-		nh := nhs[0]
-		if nh >= smuxNodeBase {
-			total += pps
-			continue
-		}
-		sw := topology.SwitchID(nh)
-		if tb.switchUp[sw] && !tb.HMuxes[sw].HasVIP(vip) {
-			total += pps
-		}
-	}
-	return total / float64(len(tb.SMuxes))
 }

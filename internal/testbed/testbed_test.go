@@ -1,14 +1,17 @@
 package testbed
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
+	"duet/internal/core"
 	"duet/internal/latmodel"
 	"duet/internal/metrics"
 	"duet/internal/packet"
 	"duet/internal/service"
 	"duet/internal/telemetry"
+	"duet/internal/topology"
 )
 
 func vipN(i int) packet.Addr { return packet.AddrFrom4(10, 0, 0, byte(i+1)) }
@@ -35,7 +38,7 @@ func pingSeries(tb *Testbed, vip packet.Addr, from, to float64) []PingResult {
 		tb.RunUntil(t)
 		tuple := probeTuple(i)
 		tuple.Dst = vip
-		out = append(out, tb.Ping(vip, tuple))
+		out = append(out, tb.Ping(tuple))
 		i++
 	}
 	return out
@@ -64,7 +67,7 @@ func TestPingOnSMux(t *testing.T) {
 func TestPingOnHMuxFastPath(t *testing.T) {
 	tb := New(2)
 	v := &service.VIP{Addr: vipN(0), Backends: backendsFor(0)}
-	if err := tb.AssignVIPToHMux(v, tb.Topo.TorID(0, 0)); err != nil {
+	if err := tb.AssignVIPToHMux(v, tb.Cluster.Topo.TorID(0, 0)); err != nil {
 		t.Fatal(err)
 	}
 	tb.RunUntil(1.0)
@@ -84,7 +87,7 @@ func TestUnknownVIPLost(t *testing.T) {
 	tb := New(3)
 	tuple := probeTuple(0)
 	tuple.Dst = packet.MustParseAddr("99.9.9.9")
-	if r := tb.Ping(packet.MustParseAddr("99.9.9.9"), tuple); !r.Lost {
+	if r := tb.Ping(tuple); !r.Lost {
 		t.Fatal("unknown VIP should be lost")
 	}
 }
@@ -120,7 +123,7 @@ func TestFigure11HMuxCapacity(t *testing.T) {
 	p2 := pingSeries(tb, probe.Addr, 3, 6)
 
 	// Phase 3: all VIPs (incl. probe) move to one HMux.
-	sw := tb.Topo.TorID(0, 0)
+	sw := tb.Cluster.Topo.TorID(0, 0)
 	for _, v := range append(loaded, probe) {
 		tb.MigrateToHMux(v.Addr, sw, tb.Now())
 	}
@@ -166,10 +169,10 @@ func TestFigure12FailureMitigation(t *testing.T) {
 	if err := tb.AddVIPToSMuxes(vipSMux); err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.AssignVIPToHMux(vipHealthy, tb.Topo.TorID(0, 1)); err != nil {
+	if err := tb.AssignVIPToHMux(vipHealthy, tb.Cluster.Topo.TorID(0, 1)); err != nil {
 		t.Fatal(err)
 	}
-	failSW := tb.Topo.AggID(1, 0)
+	failSW := tb.Cluster.Topo.AggID(1, 0)
 	if err := tb.AssignVIPToHMux(vipFailed, failSW); err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +199,7 @@ func TestFigure12FailureMitigation(t *testing.T) {
 		} {
 			tuple := probeTuple(i)
 			tuple.Dst = probe.vip
-			*probe.out = append(*probe.out, sample{ts, tb.Ping(probe.vip, tuple)})
+			*probe.out = append(*probe.out, sample{ts, tb.Ping(tuple)})
 			i++
 		}
 	}
@@ -248,8 +251,8 @@ func TestFigure13MigrationNoLoss(t *testing.T) {
 	v1 := &service.VIP{Addr: vipN(1), Backends: backendsFor(1)} // H→S
 	v2 := &service.VIP{Addr: vipN(2), Backends: backendsFor(2)} // S→H
 	v3 := &service.VIP{Addr: vipN(3), Backends: backendsFor(3)} // H→H via SMux
-	swA := tb.Topo.TorID(0, 0)
-	swB := tb.Topo.TorID(1, 1)
+	swA := tb.Cluster.Topo.TorID(0, 0)
+	swB := tb.Cluster.Topo.TorID(1, 1)
 	if err := tb.AssignVIPToHMux(v1, swA); err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +279,7 @@ func TestFigure13MigrationNoLoss(t *testing.T) {
 		for _, vip := range []packet.Addr{v1.Addr, v2.Addr, v3.Addr} {
 			tuple := probeTuple(i)
 			tuple.Dst = vip
-			if tb.Ping(vip, tuple).Lost {
+			if tb.Ping(tuple).Lost {
 				lost++
 			}
 			i++
@@ -291,7 +294,7 @@ func TestFigure13MigrationNoLoss(t *testing.T) {
 	viaSMux := func(vip packet.Addr) bool {
 		tuple := probeTuple(i)
 		tuple.Dst = vip
-		return tb.Ping(vip, tuple).ViaSMux
+		return tb.Ping(tuple).ViaSMux
 	}
 	if !viaSMux(v1.Addr) {
 		t.Fatal("v1 should be on SMux")
@@ -299,7 +302,7 @@ func TestFigure13MigrationNoLoss(t *testing.T) {
 	if viaSMux(v2.Addr) || viaSMux(v3.Addr) {
 		t.Fatal("v2/v3 should be on HMux")
 	}
-	if !tb.HMuxes[swB].HasVIP(v3.Addr) || tb.HMuxes[swA].HasVIP(v3.Addr) {
+	if sw, ok := tb.Cluster.HomeOf(v3.Addr); !ok || sw != swB || tb.Cluster.HMuxes[swA].HasVIP(v3.Addr) {
 		t.Fatal("v3 not moved swA→swB")
 	}
 }
@@ -312,7 +315,7 @@ func TestFigure14Breakdown(t *testing.T) {
 	if err := tb.AddVIPToSMuxes(v); err != nil {
 		t.Fatal(err)
 	}
-	mtAdd := tb.MigrateToHMux(v.Addr, tb.Topo.TorID(0, 0), 0.1)
+	mtAdd := tb.MigrateToHMux(v.Addr, tb.Cluster.Topo.TorID(0, 0), 0.1)
 	if frac := mtAdd.VIPDelay / mtAdd.Total(); frac < 0.7 {
 		t.Fatalf("FIB VIP op is %.0f%% of add delay, paper reports 80-90%%", frac*100)
 	}
@@ -320,7 +323,7 @@ func TestFigure14Breakdown(t *testing.T) {
 		t.Fatalf("add migration total %.0fms, paper reports ~450ms", mtAdd.Total()*1e3)
 	}
 	tb.RunUntil(1)
-	mtDel := tb.MigrateToSMux(v.Addr, tb.Topo.TorID(0, 0), 1.1)
+	mtDel := tb.MigrateToSMux(v.Addr, tb.Cluster.Topo.TorID(0, 0), 1.1)
 	if frac := mtDel.VIPDelay / mtDel.Total(); frac < 0.7 {
 		t.Fatalf("FIB VIP op is %.0f%% of delete delay", frac*100)
 	}
@@ -362,12 +365,12 @@ func TestVIPLoadFollowsVIP(t *testing.T) {
 		t.Fatalf("per-SMux pps = %v", pps)
 	}
 	// Move the VIP to an HMux: SMux load drops to zero.
-	tb.MigrateToHMux(v.Addr, tb.Topo.TorID(0, 0), 0.1)
+	tb.MigrateToHMux(v.Addr, tb.Cluster.Topo.TorID(0, 0), 0.1)
 	tb.RunUntil(2)
 	if pps := tb.smuxBackgroundPPS(); pps != 0 {
 		t.Fatalf("per-SMux pps after migration = %v", pps)
 	}
-	if bps := tb.hmuxOfferedBps(tb.Topo.TorID(0, 0)); bps <= 0 {
+	if bps := tb.hmuxOfferedBps(tb.Cluster.Topo.TorID(0, 0)); bps <= 0 {
 		t.Fatal("HMux sees no offered load")
 	}
 }
@@ -378,14 +381,14 @@ func TestVIPLoadFollowsVIP(t *testing.T) {
 func failoverTrace(seed int64) []telemetry.Event {
 	tb := New(seed)
 	v := &service.VIP{Addr: vipN(7), Backends: backendsFor(7)}
-	failSW := tb.Topo.AggID(1, 0)
+	failSW := tb.Cluster.Topo.AggID(1, 0)
 	if err := tb.AssignVIPToHMux(v, failSW); err != nil {
 		panic(err)
 	}
 	tb.RunUntil(0.1)
 	tb.FailSwitch(failSW, 0.2)
 	tb.RunUntil(0.3)
-	tb.MigrateToHMux(v.Addr, tb.Topo.TorID(0, 0), 0.3)
+	tb.MigrateToHMux(v.Addr, tb.Cluster.Topo.TorID(0, 0), 0.3)
 	tb.RunUntil(1.0)
 	return tb.rec.Snapshot()
 }
@@ -432,10 +435,191 @@ func TestFailoverFlightRecorderTrace(t *testing.T) {
 		}
 		pos, lastT = found, evs[found].Time
 	}
+	// Every event carries virtual time — the cluster's, the route table's and
+	// the controller's as much as the testbed's own: the scenario ends at
+	// t=1.0, and the chain's times were checked non-decreasing from the
+	// failure at t=0.2 on, so none of it is stamped by another clock.
+	for _, e := range evs {
+		if e.Time < 0 || e.Time > 1.0 {
+			t.Fatalf("%v stamped t=%v, outside the scenario's virtual time [0, 1]", e.Kind, e.Time)
+		}
+		switch e.Kind {
+		case telemetry.KindSwitchFail:
+			if e.Time != 0.2 {
+				t.Fatalf("switch-fail at t=%v, want the scheduled 0.2", e.Time)
+			}
+		case telemetry.KindControllerReact:
+			// As FailSwitch schedules it; from a variable, because the
+			// compiler would fold constants exactly where the testbed rounds.
+			failAt := 0.2
+			if want := failAt + LatFailDetect + LatBGP; e.Time != want {
+				t.Fatalf("controller-react at t=%v, want %v", e.Time, want)
+			}
+		}
+	}
 
 	// The trace is deterministic: same seed and scenario, identical events.
 	again := failoverTrace(5)
 	if !reflect.DeepEqual(evs, again) {
 		t.Fatal("two identically seeded runs produced different traces")
+	}
+}
+
+// counter reads one counter of the testbed cluster's registry.
+func counter(tb *Testbed, name string) uint64 {
+	reg, _ := tb.Cluster.Telemetry()
+	return reg.Counter(name).Value()
+}
+
+// probe is a ping's tuple toward vip.
+func probe(i uint32, vip packet.Addr) packet.FiveTuple {
+	tuple := probeTuple(i)
+	tuple.Dst = vip
+	return tuple
+}
+
+// TestPingCrossesTheDataplane pins what a probe is: one real packet through
+// Cluster.Deliver, so what Ping reports is what the cluster's muxes did with
+// it — in hardware, across the FIB-miss window of a migration, and into the
+// blackhole of a failure.
+func TestPingCrossesTheDataplane(t *testing.T) {
+	tb := New(12)
+	v := &service.VIP{Addr: vipN(0), Backends: backendsFor(0)}
+	sw := tb.Cluster.Topo.AggID(0, 0)
+	if err := tb.AssignVIPToHMux(v, sw); err != nil {
+		t.Fatal(err)
+	}
+
+	// Served in hardware: one packet through one HMux.
+	tier, pkts := counter(tb, "core.deliver.tier.hmux"), counter(tb, "hmux.packets")
+	if r := tb.Ping(probe(1, v.Addr)); r.Lost || r.ViaSMux {
+		t.Fatalf("HMux-served ping: %+v", r)
+	}
+	if got := counter(tb, "core.deliver.tier.hmux") - tier; got != 1 {
+		t.Fatalf("core.deliver.tier.hmux advanced by %d, want 1", got)
+	}
+	if got := counter(tb, "hmux.packets") - pkts; got != 1 {
+		t.Fatalf("hmux.packets advanced by %d, want 1", got)
+	}
+
+	// Inside MigrateToSMux's BGP window the route still leads to the switch
+	// and its FIB no longer holds the VIP: the real fall-through to an SMux.
+	mt := tb.MigrateToSMux(v.Addr, sw, 1.0)
+	tb.RunUntil(1.0 + mt.DIPsDelay + mt.VIPDelay + mt.BGPDelay/2)
+	miss, smux := counter(tb, "hmux.drops.unknown_vip"), counter(tb, "core.deliver.tier.smux")
+	if r := tb.Ping(probe(2, v.Addr)); r.Lost || !r.ViaSMux {
+		t.Fatalf("ping in the FIB-miss window: %+v", r)
+	}
+	if got := counter(tb, "hmux.drops.unknown_vip") - miss; got != 1 {
+		t.Fatalf("hmux.drops.unknown_vip advanced by %d, want 1 (the FIB miss)", got)
+	}
+	if got := counter(tb, "core.deliver.tier.smux") - smux; got != 1 {
+		t.Fatalf("core.deliver.tier.smux advanced by %d, want 1", got)
+	}
+	// Once the withdrawal has converged the switch is not on the path at all.
+	tb.RunUntil(1.0 + mt.Total())
+	miss = counter(tb, "hmux.drops.unknown_vip")
+	if r := tb.Ping(probe(3, v.Addr)); r.Lost || !r.ViaSMux {
+		t.Fatalf("ping after the withdrawal: %+v", r)
+	}
+	if got := counter(tb, "hmux.drops.unknown_vip") - miss; got != 0 {
+		t.Fatalf("a converged SMux-served ping still crossed the switch (%d FIB misses)", got)
+	}
+
+	// Inside the failure window the dead switch still attracts the /32.
+	if err := tb.Cluster.AssignToHMux(v.Addr, sw); err != nil {
+		t.Fatal(err)
+	}
+	tb.FailSwitch(sw, 3.0)
+	tb.RunUntil(3.0 + LatFailDetect)
+	if _, err := tb.Cluster.Deliver(packet.BuildUDP(probe(4, v.Addr), nil)); !errors.Is(err, core.ErrSwitchDown) {
+		t.Fatalf("Deliver in the failure window: %v, want ErrSwitchDown", err)
+	}
+	errs := counter(tb, "core.deliver.errors")
+	if r := tb.Ping(probe(4, v.Addr)); !r.Lost {
+		t.Fatalf("ping in the failure window: %+v, want lost", r)
+	}
+	if got := counter(tb, "core.deliver.errors") - errs; got != 1 {
+		t.Fatalf("core.deliver.errors advanced by %d, want 1: the lost ping is a failed Deliver", got)
+	}
+	tb.RunUntil(3.1)
+	if r := tb.Ping(probe(5, v.Addr)); r.Lost || !r.ViaSMux {
+		t.Fatalf("ping after convergence: %+v", r)
+	}
+}
+
+// TestFailureHalvesAreCoreCalls checks the two drivers of Figure 12's outage
+// — Flood.InjectBlackhole/Heal and Testbed.FailSwitch — against the two core
+// calls they are: StopSwitch opens the window, FailSwitch (through the
+// controller, on the testbed) closes it.
+func TestFailureHalvesAreCoreCalls(t *testing.T) {
+	type state struct {
+		up, homed bool
+		err       error // Deliver's, for a packet to the VIP
+		reacted   uint64
+	}
+	observe := func(c *core.Cluster, vip packet.Addr, sw topology.SwitchID) state {
+		_, homed := c.HomeOf(vip)
+		_, err := c.Deliver(packet.BuildUDP(probe(9, vip), nil))
+		reg, _ := c.Telemetry()
+		return state{c.SwitchUp(sw), homed, err, reg.Counter("controller.switch_failures_handled").Value()}
+	}
+	v := &service.VIP{Addr: vipN(0), Backends: backendsFor(0)}
+
+	// The reference: the core calls themselves.
+	ref := New(13)
+	sw := ref.Cluster.Topo.AggID(1, 0)
+	if err := ref.AssignVIPToHMux(v, sw); err != nil {
+		t.Fatal(err)
+	}
+	ref.Cluster.StopSwitch(sw)
+	stopped := observe(ref.Cluster, v.Addr, sw)
+	ref.Cluster.FailSwitch(sw)
+	failed := observe(ref.Cluster, v.Addr, sw)
+	if stopped.up || !stopped.homed || !errors.Is(stopped.err, core.ErrSwitchDown) {
+		t.Fatalf("after StopSwitch: %+v, want a down switch still homing the VIP and ErrSwitchDown", stopped)
+	}
+	if failed.up || failed.homed || failed.err != nil {
+		t.Fatalf("after FailSwitch: %+v, want the VIP delivered with no home", failed)
+	}
+
+	// The testbed schedules them LatFailDetect+LatBGP apart, the second
+	// through the controller's §5.1 reaction.
+	tb := New(13)
+	if err := tb.AssignVIPToHMux(v, sw); err != nil {
+		t.Fatal(err)
+	}
+	failAt := 0.2
+	tb.FailSwitch(sw, failAt)
+	tb.RunUntil(failAt)
+	if got := observe(tb.Cluster, v.Addr, sw); got != stopped {
+		t.Fatalf("testbed at the failure: %+v, want StopSwitch's %+v", got, stopped)
+	}
+	tb.RunUntil(failAt + LatFailDetect + LatBGP) // a variable: constants would fold exactly
+	reacted := failed
+	reacted.reacted = 1
+	if got := observe(tb.Cluster, v.Addr, sw); got != reacted {
+		t.Fatalf("testbed after convergence: %+v, want FailSwitch's %+v and one controller reaction", got, reacted)
+	}
+
+	// The flood harness calls them directly.
+	f, err := NewFlood(FloodConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	home, _ := f.Cluster.HomeOf(f.VIPs[0])
+	if err := f.InjectBlackhole(f.VIPs[0]); err != nil {
+		t.Fatal(err)
+	}
+	if got := observe(f.Cluster, f.VIPs[0], home); got != stopped {
+		t.Fatalf("flood after InjectBlackhole: %+v, want StopSwitch's %+v", got, stopped)
+	}
+	f.Heal(f.VIPs[0])
+	if got := observe(f.Cluster, f.VIPs[0], home); got != failed {
+		t.Fatalf("flood after Heal: %+v, want FailSwitch's %+v", got, failed)
+	}
+	f.Heal(f.VIPs[1]) // a healthy VIP: nothing stale, and its switch stays up
+	if h, ok := f.Cluster.HomeOf(f.VIPs[1]); !ok || !f.Cluster.SwitchUp(h) {
+		t.Fatal("Heal of a healthy VIP took its switch down")
 	}
 }

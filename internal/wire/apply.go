@@ -201,8 +201,8 @@ func (n *Node) reconcileSwitch(addrs []packet.Addr) error {
 		if !hardware {
 			n.versionChanged(a, nil)
 			if has {
-				if ack := n.sw.Submit(switchagent.Op{Kind: switchagent.OpRemoveVIP, Addr: a}, n.now()); ack.Err != nil && firstErr == nil {
-					firstErr = ack.Err
+				if err := n.sw.Submit(switchagent.Op{Kind: switchagent.OpRemoveVIP, Addr: a}); err != nil && firstErr == nil {
+					firstErr = err
 				}
 			}
 			continue
@@ -218,12 +218,12 @@ func (n *Node) reconcileSwitch(addrs []packet.Addr) error {
 			continue
 		}
 		if has {
-			if ack := n.sw.Submit(switchagent.Op{Kind: switchagent.OpRemoveVIP, Addr: a}, n.now()); ack.Err != nil && firstErr == nil {
-				firstErr = ack.Err
+			if err := n.sw.Submit(switchagent.Op{Kind: switchagent.OpRemoveVIP, Addr: a}); err != nil && firstErr == nil {
+				firstErr = err
 			}
 		}
-		if ack := n.sw.Submit(switchagent.Op{Kind: switchagent.OpAddVIP, VIP: v}, n.now()); ack.Err != nil && firstErr == nil {
-			firstErr = ack.Err
+		if err := n.sw.Submit(switchagent.Op{Kind: switchagent.OpAddVIP, VIP: v}); err != nil && firstErr == nil {
+			firstErr = err
 		}
 	}
 	n.vips.Set(int64(len(n.sw.Mux().VIPs())))

@@ -33,7 +33,7 @@ type Node struct {
 	Rec  *telemetry.Recorder
 	Obs  *obs.Pipeline
 
-	wall  func() float64         // monotonic seconds since StartNode (clock.Wall)
+	wall  func() float64         // monotonic seconds since StartNode (clock.Wall); also the obs scrape clock
 	unix  func() float64         // epoch seconds (clock.Unix) stamping trace hops
 	hosts map[packet.Addr]string // outer dst → UDP data endpoint
 
@@ -99,11 +99,6 @@ type Node struct {
 	routeSet map[string]bool
 }
 
-// now is the node's monotonic clock in seconds, used for switch-agent
-// timing and as the obs scrape clock. Set once at StartNode from
-// clock.Wall; tests reaching in via obs drive virtual time instead.
-func (n *Node) now() float64 { return n.wall() }
-
 // StartNode builds and starts the named node from the spec: it binds the
 // role's sockets, starts the obs scrape loop and HTTP exposition, and (for
 // the controller) launches the per-peer configuration push loops.
@@ -125,14 +120,6 @@ func StartNode(spec *ClusterSpec, name string) (*Node, error) {
 		vipVers:  make(map[packet.Addr]uint64),
 		cfg:      delta.NewState(),
 	}
-	// Per-packet pipeline events are sampled at the trace-origination rate:
-	// unsampled, a node at line rate overwrites the ring its control-plane
-	// events and trace hops share within milliseconds.
-	sample := spec.traceEvery()
-	if sample == 0 {
-		sample = DefaultTraceEvery
-	}
-	n.Rec.SetSampleEvery(sample)
 	n.deltaApplied = n.Reg.Counter("wire.delta.applied").Shard()
 	n.deltaRejected = n.Reg.Counter("wire.delta.rejected").Shard()
 	n.deltaEpochG = n.Reg.Gauge("wire.delta.epoch")
@@ -140,7 +127,7 @@ func StartNode(spec *ClusterSpec, name string) (*Node, error) {
 		Registry: n.Reg,
 		Recorder: n.Rec,
 		Windows:  256,
-		Now:      n.now,
+		Now:      n.wall,
 	})
 	n.Obs.AddRules(obs.DefaultRules(obs.DefaultSLO())...) // cluster rules skip until their series exist
 	n.Obs.AddRules(obs.WireRules(obs.DefaultSLO())...)
@@ -227,7 +214,10 @@ func (n *Node) startHTTP() error {
 
 // listenData binds the node's dataplane endpoint. traceEvery enables trace
 // origination (mux tiers pass the spec's sampling rate; host agents pass 0 —
-// a journey that starts at delivery has no downstream hops to stitch).
+// a journey that starts at delivery has no downstream hops to stitch). It is
+// the node's one sampling gate: the handlers hand a traced packet to the mux
+// as sampled, so a journey's hops come with its pipeline events, and an
+// untraced packet leaves neither.
 func (n *Node) listenData(traceEvery int) error {
 	dp, err := ListenDataplane(n.Me.Data, DataplaneConfig{
 		Registry:   n.Reg,
@@ -365,7 +355,7 @@ func (n *Node) startSMux() error {
 			}
 		}
 		if n.nmux != nil {
-			res, err := n.nmux.Process(payload, scratch[:0])
+			res, err := n.nmux.ProcessSampled(payload, scratch[:0], trace != 0)
 			if err == nil {
 				n.traceHop(telemetry.TraceTierNMux, payload, trace)
 				n.forward(tx, res.Encap, res.Packet, trace)
@@ -376,7 +366,7 @@ func (n *Node) startSMux() error {
 			}
 			// Table miss: fall through to the SMux backstop.
 		}
-		res, err := n.smux.Process(payload, scratch[:0])
+		res, err := n.smux.ProcessSampled(payload, scratch[:0], trace != 0)
 		if err != nil {
 			return scratch // the mux counted the drop
 		}
@@ -408,7 +398,7 @@ func (n *Node) startHostAgent() error {
 		return err
 	}
 	n.dp.serve(func(tx *txBatch, payload, scratch []byte, trace uint64) []byte {
-		d, err := n.agent.Receive(payload, scratch[:0])
+		d, err := n.agent.ReceiveSampled(payload, scratch[:0], trace != 0)
 		if err != nil {
 			return scratch // the agent counted the drop
 		}
@@ -490,8 +480,8 @@ func (n *Node) startHealthLoop() {
 // block on the network).
 type wireAnnouncer struct{ n *Node }
 
-func (a wireAnnouncer) Announce(p packet.Prefix, _ float64) { a.n.queueRoute(MsgAnnounceVIP, p) }
-func (a wireAnnouncer) Withdraw(p packet.Prefix, _ float64) { a.n.queueRoute(MsgWithdrawVIP, p) }
+func (a wireAnnouncer) Announce(p packet.Prefix) { a.n.queueRoute(MsgAnnounceVIP, p) }
+func (a wireAnnouncer) Withdraw(p packet.Prefix) { a.n.queueRoute(MsgWithdrawVIP, p) }
 
 func (n *Node) queueRoute(t MsgType, p packet.Prefix) {
 	select {
@@ -509,7 +499,7 @@ func (n *Node) startSwitchAgent() error {
 	hm := hmux.New(hmux.DefaultConfig(self))
 	hm.SetTelemetry(n.Reg, n.Rec, uint32(self))
 	n.announceQ = make(chan Envelope, 256)
-	n.sw = switchagent.New(hm, wireAnnouncer{n}, switchagent.Instant())
+	n.sw = switchagent.New(hm, wireAnnouncer{n})
 	n.sw.SetTelemetry(n.Reg, n.Rec, uint32(self))
 	n.vips = n.Reg.Gauge("wire.vips")
 	// The software-tier ECMP group for VIPs the hardware tables do not
@@ -549,7 +539,7 @@ func (n *Node) startSwitchAgent() error {
 				}
 			}
 		}
-		res, err := hm.Process(payload, scratch[:0])
+		res, err := hm.ProcessSampled(payload, scratch[:0], trace != 0)
 		if err != nil {
 			return scratch
 		}

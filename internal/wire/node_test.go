@@ -122,3 +122,65 @@ func TestNodePaysForItsRingsAtStart(t *testing.T) {
 		t.Errorf("hostagent.received has %d points after two ticks, want 2", points)
 	}
 }
+
+// TestTracedJourneyCarriesItsPipelineEvents: a node takes one sampling
+// decision per packet, the dataplane's trace, and hands it to the mux. A
+// frame that arrives traced leaves its pipeline event beside its trace hop
+// whatever the node's own counters say, and untraced frames leave neither.
+// (With a second, independent 1-in-1024 gate inside the agent, the first
+// frame a host ever saw was never the sampled one.)
+func TestTracedJourneyCarriesItsPipelineEvents(t *testing.T) {
+	spec := dataplaneSpec(t)
+	host, err := StartNode(spec, "host-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer host.Close()
+	c := DialControl(host.ControlAddr(), host.Reg)
+	defer c.Close()
+	if _, err := pushDelta(c, delta.Diff(delta.NewState(), oneVIPState(t))); err != nil {
+		t.Fatalf("bootstrap push: %v", err)
+	}
+
+	client, err := net.Dial("udp", host.DataAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	const trace = 0x1400000100000007
+	for i := 0; i < 3; i++ {
+		syn := packet.BuildTCP(packet.FiveTuple{
+			Src: packet.AddrFrom4(30, 0, 0, byte(i)), Dst: packet.MustParseAddr("10.0.0.1"),
+			SrcPort: 40000, DstPort: 80, Proto: packet.ProtoTCP,
+		}, packet.TCPSyn, nil)
+		encapped, err := packet.Encapsulate(nil, packet.MustParseAddr("20.0.0.1"), packet.MustParseAddr("100.0.0.1"), syn, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame := AppendFrame(nil, encapped)
+		if i == 0 {
+			frame = AppendTracedFrame(nil, encapped, trace)
+		}
+		if _, err := client.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	delivered := host.Reg.Counter("wire.delivered")
+	waitFor(t, "three deliveries", func() bool { return delivered.Value() == 3 })
+
+	var decaps, hops int
+	for _, e := range host.Rec.Snapshot() {
+		switch e.Kind {
+		case telemetry.KindDecap:
+			decaps++
+		case telemetry.KindTraceHop:
+			hops++
+			if e.Aux != trace {
+				t.Errorf("trace hop of journey %#x, want %#x", e.Aux, uint64(trace))
+			}
+		}
+	}
+	if decaps != 1 || hops != 1 {
+		t.Errorf("recorder holds %d decap events and %d trace hops for one traced frame in three, want 1 and 1", decaps, hops)
+	}
+}
