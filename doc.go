@@ -9,6 +9,7 @@
 //
 //	internal/packet     byte-level IPv4 / IP-in-IP / TCP / UDP
 //	internal/ecmp       shared 5-tuple hash, resilient hashing, WCMP
+//	internal/addrmap    the copy-on-write address-keyed table every mux generation is built from
 //	internal/hmux       the switch-embedded hardware mux (§3.1)
 //	internal/smux       the Ananta-style software mux (§2.1)
 //	internal/hostagent  decap, DSR, hash-consistent SNAT (§5.2, §6)

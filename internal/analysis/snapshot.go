@@ -16,7 +16,14 @@ import (
 //   - republishing the same view: p.Store(v) / p.Swap(v) where v came
 //     from a Load — copy-on-write means Store only ever takes a fresh
 //     value (CompareAndSwap(old, new) may of course pass the loaded
-//     value as old).
+//     value as old);
+//   - element stores through a struct copy of the view: after
+//     s := *p.Load() the copy's slice and map fields still alias the
+//     published backing arrays, so s.f[i] = x, s.m[k] = x and
+//     delete(s.m, k) are stores through the view until s.f has been
+//     assigned a fresh value (s.f = slices.Clone(s.f)) earlier in the
+//     function. Replacing a field of the copy outright is how the next
+//     generation is derived and is never flagged.
 //
 // The analysis is intentionally local and alias-shallow: it follows
 // direct assignments, not values laundered through calls or fields.
@@ -64,6 +71,9 @@ func checkSnapshotFunc(pass *Pass, fd *ast.FuncDecl) {
 	info := pass.TypesInfo
 	// views: local objects currently bound to a Load() result.
 	views := make(map[types.Object]bool)
+	// copies: local objects bound to a struct copy of a view (*Load()), each
+	// with the fields assigned since — those no longer alias the view.
+	copies := make(map[types.Object]map[string]bool)
 
 	isViewExpr := func(e ast.Expr) bool {
 		if id, ok := ast.Unparen(e).(*ast.Ident); ok {
@@ -74,20 +84,24 @@ func checkSnapshotFunc(pass *Pass, fd *ast.FuncDecl) {
 		return false
 	}
 	// viewRoot unwraps selectors/indexes/derefs and reports whether the
-	// root of the lvalue is a view variable.
-	viewRoot := func(e ast.Expr) bool {
+	// root of the lvalue is a view variable — or a struct copy of one, reached
+	// through an element (elem: delete's map argument is one by itself) of a
+	// field the copy still shares with the view.
+	viewRoot := func(e ast.Expr, elem bool) bool {
 		e = ast.Unparen(e)
+		field := ""
 		for {
 			switch x := e.(type) {
 			case *ast.SelectorExpr:
-				e = ast.Unparen(x.X)
+				field, e = x.Sel.Name, ast.Unparen(x.X)
 			case *ast.IndexExpr:
-				e = ast.Unparen(x.X)
+				elem, e = true, ast.Unparen(x.X)
 			case *ast.StarExpr:
 				e = ast.Unparen(x.X)
 			case *ast.Ident:
 				obj := info.Uses[x]
-				return obj != nil && views[obj]
+				fresh, isCopy := copies[obj]
+				return obj != nil && (views[obj] || isCopy && elem && !fresh[field])
 			default:
 				return false
 			}
@@ -112,32 +126,38 @@ func checkSnapshotFunc(pass *Pass, fd *ast.FuncDecl) {
 						continue
 					}
 					rhs = ast.Unparen(rhs)
+					star, deref := rhs.(*ast.StarExpr)
 					switch {
-					case isLoadCall(info, rhs):
+					case isLoadCall(info, rhs), isViewExpr(rhs):
 						views[obj] = true
-					case isViewExpr(rhs):
-						views[obj] = true
+					case deref && (isLoadCall(info, star.X) || isViewExpr(star.X)):
+						copies[obj] = make(map[string]bool)
 					default:
 						// Rebinding to anything else clears the taint.
 						delete(views, obj)
+						delete(copies, obj)
 					}
 				}
 			}
 			// Second: is any LHS a store through a view?
 			for _, lhs := range n.Lhs {
-				switch ast.Unparen(lhs).(type) {
+				switch x := ast.Unparen(lhs).(type) {
 				case *ast.Ident:
 					// plain rebinding, handled above
 				default:
-					if viewRoot(lhs) {
+					if viewRoot(lhs, false) {
 						pass.Reportf(lhs.Pos(),
 							"store through atomic.Pointer.Load() view in %s; snapshots are immutable — copy, mutate the copy, then Store",
 							fd.Name.Name)
+					} else if sel, ok := x.(*ast.SelectorExpr); ok {
+						if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok && copies[info.Uses[id]] != nil {
+							copies[info.Uses[id]][sel.Sel.Name] = true // the copy's own from here on
+						}
 					}
 				}
 			}
 		case *ast.IncDecStmt:
-			if _, plain := ast.Unparen(n.X).(*ast.Ident); !plain && viewRoot(n.X) {
+			if _, plain := ast.Unparen(n.X).(*ast.Ident); !plain && viewRoot(n.X, false) {
 				pass.Reportf(n.Pos(),
 					"store through atomic.Pointer.Load() view in %s; snapshots are immutable — copy, mutate the copy, then Store",
 					fd.Name.Name)
@@ -145,7 +165,7 @@ func checkSnapshotFunc(pass *Pass, fd *ast.FuncDecl) {
 		case *ast.CallExpr:
 			// delete(v.m, k) mutates the view's map.
 			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && id.Name == "delete" && len(n.Args) == 2 {
-				if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin && viewRoot(n.Args[0]) {
+				if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin && viewRoot(n.Args[0], true) {
 					pass.Reportf(n.Pos(),
 						"delete on a map reached through atomic.Pointer.Load() view in %s",
 						fd.Name.Name)

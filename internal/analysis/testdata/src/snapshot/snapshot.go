@@ -5,8 +5,9 @@ package snapshot
 import "sync/atomic"
 
 type table struct {
-	m map[string]int
-	n int
+	m  map[string]int
+	n  int
+	up []bool
 }
 
 type holder struct {
@@ -54,6 +55,31 @@ func rebound(h *holder) {
 	v = &table{m: map[string]int{}}
 	v.n = 3
 	h.p.Store(v)
+}
+
+// staleCopy: a struct copy of a generation is shallow — its slice and map
+// fields still point at the published backing arrays.
+func staleCopy(h *holder) {
+	s := *h.p.Load()
+	s.n = 4          // a field of the copy is the copy's own
+	s.up[0] = true   // want `store through atomic\.Pointer\.Load\(\) view in staleCopy`
+	s.m["k"] = 1     // want `store through atomic\.Pointer\.Load\(\) view in staleCopy`
+	s.m["k"]++       // want `store through atomic\.Pointer\.Load\(\) view in staleCopy`
+	delete(s.m, "k") // want `delete on a map reached through atomic\.Pointer\.Load\(\) view`
+	h.p.Store(&s)
+}
+
+// nextGeneration is the blessed derivation: copy the struct, give every field
+// about to be edited a fresh value, publish the copy.
+func nextGeneration(h *holder) {
+	s := *h.p.Load()
+	s.up = append([]bool(nil), s.up...)
+	s.up[0] = true
+	s.m = map[string]int{}
+	s.m["k"] = 1
+	delete(s.m, "k")
+	s.n++
+	h.p.Store(&s)
 }
 
 func lockGuarded(h *holder) {

@@ -10,26 +10,30 @@
 // destination server observes.
 //
 // Concurrency model (see DESIGN.md "Concurrency model"): the cluster-level
-// lookup state Deliver consults — the switch-up bitmap, TIP homes, the
-// host-agent map and the mux slices — is captured in an immutable snapshot
-// published through an atomic pointer with a monotonically increasing epoch.
-// Every control-plane mutator locks the writer mutex, updates the writer-side
-// state, and republishes a fresh snapshot; Deliver loads the pointer once and
-// resolves the whole packet against that one generation. The BGP table and
-// the muxes publish their own generations internally, so a packet observes
-// (cluster snapshot, route snapshot, mux table generation) — each complete
-// and internally consistent — and never a torn read.
+// lookup state Deliver consults — the mux each running switch runs, TIP homes,
+// the host-agent index — lives once, in an immutable snapshot published
+// through an atomic pointer with a monotonically increasing epoch. Mutators
+// serialize on the writer mutex and read the current generation there; one
+// that changes what a packet can observe (a new host, a switch stopping or
+// rebooting, a TIP home) publishes a successor that replaces that field and
+// shares the rest, and one that does not — a VIP move, a mode flip, a removal
+// — publishes nothing. Deliver loads the pointer once and resolves the whole
+// packet against that one generation. The BGP table and the muxes publish their own
+// generations internally, so a packet observes (cluster snapshot, route
+// snapshot, mux table generation) — each complete and internally consistent —
+// and never a torn read.
 package core
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
+	"duet/internal/addrmap"
 	"duet/internal/bgp"
-	"duet/internal/clock"
 	"duet/internal/ecmp"
 	"duet/internal/hmux"
 	"duet/internal/hostagent"
@@ -111,21 +115,17 @@ type hmuxPlace struct {
 	serving bool
 }
 
-// clusterSnap is one immutable generation of the lookup state Deliver
-// needs. Everything in it is either deep-copied at publication (switchUp,
-// tipHome, the map and slice headers) or an internally concurrency-safe
-// component (the muxes, agents and route table publish their own
-// generations).
+// clusterSnap is one immutable generation of the lookup state Deliver needs
+// that a mutator can change; what New fixes for good (the route table, the
+// host mux fleet, the topology) Deliver reads from the Cluster. A generation
+// shares with its predecessor every field the mutation did not replace, and
+// the two indexes share every chunk it did not touch (internal/addrmap); what
+// the fields point at — muxes, agents — publishes its own generations.
 type clusterSnap struct {
-	epoch    uint64
-	routes   *bgp.Table
-	hmuxes   []*hmux.Mux
-	smuxes   []*smux.Mux
-	nmuxes   []*nmux.Mux // paired 1:1 with smuxes; empty when the tier is off
-	switchUp []bool
-	tipHome  map[packet.Addr]topology.SwitchID
-	agents   map[packet.Addr]*hostagent.Agent
-	topo     *topology.Topology
+	epoch   uint64      // counts the changes a packet could observe
+	hmuxes  []*hmux.Mux // per switch; nil while the switch is down
+	tipHome addrmap.Map[topology.SwitchID]
+	agents  addrmap.Map[*hostagent.Agent] // host addr → agent
 }
 
 // Cluster is a fully wired Duet deployment. Deliver/DeliverBatch are safe
@@ -138,29 +138,28 @@ type Cluster struct {
 	Net    *netsim.Network
 	Routes *bgp.Table
 
-	HMuxes []*hmux.Mux // per switch
+	// HMuxes holds every switch's mux, stopped switches included (a stopped
+	// switch keeps its tables until RecoverSwitch reboots it blank).
+	HMuxes []*hmux.Mux
 	SMuxes []*smux.Mux
 	// NMuxes are the NIC match-table muxes, paired 1:1 with the SMuxes on
 	// the same servers (empty unless Config.NMuxTableSize > 0).
 	NMuxes []*nmux.Mux
-	// SMuxRacks locates the SMux servers.
-	SMuxRacks []int
 
 	// mu serializes all control-plane mutation (and netsim access — the
 	// network simulator is single-writer by design).
 	mu sync.Mutex
 
+	// snap is the state Deliver reads and the only copy of it: mutators read
+	// the current generation under mu and publish its successor.
 	snap atomic.Pointer[clusterSnap]
 
-	agents map[packet.Addr]*hostagent.Agent // host addr → agent
-
+	// Control-plane records no packet consults, guarded by mu.
 	vips     map[packet.Addr]*service.VIP
 	hmuxAt   map[packet.Addr]hmuxPlace           // VIP → its switch, if assigned
 	nmuxVIPs map[packet.Addr]bool                // VIPs programmed on the NIC tier
 	replicas map[packet.Addr][]topology.SwitchID // §9 replicated VIPs
-	tipHome  map[packet.Addr]topology.SwitchID   // TIP → hosting switch
 
-	switchUp []bool
 	tableCfg hmux.Config // per-switch table sizing, for reboot re-creation
 
 	reg *telemetry.Registry
@@ -169,10 +168,7 @@ type Cluster struct {
 	dtel     deliverTelemetry
 	ctel     collectGauges
 	traceSeq atomic.Uint64 // numbers sampled in-process packet journeys
-	// hopClock stamps the sampled per-hop latency histograms with real
-	// processing time (a monotonic wall clock), not the logical route clock.
-	hopClock func() float64
-	scratch  sync.Pool // *scratch, borrowed per Deliver / per batch worker
+	scratch  sync.Pool     // *scratch, borrowed per Deliver / per batch worker
 }
 
 // deliverTelemetry is Deliver's pre-resolved instrument block. The per-hop
@@ -253,23 +249,20 @@ func New(cfg Config) (*Cluster, error) {
 		Net:      netsim.New(topo),
 		Routes:   bgp.NewTable(),
 		HMuxes:   make([]*hmux.Mux, topo.NumSwitches()),
-		agents:   make(map[packet.Addr]*hostagent.Agent),
 		vips:     make(map[packet.Addr]*service.VIP),
 		hmuxAt:   make(map[packet.Addr]hmuxPlace),
 		nmuxVIPs: make(map[packet.Addr]bool),
 		replicas: make(map[packet.Addr][]topology.SwitchID),
-		tipHome:  make(map[packet.Addr]topology.SwitchID),
-		switchUp: make([]bool, topo.NumSwitches()),
 		reg:      telemetry.NewRegistry(),
 		rec:      telemetry.NewRecorder(telemetry.DefaultRecorderSize),
-		hopClock: clock.Wall(),
 	}
 	c.scratch.New = func() any { return new(scratch) }
-	// One packet in 16 is sampled (see deliver). Reading the clock twice per
-	// hop costs more than the whole lookup on hosts without a vDSO fast path,
-	// and unsampled, a cluster at rate overwrites the ring its control-plane
-	// events share within milliseconds; the histograms converge on the same
-	// distribution either way.
+	// One packet in 16 is sampled (see deliver) and has its hops timed on the
+	// recorder's clock — wall seconds unless SetClock injected another. Reading
+	// a clock twice per hop costs more than the whole lookup on hosts without a
+	// vDSO fast path, and unsampled, a cluster at rate overwrites the ring its
+	// control-plane events share within milliseconds; the histograms converge
+	// on the same distribution either way.
 	c.rec.SetSampleEvery(defaultSampleEvery)
 	c.Routes.SetTelemetry(c.reg, c.rec)
 	c.dtel = deliverTelemetry{
@@ -316,9 +309,7 @@ func New(cfg Config) (*Cluster, error) {
 		tcfg.SelfAddr = switchAddr(s)
 		c.HMuxes[s] = hmux.New(tcfg)
 		c.HMuxes[s].SetTelemetry(c.reg, c.rec, uint32(s))
-		c.switchUp[s] = true
 	}
-	racks := topo.NumRacks()
 	for i := 0; i < cfg.NumSMuxes; i++ {
 		scfg := smux.DefaultConfig(packet.AddrFrom4(192, 168, byte(i>>8), byte(i)))
 		if cfg.SMuxCapacityPPS > 0 {
@@ -328,7 +319,6 @@ func New(cfg Config) (*Cluster, error) {
 		sm := smux.New(scfg)
 		sm.SetTelemetry(c.reg, c.rec, uint32(smuxNodeBase)+uint32(i))
 		c.SMuxes = append(c.SMuxes, sm)
-		c.SMuxRacks = append(c.SMuxRacks, (i*(racks/cfg.NumSMuxes+1))%racks)
 		c.Routes.Announce(cfg.Aggregate, smuxNodeBase+bgp.NodeID(i), 0)
 		if cfg.NMuxTableSize > 0 {
 			// The NIC mux shares the SMux server's address so both tiers
@@ -344,36 +334,15 @@ func New(cfg Config) (*Cluster, error) {
 			c.NMuxes = append(c.NMuxes, nm)
 		}
 	}
-	c.publishLocked()
+	c.snap.Store(&clusterSnap{hmuxes: slices.Clone(c.HMuxes)})
 	return c, nil
 }
 
-// publishLocked rebuilds and installs a fresh snapshot from the writer-side
-// state. Must be called with c.mu held (or from New, before the cluster is
-// shared) at the end of every successful mutation.
-func (c *Cluster) publishLocked() {
-	var epoch uint64
-	if old := c.snap.Load(); old != nil {
-		epoch = old.epoch + 1
-	}
-	s := &clusterSnap{
-		epoch:    epoch,
-		routes:   c.Routes,
-		hmuxes:   append([]*hmux.Mux(nil), c.HMuxes...),
-		smuxes:   append([]*smux.Mux(nil), c.SMuxes...),
-		nmuxes:   append([]*nmux.Mux(nil), c.NMuxes...),
-		switchUp: append([]bool(nil), c.switchUp...),
-		tipHome:  make(map[packet.Addr]topology.SwitchID, len(c.tipHome)),
-		agents:   make(map[packet.Addr]*hostagent.Agent, len(c.agents)),
-		topo:     c.Topo,
-	}
-	for k, v := range c.tipHome {
-		s.tipHome[k] = v
-	}
-	for k, v := range c.agents {
-		s.agents[k] = v
-	}
-	c.snap.Store(s)
+// publish installs next — the current generation with the fields the caller
+// replaced — as its successor. Must hold c.mu.
+func (c *Cluster) publish(next clusterSnap) {
+	next.epoch++
+	c.snap.Store(&next)
 }
 
 // Telemetry exposes the cluster's always-on metric registry and flight
@@ -382,11 +351,25 @@ func (c *Cluster) Telemetry() (*telemetry.Registry, *telemetry.Recorder) {
 	return c.reg, c.rec
 }
 
-// newAgent creates and instruments a host agent.
-func (c *Cluster) newAgent(hostAddr packet.Addr) *hostagent.Agent {
-	a := hostagent.New(hostAddr)
-	a.SetTelemetry(c.reg, c.rec, uint32(hostAddr))
+// agentLocked returns the host's agent. A host the cluster has not seen gets
+// one, instrumented and published at once: the callers wire hosts before any
+// mux maps a flow to them, so a concurrent Deliver never finds a mapped DIP
+// without a host behind it.
+func (c *Cluster) agentLocked(hostAddr packet.Addr) *hostagent.Agent {
+	s := *c.snap.Load()
+	a, ok := s.agents.Get(hostAddr)
+	if !ok {
+		a = hostagent.New(hostAddr)
+		a.SetTelemetry(c.reg, c.rec, uint32(hostAddr))
+		s.agents = s.agents.With(hostAddr, a)
+		c.publish(s)
+	}
 	return a
+}
+
+// upLocked reports whether a switch's dataplane is running.
+func (c *Cluster) upLocked(sw topology.SwitchID) bool {
+	return c.snap.Load().hmuxes[sw] != nil
 }
 
 // switchAddr derives a switch's loopback address from its ID.
@@ -405,14 +388,12 @@ func (c *Cluster) AddVIP(v *service.VIP) error {
 	if _, ok := c.vips[v.Addr]; ok {
 		return ErrVIPExists
 	}
-	// Agents are wired before the SMuxes accept traffic for the VIP so a
-	// concurrent Deliver never finds a mapped DIP without a host behind it.
+	// Agents are wired before the SMuxes accept traffic for the VIP.
 	for _, b := range allBackends(v) {
 		if err := c.hostBackendLocked(v.Addr, b.Addr); err != nil {
 			return err
 		}
 	}
-	c.publishLocked() // expose the new agents before the VIP goes live
 	for _, sm := range c.SMuxes {
 		if err := sm.AddVIP(v); err != nil {
 			return err
@@ -427,7 +408,6 @@ func (c *Cluster) AddVIP(v *service.VIP) error {
 		cp.Ports[i].Backends = append([]service.Backend(nil), cp.Ports[i].Backends...)
 	}
 	c.vips[v.Addr] = &cp
-	c.publishLocked()
 	return nil
 }
 
@@ -435,17 +415,27 @@ func (c *Cluster) AddVIP(v *service.VIP) error {
 // DIP, serving its own address — unless RegisterHost attached VM DIPs for the
 // VIP there (Figure 6), in which case the address is the host's alone.
 func (c *Cluster) hostBackendLocked(vip, addr packet.Addr) error {
-	a, ok := c.agents[addr]
-	if !ok {
-		a = c.newAgent(addr)
-	} else if len(a.LocalDIPs(vip)) > 0 {
+	a := c.agentLocked(addr)
+	if len(a.LocalDIPs(vip)) > 0 {
 		return nil
 	}
-	if err := a.RegisterDIP(vip, addr); err != nil {
-		return err
+	return a.RegisterDIP(vip, addr)
+}
+
+// unhostBackendLocked undoes hostBackendLocked for a backend address the VIP
+// no longer lists, so the DIP can serve another VIP: the host stops
+// decapsulating for the VIP at its own address and — vms: the VIP itself is
+// going — at the VM DIPs RegisterHost attached. The agent stays in the index.
+func (c *Cluster) unhostBackendLocked(vip, addr packet.Addr, vms bool) {
+	a, ok := c.snap.Load().agents.Get(addr)
+	if !ok {
+		return
 	}
-	c.agents[addr] = a
-	return nil
+	for _, d := range a.LocalDIPs(vip) {
+		if vms || d == addr {
+			_ = a.UnregisterDIP(d) // d is registered: LocalDIPs just listed it
+		}
+	}
 }
 
 func allBackends(v *service.VIP) []service.Backend {
@@ -462,17 +452,12 @@ func allBackends(v *service.VIP) []service.Backend {
 func (c *Cluster) RegisterHost(hostAddr packet.Addr, vip packet.Addr, vmDIPs []packet.Addr) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	a, ok := c.agents[hostAddr]
-	if !ok {
-		a = c.newAgent(hostAddr)
-		c.agents[hostAddr] = a
-	}
+	a := c.agentLocked(hostAddr)
 	for _, d := range vmDIPs {
 		if err := a.RegisterDIP(vip, d); err != nil {
 			return err
 		}
 	}
-	c.publishLocked()
 	return nil
 }
 
@@ -480,7 +465,8 @@ func (c *Cluster) RegisterHost(hostAddr packet.Addr, vip packet.Addr, vmDIPs []p
 func (c *Cluster) RemoveVIP(addr packet.Addr) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.vips[addr]; !ok {
+	v, ok := c.vips[addr]
+	if !ok {
 		return ErrVIPUnknown
 	}
 	if p, ok := c.hmuxAt[addr]; ok {
@@ -488,9 +474,7 @@ func (c *Cluster) RemoveVIP(addr packet.Addr) error {
 		c.Routes.Withdraw(packet.HostPrefix(addr), bgp.NodeID(p.sw), c.rec.Now())
 		delete(c.hmuxAt, addr)
 	}
-	if _, ok := c.replicas[addr]; ok {
-		c.withdrawReplicasLocked(addr)
-	}
+	_ = c.withdrawReplicasLocked(addr) // ErrVIPUnknown: the VIP has no replicas
 	if c.nmuxVIPs[addr] {
 		for _, nm := range c.NMuxes {
 			_ = nm.RemoveVIP(addr)
@@ -500,8 +484,10 @@ func (c *Cluster) RemoveVIP(addr packet.Addr) error {
 	for _, sm := range c.SMuxes {
 		_ = sm.RemoveVIP(addr)
 	}
+	for _, b := range allBackends(v) {
+		c.unhostBackendLocked(addr, b.Addr, true)
+	}
 	delete(c.vips, addr)
-	c.publishLocked()
 	return nil
 }
 
@@ -560,7 +546,7 @@ func (c *Cluster) assignToHMux(addr packet.Addr, sw topology.SwitchID, announce 
 	if int(sw) < 0 || int(sw) >= len(c.HMuxes) {
 		return ErrNoSuchSwitch
 	}
-	if !c.switchUp[sw] {
+	if !c.upLocked(sw) {
 		return ErrSwitchDown
 	}
 	if p, ok := c.hmuxAt[addr]; ok && p.sw != sw {
@@ -583,7 +569,6 @@ func (c *Cluster) assignToHMux(addr packet.Addr, sw topology.SwitchID, announce 
 	if announce {
 		c.Routes.Announce(packet.HostPrefix(addr), bgp.NodeID(sw), c.rec.Now())
 	}
-	c.publishLocked()
 	return nil
 }
 
@@ -609,7 +594,7 @@ func (c *Cluster) withdrawFromHMux(addr packet.Addr, converge bool) error {
 	if !ok {
 		return ErrVIPUnknown
 	}
-	if c.switchUp[p.sw] && c.HMuxes[p.sw].HasVIP(addr) {
+	if c.upLocked(p.sw) && c.HMuxes[p.sw].HasVIP(addr) {
 		if err := c.HMuxes[p.sw].RemoveVIP(addr); err != nil {
 			return err
 		}
@@ -620,7 +605,6 @@ func (c *Cluster) withdrawFromHMux(addr packet.Addr, converge bool) error {
 	} else {
 		c.hmuxAt[addr] = hmuxPlace{sw: p.sw}
 	}
-	c.publishLocked()
 	return nil
 }
 
@@ -658,7 +642,6 @@ func (c *Cluster) AssignToNMux(addr packet.Addr) error {
 		}
 	}
 	c.nmuxVIPs[addr] = true
-	c.publishLocked()
 	return nil
 }
 
@@ -675,7 +658,6 @@ func (c *Cluster) WithdrawFromNMux(addr packet.Addr) error {
 		_ = nm.RemoveVIP(addr)
 	}
 	delete(c.nmuxVIPs, addr)
-	c.publishLocked()
 	return nil
 }
 
@@ -703,12 +685,8 @@ func (c *Cluster) AddBackend(vip packet.Addr, b service.Backend) error {
 	if p, onHMux := c.hmuxAt[vip]; onHMux {
 		return fmt.Errorf("core: VIP %s is on switch %d; withdraw first", vip, p.sw)
 	}
-	hosts := len(c.agents)
 	if err := c.hostBackendLocked(vip, b.Addr); err != nil {
 		return err
-	}
-	if len(c.agents) != hosts {
-		c.publishLocked() // expose the new agent before any mux maps a flow to it
 	}
 	v := c.editBackends(old, append(append([]service.Backend(nil), old.Backends...), b))
 	for _, sm := range c.SMuxes {
@@ -758,14 +736,14 @@ func (c *Cluster) RemoveBackend(vip, dip packet.Addr) error {
 			return err
 		}
 	}
+	isDIP := func(b service.Backend) bool { return b.Addr == dip }
 	kept := old.Backends
-	for i, b := range old.Backends {
-		if b.Addr == dip {
-			kept = append(append([]service.Backend(nil), old.Backends[:i]...), old.Backends[i+1:]...)
-			break
-		}
+	if i := slices.IndexFunc(kept, isDIP); i >= 0 {
+		kept = slices.Delete(slices.Clone(kept), i, i+1)
 	}
-	c.editBackends(old, kept)
+	if v := c.editBackends(old, kept); !slices.ContainsFunc(allBackends(v), isDIP) {
+		c.unhostBackendLocked(vip, dip, false)
+	}
 	return nil
 }
 
@@ -795,17 +773,12 @@ func (c *Cluster) SetVIPMode(addr packet.Addr, mode steer.Mode) error {
 			return err
 		}
 	}
-	c.publishLocked()
 	return nil
 }
 
 // VIPMode returns a VIP's consistency mode on the SMux fleet.
 func (c *Cluster) VIPMode(addr packet.Addr) (steer.Mode, bool) {
-	snap := c.snap.Load()
-	if len(snap.smuxes) == 0 {
-		return 0, false
-	}
-	return snap.smuxes[0].ModeOf(addr)
+	return c.SMuxes[0].ModeOf(addr)
 }
 
 // StopSwitch is FailSwitch's first half: the switch's dataplane stops while
@@ -816,14 +789,16 @@ func (c *Cluster) StopSwitch(sw topology.SwitchID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.stopSwitchLocked(sw)
-	c.publishLocked()
 }
 
 func (c *Cluster) stopSwitchLocked(sw topology.SwitchID) {
-	if !c.switchUp[sw] {
+	s := *c.snap.Load()
+	if s.hmuxes[sw] == nil {
 		return
 	}
-	c.switchUp[sw] = false
+	s.hmuxes = slices.Clone(s.hmuxes)
+	s.hmuxes[sw] = nil
+	c.publish(s)
 	c.Net.FailSwitch(sw)
 	c.rec.Record(telemetry.KindSwitchFail, uint32(sw), 0, 0, 0)
 }
@@ -848,7 +823,6 @@ func (c *Cluster) FailSwitch(sw topology.SwitchID) {
 		}
 	}
 	c.dropReplicaOn(sw)
-	c.publishLocked()
 }
 
 // RecoverSwitch brings a switch back. A rebooted switch loses its tables
@@ -857,34 +831,35 @@ func (c *Cluster) FailSwitch(sw topology.SwitchID) {
 func (c *Cluster) RecoverSwitch(sw topology.SwitchID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.switchUp[sw] {
+	s := *c.snap.Load()
+	if s.hmuxes[sw] != nil {
 		return
 	}
 	tcfg := c.tableCfg
 	tcfg.SelfAddr = switchAddr(int(sw))
 	c.HMuxes[sw] = hmux.New(tcfg)
 	c.HMuxes[sw].SetTelemetry(c.reg, c.rec, uint32(sw))
-	c.switchUp[sw] = true
 	c.Net.RecoverSwitch(sw)
 	// The reboot wiped the switch's tables, so any TIP partitions it hosted
 	// are gone until reinstalled.
-	for tip, home := range c.tipHome {
+	s.tipHome.Range(func(tip packet.Addr, home topology.SwitchID) {
 		if home == sw {
-			delete(c.tipHome, tip)
+			s.tipHome = s.tipHome.Without(tip)
 		}
-	}
-	c.publishLocked()
+	})
+	s.hmuxes = slices.Clone(s.hmuxes)
+	s.hmuxes[sw] = c.HMuxes[sw]
+	c.publish(s)
 }
 
 // SwitchUp reports switch liveness.
 func (c *Cluster) SwitchUp(sw topology.SwitchID) bool {
-	return c.snap.Load().switchUp[sw]
+	return c.snap.Load().hmuxes[sw] != nil
 }
 
 // Agent returns the host agent of a host address.
 func (c *Cluster) Agent(host packet.Addr) (*hostagent.Agent, bool) {
-	a, ok := c.snap.Load().agents[host]
-	return a, ok
+	return c.snap.Load().agents.Get(host)
 }
 
 // Hop describes one step a packet took through the datapath.
@@ -993,7 +968,7 @@ func (c *Cluster) deliver(snap *clusterSnap, data []byte, sc *scratch, out []byt
 		return err
 	}
 	hash := ecmp.Hash(tuple)
-	nh, _, ok := snap.routes.Snapshot().Pick(tuple.Dst, converged, hash)
+	nh, _, ok := c.Routes.Snapshot().Pick(tuple.Dst, converged, hash)
 	if !ok {
 		return ErrNoRoute
 	}
@@ -1002,7 +977,7 @@ func (c *Cluster) deliver(snap *clusterSnap, data []byte, sc *scratch, out []byt
 	if sampled {
 		trace = c.newTrace()
 	}
-	d.topo = snap.topo
+	d.topo = c.Topo
 
 	var (
 		encapped []byte
@@ -1013,20 +988,21 @@ func (c *Cluster) deliver(snap *clusterSnap, data []byte, sc *scratch, out []byt
 		hostIdx = int(nh - smuxNodeBase)
 	} else {
 		sw := topology.SwitchID(nh)
-		if !snap.switchUp[sw] {
+		hm := snap.hmuxes[sw]
+		if hm == nil {
 			return ErrSwitchDown
 		}
 		if sampled {
-			t0 = c.hopClock()
+			t0 = c.rec.Now()
 		}
-		res, err := snap.hmuxes[sw].ProcessSampled(data, sc.encap[:0], sampled)
+		res, err := hm.ProcessSampled(data, sc.encap[:0], sampled)
 		if sampled {
-			c.dtel.hopHMux.Observe(c.hopClock() - t0)
+			c.dtel.hopHMux.Observe(c.rec.Now() - t0)
 		}
 		switch {
 		case errors.Is(err, hmux.ErrNotOurVIP):
 			// FIB miss during migration: fall through to the host tiers.
-			hostIdx = int(hash % uint64(len(snap.smuxes)))
+			hostIdx = int(hash % uint64(len(c.SMuxes)))
 			d.fibMiss = true
 		case err != nil:
 			return err
@@ -1036,16 +1012,17 @@ func (c *Cluster) deliver(snap *clusterSnap, data []byte, sc *scratch, out []byt
 			c.hop(d, telemetry.TraceTierHMux, uint32(sw), tuple.Dst, trace)
 			// TIP indirection: the outer destination may be a TIP hosted on
 			// another switch (§5.2, Figure 7).
-			if tipSwitch, ok := snap.tipHome[res.Encap]; ok {
-				if !snap.switchUp[tipSwitch] {
+			if tipSwitch, ok := snap.tipHome.Get(res.Encap); ok {
+				tm := snap.hmuxes[tipSwitch]
+				if tm == nil {
 					return ErrSwitchDown
 				}
 				if sampled {
-					t0 = c.hopClock()
+					t0 = c.rec.Now()
 				}
-				res, err := snap.hmuxes[tipSwitch].ProcessSampled(encapped, sc.tip[:0], sampled)
+				res, err := tm.ProcessSampled(encapped, sc.tip[:0], sampled)
 				if sampled {
-					c.dtel.hopTIP.Observe(c.hopClock() - t0)
+					c.dtel.hopTIP.Observe(c.rec.Now() - t0)
 				}
 				if err != nil {
 					return err
@@ -1058,7 +1035,7 @@ func (c *Cluster) deliver(snap *clusterSnap, data []byte, sc *scratch, out []byt
 	if hostIdx >= 0 {
 		var tier telemetry.TraceTier
 		var node packet.Addr
-		encapped, tier, node, err = c.hostTier(snap, hostIdx, data, sc, sampled)
+		encapped, tier, node, err = c.hostTier(hostIdx, data, sc, sampled)
 		if err != nil {
 			return err
 		}
@@ -1070,17 +1047,17 @@ func (c *Cluster) deliver(snap *clusterSnap, data []byte, sc *scratch, out []byt
 	if err := outer.DecodeFromBytes(encapped); err != nil {
 		return err
 	}
-	agent, ok := snap.agents[outer.Dst]
+	agent, ok := snap.agents.Get(outer.Dst)
 	if !ok {
 		//duet:allow hotpath error construction on the no-agent reject path only
 		return fmt.Errorf("%w: %s", ErrNoHostAgent, outer.Dst)
 	}
 	if sampled {
-		t0 = c.hopClock()
+		t0 = c.rec.Now()
 	}
 	rx, err := agent.ReceiveSampled(encapped, out, sampled)
 	if sampled {
-		c.dtel.hopAgent.Observe(c.hopClock() - t0)
+		c.dtel.hopAgent.Observe(c.rec.Now() - t0)
 	}
 	if err != nil {
 		return err
@@ -1110,16 +1087,16 @@ func (c *Cluster) hop(d *Delivery, tier telemetry.TraceTier, node uint32, dst pa
 // hash, the encap bytes are identical whichever tier serves the flow — the
 // fall-through is invisible to the backend. It returns the encapsulated
 // packet (in sc.encap) with the tier and address of the mux that served it.
-func (c *Cluster) hostTier(snap *clusterSnap, idx int, data []byte, sc *scratch, sampled bool) ([]byte, telemetry.TraceTier, packet.Addr, error) {
+func (c *Cluster) hostTier(idx int, data []byte, sc *scratch, sampled bool) ([]byte, telemetry.TraceTier, packet.Addr, error) {
 	var t0 float64
-	if len(snap.nmuxes) > 0 {
-		nm := snap.nmuxes[idx]
+	if len(c.NMuxes) > 0 {
+		nm := c.NMuxes[idx]
 		if sampled {
-			t0 = c.hopClock()
+			t0 = c.rec.Now()
 		}
 		res, err := nm.ProcessSampled(data, sc.encap[:0], sampled)
 		if sampled {
-			c.dtel.hopNMux.Observe(c.hopClock() - t0)
+			c.dtel.hopNMux.Observe(c.rec.Now() - t0)
 		}
 		switch {
 		case err == nil:
@@ -1131,13 +1108,13 @@ func (c *Cluster) hostTier(snap *clusterSnap, idx int, data []byte, sc *scratch,
 		}
 		c.dtel.tierNMuxMiss.Inc()
 	}
-	sm := snap.smuxes[idx]
+	sm := c.SMuxes[idx]
 	if sampled {
-		t0 = c.hopClock()
+		t0 = c.rec.Now()
 	}
 	res, err := sm.ProcessSampled(data, sc.encap[:0], sampled)
 	if sampled {
-		c.dtel.hopSMux.Observe(c.hopClock() - t0)
+		c.dtel.hopSMux.Observe(c.rec.Now() - t0)
 	}
 	if err != nil {
 		return nil, 0, 0, err
@@ -1157,8 +1134,8 @@ func (c *Cluster) hostTier(snap *clusterSnap, idx int, data []byte, sc *scratch,
 func (c *Cluster) Collect() {
 	snap := c.snap.Load()
 	var hostU, hostC, ecmpU, ecmpC, tunU, tunC int
-	for sw, hm := range snap.hmuxes {
-		if !snap.switchUp[sw] {
+	for _, hm := range snap.hmuxes {
+		if hm == nil {
 			continue
 		}
 		st := hm.Stats()
@@ -1174,7 +1151,7 @@ func (c *Cluster) Collect() {
 	var connBytes int64
 	var steerEpoch uint64
 	drains := 0
-	for _, sm := range snap.smuxes {
+	for _, sm := range c.SMuxes {
 		capPPS += sm.CapacityPPS()
 		// Collect doubles as the fleet's maintenance tick: idle-eviction and
 		// overlay sweeps run here, on the scrape cadence, so no separate
@@ -1193,7 +1170,7 @@ func (c *Cluster) Collect() {
 		}
 	}
 	var nmUsed, nmCap, nmFlows int
-	for _, nm := range snap.nmuxes {
+	for _, nm := range c.NMuxes {
 		st := nm.Stats()
 		nmUsed = max(nmUsed, st.Used)
 		nmCap = max(nmCap, st.Cap)
@@ -1307,19 +1284,18 @@ func (c *Cluster) deliverRun(sc *scratch, pkts [][]byte, results []BatchResult) 
 func (c *Cluster) InstallTIP(tip packet.Addr, sw topology.SwitchID, backends []service.Backend) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.switchUp[sw] {
+	if !c.upLocked(sw) {
 		return ErrSwitchDown
 	}
 	for _, b := range backends {
-		if _, ok := c.agents[b.Addr]; !ok {
-			c.agents[b.Addr] = c.newAgent(b.Addr)
-		}
+		c.agentLocked(b.Addr)
 	}
 	if err := c.HMuxes[sw].AddTIP(tip, backends); err != nil {
 		return err
 	}
-	c.tipHome[tip] = sw
-	c.publishLocked()
+	s := *c.snap.Load()
+	s.tipHome = s.tipHome.With(tip, sw)
+	c.publish(s)
 	return nil
 }
 
@@ -1331,15 +1307,9 @@ func (c *Cluster) RegisterTIPBackends(vip packet.Addr, backends []service.Backen
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, b := range backends {
-		a, ok := c.agents[b.Addr]
-		if !ok {
-			a = c.newAgent(b.Addr)
-			c.agents[b.Addr] = a
-		}
-		if err := a.RegisterDIP(vip, b.Addr); err != nil {
+		if err := c.agentLocked(b.Addr).RegisterDIP(vip, b.Addr); err != nil {
 			return err
 		}
 	}
-	c.publishLocked()
 	return nil
 }

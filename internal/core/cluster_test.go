@@ -496,11 +496,12 @@ func TestDeliverNoHostAgent(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Decommission the server out from under the installed VIP (the test is
-	// in-package: drop the agent and publish a new snapshot, exactly what a
+	// in-package: publish a generation without the agent, exactly what a
 	// host-removal control call would do).
 	c.mu.Lock()
-	delete(c.agents, dip)
-	c.publishLocked()
+	s := *c.snap.Load()
+	s.agents = s.agents.Without(dip)
+	c.publish(s)
 	c.mu.Unlock()
 	_, err := c.Deliver(clientPkt(v.Addr, 1))
 	if !errors.Is(err, ErrNoHostAgent) {

@@ -1,0 +1,190 @@
+package core
+
+import (
+	"runtime"
+	"slices"
+	"testing"
+
+	"duet/internal/packet"
+	"duet/internal/service"
+	"duet/internal/steer"
+	"duet/internal/topology"
+)
+
+// TestUnobservableMutationsPublishNothing: a VIP move, a mode flip and a VIP
+// removal edit the muxes' own tables and the routes, none of which is in the
+// cluster snapshot, so the generation Deliver loads stays the very same
+// pointer; the mutations a packet can observe still publish one generation
+// each.
+func TestUnobservableMutationsPublishNothing(t *testing.T) {
+	c, err := New(Config{
+		Topology:      topology.TestbedConfig(),
+		NumSMuxes:     3,
+		Aggregate:     packet.MustParsePrefix("10.0.0.0/8"),
+		NMuxTableSize: 64,
+	})
+	must(t, err)
+	v, w := mkVIP(0, "100.0.0.1", "100.0.0.2"), mkVIP(1, "100.0.1.1")
+	must(t, c.AddVIP(v))
+	must(t, c.AddVIP(w))
+	sw, other := c.Topo.TorID(0, 0), c.Topo.AggID(0, 0)
+
+	gen := c.snap.Load()
+	if gen.epoch != 3 {
+		t.Fatalf("epoch %d after wiring three new hosts, want 3", gen.epoch)
+	}
+	for _, step := range []struct {
+		name string
+		do   func() error
+	}{
+		{"ProgramHMux", func() error { return c.ProgramHMux(v.Addr, sw) }},
+		{"AssignToHMux", func() error { return c.AssignToHMux(v.Addr, sw) }},
+		{"DeprogramHMux", func() error { return c.DeprogramHMux(v.Addr) }},
+		{"WithdrawFromHMux", func() error { return c.WithdrawFromHMux(v.Addr) }},
+		{"AssignToNMux", func() error { return c.AssignToNMux(v.Addr) }},
+		{"WithdrawFromNMux", func() error { return c.WithdrawFromNMux(v.Addr) }},
+		{"SetVIPMode", func() error { return c.SetVIPMode(v.Addr, steer.ModeHybrid) }},
+		{"AssignReplicated", func() error { return c.AssignReplicated(w.Addr, []topology.SwitchID{sw, other}) }},
+		{"WithdrawReplicas", func() error { return c.WithdrawReplicas(w.Addr) }},
+		{"RemoveBackend", func() error { return c.RemoveBackend(v.Addr, v.Backends[1].Addr) }},
+		{"AddBackend (known host)", func() error { return c.AddBackend(v.Addr, v.Backends[1]) }},
+		{"RemoveVIP", func() error { return c.RemoveVIP(w.Addr) }},
+		{"AddVIP (known hosts)", func() error { return c.AddVIP(w) }},
+	} {
+		must(t, step.do())
+		if c.snap.Load() != gen {
+			t.Errorf("%s published a cluster generation; no packet can observe what it changed", step.name)
+			gen = c.snap.Load()
+		}
+	}
+
+	for _, step := range []struct {
+		name string
+		do   func()
+	}{
+		{"StopSwitch", func() { c.StopSwitch(sw) }},
+		{"RecoverSwitch", func() { c.RecoverSwitch(sw) }},
+		{"AddBackend (new host)", func() {
+			must(t, c.AddBackend(v.Addr, service.Backend{Addr: packet.MustParseAddr("100.0.0.3"), Weight: 1}))
+		}},
+	} {
+		step.do()
+		next := c.snap.Load()
+		if next == gen || next.epoch != gen.epoch+1 {
+			t.Errorf("%s: epoch %d → %d, want one new generation", step.name, gen.epoch, next.epoch)
+		}
+		gen = next
+	}
+}
+
+// allocated reports the bytes f allocates. TotalAlloc only ever grows and the
+// package's tests run one at a time, so the delta is f's own.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestMutationCostFollowsTheMutation is ROADMAP's publication probe, stated in
+// bytes so it cannot flake: what a mutation allocates depends on what it
+// changes, not on how large the cluster is. On the way to 5,000 VIPs of 10
+// DIPs it measures, at 500 and at 50,000 registered host agents, one VIP move
+// (HMux assign + withdraw: within 10 % of each other — the move touches one
+// switch and no index) and one AddVIP (the 5,000th under 8× the 50th: ten new
+// hosts each copy one chunk and the directory of a 100× larger index).
+func TestMutationCostFollowsTheMutation(t *testing.T) {
+	c := testCluster(t)
+	sw := c.Topo.TorID(0, 0)
+	var add, move []uint64
+	for i := 1; i <= 5000; i++ {
+		v := &service.VIP{Addr: packet.AddrFrom4(10, 1, byte(i>>8), byte(i))}
+		for j := 0; j < 10; j++ {
+			d := i*10 + j
+			v.Backends = append(v.Backends, service.Backend{Addr: packet.AddrFrom4(100, byte(d>>16), byte(d>>8), byte(d)), Weight: 1})
+		}
+		if i != 50 && i != 5000 {
+			must(t, c.AddVIP(v))
+			continue
+		}
+		add = append(add, allocated(func() { must(t, c.AddVIP(v)) }))
+		moveVIP := func() {
+			must(t, c.AssignToHMux(v.Addr, sw))
+			must(t, c.WithdrawFromHMux(v.Addr))
+		}
+		moveVIP() // the switch's first VIP also sizes its bookkeeping maps
+		move = append(move, allocated(moveVIP))
+	}
+	if n := c.snap.Load().agents.Len(); n != 50000 {
+		t.Fatalf("%d host agents registered, want 50000", n)
+	}
+	t.Logf("AddVIP: %d B at 50 VIPs, %d B at 5,000; move: %d B at 500 agents, %d B at 50,000", add[0], add[1], move[0], move[1])
+	if lo, hi := min(move[0], move[1]), max(move[0], move[1]); hi-lo > lo/10 {
+		t.Errorf("a VIP move allocates %d B at 500 agents and %d B at 50,000: more than 10 %% apart", move[0], move[1])
+	}
+	if add[1] >= 8*add[0] {
+		t.Errorf("the 5,000th AddVIP allocates %d B, the 50th %d B: %.1fx, want < 8x", add[1], add[0], float64(add[1])/float64(add[0]))
+	}
+}
+
+// TestDIPServesASecondVIP: removing a VIP, or one backend of it, releases the
+// DIP at its host agent — the agent stops decapsulating for the old VIP and
+// the address can go behind another one — while the host itself stays wired.
+// A RegisterHost VM set goes with its VIP.
+func TestDIPServesASecondVIP(t *testing.T) {
+	c := testCluster(t)
+	dip1, dip2 := packet.MustParseAddr("100.0.0.1"), packet.MustParseAddr("100.0.0.2")
+	agentOf := func(host packet.Addr) func(vip packet.Addr) []packet.Addr {
+		a, ok := c.Agent(host)
+		if !ok {
+			t.Fatalf("host %s lost its agent", host)
+		}
+		return a.LocalDIPs
+	}
+
+	v1, v2 := mkVIP(0, "100.0.0.1", "100.0.0.2"), mkVIP(1, "100.0.0.1")
+	must(t, c.AddVIP(v1))
+	must(t, c.RemoveVIP(v1.Addr))
+	if left := agentOf(dip2)(v1.Addr); len(left) != 0 {
+		t.Errorf("host %s still decapsulates %v for the removed VIP", dip2, left)
+	}
+	if err := c.AddVIP(v2); err != nil {
+		t.Fatalf("AddVIP of a second VIP over a released DIP: %v", err)
+	}
+	d, err := c.Deliver(clientPkt(v2.Addr, 1))
+	if err != nil || d.DIP != dip1 || d.VIP != v2.Addr {
+		t.Fatalf("delivery through the reused DIP: %+v, %v", d, err)
+	}
+
+	v3, v4 := mkVIP(2, "100.0.1.1", "100.0.1.2"), mkVIP(3, "100.0.1.3")
+	moved := v3.Backends[1]
+	must(t, c.AddVIP(v3))
+	must(t, c.AddVIP(v4))
+	must(t, c.RemoveBackend(v3.Addr, moved.Addr))
+	if err := c.AddBackend(v4.Addr, moved); err != nil {
+		t.Fatalf("AddBackend of a DIP another VIP released: %v", err)
+	}
+	if got := agentOf(moved.Addr)(v4.Addr); !slices.Equal(got, []packet.Addr{moved.Addr}) {
+		t.Errorf("host %s serves %v for its new VIP, want itself", moved.Addr, got)
+	}
+
+	// A backend listed twice (weighting) keeps its registration until the last
+	// listing goes; a virtualized host's VM DIPs go with the VIP.
+	hip := packet.MustParseAddr("100.0.2.1")
+	vms := []packet.Addr{packet.MustParseAddr("100.0.2.11"), packet.MustParseAddr("100.0.2.12")}
+	v5 := mkVIP(4, "100.0.2.1", "100.0.2.1", "100.0.2.2")
+	must(t, c.RegisterHost(hip, v5.Addr, vms))
+	must(t, c.AddVIP(v5))
+	must(t, c.RemoveBackend(v5.Addr, hip))
+	if got := agentOf(hip)(v5.Addr); !slices.Equal(got, vms) {
+		t.Errorf("host %s serves %v with one of its two listings removed, want its VMs %v", hip, got, vms)
+	}
+	must(t, c.RemoveVIP(v5.Addr))
+	if left := agentOf(hip)(v5.Addr); len(left) != 0 {
+		t.Errorf("host %s still serves VMs %v of the removed VIP", hip, left)
+	}
+	if err := c.RegisterHost(hip, v1.Addr, vms); err != nil {
+		t.Fatalf("the released VM DIPs cannot serve another VIP: %v", err)
+	}
+}

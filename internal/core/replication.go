@@ -41,7 +41,7 @@ func (c *Cluster) AssignReplicated(addr packet.Addr, switches []topology.SwitchI
 		if int(sw) < 0 || int(sw) >= len(c.HMuxes) {
 			return ErrNoSuchSwitch
 		}
-		if !c.switchUp[sw] {
+		if !c.upLocked(sw) {
 			return ErrSwitchDown
 		}
 		if seen[sw] {
@@ -65,7 +65,6 @@ func (c *Cluster) AssignReplicated(addr packet.Addr, switches []topology.SwitchI
 		c.Routes.Announce(packet.HostPrefix(addr), bgp.NodeID(sw), at)
 	}
 	c.replicas[addr] = append([]topology.SwitchID(nil), switches...)
-	c.publishLocked()
 	return nil
 }
 
@@ -81,15 +80,10 @@ func (c *Cluster) Replicas(addr packet.Addr) []topology.SwitchID {
 func (c *Cluster) WithdrawReplicas(addr packet.Addr) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.withdrawReplicasLocked(addr); err != nil {
-		return err
-	}
-	c.publishLocked()
-	return nil
+	return c.withdrawReplicasLocked(addr)
 }
 
-// withdrawReplicasLocked is WithdrawReplicas without locking or publication;
-// the caller holds c.mu and republishes.
+// withdrawReplicasLocked is WithdrawReplicas for a caller that holds c.mu.
 func (c *Cluster) withdrawReplicasLocked(addr packet.Addr) error {
 	reps, ok := c.replicas[addr]
 	if !ok {
@@ -97,7 +91,7 @@ func (c *Cluster) withdrawReplicasLocked(addr packet.Addr) error {
 	}
 	at := c.rec.Now()
 	for _, sw := range reps {
-		if c.switchUp[sw] {
+		if c.upLocked(sw) {
 			_ = c.HMuxes[sw].RemoveVIP(addr)
 		}
 		c.Routes.Withdraw(packet.HostPrefix(addr), bgp.NodeID(sw), at)

@@ -17,10 +17,10 @@
 // forwards at line rate while the switch agent reprograms tables underneath
 // it. Here the lookup tables live in an immutable struct published through an
 // atomic pointer; table programming (AddVIP, RemoveVIP, RemoveBackend, AddTIP)
-// serializes on a writer lock, rebuilds the affected entries copy-on-write
-// and republishes. Process/Lookup load the pointer once
-// per packet, so concurrent dataplane goroutines always see a complete,
-// consistent table generation — never a half-programmed VIP.
+// serializes on a writer lock, rebuilds the affected entry and republishes a
+// generation that shares every other entry with the last. Process/Lookup load
+// the pointer once per packet, so concurrent dataplane goroutines always see a
+// complete, consistent table generation — never a half-programmed VIP.
 package hmux
 
 import (
@@ -29,6 +29,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"duet/internal/addrmap"
 	"duet/internal/ecmp"
 	"duet/internal/packet"
 	"duet/internal/service"
@@ -100,10 +101,12 @@ type vipEntry struct {
 	ports    map[uint16]*vipEntry // ACL port rules (nil for TIPs)
 }
 
-// tables is one immutable generation of the switch's lookup state.
+// tables is one immutable generation of the switch's lookup state. A mutator
+// copies the struct, replaces the one table it edits through the shared
+// copy-on-write map (internal/addrmap) and publishes the copy.
 type tables struct {
-	vips map[packet.Addr]*vipEntry // host table: exact /32 match
-	tips map[packet.Addr]*vipEntry // TIP partitions hosted on this switch
+	vips addrmap.Map[*vipEntry] // host table: exact /32 match
+	tips addrmap.Map[*vipEntry] // TIP partitions hosted on this switch
 }
 
 // Mux is one hardware mux. Process and Lookup are safe for any number of
@@ -194,45 +197,8 @@ func New(cfg Config) *Mux {
 		cfg:        cfg,
 		tunnelRefs: make(map[packet.Addr]int),
 	}
-	m.tab.Store(&tables{
-		vips: make(map[packet.Addr]*vipEntry),
-		tips: make(map[packet.Addr]*vipEntry),
-	})
+	m.tab.Store(&tables{})
 	return m
-}
-
-// publish installs a new table generation. Must be called with m.mu held.
-// Exactly one of vips/tips may be nil to carry the previous generation's map
-// forward unchanged.
-func (m *Mux) publish(vips, tips map[packet.Addr]*vipEntry) {
-	cur := m.tab.Load()
-	if vips == nil {
-		vips = cur.vips
-	}
-	if tips == nil {
-		tips = cur.tips
-	}
-	m.tab.Store(&tables{vips: vips, tips: tips})
-}
-
-// cloneVIPs copies the current VIP map for mutation. Must hold m.mu.
-func (m *Mux) cloneVIPs() map[packet.Addr]*vipEntry {
-	cur := m.tab.Load().vips
-	cp := make(map[packet.Addr]*vipEntry, len(cur)+1)
-	for k, v := range cur {
-		cp[k] = v
-	}
-	return cp
-}
-
-// cloneTIPs copies the current TIP map for mutation. Must hold m.mu.
-func (m *Mux) cloneTIPs() map[packet.Addr]*vipEntry {
-	cur := m.tab.Load().tips
-	cp := make(map[packet.Addr]*vipEntry, len(cur)+1)
-	for k, v := range cur {
-		cp[k] = v
-	}
-	return cp
 }
 
 // Stats reports table occupancy.
@@ -251,12 +217,12 @@ func (m *Mux) Stats() Stats {
 	defer m.mu.Unlock()
 	t := m.tab.Load()
 	return Stats{
-		HostUsed: len(t.vips) + len(t.tips), HostCap: m.cfg.HostTableSize,
+		HostUsed: t.vips.Len() + t.tips.Len(), HostCap: m.cfg.HostTableSize,
 		ECMPUsed: m.ecmpUsed, ECMPCap: m.cfg.ECMPTableSize,
 		GroupsUsed: m.groupsUsed, GroupsCap: m.cfg.ECMPGroupTableSize,
 		TunnelUsed: len(m.tunnelRefs), TunnelCap: m.cfg.TunnelTableSize,
 		ACLUsed: m.aclUsed, ACLCap: m.cfg.ACLTableSize,
-		VIPs: len(t.vips), TIPs: len(t.tips),
+		VIPs: t.vips.Len(), TIPs: t.tips.Len(),
 	}
 }
 
@@ -284,16 +250,22 @@ func (m *Mux) AddVIP(v *service.VIP) error {
 	if err := v.Validate(); err != nil {
 		return err
 	}
+	return m.program(v, false)
+}
+
+// program admits v against every table's capacity and installs it in the host
+// table: as a VIP, or as a TIP partition (one backend set, no port rules).
+func (m *Mux) program(v *service.VIP, tip bool) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	t := m.tab.Load()
-	if _, ok := t.vips[v.Addr]; ok {
+	t := *m.tab.Load()
+	if _, ok := t.vips.Get(v.Addr); ok {
 		return ErrVIPExists
 	}
-	if _, ok := t.tips[v.Addr]; ok {
+	if _, ok := t.tips.Get(v.Addr); ok {
 		return ErrVIPExists
 	}
-	if len(t.vips)+len(t.tips)+1 > m.cfg.HostTableSize {
+	if t.vips.Len()+t.tips.Len()+1 > m.cfg.HostTableSize {
 		return ErrHostTableFull
 	}
 	entries, newTunnels, groups, acls := m.cost(v)
@@ -318,9 +290,12 @@ func (m *Mux) AddVIP(v *service.VIP) error {
 		}
 	}
 	m.aclUsed += acls
-	vips := m.cloneVIPs()
-	vips[v.Addr] = e
-	m.publish(vips, nil)
+	if tip {
+		t.tips = t.tips.With(v.Addr, e)
+	} else {
+		t.vips = t.vips.With(v.Addr, e)
+	}
+	m.tab.Store(&t)
 	return nil
 }
 
@@ -363,31 +338,21 @@ func (m *Mux) releaseEntry(e *vipEntry) {
 func (m *Mux) RemoveVIP(addr packet.Addr) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	e, ok := m.tab.Load().vips[addr]
+	t := *m.tab.Load()
+	e, ok := t.vips.Get(addr)
 	if !ok {
 		return ErrVIPNotFound
 	}
 	m.releaseEntry(e)
-	vips := m.cloneVIPs()
-	delete(vips, addr)
-	m.publish(vips, nil)
+	t.vips = t.vips.Without(addr)
+	m.tab.Store(&t)
 	return nil
 }
 
 // HasVIP reports whether the VIP is programmed here.
 func (m *Mux) HasVIP(addr packet.Addr) bool {
-	_, ok := m.tab.Load().vips[addr]
+	_, ok := m.tab.Load().vips.Get(addr)
 	return ok
-}
-
-// VIPs returns the programmed VIP addresses (unordered).
-func (m *Mux) VIPs() []packet.Addr {
-	vips := m.tab.Load().vips
-	out := make([]packet.Addr, 0, len(vips))
-	for a := range vips {
-		out = append(out, a)
-	}
-	return out
 }
 
 // RemoveBackend removes one DIP from a VIP's default backend set using
@@ -398,7 +363,8 @@ func (m *Mux) VIPs() []packet.Addr {
 func (m *Mux) RemoveBackend(vip, dip packet.Addr) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	e, ok := m.tab.Load().vips[vip]
+	t := *m.tab.Load()
+	e, ok := t.vips.Get(vip)
 	if !ok {
 		return ErrVIPNotFound
 	}
@@ -422,9 +388,8 @@ func (m *Mux) RemoveBackend(vip, dip packet.Addr) error {
 			delete(m.tunnelRefs, dip)
 		}
 		m.ecmpUsed--
-		vips := m.cloneVIPs()
-		vips[vip] = cp
-		m.publish(vips, nil)
+		t.vips = t.vips.With(vip, cp)
+		m.tab.Store(&t)
 		return nil
 	}
 	return fmt.Errorf("hmux: DIP %s not found under VIP %s", dip, vip)
@@ -435,45 +400,15 @@ func (m *Mux) RemoveBackend(vip, dip packet.Addr) error {
 // re-encapsulated to one of the partition's DIPs, selected by the hash of
 // the inner 5-tuple.
 func (m *Mux) AddTIP(tip packet.Addr, backends []service.Backend) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	t := m.tab.Load()
-	if _, ok := t.tips[tip]; ok {
-		return ErrVIPExists
-	}
-	if _, ok := t.vips[tip]; ok {
-		return ErrVIPExists
-	}
 	if len(backends) == 0 {
 		return fmt.Errorf("hmux: TIP %s has no backends", tip)
 	}
-	if len(t.vips)+len(t.tips)+1 > m.cfg.HostTableSize {
-		return ErrHostTableFull
-	}
-	if m.ecmpUsed+len(backends) > m.cfg.ECMPTableSize {
-		return ErrECMPTableFull
-	}
-	if m.groupsUsed+1 > m.cfg.ECMPGroupTableSize {
-		return ErrECMPGroupTableFull
-	}
-	newTunnels := 0
-	for _, b := range backends {
-		if m.tunnelRefs[b.Addr] == 0 {
-			newTunnels++
-		}
-	}
-	if len(m.tunnelRefs)+newTunnels > m.cfg.TunnelTableSize {
-		return ErrTunnelTableFull
-	}
-	tips := m.cloneTIPs()
-	tips[tip] = m.buildEntry(backends)
-	m.publish(nil, tips)
-	return nil
+	return m.program(&service.VIP{Addr: tip, Backends: backends}, true)
 }
 
 // HasTIP reports whether the TIP partition is programmed here.
 func (m *Mux) HasTIP(addr packet.Addr) bool {
-	_, ok := m.tab.Load().tips[addr]
+	_, ok := m.tab.Load().tips.Get(addr)
 	return ok
 }
 
@@ -524,7 +459,7 @@ func (m *Mux) ProcessSampled(data, out []byte, sampled bool) (Result, error) {
 
 	// TIP stage: decapsulate and fall through to re-encapsulation with the
 	// inner packet (Figure 7's second hop).
-	if e, ok := t.tips[ip.Dst]; ok && ip.Protocol == packet.ProtoIPIP {
+	if e, ok := t.tips.Get(ip.Dst); ok && ip.Protocol == packet.ProtoIPIP {
 		tip := ip.Dst
 		inner := ip.Payload()
 		tuple, err := packet.ExtractFiveTuple(inner)
@@ -547,7 +482,7 @@ func (m *Mux) ProcessSampled(data, out []byte, sampled bool) (Result, error) {
 		return Result{Encap: encap, Packet: pkt[len(out):], ViaTIP: true}, nil
 	}
 
-	e, ok := t.vips[ip.Dst]
+	e, ok := t.vips.Get(ip.Dst)
 	if !ok {
 		return Result{}, m.drop(telemetry.DropUnknownVIP, ip.Dst, ErrNotOurVIP)
 	}
@@ -600,7 +535,7 @@ func selectEncap(e *vipEntry, tuple packet.FiveTuple) (packet.Addr, error) {
 // without building the packet. The controller and tests use it to reason
 // about mappings cheaply.
 func (m *Mux) Lookup(tuple packet.FiveTuple) (packet.Addr, error) {
-	e, ok := m.tab.Load().vips[tuple.Dst]
+	e, ok := m.tab.Load().vips.Get(tuple.Dst)
 	if !ok {
 		return 0, ErrNotOurVIP
 	}

@@ -485,9 +485,8 @@ func TestVIPsList(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := m.VIPs()
-	if len(got) != 3 {
-		t.Fatalf("VIPs() = %d entries", len(got))
+	if got := m.Stats().VIPs; got != 3 {
+		t.Fatalf("Stats().VIPs = %d", got)
 	}
 	if !m.HasVIP(packet.MustParseAddr("10.0.0.2")) {
 		t.Fatal("HasVIP false for programmed VIP")

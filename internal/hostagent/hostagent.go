@@ -7,16 +7,19 @@
 //
 // Concurrency: the registration tables (VIP→local DIPs, DIP→VIP, health)
 // are immutable generations published through an atomic pointer — mutators
-// (RegisterDIP, UnregisterDIP, SetHealth) rebuild them copy-on-write under a
-// writer lock, so Receive on concurrent goroutines takes no lock.
+// (RegisterDIP, UnregisterDIP, SetHealth) derive the next one under a writer
+// lock, through the shared copy-on-write map of internal/addrmap, so Receive
+// on concurrent goroutines takes no lock.
 package hostagent
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
+	"duet/internal/addrmap"
 	"duet/internal/ecmp"
 	"duet/internal/packet"
 	"duet/internal/telemetry"
@@ -28,15 +31,16 @@ var (
 	ErrUnknownDIP     = errors.New("hostagent: DIP not registered on this host")
 )
 
-// agentTables is one immutable generation of the agent's lookup state. The
-// maps are never mutated after publication — that is what makes Receive
-// lock-free.
+// agentTables is one immutable generation of the agent's lookup state. A
+// published generation (its DIP slices included) is never mutated — that is
+// what makes Receive lock-free; a mutator copies the struct and replaces the
+// tables it edits.
 type agentTables struct {
 	// locals maps VIP → local DIPs for that VIP on this host. In the
 	// non-virtualized case each VIP has exactly one local DIP.
-	locals map[packet.Addr][]packet.Addr
-	vipOf  map[packet.Addr]packet.Addr // DIP → VIP, for DSR
-	health map[packet.Addr]bool        // DIP → healthy
+	locals addrmap.Map[[]packet.Addr]
+	vipOf  addrmap.Map[packet.Addr] // DIP → VIP, for DSR
+	health addrmap.Map[bool]        // DIP → healthy
 }
 
 // Agent is the host agent of one server (or one hypervisor host in
@@ -81,36 +85,14 @@ func (a *Agent) SetTelemetry(reg *telemetry.Registry, rec *telemetry.Recorder, n
 // New creates the agent for a host.
 func New(hostAddr packet.Addr) *Agent {
 	a := &Agent{hostAddr: hostAddr}
-	a.tab.Store(&agentTables{
-		locals: make(map[packet.Addr][]packet.Addr),
-		vipOf:  make(map[packet.Addr]packet.Addr),
-		health: make(map[packet.Addr]bool),
-	})
+	a.tab.Store(&agentTables{})
 	return a
-}
-
-// clone deep-copies a generation for mutation.
-func (t *agentTables) clone() *agentTables {
-	cp := &agentTables{
-		locals: make(map[packet.Addr][]packet.Addr, len(t.locals)),
-		vipOf:  make(map[packet.Addr]packet.Addr, len(t.vipOf)),
-		health: make(map[packet.Addr]bool, len(t.health)),
-	}
-	for k, v := range t.locals {
-		cp.locals[k] = append([]packet.Addr(nil), v...)
-	}
-	for k, v := range t.vipOf {
-		cp.vipOf[k] = v
-	}
-	for k, v := range t.health {
-		cp.health[k] = v
-	}
-	return cp
 }
 
 // LocalDIPs returns the local DIPs registered for a VIP.
 func (a *Agent) LocalDIPs(vip packet.Addr) []packet.Addr {
-	return a.tab.Load().locals[vip]
+	dips, _ := a.tab.Load().locals.Get(vip)
+	return dips
 }
 
 // RegisterDIP attaches a local DIP serving vip to this host. Registering the
@@ -118,17 +100,16 @@ func (a *Agent) LocalDIPs(vip packet.Addr) []packet.Addr {
 func (a *Agent) RegisterDIP(vip, dip packet.Addr) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	t := a.tab.Load()
-	if v, ok := t.vipOf[dip]; ok && v != vip {
+	t := *a.tab.Load()
+	if v, ok := t.vipOf.Get(dip); ok && v != vip {
 		return fmt.Errorf("hostagent: DIP %s already registered for VIP %s", dip, v)
+	} else if !ok {
+		dips, _ := t.locals.Get(vip)
+		t.locals = t.locals.With(vip, append(slices.Clone(dips), dip))
+		t.vipOf = t.vipOf.With(dip, vip)
 	}
-	cp := t.clone()
-	if _, ok := cp.vipOf[dip]; !ok {
-		cp.locals[vip] = append(cp.locals[vip], dip)
-		cp.vipOf[dip] = vip
-	}
-	cp.health[dip] = true
-	a.tab.Store(cp)
+	t.health = t.health.With(dip, true)
+	a.tab.Store(&t)
 	return nil
 }
 
@@ -136,25 +117,20 @@ func (a *Agent) RegisterDIP(vip, dip packet.Addr) error {
 func (a *Agent) UnregisterDIP(dip packet.Addr) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	t := a.tab.Load()
-	vip, ok := t.vipOf[dip]
+	t := *a.tab.Load()
+	vip, ok := t.vipOf.Get(dip)
 	if !ok {
 		return ErrUnknownDIP
 	}
-	cp := t.clone()
-	delete(cp.vipOf, dip)
-	delete(cp.health, dip)
-	dips := cp.locals[vip]
-	for i, d := range dips {
-		if d == dip {
-			cp.locals[vip] = append(dips[:i], dips[i+1:]...)
-			break
-		}
+	t.vipOf, t.health = t.vipOf.Without(dip), t.health.Without(dip)
+	dips, _ := t.locals.Get(vip)
+	dips = slices.DeleteFunc(slices.Clone(dips), func(d packet.Addr) bool { return d == dip })
+	if len(dips) == 0 {
+		t.locals = t.locals.Without(vip)
+	} else {
+		t.locals = t.locals.With(vip, dips)
 	}
-	if len(cp.locals[vip]) == 0 {
-		delete(cp.locals, vip)
-	}
-	a.tab.Store(cp)
+	a.tab.Store(&t)
 	return nil
 }
 
@@ -162,18 +138,20 @@ func (a *Agent) UnregisterDIP(dip packet.Addr) error {
 func (a *Agent) SetHealth(dip packet.Addr, healthy bool) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	t := a.tab.Load()
-	if _, ok := t.vipOf[dip]; !ok {
+	t := *a.tab.Load()
+	if _, ok := t.vipOf.Get(dip); !ok {
 		return ErrUnknownDIP
 	}
-	cp := t.clone()
-	cp.health[dip] = healthy
-	a.tab.Store(cp)
+	t.health = t.health.With(dip, healthy)
+	a.tab.Store(&t)
 	return nil
 }
 
 // Healthy reports the recorded health of a local DIP.
-func (a *Agent) Healthy(dip packet.Addr) bool { return a.tab.Load().health[dip] }
+func (a *Agent) Healthy(dip packet.Addr) bool {
+	healthy, _ := a.tab.Load().health.Get(dip)
+	return healthy
+}
 
 // Delivery is the result of Receive: the decapsulated packet rewritten to
 // the selected local DIP.
@@ -217,8 +195,7 @@ func (a *Agent) ReceiveSampled(data, out []byte, sampled bool) (Delivery, error)
 		return Delivery{}, err
 	}
 	vip := tuple.Dst
-	t := a.tab.Load()
-	dips, ok := t.locals[vip]
+	dips, ok := a.tab.Load().locals.Get(vip)
 	if !ok || len(dips) == 0 {
 		a.tel.dropNotLocal.Inc()
 		a.tel.rec.Record(telemetry.KindDrop, a.tel.node, uint32(vip), 0, uint64(telemetry.DropNotLocal))
@@ -253,7 +230,7 @@ func (a *Agent) SendDSR(data, out []byte) ([]byte, error) {
 		a.tel.dsrErrors.Inc()
 		return nil, err
 	}
-	vip, ok := a.tab.Load().vipOf[ip.Src]
+	vip, ok := a.tab.Load().vipOf.Get(ip.Src)
 	if !ok {
 		a.tel.dsrErrors.Inc()
 		return nil, ErrUnknownDIP

@@ -30,7 +30,8 @@
 // (ErrNotOurVIP): the caller falls through to the SMux tier.
 //
 // Concurrency: the programmed-VIP set is an immutable generation behind an
-// atomic pointer (writers rebuild copy-on-write under a mutex); the flow
+// atomic pointer (writers derive the next one from it under a mutex, through
+// the shared copy-on-write map of internal/addrmap); the flow
 // table is sharded by flow hash with per-shard locks; the shared table
 // budget is a pair of atomics so the hot path never takes the writer lock.
 package nmux
@@ -40,6 +41,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"duet/internal/addrmap"
 	"duet/internal/ecmp"
 	"duet/internal/packet"
 	"duet/internal/service"
@@ -86,15 +88,14 @@ type Config struct {
 }
 
 // vipInfo is the per-VIP programming bookkeeping (resolution state lives in
-// the steer table).
+// the steer table): the backend slots and the wildcard entries they consume.
 type vipInfo struct {
 	backends []service.Backend
+	cost     int
 }
 
 // vipTable is one immutable generation of the programmed wildcard entries.
-type vipTable struct {
-	vips map[packet.Addr]*vipInfo
-}
+type vipTable = addrmap.Map[*vipInfo]
 
 // flowShard is one lock-striped slice of the exact-match flow region.
 type flowShard struct {
@@ -114,10 +115,9 @@ type Mux struct {
 	tab atomic.Pointer[vipTable]
 	mu  sync.Mutex // serializes writers
 
-	// Writer-side wildcard accounting: entries consumed by programmed VIPs,
-	// and the per-VIP cost needed to release them. Guarded by mu.
+	// Writer-side wildcard accounting: entries consumed by programmed VIPs.
+	// Guarded by mu.
 	wildcardUsed int
-	vipCost      map[packet.Addr]int
 
 	// flowBudget is the table space left for exact-match entries
 	// (TableSize − wildcardUsed), republished by writers; flowCount is the
@@ -192,7 +192,7 @@ func New(cfg Config) *Mux {
 	if cfg.TableSize <= 0 {
 		cfg.TableSize = DefaultTableSize
 	}
-	m := &Mux{cfg: cfg, vipCost: make(map[packet.Addr]int)}
+	m := &Mux{cfg: cfg}
 	m.steer = cfg.Steer
 	if m.steer == nil {
 		m.steer = steer.NewTable(steer.Config{})
@@ -202,7 +202,7 @@ func New(cfg Config) *Mux {
 		m.shards[i].flows = make(map[packet.FiveTuple]packet.Addr)
 	}
 	m.flowBudget.Store(int64(cfg.TableSize))
-	m.tab.Store(&vipTable{vips: make(map[packet.Addr]*vipInfo)})
+	m.tab.Store(new(vipTable))
 	return m
 }
 
@@ -212,11 +212,11 @@ func New(cfg Config) *Mux {
 func (m *Mux) Self() packet.Addr { return m.cfg.SelfAddr }
 
 // NumVIPs returns the programmed VIP count.
-func (m *Mux) NumVIPs() int { return len(m.tab.Load().vips) }
+func (m *Mux) NumVIPs() int { return m.tab.Load().Len() }
 
 // HasVIP reports whether the VIP is programmed.
 func (m *Mux) HasVIP(addr packet.Addr) bool {
-	_, ok := m.tab.Load().vips[addr]
+	_, ok := m.tab.Load().Get(addr)
 	return ok
 }
 
@@ -262,19 +262,9 @@ func (m *Mux) shardFor(h uint64) *flowShard {
 
 // publish installs a new wildcard-table generation and republishes the flow
 // budget. Must hold m.mu.
-func (m *Mux) publish(vips map[packet.Addr]*vipInfo) {
-	m.tab.Store(&vipTable{vips: vips})
+func (m *Mux) publish(vips vipTable) {
+	m.tab.Store(&vips)
 	m.flowBudget.Store(int64(m.cfg.TableSize - m.wildcardUsed))
-}
-
-// cloneVIPs copies the current wildcard map for mutation. Must hold m.mu.
-func (m *Mux) cloneVIPs() map[packet.Addr]*vipInfo {
-	cur := m.tab.Load().vips
-	cp := make(map[packet.Addr]*vipInfo, len(cur)+1)
-	for k, v := range cur {
-		cp[k] = v
-	}
-	return cp
 }
 
 // AddVIP programs a VIP's wildcard entries. Unlike the SMux the table is
@@ -285,7 +275,8 @@ func (m *Mux) AddVIP(v *service.VIP) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.tab.Load().vips[v.Addr]; ok {
+	vips := *m.tab.Load()
+	if _, ok := vips.Get(v.Addr); ok {
 		return ErrVIPExists
 	}
 	cost := Cost(v)
@@ -297,11 +288,8 @@ func (m *Mux) AddVIP(v *service.VIP) error {
 			return err
 		}
 	}
-	vips := m.cloneVIPs()
-	vips[v.Addr] = &vipInfo{backends: append([]service.Backend(nil), v.Backends...)}
 	m.wildcardUsed += cost
-	m.vipCost[v.Addr] = cost
-	m.publish(vips)
+	m.publish(vips.With(v.Addr, &vipInfo{append([]service.Backend(nil), v.Backends...), cost}))
 	return nil
 }
 
@@ -314,11 +302,13 @@ func (m *Mux) UpdateVIP(v *service.VIP) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.tab.Load().vips[v.Addr]; !ok {
+	vips := *m.tab.Load()
+	old, ok := vips.Get(v.Addr)
+	if !ok {
 		return ErrVIPNotFound
 	}
 	cost := Cost(v)
-	if m.wildcardUsed-m.vipCost[v.Addr]+cost > m.cfg.TableSize {
+	if m.wildcardUsed-old.cost+cost > m.cfg.TableSize {
 		return ErrTableFull
 	}
 	if m.ownSteer {
@@ -326,11 +316,8 @@ func (m *Mux) UpdateVIP(v *service.VIP) error {
 			return err
 		}
 	}
-	vips := m.cloneVIPs()
-	vips[v.Addr] = &vipInfo{backends: append([]service.Backend(nil), v.Backends...)}
-	m.wildcardUsed += cost - m.vipCost[v.Addr]
-	m.vipCost[v.Addr] = cost
-	m.publish(vips)
+	m.wildcardUsed += cost - old.cost
+	m.publish(vips.With(v.Addr, &vipInfo{append([]service.Backend(nil), v.Backends...), cost}))
 	return nil
 }
 
@@ -340,7 +327,9 @@ func (m *Mux) UpdateVIP(v *service.VIP) error {
 func (m *Mux) RemoveVIP(addr packet.Addr) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.tab.Load().vips[addr]; !ok {
+	vips := *m.tab.Load()
+	info, ok := vips.Get(addr)
+	if !ok {
 		return ErrVIPNotFound
 	}
 	if m.ownSteer {
@@ -348,11 +337,8 @@ func (m *Mux) RemoveVIP(addr packet.Addr) error {
 			return err
 		}
 	}
-	vips := m.cloneVIPs()
-	delete(vips, addr)
-	m.wildcardUsed -= m.vipCost[addr]
-	delete(m.vipCost, addr)
-	m.publish(vips)
+	m.wildcardUsed -= info.cost
+	m.publish(vips.Without(addr))
 	m.dropFlows(func(t packet.FiveTuple, _ packet.Addr) bool { return t.Dst == addr })
 	return nil
 }
@@ -363,7 +349,8 @@ func (m *Mux) RemoveVIP(addr packet.Addr) error {
 func (m *Mux) RemoveBackend(vip, dip packet.Addr) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	info, ok := m.tab.Load().vips[vip]
+	vips := *m.tab.Load()
+	info, ok := vips.Get(vip)
 	if !ok {
 		return ErrVIPNotFound
 	}
@@ -376,11 +363,9 @@ func (m *Mux) RemoveBackend(vip, dip packet.Addr) error {
 				return err
 			}
 		}
-		cp := &vipInfo{backends: append([]service.Backend(nil), info.backends...)}
+		cp := &vipInfo{append([]service.Backend(nil), info.backends...), info.cost}
 		cp.backends[i] = service.Backend{}
-		vips := m.cloneVIPs()
-		vips[vip] = cp
-		m.publish(vips)
+		m.publish(vips.With(vip, cp))
 		m.dropFlows(func(t packet.FiveTuple, d packet.Addr) bool {
 			return t.Dst == vip && d == dip
 		})
@@ -445,7 +430,7 @@ func (m *Mux) ProcessSampled(data, out []byte, sampled bool) (Result, error) {
 	if err := ip.DecodeFromBytes(data); err != nil {
 		return Result{}, m.drop(telemetry.DropMalformed, 0, err)
 	}
-	if _, ok := m.tab.Load().vips[ip.Dst]; !ok {
+	if _, ok := m.tab.Load().Get(ip.Dst); !ok {
 		m.tel.misses.Inc()
 		return Result{}, ErrNotOurVIP
 	}
@@ -521,7 +506,7 @@ func (m *Mux) ProcessSampled(data, out []byte, sampled bool) (Result, error) {
 // Lookup returns the DIP Process would pick for a tuple without mutating
 // flow state.
 func (m *Mux) Lookup(tuple packet.FiveTuple) (packet.Addr, error) {
-	if _, ok := m.tab.Load().vips[tuple.Dst]; !ok {
+	if _, ok := m.tab.Load().Get(tuple.Dst); !ok {
 		return 0, ErrNotOurVIP
 	}
 	e, ok := m.steer.View().Find(tuple.Dst)

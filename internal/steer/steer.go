@@ -12,12 +12,13 @@
 // zero allocations, no locks.
 //
 // Updates follow Concury's concise-structure discipline: a mutation rebuilds
-// only the touched VIP's entry copy-on-write and publishes a new generation
-// with a bumped epoch. Because ecmp.Group removal is resilient and its
-// rebuild is deterministic in the backend list, removing a DIP and later
-// re-adding it returns the slot array exactly to its original state — flows
-// that never hashed to the churned DIP never remap, which is what lets an
-// SMux serve them statelessly across epochs.
+// only the touched VIP's entry and publishes a new generation — the shared
+// copy-on-write table of internal/addrmap, so every other VIP's entry and all
+// but one chunk of the index carry over — with a bumped epoch. Because
+// ecmp.Group removal is resilient and its rebuild is deterministic in the
+// backend list, removing a DIP and later re-adding it returns the slot array
+// exactly to its original state — flows that never hashed to the churned DIP
+// never remap, which is what lets an SMux serve them statelessly across epochs.
 //
 // The table also keeps the immediately previous generation alive for a
 // bounded drain window after each slot-changing mutation. A hybrid-mode SMux
@@ -33,6 +34,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"duet/internal/addrmap"
 	"duet/internal/ecmp"
 	"duet/internal/packet"
 	"duet/internal/service"
@@ -173,7 +175,7 @@ func (e *Entry) HasLive(tuple packet.FiveTuple, d packet.Addr) bool {
 // generation is one immutable table snapshot.
 type generation struct {
 	epoch uint64
-	vips  map[packet.Addr]*Entry
+	vips  addrmap.Map[*Entry]
 	// prev is the immediately preceding generation (its own prev stripped,
 	// so the chain never exceeds one), kept alive until drainUntil so hybrid
 	// muxes can compare picks across the epoch.
@@ -210,7 +212,7 @@ func NewTable(cfg Config) *Table {
 		clock:       cfg.Clock,
 		defaultMode: cfg.DefaultMode,
 	}
-	t.gen.Store(&generation{vips: make(map[packet.Addr]*Entry)})
+	t.gen.Store(&generation{})
 	return t
 }
 
@@ -218,17 +220,17 @@ func NewTable(cfg Config) *Table {
 func (t *Table) Epoch() uint64 { return t.gen.Load().epoch }
 
 // NumVIPs returns the number of VIPs in the table.
-func (t *Table) NumVIPs() int { return len(t.gen.Load().vips) }
+func (t *Table) NumVIPs() int { return t.gen.Load().vips.Len() }
 
 // HasVIP reports whether the VIP is present.
 func (t *Table) HasVIP(addr packet.Addr) bool {
-	_, ok := t.gen.Load().vips[addr]
+	_, ok := t.gen.Load().vips.Get(addr)
 	return ok
 }
 
 // ModeOf returns the VIP's mode.
 func (t *Table) ModeOf(addr packet.Addr) (Mode, bool) {
-	e, ok := t.gen.Load().vips[addr]
+	e, ok := t.gen.Load().vips.Get(addr)
 	if !ok {
 		return ModeStateful, false
 	}
@@ -248,8 +250,7 @@ func (t *Table) View() View { return View{g: t.gen.Load()} }
 //
 //duet:hotpath
 func (v View) Find(addr packet.Addr) (*Entry, bool) {
-	e, ok := v.g.vips[addr]
-	return e, ok
+	return v.g.vips.Get(addr)
 }
 
 // DrainActive reports whether the previous generation is still consultable
@@ -269,7 +270,7 @@ func (v View) PrevDIP(tuple packet.FiveTuple, h uint64) (packet.Addr, bool) {
 	if p == nil {
 		return 0, false
 	}
-	e, ok := p.vips[tuple.Dst]
+	e, ok := p.vips.Get(tuple.Dst)
 	if !ok {
 		return 0, false
 	}
@@ -283,7 +284,7 @@ func (v View) PrevDIP(tuple packet.FiveTuple, h uint64) (packet.Addr, bool) {
 // Lookup resolves a tuple against the current generation: the stateless
 // fast path. Zero allocations.
 func (t *Table) Lookup(tuple packet.FiveTuple) (packet.Addr, error) {
-	e, ok := t.gen.Load().vips[tuple.Dst]
+	e, ok := t.gen.Load().vips.Get(tuple.Dst)
 	if !ok {
 		return 0, ErrVIPNotFound
 	}
@@ -337,21 +338,11 @@ func (t *Table) buildVIPEntry(v *service.VIP, mode Mode) *Entry {
 	return e
 }
 
-// cloneVIPs copies the current VIP map for mutation. Must hold t.mu.
-func (t *Table) cloneVIPs() map[packet.Addr]*Entry {
-	cur := t.gen.Load().vips
-	cp := make(map[packet.Addr]*Entry, len(cur)+1)
-	for k, v := range cur {
-		cp[k] = v
-	}
-	return cp
-}
-
 // publish installs a new generation. withDrain attaches the outgoing
 // generation (prev chain capped at one) for the drain window; mutations that
 // cannot change any slot (mode flips) pass false and carry the existing
 // drain state forward instead. Must hold t.mu.
-func (t *Table) publish(vips map[packet.Addr]*Entry, withDrain bool) {
+func (t *Table) publish(vips addrmap.Map[*Entry], withDrain bool) {
 	cur := t.gen.Load()
 	next := &generation{epoch: cur.epoch + 1, vips: vips}
 	if withDrain && t.drain > 0 {
@@ -371,12 +362,11 @@ func (t *Table) Add(v *service.VIP) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, ok := t.gen.Load().vips[v.Addr]; ok {
+	vips := t.gen.Load().vips
+	if _, ok := vips.Get(v.Addr); ok {
 		return ErrVIPExists
 	}
-	vips := t.cloneVIPs()
-	vips[v.Addr] = t.buildVIPEntry(v, t.defaultMode)
-	t.publish(vips, true)
+	t.publish(vips.With(v.Addr, t.buildVIPEntry(v, t.defaultMode)), true)
 	return nil
 }
 
@@ -389,13 +379,12 @@ func (t *Table) Update(v *service.VIP) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	old, ok := t.gen.Load().vips[v.Addr]
+	vips := t.gen.Load().vips
+	old, ok := vips.Get(v.Addr)
 	if !ok {
 		return ErrVIPNotFound
 	}
-	vips := t.cloneVIPs()
-	vips[v.Addr] = t.buildVIPEntry(v, old.mode)
-	t.publish(vips, true)
+	t.publish(vips.With(v.Addr, t.buildVIPEntry(v, old.mode)), true)
 	return nil
 }
 
@@ -413,12 +402,11 @@ func (t *Table) Set(v *service.VIP) error {
 func (t *Table) RemoveVIP(addr packet.Addr) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, ok := t.gen.Load().vips[addr]; !ok {
+	vips := t.gen.Load().vips
+	if _, ok := vips.Get(addr); !ok {
 		return ErrVIPNotFound
 	}
-	vips := t.cloneVIPs()
-	delete(vips, addr)
-	t.publish(vips, true)
+	t.publish(vips.Without(addr), true)
 	return nil
 }
 
@@ -429,7 +417,8 @@ func (t *Table) RemoveVIP(addr packet.Addr) error {
 func (t *Table) RemoveBackend(vip, dip packet.Addr) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	e, ok := t.gen.Load().vips[vip]
+	vips := t.gen.Load().vips
+	e, ok := vips.Get(vip)
 	if !ok {
 		return ErrVIPNotFound
 	}
@@ -455,9 +444,7 @@ func (t *Table) RemoveBackend(vip, dip packet.Addr) error {
 		}
 		cp.backends[i] = service.Backend{}
 		cp.slots = flatten(cp.group, cp.encaps, t.slots)
-		vips := t.cloneVIPs()
-		vips[vip] = cp
-		t.publish(vips, true)
+		t.publish(vips.With(vip, cp), true)
 		return nil
 	}
 	return ErrBackendNotFound
@@ -472,7 +459,8 @@ func (t *Table) SetMode(addr packet.Addr, mode Mode) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	e, ok := t.gen.Load().vips[addr]
+	vips := t.gen.Load().vips
+	e, ok := vips.Get(addr)
 	if !ok {
 		return ErrVIPNotFound
 	}
@@ -481,9 +469,7 @@ func (t *Table) SetMode(addr packet.Addr, mode Mode) error {
 	}
 	cp := *e
 	cp.mode = mode
-	vips := t.cloneVIPs()
-	vips[addr] = &cp
-	t.publish(vips, false)
+	t.publish(vips.With(addr, &cp), false)
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package steer
 
 import (
+	"runtime"
 	"testing"
 
 	"duet/internal/ecmp"
@@ -309,6 +310,27 @@ func TestLookupZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steer lookup: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestAddCostIndependentOfTableSize: a generation shares all but one chunk of
+// the VIP index with its predecessor, so adding the 2,000th VIP allocates about
+// what adding the 20th did (stated in bytes; a whole-table copy is ~25× here).
+func TestAddCostIndependentOfTableSize(t *testing.T) {
+	tab := NewTable(Config{})
+	var cost []uint64
+	for i := 1; i <= 2000; i++ {
+		v := &service.VIP{Addr: packet.AddrFrom4(10, 1, byte(i>>8), byte(i)), Backends: backends("100.0.0.1", "100.0.0.2")}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		mustAdd(t, tab, v)
+		runtime.ReadMemStats(&after)
+		if i == 20 || i == 2000 {
+			cost = append(cost, after.TotalAlloc-before.TotalAlloc)
+		}
+	}
+	if cost[1] >= 2*cost[0] {
+		t.Fatalf("the 2,000th Add allocates %d B, the 20th %d B: want < 2x", cost[1], cost[0])
 	}
 }
 

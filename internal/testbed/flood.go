@@ -138,10 +138,13 @@ func (f *Flood) Packets(n int) [][]byte {
 
 // Observe wires an observability pipeline over the flood cluster: the
 // cluster's registry and flight recorder, its Collect gauge hook, and the
-// paper-grounded default watchdogs. now is the scrape clock (inject a
-// virtual clock for deterministic watchdog tests; nil uses wall time).
+// paper-grounded default watchdogs. now is the scrape clock, and becomes the
+// recorder's too, so the cluster times its hops on the clock the watchdogs
+// judge them by (inject a virtual clock for deterministic watchdog tests; nil
+// leaves both on wall time).
 func (f *Flood) Observe(windows int, now func() float64) *obs.Pipeline {
 	reg, rec := f.Cluster.Telemetry()
+	rec.SetClock(now)
 	p := obs.New(obs.Config{Registry: reg, Recorder: rec, Windows: windows, Now: now})
 	p.AddCollector(f.Cluster.Collect)
 	p.AddRules(obs.DefaultRules(obs.DefaultSLO())...)

@@ -226,7 +226,7 @@ func (n *Node) reconcileSwitch(addrs []packet.Addr) error {
 			firstErr = err
 		}
 	}
-	n.vips.Set(int64(len(n.sw.Mux().VIPs())))
+	n.vips.Set(int64(n.sw.Mux().Stats().VIPs))
 	return firstErr
 }
 
