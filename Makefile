@@ -34,18 +34,23 @@ vet:
 # directives the tree holds outside test files and fails above
 # ALLOW_BUDGET. Lower the number when a suppression goes; never raise it.
 #
-# Two import fences. The first keeps the figure toolkit (internal/metrics:
+# Three fences. The first keeps the figure toolkit (internal/metrics:
 # sample quantiles, sparklines, formatters) out of the daemon: what a node
 # measures is bucketed and read with telemetry.BucketQuantile. The second
 # keeps internal/testbed a driver of core.Cluster: its non-test files import
 # no mux and no ECMP hash, so the §7 figures cannot grow a route lookup →
 # ECMP pick → tier fall-through of their own beside Cluster.Deliver again.
+# The third keeps "same flow, same DIP on every mux" one implementation: the
+# non-test files of the three mux tiers name no ecmp.Group and no constructor
+# of one (they keep ecmp.Hash) — a backend set becomes slots in internal/steer
+# only, and every tier resolves against its Entry.
 ALLOW_BUDGET = 24
 lint: vet
 	$(GO) run ./cmd/duetvet -max-allow $(ALLOW_BUDGET) ./...
 	GOOS=darwin $(GO) vet ./internal/wire/
 	! $(GO) list -deps ./cmd/duetd | grep -q '^duet/internal/metrics$$'
 	! $(GO) list -f '{{join .Imports "\n"}}' ./internal/testbed | grep -Eq '^duet/internal/(hmux|smux|nmux|ecmp)$$'
+	! grep -nE 'ecmp\.(Group|NewGroup)' $$(ls internal/hmux/*.go internal/nmux/*.go internal/smux/*.go | grep -v _test.go)
 
 # Non-blocking in CI: scans for known-vulnerable dependency versions when
 # the govulncheck tool is available; skipped otherwise (offline builds).

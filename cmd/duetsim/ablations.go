@@ -12,6 +12,7 @@ import (
 	"duet/internal/packet"
 	"duet/internal/service"
 	"duet/internal/smux"
+	"duet/internal/steer"
 	"duet/internal/topology"
 )
 
@@ -35,9 +36,10 @@ func tcpFlow(i uint32, vip packet.Addr) packet.FiveTuple {
 	}
 }
 
-// ablationSharedHash takes DESIGN.md #1 away: the backstop SMux builds its
-// ECMP group over a permuted backend order, so a flow that falls from the
-// HMux to the SMux lands on another DIP.
+// ablationSharedHash takes DESIGN.md #1 away. Every tier resolves against the
+// same steer.Entry construction, so the only way left to un-share the hash is
+// to hand the backstop SMux the backends in another order: a flow that falls
+// from the HMux to that SMux lands on another DIP.
 func ablationSharedHash(*simFlags) {
 	vip := packet.MustParseAddr("10.0.0.1")
 	backends := ablationBackends(8)
@@ -49,9 +51,9 @@ func ablationSharedHash(*simFlags) {
 	must(hm.AddVIP(&service.VIP{Addr: vip, Backends: backends}))
 	// No connection table: the rows compare the hash alone, as for a flow
 	// the SMux first sees at failover.
-	shared := smux.New(smux.Config{SelfAddr: 1, DisableConnTracking: true})
+	shared := smux.New(smux.Config{SelfAddr: 1, DefaultMode: steer.ModeStateless})
 	must(shared.AddVIP(&service.VIP{Addr: vip, Backends: backends}))
-	unshared := smux.New(smux.Config{SelfAddr: 2, DisableConnTracking: true})
+	unshared := smux.New(smux.Config{SelfAddr: 2, DefaultMode: steer.ModeStateless})
 	must(unshared.AddVIP(&service.VIP{Addr: vip, Backends: permuted}))
 	// The NIC tier in front of the first SMux resolves through its table.
 	nic := nmux.New(nmux.Config{SelfAddr: 1, Steer: shared.Steer()})

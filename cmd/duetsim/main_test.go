@@ -69,9 +69,12 @@ func TestEveryFigureRuns(t *testing.T) {
 // by that binary): every probe is now a real packet through Cluster.Deliver
 // and every migration leg the cluster's own mutators, and not one byte of the
 // figures may move for it. A deliberate change to a figure regenerates its
-// file with `go run ./cmd/duetsim -fig N -seed 1`.
+// file with `go run ./cmd/duetsim -fig N -seed 1`. The two ablations that
+// cross every mux tier ride along (goldens written by the binary from before
+// the tiers shared one resolution entry): the shared-hash rows, and the §9
+// replication rows on the cluster's one placement record.
 func TestTestbedFiguresGolden(t *testing.T) {
-	for _, id := range []string{"11", "12", "13", "14"} {
+	for _, id := range []string{"11", "12", "13", "14", "ablation-sharedhash", "ablation-replication"} {
 		t.Run(id, func(t *testing.T) {
 			want, err := os.ReadFile("testdata/fig" + id + ".seed1.golden")
 			if err != nil {

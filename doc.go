@@ -12,13 +12,13 @@
 //	internal/addrmap    the copy-on-write address-keyed table every mux generation is built from
 //	internal/hmux       the switch-embedded hardware mux (§3.1)
 //	internal/smux       the Ananta-style software mux (§2.1)
+//	internal/steer      the 5-tuple→DIP resolution entry every mux tier shares (§3.3.1)
 //	internal/hostagent  decap, DSR, hash-consistent SNAT (§5.2, §6)
 //	internal/bgp        LPM routing with /32-over-aggregate preference
 //	internal/topology   container-based FatTree fabrics
 //	internal/netsim     flow-level simulator (ECMP splitting, link loads)
 //	internal/assign     the greedy MRU VIP placement + Sticky migration (§4)
 //	internal/controller the Duet controller (§6)
-//	internal/switchagent per-switch programming agent of a duetd switch node (Figure 9)
 //	internal/core       the assembled cluster with a byte-accurate datapath
 //	internal/workload   Figure 15-calibrated trace generation
 //	internal/latmodel   Figure 1-calibrated latency/CPU/cost models

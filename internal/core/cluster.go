@@ -107,11 +107,12 @@ func DefaultConfig() Config {
 	}
 }
 
-// hmuxPlace is a VIP's place in hardware: the switch, and whether it serves
-// the VIP — tables programmed and /32 announced — or is between the halves of
-// a migration leg (ProgramHMux, DeprogramHMux) and has only one of the two.
+// hmuxPlace is a VIP's place in hardware: the switches that hold its entries
+// — one, or several when it is replicated (§9) — and whether they serve the
+// VIP — tables programmed and /32 announced — or are between the halves of a
+// migration leg (ProgramHMux, DeprogramHMux) and have only one of the two.
 type hmuxPlace struct {
-	sw      topology.SwitchID
+	sws     []topology.SwitchID
 	serving bool
 }
 
@@ -156,9 +157,8 @@ type Cluster struct {
 
 	// Control-plane records no packet consults, guarded by mu.
 	vips     map[packet.Addr]*service.VIP
-	hmuxAt   map[packet.Addr]hmuxPlace           // VIP → its switch, if assigned
-	nmuxVIPs map[packet.Addr]bool                // VIPs programmed on the NIC tier
-	replicas map[packet.Addr][]topology.SwitchID // §9 replicated VIPs
+	hmuxAt   map[packet.Addr]hmuxPlace // VIP → its switches, if assigned
+	nmuxVIPs map[packet.Addr]bool      // VIPs programmed on the NIC tier
 
 	tableCfg hmux.Config // per-switch table sizing, for reboot re-creation
 
@@ -252,7 +252,6 @@ func New(cfg Config) (*Cluster, error) {
 		vips:     make(map[packet.Addr]*service.VIP),
 		hmuxAt:   make(map[packet.Addr]hmuxPlace),
 		nmuxVIPs: make(map[packet.Addr]bool),
-		replicas: make(map[packet.Addr][]topology.SwitchID),
 		reg:      telemetry.NewRegistry(),
 		rec:      telemetry.NewRecorder(telemetry.DefaultRecorderSize),
 	}
@@ -469,12 +468,7 @@ func (c *Cluster) RemoveVIP(addr packet.Addr) error {
 	if !ok {
 		return ErrVIPUnknown
 	}
-	if p, ok := c.hmuxAt[addr]; ok {
-		_ = c.HMuxes[p.sw].RemoveVIP(addr)
-		c.Routes.Withdraw(packet.HostPrefix(addr), bgp.NodeID(p.sw), c.rec.Now())
-		delete(c.hmuxAt, addr)
-	}
-	_ = c.withdrawReplicasLocked(addr) // ErrVIPUnknown: the VIP has no replicas
+	_ = c.withdrawLocked(addr, true) // ErrVIPUnknown: the VIP is on no switch
 	if c.nmuxVIPs[addr] {
 		for _, nm := range c.NMuxes {
 			_ = nm.RemoveVIP(addr)
@@ -510,13 +504,17 @@ func (c *Cluster) VIPs() []packet.Addr {
 	return out
 }
 
-// HomeOf returns the switch serving a VIP in hardware, or false if the VIP is
-// served by the SMuxes — which it is between the halves of a migration leg.
+// HomeOf returns the switch serving a VIP in hardware — the first of them
+// when the VIP is replicated — or false if the VIP is served by the SMuxes,
+// which it is between the halves of a migration leg.
 func (c *Cluster) HomeOf(addr packet.Addr) (topology.SwitchID, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	p := c.hmuxAt[addr]
-	return p.sw, p.serving
+	p, ok := c.hmuxAt[addr]
+	if !ok {
+		return 0, false
+	}
+	return p.sws[0], p.serving
 }
 
 // AssignToHMux programs a VIP onto a switch and announces its /32 route —
@@ -524,7 +522,7 @@ func (c *Cluster) HomeOf(addr packet.Addr) (topology.SwitchID, bool) {
 // withdraw happens in the controller). It completes a ProgramHMux on the same
 // switch.
 func (c *Cluster) AssignToHMux(addr packet.Addr, sw topology.SwitchID) error {
-	return c.assignToHMux(addr, sw, true)
+	return c.assign(addr, []topology.SwitchID{sw}, true)
 }
 
 // ProgramHMux is AssignToHMux's first half: the switch's tables hold the VIP
@@ -533,50 +531,73 @@ func (c *Cluster) AssignToHMux(addr packet.Addr, sw topology.SwitchID) error {
 // propagation (internal/testbed) puts the BGP delay between this and the
 // AssignToHMux that completes it.
 func (c *Cluster) ProgramHMux(addr packet.Addr, sw topology.SwitchID) error {
-	return c.assignToHMux(addr, sw, false)
+	return c.assign(addr, []topology.SwitchID{sw}, false)
 }
 
-func (c *Cluster) assignToHMux(addr packet.Addr, sw topology.SwitchID, announce bool) error {
+// assign gives a VIP its place in hardware: it programs the VIP on every one
+// of sws (all of them or, rolled back, none) and, when announce is set, has
+// each announce the /32. A VIP already placed on exactly these switches is
+// completed (the second half of a leg) or left alone; any other place must be
+// withdrawn first, as must a NIC-tier assignment.
+func (c *Cluster) assign(addr packet.Addr, sws []topology.SwitchID, announce bool) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	v, ok := c.vips[addr]
 	if !ok {
 		return ErrVIPUnknown
 	}
-	if int(sw) < 0 || int(sw) >= len(c.HMuxes) {
-		return ErrNoSuchSwitch
+	if len(sws) == 0 {
+		return fmt.Errorf("core: no switch given for VIP %s", addr)
 	}
-	if !c.upLocked(sw) {
-		return ErrSwitchDown
+	for i, sw := range sws {
+		if int(sw) < 0 || int(sw) >= len(c.HMuxes) {
+			return ErrNoSuchSwitch
+		}
+		if !c.upLocked(sw) {
+			return ErrSwitchDown
+		}
+		if slices.Contains(sws[:i], sw) {
+			return fmt.Errorf("core: duplicate replica switch %d", sw)
+		}
 	}
-	if p, ok := c.hmuxAt[addr]; ok && p.sw != sw {
-		return fmt.Errorf("core: VIP %s already on switch %d; withdraw first", addr, p.sw)
+	if p, ok := c.hmuxAt[addr]; ok && !slices.Equal(p.sws, sws) {
+		return fmt.Errorf("core: VIP %s already on switch %v; withdraw first", addr, p.sws)
 	} else if p.serving {
 		return nil
-	}
-	if c.replicas[addr] != nil {
-		return fmt.Errorf("core: VIP %s is replicated; withdraw replicas first", addr)
 	}
 	if c.nmuxVIPs[addr] {
 		return fmt.Errorf("core: VIP %s is on the NIC tier; withdraw first", addr)
 	}
-	if !c.HMuxes[sw].HasVIP(addr) {
+	var done []topology.SwitchID
+	for _, sw := range sws {
+		if c.HMuxes[sw].HasVIP(addr) {
+			continue // programmed by the first half of the leg
+		}
 		if err := c.HMuxes[sw].AddVIP(v); err != nil {
+			for _, d := range done {
+				_ = c.HMuxes[d].RemoveVIP(addr)
+			}
 			return err
 		}
+		done = append(done, sw)
 	}
-	c.hmuxAt[addr] = hmuxPlace{sw, announce}
+	c.hmuxAt[addr] = hmuxPlace{slices.Clone(sws), announce}
 	if announce {
-		c.Routes.Announce(packet.HostPrefix(addr), bgp.NodeID(sw), c.rec.Now())
+		at := c.rec.Now()
+		for _, sw := range sws {
+			c.Routes.Announce(packet.HostPrefix(addr), bgp.NodeID(sw), at)
+		}
 	}
 	return nil
 }
 
-// WithdrawFromHMux removes a VIP from its switch; traffic falls back to the
+// WithdrawFromHMux removes a VIP from its switches; traffic falls back to the
 // SMuxes (the stepping-stone state of §4.2). It completes a DeprogramHMux, and
 // cancels a ProgramHMux.
 func (c *Cluster) WithdrawFromHMux(addr packet.Addr) error {
-	return c.withdrawFromHMux(addr, true)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.withdrawLocked(addr, true)
 }
 
 // DeprogramHMux is WithdrawFromHMux's first half: the VIP leaves the switch's
@@ -584,26 +605,34 @@ func (c *Cluster) WithdrawFromHMux(addr packet.Addr) error {
 // routes its /32 there, so until WithdrawFromHMux completes the move a packet
 // misses the FIB and follows the aggregate to an SMux (Delivery.FIBMiss).
 func (c *Cluster) DeprogramHMux(addr packet.Addr) error {
-	return c.withdrawFromHMux(addr, false)
-}
-
-func (c *Cluster) withdrawFromHMux(addr packet.Addr, converge bool) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.withdrawLocked(addr, false)
+}
+
+// withdrawLocked takes a VIP out of the tables of every switch that holds it
+// (a stopped switch keeps its own until it reboots blank) and, when converge
+// is set, withdraws their /32 routes and forgets the place.
+func (c *Cluster) withdrawLocked(addr packet.Addr, converge bool) error {
 	p, ok := c.hmuxAt[addr]
 	if !ok {
 		return ErrVIPUnknown
 	}
-	if c.upLocked(p.sw) && c.HMuxes[p.sw].HasVIP(addr) {
-		if err := c.HMuxes[p.sw].RemoveVIP(addr); err != nil {
-			return err
+	at := c.rec.Now()
+	for _, sw := range p.sws {
+		if c.upLocked(sw) && c.HMuxes[sw].HasVIP(addr) {
+			if err := c.HMuxes[sw].RemoveVIP(addr); err != nil {
+				return err
+			}
+		}
+		if converge {
+			c.Routes.Withdraw(packet.HostPrefix(addr), bgp.NodeID(sw), at)
 		}
 	}
 	if converge {
 		delete(c.hmuxAt, addr)
-		c.Routes.Withdraw(packet.HostPrefix(addr), bgp.NodeID(p.sw), c.rec.Now())
 	} else {
-		c.hmuxAt[addr] = hmuxPlace{sw: p.sw}
+		c.hmuxAt[addr] = hmuxPlace{sws: p.sws}
 	}
 	return nil
 }
@@ -683,7 +712,7 @@ func (c *Cluster) AddBackend(vip packet.Addr, b service.Backend) error {
 		return ErrVIPUnknown
 	}
 	if p, onHMux := c.hmuxAt[vip]; onHMux {
-		return fmt.Errorf("core: VIP %s is on switch %d; withdraw first", vip, p.sw)
+		return fmt.Errorf("core: VIP %s is on switch %v; withdraw first", vip, p.sws)
 	}
 	if err := c.hostBackendLocked(vip, b.Addr); err != nil {
 		return err
@@ -719,8 +748,11 @@ func (c *Cluster) RemoveBackend(vip, dip packet.Addr) error {
 	if !ok {
 		return ErrVIPUnknown
 	}
-	if p, onHMux := c.hmuxAt[vip]; onHMux && c.HMuxes[p.sw].HasVIP(vip) {
-		if err := c.HMuxes[p.sw].RemoveBackend(vip, dip); err != nil {
+	for _, sw := range c.hmuxAt[vip].sws {
+		if !c.HMuxes[sw].HasVIP(vip) {
+			continue // deprogrammed: between the halves of a leg
+		}
+		if err := c.HMuxes[sw].RemoveBackend(vip, dip); err != nil {
 			return err
 		}
 	}
@@ -813,16 +845,22 @@ func (c *Cluster) FailSwitch(sw topology.SwitchID) {
 	defer c.mu.Unlock()
 	c.stopSwitchLocked(sw)
 	c.Routes.WithdrawAll(bgp.NodeID(sw), c.rec.Now())
-	// VIPs homed there are now SMux-served; forget the stale home. TIP homes
-	// are kept: the partition is still programmed, just unreachable until
-	// recovery (Deliver reports ErrSwitchDown, as the real fabric would
-	// blackhole until the controller re-installs the partition).
+	// VIPs homed there alone are now SMux-served, replicated ones served by
+	// the surviving replicas; forget the stale place. TIP homes are kept: the
+	// partition is still programmed, just unreachable until recovery (Deliver
+	// reports ErrSwitchDown, as the real fabric would blackhole until the
+	// controller re-installs the partition).
 	for vip, p := range c.hmuxAt {
-		if p.sw == sw {
+		i := slices.Index(p.sws, sw)
+		if i < 0 {
+			continue
+		}
+		if p.sws = slices.Delete(p.sws, i, i+1); len(p.sws) == 0 {
 			delete(c.hmuxAt, vip)
+		} else {
+			c.hmuxAt[vip] = p
 		}
 	}
-	c.dropReplicaOn(sw)
 }
 
 // RecoverSwitch brings a switch back. A rebooted switch loses its tables

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"duet/internal/packet"
+	"duet/internal/service"
 	"duet/internal/topology"
 )
 
@@ -217,5 +218,92 @@ func TestReplicationAtomicRollback(t *testing.T) {
 	}
 	if c.Replicas(v.Addr) != nil {
 		t.Fatal("rollback left replica bookkeeping")
+	}
+}
+
+// TestBackendChangeOnReplicatedVIP: a replicated VIP's backend set changes on
+// every switch that holds it. The cluster used to record a one-switch home
+// and a replica set separately and AddBackend/RemoveBackend read only the
+// first, so a removed DIP stayed in the replicas' tables (a third of the
+// deliveries failed at the host agent that had just unregistered it) and an
+// added DIP reached the SMuxes only (no flow of the HMux-served VIP saw it).
+func TestBackendChangeOnReplicatedVIP(t *testing.T) {
+	c := testCluster(t)
+	v := mkVIP(0, "100.0.0.1", "100.0.0.2", "100.0.0.3")
+	if err := c.AddVIP(v); err != nil {
+		t.Fatal(err)
+	}
+	reps := []topology.SwitchID{c.Topo.AggID(0, 0), c.Topo.AggID(1, 0)}
+	if err := c.AssignReplicated(v.Addr, reps); err != nil {
+		t.Fatal(err)
+	}
+	const flows = 3000
+	before := make([]packet.Addr, flows)
+	for i := range before {
+		d, err := c.Deliver(clientPkt(v.Addr, uint32(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before[i] = d.DIP
+	}
+
+	gone := packet.MustParseAddr("100.0.0.2")
+	if err := c.RemoveBackend(v.Addr, gone); err != nil {
+		t.Fatal(err)
+	}
+	for _, sw := range reps {
+		if st := c.HMuxes[sw].Stats(); st.ECMPUsed != 2 || st.TunnelUsed != 2 {
+			t.Fatalf("switch %d still holds the removed DIP: %+v", sw, st)
+		}
+	}
+	failed := 0
+	for i := range before {
+		d, err := c.Deliver(clientPkt(v.Addr, uint32(i)))
+		switch {
+		case err != nil:
+			failed++
+		case d.Hops()[0].Kind != "hmux":
+			t.Fatalf("flow %d left the replicas: %+v", i, d.Hops())
+		case d.DIP == gone:
+			t.Fatalf("flow %d delivered to the removed DIP", i)
+		case before[i] != gone && d.DIP != before[i]:
+			t.Fatalf("flow %d remapped %s→%s although its DIP survived", i, before[i], d.DIP)
+		}
+	}
+	if failed > 0 {
+		t.Fatalf("%d of %d deliveries failed after RemoveBackend on a replicated VIP", failed, flows)
+	}
+
+	// Growing the set rehashes, which only the SMuxes' connection state can
+	// mask: refused like on a single-homed VIP, until the replicas go.
+	added := service.Backend{Addr: packet.MustParseAddr("100.0.0.4"), Weight: 1}
+	if err := c.AddBackend(v.Addr, added); err == nil {
+		t.Fatal("AddBackend on a replicated VIP accepted; want \"withdraw first\"")
+	}
+	if cur, _ := c.VIP(v.Addr); len(cur.Backends) != 2 {
+		t.Fatalf("refused AddBackend changed the record: %+v", cur.Backends)
+	}
+	if err := c.WithdrawReplicas(v.Addr); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddBackend(v.Addr, added); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AssignReplicated(v.Addr, reps); err != nil {
+		t.Fatal(err)
+	}
+	reached := 0
+	for i := 0; i < flows; i++ {
+		// Fresh sources: the first 3,000 are pinned in the SMux tables.
+		d, err := c.Deliver(clientPkt(v.Addr, uint32(flows+i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.DIP == added.Addr {
+			reached++
+		}
+	}
+	if reached == 0 {
+		t.Fatalf("the added DIP received 0 of %d flows", flows)
 	}
 }

@@ -8,6 +8,13 @@
 //	ECMP table:             group entries, selected by hash(5-tuple)
 //	tunneling table:        encap destination per entry, deduplicated by IP
 //
+// What a programmed VIP resolves to is not the switch's own structure: the
+// host and TIP tables hold the steer.Entry every tier resolves against
+// (internal/steer builds and edits it), so the HMux picks the DIP the SMux
+// and the NMux pick by construction. This package is what only a switch has:
+// admission against the bounded tables and their release, tunnel reference
+// counts, the TIP decap-and-re-encap stage and the drop taxonomy.
+//
 // Resource limits are enforced exactly as on the paper's switches: 16K host
 // entries, 4K ECMP entries, 512 tunneling entries. VIPs with more than 512
 // DIPs are supported through TIP indirection (§5.2, Figure 7), and port-based
@@ -33,6 +40,7 @@ import (
 	"duet/internal/ecmp"
 	"duet/internal/packet"
 	"duet/internal/service"
+	"duet/internal/steer"
 	"duet/internal/telemetry"
 )
 
@@ -91,22 +99,12 @@ func DefaultConfig(self packet.Addr) Config {
 	}
 }
 
-// vipEntry is the programmed state for one VIP (or one TIP partition).
-// Entries are immutable once the tables struct holding them is published;
-// backend removal clones the entry (see removeBackendEntry).
-type vipEntry struct {
-	group    *ecmp.Group          // members are indices into encaps
-	encaps   []packet.Addr        // per-member encap destination
-	backends []service.Backend    // original configuration
-	ports    map[uint16]*vipEntry // ACL port rules (nil for TIPs)
-}
-
 // tables is one immutable generation of the switch's lookup state. A mutator
 // copies the struct, replaces the one table it edits through the shared
 // copy-on-write map (internal/addrmap) and publishes the copy.
 type tables struct {
-	vips addrmap.Map[*vipEntry] // host table: exact /32 match
-	tips addrmap.Map[*vipEntry] // TIP partitions hosted on this switch
+	vips addrmap.Map[*steer.Entry] // host table: exact /32 match
+	tips addrmap.Map[*steer.Entry] // TIP partitions hosted on this switch
 }
 
 // Mux is one hardware mux. Process and Lookup are safe for any number of
@@ -226,23 +224,38 @@ func (m *Mux) Stats() Stats {
 	}
 }
 
-func (m *Mux) cost(v *service.VIP) (ecmpEntries, newTunnels, groups, acls int) {
-	count := func(bs []service.Backend) {
-		ecmpEntries += len(bs)
-		for _, b := range bs {
-			if m.tunnelRefs[b.Addr] == 0 {
-				newTunnels++
+// charge adds sign times an entry's footprint to the table accounting (+1
+// admits it, -1 releases it): one ECMP group per backend set, one member
+// entry and one tunnel reference per live DIP, and one ACL (dst, port) match
+// rule for every set but the default one (Figure 8). Callers hold m.mu.
+func (m *Mux) charge(e *steer.Entry, sign int) {
+	sets := 0
+	e.Sets(func(dips []packet.Addr) {
+		sets++
+		m.ecmpUsed += sign * len(dips)
+		for _, d := range dips {
+			if m.tunnelRefs[d] += sign; m.tunnelRefs[d] <= 0 {
+				delete(m.tunnelRefs, d)
 			}
 		}
+	})
+	m.groupsUsed += sign * sets
+	m.aclUsed += sign * (sets - 1)
+}
+
+// overfull names the first bounded table the accounting exceeds.
+func (m *Mux) overfull() error {
+	switch {
+	case m.ecmpUsed > m.cfg.ECMPTableSize:
+		return ErrECMPTableFull
+	case m.groupsUsed > m.cfg.ECMPGroupTableSize:
+		return ErrECMPGroupTableFull
+	case m.aclUsed > m.cfg.ACLTableSize:
+		return ErrACLTableFull
+	case len(m.tunnelRefs) > m.cfg.TunnelTableSize:
+		return ErrTunnelTableFull
 	}
-	count(v.Backends)
-	groups = 1
-	for _, pr := range v.Ports {
-		count(pr.Backends)
-		groups++
-		acls++ // one (dst, port) match rule per port set (Figure 8)
-	}
-	return ecmpEntries, newTunnels, groups, acls
+	return nil
 }
 
 // AddVIP programs a VIP and all its port rules into the switch tables.
@@ -268,28 +281,13 @@ func (m *Mux) program(v *service.VIP, tip bool) error {
 	if t.vips.Len()+t.tips.Len()+1 > m.cfg.HostTableSize {
 		return ErrHostTableFull
 	}
-	entries, newTunnels, groups, acls := m.cost(v)
-	if m.ecmpUsed+entries > m.cfg.ECMPTableSize {
-		return ErrECMPTableFull
+	// A switch keeps no per-flow state: every packet is a fresh pick.
+	e := steer.NewEntry(v, steer.ModeStateless)
+	m.charge(e, +1)
+	if err := m.overfull(); err != nil {
+		m.charge(e, -1)
+		return err
 	}
-	if m.groupsUsed+groups > m.cfg.ECMPGroupTableSize {
-		return ErrECMPGroupTableFull
-	}
-	if m.aclUsed+acls > m.cfg.ACLTableSize {
-		return ErrACLTableFull
-	}
-	if len(m.tunnelRefs)+newTunnels > m.cfg.TunnelTableSize {
-		return ErrTunnelTableFull
-	}
-
-	e := m.buildEntry(v.Backends)
-	if len(v.Ports) > 0 {
-		e.ports = make(map[uint16]*vipEntry, len(v.Ports))
-		for _, pr := range v.Ports {
-			e.ports[pr.Port] = m.buildEntry(pr.Backends)
-		}
-	}
-	m.aclUsed += acls
 	if tip {
 		t.tips = t.tips.With(v.Addr, e)
 	} else {
@@ -297,41 +295,6 @@ func (m *Mux) program(v *service.VIP, tip bool) error {
 	}
 	m.tab.Store(&t)
 	return nil
-}
-
-// buildEntry allocates the ECMP group and tunnel references for a backend
-// set. Callers must hold m.mu and have verified capacity.
-func (m *Mux) buildEntry(backends []service.Backend) *vipEntry {
-	e := &vipEntry{
-		group:    ecmp.NewGroup(),
-		encaps:   make([]packet.Addr, len(backends)),
-		backends: append([]service.Backend(nil), backends...),
-	}
-	for i, b := range backends {
-		e.encaps[i] = b.Addr
-		e.group.AddWeighted(uint32(i), b.Weight)
-		m.tunnelRefs[b.Addr]++
-	}
-	m.ecmpUsed += len(backends)
-	m.groupsUsed++
-	return e
-}
-
-func (m *Mux) releaseEntry(e *vipEntry) {
-	for _, b := range e.backends {
-		if b.Addr.IsZero() { // slot already released by RemoveBackend
-			continue
-		}
-		if m.tunnelRefs[b.Addr]--; m.tunnelRefs[b.Addr] <= 0 {
-			delete(m.tunnelRefs, b.Addr)
-		}
-	}
-	m.ecmpUsed -= e.group.Size()
-	m.groupsUsed--
-	m.aclUsed -= len(e.ports)
-	for _, pe := range e.ports {
-		m.releaseEntry(pe)
-	}
 }
 
 // RemoveVIP withdraws a VIP from the switch, releasing its table entries.
@@ -343,7 +306,7 @@ func (m *Mux) RemoveVIP(addr packet.Addr) error {
 	if !ok {
 		return ErrVIPNotFound
 	}
-	m.releaseEntry(e)
+	m.charge(e, -1)
 	t.vips = t.vips.Without(addr)
 	m.tab.Store(&t)
 	return nil
@@ -358,7 +321,7 @@ func (m *Mux) HasVIP(addr packet.Addr) bool {
 // RemoveBackend removes one DIP from a VIP's default backend set using
 // resilient hashing: connections to surviving DIPs keep their mapping
 // (paper §5.1 "DIP failure"). The freed table entries are released. The
-// entry is cloned and republished, so concurrent Process calls see either
+// entry is replaced by an edited copy, so concurrent Process calls see either
 // the old complete group or the new complete group.
 func (m *Mux) RemoveBackend(vip, dip packet.Addr) error {
 	m.mu.Lock()
@@ -368,31 +331,15 @@ func (m *Mux) RemoveBackend(vip, dip packet.Addr) error {
 	if !ok {
 		return ErrVIPNotFound
 	}
-	for i, b := range e.backends {
-		if b.Addr != dip {
-			continue
-		}
-		cp := &vipEntry{
-			group:    e.group.Clone(),
-			encaps:   append([]packet.Addr(nil), e.encaps...),
-			backends: append([]service.Backend(nil), e.backends...),
-			ports:    e.ports, // port entries untouched; share them
-		}
-		if err := cp.group.Remove(uint32(i)); err != nil {
-			return err
-		}
-		// Keep encaps indexed by original member id so surviving members'
-		// indices stay valid; just mark the slot dead and drop refs.
-		cp.backends[i] = service.Backend{}
-		if m.tunnelRefs[dip]--; m.tunnelRefs[dip] <= 0 {
-			delete(m.tunnelRefs, dip)
-		}
-		m.ecmpUsed--
-		t.vips = t.vips.With(vip, cp)
-		m.tab.Store(&t)
-		return nil
+	cp, err := e.WithoutBackend(dip)
+	if err != nil {
+		return fmt.Errorf("hmux: DIP %s not found under VIP %s", dip, vip)
 	}
-	return fmt.Errorf("hmux: DIP %s not found under VIP %s", dip, vip)
+	m.charge(e, -1)
+	m.charge(cp, +1)
+	t.vips = t.vips.With(vip, cp)
+	m.tab.Store(&t)
+	return nil
 }
 
 // AddTIP programs a transient-IP partition on this switch (paper §5.2,
@@ -466,9 +413,9 @@ func (m *Mux) ProcessSampled(data, out []byte, sampled bool) (Result, error) {
 		if err != nil {
 			return Result{}, m.drop(telemetry.DropMalformed, tip, err)
 		}
-		encap, err := selectEncap(e, tuple)
+		encap, err := e.DIP(tuple, ecmp.Hash(tuple))
 		if err != nil {
-			return Result{}, m.drop(telemetry.DropNoBackend, tip, err)
+			return Result{}, m.drop(telemetry.DropNoBackend, tip, ErrNoTunnelEntry)
 		}
 		pkt, err := packet.Encapsulate(out, m.cfg.SelfAddr, encap, inner, 64)
 		if err != nil {
@@ -493,16 +440,11 @@ func (m *Mux) ProcessSampled(data, out []byte, sampled bool) (Result, error) {
 	if sampled {
 		m.tel.rec.Record(telemetry.KindVIPLookup, m.tel.node, uint32(tuple.Dst), 0, 0)
 	}
-	// ACL stage: a port rule overrides the default backend set (Figure 8).
-	entry := e
-	if e.ports != nil {
-		if pe, ok := e.ports[tuple.DstPort]; ok {
-			entry = pe
-		}
-	}
-	encap, err := selectEncap(entry, tuple)
+	// The ACL stage — a port rule overrides the default backend set (Figure
+	// 8) — and the ECMP pick are the entry's.
+	encap, err := e.DIP(tuple, ecmp.Hash(tuple))
 	if err != nil {
-		return Result{}, m.drop(telemetry.DropNoBackend, tuple.Dst, err)
+		return Result{}, m.drop(telemetry.DropNoBackend, tuple.Dst, ErrNoTunnelEntry)
 	}
 	if sampled {
 		m.tel.rec.Record(telemetry.KindECMPPick, m.tel.node, uint32(tuple.Dst), uint32(encap), 0)
@@ -518,19 +460,6 @@ func (m *Mux) ProcessSampled(data, out []byte, sampled bool) (Result, error) {
 	return Result{Encap: encap, Packet: pkt[len(out):]}, nil
 }
 
-// selectEncap picks the encap destination for a tuple via the entry's ECMP
-// group.
-func selectEncap(e *vipEntry, tuple packet.FiveTuple) (packet.Addr, error) {
-	member, err := e.group.SelectTuple(tuple)
-	if err != nil {
-		if errors.Is(err, ecmp.ErrEmptyGroup) {
-			return 0, ErrNoTunnelEntry
-		}
-		return 0, err
-	}
-	return e.encaps[member], nil
-}
-
 // Lookup returns the encap destination Process would choose for a tuple,
 // without building the packet. The controller and tests use it to reason
 // about mappings cheaply.
@@ -539,11 +468,9 @@ func (m *Mux) Lookup(tuple packet.FiveTuple) (packet.Addr, error) {
 	if !ok {
 		return 0, ErrNotOurVIP
 	}
-	entry := e
-	if e.ports != nil {
-		if pe, ok := e.ports[tuple.DstPort]; ok {
-			entry = pe
-		}
+	encap, err := e.DIP(tuple, ecmp.Hash(tuple))
+	if err != nil {
+		return 0, ErrNoTunnelEntry
 	}
-	return selectEncap(entry, tuple)
+	return encap, nil
 }

@@ -87,15 +87,10 @@ type Config struct {
 	Steer *steer.Table
 }
 
-// vipInfo is the per-VIP programming bookkeeping (resolution state lives in
-// the steer table): the backend slots and the wildcard entries they consume.
-type vipInfo struct {
-	backends []service.Backend
-	cost     int
-}
-
-// vipTable is one immutable generation of the programmed wildcard entries.
-type vipTable = addrmap.Map[*vipInfo]
+// vipTable is one immutable generation of the programmed VIPs: each VIP's
+// wildcard cost, the entries it consumes. Its resolution state — backends
+// included — lives in the steer table.
+type vipTable = addrmap.Map[int]
 
 // flowShard is one lock-striped slice of the exact-match flow region.
 type flowShard struct {
@@ -289,7 +284,7 @@ func (m *Mux) AddVIP(v *service.VIP) error {
 		}
 	}
 	m.wildcardUsed += cost
-	m.publish(vips.With(v.Addr, &vipInfo{append([]service.Backend(nil), v.Backends...), cost}))
+	m.publish(vips.With(v.Addr, cost))
 	return nil
 }
 
@@ -308,7 +303,7 @@ func (m *Mux) UpdateVIP(v *service.VIP) error {
 		return ErrVIPNotFound
 	}
 	cost := Cost(v)
-	if m.wildcardUsed-old.cost+cost > m.cfg.TableSize {
+	if m.wildcardUsed-old+cost > m.cfg.TableSize {
 		return ErrTableFull
 	}
 	if m.ownSteer {
@@ -316,8 +311,8 @@ func (m *Mux) UpdateVIP(v *service.VIP) error {
 			return err
 		}
 	}
-	m.wildcardUsed += cost - old.cost
-	m.publish(vips.With(v.Addr, &vipInfo{append([]service.Backend(nil), v.Backends...), cost}))
+	m.wildcardUsed += cost - old
+	m.publish(vips.With(v.Addr, cost))
 	return nil
 }
 
@@ -328,7 +323,7 @@ func (m *Mux) RemoveVIP(addr packet.Addr) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	vips := *m.tab.Load()
-	info, ok := vips.Get(addr)
+	cost, ok := vips.Get(addr)
 	if !ok {
 		return ErrVIPNotFound
 	}
@@ -337,7 +332,7 @@ func (m *Mux) RemoveVIP(addr packet.Addr) error {
 			return err
 		}
 	}
-	m.wildcardUsed -= info.cost
+	m.wildcardUsed -= cost
 	m.publish(vips.Without(addr))
 	m.dropFlows(func(t packet.FiveTuple, _ packet.Addr) bool { return t.Dst == addr })
 	return nil
@@ -345,33 +340,27 @@ func (m *Mux) RemoveVIP(addr packet.Addr) error {
 
 // RemoveBackend removes a DIP resiliently (same semantics as the HMux: the
 // action slot stays allocated but dead, so the wildcard cost is unchanged)
-// and terminates flows pinned to it.
+// and terminates flows pinned to it. The steer entry knows whether the DIP
+// is live; a standalone mux removes it there, a paired one leaves that to the
+// SMux that owns the table.
 func (m *Mux) RemoveBackend(vip, dip packet.Addr) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	vips := *m.tab.Load()
-	info, ok := vips.Get(vip)
-	if !ok {
+	if _, ok := m.tab.Load().Get(vip); !ok {
 		return ErrVIPNotFound
 	}
-	for i, b := range info.backends {
-		if b.Addr != dip {
-			continue
-		}
-		if m.ownSteer {
-			if err := m.steer.RemoveBackend(vip, dip); err != nil {
-				return err
-			}
-		}
-		cp := &vipInfo{append([]service.Backend(nil), info.backends...), info.cost}
-		cp.backends[i] = service.Backend{}
-		m.publish(vips.With(vip, cp))
-		m.dropFlows(func(t packet.FiveTuple, d packet.Addr) bool {
-			return t.Dst == vip && d == dip
-		})
-		return nil
+	if e, ok := m.steer.View().Find(vip); !ok || !e.Live(dip) {
+		return ErrVIPNotFound
 	}
-	return ErrVIPNotFound
+	if m.ownSteer {
+		if err := m.steer.RemoveBackend(vip, dip); err != nil {
+			return err
+		}
+	}
+	m.dropFlows(func(t packet.FiveTuple, d packet.Addr) bool {
+		return t.Dst == vip && d == dip
+	})
+	return nil
 }
 
 // dropFlows removes pinned flows matching the predicate from every shard and

@@ -98,11 +98,6 @@ type Config struct {
 	// DefaultMode is the steering mode for VIPs added without one.
 	DefaultMode steer.Mode
 
-	// DisableConnTracking forces stateless resolution for every packet
-	// regardless of per-VIP mode; no conn-table or overlay writes. Used by
-	// ablation experiments.
-	DisableConnTracking bool
-
 	// Clock supplies the seconds timeline for idle eviction and epoch
 	// drains. Nil means a monotonic wall clock; tests inject virtual time.
 	Clock func() float64
@@ -245,11 +240,7 @@ func New(cfg Config) *Mux {
 		m.clock = clock.Wall()
 	}
 	m.nowBits.Store(math.Float64bits(m.clock()))
-	mode := cfg.DefaultMode
-	if cfg.DisableConnTracking {
-		mode = steer.ModeStateless
-	}
-	m.steer = steer.NewTable(steer.Config{DefaultMode: mode, Clock: m.clock})
+	m.steer = steer.NewTable(steer.Config{DefaultMode: cfg.DefaultMode, Clock: m.clock})
 	for i := range m.shards {
 		m.shards[i].conns = make(map[packet.FiveTuple]connEntry)
 		m.overlays[i].pins = make(map[packet.FiveTuple]overlayPin)
@@ -492,9 +483,6 @@ func (m *Mux) ProcessSampled(data, out []byte, sampled bool) (Result, error) {
 	// gets from computing hash(5-tuple) once per stage.
 	h := ecmp.Hash(tuple)
 	mode := e.Mode()
-	if m.cfg.DisableConnTracking {
-		mode = steer.ModeStateless
-	}
 	now := m.coarseNow()
 	var dip packet.Addr
 	pinned := false
@@ -703,9 +691,6 @@ func (m *Mux) Lookup(tuple packet.FiveTuple) (packet.Addr, error) {
 	}
 	h := ecmp.Hash(tuple)
 	mode := e.Mode()
-	if m.cfg.DisableConnTracking {
-		mode = steer.ModeStateless
-	}
 	switch mode {
 	case steer.ModeStateful:
 		s := &m.shards[shardFor(h)]

@@ -7,6 +7,7 @@ import (
 	"duet/internal/hmux"
 	"duet/internal/packet"
 	"duet/internal/service"
+	"duet/internal/steer"
 	"duet/internal/telemetry"
 )
 
@@ -217,7 +218,7 @@ func TestRemoveBackendErrors(t *testing.T) {
 // connections.
 func TestSharedHashWithHMux(t *testing.T) {
 	bs := backends("100.0.0.1", "100.0.0.2", "100.0.0.3", "100.0.0.4", "100.0.0.5")
-	sm := New(Config{SelfAddr: selfAddr, DisableConnTracking: true})
+	sm := New(Config{SelfAddr: selfAddr, DefaultMode: steer.ModeStateless})
 	hm := hmux.New(hmux.DefaultConfig(packet.MustParseAddr("172.16.0.1")))
 	if err := sm.AddVIP(&service.VIP{Addr: vipAddr, Backends: bs}); err != nil {
 		t.Fatal(err)
@@ -283,7 +284,7 @@ func TestConnTableBounded(t *testing.T) {
 }
 
 func TestDisableConnTracking(t *testing.T) {
-	m := New(Config{SelfAddr: selfAddr, DisableConnTracking: true})
+	m := New(Config{SelfAddr: selfAddr, DefaultMode: steer.ModeStateless})
 	if err := m.AddVIP(&service.VIP{Addr: vipAddr, Backends: backends("100.0.0.1", "100.0.0.2")}); err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +294,7 @@ func TestDisableConnTracking(t *testing.T) {
 		}
 	}
 	if m.ConnStats().Entries != 0 {
-		t.Fatal("connection state recorded despite DisableConnTracking")
+		t.Fatal("connection state recorded in stateless mode")
 	}
 }
 

@@ -1,15 +1,17 @@
-// Package steer is the shared stateless 5-tuple→DIP lookup layer extracted
-// from the per-tier muxes: an epoch-versioned, Maglev/Concury-style
-// consistent lookup table published behind an atomic pointer, keyed by the
-// same ECMP flow hash every tier computes (paper §3.3.1 — shared hashing is
-// what keeps tier fall-through invisible to connections).
+// Package steer is the stateless 5-tuple→DIP resolution every mux tier
+// shares (paper §3.3.1 — shared hashing is what keeps tier fall-through
+// invisible to connections). It has two layers. Entry is one VIP's
+// resolution record, keyed by the ECMP flow hash every tier computes: the
+// HMux holds Entries in its host and TIP tables, the SMux and the NMux read
+// them out of a Table. Table is an epoch-versioned, Maglev/Concury-style
+// consistent lookup table of Entries published behind an atomic pointer.
 //
-// Each VIP's resolution is a flat slot array (hash % slots → DIP address)
-// materialized from the same resilient-hashing ecmp.Group the HMux programs,
-// so for a given VIP, backend list and mutation history, the steer table,
-// the SMux, the NMux and the HMux all pick the SAME DIP for the same
-// 5-tuple. Lookups are one atomic load, one map probe and one slice index —
-// zero allocations, no locks.
+// An Entry is a flat slot array (hash % slots → DIP address) materialized
+// from one resilient-hashing ecmp.Group, and this package is the only place
+// a backend set becomes slots — so for a given VIP, backend list and
+// mutation history, the steer table, the SMux, the NMux and the HMux pick
+// the SAME DIP for the same 5-tuple by construction. Lookups are one atomic
+// load, one map probe and one slice index — zero allocations, no locks.
 //
 // Updates follow Concury's concise-structure discipline: a mutation rebuilds
 // only the touched VIP's entry and publishes a new generation — the shared
@@ -31,6 +33,7 @@ package steer
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -91,9 +94,13 @@ func ParseMode(s string) (Mode, error) {
 func Modes() []Mode { return []Mode{ModeStateful, ModeStateless, ModeHybrid} }
 
 // DefaultDrainWindow is how long (in clock seconds) the previous generation
-// stays consultable after a slot-changing mutation. Long enough for every
-// in-flight flow to show a packet (and get pinned by a hybrid SMux), short
-// enough that back-to-back epochs don't chain generations.
+// stays consultable after a slot-changing mutation: long enough for every
+// in-flight flow to show a packet (and get pinned by a hybrid SMux). It is
+// not short against the control plane's pace: each slot-changing mutation
+// re-arms the window (the chain stays one generation deep, so a flow is
+// compared with the immediately preceding table only), and under churn a
+// drain is always open — bench/'s steer.drain_active_frac reads 1.0 on every
+// workload (ROADMAP's PCC item).
 const DefaultDrainWindow = 30.0
 
 // Errors returned by table operations.
@@ -106,9 +113,6 @@ var (
 
 // Config parameterizes a Table.
 type Config struct {
-	// Slots is the per-VIP slot-array size; 0 means ecmp.DefaultSlots. It
-	// must match the paired HMux's group size for cross-tier agreement.
-	Slots int
 	// DrainWindow is the previous-generation lifetime in clock seconds;
 	// 0 means DefaultDrainWindow, negative disables draining entirely.
 	DrainWindow float64
@@ -120,17 +124,18 @@ type Config struct {
 	DefaultMode Mode
 }
 
-// Entry is one VIP's immutable resolution state inside a generation: the
-// flattened slot array plus the group it was materialized from (kept only
-// for copy-on-write mutation; lookups never touch it).
+// Entry is one VIP's immutable resolution record — what an HMux's host table,
+// an SMux and an NMux all resolve a packet against: the flattened slot array
+// plus the group it was materialized from (kept only for copy-on-write
+// mutation; lookups never touch it).
 type Entry struct {
-	slots    []packet.Addr
-	group    *ecmp.Group
-	encaps   []packet.Addr
-	backends []service.Backend
-	live     map[packet.Addr]struct{} // current (non-removed) backend set
-	ports    map[uint16]*Entry
-	mode     Mode
+	// What a packet reads, together at the head of the record.
+	slots []packet.Addr
+	ports map[uint16]*Entry
+	mode  Mode
+
+	group    *ecmp.Group       // members are indices into backends
+	backends []service.Backend // a removed member's slot is zeroed, not compacted
 }
 
 // Mode returns the VIP's steering mode.
@@ -143,12 +148,7 @@ func (e *Entry) Mode() Mode { return e.mode }
 //
 //duet:hotpath
 func (e *Entry) DIP(tuple packet.FiveTuple, h uint64) (packet.Addr, error) {
-	sel := e
-	if e.ports != nil {
-		if pe, ok := e.ports[tuple.DstPort]; ok {
-			sel = pe
-		}
-	}
+	sel := e.sub(tuple.DstPort)
 	if len(sel.slots) == 0 {
 		return 0, ErrNoBackend
 	}
@@ -162,14 +162,52 @@ func (e *Entry) DIP(tuple packet.FiveTuple, h uint64) (packet.Addr, error) {
 //
 //duet:hotpath
 func (e *Entry) HasLive(tuple packet.FiveTuple, d packet.Addr) bool {
-	sel := e
+	return e.sub(tuple.DstPort).Live(d)
+}
+
+// sub returns the sub-entry serving a destination port: the port rule's when
+// one matches (Figure 8's ACL stage), otherwise the entry itself.
+//
+//duet:hotpath
+func (e *Entry) sub(port uint16) *Entry {
 	if e.ports != nil {
-		if pe, ok := e.ports[tuple.DstPort]; ok {
-			sel = pe
+		if pe, ok := e.ports[port]; ok {
+			return pe
 		}
 	}
-	_, ok := sel.live[d]
-	return ok
+	return e
+}
+
+// Live reports whether d is a live backend of the entry's default set: a scan
+// of the backend list, which costs a packet nothing it can notice — the one
+// hot caller asks only for flows whose DIP just changed, one flow in
+// len(backends) on a removal.
+//
+//duet:hotpath
+func (e *Entry) Live(d packet.Addr) bool {
+	for _, b := range e.backends {
+		if b.Addr == d {
+			return d != 0 // a removed member's slot holds the zero address
+		}
+	}
+	return false
+}
+
+// Sets calls f once per backend set the entry resolves over — the default
+// set, then each port rule's — with the set's live DIPs in member order (a
+// DIP listed twice appears twice). It is what a capacity-bounded tier charges
+// its tables for.
+func (e *Entry) Sets(f func(dips []packet.Addr)) {
+	dips := make([]packet.Addr, 0, len(e.backends))
+	for _, b := range e.backends {
+		if !b.Addr.IsZero() { // slot released by WithoutBackend
+			dips = append(dips, b.Addr)
+		}
+	}
+	f(dips)
+	for _, pe := range e.ports {
+		pe.Sets(f)
+	}
 }
 
 // generation is one immutable table snapshot.
@@ -189,7 +227,6 @@ type Table struct {
 	mu  sync.Mutex // serializes writers
 	gen atomic.Pointer[generation]
 
-	slots       int
 	drain       float64
 	clock       func() float64
 	defaultMode Mode
@@ -197,9 +234,6 @@ type Table struct {
 
 // NewTable creates an empty table.
 func NewTable(cfg Config) *Table {
-	if cfg.Slots <= 0 {
-		cfg.Slots = ecmp.DefaultSlots
-	}
 	if cfg.DrainWindow == 0 {
 		cfg.DrainWindow = DefaultDrainWindow
 	}
@@ -207,7 +241,6 @@ func NewTable(cfg Config) *Table {
 		cfg.Clock = func() float64 { return 0 }
 	}
 	t := &Table{
-		slots:       cfg.Slots,
 		drain:       cfg.DrainWindow,
 		clock:       cfg.Clock,
 		defaultMode: cfg.DefaultMode,
@@ -291,51 +324,76 @@ func (t *Table) Lookup(tuple packet.FiveTuple) (packet.Addr, error) {
 	return e.DIP(tuple, ecmp.Hash(tuple))
 }
 
-// buildEntry materializes one backend set: the same ecmp.Group construction
-// the muxes used inline, flattened into a slot array for lookup.
-func buildEntry(backends []service.Backend, slots int, mode Mode) *Entry {
+// NewEntry materializes a VIP's resolution record: the default backend set
+// and one sub-entry per port rule (Figure 8: a port rule overrides the
+// default set). The construction is deterministic in the backend lists, so
+// two tiers handed the same VIP hold identical slots.
+func NewEntry(v *service.VIP, mode Mode) *Entry {
+	e := buildEntry(v.Backends, mode)
+	if len(v.Ports) > 0 {
+		e.ports = make(map[uint16]*Entry, len(v.Ports))
+		for _, pr := range v.Ports {
+			e.ports[pr.Port] = buildEntry(pr.Backends, mode)
+		}
+	}
+	return e
+}
+
+// buildEntry materializes one backend set: a resilient-hashing ecmp.Group
+// over the backends' indices, flattened into a slot array for lookup.
+func buildEntry(backends []service.Backend, mode Mode) *Entry {
 	e := &Entry{
-		group:    ecmp.NewGroupSlots(slots),
-		encaps:   make([]packet.Addr, len(backends)),
+		group:    ecmp.NewGroup(),
 		backends: append([]service.Backend(nil), backends...),
-		live:     make(map[packet.Addr]struct{}, len(backends)),
 		mode:     mode,
 	}
 	for i, b := range backends {
-		e.encaps[i] = b.Addr
 		e.group.AddWeighted(uint32(i), b.Weight)
-		e.live[b.Addr] = struct{}{}
 	}
-	e.slots = flatten(e.group, e.encaps, slots)
+	e.slots = flatten(e.group, e.backends)
 	return e
 }
 
 // flatten materializes group selection into a slot→DIP array. An empty
 // group flattens to nil (ErrNoBackend on lookup).
-func flatten(g *ecmp.Group, encaps []packet.Addr, slots int) []packet.Addr {
+func flatten(g *ecmp.Group, backends []service.Backend) []packet.Addr {
 	if g.Size() == 0 {
 		return nil
 	}
-	out := make([]packet.Addr, slots)
-	for s := 0; s < slots; s++ {
+	out := make([]packet.Addr, ecmp.DefaultSlots)
+	for s := range out {
 		member, err := g.Select(uint64(s))
 		if err != nil {
 			return nil
 		}
-		out[s] = encaps[member]
+		out[s] = backends[member].Addr
 	}
 	return out
 }
 
-func (t *Table) buildVIPEntry(v *service.VIP, mode Mode) *Entry {
-	e := buildEntry(v.Backends, t.slots, mode)
-	if len(v.Ports) > 0 {
-		e.ports = make(map[uint16]*Entry, len(v.Ports))
-		for _, pr := range v.Ports {
-			e.ports[pr.Port] = buildEntry(pr.Backends, t.slots, mode)
-		}
+// WithoutBackend returns a copy of the entry with one DIP of the default set
+// removed resiliently: the group clone remaps only the removed member's slots
+// (ecmp round-robin), so flows on surviving DIPs keep their mapping (paper
+// §5.1 "DIP failure"). The member's slot in the backend list stays, dead, so
+// the survivors' member ids hold; port sub-entries are shared with the
+// original. ErrBackendNotFound if the DIP is not a live member.
+func (e *Entry) WithoutBackend(dip packet.Addr) (*Entry, error) {
+	i := slices.IndexFunc(e.backends, func(b service.Backend) bool { return b.Addr == dip })
+	if i < 0 || dip.IsZero() { // the zero address marks a slot already removed
+		return nil, ErrBackendNotFound
 	}
-	return e
+	cp := &Entry{
+		group:    e.group.Clone(),
+		backends: slices.Clone(e.backends),
+		ports:    e.ports,
+		mode:     e.mode,
+	}
+	if err := cp.group.Remove(uint32(i)); err != nil {
+		return nil, err
+	}
+	cp.backends[i] = service.Backend{}
+	cp.slots = flatten(cp.group, cp.backends)
+	return cp, nil
 }
 
 // publish installs a new generation. withDrain attaches the outgoing
@@ -366,7 +424,7 @@ func (t *Table) Add(v *service.VIP) error {
 	if _, ok := vips.Get(v.Addr); ok {
 		return ErrVIPExists
 	}
-	t.publish(vips.With(v.Addr, t.buildVIPEntry(v, t.defaultMode)), true)
+	t.publish(vips.With(v.Addr, NewEntry(v, t.defaultMode)), true)
 	return nil
 }
 
@@ -384,7 +442,7 @@ func (t *Table) Update(v *service.VIP) error {
 	if !ok {
 		return ErrVIPNotFound
 	}
-	t.publish(vips.With(v.Addr, t.buildVIPEntry(v, old.mode)), true)
+	t.publish(vips.With(v.Addr, NewEntry(v, old.mode)), true)
 	return nil
 }
 
@@ -410,10 +468,9 @@ func (t *Table) RemoveVIP(addr packet.Addr) error {
 	return nil
 }
 
-// RemoveBackend removes a DIP resiliently: the group clone remaps only the
-// removed member's slots (ecmp round-robin, same as the HMux), so surviving
-// flows keep their mapping. ErrBackendNotFound if the DIP is not in the
-// VIP's default backend set.
+// RemoveBackend removes a DIP resiliently (Entry.WithoutBackend), so
+// surviving flows keep their mapping. ErrBackendNotFound if the DIP is not in
+// the VIP's default backend set.
 func (t *Table) RemoveBackend(vip, dip packet.Addr) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -422,32 +479,12 @@ func (t *Table) RemoveBackend(vip, dip packet.Addr) error {
 	if !ok {
 		return ErrVIPNotFound
 	}
-	for i, b := range e.backends {
-		if b.Addr != dip {
-			continue
-		}
-		cp := &Entry{
-			group:    e.group.Clone(),
-			encaps:   append([]packet.Addr(nil), e.encaps...),
-			backends: append([]service.Backend(nil), e.backends...),
-			live:     make(map[packet.Addr]struct{}, len(e.live)),
-			ports:    e.ports,
-			mode:     e.mode,
-		}
-		for a := range e.live {
-			if a != dip {
-				cp.live[a] = struct{}{}
-			}
-		}
-		if err := cp.group.Remove(uint32(i)); err != nil {
-			return err
-		}
-		cp.backends[i] = service.Backend{}
-		cp.slots = flatten(cp.group, cp.encaps, t.slots)
-		t.publish(vips.With(vip, cp), true)
-		return nil
+	cp, err := e.WithoutBackend(dip)
+	if err != nil {
+		return err
 	}
-	return ErrBackendNotFound
+	t.publish(vips.With(vip, cp), true)
+	return nil
 }
 
 // SetMode changes a VIP's steering mode. The epoch bumps (mode is table

@@ -15,7 +15,8 @@ import (
 	"duet/internal/delta"
 	"duet/internal/nmux"
 	"duet/internal/packet"
-	"duet/internal/switchagent"
+	"duet/internal/service"
+	"duet/internal/telemetry"
 )
 
 // handleLeaderHeartbeat is the dataplane side of the lease protocol: track
@@ -185,25 +186,27 @@ func (n *Node) reconcileSMux(addrs []packet.Addr) error {
 	return firstErr
 }
 
-// reconcileSwitch converges the switch agent's tables on the mirror.
-// SMuxOnly VIPs never reach the hardware tables (the HMux-miss fallback
-// serves them through the software tier). A changed VIP bounces through
-// remove+add — the wire world's equivalent of the withdraw/announce
-// migration step. Caller holds cfgMu.
+// reconcileSwitch converges the switch's tables on the mirror — the switch
+// agent of Figure 9. SMuxOnly VIPs never reach the hardware tables (the
+// HMux-miss fallback serves them through the software tier). A changed VIP
+// bounces through remove+add — the wire world's equivalent of the
+// withdraw/announce migration step. Caller holds cfgMu, which is what
+// serializes the switch's programming.
 func (n *Node) reconcileSwitch(addrs []packet.Addr) error {
-	n.swMu.Lock()
-	defer n.swMu.Unlock()
 	var firstErr error
+	note := func(err error) {
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
 	for _, a := range addrs {
 		vs, ok := n.cfg.VIPs[a]
 		hardware := ok && vs.Flags&delta.FlagSMuxOnly == 0
-		has := n.sw.Mux().HasVIP(a)
+		has := n.hm.HasVIP(a)
 		if !hardware {
 			n.versionChanged(a, nil)
 			if has {
-				if err := n.sw.Submit(switchagent.Op{Kind: switchagent.OpRemoveVIP, Addr: a}); err != nil && firstErr == nil {
-					firstErr = err
-				}
+				note(n.programSwitch(a, nil))
 			}
 			continue
 		}
@@ -212,22 +215,40 @@ func (n *Node) reconcileSwitch(addrs []packet.Addr) error {
 		}
 		v, err := serviceVIPOf(vs)
 		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
+			note(err)
 			continue
 		}
 		if has {
-			if err := n.sw.Submit(switchagent.Op{Kind: switchagent.OpRemoveVIP, Addr: a}); err != nil && firstErr == nil {
-				firstErr = err
-			}
+			note(n.programSwitch(a, nil))
 		}
-		if err := n.sw.Submit(switchagent.Op{Kind: switchagent.OpAddVIP, VIP: v}); err != nil && firstErr == nil {
-			firstErr = err
-		}
+		note(n.programSwitch(a, v))
 	}
-	n.vips.Set(int64(n.sw.Mux().Stats().VIPs))
+	n.vips.Set(int64(n.hm.Stats().VIPs))
 	return firstErr
+}
+
+// programSwitch applies one operation to the switch: v's entries are added
+// (nil removes addr's) and then — the tables first — the /32 announcement or
+// withdrawal is queued for the controllers. A failed operation changes
+// neither and is counted; the node keeps nothing per applied operation (a
+// blank switch node is refilled by delta replication).
+func (n *Node) programSwitch(addr packet.Addr, v *service.VIP) error {
+	op, route := uint32(0), MsgAnnounceVIP // the trace's B: 0 add-vip, 1 remove-vip
+	var err error
+	if v != nil {
+		err = n.hm.AddVIP(v)
+	} else {
+		op, route = 1, MsgWithdrawVIP
+		err = n.hm.RemoveVIP(addr)
+	}
+	if err != nil {
+		n.swOpErrs.Inc()
+		return err
+	}
+	n.queueRoute(route, packet.HostPrefix(addr))
+	n.swOps.Inc()
+	n.Rec.Record(telemetry.KindTableProgram, n.self32, uint32(addr), op, 0)
+	return nil
 }
 
 // reconcileHost converges the host agent's local DIP registrations on the

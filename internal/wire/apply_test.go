@@ -125,7 +125,7 @@ func TestDataplaneRolesRejectOtherMessages(t *testing.T) {
 	}{
 		{"smux-1", func(n *Node) int { return n.smux.NumVIPs() }},
 		{"host-1", func(n *Node) int { return len(n.agent.LocalDIPs(packet.MustParseAddr("10.0.0.1"))) }},
-		{"sw-1", func(n *Node) int { return n.sw.Mux().Stats().VIPs }},
+		{"sw-1", func(n *Node) int { return n.hm.Stats().VIPs }},
 	}
 	gauges := []string{"wire.vips", "wire.dips", "wire.delta.epoch"}
 	for _, role := range roles {

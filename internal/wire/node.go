@@ -18,7 +18,6 @@ import (
 	"duet/internal/obs"
 	"duet/internal/packet"
 	"duet/internal/smux"
-	"duet/internal/switchagent"
 	"duet/internal/telemetry"
 )
 
@@ -61,8 +60,7 @@ type Node struct {
 	smux  *smux.Mux
 	nmux  *nmux.Mux // NIC table fronting the smux, nil unless NMuxTable > 0
 	agent *hostagent.Agent
-	swMu  sync.Mutex // switchagent.Agent is single-writer by design
-	sw    *switchagent.Agent
+	hm    *hmux.Mux // switch role: programmed by reconcileSwitch, under cfgMu
 
 	vips      *telemetry.Gauge
 	dips      *telemetry.Gauge
@@ -93,7 +91,9 @@ type Node struct {
 	deltaRejected telemetry.CounterShard
 	deltaEpochG   *telemetry.Gauge
 
-	announceQ chan Envelope // switchagent → controller routing side effects
+	announceQ chan Envelope // switch role → controller routing side effects
+	swOps     telemetry.CounterShard
+	swOpErrs  telemetry.CounterShard
 
 	ctlMu    sync.Mutex
 	routeSet map[string]bool
@@ -475,14 +475,9 @@ func (n *Node) startHealthLoop() {
 
 // --- switchagent role --------------------------------------------------
 
-// wireAnnouncer forwards the switch agent's routing side effects to the
-// controller over the control channel, asynchronously (Submit must not
-// block on the network).
-type wireAnnouncer struct{ n *Node }
-
-func (a wireAnnouncer) Announce(p packet.Prefix) { a.n.queueRoute(MsgAnnounceVIP, p) }
-func (a wireAnnouncer) Withdraw(p packet.Prefix) { a.n.queueRoute(MsgWithdrawVIP, p) }
-
+// queueRoute forwards a routing side effect of switch programming to the
+// controllers over the control channel, asynchronously (reconciling a delta
+// must not block on the network).
 func (n *Node) queueRoute(t MsgType, p packet.Prefix) {
 	select {
 	case n.announceQ <- Envelope{Type: t, Addr: fmt.Sprintf("%s/%d", p.Addr, p.Bits)}:
@@ -498,9 +493,10 @@ func (n *Node) startSwitchAgent() error {
 	n.self32 = uint32(self)
 	hm := hmux.New(hmux.DefaultConfig(self))
 	hm.SetTelemetry(n.Reg, n.Rec, uint32(self))
+	n.hm = hm
 	n.announceQ = make(chan Envelope, 256)
-	n.sw = switchagent.New(hm, wireAnnouncer{n})
-	n.sw.SetTelemetry(n.Reg, n.Rec, uint32(self))
+	n.swOps = n.Reg.Counter("switchagent.ops").Shard()
+	n.swOpErrs = n.Reg.Counter("switchagent.op_errors").Shard()
 	n.vips = n.Reg.Gauge("wire.vips")
 	// The software-tier ECMP group for VIPs the hardware tables do not
 	// hold: a destination the HMux has never been programmed with (SMuxOnly

@@ -1,0 +1,190 @@
+package wire
+
+// The switch role's programming step — Figure 9's switch agent, which lives
+// in reconcileSwitch/programSwitch — driven on a bare Node: no sockets, the
+// mirror edited by hand, the announce queue read directly.
+
+import (
+	"runtime"
+	"testing"
+
+	"duet/internal/delta"
+	"duet/internal/hmux"
+	"duet/internal/packet"
+	"duet/internal/service"
+	"duet/internal/telemetry"
+)
+
+var switchVIP = packet.MustParseAddr("10.0.0.1")
+
+// switchNode is the switch-role state reconcileSwitch touches, with nothing
+// listening: node ID 7, tables sized by cfg.
+func switchNode(cfg hmux.Config) *Node {
+	reg := telemetry.NewRegistry()
+	return &Node{
+		Reg: reg, Rec: telemetry.NewRecorder(16), self32: 7,
+		hm:        hmux.New(cfg),
+		announceQ: make(chan Envelope, 256),
+		swOps:     reg.Counter("switchagent.ops").Shard(),
+		swOpErrs:  reg.Counter("switchagent.op_errors").Shard(),
+		vips:      reg.Gauge("wire.vips"),
+		vipVers:   make(map[packet.Addr]uint64),
+		cfg:       delta.NewState(),
+	}
+}
+
+// mirrorVIPs replaces the node's mirror with the given population and
+// reconciles every address that was or is in it, as a snapshot push does.
+func mirrorVIPs(t *testing.T, n *Node, vips ...VIPSpec) error {
+	t.Helper()
+	old := n.cfg.Addrs()
+	n.cfg = configAt(t, n.cfg.Epoch+1, vips...)
+	return n.reconcileSwitch(unionAddrs(old, n.cfg.Addrs()))
+}
+
+// routes drains the announce queue.
+func routes(n *Node) []Envelope {
+	var out []Envelope
+	for {
+		select {
+		case env := <-n.announceQ:
+			out = append(out, env)
+		default:
+			return out
+		}
+	}
+}
+
+func oneBackend(weight uint32) VIPSpec {
+	return VIPSpec{Addr: "10.0.0.1", Backends: []BackendSpec{{Addr: "100.0.0.1", Weight: weight}}}
+}
+
+func TestAddVIPProgramsAndAnnounces(t *testing.T) {
+	n := switchNode(hmux.DefaultConfig(packet.MustParseAddr("172.16.0.1")))
+	if err := mirrorVIPs(t, n, oneBackend(1)); err != nil {
+		t.Fatal(err)
+	}
+	if !n.hm.HasVIP(switchVIP) {
+		t.Fatal("tables not programmed")
+	}
+	got := routes(n)
+	if len(got) != 1 || got[0].Type != MsgAnnounceVIP || got[0].Addr != "10.0.0.1/32" {
+		t.Fatalf("announcements: %+v", got)
+	}
+	if ops := n.Reg.Counter("switchagent.ops").Value(); ops != 1 {
+		t.Fatalf("switchagent.ops = %d, want 1", ops)
+	}
+	if g := n.Reg.Gauge("wire.vips").Value(); g != 1 {
+		t.Fatalf("wire.vips = %d, want 1", g)
+	}
+	evs := n.Rec.Snapshot()
+	if len(evs) != 1 || evs[0].Kind != telemetry.KindTableProgram || evs[0].Node != 7 ||
+		evs[0].A != uint32(switchVIP) || evs[0].B != 0 {
+		t.Fatalf("trace = %+v, want one table-program event for the VIP", evs)
+	}
+
+	// A changed VIP bounces: the old entries are withdrawn before the new
+	// ones are announced, each the tables first and then the route change.
+	if err := mirrorVIPs(t, n, oneBackend(3)); err != nil {
+		t.Fatal(err)
+	}
+	got = routes(n)
+	if len(got) != 2 || got[0].Type != MsgWithdrawVIP || got[1].Type != MsgAnnounceVIP {
+		t.Fatalf("bounce route changes: %+v", got)
+	}
+	// An identical re-apply (snapshot recovery) programs nothing.
+	if err := mirrorVIPs(t, n, oneBackend(3)); err != nil {
+		t.Fatal(err)
+	}
+	if got := routes(n); len(got) != 0 || n.Reg.Counter("switchagent.ops").Value() != 3 {
+		t.Fatalf("identical re-apply programmed the switch: %+v", got)
+	}
+}
+
+func TestRemoveVIPWithdraws(t *testing.T) {
+	n := switchNode(hmux.DefaultConfig(packet.MustParseAddr("172.16.0.1")))
+	if err := mirrorVIPs(t, n, oneBackend(1)); err != nil {
+		t.Fatal(err)
+	}
+	routes(n)
+	if err := mirrorVIPs(t, n); err != nil {
+		t.Fatal(err)
+	}
+	if n.hm.HasVIP(switchVIP) {
+		t.Fatal("VIP still in tables")
+	}
+	got := routes(n)
+	if len(got) != 1 || got[0].Type != MsgWithdrawVIP || got[0].Addr != "10.0.0.1/32" {
+		t.Fatalf("withdrawals: %+v", got)
+	}
+	if st := n.hm.Stats(); st.ECMPUsed != 0 || st.TunnelUsed != 0 {
+		t.Fatalf("entries not released: %+v", st)
+	}
+}
+
+// TestErrorsAcked: a failed operation changes neither the tables nor the
+// routes, is counted, and reaches the leader as the push's error.
+func TestErrorsAcked(t *testing.T) {
+	cfg := hmux.DefaultConfig(packet.MustParseAddr("172.16.0.1"))
+	cfg.ECMPTableSize = 1
+	n := switchNode(cfg)
+	if err := n.programSwitch(switchVIP, nil); err == nil {
+		t.Fatal("removing unknown VIP should fail")
+	}
+	two := VIPSpec{Addr: "10.0.0.1", Backends: []BackendSpec{{Addr: "100.0.0.1"}, {Addr: "100.0.0.2"}}}
+	if err := mirrorVIPs(t, n, two); err != hmux.ErrECMPTableFull {
+		t.Fatalf("a VIP the tables cannot hold: got %v", err)
+	}
+	if n.hm.HasVIP(switchVIP) {
+		t.Fatal("a refused VIP is in the tables")
+	}
+	if got := routes(n); len(got) != 0 {
+		t.Fatalf("failed operations changed routes: %+v", got)
+	}
+	if got := n.Reg.Counter("switchagent.op_errors").Value(); got != 2 {
+		t.Fatalf("switchagent.op_errors = %d, want 2", got)
+	}
+	if got := n.Reg.Counter("switchagent.ops").Value(); got != 0 {
+		t.Fatalf("switchagent.ops = %d, want 0", got)
+	}
+	if evs := n.Rec.Snapshot(); len(evs) != 0 {
+		t.Fatalf("failed operations left trace events: %+v", evs)
+	}
+}
+
+// TestSubmitRetainsNothing bounces one 8-backend VIP 10,000 times: a switch
+// node lives as long as the fleet, so a programming step that keeps anything
+// per applied op (the agent once kept a journal and an ack log: about 300 B
+// per bounce) grows without bound at the controller's churn rate.
+func TestSubmitRetainsNothing(t *testing.T) {
+	n := switchNode(hmux.DefaultConfig(packet.MustParseAddr("172.16.0.1")))
+	v := &service.VIP{Addr: switchVIP}
+	for i := byte(1); i <= 8; i++ {
+		v.Backends = append(v.Backends, service.Backend{Addr: packet.AddrFrom4(100, 0, 0, i), Weight: 1})
+	}
+	bounce := func(count int) {
+		for i := 0; i < count; i++ {
+			if err := n.programSwitch(switchVIP, v); err != nil {
+				t.Fatal(err)
+			}
+			if err := n.programSwitch(switchVIP, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	bounce(200) // tables, trace ring and the (unread, full) announce queue at their steady size
+	before := heap()
+	const bounces = 10000
+	bounce(bounces)
+	after := heap()
+	if grown := int64(after) - int64(before); grown > 64*bounces {
+		t.Fatalf("%d bounces retained %d B of heap (%d B each), want < 64 B each", bounces, grown, grown/bounces)
+	}
+	runtime.KeepAlive(n)
+}

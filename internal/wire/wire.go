@@ -30,8 +30,9 @@
 //
 // cmd/duetd runs any role (smux, hostagent, switchagent, controller) as its
 // own OS process from a static JSON cluster spec (spec.go); node.go wires
-// the roles to the existing internal/smux, internal/hostagent,
-// internal/hmux + internal/switchagent machinery and exposes each process's
+// the roles to the existing internal/smux, internal/hostagent and
+// internal/hmux machinery — the switch role is itself the switch agent of
+// Figure 9 (apply.go, reconcileSwitch) — and exposes each process's
 // observability plane (internal/obs) over HTTP.
 //
 // Wire-level failures get their own drop taxonomy (telemetry.DropShortRead,
