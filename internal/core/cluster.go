@@ -180,18 +180,26 @@ type deliverTelemetry struct {
 	hopHMux, hopSMux, hopTIP, hopAgent *telemetry.Histogram
 	hopNMux                            *telemetry.Histogram
 
-	// Per-tier attribution: which mux tier terminated the packet (hit), and
-	// how often the NIC tier was consulted but missed. hmux hits exclude
-	// FIB-miss fall-throughs; nmux misses and smux hits count the same
-	// packet once each when the NIC tier declines it.
-	tierHMux, tierNMux, tierSMux telemetry.CounterShard
-	tierNMuxMiss                 telemetry.CounterShard
-
-	// Per-consistency-mode attribution on the SMux tier: which steering
-	// mode (stateful/stateless/hybrid) served the packet, so operators can
-	// see mode rollouts take traffic. Indexed by steer.Mode.
-	mode [3]telemetry.CounterShard
+	// The per-packet attribution counters, indexed like a scratch's tally and
+	// added to once per run from it (flush).
+	tallied [numTallies]telemetry.CounterShard
 }
+
+// The attribution a worker tallies per packet in its scratch. Per tier:
+// which mux tier terminated the packet (hit), and how often the NIC tier was
+// consulted but missed — hmux hits exclude FIB-miss fall-throughs; nmux
+// misses and smux hits count the same packet once each when the NIC tier
+// declines it. Per consistency mode on the SMux tier (tallyMode +
+// steer.Mode): which steering mode served the packet, so operators can see
+// mode rollouts take traffic.
+const (
+	tallyHMux = iota
+	tallyNMux
+	tallySMux
+	tallyNMuxMiss
+	tallyMode
+	numTallies = tallyMode + 3
+)
 
 // defaultSampleEvery is the sampling rate core.New sets on the cluster's
 // recorder; Telemetry() hands the recorder out for callers that want another.
@@ -272,15 +280,16 @@ func New(cfg Config) (*Cluster, error) {
 		hopTIP:   c.reg.Histogram("core.deliver.hop.tip.seconds", hopBuckets),
 		hopAgent: c.reg.Histogram("core.deliver.hop.agent.seconds", hopBuckets),
 		hopNMux:  c.reg.Histogram("core.deliver.hop.nmux.seconds", hopBuckets),
-
-		tierHMux:     c.reg.Counter("core.deliver.tier.hmux").Shard(),
-		tierNMux:     c.reg.Counter("core.deliver.tier.nmux").Shard(),
-		tierSMux:     c.reg.Counter("core.deliver.tier.smux").Shard(),
-		tierNMuxMiss: c.reg.Counter("core.deliver.tier.nmux_miss").Shard(),
+		tallied: [numTallies]telemetry.CounterShard{
+			tallyHMux:     c.reg.Counter("core.deliver.tier.hmux").Shard(),
+			tallyNMux:     c.reg.Counter("core.deliver.tier.nmux").Shard(),
+			tallySMux:     c.reg.Counter("core.deliver.tier.smux").Shard(),
+			tallyNMuxMiss: c.reg.Counter("core.deliver.tier.nmux_miss").Shard(),
+		},
 	}
 	for _, md := range steer.Modes() {
 		//duet:allow metriclabel fixed three-mode set resolved once at construction
-		c.dtel.mode[md] = c.reg.Counter("core.deliver.mode." + md.String()).Shard()
+		c.dtel.tallied[tallyMode+int(md)] = c.reg.Counter("core.deliver.mode." + md.String()).Shard()
 	}
 	c.ctel = collectGauges{
 		hostUsed:     c.reg.Gauge("hmux.tables.host_used_max"),
@@ -965,10 +974,27 @@ func (d Delivery) Hops() []Hop {
 
 // scratch is the memory one forwarding goroutine owns while it delivers: the
 // mux tier encapsulates into encap, a TIP switch re-encapsulates encap into
-// tip. Deliver borrows one from the cluster's pool per call, a DeliverBatch
-// worker for the length of the batch; no Delivery ever points into it.
+// tip, and tally counts what the packets did until flush adds it to the
+// shared counters. Deliver borrows one from the cluster's pool per call, a
+// DeliverBatch worker for the length of the batch; no Delivery ever points
+// into it.
 type scratch struct {
 	encap, tip []byte
+	tally      [numTallies]uint64
+}
+
+// flush adds a scratch's tally to the attribution counters and zeroes it: a
+// batch worker pays the shared counters' atomics once per run, not once per
+// packet.
+//
+//duet:hotpath
+func (c *Cluster) flush(sc *scratch) {
+	for i, n := range sc.tally {
+		if n > 0 {
+			c.dtel.tallied[i].Add(n)
+			sc.tally[i] = 0
+		}
+	}
 }
 
 // Deliver pushes a VIP-addressed packet through the full datapath and
@@ -981,7 +1007,8 @@ type scratch struct {
 func (c *Cluster) Deliver(data []byte) (Delivery, error) {
 	sc := c.scratch.Get().(*scratch)
 	var d Delivery
-	err := c.deliver(c.snap.Load(), data, sc, nil, &d)
+	err := c.deliver(c.snap.Load(), data, sc, nil, &d, c.rec.Sample())
+	c.flush(sc)
 	c.scratch.Put(sc)
 	c.dtel.packets.Inc()
 	if err != nil {
@@ -991,26 +1018,30 @@ func (c *Cluster) Deliver(data []byte) (Delivery, error) {
 	return d, nil
 }
 
-// deliver resolves one packet against snap: route pick, mux tier, TIP hop if
-// any, host agent. Intermediate packets live in sc; the packet the server
-// receives is appended to out (nil: its own allocation) and the result is
-// written in place into the zero Delivery d, which holds garbage on error.
+// deliver resolves one packet against snap: ingress parse, route pick, mux
+// tier, TIP hop if any, host agent. Intermediate packets live in sc; the
+// packet the server receives is appended to out (nil: its own allocation)
+// and the result is written in place into the zero Delivery d, which holds
+// garbage on error.
 //
-// One sampling decision is taken per packet, the recorder's own (1 in 16
-// unless SetSampleEvery moved it), and handed to every stage: a sampled
-// packet has its hops timed, is traced as a journey and leaves every pipeline
-// event of every tier it crossed; an unsampled one costs that one atomic add.
-func (c *Cluster) deliver(snap *clusterSnap, data []byte, sc *scratch, out []byte, d *Delivery) error {
-	tuple, err := packet.ExtractFiveTuple(data)
+// The client's header is verified once, here, and its flow and hash are
+// handed to every stage with the packet's one sampling decision (sampled,
+// the recorder's own — 1 in 16 unless SetSampleEvery moved it): no stage
+// decodes it again, and a sampled packet has its hops timed, is traced as a
+// journey and leaves every pipeline event of every tier it crossed. The
+// agent's address is the serving mux's encap destination, so the tunnel
+// header core's own mux wrote is verified only by the agent that unwraps it.
+func (c *Cluster) deliver(snap *clusterSnap, data []byte, sc *scratch, out []byte, d *Delivery, sampled bool) error {
+	f, err := packet.Parse(data)
 	if err != nil {
 		return err
 	}
-	hash := ecmp.Hash(tuple)
-	nh, _, ok := c.Routes.Snapshot().Pick(tuple.Dst, converged, hash)
+	vip := f.Tuple.Dst
+	hash := ecmp.Hash(f.Tuple)
+	nh, _, ok := c.Routes.Snapshot().Pick(vip, converged, hash)
 	if !ok {
 		return ErrNoRoute
 	}
-	sampled := c.rec.Sample()
 	var trace uint64
 	if sampled {
 		trace = c.newTrace()
@@ -1019,6 +1050,7 @@ func (c *Cluster) deliver(snap *clusterSnap, data []byte, sc *scratch, out []byt
 
 	var (
 		encapped []byte
+		host     packet.Addr // the encap destination: the host agent's address
 		t0       float64
 	)
 	hostIdx := -1 // host mux pair serving the packet, if no switch does
@@ -1033,7 +1065,7 @@ func (c *Cluster) deliver(snap *clusterSnap, data []byte, sc *scratch, out []byt
 		if sampled {
 			t0 = c.rec.Now()
 		}
-		res, err := hm.ProcessSampled(data, sc.encap[:0], sampled)
+		res, err := hm.ProcessSampled(data, sc.encap[:0], f, hash, sampled)
 		if sampled {
 			c.dtel.hopHMux.Observe(c.rec.Now() - t0)
 		}
@@ -1045,9 +1077,9 @@ func (c *Cluster) deliver(snap *clusterSnap, data []byte, sc *scratch, out []byt
 		case err != nil:
 			return err
 		default:
-			encapped, sc.encap = res.Packet, res.Packet
-			c.dtel.tierHMux.Inc()
-			c.hop(d, telemetry.TraceTierHMux, uint32(sw), tuple.Dst, trace)
+			encapped, sc.encap, host = res.Packet, res.Packet, res.Encap
+			sc.tally[tallyHMux]++
+			c.hop(d, telemetry.TraceTierHMux, uint32(sw), vip, trace)
 			// TIP indirection: the outer destination may be a TIP hosted on
 			// another switch (§5.2, Figure 7).
 			if tipSwitch, ok := snap.tipHome.Get(res.Encap); ok {
@@ -1058,50 +1090,50 @@ func (c *Cluster) deliver(snap *clusterSnap, data []byte, sc *scratch, out []byt
 				if sampled {
 					t0 = c.rec.Now()
 				}
-				res, err := tm.ProcessSampled(encapped, sc.tip[:0], sampled)
+				// The TIP switch is handed what this one emitted — a tunnel
+				// from it to the TIP — and resolves on the inner tuple, so the
+				// tunnel's hash is not taken.
+				tunnel := packet.Flow{Tuple: packet.FiveTuple{Src: switchAddr(int(sw)), Dst: res.Encap, Proto: packet.ProtoIPIP}}
+				res, err := tm.ProcessSampled(encapped, sc.tip[:0], tunnel, 0, sampled)
 				if sampled {
 					c.dtel.hopTIP.Observe(c.rec.Now() - t0)
 				}
 				if err != nil {
 					return err
 				}
-				encapped, sc.tip = res.Packet, res.Packet
-				c.hop(d, telemetry.TraceTierTIP, uint32(tipSwitch), tuple.Dst, trace)
+				encapped, sc.tip, host = res.Packet, res.Packet, res.Encap
+				c.hop(d, telemetry.TraceTierTIP, uint32(tipSwitch), vip, trace)
 			}
 		}
 	}
 	if hostIdx >= 0 {
 		var tier telemetry.TraceTier
 		var node packet.Addr
-		encapped, tier, node, err = c.hostTier(hostIdx, data, sc, sampled)
+		encapped, host, tier, node, err = c.hostTier(hostIdx, data, f, hash, sc, sampled)
 		if err != nil {
 			return err
 		}
-		c.hop(d, tier, uint32(node), tuple.Dst, trace)
+		c.hop(d, tier, uint32(node), vip, trace)
 	}
 
 	// Host agent receive.
-	var outer packet.IPv4
-	if err := outer.DecodeFromBytes(encapped); err != nil {
-		return err
-	}
-	agent, ok := snap.agents.Get(outer.Dst)
+	agent, ok := snap.agents.Get(host)
 	if !ok {
 		//duet:allow hotpath error construction on the no-agent reject path only
-		return fmt.Errorf("%w: %s", ErrNoHostAgent, outer.Dst)
+		return fmt.Errorf("%w: %s", ErrNoHostAgent, host)
 	}
 	if sampled {
 		t0 = c.rec.Now()
 	}
-	rx, err := agent.ReceiveSampled(encapped, out, sampled)
+	rx, err := agent.ReceiveSampled(encapped, out, f, hash, sampled)
 	if sampled {
 		c.dtel.hopAgent.Observe(c.rec.Now() - t0)
 	}
 	if err != nil {
 		return err
 	}
-	c.hop(d, telemetry.TraceTierHost, uint32(outer.Dst), outer.Dst, trace)
-	d.VIP, d.DIP, d.Host, d.Packet = rx.VIP, rx.DIP, outer.Dst, rx.Packet
+	c.hop(d, telemetry.TraceTierHost, uint32(host), host, trace)
+	d.VIP, d.DIP, d.Host, d.Packet = rx.VIP, rx.DIP, host, rx.Packet
 	return nil
 }
 
@@ -1124,43 +1156,44 @@ func (c *Cluster) hop(d *Delivery, tier telemetry.TraceTier, node uint32, dst pa
 // on a table miss. Because the pair shares one self address and the ECMP
 // hash, the encap bytes are identical whichever tier serves the flow — the
 // fall-through is invisible to the backend. It returns the encapsulated
-// packet (in sc.encap) with the tier and address of the mux that served it.
-func (c *Cluster) hostTier(idx int, data []byte, sc *scratch, sampled bool) ([]byte, telemetry.TraceTier, packet.Addr, error) {
+// packet (in sc.encap) and its encap destination, with the tier and address
+// of the mux that served it.
+func (c *Cluster) hostTier(idx int, data []byte, f packet.Flow, hash uint64, sc *scratch, sampled bool) ([]byte, packet.Addr, telemetry.TraceTier, packet.Addr, error) {
 	var t0 float64
 	if len(c.NMuxes) > 0 {
 		nm := c.NMuxes[idx]
 		if sampled {
 			t0 = c.rec.Now()
 		}
-		res, err := nm.ProcessSampled(data, sc.encap[:0], sampled)
+		res, err := nm.ProcessSampled(data, sc.encap[:0], f, hash, sampled)
 		if sampled {
 			c.dtel.hopNMux.Observe(c.rec.Now() - t0)
 		}
 		switch {
 		case err == nil:
 			sc.encap = res.Packet
-			c.dtel.tierNMux.Inc()
-			return res.Packet, telemetry.TraceTierNMux, nm.Self(), nil
+			sc.tally[tallyNMux]++
+			return res.Packet, res.Encap, telemetry.TraceTierNMux, nm.Self(), nil
 		case !errors.Is(err, nmux.ErrNotOurVIP):
-			return nil, 0, 0, err
+			return nil, 0, 0, 0, err
 		}
-		c.dtel.tierNMuxMiss.Inc()
+		sc.tally[tallyNMuxMiss]++
 	}
 	sm := c.SMuxes[idx]
 	if sampled {
 		t0 = c.rec.Now()
 	}
-	res, err := sm.ProcessSampled(data, sc.encap[:0], sampled)
+	res, err := sm.ProcessSampled(data, sc.encap[:0], f, hash, sampled)
 	if sampled {
 		c.dtel.hopSMux.Observe(c.rec.Now() - t0)
 	}
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, 0, 0, 0, err
 	}
 	sc.encap = res.Packet
-	c.dtel.tierSMux.Inc()
-	c.dtel.mode[res.Mode].Inc()
-	return res.Packet, telemetry.TraceTierSMux, sm.Self(), nil
+	sc.tally[tallySMux]++
+	sc.tally[tallyMode+int(res.Mode)]++
+	return res.Packet, res.Encap, telemetry.TraceTierSMux, sm.Self(), nil
 }
 
 // Collect republishes point-in-time gauges derived from cluster state: HMux
@@ -1241,9 +1274,10 @@ type BatchResult struct {
 }
 
 // batchRun is how many consecutive packets a DeliverBatch worker claims at a
-// time. A run costs one atomic add, one arena allocation and one counter
-// flush, and keeps neighbouring workers' result writes a run apart instead of
-// a cache line apart; at 256 all of that is under a nanosecond per packet,
+// time. A run costs one atomic add, one sampling draw, one arena allocation
+// and one counter flush, and keeps neighbouring workers' result writes a run
+// apart instead of a cache line apart; at 256 all of that is under a
+// nanosecond per packet,
 // while a 16,384-packet batch is still 64 runs to spread over the workers.
 // Not a knob: nothing a caller knows picks a better value.
 const batchRun = 256
@@ -1299,16 +1333,18 @@ func (c *Cluster) deliverRun(sc *scratch, pkts [][]byte, results []BatchResult) 
 		size += len(p)
 	}
 	arena := make([]byte, size)
+	samples := c.rec.SampleRun(len(pkts))
 	var errs uint64
 	off := 0
 	for i, p := range pkts {
 		end := off + len(p)
-		if err := c.deliver(c.snap.Load(), p, sc, arena[off:off:end], &results[i].Delivery); err != nil {
+		if err := c.deliver(c.snap.Load(), p, sc, arena[off:off:end], &results[i].Delivery, samples.Sampled(i)); err != nil {
 			results[i] = BatchResult{Err: err}
 			errs++
 		}
 		off = end
 	}
+	c.flush(sc)
 	c.dtel.packets.Add(uint64(len(pkts)))
 	if errs > 0 {
 		c.dtel.errors.Add(errs)

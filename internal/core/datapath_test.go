@@ -2,11 +2,14 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"runtime/debug"
 	"slices"
 	"testing"
 
+	"duet/internal/ecmp"
 	"duet/internal/hmux"
 	"duet/internal/hostagent"
 	"duet/internal/nmux"
@@ -32,8 +35,9 @@ func rewritten(t testing.TB, pkt []byte, dip packet.Addr) []byte {
 // TestZeroAllocDeliverMatrix runs one body over every tier × consistency
 // mode × protocol the in-process datapath has: the scratch-taking forwarding
 // path allocates nothing, delivers into the caller's buffer the client's
-// packet with only the destination rewritten, and reports the hops
-// TestDeliveryHopOrdering pins.
+// packet with only the destination rewritten — IP options included — and
+// reports the hops TestDeliveryHopOrdering pins; a client header that fails
+// verification is refused at ingress before any mux or agent sees it.
 func TestZeroAllocDeliverMatrix(t *testing.T) {
 	c := testClusterNMux(t, 4096)
 	hmuxSw, tipSw := c.Topo.AggID(0, 0), c.Topo.AggID(1, 0)
@@ -66,12 +70,29 @@ func TestZeroAllocDeliverMatrix(t *testing.T) {
 		{"nmux-miss-smux", []string{"smux", "agent"}, [][]string{hostMuxes},
 			func(*testing.T, *service.VIP, []service.Backend) {}},
 	}
+	tcp := func(ft packet.FiveTuple) []byte { return packet.BuildTCP(ft, packet.TCPAck, []byte("established")) }
 	protos := []struct {
 		name  string
 		build func(packet.FiveTuple) []byte
+		// refused: the client's header fails verification at ingress, the
+		// one place it is verified — Deliver returns this error, counts it,
+		// and no mux or agent sees the packet.
+		refused error
 	}{
-		{"tcp", func(ft packet.FiveTuple) []byte { return packet.BuildTCP(ft, packet.TCPAck, []byte("established")) }},
-		{"udp", func(ft packet.FiveTuple) []byte { return packet.BuildUDP(ft, []byte("datagram")) }},
+		{name: "tcp", build: tcp},
+		{name: "udp", build: func(ft packet.FiveTuple) []byte { return packet.BuildUDP(ft, []byte("datagram")) }},
+		// IP options: every stage forwards the header as it came, and the
+		// agent's rewrite changes only the destination and the checksum.
+		{name: "tcp+options", build: func(ft packet.FiveTuple) []byte { return withOptions(tcp(ft)) }},
+		{name: "bad-checksum", refused: packet.ErrBadChecksum, build: func(ft packet.FiveTuple) []byte {
+			pkt := tcp(ft)
+			pkt[11] ^= 0xff
+			return pkt
+		}},
+		{name: "truncated", refused: packet.ErrTruncated, build: func(ft packet.FiveTuple) []byte {
+			pkt := tcp(ft)
+			return pkt[:len(pkt)-1]
+		}},
 	}
 
 	reg, _ := c.Telemetry()
@@ -96,15 +117,32 @@ func TestZeroAllocDeliverMatrix(t *testing.T) {
 					pkt := proto.build(packet.FiveTuple{
 						Src: packet.AddrFrom4(30, 0, 0, 7), Dst: v.Addr, SrcPort: 4242, DstPort: 80,
 					})
+					if proto.refused != nil {
+						before := counters(reg)
+						if _, err := c.Deliver(pkt); !errors.Is(err, proto.refused) {
+							t.Fatalf("Deliver = %v, want %v", err, proto.refused)
+						}
+						for name, got := range counters(reg) {
+							want := before[name]
+							if name == "core.deliver.packets" || name == "core.deliver.errors" {
+								want++
+							}
+							if got != want {
+								t.Errorf("%s moved %d → %d, want %d", name, before[name], got, want)
+							}
+						}
+						return
+					}
 					snap := c.snap.Load()
 					sc := new(scratch)
 					out := make([]byte, 0, len(pkt))
 					var d Delivery
 					deliver := func() {
 						d = Delivery{}
-						if err := c.deliver(snap, pkt, sc, out, &d); err != nil {
+						if err := c.deliver(snap, pkt, sc, out, &d, false); err != nil {
 							t.Fatal(err)
 						}
+						c.flush(sc)
 					}
 					modeCtr := reg.Counter("core.deliver.mode." + mode.String())
 					served := modeCtr.Value()
@@ -139,10 +177,33 @@ func TestZeroAllocDeliverMatrix(t *testing.T) {
 							t.Errorf("hop %d = %+v, want kind %s at one of %v", i, h, tier.kinds[i], nodes)
 						}
 					}
+					if got, err := c.Deliver(pkt); err != nil || !bytes.Equal(got.Packet, d.Packet) {
+						t.Errorf("Deliver = %x, %v; want what deliver wrote, %x", got.Packet, err, d.Packet)
+					}
 				})
 			}
 		}
 	}
+}
+
+// withOptions returns pkt with a 4-byte IP options field (three NOPs and an
+// end of list) after its fixed header: IHL 6, lengths and checksum to match.
+func withOptions(pkt []byte) []byte {
+	out := append(append(slices.Clone(pkt[:packet.HeaderLen]), 1, 1, 1, 0), pkt[packet.HeaderLen:]...)
+	out[0] = 4<<4 | 6
+	binary.BigEndian.PutUint16(out[2:4], uint16(len(out)))
+	out[10], out[11] = 0, 0
+	binary.BigEndian.PutUint16(out[10:12], packet.Checksum(out[:24]))
+	return out
+}
+
+// counters reads every counter of a registry by name.
+func counters(reg *telemetry.Registry) map[string]uint64 {
+	out := make(map[string]uint64)
+	for _, c := range reg.Counters() {
+		out[c.Name()] = c.Value()
+	}
+	return out
 }
 
 func must(t testing.TB, err error) {
@@ -365,6 +426,9 @@ func TestAppendContract(t *testing.T) {
 	must(t, sm.AddVIP(v))
 	agent := hostagent.New(dip)
 	must(t, agent.RegisterDIP(vip, dip))
+	f, err := packet.Parse(client) // every stage is handed the client's flow
+	must(t, err)
+	hash := ecmp.Hash(f.Tuple)
 
 	cases := []struct {
 		name     string
@@ -372,19 +436,19 @@ func TestAppendContract(t *testing.T) {
 		run      func(in, out []byte) ([]byte, error)
 	}{
 		{"hmux.Process", client, encapped, func(in, out []byte) ([]byte, error) {
-			res, err := hm.ProcessSampled(in, out, true)
+			res, err := hm.ProcessSampled(in, out, f, hash, true)
 			return res.Packet, err
 		}},
 		{"nmux.Process", client, encapped, func(in, out []byte) ([]byte, error) {
-			res, err := nm.ProcessSampled(in, out, true)
+			res, err := nm.ProcessSampled(in, out, f, hash, true)
 			return res.Packet, err
 		}},
 		{"smux.Process", client, encapped, func(in, out []byte) ([]byte, error) {
-			res, err := sm.ProcessSampled(in, out, true)
+			res, err := sm.ProcessSampled(in, out, f, hash, true)
 			return res.Packet, err
 		}},
 		{"hostagent.Receive", encapped, rewritten(t, client, dip), func(in, out []byte) ([]byte, error) {
-			d, err := agent.ReceiveSampled(in, out, true)
+			d, err := agent.ReceiveSampled(in, out, f, hash, true)
 			return d.Packet, err
 		}},
 	}

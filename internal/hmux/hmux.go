@@ -313,6 +313,8 @@ func (m *Mux) RemoveVIP(addr packet.Addr) error {
 }
 
 // HasVIP reports whether the VIP is programmed here.
+//
+//duet:hotpath
 func (m *Mux) HasVIP(addr packet.Addr) bool {
 	_, ok := m.tab.Load().vips.Get(addr)
 	return ok
@@ -354,6 +356,8 @@ func (m *Mux) AddTIP(tip packet.Addr, backends []service.Backend) error {
 }
 
 // HasTIP reports whether the TIP partition is programmed here.
+//
+//duet:hotpath
 func (m *Mux) HasTIP(addr packet.Addr) bool {
 	_, ok := m.tab.Load().tips.Get(addr)
 	return ok
@@ -379,83 +383,96 @@ type Result struct {
 // caller's buffer, and it is safe for any number of concurrent callers (each
 // call resolves against one atomically loaded table generation).
 //
-// Process is the unsampled form: the packet leaves counters but no pipeline
-// events. A caller that samples takes one decision per packet and calls
-// ProcessSampled.
+// Process is the unsampled form for a caller holding only the bytes: it
+// parses them and calls ProcessSampled. The packet leaves counters but no
+// pipeline events.
 //
 //duet:hotpath
 func (m *Mux) Process(data []byte, out []byte) (Result, error) {
-	return m.ProcessSampled(data, out, false)
+	f, err := m.Parse(data)
+	if err != nil {
+		return Result{}, err
+	}
+	return m.ProcessSampled(data, out, f, ecmp.Hash(f.Tuple), false)
 }
 
-// ProcessSampled is Process for a caller that has taken the packet's sampling
-// decision: core.Cluster and wire.Node each take one per packet and hand it
-// to every stage, so a sampled packet leaves a complete trace.
+// Parse verifies data as this mux's input (packet.Parse): a packet that fails
+// is counted here, as one of the mux's packets and a malformed drop.
 //
 //duet:hotpath
-func (m *Mux) ProcessSampled(data, out []byte, sampled bool) (Result, error) {
+func (m *Mux) Parse(data []byte) (packet.Flow, error) {
+	f, err := packet.Parse(data)
+	if err != nil {
+		m.tel.packets.Inc()
+		return f, m.drop(telemetry.DropMalformed, 0, err)
+	}
+	return f, nil
+}
+
+// ProcessSampled is the mux's one processing body, for a caller that has
+// parsed the packet and taken its sampling decision: f is data's flow and
+// hash its ecmp.Hash (a packet for a TIP resolves on its inner tuple, and the
+// stage does not read hash). core.Cluster and wire.Node each parse and decide
+// once per packet and hand both to every stage, so no stage decodes the
+// header again and a sampled packet leaves a complete trace.
+//
+//duet:hotpath
+func (m *Mux) ProcessSampled(data, out []byte, f packet.Flow, hash uint64, sampled bool) (Result, error) {
 	m.tel.packets.Inc()
 	if sampled {
 		m.tel.rec.Record(telemetry.KindPacketIn, m.tel.node, 0, 0, uint64(len(data)))
 	}
-	var ip packet.IPv4 // stack scratch; Process must stay concurrency-safe
-	if err := ip.DecodeFromBytes(data); err != nil {
-		return Result{}, m.drop(telemetry.DropMalformed, 0, err)
-	}
 	t := m.tab.Load()
+	dst := f.Tuple.Dst
 
 	// TIP stage: decapsulate and fall through to re-encapsulation with the
-	// inner packet (Figure 7's second hop).
-	if e, ok := t.tips.Get(ip.Dst); ok && ip.Protocol == packet.ProtoIPIP {
-		tip := ip.Dst
-		inner := ip.Payload()
-		tuple, err := packet.ExtractFiveTuple(inner)
+	// inner packet (Figure 7's second hop). The inner header is new to this
+	// stage, so it is parsed here.
+	if e, ok := t.tips.Get(dst); ok && f.Tuple.Proto == packet.ProtoIPIP {
+		inner := packet.Payload(data)
+		in, err := packet.Parse(inner)
 		if err != nil {
-			return Result{}, m.drop(telemetry.DropMalformed, tip, err)
+			return Result{}, m.drop(telemetry.DropMalformed, dst, err)
 		}
-		encap, err := e.DIP(tuple, ecmp.Hash(tuple))
+		encap, err := e.DIP(in.Tuple, ecmp.Hash(in.Tuple))
 		if err != nil {
-			return Result{}, m.drop(telemetry.DropNoBackend, tip, ErrNoTunnelEntry)
+			return Result{}, m.drop(telemetry.DropNoBackend, dst, ErrNoTunnelEntry)
 		}
 		pkt, err := packet.Encapsulate(out, m.cfg.SelfAddr, encap, inner, 64)
 		if err != nil {
-			return Result{}, m.drop(telemetry.DropEncapError, tip, err)
+			return Result{}, m.drop(telemetry.DropEncapError, dst, err)
 		}
 		m.tel.viaTIP.Inc()
 		m.tel.encapped.Inc()
 		if sampled {
-			m.tel.rec.Record(telemetry.KindTIPHop, m.tel.node, uint32(tip), uint32(encap), 0)
+			m.tel.rec.Record(telemetry.KindTIPHop, m.tel.node, uint32(dst), uint32(encap), 0)
 		}
 		return Result{Encap: encap, Packet: pkt[len(out):], ViaTIP: true}, nil
 	}
 
-	e, ok := t.vips.Get(ip.Dst)
+	e, ok := t.vips.Get(dst)
 	if !ok {
-		return Result{}, m.drop(telemetry.DropUnknownVIP, ip.Dst, ErrNotOurVIP)
-	}
-	tuple, err := packet.ExtractFiveTuple(data)
-	if err != nil {
-		return Result{}, m.drop(telemetry.DropMalformed, ip.Dst, err)
+		return Result{}, m.drop(telemetry.DropUnknownVIP, dst, ErrNotOurVIP)
 	}
 	if sampled {
-		m.tel.rec.Record(telemetry.KindVIPLookup, m.tel.node, uint32(tuple.Dst), 0, 0)
+		m.tel.rec.Record(telemetry.KindVIPLookup, m.tel.node, uint32(dst), 0, 0)
 	}
 	// The ACL stage — a port rule overrides the default backend set (Figure
 	// 8) — and the ECMP pick are the entry's.
-	encap, err := e.DIP(tuple, ecmp.Hash(tuple))
+	encap, err := e.DIP(f.Tuple, hash)
 	if err != nil {
-		return Result{}, m.drop(telemetry.DropNoBackend, tuple.Dst, ErrNoTunnelEntry)
+		return Result{}, m.drop(telemetry.DropNoBackend, dst, ErrNoTunnelEntry)
 	}
 	if sampled {
-		m.tel.rec.Record(telemetry.KindECMPPick, m.tel.node, uint32(tuple.Dst), uint32(encap), 0)
+		m.tel.rec.Record(telemetry.KindECMPPick, m.tel.node, uint32(dst), uint32(encap), 0)
 	}
 	pkt, err := packet.Encapsulate(out, m.cfg.SelfAddr, encap, data, 64)
 	if err != nil {
-		return Result{}, m.drop(telemetry.DropEncapError, tuple.Dst, err)
+		return Result{}, m.drop(telemetry.DropEncapError, dst, err)
 	}
 	m.tel.encapped.Inc()
 	if sampled {
-		m.tel.rec.Record(telemetry.KindEncap, m.tel.node, uint32(tuple.Dst), uint32(encap), 0)
+		m.tel.rec.Record(telemetry.KindEncap, m.tel.node, uint32(dst), uint32(encap), 0)
 	}
 	return Result{Encap: encap, Packet: pkt[len(out):]}, nil
 }

@@ -29,6 +29,16 @@ func newMux(t testing.TB) *Mux {
 	return New(DefaultConfig(selfAddr))
 }
 
+// processSampled hands ProcessSampled what an orchestration does: the flow it
+// parsed at ingress and its hash.
+func processSampled(m *Mux, pkt, out []byte, sampled bool) (Result, error) {
+	f, err := packet.Parse(pkt)
+	if err != nil {
+		return Result{}, err
+	}
+	return m.ProcessSampled(pkt, out, f, ecmp.Hash(f.Tuple), sampled)
+}
+
 func vipPacket(i uint32, dstPort uint16) []byte {
 	return packet.BuildTCP(packet.FiveTuple{
 		Src: packet.Addr(0x14000000 + i), Dst: vipAddr,
@@ -748,7 +758,7 @@ func TestProcessTelemetryCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint32(0); i < 10; i++ {
-		if _, err := m.ProcessSampled(vipPacket(i, 80), nil, true); err != nil {
+		if _, err := processSampled(m, vipPacket(i, 80), nil, true); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -792,7 +802,7 @@ func TestProcessZeroAllocWithTelemetry(t *testing.T) {
 	pkt := vipPacket(1, 80)
 	buf := make([]byte, 0, 2048)
 	allocs := testing.AllocsPerRun(500, func() {
-		if _, err := m.ProcessSampled(pkt, buf[:0], rec.Sample()); err != nil {
+		if _, err := processSampled(m, pkt, buf[:0], rec.Sample()); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -170,31 +170,55 @@ type Delivery struct {
 // untouched and Delivery.Packet is exactly this packet's bytes. Safe for
 // concurrent callers.
 //
-// Receive is the unsampled form (see hmux.Process).
+// Receive is the unsampled form for a caller holding only the bytes: it
+// parses them and calls ReceiveSampled (see hmux.Process).
 //
 //duet:hotpath
 func (a *Agent) Receive(data, out []byte) (Delivery, error) {
-	return a.ReceiveSampled(data, out, false)
+	f, err := a.Parse(data)
+	if err != nil {
+		return Delivery{}, err
+	}
+	return a.ReceiveSampled(data, out, f, ecmp.Hash(f.Tuple), false)
 }
 
-// ReceiveSampled is Receive for a caller that has taken the packet's sampling
-// decision (see hmux.ProcessSampled).
+// Parse verifies the packet inside data's tunnel header (packet.Parse) and
+// returns its flow, the one ReceiveSampled resolves on. A packet that fails
+// is counted here, as a decapsulation drop. The tunnel header itself is
+// ReceiveSampled's to verify.
 //
 //duet:hotpath
-func (a *Agent) ReceiveSampled(data, out []byte, sampled bool) (Delivery, error) {
+func (a *Agent) Parse(data []byte) (packet.Flow, error) {
+	f, err := packet.Parse(packet.Payload(data))
+	if err != nil {
+		return f, a.decapError(err)
+	}
+	return f, nil
+}
+
+// decapError counts a packet the agent cannot unwrap and returns err.
+//
+//duet:hotpath
+func (a *Agent) decapError(err error) error {
+	a.tel.dropDecapError.Inc()
+	a.tel.rec.Record(telemetry.KindDrop, a.tel.node, 0, 0, uint64(telemetry.DropMalformed))
+	return err
+}
+
+// ReceiveSampled is the agent's one receive body, for a caller that has
+// parsed the packet and taken its sampling decision (see
+// hmux.Mux.ProcessSampled): f is the flow of the packet inside the tunnel and
+// hash its ecmp.Hash. The tunnel header is the one header new to the agent,
+// and the one it verifies; the inner header's destination is rewritten in
+// place of a re-serialisation, so a header with options arrives intact.
+//
+//duet:hotpath
+func (a *Agent) ReceiveSampled(data, out []byte, f packet.Flow, hash uint64, sampled bool) (Delivery, error) {
 	inner, _, err := packet.Decapsulate(data)
 	if err != nil {
-		a.tel.dropDecapError.Inc()
-		a.tel.rec.Record(telemetry.KindDrop, a.tel.node, 0, 0, uint64(telemetry.DropMalformed))
-		return Delivery{}, err
+		return Delivery{}, a.decapError(err)
 	}
-	tuple, err := packet.ExtractFiveTuple(inner)
-	if err != nil {
-		a.tel.dropDecapError.Inc()
-		a.tel.rec.Record(telemetry.KindDrop, a.tel.node, 0, 0, uint64(telemetry.DropMalformed))
-		return Delivery{}, err
-	}
-	vip := tuple.Dst
+	vip := f.Tuple.Dst
 	dips, ok := a.tab.Load().locals.Get(vip)
 	if !ok || len(dips) == 0 {
 		a.tel.dropNotLocal.Inc()
@@ -203,12 +227,12 @@ func (a *Agent) ReceiveSampled(data, out []byte, sampled bool) (Delivery, error)
 	}
 	dip := dips[0]
 	if len(dips) > 1 {
-		dip = dips[ecmp.Hash(tuple)%uint64(len(dips))]
+		dip = dips[hash%uint64(len(dips))]
 	}
 
 	pkt := append(out, inner...)[len(out):]
 	if err := packet.RewriteDst(pkt, dip); err != nil {
-		return Delivery{}, err
+		return Delivery{}, a.decapError(err)
 	}
 
 	a.tel.received.Inc()
@@ -237,10 +261,7 @@ func (a *Agent) SendDSR(data, out []byte) ([]byte, error) {
 	}
 	dip := ip.Src
 	pkt := append(out, data...)[len(out):]
-	if err := packet.RewriteSrc(pkt, vip); err != nil {
-		a.tel.dsrErrors.Inc()
-		return nil, err
-	}
+	_ = packet.RewriteSrc(pkt, vip) // a header that decoded is long enough
 	a.tel.dsr.Inc()
 	if a.tel.rec.Sample() {
 		a.tel.rec.Record(telemetry.KindDSR, a.tel.node, uint32(vip), uint32(dip), 0)

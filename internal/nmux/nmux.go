@@ -401,38 +401,49 @@ type Result struct {
 // exactly this packet's bytes. Safe for concurrent callers; the hot path
 // allocates nothing (flow-map growth aside) and never takes the writer lock.
 //
-// Process is the unsampled form (see hmux.Process).
+// Process is the unsampled form for a caller holding only the bytes (see
+// hmux.Process).
 //
 //duet:hotpath
 func (m *Mux) Process(data []byte, out []byte) (Result, error) {
-	return m.ProcessSampled(data, out, false)
+	f, err := m.Parse(data)
+	if err != nil {
+		return Result{}, err
+	}
+	return m.ProcessSampled(data, out, f, ecmp.Hash(f.Tuple), false)
 }
 
-// ProcessSampled is Process for a caller that has taken the packet's sampling
-// decision (see hmux.ProcessSampled). Only a hit leaves pipeline events: a
-// sampled miss falls through to the SMux, which records the packet's trace.
+// Parse verifies data as this mux's input (see hmux.Mux.Parse).
 //
 //duet:hotpath
-func (m *Mux) ProcessSampled(data, out []byte, sampled bool) (Result, error) {
-	m.tel.packets.Inc()
-	var ip packet.IPv4 // stack scratch; Process must stay concurrency-safe
-	if err := ip.DecodeFromBytes(data); err != nil {
-		return Result{}, m.drop(telemetry.DropMalformed, 0, err)
+func (m *Mux) Parse(data []byte) (packet.Flow, error) {
+	f, err := packet.Parse(data)
+	if err != nil {
+		m.tel.packets.Inc()
+		return f, m.drop(telemetry.DropMalformed, 0, err)
 	}
-	if _, ok := m.tab.Load().Get(ip.Dst); !ok {
+	return f, nil
+}
+
+// ProcessSampled is the mux's one processing body, for a caller that has
+// parsed the packet into f, hashed it (hash) and taken its sampling decision
+// (see hmux.Mux.ProcessSampled). Only a hit leaves pipeline events: a sampled
+// miss falls through to the SMux, which records the packet's trace.
+//
+//duet:hotpath
+func (m *Mux) ProcessSampled(data, out []byte, f packet.Flow, hash uint64, sampled bool) (Result, error) {
+	m.tel.packets.Inc()
+	tuple := f.Tuple
+	if _, ok := m.tab.Load().Get(tuple.Dst); !ok {
 		m.tel.misses.Inc()
 		return Result{}, ErrNotOurVIP
 	}
-	e, ok := m.steer.View().Find(ip.Dst)
+	e, ok := m.steer.View().Find(tuple.Dst)
 	if !ok {
 		// Programmed here but absent from the shared table (the backstop
 		// SMux has not learned the VIP yet): fall through rather than drop.
 		m.tel.misses.Inc()
 		return Result{}, ErrNotOurVIP
-	}
-	tuple, err := packet.ExtractFiveTuple(data)
-	if err != nil {
-		return Result{}, m.drop(telemetry.DropMalformed, ip.Dst, err)
 	}
 	m.tel.hits.Inc()
 	if sampled {
@@ -440,18 +451,20 @@ func (m *Mux) ProcessSampled(data, out []byte, sampled bool) (Result, error) {
 	}
 
 	// One hash per packet, shared between the flow shard (top bits) and the
-	// slot pick (low bits) — the same hash the HMux and SMux compute, which
-	// is what keeps tier fall-through consistent for a given flow.
-	h := ecmp.Hash(tuple)
-	s := m.shardFor(h)
-	var dip packet.Addr
+	// slot pick (low bits) — the same hash the HMux and SMux use, which is
+	// what keeps tier fall-through consistent for a given flow.
+	s := m.shardFor(hash)
+	var (
+		dip packet.Addr
+		err error
+	)
 	pinned := false
 	s.mu.Lock()
 	if d, ok := s.flows[tuple]; ok {
 		dip, pinned = d, true
 		s.mu.Unlock()
 	} else {
-		dip, err = e.DIP(tuple, h)
+		dip, err = e.DIP(tuple, hash)
 		if err != nil {
 			s.mu.Unlock()
 			return Result{}, m.drop(telemetry.DropNoBackend, tuple.Dst, err)

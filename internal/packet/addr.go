@@ -46,6 +46,8 @@ func ParseAddr(s string) (Addr, error) {
 }
 
 // AddrFrom4 builds an Addr from four octets.
+//
+//duet:hotpath
 func AddrFrom4(a, b, c, d byte) Addr {
 	return Addr(uint32(a)<<24 | uint32(b)<<16 | uint32(c)<<8 | uint32(d))
 }

@@ -1,6 +1,10 @@
 package packet
 
-import "fmt"
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+)
 
 // Encapsulate wraps inner (a complete IPv4 packet) in an outer IPv4 header
 // with the given source and destination — the IP-in-IP operation the HMux
@@ -30,7 +34,10 @@ func Encapsulate(dst []byte, src, outerDst Addr, inner []byte, ttl uint8) ([]byt
 	return append(dst, inner...), nil
 }
 
-// Decapsulate strips the outer IP-in-IP header and returns the inner packet
+// ErrNotIPIP rejects a packet handed to Decapsulate that is not IP-in-IP.
+var ErrNotIPIP = errors.New("packet: not IP-in-IP")
+
+// Decapsulate verifies the outer IP-in-IP header and returns the inner packet
 // bytes (aliasing data) together with the decoded outer header. This is the
 // host agent's receive-side operation (paper §2.1).
 //
@@ -40,10 +47,27 @@ func Decapsulate(data []byte) (inner []byte, outer IPv4, err error) {
 		return nil, outer, err
 	}
 	if outer.Protocol != ProtoIPIP {
-		//duet:allow hotpath error construction on the not-encapsulated reject path only
-		return nil, outer, fmt.Errorf("packet: not IP-in-IP (proto %d)", outer.Protocol)
+		return nil, outer, ErrNotIPIP
 	}
 	return outer.Payload(), outer, nil
+}
+
+// Payload returns what follows the outermost IPv4 header of data, up to the
+// header's total length — the inner packet of an IP-in-IP packet — or nil
+// when the two length fields do not fit data. It verifies nothing else: it
+// is for bytes whose header Parse has accepted, or whose inner packet the
+// caller parses next.
+//
+//duet:hotpath
+func Payload(data []byte) []byte {
+	if len(data) < HeaderLen {
+		return nil
+	}
+	hlen, total := int(data[0]&0x0f)*4, int(binary.BigEndian.Uint16(data[2:4]))
+	if hlen < HeaderLen || total < hlen || total > len(data) {
+		return nil
+	}
+	return data[hlen:total]
 }
 
 // BuildUDP constructs a complete IPv4+UDP packet with the given 5-tuple and
@@ -94,43 +118,48 @@ func BuildTCP(t FiveTuple, flags uint8, payload []byte) []byte {
 	return buf
 }
 
-// ErrHasOptions rejects in-place rewrites of headers carrying IP options:
-// SerializeTo emits a fixed 20-byte header, so rewriting an IHL>5 packet in
-// place would shift the payload offset and silently corrupt it.
-var ErrHasOptions = fmt.Errorf("packet: cannot rewrite header with IP options")
-
 // RewriteDst rewrites the destination address of the outermost IPv4 header
-// in place and fixes the checksum. The host agent uses it when translating
-// a decapsulated VIP packet to the local DIP.
+// in place and updates its checksum incrementally. The host agent uses it
+// when translating a decapsulated VIP packet to the local DIP. The caller has
+// verified the header; only ErrTruncated, for fewer than HeaderLen bytes, is
+// reported.
 //
 //duet:hotpath
 func RewriteDst(data []byte, dst Addr) error {
-	var ip IPv4
-	if err := ip.DecodeFromBytes(data); err != nil {
-		return err
-	}
-	if ip.IHL != 5 {
-		return ErrHasOptions
-	}
-	ip.Dst = dst
-	_, err := ip.SerializeTo(data)
-	return err
+	return rewriteAddr(data, 16, dst)
 }
 
-// RewriteSrc rewrites the source address of the outermost IPv4 header in
-// place and fixes the checksum. The host agent uses it for direct server
-// return: responses leave the DIP carrying the VIP as their source.
+// RewriteSrc is RewriteDst for the source address. The host agent uses it
+// for direct server return: responses leave the DIP carrying the VIP as
+// their source.
 //
 //duet:hotpath
 func RewriteSrc(data []byte, src Addr) error {
-	var ip IPv4
-	if err := ip.DecodeFromBytes(data); err != nil {
-		return err
+	return rewriteAddr(data, 12, src)
+}
+
+// rewriteAddr replaces the address at data[off:off+4] and updates the header
+// checksum by RFC 1624 eqn. 3, HC' = ~(~HC + ~m + m'), one 16-bit word of
+// the address at a time. It touches those six bytes and no other, so it
+// rewrites a header with options as well as one without.
+//
+//duet:hotpath
+func rewriteAddr(data []byte, off int, a Addr) error {
+	if len(data) < HeaderLen {
+		return ErrTruncated
 	}
-	if ip.IHL != 5 {
-		return ErrHasOptions
+	old := binary.BigEndian.Uint32(data[off:])
+	sum := uint32(^binary.BigEndian.Uint16(data[10:12])) +
+		uint32(^uint16(old>>16)) + uint32(^uint16(old)) +
+		uint32(a>>16) + uint32(uint16(a))
+	sum = sum&0xffff + sum>>16
+	sum = sum&0xffff + sum>>16
+	if sum == 0 {
+		// Every term was zero: the sum is +0, which a full re-serialisation
+		// writes as -0, the checksum 0x0000.
+		sum = 0xffff
 	}
-	ip.Src = src
-	_, err := ip.SerializeTo(data)
-	return err
+	binary.BigEndian.PutUint32(data[off:], uint32(a))
+	binary.BigEndian.PutUint16(data[10:12], ^uint16(sum))
+	return nil
 }

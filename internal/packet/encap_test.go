@@ -2,6 +2,7 @@ package packet
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -86,8 +87,11 @@ func TestEncapsulateTooLarge(t *testing.T) {
 
 func TestDecapsulateNotIPIP(t *testing.T) {
 	plain := BuildUDP(FiveTuple{Src: 1, Dst: 2, Proto: ProtoUDP}, nil)
-	if _, _, err := Decapsulate(plain); err == nil {
-		t.Fatal("expected error decapsulating a non-tunneled packet")
+	if _, _, err := Decapsulate(plain); !errors.Is(err, ErrNotIPIP) {
+		t.Fatalf("decapsulating a non-tunneled packet: got %v, want ErrNotIPIP", err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _, _, _ = Decapsulate(plain) }); allocs != 0 {
+		t.Fatalf("the not-IP-in-IP rejection allocates %v times, want 0", allocs)
 	}
 }
 

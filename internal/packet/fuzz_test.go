@@ -8,6 +8,7 @@ package packet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
@@ -133,6 +134,9 @@ func FuzzDecapsulate(f *testing.F) {
 		if len(inner) > len(data) {
 			t.Fatal("inner longer than input")
 		}
+		if !bytes.Equal(Payload(data), inner) {
+			t.Fatal("Payload disagrees with Decapsulate on the inner packet")
+		}
 	})
 }
 
@@ -145,16 +149,29 @@ func FuzzExtractFiveTuple(f *testing.F) {
 	f.Add(short)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tup, err := ExtractFiveTuple(data)
+		fl, err := Parse(data)
+		if tup, terr := ExtractFiveTuple(data); (terr == nil) != (err == nil) || tup != fl.Tuple {
+			t.Fatalf("ExtractFiveTuple = %v, %v; Parse = %v, %v", tup, terr, fl, err)
+		}
 		if err != nil {
 			return
 		}
+		tup := fl.Tuple
 		var ip IPv4
 		if ip.DecodeFromBytes(data) != nil {
-			t.Fatal("ExtractFiveTuple accepted what DecodeFromBytes rejects")
+			t.Fatal("Parse accepted what DecodeFromBytes rejects")
 		}
 		if tup.Src != ip.Src || tup.Dst != ip.Dst || tup.Proto != ip.Protocol {
 			t.Fatalf("tuple %v does not match header %+v", tup, ip)
+		}
+		// The flags Parse reads in place are the TCP header's, and only TCP
+		// has any.
+		var tcp TCP
+		switch {
+		case ip.Protocol != ProtoTCP && fl.Flags != 0:
+			t.Fatalf("proto %d carries flags %#x", ip.Protocol, fl.Flags)
+		case ip.Protocol == ProtoTCP && tcp.decodeFromBytes(ip.Payload()) == nil && fl.Flags != tcp.Flags:
+			t.Fatalf("flags %#x, TCP header says %#x", fl.Flags, tcp.Flags)
 		}
 	})
 }
@@ -180,34 +197,101 @@ func FuzzTransportDecode(f *testing.F) {
 	})
 }
 
-// FuzzRewrite checks the in-place header rewrites the host agent performs:
-// after RewriteDst/RewriteSrc, the packet must still decode and its payload
-// must be untouched.
+// FuzzRewrite holds the in-place header rewrites the host agent performs to
+// an independent reference. For any header that decodes, the rewritten
+// header checksums to 0, carries the new address, and differs from the
+// original in no other byte — options and payload included; for a header
+// without options the bytes equal a full re-serialisation with the checksum
+// summed from scratch (reserialized). bench/'s output oracle calls
+// RewriteDst too, so this is what keeps the oracle and the datapath from
+// sharing a bug.
 func FuzzRewrite(f *testing.F) {
-	f.Add(validHeader(ProtoTCP, []byte("payload")), uint32(0x64000001))
-	withOptions := make([]byte, 28)
-	withOptions[0] = 0x46 // IHL=6: header with options
-	f.Add(withOptions, uint32(9))
+	f.Add(validHeader(ProtoTCP, []byte("payload")), uint32(0x64000001), false)
+	f.Add(validHeader(ProtoUDP, []byte("payload")), uint32(0x0a000001), true)
+	f.Add(withOptions(validHeader(ProtoTCP, []byte("payload"))), uint32(9), false)
+	f.Add(withOptions(validHeader(ProtoTCP, nil)), uint32(9), true)
+	// The ones'-complement corners: checksum fields -0 and +0, addresses of
+	// all ones and all zeros.
+	for _, cs := range []uint16{0x0000, 0xffff} {
+		f.Add(cornerHeader(0xffffffff, cs), uint32(0), false)
+		f.Add(cornerHeader(0, cs), uint32(0xffffffff), false)
+		f.Add(cornerHeader(0xffffffff, cs), uint32(0xffffffff), false)
+		f.Add(cornerHeader(0, cs), uint32(0), false)
+	}
 
-	f.Fuzz(func(t *testing.T, data []byte, addr uint32) {
+	f.Fuzz(func(t *testing.T, data []byte, addr uint32, src bool) {
+		rewrite, off := RewriteDst, 16
+		if src {
+			rewrite, off = RewriteSrc, 12
+		}
 		var before IPv4
 		if before.DecodeFromBytes(data) != nil {
-			_ = RewriteDst(data, Addr(addr)) // must not panic on garbage
+			_ = rewrite(data, Addr(addr)) // must not panic on garbage
 			return
 		}
-		payload := append([]byte(nil), before.Payload()...)
-		if err := RewriteDst(data, Addr(addr)); err != nil {
-			return // a packet we can't rewrite must be left undecided, not corrupted
+		orig := bytes.Clone(data)
+		if err := rewrite(data, Addr(addr)); err != nil {
+			t.Fatalf("rewriting a header that decodes: %v", err)
 		}
-		var after IPv4
-		if err := after.DecodeFromBytes(data); err != nil {
-			t.Fatalf("packet undecodable after RewriteDst: %v", err)
+		if cs := Checksum(data[:before.IHL*4]); cs != 0 {
+			t.Fatalf("rewritten header sums to %#04x, want 0", cs)
 		}
-		if after.Dst != Addr(addr) {
-			t.Fatalf("RewriteDst wrote %s, want %s", after.Dst, Addr(addr))
+		if got := Addr(binary.BigEndian.Uint32(data[off:])); got != Addr(addr) {
+			t.Fatalf("rewrote %s, want %s", got, Addr(addr))
 		}
-		if !bytes.Equal(after.Payload(), payload) {
-			t.Fatal("RewriteDst corrupted the payload")
+		for i := range data {
+			if i != 10 && i != 11 && (i < off || i >= off+4) && data[i] != orig[i] {
+				t.Fatalf("byte %d changed %#02x → %#02x: only the address and the checksum may", i, orig[i], data[i])
+			}
+		}
+		if before.IHL == 5 {
+			if want := reserialized(orig, Addr(addr), src); !bytes.Equal(data, want) {
+				t.Fatalf("incremental update\n%x\nfull re-serialisation\n%x", data[:HeaderLen], want[:HeaderLen])
+			}
 		}
 	})
+}
+
+// reserialized is the reference FuzzRewrite holds the incremental update to:
+// decode the header, set the address, serialise the whole header with its
+// checksum summed from scratch, keep every byte after it.
+func reserialized(data []byte, addr Addr, src bool) []byte {
+	var ip IPv4
+	if err := ip.DecodeFromBytes(data); err != nil {
+		panic(err)
+	}
+	if src {
+		ip.Src = addr
+	} else {
+		ip.Dst = addr
+	}
+	out := bytes.Clone(data)
+	if _, err := ip.SerializeTo(out); err != nil {
+		panic(err)
+	}
+	return out
+}
+
+// withOptions returns pkt with a 4-byte IP options field (three NOPs and an
+// end of list) after its fixed header: IHL 6, lengths and checksum to match.
+func withOptions(pkt []byte) []byte {
+	out := append(append(bytes.Clone(pkt[:HeaderLen]), 1, 1, 1, 0), pkt[HeaderLen:]...)
+	out[0] = 4<<4 | 6
+	binary.BigEndian.PutUint16(out[2:4], uint16(len(out)))
+	out[10], out[11] = 0, 0
+	binary.BigEndian.PutUint16(out[10:12], Checksum(out[:24]))
+	return out
+}
+
+// cornerHeader is a valid header to dst whose checksum field reads cs, 0x0000
+// or 0xffff: its ID is chosen so the other words sum to -0, where both
+// spellings of the checksum verify.
+func cornerHeader(dst Addr, cs uint16) []byte {
+	h := validHeader(ProtoTCP, []byte("payload"))
+	binary.BigEndian.PutUint32(h[16:20], uint32(dst))
+	h[10], h[11] = 0, 0
+	id := uint32(binary.BigEndian.Uint16(h[4:6])) + uint32(Checksum(h[:HeaderLen]))
+	binary.BigEndian.PutUint16(h[4:6], uint16(id&0xffff+id>>16))
+	binary.BigEndian.PutUint16(h[10:12], cs)
+	return h
 }

@@ -133,42 +133,47 @@ func (t *TCP) SerializeTo(buf []byte) (int, error) {
 	return TCPHeaderLen, nil
 }
 
-// ExtractFiveTuple decodes the outermost IPv4 header in data plus its
-// transport ports (TCP/UDP). For other protocols ports are zero. It is the
-// hash input extraction step every mux performs.
+// Flow is what one checked decode of a packet's outermost IPv4 header hands
+// to the stages after it: the five-tuple every tier hashes, and the TCP flags
+// the SMux's connection tracking reads (0 for other protocols, or a TCP
+// segment too short to carry them). It is a value: a stage that was handed
+// one does not decode the header again.
+type Flow struct {
+	Tuple FiveTuple
+	Flags uint8
+}
+
+// Parse verifies the outermost IPv4 header of data — version, IHL, lengths
+// and header checksum — and returns its flow: the addresses and protocol,
+// the TCP/UDP ports (zero for other protocols) and the TCP flags, read in
+// place. It is the one verified decode a packet gets per process.
+//
+//duet:hotpath
+func Parse(data []byte) (Flow, error) {
+	var ip IPv4
+	if err := ip.DecodeFromBytes(data); err != nil {
+		return Flow{}, err
+	}
+	f := Flow{Tuple: FiveTuple{Src: ip.Src, Dst: ip.Dst, Proto: ip.Protocol}}
+	switch ip.Protocol {
+	case ProtoTCP, ProtoUDP:
+		p := ip.payload
+		if len(p) < 4 {
+			return Flow{}, ErrTruncated
+		}
+		f.Tuple.SrcPort = binary.BigEndian.Uint16(p[0:2])
+		f.Tuple.DstPort = binary.BigEndian.Uint16(p[2:4])
+		if ip.Protocol == ProtoTCP && len(p) >= 14 {
+			f.Flags = p[13] & 0x3f
+		}
+	}
+	return f, nil
+}
+
+// ExtractFiveTuple is Parse for a caller that wants only the tuple.
 //
 //duet:hotpath
 func ExtractFiveTuple(data []byte) (FiveTuple, error) {
-	var ip IPv4
-	if err := ip.DecodeFromBytes(data); err != nil {
-		return FiveTuple{}, err
-	}
-	return fiveTupleFromIP(&ip)
-}
-
-func fiveTupleFromIP(ip *IPv4) (FiveTuple, error) {
-	t := FiveTuple{Src: ip.Src, Dst: ip.Dst, Proto: ip.Protocol}
-	switch ip.Protocol {
-	case ProtoTCP, ProtoUDP:
-		p := ip.Payload()
-		if len(p) < 4 {
-			return t, ErrTruncated
-		}
-		t.SrcPort = binary.BigEndian.Uint16(p[0:2])
-		t.DstPort = binary.BigEndian.Uint16(p[2:4])
-	}
-	return t, nil
-}
-
-// TCPFlags returns the TCP flags byte of a decoded IPv4 packet's transport
-// payload, or ok=false when the packet is not TCP (or is too short to carry
-// a flags byte). It reads one byte in place — no TCP header decode — so the
-// mux hot paths can classify SYN/FIN/RST without extra cost.
-//
-//duet:hotpath
-func (h *IPv4) TCPFlags() (flags uint8, ok bool) {
-	if h.Protocol != ProtoTCP || len(h.payload) < 14 {
-		return 0, false
-	}
-	return h.payload[13] & 0x3f, true
+	f, err := Parse(data)
+	return f.Tuple, err
 }

@@ -365,7 +365,7 @@ func TestProcessZeroAllocModes(t *testing.T) {
 				t.Fatal(err)
 			}
 			allocs := testing.AllocsPerRun(500, func() {
-				if _, err := m.ProcessSampled(pkt, buf[:0], rec.Sample()); err != nil {
+				if _, err := processSampled(m, pkt, buf[:0], rec.Sample()); err != nil {
 					t.Fatal(err)
 				}
 			})

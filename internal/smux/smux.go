@@ -444,47 +444,59 @@ type Result struct {
 // resolution is one atomic table load, and per-flow pinning locks only the
 // flow's hash shard.
 //
-// Process is the unsampled form (see hmux.Process).
+// Process is the unsampled form for a caller holding only the bytes (see
+// hmux.Process).
 //
 //duet:hotpath
 func (m *Mux) Process(data []byte, out []byte) (Result, error) {
-	return m.ProcessSampled(data, out, false)
+	f, err := m.Parse(data)
+	if err != nil {
+		return Result{}, err
+	}
+	return m.ProcessSampled(data, out, f, ecmp.Hash(f.Tuple), false)
 }
 
-// ProcessSampled is Process for a caller that has taken the packet's sampling
-// decision (see hmux.ProcessSampled).
+// Parse verifies data as this mux's input (see hmux.Mux.Parse).
 //
 //duet:hotpath
-func (m *Mux) ProcessSampled(data, out []byte, sampled bool) (Result, error) {
+func (m *Mux) Parse(data []byte) (packet.Flow, error) {
+	f, err := packet.Parse(data)
+	if err != nil {
+		m.tel.packets.Inc()
+		return f, m.drop(telemetry.DropMalformed, 0, err)
+	}
+	return f, nil
+}
+
+// ProcessSampled is the mux's one processing body, for a caller that has
+// parsed the packet into f, hashed it (h) and taken its sampling decision
+// (see hmux.Mux.ProcessSampled).
+//
+//duet:hotpath
+func (m *Mux) ProcessSampled(data, out []byte, f packet.Flow, h uint64, sampled bool) (Result, error) {
 	m.tel.packets.Inc()
 	if sampled {
 		m.tel.rec.Record(telemetry.KindPacketIn, m.tel.node, 0, 0, uint64(len(data)))
 	}
-	var ip packet.IPv4 // stack scratch; Process must stay concurrency-safe
-	if err := ip.DecodeFromBytes(data); err != nil {
-		return Result{}, m.drop(telemetry.DropMalformed, 0, err)
-	}
+	tuple, flags := f.Tuple, f.Flags
 	view := m.steer.View()
-	e, ok := view.Find(ip.Dst)
+	e, ok := view.Find(tuple.Dst)
 	if !ok {
-		return Result{}, m.drop(telemetry.DropUnknownVIP, ip.Dst, ErrVIPNotFound)
-	}
-	tuple, err := packet.ExtractFiveTuple(data)
-	if err != nil {
-		return Result{}, m.drop(telemetry.DropMalformed, ip.Dst, err)
+		return Result{}, m.drop(telemetry.DropUnknownVIP, tuple.Dst, ErrVIPNotFound)
 	}
 	if sampled {
 		m.tel.rec.Record(telemetry.KindVIPLookup, m.tel.node, uint32(tuple.Dst), 0, 0)
 	}
-	flags, isTCP := ip.TCPFlags()
 
 	// One hash per packet, reused for the state shard (top bits) and the
 	// slot pick (low bits) — the same sharing the HMux hardware pipeline
 	// gets from computing hash(5-tuple) once per stage.
-	h := ecmp.Hash(tuple)
 	mode := e.Mode()
 	now := m.coarseNow()
-	var dip packet.Addr
+	var (
+		dip packet.Addr
+		err error
+	)
 	pinned := false
 	switch mode {
 	case steer.ModeStateful:
@@ -492,7 +504,7 @@ func (m *Mux) ProcessSampled(data, out []byte, sampled bool) (Result, error) {
 		s.mu.Lock()
 		if c, ok := s.conns[tuple]; ok {
 			dip, pinned = c.dip, true
-			if isTCP && flags&(packet.TCPFin|packet.TCPRst) != 0 {
+			if flags&(packet.TCPFin|packet.TCPRst) != 0 {
 				// Closing flow: shorten the deadline so the slot frees soon
 				// instead of holding table memory for the full idle window.
 				c.expireAt = now + DefaultFinLinger
@@ -512,7 +524,7 @@ func (m *Mux) ProcessSampled(data, out []byte, sampled bool) (Result, error) {
 			}
 			if len(s.conns) < m.perShardMax {
 				ttl := DefaultConnIdle
-				if isTCP && flags&(packet.TCPFin|packet.TCPRst) != 0 {
+				if flags&(packet.TCPFin|packet.TCPRst) != 0 {
 					ttl = DefaultFinLinger
 				}
 				s.conns[tuple] = connEntry{dip: dip, expireAt: now + ttl}
@@ -535,7 +547,7 @@ func (m *Mux) ProcessSampled(data, out []byte, sampled bool) (Result, error) {
 		os.mu.Lock()
 		if p, ok := os.pins[tuple]; ok {
 			dip, pinned = p.dip, true
-			if isTCP && flags&(packet.TCPFin|packet.TCPRst) != 0 {
+			if flags&(packet.TCPFin|packet.TCPRst) != 0 {
 				p.expireAt = now + DefaultFinLinger
 				os.pins[tuple] = p
 			} else if p.expireAt < now+DefaultOverlayTTL/2 {
@@ -559,7 +571,7 @@ func (m *Mux) ProcessSampled(data, out []byte, sampled bool) (Result, error) {
 				// necessarily terminated (§5.1) and rehash instead.
 				if prev, ok := view.PrevDIP(tuple, h); ok && prev != dip && e.HasLive(tuple, prev) {
 					pinDip := prev
-					if isTCP && flags&packet.TCPSyn != 0 && flags&packet.TCPAck == 0 {
+					if flags&packet.TCPSyn != 0 && flags&packet.TCPAck == 0 {
 						pinDip = dip
 					}
 					os.mu.Lock()

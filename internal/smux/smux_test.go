@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"duet/internal/ecmp"
 	"duet/internal/hmux"
 	"duet/internal/packet"
 	"duet/internal/service"
@@ -22,6 +23,16 @@ func backends(addrs ...string) []service.Backend {
 		out[i] = service.Backend{Addr: packet.MustParseAddr(a), Weight: 1}
 	}
 	return out
+}
+
+// processSampled hands ProcessSampled what an orchestration does: the flow it
+// parsed at ingress and its hash.
+func processSampled(m *Mux, pkt, out []byte, sampled bool) (Result, error) {
+	f, err := packet.Parse(pkt)
+	if err != nil {
+		return Result{}, err
+	}
+	return m.ProcessSampled(pkt, out, f, ecmp.Hash(f.Tuple), sampled)
 }
 
 func vipPacket(i uint32, dstPort uint16) []byte {
@@ -352,10 +363,10 @@ func TestProcessTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	pkt := vipPacket(1, 80)
-	if _, err := m.ProcessSampled(pkt, nil, true); err != nil {
+	if _, err := processSampled(m, pkt, nil, true); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.ProcessSampled(pkt, nil, true); err != nil { // pinned now
+	if _, err := processSampled(m, pkt, nil, true); err != nil { // pinned now
 		t.Fatal(err)
 	}
 	if _, err := m.Process([]byte{1, 2}, nil); err == nil {
@@ -417,7 +428,7 @@ func TestProcessZeroAllocWithTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(500, func() {
-		if _, err := m.ProcessSampled(pkt, buf[:0], rec.Sample()); err != nil {
+		if _, err := processSampled(m, pkt, buf[:0], rec.Sample()); err != nil {
 			t.Fatal(err)
 		}
 	})

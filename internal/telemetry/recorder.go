@@ -138,8 +138,9 @@ const slotWords = 5
 // Snapshot validates commit markers and skips slots caught mid-overwrite,
 // so a torn event can be dropped but never surfaced.
 //
-// Dataplane call sites gate per-packet stages behind Sample(), which is true
-// for one in SampleEvery packets; control-plane events are always recorded.
+// Dataplane call sites gate per-packet stages behind Sample() (or a run's
+// SampleRun), which is true for one in SampleEvery packets; control-plane
+// events are always recorded.
 type Recorder struct {
 	slots []atomic.Uint64
 	size  uint64 // number of event slots
@@ -209,11 +210,35 @@ func (r *Recorder) SetSampleEvery(n int) {
 // sampled packet yields a complete pipeline trace.
 //
 //duet:hotpath
-func (r *Recorder) Sample() bool {
-	if r == nil {
-		return false
+func (r *Recorder) Sample() bool { return r.SampleRun(1).Sampled(0) }
+
+// SampleRun takes the sampling decisions of a run of n consecutive packets
+// with one atomic add: Sampled(i) answers what the i-th of n Sample calls on
+// one thread would have. A batch worker takes one per run instead of one per
+// packet, so workers stop trading the counter's cache line.
+//
+//duet:hotpath
+func (r *Recorder) SampleRun(n int) Samples {
+	if r == nil || n <= 0 {
+		return Samples{}
 	}
-	return r.sampleCtr.Add(1)&r.sampleMask.Load() == 0
+	last := r.sampleCtr.Add(uint64(n))
+	return Samples{first: last - uint64(n), mask: r.sampleMask.Load(), on: true}
+}
+
+// Samples is a run's sampling decisions (SampleRun). The zero value samples
+// nothing.
+type Samples struct {
+	first, mask uint64
+	on          bool
+}
+
+// Sampled reports whether packet i of the run is traced: it took the counter
+// value first+i+1, and one in SampleEvery values is sampled.
+//
+//duet:hotpath
+func (s Samples) Sampled(i int) bool {
+	return s.on && (s.first+uint64(i)+1)&s.mask == 0
 }
 
 // Now reads the recorder's clock: wall seconds since creation unless

@@ -129,6 +129,32 @@ func TestSampling(t *testing.T) {
 	if !rec.Sample() {
 		t.Fatal("SampleEvery(1) must sample every packet")
 	}
+
+	// A run's decisions are the ones as many Sample calls would have taken,
+	// from wherever the counter stands, and the next run or call continues
+	// from where the run left it.
+	runs, calls := NewRecorder(16), NewRecorder(16)
+	for _, r := range []*Recorder{runs, calls} {
+		r.SetSampleEvery(16)
+		for i := 0; i < 5; i++ {
+			r.Sample()
+		}
+	}
+	for _, n := range []int{1, 7, 16, 40, 256} {
+		s := runs.SampleRun(n)
+		for i := 0; i < n; i++ {
+			if got, want := s.Sampled(i), calls.Sample(); got != want {
+				t.Fatalf("run of %d, packet %d: sampled %v, Sample says %v", n, i, got, want)
+			}
+		}
+	}
+	if runs.Sample() != calls.Sample() {
+		t.Fatal("a Sample call after the runs disagrees")
+	}
+	var nr *Recorder
+	if nr.SampleRun(8).Sampled(0) || (Samples{}).Sampled(0) {
+		t.Fatal("a nil recorder's run, and the zero Samples, sample nothing")
+	}
 }
 
 // TestConcurrency exercises every hot-path operation from many goroutines
@@ -195,6 +221,7 @@ func TestZeroAlloc(t *testing.T) {
 		{"Gauge.Set", func() { g.Set(3) }},
 		{"Histogram.Observe", func() { h.Observe(3.5) }},
 		{"Recorder.Sample", func() { rec.Sample() }},
+		{"Recorder.SampleRun", func() { rec.SampleRun(256).Sampled(3) }},
 		{"Recorder.Record", func() { rec.Record(KindEncap, 1, 2, 3, 4) }},
 		{"Recorder.RecordAt", func() { rec.RecordAt(1, KindDrop, 1, 2, 3, 4) }},
 		{"nil ops", func() {

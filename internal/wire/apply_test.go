@@ -5,6 +5,7 @@ package wire
 
 import (
 	"errors"
+	"net"
 	"strings"
 	"testing"
 
@@ -116,17 +117,32 @@ func TestRejectedDeltaDoesNotHalfApply(t *testing.T) {
 // TestDataplaneRolesRejectOtherMessages: hello, leader-heartbeat and
 // delta-push are the whole vocabulary of a dataplane node. Anything else —
 // controller-bound messages and the retired per-VIP numbers alike — is a
-// rejection that names the type and touches nothing.
+// rejection that names the type and touches nothing. On the data port, a
+// frame whose header does not verify is one drop, counted under the first
+// stage that parses it (malformed) and under no other.
 func TestDataplaneRolesRejectOtherMessages(t *testing.T) {
 	spec := dataplaneSpec(t)
+	spec.Nodes[0].NMuxTable = 64 // the smux node's first stage is its NIC table
 	roles := []struct {
-		node   string
-		tables func(n *Node) int
+		node      string
+		tables    func(n *Node) int
+		malformed string
 	}{
-		{"smux-1", func(n *Node) int { return n.smux.NumVIPs() }},
-		{"host-1", func(n *Node) int { return len(n.agent.LocalDIPs(packet.MustParseAddr("10.0.0.1"))) }},
-		{"sw-1", func(n *Node) int { return n.hm.Stats().VIPs }},
+		{"smux-1", func(n *Node) int { return n.smux.NumVIPs() }, "nmux.drops.malformed"},
+		{"host-1", func(n *Node) int { return len(n.agent.LocalDIPs(packet.MustParseAddr("10.0.0.1"))) }, "hostagent.drops.decap_error"},
+		{"sw-1", func(n *Node) int { return n.hm.Stats().VIPs }, "hmux.drops.malformed"},
 	}
+	// A tunnel to the host whose outer checksum is off: what every role
+	// verifies first, except the host agent, which verifies it last.
+	bad, err := packet.Encapsulate(nil, packet.MustParseAddr("20.0.0.1"), packet.MustParseAddr("100.0.0.1"),
+		packet.BuildTCP(packet.FiveTuple{
+			Src: packet.MustParseAddr("30.0.0.1"), Dst: packet.MustParseAddr("10.0.0.1"),
+			SrcPort: 40000, DstPort: 80, Proto: packet.ProtoTCP,
+		}, packet.TCPSyn, nil), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad[11] ^= 0xff
 	gauges := []string{"wire.vips", "wire.dips", "wire.delta.epoch"}
 	for _, role := range roles {
 		t.Run(role.node, func(t *testing.T) {
@@ -171,6 +187,24 @@ func TestDataplaneRolesRejectOtherMessages(t *testing.T) {
 				if got := gauge(n, g); got != before[g] {
 					t.Fatalf("gauge %s moved %d → %d on rejected messages", g, before[g], got)
 				}
+			}
+
+			client, err := net.Dial("udp", n.DataAddr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer client.Close()
+			if _, err := client.Write(AppendFrame(nil, bad)); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, role.malformed, func() bool { return counter(n, role.malformed) == 1 })
+			for _, c := range n.Reg.Counters() {
+				if name := c.Name(); name != role.malformed && strings.Contains(name, ".drops.") && c.Value() != 0 {
+					t.Errorf("%s = %d after one malformed frame, want 0", name, c.Value())
+				}
+			}
+			if got := counter(n, "smux.packets"); got != 0 {
+				t.Errorf("smux.packets = %d: the SMux behind the NIC table saw the frame", got)
 			}
 		})
 	}

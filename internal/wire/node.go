@@ -343,43 +343,66 @@ func (n *Node) startSMux() error {
 	if err := n.listenData(n.Spec.traceEvery()); err != nil {
 		return err
 	}
-	n.dp.serve(func(tx *txBatch, payload, scratch []byte, trace uint64) []byte {
-		// A frame encapsulated toward this mux's own address is the switch
-		// tier's HMux-miss fallback (SMuxOnly placement): unwrap it and run
-		// the inner packet through the normal pipeline. The proto/length
-		// pre-check keeps Decapsulate's error path (which allocates) off the
-		// non-tunnel majority.
-		if len(payload) >= packet.HeaderLen && payload[9] == packet.ProtoIPIP {
-			if inner, outer, err := packet.Decapsulate(payload); err == nil && outer.Dst == self {
-				payload = inner
-			}
-		}
-		if n.nmux != nil {
-			res, err := n.nmux.ProcessSampled(payload, scratch[:0], trace != 0)
-			if err == nil {
-				n.traceHop(telemetry.TraceTierNMux, payload, trace)
-				n.forward(tx, res.Encap, res.Packet, trace)
-				return res.Packet
-			}
-			if !errors.Is(err, nmux.ErrNotOurVIP) {
-				return scratch // the NIC table counted the drop
-			}
-			// Table miss: fall through to the SMux backstop.
-		}
-		res, err := n.smux.ProcessSampled(payload, scratch[:0], trace != 0)
-		if err != nil {
-			return scratch // the mux counted the drop
-		}
-		n.traceHop(telemetry.TraceTierSMux, payload, trace)
-		n.forward(tx, res.Encap, res.Packet, trace)
-		return res.Packet
-	})
+	n.dp.serve(n.smuxPacket)
 	ctl, err := ListenControl(n.Me.Control, n.Reg, n.dataplaneControl(n.reconcileSMux))
 	if err != nil {
 		return err
 	}
 	n.ctl = ctl
 	return nil
+}
+
+// smuxPacket is the smux role's frame handler. The frame's header came from
+// outside the process, so it is verified here, once, by the node's first
+// stage — the NIC table when there is one — and its flow and hash go to
+// whichever tier serves it.
+//
+//duet:hotpath
+func (n *Node) smuxPacket(tx *txBatch, payload, scratch []byte, trace uint64) []byte {
+	f, err := n.parseHostMux(payload)
+	if err != nil {
+		return scratch // the first stage counted the drop
+	}
+	// A frame encapsulated toward this mux's own address is the switch
+	// tier's HMux-miss fallback (SMuxOnly placement): unwrap it and run the
+	// inner packet, a header new to this process, through the pipeline.
+	if f.Tuple.Proto == packet.ProtoIPIP && f.Tuple.Dst == packet.Addr(n.self32) {
+		payload = packet.Payload(payload)
+		if f, err = n.parseHostMux(payload); err != nil {
+			return scratch
+		}
+	}
+	hash := ecmp.Hash(f.Tuple)
+	if n.nmux != nil {
+		res, err := n.nmux.ProcessSampled(payload, scratch[:0], f, hash, trace != 0)
+		if err == nil {
+			n.traceHop(telemetry.TraceTierNMux, payload, trace)
+			n.forward(tx, res.Encap, res.Packet, trace)
+			return res.Packet
+		}
+		if !errors.Is(err, nmux.ErrNotOurVIP) {
+			return scratch // the NIC table counted the drop
+		}
+		// Table miss: fall through to the SMux backstop.
+	}
+	res, err := n.smux.ProcessSampled(payload, scratch[:0], f, hash, trace != 0)
+	if err != nil {
+		return scratch // the mux counted the drop
+	}
+	n.traceHop(telemetry.TraceTierSMux, payload, trace)
+	n.forward(tx, res.Encap, res.Packet, trace)
+	return res.Packet
+}
+
+// parseHostMux verifies a frame as the smux node's first stage: the NIC table
+// when the node has one, else the SMux.
+//
+//duet:hotpath
+func (n *Node) parseHostMux(payload []byte) (packet.Flow, error) {
+	if n.nmux != nil {
+		return n.nmux.Parse(payload)
+	}
+	return n.smux.Parse(payload)
 }
 
 // --- hostagent role ----------------------------------------------------
@@ -397,15 +420,7 @@ func (n *Node) startHostAgent() error {
 	if err := n.listenData(0); err != nil {
 		return err
 	}
-	n.dp.serve(func(tx *txBatch, payload, scratch []byte, trace uint64) []byte {
-		d, err := n.agent.ReceiveSampled(payload, scratch[:0], trace != 0)
-		if err != nil {
-			return scratch // the agent counted the drop
-		}
-		n.delivered.Inc()
-		n.traceHop(telemetry.TraceTierHost, payload, trace)
-		return d.Packet
-	})
+	n.dp.serve(n.hostPacket)
 	ctl, err := ListenControl(n.Me.Control, n.Reg, n.dataplaneControl(n.reconcileHost))
 	if err != nil {
 		return err
@@ -413,6 +428,25 @@ func (n *Node) startHostAgent() error {
 	n.ctl = ctl
 	n.startHealthLoop()
 	return nil
+}
+
+// hostPacket is the hostagent role's frame handler: the agent parses the
+// packet inside the tunnel, a header new to this process, and verifies the
+// tunnel header as it unwraps it.
+//
+//duet:hotpath
+func (n *Node) hostPacket(_ *txBatch, payload, scratch []byte, trace uint64) []byte {
+	f, err := n.agent.Parse(payload)
+	if err != nil {
+		return scratch // the agent counted the drop
+	}
+	d, err := n.agent.ReceiveSampled(payload, scratch[:0], f, ecmp.Hash(f.Tuple), trace != 0)
+	if err != nil {
+		return scratch // the agent counted the drop
+	}
+	n.delivered.Inc()
+	n.traceHop(telemetry.TraceTierHost, payload, trace)
+	return d.Packet
 }
 
 // startHealthLoop periodically reports local DIP health to every
@@ -513,36 +547,7 @@ func (n *Node) startSwitchAgent() error {
 	if err := n.listenData(n.Spec.traceEvery()); err != nil {
 		return err
 	}
-	n.dp.serve(func(tx *txBatch, payload, scratch []byte, trace uint64) []byte {
-		// Destinations outside the switch tables are not drops — they are
-		// the paper's "VIP assigned to SMuxes" placement, reached through
-		// the software tier. The table check runs before Process so the
-		// HMux's drop taxonomy keeps meaning "misconfigured", and a packet
-		// too short to carry a 5-tuple still falls through to Process for
-		// the malformed-drop accounting.
-		if len(n.smuxAddrs) > 0 && len(payload) >= packet.HeaderLen {
-			dst := packet.Addr(binary.BigEndian.Uint32(payload[16:20]))
-			if !hm.HasVIP(dst) && !hm.HasTIP(dst) {
-				if tuple, terr := packet.ExtractFiveTuple(payload); terr == nil {
-					sm := n.smuxAddrs[ecmp.Hash(tuple)%uint64(len(n.smuxAddrs))]
-					out, eerr := packet.Encapsulate(scratch[:0], self, sm, payload, 64)
-					if eerr != nil {
-						return scratch
-					}
-					n.traceHop(telemetry.TraceTierHMux, payload, trace)
-					n.forward(tx, sm, out, trace)
-					return out
-				}
-			}
-		}
-		res, err := hm.ProcessSampled(payload, scratch[:0], trace != 0)
-		if err != nil {
-			return scratch
-		}
-		n.traceHop(telemetry.TraceTierHMux, payload, trace)
-		n.forward(tx, res.Encap, res.Packet, trace)
-		return res.Packet
-	})
+	n.dp.serve(n.switchPacket)
 	ctl, err := ListenControl(n.Me.Control, n.Reg, n.dataplaneControl(n.reconcileSwitch))
 	if err != nil {
 		return err
@@ -550,6 +555,41 @@ func (n *Node) startSwitchAgent() error {
 	n.ctl = ctl
 	n.startAnnounceLoop()
 	return nil
+}
+
+// switchPacket is the switch role's frame handler. The HMux verifies the
+// frame, counting a malformed one as its own drop, and the flow and hash go
+// to whichever path serves it: the tables, or — for a destination outside
+// them — the software tier. Such a destination is not a drop: it is the
+// paper's "VIP assigned to SMuxes" placement, and the table check runs
+// before ProcessSampled so the HMux's drop taxonomy keeps meaning
+// "misconfigured".
+//
+//duet:hotpath
+func (n *Node) switchPacket(tx *txBatch, payload, scratch []byte, trace uint64) []byte {
+	hm := n.hm
+	f, err := hm.Parse(payload)
+	if err != nil {
+		return scratch // the mux counted the drop
+	}
+	hash := ecmp.Hash(f.Tuple)
+	if dst := f.Tuple.Dst; len(n.smuxAddrs) > 0 && !hm.HasVIP(dst) && !hm.HasTIP(dst) {
+		sm := n.smuxAddrs[hash%uint64(len(n.smuxAddrs))]
+		out, err := packet.Encapsulate(scratch[:0], packet.Addr(n.self32), sm, payload, 64)
+		if err != nil {
+			return scratch
+		}
+		n.traceHop(telemetry.TraceTierHMux, payload, trace)
+		n.forward(tx, sm, out, trace)
+		return out
+	}
+	res, err := hm.ProcessSampled(payload, scratch[:0], f, hash, trace != 0)
+	if err != nil {
+		return scratch
+	}
+	n.traceHop(telemetry.TraceTierHMux, payload, trace)
+	n.forward(tx, res.Encap, res.Packet, trace)
+	return res.Packet
 }
 
 func (n *Node) startAnnounceLoop() {

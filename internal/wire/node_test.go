@@ -1,12 +1,15 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/binary"
 	"net"
 	"runtime"
 	"testing"
 	"unsafe"
 
 	"duet/internal/delta"
+	"duet/internal/hostagent"
 	"duet/internal/obs"
 	"duet/internal/packet"
 	"duet/internal/telemetry"
@@ -120,6 +123,46 @@ func TestNodePaysForItsRingsAtStart(t *testing.T) {
 	}
 	if points != 2 {
 		t.Errorf("hostagent.received has %d points after two ticks, want 2", points)
+	}
+}
+
+// TestHostNodeDeliversIPOptions: a packet whose header carries IP options
+// leaves a host node's handler with only its destination and checksum
+// changed, and counts as delivered. (The agent once rewrote the destination
+// by re-serialising a 20-byte header, refused a longer one, and dropped the
+// packet without counting it anywhere.)
+func TestHostNodeDeliversIPOptions(t *testing.T) {
+	vip, dip := packet.MustParseAddr("10.0.0.1"), packet.MustParseAddr("100.0.0.1")
+	reg := telemetry.NewRegistry()
+	n := &Node{agent: hostagent.New(dip), delivered: reg.Counter("wire.delivered").Shard()}
+	if err := n.agent.RegisterDIP(vip, dip); err != nil {
+		t.Fatal(err)
+	}
+	syn := packet.BuildTCP(packet.FiveTuple{
+		Src: packet.MustParseAddr("30.0.0.1"), Dst: vip, SrcPort: 40000, DstPort: 80, Proto: packet.ProtoTCP,
+	}, packet.TCPSyn, []byte("GET /"))
+	// Three NOPs and an end of list: IHL 6.
+	client := append(append(bytes.Clone(syn[:packet.HeaderLen]), 1, 1, 1, 0), syn[packet.HeaderLen:]...)
+	client[0] = 4<<4 | 6
+	binary.BigEndian.PutUint16(client[2:4], uint16(len(client)))
+	client[10], client[11] = 0, 0
+	binary.BigEndian.PutUint16(client[10:12], packet.Checksum(client[:24]))
+	encapped, err := packet.Encapsulate(nil, packet.MustParseAddr("20.0.0.1"), dip, client, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	got := n.hostPacket(nil, encapped, nil, 0)
+	if reg.Counter("wire.delivered").Value() != 1 || len(got) != len(client) {
+		t.Fatalf("delivered %d packets of %d bytes, want 1 of %d", reg.Counter("wire.delivered").Value(), len(got), len(client))
+	}
+	if f, err := packet.Parse(got); err != nil || f.Tuple.Dst != dip {
+		t.Fatalf("delivered header: %+v, %v; want one that verifies, to %s", f, err, dip)
+	}
+	for i := range got {
+		if i != 10 && i != 11 && (i < 16 || i >= 20) && got[i] != client[i] {
+			t.Fatalf("byte %d changed %#02x → %#02x: only the destination and the checksum may", i, client[i], got[i])
+		}
 	}
 }
 
