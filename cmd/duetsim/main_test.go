@@ -87,3 +87,33 @@ func TestTestbedFiguresGolden(t *testing.T) {
 		})
 	}
 }
+
+// placementFlags runs the placement figures on the smoke test's fabric at a
+// load that leaves about half the traffic on the SMuxes, so most candidate
+// switches a scan tries do not fit.
+func placementFlags() *simFlags {
+	return &simFlags{seed: 1, vips: 300, epochs: 4, scale: 0.08, trials: 3, delta: 0.05,
+		fabric: &topology.Config{Containers: 4, ToRsPerContainer: 8, AggsPerContainer: 2, Cores: 4, ServersPerToR: 16}}
+}
+
+// TestPlacementFiguresGolden holds every figure whose numbers come out of
+// assign's candidate scan to testdata/fig<id>.toy.golden, written by the
+// binary from before the scan stopped at the first over-capacity link: a
+// placement, a score, a tie-break and an RNG draw may not move for the speed.
+// Figure 19 fails and recovers switches, so it also reads netsim's caches
+// across invalidations. A deliberate change to one of these figures rewrites
+// its file from the "got" this test prints.
+func TestPlacementFiguresGolden(t *testing.T) {
+	for _, id := range []string{"16", "18", "19", "20a", "20b", "nmux", "sweep-delta", "ablation-binpacking"} {
+		t.Run(id, func(t *testing.T) {
+			want, err := os.ReadFile("testdata/fig" + id + ".toy.golden")
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := captureStdout(t, func() { runFigure(id, placementFlags()) })
+			if got != string(want) {
+				t.Errorf("figure %s differs from its golden file:\n--- got\n%s--- want\n%s", id, got, want)
+			}
+		})
+	}
+}

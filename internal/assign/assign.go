@@ -316,8 +316,16 @@ type assigner struct {
 	touched []float64
 	dirty   []netsim.DirLink
 
-	// per-VIP precomputed DIP rack weights
+	// per-VIP precomputed DIP rack weights, rebuilt in place by
+	// loadDIPRacks; rackSort is the buffer its racks are sorted in.
 	dipRacks []rackFrac
+	rackSort []int
+
+	// cands is the candidate set of §4.2 while candsFresh. It reads only
+	// loads, memUsed and switch liveness: the first two change only in
+	// commitVec, which clears candsFresh, and liveness is fixed for the round.
+	cands      []topology.SwitchID
+	candsFresh bool
 }
 
 func newAssigner(net *netsim.Network, work *workload.Workload, epoch int, opts Options) *assigner {
@@ -386,24 +394,35 @@ type rackFrac struct {
 
 // dipRackWeights aggregates a VIP's DIPs per rack, sorted by rack.
 func dipRackWeights(v *workload.VIP) []rackFrac {
-	n := float64(len(v.DIPRacks))
-	racks := make([]int, len(v.DIPRacks))
-	copy(racks, v.DIPRacks)
+	return rackWeights(nil, append([]int(nil), v.DIPRacks...))
+}
+
+// rackWeights appends to dst the share of the DIPs on each rack of racks
+// (one entry per DIP), in rack order; it sorts racks in place.
+func rackWeights(dst []rackFrac, racks []int) []rackFrac {
+	n := float64(len(racks))
 	sort.Ints(racks)
-	out := make([]rackFrac, 0, 8)
 	for i := 0; i < len(racks); {
 		j := i
 		for j < len(racks) && racks[j] == racks[i] {
 			j++
 		}
-		out = append(out, rackFrac{rack: racks[i], frac: float64(j-i) / n})
+		dst = append(dst, rackFrac{rack: racks[i], frac: float64(j-i) / n})
 		i = j
 	}
-	return out
+	return dst
 }
 
-// vecFn receives one precomputed unit-flow vector and the rate riding it.
-type vecFn func(vec []netsim.LinkFrac, rate float64)
+// loadDIPRacks makes VIP v the one the round's flow visits price: its DIP
+// rack weights go into the round's own buffers.
+func (a *assigner) loadDIPRacks(v *workload.VIP) {
+	a.rackSort = append(a.rackSort[:0], v.DIPRacks...)
+	a.dipRacks = rackWeights(a.dipRacks[:0], a.rackSort)
+}
+
+// vecFn receives one precomputed unit-flow vector and the rate riding it, and
+// reports whether the visit should go on.
+type vecFn func(vec []netsim.LinkFrac, rate float64) bool
 
 // flows visits the load vectors created by placing VIP v on switch s.
 func (a *assigner) flows(v *workload.VIP, rate float64, s topology.SwitchID, fn vecFn) bool {
@@ -414,7 +433,7 @@ func (a *assigner) flows(v *workload.VIP, rate float64, s topology.SwitchID, fn 
 // v's mux function on switch s: intra-DC sources → s, the aggregated
 // Internet-ingress vector → s, and s → the DIP racks. Sources and sinks in
 // failed domains are skipped (their traffic has vanished, §8.5). It returns
-// false if any required path is unroutable.
+// false if any required path is unroutable or fn stopped the visit.
 func visitFlowVecs(net *netsim.Network, v *workload.VIP, rate float64, s topology.SwitchID, dipRacks []rackFrac, fn vecFn) bool {
 	topo := net.Topo
 	intra := rate * (1 - v.InternetFrac)
@@ -427,17 +446,15 @@ func visitFlowVecs(net *netsim.Network, v *workload.VIP, rate float64, s topolog
 			continue // sources inside a failed domain vanish
 		}
 		vec, err := net.UnitFlow(src, s)
-		if err != nil {
+		if err != nil || !fn(vec, intra*sw.Weight) {
 			return false
 		}
-		fn(vec, intra*sw.Weight)
 	}
 	if v.InternetFrac > 0 {
 		vec, err := net.InternetFlow(s)
-		if err != nil {
+		if err != nil || !fn(vec, rate*v.InternetFrac) {
 			return false
 		}
-		fn(vec, rate*v.InternetFrac)
 	}
 	for _, rf := range dipRacks {
 		rack, frac := rf.rack, rf.frac
@@ -446,10 +463,9 @@ func visitFlowVecs(net *netsim.Network, v *workload.VIP, rate float64, s topolog
 			continue
 		}
 		vec, err := net.UnitFlow(s, dst)
-		if err != nil {
+		if err != nil || !fn(vec, rate*frac) {
 			return false
 		}
-		fn(vec, rate*frac)
 	}
 	return true
 }
@@ -458,6 +474,16 @@ func visitFlowVecs(net *netsim.Network, v *workload.VIP, rate float64, s topolog
 // links plus the switch-memory delta: the max touched utilization for
 // Greedy/Random, or the L2 norm for BestFit. feasible is false if any
 // touched resource would exceed 100% of its effective capacity.
+//
+// Most candidates do not fit, and evaluate proves that early: first the
+// Internet-ingress term alone (every candidate has it, and it is usually the
+// heaviest) against each link it touches, then the full sum, which stops at
+// the first link whose running sum fails the final test. Both exits are
+// exact. Every term r*Frac is ≥ 0, and IEEE round-to-nearest addition and
+// division by a positive capacity are monotone, so a single term or a partial
+// sum that fails the test means the full sum fails it too. Only infeasible
+// candidates stop early, and callers read nothing of an infeasible result
+// but feasible == false: every feasible score is the full sum's.
 func (a *assigner) evaluate(v *workload.VIP, rate float64, s topology.SwitchID) (mru float64, feasible bool) {
 	if !a.net.SwitchUp(s) {
 		return math.Inf(1), false
@@ -467,21 +493,23 @@ func (a *assigner) evaluate(v *workload.VIP, rate float64, s topology.SwitchID) 
 	if memU > 1 {
 		return math.Inf(1), false
 	}
-	for _, d := range a.dirty {
-		a.touched[d] = 0
-	}
-	a.dirty = a.dirty[:0]
-	ok := a.flows(v, rate, s, func(vec []netsim.LinkFrac, r float64) {
-		for _, lf := range vec {
-			if a.touched[lf.Dir] == 0 {
-				a.dirty = append(a.dirty, lf.Dir)
-			}
-			a.touched[lf.Dir] += r * lf.Frac
+	if v.InternetFrac > 0 {
+		vec, err := a.net.InternetFlow(s)
+		if err != nil {
+			return math.Inf(1), false
 		}
-	})
-	if !ok {
+		r := rate * v.InternetFrac
+		for _, lf := range vec {
+			if a.over(lf.Dir, r*lf.Frac) {
+				return math.Inf(1), false
+			}
+		}
+	}
+	if !a.accumulate(v, rate, s, true) {
 		return math.Inf(1), false
 	}
+	// Every touched link passed the final test as its sum grew, so no u
+	// below exceeds 1.
 	max := memU
 	l2 := memU * memU
 	for _, dir := range a.dirty {
@@ -490,9 +518,6 @@ func (a *assigner) evaluate(v *workload.VIP, rate float64, s topology.SwitchID) 
 			max = u
 		}
 		l2 += u * u
-	}
-	if max > 1 {
-		return max, false
 	}
 	if a.opts.Strategy == BestFit {
 		return l2, true
@@ -516,19 +541,7 @@ func (a *assigner) evaluate(v *workload.VIP, rate float64, s topology.SwitchID) 
 // freshly allocated and never mutated afterwards — safe to retain across
 // epochs.
 func (a *assigner) contribution(v *workload.VIP, rate float64, s topology.SwitchID) ([]netsim.LinkFrac, bool) {
-	for _, d := range a.dirty {
-		a.touched[d] = 0
-	}
-	a.dirty = a.dirty[:0]
-	ok := a.flows(v, rate, s, func(vec []netsim.LinkFrac, r float64) {
-		for _, lf := range vec {
-			if a.touched[lf.Dir] == 0 {
-				a.dirty = append(a.dirty, lf.Dir)
-			}
-			a.touched[lf.Dir] += r * lf.Frac
-		}
-	})
-	if !ok {
+	if !a.accumulate(v, rate, s, false) {
 		return nil, false
 	}
 	out := make([]netsim.LinkFrac, len(a.dirty))
@@ -536,6 +549,37 @@ func (a *assigner) contribution(v *workload.VIP, rate float64, s topology.Switch
 		out[i] = netsim.LinkFrac{Dir: d, Frac: a.touched[d]}
 	}
 	return out, true
+}
+
+// accumulate resets the touched-link buffers and sums into them, in first-touch
+// order, every flow vector of placing VIP v on switch s. With exitOver it
+// stops at the first link whose running sum fails the final feasibility
+// test. It reports false if a path is unroutable or the sum stopped.
+func (a *assigner) accumulate(v *workload.VIP, rate float64, s topology.SwitchID, exitOver bool) bool {
+	for _, d := range a.dirty {
+		a.touched[d] = 0
+	}
+	a.dirty = a.dirty[:0]
+	return a.flows(v, rate, s, func(vec []netsim.LinkFrac, r float64) bool {
+		for _, lf := range vec {
+			if a.touched[lf.Dir] == 0 {
+				a.dirty = append(a.dirty, lf.Dir)
+			}
+			a.touched[lf.Dir] += r * lf.Frac
+			if exitOver && a.over(lf.Dir, a.touched[lf.Dir]) {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// over reports whether adding x to directed link d's committed load fails
+// the final feasibility test (load+x)/effCap > 1. The cheap compare runs
+// first; the division is the test itself.
+func (a *assigner) over(d netsim.DirLink, x float64) bool {
+	l := a.loads[d] + x
+	return l > a.effCap[d] && l/a.effCap[d] > 1
 }
 
 // apply adds a contribution vector to the committed link loads, tracking the
@@ -553,7 +597,7 @@ func (a *assigner) apply(vec []netsim.LinkFrac) {
 // touched link within its effective capacity.
 func (a *assigner) vecFeasible(vec []netsim.LinkFrac) bool {
 	for _, lf := range vec {
-		if (a.loads[lf.Dir]+lf.Frac)/a.effCap[lf.Dir] > 1 {
+		if a.over(lf.Dir, lf.Frac) {
 			return false
 		}
 	}
@@ -574,6 +618,7 @@ func (a *assigner) commit(v *workload.VIP, rate float64, s topology.SwitchID) []
 func (a *assigner) commitVec(vec []netsim.LinkFrac, s topology.SwitchID, nd int) {
 	a.apply(vec)
 	a.memUsed[s] += nd
+	a.candsFresh = false
 	if u := float64(a.memUsed[s]) / float64(a.opts.MemCapacity); u > a.runMax {
 		a.runMax = u
 	}
@@ -581,11 +626,20 @@ func (a *assigner) commitVec(vec []netsim.LinkFrac, s topology.SwitchID, nd int)
 
 // candidates returns the reduced candidate set of §4.2: the least-loaded ToR
 // per container, every Agg, and every Core. With Options.FullScan it returns
-// every live switch instead.
+// every live switch instead. The set is rebuilt, in the round's own buffer,
+// only after a commit; callers must not keep it across one.
 func (a *assigner) candidates() []topology.SwitchID {
+	if !a.candsFresh {
+		a.cands = a.appendCandidates(a.cands[:0])
+		a.candsFresh = true
+	}
+	return a.cands
+}
+
+// appendCandidates appends the candidate set to out.
+func (a *assigner) appendCandidates(out []topology.SwitchID) []topology.SwitchID {
 	topo := a.net.Topo
 	if a.opts.FullScan {
-		out := make([]topology.SwitchID, 0, topo.NumSwitches())
 		for s := 0; s < topo.NumSwitches(); s++ {
 			if a.net.SwitchUp(topology.SwitchID(s)) {
 				out = append(out, topology.SwitchID(s))
@@ -593,8 +647,6 @@ func (a *assigner) candidates() []topology.SwitchID {
 		}
 		return out
 	}
-	out := make([]topology.SwitchID, 0, topo.Cfg.Containers+
-		topo.Cfg.Containers*topo.Cfg.AggsPerContainer+topo.Cfg.Cores)
 	for c := 0; c < topo.Cfg.Containers; c++ {
 		best := topology.SwitchID(-1)
 		bestScore := math.Inf(1)
@@ -709,7 +761,7 @@ func (a *assigner) place(vi int, sticky int32) {
 		a.placeNMux(vi, v, rate)
 		return
 	}
-	a.dipRacks = dipRackWeights(v)
+	a.loadDIPRacks(v)
 	best, bestMRU := a.scan(v, rate)
 
 	// Sticky: prefer the previous placement unless the improvement

@@ -163,7 +163,7 @@ func computeStable(net *netsim.Network, work *workload.Workload, epoch int, base
 				if cacheOK && !dirty && cache.contrib[vi] != nil {
 					vec, ok = cache.contrib[vi], true
 				} else {
-					a.dipRacks = dipRackWeights(v)
+					a.loadDIPRacks(v)
 					vec, ok = a.contribution(v, rate, s)
 					res.Rescanned++
 				}

@@ -36,10 +36,11 @@ func FullLoads(net *netsim.Network, work *workload.Workload, epoch int, asg *Ass
 		return nil, fmt.Errorf("assign: epoch %d out of range", epoch)
 	}
 	loads := net.NewLoads()
-	add := func(vec []netsim.LinkFrac, r float64) {
+	add := func(vec []netsim.LinkFrac, r float64) bool {
 		for _, lf := range vec {
 			loads[lf.Dir] += r * lf.Frac
 		}
+		return true
 	}
 
 	// Live SMux locations.

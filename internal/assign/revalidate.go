@@ -66,7 +66,7 @@ func revalidateTiers(net *netsim.Network, work *workload.Workload, epoch int, pl
 			}
 			continue
 		}
-		a.dipRacks = dipRackWeights(v)
+		a.loadDIPRacks(v)
 		if _, feasible := a.evaluate(v, rate, topology.SwitchID(s)); !feasible {
 			// Evicted from the switch tier; fall downward.
 			if tiers != nil {

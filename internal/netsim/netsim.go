@@ -45,12 +45,16 @@ type Network struct {
 	epoch      uint64 // bumped on every failure-state change
 
 	distCache map[topology.SwitchID][]int32
-	flowCache map[flowKey][]LinkFrac
-	inetCache map[topology.SwitchID][]LinkFrac
-}
 
-type flowKey struct {
-	src, dst topology.SwitchID
+	// The vector caches the placement scan reads once per candidate term:
+	// flowIdx[src*NumSwitches+dst] and inetIdx[dst] hold 1 + the index of the
+	// computed vector in vecs, 0 while it is not computed (a computed nil
+	// vector — Internet ingress that terminates at dst — is a slot too). The
+	// indexes are allocated on first use, so a Network nobody places on costs
+	// nothing, and a failure-state change clears them in place.
+	vecs    [][]LinkFrac
+	flowIdx []int32
+	inetIdx []int32
 }
 
 // New creates a Network over topo with no failures.
@@ -59,9 +63,13 @@ func New(topo *topology.Topology) *Network {
 		Topo:       topo,
 		downSwitch: make([]bool, topo.NumSwitches()),
 		distCache:  make(map[topology.SwitchID][]int32),
-		flowCache:  make(map[flowKey][]LinkFrac),
-		inetCache:  make(map[topology.SwitchID][]LinkFrac),
 	}
+}
+
+// remember appends vec to the vector list and returns its index slot value.
+func (n *Network) remember(vec []LinkFrac) int32 {
+	n.vecs = append(n.vecs, vec)
+	return int32(len(n.vecs))
 }
 
 // NumDirLinks returns the number of directed links (2 per physical link).
@@ -78,9 +86,11 @@ func (n *Network) Epoch() uint64 { return n.epoch }
 
 func (n *Network) invalidate() {
 	n.epoch++
-	n.distCache = make(map[topology.SwitchID][]int32)
-	n.flowCache = make(map[flowKey][]LinkFrac)
-	n.inetCache = make(map[topology.SwitchID][]LinkFrac)
+	clear(n.distCache)
+	clear(n.flowIdx)
+	clear(n.inetIdx)
+	clear(n.vecs)
+	n.vecs = n.vecs[:0]
 }
 
 // FailSwitch marks a switch down. All its links stop carrying traffic.
@@ -165,9 +175,12 @@ func (n *Network) UnitFlow(src, dst topology.SwitchID) ([]LinkFrac, error) {
 	if src == dst {
 		return nil, nil
 	}
-	key := flowKey{src, dst}
-	if v, ok := n.flowCache[key]; ok {
-		return v, nil
+	if n.flowIdx == nil {
+		n.flowIdx = make([]int32, len(n.downSwitch)*len(n.downSwitch))
+	}
+	slot := &n.flowIdx[int(src)*len(n.downSwitch)+int(dst)]
+	if *slot != 0 {
+		return n.vecs[*slot-1], nil
 	}
 	if n.downSwitch[src] || n.downSwitch[dst] {
 		return nil, ErrUnreachable
@@ -215,7 +228,7 @@ func (n *Network) UnitFlow(src, dst topology.SwitchID) ([]LinkFrac, error) {
 		out = append(out, LinkFrac{Dir: dir, Frac: f})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Dir < out[j].Dir })
-	n.flowCache[key] = out
+	*slot = n.remember(out)
 	return out, nil
 }
 
@@ -254,8 +267,12 @@ func (n *Network) MaxUtilization(l Loads) (float64, DirLink) {
 // core switches (where WAN traffic enters the fabric) and ECMP-routed to
 // dst. The result is cached per destination; callers must not mutate it.
 func (n *Network) InternetFlow(dst topology.SwitchID) ([]LinkFrac, error) {
-	if v, ok := n.inetCache[dst]; ok {
-		return v, nil
+	if n.inetIdx == nil {
+		n.inetIdx = make([]int32, len(n.downSwitch))
+	}
+	slot := &n.inetIdx[dst]
+	if *slot != 0 {
+		return n.vecs[*slot-1], nil
 	}
 	var cores []topology.SwitchID
 	for i := 0; i < n.Topo.Cfg.Cores; i++ {
@@ -265,7 +282,7 @@ func (n *Network) InternetFlow(dst topology.SwitchID) ([]LinkFrac, error) {
 	}
 	if len(cores) == 0 {
 		// dst is the only live core (or none are): ingress terminates there.
-		n.inetCache[dst] = nil
+		*slot = n.remember(nil)
 		return nil, nil
 	}
 	acc := map[DirLink]float64{}
@@ -284,6 +301,6 @@ func (n *Network) InternetFlow(dst topology.SwitchID) ([]LinkFrac, error) {
 		out = append(out, LinkFrac{Dir: dir, Frac: f})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Dir < out[j].Dir })
-	n.inetCache[dst] = out
+	*slot = n.remember(out)
 	return out, nil
 }

@@ -294,11 +294,15 @@ func TestUnitFlowConservationSweep(t *testing.T) {
 	}
 }
 
+// BenchmarkUnitFlowCold prices one vector's ECMP propagation: every iteration
+// forgets the vectors (the distance cache stays warm) without reallocating
+// the index, as a failure-state change does.
 func BenchmarkUnitFlowCold(b *testing.B) {
 	n := defaultNet(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		n.flowCache = make(map[flowKey][]LinkFrac)
+		clear(n.flowIdx)
+		n.vecs = n.vecs[:0]
 		if _, err := n.UnitFlow(n.Topo.TorID(0, 0), n.Topo.TorID(5, 3)); err != nil {
 			b.Fatal(err)
 		}
@@ -465,5 +469,85 @@ func TestFailureInvalidatesAllCaches(t *testing.T) {
 	}
 	if got, wantIn := intoDst(n, inetAfter, dst), 1.0; math.Abs(got-wantIn) > 1e-9 {
 		t.Fatalf("recovered internet inflow %v, want %v", got, wantIn)
+	}
+
+	// Two invalidations in a row: fail a switch, warm every vector, recover,
+	// fail another. The index is cleared in place, so a slot that survived
+	// either generation would serve a vector over a down switch, or another
+	// pair's vector. Asked in the reverse order, every answer must equal a
+	// fresh Network's under the same failure.
+	aggA, aggB := n.Topo.AggID(0, 1), n.Topo.AggID(0, 2)
+	var ends []topology.SwitchID
+	for i := 0; i < n.Topo.Cfg.ToRsPerContainer; i++ {
+		ends = append(ends, n.Topo.TorID(0, i), n.Topo.TorID(1, i))
+	}
+	ends = append(ends, n.Topo.AggID(1, 0), n.Topo.CoreID(0), n.Topo.CoreID(1))
+	n.FailSwitch(aggA)
+	for _, s := range ends {
+		for _, d := range ends {
+			n.UnitFlow(s, d)
+		}
+		n.InternetFlow(s)
+	}
+	n.RecoverSwitch(aggA)
+	n.FailSwitch(aggB)
+	fresh := New(n.Topo)
+	fresh.FailSwitch(aggB)
+	same := func(label string, got, want []LinkFrac) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d links, a fresh network has %d", label, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: link %d = %+v, a fresh network has %+v", label, i, got[i], want[i])
+			}
+			if l := n.Topo.Link(got[i].Dir.LinkOf()); l.A == aggB || l.B == aggB {
+				t.Fatalf("%s crosses the down switch", label)
+			}
+		}
+	}
+	for i := len(ends) - 1; i >= 0; i-- {
+		s := ends[i]
+		for j := len(ends) - 1; j >= 0; j-- {
+			got, _ := n.UnitFlow(s, ends[j])
+			want, _ := fresh.UnitFlow(s, ends[j])
+			same("UnitFlow", got, want)
+		}
+		got, _ := n.InternetFlow(s)
+		want, _ := fresh.InternetFlow(s)
+		same("InternetFlow", got, want)
+	}
+}
+
+// TestInternetFlowOnlyLiveCore: ingress to the only live core terminates
+// there, so its vector is nil, and a computed nil is cached like any other
+// vector — it is not "not computed". A recovery brings a real vector back.
+func TestInternetFlowOnlyLiveCore(t *testing.T) {
+	n := defaultNet(t)
+	last := n.Topo.CoreID(n.Topo.Cfg.Cores - 1)
+	for i := 0; i < n.Topo.Cfg.Cores-1; i++ {
+		n.FailSwitch(n.Topo.CoreID(i))
+	}
+	for k := 0; k < 2; k++ {
+		vec, err := n.InternetFlow(last)
+		if err != nil || vec != nil {
+			t.Fatalf("call %d: got %v, %v; want nil, nil", k, vec, err)
+		}
+		if n.inetIdx[last] == 0 {
+			t.Fatalf("call %d: the computed nil vector is not cached", k)
+		}
+	}
+	cached := len(n.vecs)
+	if vec, _ := n.InternetFlow(last); vec != nil || len(n.vecs) != cached {
+		t.Fatal("a cached nil vector was computed again")
+	}
+	n.RecoverSwitch(n.Topo.CoreID(0))
+	vec, err := n.InternetFlow(last)
+	if err != nil || len(vec) == 0 {
+		t.Fatalf("after a core recovered: got %v, %v; want a vector", vec, err)
+	}
+	if got, want := intoDst(n, vec, last), 1.0/float64(n.Topo.Cfg.Cores); math.Abs(got-want) > 1e-9 {
+		t.Fatalf("ingress into the core %v, want the recovered core's share %v", got, want)
 	}
 }
