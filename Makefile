@@ -93,7 +93,7 @@ race:
 	cd bench && $(GO) test -race ./...
 
 # Zero-allocation gates for every instrumented hot path: the shared table's
-# lookup, mux packet processing, host-agent decap/DSR, core's forwarding path over every tier ×
+# lookup, the fabric's route pick, mux packet processing, host-agent decap/DSR, core's forwarding path over every tier ×
 # mode × protocol (and DeliverBatch's exact per-batch count), the wire
 # dataplane's burst (receive, handler, flush), the obs scrape tick
 # running concurrently with the dataplane, and the controller's placement
@@ -101,7 +101,7 @@ race:
 # testing.AllocsPerRun; the benchmark reports the same numbers with
 # -benchmem for inspection.
 allocs:
-	$(GO) test -run 'ZeroAlloc' ./internal/telemetry ./internal/addrmap ./internal/hmux ./internal/smux ./internal/nmux ./internal/steer ./internal/hostagent ./internal/core ./internal/wire ./internal/obs ./internal/assign
+	$(GO) test -run 'ZeroAlloc' ./internal/telemetry ./internal/addrmap ./internal/bgp ./internal/hmux ./internal/smux ./internal/nmux ./internal/steer ./internal/hostagent ./internal/core ./internal/wire ./internal/obs ./internal/assign
 	$(GO) test -run XXX -bench BenchmarkTelemetryHotPath -benchtime 100x -benchmem ./internal/telemetry
 
 # The demos are call sites too: each runs the paper's reaction through the

@@ -12,16 +12,28 @@
 // itself when a propagation delay has passed, and core.Cluster reads the
 // converged view — but bench/ pins both signatures.
 //
-// Concurrency: the table is a persistent binary trie. Mutators (Announce,
-// Withdraw, WithdrawAll) serialize on an internal lock and path-copy only the
-// nodes they touch, then publish the new root through an atomic pointer.
-// Readers (Pick) load the root once and walk an immutable structure,
-// so any number of dataplane goroutines can resolve routes concurrently with
-// control-plane churn and never observe a torn or partially applied update.
+// Structure: the table is a persistent path-compressed (Patricia) trie. A
+// node exists only where a prefix was announced or where two announced
+// prefixes' paths branch, and it holds its own prefix, so Pick visits the
+// few prefixes that cover an address — the aggregate, the /32, and about
+// log2(routes) branches between them — instead of 33 bit levels. A withdrawn
+// route stays in its node, stamped with its withdrawal time, so the trie
+// never deletes a node: an insert that may split an edge is its one
+// structural edit.
+//
+// Concurrency: mutators (Announce, Withdraw, WithdrawAll) serialize on an
+// internal lock and path-copy only the nodes they touch, then publish the
+// new root through an atomic pointer; a call that changes no route publishes
+// nothing. Readers (Pick) load the root once and walk an immutable
+// structure, so any number of dataplane goroutines can resolve routes
+// concurrently with control-plane churn and never observe a torn or
+// partially applied update.
 package bgp
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -50,25 +62,32 @@ func (e routeEntry) active(now float64) bool {
 	return now >= e.visibleAt && now < e.withdrawnAt
 }
 
-// trieNode is one node of the persistent trie. Nodes are immutable after
-// publication: mutators copy every node on the root→prefix path (and the
-// terminal node's route slice) instead of writing in place.
-type trieNode struct {
-	children [2]*trieNode
-	routes   []routeEntry // sorted by NodeID; nil until a prefix terminates here
+// node is one node of the persistent path-compressed (Patricia) trie. A node
+// exists only where a prefix was announced or where the paths to two such
+// prefixes branch, and it stores its own prefix, so a walk compares whole
+// prefixes instead of stepping one bit at a time. Routes are never deleted
+// — a withdrawal stamps an entry's withdrawnAt — so a node never goes away
+// and the only structural edit is an insert, which may split an edge. Nodes
+// are immutable after publication: a mutator copies every node on the
+// root→prefix path (and the edited node's route slice) instead of writing
+// in place.
+type node struct {
+	prefix   packet.Prefix // host bits zero
+	children [2]*node      // by the first address bit past prefix.Bits
+	routes   []routeEntry  // sorted by NodeID; nil on a branch no prefix ends at
 }
 
 // clone returns a shallow copy of n whose route slice is also copied, ready
 // for mutation before publication.
-func (n *trieNode) clone() *trieNode {
-	cp := &trieNode{children: n.children}
+func (n *node) clone() *node {
+	cp := &node{prefix: n.prefix, children: n.children}
 	if n.routes != nil {
-		cp.routes = append(make([]routeEntry, 0, len(n.routes)), n.routes...)
+		cp.routes = append(make([]routeEntry, 0, len(n.routes)+1), n.routes...)
 	}
 	return cp
 }
 
-func (n *trieNode) findRoute(nh NodeID) int {
+func (n *node) findRoute(nh NodeID) int {
 	for i := range n.routes {
 		if n.routes[i].nh == nh {
 			return i
@@ -77,7 +96,7 @@ func (n *trieNode) findRoute(nh NodeID) int {
 	return -1
 }
 
-func (n *trieNode) hasActive(now float64) bool {
+func (n *node) hasActive(now float64) bool {
 	for i := range n.routes {
 		if n.routes[i].active(now) {
 			return true
@@ -86,12 +105,69 @@ func (n *trieNode) hasActive(now float64) bool {
 	return false
 }
 
+// bit returns addr's i-th most significant bit (i < 32).
+func bit(addr packet.Addr, i int) int {
+	return int(uint32(addr)>>(31-i)) & 1
+}
+
+// contains reports whether the prefix covers addr.
+func contains(p packet.Prefix, addr packet.Addr) bool {
+	return addr&packet.Mask(p.Bits) == p.Addr
+}
+
+// find returns the node whose prefix is p, or nil.
+func find(n *node, p packet.Prefix) *node {
+	for n != nil && n.prefix.Bits <= p.Bits && contains(n.prefix, p.Addr) {
+		if n.prefix.Bits == p.Bits {
+			return n
+		}
+		n = n.children[bit(p.Addr, n.prefix.Bits)]
+	}
+	return nil
+}
+
+// insert returns a copy of the subtree n in which the node for p exists and
+// edit has been applied to it: the nodes on the path are copied, a missing
+// node is created — below the last node that covers p, splitting the edge to
+// the first that does not with a branch where their addresses diverge.
+func insert(n *node, p packet.Prefix, edit func(*node)) *node {
+	if n == nil {
+		leaf := &node{prefix: p}
+		edit(leaf)
+		return leaf
+	}
+	common := min(n.prefix.Bits, p.Bits, bits.LeadingZeros32(uint32(n.prefix.Addr^p.Addr)))
+	switch {
+	case common == n.prefix.Bits && common == p.Bits: // n is p's node
+		cp := n.clone()
+		edit(cp)
+		return cp
+	case common == n.prefix.Bits: // p lies below n
+		cp := &node{prefix: n.prefix, children: n.children, routes: n.routes}
+		b := bit(p.Addr, common)
+		cp.children[b] = insert(n.children[b], p, edit)
+		return cp
+	}
+	var top *node
+	if common == p.Bits { // n lies below p: p's node takes n's place
+		top = &node{prefix: p}
+		edit(top)
+	} else { // the paths diverge: a branch takes n's place
+		top = &node{prefix: packet.PrefixFrom(p.Addr, common)}
+		leaf := &node{prefix: p}
+		edit(leaf)
+		top.children[bit(p.Addr, common)] = leaf
+	}
+	top.children[bit(n.prefix.Addr, common)] = n
+	return top
+}
+
 // Table is a time-aware longest-prefix-match routing table representing the
 // converged view of the whole fabric. Reads are lock-free; writes serialize
 // on an internal mutex and publish copy-on-write snapshots.
 type Table struct {
-	mu   sync.Mutex // serializes mutators
-	root atomic.Pointer[trieNode]
+	mu   sync.Mutex           // serializes mutators
+	root atomic.Pointer[node] // nil while the table is empty
 
 	telAnnounces telemetry.CounterShard
 	telWithdraws telemetry.CounterShard
@@ -100,9 +176,7 @@ type Table struct {
 
 // NewTable creates an empty table.
 func NewTable() *Table {
-	t := &Table{}
-	t.root.Store(&trieNode{})
-	return t
+	return &Table{}
 }
 
 // SetTelemetry attaches the table to a metric registry and flight recorder.
@@ -120,7 +194,7 @@ func (t *Table) SetTelemetry(reg *telemetry.Registry, rec *telemetry.Recorder) {
 // concurrent use; later mutations of the source table are never visible
 // through it.
 type Snapshot struct {
-	root *trieNode
+	root *node
 }
 
 // Snapshot captures the current routing view.
@@ -130,56 +204,31 @@ func (t *Table) Snapshot() Snapshot {
 	return Snapshot{root: t.root.Load()}
 }
 
-// mutate path-copies the root→prefix chain, applies fn to the (cloned)
-// terminal node, and publishes the new root. Must be called with t.mu held.
-// If create is false and the prefix path does not exist, fn is not called
-// and nothing is published; mutate reports whether it published.
-func (t *Table) mutate(p packet.Prefix, create bool, fn func(n *trieNode) bool) bool {
-	old := t.root.Load()
-	newRoot := old.clone()
-	n := newRoot
-	for i := 0; i < p.Bits; i++ {
-		bit := (uint32(p.Addr) >> (31 - i)) & 1
-		child := n.children[bit]
-		if child == nil {
-			if !create {
-				return false
-			}
-			child = &trieNode{}
-		}
-		cp := child.clone()
-		n.children[bit] = cp
-		n = cp
-	}
-	if !fn(n) {
-		return false
-	}
-	t.root.Store(newRoot)
-	return true
-}
-
 // Announce installs a route for prefix via nexthop, visible to the fabric at
 // time visibleAt (the announcement time plus convergence delay). Re-announcing
 // an active route is a no-op except that it cancels a pending withdrawal.
 func (t *Table) Announce(p packet.Prefix, nh NodeID, visibleAt float64) {
+	p = packet.PrefixFrom(p.Addr, p.Bits)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.telAnnounces.Inc()
 	t.telRec.RecordAt(visibleAt, telemetry.KindBGPAnnounce, uint32(nh), uint32(p.Addr), 0, uint64(p.Bits))
-	t.mutate(p, true, func(n *trieNode) bool {
+	root := t.root.Load()
+	if n := find(root, p); n != nil {
+		if i := n.findRoute(nh); i >= 0 && visibleAt >= n.routes[i].visibleAt && math.IsInf(n.routes[i].withdrawnAt, 1) {
+			return // a refresh that changes neither field publishes nothing
+		}
+	}
+	t.root.Store(insert(root, p, func(n *node) {
 		if i := n.findRoute(nh); i >= 0 {
 			// Refresh: keep the earliest visibility, clear any withdrawal.
-			e := n.routes[i]
-			if visibleAt < e.visibleAt {
-				e.visibleAt = visibleAt
-			}
+			e := &n.routes[i]
+			e.visibleAt = min(e.visibleAt, visibleAt)
 			e.withdrawnAt = math.Inf(1)
-			n.routes[i] = e
-			return true
+			return
 		}
 		// Insert keeping the slice sorted by NodeID, so readers can pick the
 		// k-th next hop deterministically without sorting.
-		e := routeEntry{nh: nh, visibleAt: visibleAt, withdrawnAt: math.Inf(1)}
 		at := len(n.routes)
 		for i := range n.routes {
 			if n.routes[i].nh > nh {
@@ -187,30 +236,31 @@ func (t *Table) Announce(p packet.Prefix, nh NodeID, visibleAt float64) {
 				break
 			}
 		}
-		n.routes = append(n.routes, routeEntry{})
-		copy(n.routes[at+1:], n.routes[at:])
-		n.routes[at] = e
-		return true
-	})
+		n.routes = slices.Insert(n.routes, at, routeEntry{nh: nh, visibleAt: visibleAt, withdrawnAt: math.Inf(1)})
+	}))
 }
 
 // Withdraw removes the route for prefix via nexthop, effective at time
 // effectiveAt. Withdrawing an unknown route is a no-op.
 func (t *Table) Withdraw(p packet.Prefix, nh NodeID, effectiveAt float64) {
+	p = packet.PrefixFrom(p.Addr, p.Bits)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.mutate(p, false, func(n *trieNode) bool {
-		i := n.findRoute(nh)
-		if i < 0 {
-			return false
-		}
-		if effectiveAt < n.routes[i].withdrawnAt {
-			n.routes[i].withdrawnAt = effectiveAt
-		}
-		t.telWithdraws.Inc()
-		t.telRec.RecordAt(effectiveAt, telemetry.KindBGPWithdraw, uint32(nh), uint32(p.Addr), 0, uint64(p.Bits))
-		return true
-	})
+	root := t.root.Load()
+	n := find(root, p)
+	if n == nil {
+		return
+	}
+	i := n.findRoute(nh)
+	if i < 0 {
+		return
+	}
+	t.telWithdraws.Inc()
+	t.telRec.RecordAt(effectiveAt, telemetry.KindBGPWithdraw, uint32(nh), uint32(p.Addr), 0, uint64(p.Bits))
+	if effectiveAt >= n.routes[i].withdrawnAt {
+		return // already withdrawn at that time or sooner: nothing to publish
+	}
+	t.root.Store(insert(root, p, func(n *node) { n.routes[i].withdrawnAt = effectiveAt }))
 }
 
 // Pick resolves addr against the snapshot: of the n next hops of the longest
@@ -220,23 +270,23 @@ func (t *Table) Withdraw(p packet.Prefix, nh NodeID, effectiveAt float64) {
 //
 //duet:hotpath
 func (s Snapshot) Pick(addr packet.Addr, now float64, hash uint64) (nh NodeID, matched packet.Prefix, ok bool) {
-	bestNode, bestBits := s.match(addr, now)
-	if bestNode == nil {
+	best := s.match(addr, now)
+	if best == nil {
 		return 0, packet.Prefix{}, false
 	}
 	active := 0
-	for _, e := range bestNode.routes {
+	for _, e := range best.routes {
 		if e.active(now) {
 			active++
 		}
 	}
 	k := int(hash % uint64(active))
-	for _, e := range bestNode.routes {
+	for _, e := range best.routes {
 		if !e.active(now) {
 			continue
 		}
 		if k == 0 {
-			return e.nh, packet.PrefixFrom(addr, bestBits), true
+			return e.nh, best.prefix, true
 		}
 		k--
 	}
@@ -244,64 +294,54 @@ func (s Snapshot) Pick(addr packet.Addr, now float64, hash uint64) (nh NodeID, m
 }
 
 // match returns the deepest node on addr's path holding an active route.
-func (s Snapshot) match(addr packet.Addr, now float64) (*trieNode, int) {
-	n := s.root
-	var bestNode *trieNode
-	var bestBits int
-	if n.hasActive(now) {
-		bestNode, bestBits = n, 0
-	}
-	for i := 0; i < 32 && n != nil; i++ {
-		bit := (uint32(addr) >> (31 - i)) & 1
-		n = n.children[bit]
-		if n != nil && n.hasActive(now) {
-			bestNode, bestBits = n, i+1
+//
+//duet:hotpath
+func (s Snapshot) match(addr packet.Addr, now float64) *node {
+	var best *node
+	for n := s.root; n != nil && contains(n.prefix, addr); n = n.children[bit(addr, n.prefix.Bits)] {
+		if n.hasActive(now) {
+			best = n
+		}
+		if n.prefix.Bits == 32 {
+			break
 		}
 	}
-	return bestNode, bestBits
+	return best
 }
 
 // WithdrawAll withdraws every route announced by nexthop anywhere in the
 // table, effective at effectiveAt — what the fabric does when it detects a
-// dead HMux (paper §5.1 "HMux failure").
+// dead HMux (paper §5.1 "HMux failure"). The routes are visited in pre-order,
+// which is (address, length) order.
 func (t *Table) WithdrawAll(nh NodeID, effectiveAt float64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	old := t.root.Load()
-	var walk func(n *trieNode, addr uint32, bits int) *trieNode
-	walk = func(n *trieNode, addr uint32, bits int) *trieNode {
+	var walk func(n *node) *node
+	walk = func(n *node) *node {
 		if n == nil {
 			return nil
 		}
-		var cp *trieNode
-		ensure := func() *trieNode {
-			if cp == nil {
-				cp = n.clone()
-			}
-			return cp
-		}
+		cp := n
 		if i := n.findRoute(nh); i >= 0 && effectiveAt < n.routes[i].withdrawnAt {
-			ensure().routes[i].withdrawnAt = effectiveAt
+			cp = n.clone()
+			cp.routes[i].withdrawnAt = effectiveAt
 			// One event per dead route, so a fabric-detected HMux failure
 			// leaves the same trace shape as explicit withdrawals.
 			t.telWithdraws.Inc()
-			t.telRec.RecordAt(effectiveAt, telemetry.KindBGPWithdraw, uint32(nh), addr, 0, uint64(bits))
+			t.telRec.RecordAt(effectiveAt, telemetry.KindBGPWithdraw, uint32(nh), uint32(n.prefix.Addr), 0, uint64(n.prefix.Bits))
 		}
-		if bits < 32 {
-			if c := walk(n.children[0], addr, bits+1); c != nil && c != n.children[0] {
-				ensure().children[0] = c
+		for b, child := range n.children {
+			if c := walk(child); c != child {
+				if cp == n {
+					cp = n.clone()
+				}
+				cp.children[b] = c
 			}
-			if c := walk(n.children[1], addr|1<<(31-bits), bits+1); c != nil && c != n.children[1] {
-				ensure().children[1] = c
-			}
 		}
-		if cp != nil {
-			return cp
-		}
-		return n
+		return cp
 	}
-	newRoot := walk(old, 0, 0)
-	if newRoot != old {
-		t.root.Store(newRoot)
+	old := t.root.Load()
+	if root := walk(old); root != old {
+		t.root.Store(root)
 	}
 }

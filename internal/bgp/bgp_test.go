@@ -1,9 +1,11 @@
 package bgp
 
 import (
+	"fmt"
 	"testing"
 
 	"duet/internal/packet"
+	"duet/internal/telemetry"
 )
 
 var (
@@ -205,17 +207,94 @@ func TestWithdrawAllOnlyTouchesTarget(t *testing.T) {
 	}
 }
 
-func BenchmarkLookup(b *testing.B) {
-	tb := NewTable()
-	tb.Announce(vipAgg, smux1, 0)
-	for i := 0; i < 4096; i++ {
-		addr := packet.AddrFrom4(10, 0, byte(i>>8), byte(i))
-		tb.Announce(packet.HostPrefix(addr), NodeID(i%64), 0)
+// hostRoutes announces the SMux aggregate 10.0.0.0/8 over eight SMuxes and n
+// /32 VIP routes scattered under it, and returns the VIPs.
+func hostRoutes(tb *Table, n int) []packet.Addr {
+	for i := 0; i < 8; i++ {
+		tb.Announce(packet.MustParsePrefix("10.0.0.0/8"), smux1+NodeID(i), 0)
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, _, ok := tb.Lookup(vip, 1.0); !ok {
-			b.Fatal("lookup failed")
+	vips := make([]packet.Addr, n)
+	for i := range vips {
+		// An odd multiplier is a bijection on the 24 host bits: n distinct
+		// VIPs spread over the whole /8, as a VIP allocator leaves them.
+		vips[i] = packet.Addr(10<<24 | uint32(i)*2654435761&0xffffff)
+		tb.Announce(packet.HostPrefix(vips[i]), NodeID(i%64), 0)
+	}
+	return vips
+}
+
+// BenchmarkLookup prices Pick, the fabric's per-packet route decision, over
+// the paper's route mix: one SMux aggregate and a /32 per HMux-served VIP.
+func BenchmarkLookup(b *testing.B) {
+	for _, n := range []int{64, 30000} {
+		b.Run(fmt.Sprintf("routes=%d", n), func(b *testing.B) {
+			tb := NewTable()
+			vips := hostRoutes(tb, n)
+			snap := tb.Snapshot()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, m, ok := snap.Pick(vips[i%n], 1.0, uint64(i)); !ok || m.Bits != 32 {
+					b.Fatal("lookup failed")
+				}
+			}
+		})
+	}
+}
+
+// TestPickZeroAlloc: the dataplane's route decision allocates nothing.
+func TestPickZeroAlloc(t *testing.T) {
+	tb := NewTable()
+	vips := hostRoutes(tb, 1000)
+	snap := tb.Snapshot()
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, _, ok := snap.Pick(vips[i%len(vips)], 1.0, uint64(i)); !ok {
+			t.Fatal("lookup failed")
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("Pick: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestNoOpMutationPublishesNothing: a Withdraw that withdraws nothing sooner
+// and an Announce refresh that changes neither time leave the published root
+// as it was, and are still counted and traced like every call before them.
+func TestNoOpMutationPublishesNothing(t *testing.T) {
+	tb := NewTable()
+	reg, rec := telemetry.NewRegistry(), telemetry.NewRecorder(64)
+	tb.SetTelemetry(reg, rec)
+	tb.Announce(vipAgg, smux1, 0)
+	tb.Announce(vipHost, hmux1, 1)
+	for _, tc := range []struct {
+		name            string
+		op              func()
+		publishes       bool
+		announces, wdrs uint64
+	}{
+		{"refresh at the same time", func() { tb.Announce(vipHost, hmux1, 1) }, false, 1, 0},
+		{"refresh at a later time", func() { tb.Announce(vipHost, hmux1, 2) }, false, 1, 0},
+		{"refresh at an earlier time", func() { tb.Announce(vipHost, hmux1, 0.5) }, true, 1, 0},
+		{"withdraw", func() { tb.Withdraw(vipHost, hmux1, 5) }, true, 0, 1},
+		{"withdraw again at the same time", func() { tb.Withdraw(vipHost, hmux1, 5) }, false, 0, 1},
+		{"withdraw again later", func() { tb.Withdraw(vipHost, hmux1, 6) }, false, 0, 1},
+		{"withdraw again sooner", func() { tb.Withdraw(vipHost, hmux1, 4) }, true, 0, 1},
+		{"withdraw another next hop", func() { tb.Withdraw(vipHost, hmux2, 1) }, false, 0, 0},
+		{"withdraw an unknown prefix", func() { tb.Withdraw(packet.MustParsePrefix("10.0.0.0/24"), smux1, 1) }, false, 0, 0},
+		{"withdraw all of a next hop already gone", func() { tb.WithdrawAll(hmux1, 7) }, false, 0, 0},
+		{"re-announce", func() { tb.Announce(vipHost, hmux1, 8) }, true, 1, 0},
+	} {
+		before, ann, wd, evs := tb.Snapshot().root, reg.Counter("bgp.announces").Value(), reg.Counter("bgp.withdraws").Value(), rec.Recorded()
+		tc.op()
+		if published := tb.Snapshot().root != before; published != tc.publishes {
+			t.Errorf("%s: published %v, want %v", tc.name, published, tc.publishes)
+		}
+		gotAnn, gotWd := reg.Counter("bgp.announces").Value()-ann, reg.Counter("bgp.withdraws").Value()-wd
+		if gotAnn != tc.announces || gotWd != tc.wdrs || rec.Recorded()-evs != tc.announces+tc.wdrs {
+			t.Errorf("%s: counted %d announces, %d withdrawals and %d events, want %d, %d and %d",
+				tc.name, gotAnn, gotWd, rec.Recorded()-evs, tc.announces, tc.wdrs, tc.announces+tc.wdrs)
 		}
 	}
 }

@@ -181,8 +181,13 @@ type deliverTelemetry struct {
 	hopNMux                            *telemetry.Histogram
 
 	// The per-packet attribution counters, indexed like a scratch's tally and
-	// added to once per run from it (flush).
+	// added to once per run from it (flush), and the stages' own per-packet
+	// counters, added to from the scratch's stage tallies at the same time.
 	tallied [numTallies]telemetry.CounterShard
+	hmux    hmux.Counters
+	nmux    nmux.Counters
+	smux    smux.Counters
+	agent   hostagent.Counters
 }
 
 // The attribution a worker tallies per packet in its scratch. Per tier:
@@ -286,6 +291,12 @@ func New(cfg Config) (*Cluster, error) {
 			tallySMux:     c.reg.Counter("core.deliver.tier.smux").Shard(),
 			tallyNMuxMiss: c.reg.Counter("core.deliver.tier.nmux_miss").Shard(),
 		},
+		hmux:  hmux.NewCounters(c.reg),
+		smux:  smux.NewCounters(c.reg),
+		agent: hostagent.NewCounters(c.reg),
+	}
+	if cfg.NMuxTableSize > 0 {
+		c.dtel.nmux = nmux.NewCounters(c.reg)
 	}
 	for _, md := range steer.Modes() {
 		//duet:allow metriclabel fixed three-mode set resolved once at construction
@@ -974,27 +985,34 @@ func (d Delivery) Hops() []Hop {
 
 // scratch is the memory one forwarding goroutine owns while it delivers: the
 // mux tier encapsulates into encap, a TIP switch re-encapsulates encap into
-// tip, and tally counts what the packets did until flush adds it to the
-// shared counters. Deliver borrows one from the cluster's pool per call, a
-// DeliverBatch worker for the length of the batch; no Delivery ever points
-// into it.
+// tip, and tally and the stage tallies count what the packets did — core's
+// attribution and each stage's own per-packet counters — until flush adds
+// them to the shared counters. Deliver borrows one from the cluster's pool
+// per call, a DeliverBatch worker for the length of the batch; no Delivery
+// ever points into it.
 type scratch struct {
 	encap, tip []byte
 	tally      [numTallies]uint64
+	hmux       hmux.Tally
+	nmux       nmux.Tally
+	smux       smux.Tally
+	agent      hostagent.Tally
 }
 
-// flush adds a scratch's tally to the attribution counters and zeroes it: a
-// batch worker pays the shared counters' atomics once per run, not once per
-// packet.
+// flush adds a scratch's tallies to the shared counters and zeroes them: a
+// batch worker pays the counters' atomics once per run, not once per packet,
+// so a scrape lags the packets by at most one run.
 //
 //duet:hotpath
 func (c *Cluster) flush(sc *scratch) {
 	for i, n := range sc.tally {
-		if n > 0 {
-			c.dtel.tallied[i].Add(n)
-			sc.tally[i] = 0
-		}
+		c.dtel.tallied[i].Add(n)
+		sc.tally[i] = 0
 	}
+	c.dtel.hmux.Flush(&sc.hmux)
+	c.dtel.nmux.Flush(&sc.nmux)
+	c.dtel.smux.Flush(&sc.smux)
+	c.dtel.agent.Flush(&sc.agent)
 }
 
 // Deliver pushes a VIP-addressed packet through the full datapath and
@@ -1065,7 +1083,7 @@ func (c *Cluster) deliver(snap *clusterSnap, data []byte, sc *scratch, out []byt
 		if sampled {
 			t0 = c.rec.Now()
 		}
-		res, err := hm.ProcessSampled(data, sc.encap[:0], f, hash, sampled)
+		res, err := hm.ProcessSampled(data, sc.encap[:0], f, hash, sampled, &sc.hmux)
 		if sampled {
 			c.dtel.hopHMux.Observe(c.rec.Now() - t0)
 		}
@@ -1094,7 +1112,7 @@ func (c *Cluster) deliver(snap *clusterSnap, data []byte, sc *scratch, out []byt
 				// from it to the TIP — and resolves on the inner tuple, so the
 				// tunnel's hash is not taken.
 				tunnel := packet.Flow{Tuple: packet.FiveTuple{Src: switchAddr(int(sw)), Dst: res.Encap, Proto: packet.ProtoIPIP}}
-				res, err := tm.ProcessSampled(encapped, sc.tip[:0], tunnel, 0, sampled)
+				res, err := tm.ProcessSampled(encapped, sc.tip[:0], tunnel, 0, sampled, &sc.hmux)
 				if sampled {
 					c.dtel.hopTIP.Observe(c.rec.Now() - t0)
 				}
@@ -1125,7 +1143,7 @@ func (c *Cluster) deliver(snap *clusterSnap, data []byte, sc *scratch, out []byt
 	if sampled {
 		t0 = c.rec.Now()
 	}
-	rx, err := agent.ReceiveSampled(encapped, out, f, hash, sampled)
+	rx, err := agent.ReceiveSampled(encapped, out, f, hash, sampled, &sc.agent)
 	if sampled {
 		c.dtel.hopAgent.Observe(c.rec.Now() - t0)
 	}
@@ -1165,7 +1183,7 @@ func (c *Cluster) hostTier(idx int, data []byte, f packet.Flow, hash uint64, sc 
 		if sampled {
 			t0 = c.rec.Now()
 		}
-		res, err := nm.ProcessSampled(data, sc.encap[:0], f, hash, sampled)
+		res, err := nm.ProcessSampled(data, sc.encap[:0], f, hash, sampled, &sc.nmux)
 		if sampled {
 			c.dtel.hopNMux.Observe(c.rec.Now() - t0)
 		}
@@ -1183,7 +1201,7 @@ func (c *Cluster) hostTier(idx int, data []byte, f packet.Flow, hash uint64, sc 
 	if sampled {
 		t0 = c.rec.Now()
 	}
-	res, err := sm.ProcessSampled(data, sc.encap[:0], f, hash, sampled)
+	res, err := sm.ProcessSampled(data, sc.encap[:0], f, hash, sampled, &sc.smux)
 	if sampled {
 		c.dtel.hopSMux.Observe(c.rec.Now() - t0)
 	}

@@ -436,19 +436,19 @@ func TestAppendContract(t *testing.T) {
 		run      func(in, out []byte) ([]byte, error)
 	}{
 		{"hmux.Process", client, encapped, func(in, out []byte) ([]byte, error) {
-			res, err := hm.ProcessSampled(in, out, f, hash, true)
+			res, err := hm.ProcessSampled(in, out, f, hash, true, new(hmux.Tally))
 			return res.Packet, err
 		}},
 		{"nmux.Process", client, encapped, func(in, out []byte) ([]byte, error) {
-			res, err := nm.ProcessSampled(in, out, f, hash, true)
+			res, err := nm.ProcessSampled(in, out, f, hash, true, new(nmux.Tally))
 			return res.Packet, err
 		}},
 		{"smux.Process", client, encapped, func(in, out []byte) ([]byte, error) {
-			res, err := sm.ProcessSampled(in, out, f, hash, true)
+			res, err := sm.ProcessSampled(in, out, f, hash, true, new(smux.Tally))
 			return res.Packet, err
 		}},
 		{"hostagent.Receive", encapped, rewritten(t, client, dip), func(in, out []byte) ([]byte, error) {
-			d, err := agent.ReceiveSampled(in, out, f, hash, true)
+			d, err := agent.ReceiveSampled(in, out, f, hash, true, new(hostagent.Tally))
 			return d.Packet, err
 		}},
 	}

@@ -128,13 +128,43 @@ type Mux struct {
 // muxTelemetry is the HMux's pre-resolved instrument block. Every field is
 // nil-safe: an uninstrumented mux pays one branch per touch point.
 type muxTelemetry struct {
-	packets, encapped, viaTIP telemetry.CounterShard
+	ctr Counters // what Process and Parse count, call by call
 
 	dropMalformed, dropUnknownVIP     telemetry.CounterShard
 	dropNoTunnelEntry, dropEncapError telemetry.CounterShard
 
 	rec  *telemetry.Recorder
 	node uint32
+}
+
+// Tally is a run of ProcessSampled calls' share of the per-packet counters.
+// The stage body counts into its caller's Tally, plain memory the forwarding
+// goroutine owns, and the caller adds the run to the shared counters at once
+// (Counters.Flush) instead of paying their atomics once per packet.
+type Tally struct{ packets, encapped, viaTIP uint64 }
+
+// Counters are the HMux's per-packet counters, shared by every HMux on a
+// registry: what a Tally is flushed into.
+type Counters struct{ packets, encapped, viaTIP telemetry.CounterShard }
+
+// NewCounters claims a shard of each per-packet counter on reg. A nil
+// registry gives no-op counters.
+func NewCounters(reg *telemetry.Registry) Counters {
+	return Counters{
+		packets:  reg.Counter("hmux.packets").Shard(),
+		encapped: reg.Counter("hmux.encapped").Shard(),
+		viaTIP:   reg.Counter("hmux.via_tip").Shard(),
+	}
+}
+
+// Flush adds t to the counters and zeroes it.
+//
+//duet:hotpath
+func (c Counters) Flush(t *Tally) {
+	c.packets.Add(t.packets)
+	c.encapped.Add(t.encapped)
+	c.viaTIP.Add(t.viaTIP)
+	*t = Tally{}
 }
 
 // SetTelemetry attaches the mux to a metric registry and flight recorder.
@@ -144,9 +174,7 @@ type muxTelemetry struct {
 // not concurrently with Process.
 func (m *Mux) SetTelemetry(reg *telemetry.Registry, rec *telemetry.Recorder, node uint32) {
 	m.tel = muxTelemetry{
-		packets:           reg.Counter("hmux.packets").Shard(),
-		encapped:          reg.Counter("hmux.encapped").Shard(),
-		viaTIP:            reg.Counter("hmux.via_tip").Shard(),
+		ctr:               NewCounters(reg),
 		dropMalformed:     reg.Counter("hmux.drops.malformed").Shard(),
 		dropUnknownVIP:    reg.Counter("hmux.drops.unknown_vip").Shard(),
 		dropNoTunnelEntry: reg.Counter("hmux.drops.no_tunnel_entry").Shard(),
@@ -384,8 +412,8 @@ type Result struct {
 // call resolves against one atomically loaded table generation).
 //
 // Process is the unsampled form for a caller holding only the bytes: it
-// parses them and calls ProcessSampled. The packet leaves counters but no
-// pipeline events.
+// parses them, calls ProcessSampled and counts the one packet. The packet
+// leaves counters but no pipeline events.
 //
 //duet:hotpath
 func (m *Mux) Process(data []byte, out []byte) (Result, error) {
@@ -393,7 +421,10 @@ func (m *Mux) Process(data []byte, out []byte) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return m.ProcessSampled(data, out, f, ecmp.Hash(f.Tuple), false)
+	var t Tally
+	res, err := m.ProcessSampled(data, out, f, ecmp.Hash(f.Tuple), false, &t)
+	m.tel.ctr.Flush(&t)
+	return res, err
 }
 
 // Parse verifies data as this mux's input (packet.Parse): a packet that fails
@@ -403,7 +434,7 @@ func (m *Mux) Process(data []byte, out []byte) (Result, error) {
 func (m *Mux) Parse(data []byte) (packet.Flow, error) {
 	f, err := packet.Parse(data)
 	if err != nil {
-		m.tel.packets.Inc()
+		m.tel.ctr.packets.Inc()
 		return f, m.drop(telemetry.DropMalformed, 0, err)
 	}
 	return f, nil
@@ -414,11 +445,12 @@ func (m *Mux) Parse(data []byte) (packet.Flow, error) {
 // hash its ecmp.Hash (a packet for a TIP resolves on its inner tuple, and the
 // stage does not read hash). core.Cluster and wire.Node each parse and decide
 // once per packet and hand both to every stage, so no stage decodes the
-// header again and a sampled packet leaves a complete trace.
+// header again and a sampled packet leaves a complete trace. The packet is
+// counted in tally, which the caller flushes (Counters.Flush).
 //
 //duet:hotpath
-func (m *Mux) ProcessSampled(data, out []byte, f packet.Flow, hash uint64, sampled bool) (Result, error) {
-	m.tel.packets.Inc()
+func (m *Mux) ProcessSampled(data, out []byte, f packet.Flow, hash uint64, sampled bool, tally *Tally) (Result, error) {
+	tally.packets++
 	if sampled {
 		m.tel.rec.Record(telemetry.KindPacketIn, m.tel.node, 0, 0, uint64(len(data)))
 	}
@@ -442,8 +474,8 @@ func (m *Mux) ProcessSampled(data, out []byte, f packet.Flow, hash uint64, sampl
 		if err != nil {
 			return Result{}, m.drop(telemetry.DropEncapError, dst, err)
 		}
-		m.tel.viaTIP.Inc()
-		m.tel.encapped.Inc()
+		tally.viaTIP++
+		tally.encapped++
 		if sampled {
 			m.tel.rec.Record(telemetry.KindTIPHop, m.tel.node, uint32(dst), uint32(encap), 0)
 		}
@@ -470,7 +502,7 @@ func (m *Mux) ProcessSampled(data, out []byte, f packet.Flow, hash uint64, sampl
 	if err != nil {
 		return Result{}, m.drop(telemetry.DropEncapError, dst, err)
 	}
-	m.tel.encapped.Inc()
+	tally.encapped++
 	if sampled {
 		m.tel.rec.Record(telemetry.KindEncap, m.tel.node, uint32(dst), uint32(encap), 0)
 	}

@@ -60,19 +60,44 @@ type Agent struct {
 // nil-safe: an agent that never calls SetTelemetry pays one branch per
 // operation (see internal/telemetry).
 type agentTelemetry struct {
-	received, bytes              telemetry.CounterShard
+	ctr                          Counters // what Receive counts, call by call
 	dsr, dsrErrors               telemetry.CounterShard
 	dropDecapError, dropNotLocal telemetry.CounterShard
 	rec                          *telemetry.Recorder
 	node                         uint32
 }
 
+// Tally is a run of ReceiveSampled calls' share of the per-packet counters
+// (see hmux.Tally).
+type Tally struct{ received, bytes uint64 }
+
+// Counters are the agent's per-packet counters, shared by every agent on a
+// registry: what a Tally is flushed into.
+type Counters struct{ received, bytes telemetry.CounterShard }
+
+// NewCounters claims a shard of each per-packet counter on reg. A nil
+// registry gives no-op counters.
+func NewCounters(reg *telemetry.Registry) Counters {
+	return Counters{
+		received: reg.Counter("hostagent.received").Shard(),
+		bytes:    reg.Counter("hostagent.bytes").Shard(),
+	}
+}
+
+// Flush adds t to the counters and zeroes it.
+//
+//duet:hotpath
+func (c Counters) Flush(t *Tally) {
+	c.received.Add(t.received)
+	c.bytes.Add(t.bytes)
+	*t = Tally{}
+}
+
 // SetTelemetry attaches the agent to a metric registry and flight recorder.
 // node identifies this host in trace events.
 func (a *Agent) SetTelemetry(reg *telemetry.Registry, rec *telemetry.Recorder, node uint32) {
 	a.tel = agentTelemetry{
-		received:       reg.Counter("hostagent.received").Shard(),
-		bytes:          reg.Counter("hostagent.bytes").Shard(),
+		ctr:            NewCounters(reg),
 		dsr:            reg.Counter("hostagent.dsr").Shard(),
 		dsrErrors:      reg.Counter("hostagent.dsr_errors").Shard(),
 		dropDecapError: reg.Counter("hostagent.drops.decap_error").Shard(),
@@ -171,7 +196,8 @@ type Delivery struct {
 // concurrent callers.
 //
 // Receive is the unsampled form for a caller holding only the bytes: it
-// parses them and calls ReceiveSampled (see hmux.Process).
+// parses them, calls ReceiveSampled and counts the one packet (see
+// hmux.Process).
 //
 //duet:hotpath
 func (a *Agent) Receive(data, out []byte) (Delivery, error) {
@@ -179,7 +205,10 @@ func (a *Agent) Receive(data, out []byte) (Delivery, error) {
 	if err != nil {
 		return Delivery{}, err
 	}
-	return a.ReceiveSampled(data, out, f, ecmp.Hash(f.Tuple), false)
+	var t Tally
+	d, err := a.ReceiveSampled(data, out, f, ecmp.Hash(f.Tuple), false, &t)
+	a.tel.ctr.Flush(&t)
+	return d, err
 }
 
 // Parse verifies the packet inside data's tunnel header (packet.Parse) and
@@ -208,12 +237,13 @@ func (a *Agent) decapError(err error) error {
 // ReceiveSampled is the agent's one receive body, for a caller that has
 // parsed the packet and taken its sampling decision (see
 // hmux.Mux.ProcessSampled): f is the flow of the packet inside the tunnel and
-// hash its ecmp.Hash. The tunnel header is the one header new to the agent,
-// and the one it verifies; the inner header's destination is rewritten in
-// place of a re-serialisation, so a header with options arrives intact.
+// hash its ecmp.Hash, and a delivered packet is counted in tally. The tunnel
+// header is the one header new to the agent, and the one it verifies; the
+// inner header's destination is rewritten in place of a re-serialisation, so
+// a header with options arrives intact.
 //
 //duet:hotpath
-func (a *Agent) ReceiveSampled(data, out []byte, f packet.Flow, hash uint64, sampled bool) (Delivery, error) {
+func (a *Agent) ReceiveSampled(data, out []byte, f packet.Flow, hash uint64, sampled bool, tally *Tally) (Delivery, error) {
 	inner, _, err := packet.Decapsulate(data)
 	if err != nil {
 		return Delivery{}, a.decapError(err)
@@ -235,8 +265,8 @@ func (a *Agent) ReceiveSampled(data, out []byte, f packet.Flow, hash uint64, sam
 		return Delivery{}, a.decapError(err)
 	}
 
-	a.tel.received.Inc()
-	a.tel.bytes.Add(uint64(len(inner)))
+	tally.received++
+	tally.bytes += uint64(len(inner))
 	if sampled {
 		a.tel.rec.Record(telemetry.KindDecap, a.tel.node, uint32(vip), uint32(dip), uint64(len(inner)))
 	}

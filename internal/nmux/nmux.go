@@ -129,11 +129,9 @@ type Mux struct {
 // muxTelemetry is the NMux's pre-resolved instrument block; all fields are
 // nil-safe no-ops until SetTelemetry is called.
 type muxTelemetry struct {
-	packets, encapped telemetry.CounterShard
-	hits, misses      telemetry.CounterShard
-	flowHits          telemetry.CounterShard
-	flowInserts       telemetry.CounterShard
-	flowRejectedFull  telemetry.CounterShard
+	ctr              Counters // what Process and Parse count, call by call
+	flowInserts      telemetry.CounterShard
+	flowRejectedFull telemetry.CounterShard
 
 	dropMalformed, dropNoBackend telemetry.CounterShard
 	dropEncapError               telemetry.CounterShard
@@ -144,17 +142,47 @@ type muxTelemetry struct {
 	node uint32
 }
 
+// Tally is a run of ProcessSampled calls' share of the per-packet counters
+// (see hmux.Tally).
+type Tally struct{ packets, encapped, hits, misses, flowHits uint64 }
+
+// Counters are the NMux's per-packet counters, shared by every NMux on a
+// registry: what a Tally is flushed into.
+type Counters struct {
+	packets, encapped, hits, misses, flowHits telemetry.CounterShard
+}
+
+// NewCounters claims a shard of each per-packet counter on reg. A nil
+// registry gives no-op counters.
+func NewCounters(reg *telemetry.Registry) Counters {
+	return Counters{
+		packets:  reg.Counter("nmux.packets").Shard(),
+		encapped: reg.Counter("nmux.encapped").Shard(),
+		hits:     reg.Counter("nmux.hits").Shard(),
+		misses:   reg.Counter("nmux.misses").Shard(),
+		flowHits: reg.Counter("nmux.flow.hits").Shard(),
+	}
+}
+
+// Flush adds t to the counters and zeroes it.
+//
+//duet:hotpath
+func (c Counters) Flush(t *Tally) {
+	c.packets.Add(t.packets)
+	c.encapped.Add(t.encapped)
+	c.hits.Add(t.hits)
+	c.misses.Add(t.misses)
+	c.flowHits.Add(t.flowHits)
+	*t = Tally{}
+}
+
 // SetTelemetry attaches the mux to a metric registry and flight recorder.
 // node identifies this NMux in trace events. Counters are shared across the
 // fleet on the same registry; each mux claims its own shard. Call during
 // setup, not concurrently with Process.
 func (m *Mux) SetTelemetry(reg *telemetry.Registry, rec *telemetry.Recorder, node uint32) {
 	m.tel = muxTelemetry{
-		packets:          reg.Counter("nmux.packets").Shard(),
-		encapped:         reg.Counter("nmux.encapped").Shard(),
-		hits:             reg.Counter("nmux.hits").Shard(),
-		misses:           reg.Counter("nmux.misses").Shard(),
-		flowHits:         reg.Counter("nmux.flow.hits").Shard(),
+		ctr:              NewCounters(reg),
 		flowInserts:      reg.Counter("nmux.flow.inserts").Shard(),
 		flowRejectedFull: reg.Counter("nmux.flow.rejected_full").Shard(),
 		dropMalformed:    reg.Counter("nmux.drops.malformed").Shard(),
@@ -410,7 +438,10 @@ func (m *Mux) Process(data []byte, out []byte) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return m.ProcessSampled(data, out, f, ecmp.Hash(f.Tuple), false)
+	var t Tally
+	res, err := m.ProcessSampled(data, out, f, ecmp.Hash(f.Tuple), false, &t)
+	m.tel.ctr.Flush(&t)
+	return res, err
 }
 
 // Parse verifies data as this mux's input (see hmux.Mux.Parse).
@@ -419,7 +450,7 @@ func (m *Mux) Process(data []byte, out []byte) (Result, error) {
 func (m *Mux) Parse(data []byte) (packet.Flow, error) {
 	f, err := packet.Parse(data)
 	if err != nil {
-		m.tel.packets.Inc()
+		m.tel.ctr.packets.Inc()
 		return f, m.drop(telemetry.DropMalformed, 0, err)
 	}
 	return f, nil
@@ -427,25 +458,26 @@ func (m *Mux) Parse(data []byte) (packet.Flow, error) {
 
 // ProcessSampled is the mux's one processing body, for a caller that has
 // parsed the packet into f, hashed it (hash) and taken its sampling decision
-// (see hmux.Mux.ProcessSampled). Only a hit leaves pipeline events: a sampled
-// miss falls through to the SMux, which records the packet's trace.
+// (see hmux.Mux.ProcessSampled), counting it in tally. Only a hit leaves
+// pipeline events: a sampled miss falls through to the SMux, which records
+// the packet's trace.
 //
 //duet:hotpath
-func (m *Mux) ProcessSampled(data, out []byte, f packet.Flow, hash uint64, sampled bool) (Result, error) {
-	m.tel.packets.Inc()
+func (m *Mux) ProcessSampled(data, out []byte, f packet.Flow, hash uint64, sampled bool, tally *Tally) (Result, error) {
+	tally.packets++
 	tuple := f.Tuple
 	if _, ok := m.tab.Load().Get(tuple.Dst); !ok {
-		m.tel.misses.Inc()
+		tally.misses++
 		return Result{}, ErrNotOurVIP
 	}
 	e, ok := m.steer.View().Find(tuple.Dst)
 	if !ok {
 		// Programmed here but absent from the shared table (the backstop
 		// SMux has not learned the VIP yet): fall through rather than drop.
-		m.tel.misses.Inc()
+		tally.misses++
 		return Result{}, ErrNotOurVIP
 	}
-	m.tel.hits.Inc()
+	tally.hits++
 	if sampled {
 		m.tel.rec.Record(telemetry.KindVIPLookup, m.tel.node, uint32(tuple.Dst), 0, 0)
 	}
@@ -484,7 +516,7 @@ func (m *Mux) ProcessSampled(data, out []byte, f packet.Flow, hash uint64, sampl
 		}
 	}
 	if pinned {
-		m.tel.flowHits.Inc()
+		tally.flowHits++
 	}
 	if sampled {
 		aux := uint64(0)
@@ -498,7 +530,7 @@ func (m *Mux) ProcessSampled(data, out []byte, f packet.Flow, hash uint64, sampl
 	if err != nil {
 		return Result{}, m.drop(telemetry.DropEncapError, tuple.Dst, err)
 	}
-	m.tel.encapped.Inc()
+	tally.encapped++
 	if sampled {
 		m.tel.rec.Record(telemetry.KindEncap, m.tel.node, uint32(tuple.Dst), uint32(dip), 0)
 	}

@@ -207,6 +207,16 @@ func TestHybridPinsOnlyStraddlingFlows(t *testing.T) {
 	if got := int(reg.Counter("smux.overlay.pins").Value()); got != pins {
 		t.Fatalf("overlay.pins counter = %d, want %d", got, pins)
 	}
+	// A pinned flow's next packet is served from the overlay, and counted.
+	hits := reg.Counter("smux.overlay.hits").Value()
+	for i := uint32(0); i < flows; i++ {
+		if _, err := m.Process(ackPacket(i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := reg.Counter("smux.overlay.hits").Value() - hits; got != uint64(pins) {
+		t.Fatalf("overlay.hits rose by %d over one packet per flow, want one per pin (%d)", got, pins)
+	}
 
 	// A fresh SYN on a straddling tuple belongs to the new generation.
 	var strad uint32

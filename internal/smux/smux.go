@@ -157,11 +157,10 @@ type Mux struct {
 // muxTelemetry is the SMux's pre-resolved instrument block; all fields are
 // nil-safe no-ops until SetTelemetry is called.
 type muxTelemetry struct {
-	packets, encapped          telemetry.CounterShard
-	connHits, connMisses       telemetry.CounterShard
+	ctr                        Counters // what Process and Parse count, call by call
 	connInserts, connEvictions telemetry.CounterShard
 	connIdleEvictions          telemetry.CounterShard
-	overlayPins, overlayHits   telemetry.CounterShard
+	overlayPins                telemetry.CounterShard
 	overlayRejected            telemetry.CounterShard
 	overlayExpired             telemetry.CounterShard
 
@@ -175,6 +174,40 @@ type muxTelemetry struct {
 	node uint32
 }
 
+// Tally is a run of ProcessSampled calls' share of the per-packet counters
+// (see hmux.Tally).
+type Tally struct{ packets, encapped, connHits, connMisses, overlayHits uint64 }
+
+// Counters are the SMux's per-packet counters, shared by every SMux on a
+// registry: what a Tally is flushed into.
+type Counters struct {
+	packets, encapped, connHits, connMisses, overlayHits telemetry.CounterShard
+}
+
+// NewCounters claims a shard of each per-packet counter on reg. A nil
+// registry gives no-op counters.
+func NewCounters(reg *telemetry.Registry) Counters {
+	return Counters{
+		packets:     reg.Counter("smux.packets").Shard(),
+		encapped:    reg.Counter("smux.encapped").Shard(),
+		connHits:    reg.Counter("smux.conn.hits").Shard(),
+		connMisses:  reg.Counter("smux.conn.misses").Shard(),
+		overlayHits: reg.Counter("smux.overlay.hits").Shard(),
+	}
+}
+
+// Flush adds t to the counters and zeroes it.
+//
+//duet:hotpath
+func (c Counters) Flush(t *Tally) {
+	c.packets.Add(t.packets)
+	c.encapped.Add(t.encapped)
+	c.connHits.Add(t.connHits)
+	c.connMisses.Add(t.connMisses)
+	c.overlayHits.Add(t.overlayHits)
+	*t = Tally{}
+}
+
 // SetTelemetry attaches the mux to a metric registry and flight recorder.
 // node identifies this SMux in trace events. Counters are shared across the
 // fleet on the same registry; each mux claims its own shard. The
@@ -184,15 +217,11 @@ type muxTelemetry struct {
 // not concurrently with Process.
 func (m *Mux) SetTelemetry(reg *telemetry.Registry, rec *telemetry.Recorder, node uint32) {
 	m.tel = muxTelemetry{
-		packets:           reg.Counter("smux.packets").Shard(),
-		encapped:          reg.Counter("smux.encapped").Shard(),
-		connHits:          reg.Counter("smux.conn.hits").Shard(),
-		connMisses:        reg.Counter("smux.conn.misses").Shard(),
+		ctr:               NewCounters(reg),
 		connInserts:       reg.Counter("smux.conn.inserts").Shard(),
 		connEvictions:     reg.Counter("smux.conn.evictions").Shard(),
 		connIdleEvictions: reg.Counter("smux.conn.idle_evictions").Shard(),
 		overlayPins:       reg.Counter("smux.overlay.pins").Shard(),
-		overlayHits:       reg.Counter("smux.overlay.hits").Shard(),
 		overlayRejected:   reg.Counter("smux.overlay.rejected_full").Shard(),
 		overlayExpired:    reg.Counter("smux.overlay.expired").Shard(),
 		dropMalformed:     reg.Counter("smux.drops.malformed").Shard(),
@@ -453,7 +482,10 @@ func (m *Mux) Process(data []byte, out []byte) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return m.ProcessSampled(data, out, f, ecmp.Hash(f.Tuple), false)
+	var t Tally
+	res, err := m.ProcessSampled(data, out, f, ecmp.Hash(f.Tuple), false, &t)
+	m.tel.ctr.Flush(&t)
+	return res, err
 }
 
 // Parse verifies data as this mux's input (see hmux.Mux.Parse).
@@ -462,7 +494,7 @@ func (m *Mux) Process(data []byte, out []byte) (Result, error) {
 func (m *Mux) Parse(data []byte) (packet.Flow, error) {
 	f, err := packet.Parse(data)
 	if err != nil {
-		m.tel.packets.Inc()
+		m.tel.ctr.packets.Inc()
 		return f, m.drop(telemetry.DropMalformed, 0, err)
 	}
 	return f, nil
@@ -470,11 +502,11 @@ func (m *Mux) Parse(data []byte) (packet.Flow, error) {
 
 // ProcessSampled is the mux's one processing body, for a caller that has
 // parsed the packet into f, hashed it (h) and taken its sampling decision
-// (see hmux.Mux.ProcessSampled).
+// (see hmux.Mux.ProcessSampled), counting it in tally.
 //
 //duet:hotpath
-func (m *Mux) ProcessSampled(data, out []byte, f packet.Flow, h uint64, sampled bool) (Result, error) {
-	m.tel.packets.Inc()
+func (m *Mux) ProcessSampled(data, out []byte, f packet.Flow, h uint64, sampled bool, tally *Tally) (Result, error) {
+	tally.packets++
 	if sampled {
 		m.tel.rec.Record(telemetry.KindPacketIn, m.tel.node, 0, 0, uint64(len(data)))
 	}
@@ -555,7 +587,7 @@ func (m *Mux) ProcessSampled(data, out []byte, f packet.Flow, h uint64, sampled 
 				os.pins[tuple] = p
 			}
 			os.mu.Unlock()
-			m.tel.overlayHits.Inc()
+			tally.overlayHits++
 		} else {
 			os.mu.Unlock()
 			dip, err = e.DIP(tuple, h)
@@ -595,9 +627,9 @@ func (m *Mux) ProcessSampled(data, out []byte, f packet.Flow, h uint64, sampled 
 		}
 	}
 	if pinned {
-		m.tel.connHits.Inc()
+		tally.connHits++
 	} else {
-		m.tel.connMisses.Inc()
+		tally.connMisses++
 	}
 	if sampled {
 		aux := uint64(0)
@@ -611,7 +643,7 @@ func (m *Mux) ProcessSampled(data, out []byte, f packet.Flow, h uint64, sampled 
 	if err != nil {
 		return Result{}, m.drop(telemetry.DropEncapError, tuple.Dst, err)
 	}
-	m.tel.encapped.Inc()
+	tally.encapped++
 	if sampled {
 		m.tel.rec.Record(telemetry.KindEncap, m.tel.node, uint32(tuple.Dst), uint32(dip), 0)
 	}

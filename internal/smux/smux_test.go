@@ -26,13 +26,16 @@ func backends(addrs ...string) []service.Backend {
 }
 
 // processSampled hands ProcessSampled what an orchestration does: the flow it
-// parsed at ingress and its hash.
+// parsed at ingress and its hash — and counts the call, as Process does.
 func processSampled(m *Mux, pkt, out []byte, sampled bool) (Result, error) {
 	f, err := packet.Parse(pkt)
 	if err != nil {
 		return Result{}, err
 	}
-	return m.ProcessSampled(pkt, out, f, ecmp.Hash(f.Tuple), sampled)
+	var t Tally
+	res, err := m.ProcessSampled(pkt, out, f, ecmp.Hash(f.Tuple), sampled, &t)
+	m.tel.ctr.Flush(&t)
+	return res, err
 }
 
 func vipPacket(i uint32, dstPort uint16) []byte {

@@ -163,6 +163,8 @@ type Dataplane struct {
 	// folded into the drop counters (see rxOverflow).
 	rxDrops atomic.Uint32
 
+	stages *stageCounters // set by serve, before the workers start
+
 	closed  atomic.Bool
 	workWG  sync.WaitGroup
 	serving atomic.Bool
@@ -229,13 +231,17 @@ func (d *Dataplane) Addr() *net.UDPAddr { return d.conn.LocalAddr().(*net.UDPAdd
 func (d *Dataplane) Serve(h Handler) {
 	d.serve(func(_ *txBatch, payload, scratch []byte, trace uint64) []byte {
 		return h(payload, scratch, trace)
-	})
+	}, nil)
 }
 
-func (d *Dataplane) serve(h frameFunc) {
+// serve starts the burst workers on h. stages, if not nil, are the counters
+// of the stages h counts into the tx batch's tally; the worker adds the
+// tally to them when each burst ends.
+func (d *Dataplane) serve(h frameFunc, stages *stageCounters) {
 	if !d.serving.CompareAndSwap(false, true) {
 		panic("wire: Dataplane.Serve called twice")
 	}
+	d.stages = stages
 	for i := 0; i < d.cfg.Workers; i++ {
 		w := newWorker(d, h)
 		d.workWG.Add(1)
@@ -292,8 +298,8 @@ func (w *worker) run() {
 	}
 }
 
-// handle runs the n frames of the last receive through the handler and
-// flushes what the handler forwarded.
+// handle runs the n frames of the last receive through the handler, flushes
+// what the handler forwarded and adds what it counted to the stage counters.
 //
 //duet:hotpath
 func (w *worker) handle(n int) {
@@ -302,6 +308,9 @@ func (w *worker) handle(n int) {
 		w.handleFrame(w.rx.frame(i))
 	}
 	_ = w.tx.flush() // send failures are counted by the flush
+	if w.d.stages != nil {
+		w.d.stages.flush(&w.tx.tally)
+	}
 }
 
 // handleFrame validates the wire header, resolves the frame's trace ID and
@@ -404,8 +413,9 @@ func planRuns(dst []run, frames [][]byte, segment bool) []run {
 	return dst
 }
 
-// txBatch is what a burst forwards, grouped by next hop in arrival order.
-// It belongs to one goroutine: a worker's lives as long as the worker, and
+// txBatch is what a burst forwards, grouped by next hop in arrival order,
+// and the tally of what the burst's frames did in the node's stages. It
+// belongs to one goroutine: a worker's lives as long as the worker, and
 // Send/SendTraced borrow a batch of one from the pool.
 type txBatch struct {
 	d     *Dataplane
@@ -416,6 +426,7 @@ type txBatch struct {
 	max   int
 	runs  []run
 	out   txSender
+	tally stageTally
 }
 
 // txHop is one next hop's queue within a batch.

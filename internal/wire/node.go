@@ -43,6 +43,7 @@ type Node struct {
 	smuxAddrs []packet.Addr
 
 	dp      *Dataplane
+	stages  stageCounters // the role's stages' per-packet counters, added to per burst
 	ctl     *ControlServer
 	httpLn  net.Listener
 	httpSrv *http.Server
@@ -161,6 +162,37 @@ func StartNode(spec *ClusterSpec, name string) (*Node, error) {
 	}
 	n.stopScrape = n.Obs.Start(scrape)
 	return n, nil
+}
+
+// stageTally is what a receive burst's frames did in the node's stages: each
+// stage counts into its Tally in the worker's tx batch, and the worker adds
+// the burst to the stage counters when it ends (stageCounters.flush) — the
+// count core.Cluster takes per run, taken per burst.
+type stageTally struct {
+	hmux  hmux.Tally
+	nmux  nmux.Tally
+	smux  smux.Tally
+	agent hostagent.Tally
+}
+
+// stageCounters are the per-packet counters of the node's stages. A role
+// resolves its own stages' and leaves the others zero, counting nothing, so
+// a node exports no series for a stage it does not run.
+type stageCounters struct {
+	hmux  hmux.Counters
+	nmux  nmux.Counters
+	smux  smux.Counters
+	agent hostagent.Counters
+}
+
+// flush adds t to the counters and zeroes it.
+//
+//duet:hotpath
+func (c *stageCounters) flush(t *stageTally) {
+	c.hmux.Flush(&t.hmux)
+	c.nmux.Flush(&t.nmux)
+	c.smux.Flush(&t.smux)
+	c.agent.Flush(&t.agent)
 }
 
 // DataAddr returns the bound dataplane endpoint ("" for controllers).
@@ -294,6 +326,7 @@ func (n *Node) startSMux() error {
 	n.self32 = uint32(self)
 	n.smux = smux.New(smux.DefaultConfig(self))
 	n.smux.SetTelemetry(n.Reg, n.Rec, uint32(self))
+	n.stages.smux = smux.NewCounters(n.Reg)
 	n.vips = n.Reg.Gauge("wire.vips")
 	capacity := n.Reg.Gauge("smux.capacity_pps")
 	conns := n.Reg.Gauge("smux.conns_total")
@@ -328,6 +361,7 @@ func (n *Node) startSMux() error {
 		// so both tiers resolve a flow to identical encap bytes.
 		n.nmux = nmux.New(nmux.Config{SelfAddr: self, TableSize: n.Me.NMuxTable, Steer: n.smux.Steer()})
 		n.nmux.SetTelemetry(n.Reg, n.Rec, uint32(self))
+		n.stages.nmux = nmux.NewCounters(n.Reg)
 		// The same gauge names core.Collect publishes, so the occupancy
 		// watchdog in DefaultRules works unchanged on wire nodes.
 		nmUsed := n.Reg.Gauge("nmux.tables.used_max")
@@ -343,7 +377,7 @@ func (n *Node) startSMux() error {
 	if err := n.listenData(n.Spec.traceEvery()); err != nil {
 		return err
 	}
-	n.dp.serve(n.smuxPacket)
+	n.dp.serve(n.smuxPacket, &n.stages)
 	ctl, err := ListenControl(n.Me.Control, n.Reg, n.dataplaneControl(n.reconcileSMux))
 	if err != nil {
 		return err
@@ -374,7 +408,7 @@ func (n *Node) smuxPacket(tx *txBatch, payload, scratch []byte, trace uint64) []
 	}
 	hash := ecmp.Hash(f.Tuple)
 	if n.nmux != nil {
-		res, err := n.nmux.ProcessSampled(payload, scratch[:0], f, hash, trace != 0)
+		res, err := n.nmux.ProcessSampled(payload, scratch[:0], f, hash, trace != 0, &tx.tally.nmux)
 		if err == nil {
 			n.traceHop(telemetry.TraceTierNMux, payload, trace)
 			n.forward(tx, res.Encap, res.Packet, trace)
@@ -385,7 +419,7 @@ func (n *Node) smuxPacket(tx *txBatch, payload, scratch []byte, trace uint64) []
 		}
 		// Table miss: fall through to the SMux backstop.
 	}
-	res, err := n.smux.ProcessSampled(payload, scratch[:0], f, hash, trace != 0)
+	res, err := n.smux.ProcessSampled(payload, scratch[:0], f, hash, trace != 0, &tx.tally.smux)
 	if err != nil {
 		return scratch // the mux counted the drop
 	}
@@ -415,12 +449,13 @@ func (n *Node) startHostAgent() error {
 	n.self32 = uint32(self)
 	n.agent = hostagent.New(self)
 	n.agent.SetTelemetry(n.Reg, n.Rec, uint32(self))
+	n.stages.agent = hostagent.NewCounters(n.Reg)
 	n.dips = n.Reg.Gauge("wire.dips")
 	n.delivered = n.Reg.Counter("wire.delivered").Shard()
 	if err := n.listenData(0); err != nil {
 		return err
 	}
-	n.dp.serve(n.hostPacket)
+	n.dp.serve(n.hostPacket, &n.stages)
 	ctl, err := ListenControl(n.Me.Control, n.Reg, n.dataplaneControl(n.reconcileHost))
 	if err != nil {
 		return err
@@ -435,12 +470,12 @@ func (n *Node) startHostAgent() error {
 // tunnel header as it unwraps it.
 //
 //duet:hotpath
-func (n *Node) hostPacket(_ *txBatch, payload, scratch []byte, trace uint64) []byte {
+func (n *Node) hostPacket(tx *txBatch, payload, scratch []byte, trace uint64) []byte {
 	f, err := n.agent.Parse(payload)
 	if err != nil {
 		return scratch // the agent counted the drop
 	}
-	d, err := n.agent.ReceiveSampled(payload, scratch[:0], f, ecmp.Hash(f.Tuple), trace != 0)
+	d, err := n.agent.ReceiveSampled(payload, scratch[:0], f, ecmp.Hash(f.Tuple), trace != 0, &tx.tally.agent)
 	if err != nil {
 		return scratch // the agent counted the drop
 	}
@@ -528,6 +563,7 @@ func (n *Node) startSwitchAgent() error {
 	hm := hmux.New(hmux.DefaultConfig(self))
 	hm.SetTelemetry(n.Reg, n.Rec, uint32(self))
 	n.hm = hm
+	n.stages.hmux = hmux.NewCounters(n.Reg)
 	n.announceQ = make(chan Envelope, 256)
 	n.swOps = n.Reg.Counter("switchagent.ops").Shard()
 	n.swOpErrs = n.Reg.Counter("switchagent.op_errors").Shard()
@@ -547,7 +583,7 @@ func (n *Node) startSwitchAgent() error {
 	if err := n.listenData(n.Spec.traceEvery()); err != nil {
 		return err
 	}
-	n.dp.serve(n.switchPacket)
+	n.dp.serve(n.switchPacket, &n.stages)
 	ctl, err := ListenControl(n.Me.Control, n.Reg, n.dataplaneControl(n.reconcileSwitch))
 	if err != nil {
 		return err
@@ -583,7 +619,7 @@ func (n *Node) switchPacket(tx *txBatch, payload, scratch []byte, trace uint64) 
 		n.forward(tx, sm, out, trace)
 		return out
 	}
-	res, err := hm.ProcessSampled(payload, scratch[:0], f, hash, trace != 0)
+	res, err := hm.ProcessSampled(payload, scratch[:0], f, hash, trace != 0, &tx.tally.hmux)
 	if err != nil {
 		return scratch
 	}

@@ -152,7 +152,7 @@ func TestHostNodeDeliversIPOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got := n.hostPacket(nil, encapped, nil, 0)
+	got := n.hostPacket(new(txBatch), encapped, nil, 0)
 	if reg.Counter("wire.delivered").Value() != 1 || len(got) != len(client) {
 		t.Fatalf("delivered %d packets of %d bytes, want 1 of %d", reg.Counter("wire.delivered").Value(), len(got), len(client))
 	}
