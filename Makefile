@@ -34,7 +34,7 @@ vet:
 # directives the tree holds outside test files and fails above
 # ALLOW_BUDGET. Lower the number when a suppression goes; never raise it.
 #
-# Three fences. The first keeps the figure toolkit (internal/metrics:
+# Four fences. The first keeps the figure toolkit (internal/metrics:
 # sample quantiles, sparklines, formatters) out of the daemon: what a node
 # measures is bucketed and read with telemetry.BucketQuantile. The second
 # keeps internal/testbed a driver of core.Cluster: its non-test files import
@@ -43,7 +43,10 @@ vet:
 # The third keeps "same flow, same DIP on every mux" one implementation: the
 # non-test files of the three mux tiers name no ecmp.Group and no constructor
 # of one (they keep ecmp.Hash) — a backend set becomes slots in internal/steer
-# only, and every tier resolves against its Entry.
+# only, and every tier resolves against its Entry. The fourth keeps the
+# NIC → SMux fall-through one implementation: the non-test files of
+# internal/core and internal/wire name neither mux's Tally, which their
+# ProcessSampled takes, so they reach both only through nmux.Pair.
 ALLOW_BUDGET = 23
 lint: vet
 	$(GO) run ./cmd/duetvet -max-allow $(ALLOW_BUDGET) ./...
@@ -51,6 +54,7 @@ lint: vet
 	! $(GO) list -deps ./cmd/duetd | grep -q '^duet/internal/metrics$$'
 	! $(GO) list -f '{{join .Imports "\n"}}' ./internal/testbed | grep -Eq '^duet/internal/(hmux|smux|nmux|ecmp)$$'
 	! grep -nE 'ecmp\.(Group|NewGroup)' $$(ls internal/hmux/*.go internal/nmux/*.go internal/smux/*.go | grep -v _test.go)
+	! grep -nE '\b(nmux|smux)\.Tally\b' $$(ls internal/core/*.go internal/wire/*.go | grep -v _test.go)
 
 # Non-blocking in CI: scans for known-vulnerable dependency versions when
 # the govulncheck tool is available; skipped otherwise (offline builds).

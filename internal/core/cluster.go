@@ -146,6 +146,7 @@ type Cluster struct {
 	// NMuxes are the NIC match-table muxes, paired 1:1 with the SMuxes on
 	// the same servers (empty unless Config.NMuxTableSize > 0).
 	NMuxes []*nmux.Mux
+	pairs  []nmux.Pair // each SMux server's NIC table and SMux, indexed like SMuxes
 
 	// mu serializes all control-plane mutation (and netsim access — the
 	// network simulator is single-writer by design).
@@ -185,8 +186,7 @@ type deliverTelemetry struct {
 	// counters, added to from the scratch's stage tallies at the same time.
 	tallied [numTallies]telemetry.CounterShard
 	hmux    hmux.Counters
-	nmux    nmux.Counters
-	smux    smux.Counters
+	host    nmux.PairCounters
 	agent   hostagent.Counters
 }
 
@@ -292,11 +292,8 @@ func New(cfg Config) (*Cluster, error) {
 			tallyNMuxMiss: c.reg.Counter("core.deliver.tier.nmux_miss").Shard(),
 		},
 		hmux:  hmux.NewCounters(c.reg),
-		smux:  smux.NewCounters(c.reg),
+		host:  nmux.NewPairCounters(c.reg, cfg.NMuxTableSize > 0),
 		agent: hostagent.NewCounters(c.reg),
-	}
-	if cfg.NMuxTableSize > 0 {
-		c.dtel.nmux = nmux.NewCounters(c.reg)
 	}
 	for _, md := range steer.Modes() {
 		//duet:allow metriclabel fixed three-mode set resolved once at construction
@@ -339,12 +336,13 @@ func New(cfg Config) (*Cluster, error) {
 		sm.SetTelemetry(c.reg, c.rec, uint32(smuxNodeBase)+uint32(i))
 		c.SMuxes = append(c.SMuxes, sm)
 		c.Routes.Announce(cfg.Aggregate, smuxNodeBase+bgp.NodeID(i), 0)
+		var nm *nmux.Mux
 		if cfg.NMuxTableSize > 0 {
 			// The NIC mux shares the SMux server's address so both tiers
 			// emit identical outer sources — and the SMux's steer table, so
 			// both resolve a flow to the same DIP (identical encap bytes
 			// whichever tier serves it).
-			nm := nmux.New(nmux.Config{
+			nm = nmux.New(nmux.Config{
 				SelfAddr:  scfg.SelfAddr,
 				TableSize: cfg.NMuxTableSize,
 				Steer:     sm.Steer(),
@@ -352,6 +350,7 @@ func New(cfg Config) (*Cluster, error) {
 			nm.SetTelemetry(c.reg, c.rec, nmuxNodeBase+uint32(i))
 			c.NMuxes = append(c.NMuxes, nm)
 		}
+		c.pairs = append(c.pairs, nmux.Pair{NIC: nm, SMux: sm})
 	}
 	c.snap.Store(&clusterSnap{hmuxes: slices.Clone(c.HMuxes)})
 	return c, nil
@@ -994,8 +993,7 @@ type scratch struct {
 	encap, tip []byte
 	tally      [numTallies]uint64
 	hmux       hmux.Tally
-	nmux       nmux.Tally
-	smux       smux.Tally
+	host       nmux.PairTally
 	agent      hostagent.Tally
 }
 
@@ -1010,8 +1008,7 @@ func (c *Cluster) flush(sc *scratch) {
 		sc.tally[i] = 0
 	}
 	c.dtel.hmux.Flush(&sc.hmux)
-	c.dtel.nmux.Flush(&sc.nmux)
-	c.dtel.smux.Flush(&sc.smux)
+	c.dtel.host.Flush(&sc.host)
 	c.dtel.agent.Flush(&sc.agent)
 }
 
@@ -1071,10 +1068,7 @@ func (c *Cluster) deliver(snap *clusterSnap, data []byte, sc *scratch, out []byt
 		host     packet.Addr // the encap destination: the host agent's address
 		t0       float64
 	)
-	hostIdx := -1 // host mux pair serving the packet, if no switch does
-	if nh >= smuxNodeBase {
-		hostIdx = int(nh - smuxNodeBase)
-	} else {
+	if nh < smuxNodeBase {
 		sw := topology.SwitchID(nh)
 		hm := snap.hmuxes[sw]
 		if hm == nil {
@@ -1088,9 +1082,10 @@ func (c *Cluster) deliver(snap *clusterSnap, data []byte, sc *scratch, out []byt
 			c.dtel.hopHMux.Observe(c.rec.Now() - t0)
 		}
 		switch {
-		case errors.Is(err, hmux.ErrNotOurVIP):
-			// FIB miss during migration: fall through to the host tiers.
-			hostIdx = int(hash % uint64(len(c.SMuxes)))
+		case err == hmux.ErrNotOurVIP:
+			// FIB miss during migration: the packet follows the aggregate on
+			// to a host mux pair.
+			nh = smuxNodeBase + bgp.NodeID(hash%uint64(len(c.pairs)))
 			d.fibMiss = true
 		case err != nil:
 			return err
@@ -1124,14 +1119,29 @@ func (c *Cluster) deliver(snap *clusterSnap, data []byte, sc *scratch, out []byt
 			}
 		}
 	}
-	if hostIdx >= 0 {
-		var tier telemetry.TraceTier
-		var node packet.Addr
-		encapped, host, tier, node, err = c.hostTier(hostIdx, data, f, hash, sc, sampled)
+	if nh >= smuxNodeBase { // a host mux pair
+		i := int(nh - smuxNodeBase)
+		if sampled {
+			t0 = c.rec.Now()
+		}
+		res, err := c.pairs[i].ProcessSampled(data, sc.encap[:0], f, hash, sampled, &sc.host)
 		if err != nil {
 			return err
 		}
-		c.hop(d, tier, uint32(node), vip, trace)
+		hist, tier := c.dtel.hopNMux, tallyNMux
+		if res.Tier == telemetry.TraceTierSMux {
+			hist, tier = c.dtel.hopSMux, tallySMux
+			sc.tally[tallyMode+int(res.Mode)]++
+			if len(c.NMuxes) > 0 {
+				sc.tally[tallyNMuxMiss]++
+			}
+		}
+		sc.tally[tier]++
+		if sampled {
+			hist.Observe(c.rec.Now() - t0)
+		}
+		encapped, sc.encap, host = res.Packet, res.Packet, res.Encap
+		c.hop(d, res.Tier, uint32(c.SMuxes[i].Self()), vip, trace)
 	}
 
 	// Host agent receive.
@@ -1167,51 +1177,6 @@ func (c *Cluster) hop(d *Delivery, tier telemetry.TraceTier, node uint32, dst pa
 	if trace != 0 {
 		c.rec.Record(telemetry.KindTraceHop, node, uint32(tier), uint32(dst), trace)
 	}
-}
-
-// hostTier processes a packet on the host mux pair at index idx: the NIC
-// match table first (when the tier is enabled), falling through to the SMux
-// on a table miss. Because the pair shares one self address and the ECMP
-// hash, the encap bytes are identical whichever tier serves the flow — the
-// fall-through is invisible to the backend. It returns the encapsulated
-// packet (in sc.encap) and its encap destination, with the tier and address
-// of the mux that served it.
-func (c *Cluster) hostTier(idx int, data []byte, f packet.Flow, hash uint64, sc *scratch, sampled bool) ([]byte, packet.Addr, telemetry.TraceTier, packet.Addr, error) {
-	var t0 float64
-	if len(c.NMuxes) > 0 {
-		nm := c.NMuxes[idx]
-		if sampled {
-			t0 = c.rec.Now()
-		}
-		res, err := nm.ProcessSampled(data, sc.encap[:0], f, hash, sampled, &sc.nmux)
-		if sampled {
-			c.dtel.hopNMux.Observe(c.rec.Now() - t0)
-		}
-		switch {
-		case err == nil:
-			sc.encap = res.Packet
-			sc.tally[tallyNMux]++
-			return res.Packet, res.Encap, telemetry.TraceTierNMux, nm.Self(), nil
-		case !errors.Is(err, nmux.ErrNotOurVIP):
-			return nil, 0, 0, 0, err
-		}
-		sc.tally[tallyNMuxMiss]++
-	}
-	sm := c.SMuxes[idx]
-	if sampled {
-		t0 = c.rec.Now()
-	}
-	res, err := sm.ProcessSampled(data, sc.encap[:0], f, hash, sampled, &sc.smux)
-	if sampled {
-		c.dtel.hopSMux.Observe(c.rec.Now() - t0)
-	}
-	if err != nil {
-		return nil, 0, 0, 0, err
-	}
-	sc.encap = res.Packet
-	sc.tally[tallySMux]++
-	sc.tally[tallyMode+int(res.Mode)]++
-	return res.Packet, res.Encap, telemetry.TraceTierSMux, sm.Self(), nil
 }
 
 // Collect republishes point-in-time gauges derived from cluster state: HMux

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"runtime/debug"
 	"slices"
+	"strings"
 	"testing"
 
 	"duet/internal/ecmp"
@@ -36,8 +37,11 @@ func rewritten(t testing.TB, pkt []byte, dip packet.Addr) []byte {
 // mode × protocol the in-process datapath has: the scratch-taking forwarding
 // path allocates nothing, delivers into the caller's buffer the client's
 // packet with only the destination rewritten — IP options included — and
-// reports the hops TestDeliveryHopOrdering pins; a client header that fails
-// verification is refused at ingress before any mux or agent sees it.
+// reports the hops TestDeliveryHopOrdering pins, moving no drop counter; a
+// client header that fails verification is refused at ingress before any mux
+// or agent sees it. The hmux-fib-miss row is a VIP whose /32 still leads to
+// its switch after DeprogramHMux took it out of the tables: the miss is a
+// fall-through to a host mux pair, not a drop.
 func TestZeroAllocDeliverMatrix(t *testing.T) {
 	c := testClusterNMux(t, 4096)
 	hmuxSw, tipSw := c.Topo.AggID(0, 0), c.Topo.AggID(1, 0)
@@ -69,6 +73,11 @@ func TestZeroAllocDeliverMatrix(t *testing.T) {
 			}},
 		{"nmux-miss-smux", []string{"smux", "agent"}, [][]string{hostMuxes},
 			func(*testing.T, *service.VIP, []service.Backend) {}},
+		{"hmux-fib-miss", []string{"smux", "agent"}, [][]string{hostMuxes},
+			func(t *testing.T, v *service.VIP, _ []service.Backend) {
+				must(t, c.AssignToHMux(v.Addr, hmuxSw))
+				must(t, c.DeprogramHMux(v.Addr))
+			}},
 	}
 	tcp := func(ft packet.FiveTuple) []byte { return packet.BuildTCP(ft, packet.TCPAck, []byte("established")) }
 	protos := []struct {
@@ -146,6 +155,7 @@ func TestZeroAllocDeliverMatrix(t *testing.T) {
 					}
 					modeCtr := reg.Counter("core.deliver.mode." + mode.String())
 					served := modeCtr.Value()
+					before := counters(reg)
 					deliver() // establishes the flow, sizes the scratch
 					if allocs := testing.AllocsPerRun(100, deliver); allocs != 0 {
 						t.Errorf("deliver: %v allocs per packet, want 0", allocs)
@@ -160,8 +170,16 @@ func TestZeroAllocDeliverMatrix(t *testing.T) {
 					if d.VIP != v.Addr || (d.DIP != dips[0].Addr && d.DIP != dips[1].Addr) || d.Host != d.DIP {
 						t.Errorf("delivery %s → %s on host %s, want one of %v", d.VIP, d.DIP, d.Host, dips)
 					}
-					if got := modeCtr.Value() - served; tier.name == "nmux-miss-smux" && got != 102 {
+					if got := modeCtr.Value() - served; tier.kinds[0] == "smux" && got != 102 {
 						t.Errorf("the SMux served %d of 102 packets in mode %s", got, mode)
+					}
+					if d.FIBMiss() != (tier.name == "hmux-fib-miss") {
+						t.Errorf("FIBMiss() = %v on tier %s", d.FIBMiss(), tier.name)
+					}
+					for name, got := range counters(reg) {
+						if strings.Contains(name, ".drops.") && got != before[name] {
+							t.Errorf("%s moved %d → %d on delivered packets", name, before[name], got)
+						}
 					}
 
 					hops := d.Hops()

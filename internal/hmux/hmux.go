@@ -130,8 +130,8 @@ type Mux struct {
 type muxTelemetry struct {
 	ctr Counters // what Process and Parse count, call by call
 
-	dropMalformed, dropUnknownVIP     telemetry.CounterShard
-	dropNoTunnelEntry, dropEncapError telemetry.CounterShard
+	dropMalformed, dropNoTunnelEntry telemetry.CounterShard
+	dropEncapError                   telemetry.CounterShard
 
 	rec  *telemetry.Recorder
 	node uint32
@@ -176,7 +176,6 @@ func (m *Mux) SetTelemetry(reg *telemetry.Registry, rec *telemetry.Recorder, nod
 	m.tel = muxTelemetry{
 		ctr:               NewCounters(reg),
 		dropMalformed:     reg.Counter("hmux.drops.malformed").Shard(),
-		dropUnknownVIP:    reg.Counter("hmux.drops.unknown_vip").Shard(),
 		dropNoTunnelEntry: reg.Counter("hmux.drops.no_tunnel_entry").Shard(),
 		dropEncapError:    reg.Counter("hmux.drops.encap_error").Shard(),
 		rec:               rec,
@@ -191,8 +190,6 @@ func (m *Mux) drop(reason telemetry.DropReason, dst packet.Addr, err error) erro
 	switch reason {
 	case telemetry.DropMalformed:
 		m.tel.dropMalformed.Inc()
-	case telemetry.DropUnknownVIP:
-		m.tel.dropUnknownVIP.Inc()
 	case telemetry.DropNoBackend:
 		m.tel.dropNoTunnelEntry.Inc()
 	case telemetry.DropEncapError:
@@ -341,8 +338,6 @@ func (m *Mux) RemoveVIP(addr packet.Addr) error {
 }
 
 // HasVIP reports whether the VIP is programmed here.
-//
-//duet:hotpath
 func (m *Mux) HasVIP(addr packet.Addr) bool {
 	_, ok := m.tab.Load().vips.Get(addr)
 	return ok
@@ -383,14 +378,6 @@ func (m *Mux) AddTIP(tip packet.Addr, backends []service.Backend) error {
 	return m.program(&service.VIP{Addr: tip, Backends: backends}, true)
 }
 
-// HasTIP reports whether the TIP partition is programmed here.
-//
-//duet:hotpath
-func (m *Mux) HasTIP(addr packet.Addr) bool {
-	_, ok := m.tab.Load().tips.Get(addr)
-	return ok
-}
-
 // Result describes what Process did with a packet.
 type Result struct {
 	// Encap is the chosen encapsulation destination (DIP, HIP or TIP).
@@ -404,8 +391,9 @@ type Result struct {
 // Process runs one packet through the HMux pipeline. out is an optional
 // reuse buffer: the encapsulated packet is appended to it, the bytes already
 // in it are left untouched, and Result.Packet is exactly this packet's bytes.
-// Packets whose destination matches no programmed VIP or TIP return
-// ErrNotOurVIP — the caller (the fabric) forwards them normally.
+// A packet whose destination matches no programmed VIP or TIP returns
+// ErrNotOurVIP uncounted: a table miss is a fall-through, not a drop, and the
+// caller sends the packet on unchanged along the aggregate route to an SMux.
 //
 // This is the dataplane path: it performs no allocation beyond growing the
 // caller's buffer, and it is safe for any number of concurrent callers (each
@@ -484,7 +472,7 @@ func (m *Mux) ProcessSampled(data, out []byte, f packet.Flow, hash uint64, sampl
 
 	e, ok := t.vips.Get(dst)
 	if !ok {
-		return Result{}, m.drop(telemetry.DropUnknownVIP, dst, ErrNotOurVIP)
+		return Result{}, ErrNotOurVIP
 	}
 	if sampled {
 		m.tel.rec.Record(telemetry.KindVIPLookup, m.tel.node, uint32(dst), 0, 0)

@@ -359,8 +359,8 @@ func TestTIPIndirection(t *testing.T) {
 	if err := tipSwitch.AddTIP(tip, partition); err != nil {
 		t.Fatal(err)
 	}
-	if !tipSwitch.HasTIP(tip) {
-		t.Fatal("HasTIP false")
+	if st := tipSwitch.Stats(); st.TIPs != 1 || st.VIPs != 0 {
+		t.Fatalf("TIP switch holds %d TIPs and %d VIPs, want the one TIP", st.TIPs, st.VIPs)
 	}
 
 	counts := make(map[packet.Addr]int)
@@ -691,7 +691,8 @@ func TestGroupAccountingWithTIPs(t *testing.T) {
 
 // TestDropReasons verifies Process classifies every error path under a
 // distinct drop counter while preserving the error identities callers
-// depend on.
+// depend on — and that a table miss is not one of them: it is a
+// fall-through, counted as a packet and nothing else.
 func TestDropReasons(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	rec := telemetry.NewRecorder(64)
@@ -701,7 +702,7 @@ func TestDropReasons(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Unknown VIP: error identity must survive the accounting.
+	// Unknown VIP: the caller falls through on the error; no drop is counted.
 	other := packet.MustParseAddr("10.9.9.9")
 	pkt := packet.BuildTCP(packet.FiveTuple{
 		Src: packet.MustParseAddr("30.0.0.1"), Dst: other,
@@ -726,7 +727,6 @@ func TestDropReasons(t *testing.T) {
 	}
 
 	for name, want := range map[string]uint64{
-		"hmux.drops.unknown_vip":     1,
 		"hmux.drops.malformed":       1,
 		"hmux.drops.no_tunnel_entry": 1,
 		"hmux.packets":               3,
@@ -745,8 +745,13 @@ func TestDropReasons(t *testing.T) {
 			}
 		}
 	}
-	if drops != 3 {
-		t.Errorf("recorded %d drop events, want 3", drops)
+	if drops != 2 {
+		t.Errorf("recorded %d drop events, want 2 (the miss is not one)", drops)
+	}
+	for _, c := range reg.Counters() {
+		if c.Name() == "hmux.drops.unknown_vip" {
+			t.Error("hmux.drops.unknown_vip is registered: a table miss is not a drop")
+		}
 	}
 }
 

@@ -27,7 +27,7 @@
 // private table.
 //
 // A packet whose destination VIP has no wildcard entry is a MISS
-// (ErrNotOurVIP): the caller falls through to the SMux tier.
+// (ErrNotOurVIP): Pair falls through to the SMux tier.
 //
 // Concurrency: the programmed-VIP set is an immutable generation behind an
 // atomic pointer (writers derive the next one from it under a mutex, through
@@ -61,8 +61,8 @@ const flowShards = 16
 
 // Errors returned by the NMux.
 var (
-	// ErrNotOurVIP is a table miss: the caller should fall through to the
-	// SMux tier, exactly like hmux.ErrNotOurVIP falls through on FIB miss.
+	// ErrNotOurVIP is a table miss: Pair falls through to the SMux tier,
+	// as a packet hmux.ErrNotOurVIP refuses follows the aggregate to a Pair.
 	ErrNotOurVIP = errors.New("nmux: packet does not match any programmed entry")
 	// ErrTableFull rejects wildcard programming that exceeds the table.
 	ErrTableFull   = errors.New("nmux: match table full")

@@ -132,19 +132,19 @@ func (n *Node) reconcileSMux(addrs []packet.Addr) error {
 		vs, ok := n.cfg.VIPs[a]
 		if !ok {
 			n.versionChanged(a, nil)
-			if n.smux.HasVIP(a) {
-				if err := n.smux.RemoveVIP(a); err != nil && firstErr == nil {
+			if n.pair.SMux.HasVIP(a) {
+				if err := n.pair.SMux.RemoveVIP(a); err != nil && firstErr == nil {
 					firstErr = err
 				}
 			}
-			if n.nmux != nil && n.nmux.HasVIP(a) {
-				if err := n.nmux.RemoveVIP(a); err != nil && firstErr == nil {
+			if n.pair.NIC != nil && n.pair.NIC.HasVIP(a) {
+				if err := n.pair.NIC.RemoveVIP(a); err != nil && firstErr == nil {
 					firstErr = err
 				}
 			}
 			continue
 		}
-		if !n.versionChanged(a, vs) && n.smux.HasVIP(a) {
+		if !n.versionChanged(a, vs) && n.pair.SMux.HasVIP(a) {
 			continue // identical re-apply (snapshot recovery); keep the steer epoch
 		}
 		v, err := serviceVIPOf(vs)
@@ -154,26 +154,26 @@ func (n *Node) reconcileSMux(addrs []packet.Addr) error {
 			}
 			continue
 		}
-		if n.smux.HasVIP(a) {
-			err = n.smux.UpdateVIP(v)
+		if n.pair.SMux.HasVIP(a) {
+			err = n.pair.SMux.UpdateVIP(v)
 		} else {
-			err = n.smux.AddVIP(v)
+			err = n.pair.SMux.AddVIP(v)
 		}
 		if err == nil {
-			err = n.smux.SetVIPMode(a, vs.Mode)
+			err = n.pair.SMux.SetVIPMode(a, vs.Mode)
 		}
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
-		if n.nmux != nil {
+		if n.pair.NIC != nil {
 			if vs.Flags&delta.FlagNic != 0 {
-				if n.nmux.HasVIP(a) {
-					err = n.nmux.UpdateVIP(v)
+				if n.pair.NIC.HasVIP(a) {
+					err = n.pair.NIC.UpdateVIP(v)
 				} else {
-					err = n.nmux.AddVIP(v)
+					err = n.pair.NIC.AddVIP(v)
 				}
-			} else if n.nmux.HasVIP(a) {
-				err = n.nmux.RemoveVIP(a)
+			} else if n.pair.NIC.HasVIP(a) {
+				err = n.pair.NIC.RemoveVIP(a)
 			} else {
 				err = nil
 			}
@@ -182,7 +182,7 @@ func (n *Node) reconcileSMux(addrs []packet.Addr) error {
 			}
 		}
 	}
-	n.vips.Set(int64(n.smux.NumVIPs()))
+	n.vips.Set(int64(n.pair.SMux.NumVIPs()))
 	return firstErr
 }
 

@@ -102,15 +102,15 @@ func TestRejectedDeltaDoesNotHalfApply(t *testing.T) {
 	if !sameState(mirror(sm), pre) {
 		t.Fatal("rejected delta left its first op in the mirror")
 	}
-	if sm.smux.HasVIP(vip2) {
+	if sm.pair.SMux.HasVIP(vip2) {
 		t.Fatal("rejected delta programmed the SMux")
 	}
 
 	if ack, err = pushDelta(c, good); err != nil {
 		t.Fatalf("the correct delta no longer applies after the rejection: %v", err)
 	}
-	if ack.Epoch != 2 || !sm.smux.HasVIP(vip2) || !sameState(mirror(sm), st2) {
-		t.Fatalf("correct delta applied to epoch %d, vip2 programmed %v", ack.Epoch, sm.smux.HasVIP(vip2))
+	if ack.Epoch != 2 || !sm.pair.SMux.HasVIP(vip2) || !sameState(mirror(sm), st2) {
+		t.Fatalf("correct delta applied to epoch %d, vip2 programmed %v", ack.Epoch, sm.pair.SMux.HasVIP(vip2))
 	}
 }
 
@@ -128,7 +128,7 @@ func TestDataplaneRolesRejectOtherMessages(t *testing.T) {
 		tables    func(n *Node) int
 		malformed string
 	}{
-		{"smux-1", func(n *Node) int { return n.smux.NumVIPs() }, "nmux.drops.malformed"},
+		{"smux-1", func(n *Node) int { return n.pair.SMux.NumVIPs() }, "nmux.drops.malformed"},
 		{"host-1", func(n *Node) int { return len(n.agent.LocalDIPs(packet.MustParseAddr("10.0.0.1"))) }, "hostagent.drops.decap_error"},
 		{"sw-1", func(n *Node) int { return n.hm.Stats().VIPs }, "hmux.drops.malformed"},
 	}

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -37,8 +36,8 @@ type Node struct {
 	hosts map[packet.Addr]string // outer dst → UDP data endpoint
 
 	// self32 is the node's dataplane identity as the flight-recorder node
-	// field; smuxAddrs is the switch agent's ECMP group for VIPs the
-	// hardware tier does not hold (SMuxOnly placement).
+	// field; smuxAddrs is the switch agent's aggregate route: the SMuxes a
+	// packet its tables miss is forwarded to, hashed on the 5-tuple.
 	self32    uint32
 	smuxAddrs []packet.Addr
 
@@ -58,8 +57,7 @@ type Node struct {
 	closeOnce  sync.Once
 
 	// role state (exactly one group is populated)
-	smux  *smux.Mux
-	nmux  *nmux.Mux // NIC table fronting the smux, nil unless NMuxTable > 0
+	pair  nmux.Pair // smux role: the SMux and its NIC table (nil unless NMuxTable > 0)
 	agent *hostagent.Agent
 	hm    *hmux.Mux // switch role: programmed by reconcileSwitch, under cfgMu
 
@@ -170,8 +168,7 @@ func StartNode(spec *ClusterSpec, name string) (*Node, error) {
 // count core.Cluster takes per run, taken per burst.
 type stageTally struct {
 	hmux  hmux.Tally
-	nmux  nmux.Tally
-	smux  smux.Tally
+	host  nmux.PairTally
 	agent hostagent.Tally
 }
 
@@ -180,8 +177,7 @@ type stageTally struct {
 // a node exports no series for a stage it does not run.
 type stageCounters struct {
 	hmux  hmux.Counters
-	nmux  nmux.Counters
-	smux  smux.Counters
+	host  nmux.PairCounters
 	agent hostagent.Counters
 }
 
@@ -190,8 +186,7 @@ type stageCounters struct {
 //duet:hotpath
 func (c *stageCounters) flush(t *stageTally) {
 	c.hmux.Flush(&t.hmux)
-	c.nmux.Flush(&t.nmux)
-	c.smux.Flush(&t.smux)
+	c.host.Flush(&t.host)
 	c.agent.Flush(&t.agent)
 }
 
@@ -324,9 +319,8 @@ func (n *Node) startSMux() error {
 		return err
 	}
 	n.self32 = uint32(self)
-	n.smux = smux.New(smux.DefaultConfig(self))
-	n.smux.SetTelemetry(n.Reg, n.Rec, uint32(self))
-	n.stages.smux = smux.NewCounters(n.Reg)
+	n.pair.SMux = smux.New(smux.DefaultConfig(self))
+	n.pair.SMux.SetTelemetry(n.Reg, n.Rec, uint32(self))
 	n.vips = n.Reg.Gauge("wire.vips")
 	capacity := n.Reg.Gauge("smux.capacity_pps")
 	conns := n.Reg.Gauge("smux.conns_total")
@@ -339,18 +333,18 @@ func (n *Node) startSMux() error {
 	steerEpoch := n.Reg.Gauge("steer.epoch_max")
 	steerDrains := n.Reg.Gauge("steer.drains_active")
 	n.Obs.AddCollector(func() {
-		capacity.Set(int64(n.smux.CapacityPPS()))
+		capacity.Set(int64(n.pair.SMux.CapacityPPS()))
 		// The scrape doubles as the mux's maintenance tick (idle eviction,
 		// overlay sweep, drain release) — no separate timer goroutine.
-		n.smux.Tick()
-		st := n.smux.ConnStats()
+		n.pair.SMux.Tick()
+		st := n.pair.SMux.ConnStats()
 		conns.Set(int64(st.Entries))
 		connShardMax.Set(int64(st.ShardMax))
 		connBytes.Set(st.Bytes)
 		overlay.Set(int64(st.Overlay))
 		overlayCap.Set(int64(st.OverlayCap))
-		steerEpoch.Set(int64(n.smux.Steer().Epoch()))
-		if n.smux.Steer().DrainActive() {
+		steerEpoch.Set(int64(n.pair.SMux.Steer().Epoch()))
+		if n.pair.SMux.Steer().DrainActive() {
 			steerDrains.Set(1)
 		} else {
 			steerDrains.Set(0)
@@ -359,21 +353,21 @@ func (n *Node) startSMux() error {
 	if n.Me.NMuxTable > 0 {
 		// The NIC table reads the SMux's steer table (the SMux owns writes),
 		// so both tiers resolve a flow to identical encap bytes.
-		n.nmux = nmux.New(nmux.Config{SelfAddr: self, TableSize: n.Me.NMuxTable, Steer: n.smux.Steer()})
-		n.nmux.SetTelemetry(n.Reg, n.Rec, uint32(self))
-		n.stages.nmux = nmux.NewCounters(n.Reg)
+		n.pair.NIC = nmux.New(nmux.Config{SelfAddr: self, TableSize: n.Me.NMuxTable, Steer: n.pair.SMux.Steer()})
+		n.pair.NIC.SetTelemetry(n.Reg, n.Rec, uint32(self))
 		// The same gauge names core.Collect publishes, so the occupancy
 		// watchdog in DefaultRules works unchanged on wire nodes.
 		nmUsed := n.Reg.Gauge("nmux.tables.used_max")
 		nmCap := n.Reg.Gauge("nmux.tables.cap")
 		nmFlows := n.Reg.Gauge("nmux.flows_total")
 		n.Obs.AddCollector(func() {
-			st := n.nmux.Stats()
+			st := n.pair.NIC.Stats()
 			nmUsed.Set(int64(st.Used))
 			nmCap.Set(int64(st.Cap))
 			nmFlows.Set(int64(st.Flows))
 		})
 	}
+	n.stages.host = nmux.NewPairCounters(n.Reg, n.pair.NIC != nil)
 	if err := n.listenData(n.Spec.traceEvery()); err != nil {
 		return err
 	}
@@ -386,57 +380,23 @@ func (n *Node) startSMux() error {
 	return nil
 }
 
-// smuxPacket is the smux role's frame handler. The frame's header came from
-// outside the process, so it is verified here, once, by the node's first
-// stage — the NIC table when there is one — and its flow and hash go to
-// whichever tier serves it.
+// smuxPacket is the smux role's frame handler: the node's host mux pair
+// verifies the frame — a header from outside the process — through its first
+// stage, and serves it, the NIC table first and the SMux on a table miss.
 //
 //duet:hotpath
 func (n *Node) smuxPacket(tx *txBatch, payload, scratch []byte, trace uint64) []byte {
-	f, err := n.parseHostMux(payload)
+	f, err := n.pair.Parse(payload)
 	if err != nil {
 		return scratch // the first stage counted the drop
 	}
-	// A frame encapsulated toward this mux's own address is the switch
-	// tier's HMux-miss fallback (SMuxOnly placement): unwrap it and run the
-	// inner packet, a header new to this process, through the pipeline.
-	if f.Tuple.Proto == packet.ProtoIPIP && f.Tuple.Dst == packet.Addr(n.self32) {
-		payload = packet.Payload(payload)
-		if f, err = n.parseHostMux(payload); err != nil {
-			return scratch
-		}
-	}
-	hash := ecmp.Hash(f.Tuple)
-	if n.nmux != nil {
-		res, err := n.nmux.ProcessSampled(payload, scratch[:0], f, hash, trace != 0, &tx.tally.nmux)
-		if err == nil {
-			n.traceHop(telemetry.TraceTierNMux, payload, trace)
-			n.forward(tx, res.Encap, res.Packet, trace)
-			return res.Packet
-		}
-		if !errors.Is(err, nmux.ErrNotOurVIP) {
-			return scratch // the NIC table counted the drop
-		}
-		// Table miss: fall through to the SMux backstop.
-	}
-	res, err := n.smux.ProcessSampled(payload, scratch[:0], f, hash, trace != 0, &tx.tally.smux)
+	res, err := n.pair.ProcessSampled(payload, scratch[:0], f, ecmp.Hash(f.Tuple), trace != 0, &tx.tally.host)
 	if err != nil {
 		return scratch // the mux counted the drop
 	}
-	n.traceHop(telemetry.TraceTierSMux, payload, trace)
+	n.traceHop(res.Tier, payload, trace)
 	n.forward(tx, res.Encap, res.Packet, trace)
 	return res.Packet
-}
-
-// parseHostMux verifies a frame as the smux node's first stage: the NIC table
-// when the node has one, else the SMux.
-//
-//duet:hotpath
-func (n *Node) parseHostMux(payload []byte) (packet.Flow, error) {
-	if n.nmux != nil {
-		return n.nmux.Parse(payload)
-	}
-	return n.smux.Parse(payload)
 }
 
 // --- hostagent role ----------------------------------------------------
@@ -568,9 +528,8 @@ func (n *Node) startSwitchAgent() error {
 	n.swOps = n.Reg.Counter("switchagent.ops").Shard()
 	n.swOpErrs = n.Reg.Counter("switchagent.op_errors").Shard()
 	n.vips = n.Reg.Gauge("wire.vips")
-	// The software-tier ECMP group for VIPs the hardware tables do not
-	// hold: a destination the HMux has never been programmed with (SMuxOnly
-	// placement) is tunneled to one of these, hashed on the 5-tuple.
+	// The aggregate route: a destination the HMux's tables do not hold
+	// (SMuxOnly placement) is forwarded to one of these SMuxes.
 	for i := range n.Spec.Nodes {
 		p := &n.Spec.Nodes[i]
 		if p.Role != RoleSMux || p.Self == "" {
@@ -594,38 +553,32 @@ func (n *Node) startSwitchAgent() error {
 }
 
 // switchPacket is the switch role's frame handler. The HMux verifies the
-// frame, counting a malformed one as its own drop, and the flow and hash go
-// to whichever path serves it: the tables, or — for a destination outside
-// them — the software tier. Such a destination is not a drop: it is the
-// paper's "VIP assigned to SMuxes" placement, and the table check runs
-// before ProcessSampled so the HMux's drop taxonomy keeps meaning
-// "misconfigured".
+// frame, counting a malformed one as its own drop, and serves it from its
+// tables. A table miss is not a drop: the packet follows the aggregate route,
+// unchanged, to one of the spec's SMuxes — the paper's "VIP assigned to
+// SMuxes" placement. Only a switch whose spec lists no SMux drops it, as a
+// wire no-route drop.
 //
 //duet:hotpath
 func (n *Node) switchPacket(tx *txBatch, payload, scratch []byte, trace uint64) []byte {
-	hm := n.hm
-	f, err := hm.Parse(payload)
+	f, err := n.hm.Parse(payload)
 	if err != nil {
 		return scratch // the mux counted the drop
 	}
 	hash := ecmp.Hash(f.Tuple)
-	if dst := f.Tuple.Dst; len(n.smuxAddrs) > 0 && !hm.HasVIP(dst) && !hm.HasTIP(dst) {
-		sm := n.smuxAddrs[hash%uint64(len(n.smuxAddrs))]
-		out, err := packet.Encapsulate(scratch[:0], packet.Addr(n.self32), sm, payload, 64)
-		if err != nil {
-			return scratch
-		}
+	res, err := n.hm.ProcessSampled(payload, scratch[:0], f, hash, trace != 0, &tx.tally.hmux)
+	switch {
+	case err == hmux.ErrNotOurVIP && len(n.smuxAddrs) == 0:
+		n.dp.DropNoRoute()
+	case err == hmux.ErrNotOurVIP:
 		n.traceHop(telemetry.TraceTierHMux, payload, trace)
-		n.forward(tx, sm, out, trace)
-		return out
+		n.forward(tx, n.smuxAddrs[hash%uint64(len(n.smuxAddrs))], payload, trace)
+	case err == nil:
+		n.traceHop(telemetry.TraceTierHMux, payload, trace)
+		n.forward(tx, res.Encap, res.Packet, trace)
+		return res.Packet
 	}
-	res, err := hm.ProcessSampled(payload, scratch[:0], f, hash, trace != 0, &tx.tally.hmux)
-	if err != nil {
-		return scratch
-	}
-	n.traceHop(telemetry.TraceTierHMux, payload, trace)
-	n.forward(tx, res.Encap, res.Packet, trace)
-	return res.Packet
+	return scratch // any other error is a drop the mux counted
 }
 
 func (n *Node) startAnnounceLoop() {

@@ -563,7 +563,7 @@ func TestNodeModePropagatesAndHeals(t *testing.T) {
 
 	vip := packet.MustParseAddr("10.0.0.1")
 	waitFor(t, "hybrid mode programmed", func() bool {
-		m, ok := sm.smux.ModeOf(vip)
+		m, ok := sm.pair.SMux.ModeOf(vip)
 		return ok && m == steer.ModeHybrid
 	})
 
@@ -574,7 +574,7 @@ func TestNodeModePropagatesAndHeals(t *testing.T) {
 	}
 	defer sm2.Close()
 	waitFor(t, "hybrid mode re-healed after restart", func() bool {
-		m, ok := sm2.smux.ModeOf(vip)
+		m, ok := sm2.pair.SMux.ModeOf(vip)
 		return ok && m == steer.ModeHybrid
 	})
 }
@@ -598,7 +598,7 @@ func TestNodeResyncSuppressionKeepsEpochStable(t *testing.T) {
 	defer sm.Close()
 
 	waitFor(t, "smux programmed", func() bool { return sm.Reg.Gauge("wire.vips").Value() >= 1 })
-	epoch := sm.smux.Steer().Epoch()
+	epoch := sm.pair.SMux.Steer().Epoch()
 	applied := sm.Reg.Counter("wire.delta.applied").Value()
 	resyncs := ctl.Reg.Counter("wire.controller.resyncs").Value()
 
@@ -610,7 +610,7 @@ func TestNodeResyncSuppressionKeepsEpochStable(t *testing.T) {
 	if got := sm.Reg.Counter("wire.delta.applied").Value(); got != applied {
 		t.Fatalf("delta applies moved %d → %d under pure anti-entropy resync", applied, got)
 	}
-	if got := sm.smux.Steer().Epoch(); got != epoch {
+	if got := sm.pair.SMux.Steer().Epoch(); got != epoch {
 		t.Fatalf("steer epoch moved %d → %d under pure anti-entropy resync", epoch, got)
 	}
 }
