@@ -8,10 +8,11 @@
 //
 // A Map is a directory of plain Go maps ("chunks"), a key's chunk picked by a
 // multiplicative hash of the address. A mutation copies the directory and the
-// one chunk the key lives in. The directory's size follows from the table's
-// (dirFor): a small table is one plain map, a large one keeps directory and
-// chunk both at O(√n) — 32 chunks of ~60 at 2,000 entries, 256 of ~200 at
-// 50,000 — and there is nothing for a caller to size. Growing re-chunks the
+// one chunk the key lives in; a batch of them (Edit) copies the directory once
+// and each chunk it touches once. The directory's size follows from the
+// table's (dirFor): a small table is one plain map, a large one keeps
+// directory and chunk both at O(√n) — 32 chunks of ~60 at 2,000 entries, 256
+// of ~200 at 50,000 — and there is nothing for a caller to size. Growing re-chunks the
 // whole table, which keeps With O(√n) amortized; a directory never shrinks
 // (an emptied table's lookups cost the same either way).
 package addrmap
@@ -85,37 +86,82 @@ func (m Map[V]) Range(f func(packet.Addr, V)) {
 
 // With returns a map that holds v under k and is otherwise m.
 func (m Map[V]) With(k packet.Addr, v V) Map[V] {
-	if _, had := m.Get(k); !had {
-		if m.n++; dirFor(m.n) > len(m.dir) {
-			m = m.rechunked(dirFor(m.n))
-		}
-	}
-	i := slot(k, len(m.dir))
-	m = m.editable(i)
-	m.dir[i][k] = v
-	return m
+	e := m.Edit()
+	e.Set(k, v)
+	return e.Map()
 }
 
 // Without returns a map that holds nothing under k and is otherwise m (m
 // itself when k is absent).
 func (m Map[V]) Without(k packet.Addr) Map[V] {
-	if _, had := m.Get(k); !had {
-		return m
-	}
-	i := slot(k, len(m.dir))
-	m = m.editable(i)
-	delete(m.dir[i], k)
-	m.n--
-	return m
+	e := m.Edit()
+	e.Delete(k)
+	return e.Map()
 }
 
-// editable returns m on a copy of its directory and of chunk i: all a
-// mutation of that chunk writes to. Every other chunk stays shared.
-func (m Map[V]) editable(i int) Map[V] {
-	m.dir = slices.Clone(m.dir)
-	m.dir[i] = maps.Clone(m.dir[i])
-	m.first = m.dir[0]
-	return m
+// Edit is a batch of mutations derived from one Map: however many keys it
+// touches, it copies the directory once and each chunk it writes at most
+// once, and the Map it started from is never modified. With and Without are
+// one-key Edits.
+type Edit[V any] struct {
+	m     Map[V]
+	owned []bool // owned[i]: chunk i is this edit's own copy; nil until the directory is copied
+}
+
+// Edit starts a batch of mutations on m.
+func (m Map[V]) Edit() *Edit[V] { return &Edit[V]{m: m} }
+
+// Get returns the value the edit holds under k so far.
+func (e *Edit[V]) Get(k packet.Addr) (V, bool) { return e.m.Get(k) }
+
+// Len returns the number of entries the edit holds so far.
+func (e *Edit[V]) Len() int { return e.m.n }
+
+// Set stores v under k.
+func (e *Edit[V]) Set(k packet.Addr, v V) {
+	if _, had := e.m.Get(k); !had {
+		if e.m.n++; dirFor(e.m.n) > len(e.m.dir) {
+			e.m = e.m.rechunked(dirFor(e.m.n))
+			e.owned = make([]bool, len(e.m.dir))
+			for i := range e.owned {
+				e.owned[i] = true
+			}
+		}
+	}
+	e.m.dir[e.chunk(k)][k] = v
+}
+
+// Delete removes k, if present.
+func (e *Edit[V]) Delete(k packet.Addr) {
+	if _, had := e.m.Get(k); !had {
+		return
+	}
+	delete(e.m.dir[e.chunk(k)], k)
+	e.m.n--
+}
+
+// Map returns the edited map. The edit stays usable: a later mutation copies
+// again what it writes, so the returned Map never changes.
+func (e *Edit[V]) Map() Map[V] {
+	e.owned = nil
+	return e.m
+}
+
+// chunk returns the index of k's chunk, first making it (and the directory)
+// the edit's own copy: all a mutation of that chunk writes to. Every other
+// chunk stays shared.
+func (e *Edit[V]) chunk(k packet.Addr) int {
+	if e.owned == nil {
+		e.m.dir = slices.Clone(e.m.dir)
+		e.owned = make([]bool, len(e.m.dir))
+	}
+	i := slot(k, len(e.m.dir))
+	if !e.owned[i] {
+		e.m.dir[i] = maps.Clone(e.m.dir[i])
+		e.owned[i] = true
+		e.m.first = e.m.dir[0]
+	}
+	return i
 }
 
 // rechunked copies every entry into a fresh directory of size chunks.
@@ -125,5 +171,6 @@ func (m Map[V]) rechunked(size int) Map[V] {
 		next.dir[i] = make(map[packet.Addr]V, m.n/size+1)
 	}
 	m.Range(func(k packet.Addr, v V) { next.dir[slot(k, size)][k] = v })
+	next.first = next.dir[0]
 	return next
 }

@@ -3,6 +3,7 @@ package addrmap
 import (
 	"maps"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"duet/internal/packet"
@@ -142,6 +143,83 @@ func TestZeroAllocGet(t *testing.T) {
 		}
 		if hits != 101*n {
 			t.Errorf("%d entries: %d hits over 101 sweeps, want %d", n, hits, 101*n)
+		}
+	}
+}
+
+// TestEditMatchesSequential: a batch of random sets and deletes reads exactly
+// like the same mutations applied one With/Without at a time, the map it
+// started from reads as before, and the batch copies each chunk it touches
+// once. Batches start from tables just below a rechunk boundary and grow
+// across it.
+func TestEditMatchesSequential(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	rechunked := 0
+	for trial := 0; trial < 200; trial++ {
+		const universe = 3000
+		fill := Map[int]{}.Edit()
+		for i, n := 0, rng.Intn(universe); i < n; i++ {
+			fill.Set(key(rng.Intn(universe)), -i)
+		}
+		if trial%4 == 0 { // to just below the next directory doubling
+			for k := 0; dirFor(fill.m.n+1) == len(fill.m.dir) && k < universe; k++ {
+				fill.Set(key(k), -k)
+			}
+		}
+		src := fill.Map()
+		before := contents(t, src)
+
+		seq := src
+		e := src.Edit()
+		for op, n := 0, 1+rng.Intn(300); op < n; op++ {
+			k := key(rng.Intn(universe))
+			if rng.Intn(3) > 0 {
+				seq = seq.With(k, op)
+				e.Set(k, op)
+			} else {
+				seq = seq.Without(k)
+				e.Delete(k)
+			}
+			v, ok := e.Get(k)
+			if w, wok := seq.Get(k); v != w || ok != wok {
+				t.Fatalf("trial %d op %d: the edit reads %s as %d,%v mid-batch", trial, op, k, v, ok)
+			}
+		}
+		got := e.Map()
+		if len(got.dir) > len(src.dir) {
+			rechunked++
+		}
+		check(t, trial, got, contents(t, seq), universe)
+		check(t, trial, src, before, universe)
+		// Later edits through the same Edit leave the returned map alone.
+		want := contents(t, got)
+		e.Set(key(universe+1), 1)
+		e.Delete(key(rng.Intn(universe)))
+		check(t, trial, got, want, universe+2)
+	}
+	if rechunked < 20 {
+		t.Fatalf("only %d of 200 batches crossed a rechunk boundary", rechunked)
+	}
+}
+
+// TestEditCopiesEachChunkOnce: a batch touching many keys in one chunk of a
+// multi-chunk table shares every other chunk with its source.
+func TestEditCopiesEachChunkOnce(t *testing.T) {
+	var src Map[int]
+	for i := 0; i < 5000; i++ {
+		src = src.With(key(i), i)
+	}
+	e := src.Edit()
+	touched := map[int]bool{}
+	for i := 0; i < 5000 && len(touched) < 3; i += 97 {
+		e.Set(key(i), -i)
+		touched[slot(key(i), len(src.dir))] = true
+	}
+	got := e.Map()
+	for i := range src.dir {
+		shared := reflect.ValueOf(got.dir[i]).UnsafePointer() == reflect.ValueOf(src.dir[i]).UnsafePointer()
+		if shared == touched[i] {
+			t.Fatalf("chunk %d: shared %v, touched %v", i, shared, touched[i])
 		}
 	}
 }

@@ -62,10 +62,7 @@ func TestHashUniformity(t *testing.T) {
 }
 
 func TestGroupEqualSplit(t *testing.T) {
-	g := NewGroup()
-	for m := uint32(0); m < 4; m++ {
-		g.AddWeighted(m, 1)
-	}
+	g := equalGroup(4)
 	counts := make(map[uint32]int)
 	const flows = 40000
 	for i := uint32(0); i < flows; i++ {
@@ -84,7 +81,7 @@ func TestGroupEqualSplit(t *testing.T) {
 }
 
 func TestGroupEmpty(t *testing.T) {
-	g := NewGroup()
+	g := NewGroup(nil, nil)
 	if _, err := g.Select(1); err != ErrEmptyGroup {
 		t.Fatalf("got %v, want ErrEmptyGroup", err)
 	}
@@ -94,8 +91,7 @@ func TestGroupEmpty(t *testing.T) {
 }
 
 func TestGroupRemoveToEmpty(t *testing.T) {
-	g := NewGroup()
-	g.AddWeighted(1, 1)
+	g := NewGroup([]uint32{1}, []uint32{1})
 	if err := g.Remove(1); err != nil {
 		t.Fatal(err)
 	}
@@ -111,10 +107,7 @@ func TestGroupRemoveToEmpty(t *testing.T) {
 // removing one member must not remap any flow that previously hashed to a
 // surviving member.
 func TestResilientRemoval(t *testing.T) {
-	g := NewGroup()
-	for m := uint32(0); m < 8; m++ {
-		g.AddWeighted(m, 1)
-	}
+	g := equalGroup(8)
 	const flows = 20000
 	before := make([]uint32, flows)
 	for i := uint32(0); i < flows; i++ {
@@ -154,10 +147,7 @@ func TestResilientRemovalProperty(t *testing.T) {
 	// their slots.
 	f := func(nRaw, removeRaw uint8) bool {
 		n := 2 + int(nRaw%15)
-		g := NewGroup()
-		for m := uint32(0); m < uint32(n); m++ {
-			g.AddWeighted(m, 1)
-		}
+		g := equalGroup(n)
 		victim := uint32(int(removeRaw) % n)
 		beforeOwners := g.SlotOwners()
 		if err := g.Remove(victim); err != nil {
@@ -180,10 +170,7 @@ func TestResilientRemovalProperty(t *testing.T) {
 }
 
 func TestSequentialRemovals(t *testing.T) {
-	g := NewGroup()
-	for m := uint32(0); m < 6; m++ {
-		g.AddWeighted(m, 1)
-	}
+	g := equalGroup(6)
 	for _, victim := range []uint32{0, 5, 2} {
 		if err := g.Remove(victim); err != nil {
 			t.Fatalf("remove %d: %v", victim, err)
@@ -207,9 +194,7 @@ func TestSequentialRemovals(t *testing.T) {
 
 func TestWCMPWeights(t *testing.T) {
 	// Paper §5.2: faster DIPs get larger weights. 3:1 should see ~75%/25%.
-	g := NewGroup()
-	g.AddWeighted(100, 3)
-	g.AddWeighted(200, 1)
+	g := NewGroup([]uint32{100, 200}, []uint32{3, 1})
 	counts := make(map[uint32]int)
 	const flows = 40000
 	for i := uint32(0); i < flows; i++ {
@@ -222,10 +207,8 @@ func TestWCMPWeights(t *testing.T) {
 	}
 }
 
-func TestAddWeightedZeroWeight(t *testing.T) {
-	g := NewGroup()
-	g.AddWeighted(1, 0) // treated as weight 1
-	g.AddWeighted(2, 1)
+func TestZeroWeightCountsAsOne(t *testing.T) {
+	g := NewGroup([]uint32{1, 2}, []uint32{0, 1}) // 0 is treated as weight 1
 	owners := g.SlotOwners()
 	if owners[1] == 0 || owners[2] == 0 {
 		t.Fatalf("zero weight not normalized: %v", owners)
@@ -233,8 +216,7 @@ func TestAddWeightedZeroWeight(t *testing.T) {
 }
 
 func TestNewGroupSlotsClamp(t *testing.T) {
-	g := NewGroupSlots(-4)
-	g.AddWeighted(1, 1)
+	g := newGroupSlots(-4, []uint32{1}, []uint32{1})
 	if _, err := g.Select(0); err != nil {
 		t.Fatal(err)
 	}
@@ -242,10 +224,7 @@ func TestNewGroupSlotsClamp(t *testing.T) {
 
 func TestSlotApportionmentExact(t *testing.T) {
 	// With 4 equal members and 256 slots, each must own exactly 64.
-	g := NewGroup()
-	for m := uint32(0); m < 4; m++ {
-		g.AddWeighted(m, 1)
-	}
+	g := equalGroup(4)
 	for m, c := range g.SlotOwners() {
 		if c != DefaultSlots/4 {
 			t.Errorf("member %d owns %d slots, want %d", m, c, DefaultSlots/4)
@@ -262,10 +241,7 @@ func BenchmarkHash(b *testing.B) {
 }
 
 func BenchmarkGroupSelect(b *testing.B) {
-	g := NewGroup()
-	for m := uint32(0); m < 16; m++ {
-		g.AddWeighted(m, 1)
-	}
+	g := equalGroup(16)
 	tup := tuple(7)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -273,6 +249,16 @@ func BenchmarkGroupSelect(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// equalGroup is a group of members 0..n-1, weight 1 each.
+func equalGroup(n int) *Group {
+	members := make([]uint32, n)
+	weights := make([]uint32, n)
+	for i := range members {
+		members[i], weights[i] = uint32(i), 1
+	}
+	return NewGroup(members, weights)
 }
 
 // SlotOwners returns how many slots each member currently owns, keyed by

@@ -3,6 +3,7 @@ package ecmp
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"duet/internal/packet"
 )
@@ -33,18 +34,34 @@ type Group struct {
 	slots   []int32  // slot table; value is an index into members, -1 if empty
 }
 
-// NewGroup creates a group with the default slot count.
-func NewGroup() *Group { return NewGroupSlots(DefaultSlots) }
+// NewGroup builds a group over members with their WCMP weights (paper §5.2
+// "Heterogeneity among servers"; parallel slices, a zero weight counts as 1)
+// in one largest-remainder fill of the default slot table. There is no
+// in-place add: adding a member is a new group, the non-resilient full rehash
+// a real ASIC performs on member addition, and the table depends only on the
+// final member and weight lists.
+func NewGroup(members, weights []uint32) *Group {
+	return newGroupSlots(DefaultSlots, members, weights)
+}
 
-// NewGroupSlots creates a group with a specific slot-table size.
-func NewGroupSlots(slots int) *Group {
+// newGroupSlots is NewGroup with a specific slot-table size (the default when
+// slots is not positive).
+func newGroupSlots(slots int, members, weights []uint32) *Group {
 	if slots <= 0 {
 		slots = DefaultSlots
 	}
-	g := &Group{slots: make([]int32, slots)}
+	g := &Group{
+		members: slices.Clone(members),
+		weights: make([]uint32, len(members)),
+		slots:   make([]int32, slots),
+	}
+	for i, w := range weights[:len(members)] {
+		g.weights[i] = max(w, 1)
+	}
 	for i := range g.slots {
 		g.slots[i] = -1
 	}
+	g.rebuild()
 	return g
 }
 
@@ -62,17 +79,6 @@ func (g *Group) Clone() *Group {
 		slots:   append([]int32(nil), g.slots...),
 	}
 	return cp
-}
-
-// AddWeighted appends a member with the given WCMP weight (paper §5.2
-// "Heterogeneity among servers") and rebuilds the slot table.
-func (g *Group) AddWeighted(member uint32, weight uint32) {
-	if weight == 0 {
-		weight = 1
-	}
-	g.members = append(g.members, member)
-	g.weights = append(g.weights, weight)
-	g.rebuild()
 }
 
 // Remove deletes a member resiliently: only slots that pointed at the
@@ -164,6 +170,10 @@ func (g *Group) rebuild() {
 		}
 	}
 }
+
+// SlotMember returns the member slot s of a non-empty group's table serves:
+// what Select returns for a hash h with h % slots == s, without its checks.
+func (g *Group) SlotMember(s int) uint32 { return g.members[g.slots[s]] }
 
 // Select returns the member for a flow hash.
 func (g *Group) Select(hash uint64) (uint32, error) {

@@ -18,9 +18,9 @@ type refGroup struct {
 func TestGroupRandomOpsContract(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 30; trial++ {
-		g := NewGroup()
+		g := NewGroup(nil, nil)
 		ref := &refGroup{alive: make(map[uint32]bool)}
-		var members []uint32
+		var members, weights []uint32
 		nextID := uint32(0)
 
 		snapshot := func() map[uint64]uint32 {
@@ -45,9 +45,10 @@ func TestGroupRandomOpsContract(t *testing.T) {
 			case op == 0 || len(members) == 0: // add
 				id := nextID
 				nextID++
-				g.AddWeighted(id, uint32(1+rng.Intn(3)))
-				ref.alive[id] = true
 				members = append(members, id)
+				weights = append(weights, uint32(1+rng.Intn(3)))
+				g = NewGroup(members, weights) // adding a member is a new group
+				ref.alive[id] = true
 				// Addition is NOT resilient: no per-slot stability check,
 				// but every selected member must be alive.
 				cur := snapshot()
@@ -61,6 +62,7 @@ func TestGroupRandomOpsContract(t *testing.T) {
 				idx := rng.Intn(len(members))
 				victim := members[idx]
 				members = append(members[:idx], members[idx+1:]...)
+				weights = append(weights[:idx], weights[idx+1:]...)
 				if err := g.Remove(victim); err != nil {
 					t.Fatalf("remove %d: %v", victim, err)
 				}

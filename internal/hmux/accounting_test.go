@@ -15,7 +15,8 @@ import (
 // RemoveVIP sequences with DIPs shared inside a VIP, across VIPs and across
 // port rules, on tables small enough that admission refuses often, Stats()
 // equals what the programmed VIPs and TIPs hold after every step (a refused
-// operation included: its charge is rolled back exactly), the refusal is the
+// operation included: its charge is rolled back exactly, and it publishes no
+// table generation), the refusal is the
 // first table the candidate overflows, and once every VIP is removed only
 // the TIPs' share is left — zero on a run that programmed none.
 func TestAccountingMatchesRecount(t *testing.T) {
@@ -30,11 +31,12 @@ func TestAccountingMatchesRecount(t *testing.T) {
 		// set first, live DIPs only.
 		vips := make(map[packet.Addr][][]packet.Addr)
 		tips := make(map[packet.Addr][][]packet.Addr)
+		gens := uint64(0) // one table generation per accepted operation
 		recount := func(extra [][]packet.Addr) Stats {
 			st := Stats{HostUsed: len(vips) + len(tips), HostCap: cfg.HostTableSize,
 				ECMPCap: cfg.ECMPTableSize, GroupsCap: cfg.ECMPGroupTableSize,
 				TunnelCap: cfg.TunnelTableSize, ACLCap: cfg.ACLTableSize,
-				VIPs: len(vips), TIPs: len(tips)}
+				VIPs: len(vips), TIPs: len(tips), Generation: gens}
 			tunnels := make(map[packet.Addr]bool)
 			count := func(sets [][]packet.Addr) {
 				for i, set := range sets {
@@ -116,6 +118,7 @@ func TestAccountingMatchesRecount(t *testing.T) {
 					t.Fatalf("seed %d step %d: AddVIP = %v, want %v", seed, step, err, want)
 				} else if err == nil {
 					vips[v.Addr] = sets
+					gens++
 				}
 				check(step, "AddVIP")
 			case op < 5 && withTIPs: // AddTIP
@@ -126,6 +129,7 @@ func TestAccountingMatchesRecount(t *testing.T) {
 					t.Fatalf("seed %d step %d: AddTIP = %v, want %v", seed, step, err, want)
 				} else if err == nil {
 					tips[tip] = [][]packet.Addr{dips}
+					gens++
 				}
 				check(step, "AddTIP")
 			case op < 8: // RemoveBackend: the first live occurrence in the default set
@@ -141,6 +145,7 @@ func TestAccountingMatchesRecount(t *testing.T) {
 				}
 				if i >= 0 {
 					sets[0] = slices.Delete(sets[0], i, i+1)
+					gens++
 				}
 				check(step, "RemoveBackend")
 			default: // RemoveVIP
@@ -148,6 +153,9 @@ func TestAccountingMatchesRecount(t *testing.T) {
 				_, ok := vips[vip]
 				if err := m.RemoveVIP(vip); (err == nil) != ok {
 					t.Fatalf("seed %d step %d: RemoveVIP(%s) = %v, model holds it: %v", seed, step, vip, err, ok)
+				}
+				if ok {
+					gens++
 				}
 				delete(vips, vip)
 				check(step, "RemoveVIP")
@@ -158,6 +166,7 @@ func TestAccountingMatchesRecount(t *testing.T) {
 				t.Fatal(err)
 			}
 			delete(vips, vip)
+			gens++
 		}
 		check(400, "drained")
 		if st := m.Stats(); !withTIPs && (st.HostUsed|st.ECMPUsed|st.GroupsUsed|st.TunnelUsed|st.ACLUsed) != 0 {

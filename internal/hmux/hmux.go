@@ -23,11 +23,12 @@
 // Concurrency mirrors the hardware split the paper exploits: the ASIC
 // forwards at line rate while the switch agent reprograms tables underneath
 // it. Here the lookup tables live in an immutable struct published through an
-// atomic pointer; table programming (AddVIP, RemoveVIP, RemoveBackend, AddTIP)
-// serializes on a writer lock, rebuilds the affected entry and republishes a
-// generation that shares every other entry with the last. Process/Lookup load
-// the pointer once per packet, so concurrent dataplane goroutines always see a
-// complete, consistent table generation — never a half-programmed VIP.
+// atomic pointer; table programming (an Apply batch — AddVIP and RemoveVIP are
+// batches of one — RemoveBackend, AddTIP) serializes on a writer lock,
+// rebuilds the affected entries and republishes one generation that shares
+// every other entry with the last. Process/Lookup load the pointer once per
+// packet, so concurrent dataplane goroutines always see a complete, consistent
+// table generation — never a half-programmed VIP.
 package hmux
 
 import (
@@ -121,6 +122,7 @@ type Mux struct {
 	groupsUsed int
 	aclUsed    int
 	tunnelRefs map[packet.Addr]int // encap IP → reference count
+	gens       uint64              // table generations published
 
 	tel muxTelemetry
 }
@@ -232,6 +234,7 @@ type Stats struct {
 	TunnelUsed, TunnelCap int
 	ACLUsed, ACLCap       int
 	VIPs, TIPs            int
+	Generation            uint64 // table generations published so far
 }
 
 // Stats returns current table occupancy.
@@ -246,6 +249,7 @@ func (m *Mux) Stats() Stats {
 		TunnelUsed: len(m.tunnelRefs), TunnelCap: m.cfg.TunnelTableSize,
 		ACLUsed: m.aclUsed, ACLCap: m.cfg.ACLTableSize,
 		VIPs: t.vips.Len(), TIPs: t.tips.Len(),
+		Generation: m.gens,
 	}
 }
 
@@ -283,27 +287,55 @@ func (m *Mux) overfull() error {
 	return nil
 }
 
-// AddVIP programs a VIP and all its port rules into the switch tables.
-func (m *Mux) AddVIP(v *service.VIP) error {
-	if err := v.Validate(); err != nil {
-		return err
-	}
-	return m.program(v, false)
-}
-
-// program admits v against every table's capacity and installs it in the host
-// table: as a VIP, or as a TIP partition (one backend set, no port rules).
-func (m *Mux) program(v *service.VIP, tip bool) error {
+// Apply programs a batch of VIPs (steer.OpAdd, a VIP and all its port
+// rules; steer.OpRemove, a withdrawal releasing its table entries) in order
+// and publishes one table generation for all of them, none when every op
+// failed. Each op is admitted alone against what the ops before it left — a
+// VIP that does not fit fails with the full table's error — so a VIP re-added
+// after its removal in the same batch is charged against the released
+// entries.
+func (m *Mux) Apply(ops []steer.Op) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	t := *m.tab.Load()
-	if _, ok := t.vips.Get(v.Addr); ok {
+	vips := t.vips.Edit()
+	changed := false
+	for i := range ops {
+		op := &ops[i]
+		switch op.Kind {
+		case steer.OpAdd:
+			if op.Err = op.VIP.Validate(); op.Err == nil {
+				op.Err = m.admit(vips, t.tips, op.VIP)
+			}
+		case steer.OpRemove:
+			op.Err = ErrVIPNotFound
+			if e, ok := vips.Get(op.Addr); ok {
+				m.charge(e, -1)
+				vips.Delete(op.Addr)
+				op.Err = nil
+			}
+		default:
+			op.Err = fmt.Errorf("hmux: op kind %d does not program a switch", op.Kind)
+		}
+		changed = changed || op.Err == nil
+	}
+	if changed {
+		t.vips = vips.Map()
+		m.publish(&t)
+	}
+}
+
+// admit checks v against the host table (into is the half it goes in, VIPs
+// or TIPs, other the other half) and every bounded table, charges its
+// footprint and installs its entry in into. Callers hold m.mu.
+func (m *Mux) admit(into *addrmap.Edit[*steer.Entry], other addrmap.Map[*steer.Entry], v *service.VIP) error {
+	if _, ok := into.Get(v.Addr); ok {
 		return ErrVIPExists
 	}
-	if _, ok := t.tips.Get(v.Addr); ok {
+	if _, ok := other.Get(v.Addr); ok {
 		return ErrVIPExists
 	}
-	if t.vips.Len()+t.tips.Len()+1 > m.cfg.HostTableSize {
+	if into.Len()+other.Len()+1 > m.cfg.HostTableSize {
 		return ErrHostTableFull
 	}
 	// A switch keeps no per-flow state: every packet is a fresh pick.
@@ -313,28 +345,24 @@ func (m *Mux) program(v *service.VIP, tip bool) error {
 		m.charge(e, -1)
 		return err
 	}
-	if tip {
-		t.tips = t.tips.With(v.Addr, e)
-	} else {
-		t.vips = t.vips.With(v.Addr, e)
-	}
-	m.tab.Store(&t)
+	into.Set(v.Addr, e)
 	return nil
 }
 
-// RemoveVIP withdraws a VIP from the switch, releasing its table entries.
+// publish installs a table generation. Callers hold m.mu.
+func (m *Mux) publish(t *tables) {
+	m.gens++
+	m.tab.Store(t)
+}
+
+// AddVIP programs a VIP and all its port rules: a batch of one.
+func (m *Mux) AddVIP(v *service.VIP) error {
+	return steer.One(m.Apply, steer.Op{Kind: steer.OpAdd, VIP: v})
+}
+
+// RemoveVIP withdraws a VIP from the switch: a batch of one.
 func (m *Mux) RemoveVIP(addr packet.Addr) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	t := *m.tab.Load()
-	e, ok := t.vips.Get(addr)
-	if !ok {
-		return ErrVIPNotFound
-	}
-	m.charge(e, -1)
-	t.vips = t.vips.Without(addr)
-	m.tab.Store(&t)
-	return nil
+	return steer.One(m.Apply, steer.Op{Kind: steer.OpRemove, Addr: addr})
 }
 
 // HasVIP reports whether the VIP is programmed here.
@@ -363,7 +391,7 @@ func (m *Mux) RemoveBackend(vip, dip packet.Addr) error {
 	m.charge(e, -1)
 	m.charge(cp, +1)
 	t.vips = t.vips.With(vip, cp)
-	m.tab.Store(&t)
+	m.publish(&t)
 	return nil
 }
 
@@ -375,7 +403,16 @@ func (m *Mux) AddTIP(tip packet.Addr, backends []service.Backend) error {
 	if len(backends) == 0 {
 		return fmt.Errorf("hmux: TIP %s has no backends", tip)
 	}
-	return m.program(&service.VIP{Addr: tip, Backends: backends}, true)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	t := *m.tab.Load()
+	tips := t.tips.Edit()
+	if err := m.admit(tips, t.vips, &service.VIP{Addr: tip, Backends: backends}); err != nil {
+		return err
+	}
+	t.tips = tips.Map()
+	m.publish(&t)
+	return nil
 }
 
 // Result describes what Process did with a packet.

@@ -596,10 +596,11 @@ func TestGroupConsistencyWithECMPPackage(t *testing.T) {
 	if err := m.AddVIP(&service.VIP{Addr: vipAddr, Backends: bs}); err != nil {
 		t.Fatal(err)
 	}
-	g := ecmp.NewGroup()
-	for i := range bs {
-		g.AddWeighted(uint32(i), bs[i].Weight)
+	members, weights := make([]uint32, len(bs)), make([]uint32, len(bs))
+	for i, b := range bs {
+		members[i], weights[i] = uint32(i), b.Weight
 	}
+	g := ecmp.NewGroup(members, weights)
 	for i := uint32(0); i < 1000; i++ {
 		tuple, _ := packet.ExtractFiveTuple(vipPacket(i, 80))
 		member, err := g.SelectTuple(tuple)

@@ -73,16 +73,18 @@ type portRange struct{ lo, hi uint16 }
 // backend list exactly as programmed on the HMux (order matters — both sides
 // must build the identical ECMP group).
 func NewSNAT(vip, self packet.Addr, backends []service.Backend) *SNAT {
+	members := make([]uint32, len(backends))
+	weights := make([]uint32, len(backends))
 	s := &SNAT{
 		vip:    vip,
 		self:   self,
-		group:  ecmp.NewGroup(),
 		encaps: make([]packet.Addr, len(backends)),
 	}
 	for i, b := range backends {
 		s.encaps[i] = b.Addr
-		s.group.AddWeighted(uint32(i), b.Weight)
+		members[i], weights[i] = uint32(i), b.Weight
 	}
+	s.group = ecmp.NewGroup(members, weights)
 	for i := range s.shards {
 		s.shards[i].used = make(map[uint16]bool)
 	}

@@ -38,6 +38,7 @@ package nmux
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -110,9 +111,10 @@ type Mux struct {
 	tab atomic.Pointer[vipTable]
 	mu  sync.Mutex // serializes writers
 
-	// Writer-side wildcard accounting: entries consumed by programmed VIPs.
-	// Guarded by mu.
+	// Writer-side wildcard accounting: entries consumed by programmed VIPs,
+	// and the wildcard-table generations published. Guarded by mu.
 	wildcardUsed int
+	gens         uint64
 
 	// flowBudget is the table space left for exact-match entries
 	// (TableSize − wildcardUsed), republished by writers; flowCount is the
@@ -260,20 +262,23 @@ type Stats struct {
 	Flows    int // exact-match flow entries
 	Used     int // Wildcard + Flows
 	VIPs     int // programmed VIP count
+
+	Generation uint64 // wildcard-table generations published so far
 }
 
 // Stats returns the current table occupancy.
 func (m *Mux) Stats() Stats {
 	m.mu.Lock()
-	w := m.wildcardUsed
+	w, gens := m.wildcardUsed, m.gens
 	m.mu.Unlock()
 	f := int(m.flowCount.Load())
 	return Stats{
-		Cap:      m.cfg.TableSize,
-		Wildcard: w,
-		Flows:    f,
-		Used:     w + f,
-		VIPs:     m.NumVIPs(),
+		Cap:        m.cfg.TableSize,
+		Wildcard:   w,
+		Flows:      f,
+		Used:       w + f,
+		VIPs:       m.NumVIPs(),
+		Generation: gens,
 	}
 }
 
@@ -286,84 +291,109 @@ func (m *Mux) shardFor(h uint64) *flowShard {
 // publish installs a new wildcard-table generation and republishes the flow
 // budget. Must hold m.mu.
 func (m *Mux) publish(vips vipTable) {
+	m.gens++
 	m.tab.Store(&vips)
 	m.flowBudget.Store(int64(m.cfg.TableSize - m.wildcardUsed))
 }
 
-// AddVIP programs a VIP's wildcard entries. Unlike the SMux the table is
-// bounded: programming fails with ErrTableFull rather than evicting.
-func (m *Mux) AddVIP(v *service.VIP) error {
-	if err := v.Validate(); err != nil {
-		return err
-	}
+// Apply programs a batch of ops (steer.OpAdd, OpUpdate, OpSet and OpRemove;
+// the mode is the steer table's business) in order and publishes one
+// wildcard-table generation for all of them, none when every op failed. The
+// table is bounded: each op is admitted alone against what the ops before it
+// left, and one that does not fit fails with ErrTableFull rather than
+// evicting. Updating a VIP keeps its pinned flows — that is what makes a
+// reprogram invisible to connections straddling it; removing one releases
+// its wildcard entries and drops its flows. A paired mux leaves the steer
+// entries to the SMux that owns the table (its backstop still serves a
+// removed VIP); a standalone one applies the same batch to its own.
+func (m *Mux) Apply(ops []steer.Op) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	vips := *m.tab.Load()
-	if _, ok := vips.Get(v.Addr); ok {
-		return ErrVIPExists
-	}
-	cost := Cost(v)
-	if m.wildcardUsed+cost > m.cfg.TableSize {
-		return ErrTableFull
-	}
-	if m.ownSteer {
-		if err := m.steer.Set(v); err != nil {
-			return err
+	vips := m.tab.Load().Edit()
+	var own []steer.Op // the standalone mux's steer batch
+	var removed map[packet.Addr]bool
+	changed := false
+	for i := range ops {
+		op := &ops[i]
+		if op.Err = m.apply(vips, op); op.Err != nil {
+			continue
+		}
+		changed = true
+		kind := steer.OpSet // an upsert: the private table holds what this one does
+		if op.Kind == steer.OpRemove {
+			kind = steer.OpRemove
+			if removed == nil {
+				removed = make(map[packet.Addr]bool)
+			}
+			removed[op.Addr] = true
+		}
+		if m.ownSteer {
+			own = append(own, steer.Op{Kind: kind, Addr: op.Addr, VIP: op.VIP})
 		}
 	}
-	m.wildcardUsed += cost
-	m.publish(vips.With(v.Addr, cost))
+	if !changed {
+		return
+	}
+	if m.ownSteer {
+		// Every VIP here passed Validate and OpSet is an upsert, so the
+		// private table's batch cannot fail.
+		m.steer.Apply(own)
+	}
+	m.publish(vips.Map())
+	if removed != nil {
+		m.dropFlows(func(t packet.FiveTuple, _ packet.Addr) bool { return removed[t.Dst] })
+	}
+}
+
+// apply admits one op of a batch against the batch's edit and the wildcard
+// accounting. Must hold m.mu.
+func (m *Mux) apply(vips *addrmap.Edit[int], op *steer.Op) error {
+	switch op.Kind {
+	case steer.OpAdd, steer.OpUpdate, steer.OpSet:
+		v := op.VIP
+		if err := v.Validate(); err != nil {
+			return err
+		}
+		old, ok := vips.Get(v.Addr)
+		switch {
+		case op.Kind == steer.OpAdd && ok:
+			return ErrVIPExists
+		case op.Kind == steer.OpUpdate && !ok:
+			return ErrVIPNotFound
+		}
+		cost := Cost(v)
+		if m.wildcardUsed-old+cost > m.cfg.TableSize {
+			return ErrTableFull
+		}
+		m.wildcardUsed += cost - old
+		vips.Set(v.Addr, cost)
+	case steer.OpRemove:
+		cost, ok := vips.Get(op.Addr)
+		if !ok {
+			return ErrVIPNotFound
+		}
+		m.wildcardUsed -= cost
+		vips.Delete(op.Addr)
+	default:
+		return fmt.Errorf("nmux: op kind %d does not program a NIC table", op.Kind)
+	}
 	return nil
+}
+
+// AddVIP programs a VIP's wildcard entries: a batch of one.
+func (m *Mux) AddVIP(v *service.VIP) error {
+	return steer.One(m.Apply, steer.Op{Kind: steer.OpAdd, VIP: v})
 }
 
 // UpdateVIP replaces a VIP's backend set, re-checking the table budget for
-// the new cost. Existing flows keep their pinned DIPs — that is what makes a
-// reprogram invisible to connections straddling it.
+// the new cost: a batch of one.
 func (m *Mux) UpdateVIP(v *service.VIP) error {
-	if err := v.Validate(); err != nil {
-		return err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	vips := *m.tab.Load()
-	old, ok := vips.Get(v.Addr)
-	if !ok {
-		return ErrVIPNotFound
-	}
-	cost := Cost(v)
-	if m.wildcardUsed-old+cost > m.cfg.TableSize {
-		return ErrTableFull
-	}
-	if m.ownSteer {
-		if err := m.steer.Set(v); err != nil {
-			return err
-		}
-	}
-	m.wildcardUsed += cost - old
-	m.publish(vips.With(v.Addr, cost))
-	return nil
+	return steer.One(m.Apply, steer.Op{Kind: steer.OpUpdate, VIP: v})
 }
 
-// RemoveVIP deprograms a VIP, releases its wildcard entries and drops its
-// pinned flows. The steer entry stays when the table is shared — the SMux
-// backstop still serves the VIP.
+// RemoveVIP deprograms a VIP: a batch of one.
 func (m *Mux) RemoveVIP(addr packet.Addr) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	vips := *m.tab.Load()
-	cost, ok := vips.Get(addr)
-	if !ok {
-		return ErrVIPNotFound
-	}
-	if m.ownSteer {
-		if err := m.steer.RemoveVIP(addr); err != nil && err != steer.ErrVIPNotFound {
-			return err
-		}
-	}
-	m.wildcardUsed -= cost
-	m.publish(vips.Without(addr))
-	m.dropFlows(func(t packet.FiveTuple, _ packet.Addr) bool { return t.Dst == addr })
-	return nil
+	return steer.One(m.Apply, steer.Op{Kind: steer.OpRemove, Addr: addr})
 }
 
 // RemoveBackend removes a DIP resiliently (same semantics as the HMux: the

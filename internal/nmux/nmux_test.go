@@ -7,6 +7,7 @@ import (
 	"duet/internal/packet"
 	"duet/internal/service"
 	"duet/internal/smux"
+	"duet/internal/steer"
 	"duet/internal/telemetry"
 )
 
@@ -140,6 +141,43 @@ func TestWildcardAdmission(t *testing.T) {
 	}
 	if st := m.Stats(); st.Wildcard != 3 {
 		t.Fatalf("wildcard after removal = %d, want 3", st.Wildcard)
+	}
+}
+
+// TestApplyBatchAdmitsEachOpAlone: a batch is admitted op by op against what
+// the ops before it left — a removal frees entries a later add may use, a VIP
+// that does not fit fails alone with ErrTableFull — and publishes one
+// wildcard-table generation, none when every op fails.
+func TestApplyBatchAdmitsEachOpAlone(t *testing.T) {
+	m := New(Config{SelfAddr: packet.AddrFrom4(192, 168, 0, 1), TableSize: 12})
+	if err := m.AddVIP(testVIP(1, 4)); err != nil { // 5 entries
+		t.Fatal(err)
+	}
+	gen := m.Stats().Generation
+	ops := []steer.Op{
+		{Kind: steer.OpSet, VIP: testVIP(2, 4)},          // 10 of 12
+		{Kind: steer.OpSet, VIP: testVIP(3, 4)},          // 15: does not fit
+		{Kind: steer.OpRemove, Addr: testVIP(1, 4).Addr}, // 5
+		{Kind: steer.OpAdd, VIP: testVIP(4, 5)},          // 11
+		{Kind: steer.OpUpdate, VIP: testVIP(5, 1)},       // absent
+		{Kind: steer.OpMode, Addr: testVIP(2, 4).Addr},   // not a NIC op
+	}
+	m.Apply(ops)
+	for i, want := range []error{nil, ErrTableFull, nil, nil, ErrVIPNotFound} {
+		if !errors.Is(ops[i].Err, want) {
+			t.Fatalf("op %d: %v, want %v", i, ops[i].Err, want)
+		}
+	}
+	if ops[5].Err == nil {
+		t.Fatal("a mode op programmed the NIC table")
+	}
+	st := m.Stats()
+	if st.Wildcard != 11 || st.VIPs != 2 || st.Generation != gen+1 {
+		t.Fatalf("Stats = %+v, want wildcard 11, 2 VIPs, generation %d", st, gen+1)
+	}
+	m.Apply([]steer.Op{{Kind: steer.OpAdd, VIP: testVIP(2, 4)}, {Kind: steer.OpRemove, Addr: testVIP(1, 4).Addr}})
+	if m.Stats().Generation != gen+1 {
+		t.Fatal("a batch of failed ops published a generation")
 	}
 }
 

@@ -342,56 +342,58 @@ func (m *Mux) ConnStats() ConnStats {
 	return st
 }
 
-// AddVIP installs a VIP with the table's default mode. Unlike the HMux
-// there is no capacity limit: the mapping lives in server memory (paper
-// §2.1 "essentially an unlimited number of VIPs and DIPs").
+// Apply reprograms a batch of VIPs (steer.Op: set with a mode, add, update,
+// mode change, remove) as one steer-table generation, so a hybrid flow is
+// compared with the table as it stood before the whole batch. Each op
+// succeeds or fails alone, its error in Err. Unlike the HMux there is no
+// capacity limit: the mapping lives in server memory (paper §2.1
+// "essentially an unlimited number of VIPs and DIPs"). Stateful and hybrid
+// flows keep flowing to their pinned DIPs, so a backend change does not remap
+// them; a removed VIP's pinned connections and overlay entries are dropped. A
+// mode change takes effect on the next packet of every flow: pinned state
+// from the previous mode stays honored in stateful/hybrid and is simply
+// ignored in stateless.
+func (m *Mux) Apply(ops []steer.Op) {
+	m.steer.Apply(ops)
+	var removed map[packet.Addr]bool
+	for i := range ops {
+		op := &ops[i]
+		switch {
+		case op.Err == steer.ErrVIPExists:
+			op.Err = ErrVIPExists
+		case op.Err == steer.ErrVIPNotFound:
+			op.Err = ErrVIPNotFound
+		case op.Err == nil && op.Kind == steer.OpRemove:
+			if removed == nil {
+				removed = make(map[packet.Addr]bool)
+			}
+			removed[op.Addr] = true
+		}
+	}
+	if removed != nil {
+		m.dropConns(func(t packet.FiveTuple, _ packet.Addr) bool { return removed[t.Dst] })
+		m.dropOverlay(func(t packet.FiveTuple, _ packet.Addr) bool { return removed[t.Dst] })
+	}
+}
+
+// AddVIP installs a VIP with the table's default mode: a batch of one.
 func (m *Mux) AddVIP(v *service.VIP) error {
-	if err := m.steer.Add(v); err != nil {
-		if err == steer.ErrVIPExists {
-			return ErrVIPExists
-		}
-		return err
-	}
-	return nil
+	return steer.One(m.Apply, steer.Op{Kind: steer.OpAdd, VIP: v})
 }
 
-// UpdateVIP replaces a VIP's backend set. Stateful and hybrid flows keep
-// flowing to their pinned DIPs, so DIP addition does not remap them.
+// UpdateVIP replaces a VIP's backend set, keeping its mode: a batch of one.
 func (m *Mux) UpdateVIP(v *service.VIP) error {
-	if err := m.steer.Update(v); err != nil {
-		if err == steer.ErrVIPNotFound {
-			return ErrVIPNotFound
-		}
-		return err
-	}
-	return nil
+	return steer.One(m.Apply, steer.Op{Kind: steer.OpUpdate, VIP: v})
 }
 
-// RemoveVIP withdraws a VIP and drops its pinned connections and overlay
-// entries.
+// RemoveVIP withdraws a VIP: a batch of one.
 func (m *Mux) RemoveVIP(addr packet.Addr) error {
-	if err := m.steer.RemoveVIP(addr); err != nil {
-		if err == steer.ErrVIPNotFound {
-			return ErrVIPNotFound
-		}
-		return err
-	}
-	m.dropConns(func(t packet.FiveTuple, _ packet.Addr) bool { return t.Dst == addr })
-	m.dropOverlay(func(t packet.FiveTuple, _ packet.Addr) bool { return t.Dst == addr })
-	return nil
+	return steer.One(m.Apply, steer.Op{Kind: steer.OpRemove, Addr: addr})
 }
 
-// SetVIPMode changes a VIP's steering mode. Mode changes take effect on the
-// next packet of every flow; pinned state from the previous mode stays
-// honored in stateful/hybrid and is simply ignored in stateless.
+// SetVIPMode changes a VIP's steering mode: a batch of one.
 func (m *Mux) SetVIPMode(addr packet.Addr, mode steer.Mode) error {
-	if err := m.steer.SetMode(addr, mode); err != nil {
-		if err == steer.ErrVIPNotFound {
-			return ErrVIPNotFound
-		}
-		return err
-	}
-	return nil
+	return steer.One(m.Apply, steer.Op{Kind: steer.OpMode, Addr: addr, Mode: mode})
 }
 
 // ModeOf returns a VIP's steering mode.

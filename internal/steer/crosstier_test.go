@@ -31,12 +31,14 @@ type refSet struct {
 }
 
 func newRefSet(bs []service.Backend) *refSet {
-	r := &refSet{group: ecmp.NewGroup()}
+	r := &refSet{}
+	var members, weights []uint32
 	for i, b := range bs {
-		r.group.AddWeighted(uint32(i), b.Weight)
+		members, weights = append(members, uint32(i)), append(weights, b.Weight)
 		r.addrs = append(r.addrs, b.Addr)
 		r.live = append(r.live, true)
 	}
+	r.group = ecmp.NewGroup(members, weights)
 	return r
 }
 

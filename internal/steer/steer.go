@@ -13,21 +13,21 @@
 // the SAME DIP for the same 5-tuple by construction. Lookups are one atomic
 // load, one map probe and one slice index — zero allocations, no locks.
 //
-// Updates follow Concury's concise-structure discipline: a mutation rebuilds
-// only the touched VIP's entry and publishes a new generation — the shared
-// copy-on-write table of internal/addrmap, so every other VIP's entry and all
-// but one chunk of the index carry over — with a bumped epoch. Because
-// ecmp.Group removal is resilient and its rebuild is deterministic in the
-// backend list, removing a DIP and later re-adding it returns the slot array
-// exactly to its original state — flows that never hashed to the churned DIP
-// never remap, which is what lets an SMux serve them statelessly across epochs.
+// Updates follow Concury's concise-structure discipline: a batch of ops
+// (Table.Apply; a replicated delta is one batch) rebuilds only the touched
+// VIPs' entries and publishes one new generation — the shared copy-on-write
+// table of internal/addrmap, so every other VIP's entry and every untouched
+// chunk of the index carry over — with a bumped epoch. Because ecmp.Group
+// removal is resilient and its fill is deterministic in the backend list,
+// removing a DIP and later re-adding it returns the slot array exactly to its
+// original state — flows that never hashed to the churned DIP never remap,
+// which is what lets an SMux serve them statelessly across epochs.
 //
-// The table also keeps the immediately previous generation alive for a
-// bounded drain window after each slot-changing mutation. A hybrid-mode SMux
-// compares the current and previous pick for a flow and pins only the flows
-// whose DIP would change across the epoch ("LB Scalability: stateful vs
-// stateless" — a small stateful overlay instead of per-flow state for
-// everything).
+// The table also keeps the generation before the latest slot-changing batch
+// alive for a bounded drain window. A hybrid-mode SMux compares the current
+// and previous pick for a flow and pins only the flows whose DIP would change
+// across the epoch ("LB Scalability: stateful vs stateless" — a small
+// stateful overlay instead of per-flow state for everything).
 package steer
 
 import (
@@ -94,13 +94,14 @@ func ParseMode(s string) (Mode, error) {
 func Modes() []Mode { return []Mode{ModeStateful, ModeStateless, ModeHybrid} }
 
 // DefaultDrainWindow is how long (in clock seconds) the previous generation
-// stays consultable after a slot-changing mutation: long enough for every
+// stays consultable after a slot-changing batch: long enough for every
 // in-flight flow to show a packet (and get pinned by a hybrid SMux). It is
-// not short against the control plane's pace: each slot-changing mutation
+// not short against the control plane's pace: each slot-changing batch
 // re-arms the window (the chain stays one generation deep, so a flow is
-// compared with the immediately preceding table only), and under churn a
-// drain is always open — bench/'s steer.drain_active_frac reads 1.0 on every
-// workload (ROADMAP's PCC item).
+// compared with the table before the latest batch only — on the wire path
+// the epoch before the latest delta), and under churn a drain is always open
+// — bench/'s steer.drain_active_frac reads 1.0 on every workload (ROADMAP's
+// PCC item).
 const DefaultDrainWindow = 30.0
 
 // Errors returned by table operations.
@@ -342,19 +343,21 @@ func NewEntry(v *service.VIP, mode Mode) *Entry {
 // buildEntry materializes one backend set: a resilient-hashing ecmp.Group
 // over the backends' indices, flattened into a slot array for lookup.
 func buildEntry(backends []service.Backend, mode Mode) *Entry {
-	e := &Entry{
-		group:    ecmp.NewGroup(),
-		backends: append([]service.Backend(nil), backends...),
-		mode:     mode,
-	}
+	members := make([]uint32, len(backends))
+	weights := make([]uint32, len(backends))
 	for i, b := range backends {
-		e.group.AddWeighted(uint32(i), b.Weight)
+		members[i], weights[i] = uint32(i), b.Weight
+	}
+	e := &Entry{
+		group:    ecmp.NewGroup(members, weights),
+		backends: slices.Clone(backends),
+		mode:     mode,
 	}
 	e.slots = flatten(e.group, e.backends)
 	return e
 }
 
-// flatten materializes group selection into a slot→DIP array. An empty
+// flatten copies the group's slot table into a slot→DIP array. An empty
 // group flattens to nil (ErrNoBackend on lookup).
 func flatten(g *ecmp.Group, backends []service.Backend) []packet.Addr {
 	if g.Size() == 0 {
@@ -362,11 +365,7 @@ func flatten(g *ecmp.Group, backends []service.Backend) []packet.Addr {
 	}
 	out := make([]packet.Addr, ecmp.DefaultSlots)
 	for s := range out {
-		member, err := g.Select(uint64(s))
-		if err != nil {
-			return nil
-		}
-		out[s] = backends[member].Addr
+		out[s] = backends[g.SlotMember(s)].Addr
 	}
 	return out
 }
@@ -413,60 +412,129 @@ func (t *Table) publish(vips addrmap.Map[*Entry], withDrain bool) {
 	t.gen.Store(next)
 }
 
-// Add inserts a VIP with the table's default mode. ErrVIPExists if present.
-func (t *Table) Add(v *service.VIP) error {
-	if err := v.Validate(); err != nil {
-		return err
-	}
+// OpKind names what one Op of a batch does to its VIP.
+type OpKind uint8
+
+const (
+	// OpSet installs Op.VIP in Op.Mode, adding it or replacing its entry:
+	// what a replicated delta does to a VIP it touches.
+	OpSet OpKind = iota
+	// OpAdd installs Op.VIP in the table's default mode; ErrVIPExists if
+	// the VIP is present.
+	OpAdd
+	// OpUpdate replaces Op.VIP's backend sets (a full deterministic
+	// rebuild) and keeps its mode; ErrVIPNotFound if absent.
+	OpUpdate
+	// OpMode changes Op.Addr's mode to Op.Mode. No slot changes, so no
+	// drain window opens and one in progress carries forward.
+	OpMode
+	// OpRemove deletes Op.Addr; ErrVIPNotFound if absent.
+	OpRemove
+)
+
+// Op is one VIP's change in a batch (Table.Apply; the SMux, NMux and HMux
+// batches take the same ops). The kinds that install a VIP read its address
+// from VIP, OpMode and OpRemove from Addr. Apply records the outcome in Err.
+type Op struct {
+	Kind OpKind
+	Addr packet.Addr
+	VIP  *service.VIP
+	Mode Mode
+	Err  error
+}
+
+// Apply runs a batch of ops in order and publishes one generation for all of
+// them, none when no op changed anything. Each op is validated alone: one
+// that fails records its error and leaves its VIP as the ops before it left
+// it. When any op can have moved a slot, the published generation drains to
+// the table as it stood before the batch, so a hybrid mux compares a flow
+// with the pre-batch pick however many VIPs the batch touched.
+func (t *Table) Apply(ops []Op) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	vips := t.gen.Load().vips
-	if _, ok := vips.Get(v.Addr); ok {
-		return ErrVIPExists
+	vips := t.gen.Load().vips.Edit()
+	batch := unchanged
+	for i := range ops {
+		var eff effect
+		eff, ops[i].Err = t.apply(vips, &ops[i])
+		batch = max(batch, eff)
 	}
-	t.publish(vips.With(v.Addr, NewEntry(v, t.defaultMode)), true)
-	return nil
+	if batch > unchanged {
+		t.publish(vips.Map(), batch == slotsChanged)
+	}
 }
+
+// effect is what an op did to the table, in increasing order of what a
+// publish must carry.
+type effect uint8
+
+const (
+	unchanged    effect = iota
+	modeChanged         // the epoch bumps, no slot moves
+	slotsChanged        // a drain window opens
+)
+
+// apply runs one op of a batch against the batch's edit. Must hold t.mu.
+func (t *Table) apply(vips *addrmap.Edit[*Entry], op *Op) (effect, error) {
+	if op.Mode >= numModes {
+		return unchanged, fmt.Errorf("steer: invalid mode %d", uint8(op.Mode))
+	}
+	switch op.Kind {
+	case OpSet, OpAdd, OpUpdate:
+		if err := op.VIP.Validate(); err != nil {
+			return unchanged, err
+		}
+		mode := op.Mode
+		old, ok := vips.Get(op.VIP.Addr)
+		switch {
+		case op.Kind == OpAdd && ok:
+			return unchanged, ErrVIPExists
+		case op.Kind == OpAdd:
+			mode = t.defaultMode
+		case op.Kind == OpUpdate && !ok:
+			return unchanged, ErrVIPNotFound
+		case op.Kind == OpUpdate:
+			mode = old.mode
+		}
+		vips.Set(op.VIP.Addr, NewEntry(op.VIP, mode))
+		return slotsChanged, nil
+	case OpMode:
+		e, ok := vips.Get(op.Addr)
+		if !ok {
+			return unchanged, ErrVIPNotFound
+		}
+		if e.mode == op.Mode {
+			return unchanged, nil
+		}
+		cp := *e
+		cp.mode = op.Mode
+		vips.Set(op.Addr, &cp)
+		return modeChanged, nil
+	case OpRemove:
+		if _, ok := vips.Get(op.Addr); !ok {
+			return unchanged, ErrVIPNotFound
+		}
+		vips.Delete(op.Addr)
+		return slotsChanged, nil
+	}
+	return unchanged, fmt.Errorf("steer: invalid op kind %d", uint8(op.Kind))
+}
+
+// One runs op as a batch of one through apply (a table's Apply) and returns
+// its error: what every per-VIP mutator is.
+func One(apply func([]Op), op Op) error {
+	ops := [1]Op{op}
+	apply(ops[:])
+	return ops[0].Err
+}
+
+// Add inserts a VIP with the table's default mode. ErrVIPExists if present.
+func (t *Table) Add(v *service.VIP) error { return One(t.Apply, Op{Kind: OpAdd, VIP: v}) }
 
 // Update replaces a VIP's backend set (full deterministic rebuild, exactly
 // the semantics the muxes had), preserving its mode. ErrVIPNotFound if
 // absent.
-func (t *Table) Update(v *service.VIP) error {
-	if err := v.Validate(); err != nil {
-		return err
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	vips := t.gen.Load().vips
-	old, ok := vips.Get(v.Addr)
-	if !ok {
-		return ErrVIPNotFound
-	}
-	t.publish(vips.With(v.Addr, NewEntry(v, old.mode)), true)
-	return nil
-}
-
-// Set upserts a VIP, preserving its mode when it already exists.
-func (t *Table) Set(v *service.VIP) error {
-	if err := t.Update(v); err == ErrVIPNotFound {
-		return t.Add(v)
-	} else if err != nil {
-		return err
-	}
-	return nil
-}
-
-// RemoveVIP deletes a VIP. ErrVIPNotFound if absent.
-func (t *Table) RemoveVIP(addr packet.Addr) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	vips := t.gen.Load().vips
-	if _, ok := vips.Get(addr); !ok {
-		return ErrVIPNotFound
-	}
-	t.publish(vips.Without(addr), true)
-	return nil
-}
+func (t *Table) Update(v *service.VIP) error { return One(t.Apply, Op{Kind: OpUpdate, VIP: v}) }
 
 // RemoveBackend removes a DIP resiliently (Entry.WithoutBackend), so
 // surviving flows keep their mapping. ErrBackendNotFound if the DIP is not in
@@ -484,29 +552,6 @@ func (t *Table) RemoveBackend(vip, dip packet.Addr) error {
 		return err
 	}
 	t.publish(vips.With(vip, cp), true)
-	return nil
-}
-
-// SetMode changes a VIP's steering mode. The epoch bumps (mode is table
-// state the control plane pushes) but no slot changes, so no drain window
-// opens and any in-progress drain carries forward.
-func (t *Table) SetMode(addr packet.Addr, mode Mode) error {
-	if mode >= numModes {
-		return fmt.Errorf("steer: invalid mode %d", uint8(mode))
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	vips := t.gen.Load().vips
-	e, ok := vips.Get(addr)
-	if !ok {
-		return ErrVIPNotFound
-	}
-	if e.mode == mode {
-		return nil
-	}
-	cp := *e
-	cp.mode = mode
-	t.publish(vips.With(addr, &cp), false)
 	return nil
 }
 

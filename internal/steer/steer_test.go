@@ -41,10 +41,11 @@ func TestLookupMatchesECMPGroup(t *testing.T) {
 	tab := NewTable(Config{})
 	mustAdd(t, tab, &service.VIP{Addr: vipAddr, Backends: bs})
 
-	g := ecmp.NewGroup()
+	members, weights := make([]uint32, len(bs)), make([]uint32, len(bs))
 	for i, b := range bs {
-		g.AddWeighted(uint32(i), b.Weight)
+		members[i], weights[i] = uint32(i), b.Weight
 	}
+	g := ecmp.NewGroup(members, weights)
 	for i := uint32(0); i < 5000; i++ {
 		tu := tupleN(i)
 		got, err := tab.Lookup(tu)
@@ -191,7 +192,7 @@ func TestModes(t *testing.T) {
 		t.Fatalf("default mode = %v, %v", m, ok)
 	}
 	e0 := tab.Epoch()
-	if err := tab.SetMode(vipAddr, ModeStateless); err != nil {
+	if err := One(tab.Apply, Op{Kind: OpMode, Addr: vipAddr, Mode: ModeStateless}); err != nil {
 		t.Fatal(err)
 	}
 	if m, _ := tab.ModeOf(vipAddr); m != ModeStateless {
@@ -200,13 +201,13 @@ func TestModes(t *testing.T) {
 	if tab.Epoch() != e0+1 {
 		t.Fatalf("epoch = %d, want %d", tab.Epoch(), e0+1)
 	}
-	if err := tab.SetMode(vipAddr, ModeStateless); err != nil {
+	if err := One(tab.Apply, Op{Kind: OpMode, Addr: vipAddr, Mode: ModeStateless}); err != nil {
 		t.Fatal(err)
 	}
 	if tab.Epoch() != e0+1 {
 		t.Fatal("no-op mode set bumped the epoch")
 	}
-	if err := tab.SetMode(packet.MustParseAddr("9.9.9.9"), ModeHybrid); err != ErrVIPNotFound {
+	if err := One(tab.Apply, Op{Kind: OpMode, Addr: packet.MustParseAddr("9.9.9.9"), Mode: ModeHybrid}); err != ErrVIPNotFound {
 		t.Fatalf("got %v", err)
 	}
 
@@ -247,7 +248,7 @@ func TestErrors(t *testing.T) {
 	if err := tab.Update(v); err != ErrVIPNotFound {
 		t.Fatalf("got %v", err)
 	}
-	if err := tab.RemoveVIP(vipAddr); err != ErrVIPNotFound {
+	if err := One(tab.Apply, Op{Kind: OpRemove, Addr: vipAddr}); err != ErrVIPNotFound {
 		t.Fatalf("got %v", err)
 	}
 	mustAdd(t, tab, v)
@@ -266,13 +267,16 @@ func TestErrors(t *testing.T) {
 	if _, err := tab.Lookup(tupleN(0)); err != ErrNoBackend {
 		t.Fatalf("empty backend set: got %v", err)
 	}
-	if err := tab.Set(v); err != nil {
+	if err := tab.Update(v); err != nil {
 		t.Fatal(err)
 	}
 	if d, err := tab.Lookup(tupleN(0)); err != nil || d != packet.MustParseAddr("100.0.0.1") {
-		t.Fatalf("after Set: %s, %v", d, err)
+		t.Fatalf("after Update: %s, %v", d, err)
 	}
-	if err := tab.RemoveVIP(vipAddr); err != nil {
+	if err := One(tab.Apply, Op{Kind: OpMode, Addr: vipAddr, Mode: numModes}); err == nil {
+		t.Fatal("an invalid mode was accepted")
+	}
+	if err := One(tab.Apply, Op{Kind: OpRemove, Addr: vipAddr}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tab.Lookup(tupleN(0)); err != ErrVIPNotFound {
@@ -345,5 +349,62 @@ func BenchmarkLookup(b *testing.B) {
 		if _, err := tab.Lookup(tu); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestApplyBatch: a batch publishes one generation whose drain view is the
+// table before the batch, an op that fails is rejected alone with its own
+// error, a batch that changes nothing publishes nothing, and a mode-only
+// batch bumps the epoch without re-arming the drain.
+func TestApplyBatch(t *testing.T) {
+	clock := 100.0
+	tab := NewTable(Config{Clock: func() float64 { return clock }})
+	vip := func(i byte, dips ...string) *service.VIP {
+		return &service.VIP{Addr: packet.AddrFrom4(10, 0, 0, i), Backends: backends(dips...)}
+	}
+	tab.Apply([]Op{{Kind: OpAdd, VIP: vip(1, "100.0.0.1")}, {Kind: OpAdd, VIP: vip(2, "100.0.0.1")}})
+	if tab.Epoch() != 1 || tab.NumVIPs() != 2 {
+		t.Fatalf("bootstrap batch: epoch %d with %d VIPs, want 1 with 2", tab.Epoch(), tab.NumVIPs())
+	}
+
+	tu := tupleN(0) // a flow on 10.0.0.1
+	clock = 200
+	ops := []Op{
+		{Kind: OpSet, VIP: vip(1, "100.0.0.9"), Mode: ModeHybrid},
+		{Kind: OpAdd, VIP: vip(2, "100.0.0.2")},                 // present: rejected alone
+		{Kind: OpSet, VIP: &service.VIP{Addr: vipAddr}},         // no backends: invalid
+		{Kind: OpRemove, Addr: packet.MustParseAddr("9.9.9.9")}, // absent
+		{Kind: OpSet, VIP: vip(2, "100.0.0.2"), Mode: ModeStateless},
+		{Kind: OpSet, VIP: vip(3, "100.0.0.3")},
+	}
+	tab.Apply(ops)
+	if ops[2].Err == nil {
+		t.Fatal("a VIP without backends was accepted")
+	}
+	for i, want := range map[int]error{0: nil, 1: ErrVIPExists, 3: ErrVIPNotFound, 4: nil, 5: nil} {
+		if ops[i].Err != want {
+			t.Fatalf("op %d: %v, want %v", i, ops[i].Err, want)
+		}
+	}
+	if tab.Epoch() != 2 || tab.NumVIPs() != 3 {
+		t.Fatalf("batch of six: epoch %d with %d VIPs, want 2 with 3", tab.Epoch(), tab.NumVIPs())
+	}
+	v := tab.View()
+	if d, ok := v.PrevDIP(tu, ecmp.Hash(tu)); !ok || d != packet.MustParseAddr("100.0.0.1") {
+		t.Fatalf("drain view reads %s,%v for 10.0.0.1, want the pre-batch 100.0.0.1", d, ok)
+	}
+	if m, _ := tab.ModeOf(packet.AddrFrom4(10, 0, 0, 2)); m != ModeStateless {
+		t.Fatalf("mode rode the set as %v", m)
+	}
+
+	tab.Apply([]Op{{Kind: OpRemove, Addr: packet.MustParseAddr("9.9.9.9")}, {Kind: OpMode, Addr: vipAddr, Mode: ModeHybrid}})
+	if tab.Epoch() != 2 {
+		t.Fatal("a batch that changed nothing published a generation")
+	}
+
+	clock = 300
+	tab.Apply([]Op{{Kind: OpMode, Addr: vipAddr, Mode: ModeStateful}})
+	if v2 := tab.View(); tab.Epoch() != 3 || v2.g.prev != v.g.prev || v2.g.drainUntil != v.g.drainUntil {
+		t.Fatal("a mode-only batch re-armed the drain")
 	}
 }

@@ -9,13 +9,11 @@ package wire
 // epochs on VIPs whose config did not actually change.
 
 import (
-	"errors"
 	"fmt"
 
 	"duet/internal/delta"
-	"duet/internal/nmux"
 	"duet/internal/packet"
-	"duet/internal/service"
+	"duet/internal/steer"
 	"duet/internal/telemetry"
 )
 
@@ -125,22 +123,27 @@ func (n *Node) versionChanged(a packet.Addr, vs *delta.VIPState) bool {
 }
 
 // reconcileSMux converges the SMux (and its NIC table, when present) on the
-// mirror for the touched VIPs. Caller holds cfgMu.
+// mirror for the touched VIPs: one batch per table, so each publishes one
+// generation per delta and a hybrid flow drains against the table as it
+// stood before the whole epoch. Caller holds cfgMu.
 func (n *Node) reconcileSMux(addrs []packet.Addr) error {
 	var firstErr error
+	note := func(err error) {
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	nic := n.pair.NIC
+	var smuxOps, nicOps []steer.Op
 	for _, a := range addrs {
 		vs, ok := n.cfg.VIPs[a]
 		if !ok {
 			n.versionChanged(a, nil)
 			if n.pair.SMux.HasVIP(a) {
-				if err := n.pair.SMux.RemoveVIP(a); err != nil && firstErr == nil {
-					firstErr = err
-				}
+				smuxOps = append(smuxOps, steer.Op{Kind: steer.OpRemove, Addr: a})
 			}
-			if n.pair.NIC != nil && n.pair.NIC.HasVIP(a) {
-				if err := n.pair.NIC.RemoveVIP(a); err != nil && firstErr == nil {
-					firstErr = err
-				}
+			if nic != nil && nic.HasVIP(a) {
+				nicOps = append(nicOps, steer.Op{Kind: steer.OpRemove, Addr: a})
 			}
 			continue
 		}
@@ -149,49 +152,41 @@ func (n *Node) reconcileSMux(addrs []packet.Addr) error {
 		}
 		v, err := serviceVIPOf(vs)
 		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
+			note(err)
 			continue
 		}
-		if n.pair.SMux.HasVIP(a) {
-			err = n.pair.SMux.UpdateVIP(v)
-		} else {
-			err = n.pair.SMux.AddVIP(v)
+		smuxOps = append(smuxOps, steer.Op{Kind: steer.OpSet, VIP: v, Mode: vs.Mode})
+		switch {
+		case nic == nil:
+		case vs.Flags&delta.FlagNic != 0:
+			nicOps = append(nicOps, steer.Op{Kind: steer.OpSet, VIP: v})
+		case nic.HasVIP(a):
+			nicOps = append(nicOps, steer.Op{Kind: steer.OpRemove, Addr: a})
 		}
-		if err == nil {
-			err = n.pair.SMux.SetVIPMode(a, vs.Mode)
-		}
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		if n.pair.NIC != nil {
-			if vs.Flags&delta.FlagNic != 0 {
-				if n.pair.NIC.HasVIP(a) {
-					err = n.pair.NIC.UpdateVIP(v)
-				} else {
-					err = n.pair.NIC.AddVIP(v)
-				}
-			} else if n.pair.NIC.HasVIP(a) {
-				err = n.pair.NIC.RemoveVIP(a)
-			} else {
-				err = nil
-			}
-			if err != nil && !errors.Is(err, nmux.ErrVIPNotFound) && firstErr == nil {
-				firstErr = err
-			}
-		}
+	}
+	if len(smuxOps) > 0 {
+		n.pair.SMux.Apply(smuxOps)
+	}
+	if len(nicOps) > 0 {
+		nic.Apply(nicOps)
+	}
+	for _, op := range smuxOps {
+		note(op.Err)
+	}
+	for _, op := range nicOps {
+		note(op.Err)
 	}
 	n.vips.Set(int64(n.pair.SMux.NumVIPs()))
 	return firstErr
 }
 
 // reconcileSwitch converges the switch's tables on the mirror — the switch
-// agent of Figure 9. SMuxOnly VIPs never reach the hardware tables (the
-// HMux-miss fallback serves them through the software tier). A changed VIP
-// bounces through remove+add — the wire world's equivalent of the
-// withdraw/announce migration step. Caller holds cfgMu, which is what
-// serializes the switch's programming.
+// agent of Figure 9 — in one batch, one table generation per delta.
+// SMuxOnly VIPs never reach the hardware tables (the HMux-miss fallback
+// serves them through the software tier). A changed VIP bounces through
+// remove+add — the wire world's equivalent of the withdraw/announce
+// migration step. Caller holds cfgMu, which is what serializes the switch's
+// programming.
 func (n *Node) reconcileSwitch(addrs []packet.Addr) error {
 	var firstErr error
 	note := func(err error) {
@@ -199,6 +194,7 @@ func (n *Node) reconcileSwitch(addrs []packet.Addr) error {
 			firstErr = err
 		}
 	}
+	var ops []steer.Op
 	for _, a := range addrs {
 		vs, ok := n.cfg.VIPs[a]
 		hardware := ok && vs.Flags&delta.FlagSMuxOnly == 0
@@ -206,7 +202,7 @@ func (n *Node) reconcileSwitch(addrs []packet.Addr) error {
 		if !hardware {
 			n.versionChanged(a, nil)
 			if has {
-				note(n.programSwitch(a, nil))
+				ops = append(ops, steer.Op{Kind: steer.OpRemove, Addr: a})
 			}
 			continue
 		}
@@ -219,36 +215,42 @@ func (n *Node) reconcileSwitch(addrs []packet.Addr) error {
 			continue
 		}
 		if has {
-			note(n.programSwitch(a, nil))
+			ops = append(ops, steer.Op{Kind: steer.OpRemove, Addr: a})
 		}
-		note(n.programSwitch(a, v))
+		ops = append(ops, steer.Op{Kind: steer.OpAdd, VIP: v})
 	}
+	note(n.programSwitch(ops))
 	n.vips.Set(int64(n.hm.Stats().VIPs))
 	return firstErr
 }
 
-// programSwitch applies one operation to the switch: v's entries are added
-// (nil removes addr's) and then — the tables first — the /32 announcement or
-// withdrawal is queued for the controllers. A failed operation changes
-// neither and is counted; the node keeps nothing per applied operation (a
-// blank switch node is refilled by delta replication).
-func (n *Node) programSwitch(addr packet.Addr, v *service.VIP) error {
-	op, route := uint32(0), MsgAnnounceVIP // the trace's B: 0 add-vip, 1 remove-vip
-	var err error
-	if v != nil {
-		err = n.hm.AddVIP(v)
-	} else {
-		op, route = 1, MsgWithdrawVIP
-		err = n.hm.RemoveVIP(addr)
+// programSwitch applies a batch of operations to the switch (steer.OpAdd adds
+// a VIP's entries, steer.OpRemove removes one's) and then, the tables first
+// and in batch order, accounts each: a failed operation is counted and
+// changed nothing; an applied one queues its /32 announcement or withdrawal
+// for the controllers. It returns the first failure. The node keeps nothing
+// per applied operation (a blank switch node is refilled by delta
+// replication).
+func (n *Node) programSwitch(ops []steer.Op) error {
+	n.hm.Apply(ops)
+	var firstErr error
+	for _, op := range ops {
+		if op.Err != nil {
+			n.swOpErrs.Inc()
+			if firstErr == nil {
+				firstErr = op.Err
+			}
+			continue
+		}
+		addr, code, route := op.Addr, uint32(1), MsgWithdrawVIP // the trace's B: 0 add-vip, 1 remove-vip
+		if op.Kind == steer.OpAdd {
+			addr, code, route = op.VIP.Addr, 0, MsgAnnounceVIP
+		}
+		n.queueRoute(route, packet.HostPrefix(addr))
+		n.swOps.Inc()
+		n.Rec.Record(telemetry.KindTableProgram, n.self32, uint32(addr), code, 0)
 	}
-	if err != nil {
-		n.swOpErrs.Inc()
-		return err
-	}
-	n.queueRoute(route, packet.HostPrefix(addr))
-	n.swOps.Inc()
-	n.Rec.Record(telemetry.KindTableProgram, n.self32, uint32(addr), op, 0)
-	return nil
+	return firstErr
 }
 
 // reconcileHost converges the host agent's local DIP registrations on the

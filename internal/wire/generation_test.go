@@ -1,0 +1,170 @@
+package wire
+
+// Tests that a replicated delta lands on each dataplane table as one
+// generation: the receiver's batch reconcile, not one publish per VIP.
+
+import (
+	"testing"
+
+	"duet/internal/delta"
+	"duet/internal/ecmp"
+	"duet/internal/packet"
+)
+
+// TestDeltaDrainsAgainstThePreDeltaTable: a hybrid SMux pins an established
+// flow whose pick an epoch changes, comparing it with the table the flow was
+// served from. One delta changes VIP A's backends and then VIP B's; after it,
+// A's flows must still reach their pre-delta DIPs. Were each VIP published as
+// its own generation, the drain view would be the one after A's update, A's
+// flows would compare equal against it and move.
+func TestDeltaDrainsAgainstThePreDeltaTable(t *testing.T) {
+	sm, err := StartNode(dataplaneSpec(t), "smux-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sm.Close()
+	c := DialControl(sm.ControlAddr(), sm.Reg)
+	defer c.Close()
+
+	hybrid := func(addr string, dips ...string) VIPSpec {
+		v := VIPSpec{Addr: addr, Mode: "hybrid"}
+		for _, d := range dips {
+			v.Backends = append(v.Backends, BackendSpec{Addr: d})
+		}
+		return v
+	}
+	st1 := configAt(t, 1, hybrid("10.0.0.1", "100.0.0.1", "100.0.0.2"), hybrid("10.0.0.2", "100.0.0.1"))
+	st2 := configAt(t, 2, hybrid("10.0.0.1", "100.0.0.1", "100.0.0.2", "100.0.0.3"), hybrid("10.0.0.2", "100.0.0.1", "100.0.0.3"))
+	if _, err := pushDelta(c, delta.Diff(delta.NewState(), st1)); err != nil {
+		t.Fatalf("bootstrap push: %v", err)
+	}
+	vipA, vipB := packet.MustParseAddr("10.0.0.1"), packet.MustParseAddr("10.0.0.2")
+	d := delta.Diff(st1, st2)
+	if len(d.Ops) < 2 || d.Ops[0].VIP != vipA || d.Ops[len(d.Ops)-1].VIP != vipB {
+		t.Fatalf("want a delta that changes A and then B, got %+v", d.Ops)
+	}
+
+	// Established flows on A, each served once before the delta.
+	flow := func(i int) packet.FiveTuple {
+		return packet.FiveTuple{Src: packet.AddrFrom4(30, 0, byte(i>>8), byte(i)), Dst: vipA,
+			SrcPort: uint16(20000 + i), DstPort: 80, Proto: packet.ProtoTCP}
+	}
+	serve := func(tu packet.FiveTuple) packet.Addr {
+		t.Helper()
+		res, err := sm.pair.SMux.Process(packet.BuildTCP(tu, packet.TCPAck, nil), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Encap
+	}
+	const flows = 256
+	before := make([]packet.Addr, flows)
+	for i := range before {
+		before[i] = serve(flow(i))
+	}
+
+	if _, err := pushDelta(c, d); err != nil {
+		t.Fatalf("delta push: %v", err)
+	}
+	entry, ok := sm.pair.SMux.Steer().View().Find(vipA)
+	if !ok {
+		t.Fatal("A is gone after the delta")
+	}
+	moved := 0
+	for i := range before {
+		tu := flow(i)
+		if fresh, _ := entry.DIP(tu, ecmp.Hash(tu)); fresh == before[i] {
+			continue // the epoch did not change this flow's pick
+		}
+		moved++
+		if got := serve(tu); got != before[i] {
+			t.Fatalf("flow %d: served by %s after the delta, established on %s", i, got, before[i])
+		}
+	}
+	if moved == 0 {
+		t.Fatal("the delta changed no flow's pick; the test is vacuous")
+	}
+}
+
+// TestDeltaPublishesOneGenerationPerTable: a delta touching N VIPs advances
+// every table a dataplane node reconciles by exactly one generation — the
+// SMux's steer epoch, its NIC table and the switch's tables — and an
+// identical re-apply (a snapshot of the state already held) advances none.
+func TestDeltaPublishesOneGenerationPerTable(t *testing.T) {
+	spec := dataplaneSpec(t)
+	spec.Nodes[0].NMuxTable = 256
+	nodes := map[string]*Node{}
+	for _, name := range []string{"smux-1", "sw-1"} {
+		n, err := StartNode(spec, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer n.Close()
+		nodes[name] = n
+	}
+	sm, sw := nodes["smux-1"], nodes["sw-1"]
+	gens := func() [3]uint64 {
+		return [3]uint64{sm.pair.SMux.Epoch(), sm.pair.NIC.Stats().Generation, sw.hm.Stats().Generation}
+	}
+	push := func(d *delta.Delta) {
+		t.Helper()
+		for _, n := range nodes {
+			c := DialControl(n.ControlAddr(), n.Reg)
+			_, err := pushDelta(c, d)
+			c.Close()
+			if err != nil {
+				t.Fatalf("%s: %v", n.Me.Name, err)
+			}
+		}
+	}
+	vip := func(i int, nic bool, dips ...byte) VIPSpec {
+		v := VIPSpec{Addr: packet.AddrFrom4(10, 0, 0, byte(i)).String(), Nic: nic, Mode: "hybrid"}
+		for _, d := range dips {
+			v.Backends = append(v.Backends, BackendSpec{Addr: packet.AddrFrom4(100, 0, 0, d).String()})
+		}
+		return v
+	}
+	const n = 12
+	var pop1, pop2 []VIPSpec
+	for i := 1; i <= n; i++ {
+		pop1 = append(pop1, vip(i, i%2 == 0, 1, 2))
+		switch {
+		case i == 1: // removed
+		case i%3 == 0: // moves off the NIC
+			pop2 = append(pop2, vip(i, false, 1, 2, 3))
+		default:
+			pop2 = append(pop2, vip(i, i%2 == 0, 2, 3))
+		}
+	}
+	pop2 = append(pop2, vip(n+1, true, 4)) // added
+	st1, st2 := configAt(t, 1, pop1...), configAt(t, 2, pop2...)
+
+	steps := []struct {
+		what string
+		d    *delta.Delta
+		want uint64
+	}{
+		{"bootstrap", delta.Diff(delta.NewState(), st1), 1},
+		{"delta touching every VIP", delta.Diff(st1, st2), 1},
+		{"identical snapshot", delta.SnapshotOf(st2), 0},
+	}
+	for _, s := range steps {
+		pre := gens()
+		push(s.d)
+		post := gens()
+		for i, table := range []string{"smux steer epoch", "nic table", "hmux tables"} {
+			if got := post[i] - pre[i]; got != s.want {
+				t.Errorf("%s: %s advanced %d generations, want %d", s.what, table, got, s.want)
+			}
+		}
+	}
+	if got := sm.pair.SMux.NumVIPs(); got != len(pop2) {
+		t.Fatalf("smux holds %d VIPs, want %d", got, len(pop2))
+	}
+	if got, want := sm.pair.NIC.NumVIPs(), 5; got != want { // 2, 4, 8 and 10 stay, 6 and 12 leave, 13 joins
+		t.Fatalf("nic holds %d VIPs, want %d", got, want)
+	}
+	if got := sw.hm.Stats().VIPs; got != len(pop2) {
+		t.Fatalf("switch holds %d VIPs, want %d", got, len(pop2))
+	}
+}

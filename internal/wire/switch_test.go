@@ -12,6 +12,7 @@ import (
 	"duet/internal/hmux"
 	"duet/internal/packet"
 	"duet/internal/service"
+	"duet/internal/steer"
 	"duet/internal/telemetry"
 )
 
@@ -128,7 +129,7 @@ func TestErrorsAcked(t *testing.T) {
 	cfg := hmux.DefaultConfig(packet.MustParseAddr("172.16.0.1"))
 	cfg.ECMPTableSize = 1
 	n := switchNode(cfg)
-	if err := n.programSwitch(switchVIP, nil); err == nil {
+	if err := n.programSwitch([]steer.Op{{Kind: steer.OpRemove, Addr: switchVIP}}); err == nil {
 		t.Fatal("removing unknown VIP should fail")
 	}
 	two := VIPSpec{Addr: "10.0.0.1", Backends: []BackendSpec{{Addr: "100.0.0.1"}, {Addr: "100.0.0.2"}}}
@@ -164,10 +165,10 @@ func TestSubmitRetainsNothing(t *testing.T) {
 	}
 	bounce := func(count int) {
 		for i := 0; i < count; i++ {
-			if err := n.programSwitch(switchVIP, v); err != nil {
+			if err := n.programSwitch([]steer.Op{{Kind: steer.OpAdd, VIP: v}}); err != nil {
 				t.Fatal(err)
 			}
-			if err := n.programSwitch(switchVIP, nil); err != nil {
+			if err := n.programSwitch([]steer.Op{{Kind: steer.OpRemove, Addr: switchVIP}}); err != nil {
 				t.Fatal(err)
 			}
 		}
