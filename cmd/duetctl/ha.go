@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 
 	"duet/internal/delta"
 	"duet/internal/telemetry"
@@ -56,9 +55,7 @@ func runHA(out io.Writer, args []string) {
 	if !*verbose {
 		return
 	}
-	addrs := st.Addrs()
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
+	for _, a := range st.Addrs() { // ascending
 		v := st.VIPs[a]
 		tier := "hmux"
 		switch {

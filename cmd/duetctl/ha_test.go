@@ -2,39 +2,19 @@ package main
 
 import (
 	"bytes"
-	"net"
 	"strings"
 	"testing"
 
 	"duet/internal/wire"
 )
 
-func freePort(t *testing.T, network string) string {
-	t.Helper()
-	if network == "udp" {
-		pc, err := net.ListenPacket("udp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer pc.Close()
-		return pc.LocalAddr().String()
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	return ln.Addr().String()
-}
-
 // TestRunHA exercises the ha subcommand against a live in-process
 // controller: the snapshot answer must carry the bootstrap epoch, the
 // leader's name, and the full replicated VIP table.
 func TestRunHA(t *testing.T) {
-	ctlAddr := freePort(t, "tcp")
 	spec := &wire.ClusterSpec{
 		Nodes: []wire.NodeSpec{
-			{Name: "ctl", Role: wire.RoleController, Control: ctlAddr, HTTP: freePort(t, "tcp")},
+			{Name: "ctl", Role: wire.RoleController, Control: "127.0.0.1:0", HTTP: "127.0.0.1:0"},
 		},
 		VIPs: []wire.VIPSpec{
 			{Addr: "10.0.0.1", Backends: []wire.BackendSpec{{Addr: "100.0.0.1"}}},
@@ -49,7 +29,7 @@ func TestRunHA(t *testing.T) {
 	defer n.Close()
 
 	var out bytes.Buffer
-	runHA(&out, []string{"-v", ctlAddr})
+	runHA(&out, []string{"-v", n.ControlAddr()})
 	got := out.String()
 	for _, want := range []string{"leader ctl", "epoch  1", "vips   2", "10.0.0.2", "hmux+nic"} {
 		if !strings.Contains(got, want) {

@@ -271,7 +271,6 @@ func (c *console) vip(args []string) {
 		fmt.Fprintf(c.out, "VIP %s removed\n", vip)
 	case "ls":
 		vips := c.cluster.VIPs()
-		sort.Slice(vips, func(i, j int) bool { return vips[i] < vips[j] })
 		if len(vips) == 0 {
 			fmt.Fprintln(c.out, "no VIPs configured")
 			return
@@ -420,7 +419,6 @@ func (c *console) mode(args []string) {
 // overlay's occupancy against its bound.
 func (c *console) modes() {
 	vips := c.cluster.VIPs()
-	sort.Slice(vips, func(i, j int) bool { return vips[i] < vips[j] })
 	if len(vips) == 0 {
 		fmt.Fprintln(c.out, "no VIPs configured")
 		return

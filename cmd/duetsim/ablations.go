@@ -176,7 +176,7 @@ func ablationReplication(*simFlags) {
 	fmt.Fprintf(tw, "%d HMux replicas (§9)\t%d\t%.1f%%\t%.1f%%\t%d\n", copies, copies, hwBefore, hwAfter, moved(before, after))
 
 	// And back: withdrawing the replicas is the usual step through the SMuxes.
-	must(c.WithdrawReplicas(vip))
+	must(c.WithdrawFromHMux(vip))
 	after, hwAfter = send(c)
 	fmt.Fprintf(tw, "  … replicas withdrawn\t%d\t–\t%.1f%%\t%d\n", len(c.Replicas(vip)), hwAfter, moved(before, after))
 	tw.Flush()

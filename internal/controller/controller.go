@@ -37,6 +37,7 @@ type ctlTelemetry struct {
 	healthRemovals        telemetry.CounterShard
 	switchFailuresHandled telemetry.CounterShard
 	modeChanges           telemetry.CounterShard
+	placeRefused          telemetry.CounterShard
 	rec                   *telemetry.Recorder
 }
 
@@ -52,6 +53,7 @@ func (ct *Controller) SetTelemetry(reg *telemetry.Registry, rec *telemetry.Recor
 		healthRemovals:        reg.Counter("controller.health_removals").Shard(),
 		switchFailuresHandled: reg.Counter("controller.switch_failures_handled").Shard(),
 		modeChanges:           reg.Counter("controller.mode_changes").Shard(),
+		placeRefused:          reg.Counter("controller.place_refused").Shard(),
 		rec:                   rec,
 	}
 }
@@ -115,6 +117,9 @@ type EpochReport struct {
 	// ModeChanges counts VIPs whose SMux consistency mode flipped this
 	// epoch under the Options.HybridRatePPS policy.
 	ModeChanges int
+	// Refused counts the VIPs the cluster would not place: they stay on the
+	// SMux tier, and the next epoch retries them.
+	Refused int
 }
 
 // RunEpoch runs one monitoring→engine→updater cycle for trace epoch e:
@@ -125,7 +130,7 @@ func (ct *Controller) RunEpoch(w *workload.Workload, epoch int) (EpochReport, er
 	if err != nil {
 		return EpochReport{}, err
 	}
-	return ct.applyEpoch(w, epoch, next)
+	return ct.applyEpoch(w, epoch, next), nil
 }
 
 // RunEpochDelta is RunEpoch on the incremental engine: assign.ComputeDelta
@@ -139,13 +144,15 @@ func (ct *Controller) RunEpochDelta(w *workload.Workload, epoch int) (EpochRepor
 	if err != nil {
 		return EpochReport{}, err
 	}
-	return ct.applyEpoch(w, epoch, next)
+	return ct.applyEpoch(w, epoch, next), nil
 }
 
-// applyEpoch is the updater half of an epoch cycle: diff next against the
-// cluster's programmed state and migrate every moved VIP through the SMux
-// stepping stone.
-func (ct *Controller) applyEpoch(w *workload.Workload, epoch int, next *assign.Assignment) (EpochReport, error) {
+// applyEpoch is the updater half of an epoch cycle: every VIP whose tier,
+// switch or mode moved since the previous assignment is a target of one
+// Cluster.Place, which migrates through the SMux stepping stone, so no switch
+// or NIC holds old and new state at once (no Figure 4 deadlock). A refused VIP
+// stays SMux-tier in next, the next epoch's previous assignment, to retry.
+func (ct *Controller) applyEpoch(w *workload.Workload, epoch int, next *assign.Assignment) EpochReport {
 	rep := EpochReport{
 		Epoch:            epoch,
 		AssignedFraction: next.AssignedFraction(),
@@ -153,101 +160,57 @@ func (ct *Controller) applyEpoch(w *workload.Workload, epoch int, next *assign.A
 		NumNMux:          next.NumNMux,
 		NMuxFraction:     next.NMuxFraction(),
 		MRU:              next.MRU,
+		ShuffledRate:     assign.ShuffledRate(ct.prev, next, w.Rates[epoch]),
 	}
-	if ct.prev != nil {
-		rep.ShuffledRate = assign.ShuffledRate(ct.prev, next, w.Rates[epoch])
+	prev := ct.prev // nil before the first epoch: every VIP on the SMux tier
+	moved := func(i int) bool {
+		if prev == nil {
+			return next.TierOf[i] != assign.TierSMux
+		}
+		return prev.SwitchOf[i] != next.SwitchOf[i] || prev.TierOf[i] != next.TierOf[i]
 	}
 
-	// Updater: apply moves. Step 1 — withdraw every VIP that is leaving its
-	// current tier or switch (its traffic falls to the SMux backstop).
-	// Step 2 — announce/program the new homes. Because every move transits
-	// the SMuxes, no switch or NIC ever needs to hold both old and new
-	// state (the Figure 4 deadlock cannot arise).
-	type move struct {
-		addr packet.Addr
-		tier assign.Tier
-		to   int32
-	}
-	var moves []move
+	var ts []core.Target
+	var vipOf []int // the workload index of each target
 	for i := range w.VIPs {
-		addr := w.VIPs[i].Addr
-		if _, ok := ct.Cluster.VIP(addr); !ok {
-			continue // not configured on this cluster (scaled-down demo)
-		}
-		from := assign.Unassigned
-		fromTier := assign.TierSMux
-		if cur, ok := ct.Cluster.HomeOf(addr); ok {
-			from, fromTier = int32(cur), assign.TierHMux
-		} else if ct.Cluster.NMuxHosted(addr) {
-			fromTier = assign.TierNMux
-		}
-		to := next.SwitchOf[i]
-		toTier := assign.TierSMux
-		if next.TierOf != nil {
-			toTier = next.TierOf[i]
-		} else if to != assign.Unassigned {
-			toTier = assign.TierHMux
-		}
-		if from == to && fromTier == toTier {
+		if !moved(i) && prev != nil && prev.ModeOf[i] == next.ModeOf[i] {
 			continue
 		}
-		switch fromTier {
-		case assign.TierHMux:
-			if err := ct.Cluster.WithdrawFromHMux(addr); err != nil {
-				return rep, fmt.Errorf("controller: withdraw %s: %w", addr, err)
-			}
-		case assign.TierNMux:
-			if err := ct.Cluster.WithdrawFromNMux(addr); err != nil {
-				return rep, fmt.Errorf("controller: withdraw %s from NICs: %w", addr, err)
-			}
+		t := core.Target{Addr: w.VIPs[i].Addr, NIC: next.TierOf[i] == assign.TierNMux, Mode: &next.ModeOf[i]}
+		if next.TierOf[i] == assign.TierHMux {
+			t.Switches = []topology.SwitchID{topology.SwitchID(next.SwitchOf[i])}
 		}
-		if fromTier != assign.TierSMux {
-			// Migration step 1: traffic falls back to the SMux stepping stone.
-			ct.tel.rec.Record(telemetry.KindMigrationStep, uint32(epoch), uint32(addr), uint32(from), 1)
-		}
-		if toTier != assign.TierSMux {
-			moves = append(moves, move{addr: addr, tier: toTier, to: to})
+		ts, vipOf = append(ts, t), append(vipOf, i)
+		if !moved(i) {
+			continue
 		}
 		rep.Moved++
 		ct.tel.moves.Inc()
+		if prev != nil && prev.TierOf[i] != assign.TierSMux {
+			// Migration step 1: traffic falls back to the SMux stepping stone.
+			ct.tel.rec.Record(telemetry.KindMigrationStep, uint32(epoch), uint32(t.Addr), uint32(prev.SwitchOf[i]), 1)
+		}
 	}
-	for _, m := range moves {
-		var err error
-		switch m.tier {
-		case assign.TierHMux:
-			err = ct.Cluster.AssignToHMux(m.addr, topology.SwitchID(m.to))
-		case assign.TierNMux:
-			err = ct.Cluster.AssignToNMux(m.addr)
+	rep.ModeChanges = ct.Cluster.Place(ts)
+	ct.tel.modeChanges.Add(uint64(rep.ModeChanges))
+	for k, t := range ts {
+		i := vipOf[k]
+		switch {
+		case t.Err != nil:
+			// A table fuller than the engine's model of it: the VIP stays on
+			// the stepping stone. Step 0 marks the refusal.
+			rep.Refused++
+			ct.tel.placeRefused.Inc()
+			ct.tel.rec.Record(telemetry.KindMigrationStep, uint32(epoch), uint32(t.Addr), uint32(next.SwitchOf[i]), 0)
+			orphanIndex(next, i)
+		case moved(i) && next.TierOf[i] != assign.TierSMux:
+			// Migration step 2: the VIP's new home is announced/programmed.
+			ct.tel.rec.Record(telemetry.KindMigrationStep, uint32(epoch), uint32(t.Addr), uint32(next.SwitchOf[i]), 2)
 		}
-		if err != nil {
-			// Table contention on the target (the engine models the paper's
-			// memory resource, not exact table dedup — and the real NIC
-			// charges per-port rules the engine's cost model rounds): leave
-			// the VIP on the SMuxes rather than fail the epoch.
-			continue
-		}
-		// Migration step 2: the VIP's new home is announced/programmed.
-		ct.tel.rec.Record(telemetry.KindMigrationStep, uint32(epoch), uint32(m.addr), uint32(m.to), 2)
-	}
-	// Apply the engine's consistency-mode decisions to the SMux tier. Mode
-	// flips never move a flow's DIP (the lookup tables are untouched), so
-	// this needs no stepping stone and can run after the migrations.
-	for i := range w.VIPs {
-		addr := w.VIPs[i].Addr
-		want := next.ModeOf[i]
-		cur, ok := ct.Cluster.VIPMode(addr)
-		if !ok || cur == want {
-			continue
-		}
-		if err := ct.Cluster.SetVIPMode(addr, want); err != nil {
-			return rep, fmt.Errorf("controller: set mode of %s: %w", addr, err)
-		}
-		rep.ModeChanges++
-		ct.tel.modeChanges.Inc()
 	}
 	ct.prev = next
 	ct.tel.epochs.Inc()
-	return rep, nil
+	return rep
 }
 
 // AddDIP grows a VIP's backend set (§5.2 "DIP addition"): if the VIP lives
@@ -256,8 +219,10 @@ func (ct *Controller) applyEpoch(w *workload.Workload, epoch int, next *assign.A
 // every tier that holds the VIP in one locked step.
 func (ct *Controller) AddDIP(vip packet.Addr, b service.Backend) error {
 	if _, onHMux := ct.Cluster.HomeOf(vip); onHMux {
-		if err := ct.Cluster.WithdrawFromHMux(vip); err != nil {
-			return err
+		back := []core.Target{{Addr: vip}} // the SMux tier, mode kept
+		ct.Cluster.Place(back)
+		if back[0].Err != nil {
+			return back[0].Err
 		}
 		ct.orphan(vip)
 	}
@@ -281,15 +246,14 @@ func (ct *Controller) AddDIP(vip packet.Addr, b service.Backend) error {
 // epoch re-places it.
 func (ct *Controller) orphan(vip packet.Addr) {
 	if i, ok := ct.indexOf[vip]; ok && ct.prev != nil {
-		ct.orphanIndex(i)
+		orphanIndex(ct.prev, i)
 	}
 }
 
-func (ct *Controller) orphanIndex(i int) {
-	ct.prev.SwitchOf[i] = assign.Unassigned // already so for a NIC-tier VIP
-	if ct.prev.TierOf != nil {
-		ct.prev.TierOf[i] = assign.TierSMux
-	}
+// orphanIndex marks VIP i SMux-served in a.
+func orphanIndex(a *assign.Assignment, i int) {
+	a.SwitchOf[i] = assign.Unassigned // already so for a NIC-tier VIP
+	a.TierOf[i] = assign.TierSMux
 }
 
 // RemoveDIP shrinks a VIP's backend set in place (§5.2 "DIP removal" /
@@ -338,7 +302,7 @@ func (ct *Controller) HandleSwitchFailure(sw topology.SwitchID) {
 	if ct.prev != nil {
 		for i, s := range ct.prev.SwitchOf {
 			if s == int32(sw) {
-				ct.orphanIndex(i)
+				orphanIndex(ct.prev, i)
 				orphaned++
 			}
 		}

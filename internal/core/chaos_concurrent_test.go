@@ -136,7 +136,7 @@ func TestChaosConcurrent(t *testing.T) {
 					_ = c.AssignReplicated(u.addr, []topology.SwitchID{a, b})
 				}
 			case 3:
-				_ = c.WithdrawReplicas(u.addr)
+				_ = c.WithdrawFromHMux(u.addr)
 			}
 		}
 	}()

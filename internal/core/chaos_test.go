@@ -134,8 +134,8 @@ func TestChaos(t *testing.T) {
 					t.Fatalf("step %d: Withdraw: %v", step, err)
 				}
 			} else if len(c.Replicas(v.addr)) > 0 {
-				if err := c.WithdrawReplicas(v.addr); err != nil {
-					t.Fatalf("step %d: WithdrawReplicas: %v", step, err)
+				if err := c.WithdrawFromHMux(v.addr); err != nil {
+					t.Fatalf("step %d: WithdrawFromHMux (replicated): %v", step, err)
 				}
 			}
 

@@ -55,6 +55,9 @@ var (
 	ErrSwitchDown   = errors.New("core: switch is down")
 	ErrNoSuchSwitch = errors.New("core: no such switch")
 	ErrNoHostAgent  = errors.New("core: no host agent at encap destination")
+	// ErrNMuxDisabled rejects NIC-tier operations on a cluster built without
+	// Config.NMuxTableSize.
+	ErrNMuxDisabled = errors.New("core: NIC mux tier is not enabled")
 )
 
 // smuxNodeBase offsets SMux IDs in the routing table (switches use their
@@ -107,13 +110,20 @@ func DefaultConfig() Config {
 	}
 }
 
-// hmuxPlace is a VIP's place in hardware: the switches that hold its entries
-// — one, or several when it is replicated (§9) — and whether they serve the
-// VIP — tables programmed and /32 announced — or are between the halves of a
-// migration leg (ProgramHMux, DeprogramHMux) and have only one of the two.
-type hmuxPlace struct {
-	sws     []topology.SwitchID
-	serving bool
+// placement is a VIP's place beyond the SMux backstop: on the NIC tier, or on
+// switches — several when replicated (§9) — whose tables hold it and that
+// announce its /32. The two lists are equal, or one is empty: half a leg.
+type placement struct {
+	tables, routes []topology.SwitchID
+	nic            bool
+}
+
+// sws returns the switches a placement holds its VIP on, in either half.
+func (p placement) sws() []topology.SwitchID {
+	if len(p.tables) > 0 {
+		return p.tables
+	}
+	return p.routes
 }
 
 // clusterSnap is one immutable generation of the lookup state Deliver needs
@@ -157,9 +167,8 @@ type Cluster struct {
 	snap atomic.Pointer[clusterSnap]
 
 	// Control-plane records no packet consults, guarded by mu.
-	vips     map[packet.Addr]*service.VIP
-	hmuxAt   map[packet.Addr]hmuxPlace // VIP → its switches, if assigned
-	nmuxVIPs map[packet.Addr]bool      // VIPs programmed on the NIC tier
+	vips   map[packet.Addr]*service.VIP
+	placed map[packet.Addr]placement // VIPs on a switch or the NIC tier
 
 	tableCfg hmux.Config // per-switch table sizing, for reboot re-creation
 
@@ -258,15 +267,14 @@ func New(cfg Config) (*Cluster, error) {
 		cfg.Aggregate = packet.MustParsePrefix("10.0.0.0/8")
 	}
 	c := &Cluster{
-		Topo:     topo,
-		Net:      netsim.New(topo),
-		Routes:   bgp.NewTable(),
-		HMuxes:   make([]*hmux.Mux, topo.NumSwitches()),
-		vips:     make(map[packet.Addr]*service.VIP),
-		hmuxAt:   make(map[packet.Addr]hmuxPlace),
-		nmuxVIPs: make(map[packet.Addr]bool),
-		reg:      telemetry.NewRegistry(),
-		rec:      telemetry.NewRecorder(telemetry.DefaultRecorderSize),
+		Topo:   topo,
+		Net:    netsim.New(topo),
+		Routes: bgp.NewTable(),
+		HMuxes: make([]*hmux.Mux, topo.NumSwitches()),
+		vips:   make(map[packet.Addr]*service.VIP),
+		placed: make(map[packet.Addr]placement),
+		reg:    telemetry.NewRegistry(),
+		rec:    telemetry.NewRecorder(telemetry.DefaultRecorderSize),
 	}
 	c.scratch.New = func() any { return new(scratch) }
 	// One packet in 16 is sampled (see deliver) and has its hops timed on the
@@ -412,10 +420,8 @@ func (c *Cluster) AddVIP(v *service.VIP) error {
 			return err
 		}
 	}
-	for _, sm := range c.SMuxes {
-		if err := sm.AddVIP(v); err != nil {
-			return err
-		}
+	if err := applyEach(c.SMuxes, steer.Op{Kind: steer.OpAdd, VIP: v}); err != nil {
+		return err
 	}
 	// The cluster's record outlives the call and is handed out by VIP, so it
 	// owns its backend arrays instead of sharing the caller's.
@@ -487,16 +493,8 @@ func (c *Cluster) RemoveVIP(addr packet.Addr) error {
 	if !ok {
 		return ErrVIPUnknown
 	}
-	_ = c.withdrawLocked(addr, true) // ErrVIPUnknown: the VIP is on no switch
-	if c.nmuxVIPs[addr] {
-		for _, nm := range c.NMuxes {
-			_ = nm.RemoveVIP(addr)
-		}
-		delete(c.nmuxVIPs, addr)
-	}
-	for _, sm := range c.SMuxes {
-		_ = sm.RemoveVIP(addr)
-	}
+	c.placeLocked([]Target{{Addr: addr}})                               // off every switch and NIC
+	_ = applyEach(c.SMuxes, steer.Op{Kind: steer.OpRemove, Addr: addr}) // present: AddVIP put it on every SMux
 	for _, b := range allBackends(v) {
 		c.unhostBackendLocked(addr, b.Addr, true)
 	}
@@ -512,7 +510,7 @@ func (c *Cluster) VIP(addr packet.Addr) (*service.VIP, bool) {
 	return v, ok
 }
 
-// VIPs returns all configured VIP addresses.
+// VIPs returns all configured VIP addresses, in ascending order.
 func (c *Cluster) VIPs() []packet.Addr {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -520,6 +518,7 @@ func (c *Cluster) VIPs() []packet.Addr {
 	for a := range c.vips {
 		out = append(out, a)
 	}
+	slices.Sort(out)
 	return out
 }
 
@@ -529,191 +528,24 @@ func (c *Cluster) VIPs() []packet.Addr {
 func (c *Cluster) HomeOf(addr packet.Addr) (topology.SwitchID, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	p, ok := c.hmuxAt[addr]
-	if !ok {
-		return 0, false
+	if p := c.placed[addr]; len(p.tables) > 0 && len(p.routes) > 0 {
+		return p.tables[0], true
 	}
-	return p.sws[0], p.serving
+	return 0, false
 }
 
-// AssignToHMux programs a VIP onto a switch and announces its /32 route —
-// the raw operation underneath the controller's migration (make-after-
-// withdraw happens in the controller). It completes a ProgramHMux on the same
-// switch.
-func (c *Cluster) AssignToHMux(addr packet.Addr, sw topology.SwitchID) error {
-	return c.assign(addr, []topology.SwitchID{sw}, true)
-}
-
-// ProgramHMux is AssignToHMux's first half: the switch's tables hold the VIP
-// but the fabric has not heard of it, so its traffic still follows the SMux
-// aggregate and HomeOf reports no home. A caller that models route
-// propagation (internal/testbed) puts the BGP delay between this and the
-// AssignToHMux that completes it.
-func (c *Cluster) ProgramHMux(addr packet.Addr, sw topology.SwitchID) error {
-	return c.assign(addr, []topology.SwitchID{sw}, false)
-}
-
-// assign gives a VIP its place in hardware: it programs the VIP on every one
-// of sws (all of them or, rolled back, none) and, when announce is set, has
-// each announce the /32. A VIP already placed on exactly these switches is
-// completed (the second half of a leg) or left alone; any other place must be
-// withdrawn first, as must a NIC-tier assignment.
-func (c *Cluster) assign(addr packet.Addr, sws []topology.SwitchID, announce bool) error {
+// Replicas returns the switches currently holding a VIP.
+func (c *Cluster) Replicas(addr packet.Addr) []topology.SwitchID {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	v, ok := c.vips[addr]
-	if !ok {
-		return ErrVIPUnknown
-	}
-	if len(sws) == 0 {
-		return fmt.Errorf("core: no switch given for VIP %s", addr)
-	}
-	for i, sw := range sws {
-		if int(sw) < 0 || int(sw) >= len(c.HMuxes) {
-			return ErrNoSuchSwitch
-		}
-		if !c.upLocked(sw) {
-			return ErrSwitchDown
-		}
-		if slices.Contains(sws[:i], sw) {
-			return fmt.Errorf("core: duplicate replica switch %d", sw)
-		}
-	}
-	if p, ok := c.hmuxAt[addr]; ok && !slices.Equal(p.sws, sws) {
-		return fmt.Errorf("core: VIP %s already on switch %v; withdraw first", addr, p.sws)
-	} else if p.serving {
-		return nil
-	}
-	if c.nmuxVIPs[addr] {
-		return fmt.Errorf("core: VIP %s is on the NIC tier; withdraw first", addr)
-	}
-	var done []topology.SwitchID
-	for _, sw := range sws {
-		if c.HMuxes[sw].HasVIP(addr) {
-			continue // programmed by the first half of the leg
-		}
-		if err := c.HMuxes[sw].AddVIP(v); err != nil {
-			for _, d := range done {
-				_ = c.HMuxes[d].RemoveVIP(addr)
-			}
-			return err
-		}
-		done = append(done, sw)
-	}
-	c.hmuxAt[addr] = hmuxPlace{slices.Clone(sws), announce}
-	if announce {
-		at := c.rec.Now()
-		for _, sw := range sws {
-			c.Routes.Announce(packet.HostPrefix(addr), bgp.NodeID(sw), at)
-		}
-	}
-	return nil
-}
-
-// WithdrawFromHMux removes a VIP from its switches; traffic falls back to the
-// SMuxes (the stepping-stone state of §4.2). It completes a DeprogramHMux, and
-// cancels a ProgramHMux.
-func (c *Cluster) WithdrawFromHMux(addr packet.Addr) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.withdrawLocked(addr, true)
-}
-
-// DeprogramHMux is WithdrawFromHMux's first half: the VIP leaves the switch's
-// tables — HomeOf reports no home from here on — while the fabric still
-// routes its /32 there, so until WithdrawFromHMux completes the move a packet
-// misses the FIB and follows the aggregate to an SMux (Delivery.FIBMiss).
-func (c *Cluster) DeprogramHMux(addr packet.Addr) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.withdrawLocked(addr, false)
-}
-
-// withdrawLocked takes a VIP out of the tables of every switch that holds it
-// (a stopped switch keeps its own until it reboots blank) and, when converge
-// is set, withdraws their /32 routes and forgets the place.
-func (c *Cluster) withdrawLocked(addr packet.Addr, converge bool) error {
-	p, ok := c.hmuxAt[addr]
-	if !ok {
-		return ErrVIPUnknown
-	}
-	at := c.rec.Now()
-	for _, sw := range p.sws {
-		if c.upLocked(sw) && c.HMuxes[sw].HasVIP(addr) {
-			if err := c.HMuxes[sw].RemoveVIP(addr); err != nil {
-				return err
-			}
-		}
-		if converge {
-			c.Routes.Withdraw(packet.HostPrefix(addr), bgp.NodeID(sw), at)
-		}
-	}
-	if converge {
-		delete(c.hmuxAt, addr)
-	} else {
-		c.hmuxAt[addr] = hmuxPlace{sws: p.sws}
-	}
-	return nil
-}
-
-// ErrNMuxDisabled rejects NIC-tier operations on a cluster built without
-// Config.NMuxTableSize.
-var ErrNMuxDisabled = errors.New("core: NIC mux tier is not enabled")
-
-// AssignToNMux programs a VIP's wildcard entries on every NIC in the fleet.
-// No route changes: the VIP stays on the SMux aggregate, and packets landing
-// on any SMux server hit the NIC table in front of it. Idempotent; fails
-// with nmux.ErrTableFull (after rolling back partial programming) when the
-// tables cannot hold the VIP.
-func (c *Cluster) AssignToNMux(addr packet.Addr) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	v, ok := c.vips[addr]
-	if !ok {
-		return ErrVIPUnknown
-	}
-	if len(c.NMuxes) == 0 {
-		return ErrNMuxDisabled
-	}
-	if _, onSwitch := c.hmuxAt[addr]; onSwitch {
-		return fmt.Errorf("core: VIP %s is on an HMux; withdraw first", addr)
-	}
-	if c.nmuxVIPs[addr] {
-		return nil
-	}
-	for i, nm := range c.NMuxes {
-		if err := nm.AddVIP(v); err != nil {
-			for _, prev := range c.NMuxes[:i] {
-				_ = prev.RemoveVIP(addr)
-			}
-			return err
-		}
-	}
-	c.nmuxVIPs[addr] = true
-	return nil
-}
-
-// WithdrawFromNMux deprograms a VIP from every NIC; its traffic is served by
-// the SMuxes alone again (flows pinned in the NIC tables are dropped, but
-// the SMux picks the same DIPs — shared hash — so connections survive).
-func (c *Cluster) WithdrawFromNMux(addr packet.Addr) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.nmuxVIPs[addr] {
-		return ErrVIPUnknown
-	}
-	for _, nm := range c.NMuxes {
-		_ = nm.RemoveVIP(addr)
-	}
-	delete(c.nmuxVIPs, addr)
-	return nil
+	return slices.Clone(c.placed[addr].sws())
 }
 
 // NMuxHosted reports whether the VIP is programmed on the NIC tier.
 func (c *Cluster) NMuxHosted(addr packet.Addr) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.nmuxVIPs[addr]
+	return c.placed[addr].nic
 }
 
 // AddBackend grows a VIP's backend set on every tier that serves it (§5.2
@@ -730,28 +562,18 @@ func (c *Cluster) AddBackend(vip packet.Addr, b service.Backend) error {
 	if !ok {
 		return ErrVIPUnknown
 	}
-	if p, onHMux := c.hmuxAt[vip]; onHMux {
-		return fmt.Errorf("core: VIP %s is on switch %v; withdraw first", vip, p.sws)
+	if sws := c.placed[vip].sws(); len(sws) > 0 {
+		return fmt.Errorf("core: VIP %s is on switch %v; withdraw first", vip, sws)
 	}
 	if err := c.hostBackendLocked(vip, b.Addr); err != nil {
 		return err
 	}
 	v := c.editBackends(old, append(append([]service.Backend(nil), old.Backends...), b))
-	for _, sm := range c.SMuxes {
-		if err := sm.UpdateVIP(v); err != nil {
-			return err
-		}
+	if err := applyEach(c.SMuxes, steer.Op{Kind: steer.OpUpdate, VIP: v}); err != nil {
+		return err
 	}
-	if c.nmuxVIPs[vip] {
-		for _, nm := range c.NMuxes {
-			if err := nm.UpdateVIP(v); err != nil {
-				for _, all := range c.NMuxes {
-					_ = all.RemoveVIP(vip)
-				}
-				delete(c.nmuxVIPs, vip)
-				break
-			}
-		}
+	if c.placed[vip].nic && applyEach(c.NMuxes, steer.Op{Kind: steer.OpUpdate, VIP: v}) != nil {
+		c.placeLocked([]Target{{Addr: vip}})
 	}
 	return nil
 }
@@ -767,7 +589,7 @@ func (c *Cluster) RemoveBackend(vip, dip packet.Addr) error {
 	if !ok {
 		return ErrVIPUnknown
 	}
-	for _, sw := range c.hmuxAt[vip].sws {
+	for _, sw := range c.placed[vip].tables {
 		if !c.HMuxes[sw].HasVIP(vip) {
 			continue // deprogrammed: between the halves of a leg
 		}
@@ -775,7 +597,7 @@ func (c *Cluster) RemoveBackend(vip, dip packet.Addr) error {
 			return err
 		}
 	}
-	if c.nmuxVIPs[vip] {
+	if c.placed[vip].nic {
 		for _, nm := range c.NMuxes {
 			if err := nm.RemoveBackend(vip, dip); err != nil {
 				return err
@@ -806,25 +628,6 @@ func (c *Cluster) editBackends(old *service.VIP, backends []service.Backend) *se
 	v.Backends = backends
 	c.vips[v.Addr] = &v
 	return &v
-}
-
-// SetVIPMode switches a VIP's per-connection consistency mode on the whole
-// SMux fleet (stateful conn table, stateless steer lookup, or hybrid with a
-// bounded overlay — see internal/steer). The change bumps every steer-table
-// epoch without opening a drain window: the lookup tables are unchanged, so
-// no flow's DIP moves.
-func (c *Cluster) SetVIPMode(addr packet.Addr, mode steer.Mode) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.vips[addr]; !ok {
-		return ErrVIPUnknown
-	}
-	for _, sm := range c.SMuxes {
-		if err := sm.SetVIPMode(addr, mode); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // VIPMode returns a VIP's consistency mode on the SMux fleet.
@@ -869,15 +672,12 @@ func (c *Cluster) FailSwitch(sw topology.SwitchID) {
 	// partition is still programmed, just unreachable until recovery (Deliver
 	// reports ErrSwitchDown, as the real fabric would blackhole until the
 	// controller re-installs the partition).
-	for vip, p := range c.hmuxAt {
-		i := slices.Index(p.sws, sw)
-		if i < 0 {
-			continue
-		}
-		if p.sws = slices.Delete(p.sws, i, i+1); len(p.sws) == 0 {
-			delete(c.hmuxAt, vip)
+	gone := func(s topology.SwitchID) bool { return s == sw }
+	for vip, p := range c.placed {
+		if p.tables, p.routes = slices.DeleteFunc(p.tables, gone), slices.DeleteFunc(p.routes, gone); len(p.sws()) == 0 && !p.nic {
+			delete(c.placed, vip)
 		} else {
-			c.hmuxAt[vip] = p
+			c.placed[vip] = p
 		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -356,6 +357,25 @@ func TestVIPsListing(t *testing.T) {
 	}
 }
 
+// TestVIPsSorted: the listing is in address order, not map order, so what
+// walks it — the controller's health sweep, duetctl's tables — does the same
+// thing in the same order every run.
+func TestVIPsSorted(t *testing.T) {
+	c := testCluster(t)
+	for i := 0; i < 64; i++ {
+		// Added out of order: 37 is coprime to 64, so i*37 mod 64 visits all.
+		j := i * 37 % 64
+		must(t, c.AddVIP(&service.VIP{
+			Addr:     packet.AddrFrom4(10, byte(j%3), 0, byte(j)),
+			Backends: []service.Backend{{Addr: packet.AddrFrom4(100, 0, 0, byte(j)), Weight: 1}},
+		}))
+	}
+	got := c.VIPs()
+	if len(got) != 64 || !slices.IsSorted(got) {
+		t.Fatalf("VIPs() = %v, want 64 addresses in ascending order", got)
+	}
+}
+
 func BenchmarkDeliver(b *testing.B) {
 	c := testCluster(b)
 	v := mkVIP(0, "100.0.0.1", "100.0.0.2")
@@ -393,7 +413,7 @@ func TestRebootWipesTables(t *testing.T) {
 	// The replica switch dies; the operator withdraws the replicas while it
 	// is down (only the live one can be cleaned).
 	c.FailSwitch(sw)
-	if err := c.WithdrawReplicas(v.Addr); err != nil {
+	if err := c.WithdrawFromHMux(v.Addr); err != nil {
 		t.Fatal(err)
 	}
 	c.RecoverSwitch(sw)

@@ -45,7 +45,7 @@ func TestUnobservableMutationsPublishNothing(t *testing.T) {
 		{"WithdrawFromNMux", func() error { return c.WithdrawFromNMux(v.Addr) }},
 		{"SetVIPMode", func() error { return c.SetVIPMode(v.Addr, steer.ModeHybrid) }},
 		{"AssignReplicated", func() error { return c.AssignReplicated(w.Addr, []topology.SwitchID{sw, other}) }},
-		{"WithdrawReplicas", func() error { return c.WithdrawReplicas(w.Addr) }},
+		{"WithdrawFromHMux (replicated)", func() error { return c.WithdrawFromHMux(w.Addr) }},
 		{"RemoveBackend", func() error { return c.RemoveBackend(v.Addr, v.Backends[1].Addr) }},
 		{"AddBackend (known host)", func() error { return c.AddBackend(v.Addr, v.Backends[1]) }},
 		{"RemoveVIP", func() error { return c.RemoveVIP(w.Addr) }},

@@ -140,7 +140,7 @@ func TestWithdrawReplicasFallsBackToSMux(t *testing.T) {
 	if err := c.AssignReplicated(v.Addr, reps); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.WithdrawReplicas(v.Addr); err != nil {
+	if err := c.WithdrawFromHMux(v.Addr); err != nil {
 		t.Fatal(err)
 	}
 	d, err := c.Deliver(clientPkt(v.Addr, 1))
@@ -156,7 +156,7 @@ func TestWithdrawReplicasFallsBackToSMux(t *testing.T) {
 			t.Fatal("replica table entry leaked")
 		}
 	}
-	if err := c.WithdrawReplicas(v.Addr); err != ErrVIPUnknown {
+	if err := c.WithdrawFromHMux(v.Addr); err != ErrVIPUnknown {
 		t.Fatalf("double withdraw: %v", err)
 	}
 }
@@ -283,7 +283,7 @@ func TestBackendChangeOnReplicatedVIP(t *testing.T) {
 	if cur, _ := c.VIP(v.Addr); len(cur.Backends) != 2 {
 		t.Fatalf("refused AddBackend changed the record: %+v", cur.Backends)
 	}
-	if err := c.WithdrawReplicas(v.Addr); err != nil {
+	if err := c.WithdrawFromHMux(v.Addr); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.AddBackend(v.Addr, added); err != nil {

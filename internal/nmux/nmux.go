@@ -385,17 +385,6 @@ func (m *Mux) AddVIP(v *service.VIP) error {
 	return steer.One(m.Apply, steer.Op{Kind: steer.OpAdd, VIP: v})
 }
 
-// UpdateVIP replaces a VIP's backend set, re-checking the table budget for
-// the new cost: a batch of one.
-func (m *Mux) UpdateVIP(v *service.VIP) error {
-	return steer.One(m.Apply, steer.Op{Kind: steer.OpUpdate, VIP: v})
-}
-
-// RemoveVIP deprograms a VIP: a batch of one.
-func (m *Mux) RemoveVIP(addr packet.Addr) error {
-	return steer.One(m.Apply, steer.Op{Kind: steer.OpRemove, Addr: addr})
-}
-
 // RemoveBackend removes a DIP resiliently (same semantics as the HMux: the
 // action slot stays allocated but dead, so the wildcard cost is unchanged)
 // and terminates flows pinned to it. The steer entry knows whether the DIP

@@ -120,15 +120,15 @@ func TestWildcardAdmission(t *testing.T) {
 	if err := m.AddVIP(testVIP(4, 1)); err != nil {
 		t.Fatalf("a 2-entry VIP with 2 entries free: %v", err)
 	}
-	if err := m.RemoveVIP(testVIP(4, 1).Addr); err != nil {
+	if err := steer.One(m.Apply, steer.Op{Kind: steer.OpRemove, Addr: testVIP(4, 1).Addr}); err != nil {
 		t.Fatal(err)
 	}
 
 	// UpdateVIP re-checks the budget for the new cost.
-	if err := m.UpdateVIP(testVIP(1, 7)); !errors.Is(err, ErrTableFull) {
+	if err := steer.One(m.Apply, steer.Op{Kind: steer.OpUpdate, VIP: testVIP(1, 7)}); !errors.Is(err, ErrTableFull) {
 		t.Fatalf("growing update: err = %v, want ErrTableFull", err)
 	}
-	if err := m.UpdateVIP(testVIP(1, 2)); err != nil {
+	if err := steer.One(m.Apply, steer.Op{Kind: steer.OpUpdate, VIP: testVIP(1, 2)}); err != nil {
 		t.Fatal(err)
 	}
 	if st := m.Stats(); st.Wildcard != 8 {
@@ -136,7 +136,7 @@ func TestWildcardAdmission(t *testing.T) {
 	}
 
 	// RemoveVIP releases the entries.
-	if err := m.RemoveVIP(testVIP(2, 4).Addr); err != nil {
+	if err := steer.One(m.Apply, steer.Op{Kind: steer.OpRemove, Addr: testVIP(2, 4).Addr}); err != nil {
 		t.Fatal(err)
 	}
 	if st := m.Stats(); st.Wildcard != 3 {
@@ -242,7 +242,7 @@ func TestReprogramKeepsPinnedFlows(t *testing.T) {
 	for i := len(v.Backends) - 1; i >= 0; i-- {
 		upd.Backends = append(upd.Backends, v.Backends[i])
 	}
-	if err := m.UpdateVIP(upd); err != nil {
+	if err := steer.One(m.Apply, steer.Op{Kind: steer.OpUpdate, VIP: upd}); err != nil {
 		t.Fatal(err)
 	}
 	for seq := uint32(0); seq < flows; seq++ {
@@ -310,7 +310,7 @@ func TestRemoveVIPDropsFlowsAndMisses(t *testing.T) {
 	if _, err := m.Process(pkt, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.RemoveVIP(v.Addr); err != nil {
+	if err := steer.One(m.Apply, steer.Op{Kind: steer.OpRemove, Addr: v.Addr}); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.Stats().Flows; got != 0 {
@@ -416,7 +416,7 @@ func TestConcurrentProcessAndReprogram(t *testing.T) {
 			if i%2 == 1 {
 				upd.Backends = upd.Backends[:3]
 			}
-			if err := m.UpdateVIP(upd); err != nil {
+			if err := steer.One(m.Apply, steer.Op{Kind: steer.OpUpdate, VIP: upd}); err != nil {
 				t.Error(err)
 				return
 			}

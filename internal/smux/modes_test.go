@@ -310,7 +310,7 @@ func TestEncapByteIdentical(t *testing.T) {
 
 func TestSetVIPMode(t *testing.T) {
 	m := New(DefaultConfig(selfAddr))
-	if err := m.SetVIPMode(vipAddr, steer.ModeHybrid); err != ErrVIPNotFound {
+	if err := steer.One(m.Apply, steer.Op{Kind: steer.OpMode, Addr: vipAddr, Mode: steer.ModeHybrid}); err != ErrVIPNotFound {
 		t.Fatalf("got %v", err)
 	}
 	if err := m.AddVIP(&service.VIP{Addr: vipAddr, Backends: backends("100.0.0.1")}); err != nil {
@@ -319,7 +319,7 @@ func TestSetVIPMode(t *testing.T) {
 	if mode, ok := m.ModeOf(vipAddr); !ok || mode != steer.ModeStateful {
 		t.Fatalf("default mode = %v, %v", mode, ok)
 	}
-	if err := m.SetVIPMode(vipAddr, steer.ModeStateless); err != nil {
+	if err := steer.One(m.Apply, steer.Op{Kind: steer.OpMode, Addr: vipAddr, Mode: steer.ModeStateless}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := m.Process(vipPacket(0, 80), nil)

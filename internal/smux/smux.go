@@ -386,16 +386,6 @@ func (m *Mux) UpdateVIP(v *service.VIP) error {
 	return steer.One(m.Apply, steer.Op{Kind: steer.OpUpdate, VIP: v})
 }
 
-// RemoveVIP withdraws a VIP: a batch of one.
-func (m *Mux) RemoveVIP(addr packet.Addr) error {
-	return steer.One(m.Apply, steer.Op{Kind: steer.OpRemove, Addr: addr})
-}
-
-// SetVIPMode changes a VIP's steering mode: a batch of one.
-func (m *Mux) SetVIPMode(addr packet.Addr, mode steer.Mode) error {
-	return steer.One(m.Apply, steer.Op{Kind: steer.OpMode, Addr: addr, Mode: mode})
-}
-
 // ModeOf returns a VIP's steering mode.
 func (m *Mux) ModeOf(addr packet.Addr) (steer.Mode, bool) { return m.steer.ModeOf(addr) }
 

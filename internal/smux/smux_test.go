@@ -112,13 +112,13 @@ func TestRemoveVIPDropsConnections(t *testing.T) {
 	if m.ConnStats().Entries != 10 {
 		t.Fatalf("connections = %d", m.ConnStats().Entries)
 	}
-	if err := m.RemoveVIP(vipAddr); err != nil {
+	if err := steer.One(m.Apply, steer.Op{Kind: steer.OpRemove, Addr: vipAddr}); err != nil {
 		t.Fatal(err)
 	}
 	if m.ConnStats().Entries != 0 {
 		t.Fatal("connections not dropped with VIP")
 	}
-	if err := m.RemoveVIP(vipAddr); err != ErrVIPNotFound {
+	if err := steer.One(m.Apply, steer.Op{Kind: steer.OpRemove, Addr: vipAddr}); err != ErrVIPNotFound {
 		t.Fatalf("got %v", err)
 	}
 }

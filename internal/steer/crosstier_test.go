@@ -189,7 +189,7 @@ func TestEveryTierResolvesLikeTheReferenceGroup(t *testing.T) {
 				// pass is not consulted by the next two, and all three pin
 				// (or not) the same DIP.
 				for _, mode := range steer.Modes() {
-					if err := sm.SetVIPMode(vip, mode); err != nil {
+					if err := steer.One(sm.Apply, steer.Op{Kind: steer.OpMode, Addr: vip, Mode: mode}); err != nil {
 						t.Fatal(err)
 					}
 					sr, err := sm.Process(data, nil)
@@ -210,8 +210,13 @@ func TestEveryTierResolvesLikeTheReferenceGroup(t *testing.T) {
 			if err := hm.RemoveVIP(vip); err != nil {
 				t.Fatal(err)
 			}
-			for _, set := range []func(*service.VIP) error{hm.AddVIP, alone.UpdateVIP, paired.UpdateVIP, sm.UpdateVIP, tbl.Update} {
+			for _, set := range []func(*service.VIP) error{hm.AddVIP, sm.UpdateVIP, tbl.Update} {
 				if err := set(next); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, nic := range []*nmux.Mux{alone, paired} {
+				if err := steer.One(nic.Apply, steer.Op{Kind: steer.OpUpdate, VIP: next}); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -185,7 +185,7 @@ func TestSteerTiersAgree(t *testing.T) {
 	}
 	// Stateless keeps the SMux off its connection table, so all three reads
 	// are pure table lookups.
-	if err := sm.SetVIPMode(vip, steer.ModeStateless); err != nil {
+	if err := steer.One(sm.Apply, steer.Op{Kind: steer.OpMode, Addr: vip, Mode: steer.ModeStateless}); err != nil {
 		t.Fatal(err)
 	}
 
