@@ -34,7 +34,7 @@ vet:
 # directives the tree holds outside test files and fails above
 # ALLOW_BUDGET. Lower the number when a suppression goes; never raise it.
 #
-# Six fences. The first keeps the figure toolkit (internal/metrics:
+# Seven fences. The first keeps the figure toolkit (internal/metrics:
 # sample quantiles, sparklines, formatters) out of the daemon: what a node
 # measures is bucketed and read with telemetry.BucketQuantile. The second
 # keeps internal/testbed a driver of core.Cluster: its non-test files import
@@ -54,7 +54,9 @@ vet:
 # mux mutator (RemoveBackend has no batch op and AddTIP is the TIP item's),
 # so every placement goes through Cluster.Place, and those of
 # internal/controller call none of the cluster's per-VIP placement mutators,
-# so an epoch is one Place batch.
+# so an epoch is one Place batch. The seventh keeps the control channel one
+# binary codec: no non-test file of internal/wire but spec.go (the config
+# file) imports encoding/json.
 ALLOW_BUDGET = 23
 lint: vet
 	$(GO) run ./cmd/duetvet -max-allow $(ALLOW_BUDGET) ./...
@@ -66,6 +68,7 @@ lint: vet
 	! grep -nE '\.(AddVIP|UpdateVIP|RemoveVIP|SetVIPMode|AddTIP|RemoveBackend)\(' $$(ls internal/wire/*.go | grep -v _test.go)
 	! grep -nE '\.(AddVIP|UpdateVIP|RemoveVIP|SetVIPMode)\(' $$(ls internal/core/*.go | grep -v _test.go)
 	! grep -nE '\.(AssignToHMux|ProgramHMux|AssignReplicated|WithdrawFromHMux|DeprogramHMux|AssignToNMux|WithdrawFromNMux|SetVIPMode)\(' $$(ls internal/controller/*.go | grep -v _test.go)
+	! grep -n '"encoding/json"' $$(ls internal/wire/*.go | grep -v -e _test.go -e spec.go)
 
 # Non-blocking in CI: scans for known-vulnerable dependency versions when
 # the govulncheck tool is available; skipped otherwise (offline builds).
@@ -76,12 +79,13 @@ vuln:
 		echo "govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)"; \
 	fi
 
-# 30-second smoke of the packet-parsing fuzz targets: each corpus gets a
+# Smoke of every decoder's fuzz targets, 5 s each — packet parsing, the
+# wire frame and control-message codecs, the delta codec: each corpus gets a
 # short randomized walk, enough to catch a fresh decoder regression
 # without turning CI into a fuzz farm. `go test -fuzz` takes one target
 # per invocation, so the targets run back to back.
 FUZZ_TARGETS = FuzzIPv4Decode FuzzEncapDecap FuzzDecapsulate FuzzExtractFiveTuple FuzzTransportDecode FuzzRewrite
-WIRE_FUZZ_TARGETS = FuzzDecodeFrameTrace FuzzTracedFrameRoundTrip
+WIRE_FUZZ_TARGETS = FuzzDecodeFrameTrace FuzzTracedFrameRoundTrip FuzzReadMsg
 DELTA_FUZZ_TARGETS = FuzzDeltaDecode FuzzDeltaRoundTrip
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
@@ -110,11 +114,12 @@ race:
 # Zero-allocation gates for every instrumented hot path: the shared table's
 # lookup, the fabric's route pick, mux packet processing, host-agent decap/DSR, core's forwarding path over every tier ×
 # mode × protocol (and DeliverBatch's exact per-batch count), the wire
-# dataplane's burst (receive, handler, flush), the obs scrape tick
+# dataplane's burst (receive, handler, flush), the control channel's read of
+# a delta push (at most the header strings allocate), the obs scrape tick
 # running concurrently with the dataplane, and the controller's placement
-# scan over a warmed round. Each test asserts allocs/op == 0 via
-# testing.AllocsPerRun; the benchmark reports the same numbers with
-# -benchmem for inspection.
+# scan over a warmed round. Each test but the control read asserts
+# allocs/op == 0 via testing.AllocsPerRun; the benchmark reports the same
+# numbers with -benchmem for inspection.
 allocs:
 	$(GO) test -run 'ZeroAlloc' ./internal/telemetry ./internal/addrmap ./internal/bgp ./internal/hmux ./internal/smux ./internal/nmux ./internal/steer ./internal/hostagent ./internal/core ./internal/wire ./internal/obs ./internal/assign
 	$(GO) test -run XXX -bench BenchmarkTelemetryHotPath -benchtime 100x -benchmem ./internal/telemetry

@@ -119,9 +119,12 @@ func (d *decoder) u8() (uint8, error) {
 	return v, nil
 }
 
+// uvarint reads a minimal-width uvarint: a wider form of the same value (a
+// trailing zero group) is rejected, so accepted bytes re-encode to
+// themselves.
 func (d *decoder) uvarint() (uint64, error) {
 	v, n := binary.Uvarint(d.rest)
-	if n <= 0 {
+	if n <= 0 || n > 1 && d.rest[n-1] == 0 {
 		return 0, fmt.Errorf("%w: bad uvarint", ErrCodec)
 	}
 	d.rest = d.rest[n:]
@@ -144,7 +147,7 @@ func (d *decoder) sw() (int32, error) {
 	if err != nil {
 		return 0, err
 	}
-	if v > 1<<31 {
+	if v >= 1<<31 {
 		return 0, fmt.Errorf("%w: switch ID overflow", ErrCodec)
 	}
 	return int32(v) - 1, nil
@@ -279,9 +282,10 @@ func (d *decoder) vipState() (*VIPState, error) {
 }
 
 // Decode parses an encoded delta. It rejects unknown versions, unknown op
-// kinds, out-of-range enums, unsorted collections, and trailing bytes.
-// Decode(Encode(d)) is the identity; accepted foreign bytes re-encode to a
-// semantically identical delta (varints may shrink to canonical width).
+// kinds, out-of-range enums, unsorted collections, non-minimal varints, and
+// trailing bytes. Decode(Encode(d)) is the identity, and so is
+// Encode(Decode(b)) for any accepted b: a log that keeps the bytes it
+// received keeps what it would have encoded.
 func Decode(buf []byte) (*Delta, error) {
 	dec := &decoder{rest: buf}
 	m, err := dec.u8()

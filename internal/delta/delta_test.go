@@ -310,7 +310,7 @@ func TestLogReplayAndCompaction(t *testing.T) {
 	for e := 0; e < 12; e++ {
 		next := cur.Clone()
 		mutate(rng, next) // bumps epoch by 1
-		if err := l.Append(Diff(cur, next)); err != nil {
+		if err := l.Append(Diff(cur, next), nil); err != nil {
 			t.Fatalf("epoch %d: %v", e, err)
 		}
 		cur = next
@@ -328,12 +328,16 @@ func TestLogReplayAndCompaction(t *testing.T) {
 	// Replay from every epoch at or above the horizon reaches the head.
 	head := l.Head()
 	for from := uint64(8); from <= 12; from++ {
-		ds, ok := l.Since(from)
+		es, ok := l.Since(from)
 		if !ok {
 			t.Fatalf("Since(%d) refused above the horizon", from)
 		}
 		replay := states[from].Clone()
-		for _, d := range ds {
+		for _, e := range es {
+			d, err := Decode(e.Enc) // what a follower is shipped
+			if err != nil {
+				t.Fatalf("replay from %d: decode: %v", from, err)
+			}
 			if err := d.Apply(replay); err != nil {
 				t.Fatalf("replay from %d: %v", from, err)
 			}
@@ -362,20 +366,20 @@ func TestLogRejectsGaps(t *testing.T) {
 	b := a.Clone()
 	b.VIPs[vip(1)] = &VIPState{Addr: vip(1), Switch: Unassigned}
 	b.Epoch = 1
-	if err := l.Append(Diff(a, b)); err != nil {
+	if err := l.Append(Diff(a, b), nil); err != nil {
 		t.Fatal(err)
 	}
 	// Re-appending the same delta is a gap (FromEpoch 0 != head 1).
-	if err := l.Append(Diff(a, b)); err == nil {
+	if err := l.Append(Diff(a, b), nil); err == nil {
 		t.Fatal("log accepted a non-contiguous append")
 	}
 	// Epoch must advance.
 	c := b.Clone()
-	if err := l.Append(Diff(b, c)); err == nil {
+	if err := l.Append(Diff(b, c), nil); err == nil {
 		t.Fatal("log accepted a non-advancing delta")
 	}
 	// Snapshots don't append.
-	if err := l.Append(l.Snapshot()); err == nil {
+	if err := l.Append(l.Snapshot(), nil); err == nil {
 		t.Fatal("log accepted a snapshot append")
 	}
 }

@@ -1,14 +1,15 @@
 package delta
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
 )
 
 // FuzzDeltaDecode hammers the decoder with arbitrary bytes: it must never
-// panic, and anything it accepts must re-encode and re-decode to the same
-// delta (the codec's canonicalization property).
+// panic, anything it accepts must re-encode to exactly the bytes it was
+// given (one encoding per delta), and re-decode to the same delta.
 func FuzzDeltaDecode(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	a := randState(rng, 4)
@@ -26,6 +27,9 @@ func FuzzDeltaDecode(f *testing.F) {
 			return
 		}
 		enc := d.Encode()
+		if !bytes.Equal(enc, data) {
+			t.Fatalf("accepted bytes re-encode differently:\n got %x\nwant %x", enc, data)
+		}
 		d2, err := Decode(enc)
 		if err != nil {
 			t.Fatalf("re-decode of accepted delta failed: %v", err)

@@ -1,6 +1,7 @@
 package delta
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 )
@@ -11,6 +12,14 @@ import (
 // push (the recovery path).
 const DefaultMaxTail = 64
 
+// Entry is one retained tail delta with its encoding, made once when the
+// delta was appended: every push of the entry ships these bytes. Both are
+// shared and read-only.
+type Entry struct {
+	Delta *Delta
+	Enc   []byte // Delta.Encode()
+}
+
 // Log is the append-only, compacting delta log the leader maintains and a
 // warm standby tails: a base snapshot (the state at the compaction horizon)
 // plus a contiguous run of epoch deltas up to the head. All methods are
@@ -18,9 +27,9 @@ const DefaultMaxTail = 64
 type Log struct {
 	mu      sync.Mutex
 	maxTail int
-	base    *State   // state at the horizon
-	head    *State   // base + all tail deltas applied
-	tail    []*Delta // tail[i].FromEpoch == base.Epoch + i (contiguous)
+	base    *State  // state at the horizon
+	head    *State  // base + all tail deltas applied
+	tail    []Entry // tail[i].Delta.FromEpoch == base.Epoch + i (contiguous)
 }
 
 // NewLog returns an empty log (horizon and head at epoch 0) retaining up to
@@ -54,11 +63,13 @@ func (l *Log) Horizon() uint64 {
 	return l.base.Epoch
 }
 
-// Append applies d at the head and retains it, compacting the oldest tail
-// delta into the base snapshot when the tail exceeds maxTail. d must
-// continue the log (FromEpoch == head epoch, ToEpoch > FromEpoch) and apply
-// cleanly; on error the log is unchanged.
-func (l *Log) Append(d *Delta) error {
+// Append applies d to the head in place and retains it, compacting the
+// oldest tail delta into the base snapshot when the tail exceeds maxTail. d
+// must continue the log (FromEpoch == head epoch, ToEpoch > FromEpoch) and
+// apply cleanly; on error the log is unchanged, because Delta.Apply is all
+// or nothing. enc is d's encoding as received (a standby tailing the
+// leader), which the log copies; a nil enc is encoded here.
+func (l *Log) Append(d *Delta, enc []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if d.Snapshot {
@@ -70,18 +81,22 @@ func (l *Log) Append(d *Delta) error {
 	if d.ToEpoch <= d.FromEpoch {
 		return fmt.Errorf("delta: append does not advance the epoch (%d → %d)", d.FromEpoch, d.ToEpoch)
 	}
-	next := l.head.Clone()
-	if err := d.Apply(next); err != nil {
+	if err := d.Apply(l.head); err != nil {
 		return err
 	}
-	l.head = next
-	l.tail = append(l.tail, d)
+	if enc == nil {
+		enc = d.Encode()
+	} else {
+		enc = bytes.Clone(enc)
+	}
+	l.tail = append(l.tail, Entry{Delta: d, Enc: enc})
 	for len(l.tail) > l.maxTail {
-		if err := l.tail[0].Apply(l.base); err != nil {
+		if err := l.tail[0].Delta.Apply(l.base); err != nil {
 			// The tail applied at the head once already; failing here means
 			// internal corruption, not caller error.
 			return fmt.Errorf("delta: compaction failed: %w", err)
 		}
+		l.tail[0] = Entry{} // the bytes go with the entry
 		l.tail = l.tail[1:]
 	}
 	return nil
@@ -98,22 +113,22 @@ func (l *Log) Reset(s *State) {
 	l.tail = nil
 }
 
-// Since returns the contiguous deltas that carry a follower from epoch
+// Since returns the contiguous entries that carry a follower from epoch
 // `from` to the head. ok is false when `from` is behind the compaction
 // horizon (or ahead of the head) — the caller must fall back to a snapshot
 // push. A follower already at the head gets an empty slice, ok = true.
-func (l *Log) Since(from uint64) (ds []*Delta, ok bool) {
+func (l *Log) Since(from uint64) (es []Entry, ok bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if from < l.base.Epoch || from > l.head.Epoch {
 		return nil, false
 	}
-	for _, d := range l.tail {
-		if d.FromEpoch >= from {
-			ds = append(ds, d)
+	for _, e := range l.tail {
+		if e.Delta.FromEpoch >= from {
+			es = append(es, e)
 		}
 	}
-	return ds, true
+	return es, true
 }
 
 // Snapshot returns the head state as a snapshot delta — the recovery push.

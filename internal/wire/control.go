@@ -2,22 +2,25 @@ package wire
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
 	"time"
 
+	"duet/internal/packet"
 	"duet/internal/telemetry"
 )
 
 // The control channel is a length-prefixed TCP protocol: every message is a
-// uint32 big-endian length followed by one JSON-encoded Envelope. Control
-// traffic is rare and small, so JSON's debuggability wins over a binary
-// encoding; the length prefix gives clean framing and an obvious place to
-// reject garbage. Every request is acknowledged (MsgAck or an enriched
+// uint32 big-endian length followed by one binary Envelope (see appendMsg
+// for the layout), whose delta bytes ride raw at the end. The length prefix
+// gives clean framing and an obvious place to reject garbage, and the
+// format-version byte that opens the body lets a mismatched peer be refused
+// instead of misread. Every request is acknowledged (MsgAck or an enriched
 // MsgDeltaAck, echoing Seq), and requests are idempotent by construction —
 // a heartbeat or health report repeats harmlessly, and a delta push carries
 // its from-epoch precondition — so the client can blindly retry across
@@ -84,23 +87,23 @@ func (t MsgType) String() string {
 	return fmt.Sprintf("msg(%d)", uint8(t))
 }
 
-// HealthMsg is one host agent's view of its local DIPs.
-type HealthMsg struct {
-	Host string          `json:"host"`
-	DIPs map[string]bool `json:"dips"` // dip → healthy
+// DIPHealth is one DIP's health as a host agent reports it.
+type DIPHealth struct {
+	DIP     packet.Addr
+	Healthy bool
 }
 
 // Envelope is one control message. Exactly one payload field matching Type
 // is set; Seq correlates acks with requests.
 type Envelope struct {
-	Type MsgType `json:"type"`
-	Seq  uint64  `json:"seq"`
+	Type MsgType
+	Seq  uint64
 
-	Role   string     `json:"role,omitempty"` // MsgHello
-	Name   string     `json:"name,omitempty"` // MsgHello, and the leader's name on delta-protocol messages
-	Addr   string     `json:"addr,omitempty"` // MsgAnnounceVIP/MsgWithdrawVIP: the prefix
-	Health *HealthMsg `json:"health,omitempty"`
-	Err    string     `json:"err,omitempty"` // MsgAck: empty = success
+	Role   string      // MsgHello
+	Name   string      // MsgHello and MsgHealthReport: the sender; the leader's name on delta-protocol messages
+	Addr   string      // MsgAnnounceVIP/MsgWithdrawVIP: the prefix
+	Health []DIPHealth // MsgHealthReport: the sender's local DIPs
+	Err    string      // MsgAck: empty = success
 
 	// Delta-protocol fields (MsgDeltaPush / MsgDeltaAck / MsgSnapshotRequest
 	// / MsgLeaderHeartbeat). Epoch is the config epoch the message is about;
@@ -108,57 +111,173 @@ type Envelope struct {
 	// term; a receiver that has seen a higher term rejects the message so a
 	// deposed leader steps down. Delta carries one encoded internal/delta
 	// diff or snapshot.
-	Epoch uint64 `json:"epoch,omitempty"`
-	Term  uint64 `json:"term,omitempty"`
-	Delta []byte `json:"delta,omitempty"`
+	Epoch uint64
+	Term  uint64
+	Delta []byte
 }
 
-// maxControlMsg bounds one control message (1 MiB — a VIP with thousands of
-// backends fits with room to spare).
-const maxControlMsg = 1 << 20
+const (
+	// maxControlMsg bounds one control message body (1 MiB — a VIP with
+	// thousands of backends fits with room to spare).
+	maxControlMsg = 1 << 20
+	// controlVersion opens every body; a peer speaking another version is
+	// refused, never misread.
+	controlVersion = 1
+	// fixedLen is the body's fixed-width head: version, type, seq, epoch,
+	// term.
+	fixedLen = 2 + 3*8
+	// healthLen is one encoded DIPHealth: the address, then 0 or 1.
+	healthLen = 5
+)
 
-// writeMsg writes one length-prefixed envelope.
-func writeMsg(w io.Writer, env *Envelope) error {
-	body, err := json.Marshal(env)
+// errBadMsg marks a control message that arrived whole but does not decode;
+// the server counts it under wire.control.rx_errors and drops the peer.
+var errBadMsg = errors.New("wire: malformed control message")
+
+// appendMsg appends env as one length-prefixed message to buf:
+//
+//	uint32 length of the rest (big-endian)
+//	u8 controlVersion, u8 Type
+//	u64 Seq, u64 Epoch, u64 Term (big-endian)
+//	uvarint-length Name, Role, Addr, Err
+//	uvarint count, then count × (u32 DIP, u8 healthy) — Health
+//	the raw Delta bytes, to the end of the message
+//
+// A decoded message re-encodes to the same bytes: lengths are minimal
+// uvarints and healthy is 0 or 1, and decodeMsg refuses anything else.
+func appendMsg(buf []byte, env *Envelope) ([]byte, error) {
+	start := len(buf)
+	buf = append(buf, 0, 0, 0, 0, controlVersion, byte(env.Type))
+	buf = binary.BigEndian.AppendUint64(buf, env.Seq)
+	buf = binary.BigEndian.AppendUint64(buf, env.Epoch)
+	buf = binary.BigEndian.AppendUint64(buf, env.Term)
+	for _, s := range [...]string{env.Name, env.Role, env.Addr, env.Err} {
+		buf = binary.AppendUvarint(buf, uint64(len(s)))
+		buf = append(buf, s...)
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(env.Health)))
+	for _, h := range env.Health {
+		buf = binary.BigEndian.AppendUint32(buf, uint32(h.DIP))
+		healthy := byte(0)
+		if h.Healthy {
+			healthy = 1
+		}
+		buf = append(buf, healthy)
+	}
+	buf = append(buf, env.Delta...)
+	n := len(buf) - start - 4
+	if n > maxControlMsg {
+		return buf[:start], fmt.Errorf("wire: control message too large: %d", n)
+	}
+	binary.BigEndian.PutUint32(buf[start:], uint32(n))
+	return buf, nil
+}
+
+// writeMsg writes env as one message in one Write, encoding into *buf (kept
+// for the next call).
+func writeMsg(w io.Writer, buf *[]byte, env *Envelope) error {
+	b, err := appendMsg((*buf)[:0], env)
+	*buf = b
 	if err != nil {
 		return err
 	}
-	if len(body) > maxControlMsg {
-		return fmt.Errorf("wire: control message too large: %d", len(body))
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(body)
+	_, err = w.Write(b)
 	return err
 }
 
-// readMsg reads one length-prefixed envelope.
-func readMsg(r io.Reader, env *Envelope) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// readMsg reads one message into *buf, grown as needed and kept for the
+// next call, and decodes it into env. env.Delta aliases *buf: it is valid
+// until the next read, and a holder that keeps the bytes copies them. No
+// byte past the declared length is read.
+func readMsg(r io.Reader, buf *[]byte, env *Envelope) error {
+	b := *buf
+	if cap(b) < 4 {
+		b = make([]byte, 4, 512)
+		*buf = b
+	}
+	if _, err := io.ReadFull(r, b[:4]); err != nil {
 		return err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(b[:4])
 	if n > maxControlMsg {
-		return fmt.Errorf("wire: control message length %d exceeds limit", n)
+		return fmt.Errorf("%w: length %d exceeds limit", errBadMsg, n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	if cap(b) < int(n) {
+		b = make([]byte, n)
+		*buf = b
+	}
+	b = b[:n]
+	if _, err := io.ReadFull(r, b); err != nil {
 		return err
 	}
-	*env = Envelope{}
-	return json.Unmarshal(body, env)
+	return decodeMsg(b, env)
+}
+
+// decodeMsg parses one message body (appendMsg's layout, length prefix
+// stripped) into env.
+func decodeMsg(b []byte, env *Envelope) error {
+	if len(b) < fixedLen {
+		return fmt.Errorf("%w: %d-byte body", errBadMsg, len(b))
+	}
+	if b[0] != controlVersion {
+		return fmt.Errorf("%w: version %d, want %d", errBadMsg, b[0], controlVersion)
+	}
+	*env = Envelope{
+		Type:  MsgType(b[1]),
+		Seq:   binary.BigEndian.Uint64(b[2:]),
+		Epoch: binary.BigEndian.Uint64(b[10:]),
+		Term:  binary.BigEndian.Uint64(b[18:]),
+	}
+	rest := b[fixedLen:]
+	for _, s := range [...]*string{&env.Name, &env.Role, &env.Addr, &env.Err} {
+		n, k := uvarint(rest)
+		if k == 0 || n > uint64(len(rest)-k) {
+			return fmt.Errorf("%w: bad string length", errBadMsg)
+		}
+		if n > 0 {
+			*s = string(rest[k : k+int(n)])
+		}
+		rest = rest[k+int(n):]
+	}
+	n, k := uvarint(rest)
+	if k == 0 || n > uint64((len(rest)-k)/healthLen) {
+		return fmt.Errorf("%w: bad health count", errBadMsg)
+	}
+	rest = rest[k:]
+	if n > 0 {
+		env.Health = make([]DIPHealth, n)
+		for i := range env.Health {
+			if rest[4] > 1 {
+				return fmt.Errorf("%w: health flag %d", errBadMsg, rest[4])
+			}
+			env.Health[i] = DIPHealth{DIP: packet.Addr(binary.BigEndian.Uint32(rest)), Healthy: rest[4] == 1}
+			rest = rest[healthLen:]
+		}
+	}
+	if len(rest) > 0 {
+		env.Delta = rest
+	}
+	return nil
+}
+
+// uvarint reads a minimal-width uvarint and returns its width, or 0 for a
+// truncated, overlong or non-minimal one.
+func uvarint(b []byte) (uint64, int) {
+	v, k := binary.Uvarint(b)
+	if k <= 0 || k > 1 && b[k-1] == 0 {
+		return 0, 0
+	}
+	return v, k
 }
 
 // ControlHandler processes one inbound request and returns the error to
 // carry on the ack (nil = success). ack arrives pre-filled as a plain
 // MsgAck echoing the request's Seq; the handler may enrich it (set Epoch,
 // Term, Delta, or retype it MsgDeltaAck) — even on error, so a rejection
-// can still tell the caller where the peer stands. Handlers run on
-// per-connection goroutines and must be safe for concurrent calls.
+// can still tell the caller where the peer stands. env.Delta aliases the
+// connection's read buffer and is valid only during the call: a handler
+// that keeps the bytes copies them. Handlers run on per-connection
+// goroutines and must be safe for concurrent calls.
 type ControlHandler func(env *Envelope, ack *Envelope) error
 
 // ControlServer accepts control connections and dispatches requests to a
@@ -242,26 +361,27 @@ func (s *ControlServer) serveConn(conn net.Conn) {
 	}
 	defer s.untrack(conn)
 	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
-	var env Envelope
+	var rbuf, wbuf []byte
+	var env, ack Envelope
 	for {
-		if err := readMsg(r, &env); err != nil {
+		if err := readMsg(r, &rbuf, &env); err != nil {
+			if errors.Is(err, errBadMsg) {
+				s.rxErrors.Inc()
+			}
 			return // peer gone or garbage; either way the conn is done
 		}
 		s.rx.Inc()
-		ack := Envelope{Type: MsgAck, Seq: env.Seq}
-		if env.Type != MsgAck && env.Type != MsgDeltaAck { // stray acks are ignored, not re-acked
-			if err := s.handler(&env, &ack); err != nil {
-				s.rxErrors.Inc()
-				ack.Err = err.Error()
-			}
-			ack.Seq = env.Seq // the handler must not reroute the ack
-			if err := writeMsg(w, &ack); err != nil {
-				return
-			}
-			if err := w.Flush(); err != nil {
-				return
-			}
+		if env.Type == MsgAck || env.Type == MsgDeltaAck {
+			continue // stray acks are ignored, not re-acked
+		}
+		ack = Envelope{Type: MsgAck, Seq: env.Seq}
+		if err := s.handler(&env, &ack); err != nil {
+			s.rxErrors.Inc()
+			ack.Err = err.Error()
+		}
+		ack.Seq = env.Seq // the handler must not reroute the ack
+		if err := writeMsg(conn, &wbuf, &ack); err != nil {
+			return
 		}
 	}
 }
@@ -291,10 +411,11 @@ type ControlClient struct {
 	addr    string
 	timeout time.Duration
 
-	mu   sync.Mutex
-	conn net.Conn
-	r    *bufio.Reader
-	seq  uint64
+	mu         sync.Mutex
+	conn       net.Conn
+	r          *bufio.Reader
+	rbuf, wbuf []byte // one message each way, kept across calls
+	seq        uint64
 
 	calls, callErrors, reconnects telemetry.CounterShard
 }
@@ -322,7 +443,8 @@ func (c *ControlClient) Call(env *Envelope) error {
 // CallE is Call returning the ack envelope, so callers of the delta
 // protocol can read the enriched fields (Epoch, Term, Delta). On a
 // RejectedError the ack is still returned — a gap rejection carries the
-// peer's applied epoch. The ack is nil only on transport failure.
+// peer's applied epoch. The ack is nil only on transport failure. The
+// caller owns the ack, its Delta included.
 func (c *ControlClient) CallE(env *Envelope) (*Envelope, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -341,13 +463,13 @@ func (c *ControlClient) CallE(env *Envelope) (*Envelope, error) {
 	env.Seq = c.seq
 	deadline := time.Now().Add(c.timeout) //duet:allow noclock net.Conn deadlines need absolute wall time
 	_ = c.conn.SetDeadline(deadline)
-	if err := writeMsg(c.conn, env); err != nil {
+	if err := writeMsg(c.conn, &c.wbuf, env); err != nil {
 		c.dropConnLocked()
 		return nil, err
 	}
 	var ack Envelope
 	for {
-		if err := readMsg(c.r, &ack); err != nil {
+		if err := readMsg(c.r, &c.rbuf, &ack); err != nil {
 			c.dropConnLocked()
 			return nil, err
 		}
@@ -355,6 +477,9 @@ func (c *ControlClient) CallE(env *Envelope) (*Envelope, error) {
 			break
 		}
 		// An ack for an older (timed-out) request; keep reading.
+	}
+	if ack.Delta != nil {
+		ack.Delta = bytes.Clone(ack.Delta) // off the read buffer the next call reuses
 	}
 	if ack.Err != "" {
 		return &ack, &RejectedError{Peer: c.addr, Type: env.Type, Reason: ack.Err}

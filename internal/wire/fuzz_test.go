@@ -1,14 +1,17 @@
 package wire
 
-// Native fuzz targets for the frame codec, trace extension included: the
-// decoder must be total (no panics on arbitrary bytes), every accepted frame
-// must obey the header's claims, and encode→decode must be the identity for
-// both traced and untraced frames. Run with
-// `go test -fuzz FuzzDecodeFrameTrace ./internal/wire` etc.
+// Native fuzz targets for the frame codec, trace extension included, and
+// the control-message reader: the decoders must be total (no panics on
+// arbitrary bytes), every accepted frame must obey the header's claims,
+// encode→decode must be the identity for both traced and untraced frames,
+// and an accepted control message must re-encode to the bytes it came from.
+// Run with `go test -fuzz FuzzDecodeFrameTrace ./internal/wire` etc.
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
 	"testing"
 )
 
@@ -50,6 +53,61 @@ func FuzzDecodeFrameTrace(f *testing.F) {
 		plain, perr := DecodeFrame(data[:FrameHeaderLen+ext+len(payload)])
 		if perr != nil || !bytes.Equal(plain, payload) {
 			t.Fatalf("DecodeFrame disagrees: %q, %v", plain, perr)
+		}
+	})
+}
+
+// countingReader counts the bytes a reader hands out.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// FuzzReadMsg feeds arbitrary bytes to the control-message reader: it must
+// never panic, never read past the length the message declares, and an
+// envelope it accepts must re-encode to exactly the bytes it read.
+func FuzzReadMsg(f *testing.F) {
+	for _, env := range []*Envelope{
+		{Type: MsgHello, Seq: 1, Role: RoleSMux, Name: "smux-1"},
+		{Type: MsgHealthReport, Seq: 2, Name: "host-1", Health: []DIPHealth{{DIP: 0x64000001, Healthy: true}, {DIP: 0x64000002}}},
+		{Type: MsgAck, Seq: 3, Err: "nope"},
+		{Type: MsgDeltaPush, Seq: 4, Name: "ctl-1", Term: 1, Epoch: 2, Delta: []byte{0xDD, 1, 0, 1, 2, 0}},
+	} {
+		msg, err := appendMsg(nil, env)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(msg)
+		f.Add(msg[:len(msg)-1])
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 1, controlVersion})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cr := &countingReader{r: bytes.NewReader(data)}
+		var buf []byte
+		var env Envelope
+		err := readMsg(cr, &buf, &env)
+		if len(data) >= 4 {
+			if declared := 4 + int(binary.BigEndian.Uint32(data)); cr.n > declared {
+				t.Fatalf("read %d bytes of a %d-byte message", cr.n, declared)
+			}
+		}
+		if err != nil {
+			return
+		}
+		msg, err := appendMsg(nil, &env)
+		if err != nil {
+			t.Fatalf("accepted envelope does not re-encode: %v", err)
+		}
+		if !bytes.Equal(msg, data[:cr.n]) {
+			t.Fatalf("accepted envelope re-encodes differently:\n got %x\nwant %x", msg, data[:cr.n])
 		}
 	})
 }

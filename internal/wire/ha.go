@@ -12,13 +12,17 @@ package wire
 // standby moves first. A deposed leader steps down the moment any peer
 // answers with a higher term.
 //
-// The push protocol is heartbeat-probe + delta-ship: a MsgLeaderHeartbeat's
-// ack carries the peer's applied epoch; a lagging peer gets exactly the
-// missing deltas from the log tail, and only a peer behind the compaction
-// horizon gets the snapshot recovery push (counted separately — at steady
-// state the full-push counter must not move). On epoch advance, standby
-// controllers are synced before dataplane peers, so a takeover never needs
-// a config the standby has not yet tailed.
+// The push protocol is one round trip per behind peer: the leader remembers
+// each peer's acked epoch for this term, and a peer known to be behind gets
+// exactly the missing deltas from the log tail, their encodings made once at
+// append. A MsgLeaderHeartbeat, whose ack carries the peer's applied epoch,
+// probes only a peer that is idle at the head (renewing its lease) or whose
+// epoch is unknown — new this term, or forgotten after a transport error, so
+// a blank restart is found by a probe rather than by a rejected push. Only a
+// peer behind the compaction horizon gets the snapshot recovery push
+// (counted separately — at steady state the full-push counter must not
+// move). On epoch advance, standby controllers are synced before dataplane
+// peers, so a takeover never needs a config the standby has not yet tailed.
 
 import (
 	"errors"
@@ -182,7 +186,7 @@ func (r *replicator) becomeLeaderLocked() {
 	r.elections.Inc()
 	if r.log.HeadEpoch() == 0 {
 		if boot, err := specState(r.n.Spec, 1); err == nil {
-			_ = r.log.Append(delta.Diff(delta.NewState(), boot))
+			_ = r.log.Append(delta.Diff(delta.NewState(), boot), nil)
 			r.epochs.Inc()
 		}
 	}
@@ -248,11 +252,16 @@ func (r *replicator) electionLoop() {
 }
 
 func (r *replicator) notifyAllLocked() {
-	for _, ch := range r.wakes {
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
+	for name := range r.wakes {
+		r.wake(name)
+	}
+}
+
+// wake nudges one peer's push session; a nudge already pending suffices.
+func (r *replicator) wake(name string) {
+	select {
+	case r.wakes[name] <- struct{}{}:
+	default:
 	}
 }
 
@@ -276,13 +285,14 @@ func (r *replicator) churnLoop() {
 
 // advanceEpoch appends the next churn delta and syncs standby controllers
 // before waking the dataplane sessions — the ordering that keeps a standby
-// warm enough to take over without ever needing a full re-push.
+// warm enough to take over without ever needing a full re-push. A standby
+// the sync reached is not woken again: it is at the head.
 func (r *replicator) advanceEpoch() {
 	cur := r.log.Head()
 	next := cur.Clone()
 	churnMutate(next, r.n.Spec.ChurnSeed, r.n.Spec.ChurnFrac)
 	r.mu.Lock()
-	err := r.log.Append(delta.Diff(cur, next))
+	err := r.log.Append(delta.Diff(cur, next), nil)
 	if err == nil {
 		r.epochs.Inc()
 		r.epochAt = r.n.wall()
@@ -292,18 +302,16 @@ func (r *replicator) advanceEpoch() {
 		return // lost leadership race; the new leader owns the log now
 	}
 	for _, p := range r.peers {
-		if p.Role == RoleController {
-			r.syncPeer(p) // standbys first, synchronously
+		if p.Role == RoleController && r.syncPeer(p) { // standbys first, synchronously
+			continue
 		}
+		r.wake(p.Name)
 	}
-	r.mu.Lock()
-	r.notifyAllLocked()
-	r.mu.Unlock()
 }
 
-// peerLoop is one peer's push session: heartbeat-probe on the resync (or,
-// for controller peers, lease/3) cadence, ship deltas whenever the probe
-// shows lag, and wake immediately on epoch advance. Idle while not leading.
+// peerLoop is one peer's push session: a sync round on the resync (or, for
+// controller peers, lease/3) cadence and immediately on epoch advance. Idle
+// while not leading.
 func (r *replicator) peerLoop(peer *NodeSpec) {
 	defer r.wg.Done()
 	interval := time.Duration(r.n.Spec.ResyncMillis) * time.Millisecond
@@ -329,59 +337,57 @@ func (r *replicator) peerLoop(peer *NodeSpec) {
 	}
 }
 
-// syncPeer runs one probe-and-ship round: heartbeat, then deltas (or the
-// snapshot recovery push) until the peer acks the head epoch.
-func (r *replicator) syncPeer(peer *NodeSpec) {
+// syncPeer runs one push round and reports whether the peer acked the head.
+// A peer whose acked epoch this term is known and behind the head is
+// shipped the missing entries at once; any other is heartbeat-probed first.
+func (r *replicator) syncPeer(peer *NodeSpec) bool {
 	client := r.clients[peer.Name]
 	r.mu.Lock()
-	term := r.term
-	leader := r.leader
+	term, leader := r.term, r.leader
+	peerEpoch, known := r.acked[peer.Name]
 	r.mu.Unlock()
 	if !leader {
-		return
+		return false
 	}
 	head := r.log.HeadEpoch()
-	hb := &Envelope{Type: MsgLeaderHeartbeat, Name: r.n.Me.Name, Term: term, Epoch: head}
-	ack, err := client.CallE(hb)
-	if err != nil {
-		if ack != nil && ack.Term > term {
-			r.stepDown(ack.Term)
+	if !known || peerEpoch >= head {
+		ack, err := client.CallE(&Envelope{Type: MsgLeaderHeartbeat, Name: r.n.Me.Name, Term: term, Epoch: head})
+		if err != nil {
+			r.callFailed(peer.Name, term, ack)
+			return false
 		}
-		return
+		peerEpoch = ack.Epoch
 	}
-	peerEpoch := ack.Epoch
 	for peerEpoch < head {
-		ds, ok := r.log.Since(peerEpoch)
+		es, ok := r.log.Since(peerEpoch)
 		if !ok {
 			// Behind the compaction horizon: the recovery path.
 			snap := r.log.Snapshot()
-			ack, err = client.CallE(&Envelope{
+			ack, err := client.CallE(&Envelope{
 				Type: MsgDeltaPush, Name: r.n.Me.Name, Term: term,
 				Epoch: snap.ToEpoch, Delta: snap.Encode(),
 			})
 			if err != nil {
-				return
+				r.callFailed(peer.Name, term, ack)
+				return false
 			}
 			r.fullPushes.Inc()
 			peerEpoch = ack.Epoch
 			continue
 		}
-		for _, d := range ds {
-			ack, err = client.CallE(&Envelope{
+		for _, e := range es {
+			ack, err := client.CallE(&Envelope{
 				Type: MsgDeltaPush, Name: r.n.Me.Name, Term: term,
-				Epoch: d.ToEpoch, Delta: d.Encode(),
+				Epoch: e.Delta.ToEpoch, Delta: e.Enc,
 			})
 			if err != nil {
 				var rej *RejectedError
-				if errors.As(err, &rej) && ack != nil {
-					if ack.Term > term {
-						r.stepDown(ack.Term)
-						return
-					}
-					peerEpoch = ack.Epoch // diverged mid-run; re-probe from its truth
+				if errors.As(err, &rej) && ack.Term <= term {
+					peerEpoch = ack.Epoch // diverged mid-run (a gap); resume from its truth
 					break
 				}
-				return
+				r.callFailed(peer.Name, term, ack)
+				return false
 			}
 			r.deltaPushes.Inc()
 			peerEpoch = ack.Epoch
@@ -389,9 +395,27 @@ func (r *replicator) syncPeer(peer *NodeSpec) {
 		head = r.log.HeadEpoch() // the log may have advanced while shipping
 	}
 	r.mu.Lock()
-	r.acked[peer.Name] = peerEpoch
+	if r.leader && r.term == term {
+		r.acked[peer.Name] = peerEpoch
+	}
 	r.mu.Unlock()
 	r.n.resyncs.Inc()
+	return true
+}
+
+// callFailed handles a failed call to a peer: a higher term on the ack
+// deposes this leader, and a transport failure (no ack) forgets the peer's
+// epoch, so the next round probes whatever answers — a blank restart
+// included — instead of pushing at it.
+func (r *replicator) callFailed(peer string, term uint64, ack *Envelope) {
+	switch {
+	case ack == nil:
+		r.mu.Lock()
+		delete(r.acked, peer)
+		r.mu.Unlock()
+	case ack.Term > term:
+		r.stepDown(ack.Term)
+	}
 }
 
 // --- inbound side (controller handlers) ---------------------------------
@@ -448,7 +472,7 @@ func (r *replicator) handleDeltaPush(env, ack *Envelope) error {
 			return err
 		}
 		r.log.Reset(st)
-	} else if err := r.log.Append(d); err != nil {
+	} else if err := r.log.Append(d, env.Delta); err != nil {
 		ack.Epoch = r.log.HeadEpoch()
 		return err
 	}

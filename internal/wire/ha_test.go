@@ -143,6 +143,89 @@ func TestSnapshotRecoveryBehindHorizon(t *testing.T) {
 	})
 }
 
+// ackedAll reports whether the leader has recorded every peer's ack of the
+// log head this term.
+func ackedAll(r *replicator) bool {
+	head := r.log.HeadEpoch()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, p := range r.peers {
+		if e, ok := r.acked[p.Name]; !ok || e != head {
+			return false
+		}
+	}
+	return true
+}
+
+// TestEpochCostsOneCallPerPeer: once warm, the leader knows every peer's
+// epoch, so an epoch costs exactly one call per peer — the delta push, no
+// heartbeat probe before it. A dataplane node restarted blank inside the
+// compaction horizon is found by a probe after the failed push, and is
+// replayed in deltas: no rejection, no snapshot.
+func TestEpochCostsOneCallPerPeer(t *testing.T) {
+	spec := testHASpec(t)
+	spec.Nodes[3] = NodeSpec{Name: "sw-1", Role: RoleSwitch, Self: "1.0.0.1", Data: freeUDP(t), Control: freeTCP(t), HTTP: freeTCP(t)}
+	spec.ChurnMillis = 0      // the test drives the epochs
+	spec.ResyncMillis = 60000 // no periodic round inside the test …
+	spec.LeaseMillis = 60000  // … nor a standby heartbeat
+	nodes := map[string]*Node{}
+	for _, name := range []string{"ctl-2", "smux-1", "sw-1", "ctl-1"} { // the leader last: its first round finds every peer up
+		n, err := StartNode(spec, name)
+		if err != nil {
+			t.Fatalf("StartNode %s: %v", name, err)
+		}
+		defer func() { nodes[name].Close() }()
+		nodes[name] = n
+	}
+	ctl := nodes["ctl-1"]
+	waitFor(t, "bootstrap acked by every peer", func() bool { return ackedAll(ctl.rep) })
+
+	const epochs = 10
+	peers := uint64(len(ctl.rep.peers))
+	calls := counter(ctl, "wire.control.calls")
+	for i := 0; i < epochs; i++ {
+		ctl.rep.advanceEpoch()
+		waitFor(t, "epoch acked by every peer", func() bool { return ackedAll(ctl.rep) })
+	}
+	if got := counter(ctl, "wire.control.calls") - calls; got != peers*epochs {
+		t.Fatalf("%d epochs to %d peers cost %d calls, want %d", epochs, peers, got, peers*epochs)
+	}
+	head := ctl.rep.log.HeadEpoch()
+	if got := nodes["ctl-2"].rep.log.HeadEpoch(); got != head {
+		t.Fatalf("standby log at %d, leader at %d", got, head)
+	}
+	for _, name := range []string{"smux-1", "sw-1"} {
+		if got := uint64(gauge(nodes[name], "wire.delta.epoch")); got != head {
+			t.Fatalf("%s applied epoch %d, leader at %d", name, got, head)
+		}
+	}
+
+	// Restart sw-1 blank. The next push meets a dead connection and forgets
+	// its epoch; the round after probes it and replays the log from epoch 0.
+	nodes["sw-1"].Close()
+	sw, err := StartNode(spec, "sw-1")
+	if err != nil {
+		t.Fatalf("restart sw-1: %v", err)
+	}
+	nodes["sw-1"] = sw
+	waitFor(t, "restarted sw-1 converges", func() bool {
+		if ackedAll(ctl.rep) && uint64(gauge(sw, "wire.delta.epoch")) == ctl.rep.log.HeadEpoch() {
+			return true
+		}
+		ctl.rep.advanceEpoch()
+		return false
+	})
+	if got := counter(sw, "wire.delta.rejected"); got != 0 {
+		t.Fatalf("restarted sw-1 rejected %d pushes", got)
+	}
+	if got := counter(ctl, "wire.controller.full_pushes"); got != 0 {
+		t.Fatalf("a restart inside the horizon cost %d snapshot pushes", got)
+	}
+	if gauge(sw, "wire.vips") != 2 {
+		t.Fatalf("restarted sw-1 holds %d VIPs, want 2", gauge(sw, "wire.vips"))
+	}
+}
+
 // TestVIPStateVersion pins the delta-side fingerprint: identical states
 // hash equal, and every receiver-visible field perturbs the hash — the gate
 // that keeps a snapshot recovery from bumping steer epochs on unchanged

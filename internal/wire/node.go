@@ -479,19 +479,23 @@ func (n *Node) startHealthLoop() {
 				return
 			case <-t.C:
 			}
-			msg := &HealthMsg{Host: n.Me.Self, DIPs: make(map[string]bool)}
+			var health []DIPHealth
+			seen := make(map[packet.Addr]bool)
 			for _, v := range n.Spec.VIPs {
 				vip, err := packet.ParseAddr(v.Addr)
 				if err != nil {
 					continue
 				}
 				for _, dip := range n.agent.LocalDIPs(vip) {
-					msg.DIPs[dip.String()] = n.agent.Healthy(dip)
+					if !seen[dip] {
+						seen[dip] = true
+						health = append(health, DIPHealth{DIP: dip, Healthy: n.agent.Healthy(dip)})
+					}
 				}
 			}
 			delivered := false
 			for _, c := range clients {
-				if err := c.Call(&Envelope{Type: MsgHealthReport, Health: msg}); err == nil {
+				if err := c.Call(&Envelope{Type: MsgHealthReport, Name: n.Me.Name, Health: health}); err == nil {
 					delivered = true
 				}
 			}
@@ -661,11 +665,12 @@ func (n *Node) controllerControl(env, ack *Envelope) error {
 }
 
 // Peer programming lives in ha.go: the leading controller's replicator
-// heartbeat-probes every peer and ships epoch deltas (or the snapshot
-// recovery push) until the peer acks the log head — the delta-first
-// successor of the old full-config anti-entropy loop. A restarted (blank)
-// peer is still fully reprogrammed within one resync interval plus the
-// reconnect backoff — the cross-process Figure 12 recovery path.
+// ships every peer the epoch deltas it lacks (or the snapshot recovery
+// push) until the peer acks the log head, heartbeat-probing only a peer
+// that is idle or whose epoch it does not know — the delta-first successor
+// of the old full-config anti-entropy loop. A restarted (blank) peer is
+// still fully reprogrammed within one resync interval plus the reconnect
+// backoff — the cross-process Figure 12 recovery path.
 
 // --- obs role -----------------------------------------------------------
 

@@ -85,10 +85,11 @@ type VIPSpec struct {
 type ClusterSpec struct {
 	Nodes []NodeSpec `json:"nodes"`
 	VIPs  []VIPSpec  `json:"vips"`
-	// ResyncMillis is the controller's anti-entropy interval: every peer is
-	// heartbeat-probed this often and, if its applied epoch lags the delta
-	// log's head, shipped the missing deltas (or the snapshot recovery push
-	// if it fell behind the compaction horizon) — which is what heals a
+	// ResyncMillis is the controller's anti-entropy interval: every peer gets
+	// a sync round this often (and on every epoch) — heartbeat-probed when it
+	// is idle or its epoch is unknown and, if its applied epoch lags the
+	// delta log's head, shipped the missing deltas (or the snapshot recovery
+	// push if it fell behind the compaction horizon) — which is what heals a
 	// restarted (blank) mux or host agent. Default 2000.
 	ResyncMillis int `json:"resync_ms,omitempty"`
 	// LeaseMillis is the controller leadership lease: the leader heartbeats
