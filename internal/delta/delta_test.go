@@ -358,6 +358,45 @@ func TestLogReplayAndCompaction(t *testing.T) {
 	if !blank.Equal(head) {
 		t.Fatal("snapshot replay diverged from head")
 	}
+
+	// Reset (a standby replaying a snapshot): the log restarts at the
+	// state's epoch with nothing to replay below it, then compacts again.
+	reset := states[5]
+	l.Reset(reset)
+	if got := l.Horizon(); got != reset.Epoch {
+		t.Fatalf("horizon after Reset = %d, want %d", got, reset.Epoch)
+	}
+	if es, ok := l.Since(reset.Epoch); !ok || len(es) != 0 {
+		t.Fatalf("Since(%d) after Reset = %d entries, %v; want none, ok", reset.Epoch, len(es), ok)
+	}
+	if _, ok := l.Since(reset.Epoch - 1); ok {
+		t.Fatal("Since below the reset horizon must fail")
+	}
+	cur = reset.Clone()
+	for e := 0; e < 8; e++ {
+		horizon := l.Horizon()
+		if len(l.tail) == 4 {
+			horizon = l.tail[0].To // the entry this append drops
+		}
+		next := cur.Clone()
+		mutate(rng, next)
+		if err := l.Append(Diff(cur, next), nil); err != nil {
+			t.Fatalf("append %d after Reset: %v", e, err)
+		}
+		cur = next
+		if got := l.Horizon(); got != horizon {
+			t.Fatalf("append %d after Reset: horizon = %d, want %d", e, got, horizon)
+		}
+		if got, want := len(l.tail), min(e+1, 4); got != want {
+			t.Fatalf("append %d after Reset: tail = %d, want %d", e, got, want)
+		}
+	}
+	if got := l.Horizon(); got != reset.Epoch+4 {
+		t.Fatalf("horizon after 8 appends = %d, want %d", got, reset.Epoch+4)
+	}
+	if !l.Head().Equal(cur) {
+		t.Fatal("appends after Reset diverged from the head")
+	}
 }
 
 func TestLogRejectsGaps(t *testing.T) {

@@ -6,30 +6,30 @@ import (
 	"sync"
 )
 
-// DefaultMaxTail is how many epoch deltas a Log retains before compacting
-// the oldest into its base snapshot. A follower whose acked epoch is within
-// the tail resyncs with deltas; one behind the horizon needs a snapshot
-// push (the recovery path).
+// DefaultMaxTail is how many epoch deltas a Log retains before dropping the
+// oldest. A follower whose acked epoch is within the tail resyncs with
+// deltas; one behind the horizon needs a snapshot push (the recovery path).
 const DefaultMaxTail = 64
 
-// Entry is one retained tail delta with its encoding, made once when the
-// delta was appended: every push of the entry ships these bytes. Both are
-// shared and read-only.
+// Entry is one retained tail delta, carrying a follower from epoch From to
+// To, with its encoding made once when the delta was appended: every push
+// of the entry ships these bytes, which are shared and read-only.
 type Entry struct {
-	Delta *Delta
-	Enc   []byte // Delta.Encode()
+	From, To uint64
+	Enc      []byte // the delta's Encode()
 }
 
 // Log is the append-only, compacting delta log the leader maintains and a
-// warm standby tails: a base snapshot (the state at the compaction horizon)
-// plus a contiguous run of epoch deltas up to the head. All methods are
-// safe for concurrent use.
+// warm standby tails: the head state plus a contiguous run of epoch deltas
+// ending at it. The run starts at the compaction horizon, the oldest epoch
+// from which the log can replay; compaction drops the oldest entry and moves
+// the horizon to its To. All methods are safe for concurrent use.
 type Log struct {
 	mu      sync.Mutex
 	maxTail int
-	base    *State  // state at the horizon
-	head    *State  // base + all tail deltas applied
-	tail    []Entry // tail[i].Delta.FromEpoch == base.Epoch + i (contiguous)
+	horizon uint64
+	head    *State
+	tail    []Entry // tail[0].From == horizon, tail[i].To == tail[i+1].From, last To == head.Epoch
 }
 
 // NewLog returns an empty log (horizon and head at epoch 0) retaining up to
@@ -38,7 +38,7 @@ func NewLog(maxTail int) *Log {
 	if maxTail <= 0 {
 		maxTail = DefaultMaxTail
 	}
-	return &Log{maxTail: maxTail, base: NewState(), head: NewState()}
+	return &Log{maxTail: maxTail, head: NewState()}
 }
 
 // Head returns a deep copy of the newest state.
@@ -60,15 +60,15 @@ func (l *Log) HeadEpoch() uint64 {
 func (l *Log) Horizon() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.base.Epoch
+	return l.horizon
 }
 
-// Append applies d to the head in place and retains it, compacting the
-// oldest tail delta into the base snapshot when the tail exceeds maxTail. d
-// must continue the log (FromEpoch == head epoch, ToEpoch > FromEpoch) and
-// apply cleanly; on error the log is unchanged, because Delta.Apply is all
-// or nothing. enc is d's encoding as received (a standby tailing the
-// leader), which the log copies; a nil enc is encoded here.
+// Append applies d to the head in place and retains it, dropping the oldest
+// entry when the tail exceeds maxTail. d must continue the log (FromEpoch ==
+// head epoch, ToEpoch > FromEpoch) and apply cleanly; on error the log is
+// unchanged, because Delta.Apply is all or nothing. enc is d's encoding as
+// received (a standby tailing the leader), which the log copies; a nil enc
+// is encoded here.
 func (l *Log) Append(d *Delta, enc []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -89,26 +89,22 @@ func (l *Log) Append(d *Delta, enc []byte) error {
 	} else {
 		enc = bytes.Clone(enc)
 	}
-	l.tail = append(l.tail, Entry{Delta: d, Enc: enc})
+	l.tail = append(l.tail, Entry{From: d.FromEpoch, To: d.ToEpoch, Enc: enc})
 	for len(l.tail) > l.maxTail {
-		if err := l.tail[0].Delta.Apply(l.base); err != nil {
-			// The tail applied at the head once already; failing here means
-			// internal corruption, not caller error.
-			return fmt.Errorf("delta: compaction failed: %w", err)
-		}
+		l.horizon = l.tail[0].To
 		l.tail[0] = Entry{} // the bytes go with the entry
 		l.tail = l.tail[1:]
 	}
 	return nil
 }
 
-// Reset reinitializes the log to the given state (a standby promoting after
-// replaying a snapshot, or a leader bootstrapping from the spec). The log
-// starts with an empty tail at that state's epoch.
+// Reset reinitializes the log to the given state (a standby replaying a
+// snapshot, whose log may hold epochs the new leader never had). The log
+// starts with an empty tail, its horizon and head at that state's epoch.
 func (l *Log) Reset(s *State) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.base = s.Clone()
+	l.horizon = s.Epoch
 	l.head = s.Clone()
 	l.tail = nil
 }
@@ -120,11 +116,11 @@ func (l *Log) Reset(s *State) {
 func (l *Log) Since(from uint64) (es []Entry, ok bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if from < l.base.Epoch || from > l.head.Epoch {
+	if from < l.horizon || from > l.head.Epoch {
 		return nil, false
 	}
 	for _, e := range l.tail {
-		if e.Delta.FromEpoch >= from {
+		if e.From >= from {
 			es = append(es, e)
 		}
 	}

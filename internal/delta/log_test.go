@@ -8,8 +8,7 @@ import (
 )
 
 // served is everything a log hands out: the head as a snapshot, the head
-// epoch, and every retained entry — its stored bytes and its delta's
-// encoding.
+// epoch, and every retained entry — its epochs and its stored bytes.
 func served(l *Log) []byte {
 	b := l.Snapshot().Encode()
 	es, ok := l.Since(l.Horizon())
@@ -17,8 +16,9 @@ func served(l *Log) []byte {
 		panic("Since(Horizon()) refused")
 	}
 	for _, e := range es {
+		b = binary.AppendUvarint(b, e.From)
+		b = binary.AppendUvarint(b, e.To)
 		b = append(b, e.Enc...)
-		b = append(b, e.Delta.Encode()...)
 	}
 	return binary.AppendUvarint(b, l.HeadEpoch())
 }
@@ -74,10 +74,10 @@ func TestAppendRejectLeavesHead(t *testing.T) {
 	}
 }
 
-// TestLogKeepsEncodings: every stored entry's bytes are its delta's
-// encoding, whether the log encoded it (a leader) or kept the bytes it was
-// pushed (a standby, whose receive buffer is reused after the call), and
-// leader and standby serve the same bytes.
+// TestLogKeepsEncodings: every stored entry's bytes are the encoding of a
+// delta from the entry's From to its To, whether the log encoded it (a
+// leader) or kept the bytes it was pushed (a standby, whose receive buffer
+// is reused after the call), and leader and standby serve the same bytes.
 func TestLogKeepsEncodings(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	leader, standby := NewLog(4), NewLog(4)
@@ -109,8 +109,15 @@ func TestLogKeepsEncodings(t *testing.T) {
 			t.Fatalf("%s keeps %d entries, want the 4 of its tail", name, len(es))
 		}
 		for _, e := range es {
-			if !bytes.Equal(e.Enc, e.Delta.Encode()) {
-				t.Fatalf("%s: entry to epoch %d stores bytes other than its delta's encoding", name, e.Delta.ToEpoch)
+			d, err := Decode(e.Enc)
+			if err != nil {
+				t.Fatalf("%s: entry %d → %d: %v", name, e.From, e.To, err)
+			}
+			if d.Snapshot || d.FromEpoch != e.From || d.ToEpoch != e.To {
+				t.Fatalf("%s: entry %d → %d holds a delta %d → %d (snapshot %v)", name, e.From, e.To, d.FromEpoch, d.ToEpoch, d.Snapshot)
+			}
+			if !bytes.Equal(d.Encode(), e.Enc) {
+				t.Fatalf("%s: entry %d → %d does not re-encode to its own bytes", name, e.From, e.To)
 			}
 		}
 	}

@@ -3,123 +3,57 @@ package wire
 // The receiver side of delta replication: every dataplane node keeps a
 // delta.State mirror of the leader's config and reconciles only the VIPs an
 // incoming delta touches into its role's tables. A snapshot push (the
-// recovery path for a blank restart behind the compaction horizon) resets
-// the mirror and reconciles the union of old and new VIPs; the per-VIP
-// fingerprint gate (vipVers) keeps that re-application from bumping steer
-// epochs on VIPs whose config did not actually change.
+// recovery path for a blank restart behind the compaction horizon) lands as
+// its diff from the mirror, so it too reprograms exactly the VIPs whose
+// config it changes. A VIP a table refused stays in the mirror and is
+// retried when its config next changes.
 
 import (
-	"fmt"
-
 	"duet/internal/delta"
 	"duet/internal/packet"
 	"duet/internal/steer"
 	"duet/internal/telemetry"
 )
 
-// handleLeaderHeartbeat is the dataplane side of the lease protocol: track
-// the leader's term (so a deposed leader's pushes are rejected) and answer
-// with the applied epoch — the probe that tells the leader whether to ship.
-func (n *Node) handleLeaderHeartbeat(env, ack *Envelope) error {
+// handleLeader is a dataplane node's side of replication: a heartbeat or a
+// delta push from the leader, behind the leader fence (see fence). A
+// heartbeat is a push without a delta, its ack the applied-epoch probe that
+// tells the leader what to ship. A push applies its delta to the mirror and
+// reconciles the touched VIPs through the role's reconcile func; a snapshot
+// is turned into its diff from the mirror first. The ack always carries the
+// applied epoch: a gap rejection tells the leader exactly where this node
+// stands, so it ships the missing range instead of the full config.
+// delta.Apply is all-or-nothing, so a rejected push leaves the mirror, the
+// epoch and the tables where they were and the leader's next push meets the
+// state it expects.
+func (n *Node) handleLeader(env, ack *Envelope, reconcile func(addrs []packet.Addr) error) error {
 	n.cfgMu.Lock()
 	defer n.cfgMu.Unlock()
-	ack.Type = MsgDeltaAck
-	if env.Term < n.leaderTerm {
-		ack.Term = n.leaderTerm
-		ack.Epoch = n.cfg.Epoch
-		return errStaleTerm(env.Term, n.leaderTerm)
+	err := fence(env, ack, &n.leaderTerm, n.cfg.Epoch)
+	if env.Type == MsgLeaderHeartbeat {
+		return err
 	}
-	n.leaderTerm = env.Term
-	n.leaderName = env.Name
-	ack.Term = n.leaderTerm
-	ack.Epoch = n.cfg.Epoch
-	return nil
-}
-
-// handleDeltaPush applies one epoch delta (or snapshot) to the mirror and
-// reconciles the touched VIPs through the role-specific reconcile func. The
-// ack always carries the applied epoch: a gap rejection tells the leader
-// exactly where this node stands, so it ships the missing range instead of
-// the full config. delta.Apply is all-or-nothing, so a rejected push leaves
-// the mirror, the epoch and the tables where they were and the leader's next
-// push meets the state it expects.
-func (n *Node) handleDeltaPush(env, ack *Envelope, reconcile func(addrs []packet.Addr) error) error {
-	n.cfgMu.Lock()
-	defer n.cfgMu.Unlock()
-	ack.Type = MsgDeltaAck
-	ack.Epoch = n.cfg.Epoch
-	if env.Term < n.leaderTerm {
-		ack.Term = n.leaderTerm
-		n.deltaRejected.Inc()
-		return errStaleTerm(env.Term, n.leaderTerm)
+	var d *delta.Delta
+	if err == nil {
+		d, err = delta.Decode(env.Delta)
 	}
-	n.leaderTerm = env.Term
-	n.leaderName = env.Name
-	ack.Term = n.leaderTerm
-	d, err := delta.Decode(env.Delta)
+	if err == nil && d.Snapshot {
+		snap := delta.NewState()
+		if err = d.Apply(snap); err == nil {
+			d = delta.Diff(n.cfg, snap)
+		}
+	}
+	if err == nil {
+		err = d.Apply(n.cfg)
+	}
 	if err != nil {
 		n.deltaRejected.Inc()
 		return err
 	}
-	var addrs []packet.Addr
-	if d.Snapshot {
-		addrs = n.cfg.Addrs() // old population: anything vanishing must be withdrawn
-		if err := d.Apply(n.cfg); err != nil {
-			n.deltaRejected.Inc()
-			return err
-		}
-		addrs = unionAddrs(addrs, n.cfg.Addrs())
-	} else {
-		if d.FromEpoch != n.cfg.Epoch {
-			n.deltaRejected.Inc()
-			return fmt.Errorf("wire: epoch gap: delta from %d, applied %d", d.FromEpoch, n.cfg.Epoch)
-		}
-		if err := d.Apply(n.cfg); err != nil {
-			n.deltaRejected.Inc()
-			return err
-		}
-		addrs = affectedAddrs(d)
-	}
 	ack.Epoch = n.cfg.Epoch
 	n.deltaEpochG.Set(int64(n.cfg.Epoch))
 	n.deltaApplied.Inc()
-	return reconcile(addrs)
-}
-
-func unionAddrs(a, b []packet.Addr) []packet.Addr {
-	seen := make(map[packet.Addr]bool, len(a)+len(b))
-	out := a[:0:len(a)]
-	for _, x := range a {
-		if !seen[x] {
-			seen[x] = true
-			out = append(out, x)
-		}
-	}
-	for _, x := range b {
-		if !seen[x] {
-			seen[x] = true
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-// versionChanged reports whether the VIP's replicated config differs from
-// what this node last programmed, updating the record. Deleting a VIP
-// clears its entry.
-func (n *Node) versionChanged(a packet.Addr, vs *delta.VIPState) bool {
-	n.versMu.Lock()
-	defer n.versMu.Unlock()
-	if vs == nil {
-		delete(n.vipVers, a)
-		return true
-	}
-	ver := vipStateVersion(vs)
-	if n.vipVers[a] == ver {
-		return false
-	}
-	n.vipVers[a] = ver
-	return true
+	return reconcile(affectedAddrs(d))
 }
 
 // reconcileSMux converges the SMux (and its NIC table, when present) on the
@@ -138,7 +72,6 @@ func (n *Node) reconcileSMux(addrs []packet.Addr) error {
 	for _, a := range addrs {
 		vs, ok := n.cfg.VIPs[a]
 		if !ok {
-			n.versionChanged(a, nil)
 			if n.pair.SMux.HasVIP(a) {
 				smuxOps = append(smuxOps, steer.Op{Kind: steer.OpRemove, Addr: a})
 			}
@@ -146,9 +79,6 @@ func (n *Node) reconcileSMux(addrs []packet.Addr) error {
 				nicOps = append(nicOps, steer.Op{Kind: steer.OpRemove, Addr: a})
 			}
 			continue
-		}
-		if !n.versionChanged(a, vs) && n.pair.SMux.HasVIP(a) {
-			continue // identical re-apply (snapshot recovery); keep the steer epoch
 		}
 		v, err := serviceVIPOf(vs)
 		if err != nil {
@@ -200,13 +130,9 @@ func (n *Node) reconcileSwitch(addrs []packet.Addr) error {
 		hardware := ok && vs.Flags&delta.FlagSMuxOnly == 0
 		has := n.hm.HasVIP(a)
 		if !hardware {
-			n.versionChanged(a, nil)
 			if has {
 				ops = append(ops, steer.Op{Kind: steer.OpRemove, Addr: a})
 			}
-			continue
-		}
-		if !n.versionChanged(a, vs) && has {
 			continue
 		}
 		v, err := serviceVIPOf(vs)

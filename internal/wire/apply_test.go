@@ -42,7 +42,32 @@ func oneVIPState(t testing.TB) *delta.State {
 }
 
 func pushDelta(c *ControlClient, d *delta.Delta) (*Envelope, error) {
-	return c.CallE(&Envelope{Type: MsgDeltaPush, Name: "test", Term: 1, Epoch: d.ToEpoch, Delta: d.Encode()})
+	return pushDeltaAt(c, 1, d)
+}
+
+func pushDeltaAt(c *ControlClient, term uint64, d *delta.Delta) (*Envelope, error) {
+	return c.CallE(&Envelope{Type: MsgDeltaPush, Name: "test", Term: term, Epoch: d.ToEpoch, Delta: d.Encode()})
+}
+
+// refuseStaleTerm sends a follower that has admitted term 2 a term-1
+// heartbeat and a term-1 push of d, a delta it would otherwise apply: the
+// leader fence must refuse both, and each ack must carry term 2 and the
+// follower's applied epoch.
+func refuseStaleTerm(t *testing.T, c *ControlClient, applied uint64, d *delta.Delta) {
+	t.Helper()
+	for _, env := range []*Envelope{
+		{Type: MsgLeaderHeartbeat, Name: "test", Term: 1, Epoch: d.ToEpoch},
+		{Type: MsgDeltaPush, Name: "test", Term: 1, Epoch: d.ToEpoch, Delta: d.Encode()},
+	} {
+		ack, err := c.CallE(env)
+		var rej *RejectedError
+		if !errors.As(err, &rej) {
+			t.Fatalf("term-1 %s after term 2: want RejectedError, got %v", env.Type, err)
+		}
+		if ack.Term != 2 || ack.Epoch != applied {
+			t.Fatalf("term-1 %s refused with term %d, epoch %d; want term 2, epoch %d", env.Type, ack.Term, ack.Epoch, applied)
+		}
+	}
 }
 
 func mirror(n *Node) *delta.State {
@@ -117,9 +142,11 @@ func TestRejectedDeltaDoesNotHalfApply(t *testing.T) {
 // TestDataplaneRolesRejectOtherMessages: hello, leader-heartbeat and
 // delta-push are the whole vocabulary of a dataplane node. Anything else —
 // controller-bound messages and the retired per-VIP numbers alike — is a
-// rejection that names the type and touches nothing. On the data port, a
-// frame whose header does not verify is one drop, counted under the first
-// stage that parses it (malformed) and under no other.
+// rejection that names the type and touches nothing, and so is a heartbeat
+// or push below the leader term the node has admitted (only the push counts
+// as a rejected delta). On the data port, a frame whose header does not
+// verify is one drop, counted under the first stage that parses it
+// (malformed) and under no other.
 func TestDataplaneRolesRejectOtherMessages(t *testing.T) {
 	spec := dataplaneSpec(t)
 	spec.Nodes[0].NMuxTable = 64 // the smux node's first stage is its NIC table
@@ -153,7 +180,8 @@ func TestDataplaneRolesRejectOtherMessages(t *testing.T) {
 			defer n.Close()
 			c := DialControl(n.ControlAddr(), n.Reg)
 			defer c.Close()
-			if _, err := pushDelta(c, delta.Diff(delta.NewState(), oneVIPState(t))); err != nil {
+			st1 := oneVIPState(t)
+			if _, err := pushDeltaAt(c, 2, delta.Diff(delta.NewState(), st1)); err != nil {
 				t.Fatalf("bootstrap push: %v", err)
 			}
 			if role.tables(n) != 1 {
@@ -165,6 +193,12 @@ func TestDataplaneRolesRejectOtherMessages(t *testing.T) {
 				before[g] = gauge(n, g)
 			}
 			applied := counter(n, "wire.delta.applied")
+			rejected := counter(n, "wire.delta.rejected")
+
+			refuseStaleTerm(t, c, 1, delta.Diff(st1, configAt(t, 2))) // would empty every table
+			if got := counter(n, "wire.delta.rejected"); got != rejected+1 {
+				t.Fatalf("wire.delta.rejected = %d after a stale heartbeat and push, want %d", got, rejected+1)
+			}
 
 			for _, typ := range []MsgType{
 				MsgHealthReport, MsgAnnounceVIP, MsgWithdrawVIP, MsgSnapshotRequest,

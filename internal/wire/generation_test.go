@@ -90,6 +90,8 @@ func TestDeltaDrainsAgainstThePreDeltaTable(t *testing.T) {
 // every table a dataplane node reconciles by exactly one generation — the
 // SMux's steer epoch, its NIC table and the switch's tables — and an
 // identical re-apply (a snapshot of the state already held) advances none.
+// A snapshot lands as its diff from the mirror: one that changes one VIP
+// reprograms that VIP alone, one switch remove and one add.
 func TestDeltaPublishesOneGenerationPerTable(t *testing.T) {
 	spec := dataplaneSpec(t)
 	spec.Nodes[0].NMuxTable = 256
@@ -138,24 +140,32 @@ func TestDeltaPublishesOneGenerationPerTable(t *testing.T) {
 	}
 	pop2 = append(pop2, vip(n+1, true, 4)) // added
 	st1, st2 := configAt(t, 1, pop1...), configAt(t, 2, pop2...)
+	st3 := st2.Clone() // one NIC VIP's weight changed
+	st3.Epoch = 3
+	st3.VIPs[packet.AddrFrom4(10, 0, 0, 2)].Backends[0].Weight = 5
 
 	steps := []struct {
 		what string
 		d    *delta.Delta
 		want uint64
+		ops  uint64 // switch table operations
 	}{
-		{"bootstrap", delta.Diff(delta.NewState(), st1), 1},
-		{"delta touching every VIP", delta.Diff(st1, st2), 1},
-		{"identical snapshot", delta.SnapshotOf(st2), 0},
+		{"bootstrap", delta.Diff(delta.NewState(), st1), 1, n},
+		{"delta touching every VIP", delta.Diff(st1, st2), 1, 1 + 2*(n-1) + 1}, // 1 leaves, the rest bounce, 13 joins
+		{"identical snapshot", delta.SnapshotOf(st2), 0, 0},
+		{"snapshot changing one VIP", delta.SnapshotOf(st3), 1, 2},
 	}
 	for _, s := range steps {
-		pre := gens()
+		pre, ops := gens(), counter(sw, "switchagent.ops")
 		push(s.d)
 		post := gens()
 		for i, table := range []string{"smux steer epoch", "nic table", "hmux tables"} {
 			if got := post[i] - pre[i]; got != s.want {
 				t.Errorf("%s: %s advanced %d generations, want %d", s.what, table, got, s.want)
 			}
+		}
+		if got := counter(sw, "switchagent.ops") - ops; got != s.ops {
+			t.Errorf("%s: switchagent.ops grew by %d, want %d", s.what, got, s.ops)
 		}
 	}
 	if got := sm.pair.SMux.NumVIPs(); got != len(pop2) {

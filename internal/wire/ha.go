@@ -9,8 +9,10 @@ package wire
 // first controller leads at bootstrap (term 1), and a standby that has not
 // heard a leader heartbeat for one lease starts a takeover at term+1 —
 // staggered by its rank among the surviving controllers, so exactly one
-// standby moves first. A deposed leader steps down the moment any peer
-// answers with a higher term.
+// standby moves first. Every follower, standby controller or dataplane
+// node, admits a leader's heartbeat or push through the one term fence
+// (fence), and a deposed leader steps down the moment any peer answers with
+// a higher term.
 //
 // The push protocol is one round trip per behind peer: the leader remembers
 // each peer's acked epoch for this term, and a peer known to be behind gets
@@ -378,7 +380,7 @@ func (r *replicator) syncPeer(peer *NodeSpec) bool {
 		for _, e := range es {
 			ack, err := client.CallE(&Envelope{
 				Type: MsgDeltaPush, Name: r.n.Me.Name, Term: term,
-				Epoch: e.Delta.ToEpoch, Delta: e.Enc,
+				Epoch: e.To, Delta: e.Enc,
 			})
 			if err != nil {
 				var rej *RejectedError
@@ -420,52 +422,32 @@ func (r *replicator) callFailed(peer string, term uint64, ack *Envelope) {
 
 // --- inbound side (controller handlers) ---------------------------------
 
-// observeLeader records a valid heartbeat or push from the claimed leader.
-// Returns false (and fills the ack with local truth) when the sender's term
-// is stale — the signal that makes a deposed leader step down.
-func (r *replicator) observeLeader(env, ack *Envelope) bool {
+// handleLeader is a controller's side of a leader's heartbeat or push,
+// behind the same leader fence as a dataplane node's (see fence). An
+// admitted message renews the lease and names the leader; a leader meeting
+// an equal-or-higher term from someone else steps down. A push then tails
+// the leader's log: contiguous deltas append, a snapshot resets (this log
+// may hold epochs the new leader never had), and a gap is rejected with the
+// ack carrying this log's head so the leader ships exactly the missing
+// range.
+func (r *replicator) handleLeader(env, ack *Envelope) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	ack.Type = MsgDeltaAck
-	if env.Term < r.term {
-		ack.Term = r.term
-		ack.Epoch = r.log.HeadEpoch()
-		return false
+	if err := fence(env, ack, &r.term, r.log.HeadEpoch()); err != nil {
+		return err
 	}
-	if env.Term > r.term || env.Name != r.leaderName {
-		r.term = env.Term
-		r.leaderName = env.Name
-		if r.leader && env.Name != r.n.Me.Name {
-			r.leader = false // equal-or-higher term from someone else wins
-		}
+	if env.Name != r.n.Me.Name {
+		r.leader = false
 	}
+	r.leaderName = env.Name
 	r.leaderSeen = r.n.wall()
-	ack.Term = r.term
-	ack.Epoch = r.log.HeadEpoch()
-	return true
-}
-
-// handleHeartbeat is the standby side of the lease.
-func (r *replicator) handleHeartbeat(env, ack *Envelope) error {
-	if !r.observeLeader(env, ack) {
-		return errStaleTerm(env.Term, ack.Term)
-	}
-	return nil
-}
-
-// handleDeltaPush tails the leader's log: contiguous deltas append, a
-// snapshot resets, and a gap is rejected with the ack carrying this log's
-// head so the leader ships exactly the missing range.
-func (r *replicator) handleDeltaPush(env, ack *Envelope) error {
-	if !r.observeLeader(env, ack) {
-		return errStaleTerm(env.Term, ack.Term)
+	if env.Type == MsgLeaderHeartbeat {
+		return nil
 	}
 	d, err := delta.Decode(env.Delta)
 	if err != nil {
 		return err
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if d.Snapshot {
 		st := delta.NewState()
 		if err := d.Apply(st); err != nil {
@@ -473,7 +455,6 @@ func (r *replicator) handleDeltaPush(env, ack *Envelope) error {
 		}
 		r.log.Reset(st)
 	} else if err := r.log.Append(d, env.Delta); err != nil {
-		ack.Epoch = r.log.HeadEpoch()
 		return err
 	}
 	ack.Epoch = r.log.HeadEpoch()
@@ -494,6 +475,19 @@ func (r *replicator) handleSnapshotRequest(ack *Envelope) error {
 	return nil
 }
 
-func errStaleTerm(got, have uint64) error {
-	return fmt.Errorf("wire: stale leadership term %d (current %d)", got, have)
+// fence is the one leader fence of every follower, dataplane node and
+// standby controller alike: a heartbeat or push below the highest term the
+// follower has seen is refused, and any other is admitted and its term
+// adopted. Either way the ack carries the follower's term and applied epoch
+// — on a refusal, the evidence that makes a deposed leader step down.
+func fence(env, ack *Envelope, term *uint64, epoch uint64) error {
+	ack.Type = MsgDeltaAck
+	ack.Epoch = epoch
+	if env.Term < *term {
+		ack.Term = *term
+		return fmt.Errorf("wire: stale leadership term %d (current %d)", env.Term, *term)
+	}
+	*term = env.Term
+	ack.Term = env.Term
+	return nil
 }

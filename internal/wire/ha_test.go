@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"duet/internal/delta"
-	"duet/internal/packet"
 )
 
 // testHASpec is a two-controller cluster with the churn driver on: ctl-1
@@ -226,38 +225,35 @@ func TestEpochCostsOneCallPerPeer(t *testing.T) {
 	}
 }
 
-// TestVIPStateVersion pins the delta-side fingerprint: identical states
-// hash equal, and every receiver-visible field perturbs the hash — the gate
-// that keeps a snapshot recovery from bumping steer epochs on unchanged
-// VIPs.
-func TestVIPStateVersion(t *testing.T) {
-	mk := func() *delta.VIPState {
-		return &delta.VIPState{
-			Addr: packet.MustParseAddr("10.0.0.1"),
-			Mode: 0, Tier: delta.TierHMux,
-			Backends: []delta.Backend{{Addr: packet.MustParseAddr("100.0.0.1"), Weight: 2}},
-		}
+// TestStandbyRefusesStaleTerm: a standby controller is fenced like a
+// dataplane node. Once it has admitted term 2, a term-1 heartbeat and a
+// term-1 push are refused with its term and log head on the ack, and the
+// push leaves the log where it was.
+func TestStandbyRefusesStaleTerm(t *testing.T) {
+	spec := testHASpec(t)
+	spec.Nodes = spec.Nodes[:2]
+	spec.ChurnMillis = 0
+	spec.LeaseMillis = 60000 // ctl-2 (rank 1) never takes over inside the test
+	ctl, err := StartNode(spec, "ctl-2")
+	if err != nil {
+		t.Fatal(err)
 	}
-	base := vipStateVersion(mk())
-	if vipStateVersion(mk()) != base {
-		t.Fatal("identical states hash differently")
+	defer ctl.Close()
+	c := DialControl(ctl.ControlAddr(), ctl.Reg)
+	defer c.Close()
+
+	st1 := oneVIPState(t)
+	if _, err := pushDeltaAt(c, 2, delta.Diff(delta.NewState(), st1)); err != nil {
+		t.Fatalf("term-2 push: %v", err)
 	}
-	muts := map[string]func(*delta.VIPState){
-		"mode":   func(v *delta.VIPState) { v.Mode = 1 },
-		"nic":    func(v *delta.VIPState) { v.Flags |= delta.FlagNic },
-		"weight": func(v *delta.VIPState) { v.Backends[0].Weight = 3 },
-		"backend": func(v *delta.VIPState) {
-			v.Backends = append(v.Backends, delta.Backend{Addr: packet.MustParseAddr("100.0.0.2"), Weight: 1})
-		},
-		"snat": func(v *delta.VIPState) {
-			v.SNAT = []delta.SNATBlock{{DIP: packet.MustParseAddr("100.0.0.1"), Lo: 1, Hi: 64}}
-		},
+	refuseStaleTerm(t, c, 1, delta.Diff(st1, configAt(t, 2)))
+	if got := ctl.rep.log.HeadEpoch(); got != 1 {
+		t.Fatalf("standby log head moved to %d on a stale push, want 1", got)
 	}
-	for name, mut := range muts {
-		v := mk()
-		mut(v)
-		if vipStateVersion(v) == base {
-			t.Errorf("%s change did not perturb the fingerprint", name)
-		}
+	if !sameState(ctl.rep.log.Head(), st1) {
+		t.Fatal("a stale push changed the standby's log head")
+	}
+	if ctl.rep.isLeader() {
+		t.Fatal("the standby took leadership")
 	}
 }

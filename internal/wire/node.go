@@ -69,20 +69,13 @@ type Node struct {
 	reports   telemetry.CounterShard
 	routes    *telemetry.Gauge
 
-	// versMu guards vipVers: VIP address → fingerprint (vipStateVersion) of
-	// the config last programmed, the gate that keeps a snapshot recovery
-	// push from reprogramming VIPs it does not change.
-	versMu  sync.Mutex
-	vipVers map[packet.Addr]uint64
-
 	// cfgMu guards the delta-replication receiver state: cfg mirrors the
 	// leader's config (advanced only by cleanly applied deltas, so cfg.Epoch
-	// is the applied epoch), leaderTerm/leaderName track the highest
-	// leadership claim seen, so pushes from a deposed leader are rejected.
+	// is the applied epoch), and leaderTerm is the highest leadership term
+	// seen, the fence that rejects a deposed leader's messages.
 	cfgMu      sync.Mutex
 	cfg        *delta.State
 	leaderTerm uint64
-	leaderName string
 
 	rep *replicator // controller role only
 
@@ -116,7 +109,6 @@ func StartNode(spec *ClusterSpec, name string) (*Node, error) {
 		hosts:    spec.HostMap(),
 		stop:     make(chan struct{}),
 		routeSet: make(map[string]bool),
-		vipVers:  make(map[packet.Addr]uint64),
 		cfg:      delta.NewState(),
 	}
 	n.deltaApplied = n.Reg.Counter("wire.delta.applied").Shard()
@@ -302,10 +294,8 @@ func (n *Node) dataplaneControl(reconcile func(addrs []packet.Addr) error) Contr
 		switch env.Type {
 		case MsgHello:
 			return nil
-		case MsgLeaderHeartbeat:
-			return n.handleLeaderHeartbeat(env, ack)
-		case MsgDeltaPush:
-			return n.handleDeltaPush(env, ack, reconcile)
+		case MsgLeaderHeartbeat, MsgDeltaPush:
+			return n.handleLeader(env, ack, reconcile)
 		}
 		return fmt.Errorf("%s: unsupported control message %s", n.Me.Role, env.Type)
 	}
@@ -641,10 +631,8 @@ func (n *Node) controllerControl(env, ack *Envelope) error {
 	switch env.Type {
 	case MsgHello:
 		return nil
-	case MsgLeaderHeartbeat:
-		return n.rep.handleHeartbeat(env, ack)
-	case MsgDeltaPush:
-		return n.rep.handleDeltaPush(env, ack)
+	case MsgLeaderHeartbeat, MsgDeltaPush:
+		return n.rep.handleLeader(env, ack)
 	case MsgSnapshotRequest:
 		return n.rep.handleSnapshotRequest(ack)
 	case MsgHealthReport:

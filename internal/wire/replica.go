@@ -2,13 +2,12 @@ package wire
 
 // The config-replication data model: projecting a ClusterSpec's VIP
 // population into the internal/delta state the controller replicates, the
-// deterministic churn driver that advances it, and the content fingerprint
-// receivers use to suppress no-op reprogramming on snapshot recovery.
+// deterministic churn driver that advances it, and the conversions a
+// receiver reconciles with — a delta's touched VIPs, a replicated VIP as
+// the dataplane's service type.
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"sort"
 
@@ -93,30 +92,6 @@ func churnMutate(s *delta.State, seed int64, frac float64) {
 		}
 	}
 	s.Epoch = next
-}
-
-// vipStateVersion fingerprints a replicated VIP's full configuration: a
-// snapshot recovery push re-applies every VIP, and receivers skip ones whose
-// fingerprint matches what they already programmed (an UpdateVIP with
-// identical content would still bump the steer epoch).
-func vipStateVersion(v *delta.VIPState) uint64 {
-	h := fnv.New64a()
-	var num [8]byte
-	binary.BigEndian.PutUint32(num[:4], uint32(v.Addr))
-	_, _ = h.Write(num[:4])
-	_, _ = h.Write([]byte{byte(v.Mode), v.Flags})
-	for _, b := range v.Backends {
-		binary.BigEndian.PutUint32(num[:4], uint32(b.Addr))
-		binary.BigEndian.PutUint32(num[4:], b.Weight)
-		_, _ = h.Write(num[:])
-	}
-	for _, blk := range v.SNAT {
-		binary.BigEndian.PutUint32(num[:4], uint32(blk.DIP))
-		binary.BigEndian.PutUint16(num[4:6], blk.Lo)
-		binary.BigEndian.PutUint16(num[6:], blk.Hi)
-		_, _ = h.Write(num[:])
-	}
-	return h.Sum64()
 }
 
 // serviceVIPOf converts a replicated VIP to the dataplane service type.

@@ -75,8 +75,9 @@ type VIPSpec struct {
 	// controller still programs every smux, but switch agents never learn
 	// it, so traffic arriving at a switch takes the HMux-miss fallback to
 	// the software tier. This is the paper's "VIP assigned to SMuxes"
-	// placement, and it is deliberately excluded from Version() — flipping
-	// it changes where the controller pushes, not what a receiver holds.
+	// placement. It is replicated as delta.FlagSMuxOnly, so flipping it is
+	// an OpFlags op: a switch agent withdraws the VIP from its tables or
+	// programs it, and the SMuxes keep serving it either way.
 	SMuxOnly bool `json:"smux_only,omitempty"`
 }
 
@@ -97,8 +98,9 @@ type ClusterSpec struct {
 	// heard a heartbeat for one lease starts a takeover. Default 2000.
 	LeaseMillis int `json:"lease_ms,omitempty"`
 	// DeltaTail is how many epoch deltas the controller's log retains before
-	// compacting into its base snapshot (the delta/snapshot recovery
-	// boundary). 0 selects the internal/delta default (64).
+	// dropping the oldest, which moves the compaction horizon (the
+	// delta/snapshot recovery boundary). 0 selects the internal/delta
+	// default (64).
 	DeltaTail int `json:"delta_tail,omitempty"`
 	// ChurnMillis > 0 enables the deterministic config-churn driver: the
 	// leading controller advances the config epoch this often, mutating

@@ -29,18 +29,17 @@ func switchNode(cfg hmux.Config) *Node {
 		swOps:     reg.Counter("switchagent.ops").Shard(),
 		swOpErrs:  reg.Counter("switchagent.op_errors").Shard(),
 		vips:      reg.Gauge("wire.vips"),
-		vipVers:   make(map[packet.Addr]uint64),
 		cfg:       delta.NewState(),
 	}
 }
 
 // mirrorVIPs replaces the node's mirror with the given population and
-// reconciles every address that was or is in it, as a snapshot push does.
+// reconciles the addresses the change touches, as a snapshot push does.
 func mirrorVIPs(t *testing.T, n *Node, vips ...VIPSpec) error {
 	t.Helper()
-	old := n.cfg.Addrs()
+	old := n.cfg
 	n.cfg = configAt(t, n.cfg.Epoch+1, vips...)
-	return n.reconcileSwitch(unionAddrs(old, n.cfg.Addrs()))
+	return n.reconcileSwitch(affectedAddrs(delta.Diff(old, n.cfg)))
 }
 
 // routes drains the announce queue.
