@@ -229,21 +229,10 @@ func (c *Cluster) newTrace() uint64 { return c.traceSeq.Add(1)<<1 | 1 }
 
 // collectGauges is the point-in-time state Collect republishes every scrape.
 type collectGauges struct {
-	hostUsed, hostCap     *telemetry.Gauge
-	ecmpUsed, ecmpCap     *telemetry.Gauge
-	tunnelUsed, tunnelCap *telemetry.Gauge
-	smuxCapacity          *telemetry.Gauge
-	smuxConns             *telemetry.Gauge
-	nmuxUsed, nmuxCap     *telemetry.Gauge
-	nmuxFlows             *telemetry.Gauge
-	epoch                 *telemetry.Gauge
-
-	// Per-flow state occupancy (satellite of the consistency-mode work:
-	// conn-table growth used to be invisible until OOM) and steer-table
-	// drain visibility.
-	connShardMax, connBytes *telemetry.Gauge
-	overlay, overlayCap     *telemetry.Gauge
-	steerEpoch, steerDrains *telemetry.Gauge
+	hmux  hmux.Gauges
+	smux  smux.Gauges
+	nmux  nmux.Gauges
+	epoch *telemetry.Gauge
 }
 
 // hopBuckets spans the in-process hop latencies (hundreds of ns) up through
@@ -308,24 +297,10 @@ func New(cfg Config) (*Cluster, error) {
 		c.dtel.tallied[tallyMode+int(md)] = c.reg.Counter("core.deliver.mode." + md.String()).Shard()
 	}
 	c.ctel = collectGauges{
-		hostUsed:     c.reg.Gauge("hmux.tables.host_used_max"),
-		hostCap:      c.reg.Gauge("hmux.tables.host_cap"),
-		ecmpUsed:     c.reg.Gauge("hmux.tables.ecmp_used_max"),
-		ecmpCap:      c.reg.Gauge("hmux.tables.ecmp_cap"),
-		tunnelUsed:   c.reg.Gauge("hmux.tables.tunnel_used_max"),
-		tunnelCap:    c.reg.Gauge("hmux.tables.tunnel_cap"),
-		smuxCapacity: c.reg.Gauge("smux.capacity_pps"),
-		smuxConns:    c.reg.Gauge("smux.conns_total"),
-		nmuxUsed:     c.reg.Gauge("nmux.tables.used_max"),
-		nmuxCap:      c.reg.Gauge("nmux.tables.cap"),
-		nmuxFlows:    c.reg.Gauge("nmux.flows_total"),
-		epoch:        c.reg.Gauge("core.epoch"),
-		connShardMax: c.reg.Gauge("smux.conn.shard_max"),
-		connBytes:    c.reg.Gauge("smux.conn.bytes"),
-		overlay:      c.reg.Gauge("smux.overlay_total"),
-		overlayCap:   c.reg.Gauge("smux.overlay_cap"),
-		steerEpoch:   c.reg.Gauge("steer.epoch_max"),
-		steerDrains:  c.reg.Gauge("steer.drains_active"),
+		hmux:  hmux.NewGauges(c.reg),
+		smux:  smux.NewGauges(c.reg),
+		nmux:  nmux.NewGauges(c.reg), // registered without a NIC tier too: the series set is the same either way
+		epoch: c.reg.Gauge("core.epoch"),
 	}
 	c.tableCfg = cfg.HMuxTables
 	for s := range c.HMuxes {
@@ -979,75 +954,17 @@ func (c *Cluster) hop(d *Delivery, tier telemetry.TraceTier, node uint32, dst pa
 	}
 }
 
-// Collect republishes point-in-time gauges derived from cluster state: HMux
-// table high-water occupancy across up switches against the §4.1 capacities,
-// the SMux fleet's aggregate capacity and connection-table size, and the
+// Collect republishes point-in-time gauges: each mux tier's, through the
+// tier's own collector over the up switches and the host fleets, and the
 // snapshot epoch. It is the obs scrape pipeline's collector hook — called at
 // the top of every scrape tick — and performs no allocation, so the tick
 // stays allocation-free in steady state.
 func (c *Cluster) Collect() {
 	snap := c.snap.Load()
-	var hostU, hostC, ecmpU, ecmpC, tunU, tunC int
-	for _, hm := range snap.hmuxes {
-		if hm == nil {
-			continue
-		}
-		st := hm.Stats()
-		hostU = max(hostU, st.HostUsed)
-		hostC = max(hostC, st.HostCap)
-		ecmpU = max(ecmpU, st.ECMPUsed)
-		ecmpC = max(ecmpC, st.ECMPCap)
-		tunU = max(tunU, st.TunnelUsed)
-		tunC = max(tunC, st.TunnelCap)
-	}
-	var capPPS float64
-	var conns, shardMax, overlay, overlayCap int
-	var connBytes int64
-	var steerEpoch uint64
-	drains := 0
-	for _, sm := range c.SMuxes {
-		capPPS += sm.CapacityPPS()
-		// Collect doubles as the fleet's maintenance tick: idle-eviction and
-		// overlay sweeps run here, on the scrape cadence, so no separate
-		// timer goroutine is needed per mux.
-		sm.Tick()
-		st := sm.ConnStats()
-		conns += st.Entries
-		shardMax = max(shardMax, st.ShardMax)
-		connBytes += st.Bytes
-		overlay += st.Overlay
-		overlayCap += st.OverlayCap
-		tbl := sm.Steer()
-		steerEpoch = max(steerEpoch, tbl.Epoch())
-		if tbl.DrainActive() {
-			drains++
-		}
-	}
-	var nmUsed, nmCap, nmFlows int
-	for _, nm := range c.NMuxes {
-		st := nm.Stats()
-		nmUsed = max(nmUsed, st.Used)
-		nmCap = max(nmCap, st.Cap)
-		nmFlows += st.Flows
-	}
-	c.ctel.hostUsed.Set(int64(hostU))
-	c.ctel.hostCap.Set(int64(hostC))
-	c.ctel.ecmpUsed.Set(int64(ecmpU))
-	c.ctel.ecmpCap.Set(int64(ecmpC))
-	c.ctel.tunnelUsed.Set(int64(tunU))
-	c.ctel.tunnelCap.Set(int64(tunC))
-	c.ctel.smuxCapacity.Set(int64(capPPS))
-	c.ctel.smuxConns.Set(int64(conns))
-	c.ctel.nmuxUsed.Set(int64(nmUsed))
-	c.ctel.nmuxCap.Set(int64(nmCap))
-	c.ctel.nmuxFlows.Set(int64(nmFlows))
+	c.ctel.hmux.Collect(snap.hmuxes...)
+	c.ctel.smux.Collect(c.SMuxes...)
+	c.ctel.nmux.Collect(c.NMuxes...)
 	c.ctel.epoch.Set(int64(snap.epoch))
-	c.ctel.connShardMax.Set(int64(shardMax))
-	c.ctel.connBytes.Set(connBytes)
-	c.ctel.overlay.Set(int64(overlay))
-	c.ctel.overlayCap.Set(int64(overlayCap))
-	c.ctel.steerEpoch.Set(int64(steerEpoch))
-	c.ctel.steerDrains.Set(int64(drains))
 }
 
 // BatchResult pairs one packet's delivery with its error.

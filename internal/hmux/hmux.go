@@ -169,6 +169,46 @@ func (c Counters) Flush(t *Tally) {
 	*t = Tally{}
 }
 
+// Gauges are the switches' table-occupancy gauges, what the
+// hmux-*-occupancy watchdogs read.
+type Gauges struct {
+	hostUsed, hostCap     *telemetry.Gauge
+	ecmpUsed, ecmpCap     *telemetry.Gauge
+	tunnelUsed, tunnelCap *telemetry.Gauge
+}
+
+// NewGauges registers the gauges on reg.
+func NewGauges(reg *telemetry.Registry) Gauges {
+	return Gauges{
+		hostUsed:   reg.Gauge("hmux.tables.host_used_max"),
+		hostCap:    reg.Gauge("hmux.tables.host_cap"),
+		ecmpUsed:   reg.Gauge("hmux.tables.ecmp_used_max"),
+		ecmpCap:    reg.Gauge("hmux.tables.ecmp_cap"),
+		tunnelUsed: reg.Gauge("hmux.tables.tunnel_used_max"),
+		tunnelCap:  reg.Gauge("hmux.tables.tunnel_cap"),
+	}
+}
+
+// Collect publishes each table's maximum use and capacity over muxes,
+// skipping a nil one (a stopped switch). It allocates nothing.
+func (g Gauges) Collect(muxes ...*Mux) {
+	var st Stats
+	for _, m := range muxes {
+		if m != nil {
+			s := m.Stats()
+			st.HostUsed, st.HostCap = max(st.HostUsed, s.HostUsed), max(st.HostCap, s.HostCap)
+			st.ECMPUsed, st.ECMPCap = max(st.ECMPUsed, s.ECMPUsed), max(st.ECMPCap, s.ECMPCap)
+			st.TunnelUsed, st.TunnelCap = max(st.TunnelUsed, s.TunnelUsed), max(st.TunnelCap, s.TunnelCap)
+		}
+	}
+	g.hostUsed.Set(int64(st.HostUsed))
+	g.hostCap.Set(int64(st.HostCap))
+	g.ecmpUsed.Set(int64(st.ECMPUsed))
+	g.ecmpCap.Set(int64(st.ECMPCap))
+	g.tunnelUsed.Set(int64(st.TunnelUsed))
+	g.tunnelCap.Set(int64(st.TunnelCap))
+}
+
 // SetTelemetry attaches the mux to a metric registry and flight recorder.
 // node identifies this switch in trace events (its SwitchID). Counters are
 // shared across all HMuxes registered on the same registry; each mux claims

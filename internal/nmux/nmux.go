@@ -178,6 +178,32 @@ func (c Counters) Flush(t *Tally) {
 	*t = Tally{}
 }
 
+// Gauges are the NIC tables' occupancy gauges.
+type Gauges struct{ used, cap, flows *telemetry.Gauge }
+
+// NewGauges registers the gauges on reg.
+func NewGauges(reg *telemetry.Registry) Gauges {
+	return Gauges{
+		used:  reg.Gauge("nmux.tables.used_max"),
+		cap:   reg.Gauge("nmux.tables.cap"),
+		flows: reg.Gauge("nmux.flows_total"),
+	}
+}
+
+// Collect publishes the maximum use and capacity and the sum of flow entries
+// over muxes. It allocates nothing.
+func (g Gauges) Collect(muxes ...*Mux) {
+	var used, capacity, flows int
+	for _, m := range muxes {
+		st := m.Stats()
+		used, capacity = max(used, st.Used), max(capacity, st.Cap)
+		flows += st.Flows
+	}
+	g.used.Set(int64(used))
+	g.cap.Set(int64(capacity))
+	g.flows.Set(int64(flows))
+}
+
 // SetTelemetry attaches the mux to a metric registry and flight recorder.
 // node identifies this NMux in trace events. Counters are shared across the
 // fleet on the same registry; each mux claims its own shard. Call during

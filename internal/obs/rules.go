@@ -442,7 +442,9 @@ func WireRules(cfg SLOConfig) []Rule {
 }
 
 // DefaultRules builds the paper-grounded watchdog set over the metric names
-// the cluster emits (core.Collect publishes the gauges each tick).
+// the cluster emits. The mux tiers' gauges come from each tier's Gauges
+// collector (hmux, smux, nmux), which core.Cluster.Collect and every duetd
+// mux role run each tick, so a rule on them can fire in either world.
 func DefaultRules(cfg SLOConfig) []Rule {
 	occupancy := func(table string) Rule {
 		return Rule{

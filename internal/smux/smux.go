@@ -208,6 +208,60 @@ func (c Counters) Flush(t *Tally) {
 	*t = Tally{}
 }
 
+// Gauges are the SMux fleet's point-in-time gauges: capacity, per-flow state
+// occupancy and the steer tables' epochs and drains.
+type Gauges struct {
+	capacity, conns, connShardMax, connBytes *telemetry.Gauge
+	overlay, overlayCap, steerEpoch, drains  *telemetry.Gauge
+}
+
+// NewGauges registers the gauges on reg.
+func NewGauges(reg *telemetry.Registry) Gauges {
+	return Gauges{
+		capacity:     reg.Gauge("smux.capacity_pps"),
+		conns:        reg.Gauge("smux.conns_total"),
+		connShardMax: reg.Gauge("smux.conn.shard_max"),
+		connBytes:    reg.Gauge("smux.conn.bytes"),
+		overlay:      reg.Gauge("smux.overlay_total"),
+		overlayCap:   reg.Gauge("smux.overlay_cap"),
+		steerEpoch:   reg.Gauge("steer.epoch_max"),
+		drains:       reg.Gauge("steer.drains_active"),
+	}
+}
+
+// Collect runs each mux's Tick first — the scrape is the muxes' maintenance
+// cadence, so no mux needs a timer goroutine — and publishes the sums over
+// muxes, the busiest conn shard and the highest steer epoch. It allocates
+// nothing.
+func (g Gauges) Collect(muxes ...*Mux) {
+	var capPPS float64
+	var st ConnStats
+	var epoch uint64
+	drains := 0
+	for _, m := range muxes {
+		capPPS += m.cfg.CapacityPPS
+		m.Tick()
+		s := m.ConnStats()
+		st.Entries += s.Entries
+		st.ShardMax = max(st.ShardMax, s.ShardMax)
+		st.Bytes += s.Bytes
+		st.Overlay += s.Overlay
+		st.OverlayCap += s.OverlayCap
+		epoch = max(epoch, m.steer.Epoch())
+		if m.steer.DrainActive() {
+			drains++
+		}
+	}
+	g.capacity.Set(int64(capPPS))
+	g.conns.Set(int64(st.Entries))
+	g.connShardMax.Set(int64(st.ShardMax))
+	g.connBytes.Set(st.Bytes)
+	g.overlay.Set(int64(st.Overlay))
+	g.overlayCap.Set(int64(st.OverlayCap))
+	g.steerEpoch.Set(int64(epoch))
+	g.drains.Set(int64(drains))
+}
+
 // SetTelemetry attaches the mux to a metric registry and flight recorder.
 // node identifies this SMux in trace events. Counters are shared across the
 // fleet on the same registry; each mux claims its own shard. The
@@ -290,9 +344,6 @@ func (m *Mux) coarseNow() float64 { return math.Float64frombits(m.nowBits.Load()
 //
 //duet:hotpath
 func (m *Mux) Self() packet.Addr { return m.cfg.SelfAddr }
-
-// CapacityPPS returns the configured CPU saturation point.
-func (m *Mux) CapacityPPS() float64 { return m.cfg.CapacityPPS }
 
 // Steer returns the lookup table this mux resolves through — the instance
 // to share with a paired NIC mux.

@@ -314,8 +314,8 @@ func TestDisableConnTracking(t *testing.T) {
 
 func TestCapacityDefault(t *testing.T) {
 	m := New(Config{SelfAddr: selfAddr})
-	if m.CapacityPPS() != DefaultCapacityPPS {
-		t.Fatalf("capacity = %v", m.CapacityPPS())
+	if m.cfg.CapacityPPS != DefaultCapacityPPS {
+		t.Fatalf("capacity = %v", m.cfg.CapacityPPS)
 	}
 	if m.Self() != selfAddr {
 		t.Fatal("Self wrong")

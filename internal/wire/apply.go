@@ -153,9 +153,11 @@ func (n *Node) reconcileSwitch(addrs []packet.Addr) error {
 // programSwitch applies a batch of operations to the switch (steer.OpAdd adds
 // a VIP's entries, steer.OpRemove removes one's) and then, the tables first
 // and in batch order, accounts each: a failed operation is counted and
-// changed nothing; an applied one queues its /32 announcement or withdrawal
-// for the controllers. It returns the first failure. The node keeps nothing
-// per applied operation (a blank switch node is refilled by delta
+// changed nothing; an applied one is counted and traced. Programming has no
+// route side effect: nothing in the socket world routes by BGP — a client
+// addresses a switch node directly, and a table miss follows the spec's
+// static aggregate to an SMux. It returns the first failure. The node keeps
+// nothing per applied operation (a blank switch node is refilled by delta
 // replication).
 func (n *Node) programSwitch(ops []steer.Op) error {
 	n.hm.Apply(ops)
@@ -168,11 +170,10 @@ func (n *Node) programSwitch(ops []steer.Op) error {
 			}
 			continue
 		}
-		addr, code, route := op.Addr, uint32(1), MsgWithdrawVIP // the trace's B: 0 add-vip, 1 remove-vip
+		addr, code := op.Addr, uint32(1) // the trace's B: 0 add-vip, 1 remove-vip
 		if op.Kind == steer.OpAdd {
-			addr, code, route = op.VIP.Addr, 0, MsgAnnounceVIP
+			addr, code = op.VIP.Addr, 0
 		}
-		n.queueRoute(route, packet.HostPrefix(addr))
 		n.swOps.Inc()
 		n.Rec.Record(telemetry.KindTableProgram, n.self32, uint32(addr), code, 0)
 	}

@@ -201,10 +201,10 @@ func TestDataplaneRolesRejectOtherMessages(t *testing.T) {
 			}
 
 			for _, typ := range []MsgType{
-				MsgHealthReport, MsgAnnounceVIP, MsgWithdrawVIP, MsgSnapshotRequest,
-				2, 3, 4, 8, 10, 11, // the retired add-vip … nmux-remove
+				MsgHealthReport, MsgSnapshotRequest,
+				2, 3, 4, 6, 7, 8, 10, 11, // the retired add-vip … nmux-remove
 			} {
-				err := c.Call(&Envelope{Type: typ, Addr: "10.0.0.1"})
+				err := c.Call(&Envelope{Type: typ, Name: "test"})
 				var rej *RejectedError
 				if !errors.As(err, &rej) {
 					t.Fatalf("%s: want RejectedError, got %v", typ, err)

@@ -32,16 +32,14 @@ import (
 type MsgType uint8
 
 // The values travel on the wire and are never reused: 2–4, 8, 10 and 11 were
-// the imperative per-VIP messages that delta replication retired.
+// the imperative per-VIP messages that delta replication retired, and 6 and 7
+// the switch agent's announce-vip/withdraw-vip route side effects, which
+// changed nothing a controller acted on.
 const (
 	// MsgHello introduces a peer after connect (role + name, informational).
 	MsgHello MsgType = 1
 	// MsgHealthReport carries a host agent's DIP health to the controller.
 	MsgHealthReport MsgType = 5
-	// MsgAnnounceVIP/MsgWithdrawVIP are routing-side effects forwarded to
-	// the controller (the BGP speaker of the process world).
-	MsgAnnounceVIP MsgType = 6
-	MsgWithdrawVIP MsgType = 7
 	// MsgAck acknowledges any request, echoing its Seq.
 	MsgAck MsgType = 9
 	// MsgDeltaPush ships one encoded epoch delta (internal/delta) from the
@@ -69,10 +67,6 @@ func (t MsgType) String() string {
 		return "hello"
 	case MsgHealthReport:
 		return "health-report"
-	case MsgAnnounceVIP:
-		return "announce-vip"
-	case MsgWithdrawVIP:
-		return "withdraw-vip"
 	case MsgAck:
 		return "ack"
 	case MsgDeltaPush:
@@ -101,7 +95,6 @@ type Envelope struct {
 
 	Role   string      // MsgHello
 	Name   string      // MsgHello and MsgHealthReport: the sender; the leader's name on delta-protocol messages
-	Addr   string      // MsgAnnounceVIP/MsgWithdrawVIP: the prefix
 	Health []DIPHealth // MsgHealthReport: the sender's local DIPs
 	Err    string      // MsgAck: empty = success
 
@@ -121,8 +114,9 @@ const (
 	// thousands of backends fits with room to spare).
 	maxControlMsg = 1 << 20
 	// controlVersion opens every body; a peer speaking another version is
-	// refused, never misread.
-	controlVersion = 1
+	// refused, never misread. Version 2 dropped version 1's route-prefix
+	// string.
+	controlVersion = 2
 	// fixedLen is the body's fixed-width head: version, type, seq, epoch,
 	// term.
 	fixedLen = 2 + 3*8
@@ -139,7 +133,7 @@ var errBadMsg = errors.New("wire: malformed control message")
 //	uint32 length of the rest (big-endian)
 //	u8 controlVersion, u8 Type
 //	u64 Seq, u64 Epoch, u64 Term (big-endian)
-//	uvarint-length Name, Role, Addr, Err
+//	uvarint-length Name, Role, Err
 //	uvarint count, then count × (u32 DIP, u8 healthy) — Health
 //	the raw Delta bytes, to the end of the message
 //
@@ -151,7 +145,7 @@ func appendMsg(buf []byte, env *Envelope) ([]byte, error) {
 	buf = binary.BigEndian.AppendUint64(buf, env.Seq)
 	buf = binary.BigEndian.AppendUint64(buf, env.Epoch)
 	buf = binary.BigEndian.AppendUint64(buf, env.Term)
-	for _, s := range [...]string{env.Name, env.Role, env.Addr, env.Err} {
+	for _, s := range [...]string{env.Name, env.Role, env.Err} {
 		buf = binary.AppendUvarint(buf, uint64(len(s)))
 		buf = append(buf, s...)
 	}
@@ -229,7 +223,7 @@ func decodeMsg(b []byte, env *Envelope) error {
 		Term:  binary.BigEndian.Uint64(b[18:]),
 	}
 	rest := b[fixedLen:]
-	for _, s := range [...]*string{&env.Name, &env.Role, &env.Addr, &env.Err} {
+	for _, s := range [...]*string{&env.Name, &env.Role, &env.Err} {
 		n, k := uvarint(rest)
 		if k == 0 || n > uint64(len(rest)-k) {
 			return fmt.Errorf("%w: bad string length", errBadMsg)

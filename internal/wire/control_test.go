@@ -70,8 +70,6 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 		{Type: MsgHello, Seq: 1, Role: RoleSMux, Name: "smux-1"},
 		{Type: MsgHealthReport, Seq: 2, Name: "host-1"},
 		{Type: MsgHealthReport, Seq: 3, Name: "host-1", Health: healthPairs(300)},
-		{Type: MsgAnnounceVIP, Seq: 4, Addr: "10.0.0.1/32"},
-		{Type: MsgWithdrawVIP, Seq: 5, Addr: "10.0.0.1/32"},
 		{Type: MsgAck, Seq: 6},
 		{Type: MsgAck, Seq: 7, Err: "wire: epoch gap: delta from 3, applied 1"},
 		{Type: MsgDeltaPush, Seq: 8, Name: "ctl-1", Term: 2, Epoch: 9},
@@ -81,7 +79,7 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 		{Type: MsgDeltaAck, Seq: 12, Name: "ctl-2", Term: 3, Epoch: 12, Delta: deltaBytes(9 << 10)},
 		{Type: MsgSnapshotRequest, Seq: 13, Name: "duetctl"},
 		{Type: MsgLeaderHeartbeat, Seq: ^uint64(0), Name: "ctl-1", Term: ^uint64(0), Epoch: ^uint64(0)},
-		{Type: 2, Seq: 14, Addr: "10.0.0.1"}, // a retired number still travels, to be rejected by name
+		{Type: 6, Seq: 14, Name: "sw-1"}, // a retired number still travels, to be rejected by name
 	}
 	for i := range cases {
 		want := &cases[i]
@@ -94,8 +92,22 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestControlVersionMismatch: a message in another format version is one
-// rx_error and a closed connection, never a misread request.
+// v1Body is a version-1 message: the retired announce-vip, whose route
+// prefix sat where version 2 has Err. Read as version 2 it would be an ack
+// carrying a rejection.
+func v1Body() []byte {
+	body := append([]byte{1, 6}, make([]byte, 24)...) // version, type, seq, epoch, term
+	for _, s := range []string{"sw-1", "", "10.0.0.1/32", ""} {
+		body = binary.AppendUvarint(body, uint64(len(s)))
+		body = append(body, s...)
+	}
+	body = append(body, 0) // no health pairs
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
+}
+
+// TestControlVersionMismatch: a message in another format version — the
+// next one, or version 1, which carried a route prefix — is one rx_error and
+// a closed connection, never a misread request.
 func TestControlVersionMismatch(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	var handled atomic.Int32
@@ -104,32 +116,34 @@ func TestControlVersionMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	conn, err := net.Dial("tcp", srv.Addr())
+	next, err := appendMsg(nil, &Envelope{Type: MsgHello, Seq: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	msg, err := appendMsg(nil, &Envelope{Type: MsgHello, Seq: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	msg[4] = controlVersion + 1
-	if _, err := conn.Write(msg); err != nil {
-		t.Fatal(err)
-	}
-	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if n, err := conn.Read(make([]byte, 64)); err == nil {
-		t.Fatalf("server answered %d bytes to a foreign version", n)
-	}
-	waitFor(t, "rx_errors counted", func() bool { return reg.Counter("wire.control.rx_errors").Value() == 1 })
-	if handled.Load() != 0 || reg.Counter("wire.control.rx").Value() != 0 {
-		t.Fatalf("a foreign-version message reached the handler (%d) or counted as rx", handled.Load())
-	}
+	next[4] = controlVersion + 1
+	for i, msg := range [][]byte{next, v1Body()} {
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := conn.Write(msg); err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if n, err := conn.Read(make([]byte, 64)); err == nil {
+			t.Fatalf("server answered %d bytes to version %d", n, msg[4])
+		}
+		waitFor(t, "rx_errors counted", func() bool { return reg.Counter("wire.control.rx_errors").Value() == uint64(i+1) })
+		if handled.Load() != 0 || reg.Counter("wire.control.rx").Value() != 0 {
+			t.Fatalf("a version-%d message reached the handler (%d) or counted as rx", msg[4], handled.Load())
+		}
 
-	var rbuf []byte
-	var env Envelope
-	if err := readMsg(bytes.NewReader(msg), &rbuf, &env); !errors.Is(err, errBadMsg) {
-		t.Fatalf("readMsg of a foreign version: %v, want errBadMsg", err)
+		var rbuf []byte
+		var env Envelope
+		if err := readMsg(bytes.NewReader(msg), &rbuf, &env); !errors.Is(err, errBadMsg) {
+			t.Fatalf("readMsg of version %d: %v, want errBadMsg", msg[4], err)
+		}
 	}
 }
 

@@ -67,7 +67,6 @@ type Node struct {
 	delivered telemetry.CounterShard
 	resyncs   telemetry.CounterShard
 	reports   telemetry.CounterShard
-	routes    *telemetry.Gauge
 
 	// cfgMu guards the delta-replication receiver state: cfg mirrors the
 	// leader's config (advanced only by cleanly applied deltas, so cfg.Epoch
@@ -83,12 +82,8 @@ type Node struct {
 	deltaRejected telemetry.CounterShard
 	deltaEpochG   *telemetry.Gauge
 
-	announceQ chan Envelope // switch role → controller routing side effects
-	swOps     telemetry.CounterShard
-	swOpErrs  telemetry.CounterShard
-
-	ctlMu    sync.Mutex
-	routeSet map[string]bool
+	swOps    telemetry.CounterShard
+	swOpErrs telemetry.CounterShard
 }
 
 // StartNode builds and starts the named node from the spec: it binds the
@@ -100,16 +95,15 @@ func StartNode(spec *ClusterSpec, name string) (*Node, error) {
 		return nil, fmt.Errorf("wire: node %q not in spec", name)
 	}
 	n := &Node{
-		Spec:     spec,
-		Me:       me,
-		Reg:      telemetry.NewRegistry(),
-		Rec:      telemetry.NewRecorder(telemetry.DefaultRecorderSize),
-		wall:     clock.Wall(),
-		unix:     clock.Unix(),
-		hosts:    spec.HostMap(),
-		stop:     make(chan struct{}),
-		routeSet: make(map[string]bool),
-		cfg:      delta.NewState(),
+		Spec:  spec,
+		Me:    me,
+		Reg:   telemetry.NewRegistry(),
+		Rec:   telemetry.NewRecorder(telemetry.DefaultRecorderSize),
+		wall:  clock.Wall(),
+		unix:  clock.Unix(),
+		hosts: spec.HostMap(),
+		stop:  make(chan struct{}),
+		cfg:   delta.NewState(),
 	}
 	n.deltaApplied = n.Reg.Counter("wire.delta.applied").Shard()
 	n.deltaRejected = n.Reg.Counter("wire.delta.rejected").Shard()
@@ -312,50 +306,17 @@ func (n *Node) startSMux() error {
 	n.pair.SMux = smux.New(smux.DefaultConfig(self))
 	n.pair.SMux.SetTelemetry(n.Reg, n.Rec, uint32(self))
 	n.vips = n.Reg.Gauge("wire.vips")
-	capacity := n.Reg.Gauge("smux.capacity_pps")
-	conns := n.Reg.Gauge("smux.conns_total")
-	// Same gauge names core.Collect publishes, so the overlay-occupancy and
-	// epoch-drain watchdogs work unchanged on wire nodes.
-	connShardMax := n.Reg.Gauge("smux.conn.shard_max")
-	connBytes := n.Reg.Gauge("smux.conn.bytes")
-	overlay := n.Reg.Gauge("smux.overlay_total")
-	overlayCap := n.Reg.Gauge("smux.overlay_cap")
-	steerEpoch := n.Reg.Gauge("steer.epoch_max")
-	steerDrains := n.Reg.Gauge("steer.drains_active")
-	n.Obs.AddCollector(func() {
-		capacity.Set(int64(n.pair.SMux.CapacityPPS()))
-		// The scrape doubles as the mux's maintenance tick (idle eviction,
-		// overlay sweep, drain release) — no separate timer goroutine.
-		n.pair.SMux.Tick()
-		st := n.pair.SMux.ConnStats()
-		conns.Set(int64(st.Entries))
-		connShardMax.Set(int64(st.ShardMax))
-		connBytes.Set(st.Bytes)
-		overlay.Set(int64(st.Overlay))
-		overlayCap.Set(int64(st.OverlayCap))
-		steerEpoch.Set(int64(n.pair.SMux.Steer().Epoch()))
-		if n.pair.SMux.Steer().DrainActive() {
-			steerDrains.Set(1)
-		} else {
-			steerDrains.Set(0)
-		}
-	})
+	// The same collectors core.Cluster.Collect runs, so every watchdog on
+	// the mux gauges works unchanged on wire nodes.
+	sm := smux.NewGauges(n.Reg)
+	n.Obs.AddCollector(func() { sm.Collect(n.pair.SMux) })
 	if n.Me.NMuxTable > 0 {
 		// The NIC table reads the SMux's steer table (the SMux owns writes),
 		// so both tiers resolve a flow to identical encap bytes.
 		n.pair.NIC = nmux.New(nmux.Config{SelfAddr: self, TableSize: n.Me.NMuxTable, Steer: n.pair.SMux.Steer()})
 		n.pair.NIC.SetTelemetry(n.Reg, n.Rec, uint32(self))
-		// The same gauge names core.Collect publishes, so the occupancy
-		// watchdog in DefaultRules works unchanged on wire nodes.
-		nmUsed := n.Reg.Gauge("nmux.tables.used_max")
-		nmCap := n.Reg.Gauge("nmux.tables.cap")
-		nmFlows := n.Reg.Gauge("nmux.flows_total")
-		n.Obs.AddCollector(func() {
-			st := n.pair.NIC.Stats()
-			nmUsed.Set(int64(st.Used))
-			nmCap.Set(int64(st.Cap))
-			nmFlows.Set(int64(st.Flows))
-		})
+		nic := nmux.NewGauges(n.Reg)
+		n.Obs.AddCollector(func() { nic.Collect(n.pair.NIC) })
 	}
 	n.stages.host = nmux.NewPairCounters(n.Reg, n.pair.NIC != nil)
 	if err := n.listenData(n.Spec.traceEvery()); err != nil {
@@ -434,11 +395,12 @@ func (n *Node) hostPacket(tx *txBatch, payload, scratch []byte, trace uint64) []
 	return d.Packet
 }
 
-// startHealthLoop periodically reports local DIP health to every
-// controller (best effort: a down controller is retried next interval; the
-// control clients redial on their own). Broadcasting instead of picking one
-// keeps the reports flowing through a leader change without the host agent
-// having to track elections.
+// startHealthLoop periodically reports to every controller the health of
+// each local DIP of a VIP in the node's mirror — what the deltas delivered,
+// not the spec the node started from (best effort: a down controller is
+// retried next interval; the control clients redial on their own).
+// Broadcasting instead of picking one keeps the reports flowing through a
+// leader change without the host agent having to track elections.
 func (n *Node) startHealthLoop() {
 	ctrls := n.Spec.Controllers()
 	if len(ctrls) == 0 {
@@ -471,11 +433,8 @@ func (n *Node) startHealthLoop() {
 			}
 			var health []DIPHealth
 			seen := make(map[packet.Addr]bool)
-			for _, v := range n.Spec.VIPs {
-				vip, err := packet.ParseAddr(v.Addr)
-				if err != nil {
-					continue
-				}
+			n.cfgMu.Lock()
+			for vip := range n.cfg.VIPs {
 				for _, dip := range n.agent.LocalDIPs(vip) {
 					if !seen[dip] {
 						seen[dip] = true
@@ -483,6 +442,7 @@ func (n *Node) startHealthLoop() {
 					}
 				}
 			}
+			n.cfgMu.Unlock()
 			delivered := false
 			for _, c := range clients {
 				if err := c.Call(&Envelope{Type: MsgHealthReport, Name: n.Me.Name, Health: health}); err == nil {
@@ -498,16 +458,6 @@ func (n *Node) startHealthLoop() {
 
 // --- switchagent role --------------------------------------------------
 
-// queueRoute forwards a routing side effect of switch programming to the
-// controllers over the control channel, asynchronously (reconciling a delta
-// must not block on the network).
-func (n *Node) queueRoute(t MsgType, p packet.Prefix) {
-	select {
-	case n.announceQ <- Envelope{Type: t, Addr: fmt.Sprintf("%s/%d", p.Addr, p.Bits)}:
-	default: // controller unreachable and queue full; resync will reconcile
-	}
-}
-
 func (n *Node) startSwitchAgent() error {
 	self, err := n.Me.SelfAddr()
 	if err != nil {
@@ -518,7 +468,8 @@ func (n *Node) startSwitchAgent() error {
 	hm.SetTelemetry(n.Reg, n.Rec, uint32(self))
 	n.hm = hm
 	n.stages.hmux = hmux.NewCounters(n.Reg)
-	n.announceQ = make(chan Envelope, 256)
+	tables := hmux.NewGauges(n.Reg)
+	n.Obs.AddCollector(func() { tables.Collect(hm) }) // Stats takes the mux's own lock
 	n.swOps = n.Reg.Counter("switchagent.ops").Shard()
 	n.swOpErrs = n.Reg.Counter("switchagent.op_errors").Shard()
 	n.vips = n.Reg.Gauge("wire.vips")
@@ -542,7 +493,6 @@ func (n *Node) startSwitchAgent() error {
 		return err
 	}
 	n.ctl = ctl
-	n.startAnnounceLoop()
 	return nil
 }
 
@@ -575,47 +525,11 @@ func (n *Node) switchPacket(tx *txBatch, payload, scratch []byte, trace uint64) 
 	return scratch // any other error is a drop the mux counted
 }
 
-func (n *Node) startAnnounceLoop() {
-	ctrls := n.Spec.Controllers()
-	if len(ctrls) == 0 {
-		return
-	}
-	clients := make([]*ControlClient, len(ctrls))
-	for i, c := range ctrls {
-		clients[i] = DialControl(c.Control, n.Reg)
-	}
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		defer func() {
-			for _, c := range clients {
-				c.Close()
-			}
-		}()
-		for {
-			select {
-			case <-n.stop:
-				return
-			case env := <-n.announceQ:
-				// Best-effort broadcast: a controller that misses a routing
-				// side effect (down, partitioned) reconverges from the next
-				// programming round's announcements; blocking the queue on a
-				// dead controller would starve the live ones.
-				for _, c := range clients {
-					e := env
-					_ = c.Call(&e)
-				}
-			}
-		}
-	}()
-}
-
 // --- controller role ---------------------------------------------------
 
 func (n *Node) startController() error {
 	n.resyncs = n.Reg.Counter("wire.controller.resyncs").Shard()
 	n.reports = n.Reg.Counter("wire.controller.health_reports").Shard()
-	n.routes = n.Reg.Gauge("wire.controller.routes")
 	n.Obs.AddRules(obs.ControllerRules(obs.DefaultSLO())...)
 	n.rep = newReplicator(n)
 	ctl, err := ListenControl(n.Me.Control, n.Reg, n.controllerControl)
@@ -637,16 +551,6 @@ func (n *Node) controllerControl(env, ack *Envelope) error {
 		return n.rep.handleSnapshotRequest(ack)
 	case MsgHealthReport:
 		n.reports.Inc()
-		return nil
-	case MsgAnnounceVIP, MsgWithdrawVIP:
-		n.ctlMu.Lock()
-		if env.Type == MsgAnnounceVIP {
-			n.routeSet[env.Addr] = true
-		} else {
-			delete(n.routeSet, env.Addr)
-		}
-		n.routes.Set(int64(len(n.routeSet)))
-		n.ctlMu.Unlock()
 		return nil
 	}
 	return fmt.Errorf("controller: unsupported control message %s", env.Type)

@@ -2,7 +2,7 @@ package wire
 
 // The switch role's programming step — Figure 9's switch agent, which lives
 // in reconcileSwitch/programSwitch — driven on a bare Node: no sockets, the
-// mirror edited by hand, the announce queue read directly.
+// mirror edited by hand, the table-program trace read directly.
 
 import (
 	"runtime"
@@ -24,12 +24,11 @@ func switchNode(cfg hmux.Config) *Node {
 	reg := telemetry.NewRegistry()
 	return &Node{
 		Reg: reg, Rec: telemetry.NewRecorder(16), self32: 7,
-		hm:        hmux.New(cfg),
-		announceQ: make(chan Envelope, 256),
-		swOps:     reg.Counter("switchagent.ops").Shard(),
-		swOpErrs:  reg.Counter("switchagent.op_errors").Shard(),
-		vips:      reg.Gauge("wire.vips"),
-		cfg:       delta.NewState(),
+		hm:       hmux.New(cfg),
+		swOps:    reg.Counter("switchagent.ops").Shard(),
+		swOpErrs: reg.Counter("switchagent.op_errors").Shard(),
+		vips:     reg.Gauge("wire.vips"),
+		cfg:      delta.NewState(),
 	}
 }
 
@@ -42,24 +41,30 @@ func mirrorVIPs(t *testing.T, n *Node, vips ...VIPSpec) error {
 	return n.reconcileSwitch(affectedAddrs(delta.Diff(old, n.cfg)))
 }
 
-// routes drains the announce queue.
-func routes(n *Node) []Envelope {
-	var out []Envelope
-	for {
-		select {
-		case env := <-n.announceQ:
-			out = append(out, env)
-		default:
-			return out
+// programmed returns the table-program events the switch recorded after its
+// first skip events, as (VIP, code) pairs: code 0 is an add, 1 a removal.
+func programmed(t *testing.T, n *Node, skip int) [][2]uint32 {
+	t.Helper()
+	var out [][2]uint32
+	for _, ev := range n.Rec.Snapshot()[skip:] {
+		if ev.Kind != telemetry.KindTableProgram || ev.Node != 7 {
+			t.Fatalf("trace event %+v is not a table-program event of the switch", ev)
 		}
+		out = append(out, [2]uint32{ev.A, ev.B})
 	}
+	return out
 }
+
+var (
+	added   = [2]uint32{uint32(switchVIP), 0}
+	removed = [2]uint32{uint32(switchVIP), 1}
+)
 
 func oneBackend(weight uint32) VIPSpec {
 	return VIPSpec{Addr: "10.0.0.1", Backends: []BackendSpec{{Addr: "100.0.0.1", Weight: weight}}}
 }
 
-func TestAddVIPProgramsAndAnnounces(t *testing.T) {
+func TestAddVIPProgramsAndTraces(t *testing.T) {
 	n := switchNode(hmux.DefaultConfig(packet.MustParseAddr("172.16.0.1")))
 	if err := mirrorVIPs(t, n, oneBackend(1)); err != nil {
 		t.Fatal(err)
@@ -67,9 +72,8 @@ func TestAddVIPProgramsAndAnnounces(t *testing.T) {
 	if !n.hm.HasVIP(switchVIP) {
 		t.Fatal("tables not programmed")
 	}
-	got := routes(n)
-	if len(got) != 1 || got[0].Type != MsgAnnounceVIP || got[0].Addr != "10.0.0.1/32" {
-		t.Fatalf("announcements: %+v", got)
+	if got := programmed(t, n, 0); len(got) != 1 || got[0] != added {
+		t.Fatalf("trace = %v, want one table-program add for the VIP", got)
 	}
 	if ops := n.Reg.Counter("switchagent.ops").Value(); ops != 1 {
 		t.Fatalf("switchagent.ops = %d, want 1", ops)
@@ -77,27 +81,21 @@ func TestAddVIPProgramsAndAnnounces(t *testing.T) {
 	if g := n.Reg.Gauge("wire.vips").Value(); g != 1 {
 		t.Fatalf("wire.vips = %d, want 1", g)
 	}
-	evs := n.Rec.Snapshot()
-	if len(evs) != 1 || evs[0].Kind != telemetry.KindTableProgram || evs[0].Node != 7 ||
-		evs[0].A != uint32(switchVIP) || evs[0].B != 0 {
-		t.Fatalf("trace = %+v, want one table-program event for the VIP", evs)
-	}
 
-	// A changed VIP bounces: the old entries are withdrawn before the new
-	// ones are announced, each the tables first and then the route change.
+	// A changed VIP bounces: the old entries are removed before the new ones
+	// are added.
 	if err := mirrorVIPs(t, n, oneBackend(3)); err != nil {
 		t.Fatal(err)
 	}
-	got = routes(n)
-	if len(got) != 2 || got[0].Type != MsgWithdrawVIP || got[1].Type != MsgAnnounceVIP {
-		t.Fatalf("bounce route changes: %+v", got)
+	if got := programmed(t, n, 1); len(got) != 2 || got[0] != removed || got[1] != added {
+		t.Fatalf("bounce trace = %v, want a removal then an add", got)
 	}
 	// An identical re-apply (snapshot recovery) programs nothing.
 	if err := mirrorVIPs(t, n, oneBackend(3)); err != nil {
 		t.Fatal(err)
 	}
-	if got := routes(n); len(got) != 0 || n.Reg.Counter("switchagent.ops").Value() != 3 {
-		t.Fatalf("identical re-apply programmed the switch: %+v", got)
+	if got := programmed(t, n, 3); len(got) != 0 || n.Reg.Counter("switchagent.ops").Value() != 3 {
+		t.Fatalf("identical re-apply programmed the switch: %v", got)
 	}
 }
 
@@ -106,24 +104,22 @@ func TestRemoveVIPWithdraws(t *testing.T) {
 	if err := mirrorVIPs(t, n, oneBackend(1)); err != nil {
 		t.Fatal(err)
 	}
-	routes(n)
 	if err := mirrorVIPs(t, n); err != nil {
 		t.Fatal(err)
 	}
 	if n.hm.HasVIP(switchVIP) {
 		t.Fatal("VIP still in tables")
 	}
-	got := routes(n)
-	if len(got) != 1 || got[0].Type != MsgWithdrawVIP || got[0].Addr != "10.0.0.1/32" {
-		t.Fatalf("withdrawals: %+v", got)
+	if got := programmed(t, n, 1); len(got) != 1 || got[0] != removed {
+		t.Fatalf("trace = %v, want one table-program removal for the VIP", got)
 	}
 	if st := n.hm.Stats(); st.ECMPUsed != 0 || st.TunnelUsed != 0 {
 		t.Fatalf("entries not released: %+v", st)
 	}
 }
 
-// TestErrorsAcked: a failed operation changes neither the tables nor the
-// routes, is counted, and reaches the leader as the push's error.
+// TestErrorsAcked: a failed operation changes no table and leaves no trace
+// event, is counted, and reaches the leader as the push's error.
 func TestErrorsAcked(t *testing.T) {
 	cfg := hmux.DefaultConfig(packet.MustParseAddr("172.16.0.1"))
 	cfg.ECMPTableSize = 1
@@ -137,9 +133,6 @@ func TestErrorsAcked(t *testing.T) {
 	}
 	if n.hm.HasVIP(switchVIP) {
 		t.Fatal("a refused VIP is in the tables")
-	}
-	if got := routes(n); len(got) != 0 {
-		t.Fatalf("failed operations changed routes: %+v", got)
 	}
 	if got := n.Reg.Counter("switchagent.op_errors").Value(); got != 2 {
 		t.Fatalf("switchagent.op_errors = %d, want 2", got)
@@ -178,7 +171,7 @@ func TestSubmitRetainsNothing(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return ms.HeapAlloc
 	}
-	bounce(200) // tables, trace ring and the (unread, full) announce queue at their steady size
+	bounce(200) // tables and trace ring at their steady size
 	before := heap()
 	const bounces = 10000
 	bounce(bounces)

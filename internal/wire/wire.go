@@ -13,15 +13,16 @@
 //     duration of the call — the same discipline as the Process hot paths,
 //     so the zero-alloc encap/decap machinery is reused unchanged.
 //
-//   - The control plane is a length-prefixed TCP protocol (control.go):
-//     VIP programming, DIP registration, switch-table ops, health reports,
-//     and VIP announce/withdraw. The client survives peer restarts with
-//     exponential backoff + jitter, and the leading controller replicates
-//     configuration as epoch deltas (ha.go, internal/delta): heartbeats
-//     probe each peer's applied epoch, lagging peers get exactly the
-//     missing deltas, and only a peer behind the compaction horizon (e.g.
-//     restarted blank long after the fact) gets the full-state snapshot —
-//     the recovery path. Either way a restarted process converges back to
+//   - The control plane is a length-prefixed TCP protocol of binary
+//     envelopes (control.go): configuration as epoch deltas toward every
+//     node, leader heartbeats, and toward the controllers host agents'
+//     health reports and operators' snapshot requests (a switch sends them
+//     nothing). The client redials a restarted peer on its next call, and
+//     the leading controller replicates configuration as epoch deltas
+//     (ha.go, internal/delta): heartbeats probe each peer's applied epoch,
+//     lagging peers get exactly the missing deltas, and only a peer behind
+//     the compaction horizon (e.g. restarted blank long after the fact) gets
+//     the full-state snapshot — the recovery path. Either way a restarted process converges back to
 //     serving state without operator action — the cross-process version of
 //     the paper's Figure 12 failover story. Controllers themselves are
 //     replicated: a lease-based leader election (term + heartbeat over the
@@ -33,7 +34,8 @@
 // the roles to the existing internal/smux, internal/hostagent and
 // internal/hmux machinery — the switch role is itself the switch agent of
 // Figure 9 (apply.go, reconcileSwitch) — and exposes each process's
-// observability plane (internal/obs) over HTTP.
+// observability plane (internal/obs) over HTTP; a mux role publishes its
+// tier's gauges through the collector core.Cluster runs (hmux.Gauges, …).
 //
 // Wire-level failures get their own drop taxonomy (telemetry.DropShortRead,
 // DropBadFrame, DropConnRefused, DropBacklogFull, DropNoWireRoute), counted

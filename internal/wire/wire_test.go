@@ -124,7 +124,7 @@ func TestDecodeFrameTraceErrors(t *testing.T) {
 func TestControlCallAndReject(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	srv, err := ListenControl("127.0.0.1:0", reg, func(env, _ *Envelope) error {
-		if env.Type == MsgWithdrawVIP {
+		if env.Type == MsgHealthReport {
 			return errUnsupported{}
 		}
 		return nil
@@ -139,12 +139,12 @@ func TestControlCallAndReject(t *testing.T) {
 	if err := c.Call(&Envelope{Type: MsgHello, Role: RoleSMux, Name: "t"}); err != nil {
 		t.Fatalf("Call: %v", err)
 	}
-	err = c.Call(&Envelope{Type: MsgWithdrawVIP, Addr: "10.0.0.1"})
+	err = c.Call(&Envelope{Type: MsgHealthReport, Name: "host-1"})
 	var rej *RejectedError
 	if !errors.As(err, &rej) {
 		t.Fatalf("rejection not surfaced as RejectedError: %v", err)
 	}
-	if rej.Type != MsgWithdrawVIP {
+	if rej.Type != MsgHealthReport {
 		t.Fatalf("RejectedError.Type = %v", rej.Type)
 	}
 	// A rejection must not tear the connection down.
