@@ -6,6 +6,7 @@ import (
 
 	"duet/internal/packet"
 	"duet/internal/service"
+	"duet/internal/steer"
 	"duet/internal/topology"
 )
 
@@ -159,7 +160,7 @@ func TestChaos(t *testing.T) {
 				break
 			}
 			for _, sm := range c.SMuxes {
-				if err := sm.RemoveBackend(v.addr, victim); err != nil {
+				if err := steer.One(sm.Apply, steer.Op{Kind: steer.OpRemoveDIP, Addr: v.addr, DIP: victim}); err != nil {
 					t.Fatalf("step %d: RemoveBackend: %v", step, err)
 				}
 			}

@@ -395,7 +395,7 @@ func (c *Cluster) AddVIP(v *service.VIP) error {
 			return err
 		}
 	}
-	if err := applyEach(c.SMuxes, steer.Op{Kind: steer.OpAdd, VIP: v}); err != nil {
+	if err := applyEach(c.SMuxes, []steer.Op{{Kind: steer.OpAdd, VIP: v}}); err != nil {
 		return err
 	}
 	// The cluster's record outlives the call and is handed out by VIP, so it
@@ -468,8 +468,8 @@ func (c *Cluster) RemoveVIP(addr packet.Addr) error {
 	if !ok {
 		return ErrVIPUnknown
 	}
-	c.placeLocked([]Target{{Addr: addr}})                               // off every switch and NIC
-	_ = applyEach(c.SMuxes, steer.Op{Kind: steer.OpRemove, Addr: addr}) // present: AddVIP put it on every SMux
+	c.placeLocked([]Target{{Addr: addr}})                                   // off every switch and NIC
+	_ = applyEach(c.SMuxes, []steer.Op{{Kind: steer.OpRemove, Addr: addr}}) // present: AddVIP put it on every SMux
 	for _, b := range allBackends(v) {
 		c.unhostBackendLocked(addr, b.Addr, true)
 	}
@@ -544,10 +544,10 @@ func (c *Cluster) AddBackend(vip packet.Addr, b service.Backend) error {
 		return err
 	}
 	v := c.editBackends(old, append(append([]service.Backend(nil), old.Backends...), b))
-	if err := applyEach(c.SMuxes, steer.Op{Kind: steer.OpUpdate, VIP: v}); err != nil {
+	if err := applyEach(c.SMuxes, []steer.Op{{Kind: steer.OpUpdate, VIP: v}}); err != nil {
 		return err
 	}
-	if c.placed[vip].nic && applyEach(c.NMuxes, steer.Op{Kind: steer.OpUpdate, VIP: v}) != nil {
+	if c.placed[vip].nic && applyEach(c.NMuxes, []steer.Op{{Kind: steer.OpUpdate, VIP: v}}) != nil {
 		c.placeLocked([]Target{{Addr: vip}})
 	}
 	return nil
@@ -555,8 +555,10 @@ func (c *Cluster) AddBackend(vip packet.Addr, b service.Backend) error {
 
 // RemoveBackend shrinks a VIP's backend set in place on every tier that
 // serves it (§5.2 "DIP removal" / §5.1 "DIP failure"), under the writer
-// lock: resilient hashing on all three mux types keeps surviving connections
-// intact; connections to the removed DIP are terminated.
+// lock: one steer.OpRemoveDIP batch, handed to the switches that hold the VIP,
+// the NICs when it is NIC-placed and the SMuxes, in that order, until one
+// refuses it. Resilient hashing keeps surviving connections intact;
+// connections to the removed DIP are terminated.
 func (c *Cluster) RemoveBackend(vip, dip packet.Addr) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -564,25 +566,23 @@ func (c *Cluster) RemoveBackend(vip, dip packet.Addr) error {
 	if !ok {
 		return ErrVIPUnknown
 	}
-	for _, sw := range c.placed[vip].tables {
-		if !c.HMuxes[sw].HasVIP(vip) {
-			continue // deprogrammed: between the halves of a leg
-		}
-		if err := c.HMuxes[sw].RemoveBackend(vip, dip); err != nil {
-			return err
-		}
-	}
-	if c.placed[vip].nic {
-		for _, nm := range c.NMuxes {
-			if err := nm.RemoveBackend(vip, dip); err != nil {
-				return err
-			}
+	p := c.placed[vip]
+	var sws []*hmux.Mux
+	for _, sw := range p.tables {
+		if c.HMuxes[sw].HasVIP(vip) { // else deprogrammed: between the halves of a leg
+			sws = append(sws, c.HMuxes[sw])
 		}
 	}
-	for _, sm := range c.SMuxes {
-		if err := sm.RemoveBackend(vip, dip); err != nil {
-			return err
-		}
+	ops := []steer.Op{{Kind: steer.OpRemoveDIP, Addr: vip, DIP: dip}}
+	err := applyEach(sws, ops)
+	if err == nil && p.nic {
+		err = applyEach(c.NMuxes, ops)
+	}
+	if err == nil {
+		err = applyEach(c.SMuxes, ops)
+	}
+	if err != nil {
+		return err
 	}
 	isDIP := func(b service.Backend) bool { return b.Addr == dip }
 	kept := old.Backends

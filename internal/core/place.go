@@ -287,12 +287,12 @@ func (c *Cluster) SetVIPMode(addr packet.Addr, mode steer.Mode) error {
 	return c.one(addr, func(t *Target) error { t.Mode = &mode; return nil })
 }
 
-// applyEach hands every mux of a fleet — the SMuxes or the NICs — the same
-// op, a batch of one each, and stops at the first that refuses it.
-func applyEach[M interface{ Apply([]steer.Op) }](fleet []M, op steer.Op) error {
+// applyEach hands every mux of a fleet — switches, NICs or SMuxes — the same
+// one-op batch and stops at the first that refuses it.
+func applyEach[M interface{ Apply([]steer.Op) }](fleet []M, ops []steer.Op) error {
 	for _, m := range fleet {
-		if err := steer.One(m.Apply, op); err != nil {
-			return err
+		if m.Apply(ops); ops[0].Err != nil {
+			return ops[0].Err
 		}
 	}
 	return nil

@@ -7,6 +7,7 @@ import (
 
 	"duet/internal/packet"
 	"duet/internal/service"
+	"duet/internal/steer"
 )
 
 // TestAccountingMatchesRecount holds the switch's table accounting — kept by
@@ -139,7 +140,7 @@ func TestAccountingMatchesRecount(t *testing.T) {
 				if ok {
 					i = slices.Index(sets[0], dip)
 				}
-				err := m.RemoveBackend(vip, dip)
+				err := steer.One(m.Apply, steer.Op{Kind: steer.OpRemoveDIP, Addr: vip, DIP: dip})
 				if (err == nil) != (i >= 0) || (!ok && err != ErrVIPNotFound) {
 					t.Fatalf("seed %d step %d: RemoveBackend(%s, %s) = %v, model holds it: %v", seed, step, vip, dip, err, i >= 0)
 				}

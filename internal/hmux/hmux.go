@@ -24,9 +24,9 @@
 // forwards at line rate while the switch agent reprograms tables underneath
 // it. Here the lookup tables live in an immutable struct published through an
 // atomic pointer; table programming (an Apply batch — AddVIP and RemoveVIP are
-// batches of one — RemoveBackend, AddTIP) serializes on a writer lock,
-// rebuilds the affected entries and republishes one generation that shares
-// every other entry with the last. Process/Lookup load the pointer once per
+// batches of one — and AddTIP) serializes on a writer lock, replaces the
+// affected entries and republishes one generation that shares every other
+// entry with the last. Process/Lookup load the pointer once per
 // packet, so concurrent dataplane goroutines always see a complete, consistent
 // table generation — never a half-programmed VIP.
 package hmux
@@ -328,12 +328,14 @@ func (m *Mux) overfull() error {
 }
 
 // Apply programs a batch of VIPs (steer.OpAdd, a VIP and all its port
-// rules; steer.OpRemove, a withdrawal releasing its table entries) in order
-// and publishes one table generation for all of them, none when every op
-// failed. Each op is admitted alone against what the ops before it left — a
-// VIP that does not fit fails with the full table's error — so a VIP re-added
-// after its removal in the same batch is charged against the released
-// entries.
+// rules; steer.OpRemove, a withdrawal releasing its table entries;
+// steer.OpRemoveDIP, one DIP taken out resiliently — connections to the
+// survivors keep their mapping, paper §5.1 "DIP failure" — releasing its ECMP
+// member and tunnel reference) in order and publishes one table generation
+// for all of them, none when every op failed. Each op is admitted alone
+// against what the ops before it left — a VIP that does not fit fails with
+// the full table's error — so a VIP re-added after its removal in the same
+// batch is charged against the released entries.
 func (m *Mux) Apply(ops []steer.Op) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -347,12 +349,22 @@ func (m *Mux) Apply(ops []steer.Op) {
 			if op.Err = op.VIP.Validate(); op.Err == nil {
 				op.Err = m.admit(vips, t.tips, op.VIP)
 			}
-		case steer.OpRemove:
-			op.Err = ErrVIPNotFound
-			if e, ok := vips.Get(op.Addr); ok {
+		case steer.OpRemove, steer.OpRemoveDIP:
+			e, ok := vips.Get(op.Addr)
+			switch {
+			case !ok:
+				op.Err = ErrVIPNotFound
+			case op.Kind == steer.OpRemove:
 				m.charge(e, -1)
 				vips.Delete(op.Addr)
 				op.Err = nil
+			default:
+				var cp *steer.Entry
+				if cp, op.Err = e.WithoutBackend(op.DIP); op.Err == nil {
+					m.charge(e, -1)
+					m.charge(cp, +1)
+					vips.Set(op.Addr, cp)
+				}
 			}
 		default:
 			op.Err = fmt.Errorf("hmux: op kind %d does not program a switch", op.Kind)
@@ -409,30 +421,6 @@ func (m *Mux) RemoveVIP(addr packet.Addr) error {
 func (m *Mux) HasVIP(addr packet.Addr) bool {
 	_, ok := m.tab.Load().vips.Get(addr)
 	return ok
-}
-
-// RemoveBackend removes one DIP from a VIP's default backend set using
-// resilient hashing: connections to surviving DIPs keep their mapping
-// (paper §5.1 "DIP failure"). The freed table entries are released. The
-// entry is replaced by an edited copy, so concurrent Process calls see either
-// the old complete group or the new complete group.
-func (m *Mux) RemoveBackend(vip, dip packet.Addr) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	t := *m.tab.Load()
-	e, ok := t.vips.Get(vip)
-	if !ok {
-		return ErrVIPNotFound
-	}
-	cp, err := e.WithoutBackend(dip)
-	if err != nil {
-		return fmt.Errorf("hmux: DIP %s not found under VIP %s", dip, vip)
-	}
-	m.charge(e, -1)
-	m.charge(cp, +1)
-	t.vips = t.vips.With(vip, cp)
-	m.publish(&t)
-	return nil
 }
 
 // AddTIP programs a transient-IP partition on this switch (paper §5.2,

@@ -8,6 +8,7 @@ import (
 	"duet/internal/ecmp"
 	"duet/internal/packet"
 	"duet/internal/service"
+	"duet/internal/steer"
 	"duet/internal/telemetry"
 )
 
@@ -224,7 +225,7 @@ func TestRemoveBackendResilient(t *testing.T) {
 		before[i] = res.Encap
 	}
 	failed := packet.MustParseAddr("100.0.0.2")
-	if err := m.RemoveBackend(vipAddr, failed); err != nil {
+	if err := steer.One(m.Apply, steer.Op{Kind: steer.OpRemoveDIP, Addr: vipAddr, DIP: failed}); err != nil {
 		t.Fatal(err)
 	}
 	moved := 0
@@ -254,20 +255,20 @@ func TestRemoveBackendResilient(t *testing.T) {
 
 func TestRemoveBackendErrors(t *testing.T) {
 	m := newMux(t)
-	if err := m.RemoveBackend(vipAddr, 1); err != ErrVIPNotFound {
+	if err := steer.One(m.Apply, steer.Op{Kind: steer.OpRemoveDIP, Addr: vipAddr, DIP: 1}); err != ErrVIPNotFound {
 		t.Fatalf("got %v", err)
 	}
 	if err := m.AddVIP(&service.VIP{Addr: vipAddr, Backends: backends("100.0.0.1")}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.RemoveBackend(vipAddr, packet.MustParseAddr("9.9.9.9")); err == nil {
+	if err := steer.One(m.Apply, steer.Op{Kind: steer.OpRemoveDIP, Addr: vipAddr, DIP: packet.MustParseAddr("9.9.9.9")}); err == nil {
 		t.Fatal("unknown DIP removal should error")
 	}
 	// Remove the same DIP twice.
-	if err := m.RemoveBackend(vipAddr, packet.MustParseAddr("100.0.0.1")); err != nil {
+	if err := steer.One(m.Apply, steer.Op{Kind: steer.OpRemoveDIP, Addr: vipAddr, DIP: packet.MustParseAddr("100.0.0.1")}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.RemoveBackend(vipAddr, packet.MustParseAddr("100.0.0.1")); err == nil {
+	if err := steer.One(m.Apply, steer.Op{Kind: steer.OpRemoveDIP, Addr: vipAddr, DIP: packet.MustParseAddr("100.0.0.1")}); err == nil {
 		t.Fatal("double DIP removal should error")
 	}
 	// Removing the VIP afterwards must not corrupt refcounts.
@@ -719,7 +720,7 @@ func TestDropReasons(t *testing.T) {
 	}
 
 	// No tunnel entry: remove the only DIP, leaving an empty ECMP group.
-	if err := m.RemoveBackend(vipAddr, packet.MustParseAddr("100.0.0.1")); err != nil {
+	if err := steer.One(m.Apply, steer.Op{Kind: steer.OpRemoveDIP, Addr: vipAddr, DIP: packet.MustParseAddr("100.0.0.1")}); err != nil {
 		t.Fatal(err)
 	}
 	_, err := m.Process(vipPacket(0, 80), nil)

@@ -39,6 +39,7 @@ package nmux
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -322,52 +323,50 @@ func (m *Mux) publish(vips vipTable) {
 	m.flowBudget.Store(int64(m.cfg.TableSize - m.wildcardUsed))
 }
 
-// Apply programs a batch of ops (steer.OpAdd, OpUpdate, OpSet and OpRemove;
-// the mode is the steer table's business) in order and publishes one
-// wildcard-table generation for all of them, none when every op failed. The
-// table is bounded: each op is admitted alone against what the ops before it
-// left, and one that does not fit fails with ErrTableFull rather than
+// Apply programs a batch of ops (steer.OpAdd, OpUpdate, OpSet, OpRemove and
+// OpRemoveDIP; the mode is the steer table's business) in order and publishes
+// one wildcard-table generation for all of them, none when every op failed.
+// The table is bounded: each op is admitted alone against what the ops before
+// it left, and one that does not fit fails with ErrTableFull rather than
 // evicting. Updating a VIP keeps its pinned flows — that is what makes a
 // reprogram invisible to connections straddling it; removing one releases
-// its wildcard entries and drops its flows. A paired mux leaves the steer
-// entries to the SMux that owns the table (its backstop still serves a
+// its wildcard entries, removing a DIP keeps its dead action slot (the cost
+// holds, as on the HMux), and both drop the flows pinned to what left
+// (steer.Gone). A paired mux leaves the steer entries, and whether a removed
+// DIP was live, to the SMux that owns the table (its backstop still serves a
 // removed VIP); a standalone one applies the same batch to its own.
 func (m *Mux) Apply(ops []steer.Op) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	vips := m.tab.Load().Edit()
 	var own []steer.Op // the standalone mux's steer batch
-	var removed map[packet.Addr]bool
-	changed := false
 	for i := range ops {
 		op := &ops[i]
-		if op.Err = m.apply(vips, op); op.Err != nil {
-			continue
-		}
-		changed = true
-		kind := steer.OpSet // an upsert: the private table holds what this one does
-		if op.Kind == steer.OpRemove {
-			kind = steer.OpRemove
-			if removed == nil {
-				removed = make(map[packet.Addr]bool)
+		if op.Err = m.apply(vips, op); op.Err == nil && m.ownSteer {
+			kind := steer.OpSet // an upsert: the private table holds what this one does
+			if op.Kind == steer.OpRemove || op.Kind == steer.OpRemoveDIP {
+				kind = op.Kind
 			}
-			removed[op.Addr] = true
+			own = append(own, steer.Op{Kind: kind, Addr: op.Addr, VIP: op.VIP, DIP: op.DIP})
 		}
-		if m.ownSteer {
-			own = append(own, steer.Op{Kind: kind, Addr: op.Addr, VIP: op.VIP})
-		}
-	}
-	if !changed {
-		return
 	}
 	if m.ownSteer {
-		// Every VIP here passed Validate and OpSet is an upsert, so the
-		// private table's batch cannot fail.
+		// Every VIP here passed Validate and OpSet is an upsert, so only a
+		// DIP removal can fail on the private table: a DIP that is not live.
 		m.steer.Apply(own)
+		for i, j := 0, 0; j < len(own); i++ {
+			if ops[i].Err == nil {
+				ops[i].Err = own[j].Err
+				j++
+			}
+		}
+	}
+	if !slices.ContainsFunc(ops, func(op steer.Op) bool { return op.Err == nil }) {
+		return
 	}
 	m.publish(vips.Map())
-	if removed != nil {
-		m.dropFlows(func(t packet.FiveTuple, _ packet.Addr) bool { return removed[t.Dst] })
+	if gone := steer.Gone(ops); gone != nil {
+		m.dropFlows(gone)
 	}
 }
 
@@ -393,13 +392,15 @@ func (m *Mux) apply(vips *addrmap.Edit[int], op *steer.Op) error {
 		}
 		m.wildcardUsed += cost - old
 		vips.Set(v.Addr, cost)
-	case steer.OpRemove:
+	case steer.OpRemove, steer.OpRemoveDIP:
 		cost, ok := vips.Get(op.Addr)
 		if !ok {
 			return ErrVIPNotFound
 		}
-		m.wildcardUsed -= cost
-		vips.Delete(op.Addr)
+		if op.Kind == steer.OpRemove {
+			m.wildcardUsed -= cost
+			vips.Delete(op.Addr)
+		}
 	default:
 		return fmt.Errorf("nmux: op kind %d does not program a NIC table", op.Kind)
 	}
@@ -409,31 +410,6 @@ func (m *Mux) apply(vips *addrmap.Edit[int], op *steer.Op) error {
 // AddVIP programs a VIP's wildcard entries: a batch of one.
 func (m *Mux) AddVIP(v *service.VIP) error {
 	return steer.One(m.Apply, steer.Op{Kind: steer.OpAdd, VIP: v})
-}
-
-// RemoveBackend removes a DIP resiliently (same semantics as the HMux: the
-// action slot stays allocated but dead, so the wildcard cost is unchanged)
-// and terminates flows pinned to it. The steer entry knows whether the DIP
-// is live; a standalone mux removes it there, a paired one leaves that to the
-// SMux that owns the table.
-func (m *Mux) RemoveBackend(vip, dip packet.Addr) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.tab.Load().Get(vip); !ok {
-		return ErrVIPNotFound
-	}
-	if e, ok := m.steer.View().Find(vip); !ok || !e.Live(dip) {
-		return ErrVIPNotFound
-	}
-	if m.ownSteer {
-		if err := m.steer.RemoveBackend(vip, dip); err != nil {
-			return err
-		}
-	}
-	m.dropFlows(func(t packet.FiveTuple, d packet.Addr) bool {
-		return t.Dst == vip && d == dip
-	})
-	return nil
 }
 
 // dropFlows removes pinned flows matching the predicate from every shard and

@@ -278,7 +278,7 @@ func TestRemoveBackendDropsPinnedFlows(t *testing.T) {
 		t.Fatal("no flows landed on the victim DIP; widen the flow sweep")
 	}
 	total := m.Stats().Flows
-	if err := m.RemoveBackend(v.Addr, victim); err != nil {
+	if err := steer.One(m.Apply, steer.Op{Kind: steer.OpRemoveDIP, Addr: v.Addr, DIP: victim}); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.Stats().Flows; got != total-pinnedToVictim {
@@ -330,7 +330,7 @@ func TestDropCounters(t *testing.T) {
 	if err := m.AddVIP(v); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.RemoveBackend(v.Addr, v.Backends[0].Addr); err != nil {
+	if err := steer.One(m.Apply, steer.Op{Kind: steer.OpRemoveDIP, Addr: v.Addr, DIP: v.Backends[0].Addr}); err != nil {
 		t.Fatal(err)
 	}
 

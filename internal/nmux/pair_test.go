@@ -8,6 +8,7 @@ import (
 	"duet/internal/ecmp"
 	"duet/internal/packet"
 	"duet/internal/smux"
+	"duet/internal/steer"
 	"duet/internal/telemetry"
 )
 
@@ -66,7 +67,7 @@ func TestPair(t *testing.T) {
 			setup: func(t *testing.T, sm *smux.Mux, nm *Mux) {
 				mustAdd(t, sm.AddVIP(v), nm.AddVIP(v))
 				for _, b := range v.Backends {
-					mustAdd(t, sm.RemoveBackend(v.Addr, b.Addr))
+					mustAdd(t, steer.One(sm.Apply, steer.Op{Kind: steer.OpRemoveDIP, Addr: v.Addr, DIP: b.Addr}))
 				}
 			},
 			counted: map[string]uint64{"nmux.packets": 1, "nmux.hits": 1, "nmux.drops.no_backend": 1},

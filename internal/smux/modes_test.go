@@ -165,7 +165,7 @@ func TestHybridPinsOnlyStraddlingFlows(t *testing.T) {
 	// hashed to the victim remap at removal (counted out, as in stateful
 	// mode, where their conns are dropped); everyone else must hold still.
 	victim := bs[1].Addr
-	if err := m.RemoveBackend(vipAddr, victim); err != nil {
+	if err := steer.One(m.Apply, steer.Op{Kind: steer.OpRemoveDIP, Addr: vipAddr, DIP: victim}); err != nil {
 		t.Fatal(err)
 	}
 	afterRemove := make([]packet.Addr, flows)
@@ -295,7 +295,7 @@ func TestEncapByteIdentical(t *testing.T) {
 	}
 	compare("baseline")
 	for _, m := range muxes {
-		if err := m.RemoveBackend(vipAddr, victim); err != nil {
+		if err := steer.One(m.Apply, steer.Op{Kind: steer.OpRemoveDIP, Addr: vipAddr, DIP: victim}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -394,36 +394,30 @@ func (m *Mux) ConnStats() ConnStats {
 }
 
 // Apply reprograms a batch of VIPs (steer.Op: set with a mode, add, update,
-// mode change, remove) as one steer-table generation, so a hybrid flow is
-// compared with the table as it stood before the whole batch. Each op
-// succeeds or fails alone, its error in Err. Unlike the HMux there is no
-// capacity limit: the mapping lives in server memory (paper §2.1
-// "essentially an unlimited number of VIPs and DIPs"). Stateful and hybrid
-// flows keep flowing to their pinned DIPs, so a backend change does not remap
-// them; a removed VIP's pinned connections and overlay entries are dropped. A
-// mode change takes effect on the next packet of every flow: pinned state
-// from the previous mode stays honored in stateful/hybrid and is simply
-// ignored in stateless.
+// mode change, remove, DIP removal) as one steer-table generation, so a
+// hybrid flow is compared with the table as it stood before the whole batch.
+// Each op succeeds or fails alone, its error in Err (a DIP removal's unknown
+// VIP or DIP both read ErrVIPNotFound). Unlike the HMux there is no capacity
+// limit: the mapping lives in server memory (paper §2.1 "essentially an
+// unlimited number of VIPs and DIPs"). Stateful and hybrid flows keep flowing
+// to their pinned DIPs, so a backend change does not remap them; the pinned
+// connections and overlay entries of a removed VIP or DIP are dropped
+// (steer.Gone). A mode change takes effect on the next packet of every flow:
+// pinned state from the previous mode stays honored in stateful/hybrid and is
+// simply ignored in stateless.
 func (m *Mux) Apply(ops []steer.Op) {
 	m.steer.Apply(ops)
-	var removed map[packet.Addr]bool
 	for i := range ops {
-		op := &ops[i]
-		switch {
-		case op.Err == steer.ErrVIPExists:
-			op.Err = ErrVIPExists
-		case op.Err == steer.ErrVIPNotFound:
-			op.Err = ErrVIPNotFound
-		case op.Err == nil && op.Kind == steer.OpRemove:
-			if removed == nil {
-				removed = make(map[packet.Addr]bool)
-			}
-			removed[op.Addr] = true
+		switch ops[i].Err {
+		case steer.ErrVIPExists:
+			ops[i].Err = ErrVIPExists
+		case steer.ErrVIPNotFound, steer.ErrBackendNotFound:
+			ops[i].Err = ErrVIPNotFound
 		}
 	}
-	if removed != nil {
-		m.dropConns(func(t packet.FiveTuple, _ packet.Addr) bool { return removed[t.Dst] })
-		m.dropOverlay(func(t packet.FiveTuple, _ packet.Addr) bool { return removed[t.Dst] })
+	if gone := steer.Gone(ops); gone != nil {
+		m.dropConns(gone)
+		m.dropOverlay(gone)
 	}
 }
 
@@ -478,25 +472,6 @@ func (m *Mux) HasVIP(addr packet.Addr) bool { return m.steer.HasVIP(addr) }
 
 // NumVIPs returns the configured VIP count.
 func (m *Mux) NumVIPs() int { return m.steer.NumVIPs() }
-
-// RemoveBackend removes a DIP resiliently (same semantics as the HMux) and
-// terminates connections pinned to it (paper §5.1 "DIP failure": existing
-// connections to the failed DIP are necessarily terminated).
-func (m *Mux) RemoveBackend(vip, dip packet.Addr) error {
-	if err := m.steer.RemoveBackend(vip, dip); err != nil {
-		if err == steer.ErrVIPNotFound || err == steer.ErrBackendNotFound {
-			return ErrVIPNotFound
-		}
-		return err
-	}
-	m.dropConns(func(t packet.FiveTuple, d packet.Addr) bool {
-		return t.Dst == vip && d == dip
-	})
-	m.dropOverlay(func(t packet.FiveTuple, d packet.Addr) bool {
-		return t.Dst == vip && d == dip
-	})
-	return nil
-}
 
 // Result describes the outcome of Process.
 type Result struct {

@@ -197,7 +197,7 @@ func TestRemoveBackendTerminatesPinnedConns(t *testing.T) {
 			pinnedToVictim++
 		}
 	}
-	if err := m.RemoveBackend(vipAddr, victim); err != nil {
+	if err := steer.One(m.Apply, steer.Op{Kind: steer.OpRemoveDIP, Addr: vipAddr, DIP: victim}); err != nil {
 		t.Fatal(err)
 	}
 	if m.ConnStats().Entries != 1000-pinnedToVictim {
@@ -215,13 +215,13 @@ func TestRemoveBackendTerminatesPinnedConns(t *testing.T) {
 
 func TestRemoveBackendErrors(t *testing.T) {
 	m := New(DefaultConfig(selfAddr))
-	if err := m.RemoveBackend(vipAddr, 1); err != ErrVIPNotFound {
+	if err := steer.One(m.Apply, steer.Op{Kind: steer.OpRemoveDIP, Addr: vipAddr, DIP: 1}); err != ErrVIPNotFound {
 		t.Fatalf("got %v", err)
 	}
 	if err := m.AddVIP(&service.VIP{Addr: vipAddr, Backends: backends("100.0.0.1")}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.RemoveBackend(vipAddr, packet.MustParseAddr("6.6.6.6")); err == nil {
+	if err := steer.One(m.Apply, steer.Op{Kind: steer.OpRemoveDIP, Addr: vipAddr, DIP: packet.MustParseAddr("6.6.6.6")}); err == nil {
 		t.Fatal("unknown DIP accepted")
 	}
 }
@@ -454,7 +454,7 @@ func TestDropReasonLabels(t *testing.T) {
 	}
 
 	t.Run("no_backend", func(t *testing.T) {
-		if err := m.RemoveBackend(vipAddr, packet.MustParseAddr("100.0.0.1")); err != nil {
+		if err := steer.One(m.Apply, steer.Op{Kind: steer.OpRemoveDIP, Addr: vipAddr, DIP: packet.MustParseAddr("100.0.0.1")}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := m.Process(vipPacket(1, 80), nil); err == nil {

@@ -226,8 +226,8 @@ func TestEveryTierResolvesLikeTheReferenceGroup(t *testing.T) {
 			t.Helper()
 			// The paired NIC first, as core.Cluster orders it: the SMux owns
 			// the table both read.
-			for _, rm := range []func(vip, dip packet.Addr) error{hm.RemoveBackend, alone.RemoveBackend, paired.RemoveBackend, sm.RemoveBackend, tbl.RemoveBackend} {
-				if err := rm(vip, dip); err != nil {
+			for _, apply := range []func([]steer.Op){hm.Apply, alone.Apply, paired.Apply, sm.Apply, tbl.Apply} {
+				if err := steer.One(apply, steer.Op{Kind: steer.OpRemoveDIP, Addr: vip, DIP: dip}); err != nil {
 					t.Fatalf("seed %d: RemoveBackend(%s): %v", seed, dip, err)
 				}
 			}

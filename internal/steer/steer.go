@@ -14,14 +14,16 @@
 // load, one map probe and one slice index — zero allocations, no locks.
 //
 // Updates follow Concury's concise-structure discipline: a batch of ops
-// (Table.Apply; a replicated delta is one batch) rebuilds only the touched
-// VIPs' entries and publishes one new generation — the shared copy-on-write
-// table of internal/addrmap, so every other VIP's entry and every untouched
-// chunk of the index carry over — with a bumped epoch. Because ecmp.Group
-// removal is resilient and its fill is deterministic in the backend list,
-// removing a DIP and later re-adding it returns the slot array exactly to its
-// original state — flows that never hashed to the churned DIP never remap,
-// which is what lets an SMux serve them statelessly across epochs.
+// (Table.Apply; a replicated delta is one batch) rebuilds the entries of the
+// VIPs it installs, takes removed DIPs out of theirs in place (OpRemoveDIP),
+// and publishes one new generation — the shared copy-on-write table of
+// internal/addrmap, so every other VIP's entry and every untouched chunk of
+// the index carry over — with a bumped epoch. A rebuild moves most of a VIP's
+// flows; because ecmp.Group removal is resilient and its fill is
+// deterministic in the backend list, removing a DIP moves only its flows, and
+// re-adding it returns the slot array exactly to its original state — flows
+// that never hashed to the churned DIP never remap, which is what lets an
+// SMux serve them statelessly across epochs.
 //
 // The table also keeps the generation before the latest slot-changing batch
 // alive for a bounded drain window. A hybrid-mode SMux compares the current
@@ -159,11 +161,18 @@ func (e *Entry) DIP(tuple packet.FiveTuple, h uint64) (packet.Addr, error) {
 // HasLive reports whether d is a live backend of the sub-entry serving
 // tuple. Hybrid muxes use it to refuse pinning a flow to a DIP the current
 // generation no longer serves (a failed DIP's connections are necessarily
-// terminated, paper §5.1). Zero allocations.
+// terminated, paper §5.1). It scans the backend list, which costs a packet
+// nothing it can notice: the one hot caller asks only for flows whose DIP
+// just changed, one flow in len(backends) on a removal. Zero allocations.
 //
 //duet:hotpath
 func (e *Entry) HasLive(tuple packet.FiveTuple, d packet.Addr) bool {
-	return e.sub(tuple.DstPort).Live(d)
+	for _, b := range e.sub(tuple.DstPort).backends {
+		if b.Addr == d {
+			return d != 0 // a removed member's slot holds the zero address
+		}
+	}
+	return false
 }
 
 // sub returns the sub-entry serving a destination port: the port rule's when
@@ -177,21 +186,6 @@ func (e *Entry) sub(port uint16) *Entry {
 		}
 	}
 	return e
-}
-
-// Live reports whether d is a live backend of the entry's default set: a scan
-// of the backend list, which costs a packet nothing it can notice — the one
-// hot caller asks only for flows whose DIP just changed, one flow in
-// len(backends) on a removal.
-//
-//duet:hotpath
-func (e *Entry) Live(d packet.Addr) bool {
-	for _, b := range e.backends {
-		if b.Addr == d {
-			return d != 0 // a removed member's slot holds the zero address
-		}
-	}
-	return false
 }
 
 // Sets calls f once per backend set the entry resolves over — the default
@@ -430,15 +424,21 @@ const (
 	OpMode
 	// OpRemove deletes Op.Addr; ErrVIPNotFound if absent.
 	OpRemove
+	// OpRemoveDIP takes Op.DIP out of Op.Addr's default backend set in place
+	// (Entry.WithoutBackend): only the flows on that DIP move. ErrVIPNotFound
+	// if the VIP is absent, ErrBackendNotFound if the DIP is not a live member.
+	OpRemoveDIP
 )
 
 // Op is one VIP's change in a batch (Table.Apply; the SMux, NMux and HMux
 // batches take the same ops). The kinds that install a VIP read its address
-// from VIP, OpMode and OpRemove from Addr. Apply records the outcome in Err.
+// from VIP, OpMode and OpRemove from Addr, OpRemoveDIP from Addr and DIP.
+// Apply records the outcome in Err.
 type Op struct {
 	Kind OpKind
 	Addr packet.Addr
 	VIP  *service.VIP
+	DIP  packet.Addr
 	Mode Mode
 	Err  error
 }
@@ -510,14 +510,48 @@ func (t *Table) apply(vips *addrmap.Edit[*Entry], op *Op) (effect, error) {
 		cp.mode = op.Mode
 		vips.Set(op.Addr, &cp)
 		return modeChanged, nil
-	case OpRemove:
-		if _, ok := vips.Get(op.Addr); !ok {
+	case OpRemove, OpRemoveDIP:
+		e, ok := vips.Get(op.Addr)
+		if !ok {
 			return unchanged, ErrVIPNotFound
 		}
-		vips.Delete(op.Addr)
+		if op.Kind == OpRemove {
+			vips.Delete(op.Addr)
+			return slotsChanged, nil
+		}
+		cp, err := e.WithoutBackend(op.DIP)
+		if err != nil {
+			return unchanged, err
+		}
+		vips.Set(op.Addr, cp)
 		return slotsChanged, nil
 	}
 	return unchanged, fmt.Errorf("steer: invalid op kind %d", uint8(op.Kind))
+}
+
+// Gone returns a match for the pinned flows a batch's applied removals leave
+// without their DIP — every flow of a VIP an OpRemove deleted, the flows
+// pinned to a DIP an OpRemoveDIP took out (§5.1: those are necessarily
+// terminated) — for a mux to purge from its per-flow state. It is nil, and
+// allocates nothing, when the batch removed nothing.
+func Gone(ops []Op) func(tuple packet.FiveTuple, dip packet.Addr) bool {
+	var gone map[[2]packet.Addr]bool // (VIP, DIP); an OpRemove's DIP is zero
+	var vips uint64                  // a one-word filter of gone's VIPs: most flows skip the probe
+	for _, op := range ops {
+		if op.Err == nil && (op.Kind == OpRemove || op.Kind == OpRemoveDIP) {
+			if gone == nil {
+				gone = make(map[[2]packet.Addr]bool)
+			}
+			gone[[2]packet.Addr{op.Addr, op.DIP}] = true
+			vips |= 1 << (op.Addr % 64)
+		}
+	}
+	if gone == nil {
+		return nil
+	}
+	return func(t packet.FiveTuple, d packet.Addr) bool {
+		return vips&(1<<(t.Dst%64)) != 0 && (gone[[2]packet.Addr{t.Dst, 0}] || gone[[2]packet.Addr{t.Dst, d}])
+	}
 }
 
 // One runs op as a batch of one through apply (a table's Apply) and returns
@@ -535,25 +569,6 @@ func (t *Table) Add(v *service.VIP) error { return One(t.Apply, Op{Kind: OpAdd, 
 // the semantics the muxes had), preserving its mode. ErrVIPNotFound if
 // absent.
 func (t *Table) Update(v *service.VIP) error { return One(t.Apply, Op{Kind: OpUpdate, VIP: v}) }
-
-// RemoveBackend removes a DIP resiliently (Entry.WithoutBackend), so
-// surviving flows keep their mapping. ErrBackendNotFound if the DIP is not in
-// the VIP's default backend set.
-func (t *Table) RemoveBackend(vip, dip packet.Addr) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	vips := t.gen.Load().vips
-	e, ok := vips.Get(vip)
-	if !ok {
-		return ErrVIPNotFound
-	}
-	cp, err := e.WithoutBackend(dip)
-	if err != nil {
-		return err
-	}
-	t.publish(vips.With(vip, cp), true)
-	return nil
-}
 
 // DrainActive reports whether a previous generation is currently
 // consultable.

@@ -78,7 +78,7 @@ func TestRemoveBackendResilient(t *testing.T) {
 		}
 		before[i] = d
 	}
-	if err := tab.RemoveBackend(vipAddr, victim); err != nil {
+	if err := One(tab.Apply, Op{Kind: OpRemoveDIP, Addr: vipAddr, DIP: victim}); err != nil {
 		t.Fatal(err)
 	}
 	for i := uint32(0); i < 4000; i++ {
@@ -112,7 +112,7 @@ func TestRemoveReAddConverges(t *testing.T) {
 		orig[i], _ = tab.Lookup(tupleN(i))
 	}
 	e0 := tab.Epoch()
-	if err := tab.RemoveBackend(vipAddr, bs[2].Addr); err != nil {
+	if err := One(tab.Apply, Op{Kind: OpRemoveDIP, Addr: vipAddr, DIP: bs[2].Addr}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tab.Update(&service.VIP{Addr: vipAddr, Backends: bs}); err != nil {
@@ -140,7 +140,7 @@ func TestDrainWindow(t *testing.T) {
 	tab := NewTable(Config{DrainWindow: 30, Clock: func() float64 { return now }})
 	bs := backends("100.0.0.1", "100.0.0.2", "100.0.0.3")
 	mustAdd(t, tab, &service.VIP{Addr: vipAddr, Backends: bs})
-	if err := tab.RemoveBackend(vipAddr, bs[0].Addr); err != nil {
+	if err := One(tab.Apply, Op{Kind: OpRemoveDIP, Addr: vipAddr, DIP: bs[0].Addr}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -255,13 +255,13 @@ func TestErrors(t *testing.T) {
 	if err := tab.Add(v); err != ErrVIPExists {
 		t.Fatalf("got %v", err)
 	}
-	if err := tab.RemoveBackend(vipAddr, packet.MustParseAddr("6.6.6.6")); err != ErrBackendNotFound {
+	if err := One(tab.Apply, Op{Kind: OpRemoveDIP, Addr: vipAddr, DIP: packet.MustParseAddr("6.6.6.6")}); err != ErrBackendNotFound {
 		t.Fatalf("got %v", err)
 	}
-	if err := tab.RemoveBackend(packet.MustParseAddr("9.9.9.9"), 1); err != ErrVIPNotFound {
+	if err := One(tab.Apply, Op{Kind: OpRemoveDIP, Addr: packet.MustParseAddr("9.9.9.9"), DIP: 1}); err != ErrVIPNotFound {
 		t.Fatalf("got %v", err)
 	}
-	if err := tab.RemoveBackend(vipAddr, packet.MustParseAddr("100.0.0.1")); err != nil {
+	if err := One(tab.Apply, Op{Kind: OpRemoveDIP, Addr: vipAddr, DIP: packet.MustParseAddr("100.0.0.1")}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tab.Lookup(tupleN(0)); err != ErrNoBackend {
@@ -406,5 +406,95 @@ func TestApplyBatch(t *testing.T) {
 	tab.Apply([]Op{{Kind: OpMode, Addr: vipAddr, Mode: ModeStateful}})
 	if v2 := tab.View(); tab.Epoch() != 3 || v2.g.prev != v.g.prev || v2.g.drainUntil != v.g.drainUntil {
 		t.Fatal("a mode-only batch re-armed the drain")
+	}
+}
+
+// TestRemoveDIPListedTwice: a host listed twice in a backend set (a
+// virtualized host weighted by its VMs, core.RegisterHost) loses its first
+// occurrence to an OpRemoveDIP and stays live through the second; only the
+// flows of the removed member's slots move, and the port sub-entries are
+// shared with the entry before the removal.
+func TestRemoveDIPListedTwice(t *testing.T) {
+	tab := NewTable(Config{})
+	host, other := packet.MustParseAddr("100.0.0.1"), packet.MustParseAddr("100.0.0.2")
+	mustAdd(t, tab, &service.VIP{
+		Addr:     vipAddr,
+		Backends: backends("100.0.0.1", "100.0.0.2", "100.0.0.1"),
+		Ports:    []service.PortRule{{Port: 443, Backends: backends("100.0.1.1")}},
+	})
+	before, _ := tab.View().Find(vipAddr)
+	if err := One(tab.Apply, Op{Kind: OpRemoveDIP, Addr: vipAddr, DIP: host}); err != nil {
+		t.Fatal(err)
+	}
+	after, _ := tab.View().Find(vipAddr)
+	if !after.HasLive(tupleN(0), host) || after.backends[0].Addr != 0 || after.backends[2].Addr != host {
+		t.Fatalf("backends after removing one listing of %s: %v", host, after.backends)
+	}
+	if after.ports[443] != before.ports[443] {
+		t.Fatal("the port sub-entry was rebuilt, not shared")
+	}
+	for s, d := range before.slots {
+		if before.group.SlotMember(s) != 0 && after.slots[s] != d {
+			t.Fatalf("slot %d of a surviving member moved from %s to %s", s, d, after.slots[s])
+		}
+		if got := after.slots[s]; got != host && got != other {
+			t.Fatalf("slot %d holds %s", s, got)
+		}
+	}
+}
+
+// TestGone: a batch that removes two DIPs of one VIP and a whole other VIP
+// publishes one generation, and Gone matches exactly the flows it left
+// without their DIP — every flow of the removed VIP, the flows of the first
+// pinned to either removed DIP — and nothing a failed removal named.
+func TestGone(t *testing.T) {
+	tab := NewTable(Config{})
+	a, b, c := packet.AddrFrom4(10, 0, 0, 1), packet.AddrFrom4(10, 0, 0, 2), packet.AddrFrom4(10, 0, 0, 3)
+	dips := backends("100.0.0.1", "100.0.0.2", "100.0.0.3", "100.0.0.4")
+	tab.Apply([]Op{
+		{Kind: OpAdd, VIP: &service.VIP{Addr: a, Backends: dips}},
+		{Kind: OpAdd, VIP: &service.VIP{Addr: b, Backends: dips}},
+		{Kind: OpAdd, VIP: &service.VIP{Addr: c, Backends: dips}},
+	})
+	ops := []Op{
+		{Kind: OpRemoveDIP, Addr: a, DIP: dips[0].Addr},
+		{Kind: OpRemoveDIP, Addr: a, DIP: dips[1].Addr},
+		{Kind: OpRemove, Addr: b},
+		{Kind: OpRemoveDIP, Addr: c, DIP: packet.MustParseAddr("6.6.6.6")}, // not a member: refused
+	}
+	epoch := tab.Epoch()
+	tab.Apply(ops)
+	if tab.Epoch() != epoch+1 || ops[3].Err != ErrBackendNotFound {
+		t.Fatalf("batch: epoch %d → %d, refused op's error %v", epoch, tab.Epoch(), ops[3].Err)
+	}
+	gone := Gone(ops)
+	for _, vip := range []packet.Addr{a, b, c} {
+		for _, d := range append(dips, service.Backend{Addr: packet.MustParseAddr("6.6.6.6")}) {
+			tu := packet.FiveTuple{Src: 1, Dst: vip, SrcPort: 1, DstPort: 80, Proto: packet.ProtoTCP}
+			want := vip == b || (vip == a && (d.Addr == dips[0].Addr || d.Addr == dips[1].Addr))
+			if got := gone(tu, d.Addr); got != want {
+				t.Errorf("Gone(flow to %s pinned to %s) = %v, want %v", vip, d.Addr, got, want)
+			}
+		}
+	}
+}
+
+// TestGoneZeroAlloc: a batch that removed nothing — installs, a mode change,
+// a refused removal — has no Gone match, and finding that out allocates
+// nothing, so a mux never scans its per-flow state for it.
+func TestGoneZeroAlloc(t *testing.T) {
+	ops := []Op{
+		{Kind: OpSet, VIP: &service.VIP{Addr: vipAddr, Backends: backends("100.0.0.1")}},
+		{Kind: OpMode, Addr: vipAddr, Mode: ModeHybrid},
+		{Kind: OpRemove, Addr: 9, Err: ErrVIPNotFound},
+		{Kind: OpRemoveDIP, Addr: vipAddr, DIP: 9, Err: ErrBackendNotFound},
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if Gone(ops) != nil {
+			t.Fatal("a batch without an applied removal has a Gone match")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Gone: %v allocs/op, want 0", allocs)
 	}
 }

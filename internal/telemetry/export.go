@@ -66,7 +66,10 @@ func (e Event) String() string {
 	case KindBGPAnnounce, KindBGPWithdraw:
 		fmt.Fprintf(&b, " prefix=%s/%d", fmtAddr(e.A), e.Aux)
 	case KindTableProgram:
-		fmt.Fprintf(&b, " vip=%s op=%d", fmtAddr(e.A), e.Aux)
+		fmt.Fprintf(&b, " vip=%s op=%d", fmtAddr(e.A), e.B)
+		if e.B == 2 {
+			fmt.Fprintf(&b, " dip=%s", fmtAddr(uint32(e.Aux)))
+		}
 	case KindMigrationStep:
 		fmt.Fprintf(&b, " vip=%s step=%d", fmtAddr(e.A), e.Aux)
 	case KindHealthTransition:

@@ -26,7 +26,7 @@ const (
 	// Control plane (always recorded).
 	KindBGPAnnounce      // A = prefix addr, Aux = prefix bits
 	KindBGPWithdraw      // A = prefix addr, Aux = prefix bits
-	KindTableProgram     // switch tables programmed; A = VIP/TIP, Aux = op kind
+	KindTableProgram     // switch tables programmed; A = VIP/TIP, B = op: 0 add, 1 remove VIP, 2 remove DIP Aux
 	KindMigrationStep    // controller migration step; A = VIP, Aux = step code
 	KindHealthTransition // A = DIP, Aux = 1 healthy / 0 unhealthy
 	KindSwitchFail       // Node = switch

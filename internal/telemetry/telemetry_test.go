@@ -270,6 +270,25 @@ func TestExporters(t *testing.T) {
 	}
 }
 
+// TestTableProgramString: a table-program event reads its op from B, as
+// both producers write it, and a DIP removal names the DIP it held in Aux.
+func TestTableProgramString(t *testing.T) {
+	for _, c := range []struct {
+		b    uint32
+		aux  uint64
+		want string
+	}{
+		{0, 0, "vip=10.0.0.1 op=0"},
+		{1, 0, "vip=10.0.0.1 op=1"},
+		{2, 0x64000002, "vip=10.0.0.1 op=2 dip=100.0.0.2"},
+	} {
+		e := Event{Kind: KindTableProgram, Node: 3, A: 0x0a000001, B: c.b, Aux: c.aux}
+		if got := e.String(); !strings.HasSuffix(got, c.want) {
+			t.Errorf("String() = %q, want it to end in %q", got, c.want)
+		}
+	}
+}
+
 func TestDropReasonStrings(t *testing.T) {
 	for d := DropNone; d <= DropNoWireRoute; d++ {
 		if d.String() == "unknown" {

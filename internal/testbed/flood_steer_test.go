@@ -84,7 +84,7 @@ func TestFloodChurnNoBrokenConnections(t *testing.T) {
 					}
 				}
 				for _, sm := range f.Cluster.SMuxes {
-					if err := sm.RemoveBackend(vip, victim); err != nil {
+					if err := steer.One(sm.Apply, steer.Op{Kind: steer.OpRemoveDIP, Addr: vip, DIP: victim}); err != nil {
 						t.Fatalf("round %d: RemoveBackend: %v", round, err)
 					}
 				}
@@ -228,7 +228,7 @@ func TestSteerTiersAgree(t *testing.T) {
 
 	// The property must hold at every epoch, not just the first: churn the
 	// backend set and re-check.
-	if err := sm.RemoveBackend(vip, backends[2].Addr); err != nil {
+	if err := steer.One(sm.Apply, steer.Op{Kind: steer.OpRemoveDIP, Addr: vip, DIP: backends[2].Addr}); err != nil {
 		t.Fatal(err)
 	}
 	check(rng, 500)

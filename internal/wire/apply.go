@@ -26,7 +26,7 @@ import (
 // delta.Apply is all-or-nothing, so a rejected push leaves the mirror, the
 // epoch and the tables where they were and the leader's next push meets the
 // state it expects.
-func (n *Node) handleLeader(env, ack *Envelope, reconcile func(addrs []packet.Addr) error) error {
+func (n *Node) handleLeader(env, ack *Envelope, reconcile func(cs []change) error) error {
 	n.cfgMu.Lock()
 	defer n.cfgMu.Unlock()
 	err := fence(env, ack, &n.leaderTerm, n.cfg.Epoch)
@@ -53,14 +53,17 @@ func (n *Node) handleLeader(env, ack *Envelope, reconcile func(addrs []packet.Ad
 	ack.Epoch = n.cfg.Epoch
 	n.deltaEpochG.Set(int64(n.cfg.Epoch))
 	n.deltaApplied.Inc()
-	return reconcile(affectedAddrs(d))
+	return reconcile(changes(d))
 }
 
 // reconcileSMux converges the SMux (and its NIC table, when present) on the
 // mirror for the touched VIPs: one batch per table, so each publishes one
 // generation per delta and a hybrid flow drains against the table as it
-// stood before the whole epoch. Caller holds cfgMu.
-func (n *Node) reconcileSMux(addrs []packet.Addr) error {
+// stood before the whole epoch. A VIP the delta only took DIPs out of loses
+// them in place on each table that holds it — the SMux, and the NIC when the
+// VIP is NIC-placed — so only those DIPs' flows move; any other change sets
+// the VIP's entry afresh. Caller holds cfgMu.
+func (n *Node) reconcileSMux(cs []change) error {
 	var firstErr error
 	note := func(err error) {
 		if err != nil && firstErr == nil {
@@ -69,7 +72,8 @@ func (n *Node) reconcileSMux(addrs []packet.Addr) error {
 	}
 	nic := n.pair.NIC
 	var smuxOps, nicOps []steer.Op
-	for _, a := range addrs {
+	for _, c := range cs {
+		a := c.addr
 		vs, ok := n.cfg.VIPs[a]
 		if !ok {
 			if n.pair.SMux.HasVIP(a) {
@@ -85,9 +89,15 @@ func (n *Node) reconcileSMux(addrs []packet.Addr) error {
 			note(err)
 			continue
 		}
-		smuxOps = append(smuxOps, steer.Op{Kind: steer.OpSet, VIP: v, Mode: vs.Mode})
+		if c.removed != nil && n.pair.SMux.HasVIP(a) {
+			smuxOps = append(smuxOps, c.removed...)
+		} else {
+			smuxOps = append(smuxOps, steer.Op{Kind: steer.OpSet, VIP: v, Mode: vs.Mode})
+		}
 		switch {
 		case nic == nil:
+		case vs.Flags&delta.FlagNic != 0 && c.removed != nil && nic.HasVIP(a):
+			nicOps = append(nicOps, c.removed...)
 		case vs.Flags&delta.FlagNic != 0:
 			nicOps = append(nicOps, steer.Op{Kind: steer.OpSet, VIP: v})
 		case nic.HasVIP(a):
@@ -113,11 +123,12 @@ func (n *Node) reconcileSMux(addrs []packet.Addr) error {
 // reconcileSwitch converges the switch's tables on the mirror — the switch
 // agent of Figure 9 — in one batch, one table generation per delta.
 // SMuxOnly VIPs never reach the hardware tables (the HMux-miss fallback
-// serves them through the software tier). A changed VIP bounces through
-// remove+add — the wire world's equivalent of the withdraw/announce
-// migration step. Caller holds cfgMu, which is what serializes the switch's
-// programming.
-func (n *Node) reconcileSwitch(addrs []packet.Addr) error {
+// serves them through the software tier). A held VIP the delta only took
+// DIPs out of loses them in place, resiliently; any other change to a held
+// VIP bounces it through remove+add — the wire world's equivalent of the
+// withdraw/announce migration step. Caller holds cfgMu, which is what
+// serializes the switch's programming.
+func (n *Node) reconcileSwitch(cs []change) error {
 	var firstErr error
 	note := func(err error) {
 		if err != nil && firstErr == nil {
@@ -125,7 +136,8 @@ func (n *Node) reconcileSwitch(addrs []packet.Addr) error {
 		}
 	}
 	var ops []steer.Op
-	for _, a := range addrs {
+	for _, c := range cs {
+		a := c.addr
 		vs, ok := n.cfg.VIPs[a]
 		hardware := ok && vs.Flags&delta.FlagSMuxOnly == 0
 		has := n.hm.HasVIP(a)
@@ -140,10 +152,14 @@ func (n *Node) reconcileSwitch(addrs []packet.Addr) error {
 			note(err)
 			continue
 		}
-		if has {
-			ops = append(ops, steer.Op{Kind: steer.OpRemove, Addr: a})
+		switch {
+		case has && c.removed != nil:
+			ops = append(ops, c.removed...)
+		case has:
+			ops = append(ops, steer.Op{Kind: steer.OpRemove, Addr: a}, steer.Op{Kind: steer.OpAdd, VIP: v})
+		default:
+			ops = append(ops, steer.Op{Kind: steer.OpAdd, VIP: v})
 		}
-		ops = append(ops, steer.Op{Kind: steer.OpAdd, VIP: v})
 	}
 	note(n.programSwitch(ops))
 	n.vips.Set(int64(n.hm.Stats().VIPs))
@@ -151,14 +167,14 @@ func (n *Node) reconcileSwitch(addrs []packet.Addr) error {
 }
 
 // programSwitch applies a batch of operations to the switch (steer.OpAdd adds
-// a VIP's entries, steer.OpRemove removes one's) and then, the tables first
-// and in batch order, accounts each: a failed operation is counted and
-// changed nothing; an applied one is counted and traced. Programming has no
-// route side effect: nothing in the socket world routes by BGP — a client
-// addresses a switch node directly, and a table miss follows the spec's
-// static aggregate to an SMux. It returns the first failure. The node keeps
-// nothing per applied operation (a blank switch node is refilled by delta
-// replication).
+// a VIP's entries, steer.OpRemove removes one's, steer.OpRemoveDIP one DIP of
+// one's) and then, the tables first and in batch order, accounts each: a
+// failed operation is counted and changed nothing; an applied one is counted
+// and traced. Programming has no route side effect: nothing in the socket
+// world routes by BGP — a client addresses a switch node directly, and a
+// table miss follows the spec's static aggregate to an SMux. It returns the
+// first failure. The node keeps nothing per applied operation (a blank switch
+// node is refilled by delta replication).
 func (n *Node) programSwitch(ops []steer.Op) error {
 	n.hm.Apply(ops)
 	var firstErr error
@@ -170,12 +186,15 @@ func (n *Node) programSwitch(ops []steer.Op) error {
 			}
 			continue
 		}
-		addr, code := op.Addr, uint32(1) // the trace's B: 0 add-vip, 1 remove-vip
-		if op.Kind == steer.OpAdd {
+		addr, code, dip := op.Addr, uint32(1), uint64(0) // the trace's B: 0 add-vip, 1 remove-vip, 2 remove-dip
+		switch op.Kind {
+		case steer.OpAdd:
 			addr, code = op.VIP.Addr, 0
+		case steer.OpRemoveDIP:
+			code, dip = 2, uint64(op.DIP)
 		}
 		n.swOps.Inc()
-		n.Rec.Record(telemetry.KindTableProgram, n.self32, uint32(addr), code, 0)
+		n.Rec.Record(telemetry.KindTableProgram, n.self32, uint32(addr), code, dip)
 	}
 	return firstErr
 }
@@ -183,10 +202,11 @@ func (n *Node) programSwitch(ops []steer.Op) error {
 // reconcileHost converges the host agent's local DIP registrations on the
 // mirror: register when a touched VIP's backend set contains this host's
 // address, unregister when it no longer does. Caller holds cfgMu.
-func (n *Node) reconcileHost(addrs []packet.Addr) error {
+func (n *Node) reconcileHost(cs []change) error {
 	self := packet.Addr(n.self32)
 	var firstErr error
-	for _, a := range addrs {
+	for _, c := range cs {
+		a := c.addr
 		want := false
 		if vs, ok := n.cfg.VIPs[a]; ok {
 			for _, b := range vs.Backends {

@@ -91,7 +91,8 @@ func TestDeltaDrainsAgainstThePreDeltaTable(t *testing.T) {
 // SMux's steer epoch, its NIC table and the switch's tables — and an
 // identical re-apply (a snapshot of the state already held) advances none.
 // A snapshot lands as its diff from the mirror: one that changes one VIP
-// reprograms that VIP alone, one switch remove and one add.
+// reprograms that VIP alone, one switch remove and one add. A delta that only
+// removes DIPs takes each out in place: one switch op per VIP, no bounce.
 func TestDeltaPublishesOneGenerationPerTable(t *testing.T) {
 	spec := dataplaneSpec(t)
 	spec.Nodes[0].NMuxTable = 256
@@ -138,11 +139,16 @@ func TestDeltaPublishesOneGenerationPerTable(t *testing.T) {
 			pop2 = append(pop2, vip(i, i%2 == 0, 2, 3))
 		}
 	}
-	pop2 = append(pop2, vip(n+1, true, 4)) // added
+	pop2 = append(pop2, vip(n+1, true, 4, 5)) // added
 	st1, st2 := configAt(t, 1, pop1...), configAt(t, 2, pop2...)
 	st3 := st2.Clone() // one NIC VIP's weight changed
 	st3.Epoch = 3
 	st3.VIPs[packet.AddrFrom4(10, 0, 0, 2)].Backends[0].Weight = 5
+	st4 := st3.Clone() // one DIP gone from every VIP
+	st4.Epoch = 4
+	for _, v := range st4.VIPs {
+		v.Backends = v.Backends[:len(v.Backends)-1]
+	}
 
 	steps := []struct {
 		what string
@@ -154,6 +160,7 @@ func TestDeltaPublishesOneGenerationPerTable(t *testing.T) {
 		{"delta touching every VIP", delta.Diff(st1, st2), 1, 1 + 2*(n-1) + 1}, // 1 leaves, the rest bounce, 13 joins
 		{"identical snapshot", delta.SnapshotOf(st2), 0, 0},
 		{"snapshot changing one VIP", delta.SnapshotOf(st3), 1, 2},
+		{"delta removing a DIP of every VIP", delta.Diff(st3, st4), 1, uint64(len(pop2))},
 	}
 	for _, s := range steps {
 		pre, ops := gens(), counter(sw, "switchagent.ops")

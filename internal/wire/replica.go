@@ -3,7 +3,7 @@ package wire
 // The config-replication data model: projecting a ClusterSpec's VIP
 // population into the internal/delta state the controller replicates, the
 // deterministic churn driver that advances it, and the conversions a
-// receiver reconciles with — a delta's touched VIPs, a replicated VIP as
+// receiver reconciles with — a delta's changes per VIP, a replicated VIP as
 // the dataplane's service type.
 
 import (
@@ -103,16 +103,31 @@ func serviceVIPOf(v *delta.VIPState) (*service.VIP, error) {
 	return sv, sv.Validate()
 }
 
-// affectedAddrs collects the VIP addresses a delta's ops touch, de-duplicated
-// in first-touch order — the receiver's reconcile work-list.
-func affectedAddrs(d *delta.Delta) []packet.Addr {
-	seen := make(map[packet.Addr]bool, len(d.Ops))
-	var out []packet.Addr
-	for i := range d.Ops {
-		a := d.Ops[i].VIP
-		if !seen[a] {
-			seen[a] = true
-			out = append(out, a)
+// change is one VIP a delta touched — the receiver's unit of reconcile work.
+// When removing DIPs is all the delta did to the VIP, removed holds them as
+// steer.OpRemoveDIP ops, which a table that holds the VIP takes in place
+// (only their flows move); any other change rebuilds the VIP's entry.
+type change struct {
+	addr    packet.Addr
+	removed []steer.Op
+}
+
+// changes lists the VIPs a delta's ops touch, de-duplicated in first-touch
+// order.
+func changes(d *delta.Delta) []change {
+	at := make(map[packet.Addr]int, len(d.Ops))
+	var out []change
+	for _, op := range d.Ops {
+		j, seen := at[op.VIP]
+		if !seen {
+			j = len(out)
+			at[op.VIP] = j
+			out = append(out, change{addr: op.VIP})
+		}
+		if c := &out[j]; op.Kind == delta.OpDIPRemove && (!seen || c.removed != nil) {
+			c.removed = append(c.removed, steer.Op{Kind: steer.OpRemoveDIP, Addr: op.VIP, DIP: op.DIP})
+		} else {
+			c.removed = nil // from here on a rebuild
 		}
 	}
 	return out

@@ -38,11 +38,12 @@ func mirrorVIPs(t *testing.T, n *Node, vips ...VIPSpec) error {
 	t.Helper()
 	old := n.cfg
 	n.cfg = configAt(t, n.cfg.Epoch+1, vips...)
-	return n.reconcileSwitch(affectedAddrs(delta.Diff(old, n.cfg)))
+	return n.reconcileSwitch(changes(delta.Diff(old, n.cfg)))
 }
 
 // programmed returns the table-program events the switch recorded after its
-// first skip events, as (VIP, code) pairs: code 0 is an add, 1 a removal.
+// first skip events, as (VIP, code) pairs: code 0 is an add, 1 a VIP's
+// removal, 2 a DIP's.
 func programmed(t *testing.T, n *Node, skip int) [][2]uint32 {
 	t.Helper()
 	var out [][2]uint32
