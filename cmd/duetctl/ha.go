@@ -57,12 +57,9 @@ func runHA(out io.Writer, args []string) {
 	}
 	for _, a := range st.Addrs() { // ascending
 		v := st.VIPs[a]
-		tier := "hmux"
-		switch {
-		case v.Flags&delta.FlagSMuxOnly != 0:
-			tier = "smux-only"
-		case v.Flags&delta.FlagNic != 0:
-			tier = "hmux+nic"
+		tier := v.Tier.String()
+		if v.Flags&delta.FlagNic != 0 {
+			tier += "+nic"
 		}
 		fmt.Fprintf(out, "  %-15s %-9s backends=%d\n", a, tier, len(v.Backends))
 	}

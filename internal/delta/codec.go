@@ -19,8 +19,12 @@ import (
 // Codec framing.
 const (
 	// Magic prefixes every encoded delta: 0xDD, then the format version.
-	magicByte    = 0xDD
-	codecVersion = 1
+	magicByte = 0xDD
+	// codecVersion follows the magic; a delta of another version is
+	// refused, never misread. Version 2 dropped version 1's outbound
+	// port-range grants (§5.2): the block list of every VIP state and the
+	// op kinds 9 and 10.
+	codecVersion = 2
 
 	flagSnapshot = 1 << 0
 )
@@ -49,12 +53,6 @@ func (e *encoder) vipState(v *VIPState) {
 	for _, b := range v.Backends {
 		e.addr(b.Addr)
 		e.uvarint(uint64(b.Weight))
-	}
-	e.uvarint(uint64(len(v.SNAT)))
-	for _, s := range v.SNAT {
-		e.addr(s.DIP)
-		e.uvarint(uint64(s.Lo))
-		e.uvarint(uint64(s.Hi))
 	}
 }
 
@@ -99,10 +97,6 @@ func (d *Delta) Encode() []byte {
 		case OpFlags:
 			e.u8(op.OldFlags)
 			e.u8(op.NewFlags)
-		case OpSNATAdd, OpSNATRemove:
-			e.addr(op.Block.DIP)
-			e.uvarint(uint64(op.Block.Lo))
-			e.uvarint(uint64(op.Block.Hi))
 		}
 	}
 	return e.buf
@@ -151,17 +145,6 @@ func (d *decoder) sw() (int32, error) {
 		return 0, fmt.Errorf("%w: switch ID overflow", ErrCodec)
 	}
 	return int32(v) - 1, nil
-}
-
-func (d *decoder) port() (uint16, error) {
-	v, err := d.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > 0xFFFF {
-		return 0, fmt.Errorf("%w: port overflow", ErrCodec)
-	}
-	return uint16(v), nil
 }
 
 func (d *decoder) mode() (steer.Mode, error) {
@@ -250,33 +233,8 @@ func (d *decoder) vipState() (*VIPState, error) {
 			return nil, fmt.Errorf("%w: backends not strictly sorted", ErrCodec)
 		}
 	}
-	ns, err := d.count(3)
-	if err != nil {
-		return nil, err
-	}
-	v.SNAT = make([]SNATBlock, ns)
-	for i := range v.SNAT {
-		if v.SNAT[i].DIP, err = d.addr(); err != nil {
-			return nil, err
-		}
-		if v.SNAT[i].Lo, err = d.port(); err != nil {
-			return nil, err
-		}
-		if v.SNAT[i].Hi, err = d.port(); err != nil {
-			return nil, err
-		}
-		if i > 0 {
-			p := v.SNAT[i-1]
-			if v.SNAT[i].DIP < p.DIP || (v.SNAT[i].DIP == p.DIP && v.SNAT[i].Lo <= p.Lo) {
-				return nil, fmt.Errorf("%w: SNAT blocks not strictly sorted", ErrCodec)
-			}
-		}
-	}
 	if len(v.Backends) == 0 {
 		v.Backends = nil
-	}
-	if len(v.SNAT) == 0 {
-		v.SNAT = nil
 	}
 	return v, nil
 }
@@ -409,16 +367,6 @@ func Decode(buf []byte) (*Delta, error) {
 				return nil, err
 			}
 			if op.NewFlags, err = dec.flags(); err != nil {
-				return nil, err
-			}
-		case OpSNATAdd, OpSNATRemove:
-			if op.Block.DIP, err = dec.addr(); err != nil {
-				return nil, err
-			}
-			if op.Block.Lo, err = dec.port(); err != nil {
-				return nil, err
-			}
-			if op.Block.Hi, err = dec.port(); err != nil {
 				return nil, err
 			}
 		default:

@@ -1,22 +1,22 @@
 // Package delta is the control plane's replication currency: a canonical,
 // versioned diff between two cluster configuration states (the VIP
-// population with backends, weights, steer modes, NIC/SMux-only flags, the
-// per-tier placement, and the SNAT block grants — everything the controller
-// pushes to the fleet). Each traffic epoch the leader computes one Delta,
-// appends it to its Log, and ships it over the control channel
-// (wire.MsgDeltaPush); followers and standby controllers Apply it to their
-// mirror. Because every op carries both the old and the new value
-// (WAL-style undo/redo), a Delta is mechanically invertible, and a snapshot
-// is just a Delta from the empty state — the "full config push" of the old
-// anti-entropy loop survives only as the recovery path for peers that fell
-// behind the Log's compaction horizon.
+// population with backends, weights, steer modes, the NIC flag and the
+// per-tier placement — everything the controller pushes to the fleet).
+// Each traffic epoch the leader computes one Delta, appends it to its Log,
+// and ships it over the control channel (wire.MsgDeltaPush); followers and
+// standby controllers Apply it to their mirror. Because every op carries
+// both the old and the new value (WAL-style undo/redo), a Delta is
+// mechanically invertible, and a snapshot is just a Delta from the empty
+// state — the "full config push" of the old anti-entropy loop survives only
+// as the recovery path for peers that fell behind the Log's compaction
+// horizon.
 //
 // Determinism contract: Diff emits ops in one canonical order (VIPs by
 // address; within a VIP: flags, mode, move, DIP removes, weight changes,
-// DIP adds, SNAT removes, SNAT adds — each address-sorted), and the binary
-// codec (codec.go) has exactly one encoding per Delta. Two controllers that
-// agree on the states therefore agree on the bytes, which is what lets the
-// soak test assert zero full re-pushes across a leader failover.
+// DIP adds — each address-sorted), and the binary codec (codec.go) has
+// exactly one encoding per Delta. Two controllers that agree on the states
+// therefore agree on the bytes, which is what lets the soak test assert
+// zero full re-pushes across a leader failover.
 package delta
 
 import (
@@ -60,21 +60,14 @@ type Backend struct {
 	Weight uint32
 }
 
-// SNATBlock is one SNAT port-range grant: DIP owns [Lo, Hi] of the VIP's
-// ephemeral source-port space (§5.2).
-type SNATBlock struct {
-	DIP    packet.Addr
-	Lo, Hi uint16
-}
-
 // VIP flag bits (VIPState.Flags, Op old/new flags).
 const (
-	// FlagNic marks the VIP for the NIC match-table tier.
+	// FlagNic also puts the VIP in the NIC match tables, beside whatever its
+	// Tier says: a NIC VIP at TierHMux is in the switch tables and on the
+	// NIC, which one Tier value cannot say.
 	FlagNic uint8 = 1 << 0
-	// FlagSMuxOnly keeps the VIP out of the switch hardware tables.
-	FlagSMuxOnly uint8 = 1 << 1
 
-	flagsMask = FlagNic | FlagSMuxOnly
+	flagsMask = FlagNic
 )
 
 // VIPState is one VIP's full replicated configuration.
@@ -82,17 +75,17 @@ type VIPState struct {
 	Addr     packet.Addr
 	Backends []Backend // sorted by Addr, unique
 	Mode     steer.Mode
-	Flags    uint8 // FlagNic | FlagSMuxOnly
-	Tier     Tier
-	Switch   int32       // HMux home, or Unassigned
-	SNAT     []SNATBlock // sorted by (DIP, Lo), unique
+	Flags    uint8 // FlagNic
+	// Tier is where the VIP is served, and the one placement fact a switch
+	// reads: only a TierHMux VIP is in the switch tables.
+	Tier   Tier
+	Switch int32 // HMux home, or Unassigned
 }
 
 // Clone deep-copies the VIP state.
 func (v *VIPState) Clone() *VIPState {
 	c := *v
 	c.Backends = append([]Backend(nil), v.Backends...)
-	c.SNAT = append([]SNATBlock(nil), v.SNAT...)
 	return &c
 }
 
@@ -100,16 +93,11 @@ func (v *VIPState) Clone() *VIPState {
 func (v *VIPState) Equal(o *VIPState) bool {
 	if v.Addr != o.Addr || v.Mode != o.Mode || v.Flags != o.Flags ||
 		v.Tier != o.Tier || v.Switch != o.Switch ||
-		len(v.Backends) != len(o.Backends) || len(v.SNAT) != len(o.SNAT) {
+		len(v.Backends) != len(o.Backends) {
 		return false
 	}
 	for i := range v.Backends {
 		if v.Backends[i] != o.Backends[i] {
-			return false
-		}
-	}
-	for i := range v.SNAT {
-		if v.SNAT[i] != o.SNAT[i] {
 			return false
 		}
 	}
@@ -120,21 +108,6 @@ func (v *VIPState) Equal(o *VIPState) bool {
 func (v *VIPState) backendIdx(dip packet.Addr) int {
 	i := sort.Search(len(v.Backends), func(i int) bool { return v.Backends[i].Addr >= dip })
 	if i < len(v.Backends) && v.Backends[i].Addr == dip {
-		return i
-	}
-	return -1
-}
-
-// snatIdx returns the index of the exact block in the sorted SNAT slice, or -1.
-func (v *VIPState) snatIdx(b SNATBlock) int {
-	i := sort.Search(len(v.SNAT), func(i int) bool {
-		s := v.SNAT[i]
-		if s.DIP != b.DIP {
-			return s.DIP >= b.DIP
-		}
-		return s.Lo >= b.Lo
-	})
-	if i < len(v.SNAT) && v.SNAT[i] == b {
 		return i
 	}
 	return -1
@@ -179,18 +152,18 @@ func (s *State) Addrs() []packet.Addr {
 // OpKind discriminates delta operations.
 type OpKind uint8
 
-// The operation kinds. Every kind carries enough old-state to invert.
+// The operation kinds. Every kind carries enough old-state to invert. The
+// values travel on the wire and are never reused: 9 and 10 were the
+// outbound port-range grant add/remove (§5.2), which no controller produced.
 const (
-	OpVIPAdd     OpKind = iota + 1 // State = the added VIP
-	OpVIPRemove                    // State = the removed VIP (full snapshot)
-	OpMove                         // Old/NewTier, Old/NewSwitch
-	OpDIPAdd                       // DIP, NewWeight
-	OpDIPRemove                    // DIP, OldWeight
-	OpDIPWeight                    // DIP, OldWeight → NewWeight
-	OpMode                         // OldMode → NewMode
-	OpFlags                        // OldFlags → NewFlags
-	OpSNATAdd                      // Block
-	OpSNATRemove                   // Block
+	OpVIPAdd    OpKind = iota + 1 // State = the added VIP
+	OpVIPRemove                   // State = the removed VIP (full snapshot)
+	OpMove                        // Old/NewTier, Old/NewSwitch
+	OpDIPAdd                      // DIP, NewWeight
+	OpDIPRemove                   // DIP, OldWeight
+	OpDIPWeight                   // DIP, OldWeight → NewWeight
+	OpMode                        // OldMode → NewMode
+	OpFlags                       // OldFlags → NewFlags
 )
 
 // String names the op kind.
@@ -212,10 +185,6 @@ func (k OpKind) String() string {
 		return "mode"
 	case OpFlags:
 		return "flags"
-	case OpSNATAdd:
-		return "snat-add"
-	case OpSNATRemove:
-		return "snat-remove"
 	default:
 		return fmt.Sprintf("op(%d)", uint8(k))
 	}
@@ -237,7 +206,6 @@ type Op struct {
 	OldTier, NewTier   Tier
 	OldSwitch          int32
 	NewSwitch          int32
-	Block              SNATBlock
 }
 
 // Delta is the diff between the configuration at FromEpoch and at ToEpoch.
@@ -318,34 +286,6 @@ func diffVIP(d *Delta, f, t *VIPState) {
 	}
 	for _, b := range adds {
 		d.Ops = append(d.Ops, Op{Kind: OpDIPAdd, VIP: a, DIP: b.Addr, NewWeight: b.Weight})
-	}
-	// SNAT blocks, same shape (blocks are immutable — add/remove only).
-	var snatAdds []SNATBlock
-	i, j = 0, 0
-	less := func(x, y SNATBlock) bool {
-		if x.DIP != y.DIP {
-			return x.DIP < y.DIP
-		}
-		return x.Lo < y.Lo
-	}
-	for i < len(f.SNAT) || j < len(t.SNAT) {
-		switch {
-		case j >= len(t.SNAT) || (i < len(f.SNAT) && less(f.SNAT[i], t.SNAT[j])):
-			d.Ops = append(d.Ops, Op{Kind: OpSNATRemove, VIP: a, Block: f.SNAT[i]})
-			i++
-		case i >= len(f.SNAT) || less(t.SNAT[j], f.SNAT[i]):
-			snatAdds = append(snatAdds, t.SNAT[j])
-			j++
-		default:
-			if f.SNAT[i] != t.SNAT[j] { // same (DIP, Lo), different Hi
-				d.Ops = append(d.Ops, Op{Kind: OpSNATRemove, VIP: a, Block: f.SNAT[i]})
-				snatAdds = append(snatAdds, t.SNAT[j])
-			}
-			i, j = i+1, j+1
-		}
-	}
-	for _, b := range snatAdds {
-		d.Ops = append(d.Ops, Op{Kind: OpSNATAdd, VIP: a, Block: b})
 	}
 }
 
@@ -457,23 +397,6 @@ func applyOp(s *State, op *Op) error {
 			return fmt.Errorf("flags precondition: %#x, op expects %#x", v.Flags, op.OldFlags)
 		}
 		v.Flags = op.NewFlags
-	case OpSNATAdd:
-		if v.snatIdx(op.Block) >= 0 {
-			return fmt.Errorf("SNAT block already present")
-		}
-		v.SNAT = append(v.SNAT, op.Block)
-		sort.Slice(v.SNAT, func(i, j int) bool {
-			if v.SNAT[i].DIP != v.SNAT[j].DIP {
-				return v.SNAT[i].DIP < v.SNAT[j].DIP
-			}
-			return v.SNAT[i].Lo < v.SNAT[j].Lo
-		})
-	case OpSNATRemove:
-		i := v.snatIdx(op.Block)
-		if i < 0 {
-			return fmt.Errorf("SNAT block absent")
-		}
-		v.SNAT = append(v.SNAT[:i], v.SNAT[i+1:]...)
 	default:
 		return fmt.Errorf("unknown op kind %d", op.Kind)
 	}
@@ -510,10 +433,6 @@ func (d *Delta) Invert() (*Delta, error) {
 			op.OldMode, op.NewMode = op.NewMode, op.OldMode
 		case OpFlags:
 			op.OldFlags, op.NewFlags = op.NewFlags, op.OldFlags
-		case OpSNATAdd:
-			op.Kind = OpSNATRemove
-		case OpSNATRemove:
-			op.Kind = OpSNATAdd
 		default:
 			return nil, fmt.Errorf("delta: cannot invert op kind %d", op.Kind)
 		}

@@ -121,11 +121,13 @@ func (n *Node) reconcileSMux(cs []change) error {
 }
 
 // reconcileSwitch converges the switch's tables on the mirror — the switch
-// agent of Figure 9 — in one batch, one table generation per delta.
-// SMuxOnly VIPs never reach the hardware tables (the HMux-miss fallback
-// serves them through the software tier). A held VIP the delta only took
-// DIPs out of loses them in place, resiliently; any other change to a held
-// VIP bounces it through remove+add — the wire world's equivalent of the
+// agent of Figure 9 — in one batch, one table generation per delta. The
+// switch holds a VIP iff its replicated Tier is delta.TierHMux; any other
+// tier (a smux_only spec VIP is TierSMux) keeps it out of the hardware
+// tables, and the HMux-miss fallback serves it through the software tier.
+// A held VIP the delta only took DIPs out of loses them in place,
+// resiliently; any other change to a held VIP — a tier flip is an OpMove —
+// bounces it through remove+add, the wire world's equivalent of the
 // withdraw/announce migration step. Caller holds cfgMu, which is what
 // serializes the switch's programming.
 func (n *Node) reconcileSwitch(cs []change) error {
@@ -139,7 +141,7 @@ func (n *Node) reconcileSwitch(cs []change) error {
 	for _, c := range cs {
 		a := c.addr
 		vs, ok := n.cfg.VIPs[a]
-		hardware := ok && vs.Flags&delta.FlagSMuxOnly == 0
+		hardware := ok && vs.Tier == delta.TierHMux
 		has := n.hm.HasVIP(a)
 		if !hardware {
 			if has {

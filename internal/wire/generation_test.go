@@ -93,6 +93,8 @@ func TestDeltaDrainsAgainstThePreDeltaTable(t *testing.T) {
 // A snapshot lands as its diff from the mirror: one that changes one VIP
 // reprograms that VIP alone, one switch remove and one add. A delta that only
 // removes DIPs takes each out in place: one switch op per VIP, no bounce.
+// A NIC VIP whose Tier leaves TierHMux leaves the switch, one op, and comes
+// back with one when its Tier returns; the SMux and the NIC keep it.
 func TestDeltaPublishesOneGenerationPerTable(t *testing.T) {
 	spec := dataplaneSpec(t)
 	spec.Nodes[0].NMuxTable = 256
@@ -149,18 +151,28 @@ func TestDeltaPublishesOneGenerationPerTable(t *testing.T) {
 	for _, v := range st4.VIPs {
 		v.Backends = v.Backends[:len(v.Backends)-1]
 	}
+	flip := packet.AddrFrom4(10, 0, 0, 2) // a NIC VIP
+	st5 := st4.Clone()                    // flip served by the SMux tier alone
+	st5.Epoch = 5
+	st5.VIPs[flip].Tier = delta.TierSMux
+	st6 := st5.Clone() // flip back on the switches
+	st6.Epoch = 6
+	st6.VIPs[flip].Tier = delta.TierHMux
 
 	steps := []struct {
 		what string
 		d    *delta.Delta
 		want uint64
 		ops  uint64 // switch table operations
+		held bool   // whether the switch holds flip after the step
 	}{
-		{"bootstrap", delta.Diff(delta.NewState(), st1), 1, n},
-		{"delta touching every VIP", delta.Diff(st1, st2), 1, 1 + 2*(n-1) + 1}, // 1 leaves, the rest bounce, 13 joins
-		{"identical snapshot", delta.SnapshotOf(st2), 0, 0},
-		{"snapshot changing one VIP", delta.SnapshotOf(st3), 1, 2},
-		{"delta removing a DIP of every VIP", delta.Diff(st3, st4), 1, uint64(len(pop2))},
+		{"bootstrap", delta.Diff(delta.NewState(), st1), 1, n, true},
+		{"delta touching every VIP", delta.Diff(st1, st2), 1, 1 + 2*(n-1) + 1, true}, // 1 leaves, the rest bounce, 13 joins
+		{"identical snapshot", delta.SnapshotOf(st2), 0, 0, true},
+		{"snapshot changing one VIP", delta.SnapshotOf(st3), 1, 2, true},
+		{"delta removing a DIP of every VIP", delta.Diff(st3, st4), 1, uint64(len(pop2)), true},
+		{"delta moving a NIC VIP to the SMux tier", delta.Diff(st4, st5), 1, 1, false},
+		{"delta moving it back to the HMux tier", delta.Diff(st5, st6), 1, 1, true},
 	}
 	for _, s := range steps {
 		pre, ops := gens(), counter(sw, "switchagent.ops")
@@ -173,6 +185,9 @@ func TestDeltaPublishesOneGenerationPerTable(t *testing.T) {
 		}
 		if got := counter(sw, "switchagent.ops") - ops; got != s.ops {
 			t.Errorf("%s: switchagent.ops grew by %d, want %d", s.what, got, s.ops)
+		}
+		if got := sw.hm.HasVIP(flip); got != s.held {
+			t.Errorf("%s: switch holds %s = %v, want %v", s.what, flip, got, s.held)
 		}
 	}
 	if got := sm.pair.SMux.NumVIPs(); got != len(pop2) {

@@ -211,7 +211,7 @@ func (r *replicator) isLeader() bool {
 	return r.leader
 }
 
-// standbyRank is this controller's takeover priority among the controllers
+// standbyRankLocked is this controller's takeover priority among the controllers
 // that are not the (presumed dead) last-known leader: 0 moves after one
 // lease, 1 after two, and so on.
 func (r *replicator) standbyRankLocked() int {

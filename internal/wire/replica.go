@@ -46,7 +46,6 @@ func specState(s *ClusterSpec, epoch uint64) (*delta.State, error) {
 			vs.Flags |= delta.FlagNic
 		}
 		if v.SMuxOnly {
-			vs.Flags |= delta.FlagSMuxOnly
 			vs.Tier = delta.TierSMux
 		}
 		for _, b := range v.Backends {
@@ -69,11 +68,13 @@ func specState(s *ClusterSpec, epoch uint64) (*delta.State, error) {
 // churnMutate advances s to the next epoch with a deterministic mutation
 // keyed by (seed, next epoch): it rotates the backend weights of a frac
 // fraction of VIPs (at least one). Weight rotation is a real config change
-// — it reprograms muxes and produces DIP-weight delta ops — but never moves
-// a VIP between tiers or flips its mode, so churn exercises the replication
-// path without opening drain windows. Determinism is what makes controller
-// takeover seamless: a promoted standby computes the exact delta the dead
-// leader would have.
+// — it produces DIP-weight delta ops and reprograms muxes — but never moves
+// a VIP between tiers or flips its mode. It does open drain windows: an
+// SMux node sets each touched VIP's entry afresh (steer.OpSet), which
+// changes slots, so every epoch opens a steer.DefaultDrainWindow on every
+// SMux node and a steady churn keeps one open. Determinism is what makes
+// controller takeover seamless: a promoted standby computes the exact delta
+// the dead leader would have.
 func churnMutate(s *delta.State, seed int64, frac float64) {
 	next := s.Epoch + 1
 	rng := rand.New(rand.NewSource(seed ^ int64(next*0x9e3779b97f4a7c15)))

@@ -75,9 +75,10 @@ type VIPSpec struct {
 	// controller still programs every smux, but switch agents never learn
 	// it, so traffic arriving at a switch takes the HMux-miss fallback to
 	// the software tier. This is the paper's "VIP assigned to SMuxes"
-	// placement. It is replicated as delta.FlagSMuxOnly, so flipping it is
-	// an OpFlags op: a switch agent withdraws the VIP from its tables or
-	// programs it, and the SMuxes keep serving it either way.
+	// placement. It is replicated as the VIP's delta.Tier (TierSMux rather
+	// than TierHMux), so flipping it is an OpMove op: a switch agent
+	// withdraws the VIP from its tables or programs it, and the SMuxes keep
+	// serving it either way.
 	SMuxOnly bool `json:"smux_only,omitempty"`
 }
 
