@@ -21,12 +21,18 @@ const (
 	// Magic prefixes every encoded delta: 0xDD, then the format version.
 	magicByte = 0xDD
 	// codecVersion follows the magic; a delta of another version is
-	// refused, never misread. Version 2 dropped version 1's outbound
-	// port-range grants (§5.2): the block list of every VIP state and the
-	// op kinds 9 and 10.
-	codecVersion = 2
+	// refused, never misread. Version 3 writes each op as one VIP's old and
+	// new state. Version 2 wrote eight per-field op kinds (VIP add and
+	// remove, move, DIP add, remove and weight, mode, flags), and version 1
+	// those plus outbound port-range grants (§5.2): a block list in every
+	// VIP state and the op kinds 9 and 10.
+	codecVersion = 3
 
 	flagSnapshot = 1 << 0
+
+	// An op's presence byte: which of its two states follow it.
+	hasOld = 1 << 0
+	hasNew = 1 << 1
 )
 
 // ErrCodec wraps all decode failures.
@@ -43,8 +49,8 @@ func (e *encoder) addr(a packet.Addr) { e.uvarint(uint64(a)) }
 // sw encodes a switch ID with Unassigned (-1) as 0 and s as s+1.
 func (e *encoder) sw(s int32) { e.uvarint(uint64(s + 1)) }
 
+// vipState encodes a state without its address, which is its op's VIP.
 func (e *encoder) vipState(v *VIPState) {
-	e.addr(v.Addr)
 	e.u8(v.Flags)
 	e.u8(uint8(v.Mode))
 	e.u8(uint8(v.Tier))
@@ -69,34 +75,21 @@ func (d *Delta) Encode() []byte {
 	e.uvarint(d.FromEpoch)
 	e.uvarint(d.ToEpoch)
 	e.uvarint(uint64(len(d.Ops)))
-	for i := range d.Ops {
-		op := &d.Ops[i]
-		e.u8(uint8(op.Kind))
+	for _, op := range d.Ops {
 		e.addr(op.VIP)
-		switch op.Kind {
-		case OpVIPAdd, OpVIPRemove:
-			e.vipState(op.State)
-		case OpMove:
-			e.u8(uint8(op.OldTier))
-			e.sw(op.OldSwitch)
-			e.u8(uint8(op.NewTier))
-			e.sw(op.NewSwitch)
-		case OpDIPAdd:
-			e.addr(op.DIP)
-			e.uvarint(uint64(op.NewWeight))
-		case OpDIPRemove:
-			e.addr(op.DIP)
-			e.uvarint(uint64(op.OldWeight))
-		case OpDIPWeight:
-			e.addr(op.DIP)
-			e.uvarint(uint64(op.OldWeight))
-			e.uvarint(uint64(op.NewWeight))
-		case OpMode:
-			e.u8(uint8(op.OldMode))
-			e.u8(uint8(op.NewMode))
-		case OpFlags:
-			e.u8(op.OldFlags)
-			e.u8(op.NewFlags)
+		var has uint8
+		if op.Old != nil {
+			has |= hasOld
+		}
+		if op.New != nil {
+			has |= hasNew
+		}
+		e.u8(has)
+		if op.Old != nil {
+			e.vipState(op.Old)
+		}
+		if op.New != nil {
+			e.vipState(op.New)
 		}
 	}
 	return e.buf
@@ -194,12 +187,10 @@ func (d *decoder) count(minBytes int) (int, error) {
 	return int(v), nil
 }
 
-func (d *decoder) vipState() (*VIPState, error) {
-	v := &VIPState{}
+// vipState decodes a state the encoder wrote for the VIP at addr.
+func (d *decoder) vipState(addr packet.Addr) (*VIPState, error) {
+	v := &VIPState{Addr: addr}
 	var err error
-	if v.Addr, err = d.addr(); err != nil {
-		return nil, err
-	}
 	if v.Flags, err = d.flags(); err != nil {
 		return nil, err
 	}
@@ -239,9 +230,9 @@ func (d *decoder) vipState() (*VIPState, error) {
 	return v, nil
 }
 
-// Decode parses an encoded delta. It rejects unknown versions, unknown op
-// kinds, out-of-range enums, unsorted collections, non-minimal varints, and
-// trailing bytes. Decode(Encode(d)) is the identity, and so is
+// Decode parses an encoded delta. It rejects unknown versions, ops with
+// neither state, snapshot ops with an old one, out-of-range enums, unsorted
+// ops and backends, non-minimal varints, and trailing bytes. Decode(Encode(d)) is the identity, and so is
 // Encode(Decode(b)) for any accepted b: a log that keeps the bytes it
 // received keeps what it would have encoded.
 func Decode(buf []byte) (*Delta, error) {
@@ -277,7 +268,7 @@ func Decode(buf []byte) (*Delta, error) {
 	if out.Snapshot && out.FromEpoch != 0 {
 		return nil, fmt.Errorf("%w: snapshot with nonzero FromEpoch", ErrCodec)
 	}
-	nops, err := dec.count(2)
+	nops, err := dec.count(7) // VIP, presence byte, a five-byte state at least
 	if err != nil {
 		return nil, err
 	}
@@ -286,91 +277,31 @@ func Decode(buf []byte) (*Delta, error) {
 	}
 	for i := range out.Ops {
 		op := &out.Ops[i]
-		k, err := dec.u8()
-		if err != nil {
-			return nil, err
-		}
-		op.Kind = OpKind(k)
 		if op.VIP, err = dec.addr(); err != nil {
 			return nil, err
 		}
-		switch op.Kind {
-		case OpVIPAdd, OpVIPRemove:
-			if op.State, err = dec.vipState(); err != nil {
+		if i > 0 && op.VIP <= out.Ops[i-1].VIP {
+			return nil, fmt.Errorf("%w: ops not strictly ascending by VIP", ErrCodec)
+		}
+		has, err := dec.u8()
+		if err != nil {
+			return nil, err
+		}
+		if has == 0 || has&^(hasOld|hasNew) != 0 {
+			return nil, fmt.Errorf("%w: bad op presence %#x", ErrCodec, has)
+		}
+		if out.Snapshot && has&hasOld != 0 {
+			return nil, fmt.Errorf("%w: snapshot op with an old state", ErrCodec)
+		}
+		if has&hasOld != 0 {
+			if op.Old, err = dec.vipState(op.VIP); err != nil {
 				return nil, err
 			}
-			if op.State.Addr != op.VIP {
-				return nil, fmt.Errorf("%w: op VIP %s carries state for %s", ErrCodec, op.VIP, op.State.Addr)
-			}
-		case OpMove:
-			if op.OldTier, err = dec.tier(); err != nil {
+		}
+		if has&hasNew != 0 {
+			if op.New, err = dec.vipState(op.VIP); err != nil {
 				return nil, err
 			}
-			if op.OldSwitch, err = dec.sw(); err != nil {
-				return nil, err
-			}
-			if op.NewTier, err = dec.tier(); err != nil {
-				return nil, err
-			}
-			if op.NewSwitch, err = dec.sw(); err != nil {
-				return nil, err
-			}
-		case OpDIPAdd:
-			if op.DIP, err = dec.addr(); err != nil {
-				return nil, err
-			}
-			w, err := dec.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			if w > 0xFFFFFFFF {
-				return nil, fmt.Errorf("%w: weight overflow", ErrCodec)
-			}
-			op.NewWeight = uint32(w)
-		case OpDIPRemove:
-			if op.DIP, err = dec.addr(); err != nil {
-				return nil, err
-			}
-			w, err := dec.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			if w > 0xFFFFFFFF {
-				return nil, fmt.Errorf("%w: weight overflow", ErrCodec)
-			}
-			op.OldWeight = uint32(w)
-		case OpDIPWeight:
-			if op.DIP, err = dec.addr(); err != nil {
-				return nil, err
-			}
-			ow, err := dec.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			nw, err := dec.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			if ow > 0xFFFFFFFF || nw > 0xFFFFFFFF {
-				return nil, fmt.Errorf("%w: weight overflow", ErrCodec)
-			}
-			op.OldWeight, op.NewWeight = uint32(ow), uint32(nw)
-		case OpMode:
-			if op.OldMode, err = dec.mode(); err != nil {
-				return nil, err
-			}
-			if op.NewMode, err = dec.mode(); err != nil {
-				return nil, err
-			}
-		case OpFlags:
-			if op.OldFlags, err = dec.flags(); err != nil {
-				return nil, err
-			}
-			if op.NewFlags, err = dec.flags(); err != nil {
-				return nil, err
-			}
-		default:
-			return nil, fmt.Errorf("%w: unknown op kind %d", ErrCodec, k)
 		}
 	}
 	if len(dec.rest) != 0 {

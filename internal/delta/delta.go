@@ -4,19 +4,18 @@
 // per-tier placement — everything the controller pushes to the fleet).
 // Each traffic epoch the leader computes one Delta, appends it to its Log,
 // and ships it over the control channel (wire.MsgDeltaPush); followers and
-// standby controllers Apply it to their mirror. Because every op carries
-// both the old and the new value (WAL-style undo/redo), a Delta is
-// mechanically invertible, and a snapshot is just a Delta from the empty
-// state — the "full config push" of the old anti-entropy loop survives only
-// as the recovery path for peers that fell behind the Log's compaction
-// horizon.
+// standby controllers Apply it to their mirror. A Delta is one op per VIP
+// it touches, carrying the VIP's old state, the precondition a receiver
+// checks, and its new state, which replaces it. A snapshot is just a Delta
+// from the empty state — the "full config push" of the old anti-entropy
+// loop survives only as the recovery path for peers that fell behind the
+// Log's compaction horizon.
 //
-// Determinism contract: Diff emits ops in one canonical order (VIPs by
-// address; within a VIP: flags, mode, move, DIP removes, weight changes,
-// DIP adds — each address-sorted), and the binary codec (codec.go) has
-// exactly one encoding per Delta. Two controllers that agree on the states
-// therefore agree on the bytes, which is what lets the soak test assert
-// zero full re-pushes across a leader failover.
+// Determinism contract: Diff emits its ops in one canonical order (by VIP
+// address, backends address-sorted within each state), and the binary
+// codec (codec.go) has exactly one encoding per Delta. Two controllers that
+// agree on the states therefore agree on the bytes, which is what lets the
+// soak test assert zero full re-pushes across a leader failover.
 package delta
 
 import (
@@ -60,7 +59,7 @@ type Backend struct {
 	Weight uint32
 }
 
-// VIP flag bits (VIPState.Flags, Op old/new flags).
+// VIP flag bits (VIPState.Flags).
 const (
 	// FlagNic also puts the VIP in the NIC match tables, beside whatever its
 	// Tier says: a NIC VIP at TierHMux is in the switch tables and on the
@@ -104,16 +103,10 @@ func (v *VIPState) Equal(o *VIPState) bool {
 	return true
 }
 
-// backendIdx returns the index of dip in the sorted backend slice, or -1.
-func (v *VIPState) backendIdx(dip packet.Addr) int {
-	i := sort.Search(len(v.Backends), func(i int) bool { return v.Backends[i].Addr >= dip })
-	if i < len(v.Backends) && v.Backends[i].Addr == dip {
-		return i
-	}
-	return -1
-}
-
-// State is a full configuration at one epoch.
+// State is a full configuration at one epoch. Its VIP states are replaced,
+// never edited in place: Apply installs a delta's new states without
+// copying them, so a state may be shared with the delta that carried it,
+// and a caller that wants to edit one edits a Clone.
 type State struct {
 	Epoch uint64
 	VIPs  map[packet.Addr]*VIPState
@@ -149,63 +142,12 @@ func (s *State) Addrs() []packet.Addr {
 	return out
 }
 
-// OpKind discriminates delta operations.
-type OpKind uint8
-
-// The operation kinds. Every kind carries enough old-state to invert. The
-// values travel on the wire and are never reused: 9 and 10 were the
-// outbound port-range grant add/remove (§5.2), which no controller produced.
-const (
-	OpVIPAdd    OpKind = iota + 1 // State = the added VIP
-	OpVIPRemove                   // State = the removed VIP (full snapshot)
-	OpMove                        // Old/NewTier, Old/NewSwitch
-	OpDIPAdd                      // DIP, NewWeight
-	OpDIPRemove                   // DIP, OldWeight
-	OpDIPWeight                   // DIP, OldWeight → NewWeight
-	OpMode                        // OldMode → NewMode
-	OpFlags                       // OldFlags → NewFlags
-)
-
-// String names the op kind.
-func (k OpKind) String() string {
-	switch k {
-	case OpVIPAdd:
-		return "vip-add"
-	case OpVIPRemove:
-		return "vip-remove"
-	case OpMove:
-		return "move"
-	case OpDIPAdd:
-		return "dip-add"
-	case OpDIPRemove:
-		return "dip-remove"
-	case OpDIPWeight:
-		return "dip-weight"
-	case OpMode:
-		return "mode"
-	case OpFlags:
-		return "flags"
-	default:
-		return fmt.Sprintf("op(%d)", uint8(k))
-	}
-}
-
-// Op is one configuration mutation. Unused fields are zero; State is set
-// only for OpVIPAdd/OpVIPRemove.
+// Op replaces one VIP's state: Old is what the receiver must hold before,
+// New what it holds after, and nil means absent — an add has no Old, a
+// removal no New. Both states, when present, are for VIP.
 type Op struct {
-	Kind OpKind
-	VIP  packet.Addr
-
-	State *VIPState
-
-	DIP                packet.Addr
-	OldWeight          uint32
-	NewWeight          uint32
-	OldMode, NewMode   steer.Mode
-	OldFlags, NewFlags uint8
-	OldTier, NewTier   Tier
-	OldSwitch          int32
-	NewSwitch          int32
+	VIP      packet.Addr
+	Old, New *VIPState
 }
 
 // Delta is the diff between the configuration at FromEpoch and at ToEpoch.
@@ -215,11 +157,12 @@ type Delta struct {
 	// the old "full config push", expressed in the same type.
 	Snapshot           bool
 	FromEpoch, ToEpoch uint64
-	Ops                []Op
+	Ops                []Op // strictly ascending by VIP
 }
 
-// Diff computes the canonical delta turning from into to. Both states are
-// read-only; the result's ops reference cloned VIP states.
+// Diff computes the canonical delta turning from into to: one op per VIP
+// whose state differs, in address order. Both states are read-only; the
+// ops carry clones.
 func Diff(from, to *State) *Delta {
 	d := &Delta{FromEpoch: from.Epoch, ToEpoch: to.Epoch}
 	// Sorted union of the two populations.
@@ -232,61 +175,20 @@ func Diff(from, to *State) *Delta {
 	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
 
 	for _, a := range addrs {
-		f, inFrom := from.VIPs[a]
-		t, inTo := to.VIPs[a]
-		switch {
-		case !inFrom:
-			d.Ops = append(d.Ops, Op{Kind: OpVIPAdd, VIP: a, State: t.Clone()})
-		case !inTo:
-			d.Ops = append(d.Ops, Op{Kind: OpVIPRemove, VIP: a, State: f.Clone()})
-		default:
-			diffVIP(d, f, t)
+		f, t := from.VIPs[a], to.VIPs[a]
+		if f != nil && t != nil && f.Equal(t) {
+			continue
 		}
+		op := Op{VIP: a}
+		if f != nil {
+			op.Old = f.Clone()
+		}
+		if t != nil {
+			op.New = t.Clone()
+		}
+		d.Ops = append(d.Ops, op)
 	}
 	return d
-}
-
-// diffVIP appends the in-place mutation ops for one VIP, in canonical order.
-func diffVIP(d *Delta, f, t *VIPState) {
-	a := f.Addr
-	if f.Flags != t.Flags {
-		d.Ops = append(d.Ops, Op{Kind: OpFlags, VIP: a, OldFlags: f.Flags, NewFlags: t.Flags})
-	}
-	if f.Mode != t.Mode {
-		d.Ops = append(d.Ops, Op{Kind: OpMode, VIP: a, OldMode: f.Mode, NewMode: t.Mode})
-	}
-	if f.Tier != t.Tier || f.Switch != t.Switch {
-		d.Ops = append(d.Ops, Op{
-			Kind: OpMove, VIP: a,
-			OldTier: f.Tier, NewTier: t.Tier,
-			OldSwitch: f.Switch, NewSwitch: t.Switch,
-		})
-	}
-	// Backends: merge-walk the two sorted slices. Removes before adds so an
-	// applying receiver never holds two weights for one DIP.
-	var adds []Backend
-	i, j := 0, 0
-	for i < len(f.Backends) || j < len(t.Backends) {
-		switch {
-		case j >= len(t.Backends) || (i < len(f.Backends) && f.Backends[i].Addr < t.Backends[j].Addr):
-			d.Ops = append(d.Ops, Op{Kind: OpDIPRemove, VIP: a, DIP: f.Backends[i].Addr, OldWeight: f.Backends[i].Weight})
-			i++
-		case i >= len(f.Backends) || t.Backends[j].Addr < f.Backends[i].Addr:
-			adds = append(adds, t.Backends[j])
-			j++
-		default:
-			if f.Backends[i].Weight != t.Backends[j].Weight {
-				d.Ops = append(d.Ops, Op{
-					Kind: OpDIPWeight, VIP: a, DIP: f.Backends[i].Addr,
-					OldWeight: f.Backends[i].Weight, NewWeight: t.Backends[j].Weight,
-				})
-			}
-			i, j = i+1, j+1
-		}
-	}
-	for _, b := range adds {
-		d.Ops = append(d.Ops, Op{Kind: OpDIPAdd, VIP: a, DIP: b.Addr, NewWeight: b.Weight})
-	}
 }
 
 // SnapshotOf expresses the full state as a snapshot delta — the recovery
@@ -299,144 +201,60 @@ func SnapshotOf(s *State) *Delta {
 	return d
 }
 
-// Apply mutates s by the delta. Every op's old values are preconditions;
-// any mismatch (wrong epoch, unknown VIP, diverged weight...) aborts with
-// an error describing the first violation and leaves s as it was: a failed
-// snapshot keeps the previous population, and a failed diff undoes the ops
-// it had already applied. A receiver's retry therefore meets the same state
-// the rejected delta did.
+// Apply mutates s by the delta. It checks every op before it changes
+// anything: the epoch (a snapshot has none to match), the address order,
+// and each op's Old against what s holds (a snapshot checks against the
+// empty state). Any violation aborts with an error naming the first one
+// and leaves s as it was, so a receiver's retry meets the same state the
+// rejected delta did. Apply then installs each New as it is, without a copy.
 func (d *Delta) Apply(s *State) error {
-	prev := *s
-	if d.Snapshot {
-		s.Reset() // a fresh map, so prev keeps the old population intact
-	} else if s.Epoch != d.FromEpoch {
+	if !d.Snapshot && s.Epoch != d.FromEpoch {
 		return fmt.Errorf("delta: apply from epoch %d onto state at epoch %d", d.FromEpoch, s.Epoch)
 	}
 	for i := range d.Ops {
-		if err := applyOp(s, &d.Ops[i]); err != nil {
-			err = fmt.Errorf("delta: op %d (%s %s): %w", i, d.Ops[i].Kind, d.Ops[i].VIP, err)
-			if d.Snapshot {
-				*s = prev
-			} else if uerr := d.undo(s, i); uerr != nil {
-				return fmt.Errorf("%w; undoing the %d applied ops failed, state is inconsistent: %v", err, i, uerr)
-			}
-			return err
+		if err := d.check(s, i); err != nil {
+			return fmt.Errorf("delta: op %d (%s): %w", i, d.Ops[i].VIP, err)
+		}
+	}
+	if d.Snapshot {
+		s.Reset()
+	}
+	for _, op := range d.Ops {
+		if op.New == nil {
+			delete(s.VIPs, op.VIP)
+		} else {
+			s.VIPs[op.VIP] = op.New
 		}
 	}
 	s.Epoch = d.ToEpoch
 	return nil
 }
 
-// undo reverts the applied prefix d.Ops[:n]. Every op carries its old
-// values, so the prefix inverts exactly and the success path never has to
-// copy the state to stay atomic.
-func (d *Delta) undo(s *State, n int) error {
-	inv, err := (&Delta{Ops: d.Ops[:n]}).Invert()
-	if err != nil {
-		return err
+// check is op i's precondition on s.
+func (d *Delta) check(s *State, i int) error {
+	op := &d.Ops[i]
+	if i > 0 && op.VIP <= d.Ops[i-1].VIP {
+		return fmt.Errorf("VIPs not strictly ascending")
 	}
-	for i := range inv.Ops {
-		if err := applyOp(s, &inv.Ops[i]); err != nil {
-			return err
+	if op.Old == nil && op.New == nil {
+		return fmt.Errorf("no state")
+	}
+	for _, v := range [2]*VIPState{op.Old, op.New} {
+		if v != nil && v.Addr != op.VIP {
+			return fmt.Errorf("carries state for %s", v.Addr)
 		}
 	}
-	return nil
-}
-
-func applyOp(s *State, op *Op) error {
-	if op.Kind == OpVIPAdd {
-		if _, ok := s.VIPs[op.VIP]; ok {
-			return fmt.Errorf("VIP already present")
-		}
-		if op.State == nil {
-			return fmt.Errorf("add without state")
-		}
-		s.VIPs[op.VIP] = op.State.Clone()
-		return nil
+	var cur *VIPState
+	if !d.Snapshot {
+		cur = s.VIPs[op.VIP]
 	}
-	v, ok := s.VIPs[op.VIP]
-	if !ok {
+	switch {
+	case op.Old == nil && cur != nil:
+		return fmt.Errorf("VIP already present")
+	case op.Old != nil && cur == nil:
 		return fmt.Errorf("unknown VIP")
-	}
-	switch op.Kind {
-	case OpVIPRemove:
-		if op.State == nil || !v.Equal(op.State) {
-			return fmt.Errorf("remove precondition: state diverged")
-		}
-		delete(s.VIPs, op.VIP)
-	case OpMove:
-		if v.Tier != op.OldTier || v.Switch != op.OldSwitch {
-			return fmt.Errorf("move precondition: at %s/%d, op expects %s/%d", v.Tier, v.Switch, op.OldTier, op.OldSwitch)
-		}
-		v.Tier, v.Switch = op.NewTier, op.NewSwitch
-	case OpDIPAdd:
-		if v.backendIdx(op.DIP) >= 0 {
-			return fmt.Errorf("DIP %s already present", op.DIP)
-		}
-		v.Backends = append(v.Backends, Backend{Addr: op.DIP, Weight: op.NewWeight})
-		sort.Slice(v.Backends, func(i, j int) bool { return v.Backends[i].Addr < v.Backends[j].Addr })
-	case OpDIPRemove:
-		i := v.backendIdx(op.DIP)
-		if i < 0 || v.Backends[i].Weight != op.OldWeight {
-			return fmt.Errorf("DIP %s remove precondition failed", op.DIP)
-		}
-		v.Backends = append(v.Backends[:i], v.Backends[i+1:]...)
-	case OpDIPWeight:
-		i := v.backendIdx(op.DIP)
-		if i < 0 || v.Backends[i].Weight != op.OldWeight {
-			return fmt.Errorf("DIP %s weight precondition failed", op.DIP)
-		}
-		v.Backends[i].Weight = op.NewWeight
-	case OpMode:
-		if v.Mode != op.OldMode {
-			return fmt.Errorf("mode precondition: %v, op expects %v", v.Mode, op.OldMode)
-		}
-		v.Mode = op.NewMode
-	case OpFlags:
-		if v.Flags != op.OldFlags {
-			return fmt.Errorf("flags precondition: %#x, op expects %#x", v.Flags, op.OldFlags)
-		}
-		v.Flags = op.NewFlags
-	default:
-		return fmt.Errorf("unknown op kind %d", op.Kind)
+	case op.Old != nil && !cur.Equal(op.Old):
+		return fmt.Errorf("state diverged")
 	}
 	return nil
-}
-
-// Invert returns the delta undoing d: old and new values swapped, ops
-// reversed, epochs swapped. Snapshot deltas are not invertible (the
-// pre-snapshot state is not recorded).
-func (d *Delta) Invert() (*Delta, error) {
-	if d.Snapshot {
-		return nil, fmt.Errorf("delta: snapshot deltas are not invertible")
-	}
-	inv := &Delta{FromEpoch: d.ToEpoch, ToEpoch: d.FromEpoch, Ops: make([]Op, len(d.Ops))}
-	for i := range d.Ops {
-		op := d.Ops[len(d.Ops)-1-i] // copy
-		switch op.Kind {
-		case OpVIPAdd:
-			op.Kind = OpVIPRemove
-		case OpVIPRemove:
-			op.Kind = OpVIPAdd
-		case OpMove:
-			op.OldTier, op.NewTier = op.NewTier, op.OldTier
-			op.OldSwitch, op.NewSwitch = op.NewSwitch, op.OldSwitch
-		case OpDIPAdd:
-			op.Kind = OpDIPRemove
-			op.OldWeight, op.NewWeight = op.NewWeight, 0
-		case OpDIPRemove:
-			op.Kind = OpDIPAdd
-			op.OldWeight, op.NewWeight = 0, op.OldWeight
-		case OpDIPWeight:
-			op.OldWeight, op.NewWeight = op.NewWeight, op.OldWeight
-		case OpMode:
-			op.OldMode, op.NewMode = op.NewMode, op.OldMode
-		case OpFlags:
-			op.OldFlags, op.NewFlags = op.NewFlags, op.OldFlags
-		default:
-			return nil, fmt.Errorf("delta: cannot invert op kind %d", op.Kind)
-		}
-		inv.Ops[i] = op
-	}
-	return inv, nil
 }

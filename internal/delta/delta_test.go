@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"duet/internal/packet"
@@ -47,6 +48,15 @@ func randVIP(rng *rand.Rand, a packet.Addr) *VIPState {
 		sortBackends(v)
 	}
 	return v
+}
+
+// backendIdx returns the index of dip in the sorted backend slice, or -1.
+func (v *VIPState) backendIdx(dip packet.Addr) int {
+	i := sort.Search(len(v.Backends), func(i int) bool { return v.Backends[i].Addr >= dip })
+	if i < len(v.Backends) && v.Backends[i].Addr == dip {
+		return i
+	}
+	return -1
 }
 
 func sortBackends(v *VIPState) {
@@ -115,16 +125,12 @@ func TestDiffApplyRoundTrip(t *testing.T) {
 		if !got.Equal(b) {
 			t.Fatalf("iter %d: Apply(Diff(a,b)) != b", iter)
 		}
-		// Invert rolls back.
-		inv, err := d.Invert()
-		if err != nil {
-			t.Fatalf("iter %d: invert: %v", iter, err)
-		}
-		if err := inv.Apply(got); err != nil {
-			t.Fatalf("iter %d: apply inverse: %v", iter, err)
+		// The reverse diff rolls back.
+		if err := Diff(b, a).Apply(got); err != nil {
+			t.Fatalf("iter %d: apply reverse diff: %v", iter, err)
 		}
 		if !got.Equal(a) {
-			t.Fatalf("iter %d: Apply(Invert) did not restore a", iter)
+			t.Fatalf("iter %d: Apply(Diff(b,a)) did not restore a", iter)
 		}
 	}
 }
@@ -150,11 +156,14 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			if enc2 := got.Encode(); string(enc2) != string(enc) {
 				t.Fatalf("iter %d: encoding not deterministic", iter)
 			}
-			// Version 1 carried SNAT grants; its bytes are refused, not misread.
-			v1 := append([]byte(nil), enc...)
-			v1[1] = 1
-			if _, err := Decode(v1); !errors.Is(err, ErrCodec) {
-				t.Fatalf("iter %d: a version-1 encoding decoded: %v", iter, err)
+			// Version 1 carried SNAT grants and version 2 per-field op
+			// kinds; their bytes are refused, not misread.
+			for _, ver := range []byte{1, 2} {
+				old := append([]byte(nil), enc...)
+				old[1] = ver
+				if _, err := Decode(old); !errors.Is(err, ErrCodec) {
+					t.Fatalf("iter %d: a version-%d encoding decoded: %v", iter, ver, err)
+				}
 			}
 		}
 	}
@@ -213,12 +222,67 @@ func TestApplyRejectsDivergence(t *testing.T) {
 	}
 }
 
+// TestApplyRefusesMalformedOps: a hand-built delta that lists a VIP twice,
+// lists VIPs out of order, has an op with neither state or has a state for
+// another VIP is refused whole, and the state is left as it was.
+func TestApplyRefusesMalformedOps(t *testing.T) {
+	st := func(a uint32) *VIPState {
+		return &VIPState{Addr: vip(a), Switch: Unassigned, Backends: []Backend{{Addr: vip(0x14000001), Weight: 1}}}
+	}
+	base := NewState()
+	base.Epoch = 1
+	base.VIPs[vip(1)] = st(1)
+	for _, tc := range []struct {
+		name string
+		ops  []Op
+	}{
+		{"one VIP twice", []Op{{VIP: vip(3), New: st(3)}, {VIP: vip(3), New: st(3)}}},
+		{"out of order", []Op{{VIP: vip(4), New: st(4)}, {VIP: vip(3), New: st(3)}}},
+		{"neither state", []Op{{VIP: vip(3), New: st(3)}, {VIP: vip(4)}}},
+		{"new state for another VIP", []Op{{VIP: vip(3), New: st(4)}}},
+		{"old state for another VIP", []Op{{VIP: vip(1), Old: st(2), New: st(1)}}},
+	} {
+		got := base.Clone()
+		if err := (&Delta{FromEpoch: 1, ToEpoch: 2, Ops: tc.ops}).Apply(got); err == nil {
+			t.Errorf("%s: applied", tc.name)
+		}
+		if !got.Equal(base) {
+			t.Errorf("%s: the refused delta changed the state", tc.name)
+		}
+	}
+}
+
+// TestDecodeRefusesMalformedOps: the decoder refuses an op with neither
+// state or with an unknown presence bit, a snapshot op that carries an old
+// state, and ops out of address order — none of which Diff produces.
+func TestDecodeRefusesMalformedOps(t *testing.T) {
+	st := func(a uint32) *VIPState { return &VIPState{Addr: vip(a), Switch: Unassigned} }
+	badBit := (&Delta{ToEpoch: 1, Ops: []Op{{VIP: vip(1), New: st(1)}}}).Encode()
+	badBit[7] |= 1 << 2 // magic, version, flags, from, to, count, VIP: then the presence byte
+	for _, tc := range []struct {
+		name string
+		enc  []byte
+	}{
+		{"zero presence byte", (&Delta{ToEpoch: 1, Ops: []Op{{VIP: vip(1)}}}).Encode()},
+		{"unknown presence bit", badBit},
+		{"snapshot op with an old state", (&Delta{Snapshot: true, ToEpoch: 1, Ops: []Op{{VIP: vip(1), Old: st(1), New: st(1)}}}).Encode()},
+		{"out of order", (&Delta{ToEpoch: 1, Ops: []Op{{VIP: vip(2), New: st(2)}, {VIP: vip(1), New: st(1)}}}).Encode()},
+		{"one VIP twice", (&Delta{ToEpoch: 1, Ops: []Op{{VIP: vip(1), New: st(1)}, {VIP: vip(1), New: st(1)}}}).Encode()},
+	} {
+		if _, err := Decode(tc.enc); !errors.Is(err, ErrCodec) {
+			t.Errorf("%s: want ErrCodec, got %v", tc.name, err)
+		}
+	}
+}
+
 // TestApplyIsAllOrNothing cuts random diffs at every op boundary, follows
-// the applied prefix with an op whose precondition cannot hold, and checks
-// that the failed Apply — diff or snapshot — leaves the state as it found it.
+// the prefix with an op whose precondition cannot hold, and checks that the
+// failed Apply — diff or snapshot — leaves the state as it found it.
 func TestApplyIsAllOrNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	poison := Op{Kind: OpMode, VIP: vip(0x0B000001)} // outside randState's address range
+	// An old state for a VIP outside randState's address range: the state
+	// does not hold it.
+	poison := Op{VIP: vip(0x0B000001), Old: &VIPState{Addr: vip(0x0B000001), Switch: Unassigned}}
 	for iter := 0; iter < 100; iter++ {
 		a := randState(rng, 1+rng.Intn(10))
 		b := a.Clone()
@@ -268,9 +332,6 @@ func TestSnapshotApply(t *testing.T) {
 	}
 	if !tgt.Equal(s) {
 		t.Fatal("snapshot apply did not reproduce the source state")
-	}
-	if _, err := snap.Invert(); err == nil {
-		t.Fatal("snapshot delta must not invert")
 	}
 }
 

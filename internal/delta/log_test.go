@@ -23,14 +23,10 @@ func served(l *Log) []byte {
 	return binary.AppendUvarint(b, l.HeadEpoch())
 }
 
-// corrupt breaks one op's precondition: an add loses its state, any other
-// op names a VIP outside randState's address range.
+// corrupt breaks one op's precondition: its old state becomes a backendless
+// one, which the head does not hold (randVIP's VIPs keep a backend).
 func corrupt(op *Op) {
-	if op.Kind == OpVIPAdd {
-		op.State = nil
-		return
-	}
-	op.VIP = vip(0x0B000001)
+	op.Old = &VIPState{Addr: op.VIP, Switch: Unassigned}
 }
 
 // TestAppendRejectLeavesHead: Append applies to the head in place, so a
@@ -150,11 +146,7 @@ func BenchmarkLogAppend(b *testing.B) {
 			v.Backends[j].Weight = 1 + v.Backends[j].Weight%8
 		}
 	}
-	fwd := Diff(s, next)
-	back, err := fwd.Invert()
-	if err != nil {
-		b.Fatal(err)
-	}
+	fwd, back := Diff(s, next), Diff(next, s)
 	l := NewLog(0)
 	l.Reset(s)
 	b.ReportAllocs()

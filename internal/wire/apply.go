@@ -126,9 +126,10 @@ func (n *Node) reconcileSMux(cs []change) error {
 // tier (a smux_only spec VIP is TierSMux) keeps it out of the hardware
 // tables, and the HMux-miss fallback serves it through the software tier.
 // A held VIP the delta only took DIPs out of loses them in place,
-// resiliently; any other change to a held VIP — a tier flip is an OpMove —
-// bounces it through remove+add, the wire world's equivalent of the
-// withdraw/announce migration step. Caller holds cfgMu, which is what
+// resiliently; any other change to a held VIP bounces it through
+// remove+add, the wire world's equivalent of the withdraw/announce
+// migration step. A tier flip changes the VIP's state, so the switch
+// rebuilds it: it programs the VIP or withdraws it. Caller holds cfgMu, which is what
 // serializes the switch's programming.
 func (n *Node) reconcileSwitch(cs []change) error {
 	var firstErr error

@@ -84,7 +84,7 @@ func sameState(a, b *delta.State) bool {
 // TestRejectedDeltaDoesNotHalfApply pushes a delta whose first op is fine and
 // whose second diverges from the mirror. The rejection must leave the mirror
 // at its pre-state — otherwise the leader's corrected delta, which repeats
-// the first op, fails on "VIP already present" forever.
+// the first op, fails on a diverged old state forever.
 func TestRejectedDeltaDoesNotHalfApply(t *testing.T) {
 	spec := dataplaneSpec(t)
 	sm, err := StartNode(spec, "smux-1")
@@ -104,12 +104,12 @@ func TestRejectedDeltaDoesNotHalfApply(t *testing.T) {
 		VIPSpec{Addr: "10.0.0.1", Backends: []BackendSpec{{Addr: "100.0.0.1", Weight: 3}}},
 		VIPSpec{Addr: "10.0.0.2", Backends: []BackendSpec{{Addr: "100.0.0.1"}}})
 	vip2 := packet.MustParseAddr("10.0.0.2")
-	good := delta.Diff(st1, st2) // dip-weight on vip1, then vip-add of vip2
+	good := delta.Diff(st1, st2) // vip1 reweighed, then vip2 added
 	if len(good.Ops) != 2 {
 		t.Fatalf("want a two-op delta, got %d ops", len(good.Ops))
 	}
-	bad := &delta.Delta{FromEpoch: 1, ToEpoch: 2, Ops: []delta.Op{good.Ops[1], good.Ops[0]}}
-	bad.Ops[1].OldWeight = 7 // the mirror holds weight 1
+	bad := &delta.Delta{FromEpoch: 1, ToEpoch: 2, Ops: append([]delta.Op(nil), good.Ops...)}
+	bad.Ops[1].Old = bad.Ops[1].New // claims vip2 is present; the mirror lacks it
 
 	pre := mirror(sm)
 	rejected := counter(sm, "wire.delta.rejected")

@@ -77,7 +77,7 @@ func FuzzReadMsg(f *testing.F) {
 		{Type: MsgHello, Seq: 1, Role: RoleSMux, Name: "smux-1"},
 		{Type: MsgHealthReport, Seq: 2, Name: "host-1", Health: []DIPHealth{{DIP: 0x64000001, Healthy: true}, {DIP: 0x64000002}}},
 		{Type: MsgAck, Seq: 3, Err: "nope"},
-		{Type: MsgDeltaPush, Seq: 4, Name: "ctl-1", Term: 1, Epoch: 2, Delta: []byte{0xDD, 2, 0, 1, 2, 0}},
+		{Type: MsgDeltaPush, Seq: 4, Name: "ctl-1", Term: 1, Epoch: 2, Delta: []byte{0xDD, 3, 0, 1, 2, 0}},
 		{Type: MsgDeltaAck, Seq: 4, Name: "smux-1", Term: 1, Epoch: 2, Err: "epoch gap"},
 		{Type: MsgSnapshotRequest, Seq: 5, Name: "duetctl"},
 		{Type: MsgLeaderHeartbeat, Seq: 6, Name: "ctl-1", Term: 3, Epoch: 7},

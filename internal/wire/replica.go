@@ -113,23 +113,38 @@ type change struct {
 	removed []steer.Op
 }
 
-// changes lists the VIPs a delta's ops touch, de-duplicated in first-touch
-// order.
+// changes lists the VIPs a delta's ops touch, one change per op.
 func changes(d *delta.Delta) []change {
-	at := make(map[packet.Addr]int, len(d.Ops))
-	var out []change
-	for _, op := range d.Ops {
-		j, seen := at[op.VIP]
-		if !seen {
-			j = len(out)
-			at[op.VIP] = j
-			out = append(out, change{addr: op.VIP})
-		}
-		if c := &out[j]; op.Kind == delta.OpDIPRemove && (!seen || c.removed != nil) {
-			c.removed = append(c.removed, steer.Op{Kind: steer.OpRemoveDIP, Addr: op.VIP, DIP: op.DIP})
-		} else {
-			c.removed = nil // from here on a rebuild
-		}
+	out := make([]change, len(d.Ops))
+	for i, op := range d.Ops {
+		out[i] = change{addr: op.VIP, removed: removedDIPs(op.Old, op.New)}
 	}
 	return out
+}
+
+// removedDIPs returns, in address order, the DIPs from has and to lacks as
+// steer.OpRemoveDIP ops — or nil unless that is the whole difference: both
+// states present, the same mode, flags, tier and switch, and each DIP that
+// stays at the weight it had.
+func removedDIPs(from, to *delta.VIPState) []steer.Op {
+	if from == nil || to == nil || from.Mode != to.Mode || from.Flags != to.Flags ||
+		from.Tier != to.Tier || from.Switch != to.Switch {
+		return nil
+	}
+	var ops []steer.Op
+	j := 0
+	for _, b := range from.Backends {
+		if j < len(to.Backends) && to.Backends[j] == b {
+			j++
+			continue
+		}
+		if j < len(to.Backends) && to.Backends[j].Addr <= b.Addr {
+			return nil // added before b, or b reweighed
+		}
+		ops = append(ops, steer.Op{Kind: steer.OpRemoveDIP, Addr: from.Addr, DIP: b.Addr})
+	}
+	if j < len(to.Backends) {
+		return nil // added after from's last DIP
+	}
+	return ops
 }

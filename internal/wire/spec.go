@@ -76,9 +76,9 @@ type VIPSpec struct {
 	// it, so traffic arriving at a switch takes the HMux-miss fallback to
 	// the software tier. This is the paper's "VIP assigned to SMuxes"
 	// placement. It is replicated as the VIP's delta.Tier (TierSMux rather
-	// than TierHMux), so flipping it is an OpMove op: a switch agent
-	// withdraws the VIP from its tables or programs it, and the SMuxes keep
-	// serving it either way.
+	// than TierHMux), so flipping it changes the VIP's replicated state: a
+	// switch agent rebuilds the VIP, withdrawing it from its tables or
+	// programming it, and the SMuxes keep serving it either way.
 	SMuxOnly bool `json:"smux_only,omitempty"`
 }
 
