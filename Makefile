@@ -91,7 +91,7 @@ vuln:
 # short randomized walk, enough to catch a fresh decoder regression
 # without turning CI into a fuzz farm. `go test -fuzz` takes one target
 # per invocation, so the targets run back to back.
-FUZZ_TARGETS = FuzzIPv4Decode FuzzEncapDecap FuzzDecapsulate FuzzExtractFiveTuple FuzzTransportDecode FuzzRewrite
+FUZZ_TARGETS = FuzzIPv4Decode FuzzEncapDecap FuzzDecapsulate FuzzExtractFiveTuple FuzzTransportDecode FuzzRewrite FuzzChecksum
 WIRE_FUZZ_TARGETS = FuzzDecodeFrameTrace FuzzTracedFrameRoundTrip FuzzReadMsg
 DELTA_FUZZ_TARGETS = FuzzDeltaDecode FuzzDeltaRoundTrip
 fuzz-smoke:

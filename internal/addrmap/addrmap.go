@@ -2,9 +2,10 @@
 // an immutable map keyed by packet.Addr whose With and Without return a new
 // value sharing everything with the old one except the part they touched.
 // Every copy-on-write table in the dataplane — core's host-agent and TIP
-// indexes, the steer table, the HMux, NMux and host-agent tables — is one of
-// these behind an atomic.Pointer: a writer derives the next generation and
-// publishes it; a reader holding an earlier one keeps reading it, unchanged.
+// indexes, the steer table, the HMux, NMux and host-agent tables, and the bgp
+// table's /32 host routes — is one of these behind an atomic.Pointer: a writer
+// derives the next generation and publishes it; a reader holding an earlier
+// one keeps reading it, unchanged.
 //
 // A Map is a directory of plain Go maps ("chunks"), a key's chunk picked by a
 // multiplicative hash of the address. A mutation copies the directory and the

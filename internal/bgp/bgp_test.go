@@ -34,6 +34,11 @@ func (t *Table) Lookup(addr packet.Addr, now float64) ([]NodeID, packet.Prefix, 
 	return t.Snapshot().Lookup(addr, now)
 }
 
+// withdraw withdraws p via nh at at: a batch of one withdrawal.
+func withdraw(tb *Table, p packet.Prefix, nh NodeID, at float64) {
+	tb.Apply([]Op{{Prefix: p, NH: nh, At: at, Withdraw: true}})
+}
+
 const (
 	hmux1 NodeID = 1
 	hmux2 NodeID = 2
@@ -98,7 +103,7 @@ func TestAnnounceNotVisibleBeforeConvergence(t *testing.T) {
 func TestReAnnounceCancelsWithdrawal(t *testing.T) {
 	tb := NewTable()
 	tb.Announce(vipHost, hmux1, 0)
-	tb.Withdraw(vipHost, hmux1, 1.0)
+	withdraw(tb, vipHost, hmux1, 1.0)
 	if _, _, ok := tb.Lookup(vip, 2.0); ok {
 		t.Fatal("withdrawn route still active")
 	}
@@ -116,9 +121,9 @@ func TestReAnnounceCancelsWithdrawal(t *testing.T) {
 
 func TestWithdrawUnknownNoop(t *testing.T) {
 	tb := NewTable()
-	tb.Withdraw(vipHost, hmux1, 1.0) // must not panic
+	withdraw(tb, vipHost, hmux1, 1.0) // must not panic
 	tb.Announce(vipHost, hmux1, 0)
-	tb.Withdraw(vipHost, hmux2, 1.0) // different nexthop: no effect
+	withdraw(tb, vipHost, hmux2, 1.0) // different nexthop: no effect
 	if _, _, ok := tb.Lookup(vip, 2.0); !ok {
 		t.Fatal("unrelated withdraw removed route")
 	}
@@ -127,8 +132,8 @@ func TestWithdrawUnknownNoop(t *testing.T) {
 func TestEarliestWithdrawalWins(t *testing.T) {
 	tb := NewTable()
 	tb.Announce(vipHost, hmux1, 0)
-	tb.Withdraw(vipHost, hmux1, 5.0)
-	tb.Withdraw(vipHost, hmux1, 2.0)
+	withdraw(tb, vipHost, hmux1, 5.0)
+	withdraw(tb, vipHost, hmux1, 2.0)
 	if _, _, ok := tb.Lookup(vip, 3.0); ok {
 		t.Fatal("later withdrawal overrode earlier one")
 	}
@@ -213,55 +218,93 @@ func hostRoutes(tb *Table, n int) []packet.Addr {
 	for i := 0; i < 8; i++ {
 		tb.Announce(packet.MustParsePrefix("10.0.0.0/8"), smux1+NodeID(i), 0)
 	}
-	vips := make([]packet.Addr, n)
-	for i := range vips {
-		// An odd multiplier is a bijection on the 24 host bits: n distinct
-		// VIPs spread over the whole /8, as a VIP allocator leaves them.
-		vips[i] = packet.Addr(10<<24 | uint32(i)*2654435761&0xffffff)
-		tb.Announce(packet.HostPrefix(vips[i]), NodeID(i%64), 0)
+	vips := scattered(n)
+	for i, v := range vips {
+		tb.Announce(packet.HostPrefix(v), NodeID(i%64), 0)
 	}
 	return vips
 }
 
-// BenchmarkLookup prices Pick, the fabric's per-packet route decision, over
-// the paper's route mix: one SMux aggregate and a /32 per HMux-served VIP.
-func BenchmarkLookup(b *testing.B) {
+// scattered returns n distinct addresses spread over the whole of 10.0.0.0/8,
+// as a VIP allocator leaves them: an odd multiplier is a bijection on the 24
+// host bits.
+func scattered(n int) []packet.Addr {
+	addrs := make([]packet.Addr, n)
+	for i := range addrs {
+		addrs[i] = packet.Addr(10<<24 | uint32(i)*2654435761&0xffffff)
+	}
+	return addrs
+}
+
+// BenchmarkPick prices Pick, the fabric's per-packet route decision, over
+// the paper's route mix: one SMux aggregate over eight SMuxes and a /32 per
+// HMux-served VIP, for a VIP with a /32 and for an address the aggregate
+// alone covers.
+func BenchmarkPick(b *testing.B) {
 	for _, n := range []int{64, 30000} {
-		b.Run(fmt.Sprintf("routes=%d", n), func(b *testing.B) {
+		b.Run(fmt.Sprintf("hosts=%d", n), func(b *testing.B) {
 			tb := NewTable()
 			vips := hostRoutes(tb, n)
-			snap := tb.Snapshot()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, m, ok := snap.Pick(vips[i%n], 1.0, uint64(i)); !ok || m.Bits != 32 {
-					b.Fatal("lookup failed")
-				}
-			}
+			benchPick(b, tb.Snapshot(), vips, 32)
 		})
 	}
+	b.Run("aggregate", func(b *testing.B) {
+		tb := NewTable()
+		hostRoutes(tb, 0)
+		benchPick(b, tb.Snapshot(), scattered(64), 8)
+	})
 }
 
-// TestPickZeroAlloc: the dataplane's route decision allocates nothing.
-func TestPickZeroAlloc(t *testing.T) {
-	tb := NewTable()
-	vips := hostRoutes(tb, 1000)
-	snap := tb.Snapshot()
-	i := 0
-	allocs := testing.AllocsPerRun(1000, func() {
-		if _, _, ok := snap.Pick(vips[i%len(vips)], 1.0, uint64(i)); !ok {
-			t.Fatal("lookup failed")
+func benchPick(b *testing.B, snap Snapshot, addrs []packet.Addr, bits int) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, m, ok := snap.Pick(addrs[i%len(addrs)], 1.0, uint64(i)); !ok || m.Bits != bits {
+			b.Fatal("lookup failed")
 		}
-		i++
-	})
-	if allocs != 0 {
-		t.Fatalf("Pick: %v allocs/op, want 0", allocs)
 	}
 }
 
-// TestNoOpMutationPublishesNothing: a Withdraw that withdraws nothing sooner
-// and an Announce refresh that changes neither time leave the published root
-// as it was, and are still counted and traced like every call before them.
+// TestPickZeroAlloc: the dataplane's route decision allocates nothing — on a
+// /32 hit, on a /32 whose route is withdrawn (the trie walk behind the host
+// probe), and where the aggregate alone covers the address.
+func TestPickZeroAlloc(t *testing.T) {
+	hosts := NewTable()
+	vips := hostRoutes(hosts, 1000)
+	fallback := NewTable()
+	hostRoutes(fallback, 1000)
+	for i, v := range vips {
+		withdraw(fallback, packet.HostPrefix(v), NodeID(i%64), 0.5)
+	}
+	aggregate := NewTable()
+	hostRoutes(aggregate, 0)
+	for _, tc := range []struct {
+		name string
+		tb   *Table
+		bits int
+	}{
+		{"host", hosts, 32},
+		{"withdrawn host", fallback, 8},
+		{"aggregate only", aggregate, 8},
+	} {
+		snap, i := tc.tb.Snapshot(), 0
+		allocs := testing.AllocsPerRun(1000, func() {
+			if _, m, ok := snap.Pick(vips[i%len(vips)], 1.0, uint64(i)); !ok || m.Bits != tc.bits {
+				t.Fatalf("%s: Pick(%s) = %s %v, want a /%d", tc.name, vips[i%len(vips)], m, ok, tc.bits)
+			}
+			i++
+		})
+		if allocs != 0 {
+			t.Errorf("%s: Pick: %v allocs/op, want 0", tc.name, allocs)
+		}
+	}
+}
+
+// TestNoOpMutationPublishesNothing: a withdrawal that withdraws nothing sooner
+// and an announcement refresh that changes neither time leave the published
+// view as it was, for a /32 and for the aggregate alike, and are still counted
+// and traced like every call before them; a batch publishes one view however
+// many routes it changes.
 func TestNoOpMutationPublishesNothing(t *testing.T) {
 	tb := NewTable()
 	reg, rec := telemetry.NewRegistry(), telemetry.NewRecorder(64)
@@ -277,19 +320,43 @@ func TestNoOpMutationPublishesNothing(t *testing.T) {
 		{"refresh at the same time", func() { tb.Announce(vipHost, hmux1, 1) }, false, 1, 0},
 		{"refresh at a later time", func() { tb.Announce(vipHost, hmux1, 2) }, false, 1, 0},
 		{"refresh at an earlier time", func() { tb.Announce(vipHost, hmux1, 0.5) }, true, 1, 0},
-		{"withdraw", func() { tb.Withdraw(vipHost, hmux1, 5) }, true, 0, 1},
-		{"withdraw again at the same time", func() { tb.Withdraw(vipHost, hmux1, 5) }, false, 0, 1},
-		{"withdraw again later", func() { tb.Withdraw(vipHost, hmux1, 6) }, false, 0, 1},
-		{"withdraw again sooner", func() { tb.Withdraw(vipHost, hmux1, 4) }, true, 0, 1},
-		{"withdraw another next hop", func() { tb.Withdraw(vipHost, hmux2, 1) }, false, 0, 0},
-		{"withdraw an unknown prefix", func() { tb.Withdraw(packet.MustParsePrefix("10.0.0.0/24"), smux1, 1) }, false, 0, 0},
+		{"withdraw", func() { withdraw(tb, vipHost, hmux1, 5) }, true, 0, 1},
+		{"withdraw again at the same time", func() { withdraw(tb, vipHost, hmux1, 5) }, false, 0, 1},
+		{"withdraw again later", func() { withdraw(tb, vipHost, hmux1, 6) }, false, 0, 1},
+		{"withdraw again sooner", func() { withdraw(tb, vipHost, hmux1, 4) }, true, 0, 1},
+		{"withdraw another next hop", func() { withdraw(tb, vipHost, hmux2, 1) }, false, 0, 0},
+		{"withdraw an unknown prefix", func() { withdraw(tb, packet.MustParsePrefix("10.0.0.0/24"), smux1, 1) }, false, 0, 0},
+		{"withdraw an unknown host", func() { withdraw(tb, packet.HostPrefix(vip+1), hmux1, 1) }, false, 0, 0},
 		{"withdraw all of a next hop already gone", func() { tb.WithdrawAll(hmux1, 7) }, false, 0, 0},
 		{"re-announce", func() { tb.Announce(vipHost, hmux1, 8) }, true, 1, 0},
+		{"refresh the aggregate at the same time", func() { tb.Announce(vipAgg, smux1, 0) }, false, 1, 0},
+		{"refresh the aggregate at a later time", func() { tb.Announce(vipAgg, smux1, 3) }, false, 1, 0},
+		{"withdraw the aggregate", func() { withdraw(tb, vipAgg, smux1, 5) }, true, 0, 1},
+		{"withdraw the aggregate again later", func() { withdraw(tb, vipAgg, smux1, 6) }, false, 0, 1},
+		{"withdraw another next hop of the aggregate", func() { withdraw(tb, vipAgg, smux2, 1) }, false, 0, 0},
+		{"re-announce the aggregate", func() { tb.Announce(vipAgg, smux1, 8) }, true, 1, 0},
+		{"an empty batch", func() { tb.Apply(nil) }, false, 0, 0},
+		{"a batch of refreshes", func() {
+			tb.Apply([]Op{{Prefix: vipHost, NH: hmux1, At: 9}, {Prefix: vipAgg, NH: smux1, At: 9}})
+		}, false, 2, 0},
+		{"a batch moving the host and the aggregate", func() {
+			tb.Apply([]Op{
+				{Prefix: vipHost, NH: hmux1, At: 9, Withdraw: true},
+				{Prefix: vipHost, NH: hmux2, At: 9},
+				{Prefix: vipAgg, NH: smux2, At: 9},
+				{Prefix: vipAgg, NH: smux1, At: 9, Withdraw: true},
+			})
+		}, true, 2, 2},
+		{"announce the host via the aggregate's next hop", func() { tb.Announce(vipHost, smux2, 10) }, true, 1, 0},
+		{"WithdrawAll over a host and the aggregate", func() { tb.WithdrawAll(smux2, 11) }, true, 0, 2},
 	} {
-		before, ann, wd, evs := tb.Snapshot().root, reg.Counter("bgp.announces").Value(), reg.Counter("bgp.withdraws").Value(), rec.Recorded()
+		before, ann, wd, evs := tb.Snapshot().v, reg.Counter("bgp.announces").Value(), reg.Counter("bgp.withdraws").Value(), rec.Recorded()
 		tc.op()
-		if published := tb.Snapshot().root != before; published != tc.publishes {
+		after := tb.Snapshot().v
+		if published := after != before; published != tc.publishes {
 			t.Errorf("%s: published %v, want %v", tc.name, published, tc.publishes)
+		} else if published && after.gen != before.gen+1 {
+			t.Errorf("%s: published %d views, want 1", tc.name, after.gen-before.gen)
 		}
 		gotAnn, gotWd := reg.Counter("bgp.announces").Value()-ann, reg.Counter("bgp.withdraws").Value()-wd
 		if gotAnn != tc.announces || gotWd != tc.wdrs || rec.Recorded()-evs != tc.announces+tc.wdrs {

@@ -1,12 +1,15 @@
 package bgp
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
 	"testing"
 
+	"duet/internal/addrmap"
 	"duet/internal/packet"
 	"duet/internal/telemetry"
 )
@@ -26,33 +29,50 @@ type refTable struct {
 	routes []*refRoute
 }
 
-func (r *refTable) announce(p packet.Prefix, nh NodeID, at float64) {
+// announce, withdraw and withdrawAll report whether they changed a route.
+func (r *refTable) announce(p packet.Prefix, nh NodeID, at float64) bool {
 	for _, rt := range r.routes {
 		if rt.p == p && rt.nh == nh {
-			if at < rt.visibleAt {
-				rt.visibleAt = at
-			}
-			rt.withdrawnAt = 1e18
-			return
+			changed := at < rt.visibleAt || rt.withdrawnAt != 1e18
+			rt.visibleAt, rt.withdrawnAt = min(rt.visibleAt, at), 1e18
+			return changed
 		}
 	}
 	r.routes = append(r.routes, &refRoute{p: p, nh: nh, visibleAt: at, withdrawnAt: 1e18})
+	return true
 }
 
-func (r *refTable) withdraw(p packet.Prefix, nh NodeID, at float64) {
+func (r *refTable) withdraw(p packet.Prefix, nh NodeID, at float64) bool {
+	changed := false
 	for _, rt := range r.routes {
 		if rt.p == p && rt.nh == nh && at < rt.withdrawnAt {
-			rt.withdrawnAt = at
+			rt.withdrawnAt, changed = at, true
 		}
 	}
+	return changed
 }
 
-func (r *refTable) withdrawAll(nh NodeID, at float64) {
+func (r *refTable) withdrawAll(nh NodeID, at float64) bool {
+	changed := false
 	for _, rt := range r.routes {
 		if rt.nh == nh && at < rt.withdrawnAt {
-			rt.withdrawnAt = at
+			rt.withdrawnAt, changed = at, true
 		}
 	}
+	return changed
+}
+
+// apply applies a batch in order.
+func (r *refTable) apply(ops []Op) bool {
+	changed := false
+	for _, op := range ops {
+		if op.Withdraw {
+			changed = r.withdraw(op.Prefix, op.NH, op.At) || changed
+		} else {
+			changed = r.announce(op.Prefix, op.NH, op.At) || changed
+		}
+	}
+	return changed
 }
 
 func (r *refTable) lookup(addr packet.Addr, now float64) ([]NodeID, bool) {
@@ -77,6 +97,10 @@ func (r *refTable) lookup(addr packet.Addr, now float64) ([]NodeID, bool) {
 	return nhs, true
 }
 
+// TestTableMatchesReferenceModel drives Table and refTable with the same
+// random announcements, withdrawals, WithdrawAlls and multi-op Apply batches.
+// After every step the two answer alike, and the table has published exactly
+// one view if the step changed a route and none if it did not.
 func TestTableMatchesReferenceModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 	prefixes := []packet.Prefix{
@@ -97,6 +121,9 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 		packet.MustParseAddr("192.168.1.1"),
 	}
 
+	randOp := func() Op {
+		return Op{Prefix: prefixes[rng.Intn(len(prefixes))], NH: NodeID(rng.Intn(6)), At: rng.Float64() * 100, Withdraw: rng.Intn(3) == 0}
+	}
 	for trial := 0; trial < 20; trial++ {
 		tb := NewTable()
 		ref := &refTable{}
@@ -104,16 +131,32 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 			at := rng.Float64() * 100
 			nh := NodeID(rng.Intn(6))
 			p := prefixes[rng.Intn(len(prefixes))]
-			switch rng.Intn(4) {
+			var changed bool
+			gen := tb.Snapshot().v.gen
+			switch rng.Intn(5) {
 			case 0, 1:
 				tb.Announce(p, nh, at)
-				ref.announce(p, nh, at)
+				changed = ref.announce(p, nh, at)
 			case 2:
-				tb.Withdraw(p, nh, at)
-				ref.withdraw(p, nh, at)
+				withdraw(tb, p, nh, at)
+				changed = ref.withdraw(p, nh, at)
 			case 3:
 				tb.WithdrawAll(nh, at)
-				ref.withdrawAll(nh, at)
+				changed = ref.withdrawAll(nh, at)
+			case 4:
+				ops := make([]Op, 2+rng.Intn(6))
+				for i := range ops {
+					ops[i] = randOp()
+				}
+				tb.Apply(ops)
+				changed = ref.apply(ops)
+			}
+			want := uint64(0)
+			if changed {
+				want = 1
+			}
+			if tb.Snapshot().v.gen-gen != want {
+				t.Fatalf("trial %d step %d: published %d views, want %d", trial, step, tb.Snapshot().v.gen-gen, want)
 			}
 			// Compare lookups at a few random times/addresses.
 			for k := 0; k < 4; k++ {
@@ -200,17 +243,54 @@ func checkTrie(n *node, depth int) error {
 	if n.routes == nil && kids < 2 {
 		return fmt.Errorf("%s has no routes and %d children", n.prefix, kids)
 	}
+	if n.prefix.Bits == 32 {
+		return fmt.Errorf("%s is in the trie, not the host map", n.prefix)
+	}
 	return nil
+}
+
+// checkHosts returns the first /32 route on which the host map and the
+// reference disagree, a host's route list out of NodeID order, or a host
+// route the reference does not hold.
+func checkHosts(hosts addrmap.Map[[]routeEntry], ref *refTable) error {
+	n := 0
+	for _, rt := range ref.routes {
+		if rt.p.Bits != 32 {
+			continue
+		}
+		n++
+		want := routeEntry{nh: rt.nh, visibleAt: rt.visibleAt, withdrawnAt: rt.withdrawnAt}
+		if want.withdrawnAt == 1e18 {
+			want.withdrawnAt = math.Inf(1)
+		}
+		rs, _ := hosts.Get(rt.p.Addr)
+		if i := findRoute(rs, rt.nh); i < 0 || rs[i] != want {
+			return fmt.Errorf("host %s: host map holds %+v, want %+v among them", rt.p, rs, want)
+		}
+	}
+	var err error
+	hosts.Range(func(a packet.Addr, rs []routeEntry) {
+		n -= len(rs)
+		if !slices.IsSortedFunc(rs, func(x, y routeEntry) int { return cmp.Compare(x.nh, y.nh) }) {
+			err = fmt.Errorf("host %s: routes %+v out of NodeID order", a, rs)
+		}
+	})
+	if err == nil && n != 0 {
+		err = fmt.Errorf("host map holds %d routes more than the reference", -n)
+	}
+	return err
 }
 
 // TestTrieShapeMatchesReferenceModel drives the path-compressed trie through
 // the edits its one structural operation, insert, must get right — a prefix
-// that splits an existing edge, one that lands on an existing branch, /31
-// siblings, the aggregate lengths /0, /8, /9, /16 and /24, and ~1,000 /32s —
-// then through random announces and withdrawals. After every step the trie
-// keeps its shape and answers like refTable, and a WithdrawAll traces its
-// withdrawals in (address, length) order, the order the table's pre-order walk
-// has always emitted them in.
+// that splits an existing edge, one that lands on an existing branch, the
+// aggregate lengths /0, /8, /9, /16 and /24, a /31, and ~100 random lengths
+// between /17 and /31 — and the host map through ~1,000 /32s and /32
+// siblings, then both through random announces and withdrawals. After every
+// step the trie keeps its shape and holds no /32, the host map holds exactly
+// refTable's /32 routes, the table answers like refTable, and a WithdrawAll
+// traces its withdrawals — trie and host map merged — in (address, length)
+// order, the order the trie's pre-order walk always emitted them in.
 func TestTrieShapeMatchesReferenceModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	tb := NewTable()
@@ -222,7 +302,10 @@ func TestTrieShapeMatchesReferenceModel(t *testing.T) {
 
 	check := func(what string) {
 		t.Helper()
-		if err := checkTrie(tb.Snapshot().root, 1); err != nil {
+		if err := checkTrie(tb.Snapshot().v.root, 1); err != nil {
+			t.Fatalf("after %s: %v", what, err)
+		}
+		if err := checkHosts(tb.Snapshot().v.hosts, ref); err != nil {
 			t.Fatalf("after %s: %v", what, err)
 		}
 		for k := 0; k < 8; k++ {
@@ -248,19 +331,20 @@ func TestTrieShapeMatchesReferenceModel(t *testing.T) {
 		check(fmt.Sprintf("Announce(%s, %d, %.2f)", p, nh, at))
 	}
 
-	a, b := packet.MustParseAddr("10.1.2.3"), packet.MustParseAddr("10.1.2.12")
-	announce(packet.HostPrefix(a), 1, 0)
-	announce(packet.HostPrefix(b), 2, 0)
+	a, b := packet.MustParsePrefix("10.1.2.0/30"), packet.MustParsePrefix("10.1.2.12/30")
+	announce(a, 1, 0)
+	announce(b, 2, 0)
 	branch := packet.MustParsePrefix("10.1.2.0/28") // where a and b part
-	if n := find(tb.Snapshot().root, branch); n == nil || n.routes != nil {
-		t.Fatalf("two /32s under %s: node %+v, want a branch without routes", branch, n)
+	if n := find(tb.Snapshot().v.root, branch); n == nil || n.routes != nil {
+		t.Fatalf("two /30s under %s: node %+v, want a branch without routes", branch, n)
 	}
-	announce(packet.MustParsePrefix("10.1.2.0/30"), 3, 0) // splits the edge branch → a
+	announce(packet.MustParsePrefix("10.1.2.0/29"), 3, 0) // splits the edge branch → a
 	announce(packet.MustParsePrefix("10.1.0.0/16"), 4, 0) // splits the edge root → branch
 	announce(branch, 5, 0)                                // the branch gains routes
-	if n := find(tb.Snapshot().root, branch); n == nil || len(n.routes) != 1 {
+	if n := find(tb.Snapshot().v.root, branch); n == nil || len(n.routes) != 1 {
 		t.Fatalf("announced %s: node %+v, want the branch holding one route", branch, n)
 	}
+	announce(packet.HostPrefix(packet.MustParseAddr("10.1.2.3")), 1, 0) // a /32 under a: the host map's, the trie's untouched
 	for _, s := range []string{"0.0.0.0/0", "10.0.0.0/8", "10.128.0.0/9", "10.7.0.0/16", "10.7.7.0/24", "10.7.7.6/31"} {
 		announce(packet.MustParsePrefix(s), NodeID(rng.Intn(6)), rng.Float64()*10)
 	}
@@ -273,6 +357,9 @@ func TestTrieShapeMatchesReferenceModel(t *testing.T) {
 		if i%10 == 0 { // its /31 sibling
 			announce(packet.HostPrefix(addr^1), NodeID(rng.Intn(6)), rng.Float64()*10)
 		}
+		if i%10 == 5 { // a prefix of it, splitting some edge of the trie
+			announce(packet.PrefixFrom(addr, 17+rng.Intn(15)), NodeID(rng.Intn(6)), rng.Float64()*10)
+		}
 	}
 
 	for step := 0; step < 2000; step++ {
@@ -281,7 +368,7 @@ func TestTrieShapeMatchesReferenceModel(t *testing.T) {
 		case 0, 1, 2:
 			announce(p, nh, at)
 		case 3, 4, 5, 6:
-			tb.Withdraw(p, nh, at)
+			withdraw(tb, p, nh, at)
 			ref.withdraw(p, nh, at)
 			check(fmt.Sprintf("Withdraw(%s, %d, %.2f)", p, nh, at))
 		case 7:

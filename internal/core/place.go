@@ -46,10 +46,11 @@ func placeFor(from placement, sws []topology.SwitchID, nic, hold bool) placement
 // cluster's records and hands each switch, NIC and SMux its share as one
 // Apply, one generation per table per batch, withdrawals first: every move
 // transits the SMux stepping stone (§4.2) and frees its room before any VIP
-// takes it. Routes follow the tables, withdrawals before announcements. A VIP
-// is all or nothing across its switches and the NICs: an invalid target
-// changes nothing, one a table refuses falls back to the SMux tier (taking it
-// out of the tables it did reach is those tables' second generation).
+// takes it. Routes follow the tables as one bgp.Apply, one published route
+// view per batch, withdrawals before announcements. A VIP is all or nothing
+// across its switches and the NICs: an invalid target changes nothing, one a
+// table refuses falls back to the SMux tier (taking it out of the tables it
+// did reach is those tables' second generation).
 func (c *Cluster) Place(ts []Target) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -84,14 +85,19 @@ func (c *Cluster) placeLocked(ts []Target) int {
 	c.program(ts, undo)
 
 	at := c.rec.Now()
-	for i, h := range hops {
-		prefix := packet.HostPrefix(ts[i].Addr)
-		outside(h.from.routes, h.to.routes, func(s topology.SwitchID) { c.Routes.Withdraw(prefix, bgp.NodeID(s), at) })
+	var routes []bgp.Op
+	for _, withdraw := range []bool{true, false} {
+		for i, h := range hops {
+			off, on := h.from.routes, h.to.routes
+			if !withdraw {
+				off, on = on, off
+			}
+			outside(off, on, func(s topology.SwitchID) {
+				routes = append(routes, bgp.Op{Prefix: packet.HostPrefix(ts[i].Addr), NH: bgp.NodeID(s), At: at, Withdraw: withdraw})
+			})
+		}
 	}
-	for i, h := range hops {
-		prefix := packet.HostPrefix(ts[i].Addr)
-		outside(h.to.routes, h.from.routes, func(s topology.SwitchID) { c.Routes.Announce(prefix, bgp.NodeID(s), at) })
-	}
+	c.Routes.Apply(routes)
 
 	for i, h := range hops {
 		switch p := h.to; {

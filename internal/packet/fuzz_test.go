@@ -295,3 +295,17 @@ func cornerHeader(dst Addr, cs uint16) []byte {
 	binary.BigEndian.PutUint16(h[10:12], cs)
 	return h
 }
+
+// FuzzChecksum: Checksum agrees bit for bit with the 16-bit RFC 1071
+// reference on any buffer.
+func FuzzChecksum(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0xff})
+	f.Add(validHeader(ProtoTCP, nil)[:HeaderLen])
+	f.Add(bytes.Repeat([]byte{0xff}, 41))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if got, want := Checksum(data), checksumRef(data); got != want {
+			t.Fatalf("Checksum(%x) = %#04x, reference %#04x", data, got, want)
+		}
+	})
+}

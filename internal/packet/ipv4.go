@@ -118,14 +118,27 @@ func (h *IPv4) SerializeTo(buf []byte) (int, error) {
 }
 
 // Checksum computes the standard ones-complement Internet checksum over b.
-// A buffer with a correct embedded checksum sums to zero.
+// A buffer with a correct embedded checksum sums to zero. It adds big-endian
+// 32-bit words into 64 bits and folds once at the end: the ones-complement sum
+// is the same whatever the word width (RFC 1071 §2), and a 20-byte header is
+// five loads.
 func Checksum(b []byte) uint16 {
-	var sum uint32
-	for ; len(b) >= 2; b = b[2:] {
-		sum += uint32(b[0])<<8 | uint32(b[1])
-	}
-	if len(b) == 1 {
-		sum += uint32(b[0]) << 8
+	var sum uint64
+	if len(b) == HeaderLen {
+		sum = uint64(binary.BigEndian.Uint32(b[0:4])) + uint64(binary.BigEndian.Uint32(b[4:8])) +
+			uint64(binary.BigEndian.Uint32(b[8:12])) + uint64(binary.BigEndian.Uint32(b[12:16])) +
+			uint64(binary.BigEndian.Uint32(b[16:20]))
+	} else {
+		for ; len(b) >= 4; b = b[4:] {
+			sum += uint64(binary.BigEndian.Uint32(b))
+		}
+		if len(b) >= 2 {
+			sum += uint64(binary.BigEndian.Uint16(b))
+			b = b[2:]
+		}
+		if len(b) == 1 {
+			sum += uint64(b[0]) << 8
+		}
 	}
 	for sum>>16 != 0 {
 		sum = sum&0xffff + sum>>16
