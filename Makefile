@@ -51,10 +51,11 @@ vet:
 # of internal/wire call no per-VIP mutator of the muxes' tables, so reconcile
 # stays on their batch Apply. The sixth keeps an in-process epoch one table
 # generation per table: the non-test files of internal/core call no per-VIP
-# mux mutator (AddTIP is the TIP item's), so every placement goes through
-# Cluster.Place and a DIP removal is one steer.OpRemoveDIP batch, and those of
-# internal/controller call none of the cluster's per-VIP placement mutators,
-# so an epoch is one Place batch. The seventh keeps the control channel one
+# mux mutator (AddTIP is the TIP item's), so every table edit — a move, a VIP
+# or DIP added or removed — goes through Cluster.Place and its steer.Plan, and
+# those of internal/controller call none of the cluster's per-VIP placement or
+# config mutators (AddVIP and RemoveVIP included), so an epoch, a health
+# sweep and a bulk load are each one Place batch. The seventh keeps the control channel one
 # binary codec: no non-test file of internal/wire but spec.go (the config
 # file) imports encoding/json. The eighth keeps a receiver's work-list the
 # delta itself: no non-test file of internal/wire imports hash/fnv, so no
@@ -72,7 +73,7 @@ lint: vet
 	! grep -nE '\b(nmux|smux)\.Tally\b' $$(ls internal/core/*.go internal/wire/*.go | grep -v _test.go)
 	! grep -nE '\.(AddVIP|UpdateVIP|RemoveVIP|SetVIPMode|AddTIP|RemoveBackend)\(' $$(ls internal/wire/*.go | grep -v _test.go)
 	! grep -nE '\.(AddVIP|UpdateVIP|RemoveVIP|SetVIPMode|RemoveBackend)\(' $$(ls internal/core/*.go | grep -v _test.go)
-	! grep -nE '\.(AssignToHMux|ProgramHMux|AssignReplicated|WithdrawFromHMux|DeprogramHMux|AssignToNMux|WithdrawFromNMux|SetVIPMode)\(' $$(ls internal/controller/*.go | grep -v _test.go)
+	! grep -nE '\.(AssignToHMux|ProgramHMux|AssignReplicated|WithdrawFromHMux|DeprogramHMux|AssignToNMux|WithdrawFromNMux|SetVIPMode|AddVIP|RemoveVIP)\(' $$(ls internal/controller/*.go | grep -v _test.go)
 	! grep -n '"encoding/json"' $$(ls internal/wire/*.go | grep -v -e _test.go -e spec.go)
 	! grep -n '"hash/fnv"' $$(ls internal/wire/*.go | grep -v _test.go)
 	! grep -nE 'Gauge\("(hmux|smux|nmux|steer)\.' $$(ls internal/core/*.go internal/wire/*.go | grep -v _test.go)

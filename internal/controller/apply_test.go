@@ -166,3 +166,100 @@ func TestRefusedPlacementStaysOnSMux(t *testing.T) {
 		}
 	}
 }
+
+// TestSyncVIPsIsOneBatch: a bulk load is one Place batch — each SMux's steer
+// table publishes one generation for the whole population, where a VIP at a
+// time published one each, and a second sync of the same VIPs publishes
+// nothing.
+func TestSyncVIPsIsOneBatch(t *testing.T) {
+	c, err := core.New(core.Config{Topology: topology.TestbedConfig(), NumSMuxes: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := workload.Generate(workload.Config{NumVIPs: 20, TotalRate: 1e9, Epochs: 1, Seed: 3, MaxDIPs: 8}, c.Topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct := New(c, assign.DefaultOptions())
+	for round, want := range []uint64{1, 1} {
+		if err := ct.SyncVIPs(w, 4, nil); err != nil {
+			t.Fatal(err)
+		}
+		if got := len(c.VIPs()); got != len(w.VIPs) {
+			t.Fatalf("round %d: %d VIPs configured, want %d", round, got, len(w.VIPs))
+		}
+		for i, sm := range c.SMuxes {
+			if got := sm.Epoch(); got != want {
+				t.Errorf("round %d: SMux %d at steer epoch %d, want %d", round, i, got, want)
+			}
+		}
+	}
+}
+
+// TestHealthSweepIsOneBatch: a sweep that finds three dead DIPs across two
+// HMux-served VIPs takes them all out in one Place batch — each SMux's steer
+// epoch and each switch holding one of the VIPs advance by exactly one, no
+// other table moves — and still reports, releases and counts each DIP.
+func TestHealthSweepIsOneBatch(t *testing.T) {
+	c, w, ct := world(t, 40, 5e10, 4)
+	reg, rec := c.Telemetry()
+	ct.SetTelemetry(reg, rec)
+	if _, err := ct.RunEpoch(w, 0); err != nil {
+		t.Fatal(err)
+	}
+	var sick [][2]packet.Addr
+	var vips []packet.Addr
+	for _, a := range c.VIPs() {
+		v, _ := c.VIP(a)
+		if _, ok := c.HomeOf(a); !ok || len(v.Backends) < 3 {
+			continue
+		}
+		for _, b := range v.Backends[:2-len(vips)] { // two DIPs of the first VIP, one of the second
+			sick = append(sick, [2]packet.Addr{a, b.Addr})
+		}
+		if vips = append(vips, a); len(vips) == 2 {
+			break
+		}
+	}
+	if len(sick) != 3 {
+		t.Fatalf("found %d HMux VIPs of 3 or more DIPs, want 2", len(vips))
+	}
+	for _, s := range sick {
+		agent, _ := c.Agent(s[1])
+		if err := agent.SetHealth(s[1], false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	holds := map[int]bool{}
+	for _, a := range vips {
+		for _, sw := range c.Replicas(a) {
+			holds[int(sw)] = true
+		}
+	}
+	before := generations(c)
+	removed, err := ct.HealthSweep()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(removed, sick) {
+		t.Fatalf("sweep removed %v, want %v", removed, sick)
+	}
+	for i, g := range generations(c) {
+		want := uint64(0)
+		switch {
+		case i < len(c.HMuxes) && holds[i], i >= len(c.HMuxes)+len(c.NMuxes):
+			want = 1
+		}
+		if g-before[i] != want {
+			t.Errorf("table %d advanced %d generations, want %d", i, g-before[i], want)
+		}
+	}
+	if got := reg.Counter("controller.health_removals").Value(); got != 3 {
+		t.Errorf("controller.health_removals = %d, want 3", got)
+	}
+	for _, s := range sick {
+		if v, _ := c.VIP(s[0]); slices.ContainsFunc(v.Backends, func(b service.Backend) bool { return b.Addr == s[1] }) {
+			t.Errorf("VIP %s still lists the dead DIP %s", s[0], s[1])
+		}
+	}
+}

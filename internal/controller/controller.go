@@ -7,7 +7,9 @@
 package controller
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"duet/internal/assign"
 	"duet/internal/core"
@@ -72,16 +74,17 @@ func New(c *core.Cluster, opts assign.Options) *Controller {
 func (ct *Controller) Previous() *assign.Assignment { return ct.prev }
 
 // SyncVIPs configures every workload VIP on the cluster (landing on the
-// SMuxes, per §5.2 "VIP addition"), generating nDIPs backend addresses per
-// VIP with mkBackend. Pass a small cap to keep table programming cheap in
-// examples; the assignment algorithm still sees the true DIP counts from
-// the workload.
+// SMuxes, per §5.2 "VIP addition") as one Place batch, generating nDIPs
+// backend addresses per VIP with mkBackend. Pass a small cap to keep table
+// programming cheap in examples; the assignment algorithm still sees the
+// true DIP counts from the workload.
 func (ct *Controller) SyncVIPs(w *workload.Workload, maxBackends int, mkBackend func(vip int, dip int) packet.Addr) error {
 	if mkBackend == nil {
 		mkBackend = func(vip, dip int) packet.Addr {
 			return packet.AddrFrom4(100, byte(vip>>8), byte(vip), byte(dip+1))
 		}
 	}
+	var ts []core.Target
 	for i := range w.VIPs {
 		v := &w.VIPs[i]
 		ct.indexOf[v.Addr] = i
@@ -89,15 +92,19 @@ func (ct *Controller) SyncVIPs(w *workload.Workload, maxBackends int, mkBackend 
 			continue
 		}
 		n := v.NumDIPs()
-		if maxBackends > 0 && n > maxBackends {
-			n = maxBackends
+		if maxBackends > 0 {
+			n = min(n, maxBackends)
 		}
 		backends := make([]service.Backend, n)
 		for d := 0; d < n; d++ {
 			backends[d] = service.Backend{Addr: mkBackend(i, d), Weight: 1}
 		}
-		if err := ct.Cluster.AddVIP(&service.VIP{Addr: v.Addr, Backends: backends}); err != nil {
-			return fmt.Errorf("controller: add VIP %s: %w", v.Addr, err)
+		ts = append(ts, core.Target{Addr: v.Addr, VIP: &service.VIP{Addr: v.Addr, Backends: backends}})
+	}
+	ct.Cluster.Place(ts)
+	for _, t := range ts {
+		if t.Err != nil {
+			return fmt.Errorf("controller: add VIP %s: %w", t.Addr, t.Err)
 		}
 	}
 	return nil
@@ -213,29 +220,27 @@ func (ct *Controller) applyEpoch(w *workload.Workload, epoch int, next *assign.A
 	return rep
 }
 
-// AddDIP grows a VIP's backend set (§5.2 "DIP addition"): if the VIP lives
-// on an HMux it is first withdrawn so the SMuxes' connection state masks the
-// hash change; the next epoch migrates it back. The cluster then reprograms
-// every tier that holds the VIP in one locked step.
+// AddDIP grows a VIP's backend set (§5.2 "DIP addition") in one Place call.
+// A VIP on an HMux leaves its switches in the same batch, so the SMuxes'
+// connection state masks the hash change; the next epoch migrates it back.
+// A NIC-hosted VIP updates in place — its pinned flows keep their DIPs, as
+// the SMuxes' do — unless the grown set no longer fits the NIC tables: then
+// it leaves that tier, and the next epoch re-places it; not an error here.
 func (ct *Controller) AddDIP(vip packet.Addr, b service.Backend) error {
-	if _, onHMux := ct.Cluster.HomeOf(vip); onHMux {
-		back := []core.Target{{Addr: vip}} // the SMux tier, mode kept
-		ct.Cluster.Place(back)
-		if back[0].Err != nil {
-			return back[0].Err
-		}
-		ct.orphan(vip)
+	v, ok := ct.Cluster.VIP(vip)
+	if !ok {
+		return core.ErrVIPUnknown
 	}
-	// A NIC-hosted VIP updates in place: the NIC's exact-match entries pin
-	// existing connections just like the SMux connection table, so no
-	// bounce through the stepping stone is needed. If the grown backend set
-	// no longer fits the table, AddBackend withdraws the VIP from the tier
-	// (the SMuxes keep serving it) — not an error here.
-	onNIC := ct.Cluster.NMuxHosted(vip)
-	if err := ct.Cluster.AddBackend(vip, b); err != nil {
+	grown := *v
+	grown.Backends = append(slices.Clone(v.Backends), b)
+	onHMux, onNIC := len(ct.Cluster.Replicas(vip)) > 0, ct.Cluster.NMuxHosted(vip)
+	ts := []core.Target{{Addr: vip, VIP: &grown, NIC: onNIC}}
+	ct.Cluster.Place(ts)
+	refused := onNIC && !ct.Cluster.NMuxHosted(vip)
+	if err := ts[0].Err; err != nil && !refused {
 		return err
 	}
-	if onNIC && !ct.Cluster.NMuxHosted(vip) {
+	if onHMux || refused {
 		ct.orphan(vip)
 	}
 	ct.tel.dipAdds.Inc()
@@ -260,35 +265,67 @@ func orphanIndex(a *assign.Assignment, i int) {
 // §5.1 "DIP failure"): resilient hashing on every mux type keeps surviving
 // connections intact; connections to the removed DIP are terminated.
 func (ct *Controller) RemoveDIP(vip, dip packet.Addr) error {
-	if err := ct.Cluster.RemoveBackend(vip, dip); err != nil {
-		return err
-	}
-	ct.ReleaseSNATRanges(vip, dip)
-	ct.tel.dipRemoves.Inc()
-	return nil
+	_, err := ct.removeDIPs([][2]packet.Addr{{vip, dip}})
+	return err
 }
 
-// HealthSweep polls every backend's host agent and removes DIPs reported
-// unhealthy (§6: the controller receives VIP health from the host agents).
-// It returns the removed (vip, dip) pairs.
+// HealthSweep polls every backend's host agent and removes the DIPs reported
+// unhealthy (§6: the controller receives VIP health from the host agents),
+// all as one Place batch. It returns the removed (vip, dip) pairs.
 func (ct *Controller) HealthSweep() ([][2]packet.Addr, error) {
-	var removed [][2]packet.Addr
-	for _, vipAddr := range ct.Cluster.VIPs() {
-		v, _ := ct.Cluster.VIP(vipAddr)
-		for _, b := range v.Backends { // a snapshot: RemoveDIP below replaces the record
-			agent, ok := ct.Cluster.Agent(b.Addr)
-			if !ok || agent.Healthy(b.Addr) {
-				continue
+	var sick [][2]packet.Addr
+	for _, vip := range ct.Cluster.VIPs() {
+		v, _ := ct.Cluster.VIP(vip)
+		for _, b := range v.Backends {
+			if agent, ok := ct.Cluster.Agent(b.Addr); ok && !agent.Healthy(b.Addr) {
+				sick = append(sick, [2]packet.Addr{vip, b.Addr})
 			}
-			if err := ct.RemoveDIP(vipAddr, b.Addr); err != nil {
-				return removed, err
-			}
-			ct.tel.healthRemovals.Inc()
-			ct.tel.rec.Record(telemetry.KindHealthTransition, 0, uint32(b.Addr), 0, 0)
-			removed = append(removed, [2]packet.Addr{vipAddr, b.Addr})
 		}
 	}
-	return removed, nil
+	removed, err := ct.removeDIPs(sick)
+	for _, r := range removed {
+		ct.tel.healthRemovals.Inc()
+		ct.tel.rec.Record(telemetry.KindHealthTransition, 0, uint32(r[1]), 0, 0)
+	}
+	return removed, err
+}
+
+// removeDIPs takes each (VIP, DIP) pair's DIP out of its VIP — its first
+// listing left; a VIP's pairs adjacent — as one Place batch, every VIP
+// staying where it is, and releases each removed DIP's SNAT ranges. It
+// returns the pairs whose VIP took the change, and the first error.
+func (ct *Controller) removeDIPs(pairs [][2]packet.Addr) ([][2]packet.Addr, error) {
+	var ts []core.Target
+	for _, p := range pairs {
+		if len(ts) == 0 || ts[len(ts)-1].Addr != p[0] {
+			v, ok := ct.Cluster.VIP(p[0])
+			if !ok {
+				return nil, core.ErrVIPUnknown
+			}
+			cp := *v
+			cp.Backends = slices.Clone(v.Backends)
+			ts = append(ts, core.Target{Addr: p[0], VIP: &cp, Stay: true})
+		}
+		v := ts[len(ts)-1].VIP
+		i := slices.IndexFunc(v.Backends, func(b service.Backend) bool { return b.Addr == p[1] })
+		if i < 0 {
+			return nil, fmt.Errorf("controller: %s is not a backend of VIP %s", p[1], p[0])
+		}
+		v.Backends = slices.Delete(v.Backends, i, i+1)
+	}
+	ct.Cluster.Place(ts)
+	var removed [][2]packet.Addr
+	var err error
+	for _, p := range pairs {
+		if t := ts[slices.IndexFunc(ts, func(t core.Target) bool { return t.Addr == p[0] })]; t.Err != nil {
+			err = cmp.Or(err, t.Err)
+			continue
+		}
+		ct.ReleaseSNATRanges(p[0], p[1])
+		ct.tel.dipRemoves.Inc()
+		removed = append(removed, p)
+	}
+	return removed, err
 }
 
 // HandleSwitchFailure reacts to an HMux failure (§5.1): the fabric withdraws

@@ -378,36 +378,17 @@ func switchAddr(s int) packet.Addr {
 	return packet.AddrFrom4(172, 16, byte(s>>8), byte(s))
 }
 
-// AddVIP configures a new VIP: per §5.2 it lands on the SMuxes first; the
-// controller may later migrate it to an HMux.
+// AddVIP configures a new VIP: per §5.2 it lands on the SMuxes first, in
+// the SMux fleet's default mode; the controller may later migrate it to an
+// HMux. A Place target of one.
 func (c *Cluster) AddVIP(v *service.VIP) error {
-	if err := v.Validate(); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.vips[v.Addr]; ok {
-		return ErrVIPExists
-	}
-	// Agents are wired before the SMuxes accept traffic for the VIP.
-	for _, b := range allBackends(v) {
-		if err := c.hostBackendLocked(v.Addr, b.Addr); err != nil {
-			return err
+	return c.one(v.Addr, func(t *Target) error {
+		if _, ok := c.vips[v.Addr]; ok {
+			return ErrVIPExists
 		}
-	}
-	if err := applyEach(c.SMuxes, []steer.Op{{Kind: steer.OpAdd, VIP: v}}); err != nil {
-		return err
-	}
-	// The cluster's record outlives the call and is handed out by VIP, so it
-	// owns its backend arrays instead of sharing the caller's.
-	cp := *v
-	cp.Backends = append([]service.Backend(nil), v.Backends...)
-	cp.Ports = append([]service.PortRule(nil), v.Ports...)
-	for i := range cp.Ports {
-		cp.Ports[i].Backends = append([]service.Backend(nil), cp.Ports[i].Backends...)
-	}
-	c.vips[v.Addr] = &cp
-	return nil
+		t.VIP = v
+		return nil
+	})
 }
 
 // hostBackendLocked puts a host agent behind a backend address: one host per
@@ -437,12 +418,38 @@ func (c *Cluster) unhostBackendLocked(vip, addr packet.Addr, vms bool) {
 	}
 }
 
+// allBackends lists a VIP's backends (nil: none), the default set's and the
+// port rules'.
 func allBackends(v *service.VIP) []service.Backend {
-	out := append([]service.Backend(nil), v.Backends...)
+	if v == nil {
+		return nil
+	}
+	out := slices.Clone(v.Backends)
 	for _, pr := range v.Ports {
 		out = append(out, pr.Backends...)
 	}
 	return out
+}
+
+// diffBackends returns the backends of a whose address b does not list.
+func diffBackends(a, b *service.VIP) []service.Backend {
+	keep := allBackends(b)
+	return slices.DeleteFunc(allBackends(a), func(x service.Backend) bool {
+		return slices.ContainsFunc(keep, func(y service.Backend) bool { return y.Addr == x.Addr })
+	})
+}
+
+// cloneVIP deep-copies a VIP's config: the cluster's record outlives the
+// call that handed it over and is handed out by VIP, so it owns its
+// backend arrays instead of sharing the caller's.
+func cloneVIP(v *service.VIP) *service.VIP {
+	cp := *v
+	cp.Backends = slices.Clone(v.Backends)
+	cp.Ports = slices.Clone(v.Ports)
+	for i := range cp.Ports {
+		cp.Ports[i].Backends = slices.Clone(cp.Ports[i].Backends)
+	}
+	return &cp
 }
 
 // RegisterHost attaches a virtualized host running several VM DIPs for a VIP
@@ -460,21 +467,10 @@ func (c *Cluster) RegisterHost(hostAddr packet.Addr, vip packet.Addr, vmDIPs []p
 	return nil
 }
 
-// RemoveVIP withdraws a VIP everywhere (§5.2 "VIP removal").
+// RemoveVIP withdraws a VIP everywhere (§5.2 "VIP removal"): a Place
+// target of one.
 func (c *Cluster) RemoveVIP(addr packet.Addr) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	v, ok := c.vips[addr]
-	if !ok {
-		return ErrVIPUnknown
-	}
-	c.placeLocked([]Target{{Addr: addr}})                                   // off every switch and NIC
-	_ = applyEach(c.SMuxes, []steer.Op{{Kind: steer.OpRemove, Addr: addr}}) // present: AddVIP put it on every SMux
-	for _, b := range allBackends(v) {
-		c.unhostBackendLocked(addr, b.Addr, true)
-	}
-	delete(c.vips, addr)
-	return nil
+	return c.one(addr, func(t *Target) error { t.Remove = true; return nil })
 }
 
 // VIP returns the configuration of a VIP.
@@ -521,88 +517,6 @@ func (c *Cluster) NMuxHosted(addr packet.Addr) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.placed[addr].nic
-}
-
-// AddBackend grows a VIP's backend set on every tier that serves it (§5.2
-// "DIP addition"), under the writer lock: the host agent is wired first, then
-// the SMuxes and — in place, pinned flows keep their DIPs — the NIC tier. A
-// VIP on an HMux is refused: the controller withdraws it first so the SMuxes'
-// connection state masks the hash change. If the grown set no longer fits a
-// NIC table the VIP is withdrawn from that whole tier, which is not an error:
-// the SMuxes keep serving it and NMuxHosted reports the change.
-func (c *Cluster) AddBackend(vip packet.Addr, b service.Backend) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	old, ok := c.vips[vip]
-	if !ok {
-		return ErrVIPUnknown
-	}
-	if sws := c.placed[vip].sws(); len(sws) > 0 {
-		return fmt.Errorf("core: VIP %s is on switch %v; withdraw first", vip, sws)
-	}
-	if err := c.hostBackendLocked(vip, b.Addr); err != nil {
-		return err
-	}
-	v := c.editBackends(old, append(append([]service.Backend(nil), old.Backends...), b))
-	if err := applyEach(c.SMuxes, []steer.Op{{Kind: steer.OpUpdate, VIP: v}}); err != nil {
-		return err
-	}
-	if c.placed[vip].nic && applyEach(c.NMuxes, []steer.Op{{Kind: steer.OpUpdate, VIP: v}}) != nil {
-		c.placeLocked([]Target{{Addr: vip}})
-	}
-	return nil
-}
-
-// RemoveBackend shrinks a VIP's backend set in place on every tier that
-// serves it (§5.2 "DIP removal" / §5.1 "DIP failure"), under the writer
-// lock: one steer.OpRemoveDIP batch, handed to the switches that hold the VIP,
-// the NICs when it is NIC-placed and the SMuxes, in that order, until one
-// refuses it. Resilient hashing keeps surviving connections intact;
-// connections to the removed DIP are terminated.
-func (c *Cluster) RemoveBackend(vip, dip packet.Addr) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	old, ok := c.vips[vip]
-	if !ok {
-		return ErrVIPUnknown
-	}
-	p := c.placed[vip]
-	var sws []*hmux.Mux
-	for _, sw := range p.tables {
-		if c.HMuxes[sw].HasVIP(vip) { // else deprogrammed: between the halves of a leg
-			sws = append(sws, c.HMuxes[sw])
-		}
-	}
-	ops := []steer.Op{{Kind: steer.OpRemoveDIP, Addr: vip, DIP: dip}}
-	err := applyEach(sws, ops)
-	if err == nil && p.nic {
-		err = applyEach(c.NMuxes, ops)
-	}
-	if err == nil {
-		err = applyEach(c.SMuxes, ops)
-	}
-	if err != nil {
-		return err
-	}
-	isDIP := func(b service.Backend) bool { return b.Addr == dip }
-	kept := old.Backends
-	if i := slices.IndexFunc(kept, isDIP); i >= 0 {
-		kept = slices.Delete(slices.Clone(kept), i, i+1)
-	}
-	if v := c.editBackends(old, kept); !slices.ContainsFunc(allBackends(v), isDIP) {
-		c.unhostBackendLocked(vip, dip, false)
-	}
-	return nil
-}
-
-// editBackends replaces a VIP's record with a copy holding the new default
-// backend set. Records are never edited in place: the one VIP handed out
-// before stays a consistent snapshot for whoever still reads it.
-func (c *Cluster) editBackends(old *service.VIP, backends []service.Backend) *service.VIP {
-	v := *old
-	v.Backends = backends
-	c.vips[v.Addr] = &v
-	return &v
 }
 
 // VIPMode returns a VIP's consistency mode on the SMux fleet.

@@ -35,6 +35,34 @@ func mkVIP(i int, dips ...string) *service.VIP {
 	return &service.VIP{Addr: packet.AddrFrom4(10, 0, 0, byte(i+1)), Backends: bs}
 }
 
+// reconfigure places a VIP where it is with its default backend set edited:
+// a Place target of one, the controller's AddDIP and RemoveDIP without their
+// policy.
+func reconfigure(c *Cluster, vip packet.Addr, edit func([]service.Backend) []service.Backend) error {
+	v, ok := c.VIP(vip)
+	if !ok {
+		return ErrVIPUnknown
+	}
+	next := *v
+	next.Backends = edit(slices.Clone(v.Backends))
+	ts := []Target{{Addr: vip, VIP: &next, Stay: true}}
+	c.Place(ts)
+	return ts[0].Err
+}
+
+// addBackend appends a backend to a VIP's default set.
+func addBackend(c *Cluster, vip packet.Addr, b service.Backend) error {
+	return reconfigure(c, vip, func(bs []service.Backend) []service.Backend { return append(bs, b) })
+}
+
+// removeBackend takes a DIP's first listing out of a VIP's default set.
+func removeBackend(c *Cluster, vip, dip packet.Addr) error {
+	return reconfigure(c, vip, func(bs []service.Backend) []service.Backend {
+		i := slices.IndexFunc(bs, func(b service.Backend) bool { return b.Addr == dip })
+		return slices.Delete(bs, i, i+1)
+	})
+}
+
 func clientPkt(vip packet.Addr, i uint32) []byte {
 	return packet.BuildTCP(packet.FiveTuple{
 		Src: packet.AddrFrom4(30, 0, byte(i>>8), byte(i)), Dst: vip,

@@ -17,7 +17,7 @@ import (
 // collectScenario builds a NIC-tier cluster holding every kind of placement
 // Collect reads: an HMux VIP, a §9 replicated VIP, a NIC VIP, a stateful
 // SMux VIP with pinned connections, and a hybrid SMux VIP mid-drain after a
-// RemoveBackend, with straddling flows pinned in its overlay; then it stops
+// DIP removal, with straddling flows pinned in its overlay; then it stops
 // one switch, so its tables drop out of the high-water marks.
 func collectScenario(t testing.TB) *Cluster {
 	c := testClusterNMux(t, 256)
@@ -47,8 +47,8 @@ func collectScenario(t testing.TB) *Cluster {
 	}
 	// The removal starts a drain; the DIP added behind it takes slots from
 	// the survivors, so their established flows straddle the epoch and pin.
-	must(t, c.RemoveBackend(hyb.Addr, hyb.Backends[2].Addr))
-	must(t, c.AddBackend(hyb.Addr, service.Backend{Addr: packet.MustParseAddr("100.0.4.4"), Weight: 1}))
+	must(t, removeBackend(c, hyb.Addr, hyb.Backends[2].Addr))
+	must(t, addBackend(c, hyb.Addr, service.Backend{Addr: packet.MustParseAddr("100.0.4.4"), Weight: 1}))
 	for i := uint32(0); i < 64; i++ {
 		if _, err := c.Deliver(ackPkt(hyb.Addr, i)); err != nil {
 			t.Fatalf("deliver %s: %v", hyb.Addr, err)

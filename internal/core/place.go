@@ -6,18 +6,24 @@ import (
 
 	"duet/internal/bgp"
 	"duet/internal/packet"
+	"duet/internal/service"
 	"duet/internal/steer"
 	"duet/internal/topology"
 )
 
-// Target is where Place is to serve one VIP: on Switches (the HMux tier: one
-// home, or §9's replicas), on every NIC, or — neither — on the SMux backstop
-// alone, which holds every VIP. Hold holds the route step back: the tables
-// move and the /32 announcements stay, the first half of a migration leg.
-// Mode, when set, is the VIP's consistency mode on the SMuxes. Place records
-// the outcome in Err.
+// Target is what Place is to make of one VIP. VIP is its config (nil keeps
+// the record's; a VIP the cluster does not know needs one), Remove takes it
+// off every table and forgets it, and Stay leaves it where it is; otherwise
+// it is served on Switches (the HMux tier: one home, or §9's replicas), on
+// every NIC, or — neither — on the SMux backstop alone, which holds every
+// VIP. Hold holds the route step back: the tables move and the /32
+// announcements stay, the first half of a migration leg. Mode, when set, is
+// the VIP's consistency mode on the SMuxes. Place records the outcome in Err.
 type Target struct {
 	Addr     packet.Addr
+	VIP      *service.VIP
+	Remove   bool
+	Stay     bool
 	Switches []topology.SwitchID
 	NIC      bool
 	Hold     bool
@@ -25,32 +31,28 @@ type Target struct {
 	Err      error
 }
 
-// hop is the placement a valid target's VIP leaves and the one it takes.
+// hop is what a valid target changes: its VIP's placement and config (nil:
+// not configured), before and after.
 type hop struct {
 	valid    bool
 	from, to placement
+	old, new *service.VIP
 }
 
-// placeFor is where a target asking for sws (none: off the HMux tier) or the
-// NIC tier, with hold, puts a VIP now at from.
-func placeFor(from placement, sws []topology.SwitchID, nic, hold bool) placement {
-	to := placement{tables: sws, routes: sws, nic: nic}
-	if hold {
-		to.routes = from.routes
-	}
-	return to
-}
-
-// Place moves a batch of VIPs to their targets under the writer lock and
-// returns how many modes it changed. It diffs the targets against the
-// cluster's records and hands each switch, NIC and SMux its share as one
-// Apply, one generation per table per batch, withdrawals first: every move
-// transits the SMux stepping stone (§4.2) and frees its room before any VIP
-// takes it. Routes follow the tables as one bgp.Apply, one published route
-// view per batch, withdrawals before announcements. A VIP is all or nothing
-// across its switches and the NICs: an invalid target changes nothing, one a
-// table refuses falls back to the SMux tier (taking it out of the tables it
-// did reach is those tables' second generation).
+// Place is the one writer of VIPs — added, edited, moved or removed — and
+// returns how many modes it flipped. Under the writer lock it diffs the
+// targets against the records, plans every switch, NIC and SMux table with
+// steer.Plan and hands each its share as one Apply, one generation per
+// table per batch, in §4.2's order: hosts are wired for new DIPs; the
+// switches that only lose apply, then the SMuxes, the NICs and the switches
+// that gain, removals first in each, so every move transits the SMux
+// stepping stone; routes follow as one bgp.Apply, withdrawals first; DIPs
+// no longer listed are unwired; each record is replaced, never edited. A
+// VIP is all or nothing across its switches and NICs: an invalid target
+// changes nothing, as does a config change beyond dropped DIPs in place on
+// a switch (§5.2: withdraw first, so the SMuxes' connection state masks the
+// rehash); one a table refuses falls back to the SMux tier with its config
+// (leaving the tables it did reach is their second generation).
 func (c *Cluster) Place(ts []Target) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -59,30 +61,23 @@ func (c *Cluster) Place(ts []Target) int {
 
 func (c *Cluster) placeLocked(ts []Target) int {
 	hops := make([]hop, len(ts))
-	var modes []steer.Op
+	var sm []steer.Op // the SMuxes' batch
 	for i := range ts {
-		t, from := &ts[i], c.placed[ts[i].Addr]
-		if t.Err = c.checkLocked(t, from); t.Err != nil {
-			continue
-		}
-		hops[i] = hop{true, from, placeFor(from, t.Switches, t.NIC, t.Hold)}
-		if cur, _ := c.SMuxes[0].ModeOf(t.Addr); t.Mode != nil && *t.Mode != cur {
-			modes = append(modes, steer.Op{Kind: steer.OpMode, Addr: t.Addr, Mode: *t.Mode})
-		}
+		hops[i], sm, ts[i].Err = c.hopLocked(&ts[i], sm)
 	}
-	for _, sm := range c.SMuxes {
-		sm.Apply(modes)
-	}
-	c.program(ts, hops)
+	c.program(ts, hops, sm)
 	// A refused VIP leaves every table the batch put it in; its routes follow.
 	undo := make([]hop, len(hops))
 	for i, h := range hops {
 		if h.valid && ts[i].Err != nil {
-			back := placeFor(h.from, nil, false, ts[i].Hold)
-			undo[i], hops[i].to = hop{true, h.to, back}, back
+			back := placement{}
+			if ts[i].Hold && h.new != nil {
+				back.routes = h.from.routes
+			}
+			undo[i], hops[i].to = hop{true, h.to, back, h.new, h.new}, back
 		}
 	}
-	c.program(ts, undo)
+	c.program(ts, undo, nil)
 
 	at := c.rec.Now()
 	var routes []bgp.Op
@@ -100,80 +95,101 @@ func (c *Cluster) placeLocked(ts []Target) int {
 	c.Routes.Apply(routes)
 
 	for i, h := range hops {
+		addr := ts[i].Addr
+		if !h.valid {
+			continue
+		}
+		if h.old != h.new {
+			for _, b := range diffBackends(h.old, h.new) {
+				c.unhostBackendLocked(addr, b.Addr, h.new == nil)
+			}
+			c.vips[addr] = h.new
+			if h.new == nil {
+				delete(c.vips, addr)
+			}
+		}
 		switch p := h.to; {
-		case !h.valid:
 		case len(p.sws()) > 0 || p.nic:
 			p.tables, p.routes = slices.Clone(p.tables), slices.Clone(p.routes) // the record's own, not the caller's
-			c.placed[ts[i].Addr] = p
+			c.placed[addr] = p
 		default:
-			delete(c.placed, ts[i].Addr)
+			delete(c.placed, addr)
 		}
 	}
-	return len(modes)
-}
-
-// program hands each switch and the NICs their share of hops as one Apply,
-// withdrawals first, and charges each refused addition to its target.
-func (c *Cluster) program(ts []Target, hops []hop) {
-	hw := make(map[topology.SwitchID][]steer.Op)
-	var nic []steer.Op
-	for _, add := range []bool{false, true} {
-		for i, h := range hops {
-			addr := ts[i].Addr
-			op, off, on := steer.Op{Kind: steer.OpRemove, Addr: addr}, h.from, h.to
-			if add {
-				op, off, on = steer.Op{Kind: steer.OpAdd, Addr: addr, VIP: c.vips[addr]}, h.to, h.from
-			}
-			outside(off.tables, on.tables, func(s topology.SwitchID) { hw[s] = append(hw[s], op) })
-			if off.nic && !on.nic {
-				nic = append(nic, op)
-			}
+	modes := 0
+	for _, op := range sm {
+		if op.Kind == steer.OpMode {
+			modes++
 		}
 	}
-	for s, ops := range hw {
-		c.HMuxes[s].Apply(ops)
-		refuse(ts, ops)
-	}
-	for _, nm := range c.NMuxes {
-		nm.Apply(nic)
-		refuse(ts, nic)
-	}
+	return modes
 }
 
-// refuse charges each addition of ops a table refused to its target.
-func refuse(ts []Target, ops []steer.Op) {
-	for _, op := range ops {
-		if op.Err != nil && op.Kind == steer.OpAdd {
-			if t := &ts[slices.IndexFunc(ts, func(t Target) bool { return t.Addr == op.Addr })]; t.Err == nil {
-				t.Err = op.Err
-			}
-		}
-	}
-}
-
-// outside calls f on each switch of a that b lacks.
-func outside(a, b []topology.SwitchID, f func(topology.SwitchID)) {
-	for _, s := range a {
-		if !slices.Contains(b, s) {
-			f(s)
-		}
-	}
-}
-
-// checkLocked validates a target whose VIP is now at from.
-func (c *Cluster) checkLocked(t *Target, from placement) error {
-	_, known := c.vips[t.Addr]
+// hopLocked validates a target, works out what it changes and appends its
+// ops to the SMuxes' batch sm; a target it refuses leaves sm as it was. A
+// set there — a new VIP, or a config change beyond dropped DIPs — must be a
+// valid config, and off every switch that held the VIP (§5.2). The hosts of
+// the DIPs it adds are wired here, before any table can direct traffic at
+// them.
+func (c *Cluster) hopLocked(t *Target, sm []steer.Op) (hop, []steer.Op, error) {
+	n, from, old := len(sm), c.placed[t.Addr], c.vips[t.Addr]
+	refuse := func(err error) (hop, []steer.Op, error) { return hop{}, sm[:n], err }
+	h := hop{valid: true, from: from, to: from, old: old, new: old}
 	switch {
-	case !known:
-		return ErrVIPUnknown
+	case old == nil && (t.VIP == nil || t.Remove):
+		return refuse(ErrVIPUnknown)
+	case t.VIP != nil && t.VIP.Addr != t.Addr:
+		return refuse(fmt.Errorf("core: target %s carries the config of VIP %s", t.Addr, t.VIP.Addr))
+	case t.Mode != nil && *t.Mode > steer.ModeHybrid:
+		return refuse(fmt.Errorf("core: invalid mode %d for VIP %s", uint8(*t.Mode), t.Addr))
+	case t.Remove:
+		h.to, h.new = placement{}, nil
+	case t.VIP != nil:
+		h.new = cloneVIP(t.VIP) // the record's own, not the caller's
+	}
+	if err := c.moveLocked(t, &h); err != nil {
+		return refuse(err)
+	}
+	mode, _ := c.SMuxes[0].ModeOf(t.Addr) // a new VIP's: the SMuxes' default
+	next := mode
+	if t.Mode != nil {
+		next = *t.Mode
+	}
+	sm = steer.Plan(sm, steer.Side{VIP: old, Mode: mode}, steer.Side{VIP: h.new, Mode: next})
+	if set := sm[n:]; len(set) == 1 && set[0].Kind == steer.OpSet { // a set comes alone
+		if err := h.new.Validate(); err != nil {
+			return refuse(err)
+		}
+		if slices.ContainsFunc(h.from.tables, func(s topology.SwitchID) bool { return slices.Contains(h.to.tables, s) }) {
+			return refuse(fmt.Errorf("core: VIP %s is on switch %v; withdraw first", t.Addr, h.from.tables))
+		}
+	}
+	if h.new != old {
+		for _, b := range diffBackends(h.new, old) {
+			if err := c.hostBackendLocked(t.Addr, b.Addr); err != nil {
+				return refuse(err)
+			}
+		}
+	}
+	return h, sm, nil
+}
+
+// moveLocked checks where a target puts its VIP and records it in h.to.
+func (c *Cluster) moveLocked(t *Target, h *hop) error {
+	if t.Remove || t.Stay {
+		return nil
+	}
+	h.to = placement{tables: t.Switches, routes: t.Switches, nic: t.NIC}
+	if t.Hold {
+		h.to.routes = h.from.routes
+	}
+	switch {
 	case t.NIC && len(t.Switches) > 0:
 		return fmt.Errorf("core: VIP %s targets both the HMux and the NIC tier", t.Addr)
 	case t.NIC && len(c.NMuxes) == 0:
 		return ErrNMuxDisabled
-	case t.Mode != nil && *t.Mode > steer.ModeHybrid:
-		return fmt.Errorf("core: invalid mode %d for VIP %s", uint8(*t.Mode), t.Addr)
-	case t.Hold && len(from.routes) > 0 && len(t.Switches) > 0 && !slices.Equal(t.Switches, from.routes):
-		return fmt.Errorf("core: VIP %s is announced from switch %v; withdraw first", t.Addr, from.routes)
+	case t.Hold && len(h.from.routes) > 0 && len(t.Switches) > 0 && !slices.Equal(t.Switches, h.from.routes):
+		return fmt.Errorf("core: VIP %s is announced from switch %v; withdraw first", t.Addr, h.from.routes)
 	}
 	for i, sw := range t.Switches {
 		switch {
@@ -186,6 +202,96 @@ func (c *Cluster) checkLocked(t *Target, from placement) error {
 		}
 	}
 	return nil
+}
+
+// tableOps appends a hop's ops for a switch or the NIC tier, which holds
+// the VIP before (held) and after (holds) and keeps no mode of its own.
+func tableOps(ops []steer.Op, h hop, held, holds bool) []steer.Op {
+	var before, after steer.Side
+	if held {
+		before.VIP = h.old
+	}
+	if holds {
+		after.VIP = h.new
+	}
+	return steer.Plan(ops, before, after)
+}
+
+// setsLast orders a table's batch removals first: Plan gives a table one
+// set, or ops that take out, per hop.
+func setsLast(a, b steer.Op) int {
+	switch {
+	case (a.Kind == steer.OpSet) == (b.Kind == steer.OpSet):
+		return 0
+	case a.Kind == steer.OpSet:
+		return 1
+	}
+	return -1
+}
+
+// program hands each switch and the NIC tier its share of hops as one
+// Apply, removals first, and the SMuxes sm: the switches that only lose,
+// the SMuxes, the NICs — which resolve against their SMux's steer table, so
+// they never hold a config it lacks, nor re-pin flows they drop for a
+// removed DIP — then the switches that gain. A refused op fails its target.
+func (c *Cluster) program(ts []Target, hops []hop, sm []steer.Op) {
+	hw := make(map[topology.SwitchID][]steer.Op)
+	var nic []steer.Op
+	for _, h := range hops {
+		plan := func(s topology.SwitchID) {
+			if ops := tableOps(hw[s], h, slices.Contains(h.from.tables, s), slices.Contains(h.to.tables, s)); len(ops) > 0 {
+				hw[s] = ops
+			}
+		}
+		for _, s := range h.from.tables {
+			plan(s)
+		}
+		outside(h.to.tables, h.from.tables, plan)
+		nic = tableOps(nic, h, h.from.nic, h.to.nic)
+	}
+	for _, ops := range hw {
+		slices.SortStableFunc(ops, setsLast)
+	}
+	slices.SortStableFunc(nic, setsLast)
+	apply := func(m interface{ Apply([]steer.Op) }, ops []steer.Op) {
+		if len(ops) == 0 {
+			return
+		}
+		m.Apply(ops)
+		for _, op := range ops {
+			if op.Err != nil {
+				if t := &ts[slices.IndexFunc(ts, func(t Target) bool { return t.Addr == op.Addr })]; t.Err == nil {
+					t.Err = op.Err
+				}
+			}
+		}
+	}
+	gains := func(ops []steer.Op) bool { return ops[len(ops)-1].Kind == steer.OpSet }
+	for s, ops := range hw {
+		if !gains(ops) {
+			apply(c.HMuxes[s], ops)
+		}
+	}
+	for _, m := range c.SMuxes {
+		apply(m, sm)
+	}
+	for _, m := range c.NMuxes {
+		apply(m, nic)
+	}
+	for s, ops := range hw {
+		if gains(ops) {
+			apply(c.HMuxes[s], ops)
+		}
+	}
+}
+
+// outside calls f on each switch of a that b lacks.
+func outside(a, b []topology.SwitchID, f func(topology.SwitchID)) {
+	for _, s := range a {
+		if !slices.Contains(b, s) {
+			f(s)
+		}
+	}
 }
 
 // one places a single VIP, a batch of one: where it is now, as edit changes
@@ -291,15 +397,4 @@ func (c *Cluster) WithdrawFromNMux(addr packet.Addr) error {
 // window: no slot moves, so no flow's DIP does.
 func (c *Cluster) SetVIPMode(addr packet.Addr, mode steer.Mode) error {
 	return c.one(addr, func(t *Target) error { t.Mode = &mode; return nil })
-}
-
-// applyEach hands every mux of a fleet — switches, NICs or SMuxes — the same
-// one-op batch and stops at the first that refuses it.
-func applyEach[M interface{ Apply([]steer.Op) }](fleet []M, ops []steer.Op) error {
-	for _, m := range fleet {
-		if m.Apply(ops); ops[0].Err != nil {
-			return ops[0].Err
-		}
-	}
-	return nil
 }

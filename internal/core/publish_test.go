@@ -46,8 +46,8 @@ func TestUnobservableMutationsPublishNothing(t *testing.T) {
 		{"SetVIPMode", func() error { return c.SetVIPMode(v.Addr, steer.ModeHybrid) }},
 		{"AssignReplicated", func() error { return c.AssignReplicated(w.Addr, []topology.SwitchID{sw, other}) }},
 		{"WithdrawFromHMux (replicated)", func() error { return c.WithdrawFromHMux(w.Addr) }},
-		{"RemoveBackend", func() error { return c.RemoveBackend(v.Addr, v.Backends[1].Addr) }},
-		{"AddBackend (known host)", func() error { return c.AddBackend(v.Addr, v.Backends[1]) }},
+		{"RemoveBackend", func() error { return removeBackend(c, v.Addr, v.Backends[1].Addr) }},
+		{"AddBackend (known host)", func() error { return addBackend(c, v.Addr, v.Backends[1]) }},
 		{"RemoveVIP", func() error { return c.RemoveVIP(w.Addr) }},
 		{"AddVIP (known hosts)", func() error { return c.AddVIP(w) }},
 	} {
@@ -65,7 +65,7 @@ func TestUnobservableMutationsPublishNothing(t *testing.T) {
 		{"StopSwitch", func() { c.StopSwitch(sw) }},
 		{"RecoverSwitch", func() { c.RecoverSwitch(sw) }},
 		{"AddBackend (new host)", func() {
-			must(t, c.AddBackend(v.Addr, service.Backend{Addr: packet.MustParseAddr("100.0.0.3"), Weight: 1}))
+			must(t, addBackend(c, v.Addr, service.Backend{Addr: packet.MustParseAddr("100.0.0.3"), Weight: 1}))
 		}},
 	} {
 		step.do()
@@ -178,8 +178,8 @@ func TestDIPServesASecondVIP(t *testing.T) {
 	moved := v3.Backends[1]
 	must(t, c.AddVIP(v3))
 	must(t, c.AddVIP(v4))
-	must(t, c.RemoveBackend(v3.Addr, moved.Addr))
-	if err := c.AddBackend(v4.Addr, moved); err != nil {
+	must(t, removeBackend(c, v3.Addr, moved.Addr))
+	if err := addBackend(c, v4.Addr, moved); err != nil {
 		t.Fatalf("AddBackend of a DIP another VIP released: %v", err)
 	}
 	if got := agentOf(moved.Addr)(v4.Addr); !slices.Equal(got, []packet.Addr{moved.Addr}) {
@@ -193,7 +193,7 @@ func TestDIPServesASecondVIP(t *testing.T) {
 	v5 := mkVIP(4, "100.0.2.1", "100.0.2.1", "100.0.2.2")
 	must(t, c.RegisterHost(hip, v5.Addr, vms))
 	must(t, c.AddVIP(v5))
-	must(t, c.RemoveBackend(v5.Addr, hip))
+	must(t, removeBackend(c, v5.Addr, hip))
 	if got := agentOf(hip)(v5.Addr); !slices.Equal(got, vms) {
 		t.Errorf("host %s serves %v with one of its two listings removed, want its VMs %v", hip, got, vms)
 	}

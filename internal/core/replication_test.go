@@ -248,7 +248,7 @@ func TestBackendChangeOnReplicatedVIP(t *testing.T) {
 	}
 
 	gone := packet.MustParseAddr("100.0.0.2")
-	if err := c.RemoveBackend(v.Addr, gone); err != nil {
+	if err := removeBackend(c, v.Addr, gone); err != nil {
 		t.Fatal(err)
 	}
 	for _, sw := range reps {
@@ -277,7 +277,7 @@ func TestBackendChangeOnReplicatedVIP(t *testing.T) {
 	// Growing the set rehashes, which only the SMuxes' connection state can
 	// mask: refused like on a single-homed VIP, until the replicas go.
 	added := service.Backend{Addr: packet.MustParseAddr("100.0.0.4"), Weight: 1}
-	if err := c.AddBackend(v.Addr, added); err == nil {
+	if err := addBackend(c, v.Addr, added); err == nil {
 		t.Fatal("AddBackend on a replicated VIP accepted; want \"withdraw first\"")
 	}
 	if cur, _ := c.VIP(v.Addr); len(cur.Backends) != 2 {
@@ -286,7 +286,7 @@ func TestBackendChangeOnReplicatedVIP(t *testing.T) {
 	if err := c.WithdrawFromHMux(v.Addr); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.AddBackend(v.Addr, added); err != nil {
+	if err := addBackend(c, v.Addr, added); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.AssignReplicated(v.Addr, reps); err != nil {

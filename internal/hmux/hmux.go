@@ -328,14 +328,15 @@ func (m *Mux) overfull() error {
 }
 
 // Apply programs a batch of VIPs (steer.OpAdd, a VIP and all its port
-// rules; steer.OpRemove, a withdrawal releasing its table entries;
-// steer.OpRemoveDIP, one DIP taken out resiliently — connections to the
-// survivors keep their mapping, paper §5.1 "DIP failure" — releasing its ECMP
-// member and tunnel reference) in order and publishes one table generation
-// for all of them, none when every op failed. Each op is admitted alone
-// against what the ops before it left — a VIP that does not fit fails with
-// the full table's error — so a VIP re-added after its removal in the same
-// batch is charged against the released entries.
+// rules; steer.OpSet, the same after the VIP's old entry leaves, so a set
+// that does not fit leaves it out; steer.OpRemove, a withdrawal releasing its
+// table entries; steer.OpRemoveDIP, one DIP taken out resiliently —
+// connections to the survivors keep their mapping, paper §5.1 "DIP failure" —
+// releasing its ECMP member and tunnel reference) in order and publishes one
+// table generation for all of them, none when nothing changed. Each op is
+// admitted alone against what the ops before it left — a VIP that does not
+// fit fails with the full table's error — so a VIP re-added after its
+// removal in the same batch is charged against the released entries.
 func (m *Mux) Apply(ops []steer.Op) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -345,7 +346,12 @@ func (m *Mux) Apply(ops []steer.Op) {
 	for i := range ops {
 		op := &ops[i]
 		switch op.Kind {
-		case steer.OpAdd:
+		case steer.OpAdd, steer.OpSet:
+			if e, ok := vips.Get(op.VIP.Addr); ok && op.Kind == steer.OpSet {
+				m.charge(e, -1)
+				vips.Delete(op.VIP.Addr)
+				changed = true
+			}
 			if op.Err = op.VIP.Validate(); op.Err == nil {
 				op.Err = m.admit(vips, t.tips, op.VIP)
 			}

@@ -135,6 +135,41 @@ func TestRemoveVIPReleasesResources(t *testing.T) {
 	}
 }
 
+// TestSetReplacesInOneOp: an OpSet takes the VIP's old entry out before it
+// admits the new one — so a config that fits only once the old one's
+// entries are released is admitted, in one generation — and a config that
+// does not fit at all leaves the VIP out of the tables, that removal
+// published: a switch never serves a config its replacement was meant to
+// end.
+func TestSetReplacesInOneOp(t *testing.T) {
+	cfg := DefaultConfig(selfAddr)
+	cfg.ECMPTableSize = 4
+	m := New(cfg)
+	set := func(dips ...string) error {
+		return steer.One(m.Apply, steer.Op{Kind: steer.OpSet, Addr: vipAddr, VIP: &service.VIP{Addr: vipAddr, Backends: backends(dips...)}})
+	}
+	if err := set("100.0.0.1", "100.0.0.2", "100.0.0.3"); err != nil {
+		t.Fatal(err)
+	}
+	gen := m.Stats().Generation
+	if err := set("100.0.0.4", "100.0.0.5", "100.0.0.6", "100.0.0.7"); err != nil {
+		t.Fatalf("a set that fits once the old entries leave: %v", err)
+	}
+	if st := m.Stats(); st.ECMPUsed != 4 || st.TunnelUsed != 4 || st.Generation != gen+1 {
+		t.Fatalf("after the set: %+v, want 4 members, 4 tunnels, one generation", st)
+	}
+	if d, err := m.Lookup(packet.FiveTuple{Src: 1, Dst: vipAddr, SrcPort: 1, DstPort: 80, Proto: packet.ProtoTCP}); err != nil || d < packet.MustParseAddr("100.0.0.4") {
+		t.Fatalf("the set VIP resolves to %s, %v; want one of its new DIPs", d, err)
+	}
+	gen = m.Stats().Generation
+	if err := set("100.0.0.1", "100.0.0.2", "100.0.0.3", "100.0.0.4", "100.0.0.5"); !errors.Is(err, ErrECMPTableFull) {
+		t.Fatalf("a set that cannot fit: got %v, want ErrECMPTableFull", err)
+	}
+	if st := m.Stats(); m.HasVIP(vipAddr) || st.ECMPUsed != 0 || st.TunnelUsed != 0 || st.Generation != gen+1 {
+		t.Fatalf("after a refused set: held %v, %+v; want the VIP out, its entries released, the removal published", m.HasVIP(vipAddr), st)
+	}
+}
+
 func TestTunnelDedup(t *testing.T) {
 	// Two VIPs sharing a DIP address (or one host with many VM DIPs) cost
 	// one tunneling entry per unique address.

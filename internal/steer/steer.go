@@ -257,11 +257,12 @@ func (t *Table) HasVIP(addr packet.Addr) bool {
 	return ok
 }
 
-// ModeOf returns the VIP's mode.
+// ModeOf returns the VIP's mode, or — false — the mode the table gives a
+// VIP added without one.
 func (t *Table) ModeOf(addr packet.Addr) (Mode, bool) {
 	e, ok := t.gen.Load().vips.Get(addr)
 	if !ok {
-		return ModeStateful, false
+		return t.defaultMode, false
 	}
 	return e.mode, true
 }
@@ -412,7 +413,8 @@ type OpKind uint8
 
 const (
 	// OpSet installs Op.VIP in Op.Mode, adding it or replacing its entry:
-	// what a replicated delta does to a VIP it touches.
+	// what Plan gives a table that gains a VIP or whose VIP changed more
+	// than its DIP removals.
 	OpSet OpKind = iota
 	// OpAdd installs Op.VIP in the table's default mode; ErrVIPExists if
 	// the VIP is present.
@@ -528,6 +530,65 @@ func (t *Table) apply(vips *addrmap.Edit[*Entry], op *Op) (effect, error) {
 		return slotsChanged, nil
 	}
 	return unchanged, fmt.Errorf("steer: invalid op kind %d", uint8(op.Kind))
+}
+
+// Side is what one table holds of a VIP: its config in a mode, or — a nil
+// VIP — nothing. A table that keeps no mode (a switch, a NIC) passes the
+// same mode on both sides of a Plan.
+type Side struct {
+	VIP  *service.VIP
+	Mode Mode
+}
+
+// Plan appends the ops that take one table from holding before to holding
+// after (§5.2's events and a move are each a pair of Sides): a VIP the table
+// gains is an OpSet, one it loses an OpRemove. One it keeps loses each DIP
+// the new config dropped in place, an OpRemoveDIP apiece, when that is all
+// that changed — so only those DIPs' flows move; any other change is an
+// OpSet. A mode change beside no OpSet is an OpMode. Plan allocates nothing
+// for a table that keeps its config and mode.
+func Plan(ops []Op, before, after Side) []Op {
+	switch {
+	case after.VIP == nil && before.VIP == nil:
+		return ops
+	case after.VIP == nil:
+		return append(ops, Op{Kind: OpRemove, Addr: before.VIP.Addr})
+	}
+	set := Op{Kind: OpSet, Addr: after.VIP.Addr, VIP: after.VIP, Mode: after.Mode}
+	if before.VIP == nil {
+		return append(ops, set)
+	}
+	n := len(ops)
+	ops, ok := takeOut(ops, before.VIP, after.VIP)
+	switch {
+	case !ok:
+		return append(ops[:n], set)
+	case before.Mode != after.Mode:
+		return append(ops, Op{Kind: OpMode, Addr: after.VIP.Addr, Mode: after.Mode})
+	}
+	return ops
+}
+
+// takeOut appends an OpRemoveDIP per DIP of old's default set next dropped
+// and reports whether that is all next changed — the rest in order with
+// their weights, the port rules as they were. A DIP next still lists (a
+// copy kept, or the DIP reweighed) is no removal: WithoutBackend takes out
+// a DIP's first live copy.
+func takeOut(ops []Op, old, next *service.VIP) ([]Op, bool) {
+	kept, j := next.Backends, 0
+	for _, b := range old.Backends {
+		switch {
+		case j < len(kept) && kept[j] == b:
+			j++
+		case slices.ContainsFunc(kept[:min(j+1, len(kept))], func(k service.Backend) bool { return k.Addr == b.Addr }):
+			return ops, false
+		default:
+			ops = append(ops, Op{Kind: OpRemoveDIP, Addr: old.Addr, DIP: b.Addr})
+		}
+	}
+	return ops, j == len(kept) && slices.EqualFunc(old.Ports, next.Ports, func(a, b service.PortRule) bool {
+		return a.Port == b.Port && slices.Equal(a.Backends, b.Backends)
+	})
 }
 
 // Gone returns a match for the pinned flows a batch's applied removals leave

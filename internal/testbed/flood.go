@@ -94,26 +94,27 @@ func NewFlood(cfg FloodConfig) (*Flood, error) {
 	if cfg.NMuxTableSize > 0 {
 		nNMux = int(float64(cfg.NumVIPs) * cfg.NMuxFraction)
 	}
-	for i := 0; i < cfg.NumVIPs; i++ {
+	ts := make([]core.Target, cfg.NumVIPs)
+	for i := range ts {
 		addr := packet.AddrFrom4(10, 0, byte(i>>8), byte(i&0xff)+1)
 		bs := make([]service.Backend, cfg.DIPsPerVIP)
 		for j := 0; j < cfg.DIPsPerVIP; j++ {
 			bs[j] = service.Backend{Addr: packet.AddrFrom4(100, byte(i), byte(j), 1), Weight: 1}
 		}
-		if err := c.AddVIP(&service.VIP{Addr: addr, Backends: bs}); err != nil {
-			return nil, fmt.Errorf("flood: AddVIP %s: %w", addr, err)
-		}
+		ts[i] = core.Target{Addr: addr, VIP: &service.VIP{Addr: addr, Backends: bs}}
 		switch {
 		case i < nHMux:
-			if err := c.AssignToHMux(addr, homes[i%len(homes)]); err != nil {
-				return nil, fmt.Errorf("flood: AssignToHMux %s: %w", addr, err)
-			}
+			ts[i].Switches = []topology.SwitchID{homes[i%len(homes)]}
 		case i < nHMux+nNMux:
-			if err := c.AssignToNMux(addr); err != nil {
-				return nil, fmt.Errorf("flood: AssignToNMux %s: %w", addr, err)
-			}
+			ts[i].NIC = true
 		}
 		f.VIPs = append(f.VIPs, addr)
+	}
+	c.Place(ts)
+	for _, t := range ts {
+		if t.Err != nil {
+			return nil, fmt.Errorf("flood: place %s: %w", t.Addr, t.Err)
+		}
 	}
 	return f, nil
 }

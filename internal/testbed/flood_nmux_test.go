@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 
+	"duet/internal/assign"
+	"duet/internal/controller"
 	"duet/internal/packet"
 	"duet/internal/service"
 )
@@ -167,7 +169,8 @@ func TestFloodNMuxChurn(t *testing.T) {
 	// Grow the backend set (the NIC tier is reprogrammed in place): new flows
 	// would hash differently, but established (pinned) flows must be
 	// unaffected.
-	if err := c.AddBackend(vip, service.Backend{Addr: packet.AddrFrom4(100, 4, 4, 1), Weight: 1}); err != nil {
+	ct := controller.New(c, assign.DefaultOptions())
+	if err := ct.AddDIP(vip, service.Backend{Addr: packet.AddrFrom4(100, 4, 4, 1), Weight: 1}); err != nil {
 		t.Fatal(err)
 	}
 	same("nmux", "across reprogram")
@@ -178,6 +181,7 @@ func TestFloodNMuxChurn(t *testing.T) {
 func TestFloodNMuxConcurrentChurn(t *testing.T) {
 	f := nmuxFlood(t, 256)
 	c := f.Cluster
+	ct := controller.New(c, assign.DefaultOptions())
 	vip := f.VIPs[4]
 	extra := service.Backend{Addr: packet.AddrFrom4(100, 4, 4, 1), Weight: 1}
 	valid := map[packet.Addr]bool{extra.Addr: true}
@@ -199,9 +203,9 @@ func TestFloodNMuxConcurrentChurn(t *testing.T) {
 			}
 			var err error
 			if flip {
-				err = c.RemoveBackend(vip, extra.Addr)
+				err = ct.RemoveDIP(vip, extra.Addr)
 			} else {
-				err = c.AddBackend(vip, extra)
+				err = ct.AddDIP(vip, extra)
 			}
 			if err != nil {
 				t.Errorf("reprogram: %v", err)

@@ -9,8 +9,11 @@ package wire
 // retried when its config next changes.
 
 import (
+	"slices"
+
 	"duet/internal/delta"
 	"duet/internal/packet"
+	"duet/internal/service"
 	"duet/internal/steer"
 	"duet/internal/telemetry"
 )
@@ -26,7 +29,7 @@ import (
 // delta.Apply is all-or-nothing, so a rejected push leaves the mirror, the
 // epoch and the tables where they were and the leader's next push meets the
 // state it expects.
-func (n *Node) handleLeader(env, ack *Envelope, reconcile func(cs []change) error) error {
+func (n *Node) handleLeader(env, ack *Envelope, reconcile func(ds []delta.Op) error) error {
 	n.cfgMu.Lock()
 	defer n.cfgMu.Unlock()
 	err := fence(env, ack, &n.leaderTerm, n.cfg.Epoch)
@@ -53,131 +56,83 @@ func (n *Node) handleLeader(env, ack *Envelope, reconcile func(cs []change) erro
 	ack.Epoch = n.cfg.Epoch
 	n.deltaEpochG.Set(int64(n.cfg.Epoch))
 	n.deltaApplied.Inc()
-	return reconcile(changes(d))
+	return reconcile(d.Ops)
 }
 
 // reconcileSMux converges the SMux (and its NIC table, when present) on the
 // mirror for the touched VIPs: one batch per table, so each publishes one
 // generation per delta and a hybrid flow drains against the table as it
-// stood before the whole epoch. A VIP the delta only took DIPs out of loses
-// them in place on each table that holds it — the SMux, and the NIC when the
-// VIP is NIC-placed — so only those DIPs' flows move; any other change sets
-// the VIP's entry afresh. Caller holds cfgMu.
-func (n *Node) reconcileSMux(cs []change) error {
-	var firstErr error
-	note := func(err error) {
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	nic := n.pair.NIC
+// stood before the whole epoch. Each table plans its own change (steer.Plan)
+// from the op's old state if it holds the VIP to its new state if it is to
+// — the SMux every VIP, in its mode; the NIC a FlagNic one — so a VIP that
+// only lost DIPs loses them in place, and a mode flip opens no drain. Caller
+// holds cfgMu.
+func (n *Node) reconcileSMux(ds []delta.Op) error {
+	sm, nic := n.pair.SMux, n.pair.NIC
 	var smuxOps, nicOps []steer.Op
-	for _, c := range cs {
-		a := c.addr
-		vs, ok := n.cfg.VIPs[a]
-		if !ok {
-			if n.pair.SMux.HasVIP(a) {
-				smuxOps = append(smuxOps, steer.Op{Kind: steer.OpRemove, Addr: a})
-			}
-			if nic != nil && nic.HasVIP(a) {
-				nicOps = append(nicOps, steer.Op{Kind: steer.OpRemove, Addr: a})
-			}
-			continue
-		}
-		v, err := serviceVIPOf(vs)
-		if err != nil {
-			note(err)
-			continue
-		}
-		if c.removed != nil && n.pair.SMux.HasVIP(a) {
-			smuxOps = append(smuxOps, c.removed...)
-		} else {
-			smuxOps = append(smuxOps, steer.Op{Kind: steer.OpSet, VIP: v, Mode: vs.Mode})
-		}
-		switch {
-		case nic == nil:
-		case vs.Flags&delta.FlagNic != 0 && c.removed != nil && nic.HasVIP(a):
-			nicOps = append(nicOps, c.removed...)
-		case vs.Flags&delta.FlagNic != 0:
-			nicOps = append(nicOps, steer.Op{Kind: steer.OpSet, VIP: v})
-		case nic.HasVIP(a):
-			nicOps = append(nicOps, steer.Op{Kind: steer.OpRemove, Addr: a})
+	for _, op := range ds {
+		smuxOps = steer.Plan(smuxOps, side(op.Old, sm.HasVIP(op.VIP), true), side(op.New, true, true))
+		if nic != nil {
+			onNIC := op.New != nil && op.New.Flags&delta.FlagNic != 0
+			nicOps = steer.Plan(nicOps, side(op.Old, nic.HasVIP(op.VIP), false), side(op.New, onNIC, false))
 		}
 	}
-	if len(smuxOps) > 0 {
-		n.pair.SMux.Apply(smuxOps)
-	}
-	if len(nicOps) > 0 {
+	sm.Apply(smuxOps)
+	if nic != nil {
 		nic.Apply(nicOps)
 	}
-	for _, op := range smuxOps {
-		note(op.Err)
+	n.vips.Set(int64(sm.NumVIPs()))
+	for _, op := range append(smuxOps, nicOps...) {
+		if op.Err != nil {
+			return op.Err
+		}
 	}
-	for _, op := range nicOps {
-		note(op.Err)
+	return nil
+}
+
+// side is what a table holds of a replicated VIP: v's config — in v's mode
+// when the table keeps modes — if it holds it, nothing otherwise.
+func side(v *delta.VIPState, held, modes bool) steer.Side {
+	if v == nil || !held {
+		return steer.Side{}
 	}
-	n.vips.Set(int64(n.pair.SMux.NumVIPs()))
-	return firstErr
+	s := steer.Side{VIP: &service.VIP{Addr: v.Addr, Backends: make([]service.Backend, len(v.Backends))}}
+	for i, b := range v.Backends {
+		s.VIP.Backends[i] = service.Backend{Addr: b.Addr, Weight: b.Weight}
+	}
+	if modes {
+		s.Mode = v.Mode
+	}
+	return s
 }
 
 // reconcileSwitch converges the switch's tables on the mirror — the switch
-// agent of Figure 9 — in one batch, one table generation per delta. The
-// switch holds a VIP iff its replicated Tier is delta.TierHMux; any other
-// tier (a smux_only spec VIP is TierSMux) keeps it out of the hardware
-// tables, and the HMux-miss fallback serves it through the software tier.
-// A held VIP the delta only took DIPs out of loses them in place,
-// resiliently; any other change to a held VIP bounces it through
-// remove+add, the wire world's equivalent of the withdraw/announce
-// migration step. A tier flip changes the VIP's state, so the switch
-// rebuilds it: it programs the VIP or withdraws it. Caller holds cfgMu, which is what
-// serializes the switch's programming.
-func (n *Node) reconcileSwitch(cs []change) error {
-	var firstErr error
-	note := func(err error) {
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
+// agent of Figure 9 — in one batch, one table generation per delta, planned
+// as the SMux's is. The switch holds a VIP iff its replicated Tier is
+// delta.TierHMux; any other tier (a smux_only spec VIP is TierSMux) keeps it
+// out of the hardware tables, and the HMux-miss fallback serves it through
+// the software tier. Caller holds cfgMu, which is what serializes the
+// switch's programming.
+func (n *Node) reconcileSwitch(ds []delta.Op) error {
 	var ops []steer.Op
-	for _, c := range cs {
-		a := c.addr
-		vs, ok := n.cfg.VIPs[a]
-		hardware := ok && vs.Tier == delta.TierHMux
-		has := n.hm.HasVIP(a)
-		if !hardware {
-			if has {
-				ops = append(ops, steer.Op{Kind: steer.OpRemove, Addr: a})
-			}
-			continue
-		}
-		v, err := serviceVIPOf(vs)
-		if err != nil {
-			note(err)
-			continue
-		}
-		switch {
-		case has && c.removed != nil:
-			ops = append(ops, c.removed...)
-		case has:
-			ops = append(ops, steer.Op{Kind: steer.OpRemove, Addr: a}, steer.Op{Kind: steer.OpAdd, VIP: v})
-		default:
-			ops = append(ops, steer.Op{Kind: steer.OpAdd, VIP: v})
-		}
+	for _, op := range ds {
+		onHMux := op.New != nil && op.New.Tier == delta.TierHMux
+		ops = steer.Plan(ops, side(op.Old, n.hm.HasVIP(op.VIP), false), side(op.New, onHMux, false))
 	}
-	note(n.programSwitch(ops))
+	err := n.programSwitch(ops)
 	n.vips.Set(int64(n.hm.Stats().VIPs))
-	return firstErr
+	return err
 }
 
-// programSwitch applies a batch of operations to the switch (steer.OpAdd adds
-// a VIP's entries, steer.OpRemove removes one's, steer.OpRemoveDIP one DIP of
-// one's) and then, the tables first and in batch order, accounts each: a
-// failed operation is counted and changed nothing; an applied one is counted
-// and traced. Programming has no route side effect: nothing in the socket
-// world routes by BGP — a client addresses a switch node directly, and a
-// table miss follows the spec's static aggregate to an SMux. It returns the
-// first failure. The node keeps nothing per applied operation (a blank switch
-// node is refilled by delta replication).
+// programSwitch applies a batch of operations to the switch (steer.OpSet
+// programs a VIP's entries, steer.OpRemove removes one's, steer.OpRemoveDIP
+// one DIP of one's) and then, the tables first and in batch order, accounts
+// each: a failed operation is counted and changed nothing; an applied one is
+// counted and traced. Programming has no route side effect: nothing in the
+// socket world routes by BGP — a client addresses a switch node directly,
+// and a table miss follows the spec's static aggregate to an SMux. It
+// returns the first failure. The node keeps nothing per applied operation (a
+// blank switch node is refilled by delta replication).
 func (n *Node) programSwitch(ops []steer.Op) error {
 	n.hm.Apply(ops)
 	var firstErr error
@@ -189,15 +144,15 @@ func (n *Node) programSwitch(ops []steer.Op) error {
 			}
 			continue
 		}
-		addr, code, dip := op.Addr, uint32(1), uint64(0) // the trace's B: 0 add-vip, 1 remove-vip, 2 remove-dip
+		code, dip := uint32(1), uint64(0) // the trace's B: 0 set-vip, 1 remove-vip, 2 remove-dip
 		switch op.Kind {
-		case steer.OpAdd:
-			addr, code = op.VIP.Addr, 0
+		case steer.OpSet:
+			code = 0
 		case steer.OpRemoveDIP:
 			code, dip = 2, uint64(op.DIP)
 		}
 		n.swOps.Inc()
-		n.Rec.Record(telemetry.KindTableProgram, n.self32, uint32(addr), code, dip)
+		n.Rec.Record(telemetry.KindTableProgram, n.self32, uint32(op.Addr), code, dip)
 	}
 	return firstErr
 }
@@ -205,31 +160,16 @@ func (n *Node) programSwitch(ops []steer.Op) error {
 // reconcileHost converges the host agent's local DIP registrations on the
 // mirror: register when a touched VIP's backend set contains this host's
 // address, unregister when it no longer does. Caller holds cfgMu.
-func (n *Node) reconcileHost(cs []change) error {
+func (n *Node) reconcileHost(ds []delta.Op) error {
 	self := packet.Addr(n.self32)
 	var firstErr error
-	for _, c := range cs {
-		a := c.addr
-		want := false
-		if vs, ok := n.cfg.VIPs[a]; ok {
-			for _, b := range vs.Backends {
-				if b.Addr == self {
-					want = true
-					break
-				}
-			}
-		}
-		have := false
-		for _, d := range n.agent.LocalDIPs(a) {
-			if d == self {
-				have = true
-				break
-			}
-		}
+	for _, op := range ds {
+		want := op.New != nil && slices.ContainsFunc(op.New.Backends, func(b delta.Backend) bool { return b.Addr == self })
+		have := slices.Contains(n.agent.LocalDIPs(op.VIP), self)
 		var err error
 		switch {
 		case want && !have:
-			err = n.agent.RegisterDIP(a, self)
+			err = n.agent.RegisterDIP(op.VIP, self)
 		case !want && have:
 			err = n.agent.UnregisterDIP(self)
 		}

@@ -8,7 +8,11 @@ import (
 
 	"duet/internal/delta"
 	"duet/internal/ecmp"
+	"duet/internal/nmux"
 	"duet/internal/packet"
+	"duet/internal/smux"
+	"duet/internal/steer"
+	"duet/internal/telemetry"
 )
 
 // TestDeltaDrainsAgainstThePreDeltaTable: a hybrid SMux pins an established
@@ -91,10 +95,10 @@ func TestDeltaDrainsAgainstThePreDeltaTable(t *testing.T) {
 // SMux's steer epoch, its NIC table and the switch's tables — and an
 // identical re-apply (a snapshot of the state already held) advances none.
 // A snapshot lands as its diff from the mirror: one that changes one VIP
-// reprograms that VIP alone, one switch remove and one add. A delta that only
-// removes DIPs takes each out in place: one switch op per VIP, no bounce.
-// A NIC VIP whose Tier leaves TierHMux leaves the switch, one op, and comes
-// back with one when its Tier returns; the SMux and the NIC keep it.
+// reprograms that VIP alone, one switch op. A delta that only removes DIPs
+// takes each out in place: one switch op per VIP. A NIC VIP whose Tier leaves
+// TierHMux leaves the switch, one op, and comes back with one when its Tier
+// returns; the SMux and the NIC keep it as it was, and publish nothing.
 func TestDeltaPublishesOneGenerationPerTable(t *testing.T) {
 	spec := dataplaneSpec(t)
 	spec.Nodes[0].NMuxTable = 256
@@ -162,25 +166,25 @@ func TestDeltaPublishesOneGenerationPerTable(t *testing.T) {
 	steps := []struct {
 		what string
 		d    *delta.Delta
-		want uint64
-		ops  uint64 // switch table operations
-		held bool   // whether the switch holds flip after the step
+		want [3]uint64 // generations, per table as gens lists them
+		ops  uint64    // switch table operations
+		held bool      // whether the switch holds flip after the step
 	}{
-		{"bootstrap", delta.Diff(delta.NewState(), st1), 1, n, true},
-		{"delta touching every VIP", delta.Diff(st1, st2), 1, 1 + 2*(n-1) + 1, true}, // 1 leaves, the rest bounce, 13 joins
-		{"identical snapshot", delta.SnapshotOf(st2), 0, 0, true},
-		{"snapshot changing one VIP", delta.SnapshotOf(st3), 1, 2, true},
-		{"delta removing a DIP of every VIP", delta.Diff(st3, st4), 1, uint64(len(pop2)), true},
-		{"delta moving a NIC VIP to the SMux tier", delta.Diff(st4, st5), 1, 1, false},
-		{"delta moving it back to the HMux tier", delta.Diff(st5, st6), 1, 1, true},
+		{"bootstrap", delta.Diff(delta.NewState(), st1), [3]uint64{1, 1, 1}, n, true},
+		{"delta touching every VIP", delta.Diff(st1, st2), [3]uint64{1, 1, 1}, 1 + (n - 1) + 1, true}, // 1 leaves, the rest are set afresh, 13 joins
+		{"identical snapshot", delta.SnapshotOf(st2), [3]uint64{0, 0, 0}, 0, true},
+		{"snapshot changing one VIP", delta.SnapshotOf(st3), [3]uint64{1, 1, 1}, 1, true},
+		{"delta removing a DIP of every VIP", delta.Diff(st3, st4), [3]uint64{1, 1, 1}, uint64(len(pop2)), true},
+		{"delta moving a NIC VIP to the SMux tier", delta.Diff(st4, st5), [3]uint64{0, 0, 1}, 1, false},
+		{"delta moving it back to the HMux tier", delta.Diff(st5, st6), [3]uint64{0, 0, 1}, 1, true},
 	}
 	for _, s := range steps {
 		pre, ops := gens(), counter(sw, "switchagent.ops")
 		push(s.d)
 		post := gens()
 		for i, table := range []string{"smux steer epoch", "nic table", "hmux tables"} {
-			if got := post[i] - pre[i]; got != s.want {
-				t.Errorf("%s: %s advanced %d generations, want %d", s.what, table, got, s.want)
+			if got := post[i] - pre[i]; got != s.want[i] {
+				t.Errorf("%s: %s advanced %d generations, want %d", s.what, table, got, s.want[i])
 			}
 		}
 		if got := counter(sw, "switchagent.ops") - ops; got != s.ops {
@@ -198,5 +202,89 @@ func TestDeltaPublishesOneGenerationPerTable(t *testing.T) {
 	}
 	if got := sw.hm.Stats().VIPs; got != len(pop2) {
 		t.Fatalf("switch holds %d VIPs, want %d", got, len(pop2))
+	}
+}
+
+// TestModeFlipOpensNoDrain: a delta that changes only a VIP's mode reaches
+// an SMux node as an OpMode — no slot moves, so the steer epoch advances by
+// one and no drain window opens. A hybrid VIP gains a DIP, so the drain
+// pins the established flows whose pick moved; once the window has passed,
+// the VIP flips to stateful and back, and its pinned flows still reach the
+// DIPs they were pinned to. A mode flip that set the entry afresh would open
+// a 30 s drain at each step.
+func TestModeFlipOpensNoDrain(t *testing.T) {
+	now := 0.0
+	reg := telemetry.NewRegistry()
+	cfg := smux.DefaultConfig(packet.MustParseAddr("20.0.0.1"))
+	cfg.Clock = func() float64 { return now }
+	sm := smux.New(cfg)
+	n := &Node{Reg: reg, pair: nmux.Pair{SMux: sm}, vips: reg.Gauge("wire.vips"), cfg: delta.NewState()}
+	mirror := func(epoch uint64, mode string, dips ...string) {
+		t.Helper()
+		v := VIPSpec{Addr: "10.0.0.1", Mode: mode}
+		for _, d := range dips {
+			v.Backends = append(v.Backends, BackendSpec{Addr: d})
+		}
+		old := n.cfg
+		n.cfg = configAt(t, epoch, v)
+		if err := n.reconcileSMux(delta.Diff(old, n.cfg).Ops); err != nil {
+			t.Fatal(err)
+		}
+	}
+	vip := packet.MustParseAddr("10.0.0.1")
+	flow := func(i int) packet.FiveTuple {
+		return packet.FiveTuple{Src: packet.AddrFrom4(30, 0, byte(i>>8), byte(i)), Dst: vip,
+			SrcPort: uint16(20000 + i), DstPort: 80, Proto: packet.ProtoTCP}
+	}
+	serve := func(tu packet.FiveTuple) packet.Addr {
+		t.Helper()
+		res, err := sm.Process(packet.BuildTCP(tu, packet.TCPAck, nil), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Encap
+	}
+
+	dips := []string{"100.0.0.1", "100.0.0.2", "100.0.0.3", "100.0.0.4"}
+	mirror(1, "hybrid", dips...)
+	mirror(2, "hybrid", append(dips, "100.0.0.5")...)
+	entry, _ := sm.Steer().View().Find(vip)
+	pinned := map[packet.FiveTuple]packet.Addr{}
+	for i := 0; i < 256; i++ {
+		tu := flow(i)
+		live, err := entry.DIP(tu, ecmp.Hash(tu))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := serve(tu); d != live {
+			pinned[tu] = d
+		}
+	}
+	if len(pinned) == 0 || sm.OverlayEntries() != len(pinned) {
+		t.Fatalf("%d flows served off the live pick, %d overlay pins; want the same, more than 0", len(pinned), sm.OverlayEntries())
+	}
+	now = steer.DefaultDrainWindow + 1
+	sm.Tick()
+	if sm.Steer().DrainActive() {
+		t.Fatal("the DIP addition's drain is still open past its window")
+	}
+
+	for i, mode := range []steer.Mode{steer.ModeStateful, steer.ModeHybrid} {
+		epoch := sm.Epoch()
+		mirror(uint64(3+i), mode.String(), append(dips, "100.0.0.5")...)
+		if got, _ := sm.ModeOf(vip); got != mode {
+			t.Fatalf("mode %s after the flip, want %s", got, mode)
+		}
+		if got := sm.Epoch() - epoch; got != 1 {
+			t.Errorf("flip to %s advanced the steer epoch by %d, want 1", mode, got)
+		}
+		if sm.Steer().DrainActive() {
+			t.Errorf("flip to %s opened a drain window", mode)
+		}
+	}
+	for tu, d := range pinned {
+		if got := serve(tu); got != d {
+			t.Fatalf("pinned flow %v moved %s → %s across the mode flips", tu, d, got)
+		}
 	}
 }

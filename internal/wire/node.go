@@ -283,7 +283,7 @@ func (n *Node) traceHop(tier telemetry.TraceTier, pkt []byte, trace uint64) {
 // roles: configuration reaches a dataplane node only as epoch deltas, and
 // the roles differ only in how they reconcile the touched VIPs into their
 // tables.
-func (n *Node) dataplaneControl(reconcile func(cs []change) error) ControlHandler {
+func (n *Node) dataplaneControl(reconcile func(ds []delta.Op) error) ControlHandler {
 	return func(env, ack *Envelope) error {
 		switch env.Type {
 		case MsgHello:

@@ -4,6 +4,8 @@ import (
 	"slices"
 	"testing"
 
+	"duet/internal/assign"
+	"duet/internal/controller"
 	"duet/internal/core"
 	"duet/internal/delta"
 	"duet/internal/nmux"
@@ -21,8 +23,8 @@ import (
 // keeps it on every tier; one on the removed DIP — a stateful connection, a
 // NIC flow entry — goes to a live DIP. Twin check: a core.Cluster given the
 // same population, one copy on a switch and one on the SMuxes and NICs,
-// serving the same flows and removing the same DIPs through RemoveBackend,
-// picks what the duetd nodes pick on every tier.
+// serving the same flows and removing the same DIPs through the controller's
+// RemoveDIP, picks what the duetd nodes pick on every tier.
 func TestReplicatedRemovalIsResilient(t *testing.T) {
 	spec := dataplaneSpec(t)
 	spec.Nodes[0].NMuxTable = 8192
@@ -74,10 +76,7 @@ func TestReplicatedRemovalIsResilient(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, a := range st1.Addrs() {
-			v, err := serviceVIPOf(st1.VIPs[a])
-			if err == nil {
-				err = c.AddVIP(v)
-			}
+			err := c.AddVIP(side(st1.VIPs[a], true, false).VIP)
 			switch {
 			case err != nil:
 			case hw:
@@ -160,8 +159,9 @@ func TestReplicatedRemovalIsResilient(t *testing.T) {
 	}
 	push(delta.Diff(st1, st2))
 	for _, c := range []*core.Cluster{hw, soft} {
+		ct := controller.New(c, assign.DefaultOptions())
 		for a, d := range gone {
-			if err := c.RemoveBackend(a, d); err != nil {
+			if err := ct.RemoveDIP(a, d); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -180,69 +180,6 @@ func TestReplicatedRemovalIsResilient(t *testing.T) {
 		}
 		if moved == 0 {
 			t.Fatalf("%s: no flow was on the removed DIP; the test is vacuous", tr.name)
-		}
-	}
-}
-
-// TestChangesTakeOutOnlyRemovals: a receiver takes DIPs out of a VIP in
-// place only when removing them is all a delta did to it. Removals alone
-// give the removed DIPs' ops in address order; a removal beside a reweigh,
-// an add, or a mode, flags or tier change, and a VIP added or removed, give
-// no ops: a rebuild.
-func TestChangesTakeOutOnlyRemovals(t *testing.T) {
-	a := packet.MustParseAddr("10.0.0.1")
-	dip := func(d byte) packet.Addr { return packet.AddrFrom4(100, 0, 0, d) }
-	state := func(edit func(v *delta.VIPState), dips ...byte) *delta.VIPState {
-		v := &delta.VIPState{Addr: a, Mode: steer.ModeStateful, Tier: delta.TierHMux, Switch: 3}
-		for _, d := range dips {
-			v.Backends = append(v.Backends, delta.Backend{Addr: dip(d), Weight: 1})
-		}
-		if edit != nil {
-			edit(v)
-		}
-		return v
-	}
-	from := state(nil, 2, 4, 6, 8, 10)
-	for _, tc := range []struct {
-		name     string
-		from, to *delta.VIPState
-		removed  []packet.Addr // nil: a rebuild
-	}{
-		{"removals only", from, state(nil, 4, 8), []packet.Addr{dip(2), dip(6), dip(10)}},
-		{"removal and reweigh", from, state(func(v *delta.VIPState) { v.Backends[1].Weight = 2 }, 2, 4, 8, 10), nil},
-		{"removal and add before", from, state(nil, 1, 2, 4, 8, 10), nil},
-		{"removal and add between", from, state(nil, 2, 4, 5, 8, 10), nil},
-		{"removal and add after", from, state(nil, 4, 6, 8, 10, 11), nil},
-		{"removal and mode", from, state(func(v *delta.VIPState) { v.Mode = steer.ModeHybrid }, 2, 4, 8, 10), nil},
-		{"removal and flags", from, state(func(v *delta.VIPState) { v.Flags = delta.FlagNic }, 2, 4, 8, 10), nil},
-		{"removal and tier", from, state(func(v *delta.VIPState) { v.Tier, v.Switch = delta.TierSMux, delta.Unassigned }, 2, 4, 8, 10), nil},
-		{"VIP added", nil, from, nil},
-		{"VIP removed", from, nil, nil},
-	} {
-		s1, s2 := delta.NewState(), delta.NewState()
-		s2.Epoch = 1
-		if tc.from != nil {
-			s1.VIPs[a] = tc.from
-		}
-		if tc.to != nil {
-			s2.VIPs[a] = tc.to
-		}
-		cs := changes(delta.Diff(s1, s2))
-		if len(cs) != 1 || cs[0].addr != a {
-			t.Fatalf("%s: changes = %+v, want one for %s", tc.name, cs, a)
-		}
-		var got []packet.Addr
-		for _, op := range cs[0].removed {
-			if op.Kind != steer.OpRemoveDIP || op.Addr != a {
-				t.Fatalf("%s: op %+v is not a removal from %s", tc.name, op, a)
-			}
-			got = append(got, op.DIP)
-		}
-		switch {
-		case tc.removed == nil && got != nil:
-			t.Errorf("%s: removed %v, want a rebuild", tc.name, got)
-		case !slices.Equal(got, tc.removed):
-			t.Errorf("%s: removed %v, want %v", tc.name, got, tc.removed)
 		}
 	}
 }

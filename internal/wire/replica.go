@@ -1,10 +1,8 @@
 package wire
 
 // The config-replication data model: projecting a ClusterSpec's VIP
-// population into the internal/delta state the controller replicates, the
-// deterministic churn driver that advances it, and the conversions a
-// receiver reconciles with — a delta's changes per VIP, a replicated VIP as
-// the dataplane's service type.
+// population into the internal/delta state the controller replicates, and
+// the deterministic churn driver that advances it.
 
 import (
 	"fmt"
@@ -13,7 +11,6 @@ import (
 
 	"duet/internal/delta"
 	"duet/internal/packet"
-	"duet/internal/service"
 	"duet/internal/steer"
 )
 
@@ -93,58 +90,4 @@ func churnMutate(s *delta.State, seed int64, frac float64) {
 		}
 	}
 	s.Epoch = next
-}
-
-// serviceVIPOf converts a replicated VIP to the dataplane service type.
-func serviceVIPOf(v *delta.VIPState) (*service.VIP, error) {
-	sv := &service.VIP{Addr: v.Addr}
-	for _, b := range v.Backends {
-		sv.Backends = append(sv.Backends, service.Backend{Addr: b.Addr, Weight: b.Weight})
-	}
-	return sv, sv.Validate()
-}
-
-// change is one VIP a delta touched — the receiver's unit of reconcile work.
-// When removing DIPs is all the delta did to the VIP, removed holds them as
-// steer.OpRemoveDIP ops, which a table that holds the VIP takes in place
-// (only their flows move); any other change rebuilds the VIP's entry.
-type change struct {
-	addr    packet.Addr
-	removed []steer.Op
-}
-
-// changes lists the VIPs a delta's ops touch, one change per op.
-func changes(d *delta.Delta) []change {
-	out := make([]change, len(d.Ops))
-	for i, op := range d.Ops {
-		out[i] = change{addr: op.VIP, removed: removedDIPs(op.Old, op.New)}
-	}
-	return out
-}
-
-// removedDIPs returns, in address order, the DIPs from has and to lacks as
-// steer.OpRemoveDIP ops — or nil unless that is the whole difference: both
-// states present, the same mode, flags, tier and switch, and each DIP that
-// stays at the weight it had.
-func removedDIPs(from, to *delta.VIPState) []steer.Op {
-	if from == nil || to == nil || from.Mode != to.Mode || from.Flags != to.Flags ||
-		from.Tier != to.Tier || from.Switch != to.Switch {
-		return nil
-	}
-	var ops []steer.Op
-	j := 0
-	for _, b := range from.Backends {
-		if j < len(to.Backends) && to.Backends[j] == b {
-			j++
-			continue
-		}
-		if j < len(to.Backends) && to.Backends[j].Addr <= b.Addr {
-			return nil // added before b, or b reweighed
-		}
-		ops = append(ops, steer.Op{Kind: steer.OpRemoveDIP, Addr: from.Addr, DIP: b.Addr})
-	}
-	if j < len(to.Backends) {
-		return nil // added after from's last DIP
-	}
-	return ops
 }

@@ -38,7 +38,7 @@ func mirrorVIPs(t *testing.T, n *Node, vips ...VIPSpec) error {
 	t.Helper()
 	old := n.cfg
 	n.cfg = configAt(t, n.cfg.Epoch+1, vips...)
-	return n.reconcileSwitch(changes(delta.Diff(old, n.cfg)))
+	return n.reconcileSwitch(delta.Diff(old, n.cfg).Ops)
 }
 
 // programmed returns the table-program events the switch recorded after its
@@ -83,19 +83,22 @@ func TestAddVIPProgramsAndTraces(t *testing.T) {
 		t.Fatalf("wire.vips = %d, want 1", g)
 	}
 
-	// A changed VIP bounces: the old entries are removed before the new ones
-	// are added.
+	// A changed VIP is set afresh: one op, which takes the old entries out
+	// before it admits the new ones, traced as an add.
 	if err := mirrorVIPs(t, n, oneBackend(3)); err != nil {
 		t.Fatal(err)
 	}
-	if got := programmed(t, n, 1); len(got) != 2 || got[0] != removed || got[1] != added {
-		t.Fatalf("bounce trace = %v, want a removal then an add", got)
+	if got := programmed(t, n, 1); len(got) != 1 || got[0] != added {
+		t.Fatalf("set trace = %v, want one add", got)
+	}
+	if st := n.hm.Stats(); st.ECMPUsed != 1 || st.TunnelUsed != 1 {
+		t.Fatalf("the set left the old entries charged: %+v", st)
 	}
 	// An identical re-apply (snapshot recovery) programs nothing.
 	if err := mirrorVIPs(t, n, oneBackend(3)); err != nil {
 		t.Fatal(err)
 	}
-	if got := programmed(t, n, 3); len(got) != 0 || n.Reg.Counter("switchagent.ops").Value() != 3 {
+	if got := programmed(t, n, 2); len(got) != 0 || n.Reg.Counter("switchagent.ops").Value() != 2 {
 		t.Fatalf("identical re-apply programmed the switch: %v", got)
 	}
 }
@@ -158,7 +161,7 @@ func TestSubmitRetainsNothing(t *testing.T) {
 	}
 	bounce := func(count int) {
 		for i := 0; i < count; i++ {
-			if err := n.programSwitch([]steer.Op{{Kind: steer.OpAdd, VIP: v}}); err != nil {
+			if err := n.programSwitch([]steer.Op{{Kind: steer.OpSet, Addr: switchVIP, VIP: v}}); err != nil {
 				t.Fatal(err)
 			}
 			if err := n.programSwitch([]steer.Op{{Kind: steer.OpRemove, Addr: switchVIP}}); err != nil {
