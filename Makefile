@@ -88,25 +88,22 @@ vuln:
 	fi
 
 # Smoke of every decoder's fuzz targets, 5 s each — packet parsing, the
-# wire frame and control-message codecs, the delta codec: each corpus gets a
-# short randomized walk, enough to catch a fresh decoder regression
-# without turning CI into a fuzz farm. `go test -fuzz` takes one target
-# per invocation, so the targets run back to back.
-FUZZ_TARGETS = FuzzIPv4Decode FuzzEncapDecap FuzzDecapsulate FuzzExtractFiveTuple FuzzTransportDecode FuzzRewrite FuzzChecksum
-WIRE_FUZZ_TARGETS = FuzzDecodeFrameTrace FuzzTracedFrameRoundTrip FuzzReadMsg
-DELTA_FUZZ_TARGETS = FuzzDeltaDecode FuzzDeltaRoundTrip
+# wire frame and control-message codecs, the delta codec — and of the flow-pin
+# table against its model: each corpus gets a short randomized walk, enough
+# to catch a fresh regression without turning CI into a fuzz farm. `go test
+# -fuzz` takes one target per invocation, so the package:Target pairs run
+# back to back.
+FUZZ_TARGETS = \
+	packet:FuzzIPv4Decode packet:FuzzEncapDecap packet:FuzzDecapsulate \
+	packet:FuzzExtractFiveTuple packet:FuzzTransportDecode packet:FuzzRewrite \
+	packet:FuzzChecksum \
+	wire:FuzzDecodeFrameTrace wire:FuzzTracedFrameRoundTrip wire:FuzzReadMsg \
+	delta:FuzzDeltaDecode delta:FuzzDeltaRoundTrip \
+	steer:FuzzPins
 fuzz-smoke:
-	@for t in $(FUZZ_TARGETS); do \
-		echo "fuzz $$t"; \
-		$(GO) test -run XXX -fuzz "^$$t$$" -fuzztime 5s ./internal/packet || exit 1; \
-	done
-	@for t in $(WIRE_FUZZ_TARGETS); do \
-		echo "fuzz $$t"; \
-		$(GO) test -run XXX -fuzz "^$$t$$" -fuzztime 5s ./internal/wire || exit 1; \
-	done
-	@for t in $(DELTA_FUZZ_TARGETS); do \
-		echo "fuzz $$t"; \
-		$(GO) test -run XXX -fuzz "^$$t$$" -fuzztime 5s ./internal/delta || exit 1; \
+	@for pt in $(FUZZ_TARGETS); do \
+		t=$${pt#*:}; echo "fuzz $$t"; \
+		$(GO) test -run XXX -fuzz "^$$t$$" -fuzztime 5s ./internal/$${pt%%:*} || exit 1; \
 	done
 
 # bench/ is its own module (the root ./... never sees it), so both suites
@@ -120,7 +117,7 @@ race:
 	cd bench && $(GO) test -race ./...
 
 # Zero-allocation gates for every instrumented hot path: the shared table's
-# lookup, the fabric's route pick, mux packet processing, host-agent decap/DSR, core's forwarding path over every tier ×
+# lookup, the flow pins' hit and refused insert, the fabric's route pick, mux packet processing, host-agent decap/DSR, core's forwarding path over every tier ×
 # mode × protocol (and DeliverBatch's exact per-batch count), the wire
 # dataplane's burst (receive, handler, flush), the control channel's read of
 # a delta push (at most the header strings allocate), the obs scrape tick

@@ -31,9 +31,10 @@
 //
 // Concurrency: the programmed-VIP set is an immutable generation behind an
 // atomic pointer (writers derive the next one from it under a mutex, through
-// the shared copy-on-write map of internal/addrmap); the flow
-// table is sharded by flow hash with per-shard locks; the shared table
-// budget is a pair of atomics so the hot path never takes the writer lock.
+// the shared copy-on-write map of internal/addrmap); the flow region is a
+// steer.Pins — sharded by flow hash with per-shard locks, its cap the table
+// space the wildcard entries leave — so the hot path never takes the writer
+// lock.
 package nmux
 
 import (
@@ -55,11 +56,6 @@ import (
 // sit at O(1k–10k) entries — small like the HMux's tables, not the SMux's
 // million-entry RAM table.
 const DefaultTableSize = 4096
-
-// flowShards is the flow-table shard count. Power of two; shards are picked
-// by the top bits of the shared ECMP hash, uncorrelated with the low bits
-// the 256-slot group tables consume.
-const flowShards = 16
 
 // Errors returned by the NMux.
 var (
@@ -94,13 +90,6 @@ type Config struct {
 // included — lives in the steer table.
 type vipTable = addrmap.Map[int]
 
-// flowShard is one lock-striped slice of the exact-match flow region.
-type flowShard struct {
-	mu    sync.Mutex
-	flows map[packet.FiveTuple]packet.Addr
-	_     [24]byte // pad toward a cache line to curb false sharing
-}
-
 // Mux is one NIC match-table mux. Process and Lookup are safe for concurrent
 // callers; programming serializes on an internal writer lock.
 type Mux struct {
@@ -117,14 +106,10 @@ type Mux struct {
 	wildcardUsed int
 	gens         uint64
 
-	// flowBudget is the table space left for exact-match entries
-	// (TableSize − wildcardUsed), republished by writers; flowCount is the
-	// live exact-match population. Atomics so Process admits flows without
-	// the writer lock.
-	flowBudget atomic.Int64
-	flowCount  atomic.Int64
-
-	shards [flowShards]flowShard
+	// flows is the exact-match region: pins that never expire, capped at
+	// the table space the wildcard entries leave (TableSize −
+	// wildcardUsed), which writers reset.
+	flows *steer.Pins
 
 	tel muxTelemetry
 }
@@ -132,27 +117,25 @@ type Mux struct {
 // muxTelemetry is the NMux's pre-resolved instrument block; all fields are
 // nil-safe no-ops until SetTelemetry is called.
 type muxTelemetry struct {
-	ctr              Counters // what Process and Parse count, call by call
-	flowInserts      telemetry.CounterShard
-	flowRejectedFull telemetry.CounterShard
+	ctr         Counters // what Process and Parse count, call by call
+	flowInserts telemetry.CounterShard
 
 	dropMalformed, dropNoBackend telemetry.CounterShard
 	dropEncapError               telemetry.CounterShard
-
-	flows *telemetry.Gauge
 
 	rec  *telemetry.Recorder
 	node uint32
 }
 
 // Tally is a run of ProcessSampled calls' share of the per-packet counters
-// (see hmux.Tally).
-type Tally struct{ packets, encapped, hits, misses, flowHits uint64 }
+// (see hmux.Tally). A full flow region's refusals are among them: once it is
+// full, every packet of an unpinned flow is one.
+type Tally struct{ packets, encapped, hits, misses, flowHits, flowRejected uint64 }
 
 // Counters are the NMux's per-packet counters, shared by every NMux on a
 // registry: what a Tally is flushed into.
 type Counters struct {
-	packets, encapped, hits, misses, flowHits telemetry.CounterShard
+	packets, encapped, hits, misses, flowHits, flowRejected telemetry.CounterShard
 }
 
 // NewCounters claims a shard of each per-packet counter on reg. A nil
@@ -164,6 +147,8 @@ func NewCounters(reg *telemetry.Registry) Counters {
 		hits:     reg.Counter("nmux.hits").Shard(),
 		misses:   reg.Counter("nmux.misses").Shard(),
 		flowHits: reg.Counter("nmux.flow.hits").Shard(),
+
+		flowRejected: reg.Counter("nmux.flow.rejected_full").Shard(),
 	}
 }
 
@@ -176,6 +161,7 @@ func (c Counters) Flush(t *Tally) {
 	c.hits.Add(t.hits)
 	c.misses.Add(t.misses)
 	c.flowHits.Add(t.flowHits)
+	c.flowRejected.Add(t.flowRejected)
 	*t = Tally{}
 }
 
@@ -211,15 +197,13 @@ func (g Gauges) Collect(muxes ...*Mux) {
 // setup, not concurrently with Process.
 func (m *Mux) SetTelemetry(reg *telemetry.Registry, rec *telemetry.Recorder, node uint32) {
 	m.tel = muxTelemetry{
-		ctr:              NewCounters(reg),
-		flowInserts:      reg.Counter("nmux.flow.inserts").Shard(),
-		flowRejectedFull: reg.Counter("nmux.flow.rejected_full").Shard(),
-		dropMalformed:    reg.Counter("nmux.drops.malformed").Shard(),
-		dropNoBackend:    reg.Counter("nmux.drops.no_backend").Shard(),
-		dropEncapError:   reg.Counter("nmux.drops.encap_error").Shard(),
-		flows:            reg.Gauge("nmux.flows"),
-		rec:              rec,
-		node:             node,
+		ctr:            NewCounters(reg),
+		flowInserts:    reg.Counter("nmux.flow.inserts").Shard(),
+		dropMalformed:  reg.Counter("nmux.drops.malformed").Shard(),
+		dropNoBackend:  reg.Counter("nmux.drops.no_backend").Shard(),
+		dropEncapError: reg.Counter("nmux.drops.encap_error").Shard(),
+		rec:            rec,
+		node:           node,
 	}
 }
 
@@ -244,16 +228,12 @@ func New(cfg Config) *Mux {
 	if cfg.TableSize <= 0 {
 		cfg.TableSize = DefaultTableSize
 	}
-	m := &Mux{cfg: cfg}
+	m := &Mux{cfg: cfg, flows: steer.NewPins(0, cfg.TableSize)}
 	m.steer = cfg.Steer
 	if m.steer == nil {
 		m.steer = steer.NewTable(steer.Config{})
 		m.ownSteer = true
 	}
-	for i := range m.shards {
-		m.shards[i].flows = make(map[packet.FiveTuple]packet.Addr)
-	}
-	m.flowBudget.Store(int64(cfg.TableSize))
 	m.tab.Store(new(vipTable))
 	return m
 }
@@ -298,7 +278,7 @@ func (m *Mux) Stats() Stats {
 	m.mu.Lock()
 	w, gens := m.wildcardUsed, m.gens
 	m.mu.Unlock()
-	f := int(m.flowCount.Load())
+	f, _ := m.flows.Occupancy()
 	return Stats{
 		Cap:        m.cfg.TableSize,
 		Wildcard:   w,
@@ -309,18 +289,12 @@ func (m *Mux) Stats() Stats {
 	}
 }
 
-// shardFor returns the flow shard for a flow hash (top bits, independent of
-// the slot index derived from the low bits of the same hash).
-func (m *Mux) shardFor(h uint64) *flowShard {
-	return &m.shards[(h>>48)&(flowShards-1)]
-}
-
-// publish installs a new wildcard-table generation and republishes the flow
-// budget. Must hold m.mu.
+// publish installs a new wildcard-table generation and recaps the flow
+// region at the space it leaves. Must hold m.mu.
 func (m *Mux) publish(vips vipTable) {
 	m.gens++
 	m.tab.Store(&vips)
-	m.flowBudget.Store(int64(m.cfg.TableSize - m.wildcardUsed))
+	m.flows.SetCap(m.cfg.TableSize - m.wildcardUsed)
 }
 
 // Apply programs a batch of ops (steer.OpAdd, OpUpdate, OpSet, OpRemove and
@@ -366,7 +340,7 @@ func (m *Mux) Apply(ops []steer.Op) {
 	}
 	m.publish(vips.Map())
 	if gone := steer.Gone(ops); gone != nil {
-		m.dropFlows(gone)
+		m.flows.Purge(gone)
 	}
 }
 
@@ -410,27 +384,6 @@ func (m *Mux) apply(vips *addrmap.Edit[int], op *steer.Op) error {
 // AddVIP programs a VIP's wildcard entries: a batch of one.
 func (m *Mux) AddVIP(v *service.VIP) error {
 	return steer.One(m.Apply, steer.Op{Kind: steer.OpAdd, VIP: v})
-}
-
-// dropFlows removes pinned flows matching the predicate from every shard and
-// keeps the count and gauge in sync.
-func (m *Mux) dropFlows(match func(packet.FiveTuple, packet.Addr) bool) {
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		before := len(s.flows)
-		for t, d := range s.flows {
-			if match(t, d) {
-				delete(s.flows, t)
-			}
-		}
-		freed := before - len(s.flows)
-		s.mu.Unlock()
-		if freed > 0 {
-			m.flowCount.Add(int64(-freed))
-			m.tel.flows.Add(int64(-freed))
-		}
-	}
 }
 
 // Result describes the outcome of Process.
@@ -506,34 +459,24 @@ func (m *Mux) ProcessSampled(data, out []byte, f packet.Flow, hash uint64, sampl
 	// One hash per packet, shared between the flow shard (top bits) and the
 	// slot pick (low bits) — the same hash the HMux and SMux use, which is
 	// what keeps tier fall-through consistent for a given flow.
-	s := m.shardFor(hash)
-	var (
-		dip packet.Addr
-		err error
-	)
-	pinned := false
-	s.mu.Lock()
-	if d, ok := s.flows[tuple]; ok {
-		dip, pinned = d, true
-		s.mu.Unlock()
-	} else {
+	dip, pinned := m.flows.Hit(tuple, hash, 0, f.Flags)
+	if !pinned {
+		var err error
 		dip, err = e.DIP(tuple, hash)
 		if err != nil {
-			s.mu.Unlock()
 			return Result{}, m.drop(telemetry.DropNoBackend, tuple.Dst, err)
 		}
-		// Reserve an exact-match entry if the shared budget has room; when
-		// the table is full the flow is served stateless instead (no
-		// eviction — evicting would un-pin a live connection).
-		if n := m.flowCount.Add(1); n <= m.flowBudget.Load() {
-			s.flows[tuple] = dip
-			s.mu.Unlock()
+		// Pin the flow if the table has room; when it is full the flow is
+		// served stateless instead (no eviction — evicting would un-pin a
+		// live connection).
+		var how steer.PinOutcome
+		switch dip, how = m.flows.Insert(tuple, hash, dip, 0, f.Flags); how {
+		case steer.PinAdded:
 			m.tel.flowInserts.Inc()
-			m.tel.flows.Add(1)
-		} else {
-			m.flowCount.Add(-1)
-			s.mu.Unlock()
-			m.tel.flowRejectedFull.Inc()
+		case steer.PinFound:
+			pinned = true
+		case steer.PinRefused:
+			tally.flowRejected++
 		}
 	}
 	if pinned {
@@ -569,11 +512,7 @@ func (m *Mux) Lookup(tuple packet.FiveTuple) (packet.Addr, error) {
 		return 0, ErrNotOurVIP
 	}
 	h := ecmp.Hash(tuple)
-	s := m.shardFor(h)
-	s.mu.Lock()
-	d, ok := s.flows[tuple]
-	s.mu.Unlock()
-	if ok {
+	if d, ok := m.flows.Get(tuple, h); ok {
 		return d, nil
 	}
 	return e.DIP(tuple, h)

@@ -94,8 +94,8 @@ func TestFinRstLinger(t *testing.T) {
 	if got := reg.Counter("smux.conn.idle_evictions").Value(); got != 1 {
 		t.Fatalf("idle_evictions = %d, want 1", got)
 	}
-	if got := reg.Gauge("smux.connections").Value(); got != 1 {
-		t.Fatalf("connections gauge = %d, want 1", got)
+	if got := m.ConnStats().Entries; got != 1 {
+		t.Fatalf("connections = %d, want 1", got)
 	}
 	// An RST-first flow never outlives the linger either.
 	rst := packet.BuildTCP(tupleN(9), packet.TCPRst, nil)
@@ -129,7 +129,7 @@ func TestStatelessMode(t *testing.T) {
 			t.Fatalf("flow %d: steer %s vs process %s (%v)", i, want, res.Encap, err)
 		}
 	}
-	if m.ConnStats().Entries != 0 || m.OverlayEntries() != 0 {
+	if m.ConnStats().Entries != 0 || m.ConnStats().Overlay != 0 {
 		t.Fatal("stateless mode recorded per-flow state")
 	}
 }
@@ -157,8 +157,8 @@ func TestHybridPinsOnlyStraddlingFlows(t *testing.T) {
 		}
 		before[i] = res.Encap
 	}
-	if m.OverlayEntries() != 0 {
-		t.Fatalf("pins before churn: %d", m.OverlayEntries())
+	if m.ConnStats().Overlay != 0 {
+		t.Fatalf("pins before churn: %d", m.ConnStats().Overlay)
 	}
 
 	// Churn: lose a DIP, then re-add it (new epoch, drain opens). Flows that
@@ -200,7 +200,7 @@ func TestHybridPinsOnlyStraddlingFlows(t *testing.T) {
 	if straddlers == 0 {
 		t.Fatal("test vacuous: no flow hashed to the victim")
 	}
-	pins := m.OverlayEntries()
+	pins := m.ConnStats().Overlay
 	if pins == 0 || pins > straddlers {
 		t.Fatalf("overlay pins = %d, want (0, %d]", pins, straddlers)
 	}
@@ -248,12 +248,12 @@ func TestHybridPinsOnlyStraddlingFlows(t *testing.T) {
 	// pins whose DIP converged back to the table free up at the sweep.
 	*now += steer.DefaultDrainWindow + 1
 	m.Tick()
-	if m.OverlayEntries() == 0 {
+	if m.ConnStats().Overlay == 0 {
 		t.Fatal("active pins swept with the drain")
 	}
 	*now += DefaultOverlayTTL + 1
 	m.Tick()
-	if got := m.OverlayEntries(); got != 0 {
+	if got := m.ConnStats().Overlay; got != 0 {
 		t.Fatalf("overlay pins after idle = %d, want 0", got)
 	}
 }
@@ -345,10 +345,10 @@ func TestConnStats(t *testing.T) {
 	if st.Entries != 64 {
 		t.Fatalf("entries = %d", st.Entries)
 	}
-	if st.ShardMax < (64+connShards-1)/connShards/2 || st.ShardMax > 64 {
+	if st.ShardMax < (64+15)/16/2 || st.ShardMax > 64 { // 16 shards
 		t.Fatalf("shard max = %d", st.ShardMax)
 	}
-	if st.Bytes != int64(64*connEntryBytes) {
+	if st.Bytes != int64(64*pinBytes) {
 		t.Fatalf("bytes = %d", st.Bytes)
 	}
 	if st.OverlayCap != DefaultMaxOverlay {

@@ -19,15 +19,14 @@
 //
 // Concurrency: the steer table is immutable generations behind an atomic
 // pointer. The connection table and hybrid overlay are the genuinely
-// mutable dataplane state, sharded by flow hash with per-shard locks;
-// concurrent Process calls on different flows touch different shards and
-// never serialize on a global lock.
+// mutable dataplane state, each a steer.Pins (sharded by flow hash with
+// per-shard locks); concurrent Process calls on different flows touch
+// different shards and never serialize on a global lock.
 package smux
 
 import (
 	"errors"
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"duet/internal/clock"
@@ -42,20 +41,14 @@ import (
 // (paper §2.2: 300K packets/sec on the production SKU).
 const DefaultCapacityPPS = 300_000
 
-// connShards is the connection-table shard count. Power of two; shards are
-// selected by the top bits of the shared ECMP flow hash so shard choice is
-// uncorrelated with the low bits the 256-slot group tables consume.
-const connShards = 16
-
 // Connection-lifetime constants (clock seconds) and the overlay bound.
 const (
 	// DefaultConnIdle evicts a stateful entry this long after its last
 	// packet. Matches typical LB idle timeouts (minutes, not hours).
 	DefaultConnIdle = 300.0
 	// DefaultFinLinger keeps a FIN/RST-ed entry just long enough for the
-	// closing handshake's stragglers, then frees the slot — the fix for
-	// closed flows pinning table memory through long floods.
-	DefaultFinLinger = 15.0
+	// closing handshake's stragglers, then frees the slot (both tables).
+	DefaultFinLinger = steer.DefaultFinLinger
 	// DefaultOverlayTTL expires an idle hybrid pin. Refreshed on traffic,
 	// so only flows that went quiet (or ended) age out.
 	DefaultOverlayTTL = 60.0
@@ -64,12 +57,9 @@ const (
 	DefaultMaxOverlay = 1 << 16
 )
 
-// Rough per-entry memory footprints for the occupancy gauges: map key +
-// value + amortized bucket overhead (+ FIFO order slot for conn entries).
-const (
-	connEntryBytes    = 112
-	overlayEntryBytes = 96
-)
+// pinBytes is a rough per-entry memory footprint of either pin table, for
+// the occupancy gauges: map key + value + amortized bucket overhead.
+const pinBytes = 96
 
 // Errors returned by the SMux.
 var (
@@ -88,11 +78,10 @@ type Config struct {
 	// here so deployments can mix SKUs.
 	CapacityPPS float64
 
-	// MaxConnections bounds the connection table; 0 means the default
-	// (1M entries). When full, new connections are served stateless (pure
-	// hash) rather than dropped. The bound is enforced per shard
-	// (MaxConnections / connShards), so the effective global cap can sit
-	// slightly under MaxConnections when flows hash unevenly.
+	// MaxConnections bounds the connection table, exactly and table-wide;
+	// 0 means the default (1M entries). When full, new connections are
+	// served stateless (pure hash) and counted in smux.conn.rejected_full,
+	// rather than dropped or let in by evicting a live connection's pin.
 	MaxConnections int
 
 	// DefaultMode is the steering mode for VIPs added without one.
@@ -108,35 +97,6 @@ func DefaultConfig(self packet.Addr) Config {
 	return Config{SelfAddr: self, CapacityPPS: DefaultCapacityPPS}
 }
 
-// connEntry is one pinned connection: the DIP plus its eviction deadline.
-type connEntry struct {
-	dip      packet.Addr
-	expireAt float64
-}
-
-// connShard is one lock-striped slice of the connection table. Flows map to
-// shards by hash, so one flow's packets always serialize on the same shard.
-type connShard struct {
-	mu    sync.Mutex
-	conns map[packet.FiveTuple]connEntry
-	order []packet.FiveTuple // FIFO eviction order
-	_     [24]byte           // pad toward a cache line to curb false sharing
-}
-
-// overlayPin is one hybrid overlay entry: the DIP a straddling flow stays
-// pinned to, plus its idle deadline.
-type overlayPin struct {
-	dip      packet.Addr
-	expireAt float64
-}
-
-// overlayShard is one lock-striped slice of the hybrid overlay.
-type overlayShard struct {
-	mu   sync.Mutex
-	pins map[packet.FiveTuple]overlayPin
-	_    [24]byte
-}
-
 // Mux is one software mux. Process and Lookup are safe for concurrent
 // callers; VIP programming serializes on the steer table's writer lock.
 type Mux struct {
@@ -144,9 +104,8 @@ type Mux struct {
 
 	steer *steer.Table
 
-	shards      [connShards]connShard
-	overlays    [connShards]overlayShard
-	perShardMax int
+	conns   *steer.Pins // stateful flows, expiring DefaultConnIdle after their last packet
+	overlay *steer.Pins // hybrid flows that straddle an epoch, DefaultOverlayTTL
 
 	clock   func() float64
 	nowBits atomic.Uint64 // coarse clock (float64 bits), refreshed by Tick
@@ -157,31 +116,30 @@ type Mux struct {
 // muxTelemetry is the SMux's pre-resolved instrument block; all fields are
 // nil-safe no-ops until SetTelemetry is called.
 type muxTelemetry struct {
-	ctr                        Counters // what Process and Parse count, call by call
-	connInserts, connEvictions telemetry.CounterShard
-	connIdleEvictions          telemetry.CounterShard
-	overlayPins                telemetry.CounterShard
-	overlayRejected            telemetry.CounterShard
-	overlayExpired             telemetry.CounterShard
+	ctr                            Counters // what Process and Parse count, call by call
+	connInserts, connIdleEvictions telemetry.CounterShard
+	overlayPins, overlayExpired    telemetry.CounterShard
 
 	dropMalformed, dropUnknownVIP telemetry.CounterShard
 	dropNoBackend, dropEncapError telemetry.CounterShard
-
-	connections *telemetry.Gauge
-	overlay     *telemetry.Gauge
 
 	rec  *telemetry.Recorder
 	node uint32
 }
 
 // Tally is a run of ProcessSampled calls' share of the per-packet counters
-// (see hmux.Tally).
-type Tally struct{ packets, encapped, connHits, connMisses, overlayHits uint64 }
+// (see hmux.Tally). A full table's refusals are among them: once a table is
+// full, every packet of an unpinned flow is one.
+type Tally struct {
+	packets, encapped, connHits, connMisses, overlayHits uint64
+	connRejected, overlayRejected                        uint64
+}
 
 // Counters are the SMux's per-packet counters, shared by every SMux on a
 // registry: what a Tally is flushed into.
 type Counters struct {
 	packets, encapped, connHits, connMisses, overlayHits telemetry.CounterShard
+	connRejected, overlayRejected                        telemetry.CounterShard
 }
 
 // NewCounters claims a shard of each per-packet counter on reg. A nil
@@ -193,6 +151,9 @@ func NewCounters(reg *telemetry.Registry) Counters {
 		connHits:    reg.Counter("smux.conn.hits").Shard(),
 		connMisses:  reg.Counter("smux.conn.misses").Shard(),
 		overlayHits: reg.Counter("smux.overlay.hits").Shard(),
+
+		connRejected:    reg.Counter("smux.conn.rejected_full").Shard(),
+		overlayRejected: reg.Counter("smux.overlay.rejected_full").Shard(),
 	}
 }
 
@@ -205,6 +166,8 @@ func (c Counters) Flush(t *Tally) {
 	c.connHits.Add(t.connHits)
 	c.connMisses.Add(t.connMisses)
 	c.overlayHits.Add(t.overlayHits)
+	c.connRejected.Add(t.connRejected)
+	c.overlayRejected.Add(t.overlayRejected)
 	*t = Tally{}
 }
 
@@ -264,26 +227,19 @@ func (g Gauges) Collect(muxes ...*Mux) {
 
 // SetTelemetry attaches the mux to a metric registry and flight recorder.
 // node identifies this SMux in trace events. Counters are shared across the
-// fleet on the same registry; each mux claims its own shard. The
-// smux.connections and smux.overlay gauges track only this mux's tables
-// (last writer wins when several muxes share a registry name; fleet-wide
-// occupancy comes from the per-mux ConnStats accessor). Call during setup,
-// not concurrently with Process.
+// fleet on the same registry; each mux claims its own shard. Occupancy is
+// Gauges' to publish. Call during setup, not concurrently with Process.
 func (m *Mux) SetTelemetry(reg *telemetry.Registry, rec *telemetry.Recorder, node uint32) {
 	m.tel = muxTelemetry{
 		ctr:               NewCounters(reg),
 		connInserts:       reg.Counter("smux.conn.inserts").Shard(),
-		connEvictions:     reg.Counter("smux.conn.evictions").Shard(),
 		connIdleEvictions: reg.Counter("smux.conn.idle_evictions").Shard(),
 		overlayPins:       reg.Counter("smux.overlay.pins").Shard(),
-		overlayRejected:   reg.Counter("smux.overlay.rejected_full").Shard(),
 		overlayExpired:    reg.Counter("smux.overlay.expired").Shard(),
 		dropMalformed:     reg.Counter("smux.drops.malformed").Shard(),
 		dropUnknownVIP:    reg.Counter("smux.drops.unknown_vip").Shard(),
 		dropNoBackend:     reg.Counter("smux.drops.no_backend").Shard(),
 		dropEncapError:    reg.Counter("smux.drops.encap_error").Shard(),
-		connections:       reg.Gauge("smux.connections"),
-		overlay:           reg.Gauge("smux.overlay"),
 		rec:               rec,
 		node:              node,
 	}
@@ -313,10 +269,10 @@ func New(cfg Config) *Mux {
 	if cfg.MaxConnections <= 0 {
 		cfg.MaxConnections = 1 << 20
 	}
-	m := &Mux{cfg: cfg}
-	m.perShardMax = cfg.MaxConnections / connShards
-	if m.perShardMax < 1 {
-		m.perShardMax = 1
+	m := &Mux{
+		cfg:     cfg,
+		conns:   steer.NewPins(DefaultConnIdle, cfg.MaxConnections),
+		overlay: steer.NewPins(DefaultOverlayTTL, DefaultMaxOverlay),
 	}
 	m.clock = cfg.Clock
 	if m.clock == nil {
@@ -324,17 +280,8 @@ func New(cfg Config) *Mux {
 	}
 	m.nowBits.Store(math.Float64bits(m.clock()))
 	m.steer = steer.NewTable(steer.Config{DefaultMode: cfg.DefaultMode, Clock: m.clock})
-	for i := range m.shards {
-		m.shards[i].conns = make(map[packet.FiveTuple]connEntry)
-		m.overlays[i].pins = make(map[packet.FiveTuple]overlayPin)
-	}
 	return m
 }
-
-// shardFor returns the connection shard index for a flow hash. The top bits
-// are used so shard selection stays independent of the slot index (low bits)
-// derived from the same hash.
-func shardFor(h uint64) int { return int((h >> 48) & (connShards - 1)) }
 
 // coarseNow returns the clock reading as of the last Tick. The hot path
 // reads this instead of the clock itself — one atomic load per packet.
@@ -352,18 +299,6 @@ func (m *Mux) Steer() *steer.Table { return m.steer }
 // Epoch returns the steer-table generation, bumped on every mutation.
 func (m *Mux) Epoch() uint64 { return m.steer.Epoch() }
 
-// OverlayEntries returns the current hybrid-overlay population.
-func (m *Mux) OverlayEntries() int {
-	total := 0
-	for i := range m.overlays {
-		s := &m.overlays[i]
-		s.mu.Lock()
-		total += len(s.pins)
-		s.mu.Unlock()
-	}
-	return total
-}
-
 // ConnStats is a point-in-time occupancy snapshot of the mux's per-flow
 // state, for the memory gauges (conn-table growth used to be invisible
 // until OOM).
@@ -378,18 +313,9 @@ type ConnStats struct {
 // ConnStats returns the current per-flow state occupancy.
 func (m *Mux) ConnStats() ConnStats {
 	st := ConnStats{OverlayCap: DefaultMaxOverlay}
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		n := len(s.conns)
-		s.mu.Unlock()
-		st.Entries += n
-		if n > st.ShardMax {
-			st.ShardMax = n
-		}
-	}
-	st.Overlay = m.OverlayEntries()
-	st.Bytes = int64(st.Entries)*connEntryBytes + int64(st.Overlay)*overlayEntryBytes
+	st.Entries, st.ShardMax = m.conns.Occupancy()
+	st.Overlay, _ = m.overlay.Occupancy()
+	st.Bytes = int64(st.Entries+st.Overlay) * pinBytes
 	return st
 }
 
@@ -416,8 +342,8 @@ func (m *Mux) Apply(ops []steer.Op) {
 		}
 	}
 	if gone := steer.Gone(ops); gone != nil {
-		m.dropConns(gone)
-		m.dropOverlay(gone)
+		m.conns.Purge(gone)
+		m.overlay.Purge(gone)
 	}
 }
 
@@ -433,39 +359,6 @@ func (m *Mux) UpdateVIP(v *service.VIP) error {
 
 // ModeOf returns a VIP's steering mode.
 func (m *Mux) ModeOf(addr packet.Addr) (steer.Mode, bool) { return m.steer.ModeOf(addr) }
-
-// dropConns removes pinned connections matching the predicate from every
-// shard and keeps the occupancy gauge in sync.
-func (m *Mux) dropConns(match func(packet.FiveTuple, packet.Addr) bool) {
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		before := len(s.conns)
-		for t, c := range s.conns {
-			if match(t, c.dip) {
-				delete(s.conns, t)
-			}
-		}
-		m.tel.connections.Add(int64(len(s.conns) - before))
-		s.mu.Unlock()
-	}
-}
-
-// dropOverlay removes overlay pins matching the predicate.
-func (m *Mux) dropOverlay(match func(packet.FiveTuple, packet.Addr) bool) {
-	for i := range m.overlays {
-		s := &m.overlays[i]
-		s.mu.Lock()
-		before := len(s.pins)
-		for t, p := range s.pins {
-			if match(t, p.dip) {
-				delete(s.pins, t)
-			}
-		}
-		m.tel.overlay.Add(int64(len(s.pins) - before))
-		s.mu.Unlock()
-	}
-}
 
 // HasVIP reports whether the VIP is configured.
 func (m *Mux) HasVIP(addr packet.Addr) bool { return m.steer.HasVIP(addr) }
@@ -544,46 +437,27 @@ func (m *Mux) ProcessSampled(data, out []byte, f packet.Flow, h uint64, sampled 
 	mode := e.Mode()
 	now := m.coarseNow()
 	var (
-		dip packet.Addr
-		err error
+		dip    packet.Addr
+		pinned bool // the DIP came from a pin, not a fresh pick
+		err    error
 	)
-	pinned := false
 	switch mode {
 	case steer.ModeStateful:
-		s := &m.shards[shardFor(h)]
-		s.mu.Lock()
-		if c, ok := s.conns[tuple]; ok {
-			dip, pinned = c.dip, true
-			if flags&(packet.TCPFin|packet.TCPRst) != 0 {
-				// Closing flow: shorten the deadline so the slot frees soon
-				// instead of holding table memory for the full idle window.
-				c.expireAt = now + DefaultFinLinger
-				s.conns[tuple] = c
-			} else if c.expireAt < now+DefaultConnIdle/2 {
-				// Refresh lazily (at most once per half idle window) to keep
-				// the hit path free of per-packet map writes.
-				c.expireAt = now + DefaultConnIdle
-				s.conns[tuple] = c
-			}
-			s.mu.Unlock()
-		} else {
-			dip, err = e.DIP(tuple, h)
-			if err != nil {
-				s.mu.Unlock()
-				return Result{}, m.drop(telemetry.DropNoBackend, tuple.Dst, err)
-			}
-			if len(s.conns) < m.perShardMax {
-				ttl := DefaultConnIdle
-				if flags&(packet.TCPFin|packet.TCPRst) != 0 {
-					ttl = DefaultFinLinger
-				}
-				s.conns[tuple] = connEntry{dip: dip, expireAt: now + ttl}
-				s.order = append(s.order, tuple)
-				m.tel.connInserts.Inc()
-				m.evictShard(s)
-				m.tel.connections.Add(1)
-			}
-			s.mu.Unlock()
+		if dip, pinned = m.conns.Hit(tuple, h, now, flags); pinned {
+			break
+		}
+		dip, err = e.DIP(tuple, h)
+		if err != nil {
+			return Result{}, m.drop(telemetry.DropNoBackend, tuple.Dst, err)
+		}
+		var how steer.PinOutcome
+		switch dip, how = m.conns.Insert(tuple, h, dip, now, flags); how {
+		case steer.PinAdded:
+			m.tel.connInserts.Inc()
+		case steer.PinFound:
+			pinned = true
+		case steer.PinRefused:
+			tally.connRejected++
 		}
 
 	case steer.ModeStateless:
@@ -593,54 +467,37 @@ func (m *Mux) ProcessSampled(data, out []byte, f packet.Flow, h uint64, sampled 
 		}
 
 	case steer.ModeHybrid:
-		os := &m.overlays[shardFor(h)]
-		os.mu.Lock()
-		if p, ok := os.pins[tuple]; ok {
-			dip, pinned = p.dip, true
-			if flags&(packet.TCPFin|packet.TCPRst) != 0 {
-				p.expireAt = now + DefaultFinLinger
-				os.pins[tuple] = p
-			} else if p.expireAt < now+DefaultOverlayTTL/2 {
-				p.expireAt = now + DefaultOverlayTTL
-				os.pins[tuple] = p
-			}
-			os.mu.Unlock()
+		if dip, pinned = m.overlay.Hit(tuple, h, now, flags); pinned {
 			tally.overlayHits++
-		} else {
-			os.mu.Unlock()
-			dip, err = e.DIP(tuple, h)
-			if err != nil {
-				return Result{}, m.drop(telemetry.DropNoBackend, tuple.Dst, err)
+			break
+		}
+		dip, err = e.DIP(tuple, h)
+		if err != nil {
+			return Result{}, m.drop(telemetry.DropNoBackend, tuple.Dst, err)
+		}
+		if !view.DrainActive(now) {
+			break
+		}
+		// A flow straddles the epoch boundary when its DIP differs between
+		// generations. A fresh SYN belongs to the new generation; anything
+		// else predates it and must keep the old mapping — unless that DIP
+		// is gone from the current generation (DIP failure): those
+		// connections are necessarily terminated (§5.1) and rehash instead.
+		if prev, ok := view.PrevDIP(tuple, h); ok && prev != dip && e.HasLive(tuple, prev) {
+			if flags&packet.TCPSyn == 0 || flags&packet.TCPAck != 0 {
+				dip = prev
 			}
-			if view.DrainActive(now) {
-				// A flow straddles the epoch boundary when its DIP differs
-				// between generations. A fresh SYN belongs to the new
-				// generation; anything else predates it and must keep the
-				// old mapping — unless that DIP is gone from the current
-				// generation (DIP failure): those connections are
-				// necessarily terminated (§5.1) and rehash instead.
-				if prev, ok := view.PrevDIP(tuple, h); ok && prev != dip && e.HasLive(tuple, prev) {
-					pinDip := prev
-					if flags&packet.TCPSyn != 0 && flags&packet.TCPAck == 0 {
-						pinDip = dip
-					}
-					os.mu.Lock()
-					if _, dup := os.pins[tuple]; !dup && len(os.pins) < DefaultMaxOverlay/connShards {
-						os.pins[tuple] = overlayPin{dip: pinDip, expireAt: now + DefaultOverlayTTL}
-						os.mu.Unlock()
-						m.tel.overlayPins.Inc()
-						m.tel.overlay.Add(1)
-					} else {
-						os.mu.Unlock()
-						if !dup {
-							m.tel.overlayRejected.Inc()
-						}
-					}
-					// Served per the pin decision even when the overlay is
-					// full: the recompute is deterministic while the drain
-					// lasts, so the flow stays consistent until it expires.
-					dip = pinDip
-				}
+			// Served per the pin decision even when the overlay is full:
+			// the recompute is deterministic while the drain lasts, so the
+			// flow stays consistent until it expires.
+			var how steer.PinOutcome
+			switch dip, how = m.overlay.Insert(tuple, h, dip, now, flags); how {
+			case steer.PinAdded:
+				m.tel.overlayPins.Inc()
+			case steer.PinFound:
+				pinned = true
+			case steer.PinRefused:
+				tally.overlayRejected++
 			}
 		}
 	}
@@ -668,20 +525,6 @@ func (m *Mux) ProcessSampled(data, out []byte, f packet.Flow, h uint64, sampled 
 	return Result{Encap: dip, Packet: pkt[len(out):], Mode: mode, Pinned: pinned}, nil
 }
 
-// evictShard trims stale FIFO entries whose connections have already been
-// removed, keeping order from growing unboundedly. Must hold s.mu.
-func (m *Mux) evictShard(s *connShard) {
-	for len(s.order) > 2*m.perShardMax {
-		t := s.order[0]
-		s.order = s.order[1:]
-		if _, ok := s.conns[t]; ok {
-			delete(s.conns, t)
-			m.tel.connections.Add(-1)
-		}
-		m.tel.connEvictions.Inc()
-	}
-}
-
 // Tick advances the mux's coarse clock and sweeps expired per-flow state:
 // idle and FIN/RST-lingered connections, idle overlay pins, overlay pins
 // whose DIP converged back to the live table, and the steer table's drained
@@ -690,53 +533,23 @@ func (m *Mux) evictShard(s *connShard) {
 func (m *Mux) Tick() {
 	now := m.clock()
 	m.nowBits.Store(math.Float64bits(now))
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		freed := 0
-		for t, c := range s.conns {
-			if c.expireAt <= now {
-				delete(s.conns, t)
-				freed++
-			}
-		}
-		s.mu.Unlock()
-		if freed > 0 {
-			m.tel.connIdleEvictions.Add(uint64(freed))
-			m.tel.connections.Add(int64(-freed))
-		}
-	}
+	m.tel.connIdleEvictions.Add(uint64(m.conns.Sweep(now, nil)))
 	view := m.steer.View()
-	drainActive := view.DrainActive(now)
-	for i := range m.overlays {
-		s := &m.overlays[i]
-		s.mu.Lock()
-		freed := 0
-		for t, p := range s.pins {
-			if p.expireAt <= now {
-				delete(s.pins, t)
-				freed++
-				continue
+	var straddles func(packet.FiveTuple, packet.Addr) bool
+	if !view.DrainActive(now) {
+		// The old epoch has drained; pins whose DIP matches the live table
+		// again (e.g. after remove + re-add convergence) are redundant and
+		// can free their slot.
+		straddles = func(t packet.FiveTuple, dip packet.Addr) bool {
+			e, ok := view.Find(t.Dst)
+			if !ok {
+				return true
 			}
-			if drainActive {
-				continue
-			}
-			// The old epoch has drained; pins whose DIP matches the live
-			// table again (e.g. after remove + re-add convergence) are
-			// redundant and can free their slot.
-			if e, ok := view.Find(t.Dst); ok {
-				if d, err := e.DIP(t, ecmp.Hash(t)); err == nil && d == p.dip {
-					delete(s.pins, t)
-					freed++
-				}
-			}
-		}
-		s.mu.Unlock()
-		if freed > 0 {
-			m.tel.overlayExpired.Add(uint64(freed))
-			m.tel.overlay.Add(int64(-freed))
+			d, err := e.DIP(t, ecmp.Hash(t))
+			return err != nil || d != dip
 		}
 	}
+	m.tel.overlayExpired.Add(uint64(m.overlay.Sweep(now, straddles)))
 	m.steer.ReleaseDrained()
 }
 
@@ -752,24 +565,15 @@ func (m *Mux) Lookup(tuple packet.FiveTuple) (packet.Addr, error) {
 		return 0, ErrVIPNotFound
 	}
 	h := ecmp.Hash(tuple)
-	mode := e.Mode()
-	switch mode {
-	case steer.ModeStateful:
-		s := &m.shards[shardFor(h)]
-		s.mu.Lock()
-		c, ok := s.conns[tuple]
-		s.mu.Unlock()
-		if ok {
-			return c.dip, nil
-		}
+	pins := m.conns
+	switch e.Mode() {
+	case steer.ModeStateless:
+		return e.DIP(tuple, h)
 	case steer.ModeHybrid:
-		s := &m.overlays[shardFor(h)]
-		s.mu.Lock()
-		p, ok := s.pins[tuple]
-		s.mu.Unlock()
-		if ok {
-			return p.dip, nil
-		}
+		pins = m.overlay
+	}
+	if d, ok := pins.Get(tuple, h); ok {
+		return d, nil
 	}
 	return e.DIP(tuple, h)
 }

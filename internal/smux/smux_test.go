@@ -297,6 +297,63 @@ func TestConnTableBounded(t *testing.T) {
 	}
 }
 
+// TestLiveConnectionKeepsPinThroughChurn: a stateful flow that keeps sending
+// keeps its DIP however many other flows of its shard come and go. The conn
+// table used to carry a second bound beside its entry count, a FIFO log of
+// inserts that deleted the oldest logged tuple, live or not, once a shard had
+// logged more than twice its share of the cap: the fifth insert into a shard
+// capped at two moved the flow here.
+func TestLiveConnectionKeepsPinThroughChurn(t *testing.T) {
+	m, now := newClocked(Config{SelfAddr: selfAddr, MaxConnections: 32})
+	a, b := packet.MustParseAddr("100.0.0.1"), packet.MustParseAddr("100.0.0.2")
+	grown := steer.NewEntry(&service.VIP{Addr: vipAddr, Backends: backends("100.0.0.1", "100.0.0.2")}, steer.ModeStateful)
+	var live packet.FiveTuple
+	li := uint32(0)
+	for ; ; li++ { // a flow the grown backend set moves to b
+		if d, _ := grown.DIP(tupleN(li), ecmp.Hash(tupleN(li))); d == b {
+			live = tupleN(li)
+			break
+		}
+	}
+	shardOf := func(tu packet.FiveTuple) uint64 { return ecmp.Hash(tu) >> 48 & 15 }
+	var others []uint32
+	for j := uint32(0); len(others) < 10; j++ {
+		if j != li && shardOf(tupleN(j)) == shardOf(live) {
+			others = append(others, j)
+		}
+	}
+
+	if err := m.AddVIP(&service.VIP{Addr: vipAddr, Backends: backends("100.0.0.1")}); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := m.Process(packet.BuildTCP(live, packet.TCPSyn, nil), nil); err != nil || res.Encap != a {
+		t.Fatalf("first packet: %+v, %v", res, err)
+	}
+	if err := m.UpdateVIP(&service.VIP{Addr: vipAddr, Backends: backends("100.0.0.1", "100.0.0.2")}); err != nil {
+		t.Fatal(err)
+	}
+	for k, j := range others {
+		if _, err := m.Process(vipPacket(j, 80), nil); err != nil {
+			t.Fatal(err)
+		}
+		// The other flow goes idle and expires; the live one keeps sending.
+		for step := 0; step < 5; step++ {
+			*now += DefaultConnIdle / 4
+			m.Tick()
+			res, err := m.Process(packet.BuildTCP(live, packet.TCPAck, nil), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Encap != a || !res.Pinned {
+				t.Fatalf("round %d: the live flow moved to %s (pinned %v) after %d inserts in its shard", k, res.Encap, res.Pinned, k+2)
+			}
+			if n := m.ConnStats().Entries; step == 0 && n != 2 {
+				t.Fatalf("round %d: %d connections pinned, want the live flow and the new one", k, n)
+			}
+		}
+	}
+}
+
 func TestDisableConnTracking(t *testing.T) {
 	m := New(Config{SelfAddr: selfAddr, DefaultMode: steer.ModeStateless})
 	if err := m.AddVIP(&service.VIP{Addr: vipAddr, Backends: backends("100.0.0.1", "100.0.0.2")}); err != nil {
@@ -396,8 +453,8 @@ func TestProcessTelemetry(t *testing.T) {
 			t.Errorf("%s = %d, want %d", name, got, w)
 		}
 	}
-	if got := reg.Gauge("smux.connections").Value(); got != 1 {
-		t.Errorf("smux.connections = %d, want 1", got)
+	if got := m.ConnStats().Entries; got != 1 {
+		t.Errorf("connections = %d, want 1", got)
 	}
 	// First packet leaves a full sampled trace; second marks the pick pinned.
 	var picks []uint64

@@ -30,6 +30,10 @@
 // and previous pick for a flow and pins only the flows whose DIP would change
 // across the epoch ("LB Scalability: stateful vs stateless" — a small
 // stateful overlay instead of per-flow state for everything).
+//
+// Pins is the per-flow half beside it: the one flow-pin table every host mux
+// keeps — the SMux connection table and hybrid overlay, the NIC's exact-flow
+// region — sharded by the same flow hash and bounded by one table-wide cap.
 package steer
 
 import (

@@ -9,7 +9,7 @@ import (
 // WriteText renders every registered metric, sorted by name, one per line:
 //
 //	counter   hmux.packets                    123456
-//	gauge     smux.connections                1024
+//	gauge     smux.conns_total                1024
 //	histogram core.deliver.hop.smux.seconds   count=12 sum=5.4e-05 p50=4.1e-06 p99=4.6e-06
 //
 // The output is stable across runs with the same metric values.

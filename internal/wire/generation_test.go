@@ -260,8 +260,8 @@ func TestModeFlipOpensNoDrain(t *testing.T) {
 			pinned[tu] = d
 		}
 	}
-	if len(pinned) == 0 || sm.OverlayEntries() != len(pinned) {
-		t.Fatalf("%d flows served off the live pick, %d overlay pins; want the same, more than 0", len(pinned), sm.OverlayEntries())
+	if len(pinned) == 0 || sm.ConnStats().Overlay != len(pinned) {
+		t.Fatalf("%d flows served off the live pick, %d overlay pins; want the same, more than 0", len(pinned), sm.ConnStats().Overlay)
 	}
 	now = steer.DefaultDrainWindow + 1
 	sm.Tick()
