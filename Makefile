@@ -88,8 +88,8 @@ vuln:
 	fi
 
 # Smoke of every decoder's fuzz targets, 5 s each — packet parsing, the
-# wire frame and control-message codecs, the delta codec — and of the flow-pin
-# table against its model: each corpus gets a short randomized walk, enough
+# wire frame and control-message codecs, the split of a coalesced read into
+# frames, the delta codec — and of the flow-pin table against its model: each corpus gets a short randomized walk, enough
 # to catch a fresh regression without turning CI into a fuzz farm. `go test
 # -fuzz` takes one target per invocation, so the package:Target pairs run
 # back to back.
@@ -98,6 +98,7 @@ FUZZ_TARGETS = \
 	packet:FuzzExtractFiveTuple packet:FuzzTransportDecode packet:FuzzRewrite \
 	packet:FuzzChecksum \
 	wire:FuzzDecodeFrameTrace wire:FuzzTracedFrameRoundTrip wire:FuzzReadMsg \
+	wire:FuzzReadBurst \
 	delta:FuzzDeltaDecode delta:FuzzDeltaRoundTrip \
 	steer:FuzzPins
 fuzz-smoke:
@@ -119,7 +120,7 @@ race:
 # Zero-allocation gates for every instrumented hot path: the shared table's
 # lookup, the flow pins' hit and refused insert, the fabric's route pick, mux packet processing, host-agent decap/DSR, core's forwarding path over every tier ×
 # mode × protocol (and DeliverBatch's exact per-batch count), the wire
-# dataplane's burst (receive, handler, flush), the control channel's read of
+# dataplane's burst (coalesced receive, handler, flush), the control channel's read of
 # a delta push (at most the header strings allocate), the obs scrape tick
 # running concurrently with the dataplane, and the controller's placement
 # scan over a warmed round. Each test but the control read asserts

@@ -24,15 +24,18 @@ type DataplaneConfig struct {
 	// worker does all the work and the rest sleep; at saturation they
 	// overlap.
 	Workers int
-	// Batch is the burst size: the most datagrams one receive call takes
-	// off the socket, and so the most frames one flush sends (default 32).
-	// A burst is whatever is queued when a worker gets its turn — it is
-	// never waited for, so a lone frame is a burst of one through the same
-	// path. A burst that fills is what passes the turn to the next worker.
-	// On Linux a burst costs one recvmmsg plus one sendmmsg per next hop;
-	// elsewhere the same loop runs one syscall per datagram.
+	// Batch is the burst size: the most messages one receive call takes off
+	// the socket, and the most frames one flush sends (default 32). A
+	// message is a datagram, or on Linux a peer's segmented run read as
+	// one. A burst is whatever is queued when a worker gets its turn — it
+	// is never waited for, so a lone frame is a burst of one through the
+	// same path. A burst that fills every message slot is what passes the
+	// turn to the next worker. On Linux a burst costs one recvmmsg plus one
+	// sendmmsg per next hop; elsewhere the same loop runs one syscall per
+	// datagram.
 	Batch int
-	// MTU is the largest datagram accepted or sent (default 2048).
+	// MTU bounds each frame, received or sent (default 2048): a frame
+	// received longer is cut at MTU and counted as a short read.
 	MTU int
 	// ReadBuffer is the socket receive buffer hint in bytes (default 4MiB;
 	// 0 keeps the kernel default, negative skips SetReadBuffer). It is the
@@ -75,6 +78,7 @@ func (cfg *DataplaneConfig) setDefaults() {
 // "wire-drops" watchdog has a single series to rate.
 type dataplaneTelemetry struct {
 	rxFrames, rxBytes telemetry.CounterShard
+	rxReads           telemetry.CounterShard
 	txFrames, txBytes telemetry.CounterShard
 	dropShort         telemetry.CounterShard
 	dropBadFrame      telemetry.CounterShard
@@ -92,6 +96,7 @@ func newDataplaneTelemetry(reg *telemetry.Registry, rec *telemetry.Recorder, nod
 	return dataplaneTelemetry{
 		rxFrames:        reg.Counter("wire.rx.frames").Shard(),
 		rxBytes:         reg.Counter("wire.rx.bytes").Shard(),
+		rxReads:         reg.Counter("wire.rx.reads").Shard(),
 		txFrames:        reg.Counter("wire.tx.frames").Shard(),
 		txBytes:         reg.Counter("wire.tx.bytes").Shard(),
 		dropShort:       reg.Counter("wire.drops.short_read").Shard(),
@@ -203,7 +208,7 @@ func ListenDataplane(addr string, cfg DataplaneConfig) (*Dataplane, error) {
 	if cfg.ReadBuffer > 0 {
 		_ = conn.SetReadBuffer(cfg.ReadBuffer) // best effort; kernel may clamp
 	}
-	countRxOverflow(rc)
+	setRxOptions(rc)
 	d := &Dataplane{
 		cfg:   cfg,
 		conn:  conn,
@@ -270,17 +275,19 @@ func newWorker(d *Dataplane, h frameFunc) *worker {
 }
 
 // run is the burst loop: with the turn on the socket in hand, wait for
-// datagrams, take up to Batch of them in one receive, and handle them. A
+// datagrams, take up to Batch messages in one receive, and handle them. A
 // short burst drained the socket, so the worker keeps the turn: a peer woken
 // now would receive nothing and go back to sleep, and the wake-up — a thread
 // to find, maybe to start — costs more than a few frames do and makes a lone
 // frame's latency depend on where the scheduler found it. A full burst means
 // more is queued: the turn is released around the handling and a peer takes
-// the next burst meanwhile. It returns when the socket closes.
+// the next burst meanwhile. It returns when the socket closes, and frees
+// the worker's receive slots.
 //
 //duet:hotpath
 func (w *worker) run() {
 	d := w.d
+	defer w.rx.release()
 	d.turn.Lock() //duet:allow hotpath taken per turn on the socket, not per frame; this is where the workers without the turn sleep
 	defer d.turn.Unlock()
 	for {
@@ -298,19 +305,50 @@ func (w *worker) run() {
 	}
 }
 
-// handle runs the n frames of the last receive through the handler, flushes
-// what the handler forwarded and adds what it counted to the stage counters.
+// handle runs the frames of the last receive's n messages through the
+// handler, flushes what the handler forwarded and adds what it counted to
+// the stage counters.
 //
 //duet:hotpath
 func (w *worker) handle(n int) {
-	w.d.tel.rxFrames.Add(uint64(n))
+	mtu, frames := w.d.cfg.MTU, 0
 	for i := 0; i < n; i++ {
-		w.handleFrame(w.rx.frame(i))
+		b, seg := w.rx.msg(i)
+		for {
+			f, rest := nextFrame(b, seg, mtu)
+			w.handleFrame(f)
+			frames++
+			if len(rest) == 0 {
+				break
+			}
+			b = rest
+		}
 	}
+	w.d.tel.rxReads.Add(uint64(n))
+	w.d.tel.rxFrames.Add(uint64(frames))
 	_ = w.tx.flush() // send failures are counted by the flush
 	if w.d.stages != nil {
 		w.d.stages.flush(&w.tx.tally)
 	}
+}
+
+// nextFrame splits the first datagram off a read b whose datagrams are seg
+// bytes each, the last maybe shorter (seg 0, or not less than len(b): b is
+// one datagram), and returns it cut at mtu — a frame the kernel would have
+// truncated into an MTU-sized slot, which the decode counts as a short
+// read — and the rest of the read.
+//
+//duet:hotpath
+func nextFrame(b []byte, seg, mtu int) (frame, rest []byte) {
+	n := len(b)
+	if seg > 0 && seg < n {
+		n = seg
+	}
+	frame, rest = b[:n], b[n:]
+	if n > mtu {
+		frame = frame[:mtu]
+	}
+	return frame, rest
 }
 
 // handleFrame validates the wire header, resolves the frame's trace ID and

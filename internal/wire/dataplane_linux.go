@@ -23,6 +23,7 @@ const segmentOffload = true
 const (
 	solUDP     = 17  // SOL_UDP
 	udpSegment = 103 // UDP_SEGMENT: cmsg carrying the segment size as a uint16
+	udpGRO     = 104 // UDP_GRO: socket option, and cmsg carrying a coalesced read's segment size as an int
 )
 
 // sendmmsgTrap is SYS_SENDMMSG, which the frozen syscall package lacks on
@@ -41,13 +42,18 @@ type mmsghdr struct {
 	_   [4]byte
 }
 
-// rxDropCmsg and segmentCmsg are the two control messages used, laid out as
-// the kernel reads and writes them, so no cmsg bytes are cast.
-type rxDropCmsg struct {
-	hdr   syscall.Cmsghdr
-	drops uint32 // SO_RXQ_OVFL: datagrams the socket has dropped since it was opened
-	_     [4]byte
+// rxCmsg and segmentCmsg are the control messages used, laid out as the
+// kernel reads and writes them, so no cmsg bytes are cast. Both received
+// ones carry 4 bytes: SO_RXQ_OVFL the datagrams the socket has dropped since
+// it was opened, UDP_GRO the segment size of a coalesced read.
+type rxCmsg struct {
+	hdr  syscall.Cmsghdr
+	data uint32
+	_    [4]byte
 }
+
+// rxControl is one message's control buffer: room for both received cmsgs.
+type rxControl [2]rxCmsg
 
 type segmentCmsg struct {
 	hdr  syscall.Cmsghdr
@@ -55,41 +61,63 @@ type segmentCmsg struct {
 	_    [6]byte
 }
 
-// countRxOverflow asks the kernel to attach the socket's cumulative drop
-// count to received datagrams (best effort: without it overflow goes
-// uncounted, as on other platforms).
-func countRxOverflow(rc syscall.RawConn) {
+// setRxOptions asks the kernel to attach the socket's cumulative drop count
+// to received datagrams, and to hand over a run of equal-length datagrams
+// from one sender (a peer's UDP_SEGMENT message) as one coalesced read
+// rather than split it back into datagrams. Both are best effort: without
+// the first, overflow goes uncounted, as on other platforms; without the
+// second, every read is one datagram.
+func setRxOptions(rc syscall.RawConn) {
 	_ = rc.Control(func(fd uintptr) {
 		_ = syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_RXQ_OVFL, 1)
+		_ = syscall.SetsockoptInt(int(fd), solUDP, udpGRO, 1)
 	})
 }
 
-// rxBurst is a worker's receive side: Batch buffers of MTU bytes and the
-// message vector pointing at them. Message 0 also carries the control
-// buffer the kernel's drop count arrives in.
+// rxSlot is the room for one received message: the largest coalesced read.
+const rxSlot = 64 << 10
+
+// rxBurst is a worker's receive side: Batch slots of rxSlot bytes, each with
+// its own control buffer, and the message vector pointing at them. The slots
+// are one anonymous private mapping, so they cost only the pages the kernel
+// writes: a burst of plain datagrams touches the first page or so of each
+// slot, and only coalesced runs reach further.
 type rxBurst struct {
 	d     *Dataplane
 	buf   []byte
+	heap  bool // buf is a heap fallback for a refused mapping
 	msgs  []mmsghdr
 	iovs  []syscall.Iovec
-	drops rxDropCmsg
+	ctl   []rxControl
 	read  func(fd uintptr) bool // recvmmsg, bound once
 	n     int
 	errno syscall.Errno
 }
 
 func (rx *rxBurst) init(d *Dataplane) {
-	n, mtu := d.cfg.Batch, d.cfg.MTU
+	n := d.cfg.Batch
 	rx.d = d
-	rx.buf = make([]byte, n*mtu)
+	var err error
+	rx.buf, err = syscall.Mmap(-1, 0, n*rxSlot, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_PRIVATE|syscall.MAP_ANON)
+	if err != nil {
+		rx.buf, rx.heap = make([]byte, n*rxSlot), true
+	}
 	rx.msgs = make([]mmsghdr, n)
 	rx.iovs = make([]syscall.Iovec, n)
+	rx.ctl = make([]rxControl, n)
 	for i := range rx.msgs {
-		rx.iovs[i] = syscall.Iovec{Base: &rx.buf[i*mtu], Len: uint64(mtu)}
-		rx.msgs[i].hdr = syscall.Msghdr{Iov: &rx.iovs[i], Iovlen: 1}
+		rx.iovs[i] = syscall.Iovec{Base: &rx.buf[i*rxSlot], Len: rxSlot}
+		rx.msgs[i].hdr = syscall.Msghdr{Iov: &rx.iovs[i], Iovlen: 1, Control: (*byte)(unsafe.Pointer(&rx.ctl[i]))}
 	}
-	rx.msgs[0].hdr.Control = (*byte)(unsafe.Pointer(&rx.drops))
 	rx.read = rx.recvmmsg
+}
+
+// release unmaps the slots; the burst is not used again.
+func (rx *rxBurst) release() {
+	if rx.buf != nil && !rx.heap {
+		_ = syscall.Munmap(rx.buf)
+	}
+	rx.buf = nil
 }
 
 // recvmmsg is the RawConn.Read callback: false parks the goroutine until
@@ -97,7 +125,9 @@ func (rx *rxBurst) init(d *Dataplane) {
 //
 //duet:hotpath
 func (rx *rxBurst) recvmmsg(fd uintptr) bool {
-	rx.msgs[0].hdr.Controllen = uint64(unsafe.Sizeof(rx.drops)) // the kernel overwrote it with what it used
+	for i := range rx.msgs {
+		rx.msgs[i].hdr.Controllen = uint64(unsafe.Sizeof(rxControl{})) // the kernel overwrote it with what it used
+	}
 	r, _, e := syscall.Syscall6(syscall.SYS_RECVMMSG, fd,
 		uintptr(unsafe.Pointer(&rx.msgs[0])), uintptr(len(rx.msgs)), 0, 0, 0)
 	if e == syscall.EAGAIN {
@@ -107,9 +137,9 @@ func (rx *rxBurst) recvmmsg(fd uintptr) bool {
 	return true
 }
 
-// recv waits until the socket has datagrams and takes up to Batch of them;
-// the frames are valid until the next recv. The error is the socket's
-// closing; a failed receive call (EINTR, an ICMP-induced error) is retried.
+// recv waits until the socket has datagrams and takes up to Batch messages;
+// they are valid until the next recv. The error is the socket's closing; a
+// failed receive call (EINTR, an ICMP-induced error) is retried.
 //
 //duet:hotpath
 func (rx *rxBurst) recv() (int, error) {
@@ -121,30 +151,51 @@ func (rx *rxBurst) recv() (int, error) {
 			break
 		}
 	}
-	c := &rx.drops
-	if rx.msgs[0].hdr.Controllen >= uint64(syscall.CmsgLen(4)) &&
-		c.hdr.Level == syscall.SOL_SOCKET && c.hdr.Type == syscall.SO_RXQ_OVFL {
-		rx.d.rxOverflow(c.drops)
+	// The last message was queued last, so it carries the freshest count.
+	if drops := rx.cmsg(max(rx.n-1, 0), syscall.SOL_SOCKET, syscall.SO_RXQ_OVFL); drops != 0 {
+		rx.d.rxOverflow(drops)
 	}
 	return rx.n, nil
 }
 
-// full reports whether the last recv filled every buffer, i.e. the socket
-// may hold more.
+// cmsg is the value of the 4-byte control message (level, typ) the kernel
+// attached to message i of the last recv, 0 if it attached none: it
+// attaches neither a drop count of 0 nor the segment size of a lone
+// datagram.
+//
+//duet:hotpath
+func (rx *rxBurst) cmsg(i int, level, typ int32) uint32 {
+	used := rx.msgs[i].hdr.Controllen
+	for k := range rx.ctl[i] {
+		c := &rx.ctl[i][k]
+		if used < uint64(k+1)*uint64(unsafe.Sizeof(*c)) || c.hdr.Len != uint64(syscall.CmsgLen(4)) {
+			break
+		}
+		if c.hdr.Level == level && c.hdr.Type == typ {
+			return c.data
+		}
+	}
+	return 0
+}
+
+// full reports whether the last recv filled every slot, i.e. the socket may
+// hold more.
 //
 //duet:hotpath
 func (rx *rxBurst) full() bool { return rx.n == len(rx.msgs) }
 
-// frame is the i-th datagram of the last recv.
+// msg is the i-th message of the last recv and its segment size: a
+// coalesced read is datagrams of seg bytes back to back, the last maybe
+// shorter; seg 0 means the message is one datagram.
 //
 //duet:hotpath
-func (rx *rxBurst) frame(i int) []byte {
-	off := i * rx.d.cfg.MTU
-	return rx.buf[off : off+int(rx.msgs[i].n)]
+func (rx *rxBurst) msg(i int) ([]byte, int) {
+	off := i * rxSlot
+	return rx.buf[off : off+int(rx.msgs[i].n)], int(rx.cmsg(i, solUDP, udpGRO))
 }
 
-// rxOverflow folds the kernel's drop count, read off the first datagram of
-// a burst, into the drop counters: a datagram that found the receive queue
+// rxOverflow folds the kernel's drop count, read off the last message of a
+// burst, into the drop counters: a datagram that found the receive queue
 // full is the wire's NIC-ring overflow. The count is cumulative and 32 bits
 // wide, workers read it concurrently, and it trails the drops by the one
 // datagram that carries it — enough for a rate watchdog.

@@ -15,9 +15,10 @@ import (
 // segmentOffload: every frame is its own message.
 const segmentOffload = false
 
-// countRxOverflow: no portable way to read the socket's drop count, so
-// receive-queue overflow goes uncounted here.
-func countRxOverflow(syscall.RawConn) {}
+// setRxOptions: no portable way to read the socket's drop count or to take
+// coalesced reads, so receive-queue overflow goes uncounted here and every
+// read is one datagram.
+func setRxOptions(syscall.RawConn) {}
 
 // rxBurst is a worker's receive side: one MTU-sized buffer.
 type rxBurst struct {
@@ -30,6 +31,8 @@ func (rx *rxBurst) init(d *Dataplane) {
 	rx.d = d
 	rx.buf = make([]byte, d.cfg.MTU)
 }
+
+func (rx *rxBurst) release() {}
 
 // recv waits for one datagram. The error is the socket's closing; a failed
 // read (e.g. an ICMP-induced error) is retried.
@@ -50,7 +53,8 @@ func (rx *rxBurst) recv() (int, error) {
 // every burst counts as full and workers alternate datagram by datagram.
 func (rx *rxBurst) full() bool { return true }
 
-func (rx *rxBurst) frame(int) []byte { return rx.buf[:rx.n] }
+// msg is the datagram of the last recv, never coalesced.
+func (rx *rxBurst) msg(int) ([]byte, int) { return rx.buf[:rx.n], 0 }
 
 // txSender is a tx batch's send side.
 type txSender struct{}

@@ -64,6 +64,49 @@ func TestPlanRuns(t *testing.T) {
 	}
 }
 
+func TestNextFrame(t *testing.T) {
+	read := func(n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(i)
+		}
+		return b
+	}
+	cases := []struct {
+		name          string
+		n, seg, mtu   int
+		frames, sizes []int // each frame's length, and what it took off the read
+	}{
+		{"no cmsg is one datagram", 66, 0, 2048, []int{66}, []int{66}},
+		{"one segment", 66, 66, 2048, []int{66}, []int{66}},
+		{"the last segment may be short", 3*66 + 10, 66, 2048, []int{66, 66, 66, 10}, []int{66, 66, 66, 10}},
+		{"a segment size larger than the read is one datagram", 66, 2048, 2048, []int{66}, []int{66}},
+		{"an oversize datagram is cut at the MTU", 3000, 0, 2048, []int{2048}, []int{3000}},
+		{"oversize segments are cut one by one", 2*3000 + 100, 3000, 2048, []int{2048, 2048, 100}, []int{3000, 3000, 100}},
+		{"an empty read is one empty datagram", 0, 0, 2048, []int{0}, []int{0}},
+	}
+	for _, tc := range cases {
+		b := read(tc.n)
+		var frames, sizes []int
+		off := 0
+		for rest := b; ; {
+			var f []byte
+			f, rest = nextFrame(rest, tc.seg, tc.mtu)
+			took := len(b) - len(rest) - off
+			if !bytes.Equal(f, b[off:off+len(f)]) {
+				t.Errorf("%s: frame %d is not the read's bytes at %d", tc.name, len(frames), off)
+			}
+			frames, sizes, off = append(frames, len(f)), append(sizes, took), off+took
+			if len(rest) == 0 {
+				break
+			}
+		}
+		if !reflect.DeepEqual(frames, tc.frames) || !reflect.DeepEqual(sizes, tc.sizes) {
+			t.Errorf("%s: frames %v taking %v, want %v taking %v", tc.name, frames, sizes, tc.frames, tc.sizes)
+		}
+	}
+}
+
 // sink is a raw UDP socket standing in for a next hop.
 type sink struct {
 	t    *testing.T
@@ -112,13 +155,15 @@ func (s *sink) empty() bool {
 // burstRig is a listening endpoint whose one worker the test turns by hand,
 // and a client socket connected to it. A frame's payload is its next hop's
 // index, then its sequence number, then padding: the handler forwards the
-// payload unchanged to that hop.
+// payload unchanged to that hop. A rig without next hops keeps a copy of
+// every payload instead (caught), standing in for a next hop itself.
 type burstRig struct {
 	t      *testing.T
 	reg    *telemetry.Registry
 	w      *worker
 	client net.Conn
 	hops   []string
+	caught [][]byte
 }
 
 func newBurstRig(t *testing.T, cfg DataplaneConfig, hops ...string) *burstRig {
@@ -131,9 +176,14 @@ func newBurstRig(t *testing.T, cfg DataplaneConfig, hops ...string) *burstRig {
 	}
 	t.Cleanup(dp.Close)
 	r.w = newWorker(dp, func(tx *txBatch, payload, scratch []byte, trace uint64) []byte {
+		if len(r.hops) == 0 {
+			r.caught = append(r.caught, append([]byte(nil), payload...))
+			return scratch
+		}
 		_ = tx.queue(r.hops[payload[0]], payload, trace)
 		return scratch
 	})
+	t.Cleanup(r.w.rx.release) // a worker's run does this; this one is turned by hand
 	if r.client, err = net.Dial("udp", dp.Addr().String()); err != nil {
 		t.Fatal(err)
 	}
@@ -142,6 +192,35 @@ func newBurstRig(t *testing.T, cfg DataplaneConfig, hops ...string) *burstRig {
 }
 
 func (r *burstRig) counter(name string) uint64 { return r.reg.Counter(name).Value() }
+
+func (r *burstRig) addr() string { return r.w.d.Addr().String() }
+
+// catch runs the worker until it has handled n more frames and returns
+// their payloads, in the order handled.
+func (r *burstRig) catch(n int) [][]byte {
+	r.t.Helper()
+	from := len(r.caught)
+	_ = r.w.d.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for len(r.caught) < from+n {
+		if err := r.w.burst(); err != nil {
+			r.t.Fatalf("caught %d of %d frames: %v", len(r.caught)-from, n, err)
+		}
+	}
+	return r.caught[from:]
+}
+
+// newSegmenter returns a tx batch of up to max frames on an endpoint of its
+// own: it sends as a node forwards, a run of equal-length frames toward one
+// next hop as one segmented message.
+func newSegmenter(t *testing.T, max int) *txBatch {
+	t.Helper()
+	dp, err := ListenDataplane("127.0.0.1:0", DataplaneConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(dp.Close)
+	return newTxBatch(dp, max)
+}
 
 // burst is one pass of worker.run's loop — a receive and its handling — by a
 // worker nobody shares the socket with.
@@ -225,20 +304,42 @@ func TestBurst(t *testing.T) {
 	})
 
 	t.Run("a run of 70 equal frames splits and arrives whole", func(t *testing.T) {
-		s := newSink(t, "127.0.0.1:0")
-		r := newBurstRig(t, DataplaneConfig{Batch: 128}, s.ep)
+		next := newBurstRig(t, DataplaneConfig{})
+		r := newBurstRig(t, DataplaneConfig{Batch: 128}, next.addr())
 		var payloads [][]byte
 		for seq := 0; seq < 70; seq++ {
 			payloads = append(payloads, probe(0, seq, 60))
 		}
 		r.turn(payloads, nil)
-		for i, got := range s.read(70) {
-			if !bytes.Equal(got, AppendFrame(nil, payloads[i])) {
-				t.Fatalf("datagram %d: got %x", i, got)
+		for i, got := range next.catch(70) {
+			if !bytes.Equal(got, payloads[i]) {
+				t.Fatalf("frame %d: got %x", i, got)
 			}
 		}
 		if tx, b := r.counter("wire.tx.frames"), r.counter("wire.tx.bytes"); tx != 70 || b != 70*66 {
 			t.Fatalf("tx.frames = %d, tx.bytes = %d, want 70 and %d", tx, b, 70*66)
+		}
+		// The next hop reads the two messages it was sent: 64 + 6 frames.
+		reads := uint64(70)
+		if segmentOffload {
+			reads = 2
+		}
+		if got, f, b := next.counter("wire.rx.reads"), next.counter("wire.rx.frames"), next.counter("wire.rx.bytes"); got != reads || f != 70 || b != 70*66 {
+			t.Fatalf("next hop: rx.reads = %d, rx.frames = %d, rx.bytes = %d, want %d, 70 and %d", got, f, b, reads, 70*66)
+		}
+	})
+
+	t.Run("a datagram longer than the MTU is one short read", func(t *testing.T) {
+		r := newBurstRig(t, DataplaneConfig{MTU: 2048})
+		if _, err := r.client.Write(AppendFrame(nil, make([]byte, 3000))); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.w.burst(); err != nil {
+			t.Fatal(err)
+		}
+		short, total, rx := r.counter("wire.drops.short_read"), r.counter("wire.drops.total"), r.counter("wire.rx.frames")
+		if short != 1 || total != 1 || rx != 1 || len(r.caught) != 0 {
+			t.Fatalf("short_read = %d, drops.total = %d, rx.frames = %d, handled %d; want 1, 1, 1, 0", short, total, rx, len(r.caught))
 		}
 	})
 
@@ -308,23 +409,29 @@ func TestBurst(t *testing.T) {
 }
 
 // TestBurstZeroAlloc is the allocation gate of the wire hot path: a burst —
-// receive, decode, handler, queue, flush, two next hops and a traced frame —
-// allocates nothing in steady state.
+// coalesced receive, split, decode, handler, queue, flush, two next hops and
+// a traced frame — allocates nothing in steady state.
 func TestBurstZeroAlloc(t *testing.T) {
 	a, b := newSink(t, "127.0.0.1:0"), newSink(t, "127.0.0.1:0")
 	r := newBurstRig(t, DataplaneConfig{Recorder: telemetry.NewRecorder(0), TraceEvery: 4}, a.ep, b.ep)
-	var frames [][]byte
+	// Four runs of four equal-length frames, sent as a node sends them: four
+	// segmented messages, read as four coalesced reads.
+	var payloads [][]byte
 	for seq := 0; seq < 16; seq++ {
-		frames = append(frames, AppendFrame(nil, probe(seq%2, seq, 60+8*(seq%3))))
+		payloads = append(payloads, probe(seq%2, seq, 60+8*(seq/4%3)))
 	}
+	in, to := newSegmenter(t, len(payloads)), r.addr()
 	rxFrames := r.reg.Counter("wire.rx.frames")
 	turn := func() {
-		for _, f := range frames {
-			if _, err := r.client.Write(f); err != nil {
-				panic(fmt.Sprint("client write: ", err))
+		for _, p := range payloads {
+			if err := in.queue(to, p, 0); err != nil {
+				panic(fmt.Sprint("queue: ", err))
 			}
 		}
-		for n := uint64(0); n < uint64(len(frames)); {
+		if err := in.flush(); err != nil {
+			panic(fmt.Sprint("flush: ", err))
+		}
+		for n := uint64(0); n < uint64(len(payloads)); {
 			rx := rxFrames.Value()
 			if err := r.w.burst(); err != nil {
 				panic(fmt.Sprint("burst: ", err))
@@ -333,11 +440,16 @@ func TestBurstZeroAlloc(t *testing.T) {
 		}
 	}
 	turn() // dial the next hops, grow the per-hop queues
+	if segmentOffload {
+		if reads := r.counter("wire.rx.reads"); reads != 4 {
+			t.Fatalf("16 frames in 4 runs took %d reads, want 4", reads)
+		}
+	}
 	if avg := testing.AllocsPerRun(200, turn); avg != 0 {
-		t.Fatalf("a burst of %d frames allocates %.2f times, want 0", len(frames), avg)
+		t.Fatalf("a burst of %d frames allocates %.2f times, want 0", len(payloads), avg)
 	}
 	// This turn, AllocsPerRun's warm-up and its 200 runs all went out.
-	if tx := r.counter("wire.tx.frames"); tx != 202*uint64(len(frames)) {
-		t.Fatalf("tx.frames = %d, want %d", tx, 202*len(frames))
+	if tx := r.counter("wire.tx.frames"); tx != 202*uint64(len(payloads)) {
+		t.Fatalf("tx.frames = %d, want %d", tx, 202*len(payloads))
 	}
 }

@@ -143,3 +143,44 @@ func FuzzTracedFrameRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzReadBurst feeds the receive split arbitrary (read, segment size, MTU)
+// triples: it must walk any read to its end, take every datagram but the
+// last at the segment size, cut no frame longer than the MTU, and lose
+// nothing it did not cut — each frame followed by what was cut off it
+// concatenates back to the read, so with no datagram over the MTU the
+// frames alone do.
+func FuzzReadBurst(f *testing.F) {
+	f.Add(make([]byte, 66), uint16(0), uint16(2048))
+	f.Add(make([]byte, 66), uint16(66), uint16(2048))
+	f.Add(make([]byte, 3*66+10), uint16(66), uint16(2048))
+	f.Add(make([]byte, 66), uint16(2048), uint16(2048))
+	f.Add(make([]byte, 3000), uint16(0), uint16(2048))
+	f.Add([]byte{}, uint16(0), uint16(1))
+
+	f.Fuzz(func(t *testing.T, read []byte, seg, mtu uint16) {
+		m := max(int(mtu), 1) // a dataplane's MTU is positive
+		var joined []byte
+		rest := read
+		for frames := 1; ; frames++ {
+			if frames > len(read)+1 {
+				t.Fatalf("%d frames out of a %d-byte read", frames, len(read))
+			}
+			frame, next := nextFrame(rest, int(seg), m)
+			took := rest[:len(rest)-len(next)]
+			if len(frame) != min(len(took), m) || !bytes.Equal(frame, took[:len(frame)]) {
+				t.Fatalf("frame %d: %d bytes of a %d-byte datagram, MTU %d", frames, len(frame), len(took), m)
+			}
+			if len(next) > 0 && len(took) != int(seg) {
+				t.Fatalf("frame %d: a %d-byte datagram before the last, segment size %d", frames, len(took), seg)
+			}
+			joined = append(append(joined, frame...), took[len(frame):]...)
+			if rest = next; len(rest) == 0 {
+				break
+			}
+		}
+		if !bytes.Equal(joined, read) {
+			t.Fatalf("frames and cuts make %x, want the read %x", joined, read)
+		}
+	})
+}
