@@ -89,7 +89,8 @@ vuln:
 
 # Smoke of every decoder's fuzz targets, 5 s each — packet parsing, the
 # wire frame and control-message codecs, the split of a coalesced read into
-# frames, the delta codec — and of the flow-pin table against its model: each corpus gets a short randomized walk, enough
+# frames, the delta codec — of the flow-pin table against its model, and of
+# the placement scan's early exits against the full sum: each corpus gets a short randomized walk, enough
 # to catch a fresh regression without turning CI into a fuzz farm. `go test
 # -fuzz` takes one target per invocation, so the package:Target pairs run
 # back to back.
@@ -100,7 +101,7 @@ FUZZ_TARGETS = \
 	wire:FuzzDecodeFrameTrace wire:FuzzTracedFrameRoundTrip wire:FuzzReadMsg \
 	wire:FuzzReadBurst \
 	delta:FuzzDeltaDecode delta:FuzzDeltaRoundTrip \
-	steer:FuzzPins
+	steer:FuzzPins assign:FuzzEvaluateMatchesFullSum
 fuzz-smoke:
 	@for pt in $(FUZZ_TARGETS); do \
 		t=$${pt#*:}; echo "fuzz $$t"; \

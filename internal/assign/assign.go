@@ -326,6 +326,10 @@ type assigner struct {
 	// commitVec, which clears candsFresh, and liveness is fixed for the round.
 	cands      []topology.SwitchID
 	candsFresh bool
+
+	// The round's infeasible link-tested evaluations: those a hint probe
+	// settled, and those a walk did. Tests read them; nothing else does.
+	probeRejects, walkRejects int
 }
 
 func newAssigner(net *netsim.Network, work *workload.Workload, epoch int, opts Options) *assigner {
@@ -422,7 +426,7 @@ func (a *assigner) loadDIPRacks(v *workload.VIP) {
 
 // vecFn receives one precomputed unit-flow vector and the rate riding it, and
 // reports whether the visit should go on.
-type vecFn func(vec []netsim.LinkFrac, rate float64) bool
+type vecFn func(vec netsim.Vec, rate float64) bool
 
 // flows visits the load vectors created by placing VIP v on switch s.
 func (a *assigner) flows(v *workload.VIP, rate float64, s topology.SwitchID, fn vecFn) bool {
@@ -445,13 +449,13 @@ func visitFlowVecs(net *netsim.Network, v *workload.VIP, rate float64, s topolog
 		if !net.SwitchUp(src) {
 			continue // sources inside a failed domain vanish
 		}
-		vec, err := net.UnitFlow(src, s)
+		vec, err := net.UnitVec(src, s)
 		if err != nil || !fn(vec, intra*sw.Weight) {
 			return false
 		}
 	}
 	if v.InternetFrac > 0 {
-		vec, err := net.InternetFlow(s)
+		vec, err := net.InternetVec(s)
 		if err != nil || !fn(vec, rate*v.InternetFrac) {
 			return false
 		}
@@ -462,7 +466,7 @@ func visitFlowVecs(net *netsim.Network, v *workload.VIP, rate float64, s topolog
 		if dst == s || !net.SwitchUp(dst) {
 			continue
 		}
-		vec, err := net.UnitFlow(s, dst)
+		vec, err := net.UnitVec(s, dst)
 		if err != nil || !fn(vec, rate*frac) {
 			return false
 		}
@@ -475,15 +479,19 @@ func visitFlowVecs(net *netsim.Network, v *workload.VIP, rate float64, s topolog
 // Greedy/Random, or the L2 norm for BestFit. feasible is false if any
 // touched resource would exceed 100% of its effective capacity.
 //
-// Most candidates do not fit, and evaluate proves that early: first the
-// Internet-ingress term alone (every candidate has it, and it is usually the
-// heaviest) against each link it touches, then the full sum, which stops at
-// the first link whose running sum fails the final test. Both exits are
-// exact. Every term r*Frac is ≥ 0, and IEEE round-to-nearest addition and
-// division by a positive capacity are monotone, so a single term or a partial
-// sum that fails the test means the full sum fails it too. Only infeasible
-// candidates stop early, and callers read nothing of an infeasible result
-// but feasible == false: every feasible score is the full sum's.
+// Most candidates do not fit, and evaluate proves that early, in three
+// steps: each term alone at its vector's tight-link hint (the link at which a
+// term on that vector last failed; loads only grow within a round, so it
+// almost always fails again), then the Internet-ingress term alone (every
+// candidate has it, and it is usually the heaviest) against each link it
+// touches, then the full sum, which stops at the first link whose running sum
+// fails the final test. The two walks record where they fail as the failing
+// vector's new hint. Every exit is exact. Every term r*Frac is ≥ 0, and IEEE
+// round-to-nearest addition and division by a positive capacity are
+// monotone, so a single term or a partial sum that fails the test means the
+// full sum fails it too. Only infeasible candidates stop early, and callers
+// read nothing of an infeasible result but feasible == false: every feasible
+// score is the full sum's.
 func (a *assigner) evaluate(v *workload.VIP, rate float64, s topology.SwitchID) (mru float64, feasible bool) {
 	if !a.net.SwitchUp(s) {
 		return math.Inf(1), false
@@ -493,19 +501,28 @@ func (a *assigner) evaluate(v *workload.VIP, rate float64, s topology.SwitchID) 
 	if memU > 1 {
 		return math.Inf(1), false
 	}
+	var inet netsim.Vec // the zero Vec, empty, without an Internet share
 	if v.InternetFrac > 0 {
-		vec, err := a.net.InternetFlow(s)
-		if err != nil {
+		var err error
+		if inet, err = a.net.InternetVec(s); err != nil {
 			return math.Inf(1), false
 		}
-		r := rate * v.InternetFrac
-		for _, lf := range vec {
-			if a.over(lf.Dir, r*lf.Frac) {
-				return math.Inf(1), false
-			}
+	}
+	r := rate * v.InternetFrac
+	// The Internet term, usually the heaviest, is probed first.
+	if !a.fitsAtHint(inet, r) || !a.flows(v, rate, s, a.fitsAtHint) {
+		a.probeRejects++
+		return math.Inf(1), false
+	}
+	for k, lf := range inet.Links() {
+		if a.over(lf.Dir, r*lf.Frac) {
+			inet.SetTight(k)
+			a.walkRejects++
+			return math.Inf(1), false
 		}
 	}
 	if !a.accumulate(v, rate, s, true) {
+		a.walkRejects++
 		return math.Inf(1), false
 	}
 	// Every touched link passed the final test as its sum grew, so no u
@@ -551,22 +568,35 @@ func (a *assigner) contribution(v *workload.VIP, rate float64, s topology.Switch
 	return out, true
 }
 
+// fitsAtHint reports whether the term r*vec passes the final feasibility
+// test alone at vec's tight-link hint.
+func (a *assigner) fitsAtHint(vec netsim.Vec, r float64) bool {
+	links := vec.Links()
+	if len(links) == 0 {
+		return true
+	}
+	lf := links[vec.Tight()]
+	return !a.over(lf.Dir, r*lf.Frac)
+}
+
 // accumulate resets the touched-link buffers and sums into them, in first-touch
 // order, every flow vector of placing VIP v on switch s. With exitOver it
 // stops at the first link whose running sum fails the final feasibility
-// test. It reports false if a path is unroutable or the sum stopped.
+// test, and makes that link its vector's hint. It reports false if a path is
+// unroutable or the sum stopped.
 func (a *assigner) accumulate(v *workload.VIP, rate float64, s topology.SwitchID, exitOver bool) bool {
 	for _, d := range a.dirty {
 		a.touched[d] = 0
 	}
 	a.dirty = a.dirty[:0]
-	return a.flows(v, rate, s, func(vec []netsim.LinkFrac, r float64) bool {
-		for _, lf := range vec {
+	return a.flows(v, rate, s, func(vec netsim.Vec, r float64) bool {
+		for k, lf := range vec.Links() {
 			if a.touched[lf.Dir] == 0 {
 				a.dirty = append(a.dirty, lf.Dir)
 			}
 			a.touched[lf.Dir] += r * lf.Frac
 			if exitOver && a.over(lf.Dir, a.touched[lf.Dir]) {
+				vec.SetTight(k)
 				return false
 			}
 		}

@@ -95,6 +95,20 @@ func vipSig(v *workload.VIP) uint64 {
 	return h
 }
 
+// Orphan moves VIP i to the SMux tier in a — the cluster refused its
+// placement, or a DIP change took it off its switch — and marks it changed in
+// a's incremental cache, so the next ComputeDelta re-places it as the next
+// ComputeSticky does, even when its rate and DIP racks did not change.
+func (a *Assignment) Orphan(i int) {
+	a.SwitchOf[i] = Unassigned // already so for a NIC-tier VIP
+	a.TierOf[i] = TierSMux
+	if a.delta != nil {
+		// NaN equals no rate, so the dirty test reads the VIP as changed on
+		// both engine paths, which share it.
+		a.delta.rates[i] = math.NaN()
+	}
+}
+
 // computeFrom runs the stable placement from scratch: every VIP's flow
 // vectors are rebuilt, but previous feasible homes are kept (pass 1) and
 // only changed/evicted VIPs are greedily re-placed (pass 2). It is the

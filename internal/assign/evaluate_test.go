@@ -1,6 +1,7 @@
 package assign
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -26,8 +27,8 @@ func (a *assigner) evaluateFullSum(v *workload.VIP, rate float64, s topology.Swi
 		a.touched[d] = 0
 	}
 	a.dirty = a.dirty[:0]
-	ok := a.flows(v, rate, s, func(vec []netsim.LinkFrac, r float64) bool {
-		for _, lf := range vec {
+	ok := a.flows(v, rate, s, func(vec netsim.Vec, r float64) bool {
+		for _, lf := range vec.Links() {
 			if a.touched[lf.Dir] == 0 {
 				a.dirty = append(a.dirty, lf.Dir)
 			}
@@ -104,13 +105,97 @@ func checkEvaluate(t *testing.T, label string, a *assigner, v *workload.VIP, rat
 	return fit, unfit
 }
 
+// eachVec calls fn on every flow vector the placement can read on net: the
+// unit flow of every routable switch pair and every switch's Internet
+// ingress.
+func eachVec(net *netsim.Network, fn func(netsim.Vec)) {
+	for d := 0; d < net.Topo.NumSwitches(); d++ {
+		dst := topology.SwitchID(d)
+		if v, err := net.InternetVec(dst); err == nil {
+			fn(v)
+		}
+		for s := 0; s < net.Topo.NumSwitches(); s++ {
+			if v, err := net.UnitVec(topology.SwitchID(s), dst); err == nil {
+				fn(v)
+			}
+		}
+	}
+}
+
+// hinted counts the vectors of net whose hint is not 0, and fails t if any
+// hint is not a position in its vector.
+func hinted(t *testing.T, net *netsim.Network) int {
+	t.Helper()
+	n := 0
+	eachVec(net, func(v netsim.Vec) {
+		if k := v.Tight(); k != 0 {
+			if k < 0 || k >= len(v.Links()) {
+				t.Fatalf("hint %d in a vector of %d links", k, len(v.Links()))
+			}
+			n++
+		}
+	})
+	return n
+}
+
+// checkRound places every VIP of w's epoch 0 on net, with evaluate on one
+// round and the full sum on a twin, holding evaluate to the reference on
+// every switch, at three rates, for every 7th VIP, and the two scans to the
+// same pick and the same RNG draws. It fails t if the check was vacuous:
+// no feasible evaluation, fewer infeasible than feasible, or no scan placed.
+func checkRound(t *testing.T, label string, net *netsim.Network, w *workload.Workload, opts Options) {
+	t.Helper()
+	opts = opts.withDefaults()
+	a, order, err := newRound(net, w, 0, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, _, err := newRound(net, w, 0, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(opts.Seed))
+	var fit, unfit, picked int
+	for k, vi := range order {
+		v, rate := &w.VIPs[vi], w.Rates[0][vi]
+		if k%7 == 0 {
+			for _, scale := range []float64{0.25, 1, 1 + 3*rng.Float64()} {
+				f, u := checkEvaluate(t, label, a, v, rate*scale)
+				fit, unfit = fit+f, unfit+u
+			}
+			a.loadDIPRacks(v)
+			ref.loadDIPRacks(v)
+			got, gotMRU := a.scan(v, rate)
+			want, wantMRU := ref.scanFullSum(v, rate)
+			if got != want || math.Float64bits(gotMRU) != math.Float64bits(wantMRU) {
+				t.Fatalf("%s: VIP %d: scan picked %d (%v), the full sum %d (%v)", label, vi, got, gotMRU, want, wantMRU)
+			}
+			if got >= 0 {
+				picked++
+			}
+			if x, y := a.rng.Int63(), ref.rng.Int63(); x != y {
+				t.Fatalf("%s: VIP %d: the scans left the RNG apart (%d vs %d)", label, vi, x, y)
+			}
+		}
+		a.place(vi, Unassigned)
+		ref.place(vi, Unassigned)
+	}
+	// Not vacuous: both answers occur, and most candidates do not fit.
+	if fit == 0 || unfit < fit || picked == 0 {
+		t.Fatalf("%s: %d feasible, %d infeasible evaluations, %d scans placed", label, fit, unfit, picked)
+	}
+}
+
 // TestEvaluateMatchesFullSum holds the early-exit evaluate to the full-sum
 // reference: over seeded fabric states filled by the placement itself, every
-// switch for a sample of VIPs at several rates, under Greedy and BestFit;
-// then over hand-built edges — a link exactly at capacity and one ulp over,
-// rate 0, no Internet share, an unroutable path, a VIP larger than a table.
-// scan over the same state picks the same switch and draws the round's RNG
-// the same number of times.
+// switch for a sample of VIPs at several rates, under Greedy and BestFit, on
+// a fresh Network and again on one that carries the tight-link hints the
+// first round learned; then over hint states made on purpose — dropped by a
+// failure-state change, and forced onto slack links — and over hand-built
+// edges — a link exactly at capacity and one ulp over, rate 0, no Internet
+// share, an unroutable path, a VIP larger than a table. scan over the same
+// state picks the same switch and draws the round's RNG the same number of
+// times.
 func TestEvaluateMatchesFullSum(t *testing.T) {
 	for _, strat := range []Strategy{Greedy, BestFit} {
 		for _, seed := range []int64{1, 2, 3} {
@@ -121,47 +206,70 @@ func TestEvaluateMatchesFullSum(t *testing.T) {
 			}
 			opts := DefaultOptions()
 			opts.Seed, opts.Strategy, opts.ContinueOnFail = seed, strat, true
-			opts = opts.withDefaults()
-			a, order, err := newRound(net, w, 0, opts)
-			if err != nil {
-				t.Fatal(err)
+			checkRound(t, fmt.Sprintf("strategy %d seed %d", strat, seed), net, w, opts)
+			if hinted(t, net) == 0 {
+				t.Fatalf("strategy %d seed %d: the round learned no hint", strat, seed)
 			}
-			ref, _, err := newRound(net, w, 0, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(seed))
-			var fit, unfit, picked int
-			for k, vi := range order {
-				v, rate := &w.VIPs[vi], w.Rates[0][vi]
-				if k%7 == 0 {
-					for _, scale := range []float64{0.25, 1, 1 + 3*rng.Float64()} {
-						f, u := checkEvaluate(t, "seeded", a, v, rate*scale)
-						fit, unfit = fit+f, unfit+u
-					}
-					a.loadDIPRacks(v)
-					ref.loadDIPRacks(v)
-					got, gotMRU := a.scan(v, rate)
-					want, wantMRU := ref.scanFullSum(v, rate)
-					if got != want || math.Float64bits(gotMRU) != math.Float64bits(wantMRU) {
-						t.Fatalf("strategy %d seed %d VIP %d: scan picked %d (%v), the full sum %d (%v)", strat, seed, vi, got, gotMRU, want, wantMRU)
-					}
-					if got >= 0 {
-						picked++
-					}
-					if x, y := a.rng.Int63(), ref.rng.Int63(); x != y {
-						t.Fatalf("strategy %d seed %d VIP %d: the scans left the RNG apart (%d vs %d)", strat, seed, vi, x, y)
-					}
-				}
-				a.place(vi, Unassigned)
-				ref.place(vi, Unassigned)
-			}
-			// Not vacuous: both answers occur, and most candidates do not fit.
-			if fit == 0 || unfit < fit || picked == 0 {
-				t.Fatalf("strategy %d seed %d: %d feasible, %d infeasible evaluations, %d scans placed", strat, seed, fit, unfit, picked)
-			}
+			checkRound(t, fmt.Sprintf("strategy %d seed %d, learned hints", strat, seed), net, w, opts)
 		}
 	}
+
+	t.Run("failure-clears-hints", func(t *testing.T) {
+		net, w := smallWorld(t, 300, 1e12, 9)
+		opts := DefaultOptions()
+		opts.ContinueOnFail = true
+		checkRound(t, "learning", net, w, opts)
+		if hinted(t, net) == 0 {
+			t.Fatal("the round learned no hint")
+		}
+		agg := net.Topo.AggID(2, 1)
+		net.FailSwitch(agg)
+		if n := hinted(t, net); n != 0 {
+			t.Fatalf("%d hints survived FailSwitch", n)
+		}
+		checkRound(t, "after FailSwitch", net, w, opts)
+		net.RecoverSwitch(agg)
+		if n := hinted(t, net); n != 0 {
+			t.Fatalf("%d hints survived RecoverSwitch", n)
+		}
+		checkRound(t, "after RecoverSwitch", net, w, opts)
+	})
+
+	t.Run("stale-hints", func(t *testing.T) {
+		// Half the VIPs placed, then every hint forced onto its vector's
+		// least-utilized link: the probes miss, the walks decide.
+		net, w := smallWorld(t, 300, 1e12, 10)
+		opts := DefaultOptions()
+		opts.ContinueOnFail = true
+		a, order, err := newRound(net, w, 0, opts.withDefaults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, vi := range order[:150] {
+			a.place(vi, Unassigned)
+		}
+		slack := func() {
+			eachVec(net, func(v netsim.Vec) {
+				best, bestU := 0, math.Inf(1)
+				for k, lf := range v.Links() {
+					if u := a.loads[lf.Dir] / a.effCap[lf.Dir]; u < bestU {
+						best, bestU = k, u
+					}
+				}
+				v.SetTight(best)
+			})
+		}
+		a.probeRejects, a.walkRejects = 0, 0
+		unfit := 0
+		for _, vi := range order[150:200] {
+			slack()
+			_, u := checkEvaluate(t, "stale hints", a, &w.VIPs[vi], w.Rates[0][vi])
+			unfit += u
+		}
+		if unfit == 0 || a.walkRejects == 0 {
+			t.Fatalf("%d infeasible evaluations, %d settled by a walk: the stale hints were never missed", unfit, a.walkRejects)
+		}
+	})
 
 	t.Run("at-capacity", func(t *testing.T) {
 		for _, strat := range []Strategy{Greedy, BestFit} {
@@ -267,6 +375,70 @@ func TestEvaluateMatchesFullSum(t *testing.T) {
 			t.Fatalf("%d switches feasible for 5 DIPs in a 4-entry table", fit)
 		}
 	})
+}
+
+// FuzzEvaluateMatchesFullSum holds evaluate to the full-sum reference on
+// fuzzed fabric states: a seeded workload, a scale on the rates checked, one
+// failed switch (or none) and a strategy. The heavier half of the VIPs is
+// placed first, so loads and tight-link hints are warm; then every switch is
+// checked for the next few VIPs, each placed after its check.
+func FuzzEvaluateMatchesFullSum(f *testing.F) {
+	f.Add(int64(1), 1.0, -1, uint8(Greedy))
+	f.Add(int64(2), 0.25, 3, uint8(BestFit))
+	f.Add(int64(3), 4.0, 50, uint8(Random))
+	f.Add(int64(4), 0.0, 40, uint8(Greedy))
+	f.Fuzz(func(t *testing.T, seed int64, scale float64, failed int, strat uint8) {
+		if !(scale >= 0) || math.IsInf(scale, 1) {
+			t.Skip("rates are finite and not negative")
+		}
+		net, w := smallWorld(t, 100, 1e12, seed)
+		if failed >= 0 && failed < net.Topo.NumSwitches() {
+			net.FailSwitch(topology.SwitchID(failed))
+		}
+		opts := DefaultOptions()
+		opts.Seed, opts.Strategy, opts.ContinueOnFail = seed, Strategy(strat%3), true
+		a, order, err := newRound(net, w, 0, opts.withDefaults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, vi := range order[:50] {
+			a.place(vi, Unassigned)
+		}
+		for _, vi := range order[50:60] {
+			checkEvaluate(t, "fuzzed", a, &w.VIPs[vi], w.Rates[0][vi]*scale)
+			a.place(vi, Unassigned)
+		}
+	})
+}
+
+// TestProbesSettleRejections: on a saturated fabric, where most candidates
+// do not fit, the probes at the tight-link hints settle at least 90 % of the
+// infeasible evaluations that reach the link tests, so the walks run for
+// few of them. A refactor that drops or breaks the hints fails here, though
+// every decision would stay the same.
+func TestProbesSettleRejections(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		net, w := smallWorld(t, 300, 1e12, seed)
+		opts := DefaultOptions()
+		opts.Seed, opts.ContinueOnFail = seed, true
+		a, order, err := newRound(net, w, 0, opts.withDefaults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, vi := range order {
+			a.place(vi, Unassigned)
+		}
+		probe, walk := a.probeRejects, a.walkRejects
+		if probe+walk < 1000 || a.res.NumAssigned == 0 {
+			t.Fatalf("seed %d: %d link-tested rejections and %d VIPs placed; the fabric is not saturated", seed, probe+walk, a.res.NumAssigned)
+		}
+		if share := float64(probe) / float64(probe+walk); share < 0.9 {
+			t.Errorf("seed %d: probes settled %d of %d rejections (%.1f %%), want ≥ 90 %%", seed, probe, probe+walk, 100*share)
+		}
+		if hinted(t, net) == 0 {
+			t.Errorf("seed %d: the round learned no hint; the probes read position 0 only", seed)
+		}
+	}
 }
 
 // TestZeroAllocScan gates the candidate scan on a warmed round: evaluating

@@ -36,8 +36,8 @@ func FullLoads(net *netsim.Network, work *workload.Workload, epoch int, asg *Ass
 		return nil, fmt.Errorf("assign: epoch %d out of range", epoch)
 	}
 	loads := net.NewLoads()
-	add := func(vec []netsim.LinkFrac, r float64) bool {
-		for _, lf := range vec {
+	add := func(vec netsim.Vec, r float64) bool {
+		for _, lf := range vec.Links() {
 			loads[lf.Dir] += r * lf.Frac
 		}
 		return true

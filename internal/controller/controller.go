@@ -158,7 +158,8 @@ func (ct *Controller) RunEpochDelta(w *workload.Workload, epoch int) (EpochRepor
 // switch or mode moved since the previous assignment is a target of one
 // Cluster.Place, which migrates through the SMux stepping stone, so no switch
 // or NIC holds old and new state at once (no Figure 4 deadlock). A refused VIP
-// stays SMux-tier in next, the next epoch's previous assignment, to retry.
+// is orphaned in next, the next epoch's previous assignment, so either engine
+// path retries it.
 func (ct *Controller) applyEpoch(w *workload.Workload, epoch int, next *assign.Assignment) EpochReport {
 	rep := EpochReport{
 		Epoch:            epoch,
@@ -209,7 +210,7 @@ func (ct *Controller) applyEpoch(w *workload.Workload, epoch int, next *assign.A
 			rep.Refused++
 			ct.tel.placeRefused.Inc()
 			ct.tel.rec.Record(telemetry.KindMigrationStep, uint32(epoch), uint32(t.Addr), uint32(next.SwitchOf[i]), 0)
-			orphanIndex(next, i)
+			next.Orphan(i)
 		case moved(i) && next.TierOf[i] != assign.TierSMux:
 			// Migration step 2: the VIP's new home is announced/programmed.
 			ct.tel.rec.Record(telemetry.KindMigrationStep, uint32(epoch), uint32(t.Addr), uint32(next.SwitchOf[i]), 2)
@@ -222,10 +223,11 @@ func (ct *Controller) applyEpoch(w *workload.Workload, epoch int, next *assign.A
 
 // AddDIP grows a VIP's backend set (§5.2 "DIP addition") in one Place call.
 // A VIP on an HMux leaves its switches in the same batch, so the SMuxes'
-// connection state masks the hash change; the next epoch migrates it back.
-// A NIC-hosted VIP updates in place — its pinned flows keep their DIPs, as
-// the SMuxes' do — unless the grown set no longer fits the NIC tables: then
-// it leaves that tier, and the next epoch re-places it; not an error here.
+// connection state masks the hash change; the next epoch, RunEpoch or
+// RunEpochDelta alike, migrates it back. A NIC-hosted VIP updates in place —
+// its pinned flows keep their DIPs, as the SMuxes' do — unless the grown set
+// no longer fits the NIC tables: then it leaves that tier, and the next epoch
+// re-places it; not an error here.
 func (ct *Controller) AddDIP(vip packet.Addr, b service.Backend) error {
 	v, ok := ct.Cluster.VIP(vip)
 	if !ok {
@@ -247,18 +249,13 @@ func (ct *Controller) AddDIP(vip packet.Addr, b service.Backend) error {
 	return nil
 }
 
-// orphan marks a VIP SMux-served in the previous assignment, so the next
-// epoch re-places it.
+// orphan marks a VIP SMux-served, and changed, in the previous assignment
+// (assign.Assignment.Orphan), so the next epoch re-places it on either
+// engine path, RunEpoch's or RunEpochDelta's.
 func (ct *Controller) orphan(vip packet.Addr) {
 	if i, ok := ct.indexOf[vip]; ok && ct.prev != nil {
-		orphanIndex(ct.prev, i)
+		ct.prev.Orphan(i)
 	}
-}
-
-// orphanIndex marks VIP i SMux-served in a.
-func orphanIndex(a *assign.Assignment, i int) {
-	a.SwitchOf[i] = assign.Unassigned // already so for a NIC-tier VIP
-	a.TierOf[i] = assign.TierSMux
 }
 
 // RemoveDIP shrinks a VIP's backend set in place (§5.2 "DIP removal" /
@@ -339,7 +336,7 @@ func (ct *Controller) HandleSwitchFailure(sw topology.SwitchID) {
 	if ct.prev != nil {
 		for i, s := range ct.prev.SwitchOf {
 			if s == int32(sw) {
-				orphanIndex(ct.prev, i)
+				ct.prev.Orphan(i)
 				orphaned++
 			}
 		}

@@ -9,6 +9,7 @@ import (
 
 	"duet/internal/assign"
 	"duet/internal/core"
+	"duet/internal/hmux"
 	"duet/internal/packet"
 	"duet/internal/service"
 	"duet/internal/steer"
@@ -18,6 +19,12 @@ import (
 
 func world(t testing.TB, numVIPs int, rate float64, seed int64) (*core.Cluster, *workload.Workload, *Controller) {
 	t.Helper()
+	return worldTables(t, numVIPs, rate, seed, hmux.Config{})
+}
+
+// worldTables is world with the switches' table sizes set.
+func worldTables(t testing.TB, numVIPs int, rate float64, seed int64, tables hmux.Config) (*core.Cluster, *workload.Workload, *Controller) {
+	t.Helper()
 	topoCfg := topology.Config{
 		Containers:       2,
 		ToRsPerContainer: 4,
@@ -26,9 +33,10 @@ func world(t testing.TB, numVIPs int, rate float64, seed int64) (*core.Cluster, 
 		ServersPerToR:    10,
 	}
 	c, err := core.New(core.Config{
-		Topology:  topoCfg,
-		NumSMuxes: 3,
-		Aggregate: packet.MustParsePrefix("10.0.0.0/8"),
+		Topology:   topoCfg,
+		NumSMuxes:  3,
+		Aggregate:  packet.MustParsePrefix("10.0.0.0/8"),
+		HMuxTables: tables,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -184,6 +192,80 @@ func TestAddDIPBouncesThroughSMux(t *testing.T) {
 // TestRemoveDIPLeavesCallersVIPAlone: the cluster edits its own record of a
 // VIP in place, so AddVIP must not share the caller's backend arrays — a
 // removal used to shift the caller's slice to {B,C,C}.
+// TestOrphanReplacedByDeltaEngine: a VIP taken off its switch between epochs
+// — by AddDIP, then by a refused Place — is re-placed by the next epoch on
+// the incremental engine, as on the sticky one, though its rate and DIP
+// racks did not change.
+func TestOrphanReplacedByDeltaEngine(t *testing.T) {
+	const hostTable = 8
+	c, w, ct := worldTables(t, 40, 5e10, 4, hmux.Config{HostTableSize: hostTable})
+	if _, err := ct.RunEpoch(w, 0); err != nil {
+		t.Fatal(err)
+	}
+	for e := 1; e < w.NumEpochs(); e++ {
+		copy(w.Rates[e], w.Rates[0])
+	}
+	vi := slices.Index(ct.Previous().TierOf, assign.TierHMux)
+	if vi < 0 {
+		t.Fatal("epoch 0 put no VIP on an HMux")
+	}
+	vip := w.VIPs[vi].Addr
+	onHMux := func() bool { _, ok := c.HomeOf(vip); return ok }
+
+	// AddDIP takes the VIP off its switch; the sticky engine would put it back.
+	if err := ct.AddDIP(vip, service.Backend{Addr: packet.MustParseAddr("100.99.0.1"), Weight: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if onHMux() {
+		t.Fatal("VIP still on its HMux after AddDIP")
+	}
+	if sticky, err := assign.ComputeSticky(c.Net, w, 1, ct.Previous(), ct.Opts); err != nil || sticky.TierOf[vi] != assign.TierHMux {
+		t.Fatalf("the sticky engine leaves the orphan on tier %v (%v)", sticky.TierOf[vi], err)
+	}
+	rep, err := ct.RunEpochDelta(w, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Moved != 1 || !onHMux() {
+		t.Fatalf("epoch 1 moved %d VIPs; the orphan is back on an HMux: %v", rep.Moved, onHMux())
+	}
+
+	// Fill every switch's host table, so the next return is refused.
+	if err := ct.AddDIP(vip, service.Backend{Addr: packet.MustParseAddr("100.99.0.2"), Weight: 1}); err != nil {
+		t.Fatal(err)
+	}
+	var fillers []core.Target
+	for sw, m := range c.HMuxes {
+		for i := m.Stats().HostUsed; i < hostTable; i++ {
+			addr := packet.AddrFrom4(10, 200, byte(sw), byte(i))
+			fillers = append(fillers, core.Target{Addr: addr, Switches: []topology.SwitchID{topology.SwitchID(sw)},
+				VIP: &service.VIP{Addr: addr, Backends: []service.Backend{{Addr: packet.AddrFrom4(100, 200, byte(sw), byte(i)), Weight: 1}}}})
+		}
+	}
+	c.Place(fillers)
+	for _, f := range fillers {
+		if f.Err != nil {
+			t.Fatalf("filler %s: %v", f.Addr, f.Err)
+		}
+	}
+	if rep, err = ct.RunEpochDelta(w, 2); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Refused != 1 || onHMux() {
+		t.Fatalf("epoch 2 refused %d placements, want the orphan's 1; the VIP is on an HMux: %v", rep.Refused, onHMux())
+	}
+	for i := range fillers {
+		fillers[i] = core.Target{Addr: fillers[i].Addr, Remove: true}
+	}
+	c.Place(fillers)
+	if rep, err = ct.RunEpochDelta(w, 3); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Moved != 1 || rep.Refused != 0 || !onHMux() {
+		t.Fatalf("epoch 3 moved %d and refused %d VIPs; the refused VIP is back on an HMux: %v", rep.Moved, rep.Refused, onHMux())
+	}
+}
+
 func TestRemoveDIPLeavesCallersVIPAlone(t *testing.T) {
 	c, _, ct := world(t, 4, 5e10, 7)
 	dip := func(i byte) service.Backend {

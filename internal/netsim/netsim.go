@@ -55,6 +55,47 @@ type Network struct {
 	vecs    [][]LinkFrac
 	flowIdx []int32
 	inetIdx []int32
+	// tight[i] is vecs[i]'s tight-link hint (see Vec), dropped with the
+	// vectors on a failure-state change.
+	tight []int32
+}
+
+// Vec is a handle on one memoised flow vector and its tight-link hint: the
+// position in Links of the link at which a placement term riding the vector
+// last failed the feasibility test, 0 until one has. The placement scan
+// probes a term at its hint first, because loads only grow within a round
+// and the link that rejected a term a moment ago almost always rejects the
+// next one. The hint is only a hint: a stale one costs a probe, never a
+// decision. A Vec is valid until the Network's next failure-state change;
+// the zero Vec is the empty vector of a flow that stays on its switch.
+type Vec struct {
+	n *Network
+	i int32 // index in n.vecs
+}
+
+// Links returns the vector. The slice is cached and must not be mutated.
+func (v Vec) Links() []LinkFrac {
+	if v.n == nil {
+		return nil
+	}
+	return v.n.vecs[v.i]
+}
+
+// Tight returns the vector's hint, a valid position in Links when Links is
+// not empty.
+func (v Vec) Tight() int {
+	if v.n == nil {
+		return 0
+	}
+	return int(v.n.tight[v.i])
+}
+
+// SetTight records position k of Links as the vector's hint; a k outside
+// Links is ignored.
+func (v Vec) SetTight(k int) {
+	if v.n != nil && k >= 0 && k < len(v.n.vecs[v.i]) {
+		v.n.tight[v.i] = int32(k)
+	}
 }
 
 // New creates a Network over topo with no failures.
@@ -66,10 +107,17 @@ func New(topo *topology.Topology) *Network {
 	}
 }
 
-// remember appends vec to the vector list and returns its index slot value.
+// remember appends vec, with a hint of 0, to the vector list and returns its
+// index slot value.
 func (n *Network) remember(vec []LinkFrac) int32 {
 	n.vecs = append(n.vecs, vec)
+	n.tight = append(n.tight, 0)
 	return int32(len(n.vecs))
+}
+
+// vec returns the Vec of index slot value slot.
+func (n *Network) vec(slot int32) Vec {
+	return Vec{n: n, i: slot - 1}
 }
 
 // NumDirLinks returns the number of directed links (2 per physical link).
@@ -91,6 +139,7 @@ func (n *Network) invalidate() {
 	clear(n.inetIdx)
 	clear(n.vecs)
 	n.vecs = n.vecs[:0]
+	n.tight = n.tight[:0]
 }
 
 // FailSwitch marks a switch down. All its links stop carrying traffic.
@@ -168,26 +217,26 @@ func (n *Network) dist(dst topology.SwitchID) []int32 {
 	return d
 }
 
-// UnitFlow returns the sparse per-directed-link load vector for one unit of
-// traffic from src to dst, ECMP-split equally across all shortest paths.
-// The returned slice is cached and must not be mutated.
-func (n *Network) UnitFlow(src, dst topology.SwitchID) ([]LinkFrac, error) {
+// UnitVec returns the sparse per-directed-link load vector for one unit of
+// traffic from src to dst, ECMP-split equally across all shortest paths,
+// with its tight-link hint. The vector is cached per pair.
+func (n *Network) UnitVec(src, dst topology.SwitchID) (Vec, error) {
 	if src == dst {
-		return nil, nil
+		return Vec{}, nil
 	}
 	if n.flowIdx == nil {
 		n.flowIdx = make([]int32, len(n.downSwitch)*len(n.downSwitch))
 	}
 	slot := &n.flowIdx[int(src)*len(n.downSwitch)+int(dst)]
 	if *slot != 0 {
-		return n.vecs[*slot-1], nil
+		return n.vec(*slot), nil
 	}
 	if n.downSwitch[src] || n.downSwitch[dst] {
-		return nil, ErrUnreachable
+		return Vec{}, ErrUnreachable
 	}
 	d := n.dist(dst)
 	if d[src] < 0 {
-		return nil, ErrUnreachable
+		return Vec{}, ErrUnreachable
 	}
 
 	// Propagate fractional flow down the shortest-path DAG. Nodes are
@@ -229,7 +278,7 @@ func (n *Network) UnitFlow(src, dst topology.SwitchID) ([]LinkFrac, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Dir < out[j].Dir })
 	*slot = n.remember(out)
-	return out, nil
+	return n.vec(*slot), nil
 }
 
 // direction returns the DirLink for traversing link id out of switch from.
@@ -262,17 +311,17 @@ func (n *Network) MaxUtilization(l Loads) (float64, DirLink) {
 	return best, bestDir
 }
 
-// InternetFlow returns the sparse load vector of one unit of Internet
-// ingress traffic destined to dst: the unit is spread equally over all live
-// core switches (where WAN traffic enters the fabric) and ECMP-routed to
-// dst. The result is cached per destination; callers must not mutate it.
-func (n *Network) InternetFlow(dst topology.SwitchID) ([]LinkFrac, error) {
+// InternetVec returns the sparse load vector of one unit of Internet
+// ingress traffic destined to dst, with its tight-link hint: the unit is
+// spread equally over all live core switches (where WAN traffic enters the
+// fabric) and ECMP-routed to dst. The vector is cached per destination.
+func (n *Network) InternetVec(dst topology.SwitchID) (Vec, error) {
 	if n.inetIdx == nil {
 		n.inetIdx = make([]int32, len(n.downSwitch))
 	}
 	slot := &n.inetIdx[dst]
 	if *slot != 0 {
-		return n.vecs[*slot-1], nil
+		return n.vec(*slot), nil
 	}
 	var cores []topology.SwitchID
 	for i := 0; i < n.Topo.Cfg.Cores; i++ {
@@ -283,16 +332,16 @@ func (n *Network) InternetFlow(dst topology.SwitchID) ([]LinkFrac, error) {
 	if len(cores) == 0 {
 		// dst is the only live core (or none are): ingress terminates there.
 		*slot = n.remember(nil)
-		return nil, nil
+		return n.vec(*slot), nil
 	}
 	acc := map[DirLink]float64{}
 	share := 1.0 / float64(n.Topo.Cfg.Cores)
 	for _, c := range cores {
-		vec, err := n.UnitFlow(c, dst)
+		vec, err := n.UnitVec(c, dst)
 		if err != nil {
-			return nil, err
+			return Vec{}, err
 		}
-		for _, lf := range vec {
+		for _, lf := range vec.Links() {
 			acc[lf.Dir] += share * lf.Frac
 		}
 	}
@@ -302,5 +351,5 @@ func (n *Network) InternetFlow(dst topology.SwitchID) ([]LinkFrac, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Dir < out[j].Dir })
 	*slot = n.remember(out)
-	return out, nil
+	return n.vec(*slot), nil
 }

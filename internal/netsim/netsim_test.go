@@ -12,6 +12,18 @@ func defaultNet(t testing.TB) *Network {
 	return New(topology.MustNew(topology.DefaultConfig()))
 }
 
+// unitFlow is UnitVec's vector alone.
+func (n *Network) unitFlow(src, dst topology.SwitchID) ([]LinkFrac, error) {
+	v, err := n.UnitVec(src, dst)
+	return v.Links(), err
+}
+
+// internetFlow is InternetVec's vector alone.
+func (n *Network) internetFlow(dst topology.SwitchID) ([]LinkFrac, error) {
+	v, err := n.InternetVec(dst)
+	return v.Links(), err
+}
+
 // intoDst sums the flow fractions arriving at dst.
 func intoDst(n *Network, vec []LinkFrac, dst topology.SwitchID) float64 {
 	var sum float64
@@ -30,7 +42,7 @@ func intoDst(n *Network, vec []LinkFrac, dst topology.SwitchID) float64 {
 
 func TestUnitFlowSelf(t *testing.T) {
 	n := defaultNet(t)
-	vec, err := n.UnitFlow(5, 5)
+	vec, err := n.unitFlow(5, 5)
 	if err != nil || len(vec) != 0 {
 		t.Fatalf("self flow = %v, %v; want empty", vec, err)
 	}
@@ -40,7 +52,7 @@ func TestUnitFlowSameContainer(t *testing.T) {
 	n := defaultNet(t)
 	src := n.Topo.TorID(0, 0)
 	dst := n.Topo.TorID(0, 1)
-	vec, err := n.UnitFlow(src, dst)
+	vec, err := n.unitFlow(src, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +82,7 @@ func TestUnitFlowCrossContainer(t *testing.T) {
 	n := defaultNet(t)
 	src := n.Topo.TorID(0, 0)
 	dst := n.Topo.TorID(3, 7)
-	vec, err := n.UnitFlow(src, dst)
+	vec, err := n.unitFlow(src, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +120,7 @@ func TestUnitFlowToAggAndCore(t *testing.T) {
 
 	// VIP assigned to an Agg in the same container: single hop.
 	agg := n.Topo.AggID(2, 1)
-	vec, err := n.UnitFlow(src, agg)
+	vec, err := n.unitFlow(src, agg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +130,7 @@ func TestUnitFlowToAggAndCore(t *testing.T) {
 
 	// VIP assigned to a core switch.
 	core := n.Topo.CoreID(0)
-	vec, err = n.UnitFlow(src, core)
+	vec, err = n.unitFlow(src, core)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,11 +141,11 @@ func TestUnitFlowToAggAndCore(t *testing.T) {
 
 func TestUnitFlowCachedAcrossCalls(t *testing.T) {
 	n := defaultNet(t)
-	a, err := n.UnitFlow(n.Topo.TorID(0, 0), n.Topo.TorID(1, 0))
+	a, err := n.unitFlow(n.Topo.TorID(0, 0), n.Topo.TorID(1, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := n.UnitFlow(n.Topo.TorID(0, 0), n.Topo.TorID(1, 0))
+	b, err := n.unitFlow(n.Topo.TorID(0, 0), n.Topo.TorID(1, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +164,7 @@ func TestFailSwitchReroutes(t *testing.T) {
 	for j := 1; j < 4; j++ {
 		n.FailSwitch(n.Topo.AggID(0, j))
 	}
-	vec, err := n.UnitFlow(src, dst)
+	vec, err := n.unitFlow(src, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,14 +187,14 @@ func TestFailSwitchUnreachable(t *testing.T) {
 	for j := 0; j < 4; j++ {
 		n.FailSwitch(n.Topo.AggID(0, j))
 	}
-	if _, err := n.UnitFlow(src, dst); err != ErrUnreachable {
+	if _, err := n.unitFlow(src, dst); err != ErrUnreachable {
 		t.Fatalf("got %v, want ErrUnreachable", err)
 	}
 
 	// Destination down.
 	n.ClearFailures()
 	n.FailSwitch(dst)
-	if _, err := n.UnitFlow(src, dst); err != ErrUnreachable {
+	if _, err := n.unitFlow(src, dst); err != ErrUnreachable {
 		t.Fatalf("dst down: got %v, want ErrUnreachable", err)
 	}
 }
@@ -196,11 +208,11 @@ func TestFailContainer(t *testing.T) {
 		}
 	}
 	// Cross-container traffic avoiding container 0 still works.
-	if _, err := n.UnitFlow(n.Topo.TorID(1, 0), n.Topo.TorID(2, 0)); err != nil {
+	if _, err := n.unitFlow(n.Topo.TorID(1, 0), n.Topo.TorID(2, 0)); err != nil {
 		t.Fatal(err)
 	}
 	n.ClearFailures()
-	if _, err := n.UnitFlow(n.Topo.TorID(0, 0), n.Topo.TorID(1, 0)); err != nil {
+	if _, err := n.unitFlow(n.Topo.TorID(0, 0), n.Topo.TorID(1, 0)); err != nil {
 		t.Fatalf("after recovery: %v", err)
 	}
 }
@@ -230,7 +242,7 @@ func TestLoadsAndMaxUtilization(t *testing.T) {
 	agg := n.Topo.AggID(0, 0)
 
 	addFlow := func(src, dst topology.SwitchID, rate float64) {
-		vec, err := n.UnitFlow(src, dst)
+		vec, err := n.unitFlow(src, dst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,7 +295,7 @@ func TestUnitFlowConservationSweep(t *testing.T) {
 			if src == dst {
 				continue
 			}
-			vec, err := n.UnitFlow(src, dst)
+			vec, err := n.unitFlow(src, dst)
 			if err != nil {
 				t.Fatalf("%v→%v: %v", src, dst, err)
 			}
@@ -303,7 +315,7 @@ func BenchmarkUnitFlowCold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		clear(n.flowIdx)
 		n.vecs = n.vecs[:0]
-		if _, err := n.UnitFlow(n.Topo.TorID(0, 0), n.Topo.TorID(5, 3)); err != nil {
+		if _, err := n.unitFlow(n.Topo.TorID(0, 0), n.Topo.TorID(5, 3)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -313,7 +325,7 @@ func BenchmarkUnitFlowCached(b *testing.B) {
 	n := defaultNet(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := n.UnitFlow(n.Topo.TorID(0, 0), n.Topo.TorID(5, 3)); err != nil {
+		if _, err := n.unitFlow(n.Topo.TorID(0, 0), n.Topo.TorID(5, 3)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -324,7 +336,7 @@ func TestInternetFlowConservation(t *testing.T) {
 	for _, dst := range []topology.SwitchID{
 		n.Topo.TorID(3, 5), n.Topo.AggID(2, 1), n.Topo.CoreID(4),
 	} {
-		vec, err := n.InternetFlow(dst)
+		vec, err := n.internetFlow(dst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -343,20 +355,20 @@ func TestInternetFlowConservation(t *testing.T) {
 
 func TestInternetFlowCached(t *testing.T) {
 	n := defaultNet(t)
-	a, err := n.InternetFlow(n.Topo.TorID(0, 0))
+	a, err := n.internetFlow(n.Topo.TorID(0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := n.InternetFlow(n.Topo.TorID(0, 0))
+	b, err := n.internetFlow(n.Topo.TorID(0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(a) == 0 || &a[0] != &b[0] {
-		t.Fatal("InternetFlow not cached")
+		t.Fatal("InternetVec not cached")
 	}
 	// Failure invalidates the cache.
 	n.FailSwitch(n.Topo.CoreID(0))
-	c, err := n.InternetFlow(n.Topo.TorID(0, 0))
+	c, err := n.internetFlow(n.Topo.TorID(0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +389,7 @@ func TestInternetFlowAllCoresDown(t *testing.T) {
 		n.FailSwitch(n.Topo.CoreID(i))
 	}
 	// All ingress points dead: no flow, no error (the traffic is gone).
-	vec, err := n.InternetFlow(n.Topo.TorID(0, 0))
+	vec, err := n.internetFlow(n.Topo.TorID(0, 0))
 	if err != nil || vec != nil {
 		t.Fatalf("got %v, %v; want nil, nil", vec, err)
 	}
@@ -386,18 +398,18 @@ func TestInternetFlowAllCoresDown(t *testing.T) {
 // TestFailureInvalidatesAllCaches pins the invalidation contract the
 // assignment engine depends on: every failure-state change (FailSwitch,
 // recovery) bumps the epoch and flushes all three memo tables —
-// distCache (via rerouted UnitFlow paths), flowCache (stale spread vectors
+// distCache (via rerouted UnitVec paths), flowCache (stale spread vectors
 // are never returned), and inetCache (ingress spread recomputed). A stale
 // cache here would silently route assignment decisions over dead links.
 func TestFailureInvalidatesAllCaches(t *testing.T) {
 	n := defaultNet(t)
 	src, dst := n.Topo.TorID(0, 0), n.Topo.TorID(0, 1)
 
-	flowBefore, err := n.UnitFlow(src, dst)
+	flowBefore, err := n.unitFlow(src, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inetBefore, err := n.InternetFlow(dst)
+	inetBefore, err := n.internetFlow(dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,12 +422,12 @@ func TestFailureInvalidatesAllCaches(t *testing.T) {
 	if n.Epoch() == e0 {
 		t.Fatal("FailSwitch did not bump epoch")
 	}
-	flowFailed, err := n.UnitFlow(src, dst)
+	flowFailed, err := n.unitFlow(src, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(flowBefore) > 0 && len(flowFailed) > 0 && &flowBefore[0] == &flowFailed[0] {
-		t.Fatal("UnitFlow returned the pre-failure cached vector")
+		t.Fatal("UnitVec returned the pre-failure cached vector")
 	}
 	for _, lf := range flowFailed {
 		if l := n.Topo.Link(lf.Dir.LinkOf()); l.A == agg || l.B == agg {
@@ -426,12 +438,12 @@ func TestFailureInvalidatesAllCaches(t *testing.T) {
 	// A core failure must flush inetCache: the new spread avoids the core.
 	core0 := n.Topo.CoreID(0)
 	n.FailSwitch(core0)
-	inetFailed, err := n.InternetFlow(dst)
+	inetFailed, err := n.internetFlow(dst)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(inetBefore) > 0 && len(inetFailed) > 0 && &inetBefore[0] == &inetFailed[0] {
-		t.Fatal("InternetFlow returned the pre-failure cached vector")
+		t.Fatal("InternetVec returned the pre-failure cached vector")
 	}
 	for _, lf := range inetFailed {
 		l := n.Topo.Link(lf.Dir.LinkOf())
@@ -447,12 +459,12 @@ func TestFailureInvalidatesAllCaches(t *testing.T) {
 	if n.Epoch() == e1 {
 		t.Fatal("ClearFailures did not bump epoch")
 	}
-	flowAfter, err := n.UnitFlow(src, dst)
+	flowAfter, err := n.unitFlow(src, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(flowAfter) != len(flowBefore) {
-		t.Fatalf("recovered UnitFlow has %d links, want %d", len(flowAfter), len(flowBefore))
+		t.Fatalf("recovered UnitVec has %d links, want %d", len(flowAfter), len(flowBefore))
 	}
 	want := map[DirLink]float64{}
 	for _, lf := range flowBefore {
@@ -463,7 +475,7 @@ func TestFailureInvalidatesAllCaches(t *testing.T) {
 			t.Fatalf("recovered flow on link %d = %v, want %v", lf.Dir, lf.Frac, want[lf.Dir])
 		}
 	}
-	inetAfter, err := n.InternetFlow(dst)
+	inetAfter, err := n.internetFlow(dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,9 +497,9 @@ func TestFailureInvalidatesAllCaches(t *testing.T) {
 	n.FailSwitch(aggA)
 	for _, s := range ends {
 		for _, d := range ends {
-			n.UnitFlow(s, d)
+			n.unitFlow(s, d)
 		}
-		n.InternetFlow(s)
+		n.internetFlow(s)
 	}
 	n.RecoverSwitch(aggA)
 	n.FailSwitch(aggB)
@@ -510,13 +522,13 @@ func TestFailureInvalidatesAllCaches(t *testing.T) {
 	for i := len(ends) - 1; i >= 0; i-- {
 		s := ends[i]
 		for j := len(ends) - 1; j >= 0; j-- {
-			got, _ := n.UnitFlow(s, ends[j])
-			want, _ := fresh.UnitFlow(s, ends[j])
-			same("UnitFlow", got, want)
+			got, _ := n.unitFlow(s, ends[j])
+			want, _ := fresh.unitFlow(s, ends[j])
+			same("UnitVec", got, want)
 		}
-		got, _ := n.InternetFlow(s)
-		want, _ := fresh.InternetFlow(s)
-		same("InternetFlow", got, want)
+		got, _ := n.internetFlow(s)
+		want, _ := fresh.internetFlow(s)
+		same("InternetVec", got, want)
 	}
 }
 
@@ -530,7 +542,7 @@ func TestInternetFlowOnlyLiveCore(t *testing.T) {
 		n.FailSwitch(n.Topo.CoreID(i))
 	}
 	for k := 0; k < 2; k++ {
-		vec, err := n.InternetFlow(last)
+		vec, err := n.internetFlow(last)
 		if err != nil || vec != nil {
 			t.Fatalf("call %d: got %v, %v; want nil, nil", k, vec, err)
 		}
@@ -539,15 +551,89 @@ func TestInternetFlowOnlyLiveCore(t *testing.T) {
 		}
 	}
 	cached := len(n.vecs)
-	if vec, _ := n.InternetFlow(last); vec != nil || len(n.vecs) != cached {
+	if vec, _ := n.internetFlow(last); vec != nil || len(n.vecs) != cached {
 		t.Fatal("a cached nil vector was computed again")
 	}
 	n.RecoverSwitch(n.Topo.CoreID(0))
-	vec, err := n.InternetFlow(last)
+	vec, err := n.internetFlow(last)
 	if err != nil || len(vec) == 0 {
 		t.Fatalf("after a core recovered: got %v, %v; want a vector", vec, err)
 	}
 	if got, want := intoDst(n, vec, last), 1.0/float64(n.Topo.Cfg.Cores); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("ingress into the core %v, want the recovered core's share %v", got, want)
 	}
+}
+
+// TestTightHintStaysInVector: a vector's tight-link hint is a valid position
+// in it whatever a caller stores — a position outside the vector is ignored —
+// it is shared by every handle on the vector, and a failure-state change
+// drops every hint with the vectors.
+func TestTightHintStaysInVector(t *testing.T) {
+	n := New(topology.MustNew(topology.Config{Containers: 2, ToRsPerContainer: 4, AggsPerContainer: 2, Cores: 4, ServersPerToR: 10}))
+	each := func(fn func(Vec)) {
+		for d := 0; d < n.Topo.NumSwitches(); d++ {
+			dst := topology.SwitchID(d)
+			if v, err := n.InternetVec(dst); err == nil {
+				fn(v)
+			}
+			for s := 0; s < n.Topo.NumSwitches(); s++ {
+				if v, err := n.UnitVec(topology.SwitchID(s), dst); err == nil {
+					fn(v)
+				}
+			}
+		}
+	}
+	valid := func(label string) {
+		t.Helper()
+		each(func(v Vec) {
+			if k := v.Tight(); len(v.Links()) > 0 && (k < 0 || k >= len(v.Links())) || len(v.Links()) == 0 && k != 0 {
+				t.Fatalf("%s: hint %d in a vector of %d links", label, k, len(v.Links()))
+			}
+		})
+	}
+	cleared := func(label string) {
+		t.Helper()
+		each(func(v Vec) {
+			if k := v.Tight(); k != 0 {
+				t.Fatalf("%s: hint %d survived a failure-state change", label, k)
+			}
+		})
+	}
+	valid("fresh")
+	cleared("fresh")
+	for round := 0; round < 3; round++ {
+		i := 0
+		each(func(v Vec) {
+			i++
+			k := i%(len(v.Links())+3) - 1 // -1 … len+1
+			before := v.Tight()
+			v.SetTight(k)
+			want := before
+			if k >= 0 && k < len(v.Links()) {
+				want = k
+			}
+			if got := v.Tight(); got != want {
+				t.Fatalf("SetTight(%d) on a vector of %d links: hint %d, want %d", k, len(v.Links()), got, want)
+			}
+		})
+		valid("after SetTight")
+	}
+	src, dst := n.Topo.TorID(0, 0), n.Topo.TorID(1, 3)
+	a, _ := n.UnitVec(src, dst)
+	a.SetTight(len(a.Links()) - 1)
+	if b, _ := n.UnitVec(src, dst); b.Tight() != len(a.Links())-1 {
+		t.Fatalf("a second handle reads hint %d, want %d", b.Tight(), len(a.Links())-1)
+	}
+	var self Vec
+	if self, _ = n.UnitVec(src, src); self.Links() != nil || self.Tight() != 0 {
+		t.Fatalf("the self flow has links %v and hint %d", self.Links(), self.Tight())
+	}
+	self.SetTight(0) // the empty vector holds no hint; storing one is a no-op
+
+	n.FailSwitch(n.Topo.AggID(0, 1))
+	cleared("after FailSwitch")
+	each(func(v Vec) { v.SetTight(len(v.Links()) - 1) })
+	n.RecoverSwitch(n.Topo.AggID(0, 1))
+	cleared("after RecoverSwitch")
+	valid("after RecoverSwitch")
 }

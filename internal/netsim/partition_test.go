@@ -38,17 +38,17 @@ func TestPartitionIsolatesContainer(t *testing.T) {
 	}
 
 	src := n.Topo.TorID(0, 0)
-	if _, err := n.UnitFlow(src, n.Topo.TorID(1, 0)); err != ErrUnreachable {
+	if _, err := n.unitFlow(src, n.Topo.TorID(1, 0)); err != ErrUnreachable {
 		t.Fatalf("cross-container flow out of partition: err = %v, want ErrUnreachable", err)
 	}
-	if _, err := n.UnitFlow(src, n.Topo.TorID(0, 1)); err != ErrUnreachable {
+	if _, err := n.unitFlow(src, n.Topo.TorID(0, 1)); err != ErrUnreachable {
 		t.Fatalf("intra-container flow across dead Aggs: err = %v, want ErrUnreachable", err)
 	}
-	if _, err := n.UnitFlow(src, n.Topo.CoreID(0)); err != ErrUnreachable {
+	if _, err := n.unitFlow(src, n.Topo.CoreID(0)); err != ErrUnreachable {
 		t.Fatalf("flow to core from partition: err = %v, want ErrUnreachable", err)
 	}
 	// The rest of the fabric is unaffected.
-	vec, err := n.UnitFlow(n.Topo.TorID(1, 0), n.Topo.TorID(2, 0))
+	vec, err := n.unitFlow(n.Topo.TorID(1, 0), n.Topo.TorID(2, 0))
 	if err != nil {
 		t.Fatalf("flow outside the partition failed: %v", err)
 	}
@@ -67,7 +67,7 @@ func TestBlackholeDuringTIPHop(t *testing.T) {
 	tipHome := n.Topo.AggID(1, 0) // TIP partition lives on an Agg (§5.2)
 	dipRack := n.Topo.TorID(2, 3)
 
-	hop1, err := n.UnitFlow(client, tipHome)
+	hop1, err := n.unitFlow(client, tipHome)
 	if err != nil {
 		t.Fatalf("hop 1 before failure: %v", err)
 	}
@@ -81,25 +81,25 @@ func TestBlackholeDuringTIPHop(t *testing.T) {
 	if n.Epoch() == epochBefore {
 		t.Fatal("failure did not bump the epoch — stale hop-1 vectors would survive")
 	}
-	if _, err := n.UnitFlow(tipHome, dipRack); err != ErrUnreachable {
+	if _, err := n.unitFlow(tipHome, dipRack); err != ErrUnreachable {
 		t.Fatalf("hop 2 from dead TIP home: err = %v, want ErrUnreachable", err)
 	}
 	// Recomputing hop 1 now also fails: the fabric no longer routes toward
 	// the dead switch, which is exactly the Fig-12 blackhole window.
-	if _, err := n.UnitFlow(client, tipHome); err != ErrUnreachable {
+	if _, err := n.unitFlow(client, tipHome); err != ErrUnreachable {
 		t.Fatalf("hop 1 to dead TIP home: err = %v, want ErrUnreachable", err)
 	}
 
 	// Heal: both hops route again and conserve flow.
 	n.RecoverSwitch(tipHome)
-	hop1b, err := n.UnitFlow(client, tipHome)
+	hop1b, err := n.unitFlow(client, tipHome)
 	if err != nil {
 		t.Fatalf("hop 1 after heal: %v", err)
 	}
 	if !vecEqual(hop1, hop1b) {
 		t.Fatal("hop 1 after heal differs from before the failure")
 	}
-	hop2, err := n.UnitFlow(tipHome, dipRack)
+	hop2, err := n.unitFlow(tipHome, dipRack)
 	if err != nil {
 		t.Fatalf("hop 2 after heal: %v", err)
 	}
@@ -116,7 +116,7 @@ func TestHealOrdering(t *testing.T) {
 	n := defaultNet(t)
 	src := n.Topo.TorID(0, 0)
 	dst := n.Topo.TorID(1, 0)
-	baseline, err := n.UnitFlow(src, dst)
+	baseline, err := n.unitFlow(src, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestHealOrdering(t *testing.T) {
 		n.FailSwitch(aggs[1])
 
 		// Both down: the flow still conserves over the remaining uplinks.
-		vec, err := n.UnitFlow(src, dst)
+		vec, err := n.unitFlow(src, dst)
 		if err != nil {
 			t.Fatalf("[heal %d first] flow with both failures: %v", first, err)
 		}
@@ -152,7 +152,7 @@ func TestHealOrdering(t *testing.T) {
 		// Heal one; the partial state must still avoid the one that remains
 		// down.
 		n.RecoverSwitch(aggs[first])
-		mid, err := n.UnitFlow(src, dst)
+		mid, err := n.unitFlow(src, dst)
 		if err != nil {
 			t.Fatalf("[heal %d first] flow after partial heal: %v", first, err)
 		}
@@ -161,7 +161,7 @@ func TestHealOrdering(t *testing.T) {
 		}
 		n.RecoverSwitch(aggs[1-first])
 
-		healed, err := n.UnitFlow(src, dst)
+		healed, err := n.unitFlow(src, dst)
 		if err != nil {
 			t.Fatalf("[heal %d first] flow after full heal: %v", first, err)
 		}
@@ -181,7 +181,7 @@ func TestInternetFlowDuringPartialCoreFailure(t *testing.T) {
 	cores := n.Topo.Cfg.Cores
 
 	n.FailSwitch(n.Topo.CoreID(0))
-	vec, err := n.InternetFlow(dst)
+	vec, err := n.internetFlow(dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestInternetFlowDuringPartialCoreFailure(t *testing.T) {
 	}
 
 	n.RecoverSwitch(n.Topo.CoreID(0))
-	vec, err = n.InternetFlow(dst)
+	vec, err = n.internetFlow(dst)
 	if err != nil {
 		t.Fatal(err)
 	}
