@@ -125,11 +125,13 @@ race:
 # a delta push (at most the header strings allocate), the obs scrape tick
 # running concurrently with the dataplane, and the controller's placement
 # scan over a warmed round. Each test but the control read asserts
-# allocs/op == 0 via testing.AllocsPerRun; the benchmark reports the same
-# numbers with -benchmem for inspection.
+# allocs/op == 0 via testing.AllocsPerRun; the benchmarks report the same
+# numbers with -benchmem for inspection, and BenchmarkDeliverBatch a cold and
+# a warm ns/pkt beside them (a run's packets out of cache, and in it).
 allocs:
 	$(GO) test -run 'ZeroAlloc' ./internal/telemetry ./internal/addrmap ./internal/bgp ./internal/hmux ./internal/smux ./internal/nmux ./internal/steer ./internal/hostagent ./internal/core ./internal/wire ./internal/obs ./internal/assign
 	$(GO) test -run XXX -bench BenchmarkTelemetryHotPath -benchtime 100x -benchmem ./internal/telemetry
+	$(GO) test -run XXX -bench BenchmarkDeliverBatch -benchtime 10x -benchmem ./internal/core
 
 # The demos are call sites too: each runs the paper's reaction through the
 # entry point the controller exports for it and exits non-zero on a wrong

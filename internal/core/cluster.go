@@ -680,6 +680,7 @@ func (d Delivery) Hops() []Hop {
 // ever points into it.
 type scratch struct {
 	encap, tip []byte
+	touch      byte // what deliverRun's sweep read: stored, so its loads are kept
 	tally      [numTallies]uint64
 	hmux       hmux.Tally
 	host       nmux.PairTally
@@ -907,6 +908,10 @@ const batchRun = 256
 // run it claims while it delivers it; the delivered packets of a run share
 // one arena, which from then on belongs to the results — it is never pooled
 // or reused, so callers keep Delivery.Packet as long as they keep the slice.
+// The call reads every packet of a run once before it delivers any of them
+// (deliverRun's sweep), so pkts is the caller's to read but not to write
+// until the call returns: a caller that wrote a packet during the call was
+// already racing with its delivery.
 func (c *Cluster) DeliverBatch(pkts [][]byte, workers int) []BatchResult {
 	results := make([]BatchResult, len(pkts))
 	workers = max(1, min(workers, (len(pkts)+batchRun-1)/batchRun))
@@ -936,16 +941,39 @@ func (c *Cluster) DeliverBatch(pkts [][]byte, workers int) []BatchResult {
 	return results
 }
 
+// cacheLine is the stride of deliverRun's sweep: 64 B, the line of x86-64
+// and most arm64 cores. On a 128 B-line core the sweep reads a line twice,
+// which costs a load, not a miss.
+const cacheLine = 64
+
 // deliverRun delivers one run into results (same length as pkts). The arena
 // is exactly Σ len(pkts[i]) bytes: what the host agent decapsulates from a
 // mux's encapsulation is as long as the client's packet, TIP hop included.
 // Each packet gets its own len(p)-capped window of it, so one that came out
 // longer would reallocate rather than run into its neighbour.
+//
+// The loop that sizes the arena also sweeps the run: it reads one byte of
+// every cache line of every packet, and the last byte (a packet that starts
+// late in a line ends in the next), before the first packet is delivered. A batch's packets were written by another core (a
+// generator, a flood harness, a NIC's DMA) and sit in separate allocations
+// no hardware prefetcher follows, so each is a cache miss. The sweep's loads
+// do not depend on each other and the core keeps many of those misses in
+// flight at once; the pipeline then finds each header in cache instead of
+// waiting out its miss alone, one packet at a time. A zero-length packet is
+// skipped here and refused by packet.Parse as before.
 func (c *Cluster) deliverRun(sc *scratch, pkts [][]byte, results []BatchResult) {
 	size := 0
+	var touch byte
 	for _, p := range pkts {
 		size += len(p)
+		if n := len(p); n > 0 {
+			for j := 0; j < n; j += cacheLine {
+				touch ^= p[j]
+			}
+			touch ^= p[n-1]
+		}
 	}
+	sc.touch = touch
 	arena := make([]byte, size)
 	samples := c.rec.SampleRun(len(pkts))
 	var errs uint64
