@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"duet/internal/ecmp"
 	"duet/internal/packet"
 	"duet/internal/service"
 	"duet/internal/steer"
@@ -331,25 +332,42 @@ func TestSetVIPMode(t *testing.T) {
 	}
 }
 
+// TestConnStats: the occupancy snapshot counts every pin, and its Bytes are
+// the tables' arrays exactly — each shard's 8 slots, doubled until its pins
+// fill at most 7/8, at 33 B a slot — after inserts that doubled every shard.
 func TestConnStats(t *testing.T) {
 	m := New(DefaultConfig(selfAddr))
 	if err := m.AddVIP(&service.VIP{Addr: vipAddr, Backends: backends("100.0.0.1")}); err != nil {
 		t.Fatal(err)
 	}
-	for i := uint32(0); i < 64; i++ {
+	const n = 400 // ~25 a shard
+	var perShard [16]int
+	for i := uint32(0); i < n; i++ {
 		if _, err := m.Process(vipPacket(i, 80), nil); err != nil {
 			t.Fatal(err)
 		}
+		perShard[ecmp.Hash(tupleN(i))>>48&15]++
 	}
 	st := m.ConnStats()
-	if st.Entries != 64 {
+	if st.Entries != n {
 		t.Fatalf("entries = %d", st.Entries)
 	}
-	if st.ShardMax < (64+15)/16/2 || st.ShardMax > 64 { // 16 shards
+	if st.ShardMax < n/16 || st.ShardMax > n { // 16 shards
 		t.Fatalf("shard max = %d", st.ShardMax)
 	}
-	if st.Bytes != int64(64*pinBytes) {
-		t.Fatalf("bytes = %d", st.Bytes)
+	want := int64(16 * 8 * 33) // the empty overlay
+	for _, k := range perShard {
+		if k < 8 {
+			t.Fatalf("a shard of %d pins never doubled: %v", k, perShard)
+		}
+		slots := 8
+		for k > slots-slots/8 {
+			slots *= 2
+		}
+		want += int64(slots * 33)
+	}
+	if st.Bytes != want {
+		t.Fatalf("bytes = %d, want %d", st.Bytes, want)
 	}
 	if st.OverlayCap != DefaultMaxOverlay {
 		t.Fatalf("overlay cap = %d", st.OverlayCap)

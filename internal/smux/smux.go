@@ -57,10 +57,6 @@ const (
 	DefaultMaxOverlay = 1 << 16
 )
 
-// pinBytes is a rough per-entry memory footprint of either pin table, for
-// the occupancy gauges: map key + value + amortized bucket overhead.
-const pinBytes = 96
-
 // Errors returned by the SMux.
 var (
 	ErrVIPNotFound = errors.New("smux: packet does not match any VIP")
@@ -305,7 +301,7 @@ func (m *Mux) Epoch() uint64 { return m.steer.Epoch() }
 type ConnStats struct {
 	Entries    int   // pinned connections across all shards
 	ShardMax   int   // most-loaded shard's entry count
-	Bytes      int64 // rough memory estimate, conn table + overlay
+	Bytes      int64 // memory the conn table's and overlay's arrays hold
 	Overlay    int   // hybrid overlay pins
 	OverlayCap int   // configured overlay bound
 }
@@ -315,7 +311,7 @@ func (m *Mux) ConnStats() ConnStats {
 	st := ConnStats{OverlayCap: DefaultMaxOverlay}
 	st.Entries, st.ShardMax = m.conns.Occupancy()
 	st.Overlay, _ = m.overlay.Occupancy()
-	st.Bytes = int64(st.Entries+st.Overlay) * pinBytes
+	st.Bytes = m.conns.Bytes() + m.overlay.Bytes()
 	return st
 }
 
