@@ -14,7 +14,6 @@ import (
 	"sort"
 
 	"duet/internal/netsim"
-	"duet/internal/steer"
 	"duet/internal/topology"
 	"duet/internal/workload"
 )
@@ -105,32 +104,6 @@ type Options struct {
 	// admission is one aggregate budget). 0 disables the tier — the
 	// two-tier paper algorithm is unchanged.
 	NMuxTableSize int
-
-	// NMuxHeadroom scales the NIC table budget the placer may fill,
-	// mirroring LinkHeadroom: the slack keeps room for the dataplane's
-	// exact-match flow entries and stays under the >90% occupancy
-	// watchdog. Default 0.9.
-	NMuxHeadroom float64
-
-	// HybridRatePPS marks VIPs at or above this epoch rate for the hybrid
-	// consistency mode on the SMux tier (see internal/steer): hot VIPs are
-	// the ones whose per-connection tables dominate mux memory, and hybrid
-	// caps that state at the bounded overlay while still riding out
-	// backend churn. 0 disables the policy — every VIP stays stateful.
-	HybridRatePPS float64
-
-	// PreferStateless upgrades the HybridRatePPS policy to pure stateless
-	// resolution (no overlay at all). Connections on such VIPs may break
-	// when a backend set changes mid-drain; appropriate for short-flow or
-	// connectionless (UDP) services.
-	PreferStateless bool
-
-	// Priority optionally orders VIPs by class before traffic volume (§9:
-	// "other orderings are possible, e.g. consider VIPs with latency
-	// sensitive traffic first"). Indexed by VIP; higher classes are placed
-	// first and therefore get HMux latency even when capacity is scarce.
-	// Nil keeps the paper's pure decreasing-traffic order.
-	Priority []float64
 }
 
 // DefaultOptions returns the paper's parameters.
@@ -156,9 +129,6 @@ func (o Options) withDefaults() Options {
 	if o.Delta <= 0 {
 		o.Delta = 0.05
 	}
-	if o.NMuxHeadroom <= 0 || o.NMuxHeadroom > 1 {
-		o.NMuxHeadroom = 0.9
-	}
 	return o
 }
 
@@ -172,11 +142,6 @@ type Assignment struct {
 	// switch in SwitchOf; TierNMux and TierSMux entries are Unassigned
 	// there.
 	TierOf []Tier
-
-	// ModeOf maps VIP index → SMux-tier consistency mode, per the
-	// HybridRatePPS policy. The mode matters whenever the SMux serves the
-	// VIP — as its home tier or as the migration stepping stone.
-	ModeOf []steer.Mode
 
 	// Loads are the directed-link loads of HMux-assigned VIP traffic.
 	Loads netsim.Loads
@@ -265,16 +230,21 @@ func (a *Assignment) SMuxFraction() float64 {
 
 // nmuxPool models the replicated per-host NIC table during placement: every
 // SMux server programs the same wildcard set, so admission is one aggregate
-// entry budget scaled by NMuxHeadroom.
+// entry budget scaled by nmuxHeadroom.
 type nmuxPool struct {
 	used, budget int
 }
+
+// nmuxHeadroom is the share of the NIC table the placer may fill, mirroring
+// LinkHeadroom: the slack keeps room for the dataplane's exact-match flow
+// entries and stays under the >90% occupancy watchdog.
+const nmuxHeadroom = 0.9
 
 func newNMuxPool(opts Options) nmuxPool {
 	if opts.NMuxTableSize <= 0 {
 		return nmuxPool{}
 	}
-	return nmuxPool{budget: int(float64(opts.NMuxTableSize) * opts.NMuxHeadroom)}
+	return nmuxPool{budget: int(float64(opts.NMuxTableSize) * nmuxHeadroom)}
 }
 
 // admit reserves VIP v's wildcard cost (one match rule plus one action entry
@@ -352,14 +322,11 @@ func newAssigner(net *netsim.Network, work *workload.Workload, epoch int, opts O
 }
 
 // newRound validates the round's inputs and builds its assigner with an
-// empty result — every VIP on the SMux backstop, modes set by policy — plus
-// the order VIPs are placed in. opts must already carry its defaults.
+// empty result — every VIP on the SMux backstop — plus the order VIPs are
+// placed in. opts must already carry its defaults.
 func newRound(net *netsim.Network, work *workload.Workload, epoch int, opts Options) (*assigner, []int, error) {
 	if epoch < 0 || epoch >= work.NumEpochs() {
 		return nil, nil, fmt.Errorf("assign: epoch %d out of range", epoch)
-	}
-	if opts.Priority != nil && len(opts.Priority) != len(work.VIPs) {
-		return nil, nil, fmt.Errorf("assign: Priority covers %d VIPs, workload has %d", len(opts.Priority), len(work.VIPs))
 	}
 	a := newAssigner(net, work, epoch, opts)
 	a.st = newDeltaState(net, work, epoch)
@@ -367,14 +334,12 @@ func newRound(net *netsim.Network, work *workload.Workload, epoch int, opts Opti
 	a.res = &Assignment{
 		SwitchOf: make([]int32, len(work.VIPs)),
 		TierOf:   make([]Tier, len(work.VIPs)), // zero value = TierSMux
-		ModeOf:   make([]steer.Mode, len(work.VIPs)),
 		MemUsed:  a.memUsed,
 	}
 	for i := range a.res.SwitchOf {
 		a.res.SwitchOf[i] = Unassigned
 	}
-	applyModePolicy(a.res, work, epoch, opts)
-	return a, vipOrderPrio(work, epoch, opts.Priority), nil
+	return a, vipOrder(work, epoch), nil
 }
 
 // finish seals the round's result.
@@ -716,13 +681,8 @@ func (a *assigner) appendCandidates(out []topology.SwitchID) []topology.SwitchID
 	return out
 }
 
-// vipOrder returns VIP indices sorted by decreasing priority class (if
-// any), then decreasing epoch rate.
+// vipOrder returns VIP indices sorted by decreasing epoch rate, then index.
 func vipOrder(w *workload.Workload, epoch int) []int {
-	return vipOrderPrio(w, epoch, nil)
-}
-
-func vipOrderPrio(w *workload.Workload, epoch int, prio []float64) []int {
 	order := make([]int, len(w.VIPs))
 	for i := range order {
 		order[i] = i
@@ -730,9 +690,6 @@ func vipOrderPrio(w *workload.Workload, epoch int, prio []float64) []int {
 	rates := w.Rates[epoch]
 	sort.Slice(order, func(i, j int) bool {
 		x, y := order[i], order[j]
-		if prio != nil && prio[x] != prio[y] {
-			return prio[x] > prio[y]
-		}
 		if rates[x] != rates[y] {
 			return rates[x] > rates[y]
 		}
@@ -874,21 +831,4 @@ func (a *assigner) placeNMux(vi int, v *workload.VIP, rate float64) bool {
 	a.res.NMuxRate += rate
 	a.res.NMuxEntriesUsed = a.pool.used
 	return true
-}
-
-// applyModePolicy marks hot VIPs for the churn-tolerant SMux consistency
-// mode per Options.HybridRatePPS / PreferStateless.
-func applyModePolicy(res *Assignment, work *workload.Workload, epoch int, opts Options) {
-	if opts.HybridRatePPS <= 0 {
-		return
-	}
-	churnMode := steer.ModeHybrid
-	if opts.PreferStateless {
-		churnMode = steer.ModeStateless
-	}
-	for i := range work.VIPs {
-		if work.Rates[epoch][i] >= opts.HybridRatePPS {
-			res.ModeOf[i] = churnMode
-		}
-	}
 }

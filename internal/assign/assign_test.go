@@ -2,11 +2,9 @@ package assign
 
 import (
 	"math"
-	"sort"
 	"testing"
 
 	"duet/internal/netsim"
-	"duet/internal/steer"
 	"duet/internal/topology"
 	"duet/internal/workload"
 )
@@ -369,53 +367,6 @@ func BenchmarkComputeSticky(b *testing.B) {
 	}
 }
 
-func TestPriorityOrdering(t *testing.T) {
-	net, w := smallWorld(t, 200, 4e11, 30)
-	opts := DefaultOptions()
-	opts.MaxHMuxVIPs = 20 // scarce capacity: only 20 VIPs fit on HMuxes
-
-	// Without priority: the 20 biggest VIPs win.
-	base, err := Compute(net, w, 0, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Prioritize the 10 SMALLEST VIPs (e.g. latency-sensitive mice).
-	order := vipOrder(w, 0)
-	prio := make([]float64, len(w.VIPs))
-	var wantFirst []int
-	for _, vi := range order[len(order)-10:] {
-		prio[vi] = 1
-		wantFirst = append(wantFirst, vi)
-	}
-	opts.Priority = prio
-	pri, err := Compute(netsim.New(net.Topo), w, 0, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, vi := range wantFirst {
-		if pri.SwitchOf[vi] == Unassigned {
-			t.Fatalf("prioritized VIP %d not assigned", vi)
-		}
-		if base.SwitchOf[vi] != Unassigned {
-			t.Fatalf("test vacuous: tiny VIP %d assigned even without priority", vi)
-		}
-	}
-	// Priority must trade throughput coverage for latency coverage.
-	if pri.AssignedFraction() >= base.AssignedFraction() {
-		t.Fatalf("priority order should cover less traffic: %.3f vs %.3f",
-			pri.AssignedFraction(), base.AssignedFraction())
-	}
-}
-
-func TestPriorityLengthMismatch(t *testing.T) {
-	net, w := smallWorld(t, 50, 1e11, 31)
-	opts := DefaultOptions()
-	opts.Priority = []float64{1, 2}
-	if _, err := Compute(net, w, 0, opts); err == nil {
-		t.Fatal("mismatched priority accepted")
-	}
-}
-
 func TestBestFitStrategy(t *testing.T) {
 	net, w := smallWorld(t, 300, 4e11, 50)
 	g, err := Compute(net, w, 0, DefaultOptions())
@@ -439,62 +390,6 @@ func TestBestFitStrategy(t *testing.T) {
 	for s, used := range b.MemUsed {
 		if used > bo.MemCapacity {
 			t.Fatalf("switch %d memory %d", s, used)
-		}
-	}
-}
-
-func TestModePolicy(t *testing.T) {
-	net, w := smallWorld(t, 200, 4e11, 7)
-	opts := DefaultOptions()
-
-	// Disabled: everything stateful.
-	asg, err := Compute(net, w, 0, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(asg.ModeOf) != len(w.VIPs) {
-		t.Fatalf("ModeOf covers %d VIPs, want %d", len(asg.ModeOf), len(w.VIPs))
-	}
-	for vi, m := range asg.ModeOf {
-		if m != steer.ModeStateful {
-			t.Fatalf("VIP %d: mode %s with policy disabled", vi, m)
-		}
-	}
-
-	// Threshold at the median rate: hot VIPs go hybrid, cold stay stateful.
-	rates := append([]float64(nil), w.Rates[0]...)
-	sort.Float64s(rates)
-	opts.HybridRatePPS = rates[len(rates)/2]
-	asg, err = Compute(net, w, 0, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hybrid := 0
-	for vi, m := range asg.ModeOf {
-		want := steer.ModeStateful
-		if w.Rates[0][vi] >= opts.HybridRatePPS {
-			want = steer.ModeHybrid
-		}
-		if m != want {
-			t.Fatalf("VIP %d (rate %.0f): mode %s, want %s", vi, w.Rates[0][vi], m, want)
-		}
-		if m == steer.ModeHybrid {
-			hybrid++
-		}
-	}
-	if hybrid == 0 || hybrid == len(w.VIPs) {
-		t.Fatalf("degenerate policy split: %d/%d hybrid", hybrid, len(w.VIPs))
-	}
-
-	// PreferStateless swaps the churn mode.
-	opts.PreferStateless = true
-	asg, err = Compute(net, w, 0, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for vi, m := range asg.ModeOf {
-		if w.Rates[0][vi] >= opts.HybridRatePPS && m != steer.ModeStateless {
-			t.Fatalf("VIP %d: mode %s, want stateless", vi, m)
 		}
 	}
 }

@@ -21,9 +21,6 @@ func assertSameAssignment(t *testing.T, label string, got, want *Assignment) {
 		if got.TierOf[vi] != want.TierOf[vi] {
 			t.Fatalf("%s: VIP %d tier = %v, want %v", label, vi, got.TierOf[vi], want.TierOf[vi])
 		}
-		if got.ModeOf[vi] != want.ModeOf[vi] {
-			t.Fatalf("%s: VIP %d mode = %v, want %v", label, vi, got.ModeOf[vi], want.ModeOf[vi])
-		}
 	}
 	if got.NumAssigned != want.NumAssigned || got.NumNMux != want.NumNMux ||
 		got.NMuxEntriesUsed != want.NMuxEntriesUsed {
@@ -88,7 +85,6 @@ func TestComputeDeltaEqualsComputeFrom(t *testing.T) {
 		opts := DefaultOptions()
 		opts.Seed = seed
 		opts.NMuxTableSize = 4096
-		opts.HybridRatePPS = 1e9
 
 		prev, err := Compute(net, w, 0, opts)
 		if err != nil {

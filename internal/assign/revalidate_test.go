@@ -47,7 +47,7 @@ func checkTiers(t *testing.T, asg *Assignment, opts Options) {
 		}
 	}
 	if opts.NMuxTableSize > 0 {
-		budget := int(float64(opts.NMuxTableSize) * opts.NMuxHeadroom)
+		budget := int(float64(opts.NMuxTableSize) * nmuxHeadroom)
 		if asg.NMuxEntriesUsed > budget {
 			t.Fatalf("NIC entries %d exceed headroom budget %d", asg.NMuxEntriesUsed, budget)
 		}

@@ -38,7 +38,6 @@ type ctlTelemetry struct {
 	dipAdds, dipRemoves   telemetry.CounterShard
 	healthRemovals        telemetry.CounterShard
 	switchFailuresHandled telemetry.CounterShard
-	modeChanges           telemetry.CounterShard
 	placeRefused          telemetry.CounterShard
 	rec                   *telemetry.Recorder
 }
@@ -54,7 +53,6 @@ func (ct *Controller) SetTelemetry(reg *telemetry.Registry, rec *telemetry.Recor
 		dipRemoves:            reg.Counter("controller.dip_removes").Shard(),
 		healthRemovals:        reg.Counter("controller.health_removals").Shard(),
 		switchFailuresHandled: reg.Counter("controller.switch_failures_handled").Shard(),
-		modeChanges:           reg.Counter("controller.mode_changes").Shard(),
 		placeRefused:          reg.Counter("controller.place_refused").Shard(),
 		rec:                   rec,
 	}
@@ -121,9 +119,6 @@ type EpochReport struct {
 	Moved        int
 	ShuffledRate float64
 	MRU          float64
-	// ModeChanges counts VIPs whose SMux consistency mode flipped this
-	// epoch under the Options.HybridRatePPS policy.
-	ModeChanges int
 	// Refused counts the VIPs the cluster would not place: they stay on the
 	// SMux tier, and the next epoch retries them.
 	Refused int
@@ -154,12 +149,13 @@ func (ct *Controller) RunEpochDelta(w *workload.Workload, epoch int) (EpochRepor
 	return ct.applyEpoch(w, epoch, next), nil
 }
 
-// applyEpoch is the updater half of an epoch cycle: every VIP whose tier,
-// switch or mode moved since the previous assignment is a target of one
+// applyEpoch is the updater half of an epoch cycle: every VIP whose tier or
+// switch moved since the previous assignment is a target of one
 // Cluster.Place, which migrates through the SMux stepping stone, so no switch
-// or NIC holds old and new state at once (no Figure 4 deadlock). A refused VIP
-// is orphaned in next, the next epoch's previous assignment, so either engine
-// path retries it.
+// or NIC holds old and new state at once (no Figure 4 deadlock). A target
+// carries no mode: a VIP's mode is its config, and an epoch leaves it as it
+// was. A refused VIP is orphaned in next, the next epoch's previous
+// assignment, so either engine path retries it.
 func (ct *Controller) applyEpoch(w *workload.Workload, epoch int, next *assign.Assignment) EpochReport {
 	rep := EpochReport{
 		Epoch:            epoch,
@@ -181,17 +177,14 @@ func (ct *Controller) applyEpoch(w *workload.Workload, epoch int, next *assign.A
 	var ts []core.Target
 	var vipOf []int // the workload index of each target
 	for i := range w.VIPs {
-		if !moved(i) && prev != nil && prev.ModeOf[i] == next.ModeOf[i] {
+		if !moved(i) {
 			continue
 		}
-		t := core.Target{Addr: w.VIPs[i].Addr, NIC: next.TierOf[i] == assign.TierNMux, Mode: &next.ModeOf[i]}
+		t := core.Target{Addr: w.VIPs[i].Addr, NIC: next.TierOf[i] == assign.TierNMux}
 		if next.TierOf[i] == assign.TierHMux {
 			t.Switches = []topology.SwitchID{topology.SwitchID(next.SwitchOf[i])}
 		}
 		ts, vipOf = append(ts, t), append(vipOf, i)
-		if !moved(i) {
-			continue
-		}
 		rep.Moved++
 		ct.tel.moves.Inc()
 		if prev != nil && prev.TierOf[i] != assign.TierSMux {
@@ -199,8 +192,7 @@ func (ct *Controller) applyEpoch(w *workload.Workload, epoch int, next *assign.A
 			ct.tel.rec.Record(telemetry.KindMigrationStep, uint32(epoch), uint32(t.Addr), uint32(prev.SwitchOf[i]), 1)
 		}
 	}
-	rep.ModeChanges = ct.Cluster.Place(ts)
-	ct.tel.modeChanges.Add(uint64(rep.ModeChanges))
+	ct.Cluster.Place(ts)
 	for k, t := range ts {
 		i := vipOf[k]
 		switch {
@@ -211,7 +203,7 @@ func (ct *Controller) applyEpoch(w *workload.Workload, epoch int, next *assign.A
 			ct.tel.placeRefused.Inc()
 			ct.tel.rec.Record(telemetry.KindMigrationStep, uint32(epoch), uint32(t.Addr), uint32(next.SwitchOf[i]), 0)
 			next.Orphan(i)
-		case moved(i) && next.TierOf[i] != assign.TierSMux:
+		case next.TierOf[i] != assign.TierSMux:
 			// Migration step 2: the VIP's new home is announced/programmed.
 			ct.tel.rec.Record(telemetry.KindMigrationStep, uint32(epoch), uint32(t.Addr), uint32(next.SwitchOf[i]), 2)
 		}

@@ -3,7 +3,6 @@ package controller
 import (
 	"errors"
 	"slices"
-	"sort"
 	"sync"
 	"testing"
 
@@ -424,38 +423,49 @@ func TestAddDIPUnknownVIP(t *testing.T) {
 	}
 }
 
-func TestRunEpochAppliesModes(t *testing.T) {
-	c, w, ct := world(t, 40, 5e10, 9)
-	rates := append([]float64(nil), w.Rates[0]...)
-	sort.Float64s(rates)
-	ct.Opts.HybridRatePPS = rates[len(rates)/2]
-	rep, err := ct.RunEpoch(w, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.ModeChanges == 0 {
-		t.Fatal("no mode changes applied despite median threshold")
-	}
-	for i := range w.VIPs {
-		want := steer.ModeStateful
-		if w.Rates[0][i] >= ct.Opts.HybridRatePPS {
-			want = steer.ModeHybrid
-		}
-		got, ok := c.VIPMode(w.VIPs[i].Addr)
-		if !ok {
-			t.Fatalf("VIP %s: no mode on the SMux fleet", w.VIPs[i].Addr)
-		}
-		if got != want {
-			t.Fatalf("VIP %s: mode %s, want %s", w.VIPs[i].Addr, got, want)
-		}
-	}
-	// Re-running the same epoch is idempotent: no further flips.
-	rep, err = ct.RunEpoch(w, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.ModeChanges != 0 {
-		t.Fatalf("second run flipped %d modes, want 0", rep.ModeChanges)
+// TestEpochKeepsModes: a VIP's mode is its config — set by SetVIPMode or
+// the SMuxes' default — and an epoch that moves it onto a switch or the NIC
+// tier leaves the mode as it was.
+func TestEpochKeepsModes(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mode steer.Mode // the SMuxes' default
+		set  bool       // set every VIP through SetVIPMode, hybrid and stateless in turn
+	}{
+		{"SetVIPMode", steer.ModeStateful, true},
+		{"SMuxMode", steer.ModeHybrid, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, w, ct := nmuxWorldMode(t, 40, 9, tc.mode)
+			want := map[packet.Addr]steer.Mode{}
+			for i, v := range w.VIPs {
+				m := tc.mode
+				if tc.set {
+					m = []steer.Mode{steer.ModeHybrid, steer.ModeStateless}[i%2]
+					if err := c.SetVIPMode(v.Addr, m); err != nil {
+						t.Fatal(err)
+					}
+				}
+				want[v.Addr] = m
+			}
+			moved, hmuxes, nics := 0, 0, 0
+			for epoch, run := range []func(*workload.Workload, int) (EpochReport, error){ct.RunEpoch, ct.RunEpochDelta} {
+				rep, err := run(w, epoch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				moved += rep.Moved
+				hmuxes, nics = max(hmuxes, rep.NumAssigned), max(nics, rep.NumNMux)
+				for addr, m := range want {
+					if got, _ := c.VIPMode(addr); got != m {
+						t.Fatalf("epoch %d: VIP %s reads %s, want %s", epoch, addr, got, m)
+					}
+				}
+			}
+			if moved == 0 || hmuxes == 0 || nics == 0 {
+				t.Fatalf("%d moves, at most %d VIPs on switches and %d on the NICs; want some of each", moved, hmuxes, nics)
+			}
+		})
 	}
 }
 

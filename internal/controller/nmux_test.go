@@ -7,6 +7,7 @@ import (
 	"duet/internal/core"
 	"duet/internal/packet"
 	"duet/internal/service"
+	"duet/internal/steer"
 	"duet/internal/topology"
 	"duet/internal/workload"
 )
@@ -14,6 +15,12 @@ import (
 // nmuxWorld builds a cluster with the NIC tier enabled and an engine starved
 // of switch capacity so VIPs spill onto the NICs.
 func nmuxWorld(t testing.TB, numVIPs int, seed int64) (*core.Cluster, *workload.Workload, *Controller) {
+	t.Helper()
+	return nmuxWorldMode(t, numVIPs, seed, steer.ModeStateful)
+}
+
+// nmuxWorldMode is nmuxWorld with the SMuxes' default mode set.
+func nmuxWorldMode(t testing.TB, numVIPs int, seed int64, mode steer.Mode) (*core.Cluster, *workload.Workload, *Controller) {
 	t.Helper()
 	c, err := core.New(core.Config{
 		Topology: topology.Config{
@@ -26,6 +33,7 @@ func nmuxWorld(t testing.TB, numVIPs int, seed int64) (*core.Cluster, *workload.
 		NumSMuxes:     3,
 		Aggregate:     packet.MustParsePrefix("10.0.0.0/8"),
 		NMuxTableSize: 2048,
+		SMuxMode:      mode,
 	})
 	if err != nil {
 		t.Fatal(err)

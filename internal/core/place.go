@@ -39,27 +39,27 @@ type hop struct {
 	old, new *service.VIP
 }
 
-// Place is the one writer of VIPs — added, edited, moved or removed — and
-// returns how many modes it flipped. Under the writer lock it diffs the
-// targets against the records, plans every switch, NIC and SMux table with
-// steer.Plan and hands each its share as one Apply, one generation per
-// table per batch, in §4.2's order: hosts are wired for new DIPs; the
-// switches that only lose apply, then the SMuxes, the NICs and the switches
-// that gain, removals first in each, so every move transits the SMux
-// stepping stone; routes follow as one bgp.Apply, withdrawals first; DIPs
-// no longer listed are unwired; each record is replaced, never edited. A
-// VIP is all or nothing across its switches and NICs: an invalid target
-// changes nothing, as does a config change beyond dropped DIPs in place on
-// a switch (§5.2: withdraw first, so the SMuxes' connection state masks the
-// rehash); one a table refuses falls back to the SMux tier with its config
-// (leaving the tables it did reach is their second generation).
-func (c *Cluster) Place(ts []Target) int {
+// Place is the one writer of VIPs — added, edited, moved or removed. Under
+// the writer lock it diffs the targets against the records, plans every
+// switch, NIC and SMux table with steer.Plan and hands each its share as one
+// Apply, one generation per table per batch, in §4.2's order: hosts are
+// wired for new DIPs; the switches that only lose apply, then the SMuxes,
+// the NICs and the switches that gain, removals first in each, so every
+// move transits the SMux stepping stone; routes follow as one bgp.Apply,
+// withdrawals first; DIPs no longer listed are unwired; each record is
+// replaced, never edited. A VIP is all or nothing across its switches and
+// NICs: an invalid target changes nothing, as does a config change beyond
+// dropped DIPs in place on a switch (§5.2: withdraw first, so the SMuxes'
+// connection state masks the rehash); one a table refuses falls back to the
+// SMux tier with its config (leaving the tables it did reach is their
+// second generation).
+func (c *Cluster) Place(ts []Target) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.placeLocked(ts)
+	c.placeLocked(ts)
 }
 
-func (c *Cluster) placeLocked(ts []Target) int {
+func (c *Cluster) placeLocked(ts []Target) {
 	hops := make([]hop, len(ts))
 	var sm []steer.Op // the SMuxes' batch
 	for i := range ts {
@@ -116,13 +116,6 @@ func (c *Cluster) placeLocked(ts []Target) int {
 			delete(c.placed, addr)
 		}
 	}
-	modes := 0
-	for _, op := range sm {
-		if op.Kind == steer.OpMode {
-			modes++
-		}
-	}
-	return modes
 }
 
 // hopLocked validates a target, works out what it changes and appends its

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"slices"
 	"testing"
@@ -74,6 +75,81 @@ func TestUnobservableMutationsPublishNothing(t *testing.T) {
 			t.Errorf("%s: epoch %d → %d, want one new generation", step.name, gen.epoch, next.epoch)
 		}
 		gen = next
+	}
+}
+
+// TestPlaceMovesAndFlipsModesInOneGeneration: one Place batch that moves
+// VIPs onto two switches, onto the NIC tier and back to the SMux tier, with
+// half of its targets also setting a mode, moves every switch, NIC and SMux
+// table it touches by exactly one generation, and the others by none.
+func TestPlaceMovesAndFlipsModesInOneGeneration(t *testing.T) {
+	c, err := New(Config{
+		Topology:      topology.TestbedConfig(),
+		NumSMuxes:     3,
+		Aggregate:     packet.MustParsePrefix("10.0.0.0/8"),
+		NMuxTableSize: 64,
+	})
+	must(t, err)
+	var vs []*service.VIP
+	for i := 0; i < 8; i++ {
+		v := mkVIP(i, fmt.Sprintf("100.0.%d.1", i), fmt.Sprintf("100.0.%d.2", i))
+		must(t, c.AddVIP(v))
+		vs = append(vs, v)
+	}
+	a, b, gone := c.Topo.AggID(0, 0), c.Topo.AggID(1, 0), c.Topo.TorID(0, 0)
+	must(t, c.AssignToHMux(vs[6].Addr, gone))
+	must(t, c.AssignToNMux(vs[7].Addr))
+
+	generations := func() []uint64 {
+		var out []uint64
+		for _, hm := range c.HMuxes {
+			out = append(out, hm.Stats().Generation)
+		}
+		for _, nm := range c.NMuxes {
+			out = append(out, nm.Stats().Generation)
+		}
+		for _, sm := range c.SMuxes {
+			out = append(out, sm.Epoch())
+		}
+		return out
+	}
+	hybrid, stateless := steer.ModeHybrid, steer.ModeStateless
+	ts := []Target{
+		{Addr: vs[0].Addr, Switches: []topology.SwitchID{a}, Mode: &hybrid},
+		{Addr: vs[1].Addr, Switches: []topology.SwitchID{a}},
+		{Addr: vs[2].Addr, Switches: []topology.SwitchID{b}, Mode: &stateless},
+		{Addr: vs[3].Addr, Switches: []topology.SwitchID{b}},
+		{Addr: vs[4].Addr, NIC: true, Mode: &hybrid},
+		{Addr: vs[5].Addr, NIC: true},
+		{Addr: vs[6].Addr, Mode: &stateless}, // off switch gone, to the SMux tier
+		{Addr: vs[7].Addr},                   // off the NICs, to the SMux tier
+	}
+	before := generations()
+	c.Place(ts)
+	for _, tg := range ts {
+		must(t, tg.Err)
+	}
+	moved := map[int]bool{int(a): true, int(b): true, int(gone): true} // the switches
+	for i, g := range generations() {
+		want := before[i]
+		if i >= len(c.HMuxes) || moved[i] { // every NIC and SMux is touched
+			want++
+		}
+		if g != want {
+			t.Errorf("table %d: generation %d → %d, want %d", i, before[i], g, want)
+		}
+	}
+	for _, tg := range ts {
+		want := steer.ModeStateful
+		if tg.Mode != nil {
+			want = *tg.Mode
+		}
+		if got, _ := c.VIPMode(tg.Addr); got != want {
+			t.Errorf("VIP %s reads %s, want %s", tg.Addr, got, want)
+		}
+	}
+	if home, _ := c.HomeOf(vs[0].Addr); home != a || !c.NMuxHosted(vs[4].Addr) || c.NMuxHosted(vs[7].Addr) || len(c.Replicas(vs[6].Addr)) != 0 {
+		t.Fatal("the batch did not place its VIPs where its targets put them")
 	}
 }
 

@@ -69,10 +69,10 @@ type AggregatorConfig struct {
 	Pipeline *Pipeline
 	// Client is the poll HTTP client (default: 2s total timeout).
 	Client *http.Client
-	// MaxJourneys bounds the retained stitched journeys (default 128,
-	// newest kept).
-	MaxJourneys int
 }
+
+// maxJourneys bounds the retained stitched journeys, newest kept.
+const maxJourneys = 128
 
 // Aggregator polls a fleet and maintains the merged cluster view. PollOnce
 // is the only writer of the merged state; HTTP readers take the same mutex.
@@ -108,9 +108,6 @@ func NewAggregator(cfg AggregatorConfig) *Aggregator {
 	}
 	if cfg.Client == nil {
 		cfg.Client = &http.Client{Timeout: 2 * time.Second}
-	}
-	if cfg.MaxJourneys <= 0 {
-		cfg.MaxJourneys = 128
 	}
 	reg := cfg.Pipeline.Registry()
 	a := &Aggregator{
@@ -251,8 +248,8 @@ func (a *Aggregator) PollOnce() {
 	// currently retain: the ring keeps the last 4K events per node, so a
 	// journey ages out everywhere at roughly the same time.
 	js := StitchJourneys(events)
-	if len(js) > a.cfg.MaxJourneys {
-		js = js[len(js)-a.cfg.MaxJourneys:]
+	if len(js) > maxJourneys {
+		js = js[len(js)-maxJourneys:]
 	}
 	a.journeys = js
 	a.journeysUp.Set(int64(len(js)))

@@ -113,6 +113,33 @@ func TestAggregatorPollOnceMergesFleet(t *testing.T) {
 	}
 }
 
+// TestAggregatorJourneysKeepNewest: when the fleet's recorders hold more
+// stitched journeys than the aggregator retains, it keeps the newest 128 by
+// start time, each still stitched across both processes.
+func TestAggregatorJourneysKeepNewest(t *testing.T) {
+	a1, a2 := newFakeNode(t), newFakeNode(t)
+	const traces = 200 // one event per trace per node: inside each 256-event ring
+	for id := uint64(1); id <= traces; id++ {
+		a1.rec.RecordAt(float64(id), telemetry.KindTraceHop, 0x01000001, uint32(telemetry.TraceTierHMux), 0x0a000001, id)
+		a2.rec.RecordAt(float64(id)+0.5, telemetry.KindTraceHop, 0x64000001, uint32(telemetry.TraceTierHost), 0x64000001, id)
+	}
+	agg, _, reg, _ := newObsNode(t, a1.target("a1", "switchagent"), a2.target("a2", "smux"))
+	agg.PollOnce()
+
+	js := agg.Journeys()
+	if len(js) != maxJourneys {
+		t.Fatalf("%d journeys retained, want %d", len(js), maxJourneys)
+	}
+	for i, j := range js {
+		if want := float64(traces - maxJourneys + 1 + i); j.Start != want || j.Tiers() != "hmux>host" {
+			t.Fatalf("journey %d starts at %g through %q, want %g through hmux>host", i, j.Start, j.Tiers(), want)
+		}
+	}
+	if got := reg.Gauge("cluster.journeys").Value(); got != maxJourneys {
+		t.Fatalf("cluster.journeys = %d, want %d", got, maxJourneys)
+	}
+}
+
 // TestAggregatorDownTarget checks poll liveness accounting: a dead target is
 // reported down, its histogram state is forgotten (a restart resets
 // counters), and the cluster-node-down watchdog walks inert→firing.

@@ -43,9 +43,10 @@ type Config struct {
 	// Now is the scrape clock in seconds (default: wall time since New).
 	// Inject the testbed's virtual clock for deterministic tests.
 	Now func() float64
-	// AlertLog is the alert ring capacity (default 256).
-	AlertLog int
 }
+
+// alertLog is the alert ring's capacity: Alerts returns the newest this many.
+const alertLog = 256
 
 // Point is one scrape observation of one series.
 type Point struct {
@@ -151,7 +152,7 @@ type Pipeline struct {
 	hists      []*histState
 	collectors []func()
 	rules      []*ruleState
-	alerts     []Alert
+	alerts     [alertLog]Alert
 	alertHead  int
 	alertN     int
 	ticks      uint64
@@ -166,16 +167,12 @@ func New(cfg Config) *Pipeline {
 	if cfg.Windows <= 0 {
 		cfg.Windows = 128
 	}
-	if cfg.AlertLog <= 0 {
-		cfg.AlertLog = 256
-	}
 	if cfg.Now == nil {
 		cfg.Now = clock.Wall()
 	}
 	p := &Pipeline{
 		cfg:    cfg,
 		byName: make(map[string]*series),
-		alerts: make([]Alert, cfg.AlertLog),
 	}
 	p.scrapes = cfg.Registry.Counter("obs.scrape.ticks").Shard()
 	return p

@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"duet/internal/telemetry"
@@ -229,5 +232,125 @@ func TestEpochDrainRule(t *testing.T) {
 	last := alerts[len(alerts)-1]
 	if last.Rule != "steer-epoch-drain" || !last.Firing {
 		t.Fatalf("alerts = %+v, want steer-epoch-drain firing", alerts)
+	}
+}
+
+// TestEveryWatchdogFiresAndClears drives every rule of the four shipped sets,
+// at DefaultSLO's thresholds, through the life a watchdog must be able to
+// live: skipped while its series are absent, inert below the threshold,
+// firing after For breaching ticks, resolved after one clean tick.
+func TestEveryWatchdogFiresAndClears(t *testing.T) {
+	const dt = 10 // seconds per tick: a rate of 0.4/s is a whole count
+	slo := DefaultSLO()
+	var rules []Rule
+	for _, set := range [][]Rule{DefaultRules(slo), WireRules(slo), ClusterRules(slo), ControllerRules(slo)} {
+		rules = append(rules, set...)
+	}
+	var fired []string
+	for _, r := range rules {
+		t.Run(r.Name, func(t *testing.T) {
+			reg := telemetry.NewRegistry()
+			clk := &fakeClock{}
+			p := clk.pipeline(reg, nil, 8)
+			p.AddRules(r)
+			tick := func() RuleStatus {
+				p.Tick()
+				clk.advance(dt)
+				return p.Status()[0]
+			}
+			if st := tick(); st.OK || st.Firing {
+				t.Fatalf("evaluated with its series absent: %+v", st)
+			}
+
+			// feed writes one tick's worth of a series so that it reads x.
+			feed := func(name string, src Source) func(x float64) {
+				switch {
+				case strings.HasSuffix(name, ".p99"):
+					h := reg.Histogram(strings.TrimSuffix(name, ".p99"), []float64{1e-4, 1e-3, 1e-2})
+					return func(x float64) { h.Observe(x) }
+				case src == Value:
+					g := reg.Gauge(name)
+					return func(x float64) { g.Set(int64(math.Round(x))) }
+				default: // Rate
+					c := reg.Counter(name).Shard()
+					return func(x float64) { c.Add(uint64(math.Round(x * dt))) }
+				}
+			}
+			num := feed(r.Num, r.NumSrc)
+			set := num
+			if r.Combine == Ratio {
+				den := feed(r.Den, r.DenSrc)
+				set = func(v float64) { num(v * 1000); den(1000) }
+			}
+			// Above: 0 is inert, twice the threshold (or 1 over a zero one)
+			// breaches. Below: the threshold is inert, half of it breaches.
+			inert, breach := 0.0, max(2*r.Threshold, 1)
+			if r.Op == Below {
+				inert, breach = r.Threshold, r.Threshold/2
+			}
+
+			streak := max(r.For, 1) // AddRules reads a For of 0 as 1
+			set(inert)
+			tick() // a rate's first point warms up
+			for i := 0; i <= streak; i++ {
+				set(inert)
+				if st := tick(); !st.OK || st.Firing || st.Streak != 0 {
+					t.Fatalf("inert tick %d: %+v", i, st)
+				}
+			}
+			for i := 1; i <= streak; i++ {
+				set(breach)
+				if st := tick(); st.Firing != (i == streak) || st.Streak != i {
+					t.Fatalf("breaching tick %d of %d: %+v", i, streak, st)
+				}
+			}
+			set(inert)
+			if st := tick(); st.Firing {
+				t.Fatalf("clean tick left it firing: %+v", st)
+			}
+			alerts := p.Alerts()
+			if len(alerts) != 2 || alerts[0].Rule != r.Name || !alerts[0].Firing || alerts[1].Firing {
+				t.Fatalf("alert log = %+v, want %s firing then resolved", alerts, r.Name)
+			}
+			fired = append(fired, r.Name)
+		})
+	}
+	want := []string{
+		"vip-availability", "smux-headroom", "smux-latency-p99",
+		"hmux-host-occupancy", "hmux-ecmp-occupancy", "hmux-tunnel-occupancy",
+		"nmux-table-occupancy", "smux-overlay-occupancy", "steer-epoch-drain",
+		"wire-drops",
+		"cluster-node-down", "fleet-vip-availability", "cluster-smux-share",
+		"cluster-nmux-skew", "cluster-overlay-skew", "cluster-steer-drain",
+		"controller-leader-flap", "controller-epoch-stall", "delta-log-lag",
+	}
+	if !slices.Equal(fired, want) {
+		t.Fatalf("fired and cleared %q, want %q", fired, want)
+	}
+}
+
+// TestAlertLogKeepsNewest: the alert ring holds the newest 256 transitions,
+// and Alerts returns them oldest first.
+func TestAlertLogKeepsNewest(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	g := reg.Gauge("load")
+	clk := &fakeClock{}
+	p := clk.pipeline(reg, nil, 8)
+	p.AddRules(Rule{Name: "flap", Num: "load", NumSrc: Value, Op: Above, Threshold: 0})
+	const transitions = 300
+	for i := 0; i < transitions; i++ {
+		g.Set(int64(1 - i%2)) // fire, resolve, fire, …
+		p.Tick()
+		clk.advance(1)
+	}
+	alerts := p.Alerts()
+	if len(alerts) != alertLog {
+		t.Fatalf("%d alerts retained, want %d", len(alerts), alertLog)
+	}
+	for i, a := range alerts {
+		k := transitions - alertLog + i // the transition's tick
+		if a.Time != float64(k) || a.Firing != (k%2 == 0) {
+			t.Fatalf("alert %d = %+v, want transition %d", i, a, k)
+		}
 	}
 }

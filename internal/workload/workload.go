@@ -58,9 +58,6 @@ type Workload struct {
 
 	// Rates[e][v] is VIP v's offered load in bits/second during epoch e.
 	Rates [][]float64
-
-	// EpochSeconds is the duration of one trace epoch (paper: 600s).
-	EpochSeconds float64
 }
 
 // NumEpochs returns the number of trace epochs.
@@ -154,7 +151,7 @@ func Generate(cfg Config, topo *topology.Topology) (*Workload, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	racks := topo.NumRacks()
 
-	w := &Workload{EpochSeconds: 600}
+	w := &Workload{}
 	w.VIPs = make([]VIP, cfg.NumVIPs)
 
 	// Per-VIP base rate: Zipf over rank. Rank r (1-based) gets 1/r^s; the
