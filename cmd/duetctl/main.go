@@ -299,23 +299,19 @@ func (c *console) assign(args []string) {
 	if !ok {
 		return
 	}
-	if args[1] == "nic" {
-		if err := c.cluster.AssignToNMux(vip); err != nil {
-			fmt.Fprintln(c.out, "error:", err)
+	t, where := duet.Target{Addr: vip, NIC: true}, "the NIC match tables"
+	if args[1] != "nic" {
+		sw, ok := c.findSwitch(args[1])
+		if !ok {
 			return
 		}
-		fmt.Fprintf(c.out, "VIP %s now served by the NIC match tables\n", vip)
-		return
+		t, where = duet.Target{Addr: vip, Switches: []duet.SwitchID{sw}}, "HMux "+args[1]+" (/32 announced)"
 	}
-	sw, ok := c.findSwitch(args[1])
-	if !ok {
-		return
-	}
-	if err := c.cluster.AssignToHMux(vip, sw); err != nil {
+	if err := c.cluster.Place(t); err != nil {
 		fmt.Fprintln(c.out, "error:", err)
 		return
 	}
-	fmt.Fprintf(c.out, "VIP %s now served by HMux %s (/32 announced)\n", vip, args[1])
+	fmt.Fprintf(c.out, "VIP %s now served by %s\n", vip, where)
 }
 
 func (c *console) withdraw(args []string) {
@@ -327,15 +323,7 @@ func (c *console) withdraw(args []string) {
 	if !ok {
 		return
 	}
-	if c.cluster.NMuxHosted(vip) {
-		if err := c.cluster.WithdrawFromNMux(vip); err != nil {
-			fmt.Fprintln(c.out, "error:", err)
-			return
-		}
-		fmt.Fprintf(c.out, "VIP %s withdrawn from the NIC tier to the SMux backstop\n", vip)
-		return
-	}
-	if err := c.cluster.WithdrawFromHMux(vip); err != nil {
+	if err := c.cluster.Place(duet.Target{Addr: vip}); err != nil {
 		fmt.Fprintln(c.out, "error:", err)
 		return
 	}

@@ -159,7 +159,7 @@ func ablationReplication(*simFlags) {
 	// Duet's choice: one home, the SMuxes behind it.
 	c := mk()
 	home := c.Topo.AggID(0, 0)
-	must(c.AssignToHMux(vip, home))
+	must(c.Place(core.Target{Addr: vip, Switches: []topology.SwitchID{home}}))
 	before, hwBefore := send(c)
 	c.FailSwitch(home)
 	after, hwAfter := send(c)
@@ -168,7 +168,7 @@ func ablationReplication(*simFlags) {
 	// §9: two replicas; the survivor absorbs the failed one's share.
 	c = mk()
 	reps := []topology.SwitchID{c.Topo.AggID(0, 0), c.Topo.AggID(1, 0)}
-	must(c.AssignReplicated(vip, reps))
+	must(c.Place(core.Target{Addr: vip, Switches: reps}))
 	copies := len(c.Replicas(vip))
 	before, hwBefore = send(c)
 	c.FailSwitch(reps[0])
@@ -176,7 +176,7 @@ func ablationReplication(*simFlags) {
 	fmt.Fprintf(tw, "%d HMux replicas (§9)\t%d\t%.1f%%\t%.1f%%\t%d\n", copies, copies, hwBefore, hwAfter, moved(before, after))
 
 	// And back: withdrawing the replicas is the usual step through the SMuxes.
-	must(c.WithdrawFromHMux(vip))
+	must(c.Place(core.Target{Addr: vip}))
 	after, hwAfter = send(c)
 	fmt.Fprintf(tw, "  … replicas withdrawn\t%d\t–\t%.1f%%\t%d\n", len(c.Replicas(vip)), hwAfter, moved(before, after))
 	tw.Flush()

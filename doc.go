@@ -33,7 +33,7 @@
 //		{Addr: duet.MustParseAddr("100.0.0.1"), Weight: 1},
 //		{Addr: duet.MustParseAddr("100.0.0.2"), Weight: 1},
 //	}})
-//	_ = cluster.AssignToHMux(vip, cluster.Topo.TorID(0, 0))
+//	_ = cluster.Place(duet.Target{Addr: vip, Switches: []duet.SwitchID{cluster.Topo.TorID(0, 0)}})
 //	delivery, _ := cluster.Deliver(somePacketBytes)
 //
 // See examples/ for runnable programs and cmd/duetsim for the harness that

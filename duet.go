@@ -34,6 +34,9 @@ type (
 	ClusterConfig = core.Config
 	// Delivery is the result of pushing a packet through the datapath.
 	Delivery = core.Delivery
+	// Target is what Cluster.Place is to make of one VIP: where it is
+	// served, its config, or its removal.
+	Target = core.Target
 
 	// Controller drives placement and migration over a Cluster.
 	Controller = controller.Controller

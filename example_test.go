@@ -44,7 +44,7 @@ func ExampleCluster_Deliver() {
 	}
 	fmt.Println("phase 1:", d1.Hops()[0].Kind, "->", d1.DIP)
 
-	if err := cluster.AssignToHMux(vip, cluster.Topo.TorID(0, 0)); err != nil {
+	if err := cluster.Place(duet.Target{Addr: vip, Switches: []duet.SwitchID{cluster.Topo.TorID(0, 0)}}); err != nil {
 		panic(err)
 	}
 	d2, err := cluster.Deliver(pkt)

@@ -38,7 +38,7 @@ func main() {
 	ctl.SetTelemetry(reg, rec)
 
 	sw := cluster.Topo.AggID(0, 0)
-	if err := cluster.AssignToHMux(vip, sw); err != nil {
+	if err := cluster.Place(duet.Target{Addr: vip, Switches: []duet.SwitchID{sw}}); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("VIP %s assigned to HMux %s\n", vip, cluster.Topo.Switch(sw).Name)
@@ -84,7 +84,7 @@ func main() {
 	// Recovery: the switch returns empty; the controller re-assigns.
 	cluster.RecoverSwitch(sw)
 	newHome := cluster.Topo.AggID(1, 1)
-	if err := cluster.AssignToHMux(vip, newHome); err != nil {
+	if err := cluster.Place(duet.Target{Addr: vip, Switches: []duet.SwitchID{newHome}}); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nswitch recovered; controller re-placed VIP on %s\n",

@@ -44,7 +44,7 @@ func main() {
 	// Move the VIP into the switch dataplane: one host-table entry, three
 	// ECMP entries, three tunneling entries on ToR 0-0.
 	sw := cluster.Topo.TorID(0, 0)
-	if err := cluster.AssignToHMux(vip, sw); err != nil {
+	if err := cluster.Place(duet.Target{Addr: vip, Switches: []duet.SwitchID{sw}}); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\n== phase 2: VIP assigned to HMux %s ==\n", cluster.Topo.Switch(sw).Name)

@@ -34,7 +34,7 @@ func main() {
 		log.Fatal(err)
 	}
 	// The switch the VIP is assigned to.
-	if err := cluster.AssignToHMux(vip, cluster.Topo.AggID(0, 0)); err != nil {
+	if err := cluster.Place(duet.Target{Addr: vip, Switches: []duet.SwitchID{cluster.Topo.AggID(0, 0)}}); err != nil {
 		log.Fatal(err)
 	}
 	ctl := duet.NewController(cluster, duet.DefaultAssignOptions())

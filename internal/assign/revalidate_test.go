@@ -115,92 +115,9 @@ func TestComputeStickyCarriesTiers(t *testing.T) {
 	}
 }
 
-func TestRevalidateAssignmentNMuxShrink(t *testing.T) {
-	net, w := tierWorld(t, 300, 13)
-	opts := DefaultOptions()
-	opts.MaxHMuxVIPs = 40
-	opts.NMuxTableSize = 4096
-	prev, err := Compute(net, w, 0, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prev.NumNMux < 4 {
-		t.Fatalf("want a populated NIC tier to shrink, got %d VIPs", prev.NumNMux)
-	}
-
-	// The NIC tier loses 7/8 of its capacity mid-epoch: re-validation must
-	// evict the overflow to the SMuxes without violating the new budget.
-	shrunk := opts
-	shrunk.NMuxTableSize = 512
-	re, err := revalidateAssignment(net, w, 0, prev, shrunk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkTiers(t, re, shrunk)
-	if re.NumNMux >= prev.NumNMux {
-		t.Fatalf("shrink evicted nothing: %d → %d NIC VIPs", prev.NumNMux, re.NumNMux)
-	}
-	// Survivors are the heaviest residents (re-admission runs in decreasing
-	// rate order), and every eviction landed on the SMuxes, never a switch.
-	evicted := 0
-	for vi := range w.VIPs {
-		if prev.TierOf[vi] != TierNMux || re.TierOf[vi] == TierNMux {
-			continue
-		}
-		evicted++
-		if re.TierOf[vi] != TierSMux {
-			t.Fatalf("VIP %d evicted from NIC tier to %s, want smux", vi, re.TierOf[vi])
-		}
-	}
-	if evicted == 0 {
-		t.Fatal("no individual evictions found")
-	}
-}
-
-func TestRevalidateAssignmentHMuxShrinkFallsToNMux(t *testing.T) {
-	net, w := tierWorld(t, 300, 14)
-	opts := DefaultOptions()
-	opts.NMuxTableSize = 4096
-	prev, err := Compute(net, w, 0, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prev.NumAssigned == 0 {
-		t.Fatal("nothing on the switch tier")
-	}
-
-	// Switch memory shrinks mid-epoch: evicted HMux VIPs must re-place on
-	// the NIC tier (room permitting) instead of all crashing onto the
-	// SMuxes, and the surviving placement must respect the new capacity.
-	shrunk := opts
-	shrunk.MemCapacity = 40
-	re, err := revalidateAssignment(net, w, 0, prev, shrunk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkTiers(t, re, shrunk)
-	if re.NumAssigned >= prev.NumAssigned {
-		t.Fatalf("memory shrink evicted nothing: %d → %d HMux VIPs", prev.NumAssigned, re.NumAssigned)
-	}
-	for s, used := range re.MemUsed {
-		if used > shrunk.MemCapacity {
-			t.Fatalf("switch %d memory %d > shrunk capacity %d", s, used, shrunk.MemCapacity)
-		}
-	}
-	demoted := 0
-	for vi := range w.VIPs {
-		if prev.TierOf[vi] == TierHMux && re.TierOf[vi] == TierNMux {
-			demoted++
-		}
-	}
-	if demoted == 0 {
-		t.Fatal("no evicted HMux VIP landed on the NIC tier")
-	}
-}
-
 func TestRevalidateLegacyPlacementUnchanged(t *testing.T) {
-	// The pre-existing two-tier entry point must behave exactly as before
-	// when the NIC tier is off: evictions go straight to the SMuxes.
+	// Revalidate re-admits switch homes only: a VIP that no longer fits
+	// goes straight to the SMuxes, never to the NIC tier.
 	net, w := tierWorld(t, 200, 15)
 	opts := DefaultOptions()
 	prev, err := Compute(net, w, 0, opts)

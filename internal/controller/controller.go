@@ -99,7 +99,7 @@ func (ct *Controller) SyncVIPs(w *workload.Workload, maxBackends int, mkBackend 
 		}
 		ts = append(ts, core.Target{Addr: v.Addr, VIP: &service.VIP{Addr: v.Addr, Backends: backends}})
 	}
-	ct.Cluster.Place(ts)
+	ct.Cluster.Place(ts...)
 	for _, t := range ts {
 		if t.Err != nil {
 			return fmt.Errorf("controller: add VIP %s: %w", t.Addr, t.Err)
@@ -192,7 +192,7 @@ func (ct *Controller) applyEpoch(w *workload.Workload, epoch int, next *assign.A
 			ct.tel.rec.Record(telemetry.KindMigrationStep, uint32(epoch), uint32(t.Addr), uint32(prev.SwitchOf[i]), 1)
 		}
 	}
-	ct.Cluster.Place(ts)
+	ct.Cluster.Place(ts...)
 	for k, t := range ts {
 		i := vipOf[k]
 		switch {
@@ -229,7 +229,7 @@ func (ct *Controller) AddDIP(vip packet.Addr, b service.Backend) error {
 	grown.Backends = append(slices.Clone(v.Backends), b)
 	onHMux, onNIC := len(ct.Cluster.Replicas(vip)) > 0, ct.Cluster.NMuxHosted(vip)
 	ts := []core.Target{{Addr: vip, VIP: &grown, NIC: onNIC}}
-	ct.Cluster.Place(ts)
+	ct.Cluster.Place(ts...)
 	refused := onNIC && !ct.Cluster.NMuxHosted(vip)
 	if err := ts[0].Err; err != nil && !refused {
 		return err
@@ -302,7 +302,7 @@ func (ct *Controller) removeDIPs(pairs [][2]packet.Addr) ([][2]packet.Addr, erro
 		}
 		v.Backends = slices.Delete(v.Backends, i, i+1)
 	}
-	ct.Cluster.Place(ts)
+	ct.Cluster.Place(ts...)
 	var removed [][2]packet.Addr
 	var err error
 	for _, p := range pairs {

@@ -1,7 +1,6 @@
 package controller
 
 import (
-	"errors"
 	"slices"
 	"sync"
 	"testing"
@@ -241,7 +240,7 @@ func TestOrphanReplacedByDeltaEngine(t *testing.T) {
 				VIP: &service.VIP{Addr: addr, Backends: []service.Backend{{Addr: packet.AddrFrom4(100, 200, byte(sw), byte(i)), Weight: 1}}}})
 		}
 	}
-	c.Place(fillers)
+	c.Place(fillers...)
 	for _, f := range fillers {
 		if f.Err != nil {
 			t.Fatalf("filler %s: %v", f.Addr, f.Err)
@@ -256,7 +255,7 @@ func TestOrphanReplacedByDeltaEngine(t *testing.T) {
 	for i := range fillers {
 		fillers[i] = core.Target{Addr: fillers[i].Addr, Remove: true}
 	}
-	c.Place(fillers)
+	c.Place(fillers...)
 	if rep, err = ct.RunEpochDelta(w, 3); err != nil {
 		t.Fatal(err)
 	}
@@ -499,8 +498,9 @@ func TestRunEpochDeltaMatchesFromScratch(t *testing.T) {
 // TestDIPChurnBesideMigration grows one VIP's backend set a hundred times
 // while another goroutine bounces the same VIP on and off a switch. The
 // backend-set edit and the mux reprogramming happen in core under the writer
-// lock; when the controller edited the cluster's record itself, AssignToHMux
-// read the backend array AddDIP was appending to (run under -race).
+// lock; when the controller edited the cluster's record itself, placing the
+// VIP on its switch read the backend array AddDIP was appending to (run
+// under -race).
 func TestDIPChurnBesideMigration(t *testing.T) {
 	c, err := core.New(core.Config{
 		Topology:  topology.TestbedConfig(),
@@ -526,13 +526,11 @@ func TestDIPChurnBesideMigration(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
-			if err := c.AssignToHMux(vip, sw); err != nil {
+			if err := c.Place(core.Target{Addr: vip, Switches: []topology.SwitchID{sw}}); err != nil {
 				t.Errorf("assign %d: %v", i, err)
 				return
 			}
-			// AddDIP withdraws an HMux-served VIP itself; losing that race is
-			// the one error this side may see.
-			if err := c.WithdrawFromHMux(vip); err != nil && !errors.Is(err, core.ErrVIPUnknown) {
+			if err := c.Place(core.Target{Addr: vip}); err != nil {
 				t.Errorf("withdraw %d: %v", i, err)
 				return
 			}

@@ -79,7 +79,7 @@ func TestChaosConcurrent(t *testing.T) {
 	if err := c.AddVIP(tipVIP); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.AssignToHMux(tipVIP.Addr, c.Topo.CoreID(0)); err != nil {
+	if err := placeOn(c, tipVIP.Addr, c.Topo.CoreID(0)); err != nil {
 		t.Fatal(err)
 	}
 	tipSw1, tipSw2 := c.Topo.AggID(0, 0), c.Topo.AggID(1, 0)
@@ -126,17 +126,15 @@ func TestChaosConcurrent(t *testing.T) {
 			switch rng.Intn(4) {
 			case 0:
 				sw := topology.SwitchID(rng.Intn(c.Topo.NumSwitches()))
-				_ = c.AssignToHMux(u.addr, sw) // may fail: down, taken, replicated
-			case 1:
-				_ = c.WithdrawFromHMux(u.addr)
+				_ = placeOn(c, u.addr, sw) // may fail: the switch is down
 			case 2:
 				a := topology.SwitchID(rng.Intn(c.Topo.NumSwitches()))
 				b := topology.SwitchID(rng.Intn(c.Topo.NumSwitches()))
 				if a != b {
-					_ = c.AssignReplicated(u.addr, []topology.SwitchID{a, b})
+					_ = placeOn(c, u.addr, a, b)
 				}
-			case 3:
-				_ = c.WithdrawFromHMux(u.addr)
+			default:
+				_ = placeOn(c, u.addr)
 			}
 		}
 	}()

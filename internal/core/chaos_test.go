@@ -104,14 +104,8 @@ func TestChaos(t *testing.T) {
 			}
 			delete(vips, v.addr)
 
-		case op == 4 || op == 5: // assign to HMux (single or replicated)
+		case op == 4 || op == 5: // place on HMux (single or replicated), from wherever it is
 			v := randomVIP()
-			if _, on := c.HomeOf(v.addr); on {
-				continue
-			}
-			if len(c.Replicas(v.addr)) > 0 {
-				continue
-			}
 			sw := randomSwitch()
 			if failed[sw] {
 				continue
@@ -121,23 +115,17 @@ func TestChaos(t *testing.T) {
 				if sw2 == sw || failed[sw2] {
 					continue
 				}
-				if err := c.AssignReplicated(v.addr, []topology.SwitchID{sw, sw2}); err != nil {
-					t.Fatalf("step %d: AssignReplicated: %v", step, err)
+				if err := placeOn(c, v.addr, sw, sw2); err != nil {
+					t.Fatalf("step %d: place on %d and %d: %v", step, sw, sw2, err)
 				}
-			} else if err := c.AssignToHMux(v.addr, sw); err != nil {
-				t.Fatalf("step %d: AssignToHMux(%d): %v", step, sw, err)
+			} else if err := placeOn(c, v.addr, sw); err != nil {
+				t.Fatalf("step %d: place on %d: %v", step, sw, err)
 			}
 
 		case op == 6: // withdraw
 			v := randomVIP()
-			if _, on := c.HomeOf(v.addr); on {
-				if err := c.WithdrawFromHMux(v.addr); err != nil {
-					t.Fatalf("step %d: Withdraw: %v", step, err)
-				}
-			} else if len(c.Replicas(v.addr)) > 0 {
-				if err := c.WithdrawFromHMux(v.addr); err != nil {
-					t.Fatalf("step %d: WithdrawFromHMux (replicated): %v", step, err)
-				}
+			if err := placeOn(c, v.addr); err != nil {
+				t.Fatalf("step %d: withdraw: %v", step, err)
 			}
 
 		case op == 7: // remove a DIP (resilient, via mux tables)

@@ -382,13 +382,12 @@ func switchAddr(s int) packet.Addr {
 // the SMux fleet's default mode; the controller may later migrate it to an
 // HMux. A Place target of one.
 func (c *Cluster) AddVIP(v *service.VIP) error {
-	return c.one(v.Addr, func(t *Target) error {
-		if _, ok := c.vips[v.Addr]; ok {
-			return ErrVIPExists
-		}
-		t.VIP = v
-		return nil
-	})
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.vips[v.Addr]; ok {
+		return ErrVIPExists
+	}
+	return c.placeLocked([]Target{{Addr: v.Addr, VIP: v}})
 }
 
 // hostBackendLocked puts a host agent behind a backend address: one host per
@@ -470,7 +469,7 @@ func (c *Cluster) RegisterHost(hostAddr packet.Addr, vip packet.Addr, vmDIPs []p
 // RemoveVIP withdraws a VIP everywhere (§5.2 "VIP removal"): a Place
 // target of one.
 func (c *Cluster) RemoveVIP(addr packet.Addr) error {
-	return c.one(addr, func(t *Target) error { t.Remove = true; return nil })
+	return c.Place(Target{Addr: addr, Remove: true})
 }
 
 // VIP returns the configuration of a VIP.
@@ -648,9 +647,9 @@ func (d Delivery) HMux() (topology.SwitchID, bool) {
 }
 
 // FIBMiss reports that the fabric routed the packet to a switch whose tables
-// did not hold the VIP — the window between DeprogramHMux and the route
-// withdrawal that completes it — so it followed the aggregate one hop further
-// to a host mux.
+// did not hold the VIP — the window between a Hold target that takes it off
+// its switch and the target that withdraws the route — so it followed the
+// aggregate one hop further to a host mux.
 func (d Delivery) FIBMiss() bool { return d.fibMiss }
 
 // Hops renders the steps the packet took, in order. Forwarding keeps only

@@ -45,9 +45,7 @@ func reconfigure(c *Cluster, vip packet.Addr, edit func([]service.Backend) []ser
 	}
 	next := *v
 	next.Backends = edit(slices.Clone(v.Backends))
-	ts := []Target{{Addr: vip, VIP: &next, Stay: true}}
-	c.Place(ts)
-	return ts[0].Err
+	return c.Place(Target{Addr: vip, VIP: &next, Stay: true})
 }
 
 // addBackend appends a backend to a VIP's default set.
@@ -113,7 +111,7 @@ func TestDeliverViaHMux(t *testing.T) {
 		t.Fatal(err)
 	}
 	sw := c.Topo.TorID(0, 0)
-	if err := c.AssignToHMux(v.Addr, sw); err != nil {
+	if err := placeOn(c, v.Addr, sw); err != nil {
 		t.Fatal(err)
 	}
 	if home, ok := c.HomeOf(v.Addr); !ok || home != sw {
@@ -144,7 +142,7 @@ func TestHMuxAndSMuxPickSameDIP(t *testing.T) {
 		}
 		before[i] = d.DIP
 	}
-	if err := c.AssignToHMux(v.Addr, c.Topo.AggID(0, 0)); err != nil {
+	if err := placeOn(c, v.Addr, c.Topo.AggID(0, 0)); err != nil {
 		t.Fatal(err)
 	}
 	for i := uint32(0); i < 300; i++ {
@@ -165,10 +163,10 @@ func TestWithdrawFallsBackToSMux(t *testing.T) {
 		t.Fatal(err)
 	}
 	sw := c.Topo.TorID(0, 0)
-	if err := c.AssignToHMux(v.Addr, sw); err != nil {
+	if err := placeOn(c, v.Addr, sw); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.WithdrawFromHMux(v.Addr); err != nil {
+	if err := placeOn(c, v.Addr); err != nil {
 		t.Fatal(err)
 	}
 	d, err := c.Deliver(clientPkt(v.Addr, 1))
@@ -177,9 +175,6 @@ func TestWithdrawFallsBackToSMux(t *testing.T) {
 	}
 	if d.Hops()[0].Kind != "smux" {
 		t.Fatalf("hops after withdraw = %+v", d.Hops())
-	}
-	if err := c.WithdrawFromHMux(v.Addr); err != ErrVIPUnknown {
-		t.Fatalf("double withdraw: %v", err)
 	}
 }
 
@@ -190,7 +185,7 @@ func TestFailSwitchFailsOver(t *testing.T) {
 		t.Fatal(err)
 	}
 	sw := c.Topo.TorID(0, 0)
-	if err := c.AssignToHMux(v.Addr, sw); err != nil {
+	if err := placeOn(c, v.Addr, sw); err != nil {
 		t.Fatal(err)
 	}
 	c.FailSwitch(sw)
@@ -226,7 +221,7 @@ func TestFailSwitchFailsOver(t *testing.T) {
 func TestAssignErrors(t *testing.T) {
 	c := testCluster(t)
 	v := mkVIP(0, "100.0.0.1")
-	if err := c.AssignToHMux(v.Addr, 0); err != ErrVIPUnknown {
+	if err := placeOn(c, v.Addr, 0); err != ErrVIPUnknown {
 		t.Fatalf("unknown VIP: %v", err)
 	}
 	if err := c.AddVIP(v); err != nil {
@@ -235,21 +230,16 @@ func TestAssignErrors(t *testing.T) {
 	if err := c.AddVIP(v); err != ErrVIPExists {
 		t.Fatalf("duplicate: %v", err)
 	}
-	if err := c.AssignToHMux(v.Addr, topology.SwitchID(999)); err != ErrNoSuchSwitch {
+	if err := placeOn(c, v.Addr, topology.SwitchID(999)); err != ErrNoSuchSwitch {
 		t.Fatalf("bad switch: %v", err)
 	}
 	sw := c.Topo.TorID(0, 0)
-	if err := c.AssignToHMux(v.Addr, sw); err != nil {
+	if err := placeOn(c, v.Addr, sw); err != nil {
 		t.Fatal(err)
 	}
 	// Idempotent same-switch assign.
-	if err := c.AssignToHMux(v.Addr, sw); err != nil {
+	if err := placeOn(c, v.Addr, sw); err != nil {
 		t.Fatalf("same-switch reassign: %v", err)
-	}
-	// Direct move without withdraw is refused (the controller must use the
-	// stepping stone).
-	if err := c.AssignToHMux(v.Addr, c.Topo.TorID(0, 1)); err == nil {
-		t.Fatal("direct move accepted")
 	}
 	other := c.Topo.TorID(1, 0)
 	c.FailSwitch(other)
@@ -257,7 +247,7 @@ func TestAssignErrors(t *testing.T) {
 	if err := c.AddVIP(v2); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.AssignToHMux(v2.Addr, other); err != ErrSwitchDown {
+	if err := placeOn(c, v2.Addr, other); err != ErrSwitchDown {
 		t.Fatalf("down switch: %v", err)
 	}
 }
@@ -268,7 +258,7 @@ func TestRemoveVIP(t *testing.T) {
 	if err := c.AddVIP(v); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.AssignToHMux(v.Addr, c.Topo.TorID(0, 0)); err != nil {
+	if err := placeOn(c, v.Addr, c.Topo.TorID(0, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.RemoveVIP(v.Addr); err != nil {
@@ -307,7 +297,7 @@ func TestTIPIndirectionEndToEnd(t *testing.T) {
 	if err := c.AddVIP(v); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.AssignToHMux(v.Addr, c.Topo.CoreID(0)); err != nil {
+	if err := placeOn(c, v.Addr, c.Topo.CoreID(0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.InstallTIP(tip1, c.Topo.AggID(0, 0), part1); err != nil {
@@ -410,7 +400,7 @@ func BenchmarkDeliver(b *testing.B) {
 	if err := c.AddVIP(v); err != nil {
 		b.Fatal(err)
 	}
-	if err := c.AssignToHMux(v.Addr, c.Topo.TorID(0, 0)); err != nil {
+	if err := placeOn(c, v.Addr, c.Topo.TorID(0, 0)); err != nil {
 		b.Fatal(err)
 	}
 	pkt := clientPkt(v.Addr, 7)
@@ -435,13 +425,13 @@ func TestRebootWipesTables(t *testing.T) {
 	}
 	sw := c.Topo.AggID(0, 0)
 	other := c.Topo.AggID(1, 0)
-	if err := c.AssignReplicated(v.Addr, []topology.SwitchID{sw, other}); err != nil {
+	if err := placeOn(c, v.Addr, sw, other); err != nil {
 		t.Fatal(err)
 	}
 	// The replica switch dies; the operator withdraws the replicas while it
 	// is down (only the live one can be cleaned).
 	c.FailSwitch(sw)
-	if err := c.WithdrawFromHMux(v.Addr); err != nil {
+	if err := placeOn(c, v.Addr); err != nil {
 		t.Fatal(err)
 	}
 	c.RecoverSwitch(sw)
@@ -452,7 +442,7 @@ func TestRebootWipesTables(t *testing.T) {
 	if st := c.HMuxes[sw].Stats(); st.HostUsed != 0 || st.ECMPUsed != 0 || st.TunnelUsed != 0 {
 		t.Fatalf("rebooted switch tables not blank: %+v", st)
 	}
-	if err := c.AssignReplicated(v.Addr, []topology.SwitchID{sw}); err != nil {
+	if err := placeOn(c, v.Addr, sw); err != nil {
 		t.Fatalf("re-assignment after reboot failed: %v", err)
 	}
 	if _, err := c.Deliver(clientPkt(v.Addr, 1)); err != nil {
@@ -501,7 +491,7 @@ func TestDeliverTIPSwitchDown(t *testing.T) {
 	if err := c.AddVIP(v); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.AssignToHMux(v.Addr, c.Topo.CoreID(0)); err != nil {
+	if err := placeOn(c, v.Addr, c.Topo.CoreID(0)); err != nil {
 		t.Fatal(err)
 	}
 	tipSw := c.Topo.AggID(0, 0)
@@ -579,10 +569,10 @@ func TestDeliveryHopOrdering(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := c.AssignToHMux(hmuxVIP.Addr, c.Topo.AggID(0, 0)); err != nil {
+	if err := placeOn(c, hmuxVIP.Addr, c.Topo.AggID(0, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.AssignToHMux(tipVIP.Addr, c.Topo.CoreID(0)); err != nil {
+	if err := placeOn(c, tipVIP.Addr, c.Topo.CoreID(0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.InstallTIP(tip, c.Topo.AggID(1, 0), part); err != nil {

@@ -11,7 +11,6 @@ import (
 	"duet/internal/service"
 	"duet/internal/steer"
 	"duet/internal/telemetry"
-	"duet/internal/topology"
 )
 
 // collectScenario builds a NIC-tier cluster holding every kind of placement
@@ -33,8 +32,8 @@ func collectScenario(t testing.TB) *Cluster {
 	must(t, c.AddVIP(nic))
 	must(t, c.AddVIP(sw))
 	must(t, c.AddVIP(hyb))
-	must(t, c.AssignToHMux(hw.Addr, sw0))
-	must(t, c.AssignReplicated(rep.Addr, []topology.SwitchID{sw1, sw2}))
+	must(t, placeOn(c, hw.Addr, sw0))
+	must(t, placeOn(c, rep.Addr, sw1, sw2))
 	must(t, c.AssignToNMux(nic.Addr))
 	must(t, c.SetVIPMode(hyb.Addr, steer.ModeHybrid))
 

@@ -29,12 +29,12 @@ func stageRows(t *testing.T, n int) (*Cluster, [][]byte) {
 		return v
 	}
 	hw := vip(1)
-	must(t, c.AssignToHMux(hw.Addr, hmuxSw))
+	must(t, placeOn(c, hw.Addr, hmuxSw))
 
 	tipDIPs := []service.Backend{{Addr: packet.MustParseAddr("100.0.9.1"), Weight: 1}, {Addr: packet.MustParseAddr("100.0.9.2"), Weight: 1}}
 	tip := &service.VIP{Addr: packet.MustParseAddr("10.0.2.2"), Backends: []service.Backend{{Addr: packet.MustParseAddr("20.0.0.2"), Weight: 1}}}
 	must(t, c.AddVIP(tip))
-	must(t, c.AssignToHMux(tip.Addr, hmuxSw))
+	must(t, placeOn(c, tip.Addr, hmuxSw))
 	must(t, c.InstallTIP(tip.Backends[0].Addr, tipSw, tipDIPs))
 	must(t, c.RegisterTIPBackends(tip.Addr, tipDIPs))
 
@@ -42,8 +42,8 @@ func stageRows(t *testing.T, n int) (*Cluster, [][]byte) {
 	must(t, c.AssignToNMux(nic.Addr))
 	sw := vip(4)
 	fibMiss := vip(5)
-	must(t, c.AssignToHMux(fibMiss.Addr, hmuxSw))
-	must(t, c.DeprogramHMux(fibMiss.Addr))
+	must(t, placeOn(c, fibMiss.Addr, hmuxSw))
+	must(t, c.Place(Target{Addr: fibMiss.Addr, Hold: true}))
 
 	rows := []func(flow uint32) []byte{
 		func(f uint32) []byte { return clientPkt(hw.Addr, f) },

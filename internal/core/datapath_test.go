@@ -41,7 +41,7 @@ func rewritten(t testing.TB, pkt []byte, dip packet.Addr) []byte {
 // reports the hops TestDeliveryHopOrdering pins, moving no drop counter; a
 // client header that fails verification is refused at ingress before any mux
 // or agent sees it. The hmux-fib-miss row is a VIP whose /32 still leads to
-// its switch after DeprogramHMux took it out of the tables: the miss is a
+// its switch after a Hold target took it out of the tables: the miss is a
 // fall-through to a host mux pair, not a drop.
 func TestZeroAllocDeliverMatrix(t *testing.T) {
 	c := testClusterNMux(t, 4096)
@@ -60,11 +60,11 @@ func TestZeroAllocDeliverMatrix(t *testing.T) {
 	}{
 		{"hmux", []string{"hmux", "agent"}, [][]string{{swName(hmuxSw)}},
 			func(t *testing.T, v *service.VIP, _ []service.Backend) {
-				must(t, c.AssignToHMux(v.Addr, hmuxSw))
+				must(t, placeOn(c, v.Addr, hmuxSw))
 			}},
 		{"hmux+tip", []string{"hmux", "tip", "agent"}, [][]string{{swName(hmuxSw)}, {swName(tipSw)}},
 			func(t *testing.T, v *service.VIP, dips []service.Backend) {
-				must(t, c.AssignToHMux(v.Addr, hmuxSw))
+				must(t, placeOn(c, v.Addr, hmuxSw))
 				must(t, c.InstallTIP(v.Backends[0].Addr, tipSw, dips))
 				must(t, c.RegisterTIPBackends(v.Addr, dips))
 			}},
@@ -76,8 +76,8 @@ func TestZeroAllocDeliverMatrix(t *testing.T) {
 			func(*testing.T, *service.VIP, []service.Backend) {}},
 		{"hmux-fib-miss", []string{"smux", "agent"}, [][]string{hostMuxes},
 			func(t *testing.T, v *service.VIP, _ []service.Backend) {
-				must(t, c.AssignToHMux(v.Addr, hmuxSw))
-				must(t, c.DeprogramHMux(v.Addr))
+				must(t, placeOn(c, v.Addr, hmuxSw))
+				must(t, c.Place(Target{Addr: v.Addr, Hold: true}))
 			}},
 	}
 	tcp := func(ft packet.FiveTuple) []byte { return packet.BuildTCP(ft, packet.TCPAck, []byte("established")) }
@@ -289,6 +289,12 @@ func must(t testing.TB, err error) {
 	}
 }
 
+// placeOn is a one-target Place: the VIP onto switches sws, or — none — onto
+// the SMux tier.
+func placeOn(c *Cluster, vip packet.Addr, sws ...topology.SwitchID) error {
+	return c.Place(Target{Addr: vip, Switches: sws})
+}
+
 // mixedBatch builds n client packets of varying length, alternating between
 // an HMux-hosted and an SMux-served VIP, with source addresses from base up.
 func mixedBatch(vips []packet.Addr, base, n int) [][]byte {
@@ -307,7 +313,7 @@ func twoTierCluster(t testing.TB) (*Cluster, []packet.Addr) {
 	hw, sw := mkVIP(0, "100.0.0.1", "100.0.0.2"), mkVIP(1, "100.0.1.1", "100.0.1.2")
 	must(t, c.AddVIP(hw))
 	must(t, c.AddVIP(sw))
-	must(t, c.AssignToHMux(hw.Addr, c.Topo.AggID(0, 0)))
+	must(t, placeOn(c, hw.Addr, c.Topo.AggID(0, 0)))
 	return c, []packet.Addr{hw.Addr, sw.Addr}
 }
 
@@ -358,7 +364,7 @@ func BenchmarkDeliverBatch(b *testing.B) {
 			{Addr: packet.AddrFrom4(100, 1, byte(i), 2), Weight: 1},
 		}}
 		must(b, c.AddVIP(v))
-		must(b, c.AssignToHMux(v.Addr, c.Topo.AggID(i%2, i/2%2)))
+		must(b, placeOn(c, v.Addr, c.Topo.AggID(i%2, i/2%2)))
 		vips[i] = v.Addr
 	}
 	built := make([][]byte, 1<<16)
@@ -518,7 +524,7 @@ func TestSampledPacketLeavesCompleteTrace(t *testing.T) {
 }
 
 func onHMux(t *testing.T, c *Cluster, vip packet.Addr) {
-	must(t, c.AssignToHMux(vip, c.Topo.AggID(0, 0)))
+	must(t, placeOn(c, vip, c.Topo.AggID(0, 0)))
 }
 func onNMux(t *testing.T, c *Cluster, vip packet.Addr) { must(t, c.AssignToNMux(vip)) }
 func onSMux(*testing.T, *Cluster, packet.Addr)         {}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"duet/internal/nmux"
@@ -107,7 +108,7 @@ func TestNMuxEncapIdenticalToSMux(t *testing.T) {
 		}
 		before[i] = obs{d.DIP, d.Host, string(d.Packet)}
 	}
-	if err := c.WithdrawFromNMux(v.Addr); err != nil {
+	if err := placeOn(c, v.Addr); err != nil {
 		t.Fatal(err)
 	}
 	if c.NMuxHosted(v.Addr) {
@@ -138,29 +139,8 @@ func TestAssignToNMuxGuards(t *testing.T) {
 	if err := c.AssignToNMux(packet.AddrFrom4(10, 9, 9, 9)); !errors.Is(err, ErrVIPUnknown) {
 		t.Fatalf("unknown VIP: err = %v", err)
 	}
-	// HMux-hosted VIPs must be withdrawn first.
-	var agg topology.SwitchID = -1
-	for _, sw := range c.Topo.Switches {
-		if sw.Kind == topology.Agg {
-			agg = sw.ID
-			break
-		}
-	}
-	if err := c.AssignToHMux(v.Addr, agg); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AssignToNMux(v.Addr); err == nil {
-		t.Fatal("AssignToNMux should reject an HMux-hosted VIP")
-	}
-	if err := c.WithdrawFromHMux(v.Addr); err != nil {
-		t.Fatal(err)
-	}
 	if err := c.AssignToNMux(v.Addr); err != nil {
 		t.Fatal(err)
-	}
-	// And the converse: NIC-hosted VIPs reject HMux assignment.
-	if err := c.AssignToHMux(v.Addr, agg); err == nil {
-		t.Fatal("AssignToHMux should reject a NIC-hosted VIP")
 	}
 	// Idempotent re-assign.
 	if err := c.AssignToNMux(v.Addr); err != nil {
@@ -185,6 +165,73 @@ func TestAssignToNMuxGuards(t *testing.T) {
 		if nm.HasVIP(fat.Addr) {
 			t.Fatal("partial programming left behind after rollback")
 		}
+	}
+}
+
+// TestPlaceMovesBetweenHardwareTiers: a VIP moves between a switch and the
+// NIC tier in one batch — AssignToNMux off its switch, a switch target off
+// the NICs — that advances the switch and every NIC by one generation and
+// no SMux, transiting the stepping stone inside the batch; its flows keep
+// their DIPs (the shared hash) while their first hop changes tier. A VIP on
+// the SMux tier placed there again publishes nothing.
+func TestPlaceMovesBetweenHardwareTiers(t *testing.T) {
+	c := testClusterNMux(t, 64)
+	v, soft := mkVIP(0, "100.0.0.1", "100.0.0.2", "100.0.0.3"), mkVIP(1, "100.0.1.1")
+	must(t, c.AddVIP(v))
+	must(t, c.AddVIP(soft))
+	agg := c.Topo.AggID(0, 0)
+	must(t, placeOn(c, v.Addr, agg))
+
+	dips := make([]packet.Addr, 64)
+	deliver := func(first string) {
+		t.Helper()
+		for i := range dips {
+			d, err := c.Deliver(clientPkt(v.Addr, uint32(i)))
+			must(t, err)
+			if d.Hops()[0].Kind != first {
+				t.Fatalf("flow %d: hops %+v, want %s first", i, d.Hops(), first)
+			}
+			if dips[i] == 0 {
+				dips[i] = d.DIP
+			} else if d.DIP != dips[i] {
+				t.Fatalf("flow %d remapped %s → %s across the tier move", i, dips[i], d.DIP)
+			}
+		}
+	}
+	deliver("hmux")
+	for _, step := range []struct {
+		name  string
+		move  func() error
+		first string
+	}{
+		{"AssignToNMux of a switch-hosted VIP", func() error { return c.AssignToNMux(v.Addr) }, "nmux"},
+		{"a switch target for a NIC-hosted VIP", func() error { return placeOn(c, v.Addr, agg) }, "hmux"},
+	} {
+		before := generations(c)
+		if err := step.move(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		for i, g := range generations(c) {
+			want := before[i]
+			if i == int(agg) || (i >= len(c.HMuxes) && i < len(c.HMuxes)+len(c.NMuxes)) {
+				want++
+			}
+			if g != want {
+				t.Errorf("%s: table %d generation %d → %d, want %d", step.name, i, before[i], g, want)
+			}
+		}
+		deliver(step.first)
+	}
+	if home, ok := c.HomeOf(v.Addr); !ok || home != agg || c.NMuxHosted(v.Addr) {
+		t.Fatalf("HomeOf = %v %v, NMuxHosted = %v; want %v only", home, ok, c.NMuxHosted(v.Addr), agg)
+	}
+
+	before := generations(c)
+	if err := c.Place(Target{Addr: soft.Addr}); err != nil {
+		t.Fatalf("placing an SMux-tier VIP on the SMux tier: %v", err)
+	}
+	if after := generations(c); !slices.Equal(after, before) {
+		t.Fatalf("a no-op target published generations %v → %v", before, after)
 	}
 }
 

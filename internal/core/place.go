@@ -45,21 +45,24 @@ type hop struct {
 // Apply, one generation per table per batch, in §4.2's order: hosts are
 // wired for new DIPs; the switches that only lose apply, then the SMuxes,
 // the NICs and the switches that gain, removals first in each, so every
-// move transits the SMux stepping stone; routes follow as one bgp.Apply,
+// move — switch to switch, switch to NIC or back — transits the SMux
+// stepping stone within the batch; routes follow as one bgp.Apply,
 // withdrawals first; DIPs no longer listed are unwired; each record is
 // replaced, never edited. A VIP is all or nothing across its switches and
 // NICs: an invalid target changes nothing, as does a config change beyond
 // dropped DIPs in place on a switch (§5.2: withdraw first, so the SMuxes'
 // connection state masks the rehash); one a table refuses falls back to the
 // SMux tier with its config (leaving the tables it did reach is their
-// second generation).
-func (c *Cluster) Place(ts []Target) {
+// second generation). A target that leaves its VIP where it is changes
+// nothing. Each target's outcome is in its Err, and Place returns the first
+// of them that is not nil.
+func (c *Cluster) Place(ts ...Target) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.placeLocked(ts)
+	return c.placeLocked(ts)
 }
 
-func (c *Cluster) placeLocked(ts []Target) {
+func (c *Cluster) placeLocked(ts []Target) error {
 	hops := make([]hop, len(ts))
 	var sm []steer.Op // the SMuxes' batch
 	for i := range ts {
@@ -116,6 +119,12 @@ func (c *Cluster) placeLocked(ts []Target) {
 			delete(c.placed, addr)
 		}
 	}
+	for _, t := range ts {
+		if t.Err != nil {
+			return t.Err
+		}
+	}
+	return nil
 }
 
 // hopLocked validates a target, works out what it changes and appends its
@@ -287,107 +296,19 @@ func outside(a, b []topology.SwitchID, f func(topology.SwitchID)) {
 	}
 }
 
-// one places a single VIP, a batch of one: where it is now, as edit changes
-// it. Every per-VIP placement mutator is one; a VIP placed elsewhere must be
-// withdrawn before it is placed again.
-func (c *Cluster) one(addr packet.Addr, edit func(t *Target) error) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	p := c.placed[addr]
-	ts := []Target{{Addr: addr, Switches: p.tables, NIC: p.nic, Hold: !slices.Equal(p.tables, p.routes)}}
-	t := &ts[0]
-	if err := edit(t); err != nil {
-		return err
-	}
-	if sws := p.sws(); (len(t.Switches) > 0 || t.NIC) && (len(sws) > 0 || p.nic) && (t.NIC != p.nic || !slices.Equal(t.Switches, sws)) {
-		return fmt.Errorf("core: VIP %s is on switch %v or the NIC tier (%v); withdraw first", addr, sws, p.nic)
-	}
-	c.placeLocked(ts)
-	return t.Err
-}
-
-// toHMux places a VIP on sws, or completes a ProgramHMux there.
-func (c *Cluster) toHMux(addr packet.Addr, sws []topology.SwitchID, hold bool) error {
-	return c.one(addr, func(t *Target) error {
-		if len(sws) == 0 {
-			return fmt.Errorf("core: no switch given for VIP %s", addr)
-		}
-		t.Switches, t.Hold = sws, hold
-		return nil
-	})
-}
-
-// fromHMux takes a VIP off its switches.
-func (c *Cluster) fromHMux(addr packet.Addr, hold bool) error {
-	return c.one(addr, func(t *Target) error {
-		if len(c.placed[addr].sws()) == 0 {
-			return ErrVIPUnknown
-		}
-		t.Switches, t.Hold = nil, hold
-		return nil
-	})
-}
-
-// AssignToHMux programs a VIP onto a switch and announces its /32 route, or
-// completes a ProgramHMux there.
-func (c *Cluster) AssignToHMux(addr packet.Addr, sw topology.SwitchID) error {
-	return c.toHMux(addr, []topology.SwitchID{sw}, false)
-}
-
-// AssignReplicated is AssignToHMux onto several switches (§9): all announce
-// the /32 and the fabric ECMPs across them, so a dead replica's share moves to
-// the survivors with no SMux hop and — the shared hash — no remap.
-func (c *Cluster) AssignReplicated(addr packet.Addr, switches []topology.SwitchID) error {
-	return c.toHMux(addr, switches, false)
-}
-
-// ProgramHMux is AssignToHMux's first half: the switch's tables hold the VIP
-// but the fabric has not heard of it, so its traffic still follows the SMux
-// aggregate and HomeOf reports no home. A caller that models route
-// propagation (internal/testbed) puts the BGP delay between this and the
-// AssignToHMux that completes it.
-func (c *Cluster) ProgramHMux(addr packet.Addr, sw topology.SwitchID) error {
-	return c.toHMux(addr, []topology.SwitchID{sw}, true)
-}
-
-// WithdrawFromHMux removes a VIP from its switches; traffic falls back to the
-// SMuxes (the stepping-stone state of §4.2). It completes a DeprogramHMux, and
-// cancels a ProgramHMux.
-func (c *Cluster) WithdrawFromHMux(addr packet.Addr) error {
-	return c.fromHMux(addr, false)
-}
-
-// DeprogramHMux is WithdrawFromHMux's first half: the VIP leaves the switch's
-// tables — HomeOf reports no home from here on — while the fabric still
-// routes its /32 there, so until WithdrawFromHMux completes the move a packet
-// misses the FIB and follows the aggregate to an SMux (Delivery.FIBMiss).
-func (c *Cluster) DeprogramHMux(addr packet.Addr) error {
-	return c.fromHMux(addr, true)
-}
-
-// AssignToNMux programs a VIP's wildcard entries on every NIC: its routes stay
-// on the SMux aggregate and packets reaching an SMux server hit the NIC table
-// first. Fails with nmux.ErrTableFull, changing nothing, if they cannot hold it.
+// AssignToNMux programs a VIP's wildcard entries on every NIC, a one-target
+// Place: its routes stay on the SMux aggregate and packets reaching an SMux
+// server hit the NIC table first. A VIP on a switch leaves it in the same
+// batch. Fails with nmux.ErrTableFull, changing nothing, if the NICs cannot
+// hold it.
 func (c *Cluster) AssignToNMux(addr packet.Addr) error {
-	return c.one(addr, func(t *Target) error { t.NIC = true; return nil })
-}
-
-// WithdrawFromNMux deprograms a VIP from every NIC; its traffic is served by
-// the SMuxes alone again (flows pinned in the NIC tables are dropped, but
-// the SMux picks the same DIPs — shared hash — so connections survive).
-func (c *Cluster) WithdrawFromNMux(addr packet.Addr) error {
-	return c.one(addr, func(t *Target) error {
-		if !t.NIC {
-			return ErrVIPUnknown
-		}
-		t.NIC = false
-		return nil
-	})
+	return c.Place(Target{Addr: addr, NIC: true})
 }
 
 // SetVIPMode switches a VIP's per-connection consistency mode on every SMux
-// (see internal/steer). It bumps each steer-table epoch but opens no drain
-// window: no slot moves, so no flow's DIP does.
+// (see internal/steer), a one-target Place that leaves the VIP where it is.
+// It bumps each steer-table epoch but opens no drain window: no slot moves,
+// so no flow's DIP does.
 func (c *Cluster) SetVIPMode(addr packet.Addr, mode steer.Mode) error {
-	return c.one(addr, func(t *Target) error { t.Mode = &mode; return nil })
+	return c.Place(Target{Addr: addr, Stay: true, Mode: &mode})
 }

@@ -38,15 +38,15 @@ func TestUnobservableMutationsPublishNothing(t *testing.T) {
 		name string
 		do   func() error
 	}{
-		{"ProgramHMux", func() error { return c.ProgramHMux(v.Addr, sw) }},
-		{"AssignToHMux", func() error { return c.AssignToHMux(v.Addr, sw) }},
-		{"DeprogramHMux", func() error { return c.DeprogramHMux(v.Addr) }},
-		{"WithdrawFromHMux", func() error { return c.WithdrawFromHMux(v.Addr) }},
+		{"onto a switch, route held", func() error { return c.Place(Target{Addr: v.Addr, Switches: []topology.SwitchID{sw}, Hold: true}) }},
+		{"onto a switch", func() error { return placeOn(c, v.Addr, sw) }},
+		{"off the switch, route held", func() error { return c.Place(Target{Addr: v.Addr, Hold: true}) }},
+		{"to the SMux tier", func() error { return placeOn(c, v.Addr) }},
 		{"AssignToNMux", func() error { return c.AssignToNMux(v.Addr) }},
-		{"WithdrawFromNMux", func() error { return c.WithdrawFromNMux(v.Addr) }},
+		{"off the NICs", func() error { return placeOn(c, v.Addr) }},
 		{"SetVIPMode", func() error { return c.SetVIPMode(v.Addr, steer.ModeHybrid) }},
-		{"AssignReplicated", func() error { return c.AssignReplicated(w.Addr, []topology.SwitchID{sw, other}) }},
-		{"WithdrawFromHMux (replicated)", func() error { return c.WithdrawFromHMux(w.Addr) }},
+		{"onto two switches", func() error { return placeOn(c, w.Addr, sw, other) }},
+		{"off both switches", func() error { return placeOn(c, w.Addr) }},
 		{"RemoveBackend", func() error { return removeBackend(c, v.Addr, v.Backends[1].Addr) }},
 		{"AddBackend (known host)", func() error { return addBackend(c, v.Addr, v.Backends[1]) }},
 		{"RemoveVIP", func() error { return c.RemoveVIP(w.Addr) }},
@@ -78,6 +78,22 @@ func TestUnobservableMutationsPublishNothing(t *testing.T) {
 	}
 }
 
+// generations lists every table's generation: the switches', the NICs',
+// then the SMuxes'.
+func generations(c *Cluster) []uint64 {
+	var out []uint64
+	for _, hm := range c.HMuxes {
+		out = append(out, hm.Stats().Generation)
+	}
+	for _, nm := range c.NMuxes {
+		out = append(out, nm.Stats().Generation)
+	}
+	for _, sm := range c.SMuxes {
+		out = append(out, sm.Epoch())
+	}
+	return out
+}
+
 // TestPlaceMovesAndFlipsModesInOneGeneration: one Place batch that moves
 // VIPs onto two switches, onto the NIC tier and back to the SMux tier, with
 // half of its targets also setting a mode, moves every switch, NIC and SMux
@@ -97,22 +113,9 @@ func TestPlaceMovesAndFlipsModesInOneGeneration(t *testing.T) {
 		vs = append(vs, v)
 	}
 	a, b, gone := c.Topo.AggID(0, 0), c.Topo.AggID(1, 0), c.Topo.TorID(0, 0)
-	must(t, c.AssignToHMux(vs[6].Addr, gone))
+	must(t, placeOn(c, vs[6].Addr, gone))
 	must(t, c.AssignToNMux(vs[7].Addr))
 
-	generations := func() []uint64 {
-		var out []uint64
-		for _, hm := range c.HMuxes {
-			out = append(out, hm.Stats().Generation)
-		}
-		for _, nm := range c.NMuxes {
-			out = append(out, nm.Stats().Generation)
-		}
-		for _, sm := range c.SMuxes {
-			out = append(out, sm.Epoch())
-		}
-		return out
-	}
 	hybrid, stateless := steer.ModeHybrid, steer.ModeStateless
 	ts := []Target{
 		{Addr: vs[0].Addr, Switches: []topology.SwitchID{a}, Mode: &hybrid},
@@ -124,13 +127,10 @@ func TestPlaceMovesAndFlipsModesInOneGeneration(t *testing.T) {
 		{Addr: vs[6].Addr, Mode: &stateless}, // off switch gone, to the SMux tier
 		{Addr: vs[7].Addr},                   // off the NICs, to the SMux tier
 	}
-	before := generations()
-	c.Place(ts)
-	for _, tg := range ts {
-		must(t, tg.Err)
-	}
+	before := generations(c)
+	must(t, c.Place(ts...))
 	moved := map[int]bool{int(a): true, int(b): true, int(gone): true} // the switches
-	for i, g := range generations() {
+	for i, g := range generations(c) {
 		want := before[i]
 		if i >= len(c.HMuxes) || moved[i] { // every NIC and SMux is touched
 			want++
@@ -203,8 +203,8 @@ func TestMutationCostFollowsTheMutation(t *testing.T) {
 		}
 		add = append(add, allocated(func() { must(t, c.AddVIP(v)) }))
 		moveVIP := func() {
-			must(t, c.AssignToHMux(v.Addr, sw))
-			must(t, c.WithdrawFromHMux(v.Addr))
+			must(t, placeOn(c, v.Addr, sw))
+			must(t, placeOn(c, v.Addr))
 		}
 		moveVIP() // the switch's first VIP also sizes its bookkeeping maps
 		move = append(move, medianAllocated(moveVIP))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"duet/internal/packet"
@@ -15,7 +16,7 @@ func TestReplicatedVIPSplitsAcrossSwitches(t *testing.T) {
 		t.Fatal(err)
 	}
 	reps := []topology.SwitchID{c.Topo.AggID(0, 0), c.Topo.AggID(1, 0)}
-	if err := c.AssignReplicated(v.Addr, reps); err != nil {
+	if err := placeOn(c, v.Addr, reps...); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Replicas(v.Addr); len(got) != 2 {
@@ -54,7 +55,7 @@ func TestReplicaFailureNoSMuxNoRemap(t *testing.T) {
 		t.Fatal(err)
 	}
 	reps := []topology.SwitchID{c.Topo.AggID(0, 0), c.Topo.AggID(1, 0)}
-	if err := c.AssignReplicated(v.Addr, reps); err != nil {
+	if err := placeOn(c, v.Addr, reps...); err != nil {
 		t.Fatal(err)
 	}
 	before := make(map[uint32]packet.Addr)
@@ -87,46 +88,43 @@ func TestReplicaFailureNoSMuxNoRemap(t *testing.T) {
 func TestReplicationErrors(t *testing.T) {
 	c := testCluster(t)
 	v := mkVIP(0, "100.0.0.1")
-	if err := c.AssignReplicated(v.Addr, []topology.SwitchID{0}); err != ErrVIPUnknown {
+	if err := placeOn(c, v.Addr, 0); err != ErrVIPUnknown {
 		t.Fatalf("unknown VIP: %v", err)
 	}
 	if err := c.AddVIP(v); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.AssignReplicated(v.Addr, nil); err == nil {
-		t.Fatal("empty replica set accepted")
-	}
-	if err := c.AssignReplicated(v.Addr, []topology.SwitchID{999}); err != ErrNoSuchSwitch {
+	if err := placeOn(c, v.Addr, 999); err != ErrNoSuchSwitch {
 		t.Fatalf("bad switch: %v", err)
 	}
 	dup := c.Topo.AggID(0, 0)
-	if err := c.AssignReplicated(v.Addr, []topology.SwitchID{dup, dup}); err == nil {
+	if err := placeOn(c, v.Addr, dup, dup); err == nil {
 		t.Fatal("duplicate replica accepted")
 	}
 	down := c.Topo.AggID(1, 1)
 	c.FailSwitch(down)
-	if err := c.AssignReplicated(v.Addr, []topology.SwitchID{down}); err != ErrSwitchDown {
+	if err := placeOn(c, v.Addr, down); err != ErrSwitchDown {
 		t.Fatalf("down switch: %v", err)
 	}
 
-	// Single-home then replicate is refused, and vice versa.
-	if err := c.AssignToHMux(v.Addr, c.Topo.AggID(0, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AssignReplicated(v.Addr, []topology.SwitchID{c.Topo.AggID(1, 0)}); err == nil {
-		t.Fatal("replicating a homed VIP accepted")
-	}
-	if err := c.WithdrawFromHMux(v.Addr); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AssignReplicated(v.Addr, []topology.SwitchID{c.Topo.AggID(1, 0)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AssignToHMux(v.Addr, c.Topo.AggID(0, 0)); err == nil {
-		t.Fatal("homing a replicated VIP accepted")
-	}
-	if err := c.AssignReplicated(v.Addr, []topology.SwitchID{c.Topo.AggID(0, 1)}); err == nil {
-		t.Fatal("double replication accepted")
+	// A placed VIP moves straight between switch sets, one batch each: a
+	// home, replicas, another home.
+	for _, sws := range [][]topology.SwitchID{
+		{c.Topo.AggID(0, 0)},
+		{c.Topo.AggID(1, 0), c.Topo.AggID(0, 1)},
+		{c.Topo.AggID(0, 1)},
+	} {
+		if err := placeOn(c, v.Addr, sws...); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Replicas(v.Addr); !slices.Equal(got, sws) {
+			t.Fatalf("replicas %v, want %v", got, sws)
+		}
+		for i, hm := range c.HMuxes {
+			if want := slices.Contains(sws, topology.SwitchID(i)); hm.HasVIP(v.Addr) != want {
+				t.Fatalf("switch %d holds the VIP: %v, want %v", i, !want, want)
+			}
+		}
 	}
 }
 
@@ -137,10 +135,10 @@ func TestWithdrawReplicasFallsBackToSMux(t *testing.T) {
 		t.Fatal(err)
 	}
 	reps := []topology.SwitchID{c.Topo.AggID(0, 0), c.Topo.CoreID(0)}
-	if err := c.AssignReplicated(v.Addr, reps); err != nil {
+	if err := placeOn(c, v.Addr, reps...); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.WithdrawFromHMux(v.Addr); err != nil {
+	if err := placeOn(c, v.Addr); err != nil {
 		t.Fatal(err)
 	}
 	d, err := c.Deliver(clientPkt(v.Addr, 1))
@@ -156,9 +154,6 @@ func TestWithdrawReplicasFallsBackToSMux(t *testing.T) {
 			t.Fatal("replica table entry leaked")
 		}
 	}
-	if err := c.WithdrawFromHMux(v.Addr); err != ErrVIPUnknown {
-		t.Fatalf("double withdraw: %v", err)
-	}
 }
 
 func TestRemoveVIPCleansReplicas(t *testing.T) {
@@ -167,7 +162,7 @@ func TestRemoveVIPCleansReplicas(t *testing.T) {
 	if err := c.AddVIP(v); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.AssignReplicated(v.Addr, []topology.SwitchID{c.Topo.AggID(0, 0)}); err != nil {
+	if err := placeOn(c, v.Addr, c.Topo.AggID(0, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.RemoveVIP(v.Addr); err != nil {
@@ -200,7 +195,7 @@ func TestReplicationAtomicRollback(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := c.Topo.AggID(1, 0)
-	if err := c.AssignToHMux(filler.Addr, full); err != nil {
+	if err := placeOn(c, filler.Addr, full); err != nil {
 		t.Fatal(err)
 	}
 
@@ -209,7 +204,7 @@ func TestReplicationAtomicRollback(t *testing.T) {
 		t.Fatal(err)
 	}
 	empty := c.Topo.AggID(0, 0)
-	err = c.AssignReplicated(v.Addr, []topology.SwitchID{empty, full})
+	err = placeOn(c, v.Addr, empty, full)
 	if err == nil {
 		t.Fatal("expected table-full error")
 	}
@@ -234,7 +229,7 @@ func TestBackendChangeOnReplicatedVIP(t *testing.T) {
 		t.Fatal(err)
 	}
 	reps := []topology.SwitchID{c.Topo.AggID(0, 0), c.Topo.AggID(1, 0)}
-	if err := c.AssignReplicated(v.Addr, reps); err != nil {
+	if err := placeOn(c, v.Addr, reps...); err != nil {
 		t.Fatal(err)
 	}
 	const flows = 3000
@@ -283,13 +278,13 @@ func TestBackendChangeOnReplicatedVIP(t *testing.T) {
 	if cur, _ := c.VIP(v.Addr); len(cur.Backends) != 2 {
 		t.Fatalf("refused AddBackend changed the record: %+v", cur.Backends)
 	}
-	if err := c.WithdrawFromHMux(v.Addr); err != nil {
+	if err := placeOn(c, v.Addr); err != nil {
 		t.Fatal(err)
 	}
 	if err := addBackend(c, v.Addr, added); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.AssignReplicated(v.Addr, reps); err != nil {
+	if err := placeOn(c, v.Addr, reps...); err != nil {
 		t.Fatal(err)
 	}
 	reached := 0

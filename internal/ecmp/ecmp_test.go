@@ -66,11 +66,7 @@ func TestGroupEqualSplit(t *testing.T) {
 	counts := make(map[uint32]int)
 	const flows = 40000
 	for i := uint32(0); i < flows; i++ {
-		m, err := g.SelectTuple(tuple(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts[m]++
+		counts[pick(g, Hash(tuple(i)))]++
 	}
 	for m := uint32(0); m < 4; m++ {
 		frac := float64(counts[m]) / flows
@@ -82,8 +78,8 @@ func TestGroupEqualSplit(t *testing.T) {
 
 func TestGroupEmpty(t *testing.T) {
 	g := NewGroup(nil, nil)
-	if _, err := g.Select(1); err != ErrEmptyGroup {
-		t.Fatalf("got %v, want ErrEmptyGroup", err)
+	if g.Size() != 0 {
+		t.Fatalf("size = %d, want 0", g.Size())
 	}
 	if err := g.Remove(9); err != ErrMemberNotFound {
 		t.Fatalf("got %v, want ErrMemberNotFound", err)
@@ -95,11 +91,11 @@ func TestGroupRemoveToEmpty(t *testing.T) {
 	if err := g.Remove(1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Select(42); err != ErrEmptyGroup {
-		t.Fatalf("got %v, want ErrEmptyGroup", err)
-	}
 	if g.Size() != 0 {
 		t.Fatal("size should be 0")
+	}
+	if owners := g.SlotOwners(); len(owners) != 0 {
+		t.Fatalf("an empty group's slots still have owners: %v", owners)
 	}
 }
 
@@ -111,11 +107,7 @@ func TestResilientRemoval(t *testing.T) {
 	const flows = 20000
 	before := make([]uint32, flows)
 	for i := uint32(0); i < flows; i++ {
-		m, err := g.SelectTuple(tuple(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		before[i] = m
+		before[i] = pick(g, Hash(tuple(i)))
 	}
 	const failed = 3
 	if err := g.Remove(failed); err != nil {
@@ -123,10 +115,7 @@ func TestResilientRemoval(t *testing.T) {
 	}
 	moved := 0
 	for i := uint32(0); i < flows; i++ {
-		after, err := g.SelectTuple(tuple(i))
-		if err != nil {
-			t.Fatal(err)
-		}
+		after := pick(g, Hash(tuple(i)))
 		switch {
 		case before[i] == failed:
 			if after == failed {
@@ -198,8 +187,7 @@ func TestWCMPWeights(t *testing.T) {
 	counts := make(map[uint32]int)
 	const flows = 40000
 	for i := uint32(0); i < flows; i++ {
-		m, _ := g.SelectTuple(tuple(i))
-		counts[m]++
+		counts[pick(g, Hash(tuple(i)))]++
 	}
 	frac := float64(counts[100]) / flows
 	if math.Abs(frac-0.75) > 0.03 {
@@ -217,8 +205,8 @@ func TestZeroWeightCountsAsOne(t *testing.T) {
 
 func TestNewGroupSlotsClamp(t *testing.T) {
 	g := newGroupSlots(-4, []uint32{1}, []uint32{1})
-	if _, err := g.Select(0); err != nil {
-		t.Fatal(err)
+	if len(g.slots) != DefaultSlots || pick(g, 0) != 1 {
+		t.Fatalf("%d slots serving %d, want %d serving member 1", len(g.slots), pick(g, 0), DefaultSlots)
 	}
 }
 
@@ -240,16 +228,9 @@ func BenchmarkHash(b *testing.B) {
 	}
 }
 
-func BenchmarkGroupSelect(b *testing.B) {
-	g := equalGroup(16)
-	tup := tuple(7)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := g.SelectTuple(tup); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// pick is the member a flow hash selects: its slot's, as every mux tier's
+// flattened table reads it.
+func pick(g *Group, h uint64) uint32 { return g.SlotMember(int(h % DefaultSlots)) }
 
 // equalGroup is a group of members 0..n-1, weight 1 each.
 func equalGroup(n int) *Group {

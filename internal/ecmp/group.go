@@ -2,17 +2,13 @@ package ecmp
 
 import (
 	"errors"
-	"fmt"
 	"slices"
-
-	"duet/internal/packet"
 )
 
 // Errors returned by group operations.
 var (
 	ErrEmptyGroup     = errors.New("ecmp: group has no members")
 	ErrMemberNotFound = errors.New("ecmp: member not found")
-	ErrBadWeight      = errors.New("ecmp: weight must be positive")
 )
 
 // DefaultSlots is the default resilient-hashing slot count per group. Real
@@ -172,25 +168,5 @@ func (g *Group) rebuild() {
 }
 
 // SlotMember returns the member slot s of a non-empty group's table serves:
-// what Select returns for a hash h with h % slots == s, without its checks.
+// the member a flow hash h with h % slots == s selects.
 func (g *Group) SlotMember(s int) uint32 { return g.members[g.slots[s]] }
-
-// Select returns the member for a flow hash.
-func (g *Group) Select(hash uint64) (uint32, error) {
-	if len(g.members) == 0 {
-		return 0, ErrEmptyGroup
-	}
-	s := g.slots[hash%uint64(len(g.slots))]
-	if s < 0 || int(s) >= len(g.members) {
-		//duet:allow hotpath error construction on the corrupt-table reject path only
-		return 0, fmt.Errorf("ecmp: corrupt slot table entry %d", s)
-	}
-	return g.members[s], nil
-}
-
-// SelectTuple returns the member for a 5-tuple using the shared Hash.
-//
-//duet:hotpath
-func (g *Group) SelectTuple(t packet.FiveTuple) (uint32, error) {
-	return g.Select(Hash(t))
-}

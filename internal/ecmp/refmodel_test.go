@@ -29,11 +29,7 @@ func TestGroupRandomOpsContract(t *testing.T) {
 				return out
 			}
 			for h := uint64(0); h < 512; h++ {
-				m, err := g.Select(h)
-				if err != nil {
-					t.Fatal(err)
-				}
-				out[h] = m
+				out[h] = pick(g, h)
 			}
 			return out
 		}

@@ -8,6 +8,7 @@ import (
 	"duet/internal/ecmp"
 	"duet/internal/packet"
 	"duet/internal/service"
+	"duet/internal/steer"
 	"duet/internal/telemetry"
 )
 
@@ -31,18 +32,18 @@ type snatShard struct {
 // because switches hold no connection state. Instead the host agent shares
 // the HMux hash function: when a DIP opens an outbound connection through
 // its VIP, the HA picks a source port such that the hash of the *inbound*
-// response 5-tuple selects this DIP's ECMP entry — so response packets
-// arriving at the HMux are tunneled straight back to us with no state.
+// response 5-tuple selects this DIP's slot — the VIP's steer.Entry, the one
+// every mux tier resolves against — so response packets arriving at the HMux
+// are tunneled straight back to us with no state.
 //
 // The allocator is safe for concurrent callers: the assigned ranges are
 // published copy-on-write, the used-port set is sharded by port with
 // per-shard locks, and a port is probed and claimed under one shard lock so
 // two goroutines can never claim the same port.
 type SNAT struct {
-	vip    packet.Addr
-	self   packet.Addr // our DIP
-	group  *ecmp.Group
-	encaps []packet.Addr
+	vip   packet.Addr
+	self  packet.Addr  // our DIP
+	entry *steer.Entry // the VIP's slots, as the muxes hold them
 
 	rangesMu sync.Mutex
 	ranges   atomic.Pointer[[]portRange]
@@ -71,20 +72,13 @@ type portRange struct{ lo, hi uint16 }
 
 // NewSNAT creates the allocator for one (VIP, DIP) pair given the VIP's
 // backend list exactly as programmed on the HMux (order matters — both sides
-// must build the identical ECMP group).
+// must build the identical slots).
 func NewSNAT(vip, self packet.Addr, backends []service.Backend) *SNAT {
-	members := make([]uint32, len(backends))
-	weights := make([]uint32, len(backends))
 	s := &SNAT{
-		vip:    vip,
-		self:   self,
-		encaps: make([]packet.Addr, len(backends)),
+		vip:   vip,
+		self:  self,
+		entry: steer.NewEntry(&service.VIP{Addr: vip, Backends: backends}, steer.ModeStateless),
 	}
-	for i, b := range backends {
-		s.encaps[i] = b.Addr
-		members[i], weights[i] = uint32(i), b.Weight
-	}
-	s.group = ecmp.NewGroup(members, weights)
 	for i := range s.shards {
 		s.shards[i].used = make(map[uint16]bool)
 	}
@@ -136,12 +130,12 @@ func (s *SNAT) AllocatePort(remote packet.Addr, remotePort uint16, proto uint8) 
 				SrcPort: remotePort, DstPort: port,
 				Proto: proto,
 			}
-			member, err := s.group.SelectTuple(resp)
+			dip, err := s.entry.DIP(resp, ecmp.Hash(resp))
 			if err != nil {
 				sh.mu.Unlock()
 				return 0, err
 			}
-			if s.encaps[member] == s.self {
+			if dip == s.self {
 				sh.used[port] = true
 				sh.mu.Unlock()
 				s.usedN.Add(1)

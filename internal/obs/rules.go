@@ -39,8 +39,6 @@ const (
 	One Combine = iota
 	// Ratio evaluates num/den (the rule is skipped when den is 0).
 	Ratio
-	// Diff evaluates num-den.
-	Diff
 )
 
 // Op is the comparison direction.
@@ -62,7 +60,7 @@ type Rule struct {
 	Num       string // numerator series name
 	NumSrc    Source
 	Combine   Combine
-	Den       string // denominator series name (Ratio/Diff only)
+	Den       string // denominator series name (Ratio only)
 	DenSrc    Source
 	Op        Op
 	Threshold float64
@@ -137,18 +135,10 @@ func (rs *ruleState) evalLocked(p *Pipeline) (float64, bool) {
 		rs.den = p.byName[rs.Den]
 	}
 	den, ok := sourceVal(rs.den, rs.DenSrc)
-	if !ok {
+	if !ok || den == 0 {
 		return 0, false
 	}
-	switch rs.Combine {
-	case Ratio:
-		if den == 0 {
-			return 0, false
-		}
-		return num / den, true
-	default: // Diff
-		return num - den, true
-	}
+	return num / den, true
 }
 
 // evalRulesLocked runs every watchdog against the just-scraped tick.

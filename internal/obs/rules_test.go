@@ -131,28 +131,6 @@ func TestRuleMissingSeriesSkipped(t *testing.T) {
 	}
 }
 
-// TestRuleDiffCombinator checks the Diff combine path.
-func TestRuleDiffCombinator(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	a := reg.Gauge("a")
-	b := reg.Gauge("b")
-	clk := &fakeClock{}
-	p := clk.pipeline(reg, nil, 8)
-	p.AddRules(Rule{Name: "gap", Num: "a", NumSrc: Value, Combine: Diff, Den: "b", DenSrc: Value, Op: Above, Threshold: 3})
-	a.Set(10)
-	b.Set(8)
-	p.Tick()
-	if !p.Healthy() {
-		t.Fatal("gap=2 must not breach threshold 3")
-	}
-	clk.advance(1)
-	b.Set(5)
-	p.Tick()
-	if p.Healthy() {
-		t.Fatal("gap=5 must breach threshold 3")
-	}
-}
-
 // TestOverlayOccupancyRule exercises the hybrid-overlay watchdog: silent
 // while no VIP runs hybrid (cap gauge 0 → ratio skipped), firing when the
 // bounded overlay nears its budget, resolving once the drain sweep empties

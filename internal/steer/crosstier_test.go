@@ -89,11 +89,10 @@ func (r *ref) pick(tuple packet.FiveTuple) (packet.Addr, bool) {
 	if ps, ok := r.ports[tuple.DstPort]; ok {
 		set = ps
 	}
-	member, err := set.group.SelectTuple(tuple)
-	if err != nil {
+	if set.group.Size() == 0 {
 		return 0, false
 	}
-	return set.addrs[member], true
+	return set.addrs[set.group.SlotMember(int(ecmp.Hash(tuple)%ecmp.DefaultSlots))], true
 }
 
 func TestEveryTierResolvesLikeTheReferenceGroup(t *testing.T) {

@@ -110,11 +110,8 @@ func NewFlood(cfg FloodConfig) (*Flood, error) {
 		}
 		f.VIPs = append(f.VIPs, addr)
 	}
-	c.Place(ts)
-	for _, t := range ts {
-		if t.Err != nil {
-			return nil, fmt.Errorf("flood: place %s: %w", t.Addr, t.Err)
-		}
+	if err := c.Place(ts...); err != nil {
+		return nil, fmt.Errorf("flood: place: %w", err)
 	}
 	return f, nil
 }

@@ -6,6 +6,7 @@ import (
 
 	"duet/internal/assign"
 	"duet/internal/controller"
+	"duet/internal/core"
 	"duet/internal/packet"
 	"duet/internal/service"
 )
@@ -83,10 +84,10 @@ func TestWatchdogNMuxOccupancy(t *testing.T) {
 
 	// t=2: the controller reacts by withdrawing the NIC tier's VIPs — their
 	// wildcard cost and pinned flows are released and occupancy collapses.
-	if err := f.Cluster.WithdrawFromNMux(f.VIPs[4]); err != nil {
+	if err := f.Cluster.Place(core.Target{Addr: f.VIPs[4]}); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Cluster.WithdrawFromNMux(f.VIPs[5]); err != nil {
+	if err := f.Cluster.Place(core.Target{Addr: f.VIPs[5]}); err != nil {
 		t.Fatal(err)
 	}
 	now = 2
@@ -157,7 +158,7 @@ func TestFloodNMuxChurn(t *testing.T) {
 	// Withdraw the tier: the SMux backstop (shared ECMP hash, same outer
 	// source) must reproduce every delivery byte for byte. Then bring it back,
 	// which pins the flows again.
-	if err := c.WithdrawFromNMux(vip); err != nil {
+	if err := c.Place(core.Target{Addr: vip}); err != nil {
 		t.Fatal(err)
 	}
 	same("smux", "after withdraw")

@@ -164,7 +164,7 @@ func (tb *Testbed) AssignVIPToHMux(v *service.VIP, sw topology.SwitchID) error {
 	if err := tb.AddVIPToSMuxes(v); err != nil {
 		return err
 	}
-	return tb.Cluster.AssignToHMux(v.Addr, sw)
+	return tb.Cluster.Place(core.Target{Addr: v.Addr, Switches: []topology.SwitchID{sw}})
 }
 
 // SetVIPLoad sets a VIP's background offered load in packets/sec. The load
@@ -208,9 +208,10 @@ func must(err error) {
 
 // MigrateToSMux starts moving a VIP off its HMux on switch sw at time at (the
 // first half of the stepping-stone migration, §4.2). Returns the timing
-// breakdown. The leg is two events calling the cluster's own mutators: the
-// FIB removal once the switch agent has done it, the route withdrawal once it
-// has propagated. The VIP stays reachable throughout: between the two,
+// breakdown. The leg is two events, each a Cluster.Place of the VIP onto the
+// SMux tier: the FIB removal once the switch agent has done it (a Hold
+// target, its /32 left announced), the route withdrawal once it has
+// propagated. The VIP stays reachable throughout: between the two,
 // packets arriving at the switch miss the host table and follow the SMux
 // aggregate.
 func (tb *Testbed) MigrateToSMux(vip packet.Addr, sw topology.SwitchID, at float64) MigrationTiming {
@@ -221,16 +222,17 @@ func (tb *Testbed) MigrateToSMux(vip packet.Addr, sw topology.SwitchID, at float
 	}
 	tb.rec.RecordAt(at, telemetry.KindMigrationStep, uint32(sw), uint32(vip), 0, 1)
 	tb.Schedule(at+mt.DIPsDelay+mt.VIPDelay, func() {
-		must(tb.Cluster.DeprogramHMux(vip))
+		must(tb.Cluster.Place(core.Target{Addr: vip, Hold: true}))
 		tb.rec.RecordAt(tb.now, telemetry.KindTableProgram, uint32(sw), uint32(vip), 1, 0) // B: remove-vip
-		tb.Schedule(tb.now+mt.BGPDelay, func() { must(tb.Cluster.WithdrawFromHMux(vip)) })
+		tb.Schedule(tb.now+mt.BGPDelay, func() { must(tb.Cluster.Place(core.Target{Addr: vip})) })
 	})
 	return mt
 }
 
 // MigrateToHMux starts moving a VIP onto a switch at time at (the second
-// half of the stepping-stone migration): tables first, and the /32 — with it
-// the traffic — BGPDelay later. Returns the timing breakdown.
+// half of the stepping-stone migration): tables first (a Hold target), and
+// the /32 — with it the traffic — BGPDelay later. Returns the timing
+// breakdown.
 func (tb *Testbed) MigrateToHMux(vip packet.Addr, sw topology.SwitchID, at float64) MigrationTiming {
 	mt := MigrationTiming{
 		DIPsDelay: tb.jitter(LatAddDIPs),
@@ -239,9 +241,11 @@ func (tb *Testbed) MigrateToHMux(vip packet.Addr, sw topology.SwitchID, at float
 	}
 	tb.rec.RecordAt(at, telemetry.KindMigrationStep, uint32(sw), uint32(vip), 0, 2)
 	tb.Schedule(at+mt.DIPsDelay+mt.VIPDelay, func() {
-		must(tb.Cluster.ProgramHMux(vip, sw))
+		home := core.Target{Addr: vip, Switches: []topology.SwitchID{sw}, Hold: true}
+		must(tb.Cluster.Place(home))
 		tb.rec.RecordAt(tb.now, telemetry.KindTableProgram, uint32(sw), uint32(vip), 0, 0) // B: add-vip
-		tb.Schedule(tb.now+mt.BGPDelay, func() { must(tb.Cluster.AssignToHMux(vip, sw)) })
+		home.Hold = false
+		tb.Schedule(tb.now+mt.BGPDelay, func() { must(tb.Cluster.Place(home)) })
 	})
 	return mt
 }

@@ -528,7 +528,7 @@ func TestPingCrossesTheDataplane(t *testing.T) {
 	}
 
 	// Inside the failure window the dead switch still attracts the /32.
-	if err := tb.Cluster.AssignToHMux(v.Addr, sw); err != nil {
+	if err := tb.Cluster.Place(core.Target{Addr: v.Addr, Switches: []topology.SwitchID{sw}}); err != nil {
 		t.Fatal(err)
 	}
 	tb.FailSwitch(sw, 3.0)

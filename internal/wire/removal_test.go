@@ -80,7 +80,7 @@ func TestReplicatedRemovalIsResilient(t *testing.T) {
 			switch {
 			case err != nil:
 			case hw:
-				err = c.AssignToHMux(a, 0)
+				err = c.Place(core.Target{Addr: a, Switches: []topology.SwitchID{0}})
 			case a == stateless:
 				err = c.SetVIPMode(a, steer.ModeStateless)
 			case a == nicVIP:
