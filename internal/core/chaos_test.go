@@ -6,7 +6,6 @@ import (
 
 	"duet/internal/packet"
 	"duet/internal/service"
-	"duet/internal/steer"
 	"duet/internal/topology"
 )
 
@@ -128,18 +127,9 @@ func TestChaos(t *testing.T) {
 				t.Fatalf("step %d: withdraw: %v", step, err)
 			}
 
-		case op == 7: // remove a DIP (resilient, via mux tables)
+		case op == 7: // remove a DIP in place, on the SMuxes and any switch holding the VIP
 			v := randomVIP()
 			if len(v.backends) < 2 {
-				continue
-			}
-			// Only for SMux-hosted VIPs here (the controller owns the HMux
-			// bounce path; core-level removal on HMux is exercised in the
-			// controller tests).
-			if _, on := c.HomeOf(v.addr); on {
-				continue
-			}
-			if len(c.Replicas(v.addr)) > 0 {
 				continue
 			}
 			var victim packet.Addr
@@ -147,19 +137,8 @@ func TestChaos(t *testing.T) {
 				victim = d
 				break
 			}
-			for _, sm := range c.SMuxes {
-				if err := steer.One(sm.Apply, steer.Op{Kind: steer.OpRemoveDIP, Addr: v.addr, DIP: victim}); err != nil {
-					t.Fatalf("step %d: RemoveBackend: %v", step, err)
-				}
-			}
-			// Mirror controller.RemoveDIP: the cluster's VIP config must
-			// shrink too, or a later HMux assignment resurrects the DIP.
-			cfg, _ := c.VIP(v.addr)
-			for i, b := range cfg.Backends {
-				if b.Addr == victim {
-					cfg.Backends = append(cfg.Backends[:i], cfg.Backends[i+1:]...)
-					break
-				}
+			if err := removeBackend(c, v.addr, victim); err != nil {
+				t.Fatalf("step %d: remove DIP: %v", step, err)
 			}
 			delete(v.backends, victim)
 

@@ -308,7 +308,8 @@ func (m *Mux) publish(vips vipTable) {
 // holds, as on the HMux), and both drop the flows pinned to what left
 // (steer.Gone). A paired mux leaves the steer entries, and whether a removed
 // DIP was live, to the SMux that owns the table (its backstop still serves a
-// removed VIP); a standalone one applies the same batch to its own.
+// removed VIP); a standalone one applies the same batch, with the entries
+// its ops carry, to its own.
 func (m *Mux) Apply(ops []steer.Op) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -321,7 +322,7 @@ func (m *Mux) Apply(ops []steer.Op) {
 			if op.Kind == steer.OpRemove || op.Kind == steer.OpRemoveDIP {
 				kind = op.Kind
 			}
-			own = append(own, steer.Op{Kind: kind, Addr: op.Addr, VIP: op.VIP, DIP: op.DIP})
+			own = append(own, steer.Op{Kind: kind, Addr: op.Addr, VIP: op.VIP, DIP: op.DIP, Entry: op.Entry})
 		}
 	}
 	if m.ownSteer {

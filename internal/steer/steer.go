@@ -18,12 +18,15 @@
 // VIPs it installs, takes removed DIPs out of theirs in place (OpRemoveDIP),
 // and publishes one new generation — the shared copy-on-write table of
 // internal/addrmap, so every other VIP's entry and every untouched chunk of
-// the index carry over — with a bumped epoch. A rebuild moves most of a VIP's
-// flows; because ecmp.Group removal is resilient and its fill is
-// deterministic in the backend list, removing a DIP moves only its flows, and
-// re-adding it returns the slot array exactly to its original state — flows
-// that never hashed to the churned DIP never remap, which is what lets an
-// SMux serve them statelessly across epochs.
+// the index carry over — with a bumped epoch. Each op's new entry is derived
+// once (Derive) and carried in the op, so every table a batch reaches
+// installs the same entry: in a core.Cluster every SMux and every switch
+// holding a VIP resolve it through one slot array. A rebuild moves most of a
+// VIP's flows; because ecmp.Group removal is resilient and its fill is
+// deterministic in the backend list, removing a DIP moves only its flows,
+// and re-adding it returns the slot array exactly to its original state —
+// flows that never hashed to the churned DIP never remap, which is what lets
+// an SMux serve them statelessly across epochs.
 //
 // The table also keeps the generation before the latest slot-changing batch
 // alive for a bounded drain window. A hybrid-mode SMux compares the current
@@ -377,8 +380,8 @@ func flatten(g *ecmp.Group, backends []service.Backend) *[ecmp.DefaultSlots]pack
 // the survivors' member ids hold; port sub-entries are shared with the
 // original. ErrBackendNotFound if the DIP is not a live member.
 func (e *Entry) WithoutBackend(dip packet.Addr) (*Entry, error) {
-	i := slices.IndexFunc(e.backends, func(b service.Backend) bool { return b.Addr == dip })
-	if i < 0 || dip.IsZero() { // the zero address marks a slot already removed
+	i := e.member(dip)
+	if i < 0 {
 		return nil, ErrBackendNotFound
 	}
 	cp := &Entry{
@@ -393,6 +396,15 @@ func (e *Entry) WithoutBackend(dip packet.Addr) (*Entry, error) {
 	cp.backends[i] = service.Backend{}
 	cp.slots = flatten(cp.group, cp.backends)
 	return cp, nil
+}
+
+// member returns the index of dip's first copy in the default set's backend
+// list, or -1 when dip is not a live member.
+func (e *Entry) member(dip packet.Addr) int {
+	if dip.IsZero() { // the zero address marks a slot already removed
+		return -1
+	}
+	return slices.IndexFunc(e.backends, func(b service.Backend) bool { return b.Addr == dip })
 }
 
 // publish installs a new generation. withDrain attaches the outgoing
@@ -440,14 +452,79 @@ const (
 // Op is one VIP's change in a batch (Table.Apply; the SMux, NMux and HMux
 // batches take the same ops). The kinds that install a VIP read its address
 // from VIP, OpMode and OpRemove from Addr, OpRemoveDIP from Addr and DIP.
-// Apply records the outcome in Err.
+// Entry is the entry the op leaves its VIP with (Derive): a table derives it
+// when the op carries none and records it there, so a batch handed to
+// several tables derives each entry once and every table installs the same
+// one. Apply records the outcome in Err.
 type Op struct {
-	Kind OpKind
-	Addr packet.Addr
-	VIP  *service.VIP
-	DIP  packet.Addr
-	Mode Mode
-	Err  error
+	Kind  OpKind
+	Addr  packet.Addr
+	VIP   *service.VIP
+	DIP   packet.Addr
+	Mode  Mode
+	Entry *Entry
+	Err   error
+}
+
+// Derive records in op.Entry the entry op leaves its VIP with in a table
+// whose entry for it is old (nil: the table lacks it) and which gives a VIP
+// added without a mode def: OpSet, OpAdd and OpUpdate build one from op.VIP
+// (NewEntry), OpRemoveDIP takes op.DIP out of old resiliently
+// (WithoutBackend), OpMode copies old in op.Mode — the copy shares old's
+// slots — and OpRemove leaves none. An op that already carries an entry
+// keeps it: every table a batch reaches holds the VIP as the first did, so
+// it installs that entry rather than deriving its own. The checks are the
+// same either way: a set needs a valid config, OpAdd the VIP absent, the
+// other kinds present, and OpRemoveDIP a live DIP.
+func Derive(op *Op, old *Entry, def Mode) error {
+	if op.Mode >= numModes {
+		return fmt.Errorf("steer: invalid mode %d", uint8(op.Mode))
+	}
+	switch op.Kind {
+	case OpSet, OpAdd, OpUpdate:
+		if err := op.VIP.Validate(); err != nil {
+			return err
+		}
+		mode := op.Mode
+		switch {
+		case op.Kind == OpAdd && old != nil:
+			return ErrVIPExists
+		case op.Kind == OpAdd:
+			mode = def
+		case op.Kind == OpUpdate && old == nil:
+			return ErrVIPNotFound
+		case op.Kind == OpUpdate:
+			mode = old.mode
+		}
+		if op.Entry == nil {
+			op.Entry = NewEntry(op.VIP, mode)
+		}
+		return nil
+	case OpMode, OpRemove, OpRemoveDIP:
+		if old == nil {
+			return ErrVIPNotFound
+		}
+	default:
+		return fmt.Errorf("steer: invalid op kind %d", uint8(op.Kind))
+	}
+	switch {
+	case op.Kind == OpRemove:
+		op.Entry = nil
+	case op.Kind == OpRemoveDIP && old.member(op.DIP) < 0:
+		return ErrBackendNotFound
+	case op.Entry != nil: // derived already, by the planner or an earlier table
+	case op.Kind == OpRemoveDIP:
+		var err error
+		op.Entry, err = old.WithoutBackend(op.DIP)
+		return err
+	case old.mode == op.Mode:
+		op.Entry = old
+	default:
+		cp := *old
+		cp.mode = op.Mode
+		op.Entry = &cp
+	}
+	return nil
 }
 
 // Apply runs a batch of ops in order and publishes one generation for all of
@@ -481,59 +558,29 @@ const (
 	slotsChanged        // a drain window opens
 )
 
-// apply runs one op of a batch against the batch's edit. Must hold t.mu.
+// apply runs one op of a batch against the batch's edit: it installs the
+// entry Derive gives the op. Must hold t.mu.
 func (t *Table) apply(vips *addrmap.Edit[*Entry], op *Op) (effect, error) {
-	if op.Mode >= numModes {
-		return unchanged, fmt.Errorf("steer: invalid mode %d", uint8(op.Mode))
+	addr := op.Addr
+	if op.VIP != nil && (op.Kind == OpSet || op.Kind == OpAdd || op.Kind == OpUpdate) {
+		addr = op.VIP.Addr
 	}
-	switch op.Kind {
-	case OpSet, OpAdd, OpUpdate:
-		if err := op.VIP.Validate(); err != nil {
-			return unchanged, err
-		}
-		mode := op.Mode
-		old, ok := vips.Get(op.VIP.Addr)
-		switch {
-		case op.Kind == OpAdd && ok:
-			return unchanged, ErrVIPExists
-		case op.Kind == OpAdd:
-			mode = t.defaultMode
-		case op.Kind == OpUpdate && !ok:
-			return unchanged, ErrVIPNotFound
-		case op.Kind == OpUpdate:
-			mode = old.mode
-		}
-		vips.Set(op.VIP.Addr, NewEntry(op.VIP, mode))
+	old, _ := vips.Get(addr)
+	if err := Derive(op, old, t.defaultMode); err != nil {
+		return unchanged, err
+	}
+	switch {
+	case op.Kind == OpMode && old.mode == op.Mode:
+		return unchanged, nil
+	case op.Kind == OpRemove:
+		vips.Delete(addr)
 		return slotsChanged, nil
-	case OpMode:
-		e, ok := vips.Get(op.Addr)
-		if !ok {
-			return unchanged, ErrVIPNotFound
-		}
-		if e.mode == op.Mode {
-			return unchanged, nil
-		}
-		cp := *e
-		cp.mode = op.Mode
-		vips.Set(op.Addr, &cp)
+	}
+	vips.Set(addr, op.Entry)
+	if op.Kind == OpMode {
 		return modeChanged, nil
-	case OpRemove, OpRemoveDIP:
-		e, ok := vips.Get(op.Addr)
-		if !ok {
-			return unchanged, ErrVIPNotFound
-		}
-		if op.Kind == OpRemove {
-			vips.Delete(op.Addr)
-			return slotsChanged, nil
-		}
-		cp, err := e.WithoutBackend(op.DIP)
-		if err != nil {
-			return unchanged, err
-		}
-		vips.Set(op.Addr, cp)
-		return slotsChanged, nil
 	}
-	return unchanged, fmt.Errorf("steer: invalid op kind %d", uint8(op.Kind))
+	return slotsChanged, nil
 }
 
 // Side is what one table holds of a VIP: its config in a mode, or — a nil
