@@ -34,34 +34,30 @@ vet:
 # directives the tree holds outside test files and fails above
 # ALLOW_BUDGET. Lower the number when a suppression goes; never raise it.
 #
-# Nine fences. The first keeps the figure toolkit (internal/metrics:
+# Eight fences. The first keeps the figure toolkit (internal/metrics:
 # sample quantiles, sparklines, formatters) out of the daemon: what a node
 # measures is bucketed and read with telemetry.BucketQuantile. The second
 # keeps internal/testbed a driver of core.Cluster: its non-test files import
 # no mux and no ECMP hash, so the §7 figures cannot grow a route lookup →
 # ECMP pick → tier fall-through of their own beside Cluster.Deliver again.
-# The third keeps "same flow, same DIP on every mux" one implementation: the
-# non-test files of the three mux tiers and of the host agent (whose SNAT
-# predicts a response's DIP) name no ecmp.Group and no constructor of one
-# (they keep ecmp.Hash) — a backend set becomes slots in internal/steer only,
-# and every tier resolves against its Entry. The fourth keeps the
-# NIC → SMux fall-through one implementation: the non-test files of
-# internal/core and internal/wire name neither mux's Tally, which their
-# ProcessSampled takes, so they reach both only through nmux.Pair. The fifth
-# keeps a replicated delta one table generation per table: the non-test files
-# of internal/wire call no per-VIP mutator of the muxes' tables, so reconcile
-# stays on their batch Apply. The sixth keeps an in-process epoch one table
-# generation per table: the non-test files of internal/core call no per-VIP
-# mux mutator (AddTIP is the TIP item's), so every table edit — a move, a VIP
-# or DIP added or removed — goes through Cluster.Place and its steer.Plan, and
-# those of internal/controller call none of the cluster's per-VIP wrappers
-# of Place (AddVIP, RemoveVIP, SetVIPMode, AssignToNMux), so an epoch, a
-# health sweep and a bulk load are each one Place batch. The seventh keeps the control channel one
-# binary codec: no non-test file of internal/wire but spec.go (the config
-# file) imports encoding/json. The eighth keeps a receiver's work-list the
-# delta itself: no non-test file of internal/wire imports hash/fnv, so no
-# per-VIP fingerprint grows back to work out again what a push changed. The
-# ninth keeps a mux tier's gauges one implementation: no non-test file of
+# The third keeps the NIC → SMux fall-through one implementation: the
+# non-test files of internal/core and internal/wire name neither mux's
+# Tally, which their ProcessSampled takes, so they reach both only through
+# nmux.Pair. The fourth keeps a replicated delta one table generation per
+# table: the non-test files of internal/wire call no per-VIP mutator of the
+# muxes' tables, so reconcile stays on their batch Apply. The fifth keeps an
+# in-process epoch one table generation per table: the non-test files of
+# internal/core call no per-VIP mux mutator (AddTIP is the TIP item's), so
+# every table edit — a move, a VIP or DIP added or removed — goes through
+# Cluster.Place and its steer.Plan, and those of internal/controller call
+# none of the cluster's per-VIP wrappers of Place (AddVIP, RemoveVIP,
+# SetVIPMode, AssignToNMux), so an epoch, a health sweep and a bulk load are
+# each one Place batch. The sixth keeps the control channel one binary
+# codec: no non-test file of internal/wire but spec.go (the config file)
+# imports encoding/json. The seventh keeps a receiver's work-list the delta
+# itself: no non-test file of internal/wire imports hash/fnv, so no per-VIP
+# fingerprint grows back to work out again what a push changed. The eighth
+# keeps a mux tier's gauges one implementation: no non-test file of
 # internal/core or internal/wire registers an hmux, smux, nmux or steer gauge,
 # so both publish them only through the tiers' own Gauges collectors.
 ALLOW_BUDGET = 22
@@ -70,7 +66,6 @@ lint: vet
 	GOOS=darwin $(GO) vet ./internal/wire/
 	! $(GO) list -deps ./cmd/duetd | grep -q '^duet/internal/metrics$$'
 	! $(GO) list -f '{{join .Imports "\n"}}' ./internal/testbed | grep -Eq '^duet/internal/(hmux|smux|nmux|ecmp)$$'
-	! grep -nE 'ecmp\.(Group|NewGroup)' $$(ls internal/hmux/*.go internal/nmux/*.go internal/smux/*.go internal/hostagent/*.go | grep -v _test.go)
 	! grep -nE '\b(nmux|smux)\.Tally\b' $$(ls internal/core/*.go internal/wire/*.go | grep -v _test.go)
 	! grep -nE '\.(AddVIP|UpdateVIP|RemoveVIP|AddTIP)\(' $$(ls internal/wire/*.go | grep -v _test.go)
 	! grep -nE '\.(AddVIP|UpdateVIP|RemoveVIP)\(' $$(ls internal/core/*.go | grep -v _test.go)
@@ -90,7 +85,8 @@ vuln:
 
 # Smoke of every decoder's fuzz targets, 5 s each — packet parsing, the
 # wire frame and control-message codecs, the split of a coalesced read into
-# frames, the delta codec — of the flow-pin table against its model, and of
+# frames, the delta codec — of the flow-pin table against its model, of a
+# slot table's resilient removal against the reference group, and of
 # the placement scan's early exits against the full sum: each corpus gets a short randomized walk, enough
 # to catch a fresh regression without turning CI into a fuzz farm. `go test
 # -fuzz` takes one target per invocation, so the package:Target pairs run
@@ -102,7 +98,7 @@ FUZZ_TARGETS = \
 	wire:FuzzDecodeFrameTrace wire:FuzzTracedFrameRoundTrip wire:FuzzReadMsg \
 	wire:FuzzReadBurst \
 	delta:FuzzDeltaDecode delta:FuzzDeltaRoundTrip \
-	steer:FuzzPins assign:FuzzEvaluateMatchesFullSum
+	steer:FuzzPins steer:FuzzWithoutBackend assign:FuzzEvaluateMatchesFullSum
 fuzz-smoke:
 	@for pt in $(FUZZ_TARGETS); do \
 		t=$${pt#*:}; echo "fuzz $$t"; \

@@ -39,11 +39,13 @@ func main() {
 	}
 	ctl := duet.NewController(cluster, duet.DefaultAssignOptions())
 
-	// Our server is DIP #3. Its host agent shares the HMux's hash function
+	// Our server is DIP #3. Its host agent shares the HMux's hash function,
+	// predicts a response's DIP through the slot table the muxes hold (an
+	// SMux's steer table: every SMux and switch installs one entry per VIP),
 	// and asks the controller for a block of the VIP's port space; no other
 	// DIP of the VIP is ever granted the same ports.
 	self := backends[2].Addr
-	snat := hostagent.NewSNAT(vip, self, backends)
+	snat := hostagent.NewSNAT(vip, self, cluster.SMuxes[0].Steer())
 	reg, rec := cluster.Telemetry()
 	snat.SetTelemetry(reg, rec, uint32(self))
 	lo, hi, err := ctl.AllocateSNATRange(vip, self)

@@ -82,7 +82,7 @@ func TestControllerSNATEndToEnd(t *testing.T) {
 	}
 	self := v.Backends[0].Addr
 
-	snat := hostagent.NewSNAT(vip, self, v.Backends)
+	snat := hostagent.NewSNAT(vip, self, ct.Cluster.SMuxes[0].Steer())
 	lo, hi, err := ct.AllocateSNATRange(vip, self)
 	if err != nil {
 		t.Fatal(err)

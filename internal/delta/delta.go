@@ -23,6 +23,7 @@ import (
 	"sort"
 
 	"duet/internal/packet"
+	"duet/internal/service"
 	"duet/internal/steer"
 )
 
@@ -53,11 +54,9 @@ func (t Tier) String() string {
 // Unassigned is the Switch value of a VIP not homed on an HMux.
 const Unassigned int32 = -1
 
-// Backend is one DIP backing a VIP.
-type Backend struct {
-	Addr   packet.Addr
-	Weight uint32
-}
+// Backend is one DIP backing a VIP: the service config's own type, so a
+// replicated backend list is handed to the muxes' planner as it is.
+type Backend = service.Backend
 
 // VIP flag bits (VIPState.Flags).
 const (

@@ -1,11 +1,17 @@
-package ecmp
+// The hash's own tests, and the flow-level properties of the selection it
+// drives: the WCMP fill of a steer.Entry's slot table and its resilient
+// removal (paper §5.1, §5.2), read through Entry.DIP one slot at a time.
+package ecmp_test
 
 import (
 	"math"
 	"testing"
 	"testing/quick"
 
+	"duet/internal/ecmp"
 	"duet/internal/packet"
+	"duet/internal/service"
+	"duet/internal/steer"
 )
 
 func tuple(i uint32) packet.FiveTuple {
@@ -19,12 +25,12 @@ func tuple(i uint32) packet.FiveTuple {
 }
 
 func TestHashDeterministic(t *testing.T) {
-	a := Hash(tuple(7))
-	b := Hash(tuple(7))
+	a := ecmp.Hash(tuple(7))
+	b := ecmp.Hash(tuple(7))
 	if a != b {
 		t.Fatal("hash not deterministic")
 	}
-	if Hash(tuple(7)) == Hash(tuple(8)) {
+	if ecmp.Hash(tuple(7)) == ecmp.Hash(tuple(8)) {
 		t.Fatal("distinct tuples should (overwhelmingly) hash differently")
 	}
 }
@@ -37,9 +43,9 @@ func TestHashSensitivity(t *testing.T) {
 	variants[2].SrcPort++
 	variants[3].DstPort++
 	variants[4].Proto++
-	h := Hash(base)
+	h := ecmp.Hash(base)
 	for i, v := range variants {
-		if Hash(v) == h {
+		if ecmp.Hash(v) == h {
 			t.Errorf("variant %d: changing one field did not change the hash", i)
 		}
 	}
@@ -51,7 +57,7 @@ func TestHashUniformity(t *testing.T) {
 	const flows, buckets = 100000, 16
 	counts := make([]int, buckets)
 	for i := uint32(0); i < flows; i++ {
-		counts[Hash(tuple(i))%buckets]++
+		counts[ecmp.Hash(tuple(i))%buckets]++
 	}
 	want := float64(flows) / buckets
 	for b, c := range counts {
@@ -62,14 +68,14 @@ func TestHashUniformity(t *testing.T) {
 }
 
 func TestGroupEqualSplit(t *testing.T) {
-	g := equalGroup(4)
-	counts := make(map[uint32]int)
+	e := equalEntry(4)
+	counts := make(map[packet.Addr]int)
 	const flows = 40000
 	for i := uint32(0); i < flows; i++ {
-		counts[pick(g, Hash(tuple(i)))]++
+		counts[pick(e, ecmp.Hash(tuple(i)))]++
 	}
-	for m := uint32(0); m < 4; m++ {
-		frac := float64(counts[m]) / flows
+	for m := 0; m < 4; m++ {
+		frac := float64(counts[member(m)]) / flows
 		if math.Abs(frac-0.25) > 0.03 {
 			t.Errorf("member %d got %.3f of flows, want ~0.25", m, frac)
 		}
@@ -77,25 +83,22 @@ func TestGroupEqualSplit(t *testing.T) {
 }
 
 func TestGroupEmpty(t *testing.T) {
-	g := NewGroup(nil, nil)
-	if g.Size() != 0 {
-		t.Fatalf("size = %d, want 0", g.Size())
+	e := steer.NewEntry(&service.VIP{Addr: vip}, steer.ModeStateless)
+	if owners := slotOwners(e); len(owners) != 0 {
+		t.Fatalf("an empty set's slots have owners: %v", owners)
 	}
-	if err := g.Remove(9); err != ErrMemberNotFound {
-		t.Fatalf("got %v, want ErrMemberNotFound", err)
+	if _, err := e.WithoutBackend(member(9)); err != steer.ErrBackendNotFound {
+		t.Fatalf("got %v, want ErrBackendNotFound", err)
 	}
 }
 
 func TestGroupRemoveToEmpty(t *testing.T) {
-	g := NewGroup([]uint32{1}, []uint32{1})
-	if err := g.Remove(1); err != nil {
-		t.Fatal(err)
+	e := without(t, equalEntry(1), 0)
+	if owners := slotOwners(e); len(owners) != 0 {
+		t.Fatalf("an emptied set's slots still have owners: %v", owners)
 	}
-	if g.Size() != 0 {
-		t.Fatal("size should be 0")
-	}
-	if owners := g.SlotOwners(); len(owners) != 0 {
-		t.Fatalf("an empty group's slots still have owners: %v", owners)
+	if _, err := e.DIP(tuple(0), 0); err != steer.ErrNoBackend {
+		t.Fatalf("got %v, want ErrNoBackend", err)
 	}
 }
 
@@ -103,19 +106,17 @@ func TestGroupRemoveToEmpty(t *testing.T) {
 // removing one member must not remap any flow that previously hashed to a
 // surviving member.
 func TestResilientRemoval(t *testing.T) {
-	g := equalGroup(8)
+	e := equalEntry(8)
 	const flows = 20000
-	before := make([]uint32, flows)
+	before := make([]packet.Addr, flows)
 	for i := uint32(0); i < flows; i++ {
-		before[i] = pick(g, Hash(tuple(i)))
+		before[i] = pick(e, ecmp.Hash(tuple(i)))
 	}
-	const failed = 3
-	if err := g.Remove(failed); err != nil {
-		t.Fatal(err)
-	}
+	failed := member(3)
+	e = without(t, e, 3)
 	moved := 0
 	for i := uint32(0); i < flows; i++ {
-		after := pick(g, Hash(tuple(i)))
+		after := pick(e, ecmp.Hash(tuple(i)))
 		switch {
 		case before[i] == failed:
 			if after == failed {
@@ -123,7 +124,7 @@ func TestResilientRemoval(t *testing.T) {
 			}
 			moved++
 		case after != before[i]:
-			t.Fatalf("flow %d remapped %d→%d although its member survived", i, before[i], after)
+			t.Fatalf("flow %d remapped %s→%s although its member survived", i, before[i], after)
 		}
 	}
 	if moved == 0 {
@@ -136,22 +137,23 @@ func TestResilientRemovalProperty(t *testing.T) {
 	// their slots.
 	f := func(nRaw, removeRaw uint8) bool {
 		n := 2 + int(nRaw%15)
-		g := equalGroup(n)
-		victim := uint32(int(removeRaw) % n)
-		beforeOwners := g.SlotOwners()
-		if err := g.Remove(victim); err != nil {
+		e := equalEntry(n)
+		victim := int(removeRaw) % n
+		beforeOwners := slotOwners(e)
+		next, err := e.WithoutBackend(member(victim))
+		if err != nil {
 			return false
 		}
-		afterOwners := g.SlotOwners()
+		afterOwners := slotOwners(next)
 		for m, c := range beforeOwners {
-			if m == victim {
+			if m == member(victim) {
 				continue
 			}
 			if afterOwners[m] < c {
 				return false // a survivor lost slots
 			}
 		}
-		return afterOwners[victim] == 0
+		return afterOwners[member(victim)] == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -159,63 +161,54 @@ func TestResilientRemovalProperty(t *testing.T) {
 }
 
 func TestSequentialRemovals(t *testing.T) {
-	g := equalGroup(6)
-	for _, victim := range []uint32{0, 5, 2} {
-		if err := g.Remove(victim); err != nil {
-			t.Fatalf("remove %d: %v", victim, err)
-		}
-		owners := g.SlotOwners()
-		if owners[victim] != 0 {
+	e := equalEntry(6)
+	var owners map[packet.Addr]int
+	for _, victim := range []int{0, 5, 2} {
+		e = without(t, e, victim)
+		owners = slotOwners(e)
+		if owners[member(victim)] != 0 {
 			t.Fatalf("removed member %d still owns slots", victim)
 		}
 		total := 0
 		for _, c := range owners {
 			total += c
 		}
-		if total != DefaultSlots {
-			t.Fatalf("slot table leaked: %d owned, want %d", total, DefaultSlots)
+		if total != steer.Slots {
+			t.Fatalf("slot table leaked: %d owned, want %d", total, steer.Slots)
 		}
 	}
-	if g.Size() != 3 {
-		t.Fatalf("size = %d, want 3", g.Size())
+	if len(owners) != 3 {
+		t.Fatalf("%d members own slots, want 3", len(owners))
 	}
 }
 
 func TestWCMPWeights(t *testing.T) {
 	// Paper §5.2: faster DIPs get larger weights. 3:1 should see ~75%/25%.
-	g := NewGroup([]uint32{100, 200}, []uint32{3, 1})
-	counts := make(map[uint32]int)
+	e := newEntry([]service.Backend{{Addr: member(100), Weight: 3}, {Addr: member(200), Weight: 1}})
+	counts := make(map[packet.Addr]int)
 	const flows = 40000
 	for i := uint32(0); i < flows; i++ {
-		counts[pick(g, Hash(tuple(i)))]++
+		counts[pick(e, ecmp.Hash(tuple(i)))]++
 	}
-	frac := float64(counts[100]) / flows
+	frac := float64(counts[member(100)]) / flows
 	if math.Abs(frac-0.75) > 0.03 {
 		t.Errorf("weighted member got %.3f of flows, want ~0.75", frac)
 	}
 }
 
 func TestZeroWeightCountsAsOne(t *testing.T) {
-	g := NewGroup([]uint32{1, 2}, []uint32{0, 1}) // 0 is treated as weight 1
-	owners := g.SlotOwners()
-	if owners[1] == 0 || owners[2] == 0 {
-		t.Fatalf("zero weight not normalized: %v", owners)
-	}
-}
-
-func TestNewGroupSlotsClamp(t *testing.T) {
-	g := newGroupSlots(-4, []uint32{1}, []uint32{1})
-	if len(g.slots) != DefaultSlots || pick(g, 0) != 1 {
-		t.Fatalf("%d slots serving %d, want %d serving member 1", len(g.slots), pick(g, 0), DefaultSlots)
+	e := newEntry([]service.Backend{{Addr: member(1), Weight: 0}, {Addr: member(2), Weight: 1}}) // 0 is treated as weight 1
+	owners := slotOwners(e)
+	if owners[member(1)] != owners[member(2)] {
+		t.Fatalf("zero weight not counted as one: %v", owners)
 	}
 }
 
 func TestSlotApportionmentExact(t *testing.T) {
 	// With 4 equal members and 256 slots, each must own exactly 64.
-	g := equalGroup(4)
-	for m, c := range g.SlotOwners() {
-		if c != DefaultSlots/4 {
-			t.Errorf("member %d owns %d slots, want %d", m, c, DefaultSlots/4)
+	for m, c := range slotOwners(equalEntry(4)) {
+		if c != steer.Slots/4 {
+			t.Errorf("member %s owns %d slots, want %d", m, c, steer.Slots/4)
 		}
 	}
 }
@@ -224,31 +217,51 @@ func BenchmarkHash(b *testing.B) {
 	tup := tuple(12345)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = Hash(tup)
+		_ = ecmp.Hash(tup)
 	}
 }
 
-// pick is the member a flow hash selects: its slot's, as every mux tier's
-// flattened table reads it.
-func pick(g *Group, h uint64) uint32 { return g.SlotMember(int(h % DefaultSlots)) }
+var vip = packet.MustParseAddr("10.255.0.1")
 
-// equalGroup is a group of members 0..n-1, weight 1 each.
-func equalGroup(n int) *Group {
-	members := make([]uint32, n)
-	weights := make([]uint32, n)
-	for i := range members {
-		members[i], weights[i] = uint32(i), 1
-	}
-	return NewGroup(members, weights)
+// member is the DIP of a set's i-th member.
+func member(i int) packet.Addr { return packet.Addr(0x64000001 + i) }
+
+// newEntry is a VIP's entry over bs.
+func newEntry(bs []service.Backend) *steer.Entry {
+	return steer.NewEntry(&service.VIP{Addr: vip, Backends: bs}, steer.ModeStateless)
 }
 
-// SlotOwners returns how many slots each member currently owns, keyed by
-// member ID.
-func (g *Group) SlotOwners() map[uint32]int {
-	out := make(map[uint32]int, len(g.members))
-	for _, s := range g.slots {
-		if s >= 0 {
-			out[g.members[s]]++
+// equalEntry is an entry over members 0..n-1, weight 1 each.
+func equalEntry(n int) *steer.Entry {
+	bs := make([]service.Backend, n)
+	for i := range bs {
+		bs[i] = service.Backend{Addr: member(i), Weight: 1}
+	}
+	return newEntry(bs)
+}
+
+// without is e with member i removed resiliently.
+func without(t *testing.T, e *steer.Entry, i int) *steer.Entry {
+	t.Helper()
+	next, err := e.WithoutBackend(member(i))
+	if err != nil {
+		t.Fatalf("remove member %d: %v", i, err)
+	}
+	return next
+}
+
+// pick is the DIP a flow hash selects: its slot's.
+func pick(e *steer.Entry, h uint64) packet.Addr {
+	d, _ := e.DIP(packet.FiveTuple{}, h)
+	return d
+}
+
+// slotOwners returns how many slots each DIP owns.
+func slotOwners(e *steer.Entry) map[packet.Addr]int {
+	out := make(map[packet.Addr]int)
+	for s := uint64(0); s < steer.Slots; s++ {
+		if d, err := e.DIP(packet.FiveTuple{}, s); err == nil {
+			out[d]++
 		}
 	}
 	return out

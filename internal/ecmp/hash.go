@@ -1,6 +1,6 @@
-// Package ecmp implements the traffic-splitting primitives Duet builds on:
-// the 5-tuple flow hash, ECMP member-selection groups, Broadcom-style
-// resilient hashing, and WCMP weighted splitting.
+// Package ecmp is the 5-tuple flow hash every mux tier selects a DIP by;
+// the slot table it indexes — WCMP weighted fill and Broadcom-style
+// resilient removal — is internal/steer's Entry.
 //
 // A single hash function is shared by every HMux and SMux in the deployment
 // (paper §3.3.1): because all muxes agree on hash(tuple) → DIP, existing

@@ -1,47 +1,48 @@
-package ecmp
+package ecmp_test
 
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
+
+	"duet/internal/service"
+	"duet/internal/steer"
 )
 
-// incremental is the per-member build NewGroup replaced, kept verbatim as the
+// incremental is the per-member build the one-shot fill replaced, kept as the
 // reference: start from an empty table and, for each member in turn, append
-// it and re-apportion the whole table.
-func incremental(members, weights []uint32) []int32 {
-	g := &Group{slots: make([]int32, DefaultSlots)}
-	for i := range g.slots {
-		g.slots[i] = -1
+// it and re-apportion the whole table. It returns each slot's member index.
+func incremental(weights []uint32) []int32 {
+	slots := make([]int32, steer.Slots)
+	for i := range slots {
+		slots[i] = -1
 	}
-	for i, m := range members {
-		w := weights[i]
+	var ws []uint32
+	for _, w := range weights {
 		if w == 0 {
 			w = 1
 		}
-		g.members = append(g.members, m)
-		g.weights = append(g.weights, w)
-		incrementalRebuild(g)
+		ws = append(ws, w)
+		incrementalRebuild(ws, slots)
 	}
-	return g.slots
+	return slots
 }
 
 // incrementalRebuild is the largest-remainder fill as the per-member build
 // ran it after every append.
-func incrementalRebuild(g *Group) {
-	if len(g.members) == 0 {
+func incrementalRebuild(weights []uint32, slots []int32) {
+	if len(weights) == 0 {
 		return
 	}
 	var total uint64
-	for _, w := range g.weights {
+	for _, w := range weights {
 		total += uint64(w)
 	}
-	n := len(g.slots)
-	counts := make([]int, len(g.members))
-	rem := make([]uint64, len(g.members))
+	n := len(slots)
+	counts := make([]int, len(weights))
+	rem := make([]uint64, len(weights))
 	assigned := 0
-	for i, w := range g.weights {
+	for i, w := range weights {
 		exact := uint64(n) * uint64(w)
 		counts[i] = int(exact / total)
 		rem[i] = exact % total
@@ -63,7 +64,7 @@ func incrementalRebuild(g *Group) {
 		progressed := false
 		for i := range counts {
 			if counts[i] > 0 {
-				g.slots[pos] = int32(i)
+				slots[pos] = int32(i)
 				pos++
 				counts[i]--
 				remaining--
@@ -76,12 +77,12 @@ func incrementalRebuild(g *Group) {
 	}
 }
 
-// TestOneShotMatchesIncremental: the one-shot fill leaves the slot table
-// byte-identical to the per-member build it replaced, so every tier's slot
-// array — and every encapsulated packet — is unchanged. Member counts run
-// 1..512: one list in 40 uniform over the range, the rest log-uniform over
-// 1..64, where real backend sets sit (the per-member reference is cubic in
-// the count). Weights are 0..8, 0 counted as 1.
+// TestOneShotMatchesIncremental: steer's one-shot fill leaves the slot table
+// identical to the per-member build it replaced, so every tier's slot array
+// — and every encapsulated packet — is unchanged. Member counts run 1..512:
+// one list in 40 uniform over the range, the rest log-uniform over 1..64,
+// where real backend sets sit (the per-member reference is cubic in the
+// count). Weights are 0..8, 0 counted as 1.
 func TestOneShotMatchesIncremental(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 2000; trial++ {
@@ -92,19 +93,17 @@ func TestOneShotMatchesIncremental(t *testing.T) {
 		case trial%40 == 0:
 			n = 1 + rng.Intn(512)
 		}
-		members := make([]uint32, n)
+		bs := make([]service.Backend, n)
 		weights := make([]uint32, n)
-		for i := range members {
-			members[i], weights[i] = rng.Uint32(), uint32(rng.Intn(9))
+		for i := range bs {
+			weights[i] = uint32(rng.Intn(9))
+			bs[i] = service.Backend{Addr: member(i), Weight: weights[i]}
 		}
-		want := incremental(members, weights)
-		g := NewGroup(members, weights)
-		if !slices.Equal(g.slots, want) {
-			t.Fatalf("trial %d (%d members, weights %v): one-shot slot table differs from the per-member build", trial, n, weights)
-		}
-		for s := range g.slots {
-			if got, ref := g.SlotMember(s), members[want[s]]; got != ref {
-				t.Fatalf("trial %d slot %d: member %d, want %d", trial, s, got, ref)
+		want := incremental(weights)
+		e := newEntry(bs)
+		for s := range want {
+			if got, ref := pick(e, uint64(s)), member(int(want[s])); got != ref {
+				t.Fatalf("trial %d (%d members, weights %v) slot %d: %s, the per-member build %s", trial, n, weights, s, got, ref)
 			}
 		}
 	}

@@ -73,8 +73,8 @@ var (
 
 // ErrNoTunnelEntry is returned by Process when the matched VIP's ECMP group
 // has no live member (every DIP removed), so no tunneling-table entry can be
-// selected. It wraps ecmp.ErrEmptyGroup so existing errors.Is checks hold.
-var ErrNoTunnelEntry = fmt.Errorf("hmux: no tunnel entry for VIP: %w", ecmp.ErrEmptyGroup)
+// selected.
+var ErrNoTunnelEntry = errors.New("hmux: no tunnel entry for VIP")
 
 // Config sizes one HMux.
 type Config struct {

@@ -624,28 +624,28 @@ func BenchmarkLookup(b *testing.B) {
 	}
 }
 
-// Guard against accidental divergence between the mux's group behaviour and
-// the raw ecmp package (they must share selection semantics).
+// Guard against accidental divergence between the mux's selection and the
+// shared one: the ecmp flow hash over the VIP's steer.Entry slots.
 func TestGroupConsistencyWithECMPPackage(t *testing.T) {
 	bs := backends("100.0.0.1", "100.0.0.2", "100.0.0.3")
+	v := &service.VIP{Addr: vipAddr, Backends: bs}
 	m := newMux(t)
-	if err := m.AddVIP(&service.VIP{Addr: vipAddr, Backends: bs}); err != nil {
+	if err := m.AddVIP(v); err != nil {
 		t.Fatal(err)
 	}
-	members, weights := make([]uint32, len(bs)), make([]uint32, len(bs))
-	for i, b := range bs {
-		members[i], weights[i] = uint32(i), b.Weight
-	}
-	g := ecmp.NewGroup(members, weights)
+	e := steer.NewEntry(v, steer.ModeStateless)
 	for i := uint32(0); i < 1000; i++ {
 		tuple, _ := packet.ExtractFiveTuple(vipPacket(i, 80))
-		member := g.SlotMember(int(ecmp.Hash(tuple) % ecmp.DefaultSlots))
+		want, err := e.DIP(tuple, ecmp.Hash(tuple))
+		if err != nil {
+			t.Fatal(err)
+		}
 		got, err := m.Lookup(tuple)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != bs[member].Addr {
-			t.Fatalf("mux and ecmp.Group disagree for %v", tuple)
+		if got != want {
+			t.Fatalf("mux picked %s for %v, the shared hash over the VIP's slots %s", got, tuple, want)
 		}
 	}
 }
@@ -756,8 +756,8 @@ func TestDropReasons(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err := m.Process(vipPacket(0, 80), nil)
-	if !errors.Is(err, ErrNoTunnelEntry) || !errors.Is(err, ecmp.ErrEmptyGroup) {
-		t.Fatalf("got %v, want ErrNoTunnelEntry wrapping ecmp.ErrEmptyGroup", err)
+	if !errors.Is(err, ErrNoTunnelEntry) {
+		t.Fatalf("got %v, want ErrNoTunnelEntry", err)
 	}
 
 	for name, want := range map[string]uint64{

@@ -2,12 +2,14 @@ package hostagent
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"duet/internal/ecmp"
 	"duet/internal/hmux"
 	"duet/internal/packet"
 	"duet/internal/service"
+	"duet/internal/steer"
 )
 
 var (
@@ -206,7 +208,7 @@ func TestSNATHashConsistency(t *testing.T) {
 	}
 
 	self := packet.MustParseAddr("100.0.0.3")
-	s := NewSNAT(vip, self, backends)
+	s := NewSNAT(vip, self, vipTable(t, backends))
 	s.AssignRange(40000, 45000)
 
 	remote := packet.MustParseAddr("8.8.8.8")
@@ -237,9 +239,56 @@ func TestSNATHashConsistency(t *testing.T) {
 	}
 }
 
+// vipTable is a steer table holding vip over backends, as an SMux does.
+func vipTable(tb testing.TB, backends []service.Backend) *steer.Table {
+	tb.Helper()
+	tbl := steer.NewTable(steer.Config{})
+	if err := tbl.Add(&service.VIP{Addr: vip, Backends: backends}); err != nil {
+		tb.Fatal(err)
+	}
+	return tbl
+}
+
+// TestSNATFollowsInPlaceRemoval: after another DIP of the VIP is removed in
+// place — its slots handed round the survivors, the rest kept — every port
+// the allocator hands out still brings the response to self on the muxes'
+// table. A predictor built from the shortened list would disagree on most
+// slots (the check at the end keeps the test from passing vacuously).
+func TestSNATFollowsInPlaceRemoval(t *testing.T) {
+	backends := make([]service.Backend, 8)
+	for i := range backends {
+		backends[i] = service.Backend{Addr: packet.AddrFrom4(100, 0, 0, byte(i+1)), Weight: 1}
+	}
+	self, gone := backends[5].Addr, backends[3].Addr
+	tbl := vipTable(t, backends)
+	s := NewSNAT(vip, self, tbl)
+	s.AssignRange(40000, 60000)
+	if err := steer.One(tbl.Apply, steer.Op{Kind: steer.OpRemoveDIP, Addr: vip, DIP: gone}); err != nil {
+		t.Fatal(err)
+	}
+	rebuilt := vipTable(t, append(backends[:3:3], backends[4:]...))
+	remote, disagree := packet.MustParseAddr("8.8.8.8"), 0
+	for i := 0; i < 200; i++ {
+		port, err := s.AllocatePort(remote, uint16(443+i), packet.ProtoTCP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp := packet.FiveTuple{Src: remote, Dst: vip, SrcPort: uint16(443 + i), DstPort: port, Proto: packet.ProtoTCP}
+		if d, err := tbl.Lookup(resp); err != nil || d != self {
+			t.Fatalf("port %d: the response resolves to %s (%v), want %s", port, d, err, self)
+		}
+		if d, _ := rebuilt.Lookup(resp); d != self {
+			disagree++
+		}
+	}
+	if disagree < 100 {
+		t.Fatalf("a table rebuilt from the shortened list disagrees on %d of 200 ports; the removal left too few slots moved to tell", disagree)
+	}
+}
+
 func TestSNATPortLifecycle(t *testing.T) {
 	backends := []service.Backend{{Addr: dip, Weight: 1}}
-	s := NewSNAT(vip, dip, backends)
+	s := NewSNAT(vip, dip, vipTable(t, backends))
 
 	if _, err := s.AllocatePort(1, 1, packet.ProtoTCP); err != ErrNoRange {
 		t.Fatalf("got %v", err)
@@ -272,6 +321,12 @@ func TestSNATPortLifecycle(t *testing.T) {
 	}
 	if got != p1 {
 		t.Fatalf("released port not reused: got %d want %d", got, p1)
+	}
+	// A table that does not hold the VIP predicts nothing.
+	s = NewSNAT(vip, dip, steer.NewTable(steer.Config{}))
+	s.AssignRange(5000, 5001)
+	if _, err := s.AllocatePort(1, 1, packet.ProtoTCP); !errors.Is(err, steer.ErrVIPNotFound) {
+		t.Fatalf("VIP absent from the table: got %v", err)
 	}
 }
 
@@ -326,7 +381,7 @@ func BenchmarkSNATAllocate(b *testing.B) {
 	for i := range backends {
 		backends[i] = service.Backend{Addr: packet.AddrFrom4(100, 0, 0, byte(i+1)), Weight: 1}
 	}
-	s := NewSNAT(vip, backends[3].Addr, backends)
+	s := NewSNAT(vip, backends[3].Addr, vipTable(b, backends))
 	s.AssignRange(1024, 65000)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -7,7 +7,6 @@ import (
 
 	"duet/internal/ecmp"
 	"duet/internal/packet"
-	"duet/internal/service"
 	"duet/internal/steer"
 	"duet/internal/telemetry"
 )
@@ -32,18 +31,19 @@ type snatShard struct {
 // because switches hold no connection state. Instead the host agent shares
 // the HMux hash function: when a DIP opens an outbound connection through
 // its VIP, the HA picks a source port such that the hash of the *inbound*
-// response 5-tuple selects this DIP's slot — the VIP's steer.Entry, the one
-// every mux tier resolves against — so response packets arriving at the HMux
-// are tunneled straight back to us with no state.
+// response 5-tuple selects this DIP's slot — in the VIP's current
+// steer.Entry, read out of the table the muxes resolve against — so response
+// packets arriving at the HMux are tunneled straight back to us with no
+// state, also after a DIP of the VIP was removed in place.
 //
 // The allocator is safe for concurrent callers: the assigned ranges are
 // published copy-on-write, the used-port set is sharded by port with
 // per-shard locks, and a port is probed and claimed under one shard lock so
 // two goroutines can never claim the same port.
 type SNAT struct {
-	vip   packet.Addr
-	self  packet.Addr  // our DIP
-	entry *steer.Entry // the VIP's slots, as the muxes hold them
+	vip  packet.Addr
+	self packet.Addr  // our DIP
+	tbl  *steer.Table // the muxes' table, which holds the VIP's current slots
 
 	rangesMu sync.Mutex
 	ranges   atomic.Pointer[[]portRange]
@@ -70,15 +70,12 @@ func (s *SNAT) SetTelemetry(reg *telemetry.Registry, rec *telemetry.Recorder, no
 
 type portRange struct{ lo, hi uint16 }
 
-// NewSNAT creates the allocator for one (VIP, DIP) pair given the VIP's
-// backend list exactly as programmed on the HMux (order matters — both sides
-// must build the identical slots).
-func NewSNAT(vip, self packet.Addr, backends []service.Backend) *SNAT {
-	s := &SNAT{
-		vip:   vip,
-		self:  self,
-		entry: steer.NewEntry(&service.VIP{Addr: vip, Backends: backends}, steer.ModeStateless),
-	}
+// NewSNAT creates the allocator for one (VIP, DIP) pair that predicts a
+// response's DIP through tbl, a steer table holding the VIP as the muxes do
+// (an SMux's Steer(): in a cluster every SMux and switch holding a VIP
+// installs one entry for it).
+func NewSNAT(vip, self packet.Addr, tbl *steer.Table) *SNAT {
+	s := &SNAT{vip: vip, self: self, tbl: tbl}
 	for i := range s.shards {
 		s.shards[i].used = make(map[uint16]bool)
 	}
@@ -109,10 +106,15 @@ func (s *SNAT) shardFor(port uint16) *snatShard {
 // AllocatePort picks a free source port for an outbound connection to
 // remote:remotePort such that the response packet
 // (remote:remotePort → vip:port) hashes to this DIP on the HMux.
+// steer.ErrVIPNotFound if the table does not hold the VIP.
 func (s *SNAT) AllocatePort(remote packet.Addr, remotePort uint16, proto uint8) (uint16, error) {
 	ranges := *s.ranges.Load()
 	if len(ranges) == 0 {
 		return 0, ErrNoRange
+	}
+	entry, ok := s.tbl.View().Find(s.vip)
+	if !ok {
+		return 0, steer.ErrVIPNotFound
 	}
 	for _, r := range ranges {
 		for p := uint32(r.lo); p <= uint32(r.hi); p++ {
@@ -130,7 +132,7 @@ func (s *SNAT) AllocatePort(remote packet.Addr, remotePort uint16, proto uint8) 
 				SrcPort: remotePort, DstPort: port,
 				Proto: proto,
 			}
-			dip, err := s.entry.DIP(resp, ecmp.Hash(resp))
+			dip, err := entry.DIP(resp, ecmp.Hash(resp))
 			if err != nil {
 				sh.mu.Unlock()
 				return 0, err

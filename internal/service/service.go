@@ -24,6 +24,10 @@ type PortRule struct {
 	Backends []Backend
 }
 
+// maxBackends is the most entries one backend set may list: a resolution
+// slot names its backend by a 16-bit index (internal/steer's Entry).
+const maxBackends = 1 << 16
+
 // VIP is the full configuration of one virtual IP.
 type VIP struct {
 	Addr     packet.Addr
@@ -39,10 +43,16 @@ func (v *VIP) Validate() error {
 	if len(v.Backends) == 0 && len(v.Ports) == 0 {
 		return fmt.Errorf("service: VIP %s has no backends", v.Addr)
 	}
+	if len(v.Backends) > maxBackends {
+		return fmt.Errorf("service: VIP %s lists %d backends, more than %d", v.Addr, len(v.Backends), maxBackends)
+	}
 	seen := make(map[uint16]bool)
 	for _, pr := range v.Ports {
 		if len(pr.Backends) == 0 {
 			return fmt.Errorf("service: VIP %s port %d has no backends", v.Addr, pr.Port)
+		}
+		if len(pr.Backends) > maxBackends {
+			return fmt.Errorf("service: VIP %s port %d lists %d backends, more than %d", v.Addr, pr.Port, len(pr.Backends), maxBackends)
 		}
 		if seen[pr.Port] {
 			return fmt.Errorf("service: VIP %s has duplicate rule for port %d", v.Addr, pr.Port)

@@ -41,3 +41,24 @@ func TestValidate(t *testing.T) {
 		t.Fatalf("ports-only VIP rejected: %v", err)
 	}
 }
+
+// TestValidateRefusesMoreBackendsThanAnIndexNames: a backend set of 65,536
+// entries is the largest a 16-bit slot index can name; one more is refused,
+// as the default set and as a port rule's.
+func TestValidateRefusesMoreBackendsThanAnIndexNames(t *testing.T) {
+	bs := make([]Backend, 1<<16+1)
+	for i := range bs {
+		bs[i] = Backend{Addr: packet.Addr(0x64000001 + i), Weight: 1}
+	}
+	vip := packet.MustParseAddr("10.0.0.1")
+	for _, v := range []VIP{{Addr: vip, Backends: bs}, {Addr: vip, Ports: []PortRule{{Port: 80, Backends: bs}}}} {
+		if err := v.Validate(); err == nil {
+			t.Errorf("%d backends accepted", len(bs))
+		}
+	}
+	for _, v := range []VIP{{Addr: vip, Backends: bs[:1<<16]}, {Addr: vip, Ports: []PortRule{{Port: 80, Backends: bs[:1<<16]}}}} {
+		if err := v.Validate(); err != nil {
+			t.Errorf("%d backends refused: %v", 1<<16, err)
+		}
+	}
+}

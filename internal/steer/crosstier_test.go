@@ -3,9 +3,10 @@ package steer_test
 // The paper's central invariant (§3.3.1), checked across every tier at once:
 // for one VIP configuration and one mutation history, the HMux, a standalone
 // NIC mux, a NIC mux paired with an SMux, that SMux in each consistency mode
-// and the bare steer table resolve a fresh flow to the same DIP — the DIP an
-// ecmp.Group built here, independently, picks — and every mux emits the same
-// bytes. An external test package because it imports all three tiers.
+// and the bare steer table resolve a fresh flow to the same DIP — the DIP
+// the reference group (refgroup_test.go), built here independently, picks —
+// and every mux emits the same bytes. An external test package because it
+// imports all three tiers.
 
 import (
 	"bytes"
@@ -25,7 +26,7 @@ import (
 // refSet is the test's own resolution of one backend set: the resilient
 // group over member indices plus the address each index stands for.
 type refSet struct {
-	group *ecmp.Group
+	group *steer.Group
 	addrs []packet.Addr
 	live  []bool
 }
@@ -38,7 +39,7 @@ func newRefSet(bs []service.Backend) *refSet {
 		r.addrs = append(r.addrs, b.Addr)
 		r.live = append(r.live, true)
 	}
-	r.group = ecmp.NewGroup(members, weights)
+	r.group = steer.NewGroup(members, weights)
 	return r
 }
 
@@ -92,7 +93,7 @@ func (r *ref) pick(tuple packet.FiveTuple) (packet.Addr, bool) {
 	if set.group.Size() == 0 {
 		return 0, false
 	}
-	return set.addrs[set.group.SlotMember(int(ecmp.Hash(tuple)%ecmp.DefaultSlots))], true
+	return set.addrs[set.group.SlotMember(int(ecmp.Hash(tuple)%steer.Slots))], true
 }
 
 func TestEveryTierResolvesLikeTheReferenceGroup(t *testing.T) {

@@ -6,12 +6,12 @@
 // them out of a Table. Table is an epoch-versioned, Maglev/Concury-style
 // consistent lookup table of Entries published behind an atomic pointer.
 //
-// An Entry is a flat slot array (hash % slots → DIP address) materialized
-// from one resilient-hashing ecmp.Group, and this package is the only place
-// a backend set becomes slots — so for a given VIP, backend list and
-// mutation history, the steer table, the SMux, the NMux and the HMux pick
-// the SAME DIP for the same 5-tuple by construction. Lookups are one atomic
-// load, one map probe and one slice index — zero allocations, no locks.
+// An Entry is a flat slot array (hash % Slots → DIP address) beside the
+// backend index each slot serves, and this package is the only place a
+// backend set becomes slots — so for a given VIP, backend list and mutation
+// history, the steer table, the SMux, the NMux and the HMux pick the SAME
+// DIP for the same 5-tuple by construction. Lookups are one atomic load, one
+// map probe and one array index — zero allocations, no locks.
 //
 // Updates follow Concury's concise-structure discipline: a batch of ops
 // (Table.Apply; a replicated delta is one batch) rebuilds the entries of the
@@ -22,11 +22,12 @@
 // once (Derive) and carried in the op, so every table a batch reaches
 // installs the same entry: in a core.Cluster every SMux and every switch
 // holding a VIP resolve it through one slot array. A rebuild moves most of a
-// VIP's flows; because ecmp.Group removal is resilient and its fill is
-// deterministic in the backend list, removing a DIP moves only its flows,
-// and re-adding it returns the slot array exactly to its original state —
-// flows that never hashed to the churned DIP never remap, which is what lets
-// an SMux serve them statelessly across epochs.
+// VIP's flows; because removal rewrites only the removed member's slots
+// (resilient hashing, §5.1) and the fill is deterministic in the backend
+// list, removing a DIP moves only its flows, and re-adding it returns the
+// slot array exactly to its original state — flows that never hashed to the
+// churned DIP never remap, which is what lets an SMux serve them statelessly
+// across epochs.
 //
 // The table also keeps the generation before the latest slot-changing batch
 // alive for a bounded drain window. A hybrid-mode SMux compares the current
@@ -134,18 +135,24 @@ type Config struct {
 	DefaultMode Mode
 }
 
+// Slots is the size of every backend set's slot table: a flow hash h selects
+// slot h % Slots. Real switch ASICs use a fixed small power of two per ECMP
+// group; 256 keeps the remap granularity fine enough that removing one of up
+// to 512 members only touches that member's slots.
+const Slots = 256
+
 // Entry is one VIP's immutable resolution record — what an HMux's host table,
-// an SMux and an NMux all resolve a packet against: the flattened slot array
-// plus the group it was materialized from (kept only for copy-on-write
-// mutation; lookups never touch it).
+// an SMux and an NMux all resolve a packet against: the slot array plus, per
+// slot, the index of the backend it serves (kept only for copy-on-write
+// removal; lookups never touch it). A mode change's copy shares both.
 type Entry struct {
 	// What a packet reads, together at the head of the record.
-	slots *[ecmp.DefaultSlots]packet.Addr // nil for an empty backend set
+	slots *[Slots]packet.Addr // nil when no backend is live
 	ports map[uint16]*Entry
 	mode  Mode
 
-	group    *ecmp.Group       // members are indices into backends
-	backends []service.Backend // a removed member's slot is zeroed, not compacted
+	owner    *[Slots]uint16    // slot → index into backends; nil for an empty set
+	backends []service.Backend // weights ≥ 1; a removed member's slot is zeroed, not compacted
 }
 
 // Mode returns the VIP's steering mode.
@@ -163,7 +170,7 @@ func (e *Entry) DIP(tuple packet.FiveTuple, h uint64) (packet.Addr, error) {
 	if sel.slots == nil {
 		return 0, ErrNoBackend
 	}
-	return sel.slots[h%ecmp.DefaultSlots], nil
+	return sel.slots[h%Slots], nil
 }
 
 // HasLive reports whether d is a live backend of the sub-entry serving
@@ -203,7 +210,7 @@ func (e *Entry) sub(port uint16) *Entry {
 func (e *Entry) Sets(f func(dips []packet.Addr)) {
 	dips := make([]packet.Addr, 0, len(e.backends))
 	for _, b := range e.backends {
-		if !b.Addr.IsZero() { // slot released by WithoutBackend
+		if !b.Addr.IsZero() { // a member WithoutBackend removed
 			dips = append(dips, b.Addr)
 		}
 	}
@@ -331,7 +338,8 @@ func (t *Table) Lookup(tuple packet.FiveTuple) (packet.Addr, error) {
 // NewEntry materializes a VIP's resolution record: the default backend set
 // and one sub-entry per port rule (Figure 8: a port rule overrides the
 // default set). The construction is deterministic in the backend lists, so
-// two tiers handed the same VIP hold identical slots.
+// two tiers handed the same VIP hold identical slots. A set lists at most
+// 65,536 backends, the most a slot's 16-bit index names (VIP.Validate).
 func NewEntry(v *service.VIP, mode Mode) *Entry {
 	e := buildEntry(v.Backends, mode)
 	if len(v.Ports) > 0 {
@@ -343,58 +351,101 @@ func NewEntry(v *service.VIP, mode Mode) *Entry {
 	return e
 }
 
-// buildEntry materializes one backend set: a resilient-hashing ecmp.Group
-// over the backends' indices, flattened into a slot array for lookup.
+// buildEntry materializes one backend set: its backends, each weight
+// counted as at least 1 — so a weight of 0 marks only a member
+// WithoutBackend removed, whatever its address — apportioned over the slots
+// by fill.
 func buildEntry(backends []service.Backend, mode Mode) *Entry {
-	members := make([]uint32, len(backends))
-	weights := make([]uint32, len(backends))
-	for i, b := range backends {
-		members[i], weights[i] = uint32(i), b.Weight
+	e := &Entry{backends: slices.Clone(backends), mode: mode}
+	for i := range e.backends {
+		e.backends[i].Weight = max(e.backends[i].Weight, 1)
 	}
-	e := &Entry{
-		group:    ecmp.NewGroup(members, weights),
-		backends: slices.Clone(backends),
-		mode:     mode,
+	if len(e.backends) > 0 {
+		e.owner = new([Slots]uint16)
+		fill(e.owner, e.backends)
+		e.slots = new([Slots]packet.Addr)
+		for s, o := range e.owner {
+			e.slots[s] = e.backends[o].Addr
+		}
 	}
-	e.slots = flatten(e.group, e.backends)
 	return e
 }
 
-// flatten copies the group's slot table into a slot→DIP array. An empty
-// group flattens to nil (ErrNoBackend on lookup).
-func flatten(g *ecmp.Group, backends []service.Backend) *[ecmp.DefaultSlots]packet.Addr {
-	if g.Size() == 0 {
-		return nil
+// fill apportions the slot table to the backends by weight — the
+// non-resilient full rehash a real ASIC performs on member addition — in
+// one largest-remainder pass, which keeps each backend's share within one
+// slot of the exact weight ratio, then interleaves the backends across the
+// table so adjacent hash values do not all land on one. The table depends
+// only on the weight list, so two tiers handed the same list fill the same
+// table. backends is non-empty, with every weight ≥ 1.
+func fill(owner *[Slots]uint16, backends []service.Backend) {
+	var total uint64
+	for _, b := range backends {
+		total += uint64(b.Weight)
 	}
-	out := new([ecmp.DefaultSlots]packet.Addr)
-	for s := range out {
-		out[s] = backends[g.SlotMember(s)].Addr
+	counts := make([]int, len(backends))
+	rem := make([]uint64, len(backends))
+	assigned := 0
+	for i, b := range backends {
+		exact := Slots * uint64(b.Weight)
+		counts[i] = int(exact / total)
+		rem[i] = exact % total
+		assigned += counts[i]
 	}
-	return out
+	for assigned < Slots {
+		best := 0
+		for i := 1; i < len(rem); i++ {
+			if rem[i] > rem[best] {
+				best = i
+			}
+		}
+		counts[best]++
+		rem[best] = 0
+		assigned++
+	}
+	for pos := 0; pos < Slots; {
+		for i := range counts {
+			if counts[i] > 0 {
+				owner[pos] = uint16(i)
+				pos++
+				counts[i]--
+			}
+		}
+	}
 }
 
 // WithoutBackend returns a copy of the entry with one DIP of the default set
-// removed resiliently: the group clone remaps only the removed member's slots
-// (ecmp round-robin), so flows on surviving DIPs keep their mapping (paper
-// §5.1 "DIP failure"). The member's slot in the backend list stays, dead, so
-// the survivors' member ids hold; port sub-entries are shared with the
-// original. ErrBackendNotFound if the DIP is not a live member.
+// removed resiliently (paper §5.1 "DIP failure", Smart-Hash): only the
+// removed member's slots are rewritten, round-robin over the live members in
+// list order, so flows on surviving DIPs keep their mapping. The member's
+// slot in the backend list stays, zeroed, so the survivors' indices hold;
+// port sub-entries are shared with the original. ErrBackendNotFound if the
+// DIP is not a live member.
 func (e *Entry) WithoutBackend(dip packet.Addr) (*Entry, error) {
 	i := e.member(dip)
 	if i < 0 {
 		return nil, ErrBackendNotFound
 	}
-	cp := &Entry{
-		group:    e.group.Clone(),
-		backends: slices.Clone(e.backends),
-		ports:    e.ports,
-		mode:     e.mode,
+	cp := &Entry{backends: slices.Clone(e.backends), ports: e.ports, mode: e.mode}
+	cp.backends[i] = service.Backend{} // weight 0: the one mark of a removed member
+	var live []uint16
+	for j, b := range cp.backends {
+		if b.Weight != 0 {
+			live = append(live, uint16(j))
+		}
 	}
-	if err := cp.group.Remove(uint32(i)); err != nil {
-		return nil, err
+	if len(live) == 0 {
+		return cp, nil
 	}
-	cp.backends[i] = service.Backend{}
-	cp.slots = flatten(cp.group, cp.backends)
+	owner, slots, next := *e.owner, *e.slots, 0
+	for s, o := range owner {
+		if o == uint16(i) {
+			owner[s] = live[next%len(live)]
+			slots[s] = cp.backends[owner[s]].Addr
+			next++
+		}
+	}
+	cp.owner, cp.slots = &owner, &slots
 	return cp, nil
 }
 

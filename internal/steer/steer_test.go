@@ -1,6 +1,7 @@
 package steer
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -33,26 +34,22 @@ func mustAdd(t *testing.T, tab *Table, v *service.VIP) {
 	}
 }
 
-// TestLookupMatchesECMPGroup: the flattened slot array must reproduce the
-// inline group.Select every mux used before the refactor — that identity is
-// what keeps cross-tier fall-through byte-identical.
+// TestLookupMatchesECMPGroup: the table's lookup must pick what the
+// reference group (refgroup_test.go) picks for the same flow hash — that
+// identity is what keeps cross-tier fall-through byte-identical.
 func TestLookupMatchesECMPGroup(t *testing.T) {
 	bs := backends("100.0.0.1", "100.0.0.2", "100.0.0.3", "100.0.0.4", "100.0.0.5")
 	tab := NewTable(Config{})
 	mustAdd(t, tab, &service.VIP{Addr: vipAddr, Backends: bs})
 
-	members, weights := make([]uint32, len(bs)), make([]uint32, len(bs))
-	for i, b := range bs {
-		members[i], weights[i] = uint32(i), b.Weight
-	}
-	g := ecmp.NewGroup(members, weights)
+	g := refGroup(bs)
 	for i := uint32(0); i < 5000; i++ {
 		tu := tupleN(i)
 		got, err := tab.Lookup(tu)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := bs[g.SlotMember(int(ecmp.Hash(tu)%ecmp.DefaultSlots))].Addr; got != want {
+		if want := bs[g.SlotMember(int(ecmp.Hash(tu)%Slots))].Addr; got != want {
 			t.Fatalf("tuple %d: steer %s, group %s", i, got, want)
 		}
 	}
@@ -430,7 +427,7 @@ func TestRemoveDIPListedTwice(t *testing.T) {
 		t.Fatal("the port sub-entry was rebuilt, not shared")
 	}
 	for s, d := range before.slots {
-		if before.group.SlotMember(s) != 0 && after.slots[s] != d {
+		if before.owner[s] != 0 && after.slots[s] != d {
 			t.Fatalf("slot %d of a surviving member moved from %s to %s", s, d, after.slots[s])
 		}
 		if got := after.slots[s]; got != host && got != other {
@@ -493,4 +490,45 @@ func TestGoneZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("Gone: %v allocs/op, want 0", allocs)
 	}
+}
+
+// BenchmarkNewEntry and BenchmarkWithoutBackend report what one backend set
+// of 2 to 8 DIPs costs to build and to take a DIP out of (-benchmem).
+func BenchmarkNewEntry(b *testing.B) {
+	for _, n := range []int{2, 8} {
+		v := &service.VIP{Addr: vipAddr, Backends: benchBackends(n)}
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				entrySink = NewEntry(v, ModeStateless)
+			}
+		})
+	}
+}
+
+func BenchmarkWithoutBackend(b *testing.B) {
+	for _, n := range []int{2, 8} {
+		bs := benchBackends(n)
+		e := NewEntry(&service.VIP{Addr: vipAddr, Backends: bs}, ModeStateless)
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if entrySink, err = e.WithoutBackend(bs[1].Addr); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// entrySink keeps the benchmarked calls' results alive.
+var entrySink *Entry
+
+func benchBackends(n int) []service.Backend {
+	bs := make([]service.Backend, n)
+	for i := range bs {
+		bs[i] = service.Backend{Addr: packet.AddrFrom4(100, 0, 0, byte(i+1)), Weight: 1}
+	}
+	return bs
 }

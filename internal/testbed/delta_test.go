@@ -20,13 +20,10 @@ func deltaStateFor(tb *Testbed, epoch uint64, onHMux map[int]topology.SwitchID, 
 	st := delta.NewState()
 	st.Epoch = epoch
 	for i := 0; i < n; i++ {
-		vs := &delta.VIPState{Addr: vipN(i), Tier: delta.TierSMux, Switch: delta.Unassigned}
+		vs := &delta.VIPState{Addr: vipN(i), Backends: backendsFor(i), Tier: delta.TierSMux, Switch: delta.Unassigned}
 		if sw, ok := onHMux[i]; ok {
 			vs.Tier = delta.TierHMux
 			vs.Switch = int32(sw)
-		}
-		for _, b := range backendsFor(i) {
-			vs.Backends = append(vs.Backends, delta.Backend{Addr: b.Addr, Weight: b.Weight})
 		}
 		st.VIPs[vipN(i)] = vs
 	}

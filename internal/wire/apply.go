@@ -91,15 +91,14 @@ func (n *Node) reconcileSMux(ds []delta.Op) error {
 }
 
 // side is what a table holds of a replicated VIP: v's config — in v's mode
-// when the table keeps modes — if it holds it, nothing otherwise.
+// when the table keeps modes — if it holds it, nothing otherwise. The config
+// shares v's backend list, which a mirror never edits in place (delta.State)
+// and a table copies when it builds an entry.
 func side(v *delta.VIPState, held, modes bool) steer.Side {
 	if v == nil || !held {
 		return steer.Side{}
 	}
-	s := steer.Side{VIP: &service.VIP{Addr: v.Addr, Backends: make([]service.Backend, len(v.Backends))}}
-	for i, b := range v.Backends {
-		s.VIP.Backends[i] = service.Backend{Addr: b.Addr, Weight: b.Weight}
-	}
+	s := steer.Side{VIP: &service.VIP{Addr: v.Addr, Backends: v.Backends}}
 	if modes {
 		s.Mode = v.Mode
 	}
