@@ -20,7 +20,7 @@ func TestRunHA(t *testing.T) {
 			{Addr: "10.0.0.1", Backends: []wire.BackendSpec{{Addr: "100.0.0.1"}}},
 			{Addr: "10.0.0.2", Nic: true, Backends: []wire.BackendSpec{{Addr: "100.0.0.2"}}},
 		},
-		ResyncMillis: 100, ScrapeMillis: 50, HealthMillis: 100,
+		ResyncMillis: 100, ScrapeMillis: 50,
 	}
 	n, err := wire.StartNode(spec, "ctl")
 	if err != nil {

@@ -75,7 +75,6 @@ func TestWireControllerFailoverSoak(t *testing.T) {
 		},
 		ResyncMillis: 100,
 		ScrapeMillis: 50,
-		HealthMillis: 100,
 		LeaseMillis:  600,
 		ChurnMillis:  150,
 		ChurnSeed:    7,

@@ -157,7 +157,6 @@ func TestWireClusterEndToEnd(t *testing.T) {
 		},
 		ResyncMillis: 200,
 		ScrapeMillis: 100,
-		HealthMillis: 100,
 	}
 	specPath := filepath.Join(t.TempDir(), "cluster.json")
 	raw, err := json.Marshal(&spec)

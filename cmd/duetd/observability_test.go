@@ -82,7 +82,6 @@ func TestClusterObservability(t *testing.T) {
 		// cluster gauges show zero deltas between scrapes and the rate-based
 		// fleet watchdogs reset their streaks.
 		ScrapeMillis:      300,
-		HealthMillis:      100,
 		TraceEvery:        2, // aggressive sampling: half the flood leaves journeys
 		ClusterPollMillis: 100,
 	}

@@ -43,21 +43,36 @@ func (v *VIP) Validate() error {
 	if len(v.Backends) == 0 && len(v.Ports) == 0 {
 		return fmt.Errorf("service: VIP %s has no backends", v.Addr)
 	}
-	if len(v.Backends) > maxBackends {
-		return fmt.Errorf("service: VIP %s lists %d backends, more than %d", v.Addr, len(v.Backends), maxBackends)
+	if err := checkBackends(v.Backends); err != nil {
+		return fmt.Errorf("service: VIP %s %w", v.Addr, err)
 	}
 	seen := make(map[uint16]bool)
 	for _, pr := range v.Ports {
 		if len(pr.Backends) == 0 {
 			return fmt.Errorf("service: VIP %s port %d has no backends", v.Addr, pr.Port)
 		}
-		if len(pr.Backends) > maxBackends {
-			return fmt.Errorf("service: VIP %s port %d lists %d backends, more than %d", v.Addr, pr.Port, len(pr.Backends), maxBackends)
+		if err := checkBackends(pr.Backends); err != nil {
+			return fmt.Errorf("service: VIP %s port %d %w", v.Addr, pr.Port, err)
 		}
 		if seen[pr.Port] {
 			return fmt.Errorf("service: VIP %s has duplicate rule for port %d", v.Addr, pr.Port)
 		}
 		seen[pr.Port] = true
+	}
+	return nil
+}
+
+// checkBackends refuses a backend set that a slot index cannot name, and a
+// backend at the zero address: no host serves it, yet it would get its
+// share of the slots, and no DIP removal could take it out again.
+func checkBackends(bs []Backend) error {
+	if len(bs) > maxBackends {
+		return fmt.Errorf("lists %d backends, more than %d", len(bs), maxBackends)
+	}
+	for _, b := range bs {
+		if b.Addr.IsZero() {
+			return fmt.Errorf("lists a backend at the zero address")
+		}
 	}
 	return nil
 }

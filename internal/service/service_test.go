@@ -1,6 +1,7 @@
 package service
 
 import (
+	"strings"
 	"testing"
 
 	"duet/internal/packet"
@@ -59,6 +60,23 @@ func TestValidateRefusesMoreBackendsThanAnIndexNames(t *testing.T) {
 	for _, v := range []VIP{{Addr: vip, Backends: bs[:1<<16]}, {Addr: vip, Ports: []PortRule{{Port: 80, Backends: bs[:1<<16]}}}} {
 		if err := v.Validate(); err != nil {
 			t.Errorf("%d backends refused: %v", 1<<16, err)
+		}
+	}
+}
+
+// TestValidateRefusesZeroAddressBackend: a backend at 0.0.0.0 is refused in
+// the default set and in a port rule, wherever in the list it stands.
+func TestValidateRefusesZeroAddressBackend(t *testing.T) {
+	vip := packet.MustParseAddr("10.0.0.1")
+	for _, bs := range [][]Backend{
+		{bk("0.0.0.0", 1)},
+		{bk("100.0.0.1", 1), bk("0.0.0.0", 1)},
+	} {
+		for _, v := range []VIP{{Addr: vip, Backends: bs}, {Addr: vip, Ports: []PortRule{{Port: 80, Backends: bs}}}} {
+			err := v.Validate()
+			if err == nil || !strings.Contains(err.Error(), "zero address") {
+				t.Errorf("%+v: got %v, want a zero-address refusal", v, err)
+			}
 		}
 	}
 }

@@ -18,10 +18,10 @@ import (
 	"duet/internal/telemetry"
 )
 
-// handleLeader is a dataplane node's side of replication: a heartbeat or a
-// delta push from the leader, behind the leader fence (see fence). A
-// heartbeat is a push without a delta, its ack the applied-epoch probe that
-// tells the leader what to ship. A push applies its delta to the mirror and
+// handleLeader is a dataplane node's side of replication: a delta push from
+// the leader, behind the leader fence (see fence). A push without a delta
+// changes nothing; its ack is the applied-epoch probe that tells the leader
+// what to ship. A push with one applies its delta to the mirror and
 // reconciles the touched VIPs through the role's reconcile func; a snapshot
 // is turned into its diff from the mirror first. The ack always carries the
 // applied epoch: a gap rejection tells the leader exactly where this node
@@ -33,7 +33,7 @@ func (n *Node) handleLeader(env, ack *Envelope, reconcile func(ds []delta.Op) er
 	n.cfgMu.Lock()
 	defer n.cfgMu.Unlock()
 	err := fence(env, ack, &n.leaderTerm, n.cfg.Epoch)
-	if env.Type == MsgLeaderHeartbeat {
+	if len(env.Delta) == 0 {
 		return err
 	}
 	var d *delta.Delta

@@ -49,14 +49,14 @@ func pushDeltaAt(c *ControlClient, term uint64, d *delta.Delta) (*Envelope, erro
 	return c.CallE(&Envelope{Type: MsgDeltaPush, Name: "test", Term: term, Epoch: d.ToEpoch, Delta: d.Encode()})
 }
 
-// refuseStaleTerm sends a follower that has admitted term 2 a term-1
-// heartbeat and a term-1 push of d, a delta it would otherwise apply: the
-// leader fence must refuse both, and each ack must carry term 2 and the
-// follower's applied epoch.
+// refuseStaleTerm sends a follower that has admitted term 2 a term-1 probe
+// (a push without a delta) and a term-1 push of d, a delta it would
+// otherwise apply: the leader fence must refuse both, and each ack must
+// carry term 2 and the follower's applied epoch.
 func refuseStaleTerm(t *testing.T, c *ControlClient, applied uint64, d *delta.Delta) {
 	t.Helper()
 	for _, env := range []*Envelope{
-		{Type: MsgLeaderHeartbeat, Name: "test", Term: 1, Epoch: d.ToEpoch},
+		{Type: MsgDeltaPush, Name: "test", Term: 1, Epoch: d.ToEpoch},
 		{Type: MsgDeltaPush, Name: "test", Term: 1, Epoch: d.ToEpoch, Delta: d.Encode()},
 	} {
 		ack, err := c.CallE(env)
@@ -197,14 +197,15 @@ func TestDataplaneRolesRejectOtherMessages(t *testing.T) {
 
 			refuseStaleTerm(t, c, 1, delta.Diff(st1, configAt(t, 2))) // would empty every table
 			if got := counter(n, "wire.delta.rejected"); got != rejected+1 {
-				t.Fatalf("wire.delta.rejected = %d after a stale heartbeat and push, want %d", got, rejected+1)
+				t.Fatalf("wire.delta.rejected = %d after a stale probe and push, want %d", got, rejected+1)
 			}
 
 			for _, typ := range []MsgType{
-				MsgHealthReport, MsgSnapshotRequest,
+				MsgSnapshotRequest,
 				2, 3, 4, 6, 7, 8, 10, 11, // the retired add-vip … nmux-remove
+				5, 13, 15, // the retired health report, delta ack and leader heartbeat
 			} {
-				err := c.Call(&Envelope{Type: typ, Name: "test"})
+				_, err := c.CallE(&Envelope{Type: typ, Name: "test"})
 				var rej *RejectedError
 				if !errors.As(err, &rej) {
 					t.Fatalf("%s: want RejectedError, got %v", typ, err)

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"duet/internal/packet"
 	"duet/internal/telemetry"
 )
 
@@ -20,44 +19,40 @@ import (
 // for the layout), whose delta bytes ride raw at the end. The length prefix
 // gives clean framing and an obvious place to reject garbage, and the
 // format-version byte that opens the body lets a mismatched peer be refused
-// instead of misread. Every request is acknowledged (MsgAck or an enriched
-// MsgDeltaAck, echoing Seq), and requests are idempotent by construction —
-// a heartbeat or health report repeats harmlessly, and a delta push carries
-// its from-epoch precondition — so the client can blindly retry across
-// reconnects without a dedupe layer. Configuration reaches a node only as
-// epoch deltas (MsgDeltaPush, internal/delta); the full-state snapshot push
-// is the recovery path for a peer behind the leader's compaction horizon.
+// instead of misread. Every request is acknowledged with one MsgAck echoing
+// its Seq, and requests are idempotent by construction — a push without a
+// delta repeats harmlessly, and a push with one carries its from-epoch
+// precondition — so the client can blindly retry across reconnects without
+// a dedupe layer. Configuration reaches a node only as epoch deltas
+// (MsgDeltaPush, internal/delta); the full-state snapshot push is the
+// recovery path for a peer behind the leader's compaction horizon.
 
 // MsgType enumerates control messages.
 type MsgType uint8
 
 // The values travel on the wire and are never reused: 2–4, 8, 10 and 11 were
-// the imperative per-VIP messages that delta replication retired, and 6 and 7
+// the imperative per-VIP messages that delta replication retired, 6 and 7
 // the switch agent's announce-vip/withdraw-vip route side effects, which
-// changed nothing a controller acted on.
+// changed nothing a controller acted on, 5 a host agent's health report,
+// which a controller only counted, 13 a second ack no receiver told apart
+// from MsgAck, and 15 a leader heartbeat, which is a push without a delta.
 const (
-	// MsgHello introduces a peer after connect (role + name, informational).
+	// MsgHello introduces a peer after connect (informational).
 	MsgHello MsgType = 1
-	// MsgHealthReport carries a host agent's DIP health to the controller.
-	MsgHealthReport MsgType = 5
-	// MsgAck acknowledges any request, echoing its Seq.
+	// MsgAck acknowledges any request, echoing its Seq. On a delta-protocol
+	// request it also carries the follower's applied (or log-head) epoch and
+	// highest seen term — even on a rejection, so a gap tells the leader
+	// exactly where to resume.
 	MsgAck MsgType = 9
 	// MsgDeltaPush ships one encoded epoch delta (internal/delta) from the
-	// leading controller to a peer. Delta carries the bytes, Epoch the
-	// delta's target epoch, Term the leader's term. The ack (MsgDeltaAck)
-	// returns the peer's applied epoch, so a gap rejection tells the leader
-	// exactly where to resume.
+	// leading controller to a peer: Delta carries the bytes, Epoch the
+	// delta's target epoch, Term the leader's term. A push without a Delta
+	// changes no config: it probes the peer, the ack's Epoch telling the
+	// leader what to ship, and renews the leader's lease on a standby.
 	MsgDeltaPush MsgType = 12
-	// MsgDeltaAck is the enriched ack to a delta-protocol request: Epoch is
-	// the peer's applied (or log-head) epoch, Term its highest seen term.
-	MsgDeltaAck MsgType = 13
 	// MsgSnapshotRequest asks a controller for its full config as a snapshot
 	// delta; the ack carries it in Delta (recovery + operator inspection).
 	MsgSnapshotRequest MsgType = 14
-	// MsgLeaderHeartbeat renews the leader's lease on a peer and doubles as
-	// an epoch probe: the ack's Epoch tells the leader how far behind the
-	// peer is without shipping anything.
-	MsgLeaderHeartbeat MsgType = 15
 )
 
 // String names the message type.
@@ -65,45 +60,30 @@ func (t MsgType) String() string {
 	switch t {
 	case MsgHello:
 		return "hello"
-	case MsgHealthReport:
-		return "health-report"
 	case MsgAck:
 		return "ack"
 	case MsgDeltaPush:
 		return "delta-push"
-	case MsgDeltaAck:
-		return "delta-ack"
 	case MsgSnapshotRequest:
 		return "snapshot-request"
-	case MsgLeaderHeartbeat:
-		return "leader-heartbeat"
 	}
 	return fmt.Sprintf("msg(%d)", uint8(t))
 }
 
-// DIPHealth is one DIP's health as a host agent reports it.
-type DIPHealth struct {
-	DIP     packet.Addr
-	Healthy bool
-}
-
-// Envelope is one control message. Exactly one payload field matching Type
-// is set; Seq correlates acks with requests.
+// Envelope is one control message. Seq correlates acks with requests.
 type Envelope struct {
 	Type MsgType
 	Seq  uint64
 
-	Role   string      // MsgHello
-	Name   string      // MsgHello and MsgHealthReport: the sender; the leader's name on delta-protocol messages
-	Health []DIPHealth // MsgHealthReport: the sender's local DIPs
-	Err    string      // MsgAck: empty = success
+	Name string // the sender on MsgHello; the leader's name on delta-protocol messages
+	Err  string // MsgAck: empty = success
 
-	// Delta-protocol fields (MsgDeltaPush / MsgDeltaAck / MsgSnapshotRequest
-	// / MsgLeaderHeartbeat). Epoch is the config epoch the message is about;
-	// on acks it is the peer's applied epoch. Term is the sender's leadership
-	// term; a receiver that has seen a higher term rejects the message so a
-	// deposed leader steps down. Delta carries one encoded internal/delta
-	// diff or snapshot.
+	// Delta-protocol fields (MsgDeltaPush, MsgSnapshotRequest and their
+	// acks). Epoch is the config epoch the message is about; on acks it is
+	// the peer's applied epoch. Term is the sender's leadership term; a
+	// receiver that has seen a higher term rejects the message so a deposed
+	// leader steps down. Delta carries one encoded internal/delta diff or
+	// snapshot.
 	Epoch uint64
 	Term  uint64
 	Delta []byte
@@ -115,13 +95,11 @@ const (
 	maxControlMsg = 1 << 20
 	// controlVersion opens every body; a peer speaking another version is
 	// refused, never misread. Version 2 dropped version 1's route-prefix
-	// string.
-	controlVersion = 2
+	// string, and version 3 version 2's role string and health list.
+	controlVersion = 3
 	// fixedLen is the body's fixed-width head: version, type, seq, epoch,
 	// term.
 	fixedLen = 2 + 3*8
-	// healthLen is one encoded DIPHealth: the address, then 0 or 1.
-	healthLen = 5
 )
 
 // errBadMsg marks a control message that arrived whole but does not decode;
@@ -133,30 +111,20 @@ var errBadMsg = errors.New("wire: malformed control message")
 //	uint32 length of the rest (big-endian)
 //	u8 controlVersion, u8 Type
 //	u64 Seq, u64 Epoch, u64 Term (big-endian)
-//	uvarint-length Name, Role, Err
-//	uvarint count, then count × (u32 DIP, u8 healthy) — Health
+//	uvarint-length Name, Err
 //	the raw Delta bytes, to the end of the message
 //
 // A decoded message re-encodes to the same bytes: lengths are minimal
-// uvarints and healthy is 0 or 1, and decodeMsg refuses anything else.
+// uvarints, and decodeMsg refuses anything else.
 func appendMsg(buf []byte, env *Envelope) ([]byte, error) {
 	start := len(buf)
 	buf = append(buf, 0, 0, 0, 0, controlVersion, byte(env.Type))
 	buf = binary.BigEndian.AppendUint64(buf, env.Seq)
 	buf = binary.BigEndian.AppendUint64(buf, env.Epoch)
 	buf = binary.BigEndian.AppendUint64(buf, env.Term)
-	for _, s := range [...]string{env.Name, env.Role, env.Err} {
+	for _, s := range [...]string{env.Name, env.Err} {
 		buf = binary.AppendUvarint(buf, uint64(len(s)))
 		buf = append(buf, s...)
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(env.Health)))
-	for _, h := range env.Health {
-		buf = binary.BigEndian.AppendUint32(buf, uint32(h.DIP))
-		healthy := byte(0)
-		if h.Healthy {
-			healthy = 1
-		}
-		buf = append(buf, healthy)
 	}
 	buf = append(buf, env.Delta...)
 	n := len(buf) - start - 4
@@ -223,7 +191,7 @@ func decodeMsg(b []byte, env *Envelope) error {
 		Term:  binary.BigEndian.Uint64(b[18:]),
 	}
 	rest := b[fixedLen:]
-	for _, s := range [...]*string{&env.Name, &env.Role, &env.Err} {
+	for _, s := range [...]*string{&env.Name, &env.Err} {
 		n, k := uvarint(rest)
 		if k == 0 || n > uint64(len(rest)-k) {
 			return fmt.Errorf("%w: bad string length", errBadMsg)
@@ -232,21 +200,6 @@ func decodeMsg(b []byte, env *Envelope) error {
 			*s = string(rest[k : k+int(n)])
 		}
 		rest = rest[k+int(n):]
-	}
-	n, k := uvarint(rest)
-	if k == 0 || n > uint64((len(rest)-k)/healthLen) {
-		return fmt.Errorf("%w: bad health count", errBadMsg)
-	}
-	rest = rest[k:]
-	if n > 0 {
-		env.Health = make([]DIPHealth, n)
-		for i := range env.Health {
-			if rest[4] > 1 {
-				return fmt.Errorf("%w: health flag %d", errBadMsg, rest[4])
-			}
-			env.Health[i] = DIPHealth{DIP: packet.Addr(binary.BigEndian.Uint32(rest)), Healthy: rest[4] == 1}
-			rest = rest[healthLen:]
-		}
 	}
 	if len(rest) > 0 {
 		env.Delta = rest
@@ -265,10 +218,10 @@ func uvarint(b []byte) (uint64, int) {
 }
 
 // ControlHandler processes one inbound request and returns the error to
-// carry on the ack (nil = success). ack arrives pre-filled as a plain
-// MsgAck echoing the request's Seq; the handler may enrich it (set Epoch,
-// Term, Delta, or retype it MsgDeltaAck) — even on error, so a rejection
-// can still tell the caller where the peer stands. env.Delta aliases the
+// carry on the ack (nil = success). ack arrives pre-filled as a MsgAck
+// echoing the request's Seq; the handler may enrich it (set Epoch, Term,
+// Name, Delta) — even on error, so a rejection can still tell the caller
+// where the peer stands. env.Delta aliases the
 // connection's read buffer and is valid only during the call: a handler
 // that keeps the bytes copies them. Handlers run on per-connection
 // goroutines and must be safe for concurrent calls.
@@ -365,7 +318,7 @@ func (s *ControlServer) serveConn(conn net.Conn) {
 			return // peer gone or garbage; either way the conn is done
 		}
 		s.rx.Inc()
-		if env.Type == MsgAck || env.Type == MsgDeltaAck {
+		if env.Type == MsgAck {
 			continue // stray acks are ignored, not re-acked
 		}
 		ack = Envelope{Type: MsgAck, Seq: env.Seq}
@@ -426,19 +379,11 @@ func DialControl(addr string, reg *telemetry.Registry) *ControlClient {
 	}
 }
 
-// Call sends one request and waits for its ack. A transport failure closes
-// the connection (the next call redials) and returns the error; an ack
-// carrying a handler error returns that error without closing.
-func (c *ControlClient) Call(env *Envelope) error {
-	_, err := c.CallE(env)
-	return err
-}
-
-// CallE is Call returning the ack envelope, so callers of the delta
-// protocol can read the enriched fields (Epoch, Term, Delta). On a
-// RejectedError the ack is still returned — a gap rejection carries the
-// peer's applied epoch. The ack is nil only on transport failure. The
-// caller owns the ack, its Delta included.
+// CallE sends one request and returns its ack. A transport failure closes
+// the connection (the next call redials) and returns a nil ack. A handler's
+// rejection returns a RejectedError without closing, and the ack beside it:
+// a gap rejection carries the peer's applied epoch. The caller owns the
+// ack, its Delta included.
 func (c *ControlClient) CallE(env *Envelope) (*Envelope, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -467,7 +412,7 @@ func (c *ControlClient) CallE(env *Envelope) (*Envelope, error) {
 			c.dropConnLocked()
 			return nil, err
 		}
-		if (ack.Type == MsgAck || ack.Type == MsgDeltaAck) && ack.Seq == env.Seq {
+		if ack.Type == MsgAck && ack.Seq == env.Seq {
 			break
 		}
 		// An ack for an older (timed-out) request; keep reading.

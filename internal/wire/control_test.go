@@ -15,20 +15,8 @@ import (
 	"testing"
 	"time"
 
-	"duet/internal/packet"
 	"duet/internal/telemetry"
 )
-
-func healthPairs(n int) []DIPHealth {
-	if n == 0 {
-		return nil
-	}
-	out := make([]DIPHealth, n)
-	for i := range out {
-		out[i] = DIPHealth{DIP: packet.Addr(0x64000000 + uint32(i)), Healthy: i%3 != 0}
-	}
-	return out
-}
 
 func deltaBytes(n int) []byte {
 	if n == 0 {
@@ -67,19 +55,18 @@ func roundTrip(t *testing.T, env *Envelope) *Envelope {
 
 func TestEnvelopeRoundTrip(t *testing.T) {
 	cases := []Envelope{
-		{Type: MsgHello, Seq: 1, Role: RoleSMux, Name: "smux-1"},
-		{Type: MsgHealthReport, Seq: 2, Name: "host-1"},
-		{Type: MsgHealthReport, Seq: 3, Name: "host-1", Health: healthPairs(300)},
+		{Type: MsgHello, Seq: 1, Name: "smux-1"},
 		{Type: MsgAck, Seq: 6},
 		{Type: MsgAck, Seq: 7, Err: "wire: epoch gap: delta from 3, applied 1"},
 		{Type: MsgDeltaPush, Seq: 8, Name: "ctl-1", Term: 2, Epoch: 9},
 		{Type: MsgDeltaPush, Seq: 9, Name: "ctl-1", Term: 2, Epoch: 10, Delta: deltaBytes(9 << 10)},
 		{Type: MsgDeltaPush, Seq: 10, Name: "ctl-1", Term: 2, Epoch: 11, Delta: deltaBytes(900 << 10)},
-		{Type: MsgDeltaAck, Seq: 11, Term: 3, Epoch: 12, Err: "stale"},
-		{Type: MsgDeltaAck, Seq: 12, Name: "ctl-2", Term: 3, Epoch: 12, Delta: deltaBytes(9 << 10)},
+		{Type: MsgAck, Seq: 11, Term: 3, Epoch: 12, Err: "stale"},
+		{Type: MsgAck, Seq: 12, Name: "ctl-2", Term: 3, Epoch: 12, Delta: deltaBytes(9 << 10)},
 		{Type: MsgSnapshotRequest, Seq: 13, Name: "duetctl"},
-		{Type: MsgLeaderHeartbeat, Seq: ^uint64(0), Name: "ctl-1", Term: ^uint64(0), Epoch: ^uint64(0)},
-		{Type: 6, Seq: 14, Name: "sw-1"}, // a retired number still travels, to be rejected by name
+		{Type: MsgDeltaPush, Seq: ^uint64(0), Name: "ctl-1", Term: ^uint64(0), Epoch: ^uint64(0)},
+		{Type: 6, Seq: 14, Name: "sw-1"},   // a retired number still travels, to be rejected by name
+		{Type: 15, Seq: 15, Name: "ctl-1"}, // the retired leader heartbeat
 	}
 	for i := range cases {
 		want := &cases[i]
@@ -92,22 +79,36 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 	}
 }
 
-// v1Body is a version-1 message: the retired announce-vip, whose route
-// prefix sat where version 2 has Err. Read as version 2 it would be an ack
-// carrying a rejection.
-func v1Body() []byte {
-	body := append([]byte{1, 6}, make([]byte, 24)...) // version, type, seq, epoch, term
-	for _, s := range []string{"sw-1", "", "10.0.0.1/32", ""} {
+// legacyMsg is a length-prefixed message in a retired format version: the
+// fixed head, the given strings, then tail.
+func legacyMsg(version, typ byte, strs []string, tail ...byte) []byte {
+	body := append([]byte{version, typ}, make([]byte, 24)...) // version, type, seq, epoch, term
+	for _, s := range strs {
 		body = binary.AppendUvarint(body, uint64(len(s)))
 		body = append(body, s...)
 	}
-	body = append(body, 0) // no health pairs
+	body = append(body, tail...)
 	return append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
 }
 
+// v1Body is a version-1 message: the retired announce-vip, whose route
+// prefix sat where later versions have Err. Read as version 3 it would be an
+// ack carrying a rejection.
+func v1Body() []byte {
+	return legacyMsg(1, 6, []string{"sw-1", "", "10.0.0.1/32", ""}, 0) // no health pairs
+}
+
+// v2Body is a version-2 hello: a role string between the name and Err, and
+// an empty health list. Read as version 3 the role would be its Err — a
+// request that carries a rejection.
+func v2Body() []byte {
+	return legacyMsg(2, byte(MsgHello), []string{"smux-1", RoleSMux, ""}, 0) // no health pairs
+}
+
 // TestControlVersionMismatch: a message in another format version — the
-// next one, or version 1, which carried a route prefix — is one rx_error and
-// a closed connection, never a misread request.
+// next one, version 2, which carried a role and a health list, or version
+// 1, which carried a route prefix — is one rx_error and a closed
+// connection, never a misread request.
 func TestControlVersionMismatch(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	var handled atomic.Int32
@@ -121,7 +122,7 @@ func TestControlVersionMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	next[4] = controlVersion + 1
-	for i, msg := range [][]byte{next, v1Body()} {
+	for i, msg := range [][]byte{next, v2Body(), v1Body()} {
 		conn, err := net.Dial("tcp", srv.Addr())
 		if err != nil {
 			t.Fatal(err)

@@ -74,13 +74,13 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // envelope it accepts must re-encode to exactly the bytes it read.
 func FuzzReadMsg(f *testing.F) {
 	for _, env := range []*Envelope{
-		{Type: MsgHello, Seq: 1, Role: RoleSMux, Name: "smux-1"},
-		{Type: MsgHealthReport, Seq: 2, Name: "host-1", Health: []DIPHealth{{DIP: 0x64000001, Healthy: true}, {DIP: 0x64000002}}},
+		{Type: MsgHello, Seq: 1, Name: "smux-1"},
 		{Type: MsgAck, Seq: 3, Err: "nope"},
 		{Type: MsgDeltaPush, Seq: 4, Name: "ctl-1", Term: 1, Epoch: 2, Delta: []byte{0xDD, 3, 0, 1, 2, 0}},
-		{Type: MsgDeltaAck, Seq: 4, Name: "smux-1", Term: 1, Epoch: 2, Err: "epoch gap"},
+		{Type: MsgDeltaPush, Seq: 6, Name: "ctl-1", Term: 3, Epoch: 7}, // a probe: no delta
+		{Type: MsgAck, Seq: 4, Term: 1, Epoch: 2, Err: "epoch gap"},
 		{Type: MsgSnapshotRequest, Seq: 5, Name: "duetctl"},
-		{Type: MsgLeaderHeartbeat, Seq: 6, Name: "ctl-1", Term: 3, Epoch: 7},
+		{Type: MsgAck, Seq: 5, Name: "ctl-1", Term: 3, Epoch: 7, Delta: []byte{0xDD, 3, 1, 0, 7, 0}}, // a snapshot
 	} {
 		msg, err := appendMsg(nil, env)
 		if err != nil {

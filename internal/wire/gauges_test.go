@@ -3,10 +3,8 @@ package wire
 import (
 	"fmt"
 	"os"
-	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 
 	"duet/internal/delta"
@@ -130,44 +128,4 @@ func TestSwitchNodeTunnelWatchdogFires(t *testing.T) {
 	if watchdog(t, sw, "hmux-tunnel-occupancy") {
 		t.Fatal("hmux-tunnel-occupancy still firing after every VIP left the switch")
 	}
-}
-
-// TestHealthReportsFollowTheMirror: a host node reports the DIPs of the VIPs
-// the deltas gave it, not those its spec lists — configuration reaches a
-// dataplane node only as deltas. The spec lists no VIP; a stub controller
-// records what the host reports.
-func TestHealthReportsFollowTheMirror(t *testing.T) {
-	var mu sync.Mutex
-	var reported []DIPHealth
-	stub, err := ListenControl("127.0.0.1:0", nil, func(env, _ *Envelope) error {
-		if env.Type == MsgHealthReport {
-			mu.Lock()
-			reported = append(reported, env.Health...)
-			mu.Unlock()
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stub.Close()
-	spec := dataplaneSpec(t)
-	spec.Nodes = append(spec.Nodes, NodeSpec{Name: "ctl", Role: RoleController, Control: stub.Addr()})
-	spec.HealthMillis = 20
-	host, err := StartNode(spec, "host-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer host.Close()
-	c := DialControl(host.ControlAddr(), host.Reg)
-	defer c.Close()
-	if _, err := pushDelta(c, delta.Diff(delta.NewState(), oneVIPState(t))); err != nil {
-		t.Fatal(err)
-	}
-	dip := packet.MustParseAddr("100.0.0.1")
-	waitFor(t, "a health report naming the delta's DIP", func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return slices.Contains(reported, DIPHealth{DIP: dip, Healthy: true})
-	})
 }

@@ -7,23 +7,25 @@ package wire
 //
 // Election is bully-by-spec-order over the static controller list: the
 // first controller leads at bootstrap (term 1), and a standby that has not
-// heard a leader heartbeat for one lease starts a takeover at term+1 —
-// staggered by its rank among the surviving controllers, so exactly one
-// standby moves first. Every follower, standby controller or dataplane
-// node, admits a leader's heartbeat or push through the one term fence
+// heard the leader for one lease starts a takeover at term+1 — staggered by
+// its rank among the surviving controllers, so exactly one standby moves
+// first. Every follower, standby controller or dataplane node, admits a
+// leader's push through the one term fence
 // (fence), and a deposed leader steps down the moment any peer answers with
 // a higher term.
 //
 // The push protocol is one round trip per behind peer: the leader remembers
 // each peer's acked epoch for this term, and a peer known to be behind gets
 // exactly the missing deltas from the log tail, their encodings made once at
-// append. A MsgLeaderHeartbeat, whose ack carries the peer's applied epoch,
-// probes only a peer that is idle at the head (renewing its lease) or whose
-// epoch is unknown — new this term, or forgotten after a transport error, so
-// a blank restart is found by a probe rather than by a rejected push. Only a
-// peer behind the compaction horizon gets the snapshot recovery push
-// (counted separately — at steady state the full-push counter must not
-// move). On epoch advance, standby controllers are synced before dataplane
+// append. A push without a delta, whose ack carries the peer's applied
+// epoch, probes only a peer that is idle at the head (renewing its lease) or
+// whose epoch is unknown — new this term, or forgotten after a transport
+// error, so a blank restart is found by a probe rather than by a rejected
+// push. The snapshot recovery push (counted separately — at steady state the
+// full-push counter must not move) goes to a peer behind the compaction
+// horizon, and once per round to a peer that refuses a delta where it
+// stands: its diff from the peer's mirror corrects what the delta could
+// not. On epoch advance, standby controllers are synced before dataplane
 // peers, so a takeover never needs a config the standby has not yet tailed.
 
 import (
@@ -46,7 +48,7 @@ type replicator struct {
 	leader     bool
 	term       uint64
 	leaderName string  // last known leader ("" before any)
-	leaderSeen float64 // n.wall() seconds of the last valid heartbeat/push
+	leaderSeen float64 // n.wall() seconds of the last admitted push
 	epochAt    float64 // n.wall() seconds of the last epoch advance
 	acked      map[string]uint64
 
@@ -179,7 +181,8 @@ func (r *replicator) stop() {
 // becomeLeaderLocked assumes leadership at term+1. A leader whose log is
 // still empty bootstraps epoch 1 from the spec — deterministically, so a
 // late-starting standby that was never pushed anything builds the exact
-// state the original leader did.
+// state the original leader did. startController refused a spec it cannot
+// project, so the bootstrap cannot fail here.
 func (r *replicator) becomeLeaderLocked() {
 	r.term++
 	r.leader = true
@@ -334,14 +337,18 @@ func (r *replicator) peerLoop(peer *NodeSpec) {
 		case <-r.stopped:
 			return
 		case <-wake:
-		case <-time.After(interval): //duet:allow noclock real heartbeat cadence of the socket daemon
+		case <-time.After(interval): //duet:allow noclock real resync cadence of the socket daemon
 		}
 	}
 }
 
 // syncPeer runs one push round and reports whether the peer acked the head.
 // A peer whose acked epoch this term is known and behind the head is
-// shipped the missing entries at once; any other is heartbeat-probed first.
+// shipped the missing entries at once; any other is probed with an empty
+// push first. A peer that refuses a delta where it stands — it cannot
+// decode it, or its mirror diverged from the log at that epoch — is shipped
+// the snapshot instead, once per round: a refusal of that too ends the
+// round, and the next resync tries again.
 func (r *replicator) syncPeer(peer *NodeSpec) bool {
 	client := r.clients[peer.Name]
 	r.mu.Lock()
@@ -351,45 +358,48 @@ func (r *replicator) syncPeer(peer *NodeSpec) bool {
 	if !leader {
 		return false
 	}
+	push := func(epoch uint64, enc []byte) (*Envelope, error) {
+		return client.CallE(&Envelope{Type: MsgDeltaPush, Name: r.n.Me.Name, Term: term, Epoch: epoch, Delta: enc})
+	}
 	head := r.log.HeadEpoch()
 	if !known || peerEpoch >= head {
-		ack, err := client.CallE(&Envelope{Type: MsgLeaderHeartbeat, Name: r.n.Me.Name, Term: term, Epoch: head})
+		ack, err := push(head, nil)
 		if err != nil {
 			r.callFailed(peer.Name, term, ack)
 			return false
 		}
 		peerEpoch = ack.Epoch
 	}
+	refused, snapped := false, false
 	for peerEpoch < head {
 		es, ok := r.log.Since(peerEpoch)
-		if !ok {
-			// Behind the compaction horizon: the recovery path.
+		if !ok || refused {
+			if snapped {
+				return false // refused again after this round's snapshot
+			}
 			snap := r.log.Snapshot()
-			ack, err := client.CallE(&Envelope{
-				Type: MsgDeltaPush, Name: r.n.Me.Name, Term: term,
-				Epoch: snap.ToEpoch, Delta: snap.Encode(),
-			})
+			ack, err := push(snap.ToEpoch, snap.Encode())
 			if err != nil {
 				r.callFailed(peer.Name, term, ack)
 				return false
 			}
 			r.fullPushes.Inc()
-			peerEpoch = ack.Epoch
+			peerEpoch, refused, snapped = ack.Epoch, false, true
 			continue
 		}
 		for _, e := range es {
-			ack, err := client.CallE(&Envelope{
-				Type: MsgDeltaPush, Name: r.n.Me.Name, Term: term,
-				Epoch: e.To, Delta: e.Enc,
-			})
+			ack, err := push(e.To, e.Enc)
 			if err != nil {
 				var rej *RejectedError
-				if errors.As(err, &rej) && ack.Term <= term {
-					peerEpoch = ack.Epoch // diverged mid-run (a gap); resume from its truth
-					break
+				if !errors.As(err, &rej) || ack.Term > term {
+					r.callFailed(peer.Name, term, ack)
+					return false
 				}
-				r.callFailed(peer.Name, term, ack)
-				return false
+				// A gap (behind the push) resumes from the peer's truth; a
+				// refusal where it stands falls back to the snapshot.
+				refused = ack.Epoch == peerEpoch
+				peerEpoch = ack.Epoch
+				break
 			}
 			r.deltaPushes.Inc()
 			peerEpoch = ack.Epoch
@@ -422,14 +432,13 @@ func (r *replicator) callFailed(peer string, term uint64, ack *Envelope) {
 
 // --- inbound side (controller handlers) ---------------------------------
 
-// handleLeader is a controller's side of a leader's heartbeat or push,
-// behind the same leader fence as a dataplane node's (see fence). An
-// admitted message renews the lease and names the leader; a leader meeting
-// an equal-or-higher term from someone else steps down. A push then tails
-// the leader's log: contiguous deltas append, a snapshot resets (this log
-// may hold epochs the new leader never had), and a gap is rejected with the
-// ack carrying this log's head so the leader ships exactly the missing
-// range.
+// handleLeader is a controller's side of a leader's push, behind the same
+// leader fence as a dataplane node's (see fence). An admitted push renews the
+// lease and names the leader; a leader meeting an equal-or-higher term from
+// someone else steps down. A push with a delta then tails the leader's log:
+// contiguous deltas append, a snapshot resets (this log may hold epochs the
+// new leader never had), and a gap is rejected with the ack carrying this
+// log's head so the leader ships exactly the missing range.
 func (r *replicator) handleLeader(env, ack *Envelope) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -441,7 +450,7 @@ func (r *replicator) handleLeader(env, ack *Envelope) error {
 	}
 	r.leaderName = env.Name
 	r.leaderSeen = r.n.wall()
-	if env.Type == MsgLeaderHeartbeat {
+	if len(env.Delta) == 0 {
 		return nil
 	}
 	d, err := delta.Decode(env.Delta)
@@ -467,7 +476,6 @@ func (r *replicator) handleSnapshotRequest(ack *Envelope) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	snap := r.log.Snapshot()
-	ack.Type = MsgDeltaAck
 	ack.Term = r.term
 	ack.Epoch = snap.ToEpoch
 	ack.Name = r.leaderName
@@ -476,12 +484,11 @@ func (r *replicator) handleSnapshotRequest(ack *Envelope) error {
 }
 
 // fence is the one leader fence of every follower, dataplane node and
-// standby controller alike: a heartbeat or push below the highest term the
-// follower has seen is refused, and any other is admitted and its term
-// adopted. Either way the ack carries the follower's term and applied epoch
-// — on a refusal, the evidence that makes a deposed leader step down.
+// standby controller alike: a push below the highest term the follower has
+// seen is refused, and any other is admitted and its term adopted. Either
+// way the ack carries the follower's term and applied epoch — on a refusal,
+// the evidence that makes a deposed leader step down.
 func fence(env, ack *Envelope, term *uint64, epoch uint64) error {
-	ack.Type = MsgDeltaAck
 	ack.Epoch = epoch
 	if env.Term < *term {
 		ack.Term = *term

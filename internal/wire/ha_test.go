@@ -3,13 +3,16 @@ package wire
 // Tests for controller replication and HA: delta propagation under churn,
 // standby tailing, kill-the-leader takeover with zero full re-pushes, and
 // the snapshot recovery path for a blank restart behind the compaction
-// horizon.
+// horizon or a peer that refuses a delta where it stands.
 
 import (
+	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"duet/internal/delta"
+	"duet/internal/packet"
 )
 
 // testHASpec is a two-controller cluster with the churn driver on: ctl-1
@@ -28,7 +31,6 @@ func testHASpec(t testing.TB) *ClusterSpec {
 		},
 		ResyncMillis: 50,
 		ScrapeMillis: 25,
-		HealthMillis: 50,
 		LeaseMillis:  300,
 		ChurnMillis:  60,
 		ChurnSeed:    42,
@@ -158,7 +160,7 @@ func ackedAll(r *replicator) bool {
 
 // TestEpochCostsOneCallPerPeer: once warm, the leader knows every peer's
 // epoch, so an epoch costs exactly one call per peer — the delta push, no
-// heartbeat probe before it. A dataplane node restarted blank inside the
+// probe before it. A dataplane node restarted blank inside the
 // compaction horizon is found by a probe after the failed push, and is
 // replayed in deltas: no rejection, no snapshot.
 func TestEpochCostsOneCallPerPeer(t *testing.T) {
@@ -166,7 +168,7 @@ func TestEpochCostsOneCallPerPeer(t *testing.T) {
 	spec.Nodes[3] = NodeSpec{Name: "sw-1", Role: RoleSwitch, Self: "1.0.0.1", Data: freeUDP(t), Control: freeTCP(t), HTTP: freeTCP(t)}
 	spec.ChurnMillis = 0      // the test drives the epochs
 	spec.ResyncMillis = 60000 // no periodic round inside the test …
-	spec.LeaseMillis = 60000  // … nor a standby heartbeat
+	spec.LeaseMillis = 60000  // … nor a standby takeover
 	nodes := map[string]*Node{}
 	for _, name := range []string{"ctl-2", "smux-1", "sw-1", "ctl-1"} { // the leader last: its first round finds every peer up
 		n, err := StartNode(spec, name)
@@ -226,9 +228,9 @@ func TestEpochCostsOneCallPerPeer(t *testing.T) {
 }
 
 // TestStandbyRefusesStaleTerm: a standby controller is fenced like a
-// dataplane node. Once it has admitted term 2, a term-1 heartbeat and a
-// term-1 push are refused with its term and log head on the ack, and the
-// push leaves the log where it was.
+// dataplane node. Once it has admitted term 2, a term-1 probe and a term-1
+// push are refused with its term and log head on the ack, and the push
+// leaves the log where it was.
 func TestStandbyRefusesStaleTerm(t *testing.T) {
 	spec := testHASpec(t)
 	spec.Nodes = spec.Nodes[:2]
@@ -255,5 +257,112 @@ func TestStandbyRefusesStaleTerm(t *testing.T) {
 	}
 	if ctl.rep.isLeader() {
 		t.Fatal("the standby took leadership")
+	}
+}
+
+// TestRefusingPeerDoesNotSpin: a peer that answers probes but refuses every
+// delta, staying at the push's from-epoch (a decode refusal, codec skew),
+// costs the leader at most one delta push and one snapshot push per resync
+// round, where resending the same delta at once would never end the round;
+// and the leader's Close is not held up by the peer's push session.
+func TestRefusingPeerDoesNotSpin(t *testing.T) {
+	var pushes atomic.Int64
+	stub, err := ListenControl("127.0.0.1:0", nil, func(env, ack *Envelope) error {
+		ack.Term = env.Term // the stub stands at epoch 0 and never fences
+		if len(env.Delta) == 0 {
+			return nil
+		}
+		pushes.Add(1)
+		return errors.New("refused")
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const interval = 100 * time.Millisecond
+	spec := &ClusterSpec{
+		Nodes: []NodeSpec{
+			{Name: "ctl", Role: RoleController, Control: freeTCP(t)},
+			{Name: "smux-1", Role: RoleSMux, Self: "20.0.0.1", Data: freeUDP(t), Control: stub.Addr()},
+		},
+		VIPs:         []VIPSpec{{Addr: "10.0.0.1", Backends: []BackendSpec{{Addr: "100.0.0.1"}}}},
+		ResyncMillis: int(interval / time.Millisecond),
+	}
+	ctl, err := StartNode(spec, "ctl")
+	if err != nil {
+		stub.Close()
+		t.Fatal(err)
+	}
+	defer func() {
+		stub.Close() // first: a session still resending ends on the dead connection
+		ctl.Close()
+	}()
+
+	waitFor(t, "the first push", func() bool { return pushes.Load() >= 1 })
+	start := time.Now()
+	time.Sleep(5 * interval)
+	got, rounds := pushes.Load(), int64(time.Since(start)/interval)+2
+	if got > 2*rounds {
+		t.Fatalf("the refusing peer got %d pushes in about %d resync rounds, want at most %d", got, rounds, 2*rounds)
+	}
+	if n := counter(ctl, "wire.controller.full_pushes"); n != 0 {
+		t.Fatalf("full_pushes = %d for refused snapshots, want 0", n)
+	}
+
+	closed := make(chan struct{})
+	go func() { ctl.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close blocked by the refused peer's push session")
+	}
+}
+
+// TestDivergedMirrorConvergesBySnapshot: a dataplane node whose mirror holds
+// another config at the leader's epoch refuses the next delta, whose old
+// state it does not match. The leader falls back to one snapshot push, whose
+// diff from the mirror corrects it, and the deltas after it apply.
+func TestDivergedMirrorConvergesBySnapshot(t *testing.T) {
+	spec := &ClusterSpec{
+		Nodes: []NodeSpec{
+			{Name: "ctl", Role: RoleController, Control: freeTCP(t)},
+			{Name: "smux-1", Role: RoleSMux, Self: "20.0.0.1", Data: freeUDP(t), Control: freeTCP(t)},
+		},
+		VIPs:         []VIPSpec{{Addr: "10.0.0.1", Backends: []BackendSpec{{Addr: "100.0.0.1"}}}},
+		ResyncMillis: 50,
+		ChurnMillis:  60,
+		ChurnSeed:    7,
+	}
+	sm, err := StartNode(spec, "smux-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := DialControl(sm.ControlAddr(), sm.Reg)
+	defer c.Close()
+	diverged := configAt(t, 1, VIPSpec{Addr: "10.0.0.1", Backends: []BackendSpec{{Addr: "100.0.0.9"}}})
+	if _, err := pushDelta(c, delta.Diff(delta.NewState(), diverged)); err != nil {
+		sm.Close()
+		t.Fatal(err)
+	}
+	ctl, err := StartNode(spec, "ctl")
+	if err != nil {
+		sm.Close()
+		t.Fatal(err)
+	}
+	defer func() {
+		sm.Close() // first: a session still resending ends on the dead connection
+		ctl.Close()
+	}()
+
+	vip, dip := packet.MustParseAddr("10.0.0.1"), packet.MustParseAddr("100.0.0.1")
+	waitFor(t, "the diverged node converges and takes deltas again", func() bool {
+		m := mirror(sm)
+		v := m.VIPs[vip]
+		return m.Epoch >= 4 && v != nil && len(v.Backends) == 1 && v.Backends[0].Addr == dip
+	})
+	if got := counter(ctl, "wire.controller.full_pushes"); got != 1 {
+		t.Fatalf("wire.controller.full_pushes = %d, want 1", got)
+	}
+	if got := counter(sm, "wire.delta.rejected"); got != 1 {
+		t.Fatalf("wire.delta.rejected = %d on the diverged node, want 1", got)
 	}
 }

@@ -51,7 +51,6 @@ type Node struct {
 	agg      *obs.Aggregator
 	stopPoll func()
 
-	stop       chan struct{}
 	stopScrape func()
 	wg         sync.WaitGroup
 	closeOnce  sync.Once
@@ -66,7 +65,6 @@ type Node struct {
 	traceHops telemetry.CounterShard
 	delivered telemetry.CounterShard
 	resyncs   telemetry.CounterShard
-	reports   telemetry.CounterShard
 
 	// cfgMu guards the delta-replication receiver state: cfg mirrors the
 	// leader's config (advanced only by cleanly applied deltas, so cfg.Epoch
@@ -102,7 +100,6 @@ func StartNode(spec *ClusterSpec, name string) (*Node, error) {
 		wall:  clock.Wall(),
 		unix:  clock.Unix(),
 		hosts: spec.HostMap(),
-		stop:  make(chan struct{}),
 		cfg:   delta.NewState(),
 	}
 	n.deltaApplied = n.Reg.Counter("wire.delta.applied").Shard()
@@ -288,7 +285,7 @@ func (n *Node) dataplaneControl(reconcile func(ds []delta.Op) error) ControlHand
 		switch env.Type {
 		case MsgHello:
 			return nil
-		case MsgLeaderHeartbeat, MsgDeltaPush:
+		case MsgDeltaPush:
 			return n.handleLeader(env, ack, reconcile)
 		}
 		return fmt.Errorf("%s: unsupported control message %s", n.Me.Role, env.Type)
@@ -372,7 +369,6 @@ func (n *Node) startHostAgent() error {
 		return err
 	}
 	n.ctl = ctl
-	n.startHealthLoop()
 	return nil
 }
 
@@ -393,67 +389,6 @@ func (n *Node) hostPacket(tx *txBatch, payload, scratch []byte, trace uint64) []
 	n.delivered.Inc()
 	n.traceHop(telemetry.TraceTierHost, payload, trace)
 	return d.Packet
-}
-
-// startHealthLoop periodically reports to every controller the health of
-// each local DIP of a VIP in the node's mirror — what the deltas delivered,
-// not the spec the node started from (best effort: a down controller is
-// retried next interval; the control clients redial on their own).
-// Broadcasting instead of picking one keeps the reports flowing through a
-// leader change without the host agent having to track elections.
-func (n *Node) startHealthLoop() {
-	ctrls := n.Spec.Controllers()
-	if len(ctrls) == 0 {
-		return
-	}
-	interval := time.Duration(n.Spec.HealthMillis) * time.Millisecond
-	if interval <= 0 {
-		interval = time.Second
-	}
-	clients := make([]*ControlClient, len(ctrls))
-	for i, c := range ctrls {
-		clients[i] = DialControl(c.Control, n.Reg)
-	}
-	sent := n.Reg.Counter("wire.health.reports").Shard()
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		defer func() {
-			for _, c := range clients {
-				c.Close()
-			}
-		}()
-		t := time.NewTicker(interval) //duet:allow noclock real health-report cadence of the socket daemon
-		defer t.Stop()
-		for {
-			select {
-			case <-n.stop:
-				return
-			case <-t.C:
-			}
-			var health []DIPHealth
-			seen := make(map[packet.Addr]bool)
-			n.cfgMu.Lock()
-			for vip := range n.cfg.VIPs {
-				for _, dip := range n.agent.LocalDIPs(vip) {
-					if !seen[dip] {
-						seen[dip] = true
-						health = append(health, DIPHealth{DIP: dip, Healthy: n.agent.Healthy(dip)})
-					}
-				}
-			}
-			n.cfgMu.Unlock()
-			delivered := false
-			for _, c := range clients {
-				if err := c.Call(&Envelope{Type: MsgHealthReport, Name: n.Me.Name, Health: health}); err == nil {
-					delivered = true
-				}
-			}
-			if delivered {
-				sent.Inc()
-			}
-		}
-	}()
 }
 
 // --- switchagent role --------------------------------------------------
@@ -528,8 +463,12 @@ func (n *Node) switchPacket(tx *txBatch, payload, scratch []byte, trace uint64) 
 // --- controller role ---------------------------------------------------
 
 func (n *Node) startController() error {
+	// A leader bootstraps its log from the spec's VIPs: a spec it cannot
+	// project would leave every node unprogrammed, so it fails the start.
+	if _, err := specState(n.Spec, 1); err != nil {
+		return err
+	}
 	n.resyncs = n.Reg.Counter("wire.controller.resyncs").Shard()
-	n.reports = n.Reg.Counter("wire.controller.health_reports").Shard()
 	n.Obs.AddRules(obs.ControllerRules(obs.DefaultSLO())...)
 	n.rep = newReplicator(n)
 	ctl, err := ListenControl(n.Me.Control, n.Reg, n.controllerControl)
@@ -545,21 +484,18 @@ func (n *Node) controllerControl(env, ack *Envelope) error {
 	switch env.Type {
 	case MsgHello:
 		return nil
-	case MsgLeaderHeartbeat, MsgDeltaPush:
+	case MsgDeltaPush:
 		return n.rep.handleLeader(env, ack)
 	case MsgSnapshotRequest:
 		return n.rep.handleSnapshotRequest(ack)
-	case MsgHealthReport:
-		n.reports.Inc()
-		return nil
 	}
 	return fmt.Errorf("controller: unsupported control message %s", env.Type)
 }
 
 // Peer programming lives in ha.go: the leading controller's replicator
 // ships every peer the epoch deltas it lacks (or the snapshot recovery
-// push) until the peer acks the log head, heartbeat-probing only a peer
-// that is idle or whose epoch it does not know — the delta-first successor
+// push) until the peer acks the log head, probing with an empty push only a
+// peer that is idle or whose epoch it does not know — the delta-first successor
 // of the old full-config anti-entropy loop. A restarted (blank) peer is
 // still fully reprogrammed within one resync interval plus the reconnect
 // backoff — the cross-process Figure 12 recovery path.
@@ -598,7 +534,6 @@ func (n *Node) startObs() error {
 // Close shuts every subsystem down and waits for the node's goroutines.
 func (n *Node) Close() {
 	n.closeOnce.Do(func() {
-		close(n.stop)
 		if n.stopPoll != nil {
 			n.stopPoll()
 		}

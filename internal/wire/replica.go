@@ -11,12 +11,16 @@ import (
 
 	"duet/internal/delta"
 	"duet/internal/packet"
+	"duet/internal/service"
 	"duet/internal/steer"
 )
 
 // specState projects the spec's VIP population into a delta.State at the
 // given epoch: the leading controller's bootstrap config (epoch 1), from
-// which every later epoch derives by churn or operator mutation.
+// which every later epoch derives by churn or operator mutation. It refuses
+// what no peer could take: a VIP listed twice, a backend listed twice in
+// one VIP (the delta codec carries a VIP's backends strictly sorted), and a
+// VIP the service rules refuse (no backends, or one at the zero address).
 func specState(s *ClusterSpec, epoch uint64) (*delta.State, error) {
 	st := delta.NewState()
 	st.Epoch = epoch
@@ -56,7 +60,15 @@ func specState(s *ClusterSpec, epoch uint64) (*delta.State, error) {
 			}
 			vs.Backends = append(vs.Backends, delta.Backend{Addr: ba, Weight: w})
 		}
+		if err := (&service.VIP{Addr: addr, Backends: vs.Backends}).Validate(); err != nil {
+			return nil, fmt.Errorf("wire: %w", err)
+		}
 		sort.Slice(vs.Backends, func(a, b int) bool { return vs.Backends[a].Addr < vs.Backends[b].Addr })
+		for j := 1; j < len(vs.Backends); j++ {
+			if vs.Backends[j].Addr == vs.Backends[j-1].Addr {
+				return nil, fmt.Errorf("wire: VIP %s lists backend %s twice", v.Addr, vs.Backends[j].Addr)
+			}
+		}
 		st.VIPs[addr] = vs
 	}
 	return st, nil

@@ -6,7 +6,6 @@ import (
 	"os"
 
 	"duet/internal/packet"
-	"duet/internal/steer"
 )
 
 // Role names accepted in a cluster spec.
@@ -88,15 +87,16 @@ type ClusterSpec struct {
 	Nodes []NodeSpec `json:"nodes"`
 	VIPs  []VIPSpec  `json:"vips"`
 	// ResyncMillis is the controller's anti-entropy interval: every peer gets
-	// a sync round this often (and on every epoch) — heartbeat-probed when it
-	// is idle or its epoch is unknown and, if its applied epoch lags the
-	// delta log's head, shipped the missing deltas (or the snapshot recovery
-	// push if it fell behind the compaction horizon) — which is what heals a
-	// restarted (blank) mux or host agent. Default 2000.
+	// a sync round this often (and on every epoch) — probed with an empty
+	// push when it is idle or its epoch is unknown and, if its applied epoch
+	// lags the delta log's head, shipped the missing deltas (or the snapshot
+	// recovery push if it fell behind the compaction horizon) — which is what
+	// heals a restarted (blank) mux or host agent. Default 2000.
 	ResyncMillis int `json:"resync_ms,omitempty"`
-	// LeaseMillis is the controller leadership lease: the leader heartbeats
-	// every peer controller at a third of it, and a standby that has not
-	// heard a heartbeat for one lease starts a takeover. Default 2000.
+	// LeaseMillis is the controller leadership lease: the leader pushes to
+	// every peer controller at least every third of it (an empty push when
+	// there is nothing to ship), and a standby that has not heard the leader
+	// for one lease starts a takeover. Default 2000.
 	LeaseMillis int `json:"lease_ms,omitempty"`
 	// DeltaTail is how many epoch deltas the controller's log retains before
 	// dropping the oldest, which moves the compaction horizon (the
@@ -116,8 +116,6 @@ type ClusterSpec struct {
 	ChurnFrac float64 `json:"churn_frac,omitempty"`
 	// ScrapeMillis is every node's obs scrape interval. Default 1000.
 	ScrapeMillis int `json:"scrape_ms,omitempty"`
-	// HealthMillis is the host agents' health-report interval. Default 1000.
-	HealthMillis int `json:"health_ms,omitempty"`
 	// TraceEvery is the mux tiers' cross-process trace sampling rate: a
 	// switch agent or smux originates a trace for one in this many untraced
 	// frames (rounded up to a power of two). 0 means the default 1024;
@@ -220,21 +218,10 @@ func (s *ClusterSpec) Validate() error {
 	if s.ChurnFrac < 0 || s.ChurnFrac > 1 {
 		return fmt.Errorf("wire: churn_frac %v outside [0,1]", s.ChurnFrac)
 	}
-	for _, v := range s.VIPs {
-		if _, err := packet.ParseAddr(v.Addr); err != nil {
-			return err
-		}
-		if len(v.Backends) == 0 {
-			return fmt.Errorf("wire: VIP %s has no backends", v.Addr)
-		}
-		for _, b := range v.Backends {
-			if _, err := packet.ParseAddr(b.Addr); err != nil {
-				return err
-			}
-		}
-		if _, err := steer.ParseMode(v.Mode); err != nil {
-			return fmt.Errorf("wire: VIP %s: %w", v.Addr, err)
-		}
+	// The VIPs are what a leader bootstraps its log from: a spec it cannot
+	// project is refused here, not by every peer's delta decoder.
+	if _, err := specState(s, 1); err != nil {
+		return err
 	}
 	return nil
 }

@@ -14,20 +14,20 @@
 //     so the zero-alloc encap/decap machinery is reused unchanged.
 //
 //   - The control plane is a length-prefixed TCP protocol of binary
-//     envelopes (control.go): configuration as epoch deltas toward every
-//     node, leader heartbeats, and toward the controllers host agents'
-//     health reports and operators' snapshot requests (a switch sends them
-//     nothing). The client redials a restarted peer on its next call, and
-//     the leading controller replicates configuration as epoch deltas
-//     (ha.go, internal/delta): heartbeats probe each peer's applied epoch,
-//     lagging peers get exactly the missing deltas, and only a peer behind
-//     the compaction horizon (e.g. restarted blank long after the fact) gets
-//     the full-state snapshot — the recovery path. Either way a restarted process converges back to
-//     serving state without operator action — the cross-process version of
-//     the paper's Figure 12 failover story. Controllers themselves are
-//     replicated: a lease-based leader election (term + heartbeat over the
-//     same channel) lets a warm standby tailing the delta log take over
-//     within one lease timeout.
+//     envelopes (control.go) with four messages: hello, delta-push, ack, and
+//     toward the controllers operators' snapshot requests. The client
+//     redials a restarted peer on its next call, and the leading controller
+//     replicates configuration as epoch deltas (ha.go, internal/delta): a
+//     push without a delta probes a peer's applied epoch, lagging peers get
+//     exactly the missing deltas, and only a peer behind the compaction
+//     horizon (e.g. restarted blank long after the fact) or one that refuses
+//     a delta where it stands gets the full-state snapshot — the recovery
+//     path. Either way a restarted process converges back to serving state
+//     without operator action — the cross-process version of the paper's
+//     Figure 12 failover story. Controllers themselves are replicated: a
+//     lease-based leader election (term + the leader's pushes over the same
+//     channel) lets a warm standby tailing the delta log take over within
+//     one lease timeout.
 //
 // cmd/duetd runs any role (smux, hostagent, switchagent, controller) as its
 // own OS process from a static JSON cluster spec (spec.go); node.go wires

@@ -3,6 +3,7 @@ package wire
 import (
 	"errors"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -124,7 +125,7 @@ func TestDecodeFrameTraceErrors(t *testing.T) {
 func TestControlCallAndReject(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	srv, err := ListenControl("127.0.0.1:0", reg, func(env, _ *Envelope) error {
-		if env.Type == MsgHealthReport {
+		if env.Type == MsgSnapshotRequest {
 			return errUnsupported{}
 		}
 		return nil
@@ -136,19 +137,19 @@ func TestControlCallAndReject(t *testing.T) {
 
 	c := DialControl(srv.Addr(), reg)
 	defer c.Close()
-	if err := c.Call(&Envelope{Type: MsgHello, Role: RoleSMux, Name: "t"}); err != nil {
+	if _, err := c.CallE(&Envelope{Type: MsgHello, Name: "t"}); err != nil {
 		t.Fatalf("Call: %v", err)
 	}
-	err = c.Call(&Envelope{Type: MsgHealthReport, Name: "host-1"})
+	_, err = c.CallE(&Envelope{Type: MsgSnapshotRequest, Name: "duetctl"})
 	var rej *RejectedError
 	if !errors.As(err, &rej) {
 		t.Fatalf("rejection not surfaced as RejectedError: %v", err)
 	}
-	if rej.Type != MsgHealthReport {
+	if rej.Type != MsgSnapshotRequest {
 		t.Fatalf("RejectedError.Type = %v", rej.Type)
 	}
 	// A rejection must not tear the connection down.
-	if err := c.Call(&Envelope{Type: MsgHello}); err != nil {
+	if _, err := c.CallE(&Envelope{Type: MsgHello}); err != nil {
 		t.Fatalf("Call after rejection: %v", err)
 	}
 	if got := reg.Counter("wire.control.rx").Value(); got != 3 {
@@ -173,13 +174,13 @@ func TestControlClientSurvivesRestart(t *testing.T) {
 
 	c := DialControl(addr, reg)
 	defer c.Close()
-	if err := c.Call(&Envelope{Type: MsgHello}); err != nil {
+	if _, err := c.CallE(&Envelope{Type: MsgHello}); err != nil {
 		t.Fatalf("first Call: %v", err)
 	}
 
 	srv.Close()
 	time.Sleep(10 * time.Millisecond)
-	if err := c.Call(&Envelope{Type: MsgHello}); err == nil {
+	if _, err := c.CallE(&Envelope{Type: MsgHello}); err == nil {
 		t.Fatal("Call succeeded against a dead server")
 	}
 
@@ -189,7 +190,7 @@ func TestControlClientSurvivesRestart(t *testing.T) {
 		t.Fatalf("restart on %s: %v", addr, err)
 	}
 	defer srv2.Close()
-	if err := c.Call(&Envelope{Type: MsgHello}); err != nil {
+	if _, err := c.CallE(&Envelope{Type: MsgHello}); err != nil {
 		t.Fatalf("Call after restart: %v", err)
 	}
 	if reg.Counter("wire.control.reconnects").Value() < 2 {
@@ -357,6 +358,41 @@ func TestSpecValidate(t *testing.T) {
 	if breakIt(func(s *ClusterSpec) { s.VIPs[0].Mode = "sticky" }) == nil {
 		t.Error("unknown steer mode accepted")
 	}
+	if breakIt(func(s *ClusterSpec) {
+		s.VIPs[0].Backends = []BackendSpec{{Addr: "100.0.0.1"}, {Addr: "0.0.0.0"}}
+	}) == nil {
+		t.Error("backend at the zero address accepted")
+	}
+}
+
+// TestSpecRefusesDuplicateVIP: a VIP listed twice is refused when the spec
+// loads, and a controller started on it fails rather than leading a log that
+// never holds the spec's config.
+func TestSpecRefusesDuplicateVIP(t *testing.T) {
+	spec := testClusterSpec(t)
+	spec.VIPs = append(spec.VIPs, VIPSpec{Addr: "10.0.0.1", Backends: []BackendSpec{{Addr: "100.0.0.2"}}})
+	if err := spec.Validate(); err == nil || !strings.Contains(err.Error(), "duplicate VIP") {
+		t.Fatalf("Validate: %v, want a duplicate-VIP refusal", err)
+	}
+	if n, err := StartNode(spec, "ctl"); err == nil {
+		n.Close()
+		t.Fatal("a controller started on a spec that lists a VIP twice")
+	}
+}
+
+// TestSpecRefusesDuplicateBackend: a backend listed twice in one VIP is
+// refused when the spec loads — every peer's delta decoder would refuse the
+// bootstrap delta that carries it — and a controller started on it fails.
+func TestSpecRefusesDuplicateBackend(t *testing.T) {
+	spec := testClusterSpec(t)
+	spec.VIPs[0].Backends = append(spec.VIPs[0].Backends, BackendSpec{Addr: "100.0.0.1", Weight: 2})
+	if err := spec.Validate(); err == nil || !strings.Contains(err.Error(), "twice") {
+		t.Fatalf("Validate: %v, want a duplicate-backend refusal", err)
+	}
+	if n, err := StartNode(spec, "ctl"); err == nil {
+		n.Close()
+		t.Fatal("a controller started on a spec that lists a backend twice in one VIP")
+	}
 }
 
 // --- in-process cluster ------------------------------------------------
@@ -395,7 +431,6 @@ func testClusterSpec(t testing.TB) *ClusterSpec {
 		VIPs:         []VIPSpec{{Addr: "10.0.0.1", Backends: []BackendSpec{{Addr: "100.0.0.1"}}}},
 		ResyncMillis: 100,
 		ScrapeMillis: 50,
-		HealthMillis: 50,
 	}
 }
 
@@ -444,7 +479,7 @@ func TestNodeClusterDelivers(t *testing.T) {
 		defer n.Close()
 		nodes = append(nodes, n)
 	}
-	ctl, sm, host := nodes[0], nodes[1], nodes[2]
+	sm, host := nodes[1], nodes[2]
 
 	waitFor(t, "smux programmed", func() bool { return sm.Reg.Gauge("wire.vips").Value() >= 2 })
 	waitFor(t, "host programmed", func() bool { return host.Reg.Gauge("wire.dips").Value() >= 1 })
@@ -490,11 +525,6 @@ func TestNodeClusterDelivers(t *testing.T) {
 	if string(got) != string(want) {
 		t.Fatalf("wire encap differs from in-process encap:\n got %x\nwant %x", got, want)
 	}
-
-	// Health reports reach the controller.
-	waitFor(t, "health report", func() bool {
-		return ctl.Reg.Counter("wire.controller.health_reports").Value() >= 1
-	})
 }
 
 // TestNodeSMuxRestartHeals kills the SMux node and starts a fresh (blank)
