@@ -125,10 +125,15 @@ race:
 # allocs/op == 0 via testing.AllocsPerRun; the benchmarks report the same
 # numbers with -benchmem for inspection, and BenchmarkDeliverBatch a cold and
 # a warm ns/pkt beside them (a run's packets out of cache, and in it).
+# BenchmarkRunEpochDelta runs once, so it keeps building: it sizes an epoch
+# of ctl-churn's placement stage (µs and allocs per epoch over its 223
+# incremental epochs) without the bench/ harness; run it with a larger
+# -benchtime to compare placement changes.
 allocs:
 	$(GO) test -run 'ZeroAlloc' ./internal/telemetry ./internal/addrmap ./internal/bgp ./internal/hmux ./internal/smux ./internal/nmux ./internal/steer ./internal/hostagent ./internal/core ./internal/wire ./internal/obs ./internal/assign
 	$(GO) test -run XXX -bench BenchmarkTelemetryHotPath -benchtime 100x -benchmem ./internal/telemetry
 	$(GO) test -run XXX -bench BenchmarkDeliverBatch -benchtime 10x -benchmem ./internal/core
+	$(GO) test -run XXX -bench BenchmarkRunEpochDelta -benchtime 1x -benchmem ./internal/controller
 
 # The demos are call sites too: each runs the paper's reaction through the
 # entry point the controller exports for it and exits non-zero on a wrong

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"duet/internal/netsim"
@@ -296,6 +297,14 @@ type assigner struct {
 	// commitVec, which clears candsFresh, and liveness is fixed for the round.
 	cands      []topology.SwitchID
 	candsFresh bool
+	// probes is the scan's probe table: probes[i] is cands[i]'s memory use
+	// and Internet-term hint link, refilled with the set.
+	probes []inetProbe
+
+	// pending is empty with room for every VIP index (the half of
+	// vipOrder's buffer the order does not use); computeStable lists the
+	// VIPs pass 2 places in it.
+	pending []int
 
 	// The round's infeasible link-tested evaluations: those a hint probe
 	// settled, and those a walk did. Tests read them; nothing else does.
@@ -339,7 +348,9 @@ func newRound(net *netsim.Network, work *workload.Workload, epoch int, opts Opti
 	for i := range a.res.SwitchOf {
 		a.res.SwitchOf[i] = Unassigned
 	}
-	return a, vipOrder(work, epoch), nil
+	order, spare := vipOrder(work, epoch)
+	a.pending = spare
+	return a, order, nil
 }
 
 // finish seals the round's result.
@@ -400,14 +411,19 @@ func (a *assigner) flows(v *workload.VIP, rate float64, s topology.SwitchID, fn 
 
 // visitFlowVecs enumerates the fabric load vectors created by placing VIP
 // v's mux function on switch s: intra-DC sources → s, the aggregated
-// Internet-ingress vector → s, and s → the DIP racks. Sources and sinks in
+// Internet-ingress vector → s, and s → the DIP racks, in that order (the
+// order every running sum over them is taken in). Sources and sinks in
 // failed domains are skipped (their traffic has vanished, §8.5). It returns
 // false if any required path is unroutable or fn stopped the visit.
 func visitFlowVecs(net *netsim.Network, v *workload.VIP, rate float64, s topology.SwitchID, dipRacks []rackFrac, fn vecFn) bool {
-	topo := net.Topo
+	return visitSrcVecs(net, v, rate, s, fn) && visitInetVec(net, v, rate, s, fn) && visitDIPVecs(net, rate, s, dipRacks, fn)
+}
+
+// visitSrcVecs visits the intra-DC source vectors of placing v on s.
+func visitSrcVecs(net *netsim.Network, v *workload.VIP, rate float64, s topology.SwitchID, fn vecFn) bool {
 	intra := rate * (1 - v.InternetFrac)
 	for _, sw := range v.SrcRacks {
-		src := topo.Rack(sw.Rack)
+		src := net.Topo.Rack(sw.Rack)
 		if src == s {
 			continue
 		}
@@ -419,20 +435,28 @@ func visitFlowVecs(net *netsim.Network, v *workload.VIP, rate float64, s topolog
 			return false
 		}
 	}
+	return true
+}
+
+// visitInetVec visits the Internet-ingress vector of placing v on s, if v has
+// an Internet share.
+func visitInetVec(net *netsim.Network, v *workload.VIP, rate float64, s topology.SwitchID, fn vecFn) bool {
 	if v.InternetFrac > 0 {
 		vec, err := net.InternetVec(s)
-		if err != nil || !fn(vec, rate*v.InternetFrac) {
-			return false
-		}
+		return err == nil && fn(vec, rate*v.InternetFrac)
 	}
+	return true
+}
+
+// visitDIPVecs visits the vectors from s to the DIP racks.
+func visitDIPVecs(net *netsim.Network, rate float64, s topology.SwitchID, dipRacks []rackFrac, fn vecFn) bool {
 	for _, rf := range dipRacks {
-		rack, frac := rf.rack, rf.frac
-		dst := topo.Rack(rack)
+		dst := net.Topo.Rack(rf.rack)
 		if dst == s || !net.SwitchUp(dst) {
 			continue
 		}
 		vec, err := net.UnitVec(s, dst)
-		if err != nil || !fn(vec, rate*frac) {
+		if err != nil || !fn(vec, rate*rf.frac) {
 			return false
 		}
 	}
@@ -447,16 +471,18 @@ func visitFlowVecs(net *netsim.Network, v *workload.VIP, rate float64, s topolog
 // Most candidates do not fit, and evaluate proves that early, in three
 // steps: each term alone at its vector's tight-link hint (the link at which a
 // term on that vector last failed; loads only grow within a round, so it
-// almost always fails again), then the Internet-ingress term alone (every
-// candidate has it, and it is usually the heaviest) against each link it
-// touches, then the full sum, which stops at the first link whose running sum
+// almost always fails again), the Internet-ingress term first (every
+// candidate has it, and it is usually the heaviest), then the DIP-side terms,
+// then the source terms; then the Internet term alone against each link it
+// touches; then the full sum, which stops at the first link whose running sum
 // fails the final test. The two walks record where they fail as the failing
 // vector's new hint. Every exit is exact. Every term r*Frac is ≥ 0, and IEEE
-// round-to-nearest addition and division by a positive capacity are
-// monotone, so a single term or a partial sum that fails the test means the
-// full sum fails it too. Only infeasible candidates stop early, and callers
-// read nothing of an infeasible result but feasible == false: every feasible
-// score is the full sum's.
+// round-to-nearest addition is monotone, so a single term or a partial sum
+// that fails the test means the full sum fails it too; the probes test each
+// term alone, so the order they visit the terms in decides nothing. Only
+// infeasible candidates stop early, and callers read nothing of an
+// infeasible result but feasible == false: every feasible score is the full
+// sum's.
 func (a *assigner) evaluate(v *workload.VIP, rate float64, s topology.SwitchID) (mru float64, feasible bool) {
 	if !a.net.SwitchUp(s) {
 		return math.Inf(1), false
@@ -474,8 +500,11 @@ func (a *assigner) evaluate(v *workload.VIP, rate float64, s topology.SwitchID) 
 		}
 	}
 	r := rate * v.InternetFrac
-	// The Internet term, usually the heaviest, is probed first.
-	if !a.fitsAtHint(inet, r) || !a.flows(v, rate, s, a.fitsAtHint) {
+	// The Internet term, usually the heaviest, is probed first; a DIP-side
+	// term rejects more often than a source term.
+	if !a.fitsAtHint(inet, r) ||
+		!visitDIPVecs(a.net, rate, s, a.dipRacks, a.fitsAtHint) ||
+		!visitSrcVecs(a.net, v, rate, s, a.fitsAtHint) {
 		a.probeRejects++
 		return math.Inf(1), false
 	}
@@ -570,11 +599,15 @@ func (a *assigner) accumulate(v *workload.VIP, rate float64, s topology.SwitchID
 }
 
 // over reports whether adding x to directed link d's committed load fails
-// the final feasibility test (load+x)/effCap > 1. The cheap compare runs
-// first; the division is the test itself.
+// the final feasibility test (load+x)/effCap > 1. For an effCap from +0 up
+// (a headroom share of a link capacity) that test is load+x > effCap,
+// without the division: when l > c > 0, l is at least c plus one ulp of c,
+// so the exact quotient l/c exceeds 1 + 2^-53, the midpoint between 1 and
+// the next float, and its rounding is at least 1 + 2^-52; when c is 0, l/c
+// is +Inf; and no l exceeds a capacity of +Inf or NaN, nor does a NaN l
+// exceed anything (TestOverMatchesDivision).
 func (a *assigner) over(d netsim.DirLink, x float64) bool {
-	l := a.loads[d] + x
-	return l > a.effCap[d] && l/a.effCap[d] > 1
+	return a.loads[d]+x > a.effCap[d]
 }
 
 // apply adds a contribution vector to the committed link loads, tracking the
@@ -626,9 +659,46 @@ func (a *assigner) commitVec(vec []netsim.LinkFrac, s topology.SwitchID, nd int)
 func (a *assigner) candidates() []topology.SwitchID {
 	if !a.candsFresh {
 		a.cands = a.appendCandidates(a.cands[:0])
+		a.probes = slices.Grow(a.probes[:0], len(a.cands))[:len(a.cands)]
+		clear(a.probes) // every row stale
 		a.candsFresh = true
 	}
 	return a.cands
+}
+
+// inetProbe is one candidate's row of the scan's probe table: the first two
+// tests evaluate makes — the switch memory, and the Internet term alone at
+// its vector's hint link — with what they read copied out, so that the scan
+// rejects most candidates with a compare or two in a dense loop before
+// evaluate runs. A row reads loads and memUsed, which change only in
+// commitVec, so the table goes stale with the candidate set; and the hint,
+// which a walk inside evaluate may move, so a row goes stale after every
+// evaluate of its candidate. A row whose hint moved without it is still
+// exact, only less apt: the Internet term alone fails at one of its links,
+// whichever, only if the full sum fails there.
+type inetProbe struct {
+	// load, frac and cap are the hint link's committed load, the Internet
+	// vector's unit share on it, and its effective capacity: the term at
+	// rate r fails alone iff load+r*frac > cap. An Internet vector that
+	// terminates at the candidate is cap +Inf; an unroutable one, which
+	// every Internet share fails, is load +Inf, cap 0.
+	load, frac, cap float64
+	mem             int // memUsed of the candidate
+	fresh           bool
+}
+
+// fillProbe refills p, the probe-table row of candidate s.
+func (a *assigner) fillProbe(p *inetProbe, s topology.SwitchID) {
+	*p = inetProbe{cap: math.Inf(1), mem: a.memUsed[s], fresh: true}
+	inet, err := a.net.InternetVec(s)
+	if err != nil {
+		p.load, p.cap = math.Inf(1), 0
+		return
+	}
+	if links := inet.Links(); len(links) > 0 {
+		lf := links[inet.Tight()]
+		p.load, p.frac, p.cap = a.loads[lf.Dir], lf.Frac, a.effCap[lf.Dir]
+	}
 }
 
 // appendCandidates appends the candidate set to out.
@@ -681,21 +751,65 @@ func (a *assigner) appendCandidates(out []topology.SwitchID) []topology.SwitchID
 	return out
 }
 
-// vipOrder returns VIP indices sorted by decreasing epoch rate, then index.
-func vipOrder(w *workload.Workload, epoch int) []int {
-	order := make([]int, len(w.VIPs))
-	for i := range order {
+// vipOrder returns VIP indices sorted by decreasing epoch rate, then index
+// (rates are not NaN), and an empty buffer with room for every index: the
+// half of the sort's buffer that does not hold the order. It is a stable LSD
+// radix sort on rateKey, which is ascending where rates descend, from the
+// index order, so equal rates stay in index order.
+func vipOrder(w *workload.Workload, epoch int) (order, spare []int) {
+	rates := w.Rates[epoch]
+	n := len(rates)
+	buf := make([]int, 2*n)
+	order, spare = buf[:n:n], buf[n:]
+	if n == 0 {
+		return order, spare
+	}
+	var hist [8][256]int // hist[p][b]: keys whose byte p is b
+	for i, r := range rates {
+		k := rateKey(r)
+		for p := range hist {
+			hist[p][byte(k>>(8*p))]++
+		}
 		order[i] = i
 	}
-	rates := w.Rates[epoch]
-	sort.Slice(order, func(i, j int) bool {
-		x, y := order[i], order[j]
-		if rates[x] != rates[y] {
-			return rates[x] > rates[y]
+	src, dst := order, spare
+	first := rateKey(rates[0])
+	for p := range hist {
+		h := &hist[p]
+		if h[byte(first>>(8*p))] == n {
+			continue // every key has the same byte p
 		}
-		return x < y
-	})
-	return order
+		sum := 0
+		for b, c := range h {
+			h[b] = sum
+			sum += c
+		}
+		for _, vi := range src {
+			b := byte(rateKey(rates[vi]) >> (8 * p))
+			dst[h[b]] = vi
+			h[b]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &order[0] {
+		copy(order, src)
+	}
+	return order, spare[:0]
+}
+
+// rateKey maps a rate to a key that orders as the rate does in reverse: the
+// IEEE bits with every bit of a negative number flipped, or only the sign
+// bit of a positive one, order as the numbers do; their complement orders in
+// reverse. -0 is keyed as +0, which it equals.
+func rateKey(r float64) uint64 {
+	if r == 0 {
+		r = 0
+	}
+	b := math.Float64bits(r)
+	if b>>63 != 0 {
+		return b
+	}
+	return ^b &^ (1 << 63)
 }
 
 // Compute runs a from-scratch assignment (the Non-sticky / One-time basis).
@@ -790,9 +904,27 @@ func (a *assigner) scan(v *workload.VIP, rate float64) (best topology.SwitchID, 
 		}
 		return best, bestMRU
 	}
+	// The probe table settles most candidates with evaluate's own first two
+	// tests: the table usage, in integers (which decide as evaluate's
+	// quotient does for any table below 2^53 entries), and the Internet term
+	// at its hint, summed and compared as fitsAtHint does.
+	nd, memCap := v.NumDIPs(), a.opts.MemCapacity
+	hasInet, r := v.InternetFrac > 0, rate*v.InternetFrac
 	ties := 0
-	for _, s := range a.candidates() {
+	for i, s := range a.candidates() {
+		p := &a.probes[i]
+		if !p.fresh {
+			a.fillProbe(p, s)
+		}
+		if p.mem+nd > memCap {
+			continue
+		}
+		if hasInet && p.load+r*p.frac > p.cap {
+			a.probeRejects++
+			continue
+		}
 		mru, feasible := a.evaluate(v, rate, s)
+		p.fresh = false // its walks may have moved the hint
 		if !feasible {
 			continue
 		}

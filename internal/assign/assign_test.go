@@ -1,7 +1,11 @@
 package assign
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"duet/internal/netsim"
@@ -391,5 +395,60 @@ func TestBestFitStrategy(t *testing.T) {
 		if used > bo.MemCapacity {
 			t.Fatalf("switch %d memory %d", s, used)
 		}
+	}
+}
+
+// TestVIPOrderMatchesCompare holds vipOrder's radix sort to the compare it
+// replaced — decreasing rate, then increasing index — on rates with many
+// ties, zeros of both signs, negative and subnormal rates, +Inf and -Inf,
+// and on the generator's own trace.
+func TestVIPOrderMatchesCompare(t *testing.T) {
+	want := func(rates []float64) []int {
+		order := make([]int, len(rates))
+		for i := range order {
+			order[i] = i
+		}
+		sort.Slice(order, func(i, j int) bool {
+			x, y := order[i], order[j]
+			if rates[x] != rates[y] {
+				return rates[x] > rates[y]
+			}
+			return x < y
+		})
+		return order
+	}
+	check := func(label string, rates []float64) {
+		t.Helper()
+		got, spare := vipOrder(&workload.Workload{Rates: [][]float64{rates}}, 0)
+		if w := want(rates); !slices.Equal(got, w) {
+			t.Fatalf("%s: order %v, the compare says %v", label, got, w)
+		}
+		if len(spare) != 0 || cap(spare) != len(rates) {
+			t.Fatalf("%s: spare buffer len %d cap %d, want 0 and %d", label, len(spare), cap(spare), len(rates))
+		}
+	}
+	check("empty", nil)
+	check("one", []float64{3})
+	edges := []float64{0, math.Copysign(0, -1), 1, 1, -1, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1), 1e9, math.Nextafter(1e9, 0), math.Nextafter(1e9, 2e9), 0, 1}
+	check("edges", edges)
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 50; trial++ {
+		rates := make([]float64, 1+rng.Intn(500))
+		for i := range rates {
+			switch rng.Intn(4) {
+			case 0:
+				rates[i] = edges[rng.Intn(len(edges))]
+			case 1:
+				rates[i] = float64(rng.Intn(8)) // ties
+			default:
+				rates[i] = rng.ExpFloat64() * math.Pow(10, float64(rng.Intn(30)-10))
+			}
+		}
+		check(fmt.Sprintf("trial %d", trial), rates)
+	}
+	_, w := smallWorld(t, 2000, 6e11, 1)
+	for e := range w.Rates {
+		check(fmt.Sprintf("trace epoch %d", e), w.Rates[e])
 	}
 }

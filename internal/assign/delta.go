@@ -159,7 +159,7 @@ func computeStable(net *netsim.Network, work *workload.Workload, epoch int, base
 	cacheOK := useCache && !dirtyAll
 
 	// Pass 1 — keep feasible homes, heaviest first.
-	pending := make([]int, 0, 64)
+	pending := a.pending
 	for _, vi := range order {
 		v := &work.VIPs[vi]
 		rate := st.rates[vi]

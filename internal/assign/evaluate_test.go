@@ -57,9 +57,22 @@ func (a *assigner) evaluateFullSum(v *workload.VIP, rate float64, s topology.Swi
 	return max, true
 }
 
-// scanFullSum is scan's Greedy/BestFit branch over evaluateFullSum.
+// scanFullSum is scan as it was before the probe table: every candidate
+// scored by evaluateFullSum.
 func (a *assigner) scanFullSum(v *workload.VIP, rate float64) (best topology.SwitchID, bestMRU float64) {
 	best, bestMRU = -1, math.Inf(1)
+	if a.opts.Strategy == Random {
+		if a.randomOrder == nil {
+			a.randomOrder = a.rng.Perm(a.net.Topo.NumSwitches())
+		}
+		for _, si := range a.randomOrder {
+			s := topology.SwitchID(si)
+			if mru, feasible := a.evaluateFullSum(v, rate, s); feasible {
+				return s, mru
+			}
+		}
+		return best, bestMRU
+	}
 	ties := 0
 	for _, s := range a.candidates() {
 		mru, feasible := a.evaluateFullSum(v, rate, s)
@@ -138,11 +151,66 @@ func hinted(t *testing.T, net *netsim.Network) int {
 	return n
 }
 
+// checkProbeTable fails t unless every fresh row of a's probe table reads
+// its candidate as the round has it now: its memory use, and the committed
+// load, Internet share and capacity of one of the links of its Internet
+// vector — or the empty or the unroutable vector's row.
+func checkProbeTable(t *testing.T, label string, a *assigner) {
+	t.Helper()
+	if !a.candsFresh {
+		return
+	}
+	for i, s := range a.cands {
+		p := a.probes[i]
+		if !p.fresh {
+			continue
+		}
+		if p.mem != a.memUsed[s] {
+			t.Fatalf("%s: probe row of switch %d reads memory %d, the switch uses %d", label, s, p.mem, a.memUsed[s])
+		}
+		inet, err := a.net.InternetVec(s)
+		ok := false
+		switch {
+		case err != nil:
+			ok = math.IsInf(p.load, 1) && p.cap == 0
+		case len(inet.Links()) == 0:
+			ok = p.load == 0 && p.frac == 0 && math.IsInf(p.cap, 1)
+		}
+		for _, lf := range inet.Links() {
+			ok = ok || p.load == a.loads[lf.Dir] && p.frac == lf.Frac && p.cap == a.effCap[lf.Dir]
+		}
+		if !ok {
+			t.Fatalf("%s: probe row of switch %d (%+v) matches no link of its Internet vector at the round's loads", label, s, p)
+		}
+	}
+}
+
+// checkScan holds a's scan of VIP vi at rate to ref's scanFullSum, ref being
+// a twin round in the same state: the same pick, the same score bit for bit,
+// and the round's RNG drawn the same number of times. It returns the pick.
+func checkScan(t *testing.T, label string, a, ref *assigner, vi int, rate float64) topology.SwitchID {
+	t.Helper()
+	v := &a.work.VIPs[vi]
+	a.loadDIPRacks(v)
+	ref.loadDIPRacks(v)
+	got, gotMRU := a.scan(v, rate)
+	checkProbeTable(t, label, a)
+	want, wantMRU := ref.scanFullSum(v, rate)
+	if got != want || math.Float64bits(gotMRU) != math.Float64bits(wantMRU) {
+		t.Fatalf("%s: VIP %d rate %v: scan picked %d (%v), the full sum %d (%v)", label, vi, rate, got, gotMRU, want, wantMRU)
+	}
+	if x, y := a.rng.Int63(), ref.rng.Int63(); x != y {
+		t.Fatalf("%s: VIP %d: the scans left the RNG apart (%d vs %d)", label, vi, x, y)
+	}
+	return got
+}
+
 // checkRound places every VIP of w's epoch 0 on net, with evaluate on one
 // round and the full sum on a twin, holding evaluate to the reference on
-// every switch, at three rates, for every 7th VIP, and the two scans to the
-// same pick and the same RNG draws. It fails t if the check was vacuous:
-// no feasible evaluation, fewer infeasible than feasible, or no scan placed.
+// every switch, at three rates, for every 7th VIP, and the two scans of
+// every VIP to the same pick and the same RNG draws. It fails t if the check
+// was vacuous: no feasible evaluation, fewer infeasible than feasible, or no
+// scan placed.
 func checkRound(t *testing.T, label string, net *netsim.Network, w *workload.Workload, opts Options) {
 	t.Helper()
 	opts = opts.withDefaults()
@@ -163,19 +231,9 @@ func checkRound(t *testing.T, label string, net *netsim.Network, w *workload.Wor
 				f, u := checkEvaluate(t, label, a, v, rate*scale)
 				fit, unfit = fit+f, unfit+u
 			}
-			a.loadDIPRacks(v)
-			ref.loadDIPRacks(v)
-			got, gotMRU := a.scan(v, rate)
-			want, wantMRU := ref.scanFullSum(v, rate)
-			if got != want || math.Float64bits(gotMRU) != math.Float64bits(wantMRU) {
-				t.Fatalf("%s: VIP %d: scan picked %d (%v), the full sum %d (%v)", label, vi, got, gotMRU, want, wantMRU)
-			}
-			if got >= 0 {
-				picked++
-			}
-			if x, y := a.rng.Int63(), ref.rng.Int63(); x != y {
-				t.Fatalf("%s: VIP %d: the scans left the RNG apart (%d vs %d)", label, vi, x, y)
-			}
+		}
+		if checkScan(t, label, a, ref, vi, rate) >= 0 {
+			picked++
 		}
 		a.place(vi, Unassigned)
 		ref.place(vi, Unassigned)
@@ -191,11 +249,12 @@ func checkRound(t *testing.T, label string, net *netsim.Network, w *workload.Wor
 // switch for a sample of VIPs at several rates, under Greedy and BestFit, on
 // a fresh Network and again on one that carries the tight-link hints the
 // first round learned; then over hint states made on purpose — dropped by a
-// failure-state change, and forced onto slack links — and over hand-built
-// edges — a link exactly at capacity and one ulp over, rate 0, no Internet
-// share, an unroutable path, a VIP larger than a table. scan over the same
-// state picks the same switch and draws the round's RNG the same number of
-// times.
+// failure-state change, forced onto slack links, and moved between scans of
+// one candidate set — and over hand-built edges — a link exactly at capacity
+// and one ulp over, tables exactly full and one entry over, rate 0, no
+// Internet share, an unroutable path, a VIP larger than a table. scan, with
+// its probe table, over the same state picks the same switch as the scan
+// over the full sum and draws the round's RNG the same number of times.
 func TestEvaluateMatchesFullSum(t *testing.T) {
 	for _, strat := range []Strategy{Greedy, BestFit} {
 		for _, seed := range []int64{1, 2, 3} {
@@ -248,26 +307,55 @@ func TestEvaluateMatchesFullSum(t *testing.T) {
 		for _, vi := range order[:150] {
 			a.place(vi, Unassigned)
 		}
-		slack := func() {
-			eachVec(net, func(v netsim.Vec) {
-				best, bestU := 0, math.Inf(1)
-				for k, lf := range v.Links() {
-					if u := a.loads[lf.Dir] / a.effCap[lf.Dir]; u < bestU {
-						best, bestU = k, u
-					}
-				}
-				v.SetTight(best)
-			})
-		}
 		a.probeRejects, a.walkRejects = 0, 0
 		unfit := 0
 		for _, vi := range order[150:200] {
-			slack()
+			slackHints(a)
 			_, u := checkEvaluate(t, "stale hints", a, &w.VIPs[vi], w.Rates[0][vi])
 			unfit += u
 		}
 		if unfit == 0 || a.walkRejects == 0 {
 			t.Fatalf("%d infeasible evaluations, %d settled by a walk: the stale hints were never missed", unfit, a.walkRejects)
+		}
+	})
+
+	t.Run("hints-move-between-scans", func(t *testing.T) {
+		// Scans of one candidate set, no commit between them, with every
+		// hint forced onto its vector's least-utilized link before every
+		// other scan: a table row keeps the hint link it was filled with
+		// until an evaluate of its candidate stales it, so rows are read
+		// both at a link the hint has left and after a refill at the slack
+		// one. Either way scan decides as the full sum does.
+		net, w := smallWorld(t, 300, 1e12, 11)
+		opts := DefaultOptions()
+		opts.ContinueOnFail = true
+		a, order, err := newRound(net, w, 0, opts.withDefaults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, _, err := newRound(net, w, 0, opts.withDefaults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, vi := range order[:150] {
+			a.place(vi, Unassigned)
+			ref.place(vi, Unassigned)
+		}
+		a.probeRejects, a.walkRejects = 0, 0
+		picked := 0
+		for k, vi := range order[150:250] {
+			if k%2 == 1 {
+				slackHints(a)
+			}
+			if checkScan(t, "hints moved", a, ref, vi, w.Rates[0][vi]) >= 0 {
+				picked++
+			}
+			if !a.candsFresh {
+				t.Fatal("the candidate set was rebuilt without a commit")
+			}
+		}
+		if picked == 0 || a.probeRejects == 0 || a.walkRejects == 0 {
+			t.Fatalf("%d scans placed, %d rejections settled by a probe, %d by a walk: the moved hints were never read", picked, a.probeRejects, a.walkRejects)
 		}
 	})
 
@@ -314,6 +402,41 @@ func TestEvaluateMatchesFullSum(t *testing.T) {
 					t.Fatalf("link %d one ulp over capacity: switch %d feasible", l.Dir, s)
 				}
 				a.effCap[l.Dir] = saved
+			}
+		}
+	})
+
+	t.Run("memory-at-capacity", func(t *testing.T) {
+		// Every switch's table filled to exactly what the probe VIP leaves
+		// full, then one entry more: the scan places it on a full table, and
+		// then nowhere.
+		net, w := smallWorld(t, 100, 2e11, 12)
+		opts := DefaultOptions()
+		opts.ContinueOnFail = true
+		a, order, err := newRound(net, w, 0, opts.withDefaults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, _, err := newRound(net, w, 0, opts.withDefaults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, vi := range order[:20] {
+			a.place(vi, Unassigned)
+			ref.place(vi, Unassigned)
+		}
+		vi := order[20]
+		nd := w.VIPs[vi].NumDIPs()
+		for over := 0; over <= 1; over++ {
+			for _, r := range []*assigner{a, ref} {
+				for s := range r.memUsed {
+					r.memUsed[s] = r.opts.MemCapacity - nd + over
+				}
+				r.candsFresh = false
+			}
+			got := checkScan(t, fmt.Sprintf("table full %+d", over), a, ref, vi, w.Rates[0][vi])
+			if (got >= 0) != (over == 0) {
+				t.Fatalf("tables %d over full after the VIP: scan picked %d", over, got)
 			}
 		}
 	})
@@ -377,11 +500,28 @@ func TestEvaluateMatchesFullSum(t *testing.T) {
 	})
 }
 
-// FuzzEvaluateMatchesFullSum holds evaluate to the full-sum reference on
-// fuzzed fabric states: a seeded workload, a scale on the rates checked, one
-// failed switch (or none) and a strategy. The heavier half of the VIPs is
-// placed first, so loads and tight-link hints are warm; then every switch is
-// checked for the next few VIPs, each placed after its check.
+// slackHints forces every hint of a's network onto its vector's
+// least-utilized link under a's loads, where the probes miss.
+func slackHints(a *assigner) {
+	eachVec(a.net, func(v netsim.Vec) {
+		best, bestU := 0, math.Inf(1)
+		for k, lf := range v.Links() {
+			if u := a.loads[lf.Dir] / a.effCap[lf.Dir]; u < bestU {
+				best, bestU = k, u
+			}
+		}
+		v.SetTight(best)
+	})
+}
+
+// FuzzEvaluateMatchesFullSum holds evaluate, and scan with its probe table,
+// to the full-sum references on fuzzed fabric states: a seeded workload, a
+// scale on the rates checked, one failed switch (or none) and a strategy.
+// The heavier half of the VIPs is placed first, on a round and on its twin,
+// so loads and tight-link hints are warm; then every switch is checked for
+// the next few VIPs, and scan against scanFullSum on the twin, each VIP
+// placed on both after its check, so the next scan reads a table refilled
+// after a commit.
 func FuzzEvaluateMatchesFullSum(f *testing.F) {
 	f.Add(int64(1), 1.0, -1, uint8(Greedy))
 	f.Add(int64(2), 0.25, 3, uint8(BestFit))
@@ -401,12 +541,19 @@ func FuzzEvaluateMatchesFullSum(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		ref, _, err := newRound(net, w, 0, opts.withDefaults())
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, vi := range order[:50] {
 			a.place(vi, Unassigned)
+			ref.place(vi, Unassigned)
 		}
 		for _, vi := range order[50:60] {
 			checkEvaluate(t, "fuzzed", a, &w.VIPs[vi], w.Rates[0][vi]*scale)
+			checkScan(t, "fuzzed", a, ref, vi, w.Rates[0][vi]*scale)
 			a.place(vi, Unassigned)
+			ref.place(vi, Unassigned)
 		}
 	})
 }
@@ -483,5 +630,53 @@ func TestZeroAllocScan(t *testing.T) {
 		if allocs := testing.AllocsPerRun(20, scanAll); allocs != 0 {
 			t.Errorf("%s: a sweep of %d scans allocates %v times, want 0", tc.name, len(probes), allocs)
 		}
+	}
+}
+
+// TestOverMatchesDivision carries the proof that over's compare is the
+// final feasibility test: for every capacity c from +0 up, l > c decides exactly
+// as l > c && l/c > 1 did. It checks the edges — 0, the smallest subnormal,
+// a capacity and its ulp neighbours, MaxFloat64, +Inf and NaN, as loads and
+// as capacities — and seeded random pairs, both near each other and of
+// unrelated magnitude.
+func TestOverMatchesDivision(t *testing.T) {
+	a := &assigner{loads: make(netsim.Loads, 1), effCap: make([]float64, 1)}
+	check := func(l, c float64) {
+		t.Helper()
+		a.effCap[0] = c
+		want := l > c && l/c > 1
+		if got := a.over(0, l); got != want {
+			t.Fatalf("load %v (%#x), capacity %v (%#x): over = %v, the division says %v",
+				l, math.Float64bits(l), c, math.Float64bits(c), got, want)
+		}
+	}
+	vals := []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, 2 * math.SmallestNonzeroFloat64,
+		0x1p-1022, math.Nextafter(0x1p-1022, 0), 1, 8e10, 1e11, math.MaxFloat64, math.Inf(1), math.NaN()}
+	for _, c := range []float64{math.SmallestNonzeroFloat64, 0x1p-1022, 1, 8e10, 0.8 * 1e11, math.MaxFloat64} {
+		vals = append(vals, math.Nextafter(c, 0), math.Nextafter(c, math.Inf(1)),
+			math.Nextafter(math.Nextafter(c, math.Inf(1)), math.Inf(1)))
+	}
+	for _, c := range vals {
+		if math.Signbit(c) {
+			continue // a capacity is a headroom share of a link's, never negative or -0
+		}
+		for _, l := range vals {
+			check(l, c)
+			check(-l, c)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200000; i++ {
+		c := math.Abs(math.Float64frombits(rng.Uint64()))
+		var l float64
+		switch i % 3 {
+		case 0: // a few ulps either side of the capacity
+			l = math.Float64frombits(math.Float64bits(c) + uint64(rng.Intn(7)) - 3)
+		case 1: // a relative step either side
+			l = c * (1 + (rng.Float64()-0.5)*1e-12)
+		default: // unrelated
+			l = math.Abs(math.Float64frombits(rng.Uint64()))
+		}
+		check(l, c)
 	}
 }

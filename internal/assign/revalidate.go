@@ -31,7 +31,8 @@ func Revalidate(net *netsim.Network, work *workload.Workload, epoch int, placeme
 	for i := range res.SwitchOf {
 		res.SwitchOf[i] = Unassigned
 	}
-	for _, vi := range vipOrder(work, epoch) {
+	order, _ := vipOrder(work, epoch)
+	for _, vi := range order {
 		v := &work.VIPs[vi]
 		rate := work.Rates[epoch][vi]
 		res.TotalRate += rate
