@@ -83,7 +83,8 @@ vuln:
 		echo "govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)"; \
 	fi
 
-# Smoke of every decoder's fuzz targets, 5 s each — packet parsing, the
+# Smoke of every decoder's fuzz targets, 5 s each — packet parsing and
+# the address parser against its strings.Split reference, the
 # wire frame and control-message codecs, the split of a coalesced read into
 # frames, the delta codec — of the flow-pin table against its model, of a
 # slot table's resilient removal against the reference group, and of
@@ -94,7 +95,7 @@ vuln:
 FUZZ_TARGETS = \
 	packet:FuzzIPv4Decode packet:FuzzEncapDecap packet:FuzzDecapsulate \
 	packet:FuzzExtractFiveTuple packet:FuzzTransportDecode packet:FuzzRewrite \
-	packet:FuzzChecksum \
+	packet:FuzzChecksum packet:FuzzParseAddr \
 	wire:FuzzDecodeFrameTrace wire:FuzzTracedFrameRoundTrip wire:FuzzReadMsg \
 	wire:FuzzReadBurst \
 	delta:FuzzDeltaDecode delta:FuzzDeltaRoundTrip \
@@ -115,7 +116,8 @@ race:
 	$(GO) test -race ./...
 	cd bench && $(GO) test -race ./...
 
-# Zero-allocation gates for every instrumented hot path: the shared table's
+# Zero-allocation gates for every instrumented hot path: the address
+# parser every spec projection runs per VIP and backend, the shared table's
 # lookup, the flow pins' hit and refused insert, the fabric's route pick, mux packet processing, host-agent decap/DSR, core's forwarding path over every tier ×
 # mode × protocol (and DeliverBatch's exact per-batch count), the wire
 # dataplane's burst (coalesced receive, handler, flush), the control channel's read of
@@ -128,12 +130,14 @@ race:
 # BenchmarkRunEpochDelta runs once, so it keeps building: it sizes an epoch
 # of ctl-churn's placement stage (µs and allocs per epoch over its 223
 # incremental epochs) without the bench/ harness; run it with a larger
-# -benchtime to compare placement changes.
+# -benchtime to compare placement changes. BenchmarkSyncVIPs, beside it,
+# sizes a bulk load (ms, MB and allocations per SyncVIPs) at ctl-churn's
+# 2,000 VIPs and at the paper's 30 k.
 allocs:
-	$(GO) test -run 'ZeroAlloc' ./internal/telemetry ./internal/addrmap ./internal/bgp ./internal/hmux ./internal/smux ./internal/nmux ./internal/steer ./internal/hostagent ./internal/core ./internal/wire ./internal/obs ./internal/assign
+	$(GO) test -run 'ZeroAlloc' ./internal/packet ./internal/telemetry ./internal/addrmap ./internal/bgp ./internal/hmux ./internal/smux ./internal/nmux ./internal/steer ./internal/hostagent ./internal/core ./internal/wire ./internal/obs ./internal/assign
 	$(GO) test -run XXX -bench BenchmarkTelemetryHotPath -benchtime 100x -benchmem ./internal/telemetry
 	$(GO) test -run XXX -bench BenchmarkDeliverBatch -benchtime 10x -benchmem ./internal/core
-	$(GO) test -run XXX -bench BenchmarkRunEpochDelta -benchtime 1x -benchmem ./internal/controller
+	$(GO) test -run XXX -bench 'BenchmarkRunEpochDelta|BenchmarkSyncVIPs' -benchtime 1x -benchmem ./internal/controller
 
 # The demos are call sites too: each runs the paper's reaction through the
 # entry point the controller exports for it and exits non-zero on a wrong

@@ -2,6 +2,7 @@ package controller
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"runtime"
@@ -21,18 +22,7 @@ import (
 // placing after a VIP fails to fit.
 func churnWorld(tb testing.TB) (*workload.Workload, *Controller) {
 	tb.Helper()
-	const nmuxTable = 2048
-	c, err := core.New(core.Config{
-		Topology: topology.Config{
-			Containers: 4, ToRsPerContainer: 8, AggsPerContainer: 2, Cores: 4, ServersPerToR: 20,
-		},
-		NumSMuxes:     4,
-		Aggregate:     packet.MustParsePrefix("10.0.0.0/8"),
-		NMuxTableSize: nmuxTable,
-	})
-	if err != nil {
-		tb.Fatal(err)
-	}
+	c := churnCluster(tb)
 	w, err := workload.Generate(workload.Config{
 		NumVIPs: 2000, TotalRate: 6e11, Epochs: 240, Seed: 1,
 		TrafficSkew: 1.6, MaxDIPs: 60, InternetFrac: 0.3, ChurnStdDev: 0.25,
@@ -41,12 +31,32 @@ func churnWorld(tb testing.TB) (*workload.Workload, *Controller) {
 		tb.Fatal(err)
 	}
 	opts := assign.DefaultOptions()
-	opts.Seed, opts.ContinueOnFail, opts.NMuxTableSize = 1, true, nmuxTable
+	opts.Seed, opts.ContinueOnFail, opts.NMuxTableSize = 1, true, churnNMuxTable
 	ct := New(c, opts)
 	if err := ct.SyncVIPs(w, 4, nil); err != nil {
 		tb.Fatal(err)
 	}
 	return w, ct
+}
+
+// churnNMuxTable sizes churnWorld's NIC tables, and its controller's view of them.
+const churnNMuxTable = 2048
+
+// churnCluster is churnWorld's cluster, before any VIP.
+func churnCluster(tb testing.TB) *core.Cluster {
+	tb.Helper()
+	c, err := core.New(core.Config{
+		Topology: topology.Config{
+			Containers: 4, ToRsPerContainer: 8, AggsPerContainer: 2, Cores: 4, ServersPerToR: 20,
+		},
+		NumSMuxes:     4,
+		Aggregate:     packet.MustParsePrefix("10.0.0.0/8"),
+		NMuxTableSize: churnNMuxTable,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c
 }
 
 // placementDigest is the FNV-1a digest of the placements of
@@ -117,4 +127,43 @@ func BenchmarkRunEpochDelta(b *testing.B) {
 	epochs := float64(b.N * (to - from))
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/epochs, "µs/epoch")
 	b.ReportMetric(float64(mallocs)/epochs, "allocs/epoch")
+}
+
+// BenchmarkSyncVIPs sizes a bulk load: SyncVIPs of the generator's VIPs, 4
+// backends each, onto a fresh cluster of churnWorld's fabric — at ctl-churn's
+// 2,000 VIPs and at the paper's 30 k. Cluster and workload are built outside
+// the timer. It reports ms, MB and allocations per load.
+func BenchmarkSyncVIPs(b *testing.B) {
+	for _, vips := range []int{2000, 30000} {
+		b.Run(fmt.Sprintf("vips=%d", vips), func(b *testing.B) {
+			var ms runtime.MemStats
+			var mallocs, bytes uint64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				c := churnCluster(b)
+				w, err := workload.Generate(workload.Config{
+					NumVIPs: vips, TotalRate: 6e11, Epochs: 1, Seed: 1,
+					TrafficSkew: 1.6, MaxDIPs: 60, InternetFrac: 0.3,
+				}, c.Topo)
+				if err != nil {
+					b.Fatal(err)
+				}
+				ct := New(c, assign.DefaultOptions())
+				runtime.ReadMemStats(&ms)
+				m0, b0 := ms.Mallocs, ms.TotalAlloc
+				b.StartTimer()
+				if err := ct.SyncVIPs(w, 4, nil); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				runtime.ReadMemStats(&ms)
+				mallocs += ms.Mallocs - m0
+				bytes += ms.TotalAlloc - b0
+			}
+			n := float64(b.N)
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/n, "ms/load")
+			b.ReportMetric(float64(bytes)/1e6/n, "MB/load")
+			b.ReportMetric(float64(mallocs)/n, "allocs/load")
+		})
+	}
 }

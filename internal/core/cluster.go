@@ -352,20 +352,42 @@ func (c *Cluster) Telemetry() (*telemetry.Registry, *telemetry.Recorder) {
 	return c.reg, c.rec
 }
 
+// wiring is one call's new hosts: the agents of hosts the cluster has not
+// seen, gathered in one edit of the agent index (begun by the first of them)
+// that wireLocked publishes as one generation.
+type wiring struct {
+	edit *addrmap.Edit[*hostagent.Agent]
+}
+
 // agentLocked returns the host's agent. A host the cluster has not seen gets
-// one, instrumented and published at once: the callers wire hosts before any
-// mux maps a flow to them, so a concurrent Deliver never finds a mapped DIP
-// without a host behind it.
-func (c *Cluster) agentLocked(hostAddr packet.Addr) *hostagent.Agent {
-	s := *c.snap.Load()
-	a, ok := s.agents.Get(hostAddr)
-	if !ok {
-		a = hostagent.New(hostAddr)
-		a.SetTelemetry(c.reg, c.rec, uint32(hostAddr))
-		s.agents = s.agents.With(hostAddr, a)
-		c.publish(s)
+// one, instrumented and added to w; the caller publishes w (wireLocked)
+// before any mux can map a flow to the host, so a concurrent Deliver never
+// finds a mapped DIP without a host behind it.
+func (c *Cluster) agentLocked(w *wiring, hostAddr packet.Addr) *hostagent.Agent {
+	if w.edit == nil {
+		agents := c.snap.Load().agents
+		if a, ok := agents.Get(hostAddr); ok {
+			return a
+		}
+		w.edit = agents.Edit()
+	} else if a, ok := w.edit.Get(hostAddr); ok {
+		return a
 	}
+	a := hostagent.New(hostAddr)
+	a.SetTelemetry(c.reg, c.rec, uint32(hostAddr))
+	w.edit.Set(hostAddr, a)
 	return a
+}
+
+// wireLocked publishes w's new hosts, if it has any, in one generation.
+func (c *Cluster) wireLocked(w *wiring) {
+	if w.edit == nil {
+		return
+	}
+	s := *c.snap.Load()
+	s.agents = w.edit.Map()
+	c.publish(s)
+	w.edit = nil
 }
 
 // upLocked reports whether a switch's dataplane is running.
@@ -393,8 +415,8 @@ func (c *Cluster) AddVIP(v *service.VIP) error {
 // hostBackendLocked puts a host agent behind a backend address: one host per
 // DIP, serving its own address — unless RegisterHost attached VM DIPs for the
 // VIP there (Figure 6), in which case the address is the host's alone.
-func (c *Cluster) hostBackendLocked(vip, addr packet.Addr) error {
-	a := c.agentLocked(addr)
+func (c *Cluster) hostBackendLocked(w *wiring, vip, addr packet.Addr) error {
+	a := c.agentLocked(w, addr)
 	if len(a.LocalDIPs(vip)) > 0 {
 		return nil
 	}
@@ -457,7 +479,9 @@ func cloneVIP(v *service.VIP) *service.VIP {
 func (c *Cluster) RegisterHost(hostAddr packet.Addr, vip packet.Addr, vmDIPs []packet.Addr) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	a := c.agentLocked(hostAddr)
+	var w wiring
+	a := c.agentLocked(&w, hostAddr)
+	c.wireLocked(&w)
 	for _, d := range vmDIPs {
 		if err := a.RegisterDIP(vip, d); err != nil {
 			return err
@@ -1002,9 +1026,11 @@ func (c *Cluster) InstallTIP(tip packet.Addr, sw topology.SwitchID, backends []s
 	if !c.upLocked(sw) {
 		return ErrSwitchDown
 	}
+	var w wiring
 	for _, b := range backends {
-		c.agentLocked(b.Addr)
+		c.agentLocked(&w, b.Addr)
 	}
+	c.wireLocked(&w)
 	if err := c.HMuxes[sw].AddTIP(tip, backends); err != nil {
 		return err
 	}
@@ -1021,8 +1047,10 @@ func (c *Cluster) InstallTIP(tip packet.Addr, sw topology.SwitchID, backends []s
 func (c *Cluster) RegisterTIPBackends(vip packet.Addr, backends []service.Backend) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	var w wiring
+	defer c.wireLocked(&w)
 	for _, b := range backends {
-		if err := c.agentLocked(b.Addr).RegisterDIP(vip, b.Addr); err != nil {
+		if err := c.agentLocked(&w, b.Addr).RegisterDIP(vip, b.Addr); err != nil {
 			return err
 		}
 	}

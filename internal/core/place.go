@@ -48,11 +48,11 @@ type hop struct {
 // tier's change with steer.Plan, derives each VIP's new entry once from the
 // one the SMuxes hold, gives every switch and the NIC tier its share of
 // those ops and entries, and hands each table its share as one Apply, one
-// generation per table per batch, in §4.2's order: hosts are
-// wired for new DIPs; the switches that only lose apply, then the SMuxes,
-// the NICs and the switches that gain, removals first in each, so every
-// move — switch to switch, switch to NIC or back — transits the SMux
-// stepping stone within the batch; routes follow as one bgp.Apply,
+// generation per table per batch, in §4.2's order: the hosts of new DIPs are
+// wired, all in one cluster generation; the switches that only lose apply,
+// then the SMuxes, the NICs and the switches that gain, removals first in
+// each, so every move — switch to switch, switch to NIC or back — transits
+// the SMux stepping stone within the batch; routes follow as one bgp.Apply,
 // withdrawals first; DIPs no longer listed are unwired; each record is
 // replaced, never edited. A VIP is all or nothing across its switches and
 // NICs: an invalid target changes nothing, as does a config change beyond
@@ -72,6 +72,7 @@ func (c *Cluster) Place(ts ...Target) error {
 func (c *Cluster) placeLocked(ts []Target) error {
 	hops := make([]hop, len(ts))
 	var sm []steer.Op // the SMuxes' batch
+	var w wiring      // the hosts of the DIPs the batch adds that are new to the cluster
 	var seen map[packet.Addr]bool
 	if len(ts) > 1 {
 		seen = make(map[packet.Addr]bool, len(ts))
@@ -84,8 +85,9 @@ func (c *Cluster) placeLocked(ts []Target) error {
 		if seen != nil {
 			seen[ts[i].Addr] = true
 		}
-		hops[i], sm, ts[i].Err = c.hopLocked(&ts[i], sm)
+		hops[i], sm, ts[i].Err = c.hopLocked(&ts[i], sm, &w)
 	}
+	c.wireLocked(&w)
 	c.program(ts, hops, sm)
 	// A refused VIP leaves every table the batch put it in; its routes follow.
 	undo := make([]hop, len(hops))
@@ -150,9 +152,10 @@ func (c *Cluster) placeLocked(ts []Target) error {
 // one the SMux tier holds (steer.Derive) — derived once, installed by every
 // table; a target it refuses leaves sm as it was. A set there — a new VIP,
 // or a config change beyond dropped DIPs — must be a valid config, and off
-// every switch that held the VIP (§5.2). The hosts of the DIPs it adds are
-// wired here, before any table can direct traffic at them.
-func (c *Cluster) hopLocked(t *Target, sm []steer.Op) (hop, []steer.Op, error) {
+// every switch that held the VIP (§5.2). The hosts of the DIPs it adds that
+// the cluster has not seen join w, which placeLocked publishes before any
+// table can direct traffic at them.
+func (c *Cluster) hopLocked(t *Target, sm []steer.Op, w *wiring) (hop, []steer.Op, error) {
 	n, from, old := len(sm), c.placed[t.Addr], c.vips[t.Addr]
 	refuse := func(err error) (hop, []steer.Op, error) { return hop{}, sm[:n], err }
 	h := hop{valid: true, from: from, to: from, old: old, new: old}
@@ -191,7 +194,7 @@ func (c *Cluster) hopLocked(t *Target, sm []steer.Op) (hop, []steer.Op, error) {
 	}
 	if h.new != old {
 		for _, b := range diffBackends(h.new, old) {
-			if err := c.hostBackendLocked(t.Addr, b.Addr); err != nil {
+			if err := c.hostBackendLocked(w, t.Addr, b.Addr); err != nil {
 				return refuse(err)
 			}
 		}

@@ -16,7 +16,7 @@ import (
 // removal edit the muxes' own tables and the routes, none of which is in the
 // cluster snapshot, so the generation Deliver loads stays the very same
 // pointer; the mutations a packet can observe still publish one generation
-// each.
+// each, a batch that wires new hosts one for all of them.
 func TestUnobservableMutationsPublishNothing(t *testing.T) {
 	c, err := New(Config{
 		Topology:      topology.TestbedConfig(),
@@ -31,8 +31,8 @@ func TestUnobservableMutationsPublishNothing(t *testing.T) {
 	sw, other := c.Topo.TorID(0, 0), c.Topo.AggID(0, 0)
 
 	gen := c.snap.Load()
-	if gen.epoch != 3 {
-		t.Fatalf("epoch %d after wiring three new hosts, want 3", gen.epoch)
+	if gen.epoch != 2 {
+		t.Fatalf("epoch %d after wiring three new hosts in two batches, want 2", gen.epoch)
 	}
 	for _, step := range []struct {
 		name string
@@ -75,6 +75,77 @@ func TestUnobservableMutationsPublishNothing(t *testing.T) {
 			t.Errorf("%s: epoch %d → %d, want one new generation", step.name, gen.epoch, next.epoch)
 		}
 		gen = next
+	}
+}
+
+// TestBatchWiresNewHostsInOneGeneration: a Place batch of 200 VIPs × 4 DIPs,
+// every DIP on a host the cluster has not seen, raises core.epoch by exactly
+// one for all 800 hosts, and publishes it before any table maps a flow to
+// them: an observer that loads an SMux's steer table and then the cluster
+// generation, over and over while the batch runs, never finds a DIP the
+// table holds without its agent in the index.
+func TestBatchWiresNewHostsInOneGeneration(t *testing.T) {
+	c := testCluster(t)
+	var ts []Target
+	var vips []packet.Addr // the observer's: Place writes each target's Err
+	for i := 0; i < 200; i++ {
+		bs := make([]service.Backend, 4)
+		for j := range bs {
+			bs[j] = service.Backend{Addr: packet.AddrFrom4(100, byte(i>>8), byte(i), byte(j+1)), Weight: 1}
+		}
+		v := packet.AddrFrom4(10, 1, byte(i>>8), byte(i))
+		ts = append(ts, Target{Addr: v, VIP: &service.VIP{Addr: v, Backends: bs}})
+		vips = append(vips, v)
+	}
+	reg, _ := c.Telemetry()
+	epoch := func() int64 {
+		c.Collect()
+		return reg.Gauge("core.epoch").Value()
+	}
+	before := epoch()
+
+	stop, done := make(chan struct{}), make(chan int)
+	go func() {
+		looks, bad := 0, 0
+		for {
+			select {
+			case <-stop:
+				done <- looks
+				return
+			default:
+			}
+			view := c.SMuxes[0].Steer().View()
+			agents := c.snap.Load().agents
+			for _, v := range vips {
+				e, ok := view.Find(v)
+				if !ok {
+					continue
+				}
+				e.Sets(func(dips []packet.Addr) {
+					for _, d := range dips {
+						if _, ok := agents.Get(d); !ok && bad == 0 {
+							bad++
+							t.Errorf("SMux 0 maps VIP %s to %s, which has no agent in the published index", v, d)
+						}
+					}
+				})
+			}
+			looks++
+		}
+	}()
+	must(t, c.Place(ts...))
+	close(stop)
+	t.Logf("observer looked %d times", <-done)
+
+	if got := epoch() - before; got != 1 {
+		t.Errorf("core.epoch rose by %d for one batch of new hosts, want 1", got)
+	}
+	for _, tg := range ts {
+		for _, b := range tg.VIP.Backends {
+			if _, ok := c.Agent(b.Addr); !ok {
+				t.Fatalf("DIP %s of VIP %s has no agent", b.Addr, tg.Addr)
+			}
+		}
 	}
 }
 

@@ -8,7 +8,7 @@ package netsim
 
 import (
 	"errors"
-	"sort"
+	"slices"
 
 	"duet/internal/topology"
 )
@@ -58,6 +58,50 @@ type Network struct {
 	// tight[i] is vecs[i]'s tight-link hint (see Vec), dropped with the
 	// vectors on a failure-state change.
 	tight []int32
+
+	// The builders' scratch, allocated on first use and zero again after
+	// each vector: a unit flow's inbound fraction per switch and the
+	// switches in the order they split it, and the vector being summed.
+	// Every fraction and share is positive, so a zero entry is one not yet
+	// reached.
+	frac  []float64
+	order []topology.SwitchID
+	next  []topology.Neighbor
+	sum   accum
+}
+
+// accum sums a sparse vector in a dense per-directed-link array: add adds to
+// a link's entry, in the order the caller makes the additions, and vector
+// hands the entries out sorted by DirLink and zeroes them for the next one.
+type accum struct {
+	val  []float64
+	dirs []DirLink // the links added to
+}
+
+func (a *accum) add(d DirLink, f float64) {
+	if a.val[d] == 0 {
+		a.dirs = append(a.dirs, d)
+	}
+	a.val[d] += f
+}
+
+func (a *accum) vector() []LinkFrac {
+	slices.Sort(a.dirs)
+	out := make([]LinkFrac, len(a.dirs))
+	for i, d := range a.dirs {
+		out[i] = LinkFrac{Dir: d, Frac: a.val[d]}
+		a.val[d] = 0
+	}
+	a.dirs = a.dirs[:0]
+	return out
+}
+
+// scratch allocates the builders' scratch on first use.
+func (n *Network) scratch() {
+	if n.frac == nil {
+		n.frac = make([]float64, len(n.downSwitch))
+		n.sum.val = make([]float64, n.NumDirLinks())
+	}
 }
 
 // Vec is a handle on one memoised flow vector and its tight-link hint: the
@@ -242,42 +286,39 @@ func (n *Network) UnitVec(src, dst topology.SwitchID) (Vec, error) {
 	// Propagate fractional flow down the shortest-path DAG. Nodes are
 	// processed in order of decreasing distance so every node's inbound
 	// fraction is complete before it splits outward.
-	frac := map[topology.SwitchID]float64{src: 1}
-	order := []topology.SwitchID{src}
-	loads := map[DirLink]float64{}
-	for i := 0; i < len(order); i++ {
-		u := order[i]
-		f := frac[u]
+	n.scratch()
+	n.frac[src] = 1
+	n.order = append(n.order[:0], src)
+	for i := 0; i < len(n.order); i++ {
+		u := n.order[i]
+		f := n.frac[u]
 		// Count downhill neighbors.
-		var next []topology.Neighbor
+		n.next = n.next[:0]
 		for _, nb := range n.Topo.Neighbors[u] {
 			if n.linkUsable(nb.Link) && d[nb.Peer] == d[u]-1 {
-				next = append(next, nb)
+				n.next = append(n.next, nb)
 			}
 		}
-		if len(next) == 0 {
+		if len(n.next) == 0 {
 			// Only possible at dst (d==0) on a consistent BFS tree.
 			continue
 		}
-		share := f / float64(len(next))
-		for _, nb := range next {
-			dir := n.direction(nb.Link, u)
-			loads[dir] += share
-			if _, seen := frac[nb.Peer]; !seen && nb.Peer != dst {
-				order = append(order, nb.Peer)
+		share := f / float64(len(n.next))
+		for _, nb := range n.next {
+			n.sum.add(n.direction(nb.Link, u), share)
+			if nb.Peer == dst {
+				continue
 			}
-			if nb.Peer != dst {
-				frac[nb.Peer] += share
+			if n.frac[nb.Peer] == 0 {
+				n.order = append(n.order, nb.Peer)
 			}
+			n.frac[nb.Peer] += share
 		}
 	}
-
-	out := make([]LinkFrac, 0, len(loads))
-	for dir, f := range loads {
-		out = append(out, LinkFrac{Dir: dir, Frac: f})
+	for _, u := range n.order {
+		n.frac[u] = 0
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Dir < out[j].Dir })
-	*slot = n.remember(out)
+	*slot = n.remember(n.sum.vector())
 	return n.vec(*slot), nil
 }
 
@@ -334,22 +375,23 @@ func (n *Network) InternetVec(dst topology.SwitchID) (Vec, error) {
 		*slot = n.remember(nil)
 		return n.vec(*slot), nil
 	}
-	acc := map[DirLink]float64{}
-	share := 1.0 / float64(n.Topo.Cfg.Cores)
-	for _, c := range cores {
+	// Every core's vector first: building one uses the scratch the sum is
+	// made in. The sum then adds them link by link in core order.
+	n.scratch()
+	vecs := make([]Vec, len(cores))
+	for i, c := range cores {
 		vec, err := n.UnitVec(c, dst)
 		if err != nil {
 			return Vec{}, err
 		}
+		vecs[i] = vec
+	}
+	share := 1.0 / float64(n.Topo.Cfg.Cores)
+	for _, vec := range vecs {
 		for _, lf := range vec.Links() {
-			acc[lf.Dir] += share * lf.Frac
+			n.sum.add(lf.Dir, share*lf.Frac)
 		}
 	}
-	out := make([]LinkFrac, 0, len(acc))
-	for dir, f := range acc {
-		out = append(out, LinkFrac{Dir: dir, Frac: f})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Dir < out[j].Dir })
-	*slot = n.remember(out)
+	*slot = n.remember(n.sum.vector())
 	return n.vec(*slot), nil
 }

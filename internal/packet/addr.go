@@ -28,22 +28,42 @@ func MustParseAddr(s string) Addr {
 	return a
 }
 
-// ParseAddr parses a dotted-quad IPv4 address.
+// ParseAddr parses a dotted-quad IPv4 address: four fields separated by
+// dots, each one or more decimal digits after an optional sign, valued 0–255
+// — what strconv.Atoi accepts in that range, so leading zeros and "-0" pass.
+// It allocates only to report an error.
 func ParseAddr(s string) (Addr, error) {
-	parts := strings.Split(s, ".")
-	if len(parts) != 4 {
-		return 0, fmt.Errorf("packet: invalid IPv4 address %q", s)
-	}
 	var a uint32
-	for _, p := range parts {
-		v, err := strconv.Atoi(p)
-		if err != nil || v < 0 || v > 255 {
-			return 0, fmt.Errorf("packet: invalid IPv4 address %q", s)
+	i := 0
+	for field := 0; field < 4; field++ {
+		if field > 0 {
+			if i == len(s) || s[i] != '.' {
+				return 0, errAddr(s)
+			}
+			i++
+		}
+		neg := i < len(s) && s[i] == '-'
+		if neg || i < len(s) && s[i] == '+' {
+			i++
+		}
+		digits, v := i, 0
+		for ; i < len(s) && '0' <= s[i] && s[i] <= '9'; i++ {
+			if v <= 255 { // past 255 the field is refused whatever follows
+				v = v*10 + int(s[i]-'0')
+			}
+		}
+		if i == digits || v > 255 || neg && v != 0 {
+			return 0, errAddr(s)
 		}
 		a = a<<8 | uint32(v)
 	}
+	if i != len(s) {
+		return 0, errAddr(s)
+	}
 	return Addr(a), nil
 }
+
+func errAddr(s string) error { return fmt.Errorf("packet: invalid IPv4 address %q", s) }
 
 // AddrFrom4 builds an Addr from four octets.
 //

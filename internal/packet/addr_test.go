@@ -1,6 +1,8 @@
 package packet
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -153,4 +155,58 @@ func TestPrefixNesting(t *testing.T) {
 // Contains reports whether addr falls inside the prefix.
 func (p Prefix) Contains(addr Addr) bool {
 	return addr&Mask(p.Bits) == p.Addr
+}
+
+// refParseAddr is ParseAddr as it was written before it stopped allocating:
+// strings.Split into four fields, strconv.Atoi each into 0–255. The
+// reference FuzzParseAddr holds the parser to.
+func refParseAddr(s string) (Addr, bool) {
+	parts := strings.Split(s, ".")
+	if len(parts) != 4 {
+		return 0, false
+	}
+	var a uint32
+	for _, p := range parts {
+		v, err := strconv.Atoi(p)
+		if err != nil || v < 0 || v > 255 {
+			return 0, false
+		}
+		a = a<<8 | uint32(v)
+	}
+	return Addr(a), true
+}
+
+// FuzzParseAddr: ParseAddr accepts exactly the strings the reference does,
+// with the same value.
+func FuzzParseAddr(f *testing.F) {
+	for _, s := range []string{
+		"0.0.0.0", "255.255.255.255", "10.0.0.1", "1.2.3", "1.2.3.4.5", "1.2.3.256",
+		"1.2.3.-1", "a.b.c.d", "", "+1.2.3.4", "-0.0.0.0", "1.2.3.-0", "001.002.003.004",
+		"1..2.3", "1.2.3.4.", ".1.2.3", "1.2.3.", "+.1.2.3", "-.1.2.3", "1.2.3.4 ",
+		"99999999999999999999.1.1.1", "0000000000000000000000255.0.0.1", "1.2.3.+-4", "1.2.3.0x1",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, err := ParseAddr(s)
+		want, ok := refParseAddr(s)
+		if (err == nil) != ok || got != want {
+			t.Fatalf("ParseAddr(%q) = %v, %v; reference %v, %v", s, got, err, want, ok)
+		}
+	})
+}
+
+// TestZeroAllocParseAddr: parsing a valid address allocates nothing.
+func TestZeroAllocParseAddr(t *testing.T) {
+	var sink Addr
+	if allocs := testing.AllocsPerRun(100, func() {
+		a, err := ParseAddr("192.168.10.200")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink += a
+	}); allocs != 0 {
+		t.Fatalf("ParseAddr: %v allocs/op, want 0", allocs)
+	}
+	_ = sink
 }

@@ -51,6 +51,7 @@ type replicator struct {
 	leaderSeen float64 // n.wall() seconds of the last admitted push
 	epochAt    float64 // n.wall() seconds of the last epoch advance
 	acked      map[string]uint64
+	boot       *delta.State // the spec's VIPs at epoch 1; nil once a leadership appended them
 
 	ctrls    []*NodeSpec // spec controllers, election order
 	rank     int         // my index in ctrls
@@ -66,7 +67,7 @@ type replicator struct {
 	logHeadG, logHorizonG, lagMaxG             *telemetry.Gauge
 }
 
-func newReplicator(n *Node) *replicator {
+func newReplicator(n *Node, boot *delta.State) *replicator {
 	lease := time.Duration(n.Spec.LeaseMillis) * time.Millisecond
 	if lease <= 0 {
 		lease = 2 * time.Second
@@ -75,6 +76,7 @@ func newReplicator(n *Node) *replicator {
 		n:           n,
 		lease:       lease,
 		log:         delta.NewLog(n.Spec.DeltaTail),
+		boot:        boot,
 		acked:       make(map[string]uint64),
 		clients:     make(map[string]*ControlClient),
 		wakes:       make(map[string]chan struct{}),
@@ -179,21 +181,19 @@ func (r *replicator) stop() {
 }
 
 // becomeLeaderLocked assumes leadership at term+1. A leader whose log is
-// still empty bootstraps epoch 1 from the spec — deterministically, so a
-// late-starting standby that was never pushed anything builds the exact
-// state the original leader did. startController refused a spec it cannot
-// project, so the bootstrap cannot fail here.
+// still empty bootstraps epoch 1 from the spec's projection startController
+// made — deterministically, so a late-starting standby that was never pushed
+// anything builds the exact state the original leader did.
 func (r *replicator) becomeLeaderLocked() {
 	r.term++
 	r.leader = true
 	r.leaderName = r.n.Me.Name
 	r.acked = make(map[string]uint64) // sync state from any prior term is stale
 	r.elections.Inc()
-	if r.log.HeadEpoch() == 0 {
-		if boot, err := specState(r.n.Spec, 1); err == nil {
-			_ = r.log.Append(delta.Diff(delta.NewState(), boot), nil)
-			r.epochs.Inc()
-		}
+	if r.log.HeadEpoch() == 0 && r.boot != nil {
+		_ = r.log.Append(delta.Diff(delta.NewState(), r.boot), nil)
+		r.epochs.Inc()
+		r.boot = nil
 	}
 	r.epochAt = r.n.wall()
 }

@@ -465,12 +465,13 @@ func (n *Node) switchPacket(tx *txBatch, payload, scratch []byte, trace uint64) 
 func (n *Node) startController() error {
 	// A leader bootstraps its log from the spec's VIPs: a spec it cannot
 	// project would leave every node unprogrammed, so it fails the start.
-	if _, err := specState(n.Spec, 1); err != nil {
+	boot, err := specState(n.Spec, 1)
+	if err != nil {
 		return err
 	}
 	n.resyncs = n.Reg.Counter("wire.controller.resyncs").Shard()
 	n.Obs.AddRules(obs.ControllerRules(obs.DefaultSLO())...)
-	n.rep = newReplicator(n)
+	n.rep = newReplicator(n, boot)
 	ctl, err := ListenControl(n.Me.Control, n.Reg, n.controllerControl)
 	if err != nil {
 		return err
