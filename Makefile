@@ -87,8 +87,9 @@ vuln:
 # the address parser against its strings.Split reference, the
 # wire frame and control-message codecs, the split of a coalesced read into
 # frames, the delta codec — of the flow-pin table against its model, of a
-# slot table's resilient removal against the reference group, and of
-# the placement scan's early exits against the full sum: each corpus gets a short randomized walk, enough
+# slot table's resilient removal against the reference group, of the route
+# table against its converged reference, and of the placement scan's early
+# exits against the full sum: each corpus gets a short randomized walk, enough
 # to catch a fresh regression without turning CI into a fuzz farm. `go test
 # -fuzz` takes one target per invocation, so the package:Target pairs run
 # back to back.
@@ -99,7 +100,8 @@ FUZZ_TARGETS = \
 	wire:FuzzDecodeFrameTrace wire:FuzzTracedFrameRoundTrip wire:FuzzReadMsg \
 	wire:FuzzReadBurst \
 	delta:FuzzDeltaDecode delta:FuzzDeltaRoundTrip \
-	steer:FuzzPins steer:FuzzWithoutBackend assign:FuzzEvaluateMatchesFullSum
+	steer:FuzzPins steer:FuzzWithoutBackend bgp:FuzzTableMatchesReference \
+	assign:FuzzEvaluateMatchesFullSum
 fuzz-smoke:
 	@for pt in $(FUZZ_TARGETS); do \
 		t=$${pt#*:}; echo "fuzz $$t"; \

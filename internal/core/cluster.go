@@ -27,7 +27,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -63,13 +62,6 @@ var (
 // smuxNodeBase offsets SMux IDs in the routing table (switches use their
 // SwitchID directly).
 const smuxNodeBase bgp.NodeID = 1 << 20
-
-// converged is the time deliver resolves routes at: after every change the
-// table has seen. Route changes are stamped with the recorder's clock for the
-// trace they leave, but the cluster holds no clock of its own — a mutator's
-// change is in force once it returns, and a caller that models propagation
-// delay (internal/testbed) calls the mutator when the delay has passed.
-const converged = math.MaxFloat64
 
 // nmuxNodeBase offsets NMux IDs in telemetry trace events. NMuxes never
 // appear in the routing table — they front the SMux on the same server — but
@@ -766,7 +758,7 @@ func (c *Cluster) deliver(snap *clusterSnap, data []byte, sc *scratch, out []byt
 	}
 	vip := f.Tuple.Dst
 	hash := ecmp.Hash(f.Tuple)
-	nh, _, ok := c.Routes.Snapshot().Pick(vip, converged, hash)
+	nh, _, ok := c.Routes.Snapshot().Pick(vip, 0, hash)
 	if !ok {
 		return ErrNoRoute
 	}

@@ -5,7 +5,7 @@
 // SNAT ports that are consistent with the HMux hash so outbound connections
 // work without per-connection state on the switch.
 //
-// Concurrency: the registration tables (VIP→local DIPs, DIP→VIP, health)
+// Concurrency: the registration tables (VIP→local DIPs, DIP→{VIP, health})
 // are immutable generations published through an atomic pointer — mutators
 // (RegisterDIP, UnregisterDIP, SetHealth) derive the next one under a writer
 // lock, through the shared copy-on-write map of internal/addrmap, so Receive
@@ -39,8 +39,14 @@ type agentTables struct {
 	// locals maps VIP → local DIPs for that VIP on this host. In the
 	// non-virtualized case each VIP has exactly one local DIP.
 	locals addrmap.Map[[]packet.Addr]
-	vipOf  addrmap.Map[packet.Addr] // DIP → VIP, for DSR
-	health addrmap.Map[bool]        // DIP → healthy
+	dips   addrmap.Map[dipState] // every registered local DIP
+}
+
+// dipState is what the agent knows of one local DIP: the VIP it serves (for
+// DSR) and its recorded health.
+type dipState struct {
+	vip     packet.Addr
+	healthy bool
 }
 
 // Agent is the host agent of one server (or one hypervisor host in
@@ -126,14 +132,13 @@ func (a *Agent) RegisterDIP(vip, dip packet.Addr) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	t := *a.tab.Load()
-	if v, ok := t.vipOf.Get(dip); ok && v != vip {
-		return fmt.Errorf("hostagent: DIP %s already registered for VIP %s", dip, v)
+	if st, ok := t.dips.Get(dip); ok && st.vip != vip {
+		return fmt.Errorf("hostagent: DIP %s already registered for VIP %s", dip, st.vip)
 	} else if !ok {
 		dips, _ := t.locals.Get(vip)
 		t.locals = t.locals.With(vip, append(slices.Clone(dips), dip))
-		t.vipOf = t.vipOf.With(dip, vip)
 	}
-	t.health = t.health.With(dip, true)
+	t.dips = t.dips.With(dip, dipState{vip: vip, healthy: true})
 	a.tab.Store(&t)
 	return nil
 }
@@ -143,17 +148,17 @@ func (a *Agent) UnregisterDIP(dip packet.Addr) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	t := *a.tab.Load()
-	vip, ok := t.vipOf.Get(dip)
+	st, ok := t.dips.Get(dip)
 	if !ok {
 		return ErrUnknownDIP
 	}
-	t.vipOf, t.health = t.vipOf.Without(dip), t.health.Without(dip)
-	dips, _ := t.locals.Get(vip)
+	t.dips = t.dips.Without(dip)
+	dips, _ := t.locals.Get(st.vip)
 	dips = slices.DeleteFunc(slices.Clone(dips), func(d packet.Addr) bool { return d == dip })
 	if len(dips) == 0 {
-		t.locals = t.locals.Without(vip)
+		t.locals = t.locals.Without(st.vip)
 	} else {
-		t.locals = t.locals.With(vip, dips)
+		t.locals = t.locals.With(st.vip, dips)
 	}
 	a.tab.Store(&t)
 	return nil
@@ -164,18 +169,20 @@ func (a *Agent) SetHealth(dip packet.Addr, healthy bool) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	t := *a.tab.Load()
-	if _, ok := t.vipOf.Get(dip); !ok {
+	st, ok := t.dips.Get(dip)
+	if !ok {
 		return ErrUnknownDIP
 	}
-	t.health = t.health.With(dip, healthy)
+	st.healthy = healthy
+	t.dips = t.dips.With(dip, st)
 	a.tab.Store(&t)
 	return nil
 }
 
 // Healthy reports the recorded health of a local DIP.
 func (a *Agent) Healthy(dip packet.Addr) bool {
-	healthy, _ := a.tab.Load().health.Get(dip)
-	return healthy
+	st, _ := a.tab.Load().dips.Get(dip)
+	return st.healthy
 }
 
 // Delivery is the result of Receive: the decapsulated packet rewritten to
@@ -284,17 +291,17 @@ func (a *Agent) SendDSR(data, out []byte) ([]byte, error) {
 		a.tel.dsrErrors.Inc()
 		return nil, err
 	}
-	vip, ok := a.tab.Load().vipOf.Get(ip.Src)
+	st, ok := a.tab.Load().dips.Get(ip.Src)
 	if !ok {
 		a.tel.dsrErrors.Inc()
 		return nil, ErrUnknownDIP
 	}
 	dip := ip.Src
 	pkt := append(out, data...)[len(out):]
-	_ = packet.RewriteSrc(pkt, vip) // a header that decoded is long enough
+	_ = packet.RewriteSrc(pkt, st.vip) // a header that decoded is long enough
 	a.tel.dsr.Inc()
 	if a.tel.rec.Sample() {
-		a.tel.rec.Record(telemetry.KindDSR, a.tel.node, uint32(vip), uint32(dip), 0)
+		a.tel.rec.Record(telemetry.KindDSR, a.tel.node, uint32(st.vip), uint32(dip), 0)
 	}
 	return pkt, nil
 }

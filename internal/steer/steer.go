@@ -124,9 +124,6 @@ var (
 
 // Config parameterizes a Table.
 type Config struct {
-	// DrainWindow is the previous-generation lifetime in clock seconds;
-	// 0 means DefaultDrainWindow, negative disables draining entirely.
-	DrainWindow float64
 	// Clock supplies the drain timestamps; nil means a zero clock (drains
 	// then never expire on their own — callers that care inject one).
 	Clock func() float64
@@ -237,21 +234,16 @@ type Table struct {
 	mu  sync.Mutex // serializes writers
 	gen atomic.Pointer[generation]
 
-	drain       float64
 	clock       func() float64
 	defaultMode Mode
 }
 
 // NewTable creates an empty table.
 func NewTable(cfg Config) *Table {
-	if cfg.DrainWindow == 0 {
-		cfg.DrainWindow = DefaultDrainWindow
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = func() float64 { return 0 }
 	}
 	t := &Table{
-		drain:       cfg.DrainWindow,
 		clock:       cfg.Clock,
 		defaultMode: cfg.DefaultMode,
 	}
@@ -465,10 +457,10 @@ func (e *Entry) member(dip packet.Addr) int {
 func (t *Table) publish(vips addrmap.Map[*Entry], withDrain bool) {
 	cur := t.gen.Load()
 	next := &generation{epoch: cur.epoch + 1, vips: vips}
-	if withDrain && t.drain > 0 {
+	if withDrain {
 		next.prev = &generation{epoch: cur.epoch, vips: cur.vips}
-		next.drainUntil = t.clock() + t.drain
-	} else if !withDrain {
+		next.drainUntil = t.clock() + DefaultDrainWindow
+	} else {
 		next.prev = cur.prev
 		next.drainUntil = cur.drainUntil
 	}

@@ -130,7 +130,7 @@ func TestRemoveReAddConverges(t *testing.T) {
 // then detaches it. Hybrid muxes use exactly this pair of lookups.
 func TestDrainWindow(t *testing.T) {
 	now := 100.0
-	tab := NewTable(Config{DrainWindow: 30, Clock: func() float64 { return now }})
+	tab := NewTable(Config{Clock: func() float64 { return now }})
 	bs := backends("100.0.0.1", "100.0.0.2", "100.0.0.3")
 	mustAdd(t, tab, &service.VIP{Addr: vipAddr, Backends: bs})
 	if err := One(tab.Apply, Op{Kind: OpRemoveDIP, Addr: vipAddr, DIP: bs[0].Addr}); err != nil {
@@ -163,7 +163,7 @@ func TestDrainWindow(t *testing.T) {
 	if tab.ReleaseDrained() {
 		t.Fatal("drain released before the window passed")
 	}
-	now += 31
+	now += DefaultDrainWindow + 1
 	if v.DrainActive(now) {
 		t.Fatal("drain still active past the window")
 	}

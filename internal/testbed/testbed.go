@@ -26,7 +26,6 @@ import (
 	"math/rand"
 
 	"duet/internal/assign"
-	"duet/internal/bgp"
 	"duet/internal/controller"
 	"duet/internal/core"
 	"duet/internal/latmodel"
@@ -44,8 +43,8 @@ const (
 	LatRemoveVIPFIB = 0.350 // remove VIP from switch FIB
 	LatAddDIPs      = 0.060 // program ECMP+tunneling entries
 	LatRemoveDIPs   = 0.050
-	LatBGP          = bgp.DefaultConvergence // route propagation
-	LatFailDetect   = 0.003                  // neighbor failure detection
+	LatBGP          = 0.035 // route propagation: the paper's sub-40ms BGP convergence (§7.2)
+	LatFailDetect   = 0.003 // neighbor failure detection
 )
 
 // event is one scheduled control-plane action.
